@@ -1,6 +1,7 @@
 package hsq_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro"
@@ -37,5 +38,49 @@ func TestObserveSliceZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ObserveSlice allocated %.1f times per call after warmup, want 0", allocs)
+	}
+}
+
+// TestRankBuildsNoCombinedSummary: an accurate rank query reads the
+// partitions and the stream pieces, never TS, so what it allocates — the
+// snapshot and one cursor per partition — must not grow with δ. Two engines
+// holding the same nine partitions at ε 40× apart (δ 40× apart; a combined
+// summary is 24 bytes per entry) must allocate about the same per query.
+func TestRankBuildsNoCombinedSummary(t *testing.T) {
+	perRank := func(eps float64) (alloc, summaries int64) {
+		eng, err := hsq.New(hsq.Config{
+			Epsilon: eps, Kappa: 10, Backend: "mem", Maintenance: "sync", BlockSize: 1024,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close() //nolint:errcheck
+		gen := workload.NewUniform(7)
+		for step := 0; step < 9; step++ {
+			eng.ObserveSlice(workload.Fill(gen, 4000))
+			if _, err := eng.EndStep(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, _, err := eng.Quantile(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, _, err := eng.Rank(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs, eng.MemoryUsage().HistBytes
+	}
+	coarse, coarseSum := perRank(0.04)
+	fine, fineSum := perRank(0.001)
+	t.Logf("Rank allocates %d B per query over %d B of summaries, %d B over %d B", coarse, coarseSum, fine, fineSum)
+	if grew := fine - coarse; grew > (fineSum-coarseSum)/10 {
+		t.Fatalf("Rank allocated %d B more per query over %d B more of summaries: it is building O(δ) state", grew, fineSum-coarseSum)
 	}
 }

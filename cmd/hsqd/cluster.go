@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -258,13 +257,7 @@ func (s *server) remoteRank(name string, w http.ResponseWriter, r *http.Request)
 	if !ok {
 		return
 	}
-	i := sort.Search(c.Len(), func(i int) bool { return c.Value(i) > v }) - 1
-	var rank int64
-	if i >= 0 {
-		lo, hi := c.Bounds(i)
-		rank = int64((lo + hi) / 2)
-	}
-	writeJSON(w, map[string]any{"stream": name, "v": v, "rank": rank, "total": total, "quick": true, "remote": true})
+	writeJSON(w, map[string]any{"stream": name, "v": v, "rank": c.QuickRank(v), "total": total, "quick": true, "remote": true})
 }
 
 // restSession is the synthetic wire session carrying this node's forwarded

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -77,90 +78,49 @@ func encodeSidecar(parts []sidecarPart, steps int, total int64) []byte {
 }
 
 // decodeSidecar parses a SUMMARY.bin payload, rejecting truncation,
-// trailing bytes and counts beyond the input size.
+// trailing bytes and counts beyond the input size. Every part's values are
+// slices of one backing array — a cold read is one allocation per stream,
+// not one per partition.
 func decodeSidecar(data []byte) (parts []sidecarPart, steps int, total int64, err error) {
-	d := sidecarDecoder{buf: data}
-	if v := d.byte(); d.err == nil && v != sidecarVersion {
+	d := enc.NewReader(data)
+	if v := d.Byte(); d.Err() == nil && v != sidecarVersion {
 		return nil, 0, 0, fmt.Errorf("hsq: cold summary version %d (want %d)", v, sidecarVersion)
 	}
-	steps = int(d.uvarint())
-	total = int64(d.uvarint())
-	nparts := d.uvarint()
-	if d.err == nil && nparts > uint64(len(data)) {
-		return nil, 0, 0, fmt.Errorf("hsq: cold summary declares %d partitions beyond input", nparts)
-	}
-	for i := uint64(0); i < nparts && d.err == nil; i++ {
-		p := sidecarPart{
-			Count:     int64(d.uvarint()),
-			StartStep: int(d.uvarint()),
-			EndStep:   int(d.uvarint()),
+	steps = int(d.Uvarint())
+	total = int64(d.Uvarint())
+	nparts := d.Count()
+	var vals []int64
+	ends := make([]int, 0, nparts)
+	for i := 0; i < nparts && d.Err() == nil; i++ {
+		parts = append(parts, sidecarPart{
+			Count:     int64(d.Uvarint()),
+			StartStep: int(d.Uvarint()),
+			EndStep:   int(d.Uvarint()),
+		})
+		vals = d.AppendValues(vals)
+		if i == 0 {
+			// Summaries are β₁ values each, so the first sizes the rest; a
+			// value is at least a byte, which bounds a lying first length. A
+			// wrong guess costs a regrowth: parts are cut from the final
+			// array, after the loop.
+			vals = slices.Grow(vals, min(len(vals)*(nparts-1), d.Len()))
 		}
-		p.Values = d.values(len(data))
-		parts = append(parts, p)
+		ends = append(ends, len(vals))
 	}
-	if d.err != nil {
-		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %w", d.err)
+	if d.Err() != nil {
+		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %w", d.Err())
 	}
-	if len(d.buf) != 0 {
-		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %d trailing bytes", len(d.buf))
+	if d.Len() != 0 {
+		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %d trailing bytes", d.Len())
+	}
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			parts[i].Values = vals[start:end:end]
+		}
+		start = end
 	}
 	return parts, steps, total, nil
-}
-
-// sidecarDecoder is the error-latching cursor for the sidecar encoding.
-type sidecarDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *sidecarDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *sidecarDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fail(fmt.Errorf("truncated"))
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *sidecarDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(fmt.Errorf("bad uvarint"))
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *sidecarDecoder) values(inputLen int) []int64 {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(inputLen) {
-		d.fail(fmt.Errorf("declared count %d exceeds input", n))
-	}
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int64, n)
-	rest, err := enc.DecodeDelta(vs, d.buf)
-	if err != nil {
-		d.fail(err)
-		return nil
-	}
-	d.buf = rest
-	return vs
 }
 
 // writeSidecar persists the stream's cold summary. Metadata write — atomic

@@ -67,22 +67,14 @@ type StreamPiece struct {
 	M int64
 }
 
-// tsItem is one element of the combined summary TS with its source: src ==
-// -1-j for stream piece j, otherwise the index of the historical summary it
-// came from.
-type tsItem struct {
-	v   int64
-	src int
-}
-
 // Combined is TS — the sorted union of all historical summaries and the
 // stream-side piece summaries — together with the per-item rank bounds L
-// and U of Lemma 2.
+// and U of Lemma 2: 24 bytes per entry (value, L_i, U_i).
 type Combined struct {
-	items []tsItem
-	lower []float64 // L_i
-	upper []float64 // U_i
+	ts partition.MergedSummaries
 
+	// sums are the partitions the accurate query's cursors open; nil for a
+	// summary merged from shards, whose partitions live elsewhere.
 	sums    []*partition.Summary
 	streams []StreamPiece
 
@@ -96,13 +88,13 @@ type Combined struct {
 func (c *Combined) N() int64 { return c.histN + c.m }
 
 // Len returns δ, the number of TS entries.
-func (c *Combined) Len() int { return len(c.items) }
+func (c *Combined) Len() int { return len(c.ts.Values) }
 
 // Value returns TS[i].
-func (c *Combined) Value(i int) int64 { return c.items[i].v }
+func (c *Combined) Value(i int) int64 { return c.ts.Values[i] }
 
 // Bounds returns (L_i, U_i).
-func (c *Combined) Bounds(i int) (float64, float64) { return c.lower[i], c.upper[i] }
+func (c *Combined) Bounds(i int) (float64, float64) { return c.ts.Lower[i], c.ts.Upper[i] }
 
 // Epsilon returns the composed error parameter ε = ε₁ + 2ε₂ the summary was
 // built under. The composition is merge-invariant: TS over any union of
@@ -119,29 +111,27 @@ func (c *Combined) QuickRankError() int64 {
 	return int64(math.Ceil(1.5 * c.Epsilon() * float64(c.N())))
 }
 
-// BuildCombined constructs TS over one stream summary — the original
-// single-piece shape, kept for callers and tests that have no maintenance
-// backlog. It is BuildPieces with a single piece.
-func BuildCombined(sums []*partition.Summary, ss []int64, m int64, eps1, eps2 float64) *Combined {
-	var pieces []StreamPiece
-	if m > 0 || len(ss) > 0 {
-		pieces = []StreamPiece{{SS: ss, M: m}}
-	}
-	return BuildPieces(sums, pieces, eps1, eps2)
-}
-
 // BuildVersion constructs TS over a pinned store version plus the
 // memory-resident stream pieces — the snapshot-isolated query entry point:
 // the version's partition set and summaries are immutable, so the query
 // runs entirely outside the engine's write lock while installs and merges
-// publish newer versions behind it.
-func BuildVersion(v *partition.Version, pieces []StreamPiece, eps1, eps2 float64) *Combined {
-	return BuildPieces(v.Entries(), pieces, eps1, eps2)
+// publish newer versions behind it. The historical half of TS is a function
+// of the version alone, so it is merged once per version (see
+// partition.Version.MergedSummaries) and each query only lays its few
+// stream pieces over it; ε₁ is the version's store's.
+func BuildVersion(v *partition.Version, pieces []StreamPiece, eps2 float64) *Combined {
+	hist := v.MergedSummaries(func(entries []*partition.Summary, eps1 float64) *partition.MergedSummaries {
+		return mergeRuns(appendPartRuns(nil, entries, eps1), 0)
+	})
+	c := newCombined(v.TotalCount(), pieces, v.Eps1(), eps2)
+	c.ts = *addMerge(mergeRuns(pieceRuns(pieces, eps2), len(pieces)), hist)
+	c.sums = v.Entries()
+	return c
 }
 
-// BuildPieces constructs TS and computes every L_i and U_i with one sweep
-// (the formulas preceding Lemma 2, with the stream term summed over every
-// memory-resident piece):
+// BuildPieces constructs TS and computes every L_i and U_i (the formulas
+// preceding Lemma 2, with the stream term summed over every memory-resident
+// piece):
 //
 //	L_i = Σ_j ε₂·m_j·b_j·(α_{S_j} − 1) + Σ_{P: α_P>0} m_P·ε₁·(α_P − 1)
 //	U_i = Σ_j ε₂·m_j·b_j·(α_{S_j} + 1) + Σ_{P: α_P>0} m_P·ε₁·α_P
@@ -150,77 +140,26 @@ func BuildVersion(v *partition.Version, pieces []StreamPiece, eps1, eps2 float64
 // piece j (resp. partition P) and b_j = 1 iff α_{S_j} > 0. With a single
 // piece this is exactly the paper's bound; each extra sealed-batch piece
 // contributes its own independent ε₂·m_j band.
+//
+// Every summary is already sorted, so TS is a stable k-way merge of them
+// (merge.go) in O(δ·log k): equal values order stream pieces first, newest
+// piece first, then partitions in the order given.
 func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float64) *Combined {
 	var histN int64
 	for _, s := range sums {
 		histN += s.Part.Count
 	}
-	var m int64
-	for _, p := range pieces {
-		m += p.M
-	}
-	c := &Combined{sums: sums, streams: pieces, m: m, histN: histN, eps1: eps1, eps2: eps2}
+	c := newCombined(histN, pieces, eps1, eps2)
+	c.ts = *mergeRuns(appendPartRuns(pieceRuns(pieces, eps2), sums, eps1), len(pieces))
+	c.sums = sums
+	return c
+}
 
-	total := 0
+// newCombined is a Combined with everything but TS and the partitions.
+func newCombined(histN int64, pieces []StreamPiece, eps1, eps2 float64) *Combined {
+	c := &Combined{streams: pieces, histN: histN, eps1: eps1, eps2: eps2}
 	for _, p := range pieces {
-		total += len(p.SS)
-	}
-	for _, s := range sums {
-		total += len(s.Values)
-	}
-	c.items = make([]tsItem, 0, total)
-	for j, p := range pieces {
-		for _, v := range p.SS {
-			c.items = append(c.items, tsItem{v, -1 - j})
-		}
-	}
-	for si, s := range sums {
-		for _, v := range s.Values {
-			c.items = append(c.items, tsItem{v, si})
-		}
-	}
-	slices.SortFunc(c.items, func(a, b tsItem) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return a.src - b.src
-		}
-	})
-
-	c.lower = make([]float64, len(c.items))
-	c.upper = make([]float64, len(c.items))
-	// Running terms, updated as prefix counts per source grow.
-	var streamL, streamU float64 // Σ_j ε₂·m_j·b_j·(α_j∓1) terms
-	var histL, histU float64     // Σ m_P·ε₁·(α_P−1) and Σ m_P·ε₁·α_P
-	alphaS := make([]int, len(pieces))
-	alphaP := make([]int, len(sums))
-	for i, it := range c.items {
-		if it.src < 0 {
-			j := -1 - it.src
-			em2 := eps2 * float64(pieces[j].M)
-			alphaS[j]++
-			if alphaS[j] == 1 {
-				// b_j flips to 1: L gains 0 (α−1 = 0), U gains 2·ε₂m_j.
-				streamU += 2 * em2
-			} else {
-				streamL += em2
-				streamU += em2
-			}
-		} else {
-			w := float64(sums[it.src].Part.Count) * eps1
-			alphaP[it.src]++
-			if alphaP[it.src] == 1 {
-				histU += w // α_P = 1 contributes w to U, 0 to L
-			} else {
-				histL += w
-				histU += w
-			}
-		}
-		c.lower[i] = streamL + histL
-		c.upper[i] = streamU + histU
+		c.m += p.M
 	}
 	return c
 }
@@ -229,36 +168,36 @@ func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 flo
 // L_j ≥ r, or the last element if none. The returned element's rank is
 // within 1.5·εN of r (Lemma 3).
 func (c *Combined) QuickQuery(r int64) (int64, error) {
-	if len(c.items) == 0 {
+	if len(c.ts.Values) == 0 {
 		return 0, fmt.Errorf("core: quick query on empty summary")
 	}
 	fr := float64(r)
-	j := sort.Search(len(c.lower), func(i int) bool { return c.lower[i] >= fr })
-	if j == len(c.lower) {
-		j = len(c.lower) - 1
+	j := sort.Search(len(c.ts.Lower), func(i int) bool { return c.ts.Lower[i] >= fr })
+	if j == len(c.ts.Lower) {
+		j = len(c.ts.Lower) - 1
 	}
-	return c.items[j].v, nil
+	return c.ts.Values[j], nil
 }
 
 // Filters implements Algorithm 7: values u, v from TS with rank(u,T) ≤ r ≤
 // rank(v,T) and rank spread < 4εN (Lemma 4). When no U_i ≤ r exists the
 // global minimum is used; when no L_i ≥ r exists the global maximum is used.
 func (c *Combined) Filters(r int64) (u, v int64, err error) {
-	if len(c.items) == 0 {
+	if len(c.ts.Values) == 0 {
 		return 0, 0, fmt.Errorf("core: filters on empty summary")
 	}
 	fr := float64(r)
 	// x: largest i with U_i ≤ r. U is non-decreasing, so binary search works.
-	x := sort.Search(len(c.upper), func(i int) bool { return c.upper[i] > fr }) - 1
+	x := sort.Search(len(c.ts.Upper), func(i int) bool { return c.ts.Upper[i] > fr }) - 1
 	if x < 0 {
 		x = 0
 	}
 	// y: smallest i with L_i ≥ r.
-	y := sort.Search(len(c.lower), func(i int) bool { return c.lower[i] >= fr })
-	if y == len(c.lower) {
-		y = len(c.lower) - 1
+	y := sort.Search(len(c.ts.Lower), func(i int) bool { return c.ts.Lower[i] >= fr })
+	if y == len(c.ts.Lower) {
+		y = len(c.ts.Lower) - 1
 	}
-	u, v = c.items[x].v, c.items[y].v
+	u, v = c.ts.Values[x], c.ts.Values[y]
 	if u > v {
 		// Only possible at the clamped extremes; normalize.
 		u, v = v, u
@@ -269,10 +208,14 @@ func (c *Combined) Filters(r int64) (u, v int64, err error) {
 // StreamRankEstimate returns ρ₂ of Algorithm 8, summed across every
 // memory-resident stream piece: Σ_j ε₂·m_j·|{SS_j ≤ z}|.
 func (c *Combined) StreamRankEstimate(z int64) float64 {
+	return streamRankEstimate(c.streams, c.eps2, z)
+}
+
+func streamRankEstimate(pieces []StreamPiece, eps2 float64, z int64) float64 {
 	var rho float64
-	for _, p := range c.streams {
+	for _, p := range pieces {
 		cnt := sort.Search(len(p.SS), func(i int) bool { return p.SS[i] > z })
-		rho += float64(cnt) * c.eps2 * float64(p.M)
+		rho += float64(cnt) * eps2 * float64(p.M)
 	}
 	return rho
 }

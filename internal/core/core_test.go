@@ -93,7 +93,7 @@ func TestFigure3Summaries(t *testing.T) {
 func TestFigure3Bounds(t *testing.T) {
 	sums, ss, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildCombined(sums, ss, 200, 0.25, 0.125)
+	c := BuildPieces(sums, onePiece(ss, 200), 0.25, 0.125)
 	if c.N() != 600 {
 		t.Fatalf("N = %d", c.N())
 	}
@@ -127,7 +127,7 @@ func TestFigure3Bounds(t *testing.T) {
 func TestFigure3QuickQuery(t *testing.T) {
 	sums, ss, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildCombined(sums, ss, 200, 0.25, 0.125)
+	c := BuildPieces(sums, onePiece(ss, 200), 0.25, 0.125)
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 	}
@@ -147,7 +147,7 @@ func TestFigure3QuickQuery(t *testing.T) {
 func TestFigure3Filters(t *testing.T) {
 	sums, ss, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildCombined(sums, ss, 200, 0.25, 0.125)
+	c := BuildPieces(sums, onePiece(ss, 200), 0.25, 0.125)
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 	}
@@ -219,7 +219,7 @@ func (f fixture) rankOf(v int64) int64 {
 
 func TestCombinedBoundsRandom(t *testing.T) {
 	f := buildFixture(t, 61, 0.1, 10, 500, 1000)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	if err := c.Validate(f.eps, f.rankOf); err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +230,12 @@ func TestCombinedBoundsRandom(t *testing.T) {
 func TestAccurateQueryGuarantee(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		f := buildFixture(t, seed, 0.05, 12, 400, 800)
-		c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+		c := f.combined()
 		n := int64(len(f.all))
 		bound := 1.5 * f.eps * float64(f.m)
 		for _, phi := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99} {
 			r := int64(math.Ceil(phi * float64(n)))
-			v, cost, err := AccurateQuery(c, f.eps, r, true)
+			v, cost, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,11 +258,11 @@ func TestAccurateQueryGuarantee(t *testing.T) {
 // and answers must be exact quantiles.
 func TestAccurateQueryNoStream(t *testing.T) {
 	f := buildFixture(t, 71, 0.1, 8, 300, 0)
-	c := BuildCombined(f.sums, f.ss, 0, f.eps/2, f.eps/4)
+	c := BuildPieces(f.sums, onePiece(f.ss, 0), f.eps/2, f.eps/4)
 	n := int64(len(f.all))
 	for _, phi := range []float64{0.1, 0.5, 0.9, 1.0} {
 		r := int64(math.Ceil(phi * float64(n)))
-		v, _, err := AccurateQuery(c, f.eps, r, true)
+		v, _, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,9 +286,9 @@ func TestAccurateQueryStreamOnly(t *testing.T) {
 	}
 	slices.Sort(all)
 	ss := StreamSummary(g, eps/4)
-	c := BuildCombined(nil, ss, 5000, eps/2, eps/4)
+	c := BuildPieces(nil, onePiece(ss, 5000), eps/2, eps/4)
 	r := int64(2500)
-	v, _, err := AccurateQuery(c, eps, r, true)
+	v, _, err := accurateOne(c, eps, r, QueryOptions{PinBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +299,14 @@ func TestAccurateQueryStreamOnly(t *testing.T) {
 }
 
 func TestEmptyCombined(t *testing.T) {
-	c := BuildCombined(nil, nil, 0, 0.1, 0.1)
+	c := BuildPieces(nil, onePiece(nil, 0), 0.1, 0.1)
 	if _, err := c.QuickQuery(1); err == nil {
 		t.Error("quick on empty: want error")
 	}
 	if _, _, err := c.Filters(1); err == nil {
 		t.Error("filters on empty: want error")
 	}
-	if _, _, err := AccurateQuery(c, 0.1, 1, true); err == nil {
+	if _, _, err := accurateOne(c, 0.1, 1, QueryOptions{PinBlocks: true}); err == nil {
 		t.Error("accurate on empty: want error")
 	}
 }
@@ -318,24 +318,11 @@ func TestStreamSummaryEmpty(t *testing.T) {
 	}
 }
 
-func TestExactStreamRank(t *testing.T) {
-	sorted := []int64{1, 3, 3, 5, 9}
-	cases := []struct {
-		z    int64
-		want int64
-	}{{0, 0}, {1, 1}, {3, 3}, {4, 3}, {9, 5}, {10, 5}}
-	for _, c := range cases {
-		if got := ExactStreamRank(sorted, c.z); got != c.want {
-			t.Errorf("ExactStreamRank(%d) = %d, want %d", c.z, got, c.want)
-		}
-	}
-}
-
 // Property: quick query error ≤ 1.5εN on random fixtures of varying shape
 // (invariant 5).
 func TestQuickQueryPropertyBound(t *testing.T) {
 	f := buildFixture(t, 83, 0.1, 6, 200, 500)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	en := 1.5 * f.eps * float64(n)
 	prop := func(rRaw uint32) bool {
@@ -356,7 +343,7 @@ func TestQuickQueryPropertyBound(t *testing.T) {
 // Property: filters always bracket the target rank (invariant 6).
 func TestFiltersPropertySound(t *testing.T) {
 	f := buildFixture(t, 89, 0.08, 6, 200, 500)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	prop := func(rRaw uint32) bool {
 		r := int64(rRaw)%n + 1

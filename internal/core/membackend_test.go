@@ -47,10 +47,10 @@ func TestAccurateQueryMemBackend(t *testing.T) {
 	const eps = 0.5
 	m := int64(len(stream))
 	ss := StreamSummary(g, 0.125)
-	c := BuildCombined(store.Entries(), ss, m, 0.25, 0.125)
+	c := BuildPieces(store.Entries(), onePiece(ss, m), 0.25, 0.125)
 
 	for _, r := range []int64{1, 100, 250, 400, 500, int64(len(all))} {
-		ans, cost, err := AccurateQuery(c, eps, r, true)
+		ans, cost, err := accurateOne(c, eps, r, QueryOptions{PinBlocks: true})
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}

@@ -8,11 +8,23 @@ import (
 	"repro/internal/partition"
 )
 
-// This file implements the shared multi-target accurate query: one
-// value-space bisection sweep resolving every rank target together
+// This file implements the accurate query (Algorithms 6-8) as one shared
+// multi-target sweep: generate filters from the combined summary, then
+// bisect the value space, computing at each probe z the exact rank of z in
+// every partition (block-granular binary search seeded from the summaries)
+// plus the SS-based stream rank estimate, until the estimate is within ε·m
+// of a target rank — resolving every rank target together
 // (AccurateMultiQueryOpts), with an optional per-snapshot rank-probe memo
-// (QueryOptions.Memo). The single-target AccurateQueryOpts in query.go is
-// the k=1 case of this sweep.
+// (QueryOptions.Memo). A single-target query is the k=1 case.
+//
+// One deliberate refinement over the paper's pseudocode: Algorithm 8
+// returns the accepted midpoint z itself, which need not be an element of
+// T. We instead snap z to the largest known element ≤ z (the per-partition
+// predecessors sit right at the cursors' final boundary positions, usually
+// in an already-pinned block; the stream predecessor comes from SS). The
+// snapped element's rank differs from rank(z) by at most ~ε₂m additional
+// stream uncertainty, so the O(ε·m) guarantee of Lemma 5 is preserved — and
+// when the stream is empty the answer becomes the exact quantile.
 
 // mtTarget is one rank target of a shared sweep: its current bisection
 // interval plus the result slots it fills (duplicate φ values collapse to
@@ -49,8 +61,7 @@ type sweep struct {
 // log(filter range) + k probes instead of k·log(filter range). Results are
 // positionally aligned with rs; the cost aggregates the whole sweep.
 //
-// The options compose exactly as in the single-target query: MaxReads is
-// one backend-read budget for the whole sweep (once spent, targets still
+// MaxReads is one backend-read budget for the whole sweep (once spent, targets still
 // in flight at the tripping probe snap to its midpoint and every other
 // unresolved target is answered from the in-memory summary alone, with
 // Truncated set); Interrupt is polled before every probe; Parallel probes

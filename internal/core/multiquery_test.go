@@ -24,7 +24,7 @@ func phiRanks(phis []float64, n int64) []int64 {
 func TestMultiQueryGuarantee(t *testing.T) {
 	for _, seed := range []int64{5, 17, 29} {
 		f := buildFixture(t, seed, 0.05, 12, 400, 800)
-		c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+		c := f.combined()
 		n := int64(len(f.all))
 		rs := phiRanks([]float64{0.9, 0.1, 0.5, 0.99, 0.5, 0.25}, n)
 		ans, cost, err := AccurateMultiQueryOpts(c, f.eps, rs, QueryOptions{PinBlocks: true})
@@ -63,11 +63,11 @@ func TestMultiQueryGuarantee(t *testing.T) {
 //     its solo probe sequence).
 func TestMultiQueryProbeSharing(t *testing.T) {
 	f := buildFixture(t, 41, 0.05, 12, 400, 100)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	probes := func(rs []int64) (single, shared int) {
 		for _, r := range rs {
-			_, cost, err := AccurateQueryOpts(c, f.eps, r, QueryOptions{PinBlocks: true})
+			_, cost, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestMultiQueryProbeSharing(t *testing.T) {
 // cache hits, no block skips, cursors never even open.
 func TestMultiQueryMemoRepeatZeroIO(t *testing.T) {
 	f := buildFixture(t, 53, 0.05, 10, 300, 800)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	rs := phiRanks([]float64{0.1, 0.5, 0.9}, n)
 	opts := QueryOptions{PinBlocks: true, Memo: partition.NewProbeMemo(4096)}
@@ -140,7 +140,7 @@ func TestMultiQueryMemoRepeatZeroIO(t *testing.T) {
 // sweep runs to completion under a budget it could never afford cold.
 func TestMultiQueryMemoSpendsNoBudget(t *testing.T) {
 	f := buildFixture(t, 59, 0.05, 10, 300, 800)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	rs := phiRanks([]float64{0.2, 0.5, 0.8}, n)
 	memo := partition.NewProbeMemo(4096)
@@ -177,7 +177,7 @@ func TestMultiQueryMemoSpendsNoBudget(t *testing.T) {
 // answers must be identical.
 func TestMultiQueryParallelMatchesSerial(t *testing.T) {
 	f := buildFixture(t, 61, 0.05, 10, 300, 800)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	rs := phiRanks([]float64{0.05, 0.25, 0.5, 0.75, 0.95}, n)
 	sv, _, err := AccurateMultiQueryOpts(c, f.eps, rs, QueryOptions{PinBlocks: true})
@@ -199,7 +199,7 @@ func TestMultiQueryParallelMatchesSerial(t *testing.T) {
 // stay within the Lemma 4 filter spread for every target.
 func TestMultiQueryTruncatedStaysInFilters(t *testing.T) {
 	f := buildFixture(t, 67, 0.02, 10, 500, 1000)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	rs := phiRanks([]float64{0.3, 0.5, 0.7}, n)
 	ans, cost, err := AccurateMultiQueryOpts(c, f.eps, rs, QueryOptions{PinBlocks: true, MaxReads: 1})
@@ -221,7 +221,7 @@ func TestMultiQueryTruncatedStaysInFilters(t *testing.T) {
 // hook's error.
 func TestMultiQueryInterrupt(t *testing.T) {
 	f := buildFixture(t, 71, 0.05, 10, 300, 800)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	rs := phiRanks([]float64{0.1, 0.5, 0.9}, n)
 	boom := errors.New("interrupted")
@@ -237,7 +237,7 @@ func TestMultiQueryInterrupt(t *testing.T) {
 // TestMultiQueryEmpty: no targets, no work.
 func TestMultiQueryEmpty(t *testing.T) {
 	f := buildFixture(t, 73, 0.1, 4, 100, 200)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	ans, cost, err := AccurateMultiQueryOpts(c, f.eps, nil, QueryOptions{})
 	if err != nil || len(ans) != 0 || cost.Iterations != 0 {
 		t.Fatalf("empty sweep: ans=%v cost=%+v err=%v", ans, cost, err)

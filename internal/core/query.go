@@ -68,36 +68,6 @@ type QueryOptions struct {
 	Memo *partition.ProbeMemo
 }
 
-// AccurateQuery implements Algorithms 6-8: generate filters from the
-// combined summary, then bisect the value space, computing at each probe z
-// the exact rank of z in every partition (block-granular binary search
-// seeded from the summaries) plus the SS-based stream rank estimate, until
-// the estimate is within ε·m of the target rank r. pinBlocks enables the
-// §2.4 single-block caching optimization.
-//
-// One deliberate refinement over the paper's pseudocode: Algorithm 8
-// returns the accepted midpoint z itself, which need not be an element of
-// T. We instead snap z to the largest known element ≤ z (the per-partition
-// predecessors sit right at the cursors' final boundary positions, usually
-// in an already-pinned block; the stream predecessor comes from SS). The
-// snapped element's rank differs from rank(z) by at most ~ε₂m additional
-// stream uncertainty, so the O(ε·m) guarantee of Lemma 5 is preserved — and
-// when the stream is empty the answer becomes the exact quantile.
-func AccurateQuery(c *Combined, eps float64, r int64, pinBlocks bool) (int64, QueryCost, error) {
-	return AccurateQueryOpts(c, eps, r, QueryOptions{PinBlocks: pinBlocks})
-}
-
-// AccurateQueryOpts is AccurateQuery with full option control (parallel
-// partition probing, I/O budgeting, probe memoization). It is the k=1 case
-// of the shared sweep in AccurateMultiQueryOpts.
-func AccurateQueryOpts(c *Combined, eps float64, r int64, opts QueryOptions) (int64, QueryCost, error) {
-	ans, cost, err := AccurateMultiQueryOpts(c, eps, []int64{r}, opts)
-	if err != nil {
-		return 0, cost, err
-	}
-	return ans[0], cost, nil
-}
-
 // histRank sums boundary(z) over all cursors, optionally probing partitions
 // concurrently (each cursor owns an independent file handle, so parallel
 // probes overlap their disk reads — the paper's §4 parallelization).
@@ -217,52 +187,16 @@ func snapUpFrom(c *Combined, histE int64, histOK bool, z int64) (int64, error) {
 
 // globalMin returns the smallest element recorded in any summary.
 func (c *Combined) globalMin() (int64, error) {
-	if len(c.items) == 0 {
+	if len(c.ts.Values) == 0 {
 		return 0, fmt.Errorf("core: no data")
 	}
-	return c.items[0].v, nil
+	return c.ts.Values[0], nil
 }
 
 // globalMax returns the largest element recorded in any summary.
 func (c *Combined) globalMax() (int64, error) {
-	if len(c.items) == 0 {
+	if len(c.ts.Values) == 0 {
 		return 0, fmt.Errorf("core: no data")
 	}
-	return c.items[len(c.items)-1].v, nil
-}
-
-// ExactStreamRank is a helper for engines that also track the raw batch in
-// memory: rank of z within a sorted batch slice. Exposed for tests.
-func ExactStreamRank(sortedBatch []int64, z int64) int64 {
-	lo, hi := 0, len(sortedBatch)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sortedBatch[mid] <= z {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int64(lo)
-}
-
-// Validate checks a Combined's bound invariants against exact ranks
-// provided by the caller (Lemma 2: L_i ≤ rank(TS[i]) ≤ U_i and
-// U_i − L_i ≤ εN). rankOf must return the exact rank in T. Used by tests
-// and the harness's self-check mode.
-func (c *Combined) Validate(eps float64, rankOf func(v int64) int64) error {
-	en := eps * float64(c.N())
-	for i := range c.items {
-		ri := float64(rankOf(c.items[i].v))
-		if c.lower[i] > ri+1e-9 {
-			return fmt.Errorf("core: L_%d=%.1f > rank=%.0f (v=%d)", i, c.lower[i], ri, c.items[i].v)
-		}
-		if c.upper[i] < ri-1e-9 {
-			return fmt.Errorf("core: U_%d=%.1f < rank=%.0f (v=%d)", i, c.upper[i], ri, c.items[i].v)
-		}
-		if c.upper[i]-c.lower[i] > en+1e-9 {
-			return fmt.Errorf("core: U_%d-L_%d=%.1f > εN=%.1f", i, i, c.upper[i]-c.lower[i], en)
-		}
-	}
-	return nil
+	return c.ts.Values[len(c.ts.Values)-1], nil
 }

@@ -11,22 +11,23 @@ import (
 // ≤ v. The error is at most εN/2 + the inter-entry gap εN, i.e. O(εN) —
 // the quick-response analogue for rank queries.
 func (c *Combined) QuickRank(v int64) int64 {
-	i := sort.Search(len(c.items), func(i int) bool { return c.items[i].v > v }) - 1
+	i := sort.Search(len(c.ts.Values), func(i int) bool { return c.ts.Values[i] > v }) - 1
 	if i < 0 {
 		return 0
 	}
-	return int64((c.lower[i] + c.upper[i]) / 2)
+	return int64((c.ts.Lower[i] + c.ts.Upper[i]) / 2)
 }
 
 // RankOfValue computes the rank of an arbitrary value v in T accurately:
 // the exact count of historical elements ≤ v (one block-granular binary
 // search per partition) plus the SS-based stream estimate, so the total
-// error is at most ~ε₂m = εm/4. It is the inverse primitive of
-// AccurateQuery and shares all of its machinery.
-func RankOfValue(c *Combined, v int64, pinBlocks bool) (int64, QueryCost, error) {
+// error is at most ~ε₂m = εm/4. It is the inverse primitive of the accurate
+// quantile query and, reading only the partitions and the pieces, builds
+// no combined summary.
+func RankOfValue(sums []*partition.Summary, pieces []StreamPiece, eps2 float64, v int64, pinBlocks bool) (int64, QueryCost, error) {
 	var cost QueryCost
-	total := c.StreamRankEstimate(v)
-	for _, s := range c.sums {
+	total := streamRankEstimate(pieces, eps2, v)
+	for _, s := range sums {
 		cur, err := partition.NewCursor(s, v, v, pinBlocks)
 		if err != nil {
 			return 0, cost, err

@@ -9,7 +9,7 @@ import (
 
 func TestQuickRank(t *testing.T) {
 	f := buildFixture(t, 101, 0.1, 6, 300, 600)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := float64(len(f.all))
 	for _, idx := range []int{0, 100, 500, len(f.all) / 2, len(f.all) - 1} {
 		v := f.all[idx]
@@ -27,12 +27,11 @@ func TestQuickRank(t *testing.T) {
 
 func TestRankOfValue(t *testing.T) {
 	f := buildFixture(t, 103, 0.05, 8, 400, 1000)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
 	em := f.eps * float64(f.m)
 	for _, idx := range []int{0, 50, 1000, len(f.all) / 2, len(f.all) - 1} {
 		v := f.all[idx]
 		exact := float64(f.rankOf(v))
-		got, cost, err := RankOfValue(c, v, true)
+		got, cost, err := RankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,18 +46,17 @@ func TestRankOfValue(t *testing.T) {
 // Property: RankOfValue is monotone non-decreasing in v.
 func TestQuickRankOfValueMonotone(t *testing.T) {
 	f := buildFixture(t, 107, 0.1, 5, 200, 400)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
 	prop := func(aRaw, bRaw uint32) bool {
 		a := int64(aRaw) % (1 << 24)
 		b := int64(bRaw) % (1 << 24)
 		if a > b {
 			a, b = b, a
 		}
-		ra, _, err := RankOfValue(c, a, true)
+		ra, _, err := RankOfValue(f.sums, f.pieces(), f.eps/4, a, true)
 		if err != nil {
 			return false
 		}
-		rb, _, err := RankOfValue(c, b, true)
+		rb, _, err := RankOfValue(f.sums, f.pieces(), f.eps/4, b, true)
 		if err != nil {
 			return false
 		}
@@ -72,15 +70,15 @@ func TestQuickRankOfValueMonotone(t *testing.T) {
 // TestAccurateQueryParallelMatchesSerial at the core layer.
 func TestAccurateQueryParallelMatchesSerial(t *testing.T) {
 	f := buildFixture(t, 109, 0.05, 10, 300, 800)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	for _, phi := range []float64{0.1, 0.5, 0.9} {
 		r := int64(math.Ceil(phi * float64(n)))
-		sv, _, err := AccurateQueryOpts(c, f.eps, r, QueryOptions{PinBlocks: true})
+		sv, _, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pv, _, err := AccurateQueryOpts(c, f.eps, r, QueryOptions{PinBlocks: true, Parallel: true})
+		pv, _, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true, Parallel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,11 +92,11 @@ func TestAccurateQueryParallelMatchesSerial(t *testing.T) {
 // whose rank lies within the Lemma 4 filter spread.
 func TestTruncatedStaysInFilters(t *testing.T) {
 	f := buildFixture(t, 113, 0.02, 10, 500, 1000)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
+	c := f.combined()
 	n := int64(len(f.all))
 	for _, phi := range []float64{0.3, 0.5, 0.7} {
 		r := int64(math.Ceil(phi * float64(n)))
-		v, cost, err := AccurateQueryOpts(c, f.eps, r, QueryOptions{PinBlocks: true, MaxReads: 1})
+		v, cost, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true, MaxReads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +112,10 @@ func TestTruncatedStaysInFilters(t *testing.T) {
 // for arbitrary probe values (not just data elements).
 func TestQuickRankOfValueAccuracy(t *testing.T) {
 	f := buildFixture(t, 127, 0.05, 6, 300, 900)
-	c := BuildCombined(f.sums, f.ss, f.m, f.eps/2, f.eps/4)
 	em := f.eps * float64(f.m)
 	prop := func(raw uint32) bool {
 		v := int64(raw) % (1 << 24)
-		got, _, err := RankOfValue(c, v, true)
+		got, _, err := RankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
 		if err != nil {
 			return false
 		}
@@ -131,11 +128,11 @@ func TestQuickRankOfValueAccuracy(t *testing.T) {
 }
 
 func TestQuickRankEmpty(t *testing.T) {
-	c := BuildCombined(nil, nil, 0, 0.1, 0.1)
+	c := BuildPieces(nil, onePiece(nil, 0), 0.1, 0.1)
 	if got := c.QuickRank(5); got != 0 {
 		t.Errorf("QuickRank on empty = %d", got)
 	}
-	if _, _, err := RankOfValue(c, 5, true); err != nil {
+	if _, _, err := RankOfValue(nil, nil, 0.1, 5, true); err != nil {
 		t.Errorf("RankOfValue on empty combined should be 0, got err %v", err)
 	}
 	// sortedness helper sanity

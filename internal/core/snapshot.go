@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/enc"
-	"repro/internal/partition"
 )
 
 // ShardSummary is one node's portable view of a stream: every in-memory
@@ -73,30 +73,28 @@ func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 // DecodeShardSummary decodes one ShardSummary from data, rejecting
 // trailing bytes and declared lengths beyond the input size.
 func DecodeShardSummary(data []byte) (*ShardSummary, error) {
-	d := snapDecoder{buf: data}
-	if v := d.byte(); d.err == nil && v != snapshotVersion {
+	d := enc.NewReader(data)
+	if v := d.Byte(); d.Err() == nil && v != snapshotVersion {
 		return nil, fmt.Errorf("core: shard summary version %d (want %d)", v, snapshotVersion)
 	}
 	s := &ShardSummary{
-		Eps1: math.Float64frombits(d.u64()),
-		Eps2: math.Float64frombits(d.u64()),
-		N:    int64(d.uvarint()),
+		Eps1: math.Float64frombits(d.Uint64()),
+		Eps2: math.Float64frombits(d.Uint64()),
+		N:    int64(d.Uvarint()),
 	}
-	nparts := d.count(len(data))
-	for i := uint64(0); i < nparts && d.err == nil; i++ {
-		count := int64(d.uvarint())
-		s.Parts = append(s.Parts, PartSummary{Count: count, Values: d.values(len(data))})
+	for i, nparts := 0, d.Count(); i < nparts && d.Err() == nil; i++ {
+		count := int64(d.Uvarint())
+		s.Parts = append(s.Parts, PartSummary{Count: count, Values: d.Values()})
 	}
-	npieces := d.count(len(data))
-	for i := uint64(0); i < npieces && d.err == nil; i++ {
-		m := int64(d.uvarint())
-		s.Pieces = append(s.Pieces, StreamPiece{M: m, SS: d.values(len(data))})
+	for i, npieces := 0, d.Count(); i < npieces && d.Err() == nil; i++ {
+		m := int64(d.Uvarint())
+		s.Pieces = append(s.Pieces, StreamPiece{M: m, SS: d.Values()})
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("core: decode shard summary: %w", d.err)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("core: decode shard summary: %w", d.Err())
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("core: decode shard summary: %d trailing bytes", len(d.buf))
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("core: decode shard summary: %d trailing bytes", d.Len())
 	}
 	if s.N < 0 {
 		return nil, fmt.Errorf("core: decode shard summary: negative N")
@@ -112,14 +110,15 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 // its own ε term. The returned total is Σ N; a nil Combined with total 0
 // means every shard was empty.
 //
-// Only quick (in-memory) queries — QuickQuery, Filters,
-// StreamRankEstimate — are valid on the result: the synthetic partition
-// summaries have no device behind them, so accurate disk-probing queries
-// must stay on the owning shard.
+// Only quick (in-memory) queries — QuickQuery, Filters, QuickRank,
+// StreamRankEstimate — are valid on the result: the shards' partitions have
+// no device behind them here, so accurate disk-probing queries must stay on
+// the owning shard. The (count, values) runs go to the merge as they are.
 func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 	var (
-		sums       []*partition.Summary
+		parts      []PartSummary
 		pieces     []StreamPiece
+		histN      int64
 		total      int64
 		eps1, eps2 float64
 		seen       bool
@@ -135,95 +134,18 @@ func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 				i, sh.Eps1, sh.Eps2, eps1, eps2)
 		}
 		total += sh.N
-		for _, p := range sh.Parts {
-			sums = append(sums, &partition.Summary{
-				Part:   &partition.Partition{Count: p.Count},
-				Values: p.Values,
-			})
-		}
+		parts = append(parts, sh.Parts...)
 		pieces = append(pieces, sh.Pieces...)
 	}
 	if !seen {
 		return nil, 0, nil
 	}
-	return BuildPieces(sums, pieces, eps1, eps2), total, nil
-}
-
-// snapDecoder mirrors the wire package's error-latching payload cursor for
-// the ShardSummary encoding.
-type snapDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *snapDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+	runs := slices.Grow(pieceRuns(pieces, eps2), len(parts))
+	for _, p := range parts {
+		runs = append(runs, partRun(p.Count, p.Values, eps1))
+		histN += p.Count
 	}
-}
-
-func (d *snapDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fail(fmt.Errorf("truncated"))
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *snapDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail(fmt.Errorf("truncated"))
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *snapDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(fmt.Errorf("bad uvarint"))
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// count reads a collection length and bounds it by the input size so a
-// corrupt prefix cannot force a huge allocation.
-func (d *snapDecoder) count(inputLen int) uint64 {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(inputLen) {
-		d.fail(fmt.Errorf("declared count %d exceeds input", n))
-		return 0
-	}
-	return n
-}
-
-// values reads a delta-encoded value list (uvarint length + deltas).
-func (d *snapDecoder) values(inputLen int) []int64 {
-	n := d.count(inputLen)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int64, n)
-	rest, err := enc.DecodeDelta(vs, d.buf)
-	if err != nil {
-		d.fail(err)
-		return nil
-	}
-	d.buf = rest
-	return vs
+	c := newCombined(histN, pieces, eps1, eps2)
+	c.ts = *mergeRuns(runs, len(pieces))
+	return c, total, nil
 }

@@ -2,7 +2,9 @@
 // protocol (internal/wire batch frames) and the columnar block format
 // (internal/disk format 1). Sorted or slowly-varying int64 runs encode at
 // 1-2 bytes per element instead of 8; arbitrary values still round-trip
-// because the deltas use wrapping two's-complement arithmetic.
+// because the deltas use wrapping two's-complement arithmetic. Reader is the
+// bounded, error-latching cursor the metadata decoders (shard summaries,
+// cold-summary sidecars) read such payloads with.
 package enc
 
 import (

@@ -3,8 +3,10 @@ package enc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -130,4 +132,60 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReader: fields read back in order, the first bad field latches and
+// zeroes every later read, and a declared length beyond the bytes left is
+// refused before it is allocated.
+func TestReader(t *testing.T) {
+	buf := []byte{7}
+	buf = binary.BigEndian.AppendUint64(buf, 1<<63|5)
+	buf = binary.AppendUvarint(buf, 300)
+	buf = binary.AppendUvarint(buf, 3)
+	buf = AppendDelta(buf, []int64{-4, 9, 9})
+	buf = binary.AppendUvarint(buf, 0)
+	buf = binary.AppendUvarint(buf, 2)
+	buf = AppendDelta(buf, []int64{math.MinInt64, math.MaxInt64})
+
+	r := NewReader(buf)
+	if b, u, v := r.Byte(), r.Uint64(), r.Uvarint(); b != 7 || u != 1<<63|5 || v != 300 {
+		t.Fatalf("header = %d, %d, %d", b, u, v)
+	}
+	first := r.Values()
+	if empty := r.Values(); empty != nil {
+		t.Errorf("empty list = %v, want nil", empty)
+	}
+	both := r.AppendValues(first)
+	if !slices.Equal(both, []int64{-4, 9, 9, math.MinInt64, math.MaxInt64}) || r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("values = %v, err %v, %d bytes left", both, r.Err(), r.Len())
+	}
+	if r.Byte(); !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("read past the end: err = %v", r.Err())
+	}
+	if v := r.Uvarint(); v != 0 || r.Values() != nil {
+		t.Error("reads after an error must return zero")
+	}
+
+	for cut := 0; cut < len(buf); cut++ {
+		r := NewReader(buf[:cut])
+		r.Byte()
+		r.Uint64()
+		r.Uvarint()
+		r.Values()
+		r.Values()
+		r.Values()
+		if r.Err() == nil {
+			t.Fatalf("truncation at %d went unnoticed", cut)
+		}
+	}
+
+	lying := NewReader(binary.AppendUvarint(nil, 1<<50))
+	if vs := lying.Values(); vs != nil || lying.Err() == nil {
+		t.Errorf("lying length: %d values, err %v", len(vs), lying.Err())
+	}
+	kept := []int64{1, 2}
+	bad := NewReader([]byte{2, 0x02}) // two values declared, one present
+	if got := bad.AppendValues(kept); !slices.Equal(got, kept) || bad.Err() == nil {
+		t.Errorf("failed append = %v, err %v; want dst unchanged and an error", got, bad.Err())
+	}
 }
