@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -78,9 +77,7 @@ func encodeSidecar(parts []sidecarPart, steps int, total int64) []byte {
 }
 
 // decodeSidecar parses a SUMMARY.bin payload, rejecting truncation,
-// trailing bytes and counts beyond the input size. Every part's values are
-// slices of one backing array — a cold read is one allocation per stream,
-// not one per partition.
+// trailing bytes and counts beyond the input size.
 func decodeSidecar(data []byte) (parts []sidecarPart, steps int, total int64, err error) {
 	d := enc.NewReader(data)
 	if v := d.Byte(); d.Err() == nil && v != sidecarVersion {
@@ -89,36 +86,19 @@ func decodeSidecar(data []byte) (parts []sidecarPart, steps int, total int64, er
 	steps = int(d.Uvarint())
 	total = int64(d.Uvarint())
 	nparts := d.Count()
-	var vals []int64
-	ends := make([]int, 0, nparts)
 	for i := 0; i < nparts && d.Err() == nil; i++ {
 		parts = append(parts, sidecarPart{
 			Count:     int64(d.Uvarint()),
 			StartStep: int(d.Uvarint()),
 			EndStep:   int(d.Uvarint()),
+			Values:    d.Values(),
 		})
-		vals = d.AppendValues(vals)
-		if i == 0 {
-			// Summaries are β₁ values each, so the first sizes the rest; a
-			// value is at least a byte, which bounds a lying first length. A
-			// wrong guess costs a regrowth: parts are cut from the final
-			// array, after the loop.
-			vals = slices.Grow(vals, min(len(vals)*(nparts-1), d.Len()))
-		}
-		ends = append(ends, len(vals))
 	}
 	if d.Err() != nil {
 		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %w", d.Err())
 	}
 	if d.Len() != 0 {
 		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %d trailing bytes", d.Len())
-	}
-	start := 0
-	for i, end := range ends {
-		if end > start {
-			parts[i].Values = vals[start:end:end]
-		}
-		start = end
 	}
 	return parts, steps, total, nil
 }

@@ -224,13 +224,10 @@
 // k-way merge of the already-sorted partition and stream-piece summaries —
 // O(δ·log k) for δ entries in k runs — followed by one sweep for the Lemma 2
 // bounds, and keeps 24 bytes per entry (value, L, U). The result is
-// element for element what sorting the union on (value, source) gives. The
-// historical half of TS depends only on the pinned store version, so
-// full-history queries on one engine merge it once per version and keep it
-// on the version, beside the probe memo and with the same lifetime: never
-// invalidated, freed with the version. Each such query lays its stream
-// pieces over the cached run (with an empty stream the cached run is TS).
-// Summary export, merged plans and windowed queries do not fill the cache.
+// element for element what sorting the union on (value, source) gives.
+// Nothing is cached per store version: every query rebuilds TS (keeping the
+// merged historical half on the version was measured and left out, see
+// CHANGES.md, PR 14).
 // Rank reads partitions and stream pieces only and builds no TS.
 //
 // Quantiles and QuantilesOpts answer a set of φ targets in one shared

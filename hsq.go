@@ -856,21 +856,12 @@ func (e *Engine) snapshot() (*querySnap, error) {
 	return s, nil
 }
 
-// combined builds TS over a snapshot subset. ver, when non-nil, must be the
-// version whose FULL entry set sums is: full-history queries pass the
-// pinned version, whose cached historical run and rank-probe memo then
-// apply; windowed queries (a partition subset) pass nil and merge their own.
-func (e *Engine) combined(ver *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece) *core.Combined {
-	if ver != nil {
-		return core.BuildVersion(ver, pieces, e.eps2)
-	}
-	return core.BuildPieces(sums, pieces, e.eps1, e.eps2)
-}
-
-// accurate runs the bisection query over a snapshot subset; ver as in
-// combined.
-func (e *Engine) accurate(ver *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece, r int64, opts QueryOpts, interrupt func() error) (int64, QueryStats, error) {
-	vs, stats, err := e.accurateMulti(ver, sums, pieces, []int64{r}, opts, interrupt)
+// accurate runs the bisection query over a snapshot subset. memo, when
+// non-nil, must be the rank-probe memo of the version whose FULL entry set
+// sums is — full-history queries pass the pinned version's memo, windowed
+// queries (a partition subset) pass nil.
+func (e *Engine) accurate(sums []*partition.Summary, pieces []core.StreamPiece, memo *partition.ProbeMemo, r int64, opts QueryOpts, interrupt func() error) (int64, QueryStats, error) {
+	vs, stats, err := e.accurateMulti(sums, pieces, memo, []int64{r}, opts, interrupt)
 	if err != nil {
 		return 0, QueryStats{}, err
 	}
@@ -878,14 +869,10 @@ func (e *Engine) accurate(ver *partition.Version, sums []*partition.Summary, pie
 }
 
 // accurateMulti runs one shared bisection sweep resolving every rank target
-// together (see core.AccurateMultiQueryOpts); ver as in combined.
-func (e *Engine) accurateMulti(ver *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece, rs []int64, opts QueryOpts, interrupt func() error) ([]int64, QueryStats, error) {
+// together (see core.AccurateMultiQueryOpts); memo as in accurate.
+func (e *Engine) accurateMulti(sums []*partition.Summary, pieces []core.StreamPiece, memo *partition.ProbeMemo, rs []int64, opts QueryOpts, interrupt func() error) ([]int64, QueryStats, error) {
 	t0 := time.Now()
-	c := e.combined(ver, sums, pieces)
-	var memo *partition.ProbeMemo
-	if ver != nil {
-		memo = ver.Memo()
-	}
+	c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
 	vs, cost, err := core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
 		PinBlocks: !e.cfg.NoBlockPin,
 		Parallel:  e.cfg.ParallelQuery,
@@ -931,7 +918,7 @@ func (e *Engine) rankQuery(r int64, interrupt func() error) (int64, QueryStats, 
 	if s.n == 0 {
 		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
 	}
-	return e.accurate(s.ver, s.sums, s.pieces, r, QueryOpts{}, interrupt)
+	return e.accurate(s.sums, s.pieces, s.ver.Memo(), r, QueryOpts{}, interrupt)
 }
 
 // QuantileOpts answers an accurate φ-quantile with per-query options (e.g.
@@ -953,7 +940,7 @@ func (e *Engine) quantileOpts(phi float64, opts QueryOpts, interrupt func() erro
 	if s.n == 0 {
 		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
 	}
-	return e.accurate(s.ver, s.sums, s.pieces, r, opts, interrupt)
+	return e.accurate(s.sums, s.pieces, s.ver.Memo(), r, opts, interrupt)
 }
 
 // QuantileQuick answers a φ-quantile query from in-memory summaries only
@@ -982,16 +969,17 @@ func (e *Engine) RankQueryQuick(r int64) (int64, error) {
 }
 
 func (e *Engine) quick(s *querySnap, r int64) (int64, error) {
-	return e.quickOver(s.ver, s.sums, s.pieces, s.n, r)
+	return e.quickOver(s.sums, s.pieces, s.n, r)
 }
 
 // quickOver is the in-memory-only query core shared by the full-history
-// and windowed quick paths; ver as in combined.
-func (e *Engine) quickOver(ver *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece, n, r int64) (int64, error) {
+// and windowed quick paths.
+func (e *Engine) quickOver(sums []*partition.Summary, pieces []core.StreamPiece, n, r int64) (int64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("hsq: query on empty dataset")
 	}
-	return e.combined(ver, sums, pieces).QuickQuery(r)
+	c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
+	return c.QuickQuery(r)
 }
 
 // AvailableWindows returns the historical window sizes (in time steps) that
@@ -1070,9 +1058,9 @@ func (e *Engine) windowQuantile(phi float64, steps int, interrupt func() error) 
 	if n == 0 {
 		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
 	}
-	// Windowed queries probe a partition subset, so the version's memo
-	// (keyed by full-history ranks) and merged run do not apply.
-	return e.accurate(nil, sums, pieces, r, QueryOpts{}, interrupt)
+	// Windowed queries probe a partition subset, so the version memo (keyed
+	// by full-history ranks) does not apply.
+	return e.accurate(sums, pieces, nil, r, QueryOpts{}, interrupt)
 }
 
 // WindowQuantileQuick is the in-memory-only windowed query.
@@ -1090,7 +1078,7 @@ func (e *Engine) WindowQuantileQuick(phi float64, steps int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.quickOver(nil, sums, pieces, n, r)
+	return e.quickOver(sums, pieces, n, r)
 }
 
 // MemoryUsage returns the current summary footprint (Observation 1).
@@ -1297,7 +1285,8 @@ func (e *Engine) RankQuick(v int64) (int64, error) {
 	if s.n == 0 {
 		return 0, fmt.Errorf("hsq: rank query on empty dataset")
 	}
-	return e.combined(s.ver, s.sums, s.pieces).QuickRank(v), nil
+	c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
+	return c.QuickRank(v), nil
 }
 
 // Quantiles answers several accurate φ-quantile queries in one shot with a
@@ -1335,7 +1324,7 @@ func (e *Engine) quantilesOpts(phis []float64, opts QueryOpts, interrupt func() 
 			return nil, QueryStats{}, err
 		}
 	}
-	return e.accurateMulti(s.ver, s.sums, s.pieces, rs, opts, interrupt)
+	return e.accurateMulti(s.sums, s.pieces, s.ver.Memo(), rs, opts, interrupt)
 }
 
 // LevelInfo describes one level of the on-disk store.

@@ -71,7 +71,7 @@ type StreamPiece struct {
 // stream-side piece summaries — together with the per-item rank bounds L
 // and U of Lemma 2: 24 bytes per entry (value, L_i, U_i).
 type Combined struct {
-	ts partition.MergedSummaries
+	ts mergedRuns
 
 	// sums are the partitions the accurate query's cursors open; nil for a
 	// summary merged from shards, whose partitions live elsewhere.
@@ -111,24 +111,6 @@ func (c *Combined) QuickRankError() int64 {
 	return int64(math.Ceil(1.5 * c.Epsilon() * float64(c.N())))
 }
 
-// BuildVersion constructs TS over a pinned store version plus the
-// memory-resident stream pieces — the snapshot-isolated query entry point:
-// the version's partition set and summaries are immutable, so the query
-// runs entirely outside the engine's write lock while installs and merges
-// publish newer versions behind it. The historical half of TS is a function
-// of the version alone, so it is merged once per version (see
-// partition.Version.MergedSummaries) and each query only lays its few
-// stream pieces over it; ε₁ is the version's store's.
-func BuildVersion(v *partition.Version, pieces []StreamPiece, eps2 float64) *Combined {
-	hist := v.MergedSummaries(func(entries []*partition.Summary, eps1 float64) *partition.MergedSummaries {
-		return mergeRuns(appendPartRuns(nil, entries, eps1), 0)
-	})
-	c := newCombined(v.TotalCount(), pieces, v.Eps1(), eps2)
-	c.ts = *addMerge(mergeRuns(pieceRuns(pieces, eps2), len(pieces)), hist)
-	c.sums = v.Entries()
-	return c
-}
-
 // BuildPieces constructs TS and computes every L_i and U_i (the formulas
 // preceding Lemma 2, with the stream term summed over every memory-resident
 // piece):
@@ -150,7 +132,7 @@ func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 flo
 		histN += s.Part.Count
 	}
 	c := newCombined(histN, pieces, eps1, eps2)
-	c.ts = *mergeRuns(appendPartRuns(pieceRuns(pieces, eps2), sums, eps1), len(pieces))
+	c.ts = mergeRuns(appendPartRuns(pieceRuns(pieces, eps2), sums, eps1), len(pieces))
 	c.sums = sums
 	return c
 }

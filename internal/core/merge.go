@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/partition"
@@ -51,6 +50,13 @@ func pieceRuns(pieces []StreamPiece, eps2 float64) []sortedRun {
 	return runs
 }
 
+// mergedRuns is a sorted union of runs with, per entry, the Lemma 2 bounds
+// the runs' elements up to it add up to: TS, at 24 bytes per entry.
+type mergedRuns struct {
+	Values       []int64
+	Lower, Upper []float64
+}
+
 // runLen is the number of elements in runs.
 func runLen(runs []sortedRun) int {
 	n := 0
@@ -64,23 +70,14 @@ func runLen(runs []sortedRun) int {
 // pieces, the rest partition summaries — and sweeps the result once for L
 // and U: the four sums of the bound formulas (stream and historical, L and
 // U) run separately in output order and are added per entry.
-func mergeRuns(runs []sortedRun, streams int) *partition.MergedSummaries {
-	// Two bytes of tag per element while they fit: the merge moves bytes.
-	if 2*len(runs) <= math.MaxUint16 {
-		return mergeTagged[uint16](runs, streams)
-	}
-	return mergeTagged[uint32](runs, streams)
-}
-
-func mergeTagged[T uint16 | uint32](runs []sortedRun, streams int) *partition.MergedSummaries {
+func mergeRuns(runs []sortedRun, streams int) mergedRuns {
 	total := runLen(runs)
-	ms := &partition.MergedSummaries{}
 	if total == 0 {
-		return ms
+		return mergedRuns{}
 	}
 	// An element travels as (value, tag): tag 2·run, +1 on the run's first
 	// element — all the sweep needs to know about where it came from.
-	vals, tags := make([]int64, total), make([]T, total)
+	vals, tags := make([]int64, total), make([]uint32, total)
 	if mid := len(runs) / 2; mid == 0 {
 		mergeInto(runs, 0, vals, tags, nil, nil)
 	} else {
@@ -90,7 +87,7 @@ func mergeTagged[T uint16 | uint32](runs []sortedRun, streams int) *partition.Me
 		// of TS, and dead before L and U are allocated.
 		nl := runLen(runs[:mid])
 		n := max(nl, total-nl)
-		sv, st := make([]int64, n), make([]T, n)
+		sv, st := make([]int64, n), make([]uint32, n)
 		mergeInto(runs[mid:], mid, vals[nl:], tags[nl:], sv[:total-nl], st[:total-nl])
 		mergeInto(runs[:mid], 0, sv[:nl], st[:nl], vals[:nl], tags[:nl])
 		merge2(vals, tags, sv[:nl], st[:nl], vals[nl:], tags[nl:])
@@ -101,10 +98,9 @@ func mergeTagged[T uint16 | uint32](runs []sortedRun, streams int) *partition.Me
 		incL[2*i], incU[2*i] = r.w, r.w
 		incU[2*i+1] = r.first // incL stays 0: x + 0 is x for the non-negative sums here
 	}
-	ms.Values = vals
-	ms.Lower, ms.Upper = make([]float64, total), make([]float64, total)
+	ms := mergedRuns{Values: vals, Lower: make([]float64, total), Upper: make([]float64, total)}
 	var streamL, streamU, histL, histU float64
-	split := T(2 * streams) // tags below it are stream pieces'
+	split := uint32(2 * streams) // tags below it are stream pieces'
 	for i, t := range tags {
 		if t < split {
 			streamL += incL[t]
@@ -122,11 +118,11 @@ func mergeTagged[T uint16 | uint32](runs []sortedRun, streams int) *partition.Me
 // into (dv, dt), with (tv, tt) of the same length as scratch. The recursion
 // is depth-first, so a subtree's passes run while its elements are still in
 // cache; every element is moved ⌈log₂ k⌉ times.
-func mergeInto[T uint16 | uint32](runs []sortedRun, base int, dv []int64, dt []T, tv []int64, tt []T) {
+func mergeInto(runs []sortedRun, base int, dv []int64, dt []uint32, tv []int64, tt []uint32) {
 	if len(runs) == 1 {
 		copy(dv, runs[0].vals)
 		for i := range dt {
-			dt[i] = T(2 * base)
+			dt[i] = uint32(2 * base)
 		}
 		if len(dt) > 0 {
 			dt[0]++
@@ -146,7 +142,7 @@ func mergeInto[T uint16 | uint32](runs []sortedRun, base int, dv []int64, dt []T
 // body is written as selects so the compiler emits conditional moves: which
 // side is next is a coin flip on real data, and a mispredicted branch per
 // element costs more than the whole move.
-func merge2[T uint16 | uint32](dv []int64, dt []T, av []int64, at []T, bv []int64, bt []T) {
+func merge2(dv []int64, dt []uint32, av []int64, at []uint32, bv []int64, bt []uint32) {
 	na, nb := len(av), len(bv)
 	at, bt, dt = at[:na], bt[:nb], dt[:len(dv)]
 	i, j, k := 0, 0, 0
@@ -171,40 +167,4 @@ func merge2[T uint16 | uint32](dv []int64, dt []T, av []int64, at []T, bv []int6
 	k += copy(dt[k:], at[i:])
 	copy(dv[k:], bv[j:])
 	copy(dt[k:], bt[j:])
-}
-
-// addMerge lays a merged stream side over a merged historical side — the
-// per-version cached one — into TS: stream entries first on ties, as their
-// sources sort first, and each entry's L and U the sum of the two sides'
-// running terms, which is what one sweep over all the runs computes. An
-// empty side leaves the other as TS unchanged (and shared: never mutated).
-func addMerge(strm, hist *partition.MergedSummaries) *partition.MergedSummaries {
-	ns, nh := len(strm.Values), len(hist.Values)
-	if ns == 0 {
-		return hist
-	}
-	if nh == 0 {
-		return strm
-	}
-	n := ns + nh
-	ts := &partition.MergedSummaries{
-		Values: make([]int64, n),
-		Lower:  make([]float64, n),
-		Upper:  make([]float64, n),
-	}
-	var sl, su, hl, hu float64
-	i, j := 0, 0
-	for k := range ts.Values {
-		if j == nh || (i < ns && strm.Values[i] <= hist.Values[j]) {
-			ts.Values[k] = strm.Values[i]
-			sl, su = strm.Lower[i], strm.Upper[i]
-			i++
-		} else {
-			ts.Values[k] = hist.Values[j]
-			hl, hu = hist.Lower[j], hist.Upper[j]
-			j++
-		}
-		ts.Lower[k], ts.Upper[k] = sl+hl, su+hu
-	}
-	return ts
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/disk"
@@ -116,20 +115,28 @@ func sortBuild(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float
 
 // Validate checks a Combined's bound invariants against exact ranks
 // provided by the caller (Lemma 2: L_i ≤ rank(TS[i]) ≤ U_i and
-// U_i − L_i ≤ εN). rankOf must return the exact rank in T. It is what the
-// property tests hold every builder to.
-//
-// Where several entries share a value the lemma is checked on the last of
-// them only. The sweep counts, for entry i, the summary elements at TS
-// positions ≤ i, where the lemma's α counts those with value ≤ TS[i]: an
-// earlier entry of a tie has seen only part of its tie group, so its L and
-// its U are both short by the weight of the rest — safe for L, while its U
-// can fall below the value's rank. The sort-based builder did the same;
-// the merge reproduces it bit for bit.
+// U_i − L_i ≤ εN) on every entry. rankOf must return the exact rank in T.
 func (c *Combined) Validate(eps float64, rankOf func(v int64) int64) error {
+	return c.validate(eps, rankOf, false)
+}
+
+// validateLastOfTie is Validate on the last entry of each run of equal
+// values only — all that holds when values repeat in TS. The sweep counts,
+// for entry i, the summary elements at TS positions ≤ i, where the lemma's
+// α counts those with value ≤ TS[i]: an earlier entry of a tie has seen
+// only part of its tie group, so its L and its U are both short by the
+// weight of the rest — safe for L, while its U can fall below the value's
+// rank, and Filters may then pick that entry as its lower filter. This is a
+// known defect of the bounds (ROADMAP.md, item 6), not of the merge: the
+// sort-based builder had it too, and this PR keeps TS bit for bit.
+func (c *Combined) validateLastOfTie(eps float64, rankOf func(v int64) int64) error {
+	return c.validate(eps, rankOf, true)
+}
+
+func (c *Combined) validate(eps float64, rankOf func(v int64) int64, lastOfTie bool) error {
 	en := eps * float64(c.N())
 	for i, v := range c.ts.Values {
-		if i+1 < len(c.ts.Values) && c.ts.Values[i+1] == v {
+		if lastOfTie && i+1 < len(c.ts.Values) && c.ts.Values[i+1] == v {
 			continue
 		}
 		ri := float64(rankOf(v))
@@ -300,23 +307,6 @@ func TestMergeMatchesSort(t *testing.T) {
 	}
 }
 
-// TestMergeManyRuns crosses the run count where tags widen from two bytes
-// to four.
-func TestMergeManyRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(propSeed(t)))
-	for _, k := range []int{math.MaxUint16/2 - 1, math.MaxUint16 / 2, math.MaxUint16/2 + 1, 40000} {
-		sums := make([]*partition.Summary, k)
-		for i := range sums {
-			vs := []int64{int64(rng.Intn(50)), int64(50 + rng.Intn(50))}
-			sums[i] = &partition.Summary{Part: &partition.Partition{Count: int64(rng.Intn(100))}, Values: vs[:1+rng.Intn(2)]}
-		}
-		pieces := []StreamPiece{{SS: []int64{3, 70}, M: 10}}
-		if !sameCombined(t, BuildPieces(sums, pieces, 0.01, 0.005), sortBuild(sums, pieces, 0.01, 0.005)) {
-			t.Fatalf("%d runs: differs from the sort oracle", k)
-		}
-	}
-}
-
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -389,82 +379,29 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 		if c.N() != int64(len(all)) {
 			t.Fatalf("HSQ_PROP_SEED=%d: N = %d, want %d", seed, c.N(), len(all))
 		}
-		if err := c.Validate(eps, rankOf); err != nil {
+		if err := c.validateLastOfTie(eps, rankOf); err != nil {
 			t.Fatalf("HSQ_PROP_SEED=%d: %v", seed, err)
 		}
-		want := sortBuild(store.Entries(), pieces, eps1, eps2)
-		if !sameCombined(t, c, want) {
+		if !sameCombined(t, c, sortBuild(store.Entries(), pieces, eps1, eps2)) {
 			t.Fatalf("HSQ_PROP_SEED=%d: differs from the sort oracle", seed)
 		}
-		// The same TS from the version's cached historical run.
-		v := store.Pin()
-		if !sameCombined(t, BuildVersion(v, pieces, eps2), want) {
-			t.Fatalf("HSQ_PROP_SEED=%d: BuildVersion differs from the sort oracle", seed)
-		}
-		v.Release()
 	}
 }
 
-// TestBuildVersionCachesHistoricalRun: every query pinned to one version
-// shares one merged historical run — built once, also when the first
-// queries race — BuildVersion over it equals BuildPieces over the same
-// entries, and a newer version merges its own.
-func TestBuildVersionCachesHistoricalRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	batch := func() []int64 {
-		vs := make([]int64, 300)
-		for i := range vs {
-			vs[i] = rng.Int63n(1 << 20)
-		}
-		return vs
+// TestTieBoundsHoldOnEveryEntry is the smallest case of the known tie
+// defect (see validateLastOfTie; ROADMAP.md, item 6): two partitions of four
+// 7s at ε₁ = ¼ give a TS of ten 7s whose first entry has U = 1 against a
+// rank of 8. Skipped until the bounds give every entry of a tie the tie's
+// last L and U — which changes TS, so not in a PR that must keep it bit for
+// bit.
+func TestTieBoundsHoldOnEveryEntry(t *testing.T) {
+	t.Skip("known defect: early entries of a tie carry the bounds of a prefix of the tie")
+	part := func() *partition.Summary {
+		return &partition.Summary{Part: &partition.Partition{Count: 4}, Values: []int64{7, 7, 7, 7, 7}}
 	}
-	const eps1, eps2 = 0.05, 0.025
-	store := memStore(t, eps1, 3, [][]int64{batch(), batch(), batch(), batch(), batch()})
-	pieces := []StreamPiece{{SS: []int64{5, 900, 1 << 19}, M: 40}}
-
-	v1 := store.Pin()
-	defer v1.Release()
-	var wg sync.WaitGroup
-	first := make([]*Combined, 8)
-	for i := range first {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			first[i] = BuildVersion(v1, nil, eps2)
-		}()
-	}
-	wg.Wait()
-	for _, c := range first {
-		// No stream side: TS is the cached run itself, not a copy of it.
-		if &c.ts.Values[0] != &first[0].ts.Values[0] || &c.ts.Lower[0] != &first[0].ts.Lower[0] {
-			t.Fatal("two queries on one version built the historical run twice")
-		}
-	}
-	if !sameCombined(t, first[0], sortBuild(v1.Entries(), nil, eps1, eps2)) {
-		t.Fatal("BuildVersion without pieces differs from the sort oracle")
-	}
-	if !sameCombined(t, BuildVersion(v1, pieces, eps2), sortBuild(v1.Entries(), pieces, eps1, eps2)) {
-		t.Fatal("BuildVersion with pieces differs from the sort oracle")
-	}
-	if !sameCombined(t, first[0], sortBuild(v1.Entries(), nil, eps1, eps2)) {
-		t.Fatal("laying pieces over the cached run changed it")
-	}
-
-	if _, err := store.AddBatch(batch(), 6); err != nil {
+	c := BuildPieces([]*partition.Summary{part(), part()}, nil, 0.25, 0.125)
+	if err := c.Validate(0.5, func(int64) int64 { return 8 }); err != nil {
 		t.Fatal(err)
-	}
-	v2 := store.Pin()
-	defer v2.Release()
-	c2 := BuildVersion(v2, nil, eps2)
-	if c2.N() == first[0].N() || &c2.ts.Values[0] == &first[0].ts.Values[0] {
-		t.Fatal("a new version answered from the old version's run")
-	}
-	if !sameCombined(t, c2, sortBuild(v2.Entries(), nil, eps1, eps2)) {
-		t.Fatal("BuildVersion on the new version differs from the sort oracle")
-	}
-	// The old version, still pinned, keeps answering from its own.
-	if c := BuildVersion(v1, nil, eps2); &c.ts.Values[0] != &first[0].ts.Values[0] {
-		t.Fatal("the pinned old version rebuilt its run")
 	}
 }
 
@@ -520,25 +457,4 @@ func BenchmarkBuildPieces(b *testing.B) {
 			}
 		})
 	}
-	// The deep shape as an engine query sees it: the version's historical
-	// run is merged once, each query lays the stream piece over it.
-	b.Run("deep/version", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		batches := make([][]int64, 20)
-		for i := range batches {
-			batches[i] = make([]int64, 40000)
-			for j := range batches[i] {
-				batches[i][j] = int64(rng.NormFloat64()*1e6 + 1e7)
-			}
-		}
-		v := memStore(b, eps1, 32, batches).Pin()
-		defer v.Release()
-		pieces := []StreamPiece{{SS: piece, M: 20000}}
-		BuildVersion(v, pieces, eps2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			BuildVersion(v, pieces, eps2)
-		}
-	})
 }

@@ -146,6 +146,6 @@ func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 		histN += p.Count
 	}
 	c := newCombined(histN, pieces, eps1, eps2)
-	c.ts = *mergeRuns(runs, len(pieces))
+	c.ts = mergeRuns(runs, len(pieces))
 	return c, total, nil
 }

@@ -155,9 +155,9 @@ func TestReader(t *testing.T) {
 	if empty := r.Values(); empty != nil {
 		t.Errorf("empty list = %v, want nil", empty)
 	}
-	both := r.AppendValues(first)
-	if !slices.Equal(both, []int64{-4, 9, 9, math.MinInt64, math.MaxInt64}) || r.Err() != nil || r.Len() != 0 {
-		t.Fatalf("values = %v, err %v, %d bytes left", both, r.Err(), r.Len())
+	second := r.Values()
+	if !slices.Equal(first, []int64{-4, 9, 9}) || !slices.Equal(second, []int64{math.MinInt64, math.MaxInt64}) || r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("values = %v, %v, err %v, %d bytes left", first, second, r.Err(), r.Len())
 	}
 	if r.Byte(); !errors.Is(r.Err(), ErrTruncated) {
 		t.Errorf("read past the end: err = %v", r.Err())
@@ -183,9 +183,8 @@ func TestReader(t *testing.T) {
 	if vs := lying.Values(); vs != nil || lying.Err() == nil {
 		t.Errorf("lying length: %d values, err %v", len(vs), lying.Err())
 	}
-	kept := []int64{1, 2}
 	bad := NewReader([]byte{2, 0x02}) // two values declared, one present
-	if got := bad.AppendValues(kept); !slices.Equal(got, kept) || bad.Err() == nil {
-		t.Errorf("failed append = %v, err %v; want dst unchanged and an error", got, bad.Err())
+	if got := bad.Values(); got != nil || bad.Err() == nil {
+		t.Errorf("short list = %v, err %v; want nil and an error", got, bad.Err())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrTruncated is the error a Reader latches when the payload ends inside
@@ -89,24 +88,19 @@ func (r *Reader) Count() int {
 	return int(n)
 }
 
-// Values reads a delta-encoded value list (uvarint length + deltas) into a
-// slice of its own; an empty list is nil.
-func (r *Reader) Values() []int64 { return r.AppendValues(nil) }
-
-// AppendValues reads a delta-encoded value list and appends it to dst, so
-// a record of many lists can decode into one backing slice.
-func (r *Reader) AppendValues(dst []int64) []int64 {
+// Values reads a delta-encoded value list (uvarint length + deltas); an
+// empty list is nil.
+func (r *Reader) Values() []int64 {
 	n := r.Count()
 	if r.err != nil || n == 0 {
-		return dst
+		return nil
 	}
-	dst = slices.Grow(dst, n)
-	dst = dst[:len(dst)+n]
-	rest, err := DecodeDelta(dst[len(dst)-n:], r.buf)
+	vs := make([]int64, n)
+	rest, err := DecodeDelta(vs, r.buf)
 	if err != nil {
 		r.fail(err)
-		return dst[:len(dst)-n]
+		return nil
 	}
 	r.buf = rest
-	return dst
+	return vs
 }

@@ -46,35 +46,6 @@ type Version struct {
 	// set; nil when memoization is disabled. Entries never invalidate —
 	// they die with the version (see ProbeMemo).
 	memo *ProbeMemo
-	// merged is the pre-merged union of the entries' summaries, built by the
-	// first full-history query against this version (see MergedSummaries).
-	mergedOnce sync.Once
-	merged     *MergedSummaries
-}
-
-// MergedSummaries is the sorted union of a set of summaries together with
-// the share of the Lemma 2 rank bounds those summaries contribute at each
-// entry: Lower[i] and Upper[i] sum, over the summaries, the bound terms of
-// their elements ≤ Values[i] (ties in merge order). Over a version's
-// partition summaries this is the historical half of the combined summary
-// TS — a pure function of the version, so one copy serves every query
-// pinned to it. The slices are shared and must not be mutated.
-type MergedSummaries struct {
-	Values       []int64
-	Lower, Upper []float64
-}
-
-// MergedSummaries returns the version's merged partition summaries,
-// calling build — with the version's entries and its store's ε₁ — on first
-// use. Like the probe memo the result is never invalidated: the entries
-// are immutable, and the cached run dies with the version once a newer one
-// is current and the last pin drops. Concurrent first callers block until
-// the one build finishes. Only queries over the version's full entry set
-// go through here; summary export and windowed queries merge on their own,
-// so a version nobody queries directly caches nothing.
-func (v *Version) MergedSummaries(build func(entries []*Summary, eps1 float64) *MergedSummaries) *MergedSummaries {
-	v.mergedOnce.Do(func() { v.merged = build(v.entries, v.Eps1()) })
-	return v.merged
 }
 
 // Seq returns the version's monotonically increasing sequence number.
@@ -87,10 +58,6 @@ func (v *Version) Entries() []*Summary { return v.entries }
 // Memo returns the version's rank-probe memo, valid for queries that probe
 // exactly the version's full entry set; nil when memoization is disabled.
 func (v *Version) Memo() *ProbeMemo { return v.memo }
-
-// Eps1 returns the summary parameter ε₁ the snapshot's summaries were
-// captured under (the store's).
-func (v *Version) Eps1() float64 { return v.store.cfg.Eps1 }
 
 // TotalCount returns the number of elements across the snapshot.
 func (v *Version) TotalCount() int64 { return v.total }

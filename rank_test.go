@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/oracle"
-	"repro/internal/partition"
-	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -125,47 +123,5 @@ func TestQuantilesBatch(t *testing.T) {
 	vals, _, err = eng.Quantiles(nil)
 	if err != nil || len(vals) != 0 {
 		t.Errorf("empty batch: %v, %v", vals, err)
-	}
-}
-
-// TestOnlyFullHistoryQueriesFillVersionCache: summary export, windowed
-// queries and Rank merge on their own or not at all — a stream that is only
-// ever read through plans must not pin a merged run on its version — while
-// a full-history query leaves the run behind for the next one.
-func TestOnlyFullHistoryQueriesFillVersionCache(t *testing.T) {
-	// cached reports whether the current version already holds its merged
-	// run (asking fills the slot, so each engine is asked once).
-	cached := func(eng *Engine) bool {
-		v := eng.store.Pin()
-		defer v.Release()
-		built := false
-		v.MergedSummaries(func([]*partition.Summary, float64) *partition.MergedSummaries {
-			built = true
-			return &partition.MergedSummaries{}
-		})
-		return !built
-	}
-	eng, _ := loadedEngine(t, 0.02, 8, 2000, 1500, 47)
-	if _, err := eng.Summary(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.ScopedSummary(query.Scope{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.WindowQuantile(0.5, eng.AvailableWindows()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.Rank(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if cached(eng) {
-		t.Error("summary export, a windowed query or Rank filled the version's merged-run cache")
-	}
-	eng, _ = loadedEngine(t, 0.02, 8, 2000, 1500, 47)
-	if _, _, err := eng.Quantile(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if !cached(eng) {
-		t.Error("a full-history query left no merged run on its version")
 	}
 }
