@@ -146,7 +146,7 @@ func BenchmarkQuickQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		phi := 0.1 + 0.8*float64(i%9)/9
-		if _, err := eng.QuantileQuick(phi); err != nil {
+		if _, err := hsq.QuantileQuick(eng, phi); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 	wins := eng.AvailableWindows()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.WindowQuantile(0.5, wins[i%len(wins)]); err != nil {
+		if _, _, err := hsq.Query1(eng, hsq.Request{Phis: []float64{0.5}, Window: wins[i%len(wins)]}); err != nil {
 			b.Fatal(err)
 		}
 	}

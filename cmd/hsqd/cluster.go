@@ -9,19 +9,17 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
-// This file is hsqd's coordinator mode: the handlers and forwarding glue
-// that turn any node of a -cluster-peers deployment into a full front
-// door. Writes for streams this node does not store are forwarded to the
-// owning shard over the wire protocol; reads for such streams are answered
-// from a member's shard summary; /cluster/quantile merges shard summaries
-// across streams into one combined answer (the paper's summary-merge
-// query, Section 6, applied across nodes).
+// This file is hsqd's coordinator mode on the write side: the handlers and
+// forwarding glue that turn any node of a -cluster-peers deployment into a
+// full front door. Writes for streams this node does not store are
+// forwarded to the owning shard over the wire protocol. (Reads for such
+// streams, and POST /query plans that merge shard summaries across streams
+// — the paper's summary-merge query, Section 6, applied across nodes — are
+// in query.go.)
 
 // handleHealthz is the liveness probe: it touches no locks and no stats,
 // so it answers even while ingest, maintenance and stats endpoints are
@@ -70,194 +68,6 @@ func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		"relays":        s.cl.Stats(),
 		"summary_cache": s.cl.SummaryCacheStats(),
 	})
-}
-
-// shardSummary resolves one stream's shard summary from wherever it
-// lives: locally when this node stores the stream, otherwise from the
-// first member that answers — consulting the cluster's summary cache
-// first, so a dashboard re-polling the coordinator does not re-dial every
-// shard (entries expire after a short TTL and drop eagerly on observed
-// EndStep traffic). A nil summary means the stream holds no data anywhere
-// reachable.
-func (s *server) shardSummary(ctx context.Context, name string) (*core.ShardSummary, error) {
-	if s.cl == nil || s.cl.Member(name) {
-		st, ok := s.db.Lookup(name)
-		if !ok {
-			return nil, nil
-		}
-		return st.Summary()
-	}
-	var lastErr error
-	for _, n := range s.cl.Ring().Members(name) {
-		sum, err := s.cl.CachedSummary(ctx, n, name)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return sum, nil
-	}
-	return nil, lastErr
-}
-
-// handleClusterQuantile answers a quantile over the UNION of several
-// streams — wherever their shards live — by gathering one core.ShardSummary
-// per stream and merging them (core.MergeShardSummaries → Combined →
-// QuickQuery). The answer's rank error is within 1.5·ε·N of the union's
-// total count N (Lemma 3 under summary composition). Streams with no data
-// contribute zero. Works single-node too, where every summary is local.
-//
-//	GET /cluster/quantile?streams=a,b,c&phi=0.95
-func (s *server) handleClusterQuantile(w http.ResponseWriter, r *http.Request) {
-	var streams []string
-	for _, part := range strings.Split(r.URL.Query().Get("streams"), ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			streams = append(streams, part)
-		}
-	}
-	if len(streams) == 0 {
-		httpError(w, http.StatusBadRequest, "no streams")
-		return
-	}
-	phi, err := strconv.ParseFloat(r.URL.Query().Get("phi"), 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad phi: %v", err)
-		return
-	}
-	// Scatter-gather: every stream's summary resolves concurrently (local
-	// lookups and peer fetches alike) instead of dialing shards one after
-	// another, so the request's latency is the slowest single fetch.
-	sums := make([]*core.ShardSummary, len(streams))
-	errs := make([]error, len(streams))
-	var wg sync.WaitGroup
-	for i, name := range streams {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			sums[i], errs[i] = s.shardSummary(r.Context(), name)
-		}(i, name)
-	}
-	wg.Wait()
-	for i, ferr := range errs {
-		if ferr != nil {
-			httpError(w, http.StatusBadGateway, "stream %q: %v", streams[i], ferr)
-			return
-		}
-	}
-	merged, total, err := core.MergeShardSummaries(sums)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "merge: %v", err)
-		return
-	}
-	if total == 0 {
-		httpError(w, http.StatusNotFound, "no data in streams %v", streams)
-		return
-	}
-	v, err := merged.QuickQuery(max(int64(phi*float64(total)), 1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "quantile: %v", err)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"streams": streams, "phi": phi, "value": v, "n": total, "quick": true,
-	})
-}
-
-// remoteSummary fetches the merged view of a single remote stream for the
-// per-stream read fallbacks. 404 semantics match the local path: a stream
-// with no data anywhere is "unknown".
-func (s *server) remoteSummary(w http.ResponseWriter, r *http.Request, name string) (*core.Combined, int64, bool) {
-	sum, err := s.shardSummary(r.Context(), name)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "stream %q: %v", name, err)
-		return nil, 0, false
-	}
-	if sum == nil || sum.N == 0 {
-		httpError(w, http.StatusNotFound, "unknown stream %q", name)
-		return nil, 0, false
-	}
-	merged, total, err := core.MergeShardSummaries([]*core.ShardSummary{sum})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "stream %q: %v", name, err)
-		return nil, 0, false
-	}
-	return merged, total, true
-}
-
-// remoteQuantile answers GET /streams/{name}/quantile for a stream this
-// node does not store: fetch one member's shard summary, answer quick.
-// window= is refused — windows need the owning shard's full state.
-func (s *server) remoteQuantile(name string, w http.ResponseWriter, r *http.Request) {
-	phi, err := strconv.ParseFloat(r.URL.Query().Get("phi"), 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad phi: %v", err)
-		return
-	}
-	if r.URL.Query().Get("window") != "" {
-		httpError(w, http.StatusBadRequest, "window queries are not available for remote stream %q; ask a member node", name)
-		return
-	}
-	c, total, ok := s.remoteSummary(w, r, name)
-	if !ok {
-		return
-	}
-	v, err := c.QuickQuery(max(int64(phi*float64(total)), 1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "quantile: %v", err)
-		return
-	}
-	writeJSON(w, map[string]any{"stream": name, "phi": phi, "value": v, "quick": true, "remote": true})
-}
-
-// remoteQuantiles answers GET /streams/{name}/quantiles remotely. Every
-// answer is summary-quick; max-reads is meaningless here and ignored.
-func (s *server) remoteQuantiles(name string, w http.ResponseWriter, r *http.Request) {
-	var phis []float64
-	for _, part := range strings.Split(r.URL.Query().Get("phi"), ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		phi, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad phi %q: %v", part, err)
-			return
-		}
-		phis = append(phis, phi)
-	}
-	if len(phis) == 0 {
-		httpError(w, http.StatusBadRequest, "no phi values")
-		return
-	}
-	c, total, ok := s.remoteSummary(w, r, name)
-	if !ok {
-		return
-	}
-	vals := make([]int64, len(phis))
-	for i, phi := range phis {
-		v, err := c.QuickQuery(max(int64(phi*float64(total)), 1))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "quantiles: %v", err)
-			return
-		}
-		vals[i] = v
-	}
-	writeJSON(w, map[string]any{"stream": name, "phi": phis, "values": vals, "quick": true, "remote": true})
-}
-
-// remoteRank answers GET /streams/{name}/rank remotely with the combined
-// summary's rank estimate: the midpoint of the rank bounds of the largest
-// summary value ≤ v, which is within the summary's ε band of the true rank.
-func (s *server) remoteRank(name string, w http.ResponseWriter, r *http.Request) {
-	v, err := strconv.ParseInt(r.URL.Query().Get("v"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad v: %v", err)
-		return
-	}
-	c, total, ok := s.remoteSummary(w, r, name)
-	if !ok {
-		return
-	}
-	writeJSON(w, map[string]any{"stream": name, "v": v, "rank": c.QuickRank(v), "total": total, "quick": true, "remote": true})
 }
 
 // restSession is the synthetic wire session carrying this node's forwarded

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/query"
 )
 
 // TestGoldenHealthz pins the liveness body: a monitoring fleet parses it,
@@ -162,22 +164,30 @@ func TestClusterHTTPForwarding(t *testing.T) {
 				t.Errorf("median of %s via %s = %d, want ≈%d", name, ts.URL, v, n/2)
 			}
 		}
-		// The union query merges both shards: 2n elements, median still n/2
+		// The union plan merges both shards: 2n elements, median still n/2
 		// (both streams carry 1..n).
-		code, body := get(t, ts.URL+"/cluster/quantile?streams="+local+","+remote+"&phi=0.5")
-		if code != http.StatusOK {
-			t.Fatalf("cluster quantile: status %d: %s", code, body)
+		resp, err := http.Post(ts.URL+"/query", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"streams":[%q,%q],"phis":[0.5]}`, local, remote)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if total := jsonField(t, body, "n"); total != 2*n {
-			t.Errorf("union n = %d, want %d", total, 2*n)
+		var res query.Result
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("union plan via %s: status %d, %v", ts.URL, resp.StatusCode, err)
 		}
-		v := jsonField(t, body, "value")
-		if dev := v - n/2; dev < -3*0.02*n-1 || dev > 3*0.02*n+1 {
-			t.Errorf("union median = %d, want ≈%d", v, n/2)
+		win := res.Groups[0].Windows[0]
+		if win.N != 2*n {
+			t.Errorf("union n = %d, want %d", win.N, 2*n)
+		}
+		if dev := win.Values[0] - n/2; dev < -3*0.02*n-1 || dev > 3*0.02*n+1 {
+			t.Errorf("union median = %d, want ≈%d", win.Values[0], n/2)
 		}
 	}
 
-	// Remote rank and quantiles fallbacks answer from node a for b's stream.
+	// Rank and quantiles for b's stream answer from node a too, with rank
+	// and total from the one fetched summary.
 	code, body := get(t, tsA.URL+"/streams/"+remote+"/rank?v="+fmt.Sprint(n/2))
 	if code != http.StatusOK {
 		t.Fatalf("remote rank: status %d: %s", code, body)
@@ -185,9 +195,33 @@ func TestClusterHTTPForwarding(t *testing.T) {
 	if rank := jsonField(t, body, "rank"); rank < int(0.5*n-2*0.02*n-1) || rank > int(0.5*n+2*0.02*n+1) {
 		t.Errorf("remote rank(%d) = %d, want ≈%d", n/2, rank, n/2)
 	}
+	if total := jsonField(t, body, "total"); total != n {
+		t.Errorf("remote rank total = %d, want %d", total, n)
+	}
 	code, body = get(t, tsA.URL+"/streams/"+remote+"/quantiles?phi=0.25,0.75")
 	if code != http.StatusOK {
 		t.Fatalf("remote quantiles: status %d: %s", code, body)
+	}
+
+	// Both doors refuse what a member refuses: φ resolves by one rule, so an
+	// out-of-range φ is a 400 on the non-member as well, not the maximum.
+	for _, name := range []string{local, remote} {
+		for _, path := range []string{"/quantile?phi=7", "/quantiles?phi=0.5,7", "/quantile?phi=0"} {
+			if code, body := get(t, tsA.URL+"/streams/"+name+path); code != http.StatusBadRequest {
+				t.Errorf("%s%s via a: status %d (%s), want 400", name, path, code, body)
+			}
+		}
+	}
+	// A non-member cannot window (it holds a summary, not partitions) and
+	// says so on every read route; max-reads has nothing to cap there.
+	for _, path := range []string{"/quantile?phi=0.5&window=1", "/quantiles?phi=0.5&window=1", "/rank?v=5&window=1"} {
+		code, body := get(t, tsA.URL+"/streams/"+remote+path)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "ask a member node") {
+			t.Errorf("remote %s: status %d (%s), want the window refusal", path, code, body)
+		}
+	}
+	if code, body := get(t, tsA.URL+"/streams/"+remote+"/quantile?phi=0.5&max-reads=1"); code != http.StatusOK {
+		t.Errorf("remote max-reads: status %d (%s)", code, body)
 	}
 
 	// Unknown streams still 404 from every door (owner answers "no data").

@@ -14,12 +14,21 @@
 //	POST   /streams/{name}/observe          body: newline-separated integers,
 //	                                        or JSON {"values":[...]} (batched)
 //	POST   /streams/{name}/endstep          load the stream's batch + checkpoint
-//	GET    /streams/{name}/quantile?phi=0.99[&quick=1][&window=K]
-//	GET    /streams/{name}/quantiles?phi=0.5,0.95,0.99[&max-reads=N]
-//	GET    /streams/{name}/rank?v=12345[&quick=1]
+//	GET    /streams/{name}/quantile?phi=0.99            one φ      → "value"
+//	GET    /streams/{name}/quantiles?phi=0.5,0.95,0.99  several φ  → "values"
+//	GET    /streams/{name}/rank?v=12345                 rank of v  → "rank", "total"
 //	GET    /streams/{name}/stats
 //	GET    /streams/{name}/maintenance    background-maintenance state
 //	POST   /streams/{name}/maintenance    drain: install every sealed step now
+//	POST   /query                         JSON plan over stream sets: globs,
+//	                                      merge, group-by, windows, as-of
+//
+// The three read routes are one request (hsq.Request) and take the same
+// optional parameters: quick=1 answers from the in-memory summaries only
+// (error ≤ 1.5·ε·N, no disk reads), window=K restricts the scope to the
+// last K steps plus the live stream (K from the stream's "windows" stat),
+// max-reads=N caps the random block reads of the search ("truncated" in the
+// /quantiles reply).
 //
 // The original single-stream endpoints (POST /observe, POST /endstep,
 // GET /quantile, /quantiles, /rank, /stats) remain and operate on the
@@ -39,12 +48,13 @@
 // consistent-hash ring place each stream on an owner node plus -replicas−1
 // followers. Every node is a full front door — writes for streams it does
 // not store forward to the owning shard over the wire protocol (ack-gated,
-// exactly-once via per-session sequence marks), per-stream reads for such
-// streams are answered from a member's shard summary, and
+// exactly-once via per-session sequence marks), and reads for such streams
+// are answered from a member's shard summary: always quick, window= is
+// refused (ask a member node) and max-reads is moot. A quantile over the
+// union of streams, wherever their shards live, is the plan
+// POST /query {"streams":["a","b"],"phis":[φ]}.
 //
 //	GET /cluster                            membership, placement, relay lag
-//	GET /cluster/quantile?streams=a,b&phi=φ quantile over the union of
-//	                                        streams via summary merge
 //	GET /healthz                            liveness (no locks, fixed body)
 //
 // expose the cluster itself. All nodes must be started with the same
@@ -406,63 +416,6 @@ func (s *server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"dropped": name, "streams": s.db.Streams()})
 }
 
-func (s *server) handleQuantiles(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	var phis []float64
-	for _, part := range strings.Split(r.URL.Query().Get("phi"), ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		phi, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad phi %q: %v", part, err)
-			return
-		}
-		phis = append(phis, phi)
-	}
-	if len(phis) == 0 {
-		httpError(w, http.StatusBadRequest, "no phi values")
-		return
-	}
-	var opts hsq.QueryOpts
-	if mr := r.URL.Query().Get("max-reads"); mr != "" {
-		n, err := strconv.Atoi(mr)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad max-reads %q", mr)
-			return
-		}
-		opts.MaxReads = n
-	}
-	vals, qs, err := st.QuantilesOptsCtx(r.Context(), phis, opts)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "quantiles: %v", err)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"stream": st.Name(), "phi": phis, "values": vals,
-		"disk_reads": qs.RandReads, "truncated": qs.Truncated,
-	})
-}
-
-func (s *server) handleRank(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	v, err := strconv.ParseInt(r.URL.Query().Get("v"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad v: %v", err)
-		return
-	}
-	var rank int64
-	if r.URL.Query().Get("quick") == "1" {
-		rank, err = st.RankQuick(v)
-	} else {
-		rank, _, err = st.RankCtx(r.Context(), v)
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "rank: %v", err)
-		return
-	}
-	writeJSON(w, map[string]any{"stream": st.Name(), "v": v, "rank": rank, "total": st.TotalCount()})
-}
-
 // handleObserve accepts two body formats: the legacy newline-separated
 // integers, and — when the body starts with '{' — a JSON object
 // {"values":[...]} (or {"value": v}) applied through the ObserveSlice
@@ -572,48 +525,6 @@ func (s *server) handleEndStep(st *hsq.Stream, w http.ResponseWriter, r *http.Re
 		"merges":   us.Merges,
 		"steps":    st.Steps(),
 	})
-}
-
-func (s *server) handleQuantile(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	phi, err := strconv.ParseFloat(r.URL.Query().Get("phi"), 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad phi: %v", err)
-		return
-	}
-	quick := r.URL.Query().Get("quick") == "1"
-	windowStr := r.URL.Query().Get("window")
-
-	var v int64
-	switch {
-	case windowStr != "":
-		win, err := strconv.Atoi(windowStr)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad window: %v", err)
-			return
-		}
-		if quick {
-			v, err = st.WindowQuantileQuick(phi, win)
-		} else {
-			v, _, err = st.WindowQuantileCtx(r.Context(), phi, win)
-		}
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "window quantile: %v", err)
-			return
-		}
-	case quick:
-		v, err = st.QuantileQuick(phi)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "quick quantile: %v", err)
-			return
-		}
-	default:
-		v, _, err = st.QuantileCtx(r.Context(), phi)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "quantile: %v", err)
-			return
-		}
-	}
-	writeJSON(w, map[string]any{"stream": st.Name(), "phi": phi, "value": v, "quick": quick})
 }
 
 func (s *server) handleStreamStats(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {

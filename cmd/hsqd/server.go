@@ -188,54 +188,23 @@ func migrateLegacyLayout(dir string) error {
 // single-stream routes.
 type streamHandler func(st *hsq.Stream, w http.ResponseWriter, r *http.Request)
 
-// named adapts a streamHandler to a /streams/{name}/... route. create
-// controls whether a missing stream is created on the fly (ingest paths) or
-// a 404 (query paths).
-func (s *server) named(h streamHandler, create bool) http.HandlerFunc {
+// named adapts a streamHandler to a /streams/{name}/... route of an existing
+// stream; a missing one is a 404.
+func (s *server) named(h streamHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		var st *hsq.Stream
-		if create {
-			var err error
-			st, err = s.db.Stream(name)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "stream %q: %v", name, err)
-				return
-			}
-		} else {
-			var ok bool
-			st, ok = s.db.Lookup(name)
-			if !ok {
-				httpError(w, http.StatusNotFound, "unknown stream %q", name)
-				return
-			}
+		st, ok := s.db.Lookup(name)
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown stream %q", name)
+			return
 		}
 		h(st, w, r)
 	}
 }
 
-// remoteHandler serves a /streams/{name}/... route for a stream this node
-// does not store (cluster mode): by shard-summary fetch (reads) or wire
-// forwarding to the owning shard (writes).
+// remoteHandler serves a /streams/{name}/... write route in cluster mode,
+// where the stream may live on another shard.
 type remoteHandler func(name string, w http.ResponseWriter, r *http.Request)
-
-// namedQuery adapts a read-only streamHandler: local when this node stores
-// the stream, remote-summary answered when a cluster peer owns it. The
-// single-node behavior (404 for unknown streams) is unchanged.
-func (s *server) namedQuery(h streamHandler, remote remoteHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		if st, ok := s.db.Lookup(name); ok {
-			h(st, w, r)
-			return
-		}
-		if s.cl != nil && !s.cl.Member(name) {
-			remote(name, w, r)
-			return
-		}
-		httpError(w, http.StatusNotFound, "unknown stream %q", name)
-	}
-}
 
 // namedWrite adapts a write streamHandler. Single-node mode keeps the old
 // create-on-the-fly local path; cluster mode hands the whole request to
@@ -275,28 +244,27 @@ func (s *server) mux() *http.ServeMux {
 	// Liveness + cluster surface (shape is fixed even in single-node mode).
 	m.HandleFunc("GET /healthz", s.handleHealthz)
 	m.HandleFunc("GET /cluster", s.handleCluster)
-	m.HandleFunc("GET /cluster/quantile", s.handleClusterQuantile)
 	// Multi-stream surface. Writes and point reads route through the
-	// cluster layer when one is configured; with cl == nil the adapters
-	// collapse to the original local-only behavior.
+	// cluster layer when one is configured; with cl == nil they collapse to
+	// the original local-only behavior.
 	m.HandleFunc("GET /streams", s.handleStreams)
 	m.HandleFunc("GET /ingest", s.handleIngest)
 	m.HandleFunc("POST /query", s.handleQuery)
 	m.HandleFunc("DELETE /streams/{name}", s.handleDeleteStream)
 	m.HandleFunc("POST /streams/{name}/observe", s.namedWrite(s.handleObserve, s.clusterObserve))
 	m.HandleFunc("POST /streams/{name}/endstep", s.namedWrite(s.handleEndStep, s.clusterEndStep))
-	m.HandleFunc("GET /streams/{name}/quantile", s.namedQuery(s.handleQuantile, s.remoteQuantile))
-	m.HandleFunc("GET /streams/{name}/quantiles", s.namedQuery(s.handleQuantiles, s.remoteQuantiles))
-	m.HandleFunc("GET /streams/{name}/rank", s.namedQuery(s.handleRank, s.remoteRank))
-	m.HandleFunc("GET /streams/{name}/stats", s.named(s.handleStreamStats, false))
-	m.HandleFunc("GET /streams/{name}/maintenance", s.named(s.handleMaintenance, false))
-	m.HandleFunc("POST /streams/{name}/maintenance", s.named(s.handleMaintainNow, false))
+	m.HandleFunc("GET /streams/{name}/quantile", s.namedRead(routeQuantile))
+	m.HandleFunc("GET /streams/{name}/quantiles", s.namedRead(routeQuantiles))
+	m.HandleFunc("GET /streams/{name}/rank", s.namedRead(routeRank))
+	m.HandleFunc("GET /streams/{name}/stats", s.named(s.handleStreamStats))
+	m.HandleFunc("GET /streams/{name}/maintenance", s.named(s.handleMaintenance))
+	m.HandleFunc("POST /streams/{name}/maintenance", s.named(s.handleMaintainNow))
 	// Legacy single-stream surface, served by the "default" stream.
 	m.HandleFunc("POST /observe", s.legacy(s.handleObserve))
 	m.HandleFunc("POST /endstep", s.legacy(s.handleEndStep))
-	m.HandleFunc("GET /quantile", s.legacy(s.handleQuantile))
-	m.HandleFunc("GET /quantiles", s.legacy(s.handleQuantiles))
-	m.HandleFunc("GET /rank", s.legacy(s.handleRank))
+	m.HandleFunc("GET /quantile", s.legacy(s.read(routeQuantile)))
+	m.HandleFunc("GET /quantiles", s.legacy(s.read(routeQuantiles)))
+	m.HandleFunc("GET /rank", s.legacy(s.read(routeRank)))
 	m.HandleFunc("GET /stats", s.legacy(s.handleStreamStats))
 	return m
 }

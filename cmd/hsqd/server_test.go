@@ -140,6 +140,17 @@ func TestServerErrors(t *testing.T) {
 	if _, code := getJSON(t, ts.URL+"/quantile?phi=0.5&window=x"); code != http.StatusBadRequest {
 		t.Errorf("non-numeric window: status %d", code)
 	}
+	// One parser behind the three read routes: each of them refuses a bad
+	// value of any common parameter instead of dropping it.
+	for _, path := range []string{
+		"/quantile?phi=0.5&window=0", "/quantile?phi=0.5&max-reads=-1", "/quantile?phi=0.5&max-reads=x",
+		"/quantiles?phi=0.5&window=99", "/quantiles?phi=0.5&window=x", "/quantiles?phi=0.5,7",
+		"/rank?v=2&window=99", "/rank?v=2&max-reads=-1",
+	} {
+		if _, code := getJSON(t, ts.URL+path); code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, code)
+		}
+	}
 }
 
 func TestServerResume(t *testing.T) {
@@ -325,7 +336,34 @@ func TestServerQuantilesAndRank(t *testing.T) {
 		t.Errorf("bad phi list: code %d", code)
 	}
 
-	rk, code := getJSON(t, ts.URL+"/rank?v=500")
+	// quick=1, window= and max-reads= mean the same on every read route.
+	// The quick /quantiles goes first: nothing is cached or memoized yet, so
+	// zero disk reads is the in-memory path and not a warm repeat.
+	q, code = getJSON(t, ts.URL+"/quantiles?phi=0.25,0.5,0.75&quick=1")
+	if code != 200 || q["disk_reads"].(float64) != 0 {
+		t.Errorf("quick quantiles = %v (code %d), want 0 disk reads", q, code)
+	}
+	for i, v := range q["values"].([]any) {
+		if want := 250 * float64(i+1); v.(float64) < want-75 || v.(float64) > want+75 {
+			t.Errorf("quick quantiles[%d] = %v, want %v ± 1.5·ε·N", i, v, want)
+		}
+	}
+	postBody(t, ts.URL+"/observe", "2000\n")
+	postBody(t, ts.URL+"/endstep", "")
+	q, code = getJSON(t, ts.URL+"/quantiles?phi=0.5,1&window=1")
+	if vals := q["values"].([]any); code != 200 || vals[0].(float64) != 2000 || vals[1].(float64) != 2000 {
+		t.Errorf("windowed quantiles = %v (code %d), want the last step's one value", q, code)
+	}
+	q, code = getJSON(t, ts.URL+"/quantile?phi=0.5&max-reads=1")
+	if v := q["value"].(float64); code != 200 || v < 300 || v > 700 {
+		t.Errorf("budgeted quantile = %v (code %d), want 501 ± 4·ε·N", q, code)
+	}
+	rk, code := getJSON(t, ts.URL+"/rank?v=5000&window=1")
+	if code != 200 || rk["rank"].(float64) != 1 || rk["total"].(float64) != 1 {
+		t.Errorf("windowed rank = %v (code %d), want 1 of 1", rk, code)
+	}
+
+	rk, code = getJSON(t, ts.URL+"/rank?v=500")
 	if code != 200 || rk["rank"].(float64) != 500 {
 		t.Errorf("rank = %v (code %d)", rk, code)
 	}
@@ -343,6 +381,59 @@ func TestServerQuantilesAndRank(t *testing.T) {
 	st, code := getJSON(t, ts.URL+"/stats")
 	if code != 200 || st["levels"] == nil {
 		t.Errorf("stats levels missing: %v", st)
+	}
+}
+
+// TestRankAndTotalFromOneSnapshot polls /rank while a writer observes and
+// ends steps. "rank" and "total" describe one snapshot, so they agree on
+// every reply: nothing exceeds MaxInt64, so its rank is the whole stream —
+// total, plus at most the live batch's ε₂ estimate band — and never less,
+// which is what a total read after the rank, from a second snapshot the
+// writer has already moved, would show.
+func TestRankAndTotalFromOneSnapshot(t *testing.T) {
+	ts := newTestServer(t)
+	url := ts.URL + "/streams/live/"
+	postBody(t, url+"observe", "1\n")
+	stop := make(chan struct{})
+	writer := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				writer <- nil
+				return
+			default:
+			}
+			path, body := "observe", strings.Repeat("7\n", 50)
+			if i%4 == 3 {
+				path, body = "endstep", ""
+			}
+			resp, err := http.Post(url+path, "text/plain", strings.NewReader(body))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("POST %s: status %d", path, resp.StatusCode)
+				}
+			}
+			if err != nil {
+				writer <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		rk, code := getJSON(t, url+"rank?v=9223372036854775807")
+		if code != http.StatusOK {
+			t.Fatalf("rank: status %d", code)
+		}
+		rank, total := rk["rank"].(float64), rk["total"].(float64)
+		if rank < total || rank > total+0.05*total+2 {
+			t.Fatalf("poll %d: rank of MaxInt64 = %v against total = %v", i, rank, total)
+		}
+	}
+	close(stop)
+	if err := <-writer; err != nil {
+		t.Fatal(err)
 	}
 }
 

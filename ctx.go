@@ -4,13 +4,11 @@ import (
 	"context"
 )
 
-// Context variants of the mutating and query methods. Each checks the
-// context before starting; the accurate-query variants additionally poll it
-// between bisection probes, so a cancelled dashboard request abandons its
-// remaining random disk reads mid-search. Load-side work (EndStepCtx) is
-// checked only at entry: a partition load or level merge must run to
-// completion once started, or the warehouse would be left with a
-// half-written partition.
+// Context variants of the mutating methods (reads take their context
+// through Query). Each checks the context before starting. Load-side work
+// (EndStepCtx) is checked only at entry: a partition load or level merge
+// must run to completion once started, or the warehouse would be left with
+// a half-written partition.
 
 // ObserveCtx is Observe with error reporting: the element is dropped (and
 // the context error returned) if ctx is already done, and ErrClosed is
@@ -41,59 +39,4 @@ func (e *Engine) EndStepCtx(ctx context.Context) (UpdateStats, error) {
 		return UpdateStats{}, err
 	}
 	return e.endStep(ctx)
-}
-
-// QuantileCtx is Quantile with cancellation, polled between bisection
-// probes.
-func (e *Engine) QuantileCtx(ctx context.Context, phi float64) (int64, QueryStats, error) {
-	return e.QuantileOptsCtx(ctx, phi, QueryOpts{})
-}
-
-// QuantileOptsCtx is QuantileOpts with cancellation.
-func (e *Engine) QuantileOptsCtx(ctx context.Context, phi float64, opts QueryOpts) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	return e.quantileOpts(phi, opts, ctx.Err)
-}
-
-// QuantilesCtx is Quantiles with cancellation, polled between bisection
-// probes of every target.
-func (e *Engine) QuantilesCtx(ctx context.Context, phis []float64) ([]int64, QueryStats, error) {
-	return e.QuantilesOptsCtx(ctx, phis, QueryOpts{})
-}
-
-// QuantilesOptsCtx is QuantilesOpts with cancellation.
-func (e *Engine) QuantilesOptsCtx(ctx context.Context, phis []float64, opts QueryOpts) ([]int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return e.quantilesOpts(phis, opts, ctx.Err)
-}
-
-// RankQueryCtx is RankQuery with cancellation, polled between bisection
-// probes.
-func (e *Engine) RankQueryCtx(ctx context.Context, r int64) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	return e.rankQuery(r, ctx.Err)
-}
-
-// RankCtx is Rank with cancellation, checked at entry (a rank probe costs
-// at most one block read per partition, so mid-flight polling buys little).
-func (e *Engine) RankCtx(ctx context.Context, v int64) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	return e.Rank(v)
-}
-
-// WindowQuantileCtx is WindowQuantile with cancellation, polled between
-// bisection probes.
-func (e *Engine) WindowQuantileCtx(ctx context.Context, phi float64, steps int) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	return e.windowQuantile(phi, steps, ctx.Err)
 }

@@ -114,7 +114,7 @@ func TestDBConcurrentStreams(t *testing.T) {
 						errc <- err
 						return
 					}
-					if _, err := st.QuantileQuick(phi); err != nil {
+					if _, err := hsq.QuantileQuick(st, phi); err != nil {
 						errc <- err
 						return
 					}
@@ -316,10 +316,11 @@ func TestQuantilesOptsBudget(t *testing.T) {
 	eng.ObserveSlice(workload.Fill(gen, 5000))
 
 	phis := []float64{0.05, 0.25, 0.5, 0.75, 0.95}
-	_, free, err := eng.QuantilesOpts(phis, hsq.QueryOpts{})
+	fa, err := eng.Query(context.Background(), hsq.Request{Phis: phis})
 	if err != nil {
 		t.Fatal(err)
 	}
+	free := fa.Stats
 	if free.Truncated {
 		t.Fatal("unbudgeted batch reported Truncated")
 	}
@@ -330,10 +331,11 @@ func TestQuantilesOptsBudget(t *testing.T) {
 	if budget == 0 {
 		budget = 1
 	}
-	vals, qs, err := eng.QuantilesOpts(phis, hsq.QueryOpts{MaxReads: budget})
+	ba, err := eng.Query(context.Background(), hsq.Request{Phis: phis, MaxReads: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
+	vals, qs := ba.Values, ba.Stats
 	if len(vals) != len(phis) {
 		t.Fatalf("got %d values", len(vals))
 	}
@@ -374,8 +376,8 @@ func TestQuantileCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := eng.QuantileCtx(ctx, 0.5); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled QuantileCtx: %v", err)
+	if _, err := eng.Query(ctx, hsq.Request{Phis: []float64{0.5}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Query: %v", err)
 	}
 	if err := eng.ObserveCtx(ctx, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ObserveCtx: %v", err)
@@ -384,7 +386,7 @@ func TestQuantileCtxCancel(t *testing.T) {
 		t.Errorf("cancelled EndStepCtx: %v", err)
 	}
 	// A live context works.
-	if _, _, err := eng.QuantileCtx(context.Background(), 0.5); err != nil {
-		t.Errorf("live QuantileCtx: %v", err)
+	if _, err := eng.Query(context.Background(), hsq.Request{Phis: []float64{0.5}}); err != nil {
+		t.Errorf("live Query: %v", err)
 	}
 }

@@ -19,7 +19,28 @@
 //	eng.Observe(v)          // for each stream element
 //	eng.EndStep()           // at each time-step boundary
 //	med, _, err := eng.Quantile(0.5)   // accurate: error ≤ ε·|stream|
-//	p99fast, err := eng.QuantileQuick(0.99) // in-memory only: error ≤ 1.5·ε·N
+//
+// # Reading
+//
+// There is one read call, Query(ctx, Request) on an Engine or a Stream;
+// Quantile, Quantiles and Rank are shorthands for its most common shapes.
+// A Request names its targets — Phis, Ranks, or Values for the inverse
+// rank-of-value question — and three fields that map onto the paper:
+//
+//	field      paper                          the answer's rank error
+//	(default)  Algorithm 6 / Theorem 2        ≤ ε·N, a few random disk reads
+//	Quick      Algorithm 5 / Lemma 3          ≤ 1.5·ε·N, zero disk reads
+//	Window     §2.4 "Queries Over Windows"    as above, N = the window's size
+//	MaxReads   conclusion's "stopping early"  Stats.Truncated: inside the 4·ε·N
+//	                                          filter spread (Lemma 4)
+//
+// Every field composes with every other: the request pins one snapshot,
+// selects its scope, resolves its targets to ranks (⌈φ·N⌉) and runs either
+// the in-memory answer or one shared bisection sweep, polling ctx between
+// disk probes. The Answer carries the values, the scope's size N from the
+// same snapshot, and the disk-side QueryStats.
+//
+//	a, err := eng.Query(ctx, hsq.Request{Phis: []float64{0.5, 0.99}, Window: 6, Quick: true})
 //
 // # Storage
 //
@@ -85,11 +106,9 @@
 //	p99, _, err := lat.Quantile(0.99)
 //	db.Close()                               // checkpoint all streams, release backend
 //
-// Mutating and query methods have context variants (ObserveCtx,
-// EndStepCtx, QuantileCtx, QuantilesOptsCtx, ...) that honor cancellation,
-// polling the context between the random disk reads of an accurate query
-// (and, for EndStepCtx under async maintenance, while blocked on
-// backpressure).
+// Mutating methods have context variants (ObserveCtx, ObserveSliceCtx,
+// EndStepCtx) that honor cancellation — for EndStepCtx under async
+// maintenance, also while blocked on backpressure.
 //
 // # Query layer
 //
@@ -228,20 +247,21 @@
 // Nothing is cached per store version: every query rebuilds TS (keeping the
 // merged historical half on the version was measured and left out, see
 // CHANGES.md, PR 14).
-// Rank reads partitions and stream pieces only and builds no TS.
+// A rank-of-value request reads partitions and stream pieces only and
+// builds no TS.
 //
-// Quantiles and QuantilesOpts answer a set of φ targets in one shared
-// value-space sweep rather than k independent bisections. The sweep probes
+// A request's quantile targets are answered in one shared value-space
+// sweep rather than k independent bisections. The sweep probes
 // the midpoint of the lowest-rank unresolved target, so that target walks
 // exactly its solo probe sequence — a k-target call never costs more
 // probes than k single-target calls — while targets whose filters bracket
 // the probe narrow for free and one accepting probe resolves every target
 // within its acceptance band. Banded φ sets (within ε·m/n of each other)
 // see ≥2× fewer probes; spread sets tie on probes but share cursor
-// descents, cutting backend reads. QueryOpts composes unchanged: MaxReads
-// bounds the sweep's total backend reads (unresolved targets fall back to
-// the quick estimate and Truncated is set), Interrupt aborts it, and
-// Parallel walks independent subranges concurrently.
+// descents, cutting backend reads. Request.MaxReads bounds the sweep's
+// total backend reads (unresolved targets fall back to the quick estimate
+// and Truncated is set), a cancelled context aborts it, and
+// Config.ParallelQuery walks independent subranges concurrently.
 //
 // Each published store version carries a bounded memo of resolved rank
 // probes (Config.ProbeMemoEntries; default 4096, negative disables).
@@ -250,7 +270,7 @@
 // an unchanged snapshot resolves entirely from the memo:
 // QueryStats.MemoHits equals Iterations and RandReads is zero. Memo hits,
 // cache hits and skipped blocks are the absence of a disk access: none of
-// them spend QueryOpts.MaxReads budget or count toward the paper's
+// them spend Request.MaxReads budget or count toward the paper's
 // disk-access metric. Window queries bypass the memo (their ranks are
 // window-relative); Engine.MemoStats aggregates counters across versions.
 //

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -88,10 +89,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		qv, err := eng.QuantileQuick(phi)
+		quick, err := eng.Query(context.Background(), hsq.Request{Phis: []float64{phi}, Quick: true})
 		if err != nil {
 			log.Fatal(err)
 		}
+		qv := quick.Values[0]
 		gv, _ := gkSketch.Quantile(phi)
 		dv, _ := qd.Quantile(phi)
 		fmt.Printf("%.2f   %-18s %-18s %-18s %-18s\n", phi,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -75,10 +76,10 @@ func main() {
 		if w > 4 && w != wins[len(wins)-1] {
 			continue // show small windows + the full horizon
 		}
-		v, _, err := eng.WindowQuantile(0.99, w)
+		a, err := eng.Query(context.Background(), hsq.Request{Phis: []float64{0.99}, Window: w})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  last %2d day(s): p99 = %d µs\n", w, v)
+		fmt.Printf("  last %2d day(s): p99 = %d µs\n", w, a.Values[0])
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -63,10 +64,11 @@ func main() {
 	// all-time one? A shift means traffic is concentrating somewhere new.
 	fmt.Println("\nmedian flow key by window:")
 	for _, w := range eng.AvailableWindows() {
-		v, _, err := eng.WindowQuantile(0.5, w)
+		a, err := eng.Query(context.Background(), hsq.Request{Phis: []float64{0.5}, Window: w})
 		if err != nil {
 			log.Fatal(err)
 		}
+		v := a.Values[0]
 		fmt.Printf("  last %2d hour(s): median key = %d (src %d)\n", w, v, v>>16)
 	}
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -57,11 +58,11 @@ func main() {
 	}
 
 	// Quick queries: zero disk I/O, coarser guarantee (1.5·ε·N).
-	v, err := eng.QuantileQuick(0.5)
+	quick, err := eng.Query(context.Background(), hsq.Request{Phis: []float64{0.5}, Quick: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("p50 (quick, no I/O) = %d\n", v)
+	fmt.Printf("p50 (quick, no I/O) = %d\n", quick.Values[0])
 
 	mu := eng.MemoryUsage()
 	fmt.Printf("\nsummary memory: %d B historical + %d B stream\n", mu.HistBytes, mu.StreamBytes)

@@ -1,6 +1,7 @@
 package hsq
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func TestQueryIOBudget(t *testing.T) {
 	var phi float64
 	var full QueryStats
 	for _, cand := range []float64{0.5, 0.31, 0.62, 0.77, 0.13, 0.87, 0.41} {
-		_, qs, err := eng.QuantileOpts(cand, QueryOpts{})
+		_, qs, err := Query1(eng, Request{Phis: []float64{cand}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestQueryIOBudget(t *testing.T) {
 	}
 
 	// A cap of 1 must truncate.
-	v, qs, err := eng.QuantileOpts(phi, QueryOpts{MaxReads: 1})
+	v, qs, err := Query1(eng, Request{Phis: []float64{phi}, MaxReads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +118,14 @@ func TestQueryIOBudget(t *testing.T) {
 	}
 
 	// A generous cap must not truncate and must match the unbounded answer.
-	v2, qs2, err := eng.QuantileOpts(phi, QueryOpts{MaxReads: 10 * full.RandReads})
+	v2, qs2, err := Query1(eng, Request{Phis: []float64{phi}, MaxReads: 10 * full.RandReads})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qs2.Truncated {
 		t.Errorf("generous cap truncated: %+v", qs2)
 	}
-	vFull, _, err := eng.QuantileOpts(phi, QueryOpts{})
+	vFull, _, err := Query1(eng, Request{Phis: []float64{phi}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +155,19 @@ func TestBudgetExcludesCacheAndMemoHits(t *testing.T) {
 		}
 		eng.ObserveSlice(workload.Fill(gen, 2000))
 
-		cold, cqs, err := eng.QuantilesOpts(phis, QueryOpts{})
+		ca, err := eng.Query(context.Background(), Request{Phis: phis})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cold, cqs := ca.Values, ca.Stats
 		if cqs.RandReads == 0 {
 			t.Fatal("cold query hit no backend reads; budget test is vacuous")
 		}
-		warm, wqs, err := eng.QuantilesOpts(phis, QueryOpts{MaxReads: 1})
+		wa, err := eng.Query(context.Background(), Request{Phis: phis, MaxReads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		warm, wqs := wa.Values, wa.Stats
 		if wqs.Truncated {
 			t.Errorf("warm repeat truncated under MaxReads=1: %+v (cold %+v)", wqs, cqs)
 		}
@@ -212,7 +215,7 @@ func TestIOBudgetTradeoffMonotone(t *testing.T) {
 	eng.ObserveSlice(workload.Fill(gen, 2000))
 	parts := eng.PartitionCount()
 	for _, cap := range []int{1, 2, 4, 8, 16, 32} {
-		_, qs, err := eng.QuantileOpts(0.5, QueryOpts{MaxReads: cap})
+		_, qs, err := Query1(eng, Request{Phis: []float64{0.5}, MaxReads: cap})
 		if err != nil {
 			t.Fatal(err)
 		}

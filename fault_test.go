@@ -90,7 +90,7 @@ func TestFaultDuringQuery(t *testing.T) {
 	}
 	// Quick queries never touch disk: immune even under injected faults.
 	dev.SetFault(func(op disk.Op, name string, block int64) error { return errInjected })
-	if _, err := eng.QuantileQuick(0.5); err != nil {
+	if _, err := QuantileQuick(eng, 0.5); err != nil {
 		t.Errorf("quick query under total disk fault: %v", err)
 	}
 }

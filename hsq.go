@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"time"
@@ -295,16 +294,52 @@ type QueryStats struct {
 	Truncated bool
 }
 
-// QueryOpts tunes one accurate query beyond the engine defaults.
-type QueryOpts struct {
-	// MaxReads caps random block reads for this query; 0 means unlimited.
-	// When the cap is hit the search stops early and returns its best
-	// current answer with QueryStats.Truncated set — trading accuracy for
-	// disk accesses, the third axis of the paper's concluding tradeoff
-	// discussion. Only reads that actually reach the storage backend spend
-	// the budget: block-cache hits, skipped blocks and probe-memo hits are
-	// the absence of an access and are always free.
+// Request is one read of an Engine or Stream: the targets, the scope, and
+// which of the paper's two read algorithms answers them (the package doc's
+// "Reading" table maps each field to the paper and its error bound). At
+// most one of Phis, Ranks and Values carries targets (none is a no-op).
+type Request struct {
+	// Phis asks for φ-quantiles: for each φ in (0, 1], the element of rank
+	// ⌈φ·N⌉. All targets of one request resolve in a single shared
+	// bisection sweep over one snapshot — k targets cost about
+	// log(filter range) + k probes, not k bisections (the "p50/p95/p99"
+	// dashboard pattern).
+	Phis []float64
+	// Ranks asks for the elements at the given ranks of the scope.
+	Ranks []int64
+	// Values asks the inverse question: for each value v, the number of
+	// elements ≤ v. Installed partitions are counted exactly (one
+	// block-granular binary search each, no combined summary is built); the
+	// stream side contributes a summary estimate, so the error is at most
+	// ~ε₂ times the stream-side mass. With Quick it is O(ε·N).
+	Values []int64
+	// Window, when positive, restricts the scope to the current stream plus
+	// the most recent Window historical time steps; it must be one of
+	// AvailableWindows. Zero is the full history.
+	Window int
+	// MaxReads, when positive, is one budget of random block reads for the
+	// request's whole bisection sweep. Once it is spent the search stops:
+	// targets unresolved by then are answered from the in-memory summaries
+	// alone and Stats.Truncated is set — trading accuracy for disk accesses.
+	// Only reads that reach the storage backend spend budget; block-cache
+	// hits, skipped blocks and probe-memo hits are the absence of an access
+	// and are free. Rank-of-value targets read at most one block per
+	// partition and are not budgeted.
 	MaxReads int
+	// Quick answers from the in-memory summaries only.
+	Quick bool
+}
+
+// Answer is the reply to one Request.
+type Answer struct {
+	// Values is positionally aligned with the request's targets: elements
+	// for Phis and Ranks, ranks for Values.
+	Values []int64
+	// N is the size of the scope the answer was computed over, taken from
+	// the same snapshot as Values.
+	N int64
+	// Stats is the disk-side cost; zero for a Quick request.
+	Stats QueryStats
 }
 
 // MemoryUsage breaks down the engine's summary memory (Observation 1).
@@ -790,21 +825,6 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 	return nil
 }
 
-// rankTarget converts a quantile fraction to a rank, clamped to [1, N].
-func rankTarget(phi float64, n int64) (int64, error) {
-	if phi <= 0 || phi > 1 {
-		return 0, fmt.Errorf("hsq: phi must be in (0,1], got %g", phi)
-	}
-	r := int64(math.Ceil(phi * float64(n)))
-	if r < 1 {
-		r = 1
-	}
-	if r > n {
-		r = n
-	}
-	return r, nil
-}
-
 // querySnap is one snapshot-isolated view of the engine: an immutable,
 // pinned store version plus the memory-resident stream pieces (frozen
 // summaries of sealed steps awaiting installation, then the live sketch's
@@ -856,34 +876,70 @@ func (e *Engine) snapshot() (*querySnap, error) {
 	return s, nil
 }
 
-// accurate runs the bisection query over a snapshot subset. memo, when
-// non-nil, must be the rank-probe memo of the version whose FULL entry set
-// sums is — full-history queries pass the pinned version's memo, windowed
-// queries (a partition subset) pass nil.
-func (e *Engine) accurate(sums []*partition.Summary, pieces []core.StreamPiece, memo *partition.ProbeMemo, r int64, opts QueryOpts, interrupt func() error) (int64, QueryStats, error) {
-	vs, stats, err := e.accurateMulti(sums, pieces, memo, []int64{r}, opts, interrupt)
-	if err != nil {
-		return 0, QueryStats{}, err
+// Query answers one read request — the package's single read path. It pins
+// one snapshot, selects the scope (full history or a partition-aligned
+// window), resolves the targets to ranks and dispatches to the quick
+// answer, the rank-of-value probe or the shared bisection sweep. ctx is
+// checked at entry and polled between bisection probes, so a cancelled
+// request abandons its remaining random disk reads mid-search.
+//
+// With a deferred-maintenance backlog, sealed steps count toward the stream
+// side of the error bound until their installs complete.
+func (e *Engine) Query(ctx context.Context, req Request) (Answer, error) {
+	if err := ctx.Err(); err != nil {
+		return Answer{}, err
 	}
-	return vs[0], stats, nil
-}
-
-// accurateMulti runs one shared bisection sweep resolving every rank target
-// together (see core.AccurateMultiQueryOpts); memo as in accurate.
-func (e *Engine) accurateMulti(sums []*partition.Summary, pieces []core.StreamPiece, memo *partition.ProbeMemo, rs []int64, opts QueryOpts, interrupt func() error) ([]int64, QueryStats, error) {
+	s, err := e.snapshot()
+	if err != nil {
+		return Answer{}, err
+	}
+	defer s.release()
+	sums, pieces, n, memo := s.sums, s.pieces, s.n, s.ver.Memo()
+	if req.Window != 0 {
+		// A window probes a partition subset, so the version memo (keyed by
+		// full-history ranks) does not apply.
+		memo = nil
+		if sums, pieces, n, err = s.window(req.Window); err != nil {
+			return Answer{}, err
+		}
+	}
+	if req.Quick {
+		return QuickAnswer(core.BuildPieces(sums, pieces, e.eps1, e.eps2), req)
+	}
 	t0 := time.Now()
-	c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
-	vs, cost, err := core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
-		PinBlocks: !e.cfg.NoBlockPin,
-		Parallel:  e.cfg.ParallelQuery,
-		MaxReads:  opts.MaxReads,
-		Interrupt: interrupt,
-		Memo:      memo,
-	})
+	rs, err := req.ranks(n)
 	if err != nil {
-		return nil, QueryStats{}, err
+		return Answer{}, err
 	}
-	return vs, QueryStats{
+	ans := Answer{N: n}
+	var cost core.QueryCost
+	if len(req.Values) > 0 {
+		ans.Values = make([]int64, len(req.Values))
+		for i, v := range req.Values {
+			r, c, err := core.RankOfValue(sums, pieces, e.eps2, v, !e.cfg.NoBlockPin)
+			if err != nil {
+				return Answer{}, err
+			}
+			ans.Values[i] = r
+			cost.Iterations += c.Iterations
+			cost.RandReads += c.RandReads
+			cost.CacheHits += c.CacheHits
+			cost.SkippedBlocks += c.SkippedBlocks
+		}
+	} else {
+		c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
+		ans.Values, cost, err = core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
+			PinBlocks: !e.cfg.NoBlockPin,
+			Parallel:  e.cfg.ParallelQuery,
+			MaxReads:  req.MaxReads,
+			Interrupt: ctx.Err,
+			Memo:      memo,
+		})
+		if err != nil {
+			return Answer{}, err
+		}
+	}
+	ans.Stats = QueryStats{
 		Iterations:    cost.Iterations,
 		RandReads:     cost.RandReads,
 		CacheHits:     cost.CacheHits,
@@ -893,93 +949,86 @@ func (e *Engine) accurateMulti(sums []*partition.Summary, pieces []core.StreamPi
 		FilterV:       cost.FilterV,
 		Elapsed:       time.Since(t0),
 		Truncated:     cost.Truncated,
-	}, nil
+	}
+	return ans, nil
 }
 
-// Quantile answers an accurate φ-quantile query over T = H ∪ R with rank
-// error ≤ ε·m (Algorithm 6 / Theorem 2), using a small number of random
-// disk reads. (With a deferred-maintenance backlog, sealed steps count
-// toward the stream side of the bound until their installs complete.)
-func (e *Engine) Quantile(phi float64) (int64, QueryStats, error) {
-	return e.QuantileOpts(phi, QueryOpts{})
-}
-
-// RankQuery answers an accurate query for the element of rank r in T.
-func (e *Engine) RankQuery(r int64) (int64, QueryStats, error) {
-	return e.rankQuery(r, nil)
-}
-
-func (e *Engine) rankQuery(r int64, interrupt func() error) (int64, QueryStats, error) {
-	s, err := e.snapshot()
+// QuickAnswer answers a request from a combined summary alone (Algorithm 5
+// for quantile targets, the L/U midpoint for rank-of-value targets): the
+// Quick branch of Query, and the whole of a cluster coordinator's answer
+// for a stream another shard owns, whose fetched shard summary is all it
+// has. The scope is the summary's; req.Window and req.MaxReads do not
+// apply.
+func QuickAnswer(c *core.Combined, req Request) (Answer, error) {
+	ans := Answer{N: c.N()}
+	rs, err := req.ranks(ans.N)
 	if err != nil {
-		return 0, QueryStats{}, err
+		return Answer{}, err
 	}
-	defer s.release()
-	if s.n == 0 {
-		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
+	for _, v := range req.Values {
+		ans.Values = append(ans.Values, c.QuickRank(v))
 	}
-	return e.accurate(s.sums, s.pieces, s.ver.Memo(), r, QueryOpts{}, interrupt)
+	for _, r := range rs {
+		v, err := c.QuickQuery(r)
+		if err != nil {
+			return Answer{}, err
+		}
+		ans.Values = append(ans.Values, v)
+	}
+	return ans, nil
 }
 
-// QuantileOpts answers an accurate φ-quantile with per-query options (e.g.
-// an I/O budget).
-func (e *Engine) QuantileOpts(phi float64, opts QueryOpts) (int64, QueryStats, error) {
-	return e.quantileOpts(phi, opts, nil)
-}
-
-func (e *Engine) quantileOpts(phi float64, opts QueryOpts, interrupt func() error) (int64, QueryStats, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return 0, QueryStats{}, err
+// ranks resolves the request's quantile targets to ranks in a scope of n
+// elements — Phis through core.RankTarget, Ranks as given, nil for a
+// rank-of-value request — and rejects a request that mixes target kinds or
+// reads an empty scope.
+func (req Request) ranks(n int64) ([]int64, error) {
+	p, r, v := len(req.Phis) > 0, len(req.Ranks) > 0, len(req.Values) > 0
+	if p && r || p && v || r && v {
+		return nil, errors.New("hsq: a request carries one of Phis, Ranks and Values, not several")
 	}
-	defer s.release()
-	r, err := rankTarget(phi, s.n)
-	if err != nil {
-		return 0, QueryStats{}, err
+	rs := req.Ranks
+	if p {
+		rs = make([]int64, len(req.Phis))
+		for i, phi := range req.Phis {
+			var err error
+			if rs[i], err = core.RankTarget(phi, n); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if s.n == 0 {
-		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
-	}
-	return e.accurate(s.sums, s.pieces, s.ver.Memo(), r, opts, interrupt)
-}
-
-// QuantileQuick answers a φ-quantile query from in-memory summaries only
-// (Algorithm 5), with rank error ≤ 1.5·ε·N (Lemma 3) and zero disk reads.
-func (e *Engine) QuantileQuick(phi float64) (int64, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return 0, err
-	}
-	defer s.release()
-	r, err := rankTarget(phi, s.n)
-	if err != nil {
-		return 0, err
-	}
-	return e.quick(s, r)
-}
-
-// RankQueryQuick answers a rank query from in-memory summaries only.
-func (e *Engine) RankQueryQuick(r int64) (int64, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return 0, err
-	}
-	defer s.release()
-	return e.quick(s, r)
-}
-
-func (e *Engine) quick(s *querySnap, r int64) (int64, error) {
-	return e.quickOver(s.sums, s.pieces, s.n, r)
-}
-
-// quickOver is the in-memory-only query core shared by the full-history
-// and windowed quick paths.
-func (e *Engine) quickOver(sums []*partition.Summary, pieces []core.StreamPiece, n, r int64) (int64, error) {
 	if n == 0 {
-		return 0, fmt.Errorf("hsq: query on empty dataset")
+		return nil, errors.New("hsq: query on empty dataset")
 	}
-	c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
-	return c.QuickQuery(r)
+	return rs, nil
+}
+
+// one unpacks a single-target answer for the Quantile and Rank
+// conveniences.
+func one(a Answer, err error) (int64, QueryStats, error) {
+	if err != nil {
+		return 0, QueryStats{}, err
+	}
+	return a.Values[0], a.Stats, nil
+}
+
+// Quantile is Query for one accurate φ-quantile over the full history
+// T = H ∪ R (Algorithm 6 / Theorem 2).
+func (e *Engine) Quantile(phi float64) (int64, QueryStats, error) {
+	return one(e.Query(context.Background(), Request{Phis: []float64{phi}}))
+}
+
+// Quantiles is Query for several accurate φ-quantiles over the full
+// history, resolved in one shared sweep; results align with phis.
+func (e *Engine) Quantiles(phis []float64) ([]int64, QueryStats, error) {
+	a, err := e.Query(context.Background(), Request{Phis: phis})
+	return a.Values, a.Stats, err
+}
+
+// Rank is Query for the accurate rank of v in T — the number of elements
+// ≤ v, the inverse of Quantile.
+func (e *Engine) Rank(v int64) (int64, QueryStats, error) {
+	return one(e.Query(context.Background(), Request{Values: []int64{v}}))
 }
 
 // AvailableWindows returns the historical window sizes (in time steps) that
@@ -1032,53 +1081,6 @@ func (s *querySnap) window(steps int) ([]*partition.Summary, []core.StreamPiece,
 		n += p.M
 	}
 	return sums, s.pieces, n, nil
-}
-
-// WindowQuantile answers an accurate φ-quantile over the union of the
-// current stream and the most recent `steps` historical time steps. The
-// window must be one of AvailableWindows.
-func (e *Engine) WindowQuantile(phi float64, steps int) (int64, QueryStats, error) {
-	return e.windowQuantile(phi, steps, nil)
-}
-
-func (e *Engine) windowQuantile(phi float64, steps int, interrupt func() error) (int64, QueryStats, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer s.release()
-	sums, pieces, n, err := s.window(steps)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	r, err := rankTarget(phi, n)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	if n == 0 {
-		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
-	}
-	// Windowed queries probe a partition subset, so the version memo (keyed
-	// by full-history ranks) does not apply.
-	return e.accurate(sums, pieces, nil, r, QueryOpts{}, interrupt)
-}
-
-// WindowQuantileQuick is the in-memory-only windowed query.
-func (e *Engine) WindowQuantileQuick(phi float64, steps int) (int64, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return 0, err
-	}
-	defer s.release()
-	sums, pieces, n, err := s.window(steps)
-	if err != nil {
-		return 0, err
-	}
-	r, err := rankTarget(phi, n)
-	if err != nil {
-		return 0, err
-	}
-	return e.quickOver(sums, pieces, n, r)
 }
 
 // MemoryUsage returns the current summary footprint (Observation 1).
@@ -1221,6 +1223,11 @@ func (e *Engine) Close() error {
 func (e *Engine) Destroy() error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
+	if e.ownsSched {
+		// After maintMu is released: close waits for the workers, and a
+		// worker about to install is blocked on maintMu.
+		defer e.sched.close()
+	}
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 	e.mu.Lock()
@@ -1239,92 +1246,7 @@ func (e *Engine) Destroy() error {
 			return err
 		}
 	}
-	if e.ownsSched {
-		e.sched.close()
-	}
 	return nil
-}
-
-// Rank estimates the rank of an arbitrary value v within T = H ∪ R: the
-// number of elements ≤ v. Installed partitions are counted exactly via
-// per-partition binary search; the stream — and any sealed steps awaiting
-// installation — contribute summary-based estimates, so the error is at
-// most ~ε₂ times the stream-side mass. This is the inverse primitive of
-// Quantile.
-func (e *Engine) Rank(v int64) (int64, QueryStats, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer s.release()
-	if s.n == 0 {
-		return 0, QueryStats{}, fmt.Errorf("hsq: rank query on empty dataset")
-	}
-	t0 := time.Now()
-	r, cost, err := core.RankOfValue(s.sums, s.pieces, e.eps2, v, !e.cfg.NoBlockPin)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	return r, QueryStats{
-		Iterations:    cost.Iterations,
-		RandReads:     cost.RandReads,
-		CacheHits:     cost.CacheHits,
-		SkippedBlocks: cost.SkippedBlocks,
-		Elapsed:       time.Since(t0),
-	}, nil
-}
-
-// RankQuick estimates the rank of v from in-memory summaries only, with
-// O(ε·N) error and zero disk reads.
-func (e *Engine) RankQuick(v int64) (int64, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return 0, err
-	}
-	defer s.release()
-	if s.n == 0 {
-		return 0, fmt.Errorf("hsq: rank query on empty dataset")
-	}
-	c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
-	return c.QuickRank(v), nil
-}
-
-// Quantiles answers several accurate φ-quantile queries in one shot with a
-// single shared bisection sweep: the combined summary is built once and
-// every disk probe narrows all targets whose interval contains it, so k
-// targets cost about log(filter range) + k probes instead of k separate
-// bisections (the common "p50/p95/p99" dashboard pattern). Results are
-// positionally aligned with phis; the stats aggregate the whole sweep.
-func (e *Engine) Quantiles(phis []float64) ([]int64, QueryStats, error) {
-	return e.quantilesOpts(phis, QueryOpts{}, nil)
-}
-
-// QuantilesOpts is Quantiles with per-call options. opts.MaxReads, when
-// positive, is one total backend-read budget for the whole sweep; once it
-// is exhausted, targets still unresolved are answered from in-memory
-// summaries alone (zero disk reads, QuantileQuick accuracy) and the
-// returned QueryStats.Truncated is set. As everywhere, cache hits, skipped
-// blocks and memo hits spend no budget.
-func (e *Engine) QuantilesOpts(phis []float64, opts QueryOpts) ([]int64, QueryStats, error) {
-	return e.quantilesOpts(phis, opts, nil)
-}
-
-func (e *Engine) quantilesOpts(phis []float64, opts QueryOpts, interrupt func() error) ([]int64, QueryStats, error) {
-	s, err := e.snapshot()
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer s.release()
-	if s.n == 0 {
-		return nil, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
-	}
-	rs := make([]int64, len(phis))
-	for i, phi := range phis {
-		if rs[i], err = rankTarget(phi, s.n); err != nil {
-			return nil, QueryStats{}, err
-		}
-	}
-	return e.accurateMulti(s.sums, s.pieces, s.ver.Memo(), rs, opts, interrupt)
 }
 
 // LevelInfo describes one level of the on-disk store.

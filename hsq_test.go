@@ -44,7 +44,7 @@ func TestEmptyEngine(t *testing.T) {
 	if _, _, err := eng.Quantile(0.5); err == nil {
 		t.Error("query on empty engine: want error")
 	}
-	if _, err := eng.QuantileQuick(0.5); err == nil {
+	if _, err := QuantileQuick(eng, 0.5); err == nil {
 		t.Error("quick query on empty engine: want error")
 	}
 	us, err := eng.EndStep()
@@ -60,7 +60,7 @@ func TestPhiValidation(t *testing.T) {
 		if _, _, err := eng.Quantile(phi); err == nil {
 			t.Errorf("phi=%g: want error", phi)
 		}
-		if _, err := eng.QuantileQuick(phi); err == nil {
+		if _, err := QuantileQuick(eng, phi); err == nil {
 			t.Errorf("quick phi=%g: want error", phi)
 		}
 	}
@@ -137,7 +137,7 @@ func checkAccuracy(t *testing.T, eng *Engine, orc *oracle.Oracle, eps float64) {
 			t.Errorf("phi=%.2f: accurate error %g > %g (m=%g, stats %+v)", phi, d, bound, m, qs)
 		}
 		// Quick bound: 1.5·ε·N (Lemma 3).
-		qv, err := eng.QuantileQuick(phi)
+		qv, err := QuantileQuick(eng, phi)
 		if err != nil {
 			t.Fatalf("QuantileQuick(%g): %v", phi, err)
 		}
@@ -184,19 +184,19 @@ func TestRankQuery(t *testing.T) {
 	if _, err := eng.EndStep(); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := eng.RankQuery(500)
+	v, _, err := Query1(eng, Request{Ranks: []int64{500}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 500 { // empty stream → exact
-		t.Errorf("RankQuery(500) = %d", v)
+		t.Errorf("Ranks{500} = %d", v)
 	}
-	qv, err := eng.RankQueryQuick(500)
+	qv, _, err := Query1(eng, Request{Ranks: []int64{500}, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(qv-500)) > 1.5*0.1*1000 {
-		t.Errorf("RankQueryQuick(500) = %d", qv)
+		t.Errorf("quick Ranks{500} = %d", qv)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestWindowQueries(t *testing.T) {
 		n := float64(orc.Count())
 		for _, phi := range []float64{0.25, 0.5, 0.9} {
 			r := int64(math.Ceil(phi * n))
-			v, _, err := eng.WindowQuantile(phi, w)
+			v, _, err := Query1(eng, Request{Phis: []float64{phi}, Window: w})
 			if err != nil {
 				t.Fatalf("window %d: %v", w, err)
 			}
@@ -237,7 +237,7 @@ func TestWindowQueries(t *testing.T) {
 			if d := float64(orc.SpanError(r, v)); d > bound {
 				t.Errorf("window %d phi=%.2f: error %g > %g", w, phi, d, bound)
 			}
-			qv, err := eng.WindowQuantileQuick(phi, w)
+			qv, _, err := Query1(eng, Request{Phis: []float64{phi}, Window: w, Quick: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +253,7 @@ func TestWindowQueries(t *testing.T) {
 	}
 	for w := 1; w <= 13; w++ {
 		if !aligned[w] {
-			if _, _, err := eng.WindowQuantile(0.5, w); err == nil {
+			if _, _, err := Query1(eng, Request{Phis: []float64{0.5}, Window: w}); err == nil {
 				t.Errorf("window %d should be rejected", w)
 			}
 		}
@@ -337,7 +337,7 @@ func TestQueryStatsReportIO(t *testing.T) {
 	}
 	// Quick query does no I/O at all.
 	before = eng.DiskStats()
-	if _, err := eng.QuantileQuick(0.5); err != nil {
+	if _, err := QuantileQuick(eng, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.DiskStats().Sub(before); got.Total() != 0 {
@@ -407,7 +407,7 @@ func TestConcurrentObserveAndQuery(t *testing.T) {
 					t.Errorf("concurrent Quantile: %v", err)
 					return
 				}
-				if _, err := eng.QuantileQuick(0.9); err != nil {
+				if _, err := QuantileQuick(eng, 0.9); err != nil {
 					t.Errorf("concurrent QuantileQuick: %v", err)
 					return
 				}
@@ -555,11 +555,11 @@ func TestObserveSliceMatchesObserve(t *testing.T) {
 	}
 	b.ObserveSlice(vals)
 	for _, phi := range []float64{0.1, 0.5, 0.9} {
-		av, err := a.QuantileQuick(phi)
+		av, err := QuantileQuick(a, phi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bv, err := b.QuantileQuick(phi)
+		bv, err := QuantileQuick(b, phi)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func TestMultiStreamOneConn(t *testing.T) {
 			t.Fatalf("stream %q count = %d, want 500", name, n)
 		}
 		// Values must be the stream's own range, not a sibling's.
-		v, err := eng.QuantileQuick(0.5)
+		v, _, err := eng.Quantile(0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,8 +182,8 @@ func TestClusterEndToEnd(t *testing.T) {
 // replication factor 1, streams scatter across shards; gathering every
 // shard's serialized summary for a set of streams and merging them must
 // answer rank queries over the UNION of the streams within the quick-query
-// bound (1.5·ε·N) — the exact computation hsqd's /cluster/quantile
-// endpoint performs.
+// bound (1.5·ε·N) — the exact computation hsqd's POST /query performs for
+// a plan over streams other shards own.
 func TestScatterGatherQuantile(t *testing.T) {
 	const (
 		eps      = 0.02

@@ -38,8 +38,8 @@ type summaryCacheCounters struct {
 }
 
 // summaryCache caches shard summaries fetched from peers so that a burst of
-// coordinator reads (a dashboard polling /cluster/quantile over many
-// streams) does not re-dial every shard for every request. Entries expire
+// coordinator reads (a dashboard polling POST /query over many streams)
+// does not re-dial every shard for every request. Entries expire
 // after a short TTL and are dropped eagerly when this node observes
 // EndStep relay traffic for the stream — the only event that moves a shard
 // summary's step boundary — so the common case serves fresh data without a

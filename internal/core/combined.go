@@ -146,6 +146,17 @@ func newCombined(histN int64, pieces []StreamPiece, eps1, eps2 float64) *Combine
 	return c
 }
 
+// RankTarget is the rank a φ-quantile over n elements asks for: ⌈φ·n⌉,
+// clamped to [1, n], for φ in (0, 1]. Every read surface — engine, merged
+// plans, cluster coordinators — resolves φ through this one rule, so they
+// agree with each other and with internal/oracle.
+func RankTarget(phi float64, n int64) (int64, error) {
+	if !(phi > 0 && phi <= 1) {
+		return 0, fmt.Errorf("core: phi must be in (0,1], got %g", phi)
+	}
+	return min(max(int64(math.Ceil(phi*float64(n))), 1), n), nil
+}
+
 // QuickQuery implements Algorithm 5: return TS[j] for the smallest j with
 // L_j ≥ r, or the last element if none. The returned element's rank is
 // within 1.5·εN of r (Lemma 3).

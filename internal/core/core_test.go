@@ -363,3 +363,32 @@ func TestFiltersPropertySound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRankTarget pins the one φ→rank rule every read surface shares:
+// ⌈φ·n⌉ clamped to [1, n], φ outside (0, 1] refused.
+func TestRankTarget(t *testing.T) {
+	for _, tc := range []struct {
+		phi  float64
+		n    int64
+		want int64 // 0 = error
+	}{
+		{0.5, 1000, 500},
+		{0.5, 1001, 501},   // fractional φ·n rounds up, not down
+		{0.999, 10, 10},    // ⌈9.99⌉
+		{0.0001, 10, 1},    // ⌈0.001⌉, never rank 0
+		{1, 10, 10},        // φ = 1 is the maximum
+		{0.3, 1, 1},        // n = 1: every φ is the one element
+		{1, 1, 1},          //
+		{0.1, 25, 3},       // ⌈2.5⌉
+		{0, 10, 0},         // φ ≤ 0
+		{-0.5, 10, 0},      //
+		{1.0000001, 10, 0}, // φ > 1
+		{7, 10, 0},         //
+		{math.NaN(), 10, 0},
+	} {
+		got, err := RankTarget(tc.phi, tc.n)
+		if (err != nil) != (tc.want == 0) || got != tc.want {
+			t.Errorf("RankTarget(%g, %d) = %d, %v; want %d", tc.phi, tc.n, got, err, tc.want)
+		}
+	}
+}

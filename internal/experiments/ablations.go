@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -260,10 +261,11 @@ func AblationIOBudget(sc Scale, root string) ([]*Table, error) {
 	for _, cap := range []int{1, 2, 4, 8, 16, 32, 64, 0} {
 		var errs, reads, trunc []float64
 		for _, phi := range []float64{0.13, 0.31, 0.5, 0.77, 0.9} {
-			v, qs, err := run.eng.QuantileOpts(phi, hsq.QueryOpts{MaxReads: cap})
+			a, err := run.eng.Query(context.Background(), hsq.Request{Phis: []float64{phi}, MaxReads: cap})
 			if err != nil {
 				return nil, err
 			}
+			v, qs := a.Values[0], a.Stats
 			errs = append(errs, ds.orc.RelativeSpanError(phi, v))
 			reads = append(reads, float64(qs.RandReads))
 			if qs.Truncated {

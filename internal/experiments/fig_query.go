@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+
+	"repro"
 )
 
 // Fig9 reproduces "Query runtime and disk accesses vs memory" (Figures
@@ -139,13 +142,13 @@ func Fig11(sc Scale, root string) ([]*Table, error) {
 		}
 		for _, w := range run.eng.AvailableWindows() {
 			before := run.eng.DiskStats()
-			_, qs, err := run.eng.WindowQuantile(QueryPhi, w)
+			a, err := run.eng.Query(context.Background(), hsq.Request{Phis: []float64{QueryPhi}, Window: w})
 			if err != nil {
 				run.Close()
 				return nil, err
 			}
 			delta := run.eng.DiskStats().Sub(before)
-			t.AddRow(float64(w), qs.Elapsed.Seconds()*1000, float64(delta.RandReads))
+			t.AddRow(float64(w), a.Stats.Elapsed.Seconds()*1000, float64(delta.RandReads))
 		}
 		run.Close()
 		tables = append(tables, t)

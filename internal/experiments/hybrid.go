@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -99,8 +100,11 @@ func (r *hybridRun) queryAccurate(phi float64) (int64, hsq.QueryStats, error) {
 // queryQuick runs one quick query, timing it.
 func (r *hybridRun) queryQuick(phi float64) (int64, time.Duration, error) {
 	t0 := time.Now()
-	v, err := r.eng.QuantileQuick(phi)
-	return v, time.Since(t0), err
+	a, err := r.eng.Query(context.Background(), hsq.Request{Phis: []float64{phi}, Quick: true})
+	if err != nil {
+		return 0, 0, err
+	}
+	return a.Values[0], time.Since(t0), nil
 }
 
 // avgUpdate aggregates per-phase means across all time steps, in seconds.

@@ -162,9 +162,9 @@ func answer(sums []*core.ShardSummary, sc Scope, phis []float64) (WindowResult, 
 	wr.RankError = merged.QuickRankError()
 	wr.Values = make([]int64, len(phis))
 	for i, phi := range phis {
-		r := int64(phi * float64(total))
-		if r < 1 {
-			r = 1
+		r, err := core.RankTarget(phi, total)
+		if err != nil {
+			return wr, err
 		}
 		v, err := merged.QuickQuery(r)
 		if err != nil {

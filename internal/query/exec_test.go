@@ -98,7 +98,10 @@ func TestExecMergedMatchesDirect(t *testing.T) {
 			wr.Epsilon, wr.RankError, merged.Epsilon(), merged.QuickRankError())
 	}
 	for i, phi := range phis {
-		r := max(int64(phi*float64(total)), 1)
+		r, err := core.RankTarget(phi, total)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := merged.QuickQuery(r)
 		if err != nil {
 			t.Fatal(err)

@@ -259,15 +259,15 @@ func TestMaintenanceWindowsWithBacklog(t *testing.T) {
 		}
 	}
 	for _, w := range wins {
-		v, _, err := eng.WindowQuantile(0.5, w)
+		v, _, err := Query1(eng, Request{Phis: []float64{0.5}, Window: w})
 		if err != nil {
-			t.Fatalf("WindowQuantile(0.5, %d): %v", w, err)
+			t.Fatalf("window %d median: %v", w, err)
 		}
 		if v == 0 {
-			t.Errorf("WindowQuantile(0.5, %d) = 0", w)
+			t.Errorf("window %d median = 0", w)
 		}
-		if _, err := eng.WindowQuantileQuick(0.5, w); err != nil {
-			t.Fatalf("WindowQuantileQuick(0.5, %d): %v", w, err)
+		if _, _, err := Query1(eng, Request{Phis: []float64{0.5}, Window: w, Quick: true}); err != nil {
+			t.Fatalf("window %d quick median: %v", w, err)
 		}
 	}
 }

@@ -1,40 +1,56 @@
 package hsq_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	hsq "repro"
+	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
-// TestPropertyDifferential drives random interleavings of Observe, EndStep,
-// Quantile, QuantileQuick, Rank and RankQuick against the exact oracle, one
-// subtest per paper workload generator. Every decision — batch sizes, step
-// boundaries, query targets — comes from one seeded source, so any failure
-// is reproducible: the failure log prints the seed and the trailing
-// operation log, and HSQ_PROP_SEED replays a specific seed.
+// TestPropertyDifferential drives random interleavings of Observe, EndStep
+// and read Requests against the exact oracle, one subtest per paper
+// workload generator and maintenance mode. The requests cover the whole
+// cross product of the one read call — {Phis, Ranks, Values} × {full
+// history, an AvailableWindows entry} × {accurate, Quick} × {unbudgeted, a
+// small MaxReads} — and every answer is checked against its stated bound.
+// Every decision — batch sizes, step boundaries, request shapes — comes from
+// one seeded source, so any failure is reproducible: the failure log prints
+// the seed and the trailing operation log, and HSQ_PROP_SEED replays a
+// specific seed.
 func TestPropertyDifferential(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("HSQ_PROP_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad HSQ_PROP_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
+	seed := propSeed(t)
 	for i, name := range workload.Names() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			runDifferential(t, name, seed+int64(i))
-		})
+		for j, mode := range []string{"sync", "async"} {
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				t.Parallel()
+				runDifferential(t, name, mode, seed+int64(i)+1000*int64(j))
+			})
+		}
 	}
+}
+
+// propSeed is the property tests' base seed: 1, or HSQ_PROP_SEED.
+func propSeed(t *testing.T) int64 {
+	t.Helper()
+	s := os.Getenv("HSQ_PROP_SEED")
+	if s == "" {
+		return 1
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatalf("bad HSQ_PROP_SEED %q: %v", s, err)
+	}
+	return v
 }
 
 // opLog is a bounded trail of executed operations, printed on failure so a
@@ -52,9 +68,9 @@ func (l *opLog) add(format string, args ...any) {
 
 func (l *opLog) String() string { return strings.Join(l.ops, "\n") }
 
-func runDifferential(t *testing.T, wname string, seed int64) {
+func runDifferential(t *testing.T, wname, mode string, seed int64) {
 	const eps = 0.05
-	eng, err := hsq.New(hsq.Config{Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024})
+	eng, err := hsq.New(hsq.Config{Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024, Maintenance: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,94 +80,182 @@ func runDifferential(t *testing.T, wname string, seed int64) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	or := oracle.New(1 << 14)
+	// The data, as the windows see it: every sealed step's batch, oldest
+	// first, then the live one.
+	var steps [][]int64
+	var live []int64
 	var log opLog
+	var requests, windowed, truncated int // how much of the cross product the run reached
 
 	fail := func(op int, format string, args ...any) {
 		t.Helper()
-		t.Fatalf("workload=%s seed=%d op=%d: %s\n(replay with HSQ_PROP_SEED; trailing ops:)\n%s",
-			wname, seed, op, fmt.Sprintf(format, args...), log.String())
+		t.Fatalf("workload=%s mode=%s seed=%d op=%d: %s\n(replay with HSQ_PROP_SEED; trailing ops:)\n%s",
+			wname, mode, seed, op, fmt.Sprintf(format, args...), log.String())
 	}
 
 	for op := 0; op < 400; op++ {
-		n := or.Count()
-		m := eng.StreamCount()
 		switch k := rng.Intn(10); {
 		case k <= 4: // observe a batch
 			batch := workload.Fill(gen, 1+rng.Intn(100))
 			eng.ObserveSlice(batch)
-			or.Add(batch...)
+			live = append(live, batch...)
 			log.add("observe %d elements", len(batch))
 		case k == 5: // end the step
 			if _, err := eng.EndStep(); err != nil {
 				fail(op, "EndStep: %v", err)
 			}
-			log.add("endstep (n=%d)", or.Count())
-		case k <= 7: // quantile, accurate or quick
-			if n == 0 {
+			if len(live) > 0 { // an empty step is a no-op
+				steps, live = append(steps, live), nil
+			}
+			log.add("endstep (%d steps)", len(steps))
+		case k == 6 && mode == "async": // force pending installs to land
+			if err := eng.SyncMaintenance(); err != nil {
+				fail(op, "SyncMaintenance: %v", err)
+			}
+			log.add("sync maintenance")
+		default: // one read request
+			if len(steps) == 0 && len(live) == 0 {
 				continue
 			}
-			phi := rng.Float64()
-			if phi == 0 {
-				phi = 0.5
+			var req hsq.Request
+			req.Quick = rng.Intn(2) == 0
+			if rng.Intn(2) == 0 {
+				req.MaxReads = 1 + rng.Intn(3)
 			}
-			target := int64(math.Ceil(phi * float64(n)))
-			if target < 1 {
-				target = 1
+			if wins := eng.AvailableWindows(); len(wins) > 0 && rng.Intn(2) == 0 {
+				req.Window = wins[rng.Intn(len(wins))]
 			}
-			if k == 6 {
-				v, _, err := eng.Quantile(phi)
-				if err != nil {
-					fail(op, "Quantile(%g): %v", phi, err)
-				}
-				log.add("quantile %g -> %d", phi, v)
-				// Theorem 2 via Lemma 5: the bisection accepts within ε·m of
-				// the target, the stream estimate itself errs by up to ε₂·m
-				// (= ε·m/4), and snapping to a known element costs a little
-				// more discreteness — O(ε·m) total, asserted as 1.25·ε·m+2.
-				if se := or.SpanError(target, v); se > int64(1.25*eps*float64(m))+2 {
-					fail(op, "Quantile(%g) = %d: rank error %d > 1.25·ε·m = %g (n=%d m=%d)", phi, v, se, 1.25*eps*float64(m), n, m)
-				}
-			} else {
-				v, err := eng.QuantileQuick(phi)
-				if err != nil {
-					fail(op, "QuantileQuick(%g): %v", phi, err)
-				}
-				log.add("quick quantile %g -> %d", phi, v)
-				// Lemma 3: quick rank error ≤ 1.5·ε·N.
-				if se := or.SpanError(target, v); se > int64(1.5*eps*float64(n))+1 {
-					fail(op, "QuantileQuick(%g) = %d: rank error %d > 1.5·ε·N = %g (n=%d)", phi, v, se, 1.5*eps*float64(n), n)
+			// The scope's oracle: the window's steps (or all) plus the live batch.
+			or := oracle.New(0)
+			first := 0
+			if req.Window != 0 {
+				first = len(steps) - req.Window
+			}
+			for _, b := range steps[first:] {
+				or.Add(b...)
+			}
+			kind := rng.Intn(3)
+			if kind == 2 { // rank of values the engine has seen
+				for i := 1 + rng.Intn(2); i > 0; i-- {
+					v := gen.Next()
+					eng.Observe(v)
+					live = append(live, v)
+					req.Values = append(req.Values, v)
 				}
 			}
-		default: // rank, accurate or quick
-			if n == 0 {
-				continue
+			or.Add(live...)
+			n := or.Count()
+			switch kind {
+			case 0:
+				for i := 1 + rng.Intn(4); i > 0; i-- {
+					if phi := rng.Float64(); phi > 0 {
+						req.Phis = append(req.Phis, phi)
+					} else {
+						req.Phis = append(req.Phis, 0.5)
+					}
+				}
+			case 1:
+				for i := 1 + rng.Intn(3); i > 0; i-- {
+					req.Ranks = append(req.Ranks, 1+rng.Int63n(n))
+				}
 			}
-			v := gen.Next()
-			or.Add(v)
-			eng.Observe(v) // keep oracle and engine identical
-			want := or.Rank(v)
-			if k == 8 {
-				got, _, err := eng.Rank(v)
+			// The accurate bounds scale with the stream side of the scope: the
+			// live batch plus sealed-but-uninstalled steps (async mode's merge
+			// debt). A background install landing after this read only shrinks
+			// the true portion, so it stays an upper bound. Each stream-side
+			// piece's summary is discrete — its sketch answers within
+			// ⌈ε₂·M/2⌉ ≥ 1 ranks — so every bound carries one rank of slack
+			// per piece, which matters on scopes of a few elements.
+			ms := eng.MaintenanceStats()
+			m := int64(len(live)) + ms.PendingElements
+			slack := 1 + int64(ms.PendingSteps)
+
+			ans, err := eng.Query(context.Background(), req)
+			if err != nil {
+				// A background merge may coarsen the partition boundaries
+				// between AvailableWindows and the query.
+				if mode == "async" && req.Window != 0 && !slices.Contains(eng.AvailableWindows(), req.Window) {
+					log.add("window %d merged away", req.Window)
+					continue
+				}
+				fail(op, "Query(%+v): %v", req, err)
+			}
+			log.add("query %+v -> %v (n=%d reads=%d truncated=%v)", req, ans.Values, ans.N, ans.Stats.RandReads, ans.Stats.Truncated)
+			requests++
+			if req.Window != 0 {
+				windowed++
+			}
+			if ans.Stats.Truncated {
+				truncated++
+			}
+			// check holds one answer to its stated bound; quick says which
+			// algorithm produced it.
+			check := func(via string, ans hsq.Answer, quick bool) {
+				t.Helper()
+				if ans.N != n {
+					fail(op, "%s Query(%+v): N = %d, the scope holds %d", via, req, ans.N, n)
+				}
+				if quick && ans.Stats.RandReads != 0 {
+					fail(op, "%s Query(%+v): a quick answer read %d blocks", via, req, ans.Stats.RandReads)
+				}
+				for i, got := range ans.Values {
+					if kind == 2 {
+						// Rank of value: accurate is exact on disk plus the ε₂
+						// stream estimate, quick is O(ε·N).
+						want, bound := or.Rank(req.Values[i]), int64(eps*float64(m))+slack
+						if quick {
+							bound = int64(2*eps*float64(n)) + slack
+						}
+						if d := abs64(got - want); d > bound {
+							fail(op, "%s Query(%+v): rank of %d = %d, oracle %d: error %d > %d (n=%d m=%d)", via, req, req.Values[i], got, want, d, bound, n, m)
+						}
+						continue
+					}
+					var target int64
+					if kind == 0 {
+						target = min(max(int64(math.Ceil(req.Phis[i]*float64(n))), 1), n)
+					} else {
+						target = req.Ranks[i]
+					}
+					// Theorem 2 via Lemma 5: the bisection accepts within ε·m
+					// of the target, the stream estimate itself errs by up to
+					// ε₂·m (= ε·m/4), and snapping to a known element costs a
+					// little more discreteness — O(ε·m) total, asserted as
+					// 1.25·ε·m+2, inside Theorem 2's ε·N whenever the stream is
+					// the smaller side.
+					bound, name := int64(1.25*eps*float64(m))+2, "1.25·ε·m"
+					switch {
+					case quick: // Lemma 3
+						bound, name = int64(1.5*eps*float64(n)), "1.5·ε·N"
+					case ans.Stats.Truncated: // Lemma 4: the filter spread
+						bound, name = int64(4*eps*float64(n)), "4·ε·N"
+					}
+					if se := or.SpanError(target, got); se > bound+slack {
+						fail(op, "%s Query(%+v): target rank %d = %d: rank error %d > %s = %d (+%d) (n=%d m=%d)", via, req, target, got, se, name, bound, slack, n, m)
+					}
+				}
+			}
+			check("local", ans, req.Quick)
+			if req.Window == 0 {
+				// What a cluster node that does not store the stream answers:
+				// the same request over the fetched shard summary.
+				sum, err := eng.Summary()
 				if err != nil {
-					fail(op, "Rank(%d): %v", v, err)
+					fail(op, "Summary: %v", err)
 				}
-				log.add("rank %d -> %d (want %d)", v, got, want)
-				if d := abs64(got - want); d > int64(eps*float64(m+1))+1 {
-					fail(op, "Rank(%d) = %d, oracle %d: error %d > ε·m (m=%d)", v, got, want, d, m+1)
-				}
-			} else {
-				got, err := eng.RankQuick(v)
+				c, _, err := core.MergeShardSummaries([]*core.ShardSummary{sum})
 				if err != nil {
-					fail(op, "RankQuick(%d): %v", v, err)
+					fail(op, "MergeShardSummaries: %v", err)
 				}
-				log.add("quick rank %d -> %d (want %d)", v, got, want)
-				if d := abs64(got - want); d > int64(2*eps*float64(n+1))+1 {
-					fail(op, "RankQuick(%d) = %d, oracle %d: error %d > 2·ε·N (n=%d)", v, got, want, d, n+1)
+				remote, err := hsq.QuickAnswer(c, req)
+				if err != nil {
+					fail(op, "QuickAnswer(%+v): %v", req, err)
 				}
+				check("non-member", remote, true)
 			}
 		}
 	}
+	t.Logf("seed %d: %d requests, %d windowed, %d truncated", seed, requests, windowed, truncated)
 }
 
 // TestPropertyMultiQuantiles drives the shared multi-target sweep and the
@@ -165,14 +269,7 @@ func runDifferential(t *testing.T, wname string, seed int64) {
 // may publish a new version (with a fresh memo) at any point, so the
 // repeat only has to stay within the error bound.
 func TestPropertyMultiQuantiles(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("HSQ_PROP_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad HSQ_PROP_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
+	seed := propSeed(t)
 	for i, mode := range []string{"sync", "async"} {
 		t.Run(mode, func(t *testing.T) {
 			t.Parallel()

@@ -54,7 +54,7 @@ func TestRankOfValue(t *testing.T) {
 		if d := math.Abs(float64(got - exact)); d > eps*m/2+1 {
 			t.Errorf("Rank(%d) = %d, exact %d (Δ=%g > %g, stats %+v)", v, got, exact, d, eps*m/2+1, qs)
 		}
-		quick, err := eng.RankQuick(v)
+		quick, err := RankQuick(eng, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestRankEmptyEngine(t *testing.T) {
 	if _, _, err := eng.Rank(5); err == nil {
 		t.Error("Rank on empty: want error")
 	}
-	if _, err := eng.RankQuick(5); err == nil {
+	if _, err := RankQuick(eng, 5); err == nil {
 		t.Error("RankQuick on empty: want error")
 	}
 	if _, _, err := eng.Quantiles([]float64{0.5}); err == nil {

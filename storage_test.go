@@ -50,11 +50,11 @@ func TestMemBackendMatchesFile(t *testing.T) {
 		if qf.RandReads != qm.RandReads {
 			t.Errorf("phi=%g: disk accesses diverge: file=%d mem=%d", phi, qf.RandReads, qm.RandReads)
 		}
-		qvf, err := fileEng.QuantileQuick(phi)
+		qvf, err := QuantileQuick(fileEng, phi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qvm, err := memEng.QuantileQuick(phi)
+		qvm, err := QuantileQuick(memEng, phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestMemEngineLifecycle(t *testing.T) {
 	if len(wins) == 0 {
 		t.Fatal("no windows on mem engine")
 	}
-	if _, _, err := eng.WindowQuantile(0.5, wins[0]); err != nil {
+	if _, _, err := Query1(eng, Request{Phis: []float64{0.5}, Window: wins[0]}); err != nil {
 		t.Fatal(err)
 	}
 	// Checkpoint writes the manifest to the mem backend (in-process only).

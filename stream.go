@@ -7,12 +7,12 @@ import (
 )
 
 // Stream is one named quantile stream hosted by a DB. It exposes the full
-// single-stream surface — Observe, ObserveSlice, EndStep, Quantile(s),
-// Rank, windowed queries, the context variants, MemoryUsage, Checkpoint,
-// SyncMaintenance, MaintenanceStats — per stream, while storage, the
-// block-cache budget, aggregate I/O accounting and (in async mode) the
-// background maintenance worker pool are shared with every other stream of
-// the DB.
+// single-stream surface — Observe, ObserveSlice, EndStep and their context
+// variants, Query with its Quantile(s)/Rank conveniences, MemoryUsage,
+// Checkpoint, SyncMaintenance, MaintenanceStats — per stream, while
+// storage, the block-cache budget, aggregate I/O accounting and (in async
+// mode) the background maintenance worker pool are shared with every other
+// stream of the DB.
 //
 // A Stream is a durable handle, not the engine itself: the engine behind
 // it hydrates on first touch and may be evicted (sealed to disk) while the
@@ -94,190 +94,70 @@ func (s *Stream) EndStep() (UpdateStats, error) {
 	return eng.EndStep()
 }
 
-// Quantile answers an ε-approximate φ-quantile over the stream's full
-// history plus its live batch.
+// Query answers one read request against the stream (see Engine.Query and
+// Request) — the one forward of the read path; a cancelled ctx returns
+// before the stream is hydrated.
+func (s *Stream) Query(ctx context.Context, req Request) (Answer, error) {
+	if err := ctx.Err(); err != nil {
+		return Answer{}, err
+	}
+	eng, release, err := s.db.acquire(s.ent)
+	if err != nil {
+		return Answer{}, err
+	}
+	defer release()
+	return eng.Query(ctx, req)
+}
+
+// Quantile is Query for one accurate φ-quantile over the full history.
 func (s *Stream) Quantile(phi float64) (int64, QueryStats, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.Quantile(phi)
+	return one(s.Query(context.Background(), Request{Phis: []float64{phi}}))
 }
 
-// QuantileOpts is Quantile with per-query knobs.
-func (s *Stream) QuantileOpts(phi float64, opts QueryOpts) (int64, QueryStats, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.QuantileOpts(phi, opts)
-}
-
-// Quantiles answers a batch of φ-quantiles over one consistent snapshot.
+// Quantiles is Query for several accurate φ-quantiles over one snapshot.
 func (s *Stream) Quantiles(phis []float64) ([]int64, QueryStats, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer release()
-	return eng.Quantiles(phis)
+	a, err := s.Query(context.Background(), Request{Phis: phis})
+	return a.Values, a.Stats, err
 }
 
-// QuantilesOpts is Quantiles with per-query knobs.
-func (s *Stream) QuantilesOpts(phis []float64, opts QueryOpts) ([]int64, QueryStats, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer release()
-	return eng.QuantilesOpts(phis, opts)
-}
-
-// QuantileQuick answers from memory-resident summaries only (no disk
-// probes), at 2ε error.
-func (s *Stream) QuantileQuick(phi float64) (int64, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return eng.QuantileQuick(phi)
-}
-
-// RankQuery returns the element of rank r.
-func (s *Stream) RankQuery(r int64) (int64, QueryStats, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.RankQuery(r)
-}
-
-// RankQueryQuick is RankQuery from memory-resident summaries only.
-func (s *Stream) RankQueryQuick(r int64) (int64, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return eng.RankQueryQuick(r)
-}
-
-// Rank returns the rank of value v.
+// Rank is Query for the accurate rank of value v.
 func (s *Stream) Rank(v int64) (int64, QueryStats, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.Rank(v)
+	return one(s.Query(context.Background(), Request{Values: []int64{v}}))
 }
 
-// RankQuick is Rank from memory-resident summaries only.
-func (s *Stream) RankQuick(v int64) (int64, error) {
+// onEngine reads one value off the stream's pinned engine, hydrating it if
+// the stream is cold; a dropped stream or closed DB reads as the zero value.
+func onEngine[T any](s *Stream, get func(*Engine) T) T {
 	eng, release, err := s.db.acquire(s.ent)
 	if err != nil {
-		return 0, err
+		var zero T
+		return zero
 	}
 	defer release()
-	return eng.RankQuick(v)
-}
-
-// WindowQuantile answers a φ-quantile over the trailing window of the
-// given number of steps.
-func (s *Stream) WindowQuantile(phi float64, steps int) (int64, QueryStats, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.WindowQuantile(phi, steps)
-}
-
-// WindowQuantileQuick is WindowQuantile from memory-resident summaries
-// only.
-func (s *Stream) WindowQuantileQuick(phi float64, steps int) (int64, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return eng.WindowQuantileQuick(phi, steps)
+	return get(eng)
 }
 
 // AvailableWindows lists the trailing-window sizes answerable at full
 // accuracy.
-func (s *Stream) AvailableWindows() []int {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return nil
-	}
-	defer release()
-	return eng.AvailableWindows()
-}
+func (s *Stream) AvailableWindows() []int { return onEngine(s, (*Engine).AvailableWindows) }
 
 // StreamCount returns the element count of the live (unsealed) batch.
-func (s *Stream) StreamCount() int64 {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0
-	}
-	defer release()
-	return eng.StreamCount()
-}
+func (s *Stream) StreamCount() int64 { return onEngine(s, (*Engine).StreamCount) }
 
 // HistCount returns the element count across all completed steps.
-func (s *Stream) HistCount() int64 {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0
-	}
-	defer release()
-	return eng.HistCount()
-}
+func (s *Stream) HistCount() int64 { return onEngine(s, (*Engine).HistCount) }
 
 // TotalCount returns HistCount plus the live batch.
-func (s *Stream) TotalCount() int64 {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0
-	}
-	defer release()
-	return eng.TotalCount()
-}
+func (s *Stream) TotalCount() int64 { return onEngine(s, (*Engine).TotalCount) }
 
 // Steps returns the number of completed steps.
-func (s *Stream) Steps() int {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0
-	}
-	defer release()
-	return eng.Steps()
-}
+func (s *Stream) Steps() int { return onEngine(s, (*Engine).Steps) }
 
 // PartitionCount returns the number of disk partitions across all levels.
-func (s *Stream) PartitionCount() int {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0
-	}
-	defer release()
-	return eng.PartitionCount()
-}
+func (s *Stream) PartitionCount() int { return onEngine(s, (*Engine).PartitionCount) }
 
 // Describe returns the stream's level layout for inspection.
-func (s *Stream) Describe() []LevelInfo {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return nil
-	}
-	defer release()
-	return eng.Describe()
-}
+func (s *Stream) Describe() []LevelInfo { return onEngine(s, (*Engine).Describe) }
 
 // Summary captures the stream's current in-memory summary state as a
 // portable core.ShardSummary (see Engine.Summary): the scatter half of the
@@ -395,8 +275,8 @@ func (s *Stream) Checkpoint() error {
 	return eng.Checkpoint()
 }
 
-// Context variants: per-stream mirrors of the Engine's ctx surface (see
-// ctx.go for the cancellation semantics of each).
+// Context variants of the mutating methods: per-stream mirrors of the
+// Engine's (see ctx.go for the cancellation semantics of each).
 
 // ObserveCtx is Observe with error reporting: hydration failures, a
 // dropped stream and a closed DB all surface instead of dropping the
@@ -437,79 +317,4 @@ func (s *Stream) EndStepCtx(ctx context.Context) (UpdateStats, error) {
 	}
 	defer release()
 	return eng.EndStepCtx(ctx)
-}
-
-// QuantileCtx is Quantile with cancellation.
-func (s *Stream) QuantileCtx(ctx context.Context, phi float64) (int64, QueryStats, error) {
-	return s.QuantileOptsCtx(ctx, phi, QueryOpts{})
-}
-
-// QuantileOptsCtx is QuantileOpts with cancellation.
-func (s *Stream) QuantileOptsCtx(ctx context.Context, phi float64, opts QueryOpts) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.QuantileOptsCtx(ctx, phi, opts)
-}
-
-// QuantilesCtx is Quantiles with cancellation.
-func (s *Stream) QuantilesCtx(ctx context.Context, phis []float64) ([]int64, QueryStats, error) {
-	return s.QuantilesOptsCtx(ctx, phis, QueryOpts{})
-}
-
-// QuantilesOptsCtx is QuantilesOpts with cancellation.
-func (s *Stream) QuantilesOptsCtx(ctx context.Context, phis []float64, opts QueryOpts) ([]int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer release()
-	return eng.QuantilesOptsCtx(ctx, phis, opts)
-}
-
-// RankQueryCtx is RankQuery with cancellation.
-func (s *Stream) RankQueryCtx(ctx context.Context, r int64) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.RankQueryCtx(ctx, r)
-}
-
-// RankCtx is Rank with cancellation.
-func (s *Stream) RankCtx(ctx context.Context, v int64) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.RankCtx(ctx, v)
-}
-
-// WindowQuantileCtx is WindowQuantile with cancellation.
-func (s *Stream) WindowQuantileCtx(ctx context.Context, phi float64, steps int) (int64, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer release()
-	return eng.WindowQuantileCtx(ctx, phi, steps)
 }
