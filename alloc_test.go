@@ -10,34 +10,42 @@ import (
 
 // TestObserveSliceZeroAlloc gates the ingest hot path: once the engine's
 // batch buffer and the GK sketch's tuple/pending/scratch buffers have grown
-// to their working-set size, ObserveSlice must not allocate. Synchronous
-// maintenance is required — endStepSync retains the batch buffer's capacity
-// across steps, while deferred modes hand the buffer to the sealed step and
-// start a fresh one.
+// to their working-set size, ObserveSlice must not allocate. The rule that
+// makes it so in every mode: a step's batch buffer goes to the sealed step
+// at the cut and comes back to the observe path when that step's install is
+// published — before EndStep returns under synchronous maintenance, at the
+// drain otherwise.
 func TestObserveSliceZeroAlloc(t *testing.T) {
-	eng, err := hsq.New(hsq.Config{
-		Epsilon: 0.01, Kappa: 10, Backend: "mem", Maintenance: "sync",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
+	for _, mode := range []string{hsq.MaintenanceSync, hsq.MaintenanceManual} {
+		t.Run(mode, func(t *testing.T) {
+			eng, err := hsq.New(hsq.Config{
+				Epsilon: 0.01, Kappa: 10, Backend: "mem", Maintenance: mode,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close() //nolint:errcheck
 
-	gen := workload.NewUniform(99)
-	// Warm up: one large step grows every buffer past anything the
-	// measurement loop will need, then EndStep resets lengths while keeping
-	// capacities.
-	eng.ObserveSlice(workload.Fill(gen, 100_000))
-	if _, err := eng.EndStep(); err != nil {
-		t.Fatal(err)
-	}
+			gen := workload.NewUniform(99)
+			// Warm up: one large step grows every buffer past anything the
+			// measurement loop will need, then the step's install hands the
+			// batch buffer back with its capacity.
+			eng.ObserveSlice(workload.Fill(gen, 100_000))
+			if _, err := eng.EndStep(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.SyncMaintenance(); err != nil {
+				t.Fatal(err)
+			}
 
-	chunk := workload.Fill(gen, 100)
-	allocs := testing.AllocsPerRun(50, func() {
-		eng.ObserveSlice(chunk)
-	})
-	if allocs != 0 {
-		t.Fatalf("ObserveSlice allocated %.1f times per call after warmup, want 0", allocs)
+			chunk := workload.Fill(gen, 100)
+			allocs := testing.AllocsPerRun(50, func() {
+				eng.ObserveSlice(chunk)
+			})
+			if allocs != 0 {
+				t.Fatalf("ObserveSlice allocated %.1f times per call after warmup, want 0", allocs)
+			}
+		})
 	}
 }
 

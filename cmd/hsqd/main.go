@@ -60,12 +60,16 @@
 // expose the cluster itself. All nodes must be started with the same
 // -cluster-peers, -replicas and -ring-epoch values.
 //
-// With -maintenance async (recommended under write-heavy load), EndStep
-// seals the batch durably and returns while a DB-wide worker pool sorts and
-// merges in the background; queries keep answering — within ε — throughout.
-// GET /streams then also reports the scheduler: queued/running streams and
-// the aggregate merge debt. -max-pending-steps bounds how far a stream may
-// fall behind before ingest blocks (backpressure).
+// An end-of-step seals the batch, installs it (sort, merges) and commits;
+// queries and ingest on the stream keep answering — within ε — throughout.
+// -maintenance picks who installs: the endstep request itself (sync, the
+// default, and the mode benchmark/ measures) or a DB-wide worker pool
+// (async), in which case endstep returns once the seal is durable, GET
+// /streams also reports the scheduler (queued/running streams, aggregate
+// merge debt) and -max-pending-steps bounds how far a stream may fall behind
+// before endstep blocks (backpressure). Async shortens the endstep request,
+// not reads or observes: go test -bench 'IngestStall|QueryDuringMerge' . at
+// the repository root prints both modes side by side.
 //
 // Usage:
 //
@@ -108,7 +112,7 @@ func main() {
 		ingestAddr = flag.String("ingest-addr", "", "TCP listen address for the binary ingest protocol (hsqclient); empty = disabled")
 		resume     = flag.Bool("resume", false, "deprecated: resume is automatic when -dir holds a DB manifest")
 
-		maintenance = flag.String("maintenance", "", "maintenance mode: sync (default: install inline in endstep), async (background scheduler), manual (drain on demand via POST maintenance); unset with -max-pending-steps > 0 selects async")
+		maintenance = flag.String("maintenance", "", "who installs sealed steps: sync (default: the endstep request), async (background scheduler), manual (drain on demand via POST maintenance); unset with -max-pending-steps > 0 selects async")
 		maxPending  = flag.Int("max-pending-steps", 0, "async backpressure: sealed steps a stream may queue before endstep blocks (0 = default 4); > 0 alone turns async maintenance on")
 		maintWork   = flag.Int("maint-workers", 0, "async scheduler worker pool size shared by all streams (0 = default 2)")
 		maxHydrated = flag.Int("max-hydrated", 0, "hydrated-engine budget: streams resident in memory before LRU eviction seals idle ones (0 = unbounded)")

@@ -134,13 +134,11 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opts: full, dev: dev, dir: make(map[string]*streamEntry)}
-	if full.mode() == maintAsync {
-		// One bounded worker pool shared by every stream of the DB: installs
-		// and merges from all streams compete for the same MaintenanceWorkers
-		// goroutines, with per-stream FIFO ordering (see maintenance.go).
-		db.sched = newScheduler(full.MaintenanceWorkers)
-	}
+	// In async mode, one bounded worker pool shared by every stream of the
+	// DB: installs and merges from all streams compete for the same
+	// MaintenanceWorkers goroutines, with per-stream FIFO ordering (see
+	// maintenance.go).
+	db := &DB{opts: full, dev: dev, dir: make(map[string]*streamEntry), sched: newScheduler(full)}
 	if !dev.Exists(dbManifestName) && dev.Exists(manifestName) {
 		// A root-level store manifest without a DB manifest is a legacy
 		// single-stream warehouse (written by Engine.Checkpoint/Close).

@@ -21,7 +21,6 @@ func memDB(t testing.TB, cacheBlocks int) *hsq.DB {
 		Backend:     "mem",
 		BlockSize:   1024, // 128 elements per block
 		CacheBlocks: cacheBlocks,
-		NoSpill:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +298,7 @@ func TestQuantilesOptsBudget(t *testing.T) {
 	// Memoization off: the budgeted re-query must repeat the disk search
 	// for the budget to bite.
 	eng, err := hsq.New(hsq.Config{
-		Epsilon: 0.02, Kappa: 4, Backend: "mem", BlockSize: 1024, NoSpill: true,
+		Epsilon: 0.02, Kappa: 4, Backend: "mem", BlockSize: 1024,
 		ProbeMemoEntries: -1,
 	})
 	if err != nil {
@@ -364,7 +363,7 @@ func TestQuantilesOptsBudget(t *testing.T) {
 
 func TestQuantileCtxCancel(t *testing.T) {
 	eng, err := hsq.New(hsq.Config{
-		Epsilon: 0.02, Kappa: 4, Backend: "mem", BlockSize: 1024, NoSpill: true,
+		Epsilon: 0.02, Kappa: 4, Backend: "mem", BlockSize: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

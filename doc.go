@@ -204,24 +204,28 @@
 // finished — so an in-flight query always reads a consistent, existing
 // layout, no matter what maintenance does behind it.
 //
-// Config.Maintenance picks who executes the heavy half of EndStep (the
-// external sort, level-0 install and cascading κ-way merges):
+// EndStep is one pipeline in every maintenance mode: cut (the batch and GK
+// sketch leave the stream atomically), seal (the raw batch is spilled and
+// queued), install (external sort into a level-0 partition, cascading
+// κ-way merges), commit (data barrier, manifest, barrier). Until a step's
+// install is published, queries cover it through its frozen stream summary,
+// so answers always span the full observed history and neither Observe nor
+// a query waits for an install; the rank-error bound degrades gracefully to
+// ε times the stream-side mass (live stream + sealed steps). The install is
+// one routine, and Config.Maintenance picks only who runs it:
 //
-//   - "sync" (default): inline in EndStep, under the engine write lock —
-//     the paper's loading paradigm, with ingest and queries paused for the
-//     duration of the load.
-//   - "async": EndStep only seals the step — the batch and GK sketch are
-//     cut atomically, the raw batch is spilled, and a manifest referencing
-//     the spill is durably committed — then a DB-wide scheduler (one
-//     bounded pool of Config.MaintenanceWorkers workers shared by all
-//     streams) installs sealed steps in the background, FIFO per stream.
-//     Until a step's install completes, queries cover it through its
-//     frozen stream summary, so answers always span the full observed
-//     history; the rank-error bound degrades gracefully to ε times the
-//     stream-side mass (live stream + sealed backlog), which
-//     MaxPendingSteps bounds.
-//   - "manual": seals like async but installs only when SyncMaintenance is
-//     called — for deterministic harnesses (internal/crashtest).
+//   - "sync" (default): the EndStep caller, before it commits and returns —
+//     the paper's loading paradigm. A returned step is a partition.
+//   - "async": a DB-wide scheduler (one bounded pool of
+//     Config.MaintenanceWorkers workers shared by all streams), FIFO per
+//     stream. EndStep returns once the seal is committed; the sealed
+//     backlog is bounded by MaxPendingSteps.
+//   - "manual": nobody until SyncMaintenance is called — for deterministic
+//     harnesses (internal/crashtest).
+//
+// A step whose install fails stays sealed — counted, answered, durable once
+// a commit succeeds — and is retried by the next EndStep in sync mode or by
+// SyncMaintenance in any.
 //
 // Backpressure: with async maintenance, EndStep blocks once
 // Config.MaxPendingSteps sealed steps await installation, waking as
@@ -233,8 +237,8 @@
 // maintenance-attributed I/O) expose the machinery.
 //
 // The durability guarantee is mode-independent: a nil EndStep return means
-// the step survives any crash. In async/manual modes a sealed step's spill
-// is its durable form — reopening re-installs sealed steps from their
+// the step survives any crash. A step sealed but not yet installed has its
+// spill as its durable form — reopening re-installs sealed steps from their
 // spills before serving.
 //
 // # Query performance

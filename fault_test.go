@@ -2,6 +2,7 @@ package hsq
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,41 +22,162 @@ func faultEngine(t *testing.T) (*Engine, *disk.Manager) {
 
 var errInjected = errors.New("injected disk fault")
 
-// TestFaultDuringLoad: a write failure while loading a batch must surface
-// as an error from EndStep, not a panic, and the engine must keep serving
-// queries over the data it already holds.
-func TestFaultDuringLoad(t *testing.T) {
-	eng, dev := faultEngine(t)
-	gen := workload.NewUniform(1)
-
-	// Load two good steps.
-	for i := 0; i < 2; i++ {
-		eng.ObserveSlice(workload.Fill(gen, 500))
-		if _, err := eng.EndStep(); err != nil {
-			t.Fatal(err)
+// TestFaultDuringEndStep pins the write path's one failure rule in every
+// maintenance mode, for a fault in each of its three moves — the load (the
+// seal's spill and the install's partition write), the merge (reads of the
+// cascade's inputs) and the commit (manifest write, barrier). Two clean
+// steps, then a step under the fault: whoever the mode makes the drainer
+// reports the injected error, and the step is sealed all the same — counted
+// in HistCount and answered within ε from its frozen summary. With the fault
+// gone the mode's retry (the next EndStep in sync mode, SyncMaintenance in
+// the others) installs it exactly once: counts equal the oracle's and the
+// layout equals a fault-free run's. The same holds after a reopen.
+func TestFaultDuringEndStep(t *testing.T) {
+	only := func(ops ...disk.Op) disk.FaultFunc {
+		return func(o disk.Op, name string, block int64) error {
+			if slices.Contains(ops, o) {
+				return errInjected
+			}
+			return nil
 		}
 	}
+	faults := []struct {
+		name  string
+		fault disk.FaultFunc
+		// lateMerge: the step is published but its cascade is not; the next
+		// install's cascade then merges one partition more than a fault-free
+		// run's would, so only the counts can be compared, not the layout.
+		lateMerge bool
+	}{
+		{"load", only(disk.OpSeqWrite), false},
+		{"merge", func(o disk.Op, name string, block int64) error {
+			// κ=2: the 3rd step's install cascades. Fail only reads of
+			// partition files (merge input); its own load and sort succeed.
+			if o == disk.OpSeqRead && strings.HasPrefix(name, "part-") {
+				return errInjected
+			}
+			return nil
+		}, true},
+		{"commit-meta", only(disk.OpMetaWrite), false},
+		{"commit-sync", only(disk.OpSync), false},
+	}
+	for _, mode := range []string{MaintenanceSync, MaintenanceManual, MaintenanceAsync} {
+		for _, f := range faults {
+			t.Run(mode+"/"+f.name, func(t *testing.T) {
+				cfg := Config{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024, Maintenance: mode}
+				eng, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { eng.Close() }() //nolint:errcheck // eng is reassigned below
+				gen := workload.NewUniform(1)
+				all := feedSteps(t, eng, gen, 2, 500)
+				if err := eng.SyncMaintenance(); err != nil {
+					t.Fatal(err)
+				}
 
-	// Inject write failures.
-	dev.SetFault(func(op disk.Op, name string, block int64) error {
-		if op == disk.OpSeqWrite {
-			return errInjected
+				eng.dev.SetFault(f.fault)
+				vals := workload.Fill(gen, 500)
+				all = append(all, vals...)
+				eng.ObserveSlice(vals)
+				if err := endStepAndDrain(eng); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+					t.Fatalf("step under %s fault: err = %v, want the injected fault", f.name, err)
+				}
+				eng.dev.SetFault(nil)
+				if got := eng.HistCount(); got != 1500 {
+					t.Errorf("HistCount = %d after the faulted step, want 1500 (the step is sealed)", got)
+				}
+				checkAgainstOracle(t, eng, all, "after fault")
+
+				// The retry. A sync engine needs no call of its own: its next
+				// EndStep drains what the failed one left sealed.
+				if mode != MaintenanceSync {
+					if err := eng.SyncMaintenance(); err != nil {
+						t.Fatalf("SyncMaintenance retry: %v", err)
+					}
+				}
+				all = append(all, feedSteps(t, eng, gen, 1, 500)...)
+				if err := eng.SyncMaintenance(); err != nil {
+					t.Fatal(err)
+				}
+				want := faultFreeLayout(t, cfg, 4, 500)
+				check := func(e *Engine, label string) {
+					t.Helper()
+					if got := e.HistCount(); got != int64(len(all)) {
+						t.Errorf("%s: HistCount = %d, want %d (each step installed exactly once)", label, got, len(all))
+					}
+					if ms := e.MaintenanceStats(); ms.PendingSteps != 0 {
+						t.Errorf("%s: %d steps still sealed", label, ms.PendingSteps)
+					}
+					if got := e.Describe(); !f.lateMerge && !slices.Equal(got, want) {
+						t.Errorf("%s: layout %+v, want the fault-free run's %+v", label, got, want)
+					}
+					checkAgainstOracle(t, e, all, label)
+				}
+				check(eng, "after retry")
+				if got := eng.MaintenanceStats().Installs; got != 4 {
+					t.Errorf("Installs = %d, want 4", got)
+				}
+
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if eng, err = OpenEngine(cfg); err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				check(eng, "reopened")
+			})
 		}
-		return nil
-	})
-	eng.ObserveSlice(workload.Fill(gen, 500))
-	if _, err := eng.EndStep(); !errors.Is(err, errInjected) {
-		t.Fatalf("EndStep under write fault: %v", err)
 	}
-	dev.SetFault(nil)
+}
 
-	// History must still be queryable (the failed batch never installed).
-	if eng.HistCount() != 1000 {
-		t.Errorf("HistCount = %d after failed load", eng.HistCount())
+// endStepAndDrain closes a step and lets the engine's mode run its drainer,
+// returning the first failure either of them reported: EndStep's own (the
+// seal, the commit, and in sync mode the install), SyncMaintenance's in
+// manual mode, and in async mode the scheduler's, which has no caller to
+// return to and leaves it in MaintenanceStats.
+func endStepAndDrain(eng *Engine) error {
+	_, err := eng.EndStep()
+	switch eng.cfg.Maintenance {
+	case MaintenanceManual:
+		if derr := eng.SyncMaintenance(); err == nil {
+			err = derr
+		}
+	case MaintenanceAsync:
+		for {
+			// Every install attempt ends by closing the wake channel of its
+			// moment, so take the channel before looking at the state.
+			eng.mu.RLock()
+			wake := eng.wake
+			eng.mu.RUnlock()
+			ms := eng.MaintenanceStats()
+			if !ms.Running && (ms.PendingSteps == 0 || ms.LastError != "") {
+				if err == nil && ms.LastError != "" {
+					err = errors.New(ms.LastError)
+				}
+				return err
+			}
+			<-wake
+		}
 	}
-	if _, _, err := eng.Quantile(0.5); err != nil {
-		t.Errorf("query after failed load: %v", err)
+	return err
+}
+
+// faultFreeLayout is the Describe() of an engine that ran steps clean steps
+// of the given size under cfg's mode and κ, fully drained.
+func faultFreeLayout(t *testing.T, cfg Config, steps, batch int) []LevelInfo {
+	t.Helper()
+	cfg.Dir = t.TempDir()
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer eng.Close() //nolint:errcheck
+	feedSteps(t, eng, workload.NewUniform(1), steps, batch)
+	if err := eng.SyncMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	return eng.Describe()
 }
 
 // TestFaultDuringQuery: a random-read failure mid-query must surface as an
@@ -92,54 +214,6 @@ func TestFaultDuringQuery(t *testing.T) {
 	dev.SetFault(func(op disk.Op, name string, block int64) error { return errInjected })
 	if _, err := QuantileQuick(eng, 0.5); err != nil {
 		t.Errorf("quick query under total disk fault: %v", err)
-	}
-}
-
-// TestFaultDuringCommit: a failed manifest commit (meta write or sync) must
-// surface from EndStep — meta writes route through the fault hook like any
-// other I/O — while the engine keeps serving queries over its in-memory
-// state, and the next clean EndStep re-commits everything durably.
-func TestFaultDuringCommit(t *testing.T) {
-	eng, dev := faultEngine(t)
-	gen := workload.NewUniform(7)
-	eng.ObserveSlice(workload.Fill(gen, 500))
-	if _, err := eng.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, op := range []disk.Op{disk.OpMetaWrite, disk.OpSync} {
-		dev.SetFault(func(o disk.Op, name string, block int64) error {
-			if o == op {
-				return errInjected
-			}
-			return nil
-		})
-		eng.ObserveSlice(workload.Fill(gen, 500))
-		if _, err := eng.EndStep(); !errors.Is(err, errInjected) {
-			t.Fatalf("EndStep under %v fault: %v", op, err)
-		}
-		dev.SetFault(nil)
-		// The batch was installed in memory; the failed commit only delayed
-		// durability. Queries see it, and a Checkpoint retry commits it.
-		if _, _, err := eng.Quantile(0.5); err != nil {
-			t.Errorf("query after failed %v commit: %v", op, err)
-		}
-		if err := eng.Checkpoint(); err != nil {
-			t.Errorf("Checkpoint retry after %v fault: %v", op, err)
-		}
-	}
-
-	// The re-committed state must resume cleanly.
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenEngine(Config{Epsilon: 0.05, Kappa: 2, Dir: eng.cfg.Dir, BlockSize: 1024})
-	if err != nil {
-		t.Fatalf("reopen after commit faults: %v", err)
-	}
-	defer re.Close() //nolint:errcheck
-	if got := re.HistCount(); got != 1500 {
-		t.Errorf("resumed HistCount = %d, want 1500", got)
 	}
 }
 
@@ -200,35 +274,5 @@ func TestFaultDuringDropStream(t *testing.T) {
 	}
 	if got := s2.HistCount(); got != 500 {
 		t.Errorf("surviving stream has %d elements, want 500", got)
-	}
-}
-
-// TestFaultDuringMerge: failures inside a level merge must abort the merge
-// without corrupting the store.
-func TestFaultDuringMerge(t *testing.T) {
-	eng, dev := faultEngine(t)
-	gen := workload.NewUniform(3)
-	// κ=2: the 3rd step triggers a merge. Fail only reads of partition
-	// files (merge input) — the batch's own load/sort writes succeed.
-	for i := 0; i < 2; i++ {
-		eng.ObserveSlice(workload.Fill(gen, 500))
-		if _, err := eng.EndStep(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dev.SetFault(func(op disk.Op, name string, block int64) error {
-		if op == disk.OpSeqRead && strings.HasPrefix(name, "part-") {
-			return errInjected
-		}
-		return nil
-	})
-	eng.ObserveSlice(workload.Fill(gen, 500))
-	if _, err := eng.EndStep(); !errors.Is(err, errInjected) {
-		t.Fatalf("EndStep under merge fault: %v", err)
-	}
-	dev.SetFault(nil)
-	// The engine survives; queries still work over installed data.
-	if _, _, err := eng.Quantile(0.5); err != nil {
-		t.Errorf("query after failed merge: %v", err)
 	}
 }

@@ -57,12 +57,6 @@ type Config struct {
 	// SortMemElements bounds the memory used when sorting a batch; larger
 	// batches use external sort (default 1M elements).
 	SortMemElements int
-	// NoSpill disables writing the raw batch to disk before sorting in the
-	// synchronous maintenance mode. The paper's loading paradigm spills
-	// (the "load" phase of Figure 6); disable only in tests. Deferred
-	// maintenance modes always spill — the spill is the sealed step's
-	// durable form.
-	NoSpill bool
 	// NoBlockPin disables the §2.4 optimization that pins a partition's
 	// final block in memory during a query.
 	NoBlockPin bool
@@ -94,15 +88,16 @@ type Config struct {
 	// environment variable, then to "columnar".
 	BlockFormat string
 
-	// Maintenance selects who runs the heavy half of EndStep (sort, level-0
-	// install, κ-way merges): "sync" (inline, the default), "async" (the
-	// DB-wide background scheduler) or "manual" (deferred until
-	// SyncMaintenance). See the package docs' "Concurrency model".
+	// Maintenance selects who installs the steps EndStep seals (sort,
+	// level-0 partition, κ-way merges): "sync" (the EndStep caller, before it
+	// returns — the default), "async" (the DB-wide background scheduler) or
+	// "manual" (nobody, until SyncMaintenance). See the package docs'
+	// "Concurrency model".
 	Maintenance string
 	// MaxPendingSteps bounds how many sealed steps may await background
 	// installation per stream before EndStep blocks (backpressure). Setting
 	// it > 0 with Maintenance unset selects "async"; in async mode 0 means
-	// the default bound (4).
+	// the default bound (4). The other modes have no bound.
 	MaxPendingSteps int
 	// MaintenanceWorkers sizes the async scheduler's worker pool, shared by
 	// all streams of a DB (default 2).
@@ -185,18 +180,6 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
-// mode returns the resolved maintenance mode. Call after withDefaults.
-func (c Config) mode() maintMode {
-	switch c.Maintenance {
-	case MaintenanceAsync:
-		return maintAsync
-	case MaintenanceManual:
-		return maintManual
-	default:
-		return maintSync
-	}
-}
-
 // IOStats mirrors the block-level I/O counters of the warehouse device.
 // RandReads counts only reads that reached the storage backend; random
 // probes absorbed by the block cache appear as CacheHits.
@@ -247,11 +230,12 @@ func fromDisk(d disk.Stats) IOStats {
 }
 
 // UpdateStats reports the cost of one EndStep, split into the paper's four
-// phases (Figure 6): loading the raw batch, sorting it into a level-0
-// partition, merging overflowing levels, and summary maintenance. With
-// deferred maintenance (async/manual) EndStep performs only the load (the
-// durable seal); the sort and merge phases run in the background and are
-// accounted in MaintenanceStats instead.
+// phases (Figure 6): loading the raw batch (the seal's spill), sorting it
+// into a level-0 partition, merging overflowing levels, and summary
+// maintenance. The last three are the install: they are filled in when the
+// EndStep caller ran it (synchronous maintenance) and zero when the step was
+// left sealed for the scheduler or SyncMaintenance, whose installs are
+// accounted in MaintenanceStats. The commit's barriers belong to no phase.
 type UpdateStats struct {
 	Load, Sort, Merge, Summary time.Duration
 	LoadIO, SortIO, MergeIO    IOStats
@@ -350,9 +334,9 @@ type MemoryUsage struct {
 	StreamBytes int64
 	// StreamPeakBytes is the GK sketch's high-water mark this time step.
 	StreamPeakBytes int64
-	// PendingBytes buffers sealed-but-uninstalled batches awaiting
-	// background maintenance (raw data plus frozen summaries); bounded by
-	// MaxPendingSteps batches, zero with synchronous maintenance.
+	// PendingBytes buffers sealed-but-uninstalled batches (raw data plus
+	// frozen sketches): zero once every sealed step is installed, bounded
+	// by MaxPendingSteps batches under the async scheduler.
 	PendingBytes int64
 }
 
@@ -376,24 +360,24 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // Engine owning its whole device — the original single-tenant shape.
 type Engine struct {
 	cfg   Config
-	mode  maintMode
 	eps1  float64
 	eps2  float64
 	dev   *disk.Manager
 	store *partition.Store
 	sched *scheduler // async mode; shared across a DB's streams
 
-	// loadMu serializes the write path's step logic (EndStep seals, Close,
+	// loadMu serializes the write path's step logic (EndStep, Close,
 	// Destroy) without blocking observes or queries.
 	loadMu sync.Mutex
-	// maintMu serializes store build mutations — deferred installs and
-	// merges. Lock order: loadMu > maintMu > mu.
+	// maintMu serializes store build mutations — installs and merges. Lock
+	// order: loadMu > maintMu > mu.
 	maintMu sync.Mutex
 
 	// mu guards the fast in-memory state below. Queries hold it only long
 	// enough to pin a snapshot.
 	mu       sync.RWMutex
 	sketch   *gk.Sketch
+	spare    *gk.Sketch // empty, buffers grown: the next cut's live sketch
 	batch    []int64
 	sealed   []*sealedPiece
 	step     int
@@ -449,7 +433,7 @@ func storeConfig(cfg Config, eps1 float64, namespace string) partition.Config {
 		Kappa:            cfg.Kappa,
 		Eps1:             eps1,
 		SortMemElements:  cfg.SortMemElements,
-		SpillBatches:     !cfg.NoSpill,
+		SpillBatches:     true,
 		MergeWorkers:     cfg.MergeWorkers,
 		ProbeMemoEntries: cfg.ProbeMemoEntries,
 		Namespace:        namespace,
@@ -496,19 +480,17 @@ func newEngineOn(dev *disk.Manager, full Config, namespace string, resume bool) 
 		return nil, err
 	}
 	e := &Engine{
-		cfg: full, mode: full.mode(), eps1: eps1, eps2: eps2,
+		cfg: full, eps1: eps1, eps2: eps2,
 		dev: dev, store: store, sketch: sketch,
 		wake: make(chan struct{}),
 	}
 	e.step = store.Steps()
-	if resume {
-		// Fold sealed-but-uninstalled steps from the recovered manifest back
-		// into partitions before serving: their frozen summaries died with
-		// the old process, so the spills are the only queryable form.
-		for store.PendingSteps() > 0 {
-			if _, _, err := store.InstallOne(manifestName); err != nil {
-				return nil, fmt.Errorf("hsq: recover sealed step: %w", err)
-			}
+	// Fold sealed-but-uninstalled steps from the recovered manifest back into
+	// partitions before serving: their frozen summaries died with the old
+	// process, so the spills are the only queryable form.
+	for store.PendingSteps() > 0 {
+		if _, err := e.runMaintenanceOnce(); err != nil {
+			return nil, fmt.Errorf("hsq: recover sealed step: %w", err)
 		}
 	}
 	return e, nil
@@ -536,10 +518,8 @@ func New(cfg Config) (*Engine, error) {
 
 // attachOwnScheduler gives a standalone async engine its own worker pool.
 func (e *Engine) attachOwnScheduler() {
-	if e.mode == maintAsync && e.sched == nil {
-		e.sched = newScheduler(e.cfg.MaintenanceWorkers)
-		e.ownsSched = true
-	}
+	e.sched = newScheduler(e.cfg)
+	e.ownsSched = e.sched != nil
 }
 
 // Epsilon returns the engine's approximation parameter.
@@ -628,73 +608,32 @@ func (e *Engine) PartitionCount() int {
 // buffered batch becomes part of the warehouse and the stream sketch is
 // reset. An empty stream is a no-op.
 //
-// With synchronous maintenance (the default) the batch is loaded inline —
-// sorted into a level-0 partition, with level merges as needed — and the
-// new warehouse state durably committed before EndStep returns, exactly the
-// original behavior: the commit orders write-data → sync → commit-manifest
-// → sync, so when EndStep returns nil the step survives any crash, and a
+// Every maintenance mode runs the same four moves. Cut: the batch, its
+// sketch and the step counter move together under the engine lock, so
+// elements observed from here on belong to the next step. Seal: the raw
+// batch is spilled and queued for installation; from the cut until its
+// install is published, queries cover the step through its frozen summary,
+// so answers always span the full observed history and neither Observe nor
+// Query waits for an install. Install (Algorithm 3, HistUpdate: sort into a
+// level-0 partition, κ-way merges as needed) by whoever the mode names —
+// this caller before it returns (sync, the default), the scheduler (async;
+// EndStep first blocks while MaxPendingSteps seals await installation, and
+// EndStepCtx aborts that wait on cancellation), or nobody until
+// SyncMaintenance (manual). Commit: one write-data → sync → commit-manifest
+// → sync sequence, so when EndStep returns nil the step survives any crash
+// — as a partition, or as a spill a reopened engine re-installs — and a
 // reopened engine recovers exactly the prefix of time steps whose EndStep
-// completed. If the commit itself fails, the batch is already installed in
-// memory, the error is surfaced, and the next successful EndStep or
-// Checkpoint re-commits the full state.
+// completed.
 //
-// With deferred maintenance (async/manual) EndStep only seals the step:
-// the batch and sketch are cut atomically, the raw batch is spilled and a
-// manifest referencing it durably committed — the same recovery guarantee,
-// at the cost of one sequential write of the batch — while the sort,
-// install and merges run in the background. Queries cover sealed steps
-// through their frozen summaries, so answers always span the full observed
-// history. In async mode EndStep blocks when MaxPendingSteps seals await
-// installation (backpressure); EndStepCtx aborts the wait on cancellation.
+// On an error the step is still sealed: counted, answered from its frozen
+// summary, and durable once any later commit succeeds (the next EndStep's,
+// or Checkpoint's). An install that failed is retried by the next
+// synchronous EndStep or by SyncMaintenance; no step is installed twice.
 func (e *Engine) EndStep() (UpdateStats, error) {
 	return e.endStep(context.Background())
 }
 
 func (e *Engine) endStep(ctx context.Context) (UpdateStats, error) {
-	if e.mode == maintSync {
-		return e.endStepSync()
-	}
-	return e.endStepDeferred(ctx)
-}
-
-// endStepSync is the original inline install under the write lock.
-func (e *Engine) endStepSync() (UpdateStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return UpdateStats{}, ErrClosed
-	}
-	if len(e.batch) == 0 {
-		return UpdateStats{}, nil
-	}
-	bd, err := e.store.AddBatch(e.batch, e.step+1)
-	if err != nil && !errors.Is(err, partition.ErrMergeIncomplete) {
-		// The batch never installed: keep it (and the sketch) for a retry.
-		return UpdateStats{}, fmt.Errorf("hsq: end step %d: %w", e.step+1, err)
-	}
-	us := UpdateStats{
-		Load: bd.Load, Sort: bd.Sort, Merge: bd.Merge, Summary: bd.Summary,
-		LoadIO: fromDisk(bd.LoadIO), SortIO: fromDisk(bd.SortIO), MergeIO: fromDisk(bd.MergeIO),
-		Merges:    bd.Merges,
-		BatchSize: int64(len(e.batch)),
-	}
-	e.step++
-	e.batch = e.batch[:0]
-	e.sketch.Reset()
-	if err != nil {
-		// The step is installed and counted; only the cascade is unfinished
-		// (retried by the next update). Surface it without re-loading the
-		// batch — retrying would double-install the data.
-		return us, fmt.Errorf("hsq: end step %d: %w", e.step, err)
-	}
-	if err := e.store.Commit(manifestName); err != nil {
-		return us, fmt.Errorf("hsq: commit step %d: %w", e.step, err)
-	}
-	return us, nil
-}
-
-// endStepDeferred seals the step and hands the install to maintenance.
-func (e *Engine) endStepDeferred(ctx context.Context) (UpdateStats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	// Backpressure is enforced while holding the seal lock: concurrent
@@ -706,17 +645,10 @@ func (e *Engine) endStepDeferred(ctx context.Context) (UpdateStats, error) {
 		return UpdateStats{}, err
 	}
 
-	// Cut the step atomically: the batch, its sketch summary and the step
-	// counter move together, so elements observed from here on belong to
-	// the next step and queries never double-count.
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return UpdateStats{}, ErrClosed
-	}
-	if err := e.maintErr; err != nil {
-		e.mu.Unlock()
-		return UpdateStats{}, maintFailed(err)
 	}
 	if len(e.batch) == 0 {
 		e.mu.Unlock()
@@ -724,49 +656,68 @@ func (e *Engine) endStepDeferred(ctx context.Context) (UpdateStats, error) {
 	}
 	data := e.batch
 	e.batch = nil
-	count := e.sketch.Count()
-	ss := core.StreamSummary(e.sketch, e.eps2)
-	e.sketch.Reset()
 	e.step++
 	step := e.step
-	e.sealed = append(e.sealed, &sealedPiece{step: step, count: count, ss: ss})
+	piece := &sealedPiece{step: step, count: e.sketch.Count(), sketch: e.sketch}
+	e.sketch, e.spare = e.spare, nil
+	if e.sketch == nil {
+		e.sketch = gk.MustNew(piece.sketch.Epsilon())
+	}
+	e.sealed = append(e.sealed, piece)
 	e.mu.Unlock()
 
 	t0 := time.Now()
 	io0 := e.dev.Stats()
 	maint0 := e.dev.MaintStats()
-	sealedStep, err := e.store.Seal(data, manifestName)
-	// Isolate the seal's own I/O: background installs on the same view are
+	sealedStep, err := e.store.Seal(data)
+	// Isolate the seal's own I/O: installs on the same view are
 	// maintenance-tagged (subtracted), and concurrent query reads are
 	// excluded by keeping only the write counters — a seal is one
-	// sequential spill plus the commit.
+	// sequential spill.
 	loadIO := fromDisk(e.dev.Stats().Sub(io0).Sub(e.dev.MaintStats().Sub(maint0)))
 	loadIO.SeqReads, loadIO.RandReads, loadIO.CacheHits, loadIO.CacheMisses = 0, 0, 0, 0
-	us := UpdateStats{
-		Load:      time.Since(t0),
-		LoadIO:    loadIO,
-		BatchSize: int64(len(data)),
+	us := UpdateStats{Load: time.Since(t0), LoadIO: loadIO, BatchSize: int64(len(data))}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("hsq: seal step %d: %w", step, err)
+	case sealedStep != step:
+		err = fmt.Errorf("hsq: engine at step %d but store sealed step %d", step, sealedStep)
+	default:
+		// The spill is written, so nothing will read data again once the
+		// install has sorted its copy: the install may hand the buffer back.
+		e.mu.Lock()
+		piece.buf = data
+		e.mu.Unlock()
 	}
-	if err == nil && sealedStep != step {
-		err = fmt.Errorf("engine at step %d but store sealed step %d", step, sealedStep)
-	}
-	if e.mode == maintAsync {
+
+	// The one thing the modes differ in: who drains the sealed queue.
+	switch e.cfg.Maintenance {
+	case MaintenanceSync:
+		// Oldest first, so a step whose install failed earlier is retried
+		// before this one; the stats left standing are this step's own.
+		for err == nil && e.store.PendingSteps() > 0 {
+			var bd partition.UpdateBreakdown
+			if bd, _, err = e.installOne(); err != nil {
+				err = fmt.Errorf("hsq: end step %d: %w", step, err)
+			}
+			us.Sort, us.Merge, us.Summary, us.Merges = bd.Sort, bd.Merge, bd.Summary, bd.Merges
+			us.SortIO, us.MergeIO = fromDisk(bd.SortIO), fromDisk(bd.MergeIO)
+		}
+	case MaintenanceAsync:
 		e.sched.enqueue(e)
 	}
-	if err != nil {
-		// The step exists in memory and will still be installed; only its
-		// durability is deferred (the next Commit retries the spill), the
-		// same contract as a failed synchronous commit.
-		return us, fmt.Errorf("hsq: seal step %d: %w", step, err)
+
+	if cerr := e.store.Commit(manifestName); cerr != nil && err == nil {
+		err = fmt.Errorf("hsq: commit step %d: %w", step, cerr)
 	}
-	return us, nil
+	return us, err
 }
 
 // waitBackpressure blocks while the stream's sealed backlog is at the
 // MaxPendingSteps bound, waking on maintenance progress. ctx aborts the
 // wait.
 func (e *Engine) waitBackpressure(ctx context.Context) error {
-	if e.mode != maintAsync {
+	if e.cfg.Maintenance != MaintenanceAsync {
 		return nil
 	}
 	max := e.cfg.MaxPendingSteps
@@ -864,7 +815,7 @@ func (e *Engine) snapshot() (*querySnap, error) {
 		if p.step <= installed {
 			continue
 		}
-		s.pieces = append(s.pieces, core.StreamPiece{SS: p.ss, M: p.count})
+		s.pieces = append(s.pieces, core.StreamPiece{SS: p.summary(e.eps2), M: p.count})
 		s.n += p.count
 	}
 	s.sealed = len(s.pieces)
@@ -1089,7 +1040,7 @@ func (e *Engine) MemoryUsage() MemoryUsage {
 	defer e.mu.RUnlock()
 	var pendingBytes int64
 	for _, p := range e.sealed {
-		pendingBytes += int64(len(p.ss)) * 8
+		pendingBytes += p.sketch.MemoryBytes()
 	}
 	pendingBytes += e.store.PendingBytes()
 	return MemoryUsage{

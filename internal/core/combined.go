@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/gk"
@@ -21,29 +20,20 @@ import (
 // the elements at approximate ranks i·ε₂m. The sketch must have been run
 // with error parameter ε₂/2; querying rank i·ε₂m + ε₂m/2 with a two-sided
 // ±ε₂m/2 guarantee yields exactly Lemma 1's band
-// [i·ε₂m, (i+1)·ε₂m] for SS[i].
+// [i·ε₂m, (i+1)·ε₂m] for SS[i]. The ranks ascend, so the sketch answers
+// them all in one scan and the answers come back sorted.
 func StreamSummary(g *gk.Sketch, eps2 float64) []int64 {
 	m := g.Count()
 	if m == 0 {
 		return nil
 	}
-	beta2 := beta(eps2)
-	ss := make([]int64, 0, beta2)
-	mn, _ := g.Min()
-	ss = append(ss, mn)
+	ss := make([]int64, beta(eps2))
+	ss[0], _ = g.Min()
 	em := eps2 * float64(m)
-	for i := 1; i < beta2; i++ {
-		r := int64(float64(i)*em + em/2)
-		if r < 1 {
-			r = 1
-		}
-		if r > m {
-			r = m
-		}
-		v, _ := g.Query(r)
-		ss = append(ss, v)
+	for i := 1; i < len(ss); i++ {
+		ss[i] = int64(float64(i)*em + em/2)
 	}
-	slices.Sort(ss)
+	g.QueryAscending(ss[1:])
 	return ss
 }
 

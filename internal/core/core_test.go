@@ -318,6 +318,49 @@ func TestStreamSummaryEmpty(t *testing.T) {
 	}
 }
 
+// streamSummaryPerRank is the StreamSummary the one-scan extraction replaced
+// — one gk.Query per rank, then a sort — kept as its differential oracle.
+func streamSummaryPerRank(g *gk.Sketch, eps2 float64) []int64 {
+	m := g.Count()
+	if m == 0 {
+		return nil
+	}
+	mn, _ := g.Min()
+	ss := []int64{mn}
+	em := eps2 * float64(m)
+	for i := 1; i < beta(eps2); i++ {
+		v, _ := g.Query(min(max(int64(float64(i)*em+em/2), 1), m))
+		ss = append(ss, v)
+	}
+	slices.Sort(ss)
+	return ss
+}
+
+// TestStreamSummaryMatchesPerRank: the one-scan summary equals the per-rank
+// one on random sketches — every ε₂ the engine and benchmark run, stream
+// sizes from one element to several flushes past compression, and value
+// domains narrow enough for long ties and wide enough for none.
+func TestStreamSummaryMatchesPerRank(t *testing.T) {
+	base := propSeed(t)
+	for i := 0; i < 300; i++ {
+		seed := base + int64(i)
+		rng := rand.New(rand.NewSource(seed))
+		eps2 := []float64{0.00025, 0.0025, 0.01, 0.05}[rng.Intn(4)]
+		m := 1 + rng.Intn(30000)
+		if rng.Intn(4) == 0 {
+			m = 1 + rng.Intn(20)
+		}
+		domain := int64(1) << (1 + rng.Intn(40))
+		g := gk.MustNew(eps2 / 2)
+		for j := 0; j < m; j++ {
+			g.Insert(rng.Int63n(domain) - domain/2)
+		}
+		if got, want := StreamSummary(g, eps2), streamSummaryPerRank(g, eps2); !slices.Equal(got, want) {
+			t.Fatalf("HSQ_PROP_SEED=%d (ε₂=%g, m=%d, domain=%d): one-scan summary differs from the per-rank one", seed, eps2, m, domain)
+		}
+	}
+}
+
 // Property: quick query error ≤ 1.5εN on random fixtures of varying shape
 // (invariant 5).
 func TestQuickQueryPropertyBound(t *testing.T) {

@@ -12,16 +12,17 @@
 // is checked against an exact oracle over the completed prefix. A final
 // write/query round proves the recovered DB is live, not just readable.
 //
-// With the maintenance scheduler the heavy half of an EndStep — external
-// sort, partition install, level merges — runs after the step is sealed. The
-// harness exercises exactly that split while staying deterministic: streams
-// run in "manual" maintenance mode, the plan interleaves explicit maintain
-// operations that drain sealed backlogs, and the crash sweep therefore lands
-// inside seal commits, sort temporaries, background-style installs, merge
-// cascades and their commits alike. EndStep's durability contract is
-// unchanged (a nil return means the step survives any crash: it is either a
-// partition or a manifest-referenced spill), so the prefix-of-EndSteps
-// guarantee is asserted identically with the scheduler's deferred path.
+// An EndStep seals its step and commits; the install — external sort,
+// level-0 partition, level merges — is run by whoever the maintenance mode
+// names. The harness covers the split while staying deterministic: streams
+// run in "manual" maintenance mode by default, the plan interleaves explicit
+// maintain operations that drain sealed backlogs, and the crash sweep
+// therefore lands inside seal commits, sort temporaries, scheduler-style
+// installs, merge cascades and their commits alike; in "sync" mode the same
+// install runs between each seal and its one commit. EndStep's durability
+// contract is the same either way (a nil return means the step survives any
+// crash: it is either a partition or a manifest-referenced spill), so the
+// prefix-of-EndSteps guarantee is asserted identically.
 //
 // Every run is reproducible from its (seed, crash index, restart mode)
 // triple, which failures report.
@@ -57,8 +58,8 @@ type Config struct {
 	// multiple blocks and crashes land inside multi-block writes).
 	BlockSize int
 	// Maintenance is the engine maintenance mode under test: "manual"
-	// (default — the seal/install split with deterministic drains) or
-	// "sync" (the legacy inline install).
+	// (default — installs run at the plan's deterministic drains) or "sync"
+	// (each EndStep installs the step it sealed).
 	Maintenance string
 	// BlockFormat is the partition file layout under test: "columnar"
 	// (default — compressed blocks plus a footer, one extra write and

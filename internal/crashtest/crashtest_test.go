@@ -12,7 +12,7 @@ var (
 	seedFlag   = flag.Int64("crash.seed", 1, "workload seed for the crash harness")
 	opsFlag    = flag.Int("crash.ops", 520, "workload operations in the crash harness plan")
 	strideFlag = flag.Int("crash.stride", 0, "test every Nth crash point (0 = every point, or a sparse sample under -short)")
-	maintFlag  = flag.String("crash.maintenance", "manual", "maintenance mode under test: manual (seal/install split) or sync (legacy inline)")
+	maintFlag  = flag.String("crash.maintenance", "manual", "maintenance mode under test: manual (installs at the plan's drains) or sync (each EndStep installs its own step)")
 )
 
 func harnessConfig() Config {
@@ -121,10 +121,14 @@ func TestCleanShutdownRecovers(t *testing.T) {
 	}
 }
 
-// TestCrashSweepSyncMode runs a sampled sweep with the legacy synchronous
-// maintenance path, so both halves of the EndStep split stay covered no
-// matter which mode the flag selects. (The full sweep for the flagged mode
-// is TestCrashEveryPoint; CI runs it for both modes.)
+// TestCrashSweepSyncMode runs a sampled sweep with synchronous maintenance
+// — seal, install and one commit inside every EndStep — so both orderings
+// of the write path stay covered no matter which mode the flag selects.
+// (The full sweep for the flagged mode is TestCrashEveryPoint; CI runs it
+// for both modes.) It logs the backend operations per EndStep: the durable
+// sequence of a step is one spill, one partition file, the merge outputs,
+// data barrier, manifest, barrier, so a change in barrier ordering moves
+// that number.
 func TestCrashSweepSyncMode(t *testing.T) {
 	if *maintFlag == "sync" {
 		t.Skip("flagged sweep already runs sync mode")
@@ -136,6 +140,13 @@ func TestCrashSweepSyncMode(t *testing.T) {
 		t.Fatalf("uncrashed replay failed: %v", res.Err)
 	}
 	total := counter.Ops()
+	steps := 0
+	for _, op := range plan {
+		if op.Batch == nil && !op.Maintain {
+			steps++
+		}
+	}
+	t.Logf("seed=%d mode=sync backend-ops=%d end-steps=%d ops/step=%.2f", cfg.Seed, total, steps, float64(total)/float64(steps))
 	stride := int64(7)
 	if testing.Short() {
 		stride = 41

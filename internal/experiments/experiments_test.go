@@ -391,8 +391,9 @@ func TestRunMemBackend(t *testing.T) {
 }
 
 // TestMaintenanceComparison sanity-checks the sync-vs-async maintenance
-// table: two rows (one per mode), deferred installs only in async mode, and
-// merges actually running there (κ=2 cascades).
+// table: two rows (one per mode), the same installs and merges in both (one
+// install routine, whoever runs it), and merges actually running (κ=2
+// cascades).
 func TestMaintenanceComparison(t *testing.T) {
 	tables, err := MaintenanceComparison(tiny, t.TempDir())
 	if err != nil {
@@ -412,14 +413,10 @@ func TestMaintenanceComparison(t *testing.T) {
 		return -1
 	}
 	syncRow, asyncRow := tables[0].Rows[0], tables[0].Rows[1]
-	if got := syncRow.Cells[idx("Installs")]; got != 0 {
-		t.Errorf("sync installs = %v, want 0", got)
-	}
-	if got := asyncRow.Cells[idx("Installs")]; got <= 0 {
-		t.Errorf("async installs = %v, want > 0", got)
-	}
-	if got := asyncRow.Cells[idx("Merges")]; got <= 0 {
-		t.Errorf("async merges = %v, want > 0 (κ=2 must cascade)", got)
+	for _, col := range []string{"Installs", "Merges"} {
+		if got, want := syncRow.Cells[idx(col)], asyncRow.Cells[idx(col)]; got != want || got <= 0 {
+			t.Errorf("%s: sync %v, async %v, want equal and > 0 (κ=2 must cascade)", col, got, want)
+		}
 	}
 }
 

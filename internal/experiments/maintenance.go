@@ -12,16 +12,17 @@ import (
 
 // MaintenanceComparison quantifies what the background maintenance
 // scheduler buys under concurrent traffic: the same ingest+query workload
-// runs once with synchronous maintenance (EndStep sorts and merges inline,
-// holding the engine write lock) and once with the async scheduler (EndStep
-// only seals; installs and merges run on the worker pool while queries read
-// pinned snapshots). Reported per mode (x = 0 sync, x = 1 async):
+// runs once with synchronous maintenance (the EndStep caller installs the
+// step it sealed before returning) and once with the async scheduler (the
+// same install runs on the worker pool). Either way observes and queries
+// run beside the install, never behind it, so the modes differ in EndStep
+// latency. Reported per mode (x = 0 sync, x = 1 async):
 //
 //	EndStepP99Ms  — p99 end-of-step latency on the ingest path
 //	ObserveP99Us  — p99 single-Observe latency with steps closing around it
 //	QueryP99Ms    — p99 accurate-query latency while maintenance runs
-//	Installs      — deferred installs executed (0 in sync mode)
-//	Merges        — level merges executed by deferred installs
+//	Installs      — installs executed (one per step in both modes)
+//	Merges        — level merges those installs ran
 //
 // The paper treats sort+merge as an offline "load" phase (Figure 6); this
 // table is the online version of that cost: who pays it, the writer inline

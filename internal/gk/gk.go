@@ -255,6 +255,32 @@ func (s *Sketch) queryLocked(r int64) (int64, bool) {
 	return s.tuples[len(s.tuples)-1].v, true
 }
 
+// QueryAscending is Query for a whole ascending list of ranks: on return
+// rs[k] holds the answer Query would give for the rank rs[k] held on entry.
+// "First tuple with rmax > r + e" only moves right as r grows, so one
+// forward scan under one lock answers every rank. It reports false (and
+// leaves rs alone) on an empty sketch.
+func (s *Sketch) QueryAscending(rs []int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flush()
+	if len(s.tuples) == 0 {
+		return false
+	}
+	e := int64(math.Ceil(s.eps * float64(s.n)))
+	// tuples[:i] all have rmax ≤ r + e; rmin is their gap sum.
+	i, rmin := 0, int64(0)
+	for k, r := range rs {
+		r = min(max(r, 1), s.n)
+		for i < len(s.tuples) && rmin+s.tuples[i].g+s.tuples[i].delta <= r+e {
+			rmin += s.tuples[i].g
+			i++
+		}
+		rs[k] = s.tuples[max(i-1, 0)].v
+	}
+	return true
+}
+
 // Quantile returns an element approximating the φ-quantile (smallest element
 // with rank ≥ ⌈φn⌉), within ±εn rank error.
 func (s *Sketch) Quantile(phi float64) (int64, bool) {

@@ -225,6 +225,33 @@ func TestQueryClamping(t *testing.T) {
 	}
 }
 
+// TestQueryAscendingMatchesQuery: the one-scan form answers every rank —
+// out-of-range ones included — exactly as Query does, and refuses an empty
+// sketch.
+func TestQueryAscendingMatchesQuery(t *testing.T) {
+	s := MustNew(0.01)
+	if rs := []int64{1, 2}; s.QueryAscending(rs) || rs[0] != 1 || rs[1] != 2 {
+		t.Errorf("empty sketch: answered %v", rs)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		s.Insert(rng.Int63n(1000))
+	}
+	rs := []int64{-7, 0, 1, 1}
+	for r := int64(2); r < 6000; r += 1 + rng.Int63n(40) {
+		rs = append(rs, r)
+	}
+	got := slices.Clone(rs)
+	if !s.QueryAscending(got) {
+		t.Fatal("QueryAscending reported an empty sketch")
+	}
+	for k, r := range rs {
+		if want, _ := s.Query(r); got[k] != want {
+			t.Fatalf("rank %d: one scan answered %d, Query %d", r, got[k], want)
+		}
+	}
+}
+
 // Property test: for random small streams, every rank query is within the
 // bound. This is invariant 1 of DESIGN.md.
 func TestQuickRankGuarantee(t *testing.T) {

@@ -89,10 +89,10 @@ func (u UpdateBreakdown) TotalIO() uint64 {
 	return u.LoadIO.Total() + u.SortIO.Total() + u.MergeIO.Total()
 }
 
-// ErrMergeIncomplete marks an update whose level-0 install succeeded and
-// was published — the step is counted and its data queryable — but whose
-// cascading merge (or subsequent commit) failed. The overflowing level is
-// retried by the next update; callers must treat the step as loaded.
+// ErrMergeIncomplete marks an install whose level-0 partition was published
+// — the step is counted and its data queryable — but whose cascading merge
+// failed. The overflowing level is retried by the next install; callers must
+// treat the step as loaded.
 var ErrMergeIncomplete = errors.New("partition: level merge incomplete (retried at the next update)")
 
 // entry pairs a partition with its in-memory summary.
@@ -102,10 +102,9 @@ type entry struct {
 }
 
 // SealedBatch is one time step's batch that has been sealed — its step
-// number assigned and (normally) its raw data durably spilled — but not yet
-// sorted and installed as a level-0 partition. Sealed batches are the
-// hand-off unit between the fast synchronous end-of-step phase and the
-// background maintenance that installs them.
+// number assigned and (normally) its raw data spilled — but not yet sorted
+// and installed as a level-0 partition. Sealed batches are the hand-off unit
+// between Seal and InstallOne, whoever calls the latter.
 type SealedBatch struct {
 	// ID is the batch's store-unique id; it names the raw spill file.
 	ID int64 `json:"id"`
@@ -140,9 +139,10 @@ type SealedBatch struct {
 //     regress to an older version.
 //
 // Mutations follow the crash-consistent commit protocol: installs only ever
-// write new files (monotonically increasing ids, names never reused) and
-// retire superseded files — merged-away partitions, consumed raw spills —
-// onto the version-tagged retired list. Commit orders write-data → sync →
+// write new files (monotonically increasing ids; a name that was ever
+// published is never reused) and retire superseded files — merged-away
+// partitions, consumed raw spills — onto the version-tagged retired list.
+// Commit orders write-data → sync →
 // commit-manifest → sync; a retired file is physically removed only once a
 // manifest not referencing it is durable AND no live version can still read
 // it (see version.go). A crash at any point leaves either the old manifest
@@ -172,9 +172,8 @@ type Store struct {
 	nextID       int64
 	steps        int // sealed time steps (installed + pending)
 
-	// cmu serializes manifest commits (a seal from the write path can race
-	// an install commit from a maintenance worker) so the durable manifest
-	// sequence is monotone.
+	// cmu serializes manifest commits (the write path's can race a
+	// maintenance worker's) so the durable manifest sequence is monotone.
 	cmu sync.Mutex
 
 	// pinCond (lazily created under vmu by DrainPins) is broadcast on every
@@ -304,108 +303,43 @@ func (s *Store) allocID() int64 {
 	return id
 }
 
-// AddBatch loads one time step's batch into the warehouse synchronously:
-// the batch is (optionally spilled and) sorted into a new level-0 partition
-// with its summary captured in-flight, then levels holding more than κ
-// partitions are recursively merged (Algorithm 3, HistUpdate), and the
-// result is published as a new Version. The caller must be the single build
-// mutator, and should Commit afterwards to make the step durable.
-//
-// AddBatch is the synchronous-maintenance path; Seal + InstallOne split the
-// same work into a fast durable hand-off and a deferrable install.
+// AddBatch loads one time step's batch into the warehouse in one call: Seal
+// then InstallOne, for callers that are the store's only writer (layer
+// benchmarks, tests). step must be the next time step. Like its two halves
+// it commits nothing.
 func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
-	var bd UpdateBreakdown
-	if len(data) == 0 {
-		return bd, fmt.Errorf("partition: empty batch at step %d", step)
+	if at := s.Steps(); step != at+1 {
+		return UpdateBreakdown{}, fmt.Errorf("partition: batch for step %d, store is at step %d", step, at)
 	}
-
-	id := s.allocID()
-	part := &Partition{
-		ID:        id,
-		Level:     0,
-		Count:     int64(len(data)),
-		StartStep: step,
-		EndStep:   step,
-		dev:       s.dev,
-		name:      fmt.Sprintf("part-%06d.dat", id),
+	t0, io0 := time.Now(), s.dev.Stats()
+	if _, err := s.Seal(data); err != nil {
+		return UpdateBreakdown{}, err
 	}
-
-	// Phase 1: load. Write the raw batch to the warehouse, as the paper's
-	// loading paradigm does for both our algorithm and the pure-streaming
-	// comparators.
-	rawName := fmt.Sprintf("batch-raw-%06d.dat", id)
-	if s.cfg.SpillBatches {
-		t0 := time.Now()
-		io0 := s.dev.Stats()
-		if err := s.spillTo(s.dev, rawName, data); err != nil {
-			return bd, err
-		}
-		bd.Load = time.Since(t0)
-		bd.LoadIO = s.dev.Stats().Sub(io0)
-	}
-
-	// Phase 2: sort into the level-0 partition, capturing the summary as
-	// the sorted elements stream to disk.
-	t0 := time.Now()
-	io0 := s.dev.Stats()
-	var sum *Summary
-	var err error
-	if len(data) <= s.cfg.SortMemElements {
-		sum, err = s.sortInMemory(data, part)
-	} else {
-		if !s.cfg.SpillBatches {
-			// External sort requires the raw file; write it now (charged to
-			// the sort phase since loading was disabled).
-			if werr := s.spillTo(s.mdev, rawName, data); werr != nil {
-				return bd, werr
-			}
-		}
-		sum, err = s.sortExternal(rawName, part)
-	}
-	if err != nil {
-		return bd, err
-	}
-	if s.cfg.SpillBatches || len(data) > s.cfg.SortMemElements {
-		// The raw file is superseded by the sorted partition, but stays on
-		// disk until the next manifest commit (see the Store doc comment).
-		s.buildRetired = append(s.buildRetired, rawName)
-	}
-	bd.Sort = time.Since(t0)
-	bd.SortIO = s.dev.Stats().Sub(io0)
-
-	// Install at level 0 and publish before merging — identical to the
-	// deferred path: from here the step is counted and queryable, and a
-	// merge failure leaves a consistent published state that the next
-	// update retries instead of a stranded half-installed batch.
-	t0 = time.Now()
-	s.installEntry(entry{part, sum})
-	s.vmu.Lock()
-	s.steps++
-	s.vmu.Unlock()
-	s.publish(false)
-	bd.Summary = time.Since(t0)
-
-	t0 = time.Now()
-	io0 = s.dev.Stats()
-	merges, err := s.cascadeMerges()
-	bd.Merges = merges
-	bd.Merge = time.Since(t0)
-	bd.MergeIO = s.dev.Stats().Sub(io0)
-	if merges > 0 {
-		s.publish(false)
-	}
-	if err != nil {
-		return bd, errors.Join(ErrMergeIncomplete, err)
-	}
-	return bd, nil
+	load, loadIO := time.Since(t0), s.dev.Stats().Sub(io0)
+	bd, _, err := s.InstallOne()
+	bd.Load, bd.LoadIO = load, loadIO
+	return bd, err
 }
 
-// spillTo writes data as a raw element file via the given device view.
-// Spills are unsorted arrival-order batches, so they pin FormatRaw
-// regardless of the device default: delta frames only pay off on sorted
-// runs, and recovery wants the dumbest possible format to replay.
-func (s *Store) spillTo(dev *disk.Manager, name string, data []int64) error {
-	w, err := dev.CreateFormat(name, disk.FormatRaw)
+// spill writes a sealed batch's raw file and records its name. Spills are
+// unsorted arrival-order batches, so they pin FormatRaw regardless of the
+// device default: delta frames only pay off on sorted runs, and recovery
+// wants the dumbest possible format to replay. No two goroutines may spill
+// the same batch: Seal spills before the batch is queued, every later spill
+// (the repair of one that failed) runs under cmu.
+func (s *Store) spill(sb *SealedBatch) error {
+	name := fmt.Sprintf("batch-raw-%06d.dat", sb.ID)
+	if err := s.writeRaw(name, sb.data); err != nil {
+		return fmt.Errorf("partition: spill sealed batch %d: %w", sb.ID, err)
+	}
+	s.vmu.Lock()
+	sb.Name = name
+	s.vmu.Unlock()
+	return nil
+}
+
+func (s *Store) writeRaw(name string, data []int64) error {
+	w, err := s.dev.CreateFormat(name, disk.FormatRaw)
 	if err != nil {
 		return err
 	}
@@ -444,38 +378,35 @@ func (s *Store) cascadeMerges() (int, error) {
 	return merges, nil
 }
 
-// Seal closes one time step without installing it: the batch gets the next
-// step number and a place on the pending queue, and Commit durably writes
-// the raw spill plus a manifest referencing it. After a nil return the step
-// survives any crash — a reopened store re-installs it from the spill. On
-// error the step still exists in memory (and will be installed); only its
-// durability is deferred, exactly like a failed synchronous commit, and the
-// next Commit retries the spill.
+// Seal closes one time step without installing it: the batch is spilled raw
+// (with SpillBatches — the paper's "load" phase) and queued under the next
+// step number, which Seal returns. From here the step is counted; it is
+// durable once the caller's next Commit returns nil, after which a reopened
+// store re-installs it from the spill. A failed spill still seals the step
+// — it exists in memory and will be installed — and Commit retries the
+// spill before it writes any manifest that needs it.
 //
-// Seal may run concurrently with InstallOne; only one Seal at a time (the
-// engine's write path serializes end-of-steps).
-func (s *Store) Seal(data []int64, manifestName string) (int, error) {
+// Seal may run concurrently with InstallOne and Commit; only one Seal at a
+// time (the engine's write path serializes end-of-steps).
+func (s *Store) Seal(data []int64) (int, error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("partition: sealing empty batch")
 	}
+	sb := &SealedBatch{ID: s.allocID(), Count: int64(len(data)), data: data}
+	var err error
+	if s.cfg.SpillBatches {
+		err = s.spill(sb)
+	}
 	s.vmu.Lock()
-	id := s.nextID
-	s.nextID++
 	s.steps++
-	step := s.steps
-	s.pending = append(s.pending, &SealedBatch{
-		ID:    id,
-		Count: int64(len(data)),
-		Step:  step,
-		data:  data,
-	})
+	sb.Step = s.steps
+	s.pending = append(s.pending, sb)
 	s.vmu.Unlock()
-	return step, s.Commit(manifestName)
+	return sb.Step, err
 }
 
 // spillPendingLocked writes the raw file of every sealed batch that does
-// not have one yet. Caller holds cmu (so two committers cannot double-spill
-// the same batch).
+// not have one yet. Caller holds cmu.
 func (s *Store) spillPendingLocked() error {
 	s.vmu.Lock()
 	todo := make([]*SealedBatch, 0, len(s.pending))
@@ -489,22 +420,23 @@ func (s *Store) spillPendingLocked() error {
 		if sb.data == nil {
 			return fmt.Errorf("partition: sealed step %d has neither spill nor data", sb.Step)
 		}
-		name := fmt.Sprintf("batch-raw-%06d.dat", sb.ID)
-		if err := s.spillTo(s.dev, name, sb.data); err != nil {
-			return fmt.Errorf("partition: spill sealed step %d: %w", sb.Step, err)
+		if err := s.spill(sb); err != nil {
+			return err
 		}
-		s.vmu.Lock()
-		sb.Name = name
-		s.vmu.Unlock()
 	}
 	return nil
 }
 
-// InstallOne sorts and installs the oldest sealed batch as a level-0
-// partition, cascades merges, publishes the new version and commits. It
-// returns the installed step number and false when nothing was pending.
-// The caller must be the single build mutator.
-func (s *Store) InstallOne(manifestName string) (UpdateBreakdown, int, error) {
+// InstallOne sorts the oldest sealed batch into a new level-0 partition with
+// its summary captured in-flight, publishes it, then recursively merges
+// levels holding more than κ partitions (Algorithm 3, HistUpdate) and
+// publishes again — the store's one install routine. It returns the
+// installed step number, 0 when nothing was pending or the install failed
+// before the step was published (the batch then stays sealed for a retry).
+// An error beside a non-zero step is ErrMergeIncomplete. The caller must be
+// the single build mutator, and should Commit afterwards: InstallOne makes
+// nothing durable.
+func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	var bd UpdateBreakdown
 	s.vmu.Lock()
 	if len(s.pending) == 0 {
@@ -514,15 +446,16 @@ func (s *Store) InstallOne(manifestName string) (UpdateBreakdown, int, error) {
 	sb := s.pending[0]
 	s.vmu.Unlock()
 
-	id := s.allocID()
+	// The partition takes its batch's id: a retried install then rewrites
+	// the file a failed attempt left behind instead of stranding it.
 	part := &Partition{
-		ID:        id,
+		ID:        sb.ID,
 		Level:     0,
 		Count:     sb.Count,
 		StartStep: sb.Step,
 		EndStep:   sb.Step,
 		dev:       s.dev,
-		name:      fmt.Sprintf("part-%06d.dat", id),
+		name:      fmt.Sprintf("part-%06d.dat", sb.ID),
 	}
 
 	t0 := time.Now()
@@ -597,11 +530,6 @@ func (s *Store) InstallOne(manifestName string) (UpdateBreakdown, int, error) {
 	}
 	if mergeErr != nil {
 		mergeErr = errors.Join(ErrMergeIncomplete, mergeErr)
-	}
-	if err := s.Commit(manifestName); err != nil {
-		if mergeErr == nil {
-			mergeErr = err
-		}
 	}
 	return bd, sb.Step, mergeErr
 }
@@ -807,9 +735,10 @@ func (s *Store) retireGroupAndInstall(lvl int, group []entry, merged *Partition,
 // this state become removable — and they are physically removed only once no
 // pinned Version can still read them.
 //
-// Commit is safe to call concurrently (a seal on the write path vs an
-// install commit on a maintenance worker); commits are serialized and the
-// durable manifest sequence is monotone.
+// Nothing else in the store commits: the engine calls Commit once per
+// EndStep, once per background install, and at checkpoints. It is safe to
+// call concurrently (the write path vs a maintenance worker); commits are
+// serialized and the durable manifest sequence is monotone.
 func (s *Store) Commit(manifestName string) error {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()

@@ -118,9 +118,9 @@ func TestReclaimWaitsForCommit(t *testing.T) {
 	}
 }
 
-// TestSealInstallRoundtrip drives the deferred path at the store level:
-// Seal leaves a durable spill + pending manifest entry, InstallOne folds it
-// into a partition and retires the spill, and a LoadStore in between
+// TestSealInstallRoundtrip drives the write path at the store level: Seal +
+// Commit leave a durable spill + pending manifest entry, InstallOne + Commit
+// fold it into a partition and retire the spill, and a LoadStore in between
 // recovers the pending entry.
 func TestSealInstallRoundtrip(t *testing.T) {
 	dev := newDev(t)
@@ -129,8 +129,11 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := s.Seal(seqBatch(1000, 50), "MANIFEST.json")
+	step, err := s.Seal(seqBatch(1000, 50))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
 	if step != 1 {
@@ -158,8 +161,11 @@ func TestSealInstallRoundtrip(t *testing.T) {
 		t.Fatalf("reloaded: pending=%d steps=%d total=%d, want 1/1/50", loaded.PendingSteps(), loaded.Steps(), loaded.TotalCount())
 	}
 
-	bd, installed, err := loaded.InstallOne("MANIFEST.json")
+	bd, installed, err := loaded.InstallOne()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
 	if installed != 1 {
@@ -175,7 +181,7 @@ func TestSealInstallRoundtrip(t *testing.T) {
 		t.Error("spill survived its install's commit")
 	}
 	// Idempotent when drained.
-	if _, installed, err := loaded.InstallOne("MANIFEST.json"); err != nil || installed != 0 {
+	if _, installed, err := loaded.InstallOne(); err != nil || installed != 0 {
 		t.Fatalf("InstallOne on drained store: step=%d err=%v", installed, err)
 	}
 }

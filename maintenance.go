@@ -4,72 +4,67 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/gk"
+	"repro/internal/partition"
 )
 
-// Background maintenance: the machinery that executes the heavy half of an
-// end-of-step — external sort, level-0 install, cascading κ-way merges —
-// outside the write path.
+// Maintenance: who installs the steps EndStep seals.
 //
-// EndStep is split into two phases. The fast synchronous phase seals the
-// step: the in-memory batch and the GK sketch are cut atomically (elements
-// observed afterwards belong to the next step), the raw batch is spilled,
-// and a manifest referencing the spill is durably committed — so the step
-// survives any crash exactly as it did when the whole install was
-// synchronous. The deferred phase installs sealed steps into the on-disk
-// leveled store; until a step's install completes, queries cover it through
-// its frozen stream summary (a core.StreamPiece), so answers always span
-// the full observed history.
+// EndStep is one pipeline in every mode — cut, seal, install, commit (see
+// Engine.EndStep). The cut and the seal always run on the caller: the
+// in-memory batch and the GK sketch are cut atomically, the raw batch is
+// spilled and queued. The install (external sort, level-0 partition,
+// cascading κ-way merges) is one routine, Engine.installOne, run under no
+// engine lock a reader or producer needs; until it publishes a step, queries
+// cover that step through its frozen stream summary (a core.StreamPiece).
+// The three maintenance modes differ only in which goroutine calls it:
 //
-// Three maintenance modes pick who runs the deferred phase:
+//   - sync (default): the EndStep caller, before it commits and returns.
+//   - async: a DB-wide scheduler, on a bounded worker pool. Per stream,
+//     installs are FIFO (step order); across streams, the pool is shared and
+//     dispatch is round-robin. Config.MaxPendingSteps bounds how far a
+//     stream's installs may lag its seals; EndStep blocks (backpressure)
+//     when the bound is hit.
+//   - manual: nobody until SyncMaintenance — deterministic, for harnesses
+//     like internal/crashtest that need reproducible operation orderings.
 //
-//   - sync (default): EndStep runs it inline under the engine write lock —
-//     the original behavior, bit-for-bit, including its I/O accounting.
-//   - async: a DB-wide scheduler runs it on a bounded worker pool. Per
-//     stream, installs are FIFO (step order); across streams, the pool is
-//     shared and dispatch is round-robin. Config.MaxPendingSteps bounds how
-//     far a stream's installs may lag its seals; EndStep blocks
-//     (backpressure) when the bound is hit.
-//   - manual: nothing runs until SyncMaintenance — deterministic, for
-//     harnesses like internal/crashtest that need reproducible operation
-//     orderings.
+// One failure rule: a step whose install fails before it is published stays
+// sealed — counted, answered from its frozen summary, durable once a commit
+// succeeds — and is installed exactly once by a later drain (the next
+// EndStep in sync mode, SyncMaintenance in any).
 
 // Maintenance mode names for Config.Maintenance.
 const (
-	// MaintenanceSync runs the full install inside EndStep (legacy).
+	// MaintenanceSync installs each step inside the EndStep that sealed it.
 	MaintenanceSync = "sync"
-	// MaintenanceAsync defers installs to the DB-wide background scheduler.
+	// MaintenanceAsync leaves installs to the DB-wide background scheduler.
 	MaintenanceAsync = "async"
-	// MaintenanceManual defers installs until SyncMaintenance is called.
+	// MaintenanceManual leaves installs until SyncMaintenance is called.
 	MaintenanceManual = "manual"
 )
 
-type maintMode int
-
-const (
-	maintSync maintMode = iota
-	maintAsync
-	maintManual
-)
-
-func (m maintMode) String() string {
-	switch m {
-	case maintAsync:
-		return MaintenanceAsync
-	case maintManual:
-		return MaintenanceManual
-	default:
-		return MaintenanceSync
-	}
+// sealedPiece is the query-visible face of one sealed-but-uninstalled step:
+// the step's GK sketch, frozen at the cut. Queries treat it exactly like the
+// live stream — a stream summary, estimate-only, no disk probes — so its
+// rank error contributes at most ε₂·count. The summary is extracted by the
+// first query that needs it: a step installed before anyone asks never pays
+// for one.
+type sealedPiece struct {
+	step   int
+	count  int64
+	sketch *gk.Sketch
+	once   sync.Once
+	ss     []int64
+	// buf is the step's batch buffer, set once its spill is written: the
+	// install that retires the piece hands it back to the observe path.
+	buf []int64
 }
 
-// sealedPiece is the query-visible face of one sealed-but-uninstalled step:
-// the frozen stream summary extracted from the GK sketch at seal time.
-// Queries treat it exactly like the live stream — estimate-only, no disk
-// probes — so its rank error contributes at most ε₂·count.
-type sealedPiece struct {
-	step  int
-	count int64
-	ss    []int64
+func (p *sealedPiece) summary(eps2 float64) []int64 {
+	p.once.Do(func() { p.ss = core.StreamSummary(p.sketch, eps2) })
+	return p.ss
 }
 
 // maintAccum aggregates a stream's maintenance counters; guarded by the
@@ -95,11 +90,11 @@ type MaintenanceStats struct {
 	PendingElements int64
 	// Running reports an install or merge executing right now.
 	Running bool
-	// Installs counts deferred installs completed since open.
+	// Installs counts installs completed since open, whoever ran them.
 	Installs int
-	// Merges counts level merges run by deferred installs since open.
+	// Merges counts level merges run by those installs.
 	Merges int
-	// InstallTime is total wall-clock spent in deferred installs.
+	// InstallTime is total wall-clock spent in installs.
 	InstallTime time.Duration
 	// BackpressureWaits counts EndStep calls that blocked on
 	// MaxPendingSteps; BackpressureTime is the total time they waited.
@@ -123,7 +118,7 @@ func (e *Engine) MaintenanceStats() MaintenanceStats {
 		pendingN += p.count
 	}
 	ms := MaintenanceStats{
-		Mode:              e.mode.String(),
+		Mode:              e.cfg.Maintenance,
 		PendingSteps:      len(e.sealed),
 		PendingElements:   pendingN,
 		Running:           e.mstats.running,
@@ -153,66 +148,103 @@ func maintFailed(err error) error {
 	return fmt.Errorf("hsq: stream maintenance failed (SyncMaintenance retries): %w", err)
 }
 
-// runMaintenanceOnce installs at most one sealed step (sort, level-0
-// install, cascading merges, commit). It returns whether a step was
-// installed. Install failures before the step becomes visible are sticky
-// (maintErr): the pending queue stalls and the write path surfaces the
-// error until SyncMaintenance retries. Failures after the step is published
-// (an unfinished merge cascade, a failed commit) are recorded but not
-// sticky — the next install or commit repairs them.
-func (e *Engine) runMaintenanceOnce() (bool, error) {
+// installOne installs the oldest sealed step — sort, level-0 partition,
+// publish, cascading merges — and retires its frozen summary: the one
+// install routine, run by the scheduler worker, SyncMaintenance, a
+// synchronous EndStep and crash recovery alike. It commits nothing; the
+// caller issues the barrier. installed reports that the step was published.
+// A failure before that is sticky (maintErr): the step stays sealed, the
+// scheduler stops retrying and a backpressured EndStep surfaces the error
+// until an inline drain retries. A failure after it (an unfinished merge
+// cascade) is recorded but not sticky — the next install repairs it.
+func (e *Engine) installOne() (bd partition.UpdateBreakdown, installed bool, err error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return false, ErrClosed
+		return bd, false, ErrClosed
 	}
-	if len(e.sealed) == 0 {
+	if e.store.PendingSteps() == 0 {
 		e.mu.Unlock()
-		return false, nil
+		return bd, false, nil
 	}
 	e.mstats.running = true
 	e.mu.Unlock()
 
 	t0 := time.Now()
-	bd, step, err := e.store.InstallOne(manifestName)
+	bd, step, err := e.store.InstallOne()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.mstats.running = false
 	if step != 0 {
 		// The step is installed and published: retire its frozen summary so
-		// queries stop double-covering it, even if a later merge or the
-		// commit failed.
+		// queries stop double-covering it, even if a later merge failed.
+		// (A step recovered from a spill at open has none.)
 		if len(e.sealed) > 0 && e.sealed[0].step == step {
+			e.recycleLocked(e.sealed[0])
+			e.sealed[0] = nil
 			e.sealed = e.sealed[1:]
 		}
 		e.mstats.installs++
 		e.mstats.merges += bd.Merges
 		e.mstats.installTime += time.Since(t0)
 	}
-	if err != nil {
+	switch {
+	case err != nil:
 		e.mstats.lastErr = err.Error()
 		if step == 0 {
 			e.maintErr = err
 		}
-	} else if step != 0 {
+	case step != 0:
 		// A clean install means the stream is healthy again; stop reporting
 		// a stale failure.
-		e.mstats.lastErr = ""
+		e.mstats.lastErr, e.maintErr = "", nil
 	}
 	e.wakeLocked()
-	return step != 0, err
+	return bd, step != 0, err
+}
+
+// recycleLocked hands a retired step's grown buffers back to the observe
+// path, which nothing else references any more: each replaces its live
+// counterpart if no observe has used that one since the cut, and otherwise
+// the sketch waits as the next cut's spare. Caller holds e.mu.
+func (e *Engine) recycleLocked(p *sealedPiece) {
+	if len(e.batch) == 0 && cap(p.buf) > cap(e.batch) {
+		e.batch = p.buf[:0]
+	}
+	p.sketch.Reset()
+	if e.sketch.Count() == 0 {
+		e.sketch = p.sketch
+	} else if e.spare == nil {
+		e.spare = p.sketch
+	}
+}
+
+// runMaintenanceOnce installs at most one sealed step and commits the result
+// — one unit of background maintenance. It returns whether a step was
+// installed.
+func (e *Engine) runMaintenanceOnce() (bool, error) {
+	_, installed, err := e.installOne()
+	if !installed {
+		return false, err
+	}
+	if cerr := e.store.Commit(manifestName); cerr != nil && err == nil {
+		err = cerr
+		e.mu.Lock()
+		e.mstats.lastErr = err.Error()
+		e.mu.Unlock()
+	}
+	return true, err
 }
 
 // SyncMaintenance blocks until every sealed step of this stream is
-// installed and committed, running the installs inline (so it also works in
-// manual mode, and accelerates a backlogged async stream). It clears a
-// sticky maintenance error and retries the stalled install; the first
-// failure encountered is returned. In sync mode there is never pending
-// work. Tests and checkpoint-like barriers call it to reach a quiesced,
-// fully-merged state.
+// installed and committed, running the installs inline (so it is the drain
+// of manual mode, accelerates a backlogged async stream, and retries a step
+// whose install failed in any mode). It clears a sticky maintenance error
+// first; the first failure encountered is returned. Tests and
+// checkpoint-like barriers call it to reach a quiesced, fully-merged state.
 func (e *Engine) SyncMaintenance() error {
 	for {
 		e.mu.Lock()
@@ -258,16 +290,21 @@ type scheduler struct {
 	wg      sync.WaitGroup
 }
 
-func newScheduler(workers int) *scheduler {
+// newScheduler starts the worker pool an async configuration asks for; the
+// other modes have no background drainer and get nil.
+func newScheduler(cfg Config) *scheduler {
+	if cfg.Maintenance != MaintenanceAsync {
+		return nil
+	}
 	s := &scheduler{
 		queued:  make(map[*Engine]bool),
 		running: make(map[*Engine]bool),
 		dirty:   make(map[*Engine]bool),
-		workers: workers,
+		workers: cfg.MaintenanceWorkers,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	s.wg.Add(s.workers)
+	for i := 0; i < s.workers; i++ {
 		go s.worker()
 	}
 	return s
@@ -348,8 +385,8 @@ type SchedulerStats struct {
 	// (steps, elements).
 	PendingSteps int
 	MergeDebt    int64
-	// Installs and Merges total the deferred installs and level merges
-	// completed across all streams since open.
+	// Installs and Merges total the installs and level merges completed
+	// across all hydrated streams since they were hydrated.
 	Installs int
 	Merges   int
 	// MaintIO is the device-wide maintenance-attributed I/O.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,9 +84,15 @@ func checkAgainstOracle(t *testing.T, eng oracleQuerier, all []int64, label stri
 
 // TestMaintenanceModesEquivalent feeds the same workload through all three
 // maintenance modes and requires identical step counts, identical histories
-// and oracle-accurate quantiles — maintenance scheduling must never change
-// what queries see.
+// and oracle-accurate quantiles — and, once drained, the same warehouse
+// layout, the same install counters and the same sequential writes: who
+// drains the sealed queue must change nothing else.
 func TestMaintenanceModesEquivalent(t *testing.T) {
+	type outcome struct {
+		layout    []LevelInfo
+		seqWrites uint64
+	}
+	var first *outcome
 	for _, mode := range []string{MaintenanceSync, MaintenanceAsync, MaintenanceManual} {
 		t.Run(mode, func(t *testing.T) {
 			eng, err := New(maintConfig(mode, envMaxPending(3)))
@@ -109,15 +117,96 @@ func TestMaintenanceModesEquivalent(t *testing.T) {
 			if ms.PendingSteps != 0 || ms.PendingElements != 0 {
 				t.Errorf("after SyncMaintenance: pending = %d steps / %d elements", ms.PendingSteps, ms.PendingElements)
 			}
-			if mode != MaintenanceSync && ms.Installs != 12 {
+			if ms.Installs != 12 {
 				t.Errorf("Installs = %d, want 12", ms.Installs)
 			}
-			if mode != MaintenanceSync && ms.MaintIO.Total() == 0 {
-				t.Error("deferred mode reported zero maintenance I/O")
+			if ms.MaintIO.Total() == 0 {
+				t.Error("zero maintenance I/O after 12 installs")
 			}
 			checkAgainstOracle(t, eng, all, "post-drain")
+			got := &outcome{eng.Describe(), eng.DiskStats().SeqWrites}
+			if first == nil {
+				first = got
+			} else if !slices.Equal(got.layout, first.layout) || got.seqWrites != first.seqWrites {
+				t.Errorf("layout %+v with %d sequential writes, sync mode left %+v with %d",
+					got.layout, got.seqWrites, first.layout, first.seqWrites)
+			}
 		})
 	}
+}
+
+// TestSyncInstallBlocksNobody parks a synchronous EndStep inside its install
+// (a gate on the level-0 partition write) and requires that, while it is in
+// flight, ObserveSlice returns and a query answers within ε over everything
+// observed — the sealed step through its frozen summary, the new elements
+// through the live sketch. Only the EndStep caller waits for the install.
+func TestSyncInstallBlocksNobody(t *testing.T) {
+	eng, err := New(maintConfig(MaintenanceSync, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close() //nolint:errcheck
+	gen := workload.NewUniform(17)
+	all := feedSteps(t, eng, gen, 2, 600)
+
+	parked, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the install
+	var once sync.Once
+	eng.dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqWrite && strings.HasPrefix(name, "part-") {
+			once.Do(func() { close(parked) })
+			<-gate
+		}
+		return nil
+	})
+	vals := workload.Fill(gen, 600)
+	all = append(all, vals...)
+	eng.ObserveSlice(vals)
+	endStep := make(chan error, 1)
+	go func() {
+		_, err := eng.EndStep()
+		endStep <- err
+	}()
+	<-parked
+
+	vals = workload.Fill(gen, 300)
+	all = append(all, vals...)
+	// The two calls that would park behind an engine lock held across the
+	// install, probed off the test goroutine so a regression is a failure
+	// rather than a hang.
+	through := make(chan error, 1)
+	go func() {
+		eng.ObserveSlice(vals)
+		_, _, err := eng.Quantile(0.5)
+		through <- err
+	}()
+	select {
+	case err := <-through:
+		if err != nil {
+			t.Fatalf("query with the install in flight: %v", err)
+		}
+	case err := <-endStep:
+		t.Fatalf("EndStep returned (%v) while its install was parked", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("ObserveSlice / Query blocked behind an in-flight synchronous install")
+	}
+	if got := eng.TotalCount(); got != int64(len(all)) {
+		t.Errorf("TotalCount = %d with the install in flight, want %d", got, len(all))
+	}
+	if got := eng.MaintenanceStats(); got.PendingSteps != 1 || !got.Running {
+		t.Errorf("with the install in flight: %d sealed steps, running = %v; want 1, true", got.PendingSteps, got.Running)
+	}
+	checkAgainstOracle(t, eng, all, "install in flight")
+	release()
+	if err := <-endStep; err != nil {
+		t.Fatalf("EndStep: %v", err)
+	}
+	eng.dev.SetFault(nil)
+	if got := eng.MaintenanceStats().PendingSteps; got != 0 {
+		t.Errorf("%d steps still sealed after EndStep returned", got)
+	}
+	checkAgainstOracle(t, eng, all, "installed")
 }
 
 // TestManualMaintenanceDefersInstalls pins the deferred-phase contract:

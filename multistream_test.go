@@ -31,7 +31,6 @@ func msConfig(cacheBlocks int) hsq.Options {
 		Backend:     "mem",
 		BlockSize:   1024, // 128 elements per block
 		CacheBlocks: cacheBlocks,
-		NoSpill:     true,
 		// Memoization off: the cache comparison needs repeated queries to
 		// reach the block layer.
 		ProbeMemoEntries: -1,
