@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/query"
@@ -74,41 +76,67 @@ func TestGoldenCluster(t *testing.T) {
 	checkGolden(t, "cluster", out.Bytes())
 }
 
-// clusterTestServers boots an in-process 2-node hsqd pair with real
-// ingest listeners, so the HTTP front doors exercise the real forwarding,
-// replication and summary-fetch paths between them.
-func clusterTestServers(t *testing.T, replicas int) (a, b *httptest.Server, srvA, srvB *server) {
+// testNode is one in-process hsqd of a test cluster: the server and its HTTP
+// front door. stop tears the node down the way a process exit would (no
+// DB.Close); it also runs at test cleanup.
+type testNode struct {
+	srv  *server
+	ts   *httptest.Server
+	stop func()
+}
+
+// startNode boots one hsqd node of the membership peers with a real ingest
+// listener on ln.
+func startNode(t *testing.T, id, peers string, replicas int, ln net.Listener) *testNode {
 	t.Helper()
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := newServer(serverConfig{
+		backend: "mem", epsilon: 0.02, kappa: 3,
+		nodeID: id, clusterPeers: peers, replicas: replicas,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := fmt.Sprintf("a=%s,b=%s", lnA.Addr(), lnB.Addr())
-	mk := func(id string, ln net.Listener) (*server, *httptest.Server) {
-		srv, err := newServer(serverConfig{
-			backend: "mem", epsilon: 0.02, kappa: 3,
-			nodeID: id, clusterPeers: peers, replicas: replicas,
-		})
+	srv.ingAddr = ln.Addr().String()
+	go srv.ing.Serve(ln) //nolint:errcheck
+	ts := httptest.NewServer(srv.mux())
+	stop := sync.OnceFunc(func() {
+		ts.Close()
+		ln.Close()                             //nolint:errcheck
+		srv.ing.Shutdown(context.Background()) //nolint:errcheck
+		srv.cl.Close()
+	})
+	t.Cleanup(stop)
+	return &testNode{srv: srv, ts: ts, stop: stop}
+}
+
+// clusterNodes boots an in-process hsqd cluster, one node per id, with real
+// ingest listeners, so the HTTP front doors exercise the real forwarding,
+// replication and summary-fetch paths between them. It returns the nodes and
+// the membership string they share.
+func clusterNodes(t *testing.T, replicas int, ids ...string) ([]*testNode, string) {
+	t.Helper()
+	lns := make([]net.Listener, len(ids))
+	entries := make([]string, len(ids))
+	for i, id := range ids {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.ingAddr = ln.Addr().String()
-		go srv.ing.Serve(ln) //nolint:errcheck
-		ts := httptest.NewServer(srv.mux())
-		t.Cleanup(func() {
-			ts.Close()
-			ln.Close() //nolint:errcheck
-			srv.cl.Close()
-		})
-		return srv, ts
+		lns[i], entries[i] = ln, id+"="+ln.Addr().String()
 	}
-	srvA, a = mk("a", lnA)
-	srvB, b = mk("b", lnB)
-	return a, b, srvA, srvB
+	peers := strings.Join(entries, ",")
+	nodes := make([]*testNode, len(ids))
+	for i, id := range ids {
+		nodes[i] = startNode(t, id, peers, replicas, lns[i])
+	}
+	return nodes, peers
+}
+
+// clusterTestServers is the 2-node pair most cluster tests need.
+func clusterTestServers(t *testing.T, replicas int) (a, b *httptest.Server, srvA, srvB *server) {
+	t.Helper()
+	n, _ := clusterNodes(t, replicas, "a", "b")
+	return n[0].ts, n[1].ts, n[0].srv, n[1].srv
 }
 
 // TestClusterHTTPForwarding drives writes and reads for every stream

@@ -9,11 +9,13 @@
 // Multi-stream endpoints:
 //
 //	GET    /streams                         list streams with per-stream stats
-//	GET    /ingest                          wire-ingest pipeline counters
+//	GET    /ingest                          ingest pipeline counters
 //	DELETE /streams/{name}                  drop a stream and its on-disk state
 //	POST   /streams/{name}/observe          body: newline-separated integers,
-//	                                        or JSON {"values":[...]} (batched)
-//	POST   /streams/{name}/endstep          load the stream's batch + checkpoint
+//	                                        or JSON {"values":[...]} (batched);
+//	                                        a bad element applies nothing
+//	POST   /streams/{name}/endstep          load the stream's batch (durable
+//	                                        when the reply arrives)
 //	GET    /streams/{name}/quantile?phi=0.99            one φ      → "value"
 //	GET    /streams/{name}/quantiles?phi=0.5,0.95,0.99  several φ  → "values"
 //	GET    /streams/{name}/rank?v=12345                 rank of v  → "rank", "total"
@@ -32,7 +34,10 @@
 //
 // The original single-stream endpoints (POST /observe, POST /endstep,
 // GET /quantile, /quantiles, /rank, /stats) remain and operate on the
-// stream named "default".
+// stream named "default". Both write routes, flat or named, are one frame
+// handed to ingest.Server.Write — the door wire frames come through — so a
+// REST write is applied, tallied in GET /ingest, pushed to subscribers and,
+// in a cluster, replicated or routed exactly as a wire write is.
 //
 // With -ingest-addr, hsqd additionally listens for the binary wire
 // protocol (package hsqclient / internal/wire): length-prefixed frames
@@ -47,8 +52,9 @@
 // an explicit, epoch-numbered membership and a deterministic
 // consistent-hash ring place each stream on an owner node plus -replicas−1
 // followers. Every node is a full front door — writes for streams it does
-// not store forward to the owning shard over the wire protocol (ack-gated,
-// exactly-once via per-session sequence marks), and reads for such streams
+// not store forward to the owning shard over the wire protocol (ack-gated;
+// REST writes under the node's per-process origin session, split below the
+// frame limit), and reads for such streams
 // are answered from a member's shard summary: always quick, window= is
 // refused (ask a member node) and max-reads is moot. A quantile over the
 // union of streams, wherever their shards live, is the plan
@@ -80,20 +86,16 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -243,7 +245,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // handleStreams lists every registered stream with its counters —
-// including its cumulative wire-ingest tally — plus the shared device
+// including its cumulative ingest tally — plus the shared device
 // aggregate the per-stream counters sum to and a summary of the ingest
 // listener. Engine counters (stream/hist/steps/partitions) are reported
 // only for hydrated streams: a status poll must never hydrate a
@@ -317,8 +319,10 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleIngest reports the wire-ingest pipeline in full: listener state,
-// aggregate frame/value counters, the cumulative per-stream tallies and
+// handleIngest reports the ingest pipeline in full: listener state,
+// aggregate frame/value counters, the cumulative per-stream tallies
+// (batches, values and end-steps count REST writes too; frames, sessions and
+// connections are the wire's) and
 // every live connection (with its session token and applied sequence
 // high-water mark, the replay cursor a reconnect resumes from).
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -418,117 +422,6 @@ func (s *server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]any{"dropped": name, "streams": s.db.Streams()})
-}
-
-// handleObserve accepts two body formats: the legacy newline-separated
-// integers, and — when the body starts with '{' — a JSON object
-// {"values":[...]} (or {"value": v}) applied through the ObserveSlice
-// fast path, so HTTP producers can batch without speaking the binary
-// protocol.
-func (s *server) handleObserve(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(r.Body)
-	if first, err := peekNonSpace(br); err == nil && first == '{' {
-		var body struct {
-			Value  *int64  `json:"value"`
-			Values []int64 `json:"values"`
-		}
-		dec := json.NewDecoder(br)
-		if err := dec.Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-			return
-		}
-		// Trailing content after the object means a malformed (e.g.
-		// concatenated) body; dropping it silently would lose data.
-		if _, err := dec.Token(); err != io.EOF {
-			httpError(w, http.StatusBadRequest, "trailing content after JSON body")
-			return
-		}
-		if body.Value == nil && body.Values == nil {
-			httpError(w, http.StatusBadRequest, `JSON body must carry "value" or "values"`)
-			return
-		}
-		count := 0
-		if body.Value != nil {
-			if err := st.ObserveCtx(r.Context(), *body.Value); err != nil {
-				httpError(w, http.StatusBadRequest, "observe: %v", err)
-				return
-			}
-			count++
-		}
-		if len(body.Values) > 0 {
-			if err := st.ObserveSliceCtx(r.Context(), body.Values); err != nil {
-				httpError(w, http.StatusBadRequest, "observe: %v", err)
-				return
-			}
-			count += len(body.Values)
-		}
-		writeJSON(w, map[string]any{"stream": st.Name(), "observed": count, "stream_count": st.StreamCount()})
-		return
-	}
-	sc := bufio.NewScanner(br)
-	count := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad element %q: %v", line, err)
-			return
-		}
-		if err := st.ObserveCtx(r.Context(), v); err != nil {
-			httpError(w, http.StatusBadRequest, "observe: %v", err)
-			return
-		}
-		count++
-	}
-	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	writeJSON(w, map[string]any{"stream": st.Name(), "observed": count, "stream_count": st.StreamCount()})
-}
-
-// peekNonSpace returns the first non-whitespace byte without consuming it
-// (leading whitespace is consumed; it is insignificant in both body
-// formats).
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		buf, err := br.Peek(1)
-		if err != nil {
-			return 0, err
-		}
-		switch buf[0] {
-		case ' ', '\t', '\r', '\n':
-			br.Discard(1) //nolint:errcheck
-		default:
-			return buf[0], nil
-		}
-	}
-}
-
-func (s *server) handleEndStep(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	us, err := st.EndStepCtx(r.Context())
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "end step: %v", err)
-		return
-	}
-	// REST end-steps bypass the wire apply path, so the continuous-query
-	// layer needs an explicit nudge.
-	s.ing.NotifyEndStep(st.Name())
-	if err := st.Checkpoint(); err != nil {
-		httpError(w, http.StatusInternalServerError, "checkpoint: %v", err)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"stream":   st.Name(),
-		"batch":    us.BatchSize,
-		"total_ms": us.TotalTime().Milliseconds(),
-		"io":       us.TotalIO(),
-		"merges":   us.Merges,
-		"steps":    st.Steps(),
-	})
 }
 
 func (s *server) handleStreamStats(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {

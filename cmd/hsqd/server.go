@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro"
@@ -25,16 +25,13 @@ type server struct {
 	db  *hsq.DB
 	ing *ingest.Server
 	// cl is the cluster layer; nil in single-node mode. When set, writes
-	// for streams this node does not store forward to the owning shard and
-	// reads for them are answered from a member's shard summary.
+	// for streams this node does not store are routed to the owning shard
+	// (by ing, which holds the same layer as its cluster hook) and reads for
+	// them are answered from a member's shard summary.
 	cl *cluster.Cluster
 	// ingAddr is the bound ingest listener address ("" when the listener
 	// is disabled). Written once before serving begins.
 	ingAddr string
-	// fwdMu serializes sequence allocation + enqueue for forwarded REST
-	// writes on the node's synthetic wire session (see forwardFrame).
-	fwdMu  sync.Mutex
-	fwdSeq uint64
 }
 
 // legacyStream backs the original single-stream endpoints (/observe,
@@ -185,7 +182,7 @@ func migrateLegacyLayout(dir string) error {
 
 // streamHandler is an HTTP handler parameterized by the stream it operates
 // on, so the same handler serves both /streams/{name}/... and the legacy
-// single-stream routes.
+// single-stream read routes.
 type streamHandler func(st *hsq.Stream, w http.ResponseWriter, r *http.Request)
 
 // named adapts a streamHandler to a /streams/{name}/... route of an existing
@@ -196,30 +193,6 @@ func (s *server) named(h streamHandler) http.HandlerFunc {
 		st, ok := s.db.Lookup(name)
 		if !ok {
 			httpError(w, http.StatusNotFound, "unknown stream %q", name)
-			return
-		}
-		h(st, w, r)
-	}
-}
-
-// remoteHandler serves a /streams/{name}/... write route in cluster mode,
-// where the stream may live on another shard.
-type remoteHandler func(name string, w http.ResponseWriter, r *http.Request)
-
-// namedWrite adapts a write streamHandler. Single-node mode keeps the old
-// create-on-the-fly local path; cluster mode hands the whole request to
-// the cluster-aware handler, which applies+fans member streams and routes
-// the rest to the owning shard.
-func (s *server) namedWrite(h streamHandler, clustered remoteHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		if s.cl != nil {
-			clustered(name, w, r)
-			return
-		}
-		st, err := s.db.Stream(name)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "stream %q: %v", name, err)
 			return
 		}
 		h(st, w, r)
@@ -251,8 +224,8 @@ func (s *server) mux() *http.ServeMux {
 	m.HandleFunc("GET /ingest", s.handleIngest)
 	m.HandleFunc("POST /query", s.handleQuery)
 	m.HandleFunc("DELETE /streams/{name}", s.handleDeleteStream)
-	m.HandleFunc("POST /streams/{name}/observe", s.namedWrite(s.handleObserve, s.clusterObserve))
-	m.HandleFunc("POST /streams/{name}/endstep", s.namedWrite(s.handleEndStep, s.clusterEndStep))
+	m.HandleFunc("POST /streams/{name}/observe", s.handleObserve)
+	m.HandleFunc("POST /streams/{name}/endstep", s.handleEndStep)
 	m.HandleFunc("GET /streams/{name}/quantile", s.namedRead(routeQuantile))
 	m.HandleFunc("GET /streams/{name}/quantiles", s.namedRead(routeQuantiles))
 	m.HandleFunc("GET /streams/{name}/rank", s.namedRead(routeRank))
@@ -260,11 +233,60 @@ func (s *server) mux() *http.ServeMux {
 	m.HandleFunc("GET /streams/{name}/maintenance", s.named(s.handleMaintenance))
 	m.HandleFunc("POST /streams/{name}/maintenance", s.named(s.handleMaintainNow))
 	// Legacy single-stream surface, served by the "default" stream.
-	m.HandleFunc("POST /observe", s.legacy(s.handleObserve))
-	m.HandleFunc("POST /endstep", s.legacy(s.handleEndStep))
+	m.HandleFunc("POST /observe", s.handleObserve)
+	m.HandleFunc("POST /endstep", s.handleEndStep)
 	m.HandleFunc("GET /quantile", s.legacy(s.read(routeQuantile)))
 	m.HandleFunc("GET /quantiles", s.legacy(s.read(routeQuantiles)))
 	m.HandleFunc("GET /rank", s.legacy(s.read(routeRank)))
 	m.HandleFunc("GET /stats", s.legacy(s.handleStreamStats))
 	return m
+}
+
+// handleHealthz is the liveness probe: it touches no locks and no stats,
+// so it answers even while ingest, maintenance and stats endpoints are
+// busy. The body is fixed.
+func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	io.WriteString(w, "{\"status\":\"ok\"}\n") //nolint:errcheck
+}
+
+// handleCluster reports the cluster configuration and this node's view of
+// it: membership epoch (mismatched epochs across nodes mean a botched
+// rolling restart), placement counts for locally known streams, and the
+// relay channels' replication lag (pending = frames applied here but not
+// yet acknowledged by a follower).
+func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
+	if s.cl == nil {
+		writeJSON(w, map[string]any{"enabled": false})
+		return
+	}
+	ring := s.cl.Ring()
+	stored := make(map[string]int)
+	owned := make(map[string]int)
+	for _, name := range s.db.Streams() {
+		for i, n := range ring.Members(name) {
+			stored[n.ID]++
+			if i == 0 {
+				owned[n.ID]++
+			}
+		}
+	}
+	nodes := make([]map[string]any, 0, len(ring.Nodes()))
+	for _, n := range ring.Nodes() {
+		nodes = append(nodes, map[string]any{
+			"id":             n.ID,
+			"addr":           n.Addr,
+			"streams_stored": stored[n.ID],
+			"streams_owned":  owned[n.ID],
+		})
+	}
+	writeJSON(w, map[string]any{
+		"enabled":       true,
+		"epoch":         ring.Epoch(),
+		"replicas":      ring.Replicas(),
+		"self":          s.cl.Self().ID,
+		"nodes":         nodes,
+		"relays":        s.cl.Stats(),
+		"summary_cache": s.cl.SummaryCacheStats(),
+	})
 }

@@ -327,10 +327,12 @@
 // window bounds frames in flight, the server applies each frame before
 // reading the next, and a stream stalled on MaxPendingSteps stops acking
 // until the producer's Observe blocks. The server pipeline lives in
-// internal/ingest; GET /ingest exposes its counters. The HTTP observe
-// endpoint also accepts batched JSON ({"values":[...]}) for producers
-// that prefer it; BenchmarkRemoteIngest and the "ingest" hsqbench figure
-// measure the gap between the two paths.
+// internal/ingest; GET /ingest exposes its counters. hsqd's REST writes
+// (newline integers or batched JSON, parsed whole) enter the same pipeline
+// one step in, through ingest.Server.Write: the apply body a connection's
+// frame runs after its replay check, so both doors share one engine call
+// site, one set of tallies and one push nudge. BenchmarkRemoteIngest and
+// the "ingest" hsqbench figure measure the gap between the two doors.
 //
 // # Cluster
 //
@@ -338,10 +340,12 @@
 // (internal/cluster): an explicit, epoch-numbered membership and a
 // deterministic consistent-hash ring place each stream on an owner node
 // plus R−1 follower replicas. Every node is a full front door — wire
-// frames and REST writes for streams placed elsewhere are routed to the
-// owning shard with the client's own session token and sequence numbers,
-// so the per-session replay machinery gives exactly-once application end
-// to end; a member applies each sequenced frame locally, fans it to the
+// frames for streams placed elsewhere are routed to the owning shard with
+// the client's own session token and sequence numbers, so the per-session
+// replay machinery gives exactly-once application end to end, and REST
+// writes travel the same way under the node's origin session (a token
+// drawn per process, so a restart never collides with marks its
+// predecessor left on live peers); a member applies each sequenced frame locally, fans it to the
 // stream's other members, and acknowledges the client only after every
 // reachable member acknowledged. A client whose node dies fails over to
 // another address (hsqclient.Dial accepts a comma-separated list), learns

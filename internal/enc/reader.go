@@ -1,14 +1,17 @@
 package enc
 
 import (
+	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"io"
 )
 
 // ErrTruncated is the error a Reader latches when the payload ends inside
-// a field.
-var ErrTruncated = errors.New("truncated")
+// a field. It is io.ErrUnexpectedEOF itself, so a payload cut short inside
+// its length prefix and a connection cut mid-frame (wire.Reader) are one
+// error to callers.
+var ErrTruncated = io.ErrUnexpectedEOF
 
 // Reader is an error-latching cursor over an untrusted binary payload: the
 // first malformed field records an error and every later read returns zero,
@@ -47,6 +50,43 @@ func (r *Reader) Byte() byte {
 	b := r.buf[0]
 	r.buf = r.buf[1:]
 	return b
+}
+
+// Bytes reads the next n bytes. The result aliases the payload; callers that
+// keep it past the payload's lifetime copy it (see Blob).
+func (r *Reader) Bytes(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if len(r.buf) < n {
+		r.fail(ErrTruncated)
+		return nil
+	}
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+// prefixed reads a uvarint length no greater than max, then that many bytes.
+func (r *Reader) prefixed(what string, max int) []byte {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(max) {
+		r.fail(fmt.Errorf("%s length %d exceeds %d", what, n, max))
+	}
+	return r.Bytes(int(n))
+}
+
+// String reads a length-prefixed string of at most max bytes.
+func (r *Reader) String(max int) string { return string(r.prefixed("string", max)) }
+
+// Blob reads a length-prefixed byte string of at most max bytes into a fresh
+// slice — payload buffers are reused by their owners. A zero length is nil.
+func (r *Reader) Blob(max int) []byte {
+	b := r.prefixed("blob", max)
+	if len(b) == 0 {
+		return nil
+	}
+	return bytes.Clone(b)
 }
 
 // Uint64 reads a big-endian uint64.

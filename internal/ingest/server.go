@@ -1,7 +1,8 @@
 // Package ingest is the server half of the remote ingest subsystem: it
 // accepts hsqclient connections speaking the internal/wire protocol and
 // applies their frames to the streams of an hsq.DB through the
-// ObserveSlice fast path.
+// ObserveSlice fast path. Frames that originate on the node itself (hsqd's
+// REST writes) enter through Server.Write and share that apply path.
 //
 // One goroutine per connection reads frames in order and applies each
 // before reading the next, so the server never buffers un-applied data:
@@ -21,6 +22,8 @@ package ingest
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -51,16 +54,19 @@ const DefaultSessionTTL = time.Hour
 //
 // The contract that keeps acks honest across the cluster: every sequenced
 // frame the server processes is offered to Relay before the server may
-// acknowledge it, and every acknowledgement (Ack or relay-barrier Pong) is
-// preceded by WaitRelayed, so an acked frame is applied on every reachable
-// member of its stream.
+// acknowledge it, and every acknowledgement — a connection's Ack, its
+// relay-barrier Pong, or Write returning nil — is preceded by WaitRelayed,
+// so an acknowledged frame is applied on every reachable member of its
+// stream.
 type ClusterHook interface {
 	// Member reports whether this node stores stream (owner or follower).
 	Member(stream string) bool
 	// Relay hands a sequenced frame to the cluster transport under the
-	// client's own session token and sequence number. fanOnly marks frames
-	// that arrived over an already-routed connection: they fan out to
-	// replica followers but are never routed again.
+	// session token and sequence number it carries: the client's own for a
+	// connection's frames, the server's origin session for Write's. Within
+	// one (session, stream) calls must come in ascending sequence order.
+	// fanOnly marks frames that arrived over an already-routed connection:
+	// they fan out to replica followers but are never routed again.
 	Relay(session, stream string, f *wire.Frame, fanOnly bool) error
 	// WaitRelayed blocks until every frame relayed for session with
 	// sequence ≤ seq is resolved (acked by its target, rerouted, or
@@ -110,6 +116,18 @@ type Server struct {
 	cluster      ClusterHook
 	logf         func(format string, args ...any)
 
+	// origin is the session Write relays under: frames that enter the
+	// cluster at this node rather than over a client connection. The token
+	// is drawn fresh per Server, so a restarted node never collides with
+	// the marks its predecessor left on live peers (they keep them for
+	// SessionTTL and would discard its restarted numbering as replays).
+	// originMu makes sequence allocation and enqueue one step: the target
+	// dedups by per-stream high-water mark, so a stream's frames must be
+	// queued in sequence order.
+	origin    string
+	originMu  sync.Mutex
+	originSeq uint64
+
 	mu        sync.Mutex
 	sessions  map[string]*session
 	conns     map[uint64]*conn
@@ -151,12 +169,16 @@ type session struct {
 	lastActive time.Time // last adopt/detach/apply; zero before first detach
 }
 
-// streamCounters is the cumulative per-stream ingest tally (across all
-// connections and sessions).
+// streamCounters is the cumulative per-stream ingest tally (across every
+// write door, connection and session).
 type streamCounters struct {
 	batches  atomic.Uint64
 	values   atomic.Uint64
 	endSteps atomic.Uint64
+}
+
+func (sc *streamCounters) stats() StreamIngestStats {
+	return StreamIngestStats{Batches: sc.batches.Load(), Values: sc.values.Load(), EndSteps: sc.endSteps.Load()}
 }
 
 // bound is a conn's binding of a client stream ID: the stream's name plus
@@ -212,8 +234,11 @@ func New(cfg Config) *Server {
 	if debounce == 0 {
 		debounce = DefaultPushDebounce
 	}
+	var tok [16]byte
+	rand.Read(tok[:]) //nolint:errcheck // crypto/rand.Read never fails (it aborts the process instead)
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
+		origin:       "origin-" + hex.EncodeToString(tok[:]),
 		db:           cfg.DB,
 		window:       uint64(w),
 		sessionTTL:   ttl,
@@ -620,18 +645,17 @@ func (s *Server) openStream(c *conn, f *wire.Frame) error {
 	return nil
 }
 
-// applySequenced applies one Batch or EndStep frame under the session
-// lock, deduplicating replays: a frame at or below the stream's applied
-// mark is acknowledged but not re-applied. Marks are per (session,
-// stream) because cluster paths can interleave one session's streams
-// arbitrarily. It reports whether the frame was (newly) applied — routed
-// frames (no local member) count as applied.
+// applySequenced takes one Batch or EndStep frame off a connection: it
+// resolves the frame's stream binding, runs the shared write body under the
+// connection's session (apply, then relay), and keeps the connection's own
+// tallies and processed-sequence cursor. It reports whether the frame was
+// newly applied — a replay at or below the session's mark for the stream is
+// acknowledged but not re-applied, and a frame routed onward (no local
+// member) counts as applied.
 //
-// On a cluster node the frame is also offered to the relay layer: routed
-// onward when this node is not a member, fanned to the stream's other
-// members when it is. Duplicates fan too — a replayed frame proves the
-// client never saw its ack, so a follower may have missed it the first
-// time; the follower's own marks squash the duplicate.
+// Duplicates relay too — a replayed frame proves the client never saw its
+// ack, so a follower may have missed it the first time; the follower's own
+// marks squash the duplicate.
 func (s *Server) applySequenced(c *conn, sess *session, f *wire.Frame) (bool, error) {
 	c.streamsMu.Lock()
 	b, ok := c.streams[f.StreamID]
@@ -639,75 +663,141 @@ func (s *Server) applySequenced(c *conn, sess *session, f *wire.Frame) (bool, er
 	if !ok {
 		return false, fmt.Errorf("%s for unbound stream id %d", wire.TypeName(f.Type), f.StreamID)
 	}
-	if b.st == nil {
-		// Not a member: hand the frame to the cluster to route to the
-		// owning shard. No local marks move — the owner dedups.
-		if err := s.cluster.Relay(c.session, b.name, f, false); err != nil {
-			return false, fmt.Errorf("route %q: %w", b.name, err)
-		}
-		bumpMax(&c.lastSeq, f.Seq)
-		return true, nil
-	}
-	st := b.st
-	sess.mu.Lock()
-	applied := f.Seq > sess.streams[b.name]
-	if applied {
+	applied := true
+	if b.st != nil {
 		var err error
-		switch f.Type {
-		case wire.TypeBatch:
-			if err = st.ObserveSliceCtx(c.ctx, f.Values); err != nil {
-				err = fmt.Errorf("observe %d values on %q: %w", len(f.Values), st.Name(), err)
-			}
-		case wire.TypeEndStep:
-			// EndStepCtx blocks under MaxPendingSteps backpressure; the
-			// stall stops this conn's acks, draining the client's credit —
-			// that is the propagation path. c.ctx aborts the wait at
-			// shutdown.
-			if _, err = st.EndStepCtx(c.ctx); err != nil {
-				err = fmt.Errorf("end step on %q: %w", st.Name(), err)
-			}
-		}
-		if err != nil {
-			sess.mu.Unlock()
+		if applied, _, err = s.apply(c.ctx, sess, b.st, f); err != nil {
 			return false, err
 		}
-		if sess.streams == nil {
-			sess.streams = make(map[string]uint64)
-		}
-		sess.streams[b.name] = f.Seq
-		if f.Seq > sess.maxSeq {
-			sess.maxSeq = f.Seq
-		}
-	}
-	sess.lastActive = time.Now()
-	sess.mu.Unlock()
-	if applied {
-		switch f.Type {
-		case wire.TypeBatch:
-			n := uint64(len(f.Values))
+		if applied && f.Type == wire.TypeBatch {
 			c.batches.Add(1)
-			c.values.Add(n)
-			s.batches.Add(1)
-			s.values.Add(n)
-			sc := s.streamCounters(st.Name())
-			sc.batches.Add(1)
-			sc.values.Add(n)
-		case wire.TypeEndStep:
+			c.values.Add(uint64(len(f.Values)))
+		} else if applied {
 			c.endSteps.Add(1)
-			s.endSteps.Add(1)
-			s.streamCounters(st.Name()).endSteps.Add(1)
-			s.notifySubscribers(st.Name())
 		}
 	}
 	bumpMax(&c.lastSeq, f.Seq)
-	// Fan to the stream's other members. Leaf connections are the fan's
-	// receiving end and stop here.
+	// Leaf connections are the fan's receiving end and stop here.
 	if s.cluster != nil && !c.leaf {
 		if err := s.cluster.Relay(c.session, b.name, f, c.relayIn); err != nil {
-			return applied, fmt.Errorf("fan %q: %w", b.name, err)
+			return applied, fmt.Errorf("%w %q: %w", ErrRelay, b.name, err)
 		}
 	}
 	return applied, nil
+}
+
+// apply is the one place a Batch or EndStep frame meets an engine,
+// whichever door it came through: the engine call, the aggregate and
+// per-stream tallies GET /ingest reports, and the continuous-query nudge
+// after an EndStep. ctx aborts an EndStep blocked on MaxPendingSteps
+// backpressure (for a connection that stall also stops its acks, draining
+// the client's credit — the propagation path).
+//
+// gate is the session a connection's frame arrived under, nil for Write.
+// A gated frame is applied only when it is above the session's mark for the
+// stream, and moves the mark — check, engine call and mark under gate.mu, so
+// a reconnect racing its half-dead predecessor cannot apply a frame twice.
+// Marks are per (session, stream) because cluster paths can interleave one
+// session's streams arbitrarily.
+func (s *Server) apply(ctx context.Context, gate *session, st *hsq.Stream, f *wire.Frame) (applied bool, us hsq.UpdateStats, err error) {
+	name := st.Name()
+	if gate != nil {
+		gate.mu.Lock()
+		gate.lastActive = time.Now()
+		if f.Seq <= gate.streams[name] {
+			gate.mu.Unlock()
+			return false, us, nil
+		}
+	}
+	if f.Type == wire.TypeBatch {
+		if err = st.ObserveSliceCtx(ctx, f.Values); err != nil {
+			err = fmt.Errorf("observe %d values on %q: %w", len(f.Values), name, err)
+		}
+	} else if us, err = st.EndStepCtx(ctx); err != nil {
+		err = fmt.Errorf("end step on %q: %w", name, err)
+	}
+	if gate != nil {
+		if err == nil {
+			if gate.streams == nil {
+				gate.streams = make(map[string]uint64)
+			}
+			gate.streams[name] = f.Seq
+			gate.maxSeq = max(gate.maxSeq, f.Seq)
+		}
+		gate.mu.Unlock()
+	}
+	if err != nil {
+		return false, us, err
+	}
+	sc := s.streamCounters(name)
+	if f.Type == wire.TypeBatch {
+		n := uint64(len(f.Values))
+		s.batches.Add(1)
+		s.values.Add(n)
+		sc.batches.Add(1)
+		sc.values.Add(n)
+	} else {
+		s.endSteps.Add(1)
+		sc.endSteps.Add(1)
+		s.notifySubscribers(name)
+	}
+	return true, us, nil
+}
+
+// ErrOpenStream and ErrRelay tag the two Write failures that are not the
+// engine refusing the frame: the stream could not be opened on this node
+// (a bad name, a closed DB), and the cluster transport could not take or
+// deliver the frame.
+var (
+	ErrOpenStream = errors.New("open stream")
+	ErrRelay      = errors.New("relay")
+)
+
+// Write is the door for a Batch or EndStep frame that enters the cluster at
+// this node — hsqd's REST writes — and does with it what a client
+// connection's frame gets after its replay check, through the same apply
+// body: a member of the stream (every node without a cluster) applies it and
+// fans it to the other members, a non-member routes it to the owning shard.
+// It returns the local stream and, for an EndStep, the step it closed; a nil
+// stream means the frame was routed. A nil error is an acknowledgement in
+// the ClusterHook sense: every reachable member has applied the frame.
+//
+// On a cluster node the frame travels under the server's origin session. A
+// batch is cut with wire.SplitBatch, so no body size can produce a frame the
+// relay channel cannot encode; each chunk is tallied as a batch, as the
+// frames of a client that split the same values are.
+func (s *Server) Write(ctx context.Context, stream string, f *wire.Frame) (st *hsq.Stream, us hsq.UpdateStats, err error) {
+	if s.cluster == nil || s.cluster.Member(stream) {
+		if st, err = s.db.Stream(stream); err != nil {
+			return nil, us, fmt.Errorf("%w %q: %w", ErrOpenStream, stream, err)
+		}
+	}
+	var last uint64
+	for _, chunk := range wire.SplitBatch(f.Values) {
+		cf := &wire.Frame{Type: f.Type, Values: chunk}
+		if st != nil {
+			if _, us, err = s.apply(ctx, nil, st, cf); err != nil {
+				return st, us, err
+			}
+		}
+		if s.cluster != nil {
+			s.originMu.Lock()
+			s.originSeq++
+			cf.Seq = s.originSeq
+			err = s.cluster.Relay(s.origin, stream, cf, false)
+			s.originMu.Unlock()
+			if err != nil {
+				return st, us, fmt.Errorf("%w %q: %w", ErrRelay, stream, err)
+			}
+			last = cf.Seq
+		}
+	}
+	if s.cluster != nil {
+		if err = s.cluster.WaitRelayed(ctx, s.origin, last); err != nil {
+			return st, us, fmt.Errorf("%w %q: %w", ErrRelay, stream, err)
+		}
+	}
+	return st, us, nil
 }
 
 // bumpMax raises an atomic to seq if it is below it. The handler goroutine
@@ -854,11 +944,7 @@ func (s *Server) Stats() Stats {
 	out.ActiveConns = len(s.conns)
 	out.Sessions = len(s.sessions)
 	for name, sc := range s.streams {
-		out.Streams[name] = StreamIngestStats{
-			Batches:  sc.batches.Load(),
-			Values:   sc.values.Load(),
-			EndSteps: sc.endSteps.Load(),
-		}
+		out.Streams[name] = sc.stats()
 	}
 	for _, c := range s.conns {
 		c.streamsMu.Lock()
@@ -885,7 +971,7 @@ func (s *Server) Stats() Stats {
 }
 
 // StreamStats returns the cumulative ingest counters for one stream
-// (zeros when the stream has never been fed over the wire).
+// (zeros when nothing was ever applied to it on this node).
 func (s *Server) StreamStats(name string) StreamIngestStats {
 	s.mu.Lock()
 	sc := s.streams[name]
@@ -893,9 +979,5 @@ func (s *Server) StreamStats(name string) StreamIngestStats {
 	if sc == nil {
 		return StreamIngestStats{}
 	}
-	return StreamIngestStats{
-		Batches:  sc.batches.Load(),
-		Values:   sc.values.Load(),
-		EndSteps: sc.endSteps.Load(),
-	}
+	return sc.stats()
 }

@@ -99,7 +99,7 @@ func (s *Server) unsubscribe(c *conn, id uint64) {
 
 // notifySubscribers marks every subscription selecting stream dirty, on
 // every connection, and wakes the pushers. Called after each applied
-// EndStep, from the wire path and (via NotifyEndStep) the REST path.
+// EndStep, whichever door it came through (see Server.apply).
 func (s *Server) notifySubscribers(stream string) {
 	s.mu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
@@ -122,12 +122,6 @@ func (s *Server) notifySubscribers(stream string) {
 		}
 	}
 }
-
-// NotifyEndStep tells the subscription layer that stream finished a time
-// step outside the wire ingest path (e.g. an EndStep issued over the
-// REST API of a daemon sharing the DB). Wire-ingested EndSteps notify
-// automatically.
-func (s *Server) NotifyEndStep(stream string) { s.notifySubscribers(stream) }
 
 // wakePusher nudges the connection's push loop; the 1-buffered channel
 // coalesces concurrent wakes.

@@ -424,89 +424,84 @@ func eofMidFrame(err error) error {
 // an error, so a corrupt length prefix cannot silently truncate or pad a
 // frame.
 func DecodeFrame(typ byte, payload []byte) (*Frame, error) {
-	d := decoder{buf: payload}
+	d := enc.NewReader(payload)
 	f := &Frame{Type: typ}
 	switch typ {
 	case TypeHello:
-		magic := d.bytes(len(Magic))
-		if string(magic) != Magic {
+		magic := d.Bytes(len(Magic))
+		if d.Err() == nil && string(magic) != Magic {
 			return nil, fmt.Errorf("wire: bad magic %q (not an hsq ingest client?)", magic)
 		}
-		f.Version = d.byte()
-		f.Session = d.string(MaxSessionLen)
-		if d.err == nil && len(d.buf) > 0 { // v2 trailing flags
-			f.Flags = d.uvarint()
+		f.Version = d.Byte()
+		f.Session = d.String(MaxSessionLen)
+		if d.Len() > 0 { // v2 trailing flags
+			f.Flags = d.Uvarint()
 		}
 	case TypeWelcome:
-		f.Version = d.byte()
-		f.Seq = d.uvarint()
-		f.Credit = d.uvarint()
-		if d.err == nil && len(d.buf) > 0 { // v2 per-stream marks
-			count := d.uvarint()
-			// Each entry costs at least 2 bytes (empty name len + seq).
-			if count > uint64(len(payload)) {
-				return nil, fmt.Errorf("wire: welcome stream count %d exceeds payload", count)
-			}
+		f.Version = d.Byte()
+		f.Seq = d.Uvarint()
+		f.Credit = d.Uvarint()
+		if d.Len() > 0 { // v2 per-stream marks
+			// Each entry costs at least 2 bytes (empty name len + seq), so
+			// Count's one-byte-per-element bound holds before allocating.
+			count := d.Count()
 			f.StreamSeqs = make([]StreamSeq, 0, count)
-			for i := uint64(0); i < count && d.err == nil; i++ {
-				name := d.string(MaxFrameSize)
-				f.StreamSeqs = append(f.StreamSeqs, StreamSeq{Name: name, Seq: d.uvarint()})
+			for i := 0; i < count && d.Err() == nil; i++ {
+				name := d.String(MaxFrameSize)
+				f.StreamSeqs = append(f.StreamSeqs, StreamSeq{Name: name, Seq: d.Uvarint()})
 			}
 		}
 	case TypeOpenStream:
-		f.StreamID = d.uvarint()
-		f.Name = d.string(MaxFrameSize)
+		f.StreamID = d.Uvarint()
+		f.Name = d.String(MaxFrameSize)
 	case TypeBatch:
-		f.Seq = d.uvarint()
-		f.StreamID = d.uvarint()
-		count := d.uvarint()
-		// Even 1-byte-per-value encoding cannot fit more values than
-		// payload bytes; reject before allocating.
-		if count > uint64(len(payload)) {
-			return nil, fmt.Errorf("wire: batch count %d exceeds payload", count)
-		}
-		f.Values = d.values(int(count))
+		f.Seq = d.Uvarint()
+		f.StreamID = d.Uvarint()
+		// uvarint count | deltas: even 1-byte-per-value encoding cannot fit
+		// more values than payload bytes, so Values rejects a lying count
+		// before allocating.
+		f.Values = d.Values()
 	case TypeEndStep:
-		f.Seq = d.uvarint()
-		f.StreamID = d.uvarint()
+		f.Seq = d.Uvarint()
+		f.StreamID = d.Uvarint()
 	case TypeFlush:
-		f.Seq = d.uvarint()
+		f.Seq = d.Uvarint()
 	case TypeAck:
-		f.Seq = d.uvarint()
-		f.Credit = d.uvarint()
+		f.Seq = d.Uvarint()
+		f.Credit = d.Uvarint()
 	case TypeError:
-		f.Code = d.uvarint()
-		f.Message = d.string(MaxFrameSize)
+		f.Code = d.Uvarint()
+		f.Message = d.String(MaxFrameSize)
 	case TypePing, TypePong:
-		f.Seq = d.uvarint()
+		f.Seq = d.Uvarint()
 	case TypeSummaryReq:
-		f.Seq = d.uvarint()
-		f.Name = d.string(MaxFrameSize)
+		f.Seq = d.Uvarint()
+		f.Name = d.String(MaxFrameSize)
 	case TypeSummaryResp:
-		f.Seq = d.uvarint()
-		f.Code = d.uvarint()
-		f.Message = d.string(MaxFrameSize)
-		f.Data = d.blob(MaxFrameSize)
+		f.Seq = d.Uvarint()
+		f.Code = d.Uvarint()
+		f.Message = d.String(MaxFrameSize)
+		f.Data = d.Blob(MaxFrameSize)
 	case TypeSubscribe:
-		f.StreamID = d.uvarint()
-		f.Credit = d.uvarint()
-		f.Data = d.blob(MaxFrameSize)
+		f.StreamID = d.Uvarint()
+		f.Credit = d.Uvarint()
+		f.Data = d.Blob(MaxFrameSize)
 	case TypeUnsubscribe:
-		f.StreamID = d.uvarint()
+		f.StreamID = d.Uvarint()
 	case TypePush:
-		f.StreamID = d.uvarint()
-		f.Seq = d.uvarint()
-		f.Code = d.uvarint()
-		f.Message = d.string(MaxFrameSize)
-		f.Data = d.blob(MaxFrameSize)
+		f.StreamID = d.Uvarint()
+		f.Seq = d.Uvarint()
+		f.Code = d.Uvarint()
+		f.Message = d.String(MaxFrameSize)
+		f.Data = d.Blob(MaxFrameSize)
 	default:
 		return nil, fmt.Errorf("wire: unknown frame type %#x", typ)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("wire: decode %s frame: %w", TypeName(typ), d.err)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("wire: decode %s frame: %w", TypeName(typ), d.Err())
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wire: decode %s frame: %d trailing bytes", TypeName(typ), len(d.buf))
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("wire: decode %s frame: %d trailing bytes", TypeName(typ), d.Len())
 	}
 	return f, nil
 }
@@ -547,108 +542,6 @@ func TypeName(typ byte) string {
 	default:
 		return fmt.Sprintf("%#x", typ)
 	}
-}
-
-// decoder is a cursor over a frame payload that records the first error
-// and makes every later read a no-op, so decode paths read linearly
-// without per-field error plumbing.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.buf) < n {
-		d.fail(io.ErrUnexpectedEOF)
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(fmt.Errorf("bad uvarint"))
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) string(maxLen int) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(maxLen) {
-		d.fail(fmt.Errorf("string length %d exceeds %d", n, maxLen))
-		return ""
-	}
-	return string(d.bytes(int(n)))
-}
-
-// blob reads a length-prefixed byte string into a fresh slice (the
-// decoder's buffer is reused across frames). A zero length yields nil.
-func (d *decoder) blob(maxLen int) []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(maxLen) {
-		d.fail(fmt.Errorf("blob length %d exceeds %d", n, maxLen))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := d.bytes(int(n))
-	if d.err != nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-func (d *decoder) values(count int) []int64 {
-	if d.err != nil || count == 0 {
-		return nil
-	}
-	vs := make([]int64, count)
-	rest, err := enc.DecodeDelta(vs, d.buf)
-	if err != nil {
-		d.fail(err)
-		return nil
-	}
-	d.buf = rest
-	return vs
 }
 
 // SplitBatch splits vs into chunks whose encoded Batch frames stay under

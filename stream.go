@@ -255,26 +255,6 @@ func (s *Stream) SyncMaintenance() error {
 	return eng.SyncMaintenance()
 }
 
-// Checkpoint persists the stream's manifest so a restart resumes it (see
-// Engine.Checkpoint). A cold stream is already durable — eviction is a
-// checkpoint — so the call is a no-op without hydrating.
-func (s *Stream) Checkpoint() error {
-	s.db.mu.Lock()
-	if s.db.closed {
-		s.db.mu.Unlock()
-		return ErrClosed
-	}
-	eng := s.ent.eng
-	if eng == nil {
-		s.db.mu.Unlock()
-		return nil
-	}
-	s.ent.pins++
-	s.db.mu.Unlock()
-	defer s.db.release(s.ent)
-	return eng.Checkpoint()
-}
-
 // Context variants of the mutating methods: per-stream mirrors of the
 // Engine's (see ctx.go for the cancellation semantics of each).
 
