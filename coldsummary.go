@@ -28,7 +28,15 @@ import (
 // fails the check and the query falls back to a one-time hydration, after
 // which the next eviction or checkpoint rewrites the sidecar. A stream
 // whose namespace has no manifest at all has no durable data (registered
-// but never sealed), and answers empty without hydrating.
+// but never sealed), and answers as zero spans without hydrating.
+//
+// Scope selection is not done here: scopedFromParts hands the sidecar's
+// partition end steps to query.Scope.Select — the selector a hydrated
+// engine's snapshot goes through (scope.go) — and copies out the range it
+// returns, so a stream answers a scope the same, error text included,
+// whether it is hydrated or evicted. DB.scopedSummary is the one entry:
+// plan members (DB.ScopedSummary, db.Query) and a peer's SummaryReq
+// (Stream.Summary) both come through it.
 
 // sidecarName is the cold-summary metadata file inside a stream's
 // namespace, next to its MANIFEST.json.
@@ -142,13 +150,9 @@ func (db *DB) readColdSummary(stream string, sc query.Scope) (sum *core.ShardSum
 	eps1, eps2 := db.opts.Epsilon/2, db.opts.Epsilon/4
 	if !db.dev.Exists(streamManifestPath(stream)) {
 		// Registered but never sealed: no durable data by the durability
-		// contract, so the scoped answer is empty (any AsOf/window scope
-		// over zero steps would also error on a hydrated engine — report
-		// the same emptiness instead, since a fresh engine has 0 steps).
-		if sc.AsOf > 0 || sc.Window > 0 || sc.Back > 0 {
-			return nil, false, fmt.Errorf("hsq: stream %q has no sealed steps for scope %+v", stream, sc)
-		}
-		return &core.ShardSummary{Eps1: eps1, Eps2: eps2}, true, nil
+		// contract, so the stream is zero spans — what a fresh engine holds.
+		sum, err := scopedFromParts(nil, eps1, eps2, sc)
+		return sum, err == nil, err
 	}
 	raw, err := db.dev.ReadMeta(sidecarPath(stream))
 	if err != nil {
@@ -173,11 +177,8 @@ func (db *DB) readColdSummary(stream string, sc query.Scope) (sum *core.ShardSum
 	if err := json.Unmarshal(mraw, &m); err != nil || !sidecarMatches(parts, steps, m) {
 		return nil, false, nil // stale vs the committed manifest: hydrate
 	}
-	sum, err = scopedFromParts(parts, steps, eps1, eps2, sc)
-	if err != nil {
-		return nil, false, err
-	}
-	return sum, true, nil
+	sum, err = scopedFromParts(parts, eps1, eps2, sc)
+	return sum, err == nil, err
 }
 
 // sidecarMatches cross-checks the sidecar against the stream's committed
@@ -210,47 +211,21 @@ func sidecarMatches(parts []sidecarPart, steps int, m storeManifestView) bool {
 	return true
 }
 
-// scopedFromParts is the cold twin of Engine.ScopedSummary: the same
-// step-scope selection over the sidecar's partition list. A cold stream
-// has no sealed backlog and no live buffer, so only installed partitions
-// participate.
-func scopedFromParts(parts []sidecarPart, steps int, eps1, eps2 float64, sc query.Scope) (*core.ShardSummary, error) {
-	if sc.Window < 0 || sc.Back < 0 || sc.AsOf < 0 {
-		return nil, fmt.Errorf("hsq: invalid scope %+v", sc)
+// scopedFromParts is Engine.ScopedSummary over a sidecar: the sidecar's
+// partitions are the stream's spans (a cold stream has no sealed backlog and
+// no live buffer), query.Scope.Select picks the range, and the parts in it
+// are copied out.
+func scopedFromParts(parts []sidecarPart, eps1, eps2 float64, sc query.Scope) (*core.ShardSummary, error) {
+	ends := make([]int, len(parts))
+	for i, p := range parts {
+		ends[i] = p.EndStep
 	}
-	end := steps
-	if sc.AsOf > 0 {
-		if sc.AsOf > steps {
-			return nil, fmt.Errorf("hsq: as_of_step %d is beyond the newest sealed step %d", sc.AsOf, steps)
-		}
-		end = sc.AsOf
-	}
-	if sc.Back > 0 {
-		end -= sc.Back
-		if end < 0 {
-			return nil, fmt.Errorf("hsq: window shifted %d steps back ends before the first step (newest is %d)", sc.Back, steps)
-		}
-	}
-	start := 0
-	if sc.Window > 0 {
-		start = end - sc.Window
-		if start < 0 {
-			return nil, fmt.Errorf("hsq: window of %d steps ending at step %d extends before the first step", sc.Window, end)
-		}
+	lo, hi, _, err := sc.Select(ends)
+	if err != nil {
+		return nil, err
 	}
 	sum := &core.ShardSummary{Eps1: eps1, Eps2: eps2}
-	for _, p := range parts {
-		if p.EndStep <= start || p.StartStep > end {
-			continue
-		}
-		if p.StartStep <= start || p.EndStep > end {
-			bounds := []int{0}
-			for _, q := range parts {
-				bounds = append(bounds, q.EndStep)
-			}
-			return nil, fmt.Errorf("hsq: step range (%d, %d] does not align with partition boundaries (available: %v)",
-				start, end, bounds)
-		}
+	for _, p := range parts[lo:hi] {
 		sum.Parts = append(sum.Parts, core.PartSummary{Count: p.Count, Values: p.Values})
 		sum.N += p.Count
 	}
@@ -265,15 +240,19 @@ func scopedFromParts(parts []sidecarPart, steps int, eps1, eps2 float64, sc quer
 // written at its next eviction or checkpoint.
 func (db *DB) scopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
 	db.mu.Lock()
-	ent, dirOK := db.dir[name]
-	if db.closed || !dirOK || ent.dropped {
-		closed := db.closed
-		db.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
+	ent, ok := db.dir[name]
+	unknown := !db.closed && (!ok || ent.dropped)
+	db.mu.Unlock()
+	if unknown {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, name)
 	}
+	return db.entrySummary(ent, sc) // a closed DB is reported there, before ent is read
+}
+
+// entrySummary is scopedSummary for a directory entry already in hand (a
+// Stream handle's): a closed DB or a dropped stream is ErrClosed.
+func (db *DB) entrySummary(ent *streamEntry, sc query.Scope) (*core.ShardSummary, error) {
+	db.mu.Lock()
 	eng, release, err, done := db.tryAcquireLocked(ent)
 	db.mu.Unlock()
 	if done {
@@ -284,7 +263,7 @@ func (db *DB) scopedSummary(name string, sc query.Scope) (*core.ShardSummary, er
 		return eng.ScopedSummary(sc)
 	}
 	// Cold: try the sidecar — a pure metadata read, never a hydration.
-	if sum, ok, err := db.readColdSummary(name, sc); err != nil {
+	if sum, ok, err := db.readColdSummary(ent.name, sc); err != nil {
 		return nil, err
 	} else if ok {
 		return sum, nil

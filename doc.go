@@ -140,9 +140,20 @@
 // hydrations and no backend reads; a sidecar that fails its freshness
 // cross-check against the stream manifest falls back to hydration.
 //
-// Retention caveat for AsOfStep and shifted windows: scoped answers are
-// assembled from whole partitions, so both scope ends must land on
-// partition boundaries. Background merges coarsen those boundaries over
+// Which summaries a scoped read sees is one decision in one place. A
+// stream is a chronological list of spans — its partitions, oldest first
+// (the only order partition.Version publishes), then one span per
+// sealed-but-uninstalled step — and query.Scope.Select resolves a
+// {Window, Back, AsOf} scope against the spans' end steps. A hydrated
+// member hands it the ends of its snapshot, an evicted member the ends of
+// its sidecar, a registered-never-sealed one no ends at all, and
+// Request.Window is the same call with Scope{Window: w}: hot and cold
+// members are one function over different inputs and agree byte for
+// byte, errors included (TestScopeHotColdAgree).
+//
+// Retention caveat for windows, AsOfStep and shifted windows: scoped
+// answers are assembled from whole spans, so both scope ends must land on
+// span boundaries. Background merges coarsen those boundaries over
 // time — old cut points disappear as their partitions merge (κ controls
 // how fast), and a query that cuts inside a merged partition is refused
 // with the surviving boundaries listed rather than answered beyond the
@@ -353,8 +364,11 @@
 // what is missing.
 //
 // Queries compose the same way the engine composes H and R: each shard
-// exports its in-memory state as a core.ShardSummary (Engine.Summary, the
-// wire's SummaryReq/SummaryResp frames), and a coordinator merges any set
+// exports its in-memory state as a core.ShardSummary (the wire's
+// SummaryReq/SummaryResp frames, served by Stream.Summary — the full-scope
+// case of the DB.ScopedSummary a local plan member uses, so fetching an
+// evicted stream's summary is a metadata read of its sidecar on the owner
+// and never hydrates it), and a coordinator merges any set
 // of them with core.MergeShardSummaries into one Combined summary whose
 // quick answers are within 1.5·ε·N of the true rank over the union —
 // distribution costs latency, never accuracy. The replication guarantee

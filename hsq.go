@@ -13,6 +13,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/gk"
 	"repro/internal/partition"
+	"repro/internal/query"
 )
 
 // manifestName is the per-store manifest file (relative to the store's
@@ -784,7 +785,8 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 // pin so reclaimed partitions can be deleted.
 type querySnap struct {
 	ver    *partition.Version
-	sums   []*partition.Summary
+	memo   *partition.ProbeMemo // the version's; nil once scope narrows sums
+	sums   []*partition.Summary // installed partitions, oldest first
 	pieces []core.StreamPiece
 	sealed int   // number of sealed (pending-install) pieces, oldest first
 	m      int64 // live stream count
@@ -802,7 +804,7 @@ func (e *Engine) snapshot() (*querySnap, error) {
 		return nil, ErrClosed
 	}
 	s := &querySnap{ver: e.store.Pin()}
-	s.sums = s.ver.Entries()
+	s.sums, s.memo = s.ver.Entries(), s.ver.Memo()
 	s.n = s.ver.TotalCount()
 	s.pieces = make([]core.StreamPiece, 0, len(e.sealed)+1)
 	// Only pieces the pinned version has not installed yet: an install
@@ -845,29 +847,23 @@ func (e *Engine) Query(ctx context.Context, req Request) (Answer, error) {
 		return Answer{}, err
 	}
 	defer s.release()
-	sums, pieces, n, memo := s.sums, s.pieces, s.n, s.ver.Memo()
-	if req.Window != 0 {
-		// A window probes a partition subset, so the version memo (keyed by
-		// full-history ranks) does not apply.
-		memo = nil
-		if sums, pieces, n, err = s.window(req.Window); err != nil {
-			return Answer{}, err
-		}
+	if err := s.scope(query.Scope{Window: req.Window}); err != nil {
+		return Answer{}, err
 	}
 	if req.Quick {
-		return QuickAnswer(core.BuildPieces(sums, pieces, e.eps1, e.eps2), req)
+		return QuickAnswer(core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2), req)
 	}
 	t0 := time.Now()
-	rs, err := req.ranks(n)
+	rs, err := req.ranks(s.n)
 	if err != nil {
 		return Answer{}, err
 	}
-	ans := Answer{N: n}
+	ans := Answer{N: s.n}
 	var cost core.QueryCost
 	if len(req.Values) > 0 {
 		ans.Values = make([]int64, len(req.Values))
 		for i, v := range req.Values {
-			r, c, err := core.RankOfValue(sums, pieces, e.eps2, v, !e.cfg.NoBlockPin)
+			r, c, err := core.RankOfValue(s.sums, s.pieces, e.eps2, v, !e.cfg.NoBlockPin)
 			if err != nil {
 				return Answer{}, err
 			}
@@ -878,13 +874,13 @@ func (e *Engine) Query(ctx context.Context, req Request) (Answer, error) {
 			cost.SkippedBlocks += c.SkippedBlocks
 		}
 	} else {
-		c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
+		c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
 		ans.Values, cost, err = core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
 			PinBlocks: !e.cfg.NoBlockPin,
 			Parallel:  e.cfg.ParallelQuery,
 			MaxReads:  req.MaxReads,
 			Interrupt: ctx.Err,
-			Memo:      memo,
+			Memo:      s.memo,
 		})
 		if err != nil {
 			return Answer{}, err
@@ -993,45 +989,14 @@ func (e *Engine) AvailableWindows() []int {
 		return nil
 	}
 	defer s.release()
+	// A window is answerable iff it starts on a span boundary (the selector's
+	// rule): one size per span, newest span first.
+	bounds := append([]int{0}, s.ends()...)
 	var out []int
-	for k := 1; k <= s.sealed; k++ {
-		out = append(out, k)
-	}
-	for _, w := range s.ver.AvailableWindows() {
-		out = append(out, w+s.sealed)
+	for i := len(bounds) - 2; i >= 0; i-- {
+		out = append(out, bounds[len(bounds)-1]-bounds[i])
 	}
 	return out
-}
-
-// window selects the snapshot subset covering the most recent `steps`
-// historical time steps: the newest sealed pieces first, then whole
-// partitions. The live stream piece is always included.
-func (s *querySnap) window(steps int) ([]*partition.Summary, []core.StreamPiece, int64, error) {
-	if steps <= 0 {
-		return nil, nil, 0, fmt.Errorf("hsq: window must be positive, got %d", steps)
-	}
-	live := s.pieces[s.sealed:] // the live stream piece, if any
-	n := s.m
-	if steps <= s.sealed {
-		pieces := make([]core.StreamPiece, 0, steps+1)
-		for _, p := range s.pieces[s.sealed-steps : s.sealed] {
-			pieces = append(pieces, p)
-			n += p.M
-		}
-		pieces = append(pieces, live...)
-		return nil, pieces, n, nil
-	}
-	sums, err := s.ver.WindowEntries(steps - s.sealed)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for _, sum := range sums {
-		n += sum.Part.Count
-	}
-	for _, p := range s.pieces[:s.sealed] {
-		n += p.M
-	}
-	return sums, s.pieces, n, nil
 }
 
 // MemoryUsage returns the current summary footprint (Observation 1).

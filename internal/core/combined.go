@@ -114,8 +114,10 @@ func (c *Combined) QuickRankError() int64 {
 // contributes its own independent ε₂·m_j band.
 //
 // Every summary is already sorted, so TS is a stable k-way merge of them
-// (merge.go) in O(δ·log k): equal values order stream pieces first, newest
-// piece first, then partitions in the order given.
+// (merge.go) in O(δ·log k). sums arrive partitions oldest-first — the one
+// order partition.Version.Entries publishes and every caller passes on — so
+// ties in TS order stream pieces newest-first, then partitions oldest-first,
+// on every surface.
 func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float64) *Combined {
 	var histN int64
 	for _, s := range sums {

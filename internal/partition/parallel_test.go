@@ -43,7 +43,7 @@ func buildPair(t *testing.T, workers int, steps, batch int, seed int64) (*Store,
 func readStore(t *testing.T, s *Store) [][]int64 {
 	t.Helper()
 	var out [][]int64
-	for _, e := range s.ChronologicalEntries() {
+	for _, e := range s.Entries() {
 		r, err := e.Part.OpenSequential()
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestParallelMergeEquivalence(t *testing.T) {
 			}
 		}
 		// Summaries must be identical too (identical partitions + same ε₁).
-		as, bs := serial.ChronologicalEntries(), parallel.ChronologicalEntries()
+		as, bs := serial.Entries(), parallel.Entries()
 		for i := range as {
 			if !slices.Equal(as[i].Values, bs[i].Values) || !slices.Equal(as[i].Pos, bs[i].Pos) {
 				t.Fatalf("workers=%d: summary %d differs", workers, i)

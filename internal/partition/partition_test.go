@@ -464,56 +464,6 @@ func TestQuickBracketSound(t *testing.T) {
 	}
 }
 
-func TestWindows(t *testing.T) {
-	dev := newDev(t)
-	s := newStore(t, dev, 3, 0.25)
-	for step := 1; step <= 13; step++ {
-		data := []int64{int64(step), int64(step + 100)}
-		if _, err := s.AddBatch(data, step); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wins := s.AvailableWindows()
-	if !slices.IsSorted(wins) {
-		t.Errorf("windows not increasing: %v", wins)
-	}
-	if wins[len(wins)-1] != 13 {
-		t.Errorf("largest window = %d, want 13", wins[len(wins)-1])
-	}
-	for _, w := range wins {
-		ents, err := s.WindowEntries(w)
-		if err != nil {
-			t.Fatalf("window %d: %v", w, err)
-		}
-		steps := 0
-		for _, e := range ents {
-			steps += e.Part.Steps()
-		}
-		if steps != w {
-			t.Errorf("window %d covers %d steps", w, steps)
-		}
-		n, err := s.WindowCount(w)
-		if err != nil || n != int64(2*w) {
-			t.Errorf("WindowCount(%d) = %d, %v", w, n, err)
-		}
-	}
-	// A misaligned window must error.
-	aligned := make(map[int]bool)
-	for _, w := range wins {
-		aligned[w] = true
-	}
-	for w := 1; w <= 13; w++ {
-		if !aligned[w] {
-			if _, err := s.WindowEntries(w); err == nil {
-				t.Errorf("window %d should be rejected", w)
-			}
-		}
-	}
-	if ents, err := s.WindowEntries(0); err != nil || ents != nil {
-		t.Errorf("window 0: %v, %v", ents, err)
-	}
-}
-
 func TestManifestRoundTrip(t *testing.T) {
 	dev := newDev(t)
 	s := newStore(t, dev, 3, 0.2)
@@ -542,7 +492,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Errorf("partitions %d vs %d", loaded.PartitionCount(), s.PartitionCount())
 	}
 	// Summaries rebuilt identically.
-	a, b := s.ChronologicalEntries(), loaded.ChronologicalEntries()
+	a, b := s.Entries(), loaded.Entries()
 	for i := range a {
 		if !slices.Equal(a[i].Values, b[i].Values) || !slices.Equal(a[i].Pos, b[i].Pos) {
 			t.Errorf("summary %d differs after reload", i)

@@ -277,10 +277,10 @@ func (s *Store) PartitionCount() int {
 	return len(s.cur.entries)
 }
 
-// Entries returns the current version's (partition, summary) pairs, level
-// order ascending and chronological within each level. The returned slice
-// is an immutable snapshot; long-running readers that probe partition files
-// should Pin a Version instead so reclamation waits for them.
+// Entries returns the current version's (partition, summary) pairs, oldest
+// first (Version.Entries). The returned slice is an immutable snapshot;
+// long-running readers that probe partition files should Pin a Version
+// instead so reclamation waits for them.
 func (s *Store) Entries() []*Summary {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()

@@ -1,6 +1,9 @@
 package partition
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Snapshot isolation for the historical store. The store's published state
 // is a chain of immutable Version objects: each install or merge edits the
@@ -22,6 +25,11 @@ import "sync"
 //
 // Until then the file sits on the retired list; a crash simply strands it as
 // an orphan for LoadStore's collector.
+//
+// A Version lists its partitions in one order, oldest first (Entries), and
+// offers no step-range selection of its own: which spans a windowed, shifted
+// or as-of read sees is decided by query.Scope.Select over the EndSteps of
+// this list, for every caller.
 
 // Version is one immutable snapshot of the store's published partition set
 // plus the per-partition summaries. It is created by the store (publish) and
@@ -30,9 +38,8 @@ import "sync"
 type Version struct {
 	store *Store
 	seq   int64
-	// entries is the frozen (partition, summary) list, level-ascending and
-	// chronological within each level — the same order Store.Entries always
-	// returned.
+	// entries is the frozen (partition, summary) list, oldest first (see
+	// Entries).
 	entries []*Summary
 	total   int64
 	// installed is the number of time steps covered by the partitions
@@ -51,8 +58,13 @@ type Version struct {
 // Seq returns the version's monotonically increasing sequence number.
 func (v *Version) Seq() int64 { return v.seq }
 
-// Entries returns the snapshot's (partition, summary) pairs. The slice is
-// shared and must not be mutated.
+// Entries returns the snapshot's (partition, summary) pairs, partitions
+// oldest-first: StartStep-ascending, contiguous (each starts one step after
+// the previous one ends) and ending at InstalledSteps. publish lays the
+// list out once and no reader re-orders it, so every surface hands
+// core.BuildPieces the same run order — ties in TS order stream pieces
+// newest-first, then partitions oldest-first. The slice is shared and must
+// not be mutated.
 func (v *Version) Entries() []*Summary { return v.entries }
 
 // Memo returns the version's rank-probe memo, valid for queries that probe
@@ -163,6 +175,9 @@ func (s *Store) publish(popPending bool) *Version {
 			total += e.part.Count
 		}
 	}
+	// The one order every reader sees: partitions tile (0, installed], so
+	// StartStep orders them totally.
+	slices.SortFunc(ents, func(a, b *Summary) int { return a.Part.StartStep - b.Part.StartStep })
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
 	if popPending && len(s.pending) > 0 {

@@ -21,6 +21,7 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -82,6 +83,61 @@ type Scope struct {
 // IsFull reports whether the scope is the unrestricted full history — the
 // only scope answerable from a remote shard's full summary.
 func (sc Scope) IsFull() bool { return sc == Scope{} }
+
+// Select resolves the scope against a stream's spans — the paper's window
+// rule (§2.4): a step range is answerable iff both its ends are span
+// boundaries. ends lists the last step of every span, oldest first: span i
+// covers steps (ends[i-1], ends[i]], the first one starting after step 0.
+// A hydrated engine passes its partitions' EndSteps followed by one end per
+// sealed-but-uninstalled step, a cold stream its sidecar's partitions, a
+// never-sealed stream nothing. The scope covers spans [lo, hi); live
+// reports whether the unsealed buffer, which belongs to the current
+// incomplete step, is in scope too (no Back shift, no AsOf pin). Background
+// merges coarsen the boundaries over time, so old cut points disappear.
+// This is the only place a step scope is checked, so every surface —
+// Query{Window}, plan members hot and cold, a peer's summary fetch —
+// refuses the same scopes with the same text.
+func (sc Scope) Select(ends []int) (lo, hi int, live bool, err error) {
+	if sc.Window < 0 || sc.Back < 0 || sc.AsOf < 0 {
+		return 0, 0, false, fmt.Errorf("hsq: invalid scope %+v", sc)
+	}
+	latest := 0
+	if len(ends) > 0 {
+		latest = ends[len(ends)-1]
+	}
+	end, live := latest, true
+	if sc.AsOf > 0 {
+		if sc.AsOf > latest {
+			return 0, 0, false, fmt.Errorf("hsq: as_of_step %d is beyond the newest sealed step %d", sc.AsOf, latest)
+		}
+		end, live = sc.AsOf, false
+	}
+	if sc.Back > 0 {
+		end, live = end-sc.Back, false
+		if end < 0 {
+			return 0, 0, false, fmt.Errorf("hsq: window shifted %d steps back ends before the first step (newest is %d)", sc.Back, latest)
+		}
+	}
+	start := 0
+	if sc.Window > 0 {
+		if start = end - sc.Window; start < 0 {
+			return 0, 0, false, fmt.Errorf("hsq: window of %d steps ending at step %d extends before the first step", sc.Window, end)
+		}
+	}
+	// A step cuts the list after the spans that end at or before it, and
+	// is a boundary iff it is 0 or the last of those ends exactly there.
+	cut := func(step int) (int, bool) {
+		i := sort.SearchInts(ends, step+1)
+		return i, step == 0 || i > 0 && ends[i-1] == step
+	}
+	lo, loOK := cut(start)
+	hi, hiOK := cut(end)
+	if !loOK || !hiOK {
+		return 0, 0, false, fmt.Errorf("hsq: step range (%d, %d] does not align with partition boundaries (available: %v)",
+			start, end, append([]int{0}, ends...))
+	}
+	return lo, hi, live, nil
+}
 
 // ParsePlan decodes and validates a JSON plan. Unknown fields are
 // rejected so a typo'd operator fails loudly instead of silently widening

@@ -1,6 +1,7 @@
 package hsq_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 	hsq "repro"
 	"repro/internal/core"
 	"repro/internal/oracle"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -23,6 +25,12 @@ import (
 // cross product of the one read call — {Phis, Ranks, Values} × {full
 // history, an AvailableWindows entry} × {accurate, Quick} × {unbudgeted, a
 // small MaxReads} — and every answer is checked against its stated bound.
+// Each read also holds the one summary path to itself on the state it found
+// (sealed backlog and live buffer included; manual mode keeps a backlog by
+// construction): the window sizes Query accepts are exactly
+// AvailableWindows, a quick windowed Query returns the values of the
+// one-member plan over the same window, and a peer's Summary is the plan
+// member's full-scope summary.
 // Every decision — batch sizes, step boundaries, request shapes — comes from
 // one seeded source, so any failure is reproducible: the failure log prints
 // the seed and the trailing operation log, and HSQ_PROP_SEED replays a
@@ -30,7 +38,7 @@ import (
 func TestPropertyDifferential(t *testing.T) {
 	seed := propSeed(t)
 	for i, name := range workload.Names() {
-		for j, mode := range []string{"sync", "async"} {
+		for j, mode := range []string{"sync", "async", "manual"} {
 			t.Run(name+"/"+mode, func(t *testing.T) {
 				t.Parallel()
 				runDifferential(t, name, mode, seed+int64(i)+1000*int64(j))
@@ -70,11 +78,15 @@ func (l *opLog) String() string { return strings.Join(l.ops, "\n") }
 
 func runDifferential(t *testing.T, wname, mode string, seed int64) {
 	const eps = 0.05
-	eng, err := hsq.New(hsq.Config{Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024, Maintenance: mode})
+	db, err := hsq.Open(hsq.Options{Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024, Maintenance: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Destroy() //nolint:errcheck // in-memory state dies anyway
+	defer db.Close() //nolint:errcheck // in-memory state dies anyway
+	eng, err := db.Stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
 	gen, err := workload.ByName(wname, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +98,7 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 	var live []int64
 	var log opLog
 	var requests, windowed, truncated int // how much of the cross product the run reached
+	var folds, foldsBacklogLive int       // fold checks judged; of those, on a sealed backlog plus a live buffer
 
 	fail := func(op int, format string, args ...any) {
 		t.Helper()
@@ -108,7 +121,7 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 				steps, live = append(steps, live), nil
 			}
 			log.add("endstep (%d steps)", len(steps))
-		case k == 6 && mode == "async": // force pending installs to land
+		case k == 6 && mode != "sync": // force pending installs to land
 			if err := eng.SyncMaintenance(); err != nil {
 				fail(op, "SyncMaintenance: %v", err)
 			}
@@ -253,9 +266,66 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 				}
 				check("non-member", remote, true)
 			}
+
+			// The fold: the window check, the plan member and the peer fetch
+			// are one selection over one capture. Nothing here draws from
+			// rng, so the operation sequence of a seed is what it was.
+			phis := append([]float64{0.5}, req.Phis...) // the harness draws φ in (0, 1), as a plan requires
+			wins := eng.AvailableWindows()
+			full, err := db.ScopedSummary("s", query.Scope{})
+			if err != nil {
+				fail(op, "ScopedSummary: %v", err)
+			}
+			peer, err := eng.Summary()
+			if err != nil {
+				fail(op, "Summary: %v", err)
+			}
+			type verdict struct {
+				w            int
+				err, planErr error
+				got, plan    []int64
+			}
+			var verdicts []verdict
+			for w := 1; w <= len(steps)+1; w++ {
+				v := verdict{w: w}
+				var ans hsq.Answer
+				if ans, v.err = eng.Query(context.Background(), hsq.Request{Phis: phis, Window: w, Quick: true}); v.err == nil {
+					v.got = ans.Values
+				}
+				var res *query.Result
+				if res, v.planErr = db.Query().Streams("s").Window(w).Phis(phis...).Run(); v.planErr == nil {
+					v.plan = res.Groups[0].Windows[0].Values
+				}
+				verdicts = append(verdicts, v)
+			}
+			// A background install or merge between the reads above makes
+			// them reads of different states; only async mode has one.
+			if after := eng.MaintenanceStats(); mode == "async" && (after.Installs != ms.Installs || after.Merges != ms.Merges || after.Running) {
+				log.add("maintenance ran under the fold checks")
+				continue
+			}
+			if got, want := peer.AppendBinary(nil), full.AppendBinary(nil); !bytes.Equal(got, want) {
+				fail(op, "Summary() = %+v, ScopedSummary(Scope{}) = %+v", peer, full)
+			}
+			folds++
+			if ms.PendingSteps > 0 && len(live) > 0 {
+				foldsBacklogLive++
+			}
+			for _, v := range verdicts {
+				if ok := slices.Contains(wins, v.w); (v.err == nil) != ok || (v.planErr == nil) != ok {
+					fail(op, "window %d: Query err = %v, plan err = %v, AvailableWindows = %v", v.w, v.err, v.planErr, wins)
+				}
+				if !slices.Equal(v.got, v.plan) {
+					fail(op, "window %d phis %v: quick Query = %v, one-member plan = %v", v.w, phis, v.got, v.plan)
+				}
+			}
 		}
 	}
-	t.Logf("seed %d: %d requests, %d windowed, %d truncated", seed, requests, windowed, truncated)
+	t.Logf("seed %d: %d requests, %d windowed, %d truncated; %d fold checks, %d over a sealed backlog and a live buffer",
+		seed, requests, windowed, truncated, folds, foldsBacklogLive)
+	if mode == "manual" && foldsBacklogLive == 0 {
+		t.Fatalf("seed %d: no fold check ran over a sealed backlog and a live buffer", seed)
+	}
 }
 
 // TestPropertyMultiQuantiles drives the shared multi-target sweep and the

@@ -1,112 +1,119 @@
 package hsq
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/query"
 )
 
-// ScopedSummary is Summary restricted to a query-layer step scope: a
-// window of Scope.Window steps ending Scope.Back steps before the newest
-// step (or at Scope.AsOf, the time-travel pin on the snapshot's immutable
-// step prefix). The full-history zero scope is exactly Summary.
-//
-// Selection composes the two step-aligned sources of the snapshot:
-// installed partitions are cut on partition boundaries
-// (partition.Version.StepRangeEntries — background merges coarsen the
-// available boundaries over time, so old AsOf cut points gradually
-// disappear), and sealed-but-uninstalled steps are individually
-// addressable pieces layered on top. The live unsealed buffer belongs to
-// the current, incomplete step: it is included only in the newest scope
-// (no Back shift, no AsOf pin).
-func (e *Engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
-	if sc.Window < 0 || sc.Back < 0 || sc.AsOf < 0 {
-		return nil, fmt.Errorf("hsq: invalid scope %+v", sc)
+// One summary path. Every read that needs "this stream's summaries for this
+// step scope" — Query{Window}, a plan member, a peer's SummaryReq, the
+// sidecar writer — takes one snapshot and narrows it with querySnap.scope,
+// which asks query.Scope.Select which spans belong: the one selector, over
+// the snapshot's span ends here and over the sidecar's in coldsummary.go.
+// The snapshot's partitions arrive oldest-first from partition.Version and
+// the sealed pieces follow oldest-first, so the spans are one chronological
+// list and a scope is an index range of it.
+
+// ends lists the last step of each of the snapshot's spans, oldest first:
+// the installed partitions, then the sealed-but-uninstalled steps (piece i
+// is step installed+1+i — the snapshot keeps exactly the pieces the pinned
+// version has not installed, and sealed steps are consecutive).
+func (s *querySnap) ends() []int {
+	ends := make([]int, 0, len(s.sums)+s.sealed)
+	for _, ps := range s.sums {
+		ends = append(ends, ps.Part.EndStep)
 	}
+	for i := 1; i <= s.sealed; i++ {
+		ends = append(ends, s.ver.InstalledSteps()+i)
+	}
+	return ends
+}
+
+// scope narrows the snapshot to sc. The full-history zero scope leaves it
+// as it is; any other scope reads a subset of the version's partitions, so
+// the version memo (keyed by full-history ranks) no longer applies.
+func (s *querySnap) scope(sc query.Scope) error {
+	if sc.IsFull() {
+		return nil
+	}
+	lo, hi, live, err := sc.Select(s.ends())
+	if err != nil {
+		return err
+	}
+	np := len(s.sums)
+	a, b := max(lo, np)-np, max(hi, np)-np // the sealed pieces in scope
+	s.sums, s.sealed = s.sums[min(lo, np):min(hi, np)], b-a
+	if live { // the scope ends at the newest span, so pieces[b:] is the live piece
+		s.pieces = s.pieces[a:]
+	} else {
+		s.pieces, s.m = s.pieces[a:b], 0
+	}
+	s.memo, s.n = nil, 0
+	for _, ps := range s.sums {
+		s.n += ps.Part.Count
+	}
+	for _, p := range s.pieces {
+		s.n += p.M
+	}
+	return nil
+}
+
+// ScopedSummary captures the engine's in-memory summary state restricted to
+// a query-layer step scope — the partition summaries and stream-side pieces
+// of the scope's spans, plus the live buffer's when the scope is the newest
+// — as a portable core.ShardSummary. It is what a plan member contributes
+// and, with the zero scope, the scatter half of the cluster's
+// scatter-gather read. The snapshot is taken under the same pin discipline
+// as queries, so the summary is a consistent point-in-time view while
+// ingest and maintenance run; it references the engine's immutable summary
+// slices and stays valid after the call.
+func (e *Engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	s, err := e.snapshot()
 	if err != nil {
 		return nil, err
 	}
 	defer s.release()
-	sum := &core.ShardSummary{Eps1: e.eps1, Eps2: e.eps2}
-	installed := s.ver.InstalledSteps()
-	latest := installed + s.sealed
-	end := latest
-	includeLive := true
-	if sc.AsOf > 0 {
-		if sc.AsOf > latest {
-			return nil, fmt.Errorf("hsq: as_of_step %d is beyond the newest sealed step %d", sc.AsOf, latest)
-		}
-		end = sc.AsOf
-		includeLive = false
+	if err := s.scope(sc); err != nil {
+		return nil, err
 	}
-	if sc.Back > 0 {
-		end -= sc.Back
-		includeLive = false
-		if end < 0 {
-			return nil, fmt.Errorf("hsq: window shifted %d steps back ends before the first step (newest is %d)", sc.Back, latest)
-		}
-	}
-	start := 0
-	if sc.Window > 0 {
-		start = end - sc.Window
-		if start < 0 {
-			return nil, fmt.Errorf("hsq: window of %d steps ending at step %d extends before the first step", sc.Window, end)
-		}
-	}
-	// Installed partitions covering (start, min(end, installed)].
-	if histEnd := min(end, installed); histEnd > start {
-		ents, err := s.ver.StepRangeEntries(start, histEnd)
-		if err != nil {
-			return nil, fmt.Errorf("hsq: %w", err)
-		}
-		sum.Parts = make([]core.PartSummary, 0, len(ents))
-		for _, ps := range ents {
+	sum := &core.ShardSummary{N: s.n, Eps1: e.eps1, Eps2: e.eps2, Pieces: s.pieces}
+	if len(s.sums) > 0 {
+		sum.Parts = make([]core.PartSummary, 0, len(s.sums))
+		for _, ps := range s.sums {
 			sum.Parts = append(sum.Parts, core.PartSummary{Count: ps.Part.Count, Values: ps.Values})
-			sum.N += ps.Part.Count
 		}
-	}
-	// Sealed pieces: snapshot piece i covers step installed+1+i (the
-	// snapshot keeps exactly the pieces the pinned version has not
-	// installed, oldest first, and sealed steps are consecutive).
-	for i := 0; i < s.sealed; i++ {
-		step := installed + 1 + i
-		if step > start && step <= end {
-			sum.Pieces = append(sum.Pieces, s.pieces[i])
-			sum.N += s.pieces[i].M
-		}
-	}
-	if includeLive && s.m > 0 {
-		sum.Pieces = append(sum.Pieces, s.pieces[s.sealed:]...)
-		sum.N += s.m
 	}
 	return sum, nil
 }
 
+// Summary is ScopedSummary over the full history.
+func (e *Engine) Summary() (*core.ShardSummary, error) {
+	return e.ScopedSummary(query.Scope{})
+}
+
 // sealedParts captures the engine's fully-installed summary state for the
 // cold-summary sidecar: every installed partition's (count, values,
-// step range) plus the covered step count. ok is false whenever the state
-// goes beyond installed partitions — a live observe buffer or
-// sealed-but-uninstalled steps — because the sidecar format represents
-// exactly what survives an eviction (eviction requires both to be empty).
+// step range), oldest first, plus the covered step count. ok is false
+// whenever the state goes beyond installed partitions — a live observe
+// buffer or sealed-but-uninstalled steps — because the sidecar format
+// represents exactly what survives an eviction (eviction requires both to
+// be empty).
 func (e *Engine) sealedParts() (parts []sidecarPart, steps int, total int64, ok bool) {
 	s, err := e.snapshot()
 	if err != nil {
 		return nil, 0, 0, false
 	}
 	defer s.release()
-	if s.m > 0 || s.sealed > 0 {
+	if len(s.pieces) > 0 {
 		return nil, 0, 0, false
 	}
-	for _, ps := range s.ver.ChronologicalEntries() {
+	for _, ps := range s.sums {
 		parts = append(parts, sidecarPart{
 			Count:     ps.Part.Count,
 			StartStep: ps.Part.StartStep,
 			EndStep:   ps.Part.EndStep,
 			Values:    ps.Values,
 		})
-		total += ps.Part.Count
 	}
-	return parts, s.ver.InstalledSteps(), total, true
+	return parts, s.ver.InstalledSteps(), s.n, true
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // Stream is one named quantile stream hosted by a DB. It exposes the full
@@ -159,16 +160,12 @@ func (s *Stream) PartitionCount() int { return onEngine(s, (*Engine).PartitionCo
 // Describe returns the stream's level layout for inspection.
 func (s *Stream) Describe() []LevelInfo { return onEngine(s, (*Engine).Describe) }
 
-// Summary captures the stream's current in-memory summary state as a
-// portable core.ShardSummary (see Engine.Summary): the scatter half of the
-// cluster's scatter-gather query path.
+// Summary returns the stream's full-history core.ShardSummary — the scatter
+// half of the cluster's scatter-gather read — by the path of a local plan
+// member (DB.ScopedSummary): an evicted stream answers from its sidecar, so
+// a peer's fetch is a metadata read and never a hydration.
 func (s *Stream) Summary() (*core.ShardSummary, error) {
-	eng, release, err := s.db.acquire(s.ent)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return eng.Summary()
+	return s.db.entrySummary(s.ent, query.Scope{})
 }
 
 // MemoryUsage returns the stream's memory-resident summary footprint. A
