@@ -1,11 +1,12 @@
 // Command hsqbench regenerates the paper's evaluation figures and the
-// repository's ablations at a chosen scale.
+// repository's ablations at a chosen scale. It reproduces the paper; what
+// the extensions cost is measured by benchmark/ (bash benchmark/run.sh).
 //
 // Usage:
 //
-//	hsqbench [-figure all|4|5|...|13|ablation-split|ablation-pinning|baselines|theory|columnar]
+//	hsqbench [-figure all|4|5|...|13|ablation-split|ablation-pinning|ablation-iobudget|baselines|theory]
 //	         [-scale small|medium|large] [-backend file|mem] [-cache-blocks N]
-//	         [-block-format columnar|raw] [-out results/]
+//	         [-out results/] [-list]
 //
 // Each figure prints one aligned text table per panel (matching the paper's
 // figure layout) and, with -out, writes one CSV per panel.
@@ -32,7 +33,6 @@ func run() error {
 		scale   = flag.String("scale", "medium", "experiment scale: small|medium|large")
 		backend = flag.String("backend", "file", "warehouse storage backend: file|mem")
 		cache   = flag.Int("cache-blocks", 0, "block-cache capacity in blocks (0 = no cache)")
-		format  = flag.String("block-format", "", "partition file layout: columnar|raw (default columnar)")
 		out     = flag.String("out", "", "directory for CSV output (optional)")
 		list    = flag.Bool("list", false, "list available figures and exit")
 	)
@@ -50,7 +50,6 @@ func run() error {
 	}
 	sc.Backend = *backend
 	sc.CacheBlocks = *cache
-	sc.BlockFormat = *format
 	ids := []string{*figure}
 	if *figure == "all" {
 		ids = experiments.FigureIDs()

@@ -44,7 +44,7 @@ func TestGoldenCluster(t *testing.T) {
 	// nothing ever dials the fake peer addresses and the relay block stays
 	// deterministically empty.
 	srv, err := newServer(serverConfig{
-		backend: "mem", blockFormat: "columnar", epsilon: 0.05, kappa: 3,
+		backend: "mem", epsilon: 0.05, kappa: 3,
 		nodeID:       "a",
 		clusterPeers: "a=10.0.0.1:9090,b=10.0.0.2:9090,c=10.0.0.3:9090",
 		replicas:     1,

@@ -27,12 +27,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files inste
 
 // goldenServer builds a server with a fixed, fully deterministic state: the
 // mem backend (no directory, no platform-dependent I/O), two streams with
-// known data, one completed step each. Nothing here may depend on timing,
-// and the block format is pinned so the pinned I/O counters don't shift
-// with the HSQ_BLOCK_FORMAT environment.
+// known data, one completed step each. Nothing here may depend on timing.
 func goldenServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := newServer(serverConfig{backend: "mem", blockFormat: "columnar", epsilon: 0.05, kappa: 3})
+	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +226,7 @@ func TestGoldenErrors(t *testing.T) {
 // shows a reproducible backlog (no timing, no worker pool).
 func goldenMaintServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := newServer(serverConfig{backend: "mem", blockFormat: "columnar", epsilon: 0.05, kappa: 3, maintenance: "manual"})
+	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maintenance: "manual"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +343,7 @@ func redactRemote(body []byte) []byte {
 // TestGoldenIngest pins GET /ingest (live connection with counters, then
 // the post-disconnect state) and the ingest enrichment of GET /streams.
 func TestGoldenIngest(t *testing.T) {
-	srv, err := newServer(serverConfig{backend: "mem", blockFormat: "columnar", epsilon: 0.05, kappa: 3})
+	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@
 // exactly-once delivery and credit-window backpressure. That path is the
 // intended front door for high-rate producers — the HTTP surface costs a
 // request per (at best) a few thousand elements; the wire path sustains
-// millions of elements per second per connection (see
-// BenchmarkRemoteIngest and `hsqbench -figure ingest`).
+// millions of elements per second per connection (ingest_values_per_s on
+// benchmark/'s ingest_firehose workload).
 //
 // With -cluster-peers, hsqd joins a sharded deployment (internal/cluster):
 // an explicit, epoch-numbered membership and a deterministic
@@ -107,12 +107,10 @@ func main() {
 		dir        = flag.String("dir", "", "warehouse directory (required for -backend file)")
 		backend    = flag.String("backend", "file", "storage backend: file|mem")
 		cache      = flag.Int("cache-blocks", 0, "shared block-cache capacity in blocks (0 = no cache)")
-		format     = flag.String("block-format", "", "partition file layout: columnar (default)|raw; existing files of either format stay readable")
 		epsilon    = flag.Float64("epsilon", 0.001, "approximation parameter ε")
 		kappa      = flag.Int("kappa", 10, "merge threshold κ")
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		ingestAddr = flag.String("ingest-addr", "", "TCP listen address for the binary ingest protocol (hsqclient); empty = disabled")
-		resume     = flag.Bool("resume", false, "deprecated: resume is automatic when -dir holds a DB manifest")
 
 		maintenance = flag.String("maintenance", "", "who installs sealed steps: sync (default: the endstep request), async (background scheduler), manual (drain on demand via POST maintenance); unset with -max-pending-steps > 0 selects async")
 		maxPending  = flag.Int("max-pending-steps", 0, "async backpressure: sealed steps a stream may queue before endstep blocks (0 = default 4); > 0 alone turns async maintenance on")
@@ -139,13 +137,9 @@ func main() {
 			log.Fatal("hsqd: -cluster-peers requires -ingest-addr (peers replicate and query over the wire protocol)")
 		}
 	}
-	if *resume {
-		log.Print("hsqd: -resume is deprecated; the DB resumes automatically from its manifest")
-	}
 	srv, err := newServer(serverConfig{
 		dir: *dir, backend: *backend, cacheBlocks: *cache,
-		blockFormat: *format,
-		epsilon:     *epsilon, kappa: *kappa,
+		epsilon: *epsilon, kappa: *kappa,
 		maintenance: *maintenance, maxPending: *maxPending, maintWorkers: *maintWork,
 		maxHydrated: *maxHydrated, probeMemo: *probeMemo,
 		nodeID: *nodeID, clusterPeers: *peers, replicas: *replicas,

@@ -43,7 +43,6 @@ type serverConfig struct {
 	dir          string
 	backend      string
 	cacheBlocks  int
-	blockFormat  string
 	epsilon      float64
 	kappa        int
 	maintenance  string
@@ -77,7 +76,6 @@ func newServer(sc serverConfig) (*server, error) {
 		Backend:            sc.backend,
 		Dir:                sc.dir,
 		CacheBlocks:        sc.cacheBlocks,
-		BlockFormat:        sc.blockFormat,
 		Maintenance:        sc.maintenance,
 		MaxPendingSteps:    sc.maxPending,
 		MaintenanceWorkers: sc.maintWorkers,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"repro"
 	"repro/internal/disk"
 	"repro/internal/oracle"
+	"repro/internal/workload"
 )
 
 // gateBackend wraps a Backend and blocks every Open/ReadMeta touching the
@@ -324,6 +326,108 @@ func TestEvictionRoundTrip(t *testing.T) {
 	}
 	if agg := db.DiskStats(); sum != agg {
 		t.Errorf("per-stream IO %+v does not sum to device aggregate %+v", sum, agg)
+	}
+}
+
+// TestDirectoryGrowthKeepsResidentSetAtBudget grows the directory 1000× by
+// bulk registration under a fixed hydration budget: the resident set tracks
+// the budget and not the directory, evicted streams cycle through it, and
+// live heap after GC stays within 1.5× of what the hot set alone held (a
+// cold stream costs a directory entry, not an engine).
+func TestDirectoryGrowthKeepsResidentSetAtBudget(t *testing.T) {
+	const (
+		hotStreams  = 8
+		poolStreams = 12
+		budget      = 12
+		batch       = 16000
+	)
+	db, err := hsq.Open(hsq.Options{
+		Epsilon: 0.003, Kappa: 3, Dir: t.TempDir(), BlockSize: 4096,
+		CacheBlocks: 4096, MaxHydratedStreams: budget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+
+	// The hot set carries a real working footprint — the claim is relative
+	// to it; an empty hot set would make any directory look heavy.
+	hot := make([]*hsq.Stream, hotStreams)
+	for i := range hot {
+		if hot[i], err = db.Stream(fmt.Sprintf("hot%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+		loadStream(t, hot[i], int64(i+1), 10, batch)
+	}
+	for i := 0; i < poolStreams; i++ {
+		st, err := db.Stream(fmt.Sprintf("pool%03d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadStream(t, st, int64(100+i), 1, batch/4)
+	}
+	gen := workload.NewUniform(1)
+	var phis []float64
+	for q := 0.02; q < 1; q += 0.04 {
+		phis = append(phis, q)
+	}
+	// traffic feeds and polls the hot set (live buffers keep it resident,
+	// dense polls keep the shared block cache warm) and touches every pool
+	// stream, then reports live heap and the directory.
+	traffic := func() (heap uint64, ds hsq.DirectoryStats) {
+		t.Helper()
+		for _, st := range hot {
+			for i := 0; i < 250; i++ {
+				st.Observe(gen.Next())
+			}
+			if _, _, err := st.Quantiles(phis); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < poolStreams; i++ {
+			st, ok := db.Lookup(fmt.Sprintf("pool%03d", i))
+			if !ok {
+				t.Fatalf("pool stream %d missing", i)
+			}
+			if _, _, err := st.Quantile(0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, db.DirectoryStats()
+	}
+
+	heap0, ds0 := traffic()
+	registered := hotStreams + poolStreams
+	names := make([]string, 0, 999*registered)
+	for i := registered; i < 1000*registered; i++ {
+		names = append(names, fmt.Sprintf("u%06d", i))
+	}
+	if err := db.RegisterStreams(names...); err != nil {
+		t.Fatal(err)
+	}
+	heap1, ds1 := traffic()
+
+	if ds0.Registered != registered || ds1.Registered != 1000*registered {
+		t.Fatalf("Registered = %d then %d, want %d then %d", ds0.Registered, ds1.Registered, registered, 1000*registered)
+	}
+	for _, ds := range []hsq.DirectoryStats{ds0, ds1} {
+		if ds.Hydrated > budget {
+			t.Errorf("%d registered: %d hydrated streams exceed the budget %d",
+				ds.Registered, ds.Hydrated, budget)
+		}
+	}
+	if ds1.Evictions <= ds0.Evictions {
+		t.Errorf("evictions %d -> %d: cold touches past the budget evicted nothing", ds0.Evictions, ds1.Evictions)
+	}
+	ratio := float64(heap1) / float64(heap0)
+	t.Logf("live heap %.1f MB -> %.1f MB (%.2fx), hydrated %d -> %d, evictions %d -> %d",
+		float64(heap0)/(1<<20), float64(heap1)/(1<<20), ratio, ds0.Hydrated, ds1.Hydrated, ds0.Evictions, ds1.Evictions)
+	if ratio > 1.5 {
+		t.Errorf("live heap grew %.2fx (%.1f MB -> %.1f MB) across 1000x registered streams, want <= 1.5x",
+			ratio, float64(heap0)/(1<<20), float64(heap1)/(1<<20))
 	}
 }
 

@@ -57,10 +57,10 @@
 //
 // # Block format
 //
-// Config.BlockFormat (hsqd's -block-format, environment HSQ_BLOCK_FORMAT)
-// selects how partition files are laid out on disk:
+// There is one writer per file kind and no knob. Two layouts exist on disk:
 //
-//   - "columnar" (default): a versioned compressed layout. The file opens
+//   - columnar, the layout of partitions, sort runs and merge outputs: a
+//     versioned compressed layout. The file opens
 //     with an 8-byte magic; each block carries a 25-byte header — format
 //     tag, element count, frame length, and the block's min/max values —
 //     followed by a delta-encoded zig-zag varint frame (blocks whose deltas
@@ -71,22 +71,23 @@
 //     before reading: a bisection step whose probe value falls outside a
 //     block's bounds resolves with no access at all, reported as
 //     SkippedBlocks in IOStats and QueryStats.
-//   - "raw": the original format — plain little-endian int64 frames, no
-//     header. Unsorted batch spills always use raw regardless of the
-//     setting, since delta frames only pay off on sorted data.
+//   - raw, the original format — plain little-endian int64 frames, no
+//     header: the layout of unsorted batch spills (delta frames only pay
+//     off on sorted data) and of partitions written by earlier releases.
 //
-// Versioning rule: the format tag governs only new files. Readers detect
-// the layout per file (magic plus footer validation, falling back to raw),
-// so a warehouse written by an older version opens and queries unchanged,
-// and raw and columnar partition files coexist — and merge — freely within
-// one store.
+// Versioning rule: readers detect the layout per file (magic plus footer
+// validation, falling back to raw), so a warehouse written by an older
+// version opens and queries unchanged, and raw and columnar partition
+// files coexist — and merge, into columnar outputs — freely within one
+// store.
 //
 // Cache accounting: the block cache charges cached blocks by their decoded
 // size in bytes (Config.CacheBlocks × BlockSize is the byte budget), not by
 // entry count — a decoded columnar block holds several blocks' worth of
 // raw elements, and counting entries would hand the compressed format a
-// hidden cache-size advantage in comparisons. `hsqbench -figure columnar`
-// measures the format head to head at an equal byte budget.
+// hidden cache-size advantage in comparisons. benchmark/ traces the codec
+// on every workload (disk.encode_ns_per_value, disk.decode_ns_per_value,
+// disk.skip_ratio, disk.cache_hit_ratio).
 //
 // # Multiple streams
 //
@@ -94,7 +95,7 @@
 // backend, one block-cache budget, one manifest root. Each stream carries
 // the full Engine surface; per-stream IOStats sum to the DB's aggregate,
 // and the shared cache budget flows to whichever stream is hot (see
-// BenchmarkMultiStream). Open reads only the stream directory from the DB
+// TestMultiStreamSharedCache). Open reads only the stream directory from the DB
 // manifest — cost proportional to the number of registered streams, not
 // to their data — so a multi-stream daemon restarts in milliseconds
 // regardless of warehouse size.
@@ -193,9 +194,11 @@
 // idle, not a hard cap. Lookup returns a handle without hydrating;
 // Stream.Hydrated reports residency; DB.DirectoryStats (and hsqd's GET
 // /streams) counts registered vs hydrated streams and cumulative
-// hydrations/evictions. The "cardinality" hsqbench figure quantifies the
-// point: registered streams grown 1000× under a fixed budget, with
-// resident heap tracking the hot set and hot-stream latency flat.
+// hydrations/evictions. TestDirectoryGrowthKeepsResidentSetAtBudget pins
+// the point: registered streams grown 1000× under a fixed budget, with
+// the hydrated count at the budget and resident heap tracking the hot set;
+// benchmark/'s endstep_fleet workload times hydration and eviction under
+// load (hsq.stream_acquire_us_p50, hsq.hydrations, hsq.evictions).
 //
 // DropStream commits the directory without the stream durably before
 // deleting any file, and the name stays claimed until the deletion
@@ -275,8 +278,8 @@
 // see ≥2× fewer probes; spread sets tie on probes but share cursor
 // descents, cutting backend reads. Request.MaxReads bounds the sweep's
 // total backend reads (unresolved targets fall back to the quick estimate
-// and Truncated is set), a cancelled context aborts it, and
-// Config.ParallelQuery walks independent subranges concurrently.
+// and Truncated is set) and a cancelled context aborts it. The sweep is
+// sequential: one cursor set, the left subrange then the right.
 //
 // Each published store version carries a bounded memo of resolved rank
 // probes (Config.ProbeMemoEntries; default 4096, negative disables).
@@ -342,8 +345,9 @@
 // (newline integers or batched JSON, parsed whole) enter the same pipeline
 // one step in, through ingest.Server.Write: the apply body a connection's
 // frame runs after its replay check, so both doors share one engine call
-// site, one set of tallies and one push nudge. BenchmarkRemoteIngest and
-// the "ingest" hsqbench figure measure the gap between the two doors.
+// site, one set of tallies and one push nudge. benchmark/'s ingest_firehose
+// workload measures the wire door end to end (ingest_values_per_s, with
+// wire.* and ingest.* per layer).
 //
 // # Cluster
 //

@@ -10,53 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestParallelQueryMatchesSerial: the §4 parallelization must not change
-// answers, only overlap I/O.
-func TestParallelQueryMatchesSerial(t *testing.T) {
-	build := func(parallel bool) (*Engine, *oracle.Oracle) {
-		eng, err := New(Config{
-			Epsilon: 0.02, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024,
-			ParallelQuery: parallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := workload.NewNormal(17)
-		orc := oracle.New(0)
-		for step := 0; step < 10; step++ {
-			batch := workload.Fill(gen, 1000)
-			eng.ObserveSlice(batch)
-			orc.Add(batch...)
-			if _, err := eng.EndStep(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stream := workload.Fill(gen, 600)
-		eng.ObserveSlice(stream)
-		orc.Add(stream...)
-		return eng, orc
-	}
-	serial, _ := build(false)
-	parallel, orc := build(true)
-	for _, phi := range []float64{0.1, 0.5, 0.9, 0.99} {
-		sv, _, err := serial.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pv, _, err := parallel.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sv != pv {
-			t.Errorf("phi=%g: serial %d != parallel %d", phi, sv, pv)
-		}
-		r := int64(math.Ceil(phi * float64(orc.Count())))
-		if d := float64(orc.SpanError(r, pv)); d > 1.5*0.02*600+1 {
-			t.Errorf("phi=%g: parallel error %g", phi, d)
-		}
-	}
-}
-
 // TestQueryIOBudget: a MaxReads cap must bound I/O, set Truncated when it
 // bites, and degrade accuracy gracefully (answer stays within the filter
 // spread of Lemma 4).
@@ -224,42 +177,6 @@ func TestIOBudgetTradeoffMonotone(t *testing.T) {
 		slack := parts * 16
 		if qs.RandReads > cap+slack {
 			t.Errorf("cap %d: %d reads", cap, qs.RandReads)
-		}
-	}
-}
-
-// TestMergeWorkersEquivalence: parallel level merges must leave queries
-// byte-identical to serial merges.
-func TestMergeWorkersEquivalence(t *testing.T) {
-	build := func(workers int) *Engine {
-		eng, err := New(Config{
-			Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024,
-			MergeWorkers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := workload.NewNormal(51)
-		for step := 0; step < 9; step++ {
-			eng.ObserveSlice(workload.Fill(gen, 800))
-			if _, err := eng.EndStep(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return eng
-	}
-	serial, parallel := build(1), build(4)
-	for _, phi := range []float64{0.1, 0.5, 0.9, 0.99} {
-		sv, _, err := serial.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pv, _, err := parallel.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sv != pv {
-			t.Errorf("phi=%g: serial %d != parallel-merge %d", phi, sv, pv)
 		}
 	}
 }

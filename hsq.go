@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -61,13 +60,6 @@ type Config struct {
 	// NoBlockPin disables the §2.4 optimization that pins a partition's
 	// final block in memory during a query.
 	NoBlockPin bool
-	// ParallelQuery probes all partitions concurrently during accurate
-	// queries — the paper's §4 future-work parallelization. Worthwhile when
-	// the store holds many partitions on hardware with parallel read paths.
-	ParallelQuery bool
-	// MergeWorkers > 1 parallelizes level merges across value ranges (§4
-	// future work). Costs one extra sequential pass over merged data.
-	MergeWorkers int
 	// ProbeMemoEntries bounds the per-snapshot rank-probe memo: each
 	// immutable store version caches up to this many bisection probes, so a
 	// repeated query against an unchanged snapshot (the dashboard re-poll
@@ -80,14 +72,6 @@ type Config struct {
 	// I/O counts even when the OS page cache hides the real device:
 	// "" (off, default), "hdd" (the paper's ~1 ms random access) or "ssd".
 	SimulateDisk string
-	// BlockFormat selects how partition files are laid out on disk:
-	// "columnar" (the default — delta-compressed blocks with min/max headers
-	// that enable block skipping during accurate queries) or "raw" (plain
-	// little-endian int64 frames, the original format). Files written in
-	// either format are always readable regardless of this setting; it only
-	// governs new files. An empty value falls back to the HSQ_BLOCK_FORMAT
-	// environment variable, then to "columnar".
-	BlockFormat string
 
 	// Maintenance selects who installs the steps EndStep seals (sort,
 	// level-0 partition, κ-way merges): "sync" (the EndStep caller, before it
@@ -144,15 +128,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.ProbeMemoEntries == 0 {
 		out.ProbeMemoEntries = 4096
-	}
-	if out.BlockFormat == "" {
-		out.BlockFormat = os.Getenv("HSQ_BLOCK_FORMAT")
-	}
-	if out.BlockFormat == "" {
-		out.BlockFormat = "columnar"
-	}
-	if _, err := disk.ParseBlockFormat(out.BlockFormat); err != nil {
-		return out, fmt.Errorf("hsq: %w", err)
 	}
 	switch out.Maintenance {
 	case "":
@@ -413,11 +388,10 @@ func newDevice(cfg Config) (*disk.Manager, error) {
 	if cfg.CacheBlocks > 0 {
 		dev.SetCache(cfg.CacheBlocks)
 	}
-	format, err := disk.ParseBlockFormat(cfg.BlockFormat)
-	if err != nil {
-		return nil, fmt.Errorf("hsq: %w", err)
-	}
-	if err := dev.SetBlockFormat(format); err != nil {
+	// Partitions, sort runs and merge outputs are written columnar; batch
+	// spills pin the raw format themselves. Readers auto-detect, so files
+	// of either format written by earlier releases stay readable.
+	if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
 		return nil, fmt.Errorf("hsq: %w", err)
 	}
 	if err := applyDiskProfile(dev, cfg.SimulateDisk); err != nil {
@@ -435,7 +409,6 @@ func storeConfig(cfg Config, eps1 float64, namespace string) partition.Config {
 		Eps1:             eps1,
 		SortMemElements:  cfg.SortMemElements,
 		SpillBatches:     true,
-		MergeWorkers:     cfg.MergeWorkers,
 		ProbeMemoEntries: cfg.ProbeMemoEntries,
 		Namespace:        namespace,
 	}
@@ -877,7 +850,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (Answer, error) {
 		c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
 		ans.Values, cost, err = core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
 			PinBlocks: !e.cfg.NoBlockPin,
-			Parallel:  e.cfg.ParallelQuery,
 			MaxReads:  req.MaxReads,
 			Interrupt: ctx.Err,
 			Memo:      s.memo,

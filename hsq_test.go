@@ -260,6 +260,20 @@ func TestWindowQueries(t *testing.T) {
 	}
 }
 
+// BenchmarkWindowQuery times accurate queries over every aligned window of
+// a 13-step history (no benchmark/ workload reads windows).
+func BenchmarkWindowQuery(b *testing.B) {
+	eng := loadEngine(b, Config{Epsilon: 0.01, Kappa: 10, Dir: b.TempDir(), BlockSize: 4096}, 13, 10000, 2000)
+	defer eng.Close() //nolint:errcheck
+	wins := eng.AvailableWindows()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Query1(eng, Request{Phis: []float64{0.5}, Window: wins[i%len(wins)]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestStreamOnlyQueries(t *testing.T) {
 	eng := newEngine(t, 0.05, 3)
 	orc := oracle.New(0)

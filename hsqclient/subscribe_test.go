@@ -212,6 +212,10 @@ func TestSubscribePushDuringIngest(t *testing.T) {
 	if pushes.Load() == 0 {
 		t.Fatal("no pushes during ingest churn")
 	}
+	// A push re-evaluates the merged plan from summaries alone.
+	if rr := h.db.DiskStats().RandReads; rr != 0 {
+		t.Errorf("ingest and pushes cost %d backend random reads, want 0", rr)
+	}
 	if err := sub.Unsubscribe(); err != nil {
 		t.Fatal(err)
 	}

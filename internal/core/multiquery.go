@@ -2,8 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/partition"
 )
@@ -36,23 +34,22 @@ type mtTarget struct {
 	out  []int
 }
 
-// sweep carries the shared state of one multi-target bisection: the
-// combined summary, the acceptance band, the (atomic) backend-read budget
-// and the aggregated cost counters. Parallel subranges run against
-// independent cursor sets but share the budget and the counters.
+// sweep carries the state of one multi-target bisection: the combined
+// summary, the acceptance band, the partition cursors, the backend-read
+// budget and the cost counters.
 type sweep struct {
 	c    *Combined
 	em   float64
 	opts QueryOptions
 	ans  []int64
 
-	reads     atomic.Int64 // backend reads spent, across all cursor sets
-	iters     atomic.Int64
-	memoHits  atomic.Int64
-	truncated atomic.Bool
+	// cursors are opened lazily, so a fully memo-resolved query never
+	// touches the store at all.
+	cursors []*partition.Cursor
 
-	mu                       sync.Mutex
-	ioReads, ioHits, ioSkips int // folded in by cursorSet.close
+	iters     int
+	memoHits  int
+	truncated bool
 }
 
 // AccurateMultiQueryOpts answers several rank targets over one combined
@@ -64,9 +61,7 @@ type sweep struct {
 // MaxReads is one backend-read budget for the whole sweep (once spent, targets still
 // in flight at the tripping probe snap to its midpoint and every other
 // unresolved target is answered from the in-memory summary alone, with
-// Truncated set); Interrupt is polled before every probe; Parallel probes
-// partitions concurrently within a probe AND walks independent subranges
-// of the sweep concurrently, each with its own cursor set. Memo, when
+// Truncated set); Interrupt is polled before every probe. Memo, when
 // non-nil, resolves repeat probes with zero I/O (see QueryOptions.Memo).
 func AccurateMultiQueryOpts(c *Combined, eps float64, rs []int64, opts QueryOptions) ([]int64, QueryCost, error) {
 	var cost QueryCost
@@ -107,16 +102,14 @@ func AccurateMultiQueryOpts(c *Combined, eps float64, rs []int64, opts QueryOpti
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].r < live[j].r })
 
-	cs := sw.newCursorSet()
-	err := sw.solve(live, cs)
-	cs.close()
-
-	cost.Iterations = int(sw.iters.Load())
-	cost.MemoHits = int(sw.memoHits.Load())
-	sw.mu.Lock()
-	cost.RandReads, cost.CacheHits, cost.SkippedBlocks = sw.ioReads, sw.ioHits, sw.ioSkips
-	sw.mu.Unlock()
-	cost.Truncated = sw.truncated.Load()
+	err := sw.solve(live)
+	for _, cur := range sw.cursors {
+		cost.RandReads += cur.Reads()
+		cost.CacheHits += cur.CacheHits()
+		cost.SkippedBlocks += cur.Skips()
+	}
+	sw.closeCursors()
+	cost.Iterations, cost.MemoHits, cost.Truncated = sw.iters, sw.memoHits, sw.truncated
 	if err != nil {
 		return nil, cost, err
 	}
@@ -125,10 +118,10 @@ func AccurateMultiQueryOpts(c *Combined, eps float64, rs []int64, opts QueryOpti
 
 // solve resolves one group of targets whose intervals share a hull. Each
 // probe at the hull midpoint classifies every target — move its upper
-// filter down, its lower filter up, or accept — and the left/right groups
-// recurse over disjoint subranges (concurrently under opts.Parallel).
-// Targets whose interval collapses to adjacent filters wait for finish.
-func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
+// filter down, its lower filter up, or accept — and the left then the right
+// group recurse over disjoint subranges. Targets whose interval collapses
+// to adjacent filters wait for finish.
+func (sw *sweep) solve(ts []*mtTarget) error {
 	if len(ts) == 0 {
 		return nil
 	}
@@ -138,8 +131,8 @@ func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
 		}
 	}
 	if sw.exhausted() {
-		// Another subrange (or an earlier probe) spent the whole budget:
-		// answer from the in-memory summary alone, zero reads.
+		// An earlier probe spent the whole budget: answer from the
+		// in-memory summary alone, zero reads.
 		return sw.quickAll(ts)
 	}
 	var endgame, live []*mtTarget
@@ -151,7 +144,7 @@ func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
 		}
 	}
 	if len(live) == 0 {
-		return sw.finish(endgame, cs)
+		return sw.finish(endgame)
 	}
 
 	// Probe the midpoint of the FIRST live target's interval, not the
@@ -162,8 +155,8 @@ func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
 	// more balanced but lands in the no-man's-land between disjoint target
 	// filters, spending probes that advance nobody.
 	z := live[0].u + (live[0].v-live[0].u)/2
-	sw.iters.Add(1)
-	rho, hist, e, fromMemo, err := sw.probe(cs, z)
+	sw.iters++
+	rho, hist, e, fromMemo, err := sw.probe(z)
 	if err != nil {
 		return err
 	}
@@ -186,7 +179,7 @@ func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
 		default:
 			if !accDone {
 				var used bool
-				accAns, used, err = sw.snapDownAt(cs, z, hist, e, fromMemo)
+				accAns, used, err = sw.snapDownAt(z, hist, e, fromMemo)
 				if err != nil {
 					return err
 				}
@@ -197,7 +190,7 @@ func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
 		}
 	}
 	if free {
-		sw.memoHits.Add(1)
+		sw.memoHits++
 	}
 	if sw.exhausted() && len(left)+len(right) > 0 {
 		// The budget tripped at this probe — which was therefore a real
@@ -215,7 +208,7 @@ func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
 					continue
 				}
 				if !accDone {
-					if accAns, _, err = sw.snapDownAt(cs, z, hist, e, fromMemo); err != nil {
+					if accAns, _, err = sw.snapDownAt(z, hist, e, fromMemo); err != nil {
 						return err
 					}
 					accDone = true
@@ -223,45 +216,23 @@ func (sw *sweep) solve(ts []*mtTarget, cs *cursorSet) error {
 				sw.resolve(t, accAns)
 			}
 		}
-		sw.truncated.Store(true)
-		left, right = nil, nil
+		sw.truncated = true
 		return sw.quickAll(append(rest, endgame...))
 	}
-	if len(left) > 0 && len(right) > 0 && sw.opts.Parallel {
-		// Independent subranges: walk the right half on its own cursor set.
-		cs2 := sw.newCursorSet()
-		var wg sync.WaitGroup
-		var rerr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer cs2.close()
-			rerr = sw.solve(right, cs2)
-		}()
-		lerr := sw.solve(left, cs)
-		wg.Wait()
-		if lerr != nil {
-			return lerr
-		}
-		if rerr != nil {
-			return rerr
-		}
-	} else {
-		if err := sw.solve(left, cs); err != nil {
-			return err
-		}
-		if err := sw.solve(right, cs); err != nil {
-			return err
-		}
+	if err := sw.solve(left); err != nil {
+		return err
 	}
-	return sw.finish(endgame, cs)
+	if err := sw.solve(right); err != nil {
+		return err
+	}
+	return sw.finish(endgame)
 }
 
 // finish resolves endgame targets — adjacent filters v = u+1 — exactly as
 // the single-target endgame: one probe at u decides predecessor (rank(u)
 // already reaches the target) versus successor. Targets sharing a u share
 // the probe; this is the "+k" term of the sweep's probe bound.
-func (sw *sweep) finish(ts []*mtTarget, cs *cursorSet) error {
+func (sw *sweep) finish(ts []*mtTarget) error {
 	if len(ts) == 0 {
 		return nil
 	}
@@ -289,8 +260,8 @@ func (sw *sweep) finish(ts []*mtTarget, cs *cursorSet) error {
 			}
 			continue
 		}
-		sw.iters.Add(1)
-		rho, hist, e, fromMemo, err := sw.probe(cs, u)
+		sw.iters++
+		rho, hist, e, fromMemo, err := sw.probe(u)
 		if err != nil {
 			return err
 		}
@@ -301,7 +272,7 @@ func (sw *sweep) finish(ts []*mtTarget, cs *cursorSet) error {
 			if rho >= t.fr {
 				if !downDone {
 					var used bool
-					downAns, used, err = sw.snapDownAt(cs, u, hist, e, fromMemo)
+					downAns, used, err = sw.snapDownAt(u, hist, e, fromMemo)
 					if err != nil {
 						return err
 					}
@@ -312,7 +283,7 @@ func (sw *sweep) finish(ts []*mtTarget, cs *cursorSet) error {
 			} else {
 				if !upDone {
 					var used bool
-					upAns, used, err = sw.snapUpAt(cs, u, hist, e, fromMemo)
+					upAns, used, err = sw.snapUpAt(u, hist, e, fromMemo)
 					if err != nil {
 						return err
 					}
@@ -323,7 +294,7 @@ func (sw *sweep) finish(ts []*mtTarget, cs *cursorSet) error {
 			}
 		}
 		if free {
-			sw.memoHits.Add(1)
+			sw.memoHits++
 		}
 	}
 	return nil
@@ -331,32 +302,30 @@ func (sw *sweep) finish(ts []*mtTarget, cs *cursorSet) error {
 
 // probe computes the rank estimate at z: the stream-side estimate plus the
 // exact historical rank, the latter from the memo when it already holds z.
-func (sw *sweep) probe(cs *cursorSet, z int64) (rho float64, hist int64, e partition.MemoEntry, fromMemo bool, err error) {
+func (sw *sweep) probe(z int64) (rho float64, hist int64, e partition.MemoEntry, fromMemo bool, err error) {
 	sRho := sw.c.StreamRankEstimate(z)
 	if sw.opts.Memo != nil {
 		if e, ok := sw.opts.Memo.Lookup(z); ok {
 			return sRho + float64(e.Rank), e.Rank, e, true, nil
 		}
 	}
-	hist, err = sw.cursorProbe(cs, z)
+	hist, err = sw.cursorProbe(z)
 	if err != nil {
 		return 0, 0, e, false, err
 	}
 	return sRho + float64(hist), hist, e, false, nil
 }
 
-// cursorProbe runs the real per-partition rank search at z, charging the
-// backend-read budget and recording the result in the memo.
-func (sw *sweep) cursorProbe(cs *cursorSet, z int64) (int64, error) {
-	cursors, err := cs.open()
-	if err != nil {
+// cursorProbe runs the real per-partition rank search at z — the reads
+// that spend the backend-read budget — and records the result in the memo.
+func (sw *sweep) cursorProbe(z int64) (int64, error) {
+	if err := sw.open(); err != nil {
 		return 0, err
 	}
-	for _, cur := range cursors {
+	for _, cur := range sw.cursors {
 		cur.SeekTo(z)
 	}
-	hist, err := histRank(cursors, z, sw.opts.Parallel)
-	cs.charge()
+	hist, err := histRank(sw.cursors, z)
 	if err != nil {
 		return 0, err
 	}
@@ -371,18 +340,17 @@ func (sw *sweep) cursorProbe(cs *cursorSet, z int64) (int64, error) {
 // otherwise from the cursors, refreshing their state with a real probe
 // first if the rank itself came from the memo. used reports whether any
 // cursor work happened.
-func (sw *sweep) snapDownAt(cs *cursorSet, z, hist int64, e partition.MemoEntry, fromMemo bool) (ans int64, used bool, err error) {
+func (sw *sweep) snapDownAt(z, hist int64, e partition.MemoEntry, fromMemo bool) (ans int64, used bool, err error) {
 	if fromMemo && e.PredKnown {
 		ans, err = snapDownFrom(sw.c, e.Pred, e.PredExists, z)
 		return ans, false, err
 	}
 	if fromMemo {
-		if _, err := sw.cursorProbe(cs, z); err != nil {
+		if _, err := sw.cursorProbe(z); err != nil {
 			return 0, true, err
 		}
 	}
-	pe, ok, err := histPred(cs.cursors)
-	cs.charge()
+	pe, ok, err := histPred(sw.cursors)
 	if err != nil {
 		return 0, true, err
 	}
@@ -394,18 +362,17 @@ func (sw *sweep) snapDownAt(cs *cursorSet, z, hist int64, e partition.MemoEntry,
 }
 
 // snapUpAt is snapDownAt's mirror: the smallest known element > z.
-func (sw *sweep) snapUpAt(cs *cursorSet, z, hist int64, e partition.MemoEntry, fromMemo bool) (ans int64, used bool, err error) {
+func (sw *sweep) snapUpAt(z, hist int64, e partition.MemoEntry, fromMemo bool) (ans int64, used bool, err error) {
 	if fromMemo && e.SuccKnown {
 		ans, err = snapUpFrom(sw.c, e.Succ, e.SuccExists, z)
 		return ans, false, err
 	}
 	if fromMemo {
-		if _, err := sw.cursorProbe(cs, z); err != nil {
+		if _, err := sw.cursorProbe(z); err != nil {
 			return 0, true, err
 		}
 	}
-	se, ok, err := histSucc(cs.cursors)
-	cs.charge()
+	se, ok, err := histSucc(sw.cursors)
 	if err != nil {
 		return 0, true, err
 	}
@@ -426,80 +393,52 @@ func (sw *sweep) quickAll(ts []*mtTarget) error {
 		}
 		sw.resolve(t, v)
 	}
-	sw.truncated.Store(true)
+	sw.truncated = true
 	return nil
 }
 
-// resolve writes a target's answer into its result slots (slots are
-// disjoint across targets, so concurrent subranges never collide).
+// resolve writes a target's answer into its result slots.
 func (sw *sweep) resolve(t *mtTarget, v int64) {
 	for _, i := range t.out {
 		sw.ans[i] = v
 	}
 }
 
-// exhausted reports whether the shared backend-read budget is spent.
+// exhausted reports whether the backend-read budget is spent: the cursors'
+// reads that reached the backend (cache hits, skips and memo hits spend
+// nothing) against MaxReads.
 func (sw *sweep) exhausted() bool {
-	return sw.opts.MaxReads > 0 && sw.reads.Load() >= int64(sw.opts.MaxReads)
+	if sw.opts.MaxReads <= 0 {
+		return false
+	}
+	reads := 0
+	for _, cur := range sw.cursors {
+		reads += cur.Reads()
+	}
+	return reads >= sw.opts.MaxReads
 }
-
-// cursorSet is one subrange walker's set of partition cursors, opened
-// lazily so fully memo-resolved queries never touch the store at all.
-type cursorSet struct {
-	sw        *sweep
-	cursors   []*partition.Cursor
-	opened    bool
-	lastReads int
-}
-
-func (sw *sweep) newCursorSet() *cursorSet { return &cursorSet{sw: sw} }
 
 // open creates the cursors on first use. The seed range is irrelevant —
 // every probe re-seeds its bracket with SeekTo.
-func (cs *cursorSet) open() ([]*partition.Cursor, error) {
-	if cs.opened {
-		return cs.cursors, nil
+func (sw *sweep) open() error {
+	if sw.cursors != nil {
+		return nil
 	}
-	for _, s := range cs.sw.c.sums {
-		cur, err := partition.NewCursor(s, 0, 0, cs.sw.opts.PinBlocks)
+	for _, s := range sw.c.sums {
+		cur, err := partition.NewCursor(s, 0, 0, sw.opts.PinBlocks)
 		if err != nil {
-			cs.close()
-			return nil, err
+			sw.closeCursors()
+			return err
 		}
-		cs.cursors = append(cs.cursors, cur)
+		sw.cursors = append(sw.cursors, cur)
 	}
-	cs.opened = true
-	return cs.cursors, nil
+	return nil
 }
 
-// charge adds this set's backend reads since the last charge to the
-// sweep's shared budget.
-func (cs *cursorSet) charge() {
-	total := 0
-	for _, cur := range cs.cursors {
-		total += cur.Reads()
-	}
-	if d := total - cs.lastReads; d > 0 {
-		cs.lastReads = total
-		cs.sw.reads.Add(int64(d))
-	}
-}
-
-// close folds the set's I/O counters into the sweep and releases the
-// cursors.
-func (cs *cursorSet) close() {
-	var reads, hits, skips int
-	for _, cur := range cs.cursors {
-		reads += cur.Reads()
-		hits += cur.CacheHits()
-		skips += cur.Skips()
+// closeCursors releases the cursors.
+func (sw *sweep) closeCursors() {
+	for _, cur := range sw.cursors {
 		cur.Close() //nolint:errcheck // read-only handles
 	}
-	cs.cursors = nil
-	cs.opened = false
-	cs.sw.mu.Lock()
-	cs.sw.ioReads += reads
-	cs.sw.ioHits += hits
-	cs.sw.ioSkips += skips
-	cs.sw.mu.Unlock()
+	sw.cursors = nil
 }

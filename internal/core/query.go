@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/partition"
 )
@@ -41,11 +40,6 @@ type QueryCost struct {
 type QueryOptions struct {
 	// PinBlocks enables the §2.4 single-block caching optimization.
 	PinBlocks bool
-	// Parallel probes all partitions concurrently at each bisection step —
-	// the paper's §4 future-work suggestion of overlapping disk reads — and
-	// additionally walks independent subranges of a multi-target sweep
-	// concurrently.
-	Parallel bool
 	// MaxReads, when positive, caps random block reads that actually reach
 	// the storage backend: the search stops early once the cap is reached
 	// and returns its best current answer with Truncated set. Accesses that
@@ -68,38 +62,15 @@ type QueryOptions struct {
 	Memo *partition.ProbeMemo
 }
 
-// histRank sums boundary(z) over all cursors, optionally probing partitions
-// concurrently (each cursor owns an independent file handle, so parallel
-// probes overlap their disk reads — the paper's §4 parallelization).
-func histRank(cursors []*partition.Cursor, z int64, parallel bool) (int64, error) {
-	if !parallel || len(cursors) < 2 {
-		var total int64
-		for _, cur := range cursors {
-			p, err := cur.Rank(z)
-			if err != nil {
-				return 0, err
-			}
-			total += p
-		}
-		return total, nil
-	}
-	ranks := make([]int64, len(cursors))
-	errs := make([]error, len(cursors))
-	var wg sync.WaitGroup
-	for i, cur := range cursors {
-		wg.Add(1)
-		go func(i int, cur *partition.Cursor) {
-			defer wg.Done()
-			ranks[i], errs[i] = cur.Rank(z)
-		}(i, cur)
-	}
-	wg.Wait()
+// histRank sums boundary(z) over all cursors.
+func histRank(cursors []*partition.Cursor, z int64) (int64, error) {
 	var total int64
-	for i := range cursors {
-		if errs[i] != nil {
-			return 0, errs[i]
+	for _, cur := range cursors {
+		p, err := cur.Rank(z)
+		if err != nil {
+			return 0, err
 		}
-		total += ranks[i]
+		total += p
 	}
 	return total, nil
 }

@@ -67,27 +67,6 @@ func TestQuickRankOfValueMonotone(t *testing.T) {
 	}
 }
 
-// TestAccurateQueryParallelMatchesSerial at the core layer.
-func TestAccurateQueryParallelMatchesSerial(t *testing.T) {
-	f := buildFixture(t, 109, 0.05, 10, 300, 800)
-	c := f.combined()
-	n := int64(len(f.all))
-	for _, phi := range []float64{0.1, 0.5, 0.9} {
-		r := int64(math.Ceil(phi * float64(n)))
-		sv, _, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pv, _, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true, Parallel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sv != pv {
-			t.Errorf("phi=%g: serial %d != parallel %d", phi, sv, pv)
-		}
-	}
-}
-
 // TestTruncatedStaysInFilters: an I/O-capped query must return a value
 // whose rank lies within the Lemma 4 filter spread.
 func TestTruncatedStaysInFilters(t *testing.T) {

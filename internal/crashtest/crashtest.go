@@ -61,11 +61,6 @@ type Config struct {
 	// (default — installs run at the plan's deterministic drains) or "sync"
 	// (each EndStep installs the step it sealed).
 	Maintenance string
-	// BlockFormat is the partition file layout under test: "columnar"
-	// (default — compressed blocks plus a footer, one extra write and
-	// crash point per file) or "raw". Pinned explicitly so sweeps stay
-	// deterministic regardless of the HSQ_BLOCK_FORMAT environment.
-	BlockFormat string
 	// MaxHydrated caps the DB's hydrated-engine budget
 	// (Config.MaxHydratedStreams; 0 = unlimited). A cap of 1 with several
 	// streams forces constant seal/evict/rehydrate churn, so the crash
@@ -96,9 +91,6 @@ func (c Config) WithDefaults() Config {
 	if c.Maintenance == "" {
 		c.Maintenance = hsq.MaintenanceManual
 	}
-	if c.BlockFormat == "" {
-		c.BlockFormat = "columnar"
-	}
 	return c
 }
 
@@ -109,7 +101,6 @@ func (c Config) options(cb *disk.CrashBackend) hsq.Options {
 		Device:             cb,
 		BlockSize:          c.BlockSize,
 		Maintenance:        c.Maintenance,
-		BlockFormat:        c.BlockFormat,
 		MaxHydratedStreams: c.MaxHydrated,
 	}
 }

@@ -204,36 +204,3 @@ func TestCrashSweepEviction(t *testing.T) {
 		}
 	}
 }
-
-// TestCrashSweepRawFormat repeats the crash sweep with the raw block
-// format: the default sweeps cover the columnar layout (whose footer adds
-// one write — and one crash point — per partition file), so this keeps the
-// uncompressed path under the same every-k-th-crash-point scrutiny.
-func TestCrashSweepRawFormat(t *testing.T) {
-	cfg := Config{Seed: *seedFlag, Ops: 200, BlockFormat: "raw"}.WithDefaults()
-	plan := BuildPlan(cfg)
-	counter := disk.NewCrashBackend()
-	if res := Replay(counter, cfg, plan); res.Err != nil {
-		t.Fatalf("uncrashed replay failed: %v", res.Err)
-	}
-	total := counter.Ops()
-	stride := int64(7)
-	if testing.Short() {
-		stride = 41
-	}
-	for k := int64(0); k < total; k += stride {
-		cb := disk.NewCrashBackend()
-		cb.SetCrashPoint(k, true)
-		res := Replay(cb, cfg, plan)
-		if res.Err != nil {
-			t.Fatalf("crash@%d: replay: %v", k, res.Err)
-		}
-		for _, keep := range []bool{false, true} {
-			clone := cb.Clone()
-			clone.Restart(keep)
-			if err := Verify(clone, cfg, plan, res); err != nil {
-				t.Errorf("crash@%d keep=%v: %v", k, keep, err)
-			}
-		}
-	}
-}

@@ -54,7 +54,8 @@ type cacheEntry struct {
 }
 
 // cacheShards is the shard count: enough to keep lock contention negligible
-// for ParallelQuery workloads without fragmenting small caches.
+// when many streams' queries share the device cache, without fragmenting
+// small caches.
 const cacheShards = 16
 
 // newBlockCache builds a cache holding at most budgetBytes of decoded

@@ -288,36 +288,6 @@ func TestRawFallbackTag(t *testing.T) {
 	}
 }
 
-// TestColumnarSeek exercises SeekElement across columnar block boundaries.
-func TestColumnarSeek(t *testing.T) {
-	m := colDev(t)
-	vals := sortedVals(200)
-	writeFmt(t, m, "seek.dat", FormatColumnar, vals)
-	r, err := m.OpenSequential("seek.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close() //nolint:errcheck
-	for _, i := range []int64{0, 1, 38, 39, 40, 77, 199, 100} {
-		if err := r.SeekElement(i); err != nil {
-			t.Fatalf("SeekElement(%d): %v", i, err)
-		}
-		v, ok, err := r.Next()
-		if err != nil || !ok {
-			t.Fatalf("Next after seek %d: %v %v", i, ok, err)
-		}
-		if v != vals[i] {
-			t.Fatalf("seek %d: got %d, want %d", i, v, vals[i])
-		}
-	}
-	if err := r.SeekElement(200); err != nil { // EOF position
-		t.Fatal(err)
-	}
-	if _, ok, _ := r.Next(); ok {
-		t.Fatal("Next after EOF seek returned an element")
-	}
-}
-
 // TestReadaheadEquivalence: a scan with readahead returns identical data,
 // counts the same number of sequential block reads, and issues them in
 // fewer backend batches.

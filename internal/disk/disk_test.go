@@ -355,39 +355,3 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
-
-func TestSeekElement(t *testing.T) {
-	m := newTestManager(t, 64) // 8 per block
-	w, _ := m.Create("f")
-	for i := 0; i < 50; i++ {
-		w.Append(int64(i * 2)) //nolint:errcheck
-	}
-	w.Close() //nolint:errcheck
-	r, err := m.OpenSequential("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for _, start := range []int64{0, 7, 8, 25, 49} {
-		if err := r.SeekElement(start); err != nil {
-			t.Fatalf("SeekElement(%d): %v", start, err)
-		}
-		v, ok, err := r.Next()
-		if err != nil || !ok || v != start*2 {
-			t.Fatalf("after seek %d: Next = %d,%v,%v", start, v, ok, err)
-		}
-	}
-	// Seek to EOF yields no elements.
-	if err := r.SeekElement(50); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := r.Next(); ok {
-		t.Error("Next after EOF seek should be exhausted")
-	}
-	if err := r.SeekElement(51); err == nil {
-		t.Error("seek past EOF: want error")
-	}
-	if err := r.SeekElement(-1); err == nil {
-		t.Error("negative seek: want error")
-	}
-}

@@ -9,7 +9,10 @@ import (
 	"repro/internal/enc"
 )
 
-// BlockFormat selects the on-disk layout of element files.
+// BlockFormat is the on-disk layout of an element file. There is one writer
+// per file kind and no knob: the engine writes partitions, sort runs and
+// merge outputs columnar and batch spills raw; readers auto-detect, so both
+// formats always open.
 //
 // Format 0 ("raw") is the seed layout: a headerless flat file of
 // little-endian int64s, blockSize bytes per block. It remains the format of
@@ -36,7 +39,7 @@ const (
 	FormatColumnar
 )
 
-// String returns the knob spelling of the format.
+// String names the format.
 func (f BlockFormat) String() string {
 	switch f {
 	case FormatRaw:
@@ -45,18 +48,6 @@ func (f BlockFormat) String() string {
 		return "columnar"
 	default:
 		return fmt.Sprintf("format(%d)", uint8(f))
-	}
-}
-
-// ParseBlockFormat resolves the -block-format / Config.BlockFormat knob.
-func ParseBlockFormat(s string) (BlockFormat, error) {
-	switch s {
-	case "raw":
-		return FormatRaw, nil
-	case "columnar":
-		return FormatColumnar, nil
-	default:
-		return FormatRaw, fmt.Errorf("disk: unknown block format %q (want \"raw\" or \"columnar\")", s)
 	}
 }
 

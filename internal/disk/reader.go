@@ -231,46 +231,6 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// SeekElement repositions the sequential reader so the next call to Next
-// returns element i (0-based). The block batch containing i is read
-// immediately. Used by range-restricted scans such as parallel merges.
-func (r *Reader) SeekElement(i int64) error {
-	if r.closed {
-		return fmt.Errorf("disk: seek on closed reader %s", r.name)
-	}
-	if i < 0 || i > r.count {
-		return fmt.Errorf("disk: seek to %d outside [0,%d] in %s", i, r.count, r.name)
-	}
-	if i == r.count {
-		// Position at EOF.
-		r.pos, r.n = 0, 0
-		r.read = r.count
-		if r.ix != nil {
-			r.block = r.ix.blocks()
-		} else {
-			r.block = (r.count + int64(r.m.dev.perBlock) - 1) / int64(r.m.dev.perBlock)
-		}
-		return nil
-	}
-	var blk, first int64
-	if r.ix != nil {
-		blk = r.ix.findBlock(i)
-		first = r.ix.starts[blk]
-	} else {
-		blk = i / int64(r.m.dev.perBlock)
-		first = blk * int64(r.m.dev.perBlock)
-	}
-	r.block = blk
-	r.pos, r.n = 0, 0
-	r.read = first
-	if err := r.fill(); err != nil {
-		return err
-	}
-	r.pos = int(i - first)
-	r.read = i
-	return nil
-}
-
 // RandomReader reads individual blocks of a file by index. Every Block call
 // that reaches the backend counts as one random read; calls absorbed by the
 // Manager's block cache count as cache hits instead, and probes answered

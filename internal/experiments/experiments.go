@@ -46,10 +46,6 @@ type Scale struct {
 	// CacheBlocks, when positive, gives every engine in the campaign a
 	// block cache of that many blocks.
 	CacheBlocks int
-	// BlockFormat selects the on-disk partition file layout for every run
-	// in the campaign: "columnar" (default), or "raw" for the uncompressed
-	// format (cmd/hsqbench exposes this as --block-format).
-	BlockFormat string
 	// Datasets optionally restricts the workloads swept (default: all of
 	// Workloads, the paper's four panels).
 	Datasets []string

@@ -346,31 +346,6 @@ func TestMoreFiguresSmoke(t *testing.T) {
 	}
 }
 
-// TestClusterComparison smoke-tests the scatter-gather figure: every shard
-// count must answer (the cluster rows over real sockets), distribution may
-// cost latency but never accuracy — the merged answer's rank error stays
-// within the composed 1.5·ε band at every shard count.
-func TestClusterComparison(t *testing.T) {
-	sc := tiny
-	tables, err := ClusterComparison(sc, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) != 3 {
-		t.Fatalf("want one table with 3 rows, got %+v", tables)
-	}
-	for _, r := range tables[0].Rows {
-		if us := r.Cells[0]; us <= 0 {
-			t.Errorf("shards=%g: QueryUs = %g, want > 0", r.X, us)
-		}
-		// Composed quick-query bound is 1.5·ε = 1.5% of N, plus slack for
-		// the ±1 discretization at tiny N.
-		if errPct := r.Cells[2]; errPct > 2.0 {
-			t.Errorf("shards=%g: rank error %g%% exceeds composed bound", r.X, errPct)
-		}
-	}
-}
-
 // TestRunMemBackend drives a full figure through the registry with the
 // memory backend and a block cache — the cmd/hsqbench --backend=mem path.
 func TestRunMemBackend(t *testing.T) {
@@ -387,219 +362,5 @@ func TestRunMemBackend(t *testing.T) {
 	// Fig6 exercises the plainStore/pureStreamingUpdate path as well.
 	if err := Run("6", sc, &buf, ""); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMaintenanceComparison sanity-checks the sync-vs-async maintenance
-// table: two rows (one per mode), the same installs and merges in both (one
-// install routine, whoever runs it), and merges actually running (κ=2
-// cascades).
-func TestMaintenanceComparison(t *testing.T) {
-	tables, err := MaintenanceComparison(tiny, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) != 2 {
-		t.Fatalf("want 1 table with 2 rows, got %+v", tables)
-	}
-	cols := tables[0].Columns
-	idx := func(name string) int {
-		for i, c := range cols {
-			if c == name {
-				return i
-			}
-		}
-		t.Fatalf("column %s missing from %v", name, cols)
-		return -1
-	}
-	syncRow, asyncRow := tables[0].Rows[0], tables[0].Rows[1]
-	for _, col := range []string{"Installs", "Merges"} {
-		if got, want := syncRow.Cells[idx(col)], asyncRow.Cells[idx(col)]; got != want || got <= 0 {
-			t.Errorf("%s: sync %v, async %v, want equal and > 0 (κ=2 must cascade)", col, got, want)
-		}
-	}
-}
-
-// TestIngestComparison sanity-checks the remote-ingest transport table:
-// three rows (HTTP/value, HTTP/batch, wire), positive throughput
-// everywhere, and the wire protocol at least 10× the per-value HTTP
-// baseline — the remote ingest subsystem's acceptance bar, held with a
-// wide margin in practice.
-func TestIngestComparison(t *testing.T) {
-	tables, err := IngestComparison(tiny, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) != 3 {
-		t.Fatalf("want 1 table with 3 rows, got %+v", tables)
-	}
-	cols := tables[0].Columns
-	idx := func(name string) int {
-		for i, c := range cols {
-			if c == name {
-				return i
-			}
-		}
-		t.Fatalf("column %s missing from %v", name, cols)
-		return -1
-	}
-	for x, row := range tables[0].Rows {
-		if tput := row.Cells[idx("ValuesPerSec")]; tput <= 0 {
-			t.Errorf("row %d throughput = %v, want > 0", x, tput)
-		}
-	}
-	wire := tables[0].Rows[2]
-	if speedup := wire.Cells[idx("Speedup")]; speedup < 10 {
-		t.Errorf("wire speedup over per-value HTTP = %.1fx, want ≥ 10x", speedup)
-	}
-}
-
-// TestColumnarComparison smoke-tests the raw-vs-columnar figure: the
-// columnar run must never issue more random reads per query than raw (it
-// reads strictly fewer, larger blocks and can skip some outright), and on
-// this bisection-heavy setup header bounds must resolve at least one step.
-func TestColumnarComparison(t *testing.T) {
-	sc := tiny
-	sc.Datasets = []string{"uniform"}
-	tables, err := ColumnarComparison(sc, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) == 0 {
-		t.Fatalf("want one populated table, got %+v", tables)
-	}
-	var sawSkip bool
-	for _, r := range tables[0].Rows {
-		rawReads, colReads, skips := r.Cells[3], r.Cells[4], r.Cells[5]
-		if colReads > rawReads {
-			t.Errorf("cache=%g: columnar reads %g > raw %g", r.X, colReads, rawReads)
-		}
-		if skips > 0 {
-			sawSkip = true
-		}
-	}
-	if !sawSkip {
-		t.Error("no bisection step was resolved from block-header bounds")
-	}
-}
-
-// TestCardinality smoke-tests the lazy-directory scaling figure and pins
-// its acceptance bar: across a 1000× growth in registered streams, live
-// heap stays within 1.5× of the first decade, the hydrated count stays at
-// (or under) the budget rather than tracking the directory, and hot-stream
-// observe latency does not degrade beyond noise.
-func TestCardinality(t *testing.T) {
-	tables, err := Cardinality(tiny, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) != 4 {
-		t.Fatalf("want one table with 4 decade rows, got %+v", tables)
-	}
-	rows := tables[0].Rows
-	first, last := rows[0], rows[len(rows)-1]
-	if growth := last.X / first.X; growth != 1000 {
-		t.Errorf("registered streams grew %gx, want 1000x", growth)
-	}
-	// Column order: HydratedStreams, HeapAllocMB, HotObserveP99Us,
-	// ColdTouchP99Ms, Evictions.
-	for _, r := range rows {
-		if r.Cells[0] > 40 {
-			t.Errorf("x=%g: %g hydrated streams — resident set tracks the directory, not the budget", r.X, r.Cells[0])
-		}
-	}
-	if ratio := last.Cells[1] / first.Cells[1]; ratio > 1.5 {
-		t.Errorf("heap grew %.2fx (%.1f MB -> %.1f MB) across 1000x streams, want <= 1.5x",
-			ratio, first.Cells[1], last.Cells[1])
-	}
-	// p99 Observe is noisy at test scale; "within noise" here means the
-	// last decade is not an order of magnitude above the first.
-	if first.Cells[2] > 0 && last.Cells[2] > 10*first.Cells[2] {
-		t.Errorf("hot observe p99 grew %.0fus -> %.0fus across decades", first.Cells[2], last.Cells[2])
-	}
-	if last.Cells[4] == 0 {
-		t.Error("no evictions despite pool exceeding the hydration budget")
-	}
-}
-
-// TestQueryLayer asserts the query-layer figure's acceptance bar: the
-// merged fleet query answers for strictly fewer backend random reads than
-// N accurate per-stream polls (zero, in fact — it only merges summaries),
-// and the subscription delivers at least one data-carrying push per mode
-// run, also without backend reads.
-func TestQueryLayer(t *testing.T) {
-	tables, err := QueryLayer(tiny, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) != 3 {
-		t.Fatalf("want one table with 3 mode rows, got %+v", tables)
-	}
-	// Column order: Answers, WallMs, ValuesPerSec, RandReads.
-	npoll, mergedQ, push := tables[0].Rows[0], tables[0].Rows[1], tables[0].Rows[2]
-	if npoll.Cells[3] == 0 {
-		t.Error("N accurate polls cost no backend reads; comparison is vacuous")
-	}
-	if mergedQ.Cells[3] != 0 {
-		t.Errorf("merged query cost %g backend reads, want 0 (summary-only)", mergedQ.Cells[3])
-	}
-	if mergedQ.Cells[3] >= npoll.Cells[3] {
-		t.Errorf("merged query reads %g not below N-poll reads %g", mergedQ.Cells[3], npoll.Cells[3])
-	}
-	for i, r := range tables[0].Rows {
-		if r.Cells[0] <= 0 || r.Cells[2] <= 0 {
-			t.Errorf("mode %d: answers %g / values-per-sec %g, want > 0", i, r.Cells[0], r.Cells[2])
-		}
-	}
-	if push.Cells[3] != 0 {
-		t.Errorf("push path cost %g backend reads, want 0", push.Cells[3])
-	}
-}
-
-// TestQueryPerf asserts the tentpole's acceptance criteria on the
-// queryperf figure: the banded 3-target Quantiles resolves with ≥2× fewer
-// probes than three single-target calls, no workload is ever worse shared
-// than single, and from round 2 on the repeated dashboard poll costs zero
-// backend reads with every probe a memo hit.
-func TestQueryPerf(t *testing.T) {
-	tables, err := QueryPerf(tiny, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 {
-		t.Fatalf("want 2 tables, got %d", len(tables))
-	}
-	multi, dash := tables[0], tables[1]
-
-	// Table 1 cells: K, SingleProbes, SharedProbes, ProbeRatio,
-	// SingleReads, SharedReads, ReadRatio. Row 0 is the banded workload.
-	if len(multi.Rows) != 4 {
-		t.Fatalf("%s: want 4 workload rows, got %d", multi.ID, len(multi.Rows))
-	}
-	if r := multi.Rows[0].Cells[3]; r < 2 {
-		t.Errorf("banded 3-target probe ratio = %.2f, want ≥ 2×", r)
-	}
-	for i, row := range multi.Rows {
-		if row.Cells[2] > row.Cells[1] {
-			t.Errorf("%s row %d: shared sweep used %g probes vs %g single — must never be worse",
-				multi.ID, i, row.Cells[2], row.Cells[1])
-		}
-	}
-
-	// Table 2 cells: Probes, RandReads, CacheHits, MemoHits per round.
-	if len(dash.Rows) < 2 {
-		t.Fatalf("%s: want ≥2 rounds, got %d", dash.ID, len(dash.Rows))
-	}
-	if dash.Rows[0].Cells[1] == 0 {
-		t.Errorf("%s round 1 did no backend reads; memo claim is vacuous", dash.ID)
-	}
-	for _, row := range dash.Rows[1:] {
-		if row.Cells[1] != 0 {
-			t.Errorf("%s round %g: %g backend reads, want 0 (all memo)", dash.ID, row.X, row.Cells[1])
-		}
-		if row.Cells[3] != row.Cells[0] || row.Cells[0] == 0 {
-			t.Errorf("%s round %g: %g memo hits over %g probes, want every probe memoized",
-				dash.ID, row.X, row.Cells[3], row.Cells[0])
-		}
 	}
 }

@@ -27,8 +27,6 @@ type hybridConfig struct {
 	pin         bool
 	backend     string
 	cacheBlocks int
-	blockFormat string
-	probeMemo   int // ProbeMemoEntries (0 = engine default, < 0 = off)
 }
 
 // hybridCfg derives a run configuration from the campaign scale, inheriting
@@ -37,7 +35,6 @@ func (s Scale) hybridCfg(eps float64, kappa int, pin bool) hybridConfig {
 	return hybridConfig{
 		eps: eps, kappa: kappa, pin: pin,
 		blockSize: s.BlockSize, backend: s.Backend, cacheBlocks: s.CacheBlocks,
-		blockFormat: s.BlockFormat,
 	}
 }
 
@@ -60,10 +57,7 @@ func newHybridRun(ds *dataset, cfg hybridConfig, root string) (*hybridRun, error
 		Dir:         dir,
 		BlockSize:   cfg.blockSize,
 		CacheBlocks: cfg.cacheBlocks,
-		BlockFormat: cfg.blockFormat,
 		NoBlockPin:  !cfg.pin,
-
-		ProbeMemoEntries: cfg.probeMemo,
 	})
 	if err != nil {
 		if dir != "" {

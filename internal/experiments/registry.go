@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 )
 
@@ -31,34 +30,13 @@ var Registry = map[string]FigureFunc{
 	"ablation-iobudget": AblationIOBudget,
 	"baselines":         AblationBaselines,
 	"theory":            TheoryTable,
-	"maintenance":       MaintenanceComparison,
-	"ingest":            IngestComparison,
-	"columnar":          ColumnarComparison,
-	"cluster":           ClusterComparison,
-	"cardinality":       Cardinality,
-	"queryperf":         QueryPerf,
-	"querylayer":        QueryLayer,
 }
 
-// FigureIDs returns the registry keys in presentation order.
+// FigureIDs returns the registry keys in presentation order
+// (TestFigureIDsComplete holds the list to the registry).
 func FigureIDs() []string {
-	order := []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
-		"ablation-split", "ablation-pinning", "ablation-iobudget", "baselines", "theory",
-		"maintenance", "ingest", "columnar", "cluster", "cardinality", "queryperf",
-		"querylayer"}
-	// Defensive: include any unlisted keys at the end.
-	seen := make(map[string]bool, len(order))
-	for _, k := range order {
-		seen[k] = true
-	}
-	var extra []string
-	for k := range Registry {
-		if !seen[k] {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(extra)
-	return append(order, extra...)
+	return []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
+		"ablation-split", "ablation-pinning", "ablation-iobudget", "baselines", "theory"}
 }
 
 // Run executes one figure, renders its tables to w, and (if outDir is

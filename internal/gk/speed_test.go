@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkInsert(b *testing.B) {
-	for _, eps := range []float64{0.01, 0.001, 0.0005} {
-		b.Run(floatName(eps), func(b *testing.B) {
-			s := MustNew(eps)
-			rng := rand.New(rand.NewSource(1))
-			vals := make([]int64, 1<<16)
-			for i := range vals {
-				vals[i] = rng.Int63()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Insert(vals[i&(1<<16-1)])
-			}
-		})
-	}
-}
-
-func floatName(f float64) string {
-	switch f {
-	case 0.01:
-		return "eps=0.01"
-	case 0.001:
-		return "eps=0.001"
-	default:
-		return "eps=0.0005"
-	}
-}
-
 func BenchmarkQuery(b *testing.B) {
 	s := MustNew(0.001)
 	rng := rand.New(rand.NewSource(2))

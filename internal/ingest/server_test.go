@@ -49,12 +49,14 @@ func dialRaw(t *testing.T, s *Server) *rawConn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close() //nolint:errcheck
 	rc := &rawConn{t: t}
 	rc.wg.Add(1)
 	go func() {
 		defer rc.wg.Done()
+		// Close the listener only once Accept has returned: closing it
+		// with the dialled connection still in the backlog resets it.
 		server, err := l.Accept()
+		l.Close() //nolint:errcheck
 		if err != nil {
 			return
 		}
@@ -62,6 +64,7 @@ func dialRaw(t *testing.T, s *Server) *rawConn {
 	}()
 	rc.nc, err = net.Dial("tcp", l.Addr().String())
 	if err != nil {
+		l.Close() //nolint:errcheck // unblocks Accept
 		t.Fatal(err)
 	}
 	rc.w, rc.r = wire.NewWriter(rc.nc), wire.NewReader(rc.nc)

@@ -119,10 +119,11 @@ func ParseManifest(data []byte) (*Manifest, error) {
 }
 
 // tempFilePatterns matches the transient files an install creates and a
-// crash can strand: raw batch spills, external-sort and parallel-merge
-// temporaries, and interrupted metadata temp files. Any match is removable
-// debris once no install is in flight — except raw spills referenced by the
-// manifest's pending section, which are the durable form of sealed steps.
+// crash can strand: raw batch spills, external-sort temporaries, the
+// pmerge-* temporaries of earlier builds, and interrupted metadata temp
+// files. Any match is removable debris once no install is in flight —
+// except raw spills referenced by the manifest's pending section, which are
+// the durable form of sealed steps.
 var tempFilePatterns = []string{
 	"batch-raw-*.dat",
 	"sort-*",

@@ -26,10 +26,6 @@ type Config struct {
 	// accounted. When false, loading is skipped and batches sort directly
 	// from memory (useful for unit tests).
 	SpillBatches bool
-	// MergeWorkers > 1 parallelizes level merges across value ranges (the
-	// paper's §4 future-work direction). Costs one extra sequential pass
-	// over the merged data; reduces wall-clock on parallel storage.
-	MergeWorkers int
 	// Namespace identifies the logical stream this store belongs to when
 	// several stores multiplex one device through namespaced disk views
 	// (disk.Manager.Namespace). It is recorded in the manifest and checked
@@ -366,11 +362,7 @@ func (s *Store) cascadeMerges() (int, error) {
 		if len(s.levels[lvl]) <= s.cfg.Kappa {
 			continue
 		}
-		if s.cfg.MergeWorkers > 1 {
-			if err := s.mergeLevelParallel(lvl, s.cfg.MergeWorkers); err != nil {
-				return merges, err
-			}
-		} else if err := s.mergeLevel(lvl); err != nil {
+		if err := s.mergeLevel(lvl); err != nil {
 			return merges, err
 		}
 		merges++

@@ -190,8 +190,8 @@ func TestSealInstallRoundtrip(t *testing.T) {
 
 // TestVersionEntriesChronological pins the one partition order as an
 // invariant of publish: whatever the levels hold — fresh level-0 installs,
-// cascading merges, serial or with parallel merge workers, a sealed backlog
-// waiting — every published version lists its partitions oldest first,
+// cascading merges, a sealed backlog waiting — every published version
+// lists its partitions oldest first,
 // tiling (0, InstalledSteps] without a gap. A second goroutine pins while
 // installs run, so the version published between an install and its merges
 // is checked too.
@@ -211,53 +211,51 @@ func TestVersionEntriesChronological(t *testing.T) {
 			t.Errorf("version %d entries end at step %d, InstalledSteps = %d", v.Seq(), next-1, v.InstalledSteps())
 		}
 	}
-	for _, workers := range []int{1, 3} {
-		for _, kappa := range []int{2, 3, 5} {
-			t.Run(fmt.Sprintf("workers=%d/kappa=%d", workers, kappa), func(t *testing.T) {
-				s, err := NewStore(newDev(t), Config{Kappa: kappa, Eps1: 0.2, MergeWorkers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(int64(31*kappa + workers)))
-				stop, done := make(chan struct{}), make(chan struct{})
-				go func() {
-					defer close(done)
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						v := s.Pin()
-						check(t, v)
-						v.Release()
+	for _, kappa := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("kappa=%d", kappa), func(t *testing.T) {
+			s, err := NewStore(newDev(t), Config{Kappa: kappa, Eps1: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(31*kappa + 1)))
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}()
-				levels := 0
-				for s.Steps() < 60 {
-					// Seal a few steps, then install some of them: versions
-					// are published with and without a backlog behind them.
-					for i := 1 + rng.Intn(3); i > 0; i-- {
-						if _, err := s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40))); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for i := rng.Intn(4); i > 0; i-- {
-						if _, _, err := s.InstallOne(); err != nil {
-							t.Fatal(err)
-						}
-						v := s.Pin()
-						check(t, v)
-						v.Release()
-					}
-					levels = max(levels, s.Levels())
+					v := s.Pin()
+					check(t, v)
+					v.Release()
 				}
-				close(stop)
-				<-done
-				if levels < 2 {
-					t.Fatalf("only %d level(s) ever held partitions: no merge cascaded, test is vacuous", levels)
+			}()
+			levels := 0
+			for s.Steps() < 60 {
+				// Seal a few steps, then install some of them: versions
+				// are published with and without a backlog behind them.
+				for i := 1 + rng.Intn(3); i > 0; i-- {
+					if _, err := s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40))); err != nil {
+						t.Fatal(err)
+					}
 				}
-			})
-		}
+				for i := rng.Intn(4); i > 0; i-- {
+					if _, _, err := s.InstallOne(); err != nil {
+						t.Fatal(err)
+					}
+					v := s.Pin()
+					check(t, v)
+					v.Release()
+				}
+				levels = max(levels, s.Levels())
+			}
+			close(stop)
+			<-done
+			if levels < 2 {
+				t.Fatalf("only %d level(s) ever held partitions: no merge cascaded, test is vacuous", levels)
+			}
+		})
 	}
 }

@@ -498,3 +498,152 @@ func TestValidationSingleSource(t *testing.T) {
 		t.Error("MaxPendingSteps=-1: accepted")
 	}
 }
+
+// maintBenchConfig builds the sync-vs-async comparison engine: κ=2 so
+// merges cascade constantly, simulated SSD latency so the inline
+// sort+merge cost is the device's rather than the allocator's.
+func maintBenchConfig(mode string) Config {
+	cfg := Config{
+		Epsilon: 0.01, Kappa: 2, Backend: "mem", BlockSize: 4096,
+		SimulateDisk: "ssd", Maintenance: mode,
+	}
+	if mode == "async" {
+		cfg.MaxPendingSteps = 8
+		cfg.MaintenanceWorkers = 2
+	}
+	return cfg
+}
+
+func reportP99(b *testing.B, lat []time.Duration, name string) {
+	b.Helper()
+	if len(lat) == 0 {
+		return
+	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), name)
+}
+
+// BenchmarkIngestStall measures the write path's tail latency across step
+// boundaries: a producer observes continuously while the bench loop closes
+// steps. No mode holds the engine lock across an install, so Observe p99 is
+// the cost of the lock hand-off at the cut in both; what the async scheduler
+// buys is the EndStep caller's own latency (p99-endstep-ns, and ns/op) — the
+// seal and its commit instead of seal, install, merges and commit — until
+// the backlog reaches MaxPendingSteps and backpressure hands the install
+// time back.
+func BenchmarkIngestStall(b *testing.B) {
+	for _, mode := range []string{"sync", "async"} {
+		b.Run("maintenance="+mode, func(b *testing.B) {
+			eng, err := New(maintBenchConfig(mode))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close() //nolint:errcheck
+			gen := workload.NewUniform(21)
+			vals := workload.Fill(gen, 1<<16)
+
+			// Low-rate latency probe: one Observe every ~200µs, so the batch
+			// volume stays owned by the bench loop while the probe samples
+			// how long an Observe waits behind a step boundary.
+			var (
+				stop atomic.Bool
+				wg   sync.WaitGroup
+				mu   sync.Mutex
+				lat  []time.Duration
+			)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				i := 0
+				for !stop.Load() {
+					t0 := time.Now()
+					eng.Observe(vals[i&(1<<16-1)])
+					d := time.Since(t0)
+					mu.Lock()
+					lat = append(lat, d)
+					mu.Unlock()
+					i++
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+
+			batch := workload.Fill(gen, 4000)
+			endStep := make([]time.Duration, 0, b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.ObserveSlice(batch)
+				t0 := time.Now()
+				if _, err := eng.EndStep(); err != nil {
+					b.Fatal(err)
+				}
+				endStep = append(endStep, time.Since(t0))
+			}
+			b.StopTimer()
+			reportP99(b, endStep, "p99-endstep-ns")
+			stop.Store(true)
+			wg.Wait()
+			if err := eng.SyncMaintenance(); err != nil {
+				b.Fatal(err)
+			}
+			mu.Lock()
+			reportP99(b, lat, "p99-observe-ns")
+			mu.Unlock()
+		})
+	}
+}
+
+// BenchmarkQueryDuringMerge measures accurate-query latency while installs
+// and κ-way merges run: a producer keeps closing steps (κ=2, so cascades
+// are constant) while the bench loop queries. Reads are snapshot-isolated
+// from the install whoever runs it — the EndStep caller or the scheduler —
+// so both modes stay flat; they differ in how many sealed steps a query
+// covers by frozen summary instead of by partition.
+func BenchmarkQueryDuringMerge(b *testing.B) {
+	for _, mode := range []string{"sync", "async"} {
+		b.Run("maintenance="+mode, func(b *testing.B) {
+			eng, err := New(maintBenchConfig(mode))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close() //nolint:errcheck
+			gen := workload.NewUniform(22)
+			for s := 0; s < 6; s++ {
+				eng.ObserveSlice(workload.Fill(gen, 4000))
+				if _, err := eng.EndStep(); err != nil {
+					b.Fatal(err)
+				}
+			}
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					eng.ObserveSlice(workload.Fill(gen, 4000))
+					if _, err := eng.EndStep(); err != nil {
+						return
+					}
+				}
+			}()
+
+			lat := make([]time.Duration, 0, b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				phi := 0.1 + 0.8*float64(i%9)/9
+				t0 := time.Now()
+				if _, _, err := eng.Quantile(phi); err != nil {
+					b.Fatal(err)
+				}
+				lat = append(lat, time.Since(t0))
+			}
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+			if err := eng.SyncMaintenance(); err != nil {
+				b.Fatal(err)
+			}
+			reportP99(b, lat, "p99-query-ns")
+		})
+	}
+}

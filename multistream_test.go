@@ -1,8 +1,7 @@
 // Multi-stream cache-sharing evaluation: N streams on one DB draw on a
 // single shared LRU budget, so cache capacity flows to whichever stream is
 // hot; N independent engines must statically split the same budget N ways
-// and strand capacity on cold streams. The test asserts the effect, the
-// benchmark measures it.
+// and strand capacity on cold streams. The test asserts the effect.
 package hsq_test
 
 import (
@@ -129,27 +128,4 @@ func TestMultiStreamSharedCache(t *testing.T) {
 	if sum != agg {
 		t.Errorf("per-stream IOStats sum %+v != device aggregate %+v", sum, agg)
 	}
-}
-
-// BenchmarkMultiStream compares the two arrangements under the same skewed
-// dashboard workload; the randreads/op metric is the paper's disk-access
-// cost. Example:
-//
-//	go test -bench BenchmarkMultiStream -benchtime 3x
-func BenchmarkMultiStream(b *testing.B) {
-	b.Run("shared-db", func(b *testing.B) {
-		var reads uint64
-		for i := 0; i < b.N; i++ {
-			r, _, _ := runShared(b)
-			reads += r
-		}
-		b.ReportMetric(float64(reads)/float64(b.N), "randreads/op")
-	})
-	b.Run("split-engines", func(b *testing.B) {
-		var reads uint64
-		for i := 0; i < b.N; i++ {
-			reads += runSplit(b)
-		}
-		b.ReportMetric(float64(reads)/float64(b.N), "randreads/op")
-	})
 }

@@ -111,9 +111,28 @@ func TestQueryDifferentialVsOracle(t *testing.T) {
 			f := newQLFixture(t, mode, steps)
 
 			t.Run("merge-explicit", func(t *testing.T) {
+				// The merged plan only merges summaries: it costs no backend
+				// random read where one accurate poll per stream pays some.
+				before := f.db.DiskStats().RandReads
+				for _, name := range f.names {
+					st, ok := f.db.Lookup(name)
+					if !ok {
+						t.Fatalf("stream %s missing", name)
+					}
+					if _, _, err := st.Quantiles(phis); err != nil {
+						t.Fatal(err)
+					}
+				}
+				polled := f.db.DiskStats().RandReads
+				if polled == before {
+					t.Fatal("accurate polls cost no backend reads; the comparison is vacuous")
+				}
 				res, err := f.db.Query().Streams(f.names...).Phis(phis...).Run()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if got := f.db.DiskStats().RandReads; got != polled {
+					t.Errorf("merged plan cost %d backend random reads, want 0", got-polled)
 				}
 				checkWindow(t, f.oracleFor(f.names, 0, 0), res.Groups[0].Windows[0], phis, "all streams")
 			})

@@ -3,12 +3,15 @@ package hsq
 import (
 	"testing"
 
+	"repro/internal/disk"
+	"repro/internal/oracle"
+	"repro/internal/partition"
 	"repro/internal/workload"
 )
 
 // loadEngine fills an engine with deterministic data: steps batches plus an
 // in-flight stream.
-func loadEngine(t *testing.T, cfg Config, steps, batch, stream int) *Engine {
+func loadEngine(t testing.TB, cfg Config, steps, batch, stream int) *Engine {
 	t.Helper()
 	eng, err := New(cfg)
 	if err != nil {
@@ -86,7 +89,7 @@ func TestConfigBackendValidation(t *testing.T) {
 // cache hits in QueryStats and IOStats.
 func TestBlockCacheReducesQueryIO(t *testing.T) {
 	phis := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	queryAll := func(eng *Engine) (randReads, cacheHits int) {
+	queryAll := func(eng *Engine) (randReads, cacheHits, skips int) {
 		t.Helper()
 		for round := 0; round < 3; round++ {
 			for _, phi := range phis {
@@ -96,6 +99,7 @@ func TestBlockCacheReducesQueryIO(t *testing.T) {
 				}
 				randReads += qs.RandReads
 				cacheHits += qs.CacheHits
+				skips += qs.SkippedBlocks
 			}
 		}
 		return
@@ -106,11 +110,14 @@ func TestBlockCacheReducesQueryIO(t *testing.T) {
 	cold := loadEngine(t, Config{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 512, ProbeMemoEntries: -1}, 7, 3000, 1000)
 	warm := loadEngine(t, Config{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 512, CacheBlocks: 4096, ProbeMemoEntries: -1}, 7, 3000, 1000)
 
-	coldReads, coldHits := queryAll(cold)
-	warmReads, warmHits := queryAll(warm)
+	coldReads, coldHits, coldSkips := queryAll(cold)
+	warmReads, warmHits, _ := queryAll(warm)
 
 	if coldHits != 0 {
 		t.Errorf("cache-off engine reported %d cache hits", coldHits)
+	}
+	if coldSkips == 0 {
+		t.Error("no bisection step was resolved from columnar block-header bounds")
 	}
 	if warmReads >= coldReads {
 		t.Errorf("cache did not reduce disk accesses: %d with cache, %d without", warmReads, coldReads)
@@ -167,4 +174,91 @@ func TestMemEngineLifecycle(t *testing.T) {
 	if err := eng.Destroy(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRawPartitionsStillServe: nothing writes format-0 partitions any more,
+// but warehouses laid down by earlier releases hold them. Such a store must
+// open through the engine, answer within ε before any rewrite, and fold into
+// columnar files when a level merge consumes raw and columnar inputs
+// together.
+func TestRawPartitionsStillServe(t *testing.T) {
+	const eps, kappa = 0.02, 3
+	cfg, err := (&Config{Epsilon: eps, Kappa: kappa, Dir: t.TempDir(), BlockSize: 1024}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewNormal(9)
+	orc := oracle.New(0)
+
+	// The old release: a manager left at its raw default under the engine's
+	// own store configuration, κ level-0 partitions (one short of a merge).
+	b, err := disk.OpenBackend(cfg.Backend, cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := disk.NewManagerOn(b, cfg.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := partition.NewStore(old, storeConfig(cfg, eps/2, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= kappa; step++ {
+		batch := workload.Fill(gen, 2000)
+		orc.Add(batch...)
+		if _, err := store.AddBatch(batch, step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Commit(manifestName); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := OpenEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close() //nolint:errcheck
+	columnar := func(name string) bool {
+		t.Helper()
+		r, err := eng.dev.OpenRandom(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close() //nolint:errcheck
+		_, _, ok := r.BlockBounds(0)
+		return ok
+	}
+	if got := eng.PartitionCount(); got != kappa {
+		t.Fatalf("reopened %d partitions, want %d", got, kappa)
+	}
+	for _, sum := range eng.store.Entries() {
+		if columnar(sum.Part.Name()) {
+			t.Fatalf("%s is columnar; the fixture must lay down format-0 partitions", sum.Part.Name())
+		}
+	}
+	stream := workload.Fill(gen, 800)
+	orc.Add(stream...)
+	eng.ObserveSlice(stream)
+	checkAccuracy(t, eng, orc, eps)
+
+	// The next step is written columnar and overfills level 0: the merge
+	// reads κ raw partitions and one columnar one.
+	us, err := eng.EndStep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us.Merges == 0 {
+		t.Fatal("no level merge ran; the mixed-format merge went untested")
+	}
+	for _, sum := range eng.store.Entries() {
+		if !columnar(sum.Part.Name()) {
+			t.Errorf("%s (steps %d-%d) was written in format 0", sum.Part.Name(), sum.Part.StartStep, sum.Part.EndStep)
+		}
+	}
+	tail := workload.Fill(gen, 500)
+	orc.Add(tail...)
+	eng.ObserveSlice(tail)
+	checkAccuracy(t, eng, orc, eps)
 }
