@@ -257,16 +257,16 @@
 //
 // # Query performance
 //
-// The combined summary TS every query starts from is built by a stable
-// k-way merge of the already-sorted partition and stream-piece summaries —
-// O(δ·log k) for δ entries in k runs — followed by one sweep for the Lemma 2
-// bounds, and keeps 24 bytes per entry (value, L, U). The result is
-// element for element what sorting the union on (value, source) gives.
-// Nothing is cached per store version: every query rebuilds TS (keeping the
-// merged historical half on the version was measured and left out, see
-// CHANGES.md, PR 14).
-// A rank-of-value request reads partitions and stream pieces only and
-// builds no TS.
+// The combined summary TS is never materialised. A query asks it only for
+// point selections — the smallest value with L ≥ r, the largest with U ≤ r
+// — and Lemma 2 defines L(v) and U(v) as sums over the summaries of
+// α(v) = |{elements ≤ v}|, so core.Combined keeps the k sorted partition
+// and stream-piece summaries as they are (an O(k) constructor) and selects
+// over them by bisecting the value space with one binary search per run and
+// probe: about k·log β comparisons per selection, O(k) scratch, nothing per
+// entry, and nothing cached per store version. Every run must be sorted
+// ascending; a peer's shard summary that is not is refused at decode.
+// A rank-of-value request reads partitions and stream pieces only.
 //
 // A request's quantile targets are answered in one shared value-space
 // sweep rather than k independent bisections. The sweep probes

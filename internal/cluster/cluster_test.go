@@ -164,7 +164,10 @@ func TestClusterEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				target := max(int64(phi*float64(n)), 1)
+				target, err := core.RankTarget(phi, n)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if spanErr := or.SpanError(target, v); spanErr > bound {
 					t.Errorf("stream %q on %s: quantile(%g)=%d rank error %d > ε·n=%d",
 						name, hn.Node.ID, phi, v, spanErr, bound)
@@ -276,7 +279,10 @@ func scatterGather(t *testing.T, nodes int) {
 	or.Add(union...)
 	bound := int64(1.5*eps*float64(n)) + 1
 	for _, phi := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
-		r := max(int64(phi*float64(n)), 1)
+		r, err := core.RankTarget(phi, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		v, err := merged.QuickQuery(r)
 		if err != nil {
 			t.Fatal(err)

@@ -1,15 +1,23 @@
 // Package core implements the paper's query algorithms over the historical
 // summaries (HS), the stream summary (SS), and the on-disk partition store:
-// the combined summary TS with its rank bounds L/U (Lemma 2), the quick
+// the rank bounds L/U of the combined summary TS (Lemma 2), the quick
 // response (Algorithm 5), filter generation (Algorithm 7) and the accurate
 // response's value-space bisection with per-partition disk searches
 // (Algorithms 6 and 8).
+//
+// TS is never built. The paper only asks it for point selections — the
+// smallest value with L ≥ r, the largest with U ≤ r — and Lemma 2 defines
+// L(v) and U(v) as sums over the summaries of α(v) = |{elements ≤ v}|, one
+// binary search per summary. Combined therefore keeps the sorted summaries
+// as they are handed to it and answers by bisecting the value space over
+// them: O(k·log β) per probe for k summaries of β elements, O(k) scratch.
+// The precondition is that every summary is sorted ascending; summaries
+// built here are, and DecodeShardSummary refuses a peer's that is not.
 package core
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/gk"
 	"repro/internal/partition"
@@ -57,11 +65,20 @@ type StreamPiece struct {
 	M int64
 }
 
-// Combined is TS — the sorted union of all historical summaries and the
-// stream-side piece summaries — together with the per-item rank bounds L
-// and U of Lemma 2: 24 bytes per entry (value, L_i, U_i).
+// sortedRun is one non-empty sorted summary and the number of elements it
+// stands for: a partition's count, or a stream piece's M.
+type sortedRun struct {
+	vals   []int64
+	n      int64
+	stream bool
+}
+
+// Combined is TS — the union of all historical summaries and the
+// stream-side piece summaries with the rank bounds L and U of Lemma 2 —
+// held as its sorted runs and nothing per entry.
 type Combined struct {
-	ts mergedRuns
+	runs       []sortedRun
+	minV, maxV int64 // the extremes over every run; unset while runs is empty
 
 	// sums are the partitions the accurate query's cursors open; nil for a
 	// summary merged from shards, whose partitions live elsewhere.
@@ -76,15 +93,6 @@ type Combined struct {
 
 // N returns the total data size n + m.
 func (c *Combined) N() int64 { return c.histN + c.m }
-
-// Len returns δ, the number of TS entries.
-func (c *Combined) Len() int { return len(c.ts.Values) }
-
-// Value returns TS[i].
-func (c *Combined) Value(i int) int64 { return c.ts.Values[i] }
-
-// Bounds returns (L_i, U_i).
-func (c *Combined) Bounds(i int) (float64, float64) { return c.ts.Lower[i], c.ts.Upper[i] }
 
 // Epsilon returns the composed error parameter ε = ε₁ + 2ε₂ the summary was
 // built under. The composition is merge-invariant: TS over any union of
@@ -101,41 +109,47 @@ func (c *Combined) QuickRankError() int64 {
 	return int64(math.Ceil(1.5 * c.Epsilon() * float64(c.N())))
 }
 
-// BuildPieces constructs TS and computes every L_i and U_i (the formulas
-// preceding Lemma 2, with the stream term summed over every memory-resident
-// piece):
-//
-//	L_i = Σ_j ε₂·m_j·b_j·(α_{S_j} − 1) + Σ_{P: α_P>0} m_P·ε₁·(α_P − 1)
-//	U_i = Σ_j ε₂·m_j·b_j·(α_{S_j} + 1) + Σ_{P: α_P>0} m_P·ε₁·α_P
-//
-// where α_{S_j} (resp. α_P) counts summary elements ≤ TS[i] from stream
-// piece j (resp. partition P) and b_j = 1 iff α_{S_j} > 0. With a single
-// piece this is exactly the paper's bound; each extra sealed-batch piece
-// contributes its own independent ε₂·m_j band.
-//
-// Every summary is already sorted, so TS is a stable k-way merge of them
-// (merge.go) in O(δ·log k). sums arrive partitions oldest-first — the one
-// order partition.Version.Entries publishes and every caller passes on — so
-// ties in TS order stream pieces newest-first, then partitions oldest-first,
-// on every surface.
+// BuildPieces collects the runs of TS: the partition summaries and the
+// stream pieces' summaries, each sorted ascending. It copies no element.
 func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float64) *Combined {
-	var histN int64
+	c := newCombined(len(sums), pieces, eps1, eps2)
 	for _, s := range sums {
-		histN += s.Part.Count
+		c.addPart(s.Part.Count, s.Values)
 	}
-	c := newCombined(histN, pieces, eps1, eps2)
-	c.ts = mergeRuns(appendPartRuns(pieceRuns(pieces, eps2), sums, eps1), len(pieces))
 	c.sums = sums
 	return c
 }
 
-// newCombined is a Combined with everything but TS and the partitions.
-func newCombined(histN int64, pieces []StreamPiece, eps1, eps2 float64) *Combined {
-	c := &Combined{streams: pieces, histN: histN, eps1: eps1, eps2: eps2}
+// newCombined is a Combined over the stream pieces, with room for parts
+// partition runs.
+func newCombined(parts int, pieces []StreamPiece, eps1, eps2 float64) *Combined {
+	c := &Combined{streams: pieces, eps1: eps1, eps2: eps2}
+	c.runs = make([]sortedRun, 0, len(pieces)+parts)
 	for _, p := range pieces {
 		c.m += p.M
+		c.addRun(sortedRun{vals: p.SS, n: p.M, stream: true})
 	}
 	return c
+}
+
+// addPart adds the summary of a partition of count elements.
+func (c *Combined) addPart(count int64, vals []int64) {
+	c.histN += count
+	c.addRun(sortedRun{vals: vals, n: count})
+}
+
+// addRun keeps a run unless it is empty — a summary with mass but no
+// elements bounds nothing.
+func (c *Combined) addRun(r sortedRun) {
+	if len(r.vals) == 0 {
+		return
+	}
+	lo, hi := r.vals[0], r.vals[len(r.vals)-1]
+	if len(c.runs) == 0 {
+		c.minV, c.maxV = lo, hi
+	}
+	c.minV, c.maxV = min(c.minV, lo), max(c.maxV, hi)
+	c.runs = append(c.runs, r)
 }
 
 // RankTarget is the rank a φ-quantile over n elements asks for: ⌈φ·n⌉,
@@ -149,40 +163,142 @@ func RankTarget(phi float64, n int64) (int64, error) {
 	return min(max(int64(math.Ceil(phi*float64(n))), 1), n), nil
 }
 
-// QuickQuery implements Algorithm 5: return TS[j] for the smallest j with
-// L_j ≥ r, or the last element if none. The returned element's rank is
-// within 1.5·εN of r (Lemma 3).
+// countLE returns lo + |{x ∈ vals[lo:hi] : x ≤ v}| for sorted vals.
+func countLE(vals []int64, lo, hi int, v int64) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if vals[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// rankSums are the sums of the bound formulas preceding Lemma 2 before the
+// ε factors, as exact integers so that no bound depends on the order the
+// runs are visited in:
+//
+//	L(v) = ε₂·Σ_j m_j·b_j·(α_{S_j} − 1) + ε₁·Σ_{P: α_P>0} m_P·(α_P − 1)
+//	U(v) = ε₂·Σ_j m_j·b_j·(α_{S_j} + 1) + ε₁·Σ_{P: α_P>0} m_P·α_P
+//
+// where α_{S_j} (resp. α_P) counts summary elements ≤ v from stream piece j
+// (resp. partition P) and b_j = 1 iff α_{S_j} > 0. With a single piece this
+// is exactly the paper's bound; each extra sealed-batch piece contributes
+// its own independent ε₂·m_j band.
+type rankSums struct{ histL, histU, streamL, streamU int64 }
+
+// add accounts for a run with alpha elements ≤ v.
+func (s *rankSums) add(r *sortedRun, alpha int) {
+	if alpha == 0 {
+		return
+	}
+	a := int64(alpha)
+	if r.stream {
+		s.streamL += r.n * (a - 1)
+		s.streamU += r.n * (a + 1)
+	} else {
+		s.histL += r.n * (a - 1)
+		s.histU += r.n * a
+	}
+}
+
+// bounds scales the sums to (L, U), each ε multiplied in once.
+func (s rankSums) bounds(eps1, eps2 float64) (l, u float64) {
+	return eps1*float64(s.histL) + eps2*float64(s.streamL),
+		eps1*float64(s.histU) + eps2*float64(s.streamU)
+}
+
+// boundsAt returns (L(v), U(v)); both are 0 below the smallest summary
+// element.
+func (c *Combined) boundsAt(v int64) (l, u float64) {
+	var s rankSums
+	for i := range c.runs {
+		r := &c.runs[i]
+		s.add(r, countLE(r.vals, 0, len(r.vals), v))
+	}
+	return s.bounds(c.eps1, c.eps2)
+}
+
+// cross finds where reached — a predicate on (L(v), U(v)), monotone in v
+// because both bounds are — turns true. It returns the largest summary
+// value reached does not hold on and the smallest it holds on; where one
+// does not exist the other, then a global extreme, stands in for it.
+//
+// It bisects the value space between the global extremes. Every run keeps
+// the bracket of its indices that the value bracket still spans, so a probe
+// is one binary search per run over a bracket that shrinks as the search
+// goes: about k·log β comparisons until the brackets are empty, then one
+// per run per probe.
+func (c *Combined) cross(reached func(l, u float64) bool) (below, at int64) {
+	// Invariant: reached is false at lo and true at hi; a[i] and b[i] count
+	// run i's elements ≤ lo and ≤ hi.
+	lo, hi := c.minV, c.maxV
+	k := len(c.runs)
+	scratch := make([]int, 3*k)
+	a, b, mid := scratch[:k], scratch[k:2*k], scratch[2*k:]
+	var sa, sb rankSums
+	for i := range c.runs {
+		r := &c.runs[i]
+		a[i], b[i] = countLE(r.vals, 0, len(r.vals), lo), len(r.vals)
+		sa.add(r, a[i])
+		sb.add(r, b[i])
+	}
+	if reached(sa.bounds(c.eps1, c.eps2)) {
+		return lo, lo
+	}
+	if !reached(sb.bounds(c.eps1, c.eps2)) {
+		return hi, hi
+	}
+	for uint64(hi-lo) > 1 { // exact in uint64 even when the difference overflows int64
+		z := lo + int64(uint64(hi-lo)/2)
+		var s rankSums
+		for i := range c.runs {
+			r := &c.runs[i]
+			mid[i] = countLE(r.vals, a[i], b[i], z)
+			s.add(r, mid[i])
+		}
+		if reached(s.bounds(c.eps1, c.eps2)) {
+			hi, b, mid = z, mid, b
+		} else {
+			lo, a, mid = z, mid, a
+		}
+	}
+	// hi = lo + 1 and the bounds differ between them, so hi is a summary
+	// value; the largest one ≤ lo sits just under some run's bracket.
+	below = c.minV
+	for i := range c.runs {
+		if a[i] > 0 {
+			below = max(below, c.runs[i].vals[a[i]-1])
+		}
+	}
+	return below, hi
+}
+
+// QuickQuery implements Algorithm 5: return the smallest summary value v
+// with L(v) ≥ r, or the largest summary value if none. The returned
+// element's rank is within 1.5·εN of r (Lemma 3).
 func (c *Combined) QuickQuery(r int64) (int64, error) {
-	if len(c.ts.Values) == 0 {
+	if len(c.runs) == 0 {
 		return 0, fmt.Errorf("core: quick query on empty summary")
 	}
 	fr := float64(r)
-	j := sort.Search(len(c.ts.Lower), func(i int) bool { return c.ts.Lower[i] >= fr })
-	if j == len(c.ts.Lower) {
-		j = len(c.ts.Lower) - 1
-	}
-	return c.ts.Values[j], nil
+	_, v := c.cross(func(l, _ float64) bool { return l >= fr })
+	return v, nil
 }
 
-// Filters implements Algorithm 7: values u, v from TS with rank(u,T) ≤ r ≤
-// rank(v,T) and rank spread < 4εN (Lemma 4). When no U_i ≤ r exists the
-// global minimum is used; when no L_i ≥ r exists the global maximum is used.
+// Filters implements Algorithm 7: summary values u, v with rank(u,T) ≤ r ≤
+// rank(v,T) and rank spread < 4εN (Lemma 4) — u the largest with U(u) ≤ r,
+// v the smallest with L(v) ≥ r. When no U ≤ r exists the global minimum is
+// used; when no L ≥ r exists the global maximum is used.
 func (c *Combined) Filters(r int64) (u, v int64, err error) {
-	if len(c.ts.Values) == 0 {
+	if len(c.runs) == 0 {
 		return 0, 0, fmt.Errorf("core: filters on empty summary")
 	}
 	fr := float64(r)
-	// x: largest i with U_i ≤ r. U is non-decreasing, so binary search works.
-	x := sort.Search(len(c.ts.Upper), func(i int) bool { return c.ts.Upper[i] > fr }) - 1
-	if x < 0 {
-		x = 0
-	}
-	// y: smallest i with L_i ≥ r.
-	y := sort.Search(len(c.ts.Lower), func(i int) bool { return c.ts.Lower[i] >= fr })
-	if y == len(c.ts.Lower) {
-		y = len(c.ts.Lower) - 1
-	}
-	u, v = c.ts.Values[x], c.ts.Values[y]
+	u, _ = c.cross(func(_, u float64) bool { return u > fr })
+	_, v = c.cross(func(l, _ float64) bool { return l >= fr })
 	if u > v {
 		// Only possible at the clamped extremes; normalize.
 		u, v = v, u
@@ -199,8 +315,7 @@ func (c *Combined) StreamRankEstimate(z int64) float64 {
 func streamRankEstimate(pieces []StreamPiece, eps2 float64, z int64) float64 {
 	var rho float64
 	for _, p := range pieces {
-		cnt := sort.Search(len(p.SS), func(i int) bool { return p.SS[i] > z })
-		rho += float64(cnt) * eps2 * float64(p.M)
+		rho += float64(countLE(p.SS, 0, len(p.SS), z)) * eps2 * float64(p.M)
 	}
 	return rho
 }

@@ -97,8 +97,9 @@ func TestFigure3Bounds(t *testing.T) {
 	if c.N() != 600 {
 		t.Fatalf("N = %d", c.N())
 	}
-	if c.Len() != 3*5+9 {
-		t.Fatalf("δ = %d, want 24", c.Len())
+	ts := materialise(c)
+	if ts.Len() != 3*5+9 {
+		t.Fatalf("δ = %d, want 24", ts.Len())
 	}
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
@@ -110,15 +111,15 @@ func TestFigure3Bounds(t *testing.T) {
 	// Spot-check against the figure's printed L/U rows: TS[0]=1 has L=0,
 	// U=25; TS[2]=25 has L=25, U=100... the figure row for index 2 shows
 	// L=25, U=100? The figure lists U_2=100. Verify the first three.
-	l0, u0 := c.Bounds(0)
+	l0, u0 := ts.Bounds(0)
 	if l0 != 0 || u0 != 25 {
 		t.Errorf("TS[0]: L=%g U=%g, want 0/25", l0, u0)
 	}
-	l1, u1 := c.Bounds(1)
+	l1, u1 := ts.Bounds(1)
 	if l1 != 0 || u1 != 75 {
 		t.Errorf("TS[1]: L=%g U=%g, want 0/75", l1, u1)
 	}
-	l2, u2 := c.Bounds(2)
+	l2, u2 := ts.Bounds(2)
 	if l2 != 25 || u2 != 100 {
 		t.Errorf("TS[2]: L=%g U=%g, want 25/100", l2, u2)
 	}

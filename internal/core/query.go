@@ -158,16 +158,16 @@ func snapUpFrom(c *Combined, histE int64, histOK bool, z int64) (int64, error) {
 
 // globalMin returns the smallest element recorded in any summary.
 func (c *Combined) globalMin() (int64, error) {
-	if len(c.ts.Values) == 0 {
+	if len(c.runs) == 0 {
 		return 0, fmt.Errorf("core: no data")
 	}
-	return c.ts.Values[0], nil
+	return c.minV, nil
 }
 
 // globalMax returns the largest element recorded in any summary.
 func (c *Combined) globalMax() (int64, error) {
-	if len(c.ts.Values) == 0 {
+	if len(c.runs) == 0 {
 		return 0, fmt.Errorf("core: no data")
 	}
-	return c.ts.Values[len(c.ts.Values)-1], nil
+	return c.maxV, nil
 }

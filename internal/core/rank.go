@@ -1,21 +1,15 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/partition"
-)
+import "repro/internal/partition"
 
 // QuickRank estimates the rank of an arbitrary value v in T using only the
-// combined summary: the midpoint of the L/U bounds of the largest TS entry
-// ≤ v. The error is at most εN/2 + the inter-entry gap εN, i.e. O(εN) —
-// the quick-response analogue for rank queries.
+// combined summary: the midpoint of L(v) and U(v), which are the bounds of
+// the largest summary element ≤ v (0 when there is none). The error is at
+// most εN/2 + the inter-entry gap εN, i.e. O(εN) — the quick-response
+// analogue for rank queries.
 func (c *Combined) QuickRank(v int64) int64 {
-	i := sort.Search(len(c.ts.Values), func(i int) bool { return c.ts.Values[i] > v }) - 1
-	if i < 0 {
-		return 0
-	}
-	return int64((c.ts.Lower[i] + c.ts.Upper[i]) / 2)
+	l, u := c.boundsAt(v)
+	return int64((l + u) / 2)
 }
 
 // RankOfValue computes the rank of an arbitrary value v in T accurately:

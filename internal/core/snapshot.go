@@ -12,8 +12,9 @@ import (
 // ShardSummary is one node's portable view of a stream: every in-memory
 // summary (historical partition summaries plus stream-side pieces) with the
 // error parameters they were built under, but none of the on-disk data.
-// It is exactly the state BuildPieces needs, so shipping a ShardSummary per
-// shard and merging lets a coordinator answer quick (in-memory) quantile
+// It is exactly the state BuildPieces needs — sorted runs with their counts
+// — so shipping a ShardSummary per shard and selecting over all of their
+// runs lets a coordinator answer quick (in-memory) quantile
 // and rank queries over the union of N shards within the same composed ε
 // bands the paper proves for one node — the mergeability property that
 // makes scatter-gather correct without moving raw data. Accurate
@@ -71,7 +72,10 @@ func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeShardSummary decodes one ShardSummary from data, rejecting
-// trailing bytes and declared lengths beyond the input size.
+// trailing bytes, declared lengths beyond the input size, and a part or
+// piece with a negative count or values that descend: the delta codec is
+// signed, and selection over an unsorted run answers garbage without
+// failing.
 func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 	d := enc.NewReader(data)
 	if v := d.Byte(); d.Err() == nil && v != snapshotVersion {
@@ -99,26 +103,36 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 	if s.N < 0 {
 		return nil, fmt.Errorf("core: decode shard summary: negative N")
 	}
+	for i, p := range s.Parts {
+		if p.Count < 0 || !slices.IsSorted(p.Values) {
+			return nil, fmt.Errorf("core: decode shard summary: part %d has a negative count or descending values", i)
+		}
+	}
+	for i, p := range s.Pieces {
+		if p.M < 0 || !slices.IsSorted(p.SS) {
+			return nil, fmt.Errorf("core: decode shard summary: piece %d has a negative count or descending values", i)
+		}
+	}
 	return s, nil
 }
 
-// MergeShardSummaries builds the combined summary TS over every shard's
-// summaries, as if all their partitions and stream pieces belonged to one
-// engine. Empty shards (N == 0) are skipped; the non-empty shards must
-// agree on (ε₁, ε₂) — i.e. every node of the cluster runs the same
-// configured ε — because the L/U rank-bound formulas weight each source by
-// its own ε term. The returned total is Σ N; a nil Combined with total 0
-// means every shard was empty.
+// MergeShardSummaries collects every shard's runs into one combined
+// summary, as if all their partitions and stream pieces belonged to one
+// engine; no element is copied. Empty shards (N == 0) are skipped; the
+// non-empty shards must agree on (ε₁, ε₂) — i.e. every node of the cluster
+// runs the same configured ε — because the L/U rank-bound formulas weight
+// each source by its own ε term. The returned total is Σ N; a nil Combined
+// with total 0 means every shard was empty.
 //
+// Every run must be sorted ascending (DecodeShardSummary checks a peer's).
 // Only quick (in-memory) queries — QuickQuery, Filters, QuickRank,
 // StreamRankEstimate — are valid on the result: the shards' partitions have
 // no device behind them here, so accurate disk-probing queries must stay on
-// the owning shard. The (count, values) runs go to the merge as they are.
+// the owning shard.
 func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 	var (
 		parts      []PartSummary
 		pieces     []StreamPiece
-		histN      int64
 		total      int64
 		eps1, eps2 float64
 		seen       bool
@@ -140,12 +154,9 @@ func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 	if !seen {
 		return nil, 0, nil
 	}
-	runs := slices.Grow(pieceRuns(pieces, eps2), len(parts))
+	c := newCombined(len(parts), pieces, eps1, eps2)
 	for _, p := range parts {
-		runs = append(runs, partRun(p.Count, p.Values, eps1))
-		histN += p.Count
+		c.addPart(p.Count, p.Values)
 	}
-	c := newCombined(histN, pieces, eps1, eps2)
-	c.ts = mergeRuns(runs, len(pieces))
 	return c, total, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -63,10 +65,91 @@ func TestShardSummaryRoundTrip(t *testing.T) {
 	}
 }
 
+// hostileShard encodes a shard summary of one part and one piece as given:
+// AppendBinary checks nothing, and the delta codec is signed, so this is
+// what a peer can put on the wire.
+func hostileShard(count int64, part []int64, m int64, piece []int64) []byte {
+	s := &ShardSummary{
+		N: 10, Eps1: 0.05, Eps2: 0.025,
+		Parts:  []PartSummary{{Count: count, Values: part}},
+		Pieces: []StreamPiece{{M: m, SS: piece}},
+	}
+	return s.AppendBinary(nil)
+}
+
+// TestDecodeRejectsUnsortedRuns: sortedness is the selector's precondition,
+// so a part or piece whose values descend — or whose count would be
+// negative — is refused at the door; duplicates and empty runs are fine.
+func TestDecodeRejectsUnsortedRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+		ok   bool
+	}{
+		{"sorted", hostileShard(5, []int64{1, 2, 3}, 5, []int64{4, 5}), true},
+		{"all equal", hostileShard(5, []int64{7, 7, 7}, 5, []int64{7, 7}), true},
+		{"empty runs with mass", hostileShard(5, nil, 5, nil), true},
+		{"part descends", hostileShard(5, []int64{1, 3, 2}, 5, []int64{4, 5}), false},
+		{"piece descends", hostileShard(5, []int64{1, 2, 3}, 5, []int64{5, 4}), false},
+		{"part descends at the end", hostileShard(5, []int64{1, 2, 3, math.MinInt64}, 5, nil), false},
+		{"negative part count", hostileShard(-1, []int64{1, 2, 3}, 5, []int64{4, 5}), false},
+		{"negative piece count", hostileShard(5, []int64{1, 2, 3}, -1, []int64{4, 5}), false},
+	} {
+		s, err := DecodeShardSummary(tc.enc)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decode error %v, want ok = %v", tc.name, err, tc.ok)
+		}
+		if err != nil {
+			continue
+		}
+		if _, _, err := MergeShardSummaries([]*ShardSummary{s}); err != nil {
+			t.Errorf("%s: merge: %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzDecodeShardSummary: whatever decodes has sorted runs and non-negative
+// counts, survives a re-encode, and can be selected over.
+func FuzzDecodeShardSummary(f *testing.F) {
+	f.Add(synthShard(rand.New(rand.NewSource(1)), 3, 2, 0.05, 0.025).AppendBinary(nil))
+	f.Add(hostileShard(5, []int64{1, 3, 2}, 5, []int64{5, 4}))
+	f.Add(hostileShard(-1, nil, 5, []int64{math.MaxInt64, math.MinInt64}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeShardSummary(data)
+		if err != nil {
+			return
+		}
+		for _, p := range s.Parts {
+			if p.Count < 0 || !slices.IsSorted(p.Values) {
+				t.Fatalf("decoded part %+v", p)
+			}
+		}
+		for _, p := range s.Pieces {
+			if p.M < 0 || !slices.IsSorted(p.SS) {
+				t.Fatalf("decoded piece %+v", p)
+			}
+		}
+		enc := s.AppendBinary(nil)
+		if again, err := DecodeShardSummary(enc); err != nil || !bytes.Equal(again.AppendBinary(nil), enc) {
+			t.Fatalf("re-decode of %+v: %v, %+v", s, err, again)
+		}
+		c, _, err := MergeShardSummaries([]*ShardSummary{s})
+		if err != nil || c == nil {
+			return
+		}
+		c.QuickRank(0)
+		if _, _, err := c.Filters(c.N() / 2); (err != nil) != (len(c.runs) == 0) {
+			t.Fatalf("filters over %d runs: %v", len(c.runs), err)
+		}
+	})
+}
+
 // TestMergeMatchesSinglePass pins the acceptance property of the cluster
 // query path: merging per-shard summaries yields the identical Combined —
-// same TS values, same L/U bounds, same quick answers at every rank — as
-// building one Combined over the concatenation of every shard's sources.
+// the same runs, so the same TS values and L/U bounds once materialised and
+// the same quick answers at every rank — as building one Combined over the
+// concatenation of every shard's sources.
 func TestMergeMatchesSinglePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const eps1, eps2 = 0.05, 0.025
@@ -100,16 +183,8 @@ func TestMergeMatchesSinglePass(t *testing.T) {
 	if total != wantTotal || total != merged.N() {
 		t.Fatalf("total: got %d (Combined.N %d), want %d", total, merged.N(), wantTotal)
 	}
-	if merged.Len() != want.Len() {
-		t.Fatalf("TS length: got %d, want %d", merged.Len(), want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		gl, gu := merged.Bounds(i)
-		wl, wu := want.Bounds(i)
-		if merged.Value(i) != want.Value(i) || gl != wl || gu != wu {
-			t.Fatalf("TS[%d]: got (%d, %g, %g), want (%d, %g, %g)",
-				i, merged.Value(i), gl, gu, want.Value(i), wl, wu)
-		}
+	if !sameTS(t, materialise(merged), materialise(want)) {
+		t.Fatal("merged shards materialise unlike the single pass")
 	}
 	for r := int64(1); r <= total; r += total / 97 {
 		g, err1 := merged.QuickQuery(r)

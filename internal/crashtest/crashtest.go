@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	hsq "repro"
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/oracle"
 	"repro/internal/partition"
@@ -344,9 +345,9 @@ func checkQuantiles(st *hsq.Stream, want []int64, eps float64) error {
 		if err != nil {
 			return fmt.Errorf("quantile(%g): %w", phi, err)
 		}
-		target := int64(phi * float64(n))
-		if target < 1 {
-			target = 1
+		target, err := core.RankTarget(phi, n)
+		if err != nil {
+			return err
 		}
 		if spanErr := or.SpanError(target, v); spanErr > bound {
 			return fmt.Errorf("quantile(%g) = %d: rank error %d exceeds ε·N = %d (N=%d)", phi, v, spanErr, bound, n)

@@ -8,6 +8,7 @@ import (
 	hsq "repro"
 	"repro/hsqclient"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/workload"
 )
@@ -193,7 +194,10 @@ func verifyStream(h *cluster.Harness, victim int, name string, or *oracle.Oracle
 			if err != nil {
 				return err
 			}
-			target := max(int64(phi*float64(n)), 1)
+			target, err := core.RankTarget(phi, n)
+			if err != nil {
+				return err
+			}
 			if spanErr := or.SpanError(target, v); spanErr > bound {
 				return fmt.Errorf("node %s: quantile(%g)=%d rank error %d > ε·N=%d", hn.Node.ID, phi, v, spanErr, bound)
 			}

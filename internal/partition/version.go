@@ -62,9 +62,8 @@ func (v *Version) Seq() int64 { return v.seq }
 // oldest-first: StartStep-ascending, contiguous (each starts one step after
 // the previous one ends) and ending at InstalledSteps. publish lays the
 // list out once and no reader re-orders it, so every surface hands
-// core.BuildPieces the same run order — ties in TS order stream pieces
-// newest-first, then partitions oldest-first. The slice is shared and must
-// not be mutated.
+// core.BuildPieces the same run order. The slice is shared and must not be
+// mutated.
 func (v *Version) Entries() []*Summary { return v.entries }
 
 // Memo returns the version's rank-probe memo, valid for queries that probe

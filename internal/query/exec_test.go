@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -109,6 +110,42 @@ func TestExecMergedMatchesDirect(t *testing.T) {
 		if wr.Values[i] != want {
 			t.Fatalf("phi %g: got %d, want %d", phi, wr.Values[i], want)
 		}
+	}
+}
+
+// TestAnswerAllocatesNoTS: a group's answer is selected from its members'
+// runs where they lie, so what it allocates must not grow with δ. Over 100
+// runs of 2001 values a materialised TS was 200 100 entries × 24 B = 4.8 MB
+// before its scratch; the selector's share is O(runs) per target.
+func TestAnswerAllocatesNoTS(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sums := make([]*core.ShardSummary, 10)
+	for i := range sums {
+		sums[i] = &core.ShardSummary{Eps1: 0.0005, Eps2: 0.00025}
+		for p := 0; p < 10; p++ {
+			vs := make([]int64, 2001)
+			for j := range vs {
+				vs[j] = rng.Int63n(1 << 40)
+			}
+			slices.Sort(vs)
+			sums[i].Parts = append(sums[i].Parts, core.PartSummary{Count: 4000, Values: vs})
+			sums[i].N += 4000
+		}
+	}
+	phis := []float64{0.5, 0.9, 0.99}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if wr, err := answer(sums, Scope{}, phis); err != nil || len(wr.Values) != len(phis) {
+			t.Fatalf("answer = %+v, %v", wr, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("answer allocates %d B over 100 runs × 2001 values", per)
+	if per > 64<<10 {
+		t.Fatalf("answer allocated %d B over 100 runs × 2001 values, want ≤ 64 KB: it is building O(δ) state", per)
 	}
 }
 
