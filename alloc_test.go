@@ -1,6 +1,7 @@
 package hsq_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -8,9 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestObserveSliceZeroAlloc gates the ingest hot path: once the engine's
-// batch buffer and the GK sketch's tuple/pending/scratch buffers have grown
-// to their working-set size, ObserveSlice must not allocate. The rule that
+// TestObserveSliceZeroAlloc gates the ingest hot path as every write takes
+// it — through a db.Stream handle, so the directory's pin and release are
+// inside the measurement (ObserveSliceCtx is what ingest.Server.apply calls):
+// once the engine's batch buffer and the GK sketch's tuple/pending/scratch
+// buffers have grown to their working-set size, neither ObserveSlice nor
+// ObserveSliceCtx may allocate. The rule that
 // makes it so in every mode: a step's batch buffer goes to the sealed step
 // at the cut and comes back to the observe path when that step's install is
 // published — before EndStep returns under synchronous maintenance, at the
@@ -18,13 +22,9 @@ import (
 func TestObserveSliceZeroAlloc(t *testing.T) {
 	for _, mode := range []string{hsq.MaintenanceSync, hsq.MaintenanceManual} {
 		t.Run(mode, func(t *testing.T) {
-			eng, err := hsq.New(hsq.Config{
+			eng := hsq.OneStream(t, hsq.Options{
 				Epsilon: 0.01, Kappa: 10, Backend: "mem", Maintenance: mode,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close() //nolint:errcheck
 
 			gen := workload.NewUniform(99)
 			// Warm up: one large step grows every buffer past anything the
@@ -45,6 +45,13 @@ func TestObserveSliceZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("ObserveSlice allocated %.1f times per call after warmup, want 0", allocs)
 			}
+			ctx := context.Background()
+			allocs = testing.AllocsPerRun(50, func() {
+				eng.ObserveSliceCtx(ctx, chunk) //nolint:errcheck
+			})
+			if allocs != 0 {
+				t.Fatalf("ObserveSliceCtx allocated %.1f times per call after warmup, want 0", allocs)
+			}
 		})
 	}
 }
@@ -56,13 +63,9 @@ func TestObserveSliceZeroAlloc(t *testing.T) {
 // summary is 24 bytes per entry) must allocate about the same per query.
 func TestRankBuildsNoCombinedSummary(t *testing.T) {
 	perRank := func(eps float64) (alloc, summaries int64) {
-		eng, err := hsq.New(hsq.Config{
+		eng := hsq.OneStream(t, hsq.Options{
 			Epsilon: eps, Kappa: 10, Backend: "mem", Maintenance: "sync", BlockSize: 1024,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close() //nolint:errcheck
 		gen := workload.NewUniform(7)
 		for step := 0; step < 9; step++ {
 			eng.ObserveSlice(workload.Fill(gen, 4000))

@@ -121,15 +121,6 @@ func TestGoldenStreamStats(t *testing.T) {
 		t.Fatalf("GET stats: status %d", code)
 	}
 	checkGolden(t, "stream_stats", canonicalJSON(t, body))
-	// The legacy /stats route must serve the identical shape (from the
-	// "default" stream); pin it too so the two surfaces cannot drift apart.
-	postBody(t, ts.URL+"/observe", "1\n2\n3\n4\n5\n")
-	postBody(t, ts.URL+"/endstep", "")
-	code, body = get(t, ts.URL+"/stats")
-	if code != http.StatusOK {
-		t.Fatalf("GET /stats: status %d", code)
-	}
-	checkGolden(t, "legacy_stats", canonicalJSON(t, body))
 }
 
 // TestGoldenQueryShapes pins the query response envelopes (quantile,

@@ -6,7 +6,7 @@
 // block-cache budget and one manifest root; the DB resumes every stream
 // automatically on restart.
 //
-// Multi-stream endpoints:
+// Endpoints:
 //
 //	GET    /streams                         list streams with per-stream stats
 //	GET    /ingest                          ingest pipeline counters
@@ -32,12 +32,10 @@
 // max-reads=N caps the random block reads of the search ("truncated" in the
 // /quantiles reply).
 //
-// The original single-stream endpoints (POST /observe, POST /endstep,
-// GET /quantile, /quantiles, /rank, /stats) remain and operate on the
-// stream named "default". Both write routes, flat or named, are one frame
-// handed to ingest.Server.Write — the door wire frames come through — so a
-// REST write is applied, tallied in GET /ingest, pushed to subscribers and,
-// in a cluster, replicated or routed exactly as a wire write is.
+// Both write routes are one frame handed to ingest.Server.Write — the door
+// wire frames come through — so a REST write is applied, tallied in GET
+// /ingest, pushed to subscribers and, in a cluster, replicated or routed
+// exactly as a wire write is.
 //
 // With -ingest-addr, hsqd additionally listens for the binary wire
 // protocol (package hsqclient / internal/wire): length-prefixed frames

@@ -84,27 +84,31 @@ func parseRead(route readRoute, q url.Values) (hsq.Request, error) {
 	return req, nil
 }
 
-// read answers one read route. st is the stream when this node stores it;
-// nil means another shard owns the {name} the request addresses (cluster
-// mode), and the executor is a member's shard summary answered by
-// hsq.QuickAnswer — the function the local Quick branch runs — so the
-// answer is always quick, max-reads is moot (no disk sits behind a
-// summary) and window= is refused: windows need the owning shard's
-// partitions. Rank and total come from the one snapshot either way.
-func (s *server) read(route readRoute) streamHandler {
-	return func(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
+// read serves one /streams/{name}/... read route: local when this node
+// stores the stream, 404 when the stream would live here and does not
+// exist. When another shard owns {name} (cluster mode) the executor is a
+// member's shard summary answered by hsq.QuickAnswer — the function the
+// local Quick branch runs — so the answer is always quick, max-reads is moot
+// (no disk sits behind a summary) and window= is refused: windows need the
+// owning shard's partitions. Rank and total come from the one snapshot
+// either way.
+func (s *server) read(route readRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		st, ok := s.db.Lookup(name)
+		if !ok && s.member(name) {
+			httpError(w, http.StatusNotFound, "unknown stream %q", name)
+			return
+		}
 		req, err := parseRead(route, r.URL.Query())
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		var name string
 		var ans hsq.Answer
 		if st != nil {
-			name = st.Name()
 			ans, err = st.Query(r.Context(), req)
 		} else {
-			name = r.PathValue("name")
 			if req.Window != 0 {
 				httpError(w, http.StatusBadRequest, "window queries are not available for remote stream %q; ask a member node", name)
 				return
@@ -151,22 +155,6 @@ func (s *server) read(route readRoute) streamHandler {
 			reply["quick"], reply["remote"] = true, true
 		}
 		writeJSON(w, reply)
-	}
-}
-
-// namedRead serves a /streams/{name}/... read route: local when this node
-// stores the stream, from a member's summary when a cluster peer owns it,
-// 404 when the stream would live here and does not exist.
-func (s *server) namedRead(route readRoute) http.HandlerFunc {
-	read := s.read(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		st, ok := s.db.Lookup(name)
-		if !ok && s.member(name) {
-			httpError(w, http.StatusNotFound, "unknown stream %q", name)
-			return
-		}
-		read(st, w, r)
 	}
 }
 
@@ -260,7 +248,7 @@ type planSource struct {
 	ctx context.Context
 }
 
-func (ps *planSource) StreamNames() []string { return ps.s.db.Streams() }
+func (ps *planSource) Streams() []string { return ps.s.db.Streams() }
 
 func (ps *planSource) ScopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
 	if ps.s.member(name) {

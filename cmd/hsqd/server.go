@@ -1,14 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro"
@@ -34,10 +28,6 @@ type server struct {
 	ingAddr string
 }
 
-// legacyStream backs the original single-stream endpoints (/observe,
-// /quantile, ...), which now operate on one well-known stream of the DB.
-const legacyStream = "default"
-
 // serverConfig carries the engine knobs from flags (or tests) to newServer.
 type serverConfig struct {
 	dir          string
@@ -62,14 +52,10 @@ type serverConfig struct {
 }
 
 // newServer opens (or resumes — the DB manifest decides) a multi-stream DB
-// on the configured backend. A legacy pre-multi-stream warehouse in dir is
-// first adopted as the "default" stream so upgrades keep their history.
+// on the configured backend. A pre-multi-stream warehouse in dir (a root
+// MANIFEST.json without DB.json) is refused by hsq.Open, whose error says
+// how to adopt it by hand.
 func newServer(sc serverConfig) (*server, error) {
-	if sc.dir != "" && (sc.backend == "" || sc.backend == "file") {
-		if err := migrateLegacyLayout(sc.dir); err != nil {
-			return nil, fmt.Errorf("migrate legacy warehouse in %s: %w", sc.dir, err)
-		}
-	}
 	db, err := hsq.Open(hsq.Options{
 		Epsilon:            sc.epsilon,
 		Kappa:              sc.kappa,
@@ -118,69 +104,8 @@ func newCluster(sc serverConfig) (*cluster.Cluster, error) {
 	return cluster.New(cluster.Config{Self: sc.nodeID, Ring: ring, SummaryTTL: sc.summaryTTL, Logf: sc.logf})
 }
 
-// migrateLegacyLayout adopts a pre-multi-stream warehouse — flat
-// part-*.dat files plus a root MANIFEST.json, as written by hsqd before
-// the DB redesign — as the DB's "default" stream: the files move under
-// streams/default/, the manifest gains that namespace, and a DB manifest
-// is written so hsq.Open resumes the stream. A dir that already has a DB
-// manifest, or no legacy manifest, is left untouched.
-func migrateLegacyLayout(dir string) error {
-	legacy := filepath.Join(dir, "MANIFEST.json")
-	if _, err := os.Stat(filepath.Join(dir, "DB.json")); err == nil {
-		return nil
-	}
-	data, err := os.ReadFile(legacy)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var manifest map[string]any
-	if err := json.Unmarshal(data, &manifest); err != nil {
-		return fmt.Errorf("parse %s: %w", legacy, err)
-	}
-	target := filepath.Join(dir, "streams", "default")
-	if err := os.MkdirAll(target, 0o755); err != nil {
-		return err
-	}
-	parts, err := filepath.Glob(filepath.Join(dir, "part-*.dat"))
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if err := os.Rename(p, filepath.Join(target, filepath.Base(p))); err != nil {
-			return err
-		}
-	}
-	// The store validates its manifest's namespace against the view it is
-	// opened under.
-	manifest["namespace"] = "streams/default"
-	out, err := json.MarshalIndent(manifest, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(target, "MANIFEST.json"), out, 0o644); err != nil {
-		return err
-	}
-	if err := os.Remove(legacy); err != nil {
-		return err
-	}
-	db, err := json.MarshalIndent(map[string]any{"version": 1, "streams": []string{"default"}}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "DB.json"), db, 0o644); err != nil {
-		return err
-	}
-	log.Printf("hsqd: migrated legacy warehouse in %s to multi-stream layout (stream %q, %d partitions)",
-		dir, legacyStream, len(parts))
-	return nil
-}
-
 // streamHandler is an HTTP handler parameterized by the stream it operates
-// on, so the same handler serves both /streams/{name}/... and the legacy
-// single-stream read routes.
+// on.
 type streamHandler func(st *hsq.Stream, w http.ResponseWriter, r *http.Request)
 
 // named adapts a streamHandler to a /streams/{name}/... route of an existing
@@ -191,19 +116,6 @@ func (s *server) named(h streamHandler) http.HandlerFunc {
 		st, ok := s.db.Lookup(name)
 		if !ok {
 			httpError(w, http.StatusNotFound, "unknown stream %q", name)
-			return
-		}
-		h(st, w, r)
-	}
-}
-
-// legacy adapts a streamHandler to the original single-stream routes, which
-// operate on the "default" stream (created on first touch).
-func (s *server) legacy(h streamHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.db.Stream(legacyStream)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "stream %q: %v", legacyStream, err)
 			return
 		}
 		h(st, w, r)
@@ -224,19 +136,12 @@ func (s *server) mux() *http.ServeMux {
 	m.HandleFunc("DELETE /streams/{name}", s.handleDeleteStream)
 	m.HandleFunc("POST /streams/{name}/observe", s.handleObserve)
 	m.HandleFunc("POST /streams/{name}/endstep", s.handleEndStep)
-	m.HandleFunc("GET /streams/{name}/quantile", s.namedRead(routeQuantile))
-	m.HandleFunc("GET /streams/{name}/quantiles", s.namedRead(routeQuantiles))
-	m.HandleFunc("GET /streams/{name}/rank", s.namedRead(routeRank))
+	m.HandleFunc("GET /streams/{name}/quantile", s.read(routeQuantile))
+	m.HandleFunc("GET /streams/{name}/quantiles", s.read(routeQuantiles))
+	m.HandleFunc("GET /streams/{name}/rank", s.read(routeRank))
 	m.HandleFunc("GET /streams/{name}/stats", s.named(s.handleStreamStats))
 	m.HandleFunc("GET /streams/{name}/maintenance", s.named(s.handleMaintenance))
 	m.HandleFunc("POST /streams/{name}/maintenance", s.named(s.handleMaintainNow))
-	// Legacy single-stream surface, served by the "default" stream.
-	m.HandleFunc("POST /observe", s.handleObserve)
-	m.HandleFunc("POST /endstep", s.handleEndStep)
-	m.HandleFunc("GET /quantile", s.legacy(s.read(routeQuantile)))
-	m.HandleFunc("GET /quantiles", s.legacy(s.read(routeQuantiles)))
-	m.HandleFunc("GET /rank", s.legacy(s.read(routeRank)))
-	m.HandleFunc("GET /stats", s.legacy(s.handleStreamStats))
 	return m
 }
 

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
 	"repro/hsqclient"
 )
 
@@ -67,7 +66,7 @@ func TestServerEndToEnd(t *testing.T) {
 	for i := 1; i <= 500; i++ {
 		fmt.Fprintf(&b, "%d\n", i)
 	}
-	out := postBody(t, ts.URL+"/observe", b.String())
+	out := postBody(t, ts.URL+"/streams/default/observe", b.String())
 	if out["observed"].(float64) != 500 {
 		t.Errorf("observed = %v", out["observed"])
 	}
@@ -75,21 +74,21 @@ func TestServerEndToEnd(t *testing.T) {
 	for i := 501; i <= 1000; i++ {
 		fmt.Fprintf(&b, "%d\n", i)
 	}
-	postBody(t, ts.URL+"/observe", b.String())
+	postBody(t, ts.URL+"/streams/default/observe", b.String())
 
 	// End the step: data moves to the warehouse and is checkpointed.
-	out = postBody(t, ts.URL+"/endstep", "")
+	out = postBody(t, ts.URL+"/streams/default/endstep", "")
 	if out["batch"].(float64) != 1000 || out["steps"].(float64) != 1 {
 		t.Errorf("endstep = %v", out)
 	}
 
 	// Accurate quantile: stream empty → exact median is 500.
-	q, code := getJSON(t, ts.URL+"/quantile?phi=0.5")
+	q, code := getJSON(t, ts.URL+"/streams/default/quantile?phi=0.5")
 	if code != 200 || q["value"].(float64) != 500 {
 		t.Errorf("quantile = %v (code %d)", q, code)
 	}
 	// Quick quantile responds 200 with a plausible value.
-	q, code = getJSON(t, ts.URL+"/quantile?phi=0.5&quick=1")
+	q, code = getJSON(t, ts.URL+"/streams/default/quantile?phi=0.5&quick=1")
 	if code != 200 {
 		t.Errorf("quick code %d", code)
 	}
@@ -97,13 +96,13 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("quick value %v far from median", v)
 	}
 	// Windowed query over the only available window.
-	q, code = getJSON(t, ts.URL+"/quantile?phi=0.5&window=1")
+	q, code = getJSON(t, ts.URL+"/streams/default/quantile?phi=0.5&window=1")
 	if code != 200 || q["value"].(float64) != 500 {
 		t.Errorf("window quantile = %v (code %d)", q, code)
 	}
 
 	// Stats endpoint.
-	st, code := getJSON(t, ts.URL+"/stats")
+	st, code := getJSON(t, ts.URL+"/streams/default/stats")
 	if code != 200 {
 		t.Fatalf("stats code %d", code)
 	}
@@ -115,7 +114,7 @@ func TestServerEndToEnd(t *testing.T) {
 func TestServerErrors(t *testing.T) {
 	ts := newTestServer(t)
 	// Bad element.
-	resp, err := http.Post(ts.URL+"/observe", "text/plain", strings.NewReader("notanumber\n"))
+	resp, err := http.Post(ts.URL+"/streams/default/observe", "text/plain", strings.NewReader("notanumber\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,21 +122,23 @@ func TestServerErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad element: status %d", resp.StatusCode)
 	}
+	// An empty step opens the stream (reads of an unknown stream are 404s).
+	postBody(t, ts.URL+"/streams/default/endstep", "")
 	// Bad phi.
-	if _, code := getJSON(t, ts.URL+"/quantile?phi=abc"); code != http.StatusBadRequest {
+	if _, code := getJSON(t, ts.URL+"/streams/default/quantile?phi=abc"); code != http.StatusBadRequest {
 		t.Errorf("bad phi: status %d", code)
 	}
 	// Query with no data.
-	if _, code := getJSON(t, ts.URL+"/quantile?phi=0.5"); code != http.StatusBadRequest {
+	if _, code := getJSON(t, ts.URL+"/streams/default/quantile?phi=0.5"); code != http.StatusBadRequest {
 		t.Errorf("empty query: status %d", code)
 	}
 	// Bad window.
-	postBody(t, ts.URL+"/observe", "1\n2\n3\n")
-	postBody(t, ts.URL+"/endstep", "")
-	if _, code := getJSON(t, ts.URL+"/quantile?phi=0.5&window=99"); code != http.StatusBadRequest {
+	postBody(t, ts.URL+"/streams/default/observe", "1\n2\n3\n")
+	postBody(t, ts.URL+"/streams/default/endstep", "")
+	if _, code := getJSON(t, ts.URL+"/streams/default/quantile?phi=0.5&window=99"); code != http.StatusBadRequest {
 		t.Errorf("misaligned window: status %d", code)
 	}
-	if _, code := getJSON(t, ts.URL+"/quantile?phi=0.5&window=x"); code != http.StatusBadRequest {
+	if _, code := getJSON(t, ts.URL+"/streams/default/quantile?phi=0.5&window=x"); code != http.StatusBadRequest {
 		t.Errorf("non-numeric window: status %d", code)
 	}
 	// One parser behind the three read routes: each of them refuses a bad
@@ -147,7 +148,7 @@ func TestServerErrors(t *testing.T) {
 		"/quantiles?phi=0.5&window=99", "/quantiles?phi=0.5&window=x", "/quantiles?phi=0.5,7",
 		"/rank?v=2&window=99", "/rank?v=2&max-reads=-1",
 	} {
-		if _, code := getJSON(t, ts.URL+path); code != http.StatusBadRequest {
+		if _, code := getJSON(t, ts.URL+"/streams/default"+path); code != http.StatusBadRequest {
 			t.Errorf("GET %s: status %d, want 400", path, code)
 		}
 	}
@@ -160,8 +161,8 @@ func TestServerResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.mux())
-	postBody(t, ts.URL+"/observe", "1\n2\n3\n4\n5\n")
-	postBody(t, ts.URL+"/endstep", "")
+	postBody(t, ts.URL+"/streams/default/observe", "1\n2\n3\n4\n5\n")
+	postBody(t, ts.URL+"/streams/default/endstep", "")
 	ts.Close()
 
 	// Resume is automatic: a fresh server on the same dir reopens the DB
@@ -172,7 +173,7 @@ func TestServerResume(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.mux())
 	defer ts2.Close()
-	q, code := getJSON(t, ts2.URL+"/quantile?phi=0.5")
+	q, code := getJSON(t, ts2.URL+"/streams/default/quantile?phi=0.5")
 	if code != 200 || q["value"].(float64) != 3 {
 		t.Errorf("resumed quantile = %v (code %d)", q, code)
 	}
@@ -276,52 +277,16 @@ func TestServerMultiStream(t *testing.T) {
 	}
 }
 
-// TestServerLegacyMigration upgrades a pre-multi-stream warehouse (flat
-// part files + root MANIFEST.json, as older hsqd wrote) in place: the data
-// must come back as the "default" stream.
-func TestServerLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := hsq.New(hsq.Config{Epsilon: 0.05, Kappa: 3, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 1000; i++ {
-		eng.Observe(i)
-	}
-	if _, err := eng.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil { // writes the legacy root manifest
-		t.Fatal(err)
-	}
-
-	srv, err := newServer(serverConfig{dir: dir, epsilon: 0.05, kappa: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.mux())
-	defer ts.Close()
-	// Legacy endpoint answers from the migrated history.
-	q, code := getJSON(t, ts.URL+"/quantile?phi=0.5")
-	if code != 200 || q["value"].(float64) != 500 {
-		t.Errorf("migrated quantile = %v (code %d)", q, code)
-	}
-	st, code := getJSON(t, ts.URL+"/streams/default/stats")
-	if code != 200 || st["hist_count"].(float64) != 1000 {
-		t.Errorf("migrated stats = %v (code %d)", st, code)
-	}
-}
-
 func TestServerQuantilesAndRank(t *testing.T) {
 	ts := newTestServer(t)
 	var b strings.Builder
 	for i := 1; i <= 1000; i++ {
 		fmt.Fprintf(&b, "%d\n", i)
 	}
-	postBody(t, ts.URL+"/observe", b.String())
-	postBody(t, ts.URL+"/endstep", "")
+	postBody(t, ts.URL+"/streams/default/observe", b.String())
+	postBody(t, ts.URL+"/streams/default/endstep", "")
 
-	q, code := getJSON(t, ts.URL+"/quantiles?phi=0.25,0.5,0.75")
+	q, code := getJSON(t, ts.URL+"/streams/default/quantiles?phi=0.25,0.5,0.75")
 	if code != 200 {
 		t.Fatalf("quantiles code %d", code)
 	}
@@ -329,17 +294,17 @@ func TestServerQuantilesAndRank(t *testing.T) {
 	if len(vals) != 3 || vals[0].(float64) != 250 || vals[1].(float64) != 500 || vals[2].(float64) != 750 {
 		t.Errorf("quantiles = %v", vals)
 	}
-	if _, code := getJSON(t, ts.URL+"/quantiles?phi="); code != 400 {
+	if _, code := getJSON(t, ts.URL+"/streams/default/quantiles?phi="); code != 400 {
 		t.Errorf("empty phis: code %d", code)
 	}
-	if _, code := getJSON(t, ts.URL+"/quantiles?phi=0.5,abc"); code != 400 {
+	if _, code := getJSON(t, ts.URL+"/streams/default/quantiles?phi=0.5,abc"); code != 400 {
 		t.Errorf("bad phi list: code %d", code)
 	}
 
 	// quick=1, window= and max-reads= mean the same on every read route.
 	// The quick /quantiles goes first: nothing is cached or memoized yet, so
 	// zero disk reads is the in-memory path and not a warm repeat.
-	q, code = getJSON(t, ts.URL+"/quantiles?phi=0.25,0.5,0.75&quick=1")
+	q, code = getJSON(t, ts.URL+"/streams/default/quantiles?phi=0.25,0.5,0.75&quick=1")
 	if code != 200 || q["disk_reads"].(float64) != 0 {
 		t.Errorf("quick quantiles = %v (code %d), want 0 disk reads", q, code)
 	}
@@ -348,37 +313,37 @@ func TestServerQuantilesAndRank(t *testing.T) {
 			t.Errorf("quick quantiles[%d] = %v, want %v ± 1.5·ε·N", i, v, want)
 		}
 	}
-	postBody(t, ts.URL+"/observe", "2000\n")
-	postBody(t, ts.URL+"/endstep", "")
-	q, code = getJSON(t, ts.URL+"/quantiles?phi=0.5,1&window=1")
+	postBody(t, ts.URL+"/streams/default/observe", "2000\n")
+	postBody(t, ts.URL+"/streams/default/endstep", "")
+	q, code = getJSON(t, ts.URL+"/streams/default/quantiles?phi=0.5,1&window=1")
 	if vals := q["values"].([]any); code != 200 || vals[0].(float64) != 2000 || vals[1].(float64) != 2000 {
 		t.Errorf("windowed quantiles = %v (code %d), want the last step's one value", q, code)
 	}
-	q, code = getJSON(t, ts.URL+"/quantile?phi=0.5&max-reads=1")
+	q, code = getJSON(t, ts.URL+"/streams/default/quantile?phi=0.5&max-reads=1")
 	if v := q["value"].(float64); code != 200 || v < 300 || v > 700 {
 		t.Errorf("budgeted quantile = %v (code %d), want 501 ± 4·ε·N", q, code)
 	}
-	rk, code := getJSON(t, ts.URL+"/rank?v=5000&window=1")
+	rk, code := getJSON(t, ts.URL+"/streams/default/rank?v=5000&window=1")
 	if code != 200 || rk["rank"].(float64) != 1 || rk["total"].(float64) != 1 {
 		t.Errorf("windowed rank = %v (code %d), want 1 of 1", rk, code)
 	}
 
-	rk, code = getJSON(t, ts.URL+"/rank?v=500")
+	rk, code = getJSON(t, ts.URL+"/streams/default/rank?v=500")
 	if code != 200 || rk["rank"].(float64) != 500 {
 		t.Errorf("rank = %v (code %d)", rk, code)
 	}
-	rk, code = getJSON(t, ts.URL+"/rank?v=500&quick=1")
+	rk, code = getJSON(t, ts.URL+"/streams/default/rank?v=500&quick=1")
 	if code != 200 {
 		t.Fatalf("quick rank code %d", code)
 	}
 	if r := rk["rank"].(float64); r < 350 || r > 650 {
 		t.Errorf("quick rank = %v", r)
 	}
-	if _, code := getJSON(t, ts.URL+"/rank?v=abc"); code != 400 {
+	if _, code := getJSON(t, ts.URL+"/streams/default/rank?v=abc"); code != 400 {
 		t.Errorf("bad rank value: code %d", code)
 	}
 
-	st, code := getJSON(t, ts.URL+"/stats")
+	st, code := getJSON(t, ts.URL+"/streams/default/stats")
 	if code != 200 || st["levels"] == nil {
 		t.Errorf("stats levels missing: %v", st)
 	}
@@ -387,9 +352,10 @@ func TestServerQuantilesAndRank(t *testing.T) {
 // TestRankAndTotalFromOneSnapshot polls /rank while a writer observes and
 // ends steps. "rank" and "total" describe one snapshot, so they agree on
 // every reply: nothing exceeds MaxInt64, so its rank is the whole stream —
-// total, plus at most the live batch's ε₂ estimate band — and never less,
-// which is what a total read after the rank, from a second snapshot the
-// writer has already moved, would show.
+// exactly total: partitions count exactly and each stream piece's estimate
+// is clamped to the piece's size (core.RankOfValue) — never more, and never
+// less, which is what a total read after the rank, from a second snapshot
+// the writer has already moved, would show.
 func TestRankAndTotalFromOneSnapshot(t *testing.T) {
 	ts := newTestServer(t)
 	url := ts.URL + "/streams/live/"
@@ -427,7 +393,7 @@ func TestRankAndTotalFromOneSnapshot(t *testing.T) {
 			t.Fatalf("rank: status %d", code)
 		}
 		rank, total := rk["rank"].(float64), rk["total"].(float64)
-		if rank < total || rank > total+0.05*total+2 {
+		if rank != total {
 			t.Fatalf("poll %d: rank of MaxInt64 = %v against total = %v", i, rank, total)
 		}
 	}

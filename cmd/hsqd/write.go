@@ -15,11 +15,11 @@ import (
 )
 
 // This file is hsqd's write side: one body parser and one handler per
-// operation, serving /streams/{name}/… and the flat routes alike, on a
-// single node and on any node of a cluster. A REST write is a wire frame
-// handed to ingest.Server.Write — the door a client connection's frames come
-// through, minus the replay check — so it is applied, tallied, pushed to
-// subscribers, replicated and routed exactly as a wire write is.
+// operation, on a single node and on any node of a cluster. A REST write is
+// a wire frame handed to ingest.Server.Write — the door a client
+// connection's frames come through, minus the replay check — so it is
+// applied, tallied, pushed to subscribers, replicated and routed exactly as
+// a wire write is.
 
 // parseValues reads an observe body into one slice. A body that starts with
 // '{' is a JSON object carrying "values":[...] and/or "value":v — so HTTP
@@ -87,15 +87,6 @@ func peekNonSpace(br *bufio.Reader) (byte, error) {
 	}
 }
 
-// writeTarget names the stream a write route addresses: {name} under
-// /streams/, the "default" stream on the flat routes.
-func writeTarget(r *http.Request) string {
-	if name := r.PathValue("name"); name != "" {
-		return name
-	}
-	return legacyStream
-}
-
 // writeFailed reports a failed ingest.Server.Write: 502 when the cluster
 // transport could not route or replicate the frame, 400 when the stream
 // could not be opened here (a bad name), engineCode when the engine refused
@@ -116,7 +107,7 @@ func writeFailed(w http.ResponseWriter, err error, engineCode int) {
 // 200 is ack-gated like a wire client's — every reachable member applied
 // (or the transport declared the straggler down).
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	name := writeTarget(r)
+	name := r.PathValue("name")
 	vals, err := parseValues(r.Body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -139,7 +130,7 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 // handleEndStep closes the stream's current step. A nil EndStep is already
 // durable (README "Durability"), so the reply needs no further commit.
 func (s *server) handleEndStep(w http.ResponseWriter, r *http.Request) {
-	name := writeTarget(r)
+	name := r.PathValue("name")
 	st, us, err := s.ing.Write(r.Context(), name, &wire.Frame{Type: wire.TypeEndStep})
 	if err != nil {
 		writeFailed(w, err, http.StatusInternalServerError)

@@ -179,8 +179,8 @@ func jsonBody(vs []int64) string {
 	return string(b)
 }
 
-// restDoor feeds stream through base's REST surface: base+"/streams/x" for
-// the named routes, the bare server URL for the flat ones.
+// restDoor feeds stream through the REST surface at base, its
+// /streams/{name} URL on the node the door posts to.
 func restDoor(t *testing.T, name, base, stream string, members []*testNode, format func([]int64) string) *writeDoor {
 	return &writeDoor{
 		name: name, stream: stream, members: members,
@@ -230,11 +230,11 @@ type doorOutcome struct {
 
 // TestWriteDoorsEquivalent delivers one seeded sequence of batches and
 // end-steps through every write door — an hsqclient connection, local REST
-// in both body formats, REST via a non-member, the flat routes — on a single
-// node and on a 3-node R=2 cluster, and requires the same engine state, the
-// same GET /ingest tallies and the same number of continuous-query pushes
-// behind each door, on every member of each stream. Then a body with one bad
-// element must leave every REST door's stream untouched.
+// in both body formats, REST via a non-member — on a single node and on a
+// 3-node R=2 cluster, and requires the same engine state, the same GET
+// /ingest tallies and the same number of continuous-query pushes behind each
+// door, on every member of each stream. Then a body with one bad element
+// must leave every REST door's stream untouched.
 func TestWriteDoorsEquivalent(t *testing.T) {
 	seed := int64(1)
 	if s := os.Getenv("HSQ_PROP_SEED"); s != "" {
@@ -267,7 +267,6 @@ func TestWriteDoorsEquivalent(t *testing.T) {
 			wireDoor(t, "d-wire", self[0], self),
 			restDoor(t, "rest-lines", ts.URL+"/streams/d-lines", "d-lines", self, linesBody),
 			restDoor(t, "rest-json", ts.URL+"/streams/d-json", "d-json", self, jsonBody),
-			restDoor(t, "flat", ts.URL, legacyStream, self, linesBody),
 		})
 	})
 
@@ -297,8 +296,6 @@ func TestWriteDoorsEquivalent(t *testing.T) {
 		doors = append(doors, restDoor(t, "rest-json", m[1].ts.URL+"/streams/d-json", "d-json", m, jsonBody))
 		m, out := place("d-via")
 		doors = append(doors, restDoor(t, "rest-via-non-member", out.ts.URL+"/streams/d-via", "d-via", m, linesBody))
-		m, _ = place(legacyStream)
-		doors = append(doors, restDoor(t, "flat", m[0].ts.URL, legacyStream, m, jsonBody))
 		runDoors(t, seed, doors)
 	})
 }

@@ -34,9 +34,9 @@ import (
 // partition end steps to query.Scope.Select — the selector a hydrated
 // engine's snapshot goes through (scope.go) — and copies out the range it
 // returns, so a stream answers a scope the same, error text included,
-// whether it is hydrated or evicted. DB.scopedSummary is the one entry:
-// plan members (DB.ScopedSummary, db.Query) and a peer's SummaryReq
-// (Stream.Summary) both come through it.
+// whether it is hydrated or evicted. DB.ScopedSummary is the one entry:
+// plan members (query.Exec reads the DB as its Source) and a peer's
+// SummaryReq (Stream.Summary) both come through it.
 
 // sidecarName is the cold-summary metadata file inside a stream's
 // namespace, next to its MANIFEST.json.
@@ -211,7 +211,7 @@ func sidecarMatches(parts []sidecarPart, steps int, m storeManifestView) bool {
 	return true
 }
 
-// scopedFromParts is Engine.ScopedSummary over a sidecar: the sidecar's
+// scopedFromParts is engine.ScopedSummary over a sidecar: the sidecar's
 // partitions are the stream's spans (a cold stream has no sealed backlog and
 // no live buffer), query.Scope.Select picks the range, and the parts in it
 // are copied out.
@@ -232,13 +232,15 @@ func scopedFromParts(parts []sidecarPart, eps1, eps2 float64, sc query.Scope) (*
 	return sum, nil
 }
 
-// scopedSummary answers one stream's scoped summary for the query layer:
-// hydrated streams from their live engine (one pin, no LRU side effects
-// beyond a touch), cold streams from the sealed sidecar without
-// hydrating, and only as a last resort — no or stale sidecar — by
-// hydrating once, which also queues the stream to have a fresh sidecar
-// written at its next eviction or checkpoint.
-func (db *DB) scopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
+// ScopedSummary returns one stream's shard summary restricted to a query
+// scope — the per-member fetch of the query executor, whose Source a DB is;
+// hsqd's cluster mode calls it directly for the streams this node stores.
+// Hydrated streams answer from their live engine (one pin, no LRU side
+// effects beyond a touch), cold streams from the sealed sidecar without
+// hydrating, and only as a last resort — no or stale sidecar — by hydrating
+// once, which also queues the stream to have a fresh sidecar written at its
+// next eviction or checkpoint.
+func (db *DB) ScopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
 	db.mu.Lock()
 	ent, ok := db.dir[name]
 	unknown := !db.closed && (!ok || ent.dropped)
@@ -249,17 +251,17 @@ func (db *DB) scopedSummary(name string, sc query.Scope) (*core.ShardSummary, er
 	return db.entrySummary(ent, sc) // a closed DB is reported there, before ent is read
 }
 
-// entrySummary is scopedSummary for a directory entry already in hand (a
+// entrySummary is ScopedSummary for a directory entry already in hand (a
 // Stream handle's): a closed DB or a dropped stream is ErrClosed.
 func (db *DB) entrySummary(ent *streamEntry, sc query.Scope) (*core.ShardSummary, error) {
 	db.mu.Lock()
-	eng, release, err, done := db.tryAcquireLocked(ent)
+	eng, err, done := db.tryAcquireLocked(ent)
 	db.mu.Unlock()
 	if done {
 		if err != nil {
 			return nil, err
 		}
-		defer release()
+		defer db.release(ent)
 		return eng.ScopedSummary(sc)
 	}
 	// Cold: try the sidecar — a pure metadata read, never a hydration.
@@ -269,10 +271,10 @@ func (db *DB) entrySummary(ent *streamEntry, sc query.Scope) (*core.ShardSummary
 		return sum, nil
 	}
 	// Fallback: hydrate once (counted in DirectoryStats.Hydrations).
-	eng, release, err = db.acquire(ent)
+	eng, err = db.acquire(ent)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer db.release(ent)
 	return eng.ScopedSummary(sc)
 }

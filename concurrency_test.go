@@ -2,7 +2,6 @@ package hsq
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,15 +33,11 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 	if testing.Short() {
 		steps = 12
 	}
-	eng, err := New(Config{
+	eng := OneStream(t, Options{
 		Epsilon: eps, Kappa: 2, // κ=2 cascades merges constantly
 		Backend: "mem", BlockSize: 512,
 		Maintenance: MaintenanceAsync, MaxPendingSteps: envMaxPending(3), MaintenanceWorkers: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
 
 	var observed atomic.Int64 // elements fed so far (== largest value fed)
 	var stop atomic.Bool
@@ -165,21 +160,17 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 // background install is wedged (blocking fault hook), Observe and Quantile
 // both complete — only EndStep past the backpressure bound waits.
 func TestObserveNotBlockedByMerge(t *testing.T) {
-	eng, err := New(Config{
+	eng := OneStream(t, Options{
 		Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512,
 		Maintenance: MaintenanceAsync, MaxPendingSteps: 8, MaintenanceWorkers: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
 
 	gate := make(chan struct{})
 	var gateOff atomic.Bool
-	eng.dev.SetFault(func(op disk.Op, name string, block int64) error {
+	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
 		// Wedge partition writes (the background install); seals and query
 		// reads pass through untouched.
-		if op == disk.OpSeqWrite && strings.HasPrefix(name, "part-") && !gateOff.Load() {
+		if op == disk.OpSeqWrite && partFile(name) && !gateOff.Load() {
 			<-gate
 		}
 		return nil
@@ -212,7 +203,7 @@ func TestObserveNotBlockedByMerge(t *testing.T) {
 	if err := eng.SyncMaintenance(); err != nil {
 		t.Fatal(err)
 	}
-	eng.dev.SetFault(nil)
+	eng.db.dev.SetFault(nil)
 }
 
 // TestDropStreamWaitsForQueries pins the teardown barrier: DropStream (and

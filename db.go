@@ -16,14 +16,6 @@ import (
 // stream the DB does not host; test with errors.Is.
 var ErrUnknownStream = errors.New("hsq: unknown stream")
 
-// Options configures a DB. It is the same knob set as Config: Epsilon,
-// Kappa and the accuracy/behavior options apply to every stream the DB
-// hosts, while Backend, Dir, CacheBlocks, BlockSize and SimulateDisk
-// describe the one shared device all streams multiplex.
-// MaxHydratedStreams bounds how many streams keep a memory-resident engine
-// at once (see Config).
-type Options = Config
-
 // dbManifestName is the DB-level manifest (stream directory) on the root
 // of the device.
 const dbManifestName = "DB.json"
@@ -75,7 +67,7 @@ type streamEntry struct {
 	// cycles keeps the counters cumulative and the per-stream sum equal
 	// to the device aggregate.
 	view    *disk.Manager
-	eng     *Engine // nil while cold (not hydrated)
+	eng     *engine // nil while cold (not hydrated)
 	pins    int     // in-flight operations holding eng; eviction skips pinned entries
 	seq     uint64  // LRU clock value of the last touch
 	dropped bool
@@ -83,9 +75,10 @@ type streamEntry struct {
 }
 
 // DB hosts many named quantile streams over one shared device: one storage
-// backend, one block-cache budget, one manifest root. Each stream is a full
-// Engine (Observe/EndStep/Quantile/Rank/Window surface) running on a
-// namespaced view of the device, so streams are isolated on disk and in
+// backend, one block-cache budget, one manifest root. Each stream is the
+// paper's full engine (Observe/EndStep/Quantile/Rank/Window surface, see
+// Stream) running on a namespaced view of the device — a single-stream
+// deployment is a DB with one stream — so streams are isolated on disk and in
 // per-stream I/O accounting while competing for — and benefiting from —
 // the same cache. DB is safe for concurrent use.
 //
@@ -93,7 +86,7 @@ type streamEntry struct {
 // every stream listed in the DB manifest is registered (a lightweight
 // descriptor, ~100 bytes), but an engine — GK sketch, partition summaries,
 // maintenance state — is hydrated only on first touch, outside the DB
-// lock, with per-name singleflight. With Config.MaxHydratedStreams set,
+// lock, with per-name singleflight. With Options.MaxHydratedStreams set,
 // idle streams are sealed (durably checkpointed) and evicted in LRU order,
 // so resident memory tracks the hot set, not the directory size. Open
 // loads only the directory: restart cost is O(registered streams), with
@@ -106,7 +99,7 @@ type streamEntry struct {
 //	p99, _, err := lat.Quantile(0.99)
 type DB struct {
 	mu    sync.Mutex
-	opts  Config
+	opts  Options
 	dev   *disk.Manager // root view: aggregate stats, shared cache
 	sched *scheduler    // DB-wide background maintenance pool (async mode)
 	dir   map[string]*streamEntry
@@ -141,10 +134,10 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{opts: full, dev: dev, dir: make(map[string]*streamEntry), sched: newScheduler(full)}
 	if !dev.Exists(dbManifestName) && dev.Exists(manifestName) {
 		// A root-level store manifest without a DB manifest is a legacy
-		// single-stream warehouse (written by Engine.Checkpoint/Close).
-		// Opening a DB over it would silently ignore all its data.
-		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s, no %s); resume it with OpenEngine, or move its files into %s/<name>/ (setting the manifest's \"namespace\") to adopt it as a DB stream",
-			full.Dir, manifestName, dbManifestName, streamNamespacePrefix)
+		// single-stream warehouse (written by releases that had a standalone
+		// engine). Opening a DB over it would silently ignore all its data.
+		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s, no %s); to adopt it as a DB stream, move its files into %s/<name>/, set the moved manifest's \"namespace\" to that path and list <name> under \"streams\" in a version-%d %s",
+			full.Dir, manifestName, dbManifestName, streamNamespacePrefix, dbManifestVersion, dbManifestName)
 	}
 	registered := map[string]bool{}
 	if dev.Exists(dbManifestName) {
@@ -228,9 +221,10 @@ func (db *DB) touchLocked(ent *streamEntry) {
 }
 
 // acquire returns the entry's hydrated engine with a pin held; the caller
-// must call the returned release when its operation completes. While an
-// entry is pinned it cannot be evicted, so queries, ingest batches and
-// maintenance barriers never lose their engine mid-operation.
+// must db.release(ent) when its operation completes (a plain deferred call:
+// the write path allocates nothing here). While an entry is pinned it cannot
+// be evicted, so queries, ingest batches and maintenance barriers never lose
+// their engine mid-operation.
 //
 // The fast path (engine already hydrated) takes only db.mu — a map lookup
 // and two counter bumps. The cold path hydrates outside db.mu under the
@@ -238,12 +232,12 @@ func (db *DB) touchLocked(ent *streamEntry) {
 // one hydration, while operations on other streams proceed untouched. This
 // is the structural fix for the historical cold-open stall, where one
 // stream's manifest load and summary-rebuild scan blocked the whole DB.
-func (db *DB) acquire(ent *streamEntry) (*Engine, func(), error) {
+func (db *DB) acquire(ent *streamEntry) (*engine, error) {
 	db.mu.Lock()
-	eng, release, err, done := db.tryAcquireLocked(ent)
+	eng, err, done := db.tryAcquireLocked(ent)
 	db.mu.Unlock()
 	if done {
-		return eng, release, err
+		return eng, err
 	}
 
 	// Cold: hydrate under the per-name singleflight lock, outside db.mu.
@@ -251,17 +245,17 @@ func (db *DB) acquire(ent *streamEntry) (*Engine, func(), error) {
 	defer ent.opMu.Unlock()
 	// Re-check: the hydration race may have been lost while waiting.
 	db.mu.Lock()
-	eng, release, err, done = db.tryAcquireLocked(ent)
+	eng, err, done = db.tryAcquireLocked(ent)
 	view := ent.view
 	db.mu.Unlock()
 	if done {
-		return eng, release, err
+		return eng, err
 	}
 
 	if view == nil {
 		v, nsErr := db.dev.Namespace(streamNamespacePrefix + "/" + ent.name)
 		if nsErr != nil {
-			return nil, nil, nsErr
+			return nil, nsErr
 		}
 		db.mu.Lock()
 		ent.view = v
@@ -271,7 +265,7 @@ func (db *DB) acquire(ent *streamEntry) (*Engine, func(), error) {
 	resume := view.Exists(manifestName)
 	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+ent.name, resume)
 	if err != nil {
-		return nil, nil, fmt.Errorf("hsq: hydrate stream %q: %w", ent.name, err)
+		return nil, fmt.Errorf("hsq: hydrate stream %q: %w", ent.name, err)
 	}
 	fresh.sched = db.sched
 
@@ -283,9 +277,9 @@ func (db *DB) acquire(ent *streamEntry) (*Engine, func(), error) {
 		// nothing was mutated, so discard the engine quietly.
 		fresh.Close() //nolint:errcheck // freshly hydrated, nothing to lose
 		if closed {
-			return nil, nil, ErrClosed
+			return nil, ErrClosed
 		}
-		return nil, nil, fmt.Errorf("hsq: stream %q dropped: %w", ent.name, ErrClosed)
+		return nil, fmt.Errorf("hsq: stream %q dropped: %w", ent.name, ErrClosed)
 	}
 	ent.eng = fresh
 	ent.pins++
@@ -295,28 +289,28 @@ func (db *DB) acquire(ent *streamEntry) (*Engine, func(), error) {
 	victims := db.evictVictimsLocked()
 	db.mu.Unlock()
 	db.evict(victims)
-	return fresh, func() { db.release(ent) }, nil
+	return fresh, nil
 }
 
 // tryAcquireLocked is acquire's fast path. Caller holds db.mu. done
 // reports whether the acquire finished (successfully or with an error);
 // !done means the entry is cold and the caller must hydrate.
-func (db *DB) tryAcquireLocked(ent *streamEntry) (_ *Engine, _ func(), _ error, done bool) {
+func (db *DB) tryAcquireLocked(ent *streamEntry) (_ *engine, _ error, done bool) {
 	if db.closed {
-		return nil, nil, ErrClosed, true
+		return nil, ErrClosed, true
 	}
 	if ent.dropped {
 		// Stale handle to a dropped stream: same contract as the closed
 		// engine the handle used to embed, so callers racing a DropStream
 		// keep seeing ErrClosed, never an I/O error.
-		return nil, nil, fmt.Errorf("hsq: stream %q dropped: %w", ent.name, ErrClosed), true
+		return nil, fmt.Errorf("hsq: stream %q dropped: %w", ent.name, ErrClosed), true
 	}
 	if ent.eng == nil {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	ent.pins++
 	db.touchLocked(ent)
-	return ent.eng, func() { db.release(ent) }, nil, true
+	return ent.eng, nil, true
 }
 
 // release drops one pin and, if the hydration that pinned alongside us
@@ -364,7 +358,7 @@ func (db *DB) evict(victims []*streamEntry) {
 }
 
 // evictOne seals one idle stream back to its on-disk manifest and drops
-// its engine. Sealing is a durable checkpoint: Engine.Close drains the
+// its engine. Sealing is a durable checkpoint: engine.Close drains the
 // maintenance backlog, commits the manifest and waits out pinned queries,
 // so an evicted stream loses nothing — its next touch rehydrates the exact
 // same state. Entries that would lose state are skipped: a pinned entry
@@ -494,8 +488,7 @@ func (db *DB) Stream(name string) (*Stream, error) {
 		break
 	}
 
-	_, release, err := db.acquire(ent)
-	if err != nil {
+	if _, err := db.acquire(ent); err != nil {
 		if created {
 			// Best-effort unregistration: the stream never hydrated, so
 			// removing its directory entry leaves no on-disk debris beyond
@@ -517,7 +510,7 @@ func (db *DB) Stream(name string) (*Stream, error) {
 		}
 		return nil, err
 	}
-	release()
+	db.release(ent)
 	return st, nil
 }
 
@@ -777,7 +770,7 @@ func (db *DB) saveManifestLocked() error {
 // DB-wide barriers (Checkpoint, WaitIdle) so eviction cannot close an
 // engine mid-barrier. Cold streams need no work: eviction sealed them
 // durably, and never-touched streams were durable to begin with.
-func (db *DB) pinHydrated() (ents []*streamEntry, engs []*Engine) {
+func (db *DB) pinHydrated() (ents []*streamEntry, engs []*engine) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -797,11 +790,11 @@ func (db *DB) pinHydrated() (ents []*streamEntry, engs []*Engine) {
 // Checkpoint persists every hydrated stream's manifest plus the stream
 // directory, each write atomic on the backend, so a multi-stream daemon
 // can restart cleanly with Open. Cold (evicted or never-touched) streams
-// are already durable and cost nothing. As with Engine.Checkpoint,
-// in-flight (unloaded) stream batches are volatile by design — but steps
-// already sealed by EndStep are durable whether or not their background
-// installs have run. Checkpoint does not wait for the maintenance backlog;
-// call WaitIdle first for a fully-merged on-disk layout.
+// are already durable and cost nothing. In-flight (unloaded) stream batches
+// are volatile by design (replayed or lost, exactly as a DSMS would) — but
+// steps already sealed by EndStep are durable whether or not their
+// background installs have run. Checkpoint does not wait for the maintenance
+// backlog; call WaitIdle first for a fully-merged on-disk layout.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	if db.closed {
@@ -855,7 +848,7 @@ func (db *DB) Close() error {
 	}
 	db.closed = true
 	var names []string
-	var engs []*Engine
+	var engs []*engine
 	for name, ent := range db.dir {
 		if ent.eng != nil {
 			names = append(names, name)
@@ -936,7 +929,7 @@ type DirectoryStats struct {
 	// those currently hold a memory-resident engine.
 	Registered int
 	Hydrated   int
-	// MaxHydrated echoes Config.MaxHydratedStreams (0 = unlimited).
+	// MaxHydrated echoes Options.MaxHydratedStreams (0 = unlimited).
 	MaxHydrated int
 	// Hydrations and Evictions count engine loads and LRU seals since
 	// Open. Hydrations > Registered means streams have cycled.
@@ -970,5 +963,5 @@ func (db *DB) CacheBlocks() int { return db.dev.CacheBlocks() }
 
 // MaintenanceMode returns the resolved maintenance mode every stream of
 // this DB runs under ("sync", "async" or "manual") — the value after
-// Config defaulting, so callers never re-derive the resolution rule.
+// Options defaulting, so callers never re-derive the resolution rule.
 func (db *DB) MaintenanceMode() string { return db.opts.Maintenance }

@@ -773,7 +773,7 @@ func TestDirectoryChurn(t *testing.T) {
 
 	// A reopen over the same device recovers the same directory, and each
 	// stream's sealed history (live batches are volatile across Close —
-	// Engine.Close drops them by contract).
+	// the engine's Close drops them by contract).
 	re, err := hsq.Open(hsq.Options{
 		Epsilon: 0.05, Kappa: 2, Device: inner, BlockSize: 512,
 		MaxHydratedStreams: 2,

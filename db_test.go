@@ -2,8 +2,12 @@ package hsq_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -219,49 +223,111 @@ func TestDBCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsLegacyLayout: a root-level engine checkpoint without a DB
-// manifest must not be silently shadowed by an empty DB.
+// TestOpenRejectsLegacyLayout: a root-level single-stream warehouse (root
+// MANIFEST.json and part files, no DB.json — the layout releases with a
+// standalone engine wrote) must not be silently shadowed by an empty DB.
+// Nothing in the tree writes that layout any more, so the fixture demotes a
+// DB stream to it by hand; Open refuses it, leaves it untouched, and the
+// adoption recipe its error spells out brings the history back.
 func TestOpenRejectsLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := hsq.New(hsq.Config{Epsilon: 0.05, Kappa: 3, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	opts := hsq.Options{Epsilon: 0.05, Kappa: 3, Dir: dir}
+	eng := hsq.OneStream(t, opts)
+	for i := int64(1); i <= 1000; i++ {
+		eng.Observe(i)
 	}
-	eng.Observe(1)
 	if _, err := eng.EndStep(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Close(); err != nil {
+	if err := eng.DB().Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hsq.Open(hsq.Options{Epsilon: 0.05, Kappa: 3, Dir: dir}); err == nil {
+	// move carries the part files and the manifest between the stream's
+	// namespace and the root, rewriting the manifest's "namespace".
+	ns := filepath.Join("streams", hsq.OneStreamName)
+	move := func(from, to, namespace string) {
+		t.Helper()
+		parts, err := filepath.Glob(filepath.Join(dir, from, "part-*.dat"))
+		if err != nil || len(parts) == 0 {
+			t.Fatalf("no partition files under %q: %v", from, err)
+		}
+		for _, p := range parts {
+			if err := os.Rename(p, filepath.Join(dir, to, filepath.Base(p))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, from, "MANIFEST.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "namespace")
+		if namespace != "" {
+			m["namespace"] = namespace
+		}
+		if raw, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, to, "MANIFEST.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, from, "MANIFEST.json")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	move(ns, "", "")
+	for _, gone := range []string{"DB.json", "streams"} {
+		if err := os.RemoveAll(filepath.Join(dir, gone)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err := hsq.Open(opts)
+	if err == nil {
 		t.Fatal("Open over a legacy single-stream warehouse: want error")
 	}
-	// The legacy engine still resumes fine.
-	re, err := hsq.OpenEngine(hsq.Config{Epsilon: 0.05, Kappa: 3, Dir: dir})
-	if err != nil {
+	if msg := err.Error(); !strings.Contains(msg, "streams/<name>/") || !strings.Contains(msg, "namespace") || strings.Contains(msg, "OpenEngine") {
+		t.Errorf("refusal does not carry the by-hand adoption recipe: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); err != nil {
+		t.Errorf("the refused warehouse was touched: %v", err)
+	}
+
+	// The recipe, by hand: files under streams/<name>/, the manifest's
+	// namespace set to that path, the name listed in a version-1 DB.json.
+	if err := os.MkdirAll(filepath.Join(dir, ns), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	re.Close()
+	move("", ns, filepath.ToSlash(ns))
+	if err := os.WriteFile(filepath.Join(dir, "DB.json"), []byte(`{"version":1,"streams":["`+hsq.OneStreamName+`"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	adopted := hsq.OneStream(t, opts)
+	if got := adopted.HistCount(); got != 1000 {
+		t.Errorf("adopted HistCount = %d, want 1000", got)
+	}
+	if v, _, err := adopted.Quantile(0.5); err != nil || v != 500 {
+		t.Errorf("adopted median = %d, %v", v, err)
+	}
 }
 
 func TestEngineClose(t *testing.T) {
 	dir := t.TempDir()
-	cfg := hsq.Config{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024}
-	eng, err := hsq.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := hsq.Options{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024}
+	eng := hsq.OneStream(t, cfg)
 	for i := int64(1); i <= 500; i++ {
 		eng.Observe(i)
 	}
 	if _, err := eng.EndStep(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Close(); err != nil {
+	if err := eng.DB().Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Close(); err != nil { // idempotent
+	if err := eng.DB().Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
 	if _, err := eng.EndStep(); !errors.Is(err, hsq.ErrClosed) {
@@ -270,10 +336,10 @@ func TestEngineClose(t *testing.T) {
 	if _, _, err := eng.Quantile(0.5); !errors.Is(err, hsq.ErrClosed) {
 		t.Errorf("Quantile after Close: %v", err)
 	}
-	if err := eng.Checkpoint(); !errors.Is(err, hsq.ErrClosed) {
+	if err := eng.DB().Checkpoint(); !errors.Is(err, hsq.ErrClosed) {
 		t.Errorf("Checkpoint after Close: %v", err)
 	}
-	// Observe is a documented no-op on a closed engine; ObserveCtx reports.
+	// Observe is a documented no-op on a closed DB; ObserveCtx reports.
 	eng.Observe(42)
 	if got := eng.StreamCount(); got != 0 {
 		t.Errorf("Observe after Close buffered %d elements", got)
@@ -281,15 +347,12 @@ func TestEngineClose(t *testing.T) {
 	if err := eng.ObserveCtx(context.Background(), 42); !errors.Is(err, hsq.ErrClosed) {
 		t.Errorf("ObserveCtx after Close: %v", err)
 	}
-	// Close checkpointed: OpenEngine resumes.
-	re, err := hsq.OpenEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Close checkpointed: Open resumes.
+	re := hsq.OneStream(t, cfg)
 	if v, _, err := re.Quantile(0.5); err != nil || v != 250 {
 		t.Errorf("resumed median = %d, %v", v, err)
 	}
-	if err := re.Close(); err != nil {
+	if err := re.DB().Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -297,13 +360,10 @@ func TestEngineClose(t *testing.T) {
 func TestQuantilesOptsBudget(t *testing.T) {
 	// Memoization off: the budgeted re-query must repeat the disk search
 	// for the budget to bite.
-	eng, err := hsq.New(hsq.Config{
+	eng := hsq.OneStream(t, hsq.Options{
 		Epsilon: 0.02, Kappa: 4, Backend: "mem", BlockSize: 1024,
 		ProbeMemoEntries: -1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen := workload.NewNormal(7)
 	for s := 0; s < 6; s++ {
 		eng.ObserveSlice(workload.Fill(gen, 5000))
@@ -362,12 +422,9 @@ func TestQuantilesOptsBudget(t *testing.T) {
 }
 
 func TestQuantileCtxCancel(t *testing.T) {
-	eng, err := hsq.New(hsq.Config{
+	eng := hsq.OneStream(t, hsq.Options{
 		Epsilon: 0.02, Kappa: 4, Backend: "mem", BlockSize: 1024,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen := workload.NewNormal(11)
 	eng.ObserveSlice(workload.Fill(gen, 5000))
 	if _, err := eng.EndStep(); err != nil {

@@ -12,18 +12,21 @@
 // Greenwald-Khanna sketch of the stream) answer quick queries immediately
 // and seed an accurate query that performs a handful of random disk reads.
 //
-// Basic usage:
+// Basic usage — a DB (Open) hosts named streams, and a *Stream is the one
+// handle on the paper's engine; a single-stream deployment is a DB with one
+// stream:
 //
-//	eng, err := hsq.New(hsq.Config{Epsilon: 0.01, Kappa: 10, Dir: dir})
+//	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Kappa: 10, Dir: dir})
+//	lat, err := db.Stream("api.latency") // get-or-create
 //	...
-//	eng.Observe(v)          // for each stream element
-//	eng.EndStep()           // at each time-step boundary
-//	med, _, err := eng.Quantile(0.5)   // accurate: error ≤ ε·|stream|
+//	lat.Observe(v)          // for each stream element
+//	lat.EndStep()           // at each time-step boundary
+//	med, _, err := lat.Quantile(0.5)   // accurate: error ≤ ε·|stream|
+//	db.Close()              // checkpoint every stream, release the backend
 //
 // # Reading
 //
-// There is one read call, Query(ctx, Request) on an Engine or a Stream;
-// Quantile, Quantiles and Rank are shorthands for its most common shapes.
+// There is one read call, Query(ctx, Request) on a Stream; Quantile, Quantiles and Rank are shorthands for its most common shapes.
 // A Request names its targets — Phis, Ranks, or Values for the inverse
 // rank-of-value question — and three fields that map onto the paper:
 //
@@ -40,20 +43,20 @@
 // disk probes. The Answer carries the values, the scope's size N from the
 // same snapshot, and the disk-side QueryStats.
 //
-//	a, err := eng.Query(ctx, hsq.Request{Phis: []float64{0.5, 0.99}, Window: 6, Quick: true})
+//	a, err := lat.Query(ctx, hsq.Request{Phis: []float64{0.5, 0.99}, Window: 6, Quick: true})
 //
 // # Storage
 //
 // The warehouse sits on a pluggable storage seam (internal/disk.Backend):
-// Config.Backend selects "file" (a directory of flat files rooted at
-// Config.Dir, the default) or "mem" (heap-resident, volatile — for tests,
-// benchmarks and cache simulation). Config.CacheBlocks layers a sharded LRU
+// Options.Backend selects "file" (a directory of flat files rooted at
+// Options.Dir, the default) or "mem" (heap-resident, volatile — for tests,
+// benchmarks and cache simulation). Options.CacheBlocks layers a sharded LRU
 // block cache over either backend; random reads absorbed by the cache cost
 // no disk access and are reported separately as CacheHits in IOStats and
 // QueryStats, preserving the paper's "number of disk accesses" metric for
 // the reads that actually reach storage.
 //
-//	fast, err := hsq.New(hsq.Config{Epsilon: 0.01, Backend: "mem", CacheBlocks: 4096})
+//	fast, err := hsq.Open(hsq.Options{Epsilon: 0.01, Backend: "mem", CacheBlocks: 4096})
 //
 // # Block format
 //
@@ -82,7 +85,7 @@
 // store.
 //
 // Cache accounting: the block cache charges cached blocks by their decoded
-// size in bytes (Config.CacheBlocks × BlockSize is the byte budget), not by
+// size in bytes (Options.CacheBlocks × BlockSize is the byte budget), not by
 // entry count — a decoded columnar block holds several blocks' worth of
 // raw elements, and counting entries would hand the compressed format a
 // hidden cache-size advantage in comparisons. benchmark/ traces the codec
@@ -92,8 +95,10 @@
 // # Multiple streams
 //
 // A DB hosts many named quantile streams over one shared device: one
-// backend, one block-cache budget, one manifest root. Each stream carries
-// the full Engine surface; per-stream IOStats sum to the DB's aggregate,
+// backend, one block-cache budget, one manifest root, one scheduler. Each
+// Stream is a handle on an unexported engine — the paper's GK sketch,
+// κ-leveled partitions and bisection — that the DB hydrates on first touch,
+// pins for the length of each call and may evict while idle; per-stream IOStats sum to the DB's aggregate,
 // and the shared cache budget flows to whichever stream is hot (see
 // TestMultiStreamSharedCache). Open reads only the stream directory from the DB
 // manifest — cost proportional to the number of registered streams, not
@@ -182,7 +187,7 @@
 // summary-rebuild scan) never blocks operations on other streams, and two
 // goroutines touching the same cold stream hydrate it exactly once.
 //
-// Config.MaxHydratedStreams bounds how many engines stay resident (0, the
+// Options.MaxHydratedStreams bounds how many engines stay resident (0, the
 // default, means unbounded). Past the budget the DB evicts
 // least-recently-used idle streams: eviction seals the stream — drains
 // its maintenance backlog, commits its manifest, waits out in-flight
@@ -226,12 +231,12 @@
 // so answers always span the full observed history and neither Observe nor
 // a query waits for an install; the rank-error bound degrades gracefully to
 // ε times the stream-side mass (live stream + sealed steps). The install is
-// one routine, and Config.Maintenance picks only who runs it:
+// one routine, and Options.Maintenance picks only who runs it:
 //
 //   - "sync" (default): the EndStep caller, before it commits and returns —
 //     the paper's loading paradigm. A returned step is a partition.
 //   - "async": a DB-wide scheduler (one bounded pool of
-//     Config.MaintenanceWorkers workers shared by all streams), FIFO per
+//     Options.MaintenanceWorkers workers shared by all streams), FIFO per
 //     stream. EndStep returns once the seal is committed; the sealed
 //     backlog is bounded by MaxPendingSteps.
 //   - "manual": nobody until SyncMaintenance is called — for deterministic
@@ -242,7 +247,7 @@
 // SyncMaintenance in any.
 //
 // Backpressure: with async maintenance, EndStep blocks once
-// Config.MaxPendingSteps sealed steps await installation, waking as
+// Options.MaxPendingSteps sealed steps await installation, waking as
 // installs complete; EndStepCtx aborts the wait on cancellation. A stream
 // that wants a fully-merged, quiesced layout (before a benchmark, a
 // snapshot copy, a test assertion) calls SyncMaintenance; DB.WaitIdle is
@@ -282,7 +287,7 @@
 // sequential: one cursor set, the left subrange then the right.
 //
 // Each published store version carries a bounded memo of resolved rank
-// probes (Config.ProbeMemoEntries; default 4096, negative disables).
+// probes (Options.ProbeMemoEntries; default 4096, negative disables).
 // Versions are immutable, so memo entries can never go stale — they die
 // with their version, with no invalidation protocol. Repeating a query on
 // an unchanged snapshot resolves entirely from the memo:
@@ -290,12 +295,13 @@
 // cache hits and skipped blocks are the absence of a disk access: none of
 // them spend Request.MaxReads budget or count toward the paper's
 // disk-access metric. Window queries bypass the memo (their ranks are
-// window-relative); Engine.MemoStats aggregates counters across versions.
+// window-relative); Stream.ProbeMemoStats aggregates counters across
+// versions.
 //
 // # Durability
 //
 // The warehouse is crash-consistent, with one exact guarantee: after a
-// crash, a reopened engine or DB recovers precisely a prefix of the time
+// crash, a reopened DB recovers precisely a prefix of the time
 // steps whose EndStep completed — per stream, every batch up to some
 // completed step, never a torn or partial batch, with all quantile bounds
 // intact over the recovered data. When EndStep returns nil that step is

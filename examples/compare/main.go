@@ -47,7 +47,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := hsq.New(hsq.Config{Epsilon: eps, Kappa: 10, Dir: dir})
+	db, err := hsq.Open(hsq.Options{Epsilon: eps, Kappa: 10, Dir: dir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+	eng, err := db.Stream("hybrid")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,12 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	eng, err := hsq.New(hsq.Config{Epsilon: 0.01, Kappa: 10, Dir: dir})
+	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Kappa: 10, Dir: dir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+	eng, err := db.Stream("flows")
 	if err != nil {
 		log.Fatal(err)
 	}

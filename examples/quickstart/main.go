@@ -22,7 +22,12 @@ func main() {
 
 	// ε = 0.01: accurate queries err by at most 1% of the *stream* size —
 	// a vanishing fraction of the total as history accumulates.
-	eng, err := hsq.New(hsq.Config{Epsilon: 0.01, Kappa: 10, Dir: dir})
+	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Kappa: 10, Dir: dir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+	eng, err := db.Stream("quickstart")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,10 +16,7 @@ import (
 func TestQueryIOBudget(t *testing.T) {
 	// Memoization off: the test re-queries the same φ against the same
 	// snapshot, and a memo-resolved re-query costs no reads to cap.
-	eng, err := New(Config{Epsilon: 0.005, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024, ProbeMemoEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := OneStream(t, Options{Epsilon: 0.005, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024, ProbeMemoEntries: -1})
 	gen := workload.NewUniform(23)
 	orc := oracle.New(0)
 	for step := 0; step < 10; step++ {
@@ -94,11 +91,8 @@ func TestQueryIOBudget(t *testing.T) {
 // untruncated under MaxReads=1.
 func TestBudgetExcludesCacheAndMemoHits(t *testing.T) {
 	phis := []float64{0.25, 0.5, 0.75, 0.9, 0.99}
-	run := func(t *testing.T, cfg Config, wantMemo bool) {
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(t *testing.T, cfg Options, wantMemo bool) {
+		eng := OneStream(t, cfg)
 		gen := workload.NewUniform(37)
 		for step := 0; step < 10; step++ {
 			eng.ObserveSlice(workload.Fill(gen, 3000))
@@ -141,12 +135,12 @@ func TestBudgetExcludesCacheAndMemoHits(t *testing.T) {
 		}
 	}
 	t.Run("memo", func(t *testing.T) {
-		run(t, Config{Epsilon: 0.005, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024}, true)
+		run(t, Options{Epsilon: 0.005, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024}, true)
 	})
 	t.Run("block-cache", func(t *testing.T) {
 		// Memoization off: the repeat must re-descend the cursors, and the
 		// block cache alone absorbs the reads.
-		run(t, Config{Epsilon: 0.005, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024,
+		run(t, Options{Epsilon: 0.005, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024,
 			CacheBlocks: 4096, ProbeMemoEntries: -1}, false)
 	})
 }
@@ -154,10 +148,7 @@ func TestBudgetExcludesCacheAndMemoHits(t *testing.T) {
 // TestIOBudgetTradeoffMonotone sweeps the cap and checks that allowed reads
 // never exceed it (plus the final iteration's in-flight reads).
 func TestIOBudgetTradeoffMonotone(t *testing.T) {
-	eng, err := New(Config{Epsilon: 0.002, Kappa: 3, Dir: t.TempDir(), BlockSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := OneStream(t, Options{Epsilon: 0.002, Kappa: 3, Dir: t.TempDir(), BlockSize: 512})
 	gen := workload.NewUniform(29)
 	for step := 0; step < 12; step++ {
 		eng.ObserveSlice(workload.Fill(gen, 4000))
@@ -184,13 +175,10 @@ func TestIOBudgetTradeoffMonotone(t *testing.T) {
 // TestSimulateDisk: latency profiles slow queries proportionally to I/O and
 // invalid profiles are rejected.
 func TestSimulateDisk(t *testing.T) {
-	if _, err := New(Config{Epsilon: 0.1, Dir: t.TempDir(), SimulateDisk: "floppy"}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1, Dir: t.TempDir(), SimulateDisk: "floppy"}); err == nil {
 		t.Error("unknown profile: want error")
 	}
-	eng, err := New(Config{Epsilon: 0.02, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024, SimulateDisk: "hdd"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := OneStream(t, Options{Epsilon: 0.02, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024, SimulateDisk: "hdd"})
 	gen := workload.NewUniform(71)
 	for step := 0; step < 4; step++ {
 		eng.ObserveSlice(workload.Fill(gen, 1500))

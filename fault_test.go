@@ -2,6 +2,7 @@ package hsq
 
 import (
 	"errors"
+	"path"
 	"slices"
 	"strings"
 	"testing"
@@ -10,15 +11,17 @@ import (
 	"repro/internal/workload"
 )
 
-// faultEngine builds an engine whose device we can inject faults into.
-func faultEngine(t *testing.T) (*Engine, *disk.Manager) {
+// faultEngine builds a one-stream DB whose device we can inject faults into.
+// The fault hook is device-wide and sees device-wide names
+// (streams/<name>/part-…): partFile matches on the base name.
+func faultEngine(t *testing.T) (*Stream, *disk.Manager) {
 	t.Helper()
-	eng, err := New(Config{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, eng.dev
+	eng := OneStream(t, Options{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024})
+	return eng, eng.db.dev
 }
+
+// partFile reports whether a device-wide name is a partition file.
+func partFile(name string) bool { return strings.HasPrefix(path.Base(name), "part-") }
 
 var errInjected = errors.New("injected disk fault")
 
@@ -53,7 +56,7 @@ func TestFaultDuringEndStep(t *testing.T) {
 		{"merge", func(o disk.Op, name string, block int64) error {
 			// κ=2: the 3rd step's install cascades. Fail only reads of
 			// partition files (merge input); its own load and sort succeed.
-			if o == disk.OpSeqRead && strings.HasPrefix(name, "part-") {
+			if o == disk.OpSeqRead && partFile(name) {
 				return errInjected
 			}
 			return nil
@@ -64,26 +67,22 @@ func TestFaultDuringEndStep(t *testing.T) {
 	for _, mode := range []string{MaintenanceSync, MaintenanceManual, MaintenanceAsync} {
 		for _, f := range faults {
 			t.Run(mode+"/"+f.name, func(t *testing.T) {
-				cfg := Config{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024, Maintenance: mode}
-				eng, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { eng.Close() }() //nolint:errcheck // eng is reassigned below
+				cfg := Options{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024, Maintenance: mode}
+				eng := OneStream(t, cfg)
 				gen := workload.NewUniform(1)
 				all := feedSteps(t, eng, gen, 2, 500)
 				if err := eng.SyncMaintenance(); err != nil {
 					t.Fatal(err)
 				}
 
-				eng.dev.SetFault(f.fault)
+				eng.db.dev.SetFault(f.fault)
 				vals := workload.Fill(gen, 500)
 				all = append(all, vals...)
 				eng.ObserveSlice(vals)
-				if err := endStepAndDrain(eng); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+				if err := endStepAndDrain(t, eng); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
 					t.Fatalf("step under %s fault: err = %v, want the injected fault", f.name, err)
 				}
-				eng.dev.SetFault(nil)
+				eng.db.dev.SetFault(nil)
 				if got := eng.HistCount(); got != 1500 {
 					t.Errorf("HistCount = %d after the faulted step, want 1500 (the step is sealed)", got)
 				}
@@ -101,7 +100,7 @@ func TestFaultDuringEndStep(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := faultFreeLayout(t, cfg, 4, 500)
-				check := func(e *Engine, label string) {
+				check := func(e *Stream, label string) {
 					t.Helper()
 					if got := e.HistCount(); got != int64(len(all)) {
 						t.Errorf("%s: HistCount = %d, want %d (each step installed exactly once)", label, got, len(all))
@@ -119,13 +118,10 @@ func TestFaultDuringEndStep(t *testing.T) {
 					t.Errorf("Installs = %d, want 4", got)
 				}
 
-				if err := eng.Close(); err != nil {
+				if err := eng.DB().Close(); err != nil {
 					t.Fatal(err)
 				}
-				if eng, err = OpenEngine(cfg); err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				check(eng, "reopened")
+				check(OneStream(t, cfg), "reopened")
 			})
 		}
 	}
@@ -136,8 +132,9 @@ func TestFaultDuringEndStep(t *testing.T) {
 // seal, the commit, and in sync mode the install), SyncMaintenance's in
 // manual mode, and in async mode the scheduler's, which has no caller to
 // return to and leaves it in MaintenanceStats.
-func endStepAndDrain(eng *Engine) error {
-	_, err := eng.EndStep()
+func endStepAndDrain(t *testing.T, st *Stream) error {
+	_, err := st.EndStep()
+	eng := engineOf(t, st)
 	switch eng.cfg.Maintenance {
 	case MaintenanceManual:
 		if derr := eng.SyncMaintenance(); err == nil {
@@ -165,14 +162,10 @@ func endStepAndDrain(eng *Engine) error {
 
 // faultFreeLayout is the Describe() of an engine that ran steps clean steps
 // of the given size under cfg's mode and κ, fully drained.
-func faultFreeLayout(t *testing.T, cfg Config, steps, batch int) []LevelInfo {
+func faultFreeLayout(t *testing.T, cfg Options, steps, batch int) []LevelInfo {
 	t.Helper()
 	cfg.Dir = t.TempDir()
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
+	eng := OneStream(t, cfg)
 	feedSteps(t, eng, workload.NewUniform(1), steps, batch)
 	if err := eng.SyncMaintenance(); err != nil {
 		t.Fatal(err)

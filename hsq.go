@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -19,14 +18,17 @@ import (
 // namespace on the device).
 const manifestName = "MANIFEST.json"
 
-// ErrClosed is returned by operations on an Engine, Stream or DB after
-// Close.
+// ErrClosed is returned by operations on a Stream or DB after Close, and on
+// a Stream after its DropStream.
 var ErrClosed = errors.New("hsq: closed")
 
-// Config parametrizes an Engine. Epsilon is always required; Dir is
-// required for the file backend. Every other field has a sensible default
-// matching the paper's experimental setup.
-type Config struct {
+// Options configures a DB. Epsilon, Kappa and the accuracy/behavior options
+// apply to every stream the DB hosts, while Backend, Dir, CacheBlocks,
+// BlockSize and SimulateDisk describe the one shared device all streams
+// multiplex. Epsilon is always required; Dir is required for the file
+// backend. Every other field has a sensible default matching the paper's
+// experimental setup.
+type Options struct {
 	// Epsilon is the approximation parameter ε ∈ (0,1): accurate queries
 	// return elements whose rank errs by at most ε·m where m is the current
 	// stream size (Theorem 2).
@@ -39,9 +41,9 @@ type Config struct {
 	Backend string
 	// Device, when non-nil, is a pre-constructed storage backend that
 	// overrides Backend and Dir — the hook simulation harnesses use to run
-	// an engine or DB over an instrumented backend (e.g. the deterministic
-	// crash simulator in internal/disk). Most callers should leave it nil
-	// and use Backend/Dir.
+	// a DB over an instrumented backend (e.g. the deterministic crash
+	// simulator in internal/disk). Most callers should leave it nil and use
+	// Backend/Dir.
 	Device disk.Backend
 	// Dir is the directory backing the on-disk warehouse. Required for the
 	// file backend; ignored by "mem".
@@ -96,11 +98,10 @@ type Config struct {
 	// not a hard cap: streams that cannot be sealed without losing state
 	// (an in-flight operation, a non-empty observe buffer, a sealed
 	// maintenance backlog still draining) stay resident until they quiesce.
-	// Standalone engines (New/OpenEngine) ignore this knob.
 	MaxHydratedStreams int
 }
 
-func (c *Config) withDefaults() (Config, error) {
+func (c *Options) withDefaults() (Options, error) {
 	out := *c
 	// Epsilon/Kappa ranges are validated by the same predicates the
 	// partition store applies to its derived parameters — one source of
@@ -242,7 +243,7 @@ type QueryStats struct {
 	SkippedBlocks int
 	// MemoHits is the number of bisection probes resolved from the pinned
 	// snapshot's rank-probe memo with zero partition I/O (see
-	// Config.ProbeMemoEntries). Like cache hits and skipped blocks, memo
+	// Options.ProbeMemoEntries). Like cache hits and skipped blocks, memo
 	// hits spend no MaxReads budget — only reads that reach the storage
 	// backend do.
 	MemoHits int
@@ -254,7 +255,7 @@ type QueryStats struct {
 	Truncated bool
 }
 
-// Request is one read of an Engine or Stream: the targets, the scope, and
+// Request is one read of a Stream: the targets, the scope, and
 // which of the paper's two read algorithms answers them (the package doc's
 // "Reading" table maps each field to the paper and its error bound). At
 // most one of Phis, Ranks and Values carries targets (none is a no-op).
@@ -302,7 +303,7 @@ type Answer struct {
 	Stats QueryStats
 }
 
-// MemoryUsage breaks down the engine's summary memory (Observation 1).
+// MemoryUsage breaks down a stream's summary memory (Observation 1).
 type MemoryUsage struct {
 	// HistBytes is the historical summary HS (Lemma 8).
 	HistBytes int64
@@ -319,8 +320,11 @@ type MemoryUsage struct {
 // Total returns the combined live footprint.
 func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.PendingBytes }
 
-// Engine answers quantile queries over the union of a historical warehouse
-// and the current stream. It is safe for concurrent use.
+// engine is the memory-resident core of one hydrated stream: it answers
+// quantile queries over the union of the stream's historical warehouse and
+// its current step. The DB hosts one per hydrated stream over a namespaced
+// view of the shared device and owns that device and the scheduler; a Stream
+// handle pins the engine for each call. It is safe for concurrent use.
 //
 // Reads are snapshot-isolated: a query briefly takes the engine lock to pin
 // an immutable store version plus the frozen summaries of any
@@ -329,13 +333,8 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // merges behind them, and an in-flight query keeps the partition files of
 // its pinned version alive until it finishes. See the package docs'
 // "Concurrency model" for the full locking contract.
-//
-// An Engine is the single-stream core of the package: the multi-stream DB
-// hosts one Engine per named stream (wrapped in a Stream) over namespaced
-// views of one shared device, while New and OpenEngine build a standalone
-// Engine owning its whole device — the original single-tenant shape.
-type Engine struct {
-	cfg   Config
+type engine struct {
+	cfg   Options
 	eps1  float64
 	eps2  float64
 	dev   *disk.Manager
@@ -361,18 +360,11 @@ type Engine struct {
 	maintErr error
 	wake     chan struct{}
 	mstats   maintAccum
-
-	// ownsDev marks standalone engines whose Close releases the backend;
-	// DB-hosted engines share the device, which the DB releases once.
-	// ownsSched likewise marks a standalone async engine owning its worker
-	// pool.
-	ownsDev   bool
-	ownsSched bool
 }
 
 // newDevice builds the warehouse block device described by cfg: backend,
 // block size, block cache and simulated latency profile.
-func newDevice(cfg Config) (*disk.Manager, error) {
+func newDevice(cfg Options) (*disk.Manager, error) {
 	b := cfg.Device
 	if b == nil {
 		var err error
@@ -400,10 +392,10 @@ func newDevice(cfg Config) (*disk.Manager, error) {
 	return dev, nil
 }
 
-// storeConfig derives the partition-store configuration from an engine
-// config — the one place every knob is forwarded, shared by fresh and
+// storeConfig derives a stream's partition-store configuration from the DB
+// options — the one place every knob is forwarded, shared by fresh and
 // resumed stores so they cannot drift apart.
-func storeConfig(cfg Config, eps1 float64, namespace string) partition.Config {
+func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 	return partition.Config{
 		Kappa:            cfg.Kappa,
 		Eps1:             eps1,
@@ -414,14 +406,14 @@ func storeConfig(cfg Config, eps1 float64, namespace string) partition.Config {
 	}
 }
 
-// newEngineOn builds (or, with resume, reopens) an engine core over an
-// already-constructed device view. full must have passed withDefaults.
-// namespace identifies the stream when the view is namespaced ("" for
-// standalone engines on a root view). Steps that were sealed but not
-// installed when the previous process died are re-installed synchronously
-// before the engine is returned, so a reopened engine always serves its
+// newEngineOn builds (or, with resume, reopens) a stream's engine over its
+// namespaced device view. full must have passed withDefaults. Resuming
+// rebuilds partition summaries with one sequential scan each, garbage-
+// collects files a half-finished install left behind, and re-installs
+// steps that were sealed but not installed when the previous process died
+// before the engine is returned, so a reopened stream always serves its
 // full recovered prefix from partitions.
-func newEngineOn(dev *disk.Manager, full Config, namespace string, resume bool) (*Engine, error) {
+func newEngineOn(dev *disk.Manager, full Options, namespace string, resume bool) (*engine, error) {
 	eps1 := full.Epsilon / 2
 	eps2 := full.Epsilon / 4
 	pcfg := storeConfig(full, eps1, namespace)
@@ -433,12 +425,12 @@ func newEngineOn(dev *disk.Manager, full Config, namespace string, resume bool) 
 		store, err = partition.LoadStore(dev, manifestName, pcfg)
 	} else {
 		store, err = partition.NewStore(dev, pcfg)
-		if err == nil && namespace != "" {
-			// A DB-hosted stream opening fresh may still find debris from a
-			// crash before its first durable commit (the stream was in the
-			// DB directory but never wrote a manifest). Nothing is
-			// referenced yet, so everything matching the store's file
-			// patterns is an orphan.
+		if err == nil {
+			// A stream opening fresh may still find debris from a crash
+			// before its first durable commit (the stream was in the DB
+			// directory but never wrote a manifest). Nothing is referenced
+			// yet, so everything matching the store's file patterns is an
+			// orphan.
 			if _, gcErr := partition.CollectOrphans(dev, nil); gcErr != nil {
 				return nil, gcErr
 			}
@@ -453,7 +445,7 @@ func newEngineOn(dev *disk.Manager, full Config, namespace string, resume bool) 
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	e := &engine{
 		cfg: full, eps1: eps1, eps2: eps2,
 		dev: dev, store: store, sketch: sketch,
 		wake: make(chan struct{}),
@@ -470,55 +462,9 @@ func newEngineOn(dev *disk.Manager, full Config, namespace string, resume bool) 
 	return e, nil
 }
 
-// New creates an engine over the configured backend (rooted at cfg.Dir for
-// the default file backend).
-func New(cfg Config) (*Engine, error) {
-	full, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	dev, err := newDevice(full)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngineOn(dev, full, "", false)
-	if err != nil {
-		return nil, err
-	}
-	e.ownsDev = true
-	e.attachOwnScheduler()
-	return e, nil
-}
-
-// attachOwnScheduler gives a standalone async engine its own worker pool.
-func (e *Engine) attachOwnScheduler() {
-	e.sched = newScheduler(e.cfg)
-	e.ownsSched = e.sched != nil
-}
-
-// Epsilon returns the engine's approximation parameter.
-func (e *Engine) Epsilon() float64 { return e.cfg.Epsilon }
-
-// Kappa returns the merge threshold.
-func (e *Engine) Kappa() int { return e.cfg.Kappa }
-
-// Observe feeds one stream element (StreamUpdate, Algorithm 4). The element
-// is both summarized in the GK sketch and buffered for end-of-step loading.
-// On a closed engine Observe is a no-op (the signature predates Close and
-// cannot report an error); producers that need the failure signal should
-// use ObserveCtx, which returns ErrClosed.
-func (e *Engine) Observe(v int64) {
-	e.observe(v) //nolint:errcheck // ErrClosed intentionally dropped, see doc
-}
-
-// ObserveSlice feeds a slice of stream elements under one lock acquisition.
-// Like Observe, it is a no-op on a closed engine; ObserveSliceCtx reports
-// ErrClosed instead.
-func (e *Engine) ObserveSlice(vs []int64) {
-	e.observeSlice(vs) //nolint:errcheck // ErrClosed intentionally dropped, see doc
-}
-
-func (e *Engine) observe(v int64) error {
+// observe feeds one stream element (StreamUpdate, Algorithm 4): it is both
+// summarized in the GK sketch and buffered for end-of-step loading.
+func (e *engine) observe(v int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -529,7 +475,8 @@ func (e *Engine) observe(v int64) error {
 	return nil
 }
 
-func (e *Engine) observeSlice(vs []int64) error {
+// observeSlice feeds a slice of elements under one lock acquisition.
+func (e *engine) observeSlice(vs []int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -544,7 +491,7 @@ func (e *Engine) observeSlice(vs []int64) error {
 
 // StreamCount returns m, the number of elements in the current (unloaded)
 // stream.
-func (e *Engine) StreamCount() int64 {
+func (e *engine) StreamCount() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.sketch.Count()
@@ -553,61 +500,35 @@ func (e *Engine) StreamCount() int64 {
 // HistCount returns n, the number of elements in the warehouse — installed
 // partitions plus steps sealed by EndStep and awaiting background
 // installation.
-func (e *Engine) HistCount() int64 {
+func (e *engine) HistCount() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.store.TotalCount()
 }
 
 // TotalCount returns N = n + m.
-func (e *Engine) TotalCount() int64 {
+func (e *engine) TotalCount() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.store.TotalCount() + e.sketch.Count()
 }
 
 // Steps returns the number of completed time steps.
-func (e *Engine) Steps() int {
+func (e *engine) Steps() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.step
 }
 
 // PartitionCount returns the number of live partitions in HD.
-func (e *Engine) PartitionCount() int {
+func (e *engine) PartitionCount() int {
 	return e.store.PartitionCount()
 }
 
-// EndStep closes the current time step (Algorithm 4, StreamReset): the
-// buffered batch becomes part of the warehouse and the stream sketch is
-// reset. An empty stream is a no-op.
-//
-// Every maintenance mode runs the same four moves. Cut: the batch, its
-// sketch and the step counter move together under the engine lock, so
-// elements observed from here on belong to the next step. Seal: the raw
-// batch is spilled and queued for installation; from the cut until its
-// install is published, queries cover the step through its frozen summary,
-// so answers always span the full observed history and neither Observe nor
-// Query waits for an install. Install (Algorithm 3, HistUpdate: sort into a
-// level-0 partition, κ-way merges as needed) by whoever the mode names —
-// this caller before it returns (sync, the default), the scheduler (async;
-// EndStep first blocks while MaxPendingSteps seals await installation, and
-// EndStepCtx aborts that wait on cancellation), or nobody until
-// SyncMaintenance (manual). Commit: one write-data → sync → commit-manifest
-// → sync sequence, so when EndStep returns nil the step survives any crash
-// — as a partition, or as a spill a reopened engine re-installs — and a
-// reopened engine recovers exactly the prefix of time steps whose EndStep
-// completed.
-//
-// On an error the step is still sealed: counted, answered from its frozen
-// summary, and durable once any later commit succeeds (the next EndStep's,
-// or Checkpoint's). An install that failed is retried by the next
-// synchronous EndStep or by SyncMaintenance; no step is installed twice.
-func (e *Engine) EndStep() (UpdateStats, error) {
-	return e.endStep(context.Background())
-}
-
-func (e *Engine) endStep(ctx context.Context) (UpdateStats, error) {
+// endStep is Stream.EndStepCtx on the pinned engine: cut, seal, install (by
+// whoever the maintenance mode names), commit. ctx aborts only the
+// backpressure wait.
+func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	// Backpressure is enforced while holding the seal lock: concurrent
@@ -690,7 +611,7 @@ func (e *Engine) endStep(ctx context.Context) (UpdateStats, error) {
 // waitBackpressure blocks while the stream's sealed backlog is at the
 // MaxPendingSteps bound, waking on maintenance progress. ctx aborts the
 // wait.
-func (e *Engine) waitBackpressure(ctx context.Context) error {
+func (e *engine) waitBackpressure(ctx context.Context) error {
 	if e.cfg.Maintenance != MaintenanceAsync {
 		return nil
 	}
@@ -729,7 +650,7 @@ func (e *Engine) waitBackpressure(ctx context.Context) error {
 	}
 }
 
-func (e *Engine) addBackpressureTime(d time.Duration) {
+func (e *engine) addBackpressureTime(d time.Duration) {
 	e.mu.Lock()
 	e.mstats.bpTime += d
 	e.mu.Unlock()
@@ -770,7 +691,7 @@ func (s *querySnap) release() { s.ver.Release() }
 
 // snapshot pins the engine's current state for one query. The engine lock
 // is held only for the pin and the sketch-summary extraction.
-func (e *Engine) snapshot() (*querySnap, error) {
+func (e *engine) snapshot() (*querySnap, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
@@ -802,16 +723,11 @@ func (e *Engine) snapshot() (*querySnap, error) {
 	return s, nil
 }
 
-// Query answers one read request — the package's single read path. It pins
-// one snapshot, selects the scope (full history or a partition-aligned
-// window), resolves the targets to ranks and dispatches to the quick
-// answer, the rank-of-value probe or the shared bisection sweep. ctx is
-// checked at entry and polled between bisection probes, so a cancelled
-// request abandons its remaining random disk reads mid-search.
-//
-// With a deferred-maintenance backlog, sealed steps count toward the stream
-// side of the error bound until their installs complete.
-func (e *Engine) Query(ctx context.Context, req Request) (Answer, error) {
+// Query is Stream.Query on the pinned engine — the package's single read
+// path. It pins one snapshot, selects the scope (full history or a
+// partition-aligned window), resolves the targets to ranks and dispatches to
+// the quick answer, the rank-of-value probe or the shared bisection sweep.
+func (e *engine) Query(ctx context.Context, req Request) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
@@ -931,31 +847,8 @@ func one(a Answer, err error) (int64, QueryStats, error) {
 	return a.Values[0], a.Stats, nil
 }
 
-// Quantile is Query for one accurate φ-quantile over the full history
-// T = H ∪ R (Algorithm 6 / Theorem 2).
-func (e *Engine) Quantile(phi float64) (int64, QueryStats, error) {
-	return one(e.Query(context.Background(), Request{Phis: []float64{phi}}))
-}
-
-// Quantiles is Query for several accurate φ-quantiles over the full
-// history, resolved in one shared sweep; results align with phis.
-func (e *Engine) Quantiles(phis []float64) ([]int64, QueryStats, error) {
-	a, err := e.Query(context.Background(), Request{Phis: phis})
-	return a.Values, a.Stats, err
-}
-
-// Rank is Query for the accurate rank of v in T — the number of elements
-// ≤ v, the inverse of Quantile.
-func (e *Engine) Rank(v int64) (int64, QueryStats, error) {
-	return one(e.Query(context.Background(), Request{Values: []int64{v}}))
-}
-
-// AvailableWindows returns the historical window sizes (in time steps) that
-// align with partition boundaries; windowed queries also include the
-// current stream (paper §2.4, "Queries Over Windows"). Steps sealed but not
-// yet installed by background maintenance are the newest windows (each
-// sealed step extends every window by one and adds a window of its own).
-func (e *Engine) AvailableWindows() []int {
+// AvailableWindows is Stream.AvailableWindows on the pinned engine.
+func (e *engine) AvailableWindows() []int {
 	s, err := e.snapshot()
 	if err != nil {
 		return nil
@@ -972,7 +865,7 @@ func (e *Engine) AvailableWindows() []int {
 }
 
 // MemoryUsage returns the current summary footprint (Observation 1).
-func (e *Engine) MemoryUsage() MemoryUsage {
+func (e *engine) MemoryUsage() MemoryUsage {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var pendingBytes int64
@@ -988,14 +881,8 @@ func (e *Engine) MemoryUsage() MemoryUsage {
 	}
 }
 
-// DiskStats returns cumulative block-level I/O counters for the warehouse
-// device.
-func (e *Engine) DiskStats() IOStats {
-	return fromDisk(e.dev.Stats())
-}
-
 // ProbeMemoStats reports cumulative rank-probe memo counters (see
-// Config.ProbeMemoEntries): hits, misses, stores and evictions across every
+// Options.ProbeMemoEntries): hits, misses, stores and evictions across every
 // store version so far, plus the current version's occupancy.
 type ProbeMemoStats struct {
 	// Hits counts bisection probes answered from the memo (zero I/O);
@@ -1010,7 +897,7 @@ type ProbeMemoStats struct {
 }
 
 // ProbeMemoStats returns the engine's rank-probe memo counters.
-func (e *Engine) ProbeMemoStats() ProbeMemoStats {
+func (e *engine) ProbeMemoStats() ProbeMemoStats {
 	st := e.store.MemoStats()
 	return ProbeMemoStats{
 		Hits: st.Hits, Misses: st.Misses,
@@ -1019,15 +906,13 @@ func (e *Engine) ProbeMemoStats() ProbeMemoStats {
 	}
 }
 
-// Checkpoint durably persists the warehouse layout so OpenEngine can
-// resume after a restart. EndStep already commits every completed step
-// (seals included), so Checkpoint is only needed to retry after a failed
-// commit (or as an explicit barrier). The in-flight stream is volatile by
-// design (it will be replayed or lost, exactly as a DSMS would); only
-// historical state — including sealed steps awaiting installation — is
-// durable. Checkpoint does not wait for background installs; use
-// SyncMaintenance for a fully-merged quiescent state.
-func (e *Engine) Checkpoint() error {
+// Checkpoint durably persists the stream's warehouse layout (DB.Checkpoint
+// calls it per hydrated stream). EndStep already commits every completed
+// step (seals included), so it is only needed to retry after a failed commit
+// or as an explicit barrier. The in-flight stream is volatile by design (it
+// will be replayed or lost, exactly as a DSMS would); only historical state
+// — including sealed steps awaiting installation — is durable.
+func (e *engine) Checkpoint() error {
 	e.mu.RLock()
 	closed := e.closed
 	e.mu.RUnlock()
@@ -1037,41 +922,13 @@ func (e *Engine) Checkpoint() error {
 	return e.store.Commit(manifestName)
 }
 
-// OpenEngine resumes a standalone engine from a directory previously
-// checkpointed with the same Epsilon and Kappa. Partition summaries are
-// rebuilt with one sequential scan each; files left behind by a
-// half-finished install — partitions written but never committed, sort
-// temporaries — are garbage-collected, and steps that were sealed but not
-// yet installed are re-installed from their spills. (It was named Open
-// before the multi-stream redesign; Open now builds a DB.)
-func OpenEngine(cfg Config) (*Engine, error) {
-	full, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	dev, err := newDevice(full)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngineOn(dev, full, "", true)
-	if err != nil {
-		return nil, err
-	}
-	e.ownsDev = true
-	e.attachOwnScheduler()
-	return e, nil
-}
-
 // Close drains background maintenance, checkpoints the engine and releases
-// it: sealed steps are installed and committed, the manifest is persisted,
-// the engine transitions to a terminal state in which every subsequent
-// mutation or query fails with ErrClosed, and — for standalone engines that
-// own their device — the storage backend is released (closed, when the
-// backend implements io.Closer). Close is idempotent.
-//
-// Destroy supersedes Close: a destroyed engine's on-disk state is gone, so
-// there is nothing left to checkpoint and no need to call Close after it.
-func (e *Engine) Close() error {
+// it — how the DB evicts a stream and seals it at DB.Close: sealed steps are
+// installed and committed, the manifest is persisted, and the engine
+// transitions to a terminal state in which every subsequent mutation or
+// query fails with ErrClosed. The device and the scheduler are the DB's.
+// Close is idempotent.
+func (e *engine) Close() error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	e.mu.RLock()
@@ -1093,29 +950,15 @@ func (e *Engine) Close() error {
 	// No new pins are possible past closed; wait out in-flight queries so
 	// the backend is never torn down under their reads.
 	e.store.DrainPins()
-	if e.ownsSched {
-		e.sched.close()
-	}
-	if e.ownsDev {
-		if c, ok := e.dev.Backend().(io.Closer); ok {
-			return c.Close()
-		}
-	}
 	return nil
 }
 
-// Destroy removes all on-disk state, including spills of steps awaiting
-// installation. The engine is unusable afterwards (it behaves as closed).
-// Destroy supersedes Close — after Destroy there is no state left to
-// checkpoint.
-func (e *Engine) Destroy() error {
+// Destroy removes all of the stream's on-disk state (DB.DropStream), including
+// spills of steps awaiting installation. The engine is unusable afterwards
+// (it behaves as closed); there is no state left to checkpoint.
+func (e *engine) Destroy() error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
-	if e.ownsSched {
-		// After maintMu is released: close waits for the workers, and a
-		// worker about to install is blocked on maintMu.
-		defer e.sched.close()
-	}
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 	e.mu.Lock()
@@ -1150,7 +993,7 @@ type LevelInfo struct {
 }
 
 // Describe returns the warehouse layout, one entry per level.
-func (e *Engine) Describe() []LevelInfo {
+func (e *engine) Describe() []LevelInfo {
 	var out []LevelInfo
 	for _, li := range e.store.Describe() {
 		out = append(out, LevelInfo{Level: li.Level, Partitions: li.Partitions, Elements: li.Elements, Steps: li.Steps})

@@ -10,31 +10,27 @@ import (
 	"repro/internal/workload"
 )
 
-func newEngine(t *testing.T, eps float64, kappa int) *Engine {
+func newEngine(t *testing.T, eps float64, kappa int) *Stream {
 	t.Helper()
-	eng, err := New(Config{
+	return OneStream(t, Options{
 		Epsilon:   eps,
 		Kappa:     kappa,
 		Dir:       t.TempDir(),
 		BlockSize: 1024, // 128 elements per block: exercises multi-block paths at test scale
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Epsilon: 0, Dir: t.TempDir()}); err == nil {
+	if _, err := Open(Options{Epsilon: 0, Dir: t.TempDir()}); err == nil {
 		t.Error("eps=0: want error")
 	}
-	if _, err := New(Config{Epsilon: 0.1}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1}); err == nil {
 		t.Error("no dir: want error")
 	}
-	if _, err := New(Config{Epsilon: 0.1, Kappa: 1, Dir: t.TempDir()}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1, Kappa: 1, Dir: t.TempDir()}); err == nil {
 		t.Error("kappa=1: want error")
 	}
-	if _, err := New(Config{Epsilon: 1.2, Dir: t.TempDir()}); err == nil {
+	if _, err := Open(Options{Epsilon: 1.2, Dir: t.TempDir()}); err == nil {
 		t.Error("eps>1: want error")
 	}
 }
@@ -117,7 +113,7 @@ func TestEndToEndAccuracy(t *testing.T) {
 	}
 }
 
-func checkAccuracy(t *testing.T, eng *Engine, orc *oracle.Oracle, eps float64) {
+func checkAccuracy(t *testing.T, eng *Stream, orc *oracle.Oracle, eps float64) {
 	t.Helper()
 	m := float64(eng.StreamCount())
 	n := float64(eng.TotalCount())
@@ -263,8 +259,7 @@ func TestWindowQueries(t *testing.T) {
 // BenchmarkWindowQuery times accurate queries over every aligned window of
 // a 13-step history (no benchmark/ workload reads windows).
 func BenchmarkWindowQuery(b *testing.B) {
-	eng := loadEngine(b, Config{Epsilon: 0.01, Kappa: 10, Dir: b.TempDir(), BlockSize: 4096}, 13, 10000, 2000)
-	defer eng.Close() //nolint:errcheck
+	eng := loadEngine(b, Options{Epsilon: 0.01, Kappa: 10, Dir: b.TempDir(), BlockSize: 4096}, 13, 10000, 2000)
 	wins := eng.AvailableWindows()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -435,11 +430,8 @@ func TestConcurrentObserveAndQuery(t *testing.T) {
 
 func TestCheckpointAndOpen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Options{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024}
+	eng := OneStream(t, cfg)
 	gen := workload.NewNormal(29)
 	orc := oracle.New(0)
 	for step := 0; step < 8; step++ {
@@ -450,14 +442,11 @@ func TestCheckpointAndOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.Checkpoint(); err != nil {
+	if err := eng.DB().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := OpenEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := OneStream(t, cfg) // a second DB over the checkpointed directory
 	if re.HistCount() != eng.HistCount() || re.Steps() != eng.Steps() {
 		t.Errorf("reopened: hist=%d steps=%d", re.HistCount(), re.Steps())
 	}
@@ -472,10 +461,6 @@ func TestCheckpointAndOpen(t *testing.T) {
 			t.Errorf("reopened phi=%g: %d vs %d", phi, got, want)
 		}
 	}
-	// Opening a directory without a manifest fails cleanly.
-	if _, err := OpenEngine(Config{Epsilon: 0.05, Kappa: 3, Dir: t.TempDir()}); err == nil {
-		t.Error("OpenEngine without manifest: want error")
-	}
 }
 
 func TestDestroy(t *testing.T) {
@@ -484,7 +469,7 @@ func TestDestroy(t *testing.T) {
 	if _, err := eng.EndStep(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Destroy(); err != nil {
+	if err := eng.DB().DropStream(eng.Name()); err != nil {
 		t.Fatal(err)
 	}
 	if eng.HistCount() != 0 {
@@ -493,10 +478,7 @@ func TestDestroy(t *testing.T) {
 }
 
 func TestNoBlockPinStillCorrect(t *testing.T) {
-	eng, err := New(Config{Epsilon: 0.02, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024, NoBlockPin: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := OneStream(t, Options{Epsilon: 0.02, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024, NoBlockPin: true})
 	gen := workload.NewUniform(31)
 	orc := oracle.New(0)
 	for step := 0; step < 6; step++ {

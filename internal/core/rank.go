@@ -20,7 +20,13 @@ func (c *Combined) QuickRank(v int64) int64 {
 // no combined summary.
 func RankOfValue(sums []*partition.Summary, pieces []StreamPiece, eps2 float64, v int64, pinBlocks bool) (int64, QueryCost, error) {
 	var cost QueryCost
-	total := streamRankEstimate(pieces, eps2, v)
+	var total float64
+	for i, p := range pieces {
+		// A summary holds β₂ = ⌈1/ε₂+1⌉ entries, so a value at or above all
+		// of them scores M + ε₂M; a piece cannot hold more than its M. (The
+		// sweep shares streamRankEstimate and keeps it unclamped.)
+		total += min(streamRankEstimate(pieces[i:i+1], eps2, v), float64(p.M))
+	}
 	for _, s := range sums {
 		cur, err := partition.NewCursor(s, v, v, pinBlocks)
 		if err != nil {

@@ -43,6 +43,44 @@ func TestRankOfValue(t *testing.T) {
 	}
 }
 
+// TestRankOfValueNeverExceedsTotal: a value at or above every summary entry
+// counts β₂ = ⌈1/ε₂+1⌉ entries per piece, β₂·ε₂·M = M + ε₂M unclamped, so the
+// rank of the maximum used to read above N. Each piece (here a live one
+// behind two sealed ones) contributes at most its M: the rank of MaxInt64
+// is exactly N, and below the top entries nothing moves.
+func TestRankOfValueNeverExceedsTotal(t *testing.T) {
+	f := buildFixture(t, 131, 0.05, 4, 300, 900)
+	eps2 := f.eps / 4
+	ss := func(lo int64, m int64) StreamPiece { // β₂ ascending entries from lo
+		p := StreamPiece{M: m, SS: make([]int64, beta(eps2))}
+		for i := range p.SS {
+			p.SS[i] = lo + int64(i)
+		}
+		return p
+	}
+	pieces := []StreamPiece{ss(10, 500), ss(2000, 700), {SS: f.ss, M: f.m}}
+	var n int64 = 500 + 700 + f.m
+	for _, s := range f.sums {
+		n += s.Part.Count
+	}
+	got, _, err := RankOfValue(f.sums, pieces, eps2, math.MaxInt64, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Errorf("RankOfValue(MaxInt64) = %d, want the total %d", got, n)
+	}
+	if unclamped := streamRankEstimate(pieces, eps2, math.MaxInt64); unclamped <= float64(500+700+f.m) {
+		t.Fatalf("fixture does not overshoot: unclamped stream estimate %g", unclamped)
+	}
+	// Two entries short of a piece's top the estimate is below M and untouched.
+	v := pieces[0].SS[len(pieces[0].SS)-3]
+	got, _, err = RankOfValue(nil, pieces[:1], eps2, v, true)
+	if want := int64(streamRankEstimate(pieces[:1], eps2, v)); err != nil || got != want || got >= 500 {
+		t.Errorf("RankOfValue below the top entries = %d, %v; want the unclamped %d < 500", got, err, want)
+	}
+}
+
 // Property: RankOfValue is monotone non-decreasing in v.
 func TestQuickRankOfValueMonotone(t *testing.T) {
 	f := buildFixture(t, 107, 0.1, 5, 200, 400)

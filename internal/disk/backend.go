@@ -79,7 +79,7 @@ type WriteHandle interface {
 
 // OpenBackend constructs a backend by kind: "file" (or "") rooted at dir, or
 // "mem" (dir is ignored). It is the single resolution point for the
-// --backend knobs exposed by hsq.Config, cmd/hsqd and cmd/hsqbench.
+// --backend knobs exposed by hsq.Options, cmd/hsqd and cmd/hsqbench.
 func OpenBackend(kind, dir string) (Backend, error) {
 	switch kind {
 	case "", "file":

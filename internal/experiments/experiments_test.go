@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -236,19 +237,17 @@ func TestRunRegistryAndCSV(t *testing.T) {
 	}
 }
 
+// TestFigureIDsComplete pins the one figure table: the 15 ids `hsqbench
+// -list` prints, in presentation order, each with an implementation.
 func TestFigureIDsComplete(t *testing.T) {
-	ids := FigureIDs()
-	if len(ids) != len(Registry) {
-		t.Errorf("FigureIDs lists %d, registry has %d", len(ids), len(Registry))
+	want := []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
+		"ablation-split", "ablation-pinning", "ablation-iobudget", "baselines", "theory"}
+	if got := FigureIDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("FigureIDs = %v, want %v", got, want)
 	}
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Errorf("duplicate id %s", id)
-		}
-		seen[id] = true
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("id %s not in registry", id)
+	for _, f := range figures {
+		if f.fn == nil {
+			t.Errorf("figure %s has no implementation", f.id)
 		}
 	}
 }

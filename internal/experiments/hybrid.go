@@ -9,9 +9,10 @@ import (
 	"repro"
 )
 
-// hybridRun is one full run of the paper's algorithm over a dataset.
+// hybridRun is one full run of the paper's algorithm over a dataset: one DB
+// hosting the one stream eng.
 type hybridRun struct {
-	eng *hsq.Engine
+	eng *hsq.Stream
 	dir string
 
 	updates []hsq.UpdateStats
@@ -38,7 +39,7 @@ func (s Scale) hybridCfg(eps float64, kappa int, pin bool) hybridConfig {
 	}
 }
 
-// newHybridRun builds an engine in a fresh directory under root (for the
+// newHybridRun opens a one-stream DB in a fresh directory under root (for the
 // file backend) and loads every batch of the dataset, then plays the
 // in-flight stream.
 func newHybridRun(ds *dataset, cfg hybridConfig, root string) (*hybridRun, error) {
@@ -50,7 +51,7 @@ func newHybridRun(ds *dataset, cfg hybridConfig, root string) (*hybridRun, error
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
-	eng, err := hsq.New(hsq.Config{
+	db, err := hsq.Open(hsq.Options{
 		Epsilon:     cfg.eps,
 		Kappa:       cfg.kappa,
 		Backend:     cfg.backend,
@@ -60,9 +61,13 @@ func newHybridRun(ds *dataset, cfg hybridConfig, root string) (*hybridRun, error
 		NoBlockPin:  !cfg.pin,
 	})
 	if err != nil {
-		if dir != "" {
-			os.RemoveAll(dir) //nolint:errcheck
-		}
+		os.RemoveAll(dir) //nolint:errcheck
+		return nil, err
+	}
+	eng, err := db.Stream("run")
+	if err != nil {
+		db.Close()        //nolint:errcheck
+		os.RemoveAll(dir) //nolint:errcheck
 		return nil, err
 	}
 	run := &hybridRun{eng: eng, dir: dir}
@@ -82,8 +87,9 @@ func newHybridRun(ds *dataset, cfg hybridConfig, root string) (*hybridRun, error
 
 // Close destroys the run's on-disk state.
 func (r *hybridRun) Close() {
-	r.eng.Destroy()     //nolint:errcheck
-	os.RemoveAll(r.dir) //nolint:errcheck
+	r.eng.DB().DropStream(r.eng.Name()) //nolint:errcheck
+	r.eng.DB().Close()                  //nolint:errcheck
+	os.RemoveAll(r.dir)                 //nolint:errcheck
 }
 
 // queryAccurate runs one accurate query and returns the answer with stats.

@@ -12,38 +12,49 @@ import (
 // root as scratch space for warehouse directories.
 type FigureFunc func(sc Scale, root string) ([]*Table, error)
 
-// Registry maps figure identifiers to their implementations, in the
-// paper's order plus our ablations.
-var Registry = map[string]FigureFunc{
-	"4":                 Fig4,
-	"5":                 Fig5,
-	"6":                 Fig6,
-	"7":                 Fig7,
-	"8":                 Fig8,
-	"9":                 Fig9,
-	"10":                Fig10,
-	"11":                Fig11,
-	"12":                Fig12,
-	"13":                Fig13,
-	"ablation-split":    AblationSplit,
-	"ablation-pinning":  AblationPinning,
-	"ablation-iobudget": AblationIOBudget,
-	"baselines":         AblationBaselines,
-	"theory":            TheoryTable,
+// figures is the one table of figure identifiers and their implementations,
+// in presentation order: the paper's figures, then our ablations.
+var figures = []struct {
+	id string
+	fn FigureFunc
+}{
+	{"4", Fig4},
+	{"5", Fig5},
+	{"6", Fig6},
+	{"7", Fig7},
+	{"8", Fig8},
+	{"9", Fig9},
+	{"10", Fig10},
+	{"11", Fig11},
+	{"12", Fig12},
+	{"13", Fig13},
+	{"ablation-split", AblationSplit},
+	{"ablation-pinning", AblationPinning},
+	{"ablation-iobudget", AblationIOBudget},
+	{"baselines", AblationBaselines},
+	{"theory", TheoryTable},
 }
 
-// FigureIDs returns the registry keys in presentation order
-// (TestFigureIDsComplete holds the list to the registry).
+// FigureIDs returns the figure identifiers in presentation order.
 func FigureIDs() []string {
-	return []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
-		"ablation-split", "ablation-pinning", "ablation-iobudget", "baselines", "theory"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }
 
 // Run executes one figure, renders its tables to w, and (if outDir is
 // non-empty) writes one CSV per table into outDir.
 func Run(id string, sc Scale, w io.Writer, outDir string) error {
-	fn, ok := Registry[id]
-	if !ok {
+	var fn FigureFunc
+	for _, f := range figures {
+		if f.id == id {
+			fn = f.fn
+			break
+		}
+	}
+	if fn == nil {
 		return fmt.Errorf("experiments: unknown figure %q (have %v)", id, FigureIDs())
 	}
 	scratch, err := os.MkdirTemp("", "hsq-exp-*")

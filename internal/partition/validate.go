@@ -3,7 +3,7 @@ package partition
 import "fmt"
 
 // Shared parameter validation — the single source of truth for the
-// invariants both the public engine config (hsq.Config) and the store
+// invariants both the public options (hsq.Options) and the store
 // config re-check. Keeping the range checks here means the two layers
 // cannot drift apart: the engine validates the user-facing ε and κ through
 // the same predicates the store applies to its derived ε₁.

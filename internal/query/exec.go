@@ -14,9 +14,9 @@ import (
 // summary sidecar — never hydrating); hsqd's cluster mode implements it
 // with the SummaryReq fan-out for streams other shards own.
 type Source interface {
-	// StreamNames returns a sorted point-in-time snapshot of the stream
+	// Streams returns a sorted point-in-time snapshot of the stream
 	// directory, used to expand glob patterns.
-	StreamNames() []string
+	Streams() []string
 	// ScopedSummary returns the stream's shard summary restricted to the
 	// scope. An unknown stream is an error; an existing stream with no
 	// data in scope returns an N == 0 summary.
@@ -75,7 +75,7 @@ func Exec(src Source, p *Plan) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	members, err := ExpandStreams(p, src.StreamNames())
+	members, err := ExpandStreams(p, src.Streams())
 	if err != nil {
 		return nil, err
 	}

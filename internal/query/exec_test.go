@@ -50,7 +50,7 @@ type fakeSource struct {
 	calls int
 }
 
-func (f *fakeSource) StreamNames() []string { return f.names }
+func (f *fakeSource) Streams() []string { return f.names }
 
 func (f *fakeSource) ScopedSummary(name string, sc Scope) (*core.ShardSummary, error) {
 	f.mu.Lock()

@@ -75,7 +75,7 @@ func MatchStream(pattern, name string) (bool, error) {
 // ExpandStreams resolves the plan's member set against a directory
 // snapshot: every explicit stream plus every directory name matching the
 // glob, deduplicated, in sorted order (names must be sorted on input,
-// which Source.StreamNames guarantees; explicit streams are merged in).
+// which Source.Streams guarantees; explicit streams are merged in).
 func ExpandStreams(p *Plan, directory []string) ([]string, error) {
 	seen := make(map[string]bool, len(p.Streams))
 	var out []string

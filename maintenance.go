@@ -13,10 +13,10 @@ import (
 // Maintenance: who installs the steps EndStep seals.
 //
 // EndStep is one pipeline in every mode — cut, seal, install, commit (see
-// Engine.EndStep). The cut and the seal always run on the caller: the
+// Stream.EndStep). The cut and the seal always run on the caller: the
 // in-memory batch and the GK sketch are cut atomically, the raw batch is
 // spilled and queued. The install (external sort, level-0 partition,
-// cascading κ-way merges) is one routine, Engine.installOne, run under no
+// cascading κ-way merges) is one routine, engine.installOne, run under no
 // engine lock a reader or producer needs; until it publishes a step, queries
 // cover that step through its frozen stream summary (a core.StreamPiece).
 // The three maintenance modes differ only in which goroutine calls it:
@@ -24,7 +24,7 @@ import (
 //   - sync (default): the EndStep caller, before it commits and returns.
 //   - async: a DB-wide scheduler, on a bounded worker pool. Per stream,
 //     installs are FIFO (step order); across streams, the pool is shared and
-//     dispatch is round-robin. Config.MaxPendingSteps bounds how far a
+//     dispatch is round-robin. Options.MaxPendingSteps bounds how far a
 //     stream's installs may lag its seals; EndStep blocks (backpressure)
 //     when the bound is hit.
 //   - manual: nobody until SyncMaintenance — deterministic, for harnesses
@@ -35,7 +35,7 @@ import (
 // succeeds — and is installed exactly once by a later drain (the next
 // EndStep in sync mode, SyncMaintenance in any).
 
-// Maintenance mode names for Config.Maintenance.
+// Maintenance mode names for Options.Maintenance.
 const (
 	// MaintenanceSync installs each step inside the EndStep that sealed it.
 	MaintenanceSync = "sync"
@@ -110,7 +110,7 @@ type MaintenanceStats struct {
 }
 
 // MaintenanceStats returns the stream's current maintenance counters.
-func (e *Engine) MaintenanceStats() MaintenanceStats {
+func (e *engine) MaintenanceStats() MaintenanceStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var pendingN int64
@@ -138,7 +138,7 @@ func (e *Engine) MaintenanceStats() MaintenanceStats {
 
 // wakeLocked signals every goroutine waiting for maintenance progress
 // (backpressure waiters, SyncMaintenance). Caller holds e.mu.
-func (e *Engine) wakeLocked() {
+func (e *engine) wakeLocked() {
 	close(e.wake)
 	e.wake = make(chan struct{})
 }
@@ -157,7 +157,7 @@ func maintFailed(err error) error {
 // scheduler stops retrying and a backpressured EndStep surfaces the error
 // until an inline drain retries. A failure after it (an unfinished merge
 // cascade) is recorded but not sticky — the next install repairs it.
-func (e *Engine) installOne() (bd partition.UpdateBreakdown, installed bool, err error) {
+func (e *engine) installOne() (bd partition.UpdateBreakdown, installed bool, err error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 	e.mu.Lock()
@@ -210,7 +210,7 @@ func (e *Engine) installOne() (bd partition.UpdateBreakdown, installed bool, err
 // path, which nothing else references any more: each replaces its live
 // counterpart if no observe has used that one since the cut, and otherwise
 // the sketch waits as the next cut's spare. Caller holds e.mu.
-func (e *Engine) recycleLocked(p *sealedPiece) {
+func (e *engine) recycleLocked(p *sealedPiece) {
 	if len(e.batch) == 0 && cap(p.buf) > cap(e.batch) {
 		e.batch = p.buf[:0]
 	}
@@ -225,7 +225,7 @@ func (e *Engine) recycleLocked(p *sealedPiece) {
 // runMaintenanceOnce installs at most one sealed step and commits the result
 // — one unit of background maintenance. It returns whether a step was
 // installed.
-func (e *Engine) runMaintenanceOnce() (bool, error) {
+func (e *engine) runMaintenanceOnce() (bool, error) {
 	_, installed, err := e.installOne()
 	if !installed {
 		return false, err
@@ -239,13 +239,10 @@ func (e *Engine) runMaintenanceOnce() (bool, error) {
 	return true, err
 }
 
-// SyncMaintenance blocks until every sealed step of this stream is
-// installed and committed, running the installs inline (so it is the drain
-// of manual mode, accelerates a backlogged async stream, and retries a step
-// whose install failed in any mode). It clears a sticky maintenance error
-// first; the first failure encountered is returned. Tests and
-// checkpoint-like barriers call it to reach a quiesced, fully-merged state.
-func (e *Engine) SyncMaintenance() error {
+// SyncMaintenance is Stream.SyncMaintenance on the pinned engine: it clears
+// a sticky maintenance error, then installs and commits sealed steps inline
+// until none is left or one fails.
+func (e *engine) SyncMaintenance() error {
 	for {
 		e.mu.Lock()
 		if e.closed {
@@ -266,25 +263,25 @@ func (e *Engine) SyncMaintenance() error {
 
 // maintPending reports whether the stream has sealed steps awaiting
 // installation and is not wedged on a sticky error.
-func (e *Engine) maintPending() bool {
+func (e *engine) maintPending() bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return !e.closed && e.maintErr == nil && len(e.sealed) > 0
 }
 
 // scheduler is the DB-wide background maintenance executor: one bounded
-// worker pool shared by every stream of a DB (or owned by a standalone
-// async engine). Streams with pending installs queue FIFO; a worker pops a
-// stream, installs exactly one sealed step, and re-queues the stream at the
-// tail if it still has work — so a backlogged stream cannot starve the
-// others, and per-stream installs stay in step order.
+// worker pool shared by every stream of a DB. Streams with pending installs
+// queue FIFO; a worker pops a stream, installs exactly one sealed step, and
+// re-queues the stream at the tail if it still has work — so a backlogged
+// stream cannot starve the others, and per-stream installs stay in step
+// order.
 type scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*Engine
-	queued  map[*Engine]bool
-	running map[*Engine]bool
-	dirty   map[*Engine]bool // enqueued while running; revisit on completion
+	queue   []*engine
+	queued  map[*engine]bool
+	running map[*engine]bool
+	dirty   map[*engine]bool // enqueued while running; revisit on completion
 	workers int
 	closed  bool
 	wg      sync.WaitGroup
@@ -292,14 +289,14 @@ type scheduler struct {
 
 // newScheduler starts the worker pool an async configuration asks for; the
 // other modes have no background drainer and get nil.
-func newScheduler(cfg Config) *scheduler {
+func newScheduler(cfg Options) *scheduler {
 	if cfg.Maintenance != MaintenanceAsync {
 		return nil
 	}
 	s := &scheduler{
-		queued:  make(map[*Engine]bool),
-		running: make(map[*Engine]bool),
-		dirty:   make(map[*Engine]bool),
+		queued:  make(map[*engine]bool),
+		running: make(map[*engine]bool),
+		dirty:   make(map[*engine]bool),
 		workers: cfg.MaintenanceWorkers,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -313,7 +310,7 @@ func newScheduler(cfg Config) *scheduler {
 // enqueue schedules a stream for one install. Idempotent; a stream already
 // being serviced is marked dirty and revisited when its current install
 // finishes (per-stream installs never run concurrently).
-func (s *scheduler) enqueue(e *Engine) {
+func (s *scheduler) enqueue(e *engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.queued[e] {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,8 +30,8 @@ func envMaxPending(def int) int {
 	return def
 }
 
-func maintConfig(mode string, maxPending int) Config {
-	return Config{
+func maintConfig(mode string, maxPending int) Options {
+	return Options{
 		Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024,
 		Maintenance: mode, MaxPendingSteps: maxPending,
 	}
@@ -40,7 +39,7 @@ func maintConfig(mode string, maxPending int) Config {
 
 // feedSteps drives steps batches of size batch through the engine,
 // returning every observed element.
-func feedSteps(t *testing.T, eng *Engine, gen workload.Generator, steps, batch int) []int64 {
+func feedSteps(t *testing.T, eng *Stream, gen workload.Generator, steps, batch int) []int64 {
 	t.Helper()
 	var all []int64
 	for s := 0; s < steps; s++ {
@@ -95,11 +94,7 @@ func TestMaintenanceModesEquivalent(t *testing.T) {
 	var first *outcome
 	for _, mode := range []string{MaintenanceSync, MaintenanceAsync, MaintenanceManual} {
 		t.Run(mode, func(t *testing.T) {
-			eng, err := New(maintConfig(mode, envMaxPending(3)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close() //nolint:errcheck
+			eng := OneStream(t, maintConfig(mode, envMaxPending(3)))
 			all := feedSteps(t, eng, workload.NewUniform(42), 12, 700)
 			// Quantiles must be accurate BEFORE draining: sealed steps are
 			// covered by their frozen summaries.
@@ -141,11 +136,7 @@ func TestMaintenanceModesEquivalent(t *testing.T) {
 // observed — the sealed step through its frozen summary, the new elements
 // through the live sketch. Only the EndStep caller waits for the install.
 func TestSyncInstallBlocksNobody(t *testing.T) {
-	eng, err := New(maintConfig(MaintenanceSync, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
+	eng := OneStream(t, maintConfig(MaintenanceSync, 0))
 	gen := workload.NewUniform(17)
 	all := feedSteps(t, eng, gen, 2, 600)
 
@@ -153,8 +144,8 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release() // before Close, which waits for the install
 	var once sync.Once
-	eng.dev.SetFault(func(op disk.Op, name string, block int64) error {
-		if op == disk.OpSeqWrite && strings.HasPrefix(name, "part-") {
+	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqWrite && partFile(name) {
 			once.Do(func() { close(parked) })
 			<-gate
 		}
@@ -202,7 +193,7 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 	if err := <-endStep; err != nil {
 		t.Fatalf("EndStep: %v", err)
 	}
-	eng.dev.SetFault(nil)
+	eng.db.dev.SetFault(nil)
 	if got := eng.MaintenanceStats().PendingSteps; got != 0 {
 		t.Errorf("%d steps still sealed after EndStep returned", got)
 	}
@@ -214,11 +205,7 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 // backlog grows, queries still cover everything), and SyncMaintenance folds
 // the backlog into partitions.
 func TestManualMaintenanceDefersInstalls(t *testing.T) {
-	eng, err := New(maintConfig(MaintenanceManual, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
+	eng := OneStream(t, maintConfig(MaintenanceManual, 0))
 	all := feedSteps(t, eng, workload.NewNormal(7), 5, 400)
 	if got := eng.PartitionCount(); got != 0 {
 		t.Errorf("PartitionCount = %d before maintenance, want 0", got)
@@ -252,21 +239,17 @@ func TestManualMaintenanceDefersInstalls(t *testing.T) {
 // are pending, (b) EndStepCtx aborts the wait on cancellation, and (c) the
 // wait resolves as soon as maintenance progresses.
 func TestAsyncBackpressureBlocks(t *testing.T) {
-	eng, err := New(Config{
+	eng := OneStream(t, Options{
 		Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024,
 		Maintenance: MaintenanceAsync, MaxPendingSteps: 1, MaintenanceWorkers: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
 
 	gate := make(chan struct{})
 	var released atomic.Bool
-	eng.dev.SetFault(func(op disk.Op, name string, block int64) error {
+	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
 		// Block the first partition write (the background install) until the
 		// gate opens. Seals write batch-raw files, which pass through.
-		if op == disk.OpSeqWrite && strings.HasPrefix(name, "part-") && !released.Load() {
+		if op == disk.OpSeqWrite && partFile(name) && !released.Load() {
 			<-gate
 		}
 		return nil
@@ -306,7 +289,7 @@ func TestAsyncBackpressureBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("EndStep still blocked after maintenance progressed")
 	}
-	eng.dev.SetFault(nil)
+	eng.db.dev.SetFault(nil)
 	if err := eng.SyncMaintenance(); err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +306,7 @@ func TestAsyncBackpressureBlocks(t *testing.T) {
 // a backlog: sealed steps are the newest windows; partition-aligned windows
 // shift by the backlog size.
 func TestMaintenanceWindowsWithBacklog(t *testing.T) {
-	eng, err := New(maintConfig(MaintenanceManual, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close() //nolint:errcheck
+	eng := OneStream(t, maintConfig(MaintenanceManual, 0))
 	gen := workload.NewUniform(5)
 	// Two installed steps...
 	feedSteps(t, eng, gen, 2, 300)
@@ -423,11 +402,8 @@ func TestDBWaitIdleAndSchedulerStats(t *testing.T) {
 // engine to re-install every sealed step from its spill.
 func TestManualRestartRecoversSealedSteps(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024, Maintenance: MaintenanceManual}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Options{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024, Maintenance: MaintenanceManual}
+	eng := OneStream(t, cfg)
 	all := feedSteps(t, eng, workload.NewUniform(11), 4, 350)
 	// Simulate an unclean shutdown: no Close, no SyncMaintenance — the
 	// sealed steps exist only as spills + manifest pending entries.
@@ -435,11 +411,7 @@ func TestManualRestartRecoversSealedSteps(t *testing.T) {
 		t.Fatalf("PartitionCount = %d, want 0 (nothing installed)", got)
 	}
 
-	re, err := OpenEngine(cfg)
-	if err != nil {
-		t.Fatalf("reopen with sealed backlog: %v", err)
-	}
-	defer re.Close() //nolint:errcheck
+	re := OneStream(t, cfg) // a second DB over the same directory: the reopen
 	if got := re.Steps(); got != 4 {
 		t.Errorf("recovered Steps = %d, want 4", got)
 	}
@@ -464,7 +436,7 @@ func TestValidationSingleSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{-0.5, 0, 1, 1.7} {
-		_, engErr := New(Config{Epsilon: eps, Backend: "mem"})
+		_, engErr := Open(Options{Epsilon: eps, Backend: "mem"})
 		_, storeErr := partition.NewStore(dev, partition.Config{Kappa: 10, Eps1: eps})
 		if (engErr == nil) != (storeErr == nil) {
 			t.Errorf("eps=%g: engine err=%v, store err=%v — layers disagree", eps, engErr, storeErr)
@@ -474,7 +446,7 @@ func TestValidationSingleSource(t *testing.T) {
 		}
 	}
 	for _, kappa := range []int{-1, 1} {
-		_, engErr := New(Config{Epsilon: 0.1, Kappa: kappa, Backend: "mem"})
+		_, engErr := Open(Options{Epsilon: 0.1, Kappa: kappa, Backend: "mem"})
 		_, storeErr := partition.NewStore(dev, partition.Config{Kappa: kappa, Eps1: 0.05})
 		if (engErr == nil) != (storeErr == nil) {
 			t.Errorf("kappa=%d: engine err=%v, store err=%v — layers disagree", kappa, engErr, storeErr)
@@ -484,17 +456,17 @@ func TestValidationSingleSource(t *testing.T) {
 		}
 	}
 	// Kappa 0 means "default" at the engine layer only.
-	if _, err := New(Config{Epsilon: 0.1, Kappa: 0, Backend: "mem"}); err != nil {
+	if _, err := Open(Options{Epsilon: 0.1, Kappa: 0, Backend: "mem"}); err != nil {
 		t.Errorf("kappa=0 (default): %v", err)
 	}
 	if _, err := partition.NewStore(dev, partition.Config{Kappa: 0, Eps1: 0.05}); err == nil {
 		t.Error("store kappa=0: accepted")
 	}
 	// Unknown maintenance mode and negative backpressure are rejected.
-	if _, err := New(Config{Epsilon: 0.1, Backend: "mem", Maintenance: "turbo"}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1, Backend: "mem", Maintenance: "turbo"}); err == nil {
 		t.Error("Maintenance=turbo: accepted")
 	}
-	if _, err := New(Config{Epsilon: 0.1, Backend: "mem", MaxPendingSteps: -1}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1, Backend: "mem", MaxPendingSteps: -1}); err == nil {
 		t.Error("MaxPendingSteps=-1: accepted")
 	}
 }
@@ -502,8 +474,8 @@ func TestValidationSingleSource(t *testing.T) {
 // maintBenchConfig builds the sync-vs-async comparison engine: κ=2 so
 // merges cascade constantly, simulated SSD latency so the inline
 // sort+merge cost is the device's rather than the allocator's.
-func maintBenchConfig(mode string) Config {
-	cfg := Config{
+func maintBenchConfig(mode string) Options {
+	cfg := Options{
 		Epsilon: 0.01, Kappa: 2, Backend: "mem", BlockSize: 4096,
 		SimulateDisk: "ssd", Maintenance: mode,
 	}
@@ -534,11 +506,7 @@ func reportP99(b *testing.B, lat []time.Duration, name string) {
 func BenchmarkIngestStall(b *testing.B) {
 	for _, mode := range []string{"sync", "async"} {
 		b.Run("maintenance="+mode, func(b *testing.B) {
-			eng, err := New(maintBenchConfig(mode))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close() //nolint:errcheck
+			eng := OneStream(b, maintBenchConfig(mode))
 			gen := workload.NewUniform(21)
 			vals := workload.Fill(gen, 1<<16)
 
@@ -601,11 +569,7 @@ func BenchmarkIngestStall(b *testing.B) {
 func BenchmarkQueryDuringMerge(b *testing.B) {
 	for _, mode := range []string{"sync", "async"} {
 		b.Run("maintenance="+mode, func(b *testing.B) {
-			eng, err := New(maintBenchConfig(mode))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close() //nolint:errcheck
+			eng := OneStream(b, maintBenchConfig(mode))
 			gen := workload.NewUniform(22)
 			for s := 0; s < 6; s++ {
 				eng.ObserveSlice(workload.Fill(gen, 4000))

@@ -1,7 +1,7 @@
 // Multi-stream cache-sharing evaluation: N streams on one DB draw on a
 // single shared LRU budget, so cache capacity flows to whichever stream is
-// hot; N independent engines must statically split the same budget N ways
-// and strand capacity on cold streams. The test asserts the effect.
+// hot; N one-stream DBs must statically split the same budget N ways and
+// strand capacity on cold streams. The test asserts the effect.
 package hsq_test
 
 import (
@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/workload"
 )
 
 const (
@@ -74,23 +73,13 @@ func runShared(tb testing.TB) (total uint64, perStream map[string]hsq.IOStats, a
 	return agg.RandReads, db.StreamStats(), agg
 }
 
-// runSplit drives the identical workload against N independent engines,
-// each with 1/N of the cache budget, and returns total backend RandReads.
+// runSplit drives the identical workload against N one-stream DBs, each
+// with 1/N of the cache budget, and returns total backend RandReads.
 func runSplit(tb testing.TB) uint64 {
-	engines := make([]*hsq.Engine, msStreams)
+	engines := make([]*hsq.Stream, msStreams)
 	for i := range engines {
-		eng, err := hsq.New(msConfig(msCacheTotal / msStreams))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		engines[i] = eng
-		gen := workload.NewNormal(int64(i + 1))
-		for s := 0; s < msSteps; s++ {
-			eng.ObserveSlice(workload.Fill(gen, msBatch))
-			if _, err := eng.EndStep(); err != nil {
-				tb.Fatal(err)
-			}
-		}
+		engines[i] = hsq.OneStream(tb, msConfig(msCacheTotal/msStreams))
+		loadStream(tb, engines[i], int64(i+1), msSteps, msBatch)
 	}
 	for round := 0; round < msRounds; round++ {
 		msQuery(tb, round, func(i int, phi float64) {
@@ -107,13 +96,13 @@ func runSplit(tb testing.TB) uint64 {
 }
 
 // TestMultiStreamSharedCache is the tentpole's acceptance check: N streams
-// on one shared DB spend fewer total backend RandReads than N independent
-// engines with the cache split N ways, and per-stream IOStats sum exactly
+// on one shared DB spend fewer total backend RandReads than N one-stream
+// DBs with the cache split N ways, and per-stream IOStats sum exactly
 // to the device aggregate.
 func TestMultiStreamSharedCache(t *testing.T) {
 	shared, perStream, agg := runShared(t)
 	split := runSplit(t)
-	t.Logf("total RandReads: shared DB = %d, split engines = %d", shared, split)
+	t.Logf("total RandReads: shared DB = %d, split DBs = %d", shared, split)
 	if shared >= split {
 		t.Errorf("shared cache (%d reads) should beat split caches (%d reads)", shared, split)
 	}

@@ -71,10 +71,7 @@ func TestPlanMatchesReality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(Config{Epsilon: eps, Kappa: kappa, Dir: t.TempDir(), BlockSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := OneStream(t, Options{Epsilon: eps, Kappa: kappa, Dir: t.TempDir(), BlockSize: 4096})
 	for step := 0; step < steps; step++ {
 		for i := 0; i < m; i++ {
 			eng.Observe(int64((step*m + i) % 100000))

@@ -350,13 +350,9 @@ func TestPropertyMultiQuantiles(t *testing.T) {
 
 func runMultiDifferential(t *testing.T, mode string, seed int64) {
 	const eps = 0.05
-	eng, err := hsq.New(hsq.Config{
+	eng := hsq.OneStream(t, hsq.Options{
 		Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024, Maintenance: mode,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Destroy() //nolint:errcheck // in-memory state dies anyway
 	gen, err := workload.ByName("uniform", seed)
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// TestPublicReadSurface pins the read surface: on *Engine and *Stream, the
-// exported methods that read quantiles or ranks are Query and its three
-// conveniences — eight in all. A new variant beside them (another Opts,
-// Ctx, Quick or Window form) fails here; its behaviour belongs in a
+// TestPublicReadSurface pins the read surface: on *Stream, the one public
+// handle, the exported methods that read quantiles or ranks are Query and
+// its three conveniences — four in all. A new variant beside them (another
+// Opts, Ctx, Quick or Window form) fails here; its behaviour belongs in a
 // Request field.
 func TestPublicReadSurface(t *testing.T) {
 	read := regexp.MustCompile(`Quantile|Rank|Window|Query`)
@@ -20,20 +20,19 @@ func TestPublicReadSurface(t *testing.T) {
 	// AvailableWindows lists window sizes; it answers no quantile or rank.
 	notARead := map[string]bool{"AvailableWindows": true}
 	total := 0
-	for _, typ := range []reflect.Type{reflect.TypeOf(&Engine{}), reflect.TypeOf(&Stream{})} {
-		for i := 0; i < typ.NumMethod(); i++ {
-			name := typ.Method(i).Name
-			if !read.MatchString(name) || notARead[name] {
-				continue
-			}
-			total++
-			if !allowed[name] {
-				t.Errorf("%v.%s: a read method outside Query/Quantile/Quantiles/Rank", typ, name)
-			}
+	typ := reflect.TypeOf(&Stream{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		if !read.MatchString(name) || notARead[name] {
+			continue
+		}
+		total++
+		if !allowed[name] {
+			t.Errorf("%v.%s: a read method outside Query/Quantile/Quantiles/Rank", typ, name)
 		}
 	}
-	if total != 8 {
-		t.Errorf("%d exported read methods on *Engine + *Stream, want 8", total)
+	if total != 4 {
+		t.Errorf("%d exported read methods on *Stream, want 4", total)
 	}
 }
 

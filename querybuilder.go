@@ -1,9 +1,6 @@
 package hsq
 
-import (
-	"repro/internal/core"
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // Query starts a composable query over the DB's streams. The builder only
 // assembles a plan — nothing is touched until Run, which expands the
@@ -79,29 +76,13 @@ func (q *Query) Plan() query.Plan { return q.plan }
 
 // Run evaluates the query against the DB.
 func (q *Query) Run() (*query.Result, error) {
-	return query.Exec(dbSource{q.db}, &q.plan)
+	return q.db.RunPlan(&q.plan)
 }
 
 // RunPlan evaluates an already-built plan against the DB — the entry
 // point for POST /query and Subscribe continuous queries, whose plans
-// arrive as JSON.
+// arrive as JSON. The DB is the executor's query.Source: Streams names the
+// directory, ScopedSummary (coldsummary.go) fetches each member.
 func (db *DB) RunPlan(p *query.Plan) (*query.Result, error) {
-	return query.Exec(dbSource{db}, p)
-}
-
-// ScopedSummary returns one stream's shard summary restricted to a query
-// scope, without hydrating a cold stream when its sealed sidecar answers.
-// It backs the query executor's per-member fetch; hsqd's cluster mode
-// calls it directly for the streams this node stores.
-func (db *DB) ScopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
-	return db.scopedSummary(name, sc)
-}
-
-// dbSource adapts a DB to the query executor's Source.
-type dbSource struct{ db *DB }
-
-func (s dbSource) StreamNames() []string { return s.db.Streams() }
-
-func (s dbSource) ScopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
-	return s.db.scopedSummary(name, sc)
+	return query.Exec(db, p)
 }

@@ -8,12 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
-func loadedEngine(t *testing.T, eps float64, steps, batch, stream int, seed int64) (*Engine, *oracle.Oracle) {
+func loadedEngine(t *testing.T, eps float64, steps, batch, stream int, seed int64) (*Stream, *oracle.Oracle) {
 	t.Helper()
-	eng, err := New(Config{Epsilon: eps, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := OneStream(t, Options{Epsilon: eps, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024})
 	gen := workload.NewUniform(seed)
 	orc := oracle.New(0)
 	for s := 0; s < steps; s++ {
@@ -72,10 +69,7 @@ func TestRankOfValue(t *testing.T) {
 }
 
 func TestRankEmptyEngine(t *testing.T) {
-	eng, err := New(Config{Epsilon: 0.1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := OneStream(t, Options{Epsilon: 0.1, Dir: t.TempDir()})
 	if _, _, err := eng.Rank(5); err == nil {
 		t.Error("Rank on empty: want error")
 	}

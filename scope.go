@@ -67,7 +67,7 @@ func (s *querySnap) scope(sc query.Scope) error {
 // as queries, so the summary is a consistent point-in-time view while
 // ingest and maintenance run; it references the engine's immutable summary
 // slices and stays valid after the call.
-func (e *Engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
+func (e *engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	s, err := e.snapshot()
 	if err != nil {
 		return nil, err
@@ -86,11 +86,6 @@ func (e *Engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	return sum, nil
 }
 
-// Summary is ScopedSummary over the full history.
-func (e *Engine) Summary() (*core.ShardSummary, error) {
-	return e.ScopedSummary(query.Scope{})
-}
-
 // sealedParts captures the engine's fully-installed summary state for the
 // cold-summary sidecar: every installed partition's (count, values,
 // step range), oldest first, plus the covered step count. ok is false
@@ -98,7 +93,7 @@ func (e *Engine) Summary() (*core.ShardSummary, error) {
 // buffer or sealed-but-uninstalled steps — because the sidecar format
 // represents exactly what survives an eviction (eviction requires both to
 // be empty).
-func (e *Engine) sealedParts() (parts []sidecarPart, steps int, total int64, ok bool) {
+func (e *engine) sealedParts() (parts []sidecarPart, steps int, total int64, ok bool) {
 	s, err := e.snapshot()
 	if err != nil {
 		return nil, 0, 0, false

@@ -9,14 +9,24 @@ import (
 	"repro/internal/workload"
 )
 
-// loadEngine fills an engine with deterministic data: steps batches plus an
-// in-flight stream.
-func loadEngine(t testing.TB, cfg Config, steps, batch, stream int) *Engine {
+// engineOf returns the stream's hydrated engine: the internal tests' way in to
+// the store and the device view. A DB without MaxHydratedStreams never
+// evicts, so the engine stays the stream's for the test's lifetime.
+func engineOf(t testing.TB, s *Stream) *engine {
 	t.Helper()
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	s.db.mu.Lock()
+	defer s.db.mu.Unlock()
+	if s.ent.eng == nil {
+		t.Fatalf("stream %q is not hydrated", s.name)
 	}
+	return s.ent.eng
+}
+
+// loadEngine fills a one-stream DB with deterministic data: steps batches
+// plus an in-flight stream.
+func loadEngine(t testing.TB, cfg Options, steps, batch, stream int) *Stream {
+	t.Helper()
+	eng := OneStream(t, cfg)
 	gen := workload.NewUniform(42)
 	for s := 0; s < steps; s++ {
 		eng.ObserveSlice(workload.Fill(gen, batch))
@@ -31,8 +41,8 @@ func loadEngine(t testing.TB, cfg Config, steps, batch, stream int) *Engine {
 // TestMemBackendMatchesFile: the same data through the same algorithm must
 // give identical answers regardless of where blocks live.
 func TestMemBackendMatchesFile(t *testing.T) {
-	fileEng := loadEngine(t, Config{Epsilon: 0.02, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024}, 7, 3000, 1000)
-	memEng := loadEngine(t, Config{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 1024}, 7, 3000, 1000)
+	fileEng := loadEngine(t, Options{Epsilon: 0.02, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024}, 7, 3000, 1000)
+	memEng := loadEngine(t, Options{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 1024}, 7, 3000, 1000)
 
 	if fileEng.HistCount() != memEng.HistCount() || fileEng.PartitionCount() != memEng.PartitionCount() {
 		t.Fatalf("layouts diverge: file %d/%d, mem %d/%d",
@@ -69,16 +79,16 @@ func TestMemBackendMatchesFile(t *testing.T) {
 
 // TestConfigBackendValidation pins the Dir/Backend contract.
 func TestConfigBackendValidation(t *testing.T) {
-	if _, err := New(Config{Epsilon: 0.1}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1}); err == nil {
 		t.Error("file backend without Dir: want error")
 	}
-	if _, err := New(Config{Epsilon: 0.1, Backend: "mem"}); err != nil {
+	if _, err := Open(Options{Epsilon: 0.1, Backend: "mem"}); err != nil {
 		t.Errorf("mem backend without Dir: %v", err)
 	}
-	if _, err := New(Config{Epsilon: 0.1, Backend: "tape", Dir: t.TempDir()}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1, Backend: "tape", Dir: t.TempDir()}); err == nil {
 		t.Error("unknown backend: want error")
 	}
-	if _, err := New(Config{Epsilon: 0.1, Backend: "mem", CacheBlocks: -1}); err == nil {
+	if _, err := Open(Options{Epsilon: 0.1, Backend: "mem", CacheBlocks: -1}); err == nil {
 		t.Error("negative CacheBlocks: want error")
 	}
 }
@@ -89,7 +99,7 @@ func TestConfigBackendValidation(t *testing.T) {
 // cache hits in QueryStats and IOStats.
 func TestBlockCacheReducesQueryIO(t *testing.T) {
 	phis := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	queryAll := func(eng *Engine) (randReads, cacheHits, skips int) {
+	queryAll := func(eng *Stream) (randReads, cacheHits, skips int) {
 		t.Helper()
 		for round := 0; round < 3; round++ {
 			for _, phi := range phis {
@@ -107,8 +117,8 @@ func TestBlockCacheReducesQueryIO(t *testing.T) {
 
 	// Memoization off: repeated rounds must reach the block layer for the
 	// cache comparison to mean anything.
-	cold := loadEngine(t, Config{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 512, ProbeMemoEntries: -1}, 7, 3000, 1000)
-	warm := loadEngine(t, Config{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 512, CacheBlocks: 4096, ProbeMemoEntries: -1}, 7, 3000, 1000)
+	cold := loadEngine(t, Options{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 512, ProbeMemoEntries: -1}, 7, 3000, 1000)
+	warm := loadEngine(t, Options{Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 512, CacheBlocks: 4096, ProbeMemoEntries: -1}, 7, 3000, 1000)
 
 	coldReads, coldHits, coldSkips := queryAll(cold)
 	warmReads, warmHits, _ := queryAll(warm)
@@ -156,7 +166,7 @@ func TestIOStatsSubClamps(t *testing.T) {
 // TestMemEngineLifecycle: a mem engine supports the full API surface that
 // does not require durability — windows, ranks, checkpoint, destroy.
 func TestMemEngineLifecycle(t *testing.T) {
-	eng := loadEngine(t, Config{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512}, 5, 1000, 500)
+	eng := loadEngine(t, Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512}, 5, 1000, 500)
 	if _, _, err := eng.Rank(0); err != nil {
 		t.Fatal(err)
 	}
@@ -168,39 +178,45 @@ func TestMemEngineLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Checkpoint writes the manifest to the mem backend (in-process only).
-	if err := eng.Checkpoint(); err != nil {
+	if err := eng.DB().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Destroy(); err != nil {
+	if err := eng.DB().DropStream(eng.Name()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRawPartitionsStillServe: nothing writes format-0 partitions any more,
 // but warehouses laid down by earlier releases hold them. Such a store must
-// open through the engine, answer within ε before any rewrite, and fold into
+// open through the DB, answer within ε before any rewrite, and fold into
 // columnar files when a level merge consumes raw and columnar inputs
 // together.
 func TestRawPartitionsStillServe(t *testing.T) {
 	const eps, kappa = 0.02, 3
-	cfg, err := (&Config{Epsilon: eps, Kappa: kappa, Dir: t.TempDir(), BlockSize: 1024}).withDefaults()
+	cfg, err := (&Options{Epsilon: eps, Kappa: kappa, Dir: t.TempDir(), BlockSize: 1024}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.NewNormal(9)
 	orc := oracle.New(0)
 
-	// The old release: a manager left at its raw default under the engine's
-	// own store configuration, κ level-0 partitions (one short of a merge).
+	// The old release: a manager left at its raw default under the stream's
+	// own store configuration, κ level-0 partitions (one short of a merge),
+	// and a directory naming the stream.
 	b, err := disk.OpenBackend(cfg.Backend, cfg.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := disk.NewManagerOn(b, cfg.BlockSize)
+	root, err := disk.NewManagerOn(b, cfg.BlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := partition.NewStore(old, storeConfig(cfg, eps/2, ""))
+	ns := streamNamespacePrefix + "/" + OneStreamName
+	old, err := root.Namespace(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := partition.NewStore(old, storeConfig(cfg, eps/2, ns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +230,14 @@ func TestRawPartitionsStillServe(t *testing.T) {
 	if err := store.Commit(manifestName); err != nil {
 		t.Fatal(err)
 	}
-
-	eng, err := OpenEngine(cfg)
-	if err != nil {
+	if err := root.WriteMeta(dbManifestName, []byte(`{"version":1,"streams":["`+OneStreamName+`"]}`)); err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close() //nolint:errcheck
+
+	eng := OneStream(t, cfg)
 	columnar := func(name string) bool {
 		t.Helper()
-		r, err := eng.dev.OpenRandom(name)
+		r, err := engineOf(t, eng).dev.OpenRandom(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +248,7 @@ func TestRawPartitionsStillServe(t *testing.T) {
 	if got := eng.PartitionCount(); got != kappa {
 		t.Fatalf("reopened %d partitions, want %d", got, kappa)
 	}
-	for _, sum := range eng.store.Entries() {
+	for _, sum := range engineOf(t, eng).store.Entries() {
 		if columnar(sum.Part.Name()) {
 			t.Fatalf("%s is columnar; the fixture must lay down format-0 partitions", sum.Part.Name())
 		}
@@ -252,7 +267,7 @@ func TestRawPartitionsStillServe(t *testing.T) {
 	if us.Merges == 0 {
 		t.Fatal("no level merge ran; the mixed-format merge went untested")
 	}
-	for _, sum := range eng.store.Entries() {
+	for _, sum := range engineOf(t, eng).store.Entries() {
 		if !columnar(sum.Part.Name()) {
 			t.Errorf("%s (steps %d-%d) was written in format 0", sum.Part.Name(), sum.Part.StartStep, sum.Part.EndStep)
 		}

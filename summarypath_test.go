@@ -216,13 +216,9 @@ func TestScopeHotColdAgree(t *testing.T) {
 	if err := db.RegisterStreams("never"); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := hsq.New(hsq.Config{Epsilon: 0.1, Backend: "mem"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Destroy() //nolint:errcheck
+	fresh := hsq.OneStream(t, hsq.Options{Epsilon: 0.1, Backend: "mem"}) // hydrated, has seen nothing
 	for _, sc := range scopes(0) {
-		cold, hot := answer(db.ScopedSummary("never", sc)), answer(fresh.ScopedSummary(sc))
+		cold, hot := answer(db.ScopedSummary("never", sc)), answer(fresh.DB().ScopedSummary(fresh.Name(), sc))
 		if cold != hot {
 			t.Fatalf("never-sealed stream, scope %+v:\n hot: %q\ncold: %q", sc, hot, cold)
 		}
