@@ -2,7 +2,6 @@ package disk
 
 import (
 	"container/list"
-	"hash/maphash"
 	"sync"
 )
 
@@ -29,7 +28,6 @@ import (
 // consumer (cursor binary search, element snapping) only reads them.
 type blockCache struct {
 	shards []cacheShard
-	seed   maphash.Seed
 }
 
 type cacheShard struct {
@@ -65,7 +63,8 @@ const cacheShards = 16
 // distributed exactly across the shards (remainder to the first few); the
 // shard count shrinks until every shard can hold at least one worst-case
 // decoded columnar block (~8 × blockSize), so the per-shard split never
-// makes a legal block uncacheable.
+// makes a block of this geometry uncacheable (a longer one, from a file
+// written under a larger block size, is refused by put and read uncached).
 func newBlockCache(budgetBytes int64, blockSize int) *blockCache {
 	if budgetBytes <= 0 {
 		return nil
@@ -81,7 +80,7 @@ func newBlockCache(budgetBytes int64, blockSize int) *blockCache {
 	if n < 1 {
 		n = 1
 	}
-	c := &blockCache{shards: make([]cacheShard, n), seed: maphash.MakeSeed()}
+	c := &blockCache{shards: make([]cacheShard, n)}
 	base, extra := budgetBytes/n, budgetBytes%n
 	for i := range c.shards {
 		c.shards[i].capBytes = base
@@ -94,11 +93,15 @@ func newBlockCache(budgetBytes int64, blockSize int) *blockCache {
 	return c
 }
 
+// shard places a key by FNV-1a of the name mixed with the block index: a pure
+// function of the key, so one op sequence hits and misses alike in every run.
 func (c *blockCache) shard(key cacheKey) *cacheShard {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	h.WriteString(key.name)
-	return &c.shards[(h.Sum64()^uint64(key.block)*0x9e3779b97f4a7c15)%uint64(len(c.shards))]
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key.name); i++ {
+		h = (h ^ uint64(key.name[i])) * 1099511628211
+	}
+	h ^= uint64(key.block) * 0x9e3779b97f4a7c15
+	return &c.shards[(h^h>>32)%uint64(len(c.shards))]
 }
 
 // get returns the cached block and true on a hit, bumping its recency.

@@ -1,6 +1,8 @@
 package disk
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -333,5 +335,67 @@ func TestReaderSizeFromHandle(t *testing.T) {
 		if err != nil || !ok || v != i {
 			t.Fatalf("element %d = %d, ok=%v, err=%v", i, v, ok, err)
 		}
+	}
+}
+
+// TestCachePlacementRepeats: a key's shard is a pure function of (name,
+// block), so two fresh managers given the same reads end with the same
+// blocks in the same shards in the same recency order, and the same Stats —
+// the hit and miss counts of a run do not depend on the process that ran it.
+func TestCachePlacementRepeats(t *testing.T) {
+	run := func() (placement [][]cacheKey, st Stats) {
+		m, err := NewManagerOn(NewMemBackend(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := []string{"streams/a/p000001.dat", "streams/a/p000002.dat", "streams/b/p000001.dat"}
+		for _, name := range names {
+			writeFmt(t, m, name, FormatRaw, sortedVals(400)) // 50 blocks each
+		}
+		// 16 shards of three blocks each: most reads evict.
+		m.SetCache(48)
+		m.ResetStats()
+		rng := rand.New(rand.NewSource(5))
+		for _, name := range names {
+			rr, err := m.OpenRandom(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 400; i++ {
+				if _, err := rr.Block(rng.Int63n(rr.Blocks())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rr.Close() //nolint:errcheck
+		}
+		c := m.dev.cache.Load()
+		for i := range c.shards {
+			var keys []cacheKey
+			for el := c.shards[i].order.Front(); el != nil; el = el.Next() {
+				keys = append(keys, el.Value.(*cacheEntry).key)
+			}
+			placement = append(placement, keys)
+		}
+		return placement, m.Stats()
+	}
+	p1, st1 := run()
+	p2, st2 := run()
+	if st1 != st2 {
+		t.Errorf("stats differ between two runs of one read sequence:\n%+v\n%+v", st1, st2)
+	}
+	if st1.CacheHits == 0 || st1.CacheMisses == 0 {
+		t.Fatalf("the sequence must both hit and miss to show anything: %+v", st1)
+	}
+	if !reflect.DeepEqual(p1, p2) {
+		t.Errorf("per-shard contents differ between two runs:\n%v\n%v", p1, p2)
+	}
+	used := 0
+	for _, keys := range p1 {
+		if len(keys) > 0 {
+			used++
+		}
+	}
+	if used < len(p1)*3/4 {
+		t.Errorf("only %d of %d shards hold a block: the placement does not spread", used, len(p1))
 	}
 }

@@ -1,7 +1,12 @@
 package disk
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -470,5 +475,159 @@ func TestSequentialDecodeZeroAlloc(t *testing.T) {
 				t.Errorf("sequential decode: %v allocs/run, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestBlockReadAllocates gates what a random read may allocate: a columnar
+// Block that reaches the backend allocates the decoded slice it returns and
+// nothing else — its staging is the pool's — and a reader that never reaches
+// the backend takes no staging at all.
+func TestBlockReadAllocates(t *testing.T) {
+	m, err := NewManagerOn(NewMemBackend(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFmt(t, m, "al.dat", FormatColumnar, sortedVals(50_000))
+	rr, err := m.OpenRandom("al.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Close() //nolint:errcheck
+	if rr.Blocks() < 4 {
+		t.Fatalf("%d blocks; want several", rr.Blocks())
+	}
+	// Touch every block once so the staging has met the largest.
+	for b := int64(0); b < rr.Blocks(); b++ {
+		if _, err := rr.Block(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := rr.Block(next % rr.Blocks()); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 1 {
+		t.Errorf("uncached columnar Block: %v allocs/read, want 1 (the decoded slice)", allocs)
+	}
+
+	// A reader the cache answers takes no staging: opening it, a hit, a skip
+	// and closing it allocate far less than one block of bytes.
+	m.SetCache(64)
+	if _, err := rr.Block(0); err != nil { // fills the cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		hit, err := m.OpenRandom("al.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hit.Block(0); err != nil {
+			t.Fatal(err)
+		}
+		hit.Skip(1)
+		if hit.CacheHits() != 1 || hit.Reads() != 0 {
+			t.Fatalf("hits %d reads %d; the reader must be served by the cache", hit.CacheHits(), hit.Reads())
+		}
+		hit.Close() //nolint:errcheck
+	}
+	runtime.ReadMemStats(&after)
+	if perOpen := (after.TotalAlloc - before.TotalAlloc) / 100; perOpen >= uint64(m.BlockSize())/4 {
+		t.Errorf("a reader that never reached the backend allocated %d bytes; a block is %d", perOpen, m.BlockSize())
+	}
+}
+
+// TestSmallerBlockSizeReadsBothFormats: a file keeps the block geometry it
+// was written with. Reopened under a device with smaller blocks — and a cache
+// budgeted in those smaller blocks, which the old file's decoded blocks
+// overflow — every block of a columnar file and of a raw one still reads
+// back, singly and vectored.
+func TestSmallerBlockSizeReadsBothFormats(t *testing.T) {
+	b := NewMemBackend()
+	big, err := NewManagerOn(b, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := sortedVals(20_000)
+	writeFmt(t, big, "col.dat", FormatColumnar, vals)
+	writeFmt(t, big, "raw.dat", FormatRaw, vals)
+
+	small, err := NewManagerOn(b, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.SetCache(8)
+	for _, name := range []string{"col.dat", "raw.dat"} {
+		rr, err := small.OpenRandom(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		for i := int64(0); i < rr.Blocks(); i++ {
+			bv, err := rr.Block(i)
+			if err != nil {
+				t.Fatalf("%s block %d: %v", name, i, err)
+			}
+			got = append(got, bv...)
+		}
+		if !slices.Equal(got, vals) {
+			t.Errorf("%s: blocks read one by one do not concatenate to the input", name)
+		}
+		all, err := rr.ReadBlocks(0, rr.Blocks()-1)
+		if err != nil || !slices.Equal(all, vals) {
+			t.Errorf("%s: vectored read: err %v, equal %v", name, err, slices.Equal(all, vals))
+		}
+		rr.Close() //nolint:errcheck
+		if got := scanFile(t, small, name); !slices.Equal(got, vals) {
+			t.Errorf("%s: sequential scan differs from the input", name)
+		}
+	}
+}
+
+// TestColumnarBytesUnchanged pins the bytes of format 1: a sorted file (delta
+// frames) and an unsorted one (the raw-frame fallback) written from a fixed
+// input hash to what they hashed to before the decode kernel went in. A
+// change to the encoder, the block packing, a header or the footer moves it.
+func TestColumnarBytesUnchanged(t *testing.T) {
+	b := NewMemBackend()
+	m, err := NewManagerOn(b, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sorted := make([]int64, 30_000)
+	v := int64(-1 << 20)
+	for i := range sorted {
+		v += rng.Int63n(1 << uint(rng.Intn(20))) // deltas of one to three bytes
+		sorted[i] = v
+	}
+	unsorted := make([]int64, 3_000)
+	for i := range unsorted {
+		unsorted[i] = int64(rng.Uint64())
+	}
+	writeFmt(t, m, "sorted.dat", FormatColumnar, sorted)
+	writeFmt(t, m, "unsorted.dat", FormatColumnar, unsorted)
+	h := sha256.New()
+	for _, name := range []string{"sorted.dat", "unsorted.dat"} {
+		fh, err := b.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := fh.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(h, io.NewSectionReader(fh, 0, size)); err != nil {
+			t.Fatal(err)
+		}
+		fh.Close() //nolint:errcheck
+	}
+	const want = "5777be33fec11be05930c3c94944f4093d5afded7645dd14429cd21d29b557ed"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("columnar file bytes changed: sha256 %s, want %s", got, want)
 	}
 }

@@ -29,6 +29,13 @@ import (
 // trailer) makes the file self-describing: element counts come from block
 // headers, not from size/ElementSize arithmetic, and readers can consult a
 // block's min/max bounds without decoding it.
+//
+// A cold read of one block: at the default 100 KB a sorted partition's block
+// holds ~57 000 values at ~1.75 B each (format 0: 12 800), so it is one
+// backend call and the decode of 456 KB of elements — enc.DecodeDelta, not the
+// fetch, is most of it. The bytes are staged in a pooled buffer sized from the
+// file's own index; the decoded slice is the read's one allocation, and the
+// cache keeps it in a shard that is a pure function of (file, block).
 type BlockFormat uint8
 
 const (

@@ -15,20 +15,36 @@ var (
 	seqValsPool = sync.Pool{New: func() any { return new([]int64) }}
 )
 
-// growBytes returns b resized to n, reallocating only when capacity lacks.
-func growBytes(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]byte, n)
-}
-
-// growInt64 returns s resized to n, reallocating only when capacity lacks.
-func growInt64(s []int64, n int) []int64 {
+// grow returns s resized to n, reallocating (and dropping the old contents)
+// only when capacity lacks.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int64, n)
+	return make([]T, n)
+}
+
+// openRead opens the named file for either reader: its handle, its size (via
+// the handle: the name may be recreated meanwhile) and its columnar index.
+func (m *Manager) openRead(name string) (key string, h ReadHandle, size int64, ix *colIndex, err error) {
+	key = m.key(name)
+	if err = m.injected(OpOpen, key, 0); err == nil {
+		h, err = m.dev.backend.Open(key)
+	}
+	if err != nil {
+		return "", nil, 0, nil, fmt.Errorf("disk: open %s: %w", key, err)
+	}
+	m.countOpen()
+	if size, err = h.Size(); err != nil {
+		err = fmt.Errorf("disk: stat %s: %w", key, err)
+	} else if ix, err = m.columnarIndex(key, h); err != nil {
+		err = fmt.Errorf("disk: open %s: %w", key, err)
+	}
+	if err != nil {
+		h.Close() //nolint:errcheck
+		return "", nil, 0, nil, err
+	}
+	return key, h, size, ix, nil
 }
 
 // Reader scans a file sequentially, one block at a time (or several with
@@ -36,46 +52,31 @@ func growInt64(s []int64, n int) []int64 {
 // scans bypass the block cache (scan resistance: a merge touches each block
 // exactly once). Reader is not safe for concurrent use.
 type Reader struct {
-	m      *Manager
-	name   string
-	h      ReadHandle
-	ix     *colIndex // parsed columnar footer; nil for format-0 files
-	bufp   *[]byte
-	valsp  *[]int64
-	buf    []byte
-	vals   []int64
-	pos    int   // next element index within vals
-	n      int   // valid elements in vals
-	block  int64 // next block index to read
-	count  int64 // total elements in the file
-	read   int64 // elements returned so far
-	ahead  int   // blocks fetched per backend call (>= 1)
-	closed bool
+	m       *Manager
+	name    string
+	h       ReadHandle
+	ix      *colIndex // parsed columnar footer; nil for format-0 files
+	bufp    *[]byte
+	valsp   *[]int64
+	buf     []byte
+	vals    []int64
+	pos     int   // next element index within vals
+	n       int   // valid elements in vals
+	block   int64 // next block index to read
+	fetched int64 // columnar: buf holds blocks [block, fetched), from file offset bufOff
+	bufOff  int64
+	count   int64 // total elements in the file
+	read    int64 // elements returned so far
+	ahead   int   // blocks fetched per backend call (>= 1)
+	closed  bool
 }
 
 // OpenSequential opens the named element file for a sequential scan. The
 // block format is auto-detected, so mixed-format stores scan uniformly.
 func (m *Manager) OpenSequential(name string) (*Reader, error) {
-	key := m.key(name)
-	if err := m.injected(OpOpen, key, 0); err != nil {
-		return nil, fmt.Errorf("disk: open %s: %w", key, err)
-	}
-	h, err := m.dev.backend.Open(key)
+	key, h, size, ix, err := m.openRead(name)
 	if err != nil {
-		return nil, fmt.Errorf("disk: open %s: %w", key, err)
-	}
-	m.countOpen()
-	// Size via the handle so count describes the file the handle reads,
-	// even if the name is concurrently recreated.
-	size, err := h.Size()
-	if err != nil {
-		h.Close() //nolint:errcheck
-		return nil, fmt.Errorf("disk: stat %s: %w", key, err)
-	}
-	ix, err := m.columnarIndex(key, h)
-	if err != nil {
-		h.Close() //nolint:errcheck
-		return nil, fmt.Errorf("disk: open %s: %w", key, err)
+		return nil, err
 	}
 	count := size / ElementSize
 	if ix != nil {
@@ -147,7 +148,7 @@ func (r *Reader) fill() error {
 	}
 	r.m.sleepFor(OpSeqRead)
 	bs := r.m.dev.blockSize
-	r.buf = growBytes(r.buf, r.ahead*bs)
+	r.buf = grow(r.buf, r.ahead*bs)
 	n, err := r.h.ReadAt(r.buf, r.block*int64(bs))
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		err = nil
@@ -159,7 +160,7 @@ func (r *Reader) fill() error {
 		return fmt.Errorf("disk: read %s block %d: torn element (%d bytes)", r.name, r.block, n)
 	}
 	cnt := n / ElementSize
-	r.vals = growInt64(r.vals, cnt)
+	r.vals = grow(r.vals, cnt)
 	decodeInto(r.vals[:cnt], r.buf[:n])
 	r.pos, r.n = 0, cnt
 	for got := 0; got < n; got += bs {
@@ -173,43 +174,40 @@ func (r *Reader) fill() error {
 	return nil
 }
 
-// fillColumnar decodes the next r.ahead blocks from one backend read. Reads
-// land strictly inside the data region located by the footer, so a short
-// read is corruption, not EOF.
+// fillColumnar decodes the next block. The bytes arrive r.ahead blocks per
+// backend read — located by the footer, so a short read is corruption, not
+// EOF — and are decoded one block at a time: a reader, and the pool after it,
+// holds the fetched bytes and one decoded block, not r.ahead of them.
 func (r *Reader) fillColumnar() error {
 	nb := r.ix.blocks()
 	if r.block >= nb {
 		r.pos, r.n = 0, 0
 		return nil
 	}
-	last := r.block + int64(r.ahead) - 1
-	if last >= nb {
-		last = nb - 1
-	}
-	off := r.ix.offsets[r.block]
-	length := int(r.ix.offsets[last+1] - off)
-	if err := r.m.injected(OpSeqRead, r.name, r.block); err != nil {
-		return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
-	}
-	r.m.sleepFor(OpSeqRead)
-	r.buf = growBytes(r.buf, length)
-	if _, err := r.h.ReadAt(r.buf, off); err != nil {
-		return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
-	}
-	total := int(r.ix.starts[last+1] - r.ix.starts[r.block])
-	r.vals = growInt64(r.vals, total)
-	written := 0
-	for b := r.block; b <= last; b++ {
-		bbuf := r.buf[r.ix.offsets[b]-off : r.ix.offsets[b+1]-off]
-		cnt := int(r.ix.blockCount(b))
-		if err := decodeColBlock(r.vals[written:written+cnt], bbuf, cnt); err != nil {
-			return fmt.Errorf("disk: read %s block %d: %w", r.name, b, err)
+	if r.block >= r.fetched {
+		end := min(r.block+int64(r.ahead), nb)
+		r.bufOff = r.ix.offsets[r.block]
+		if err := r.m.injected(OpSeqRead, r.name, r.block); err != nil {
+			return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
 		}
-		written += cnt
-		r.m.countSeqRead(len(bbuf))
+		r.m.sleepFor(OpSeqRead)
+		r.buf = grow(r.buf, int(r.ix.offsets[end]-r.bufOff))
+		if _, err := r.h.ReadAt(r.buf, r.bufOff); err != nil {
+			return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
+		}
+		for b := r.block; b < end; b++ {
+			r.m.countSeqRead(int(r.ix.offsets[b+1] - r.ix.offsets[b]))
+		}
+		r.fetched = end
 	}
-	r.pos, r.n = 0, written
-	r.block = last + 1
+	bbuf := r.buf[r.ix.offsets[r.block]-r.bufOff : r.ix.offsets[r.block+1]-r.bufOff]
+	cnt := int(r.ix.blockCount(r.block))
+	r.vals = grow(r.vals, cnt)
+	if err := decodeColBlock(r.vals, bbuf, cnt); err != nil {
+		return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
+	}
+	r.pos, r.n = 0, cnt
+	r.block++
 	return nil
 }
 
@@ -243,34 +241,18 @@ type RandomReader struct {
 	ix     *colIndex // parsed columnar footer; nil for format-0 files
 	count  int64     // elements in the file
 	blocks int64     // number of blocks
-	buf    []byte
-	reads  int // backend block reads issued through this handle
-	hits   int // cache hits served through this handle
-	skips  int // probes answered from header bounds without any read
+	reads  int       // backend block reads issued through this handle
+	hits   int       // cache hits served through this handle
+	skips  int       // probes answered from header bounds without any read
 	closed bool
 }
 
 // OpenRandom opens the named element file for random block access. The
 // block format is auto-detected.
 func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
-	key := m.key(name)
-	if err := m.injected(OpOpen, key, 0); err != nil {
-		return nil, fmt.Errorf("disk: open %s: %w", key, err)
-	}
-	h, err := m.dev.backend.Open(key)
+	key, h, size, ix, err := m.openRead(name)
 	if err != nil {
-		return nil, fmt.Errorf("disk: open %s: %w", key, err)
-	}
-	m.countOpen()
-	size, err := h.Size()
-	if err != nil {
-		h.Close() //nolint:errcheck
-		return nil, fmt.Errorf("disk: stat %s: %w", key, err)
-	}
-	ix, err := m.columnarIndex(key, h)
-	if err != nil {
-		h.Close() //nolint:errcheck
-		return nil, fmt.Errorf("disk: open %s: %w", key, err)
+		return nil, err
 	}
 	count := size / ElementSize
 	blocks := (count + int64(m.dev.perBlock) - 1) / int64(m.dev.perBlock)
@@ -285,10 +267,16 @@ func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
 		ix:     ix,
 		count:  count,
 		blocks: blocks,
-		// A columnar block (header + frame) never exceeds the device block
-		// size, so one block of staging serves both formats.
-		buf: make([]byte, m.dev.blockSize),
 	}, nil
+}
+
+// staging takes n bytes of read buffer from the sequential readers' pool for
+// one backend read (a query's cursors share a buffer in turn). n comes from
+// the file's own index: a file keeps its geometry when the device's changes.
+func staging(n int) *[]byte {
+	bufp := seqBufPool.Get().(*[]byte)
+	*bufp = grow(*bufp, n)
+	return bufp
 }
 
 // Count returns the number of elements in the file.
@@ -369,24 +357,29 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 		return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
 	}
 	r.m.sleepFor(OpRandRead)
-	var out []int64
-	var nbytes int
+	// Format 0 has the device's geometry; a columnar file has its own.
+	off, nbytes := idx*int64(r.m.dev.blockSize), r.m.dev.blockSize
 	if r.ix != nil {
-		off := r.ix.offsets[idx]
+		off = r.ix.offsets[idx]
 		nbytes = int(r.ix.offsets[idx+1] - off)
-		if _, err := r.h.ReadAt(r.buf[:nbytes], off); err != nil {
+	}
+	bufp := staging(nbytes)
+	defer seqBufPool.Put(bufp)
+	buf := *bufp
+	var out []int64
+	if r.ix != nil {
+		if _, err := r.h.ReadAt(buf, off); err != nil {
 			return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
 		}
 		cnt := int(r.ix.blockCount(idx))
 		// Decoded blocks are pinned by the search layer and shared with the
 		// cache, so each gets its own allocation rather than pooled staging.
 		out = make([]int64, cnt)
-		if err := decodeColBlock(out, r.buf[:nbytes], cnt); err != nil {
+		if err := decodeColBlock(out, buf, cnt); err != nil {
 			return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
 		}
 	} else {
-		off := idx * int64(r.m.dev.blockSize)
-		n, err := r.h.ReadAt(r.buf, off)
+		n, err := r.h.ReadAt(buf, off)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = nil
 		}
@@ -397,7 +390,7 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 			return nil, fmt.Errorf("disk: read %s block %d: torn element (%d bytes)", r.name, idx, n)
 		}
 		out = make([]int64, n/ElementSize)
-		decodeInto(out, r.buf[:n])
+		decodeInto(out, buf[:n])
 		nbytes = n
 	}
 	r.reads++
@@ -431,14 +424,18 @@ func (r *RandomReader) ReadBlocks(lo, hi int64) ([]int64, error) {
 		return nil, fmt.Errorf("disk: read %s blocks %d-%d: %w", r.name, lo, hi, err)
 	}
 	r.m.sleepFor(OpRandRead)
+	bs := int64(r.m.dev.blockSize)
+	off, end := lo*bs, min((hi+1)*bs, r.count*ElementSize)
 	if r.ix != nil {
-		off := r.ix.offsets[lo]
-		length := int(r.ix.offsets[hi+1] - off)
-		buf := growBytes(r.buf, length)
-		r.buf = buf
-		if _, err := r.h.ReadAt(buf[:length], off); err != nil {
-			return nil, fmt.Errorf("disk: read %s blocks %d-%d: %w", r.name, lo, hi, err)
-		}
+		off, end = r.ix.offsets[lo], r.ix.offsets[hi+1]
+	}
+	bufp := staging(int(end - off))
+	defer seqBufPool.Put(bufp)
+	buf := *bufp
+	if _, err := r.h.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("disk: read %s blocks %d-%d: %w", r.name, lo, hi, err)
+	}
+	if r.ix != nil {
 		out := make([]int64, r.ix.starts[hi+1]-r.ix.starts[lo])
 		written := 0
 		for b := lo; b <= hi; b++ {
@@ -453,27 +450,11 @@ func (r *RandomReader) ReadBlocks(lo, hi int64) ([]int64, error) {
 		}
 		return out, nil
 	}
-	bs := int64(r.m.dev.blockSize)
-	off := lo * bs
-	end := (hi + 1) * bs
-	if max := r.count * ElementSize; end > max {
-		end = max
-	}
-	length := int(end - off)
-	buf := growBytes(r.buf, length)
-	r.buf = buf
-	if _, err := r.h.ReadAt(buf[:length], off); err != nil {
-		return nil, fmt.Errorf("disk: read %s blocks %d-%d: %w", r.name, lo, hi, err)
-	}
-	out := make([]int64, length/ElementSize)
-	decodeInto(out, buf[:length])
-	for got := 0; got < length; got += int(bs) {
-		rem := length - got
-		if rem > int(bs) {
-			rem = int(bs)
-		}
+	out := make([]int64, len(buf)/ElementSize)
+	decodeInto(out, buf)
+	for got := 0; got < len(buf); got += int(bs) {
 		r.reads++
-		r.m.countRandRead(rem)
+		r.m.countRandRead(min(len(buf)-got, int(bs)))
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -92,14 +93,19 @@ func TestDecodeLeavesRest(t *testing.T) {
 	}
 }
 
-// FuzzDeltaRoundTrip decodes arbitrary bytes as a delta frame and, when they
-// parse, re-encodes and checks the round trip — plus the inverse direction
-// seeded from the raw bytes reinterpreted as elements.
+// FuzzDeltaRoundTrip decodes arbitrary bytes as a delta frame with the kernel
+// and with the loop it replaced, which must agree on every input, and, when
+// they parse, re-encodes and checks the round trip — plus the inverse
+// direction seeded from the raw bytes reinterpreted as elements.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add([]byte{2, 2, 2}, uint8(3))
 	f.Add(AppendDelta(nil, []int64{math.MinInt64, math.MaxInt64}), uint8(2))
 	f.Add([]byte{}, uint8(0))
+	for _, c := range hostileFrames {
+		f.Add(c.buf, uint8(c.n))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		sameAsReference(t, int(n), data)
 		dst := make([]int64, n)
 		rest, err := DecodeDelta(dst, data)
 		if err == nil {
@@ -186,5 +192,145 @@ func TestReader(t *testing.T) {
 	bad := NewReader([]byte{2, 0x02}) // two values declared, one present
 	if got := bad.Values(); got != nil || bad.Err() == nil {
 		t.Errorf("short list = %v, err %v; want nil and an error", got, bad.Err())
+	}
+}
+
+// decodeDeltaRef is the loop DecodeDelta replaced, one binary.Varint per
+// element: the oracle the kernel must agree with on every input.
+func decodeDeltaRef(dst []int64, buf []byte) (rest []byte, err error) {
+	prev := int64(0)
+	for i := range dst {
+		d, n := binary.Varint(buf)
+		if n <= 0 {
+			return nil, fmt.Errorf("enc: bad varint at element %d", i)
+		}
+		buf = buf[n:]
+		prev += d
+		dst[i] = prev
+	}
+	return buf, nil
+}
+
+// sameAsReference decodes n elements from buf with both decoders, each into a
+// poisoned dst, and fails unless the elements (the written prefix on an
+// error included), the bytes left, and the error are the same.
+func sameAsReference(t *testing.T, n int, buf []byte) {
+	t.Helper()
+	got, want := make([]int64, n), make([]int64, n)
+	for i := range got {
+		got[i], want[i] = -7, -7
+	}
+	rest, err := DecodeDelta(got, buf)
+	wantRest, wantErr := decodeDeltaRef(want, buf)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("n=%d buf=%x: err %v, reference %v", n, buf, err, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d buf=%x: values %v, reference %v", n, buf, got, want)
+	}
+	if (rest == nil) != (wantRest == nil) || !bytes.Equal(rest, wantRest) {
+		t.Fatalf("n=%d buf=%x: rest %x, reference %x", n, buf, rest, wantRest)
+	}
+}
+
+// rep returns n copies of b.
+func rep(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+
+// hostileFrames are inputs on the edges of the kernel's tiers: where a tier
+// hands over to the next, where the buffer ends inside a delta, and where
+// binary.Varint refuses.
+var hostileFrames = []struct {
+	name string
+	n    int
+	buf  []byte
+}{
+	{"empty, nothing asked", 0, nil},
+	{"empty, one asked", 1, nil},
+	{"nothing asked, bytes left", 0, []byte{0x80, 0x80}},
+	{"single byte at buffer end", 1, []byte{0x03}},
+	{"single byte, eight left", 1, append([]byte{0x03}, rep(0xff, 8)...)},
+	{"non-canonical zero", 1, []byte{0x80, 0x00}},
+	{"non-canonical zero, inline tier", 2, append([]byte{0x80, 0x00, 0x80, 0x80, 0x00}, rep(0x01, 8)...)},
+	{"tenth byte 1 (MinInt64)", 1, append(rep(0xff, 9), 0x01)},
+	{"tenth byte 2 (overflow)", 1, append(rep(0xff, 9), 0x02)},
+	{"tenth byte 2 mid-buffer", 3, append(append([]byte{0x02}, append(rep(0xff, 9), 0x02)...), rep(0x02, 9)...)},
+	{"eleven-byte run", 1, append(rep(0x80, 10), 0x00)},
+	{"eleven-byte run mid-buffer", 2, append(append([]byte{0x05}, rep(0x80, 10)...), rep(0x00, 9)...)},
+	{"all continuation bytes", 4, rep(0xff, 40)},
+	{"eight-byte delta then end", 1, append(rep(0x80, 7), 0x7f)},
+	{"eight-byte delta, tier boundary", 2, append(append(rep(0xff, 7), 0x7f), rep(0x01, 8)...)},
+	{"nine-byte delta", 2, append(append(rep(0xff, 8), 0x7f), rep(0x01, 8)...)},
+	{"dst longer than the bytes supply", 9, []byte{0x02, 0x04, 0x06}},
+	{"dst longer, ends inside a delta", 9, append(rep(0x02, 12), 0x80)},
+	{"trailing bytes left in rest", 2, []byte{0x02, 0x81, 0x01, 0xde, 0xad, 0xbe, 0xef}},
+	{"trailing bytes, inline tier", 2, append([]byte{0x02, 0x81, 0x01}, rep(0xee, 16)...)},
+}
+
+// TestDecodeMatchesReference: the kernel accepts and rejects exactly what
+// the one-binary.Varint-per-element loop did and returns the same values,
+// the same rest and the same error — on the edges of its tiers, on every
+// truncation of 1-, 2-, 3-, 8-, 9- and 10-byte deltas with and without the
+// slack that selects the inline tiers, and on 10 000 seeded random frames.
+func TestDecodeMatchesReference(t *testing.T) {
+	for _, c := range hostileFrames {
+		t.Run(c.name, func(t *testing.T) { sameAsReference(t, c.n, c.buf) })
+	}
+
+	// Deltas of every width, including the wrap from MinInt64 to MaxInt64.
+	widths := []int64{0, -1, 63, -64, 64, 8191, -8192, 8192, 1<<20 - 1, 1 << 27, -1 << 34, 1 << 41, 1<<48 + 5, 1<<55 - 1, 1 << 55, -1 << 62, math.MaxInt64, math.MinInt64}
+	for _, d := range widths {
+		for _, lead := range [][]int64{nil, {5}, {5, 300, 70000}} {
+			vs := append(slices.Clone(lead), 0, 0)
+			vs[len(lead)] = d
+			vs[len(lead)+1] = d + d // wraps for the extremes
+			buf := AppendDelta(nil, vs)
+			for cut := 0; cut <= len(buf); cut++ {
+				sameAsReference(t, len(vs), buf[:cut])
+				sameAsReference(t, len(vs)+1, buf[:cut])
+			}
+			// The same frame with slack behind it decodes in the inline tiers.
+			sameAsReference(t, len(vs), append(slices.Clone(buf), rep(0xff, 16)...))
+		}
+	}
+	sameAsReference(t, 3, AppendDelta(nil, []int64{math.MinInt64, math.MaxInt64, math.MinInt64}))
+
+	rng := rand.New(rand.NewSource(22))
+	shapes := []func(vs []int64){
+		func(vs []int64) { // sorted-near
+			v := rng.Int63n(1 << 28)
+			for i := range vs {
+				v += rng.Int63n(1 << uint(rng.Intn(14)))
+				vs[i] = v
+			}
+		},
+		func(vs []int64) { // unsorted wide
+			for i := range vs {
+				vs[i] = int64(rng.Uint64())
+			}
+		},
+		func(vs []int64) { // mixed widths
+			for i := range vs {
+				vs[i] = int64(rng.Uint64()) >> uint(rng.Intn(64))
+			}
+		},
+	}
+	for _, fill := range shapes {
+		for trial := 0; trial < 10000/3+1; trial++ {
+			vs := make([]int64, rng.Intn(40))
+			fill(vs)
+			buf := AppendDelta(nil, vs)
+			switch rng.Intn(4) {
+			case 0: // as encoded
+			case 1: // truncated
+				buf = buf[:rng.Intn(len(buf)+1)]
+			case 2: // trailing bytes
+				buf = append(buf, rep(byte(rng.Intn(256)), rng.Intn(12))...)
+			case 3: // a flipped byte: continuation bits appear and vanish
+				if len(buf) > 0 {
+					buf[rng.Intn(len(buf))] ^= byte(1 << uint(rng.Intn(8)))
+				}
+			}
+			sameAsReference(t, len(vs)+rng.Intn(2), buf)
+		}
 	}
 }

@@ -277,3 +277,60 @@ func TestRawPartitionsStillServe(t *testing.T) {
 	eng.ObserveSlice(tail)
 	checkAccuracy(t, eng, orc, eps)
 }
+
+// TestReopenWithSmallerBlockSizeServes: a warehouse written at the default
+// 100 KB block size and reopened with 4 KB blocks answers accurate queries
+// from the old files — whose blocks are as long as they were written, not as
+// the device now says — then seals one more step, merges old and new
+// geometry together and still agrees with the oracle.
+func TestReopenWithSmallerBlockSizeServes(t *testing.T) {
+	const eps, kappa = 0.02, 3
+	opts := Options{Epsilon: eps, Kappa: kappa, Dir: t.TempDir(), CacheBlocks: 8}
+	gen := workload.NewNormal(22)
+	orc := oracle.New(0)
+
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := db.Stream(OneStreamName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= kappa; step++ { // κ level-0 partitions, one short of a merge
+		batch := workload.Fill(gen, 5000)
+		orc.Add(batch...)
+		first.ObserveSlice(batch)
+		if _, err := first.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.BlockSize = 4096
+	eng := OneStream(t, opts)
+	if got := eng.PartitionCount(); got != kappa {
+		t.Fatalf("reopened %d partitions, want %d", got, kappa)
+	}
+	if _, qs, err := eng.Quantile(0.5); err != nil || qs.RandReads == 0 {
+		t.Fatalf("Quantile(0.5) after the reopen: err %v, %d block reads; it must read the old files", err, qs.RandReads)
+	}
+	checkAccuracy(t, eng, orc, eps)
+
+	batch := workload.Fill(gen, 5000)
+	orc.Add(batch...)
+	eng.ObserveSlice(batch)
+	us, err := eng.EndStep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us.Merges == 0 {
+		t.Fatal("no level merge ran; the mixed-geometry merge went untested")
+	}
+	tail := workload.Fill(gen, 500)
+	orc.Add(tail...)
+	eng.ObserveSlice(tail)
+	checkAccuracy(t, eng, orc, eps)
+}
