@@ -299,6 +299,7 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"hydrated_streams":   sched.HydratedStreams,
 			"hydrations":         sched.Hydrations,
 			"evictions":          sched.Evictions,
+			"summary_fallbacks":  s.db.DirectoryStats().SummaryFallbacks,
 		},
 		"ingest": map[string]any{
 			"listening":    s.ingAddr,

@@ -1,58 +1,47 @@
 package hsq
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/enc"
 	"repro/internal/query"
 )
 
 // Cold-summary sidecars let glob and group-by queries answer over evicted
 // streams without hydrating them: whenever a stream's durable state is
 // exactly its installed partitions (the state eviction requires — empty
-// observe buffer, no sealed backlog), the DB writes the partition
-// summaries with their step ranges to a SUMMARY.bin metadata file in the
-// stream's namespace. A scoped summary for a cold stream is then one
-// metadata read — metadata I/O is never counted in IOStats, so a merged
-// query over a thousand cold sensors costs zero RandReads.
+// observe buffer, no sealed backlog), the DB writes the stream's full-scope
+// summary to a SUMMARY.bin metadata file in the stream's namespace. The file
+// is a core.ShardSummary in its one encoding (internal/core/snapshot.go),
+// byte for byte what the stream would send a peer. A scoped summary for a
+// cold stream is then one metadata read — metadata I/O is never counted in
+// IOStats, so a merged query over a thousand cold sensors costs zero
+// RandReads.
 //
-// Freshness is structural, not best-effort: the sidecar embeds the step
-// count and the per-partition (count, step-range) layout, and a cold read
-// first cross-checks them against the stream's own committed
-// MANIFEST.json. Any divergence — a crash after EndSteps that outran the
-// last checkpoint, a merge that reshaped partitions, a drop/re-create —
-// fails the check and the query falls back to a one-time hydration, after
-// which the next eviction or checkpoint rewrites the sidecar. A stream
-// whose namespace has no manifest at all has no durable data (registered
-// but never sealed), and answers as zero spans without hydrating.
+// Freshness is structural, not best-effort: the parts carry their step
+// ranges, and a cold read first cross-checks the per-partition (count,
+// step-range) layout against the stream's own committed MANIFEST.json. Any
+// divergence — a crash after EndSteps that outran the last checkpoint, a
+// merge that reshaped partitions, a drop/re-create, a file an earlier build
+// or another ε wrote — fails the check and the query falls back to a
+// one-time hydration (counted in DirectoryStats.SummaryFallbacks), after
+// which the next eviction or checkpoint rewrites the sidecar. A stream whose
+// namespace has no manifest at all has no durable data (registered but never
+// sealed), and answers as zero spans without hydrating.
 //
-// Scope selection is not done here: scopedFromParts hands the sidecar's
-// partition end steps to query.Scope.Select — the selector a hydrated
-// engine's snapshot goes through (scope.go) — and copies out the range it
-// returns, so a stream answers a scope the same, error text included,
-// whether it is hydrated or evicted. DB.ScopedSummary is the one entry:
-// plan members (query.Exec reads the DB as its Source) and a peer's
-// SummaryReq (Stream.Summary) both come through it.
+// Scope selection is not done here: readColdSummary hands the decoded parts'
+// end steps to query.Scope.Select — the selector a hydrated engine's
+// snapshot goes through (scope.go) — and keeps the range it returns, so a
+// stream answers a scope the same, error text included, whether it is
+// hydrated or evicted. DB.ScopedSummary is the one entry: plan members
+// (query.Exec reads the DB as its Source) and a peer's SummaryReq
+// (Stream.Summary) both come through it.
 
 // sidecarName is the cold-summary metadata file inside a stream's
 // namespace, next to its MANIFEST.json.
 const sidecarName = "SUMMARY.bin"
-
-// sidecarVersion is the SUMMARY.bin encoding version byte.
-const sidecarVersion = 1
-
-// sidecarPart is one installed partition's summary in the sidecar: the
-// portable (count, values) pair plus the covered step range, which scoped
-// selection needs and core.PartSummary deliberately omits.
-type sidecarPart struct {
-	Count              int64
-	StartStep, EndStep int
-	Values             []int64
-}
 
 // sidecarPath returns the sidecar's key on the DB's root device view.
 func sidecarPath(stream string) string {
@@ -64,58 +53,34 @@ func streamManifestPath(stream string) string {
 	return streamNamespacePrefix + "/" + stream + "/" + manifestName
 }
 
-// encodeSidecar serializes the sidecar:
-//
-//	version u8 | uvarint steps | uvarint total | uvarint len(parts)
-//	| per part: uvarint count | uvarint start | uvarint end
-//	            | uvarint len | delta values
-func encodeSidecar(parts []sidecarPart, steps int, total int64) []byte {
-	buf := []byte{sidecarVersion}
-	buf = binary.AppendUvarint(buf, uint64(steps))
-	buf = binary.AppendUvarint(buf, uint64(total))
-	buf = binary.AppendUvarint(buf, uint64(len(parts)))
-	for _, p := range parts {
-		buf = binary.AppendUvarint(buf, uint64(p.Count))
-		buf = binary.AppendUvarint(buf, uint64(p.StartStep))
-		buf = binary.AppendUvarint(buf, uint64(p.EndStep))
-		buf = binary.AppendUvarint(buf, uint64(len(p.Values)))
-		buf = enc.AppendDelta(buf, p.Values)
+// refreshSidecar brings a stream's sidecar in line with sum, its engine's
+// full-scope summary at a moment its durable state is known: a summary of
+// installed partitions only is written, anything else (stream-side pieces,
+// or no summary at all) removes the file so cold reads fall back to
+// hydration without chasing the manifest cross-check. Metadata write —
+// atomic on the backend, uncounted in I/O stats, advisory; durability rides
+// the next device sync like the manifests it mirrors.
+func (db *DB) refreshSidecar(stream string, sum *core.ShardSummary) {
+	if sum == nil || len(sum.Pieces) > 0 {
+		db.dropSidecar(stream)
+		return
 	}
-	return buf
+	db.dev.WriteMeta(sidecarPath(stream), sum.AppendBinary(nil)) //nolint:errcheck // advisory: queries fall back to hydration
 }
 
-// decodeSidecar parses a SUMMARY.bin payload, rejecting truncation,
-// trailing bytes and counts beyond the input size.
-func decodeSidecar(data []byte) (parts []sidecarPart, steps int, total int64, err error) {
-	d := enc.NewReader(data)
-	if v := d.Byte(); d.Err() == nil && v != sidecarVersion {
-		return nil, 0, 0, fmt.Errorf("hsq: cold summary version %d (want %d)", v, sidecarVersion)
+// sealCold closes an engine the directory has already detached and
+// publishes the sidecar of the state the close sealed. The summary is
+// captured before Close makes the engine unreadable; past the detach no new
+// operation can reach the engine, so what is captured is what Close seals —
+// and if an operation already in flight does outrun the capture, the cold
+// read's manifest cross-check rejects the file and hydrates instead.
+func (db *DB) sealCold(stream string, eng *engine) error {
+	sum, _ := eng.ScopedSummary(query.Scope{}) // nil from a closed engine: refreshSidecar drops
+	if err := eng.Close(); err != nil {
+		return err
 	}
-	steps = int(d.Uvarint())
-	total = int64(d.Uvarint())
-	nparts := d.Count()
-	for i := 0; i < nparts && d.Err() == nil; i++ {
-		parts = append(parts, sidecarPart{
-			Count:     int64(d.Uvarint()),
-			StartStep: int(d.Uvarint()),
-			EndStep:   int(d.Uvarint()),
-			Values:    d.Values(),
-		})
-	}
-	if d.Err() != nil {
-		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %w", d.Err())
-	}
-	if d.Len() != 0 {
-		return nil, 0, 0, fmt.Errorf("hsq: decode cold summary: %d trailing bytes", d.Len())
-	}
-	return parts, steps, total, nil
-}
-
-// writeSidecar persists the stream's cold summary. Metadata write — atomic
-// on the backend, uncounted in I/O stats; durability rides the next
-// device sync like the manifests it mirrors.
-func (db *DB) writeSidecar(stream string, parts []sidecarPart, steps int, total int64) error {
-	return db.dev.WriteMeta(sidecarPath(stream), encodeSidecar(parts, steps, total))
+	db.refreshSidecar(stream, sum)
+	return nil
 }
 
 // dropSidecar best-effort removes a stream's sidecar: used when the
@@ -142,94 +107,75 @@ type storeManifestView struct {
 }
 
 // readColdSummary answers a scoped summary for a non-hydrated stream from
-// its sidecar. ok=false means the sidecar cannot answer (missing or stale)
-// and the caller must fall back to hydration; err is a real query error
-// (bad scope) that hydrating would not fix — the validated sidecar is
-// exactly the stream's durable state.
+// its sidecar. ok=false means the sidecar cannot answer (missing, refused by
+// the decoder, or stale) and the caller must fall back to hydration; err is
+// a real query error (bad scope) that hydrating would not fix — the
+// validated sidecar is exactly the stream's durable state.
 func (db *DB) readColdSummary(stream string, sc query.Scope) (sum *core.ShardSummary, ok bool, err error) {
 	eps1, eps2 := db.opts.Epsilon/2, db.opts.Epsilon/4
 	if !db.dev.Exists(streamManifestPath(stream)) {
 		// Registered but never sealed: no durable data by the durability
 		// contract, so the stream is zero spans — what a fresh engine holds.
-		sum, err := scopedFromParts(nil, eps1, eps2, sc)
-		return sum, err == nil, err
-	}
-	raw, err := db.dev.ReadMeta(sidecarPath(stream))
-	if err != nil {
-		return nil, false, nil // missing sidecar: hydrate
-	}
-	parts, steps, total, err := decodeSidecar(raw)
-	if err != nil {
-		return nil, false, nil // corrupt sidecar: hydrate, next seal rewrites it
-	}
-	var partsTotal int64
-	for _, p := range parts {
-		partsTotal += p.Count
-	}
-	if partsTotal != total {
-		return nil, false, nil // internal inconsistency: treat as corrupt
-	}
-	mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
-	if err != nil {
-		return nil, false, nil
-	}
-	var m storeManifestView
-	if err := json.Unmarshal(mraw, &m); err != nil || !sidecarMatches(parts, steps, m) {
-		return nil, false, nil // stale vs the committed manifest: hydrate
-	}
-	sum, err = scopedFromParts(parts, eps1, eps2, sc)
-	return sum, err == nil, err
-}
-
-// sidecarMatches cross-checks the sidecar against the stream's committed
-// store manifest: same step count, no pending sealed batches (the sidecar
-// format represents installed partitions only), and the identical
-// partition layout — counts and step ranges, compared chronologically so
-// manifest level-ordering doesn't matter. Background merges change the
-// layout without changing steps or totals, so the layout itself must be
-// part of the check.
-func sidecarMatches(parts []sidecarPart, steps int, m storeManifestView) bool {
-	if m.Steps != steps || len(m.Pending) != 0 || len(m.Parts) != len(parts) {
-		return false
-	}
-	mp := make([]struct {
-		count      int64
-		start, end int
-	}, len(m.Parts))
-	for i, p := range m.Parts {
-		mp[i] = struct {
-			count      int64
-			start, end int
-		}{p.Count, p.StartStep, p.EndStep}
-	}
-	sort.Slice(mp, func(i, j int) bool { return mp[i].start < mp[j].start })
-	for i, p := range parts {
-		if mp[i].count != p.Count || mp[i].start != p.StartStep || mp[i].end != p.EndStep {
-			return false
+		sum = &core.ShardSummary{Eps1: eps1, Eps2: eps2}
+	} else {
+		raw, err := db.dev.ReadMeta(sidecarPath(stream))
+		if err != nil {
+			return nil, false, nil // missing sidecar: hydrate
+		}
+		// A sidecar is installed partitions only, under this DB's ε (a DB
+		// reopened with another ε rebuilds its summaries on hydration).
+		sum, err = core.DecodeShardSummary(raw)
+		if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 || sum.Eps2 != eps2 {
+			return nil, false, nil // corrupt or foreign sidecar: hydrate, next seal rewrites it
+		}
+		mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
+		if err != nil {
+			return nil, false, nil
+		}
+		var m storeManifestView
+		if err := json.Unmarshal(mraw, &m); err != nil || !sidecarMatches(sum.Parts, m) {
+			return nil, false, nil // stale vs the committed manifest: hydrate
 		}
 	}
-	return true
-}
-
-// scopedFromParts is engine.ScopedSummary over a sidecar: the sidecar's
-// partitions are the stream's spans (a cold stream has no sealed backlog and
-// no live buffer), query.Scope.Select picks the range, and the parts in it
-// are copied out.
-func scopedFromParts(parts []sidecarPart, eps1, eps2 float64, sc query.Scope) (*core.ShardSummary, error) {
-	ends := make([]int, len(parts))
-	for i, p := range parts {
+	// The parts are the stream's spans (a cold stream has no sealed backlog
+	// and no live buffer); the scope is an index range of them.
+	ends := make([]int, len(sum.Parts))
+	for i, p := range sum.Parts {
 		ends[i] = p.EndStep
 	}
 	lo, hi, _, err := sc.Select(ends)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	sum := &core.ShardSummary{Eps1: eps1, Eps2: eps2}
-	for _, p := range parts[lo:hi] {
-		sum.Parts = append(sum.Parts, core.PartSummary{Count: p.Count, Values: p.Values})
+	sum.Parts, sum.N = sum.Parts[lo:hi], 0
+	for _, p := range sum.Parts {
 		sum.N += p.Count
 	}
-	return sum, nil
+	return sum, true, nil
+}
+
+// sidecarMatches cross-checks a decoded sidecar's parts against the stream's
+// committed store manifest: the same step count (the parts are contiguous,
+// so the last one ends at it), no pending sealed batches (a sidecar holds
+// installed partitions only), and the identical partition layout — counts
+// and step ranges, compared chronologically so manifest level-ordering
+// doesn't matter. Background merges change the layout without changing
+// steps or totals, so the layout itself must be part of the check.
+func sidecarMatches(parts []core.PartSummary, m storeManifestView) bool {
+	steps := 0
+	if len(parts) > 0 {
+		steps = parts[len(parts)-1].EndStep
+	}
+	if m.Steps != steps || len(m.Pending) != 0 || len(m.Parts) != len(parts) {
+		return false
+	}
+	sort.Slice(m.Parts, func(i, j int) bool { return m.Parts[i].StartStep < m.Parts[j].StartStep })
+	for i, p := range parts {
+		if mp := m.Parts[i]; mp.Count != p.Count || mp.StartStep != p.StartStep || mp.EndStep != p.EndStep {
+			return false
+		}
+	}
+	return true
 }
 
 // ScopedSummary returns one stream's shard summary restricted to a query
@@ -270,7 +216,11 @@ func (db *DB) entrySummary(ent *streamEntry, sc query.Scope) (*core.ShardSummary
 	} else if ok {
 		return sum, nil
 	}
-	// Fallback: hydrate once (counted in DirectoryStats.Hydrations).
+	// Fallback: hydrate once (counted in DirectoryStats.Hydrations and
+	// .SummaryFallbacks).
+	db.mu.Lock()
+	db.summaryFallbacks++
+	db.mu.Unlock()
 	eng, err = db.acquire(ent)
 	if err != nil {
 		return nil, err

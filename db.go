@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/disk"
+	"repro/internal/query"
 )
 
 // ErrUnknownStream is returned (wrapped, with the name) by operations on a
@@ -105,11 +106,12 @@ type DB struct {
 	dir   map[string]*streamEntry
 	seq   uint64 // LRU clock, incremented on every touch
 
-	hydrated   int // entries with eng != nil
-	hydrations uint64
-	evictions  uint64
-	closed     bool
-	dirDirty   bool // directory written but its durability sync failed
+	hydrated         int // entries with eng != nil
+	hydrations       uint64
+	evictions        uint64
+	summaryFallbacks uint64 // cold summary reads that had to hydrate
+	closed           bool
+	dirDirty         bool // directory written but its durability sync failed
 }
 
 // Open opens (or creates) a multi-stream DB on the configured device. If
@@ -399,13 +401,9 @@ func (db *DB) evictOne(ent *streamEntry) {
 	db.evictions++
 	db.mu.Unlock()
 
-	// Capture the cold summary before Close makes the engine unreadable:
-	// past the detach no new operation can reach this engine (fast-path
-	// acquires see eng == nil and park on opMu, in-flight pins bailed us
-	// out above), so the captured state is exactly what Close seals.
-	parts, steps, total, summaryOK := eng.sealedParts()
-
-	if err := eng.Close(); err != nil {
+	// The stream is durably sealed and cold once this returns; its summary
+	// sidecar lets glob/group-by queries answer it without rehydrating.
+	if err := db.sealCold(ent.name, eng); err != nil {
 		// The engine may be half-closed but its state is still durable up
 		// to the failure; restore it so nothing is lost and surface the
 		// failure on the next operation that touches the stream — unless
@@ -419,12 +417,6 @@ func (db *DB) evictOne(ent *streamEntry) {
 			db.evictions--
 		}
 		db.mu.Unlock()
-		return
-	}
-	if summaryOK {
-		// The stream is now durably sealed and cold; publish its summary
-		// sidecar so glob/group-by queries answer it without rehydrating.
-		db.writeSidecar(ent.name, parts, steps, total) //nolint:errcheck // advisory: queries fall back to hydration
 	}
 }
 
@@ -812,15 +804,9 @@ func (db *DB) Checkpoint() error {
 		if err := eng.Checkpoint(); err != nil {
 			return fmt.Errorf("hsq: checkpoint stream %q: %w", ents[i].name, err)
 		}
-		// Refresh the stream's cold-summary sidecar while its durable state
-		// is known: representable (fully installed, empty buffer) states are
-		// written, others drop any stale sidecar so cold reads fall back to
-		// hydration instead of chasing the manifest cross-check.
-		if parts, steps, total, ok := eng.sealedParts(); ok {
-			db.writeSidecar(ents[i].name, parts, steps, total) //nolint:errcheck // advisory
-		} else {
-			db.dropSidecar(ents[i].name)
-		}
+		// The stream's durable state is known here: refresh its sidecar.
+		sum, _ := eng.ScopedSummary(query.Scope{}) // nil if a racing Close got there first
+		db.refreshSidecar(ents[i].name, sum)
 	}
 	db.mu.Lock()
 	if err := db.saveManifestLocked(); err != nil {
@@ -865,15 +851,8 @@ func (db *DB) Close() error {
 
 	var errs []error
 	for i, eng := range engs {
-		// As in evictOne: capture the sidecar state before Close, write it
-		// after the seal succeeds. If an in-flight operation raced the
-		// capture the sidecar may go stale against the final manifest; the
-		// cold read's manifest cross-check rejects it and hydrates instead.
-		parts, steps, total, summaryOK := eng.sealedParts()
-		if err := eng.Close(); err != nil {
+		if err := db.sealCold(names[i], eng); err != nil {
 			errs = append(errs, fmt.Errorf("hsq: close stream %q: %w", names[i], err))
-		} else if summaryOK {
-			db.writeSidecar(names[i], parts, steps, total) //nolint:errcheck // advisory
 		}
 	}
 	if db.sched != nil {
@@ -935,6 +914,10 @@ type DirectoryStats struct {
 	// Open. Hydrations > Registered means streams have cycled.
 	Hydrations uint64
 	Evictions  uint64
+	// SummaryFallbacks counts the summary reads of an evicted stream that
+	// its sidecar could not answer (missing, refused by the decoder, or
+	// stale against the manifest) and that hydrated the stream instead.
+	SummaryFallbacks uint64
 }
 
 // DirectoryStats returns the directory's registered/hydrated breakdown and
@@ -949,11 +932,12 @@ func (db *DB) DirectoryStats() DirectoryStats {
 		}
 	}
 	return DirectoryStats{
-		Registered:  registered,
-		Hydrated:    db.hydrated,
-		MaxHydrated: db.opts.MaxHydratedStreams,
-		Hydrations:  db.hydrations,
-		Evictions:   db.evictions,
+		Registered:       registered,
+		Hydrated:         db.hydrated,
+		MaxHydrated:      db.opts.MaxHydratedStreams,
+		Hydrations:       db.hydrations,
+		Evictions:        db.evictions,
+		SummaryFallbacks: db.summaryFallbacks,
 	}
 }
 

@@ -143,8 +143,14 @@
 // union's element count in scope (the WindowResult reports both ε and
 // the bound). Cold streams answer from their sealed-summary sidecar
 // without hydrating, so a glob over a mostly-cold fleet costs no
-// hydrations and no backend reads; a sidecar that fails its freshness
-// cross-check against the stream manifest falls back to hydration.
+// hydrations and no backend reads. The sidecar (SUMMARY.bin) is the
+// stream's full-scope core.ShardSummary in its one encoding — the bytes a
+// peer would be sent — so core.DecodeShardSummary validates the file as
+// it validates a reply; one the decoder refuses (an earlier build's
+// version byte included) or that fails its freshness cross-check against
+// the stream manifest falls back to one hydration, counted in
+// DirectoryStats.SummaryFallbacks, and is rewritten at the stream's next
+// eviction or checkpoint.
 //
 // Which summaries a scoped read sees is one decision in one place. A
 // stream is a chronological list of spans — its partitions, oldest first
@@ -378,7 +384,9 @@
 // SummaryReq/SummaryResp frames, served by Stream.Summary — the full-scope
 // case of the DB.ScopedSummary a local plan member uses, so fetching an
 // evicted stream's summary is a metadata read of its sidecar on the owner
-// and never hydrates it), and a coordinator merges any set
+// and never hydrates it; the encoding is versioned and a peer on another
+// version is refused by name, so a mixed-build cluster fails cross-shard
+// reads loudly instead of guessing), and a coordinator merges any set
 // of them with core.MergeShardSummaries into one Combined summary whose
 // quick answers are within 1.5·ε·N of the true rank over the union —
 // distribution costs latency, never accuracy. The replication guarantee

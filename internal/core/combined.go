@@ -12,7 +12,8 @@
 // as they are handed to it and answers by bisecting the value space over
 // them: O(k·log β) per probe for k summaries of β elements, O(k) scratch.
 // The precondition is that every summary is sorted ascending; summaries
-// built here are, and DecodeShardSummary refuses a peer's that is not.
+// built here are, and DecodeShardSummary refuses one from a peer or a
+// SUMMARY.bin that is not.
 package core
 
 import (

@@ -21,32 +21,41 @@ import (
 // (disk-probing) queries cannot run over a ShardSummary: the partitions
 // behind it live on the remote shard.
 type ShardSummary struct {
-	// N is the total element count the summary covers (historical + stream).
+	// N is the total element count the summary covers (historical + stream):
+	// the sum of the part counts and the piece masses.
 	N int64
 	// Eps1 and Eps2 are the partition-summary and stream-summary error
 	// parameters (ε/2 and ε/4 of the engine's configured ε).
 	Eps1, Eps2 float64
-	// Parts carries (count, values) per historical partition summary.
+	// Parts carries (count, step range, values) per historical partition
+	// summary, oldest first.
 	Parts []PartSummary
 	// Pieces carries the stream-side piece summaries.
 	Pieces []StreamPiece
 }
 
 // PartSummary is the portable form of one partition summary: the element
-// count and the β₁ captured values. Capture positions are omitted — they
-// only matter for disk probes, which never cross shards.
+// count, the time steps the partition covers, and the β₁ captured values.
+// The step range is what lets a decoded summary be narrowed to a query scope
+// and checked against a store manifest (the cold-summary sidecar); capture
+// positions are omitted — they only matter for disk probes, which never
+// cross shards.
 type PartSummary struct {
-	Count  int64
-	Values []int64
+	Count              int64
+	StartStep, EndStep int
+	Values             []int64
 }
 
-// snapshotVersion is the ShardSummary wire-encoding version byte.
-const snapshotVersion = 1
+// snapshotVersion is the ShardSummary encoding version byte. Version 1 had
+// no step ranges; it is refused, not guessed at.
+const snapshotVersion = 2
 
-// AppendBinary appends the binary encoding of s to buf:
+// AppendBinary appends the binary encoding of s to buf — the bytes of a
+// peer's SummaryResp and of a stream's SUMMARY.bin alike:
 //
 //	version u8 | eps1 f64be | eps2 f64be | uvarint N
-//	| uvarint len(parts)  | per part:  uvarint count | uvarint len | delta values
+//	| uvarint len(parts)  | per part:  uvarint count | uvarint start | uvarint end
+//	                                   | uvarint len | delta values
 //	| uvarint len(pieces) | per piece: uvarint M     | uvarint len | delta values
 //
 // Summary values are sorted, so the shared delta+zig-zag varint codec keeps
@@ -59,6 +68,8 @@ func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s.Parts)))
 	for _, p := range s.Parts {
 		buf = binary.AppendUvarint(buf, uint64(p.Count))
+		buf = binary.AppendUvarint(buf, uint64(p.StartStep))
+		buf = binary.AppendUvarint(buf, uint64(p.EndStep))
 		buf = binary.AppendUvarint(buf, uint64(len(p.Values)))
 		buf = enc.AppendDelta(buf, p.Values)
 	}
@@ -71,11 +82,14 @@ func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeShardSummary decodes one ShardSummary from data, rejecting
-// trailing bytes, declared lengths beyond the input size, and a part or
-// piece with a negative count or values that descend: the delta codec is
-// signed, and selection over an unsorted run answers garbage without
-// failing.
+// DecodeShardSummary decodes one ShardSummary from data that came from
+// outside the process — a peer's reply or a file on disk — and is the one
+// validator for both. It rejects another version, truncation, trailing
+// bytes, declared lengths beyond the input size, and anything selection
+// would answer garbage over without failing: a negative count, values that
+// descend (the delta codec is signed), a step range that ends before it
+// starts, or an N that is not the sum of the part counts and piece masses
+// (every rank target is a fraction of N).
 func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 	d := enc.NewReader(data)
 	if v := d.Byte(); d.Err() == nil && v != snapshotVersion {
@@ -87,12 +101,15 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 		N:    int64(d.Uvarint()),
 	}
 	for i, nparts := 0, d.Count(); i < nparts && d.Err() == nil; i++ {
-		count := int64(d.Uvarint())
-		s.Parts = append(s.Parts, PartSummary{Count: count, Values: d.Values()})
+		s.Parts = append(s.Parts, PartSummary{
+			Count:     int64(d.Uvarint()),
+			StartStep: int(d.Uvarint()),
+			EndStep:   int(d.Uvarint()),
+			Values:    d.Values(),
+		})
 	}
 	for i, npieces := 0, d.Count(); i < npieces && d.Err() == nil; i++ {
-		m := int64(d.Uvarint())
-		s.Pieces = append(s.Pieces, StreamPiece{M: m, SS: d.Values()})
+		s.Pieces = append(s.Pieces, StreamPiece{M: int64(d.Uvarint()), SS: d.Values()})
 	}
 	if d.Err() != nil {
 		return nil, fmt.Errorf("core: decode shard summary: %w", d.Err())
@@ -100,18 +117,26 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 	if d.Len() != 0 {
 		return nil, fmt.Errorf("core: decode shard summary: %d trailing bytes", d.Len())
 	}
-	if s.N < 0 {
-		return nil, fmt.Errorf("core: decode shard summary: negative N")
-	}
+	// rest counts N down by every run's mass; a count below zero or above
+	// what is left fails there, so the sum cannot overflow its way to N.
+	rest := s.N
 	for i, p := range s.Parts {
-		if p.Count < 0 || !slices.IsSorted(p.Values) {
-			return nil, fmt.Errorf("core: decode shard summary: part %d has a negative count or descending values", i)
+		if p.Count < 0 || p.Count > rest || !slices.IsSorted(p.Values) {
+			return nil, fmt.Errorf("core: decode shard summary: part %d has a count outside [0, N] or descending values", i)
 		}
+		if p.StartStep < 0 || p.EndStep < p.StartStep {
+			return nil, fmt.Errorf("core: decode shard summary: part %d covers steps %d..%d", i, p.StartStep, p.EndStep)
+		}
+		rest -= p.Count
 	}
 	for i, p := range s.Pieces {
-		if p.M < 0 || !slices.IsSorted(p.SS) {
-			return nil, fmt.Errorf("core: decode shard summary: piece %d has a negative count or descending values", i)
+		if p.M < 0 || p.M > rest || !slices.IsSorted(p.SS) {
+			return nil, fmt.Errorf("core: decode shard summary: piece %d has a count outside [0, N] or descending values", i)
 		}
+		rest -= p.M
+	}
+	if rest != 0 {
+		return nil, fmt.Errorf("core: decode shard summary: N = %d is %d more than its parts and pieces sum to", s.N, rest)
 	}
 	return s, nil
 }
@@ -124,11 +149,11 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 // each source by its own ε term. The returned total is Σ N; a nil Combined
 // with total 0 means every shard was empty.
 //
-// Every run must be sorted ascending (DecodeShardSummary checks a peer's).
-// Only quick (in-memory) queries — QuickQuery, Filters, QuickRank,
-// StreamRankEstimate — are valid on the result: the shards' partitions have
-// no device behind them here, so accurate disk-probing queries must stay on
-// the owning shard.
+// Every run must be sorted ascending (DecodeShardSummary checks a peer's
+// and a file's). Only quick (in-memory) queries — QuickQuery, Filters,
+// QuickRank, StreamRankEstimate — are valid on the result: the shards'
+// partitions have no device behind them here, so accurate disk-probing
+// queries must stay on the owning shard.
 func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 	var (
 		parts      []PartSummary

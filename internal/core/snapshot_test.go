@@ -2,16 +2,21 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/enc"
 	"repro/internal/partition"
 )
 
-// synthShard builds a ShardSummary with sorted random summary values.
+// synthShard builds a ShardSummary with sorted random summary values, its
+// parts covering consecutive runs of one to three steps.
 func synthShard(rng *rand.Rand, parts, pieces int, eps1, eps2 float64) *ShardSummary {
 	s := &ShardSummary{Eps1: eps1, Eps2: eps2}
 	sorted := func(n int) []int64 {
@@ -22,9 +27,10 @@ func synthShard(rng *rand.Rand, parts, pieces int, eps1, eps2 float64) *ShardSum
 		slices.Sort(vs)
 		return vs
 	}
-	for i := 0; i < parts; i++ {
-		count := int64(100 + rng.Intn(10_000))
-		s.Parts = append(s.Parts, PartSummary{Count: count, Values: sorted(3 + rng.Intn(40))})
+	for i, step := 0, 0; i < parts; i++ {
+		count, start := int64(100+rng.Intn(10_000)), step+1
+		step += 1 + rng.Intn(3)
+		s.Parts = append(s.Parts, PartSummary{Count: count, StartStep: start, EndStep: step, Values: sorted(3 + rng.Intn(40))})
 		s.N += count
 	}
 	for i := 0; i < pieces; i++ {
@@ -43,7 +49,9 @@ func TestShardSummaryRoundTrip(t *testing.T) {
 		synthShard(rng, 4, 0, 0.05, 0.025),   // history only
 		synthShard(rng, 7, 3, 0.005, 0.0025), // both
 		synthShard(rng, 1, 1, 1e-9, 1e-9),    // tiny eps
+		synthShard(rng, 5, 0, 0.05, 0.025),   // a part with no values: decodes to nil
 	}
+	cases[5].Parts[2].Values = nil
 	for i, want := range cases {
 		enc := want.AppendBinary(nil)
 		got, err := DecodeShardSummary(enc)
@@ -63,6 +71,14 @@ func TestShardSummaryRoundTrip(t *testing.T) {
 			t.Errorf("case %d: trailing byte accepted", i)
 		}
 	}
+	// A length beyond the input must error before anything is allocated for it.
+	lying := (&ShardSummary{N: 1}).AppendBinary(nil)
+	lying = lying[:len(lying)-2]               // drop "0 parts, 0 pieces"
+	lying = append(lying, 1, 1, 1, 1)          // one part: count, start, end
+	lying = binary.AppendUvarint(lying, 1<<40) // a terabyte of values, it says
+	if _, err := DecodeShardSummary(lying); err == nil {
+		t.Error("lying length accepted")
+	}
 }
 
 // hostileShard encodes a shard summary of one part and one piece as given:
@@ -77,10 +93,30 @@ func hostileShard(count int64, part []int64, m int64, piece []int64) []byte {
 	return s.AppendBinary(nil)
 }
 
-// TestDecodeRejectsUnsortedRuns: sortedness is the selector's precondition,
-// so a part or piece whose values descend — or whose count would be
-// negative — is refused at the door; duplicates and empty runs are fine.
+// v1Shard is a one-part summary in the version-1 encoding earlier builds put
+// on the wire and in SUMMARY.bin: no step range on the part.
+func v1Shard() []byte {
+	buf := []byte{1}
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(0.05))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(0.025))
+	buf = append(buf, 5, 1, 5, 3) // N, one part: count, len
+	buf = enc.AppendDelta(buf, []int64{1, 2, 3})
+	return append(buf, 0) // no pieces
+}
+
+// TestDecodeRejectsUnsortedRuns: sortedness is the selector's precondition
+// and N the base of every rank target, so a part or piece whose values
+// descend or whose count would be negative, an N that is not the sum of the
+// counts, a step range that ends before it starts and another version's
+// bytes are all refused at the door; duplicates and empty runs are fine.
 func TestDecodeRejectsUnsortedRuns(t *testing.T) {
+	steps := func(n int64, start, end int) []byte {
+		s := &ShardSummary{N: n, Parts: []PartSummary{{Count: 5, StartStep: start, EndStep: end, Values: []int64{1, 2, 3}}}}
+		return s.AppendBinary(nil)
+	}
+	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 2)") {
+		t.Errorf("version-1 payload: %v, want a version error", err)
+	}
 	for _, tc := range []struct {
 		name string
 		enc  []byte
@@ -94,6 +130,13 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 		{"part descends at the end", hostileShard(5, []int64{1, 2, 3, math.MinInt64}, 5, nil), false},
 		{"negative part count", hostileShard(-1, []int64{1, 2, 3}, 5, []int64{4, 5}), false},
 		{"negative piece count", hostileShard(5, []int64{1, 2, 3}, -1, []int64{4, 5}), false},
+		{"counts short of N", hostileShard(5, []int64{1, 2, 3}, 4, []int64{4, 5}), false},
+		{"counts beyond N", hostileShard(5, []int64{1, 2, 3}, 6, []int64{4, 5}), false},
+		{"counts wrap around to N", (&ShardSummary{N: 10, Parts: []PartSummary{{Count: math.MaxInt64}, {Count: math.MaxInt64}, {Count: 12}}}).AppendBinary(nil), false},
+		{"negative N", steps(-5, 1, 1), false},
+		{"one-step range", steps(5, 3, 3), true},
+		{"range ends before it starts", steps(5, 3, 2), false},
+		{"negative start step", steps(5, -1, 2), false},
 	} {
 		s, err := DecodeShardSummary(tc.enc)
 		if (err == nil) != tc.ok {
@@ -108,27 +151,35 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 	}
 }
 
-// FuzzDecodeShardSummary: whatever decodes has sorted runs and non-negative
-// counts, survives a re-encode, and can be selected over.
+// FuzzDecodeShardSummary: whatever decodes — off the wire or out of a
+// SUMMARY.bin — has sorted runs, non-negative counts that sum to N and
+// forward step ranges, survives a re-encode, and can be selected over.
 func FuzzDecodeShardSummary(f *testing.F) {
 	f.Add(synthShard(rand.New(rand.NewSource(1)), 3, 2, 0.05, 0.025).AppendBinary(nil))
 	f.Add(hostileShard(5, []int64{1, 3, 2}, 5, []int64{5, 4}))
 	f.Add(hostileShard(-1, nil, 5, []int64{math.MaxInt64, math.MinInt64}))
 	f.Add([]byte{})
+	f.Add(v1Shard())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeShardSummary(data)
 		if err != nil {
 			return
 		}
+		sum := new(big.Int)
 		for _, p := range s.Parts {
-			if p.Count < 0 || !slices.IsSorted(p.Values) {
+			if p.Count < 0 || !slices.IsSorted(p.Values) || p.StartStep < 0 || p.EndStep < p.StartStep {
 				t.Fatalf("decoded part %+v", p)
 			}
+			sum.Add(sum, big.NewInt(p.Count))
 		}
 		for _, p := range s.Pieces {
 			if p.M < 0 || !slices.IsSorted(p.SS) {
 				t.Fatalf("decoded piece %+v", p)
 			}
+			sum.Add(sum, big.NewInt(p.M))
+		}
+		if sum.Cmp(big.NewInt(s.N)) != 0 {
+			t.Fatalf("decoded N = %d over runs that sum to %s", s.N, sum)
 		}
 		enc := s.AppendBinary(nil)
 		if again, err := DecodeShardSummary(enc); err != nil || !bytes.Equal(again.AppendBinary(nil), enc) {
@@ -143,6 +194,30 @@ func FuzzDecodeShardSummary(f *testing.F) {
 			t.Fatalf("filters over %d runs: %v", len(c.runs), err)
 		}
 	})
+}
+
+// BenchmarkDecodeShardSummary is one cold stream's read on the fleet plan:
+// a SUMMARY.bin of ~22 partition summaries of β₁ = 2001 values.
+func BenchmarkDecodeShardSummary(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	s := &ShardSummary{Eps1: 0.0005, Eps2: 0.00025}
+	for i := 1; i <= 22; i++ {
+		vs := make([]int64, 2001)
+		for j := range vs {
+			vs[j] = rng.Int63n(1 << 30)
+		}
+		slices.Sort(vs)
+		s.Parts = append(s.Parts, PartSummary{Count: 20010, StartStep: i, EndStep: i, Values: vs})
+		s.N += 20010
+	}
+	raw := s.AppendBinary(nil)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeShardSummary(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestMergeMatchesSinglePass pins the acceptance property of the cluster

@@ -3,8 +3,8 @@
 // (internal/disk format 1). Sorted or slowly-varying int64 runs encode at
 // 1-2 bytes per element instead of 8; arbitrary values still round-trip
 // because the deltas use wrapping two's-complement arithmetic. Reader is the
-// bounded, error-latching cursor the metadata decoders (shard summaries,
-// cold-summary sidecars) read such payloads with.
+// bounded, error-latching cursor core.DecodeShardSummary reads a shard
+// summary — a peer's reply or a cold-summary sidecar, one encoding — with.
 //
 // DecodeDelta is the one decoder of that encoding and the hot loop of every
 // cold block read. Its contract is binary.Varint's, element by element: it

@@ -334,6 +334,9 @@ func TestQueryColdStreamsNoHydration(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkWindow(t, all, full.Groups[0].Windows[0], []float64{0.5}, "merged fleet")
+	if ds := db.DirectoryStats(); ds.SummaryFallbacks != 0 {
+		t.Fatalf("a fresh sidecar could not answer %d cold reads: %+v", ds.SummaryFallbacks, ds)
+	}
 }
 
 // TestQueryAlignmentError pins the step-boundary refusal: once partition

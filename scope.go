@@ -9,7 +9,8 @@ import (
 // step scope" — Query{Window}, a plan member, a peer's SummaryReq, the
 // sidecar writer — takes one snapshot and narrows it with querySnap.scope,
 // which asks query.Scope.Select which spans belong: the one selector, over
-// the snapshot's span ends here and over the sidecar's in coldsummary.go.
+// the snapshot's span ends here and over a decoded sidecar's part end steps
+// in coldsummary.go.
 // The snapshot's partitions arrive oldest-first from partition.Version and
 // the sealed pieces follow oldest-first, so the spans are one chronological
 // list and a scope is an index range of it.
@@ -59,14 +60,15 @@ func (s *querySnap) scope(sc query.Scope) error {
 }
 
 // ScopedSummary captures the engine's in-memory summary state restricted to
-// a query-layer step scope — the partition summaries and stream-side pieces
-// of the scope's spans, plus the live buffer's when the scope is the newest
-// — as a portable core.ShardSummary. It is what a plan member contributes
-// and, with the zero scope, the scatter half of the cluster's
-// scatter-gather read. The snapshot is taken under the same pin discipline
-// as queries, so the summary is a consistent point-in-time view while
-// ingest and maintenance run; it references the engine's immutable summary
-// slices and stays valid after the call.
+// a query-layer step scope — the partition summaries (with their step
+// ranges) and stream-side pieces of the scope's spans, plus the live buffer's
+// when the scope is the newest — as a portable core.ShardSummary. It is what
+// a plan member contributes and, with the zero scope, both the scatter half
+// of the cluster's scatter-gather read and, when no piece is in it, the
+// stream's cold-summary sidecar. The snapshot is taken under the same pin
+// discipline as queries, so the summary is a consistent point-in-time view
+// while ingest and maintenance run; it references the engine's immutable
+// summary slices and stays valid after the call.
 func (e *engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	s, err := e.snapshot()
 	if err != nil {
@@ -80,35 +82,10 @@ func (e *engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	if len(s.sums) > 0 {
 		sum.Parts = make([]core.PartSummary, 0, len(s.sums))
 		for _, ps := range s.sums {
-			sum.Parts = append(sum.Parts, core.PartSummary{Count: ps.Part.Count, Values: ps.Values})
+			sum.Parts = append(sum.Parts, core.PartSummary{
+				Count: ps.Part.Count, StartStep: ps.Part.StartStep, EndStep: ps.Part.EndStep, Values: ps.Values,
+			})
 		}
 	}
 	return sum, nil
-}
-
-// sealedParts captures the engine's fully-installed summary state for the
-// cold-summary sidecar: every installed partition's (count, values,
-// step range), oldest first, plus the covered step count. ok is false
-// whenever the state goes beyond installed partitions — a live observe
-// buffer or sealed-but-uninstalled steps — because the sidecar format
-// represents exactly what survives an eviction (eviction requires both to
-// be empty).
-func (e *engine) sealedParts() (parts []sidecarPart, steps int, total int64, ok bool) {
-	s, err := e.snapshot()
-	if err != nil {
-		return nil, 0, 0, false
-	}
-	defer s.release()
-	if len(s.pieces) > 0 {
-		return nil, 0, 0, false
-	}
-	for _, ps := range s.sums {
-		parts = append(parts, sidecarPart{
-			Count:     ps.Part.Count,
-			StartStep: ps.Part.StartStep,
-			EndStep:   ps.Part.EndStep,
-			Values:    ps.Values,
-		})
-	}
-	return parts, s.ver.InstalledSteps(), s.n, true
 }
