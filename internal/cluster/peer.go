@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -61,29 +60,4 @@ func FetchSummary(ctx context.Context, dialTimeout time.Duration, node Node, str
 			return nil, fmt.Errorf("summary fetch %s: unexpected %s frame", node.ID, wire.TypeName(f.Type))
 		}
 	}
-}
-
-// GatherSummaries fetches the stream's shard summary from every node in
-// nodes concurrently and returns them index-aligned. Unreachable nodes
-// yield an error; the caller decides whether partial answers are
-// acceptable (the hsqd query path does not: a query spanning a down shard
-// fails rather than silently under-counting).
-func GatherSummaries(ctx context.Context, dialTimeout time.Duration, nodes []Node, stream string) ([]*core.ShardSummary, error) {
-	sums := make([]*core.ShardSummary, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			sums[i], errs[i] = FetchSummary(ctx, dialTimeout, n, stream)
-		}(i, n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sums, nil
 }

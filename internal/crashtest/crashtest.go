@@ -12,17 +12,23 @@
 // is checked against an exact oracle over the completed prefix. A final
 // write/query round proves the recovered DB is live, not just readable.
 //
-// An EndStep seals its step and commits; the install — external sort,
-// level-0 partition, level merges — is run by whoever the maintenance mode
-// names. The harness covers the split while staying deterministic: streams
-// run in "manual" maintenance mode by default, the plan interleaves explicit
+// An EndStep seals its step and commits; the install — sort, level-0
+// partition, level merges — is run by whoever the maintenance mode names.
+// The harness covers the split while staying deterministic: streams run in
+// "manual" maintenance mode by default, the plan interleaves explicit
 // maintain operations that drain sealed backlogs, and the crash sweep
-// therefore lands inside seal commits, sort temporaries, scheduler-style
-// installs, merge cascades and their commits alike; in "sync" mode the same
-// install runs between each seal and its one commit. EndStep's durability
-// contract is the same either way (a nil return means the step survives any
-// crash: it is either a partition or a manifest-referenced spill), so the
+// therefore lands inside seal commits, scheduler-style installs, merge
+// cascades and their commits alike; in "sync" mode the same install runs
+// between each seal and its one commit. EndStep's durability contract is the
+// same either way (a nil return means the step survives any crash: it is
+// either a partition or a manifest-referenced spill), so the
 // prefix-of-EndSteps guarantee is asserted identically.
+//
+// With the default sort memory every step of a plan sorts in memory.
+// TestCrashSweepExternalSort shrinks it to one block (Config.SortMemElements)
+// so crashes also land among sort temporaries — the sorted run files the
+// external sort cuts a larger step into — and Verify's orphan check proves no
+// sort-* file survives a reopen.
 //
 // Every run is reproducible from its (seed, crash index, restart mode)
 // triple, which failures report.
@@ -67,6 +73,11 @@ type Config struct {
 	// streams forces constant seal/evict/rehydrate churn, so the crash
 	// sweep lands inside eviction checkpoints and rehydration resumes too.
 	MaxHydrated int
+	// SortMemElements is the DB's batch-sort memory (hsq.Options field of the
+	// same name; 0 = its 1 Mi default, which no plan's step exceeds). Set to
+	// one block's worth of elements, every step larger than a block installs
+	// through the external sort, so the sweep crashes among its run files.
+	SortMemElements int
 }
 
 // WithDefaults fills zero fields with the harness defaults.
@@ -103,6 +114,7 @@ func (c Config) options(cb *disk.CrashBackend) hsq.Options {
 		BlockSize:          c.BlockSize,
 		Maintenance:        c.Maintenance,
 		MaxHydratedStreams: c.MaxHydrated,
+		SortMemElements:    c.SortMemElements,
 	}
 }
 

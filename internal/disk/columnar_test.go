@@ -341,45 +341,6 @@ func TestReadaheadEquivalence(t *testing.T) {
 	}
 }
 
-// TestReadBlocksVectored: the vectored random read returns the exact
-// concatenation of the individual blocks and counts one random read per
-// block in both formats.
-func TestReadBlocksVectored(t *testing.T) {
-	for _, f := range []BlockFormat{FormatRaw, FormatColumnar} {
-		t.Run(f.String(), func(t *testing.T) {
-			m := colDev(t)
-			vals := sortedVals(100)
-			writeFmt(t, m, "vec.dat", f, vals)
-			rr, err := m.OpenRandom("vec.dat")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rr.Close() //nolint:errcheck
-			if rr.Blocks() < 3 {
-				t.Fatalf("want >= 3 blocks, have %d", rr.Blocks())
-			}
-			before := m.Stats()
-			got, err := rr.ReadBlocks(1, rr.Blocks()-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := m.Stats().Sub(before)
-			if d.RandReads != uint64(rr.Blocks()-1) {
-				t.Errorf("vectored read counted %d rand reads, want %d", d.RandReads, rr.Blocks()-1)
-			}
-			start := rr.BlockStart(1)
-			if int64(len(got)) != rr.Count()-start {
-				t.Fatalf("vectored read returned %d elements, want %d", len(got), rr.Count()-start)
-			}
-			for i := range got {
-				if got[i] != vals[start+int64(i)] {
-					t.Fatalf("element %d = %d, want %d", i, got[i], vals[start+int64(i)])
-				}
-			}
-		})
-	}
-}
-
 // TestSkipAccounting: Skip must surface in handle and Manager counters
 // without touching reads or hits.
 func TestSkipAccounting(t *testing.T) {
@@ -545,7 +506,7 @@ func TestBlockReadAllocates(t *testing.T) {
 // was written with. Reopened under a device with smaller blocks — and a cache
 // budgeted in those smaller blocks, which the old file's decoded blocks
 // overflow — every block of a columnar file and of a raw one still reads
-// back, singly and vectored.
+// back, block by block and in a sequential scan.
 func TestSmallerBlockSizeReadsBothFormats(t *testing.T) {
 	b := NewMemBackend()
 	big, err := NewManagerOn(b, 4096)
@@ -576,10 +537,6 @@ func TestSmallerBlockSizeReadsBothFormats(t *testing.T) {
 		}
 		if !slices.Equal(got, vals) {
 			t.Errorf("%s: blocks read one by one do not concatenate to the input", name)
-		}
-		all, err := rr.ReadBlocks(0, rr.Blocks()-1)
-		if err != nil || !slices.Equal(all, vals) {
-			t.Errorf("%s: vectored read: err %v, equal %v", name, err, slices.Equal(all, vals))
 		}
 		rr.Close() //nolint:errcheck
 		if got := scanFile(t, small, name); !slices.Equal(got, vals) {

@@ -241,8 +241,29 @@ type Manager struct {
 	// maint holds the view's maintenance-attributed counters; == &dev.maintAgg
 	// for the root view. Only operations issued through a MaintTagged copy of
 	// the view are counted here (in addition to the normal counters).
-	maint    *ioCounters
-	tagMaint bool // this handle attributes its I/O to maintenance
+	maint *ioCounters
+	// feeds is every counter set one operation through this handle is added
+	// to (see newView).
+	feeds []*ioCounters
+}
+
+// newView builds a handle and states, once, where its operations are counted:
+// in the view's own counters and, for a namespaced view, in the device
+// aggregate as well — so per-view Stats always sum to the root view's Stats —
+// and, on a maintenance-tagged handle, in the view's and the device's
+// maintenance counters too, an overlay that never changes the primary Stats.
+func newView(d *device, prefix string, stats, maint *ioCounters, maintTagged bool) *Manager {
+	m := &Manager{dev: d, prefix: prefix, stats: stats, maint: maint, feeds: []*ioCounters{stats}}
+	if stats != &d.agg {
+		m.feeds = append(m.feeds, &d.agg)
+	}
+	if maintTagged {
+		m.feeds = append(m.feeds, maint)
+		if maint != &d.maintAgg {
+			m.feeds = append(m.feeds, &d.maintAgg)
+		}
+	}
+	return m
 }
 
 // NewManager creates a file-backed block device rooted at dir (created if
@@ -262,7 +283,7 @@ func NewManagerOn(b Backend, blockSize int) (*Manager, error) {
 		return nil, fmt.Errorf("disk: block size %d must be a positive multiple of %d", blockSize, ElementSize)
 	}
 	d := &device{backend: b, blockSize: blockSize, perBlock: blockSize / ElementSize}
-	return &Manager{dev: d, stats: &d.agg, maint: &d.maintAgg}, nil
+	return newView(d, "", &d.agg, &d.maintAgg, false), nil
 }
 
 // key maps a view-relative name to the device-wide name.
@@ -273,10 +294,6 @@ func (m *Manager) Prefix() string { return m.prefix }
 
 // Backend returns the underlying storage backend.
 func (m *Manager) Backend() Backend { return m.dev.backend }
-
-// Dir returns the root directory of the device, or "" for backends without
-// one (e.g. MemBackend).
-func (m *Manager) Dir() string { return m.dev.backend.Root() }
 
 // BlockSize returns the block size in bytes.
 func (m *Manager) BlockSize() int { return m.dev.blockSize }
@@ -343,112 +360,48 @@ func (m *Manager) injected(op Op, name string, block int64) error {
 	return f(op, name, block)
 }
 
-// count helpers attribute one operation to this view and, for namespaced
-// views, to the device aggregate as well — so per-view Stats always sum to
-// the root view's Stats. Handles tagged with MaintTagged additionally
-// attribute the operation to the view's (and device's) maintenance
-// counters, an overlay that never changes the primary Stats.
-
 func (m *Manager) countOpen() {
-	m.stats.opens.Add(1)
-	if m.stats != &m.dev.agg {
-		m.dev.agg.opens.Add(1)
-	}
-	if m.tagMaint {
-		m.maint.opens.Add(1)
-		if m.maint != &m.dev.maintAgg {
-			m.dev.maintAgg.opens.Add(1)
-		}
+	for _, c := range m.feeds {
+		c.opens.Add(1)
 	}
 }
 
 func (m *Manager) countSeqRead(nbytes int) {
-	m.stats.seqReads.Add(1)
-	m.stats.bytesRead.Add(uint64(nbytes))
-	if m.stats != &m.dev.agg {
-		m.dev.agg.seqReads.Add(1)
-		m.dev.agg.bytesRead.Add(uint64(nbytes))
-	}
-	if m.tagMaint {
-		m.maint.seqReads.Add(1)
-		m.maint.bytesRead.Add(uint64(nbytes))
-		if m.maint != &m.dev.maintAgg {
-			m.dev.maintAgg.seqReads.Add(1)
-			m.dev.maintAgg.bytesRead.Add(uint64(nbytes))
-		}
+	for _, c := range m.feeds {
+		c.seqReads.Add(1)
+		c.bytesRead.Add(uint64(nbytes))
 	}
 }
 
 func (m *Manager) countSeqWrite(nbytes int) {
-	m.stats.seqWrites.Add(1)
-	m.stats.bytesWritten.Add(uint64(nbytes))
-	if m.stats != &m.dev.agg {
-		m.dev.agg.seqWrites.Add(1)
-		m.dev.agg.bytesWritten.Add(uint64(nbytes))
-	}
-	if m.tagMaint {
-		m.maint.seqWrites.Add(1)
-		m.maint.bytesWritten.Add(uint64(nbytes))
-		if m.maint != &m.dev.maintAgg {
-			m.dev.maintAgg.seqWrites.Add(1)
-			m.dev.maintAgg.bytesWritten.Add(uint64(nbytes))
-		}
+	for _, c := range m.feeds {
+		c.seqWrites.Add(1)
+		c.bytesWritten.Add(uint64(nbytes))
 	}
 }
 
 func (m *Manager) countRandRead(nbytes int) {
-	m.stats.randReads.Add(1)
-	m.stats.bytesRead.Add(uint64(nbytes))
-	if m.stats != &m.dev.agg {
-		m.dev.agg.randReads.Add(1)
-		m.dev.agg.bytesRead.Add(uint64(nbytes))
-	}
-	if m.tagMaint {
-		m.maint.randReads.Add(1)
-		m.maint.bytesRead.Add(uint64(nbytes))
-		if m.maint != &m.dev.maintAgg {
-			m.dev.maintAgg.randReads.Add(1)
-			m.dev.maintAgg.bytesRead.Add(uint64(nbytes))
-		}
+	for _, c := range m.feeds {
+		c.randReads.Add(1)
+		c.bytesRead.Add(uint64(nbytes))
 	}
 }
 
 func (m *Manager) countCacheHit() {
-	m.stats.cacheHits.Add(1)
-	if m.stats != &m.dev.agg {
-		m.dev.agg.cacheHits.Add(1)
-	}
-	if m.tagMaint {
-		m.maint.cacheHits.Add(1)
-		if m.maint != &m.dev.maintAgg {
-			m.dev.maintAgg.cacheHits.Add(1)
-		}
+	for _, c := range m.feeds {
+		c.cacheHits.Add(1)
 	}
 }
 
 func (m *Manager) countBlockSkip() {
-	m.stats.skippedBlocks.Add(1)
-	if m.stats != &m.dev.agg {
-		m.dev.agg.skippedBlocks.Add(1)
-	}
-	if m.tagMaint {
-		m.maint.skippedBlocks.Add(1)
-		if m.maint != &m.dev.maintAgg {
-			m.dev.maintAgg.skippedBlocks.Add(1)
-		}
+	for _, c := range m.feeds {
+		c.skippedBlocks.Add(1)
 	}
 }
 
 func (m *Manager) countCacheMiss() {
-	m.stats.cacheMisses.Add(1)
-	if m.stats != &m.dev.agg {
-		m.dev.agg.cacheMisses.Add(1)
-	}
-	if m.tagMaint {
-		m.maint.cacheMisses.Add(1)
-		if m.maint != &m.dev.maintAgg {
-			m.dev.maintAgg.cacheMisses.Add(1)
-		}
+	for _, c := range m.feeds {
+		c.cacheMisses.Add(1)
 	}
 }
 
@@ -459,9 +412,7 @@ func (m *Manager) countCacheMiss() {
 // maintenance attribution is an overlay, and per-view Stats still sum to
 // the device aggregate.
 func (m *Manager) MaintTagged() *Manager {
-	c := *m
-	c.tagMaint = true
-	return &c
+	return newView(m.dev, m.prefix, m.stats, m.maint, true)
 }
 
 // MaintStats returns the view's maintenance-attributed counters (the root

@@ -46,5 +46,5 @@ func (m *Manager) Namespace(ns string) (*Manager, error) {
 	if err := ValidNamespace(ns); err != nil {
 		return nil, err
 	}
-	return &Manager{dev: m.dev, prefix: m.prefix + ns + "/", stats: &ioCounters{}, maint: &ioCounters{}}, nil
+	return newView(m.dev, m.prefix+ns+"/", &ioCounters{}, &ioCounters{}, false), nil
 }

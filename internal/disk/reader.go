@@ -407,58 +407,6 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 	return out, nil
 }
 
-// ReadBlocks reads blocks lo..hi (inclusive) with a single backend call and
-// returns their elements concatenated — the vectored read used by bulk
-// refills. Each block still counts as one random read; the batch shares one
-// simulated seek and fires the fault hook once at lo. Like sequential
-// scans, vectored reads bypass the block cache (they are scan-shaped and
-// would evict the probe working set).
-func (r *RandomReader) ReadBlocks(lo, hi int64) ([]int64, error) {
-	if r.closed {
-		return nil, fmt.Errorf("disk: read from closed reader %s", r.name)
-	}
-	if lo < 0 || hi < lo || hi >= r.blocks {
-		return nil, fmt.Errorf("disk: blocks [%d,%d] out of range [0,%d) in %s", lo, hi, r.blocks, r.name)
-	}
-	if err := r.m.injected(OpRandRead, r.name, lo); err != nil {
-		return nil, fmt.Errorf("disk: read %s blocks %d-%d: %w", r.name, lo, hi, err)
-	}
-	r.m.sleepFor(OpRandRead)
-	bs := int64(r.m.dev.blockSize)
-	off, end := lo*bs, min((hi+1)*bs, r.count*ElementSize)
-	if r.ix != nil {
-		off, end = r.ix.offsets[lo], r.ix.offsets[hi+1]
-	}
-	bufp := staging(int(end - off))
-	defer seqBufPool.Put(bufp)
-	buf := *bufp
-	if _, err := r.h.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("disk: read %s blocks %d-%d: %w", r.name, lo, hi, err)
-	}
-	if r.ix != nil {
-		out := make([]int64, r.ix.starts[hi+1]-r.ix.starts[lo])
-		written := 0
-		for b := lo; b <= hi; b++ {
-			bbuf := buf[r.ix.offsets[b]-off : r.ix.offsets[b+1]-off]
-			cnt := int(r.ix.blockCount(b))
-			if err := decodeColBlock(out[written:written+cnt], bbuf, cnt); err != nil {
-				return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, b, err)
-			}
-			written += cnt
-			r.reads++
-			r.m.countRandRead(len(bbuf))
-		}
-		return out, nil
-	}
-	out := make([]int64, len(buf)/ElementSize)
-	decodeInto(out, buf)
-	for got := 0; got < len(buf); got += int(bs) {
-		r.reads++
-		r.m.countRandRead(min(len(buf)-got, int(bs)))
-	}
-	return out, nil
-}
-
 // ElementBlock returns the block index containing element i.
 func (r *RandomReader) ElementBlock(i int64) int64 {
 	if r.ix != nil {

@@ -1,9 +1,21 @@
-// Package extsort implements bounded-memory external sorting and k-way
-// merging of element files on the disk substrate. The paper sorts each
-// arriving batch with an external sort [Graefe 14] before installing it as a
-// level-0 partition, and multi-way merges sorted partitions when a level
-// overflows (Algorithm 3); both operations are provided here and both cost
-// only sequential I/O, as required by Lemma 6.
+// Package extsort is the sequential-I/O half of the paper's write path
+// (Algorithm 3, Lemma 6): one sort, one merge, one writer.
+//
+//   - WriteRun is the only loop that puts a sorted run on the device: a
+//     level-0 partition, a κ-merge output, a sort temporary. Callers hand it
+//     a Source and, to compute something in flight (the store's HSᵢ capture,
+//     Algorithm 2), a per-element callback.
+//   - SortedStream is the only external sort [Graefe 14]: it cuts a file into
+//     sorted runs of bounded memory and returns their merge as a Source, so
+//     whoever writes the result also sees every element pass.
+//   - Merger is the only k-way merge; OpenRuns builds one over run files.
+//
+// WriteRun refuses a value smaller than its predecessor before the file is
+// closed. Every later binary search over the run, and every later open of
+// the store, depends on that one property and nothing else on the device
+// verifies it (columnar blocks carry no checksum), so an input damaged after
+// it was written has to stop here — at the merge that read it — rather than
+// be copied into a new run that retires its still-sorted siblings.
 package extsort
 
 import (
@@ -37,23 +49,10 @@ func (s *sliceSource) Next() (int64, bool, error) {
 	return v, true, nil
 }
 
-// SliceSource returns a Source over a sorted slice. It panics if the slice
-// is not sorted, because merging unsorted inputs silently corrupts output.
-func SliceSource(sorted []int64) Source {
-	if !slices.IsSorted(sorted) {
-		panic("extsort: SliceSource input not sorted")
-	}
-	return &sliceSource{data: sorted}
-}
-
-// readerSource adapts a sequential disk reader to a Source.
-type readerSource struct{ r *disk.Reader }
-
-func (s readerSource) Next() (int64, bool, error) { return s.r.Next() }
-
-// ReaderSource returns a Source over a sequential file reader. The file
-// contents must be sorted.
-func ReaderSource(r *disk.Reader) Source { return readerSource{r} }
+// SliceSource returns a Source over a slice the caller has sorted. It does
+// not verify the order: the run writer does, and returns an error where a
+// check here could only panic inside an install.
+func SliceSource(sorted []int64) Source { return &sliceSource{data: sorted} }
 
 // Merger performs a streaming k-way merge over sorted sources using a binary
 // min-heap of (value, source) pairs. It is the core of both external sort
@@ -130,20 +129,86 @@ func (m *Merger) Next() (int64, bool, error) {
 	return top.v, true, nil
 }
 
-// SortSlice sorts data in memory and writes it to the named output file.
-// It is the fast path for batches that fit in the configured sort memory.
-func SortSlice(dev *disk.Manager, data []int64, out string) error {
-	sorted := slices.Clone(data)
-	slices.Sort(sorted)
-	w, err := dev.Create(out)
+// WriteRun creates the named file and drains src into it, calling each (if
+// not nil) on every element in order, and returns the element count. A value
+// smaller than its predecessor is refused before the file is closed; on any
+// error the partial file is aborted.
+func WriteRun(dev *disk.Manager, name string, src Source, each func(int64)) (int64, error) {
+	w, err := dev.Create(name)
+	if err != nil {
+		return 0, err
+	}
+	var n, prev int64
+	for {
+		v, ok, err := src.Next()
+		switch {
+		case err != nil:
+		case !ok:
+			return n, w.Close()
+		case n > 0 && v < prev:
+			err = fmt.Errorf("extsort: run %s is not sorted: element %d is %d after %d", name, n, v, prev)
+		default:
+			err = w.Append(v)
+		}
+		if err != nil {
+			w.Abort()
+			return 0, err
+		}
+		if each != nil {
+			each(v)
+		}
+		prev = v
+		n++
+	}
+}
+
+// OpenRuns opens the named sorted files for one sequential scan each, with
+// merge readahead, and returns their k-way merge and a function that closes
+// every reader (call it once the merge is drained or abandoned).
+func OpenRuns(dev *disk.Manager, names []string) (*Merger, func(), error) {
+	readers := make([]*disk.Reader, 0, len(names))
+	closeAll := func() {
+		for _, r := range readers {
+			r.Close() //nolint:errcheck // read-only
+		}
+	}
+	sources := make([]Source, 0, len(names))
+	for _, name := range names {
+		r, err := dev.OpenSequential(name)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		r.SetReadahead(disk.MergeReadahead)
+		readers = append(readers, r)
+		sources = append(sources, r)
+	}
+	m, err := NewMerger(sources...)
+	if err != nil {
+		closeAll()
+		return nil, nil, err
+	}
+	return m, closeAll, nil
+}
+
+// MergeFiles k-way merges the sorted input files into out.
+func MergeFiles(dev *disk.Manager, inputs []string, out string) error {
+	m, closeAll, err := OpenRuns(dev, inputs)
 	if err != nil {
 		return err
 	}
-	if err := w.AppendSlice(sorted); err != nil {
-		w.Abort()
-		return err
-	}
-	return w.Close()
+	defer closeAll()
+	_, err = WriteRun(dev, out, m, nil)
+	return err
+}
+
+// SortSlice sorts a copy of data in memory and writes it to the named output
+// file: the path of a batch that fits in the configured sort memory.
+func SortSlice(dev *disk.Manager, data []int64, out string) error {
+	sorted := slices.Clone(data)
+	slices.Sort(sorted)
+	_, err := WriteRun(dev, out, SliceSource(sorted), nil)
+	return err
 }
 
 // Config controls external sorting.
@@ -172,197 +237,4 @@ func (c *Config) setDefaults(dev *disk.Manager) error {
 		c.TempPrefix = "extsort-run"
 	}
 	return nil
-}
-
-// SortFile externally sorts the unsorted element file `in` into `out` using
-// at most cfg.MemElements elements of memory: it generates sorted runs, then
-// merges them in passes of at most cfg.FanIn runs. Returns the element
-// count. Intermediate run files are removed on success and best-effort
-// removed on failure.
-func SortFile(dev *disk.Manager, in, out string, cfg Config) (int64, error) {
-	if err := cfg.setDefaults(dev); err != nil {
-		return 0, err
-	}
-	r, err := dev.OpenSequential(in)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	r.SetReadahead(disk.MergeReadahead)
-
-	var runs []string
-	cleanup := func() {
-		for _, name := range runs {
-			dev.Remove(name) //nolint:errcheck // best-effort cleanup
-		}
-	}
-
-	// Pass 0: cut the input into sorted runs.
-	buf := make([]int64, 0, cfg.MemElements)
-	total := int64(0)
-	runIdx := 0
-	flushRun := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		slices.Sort(buf)
-		name := fmt.Sprintf("%s-%d", cfg.TempPrefix, runIdx)
-		runIdx++
-		w, err := dev.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := w.AppendSlice(buf); err != nil {
-			w.Abort()
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		runs = append(runs, name)
-		buf = buf[:0]
-		return nil
-	}
-	for {
-		v, ok, err := r.Next()
-		if err != nil {
-			cleanup()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		buf = append(buf, v)
-		total++
-		if len(buf) == cfg.MemElements {
-			if err := flushRun(); err != nil {
-				cleanup()
-				return 0, err
-			}
-		}
-	}
-	if err := flushRun(); err != nil {
-		cleanup()
-		return 0, err
-	}
-	if len(runs) == 0 {
-		// Empty input: still produce an empty output file.
-		w, err := dev.Create(out)
-		if err != nil {
-			return 0, err
-		}
-		return 0, w.Close()
-	}
-
-	// Merge passes until a single run remains, then rename by final merge
-	// into `out`.
-	pass := 0
-	for len(runs) > 1 {
-		pass++
-		var next []string
-		for lo := 0; lo < len(runs); lo += cfg.FanIn {
-			hi := min(lo+cfg.FanIn, len(runs))
-			group := runs[lo:hi]
-			var name string
-			if len(runs) <= cfg.FanIn {
-				name = out // final merge writes the destination directly
-			} else {
-				name = fmt.Sprintf("%s-p%d-%d", cfg.TempPrefix, pass, lo)
-			}
-			if err := MergeFiles(dev, group, name); err != nil {
-				cleanup()
-				return 0, err
-			}
-			for _, g := range group {
-				if err := dev.Remove(g); err != nil {
-					cleanup()
-					return 0, err
-				}
-			}
-			next = append(next, name)
-		}
-		runs = next
-	}
-	if runs[0] != out {
-		// Single run produced in pass 0: copy it into place.
-		if err := copyFile(dev, runs[0], out); err != nil {
-			cleanup()
-			return 0, err
-		}
-		if err := dev.Remove(runs[0]); err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
-}
-
-// MergeFiles k-way merges the sorted input files into out.
-func MergeFiles(dev *disk.Manager, inputs []string, out string) error {
-	readers := make([]*disk.Reader, 0, len(inputs))
-	defer func() {
-		for _, r := range readers {
-			r.Close() //nolint:errcheck // read-only close on cleanup
-		}
-	}()
-	sources := make([]Source, 0, len(inputs))
-	for _, name := range inputs {
-		r, err := dev.OpenSequential(name)
-		if err != nil {
-			return err
-		}
-		r.SetReadahead(disk.MergeReadahead)
-		readers = append(readers, r)
-		sources = append(sources, ReaderSource(r))
-	}
-	merger, err := NewMerger(sources...)
-	if err != nil {
-		return err
-	}
-	w, err := dev.Create(out)
-	if err != nil {
-		return err
-	}
-	for {
-		v, ok, err := merger.Next()
-		if err != nil {
-			w.Abort()
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := w.Append(v); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	return w.Close()
-}
-
-func copyFile(dev *disk.Manager, from, to string) error {
-	r, err := dev.OpenSequential(from)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	r.SetReadahead(disk.MergeReadahead)
-	w, err := dev.Create(to)
-	if err != nil {
-		return err
-	}
-	for {
-		v, ok, err := r.Next()
-		if err != nil {
-			w.Abort()
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := w.Append(v); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	return w.Close()
 }

@@ -1,8 +1,10 @@
 package extsort
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,13 +54,87 @@ func readAll(t *testing.T, dev *disk.Manager, name string) []int64 {
 	}
 }
 
-func TestSliceSourcePanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on unsorted input")
-		}
-	}()
-	SliceSource([]int64{3, 1, 2})
+// sortFile externally sorts file in into file out the way the store does:
+// SortedStream's final merge drained by the run writer.
+func sortFile(dev *disk.Manager, in, out string, cfg Config) (int64, error) {
+	src, cleanup, err := SortedStream(dev, in, cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer cleanup()
+	return WriteRun(dev, out, src, nil)
+}
+
+// failingSource yields its values, then an error.
+type failingSource struct {
+	vals []int64
+	err  error
+}
+
+func (s *failingSource) Next() (int64, bool, error) {
+	if len(s.vals) == 0 {
+		return 0, false, s.err
+	}
+	v := s.vals[0]
+	s.vals = s.vals[1:]
+	return v, true, nil
+}
+
+// TestWriteRun: the one run writer writes what its source yields, shows
+// every element to the callback in order, and leaves no file behind when the
+// source fails or steps backwards — a descending pair is an error, not a
+// panic and not a run.
+func TestWriteRun(t *testing.T) {
+	boom := errors.New("boom")
+	long := make([]int64, 100) // several 8-element blocks
+	for i := range long {
+		long[i] = int64(i / 3)
+	}
+	cases := []struct {
+		name    string
+		src     Source
+		want    []int64 // written and seen by the callback
+		seen    []int64 // seen before a failure
+		wantErr string
+	}{
+		{name: "empty", src: SliceSource(nil)},
+		{name: "sorted", src: SliceSource([]int64{-4, 0, 7}), want: []int64{-4, 0, 7}},
+		{name: "duplicates across blocks", src: SliceSource(long), want: long},
+		{name: "descending pair", src: SliceSource([]int64{3, 1, 2}), seen: []int64{3}, wantErr: "not sorted"},
+		{name: "descending after a block", src: SliceSource(append(slices.Clone(long), 5)), seen: long, wantErr: "not sorted"},
+		{name: "source error", src: &failingSource{vals: []int64{1, 2}, err: boom}, seen: []int64{1, 2}, wantErr: "boom"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := newDev(t)
+			var seen []int64
+			n, err := WriteRun(dev, "run", tc.src, func(v int64) { seen = append(seen, v) })
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				if dev.Exists("run") {
+					t.Error("failed run was not aborted")
+				}
+				if !slices.Equal(seen, tc.seen) {
+					t.Errorf("callback saw %v, want %v", seen, tc.seen)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != int64(len(tc.want)) {
+				t.Errorf("count = %d, want %d", n, len(tc.want))
+			}
+			if got := readAll(t, dev, "run"); !slices.Equal(got, tc.want) {
+				t.Errorf("wrote %v, want %v", got, tc.want)
+			}
+			if !slices.Equal(seen, tc.want) {
+				t.Errorf("callback saw %v, want %v", seen, tc.want)
+			}
+		})
+	}
 }
 
 func TestMergerBasic(t *testing.T) {
@@ -149,7 +225,7 @@ func TestSortSlice(t *testing.T) {
 func TestSortFileSmall(t *testing.T) {
 	dev := newDev(t)
 	writeFile(t, dev, "in", []int64{9, 2, 5, 2, 8})
-	n, err := SortFile(dev, "in", "out", Config{MemElements: 8})
+	n, err := sortFile(dev, "in", "out", Config{MemElements: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +241,7 @@ func TestSortFileSmall(t *testing.T) {
 func TestSortFileEmpty(t *testing.T) {
 	dev := newDev(t)
 	writeFile(t, dev, "in", nil)
-	n, err := SortFile(dev, "in", "out", Config{MemElements: 8})
+	n, err := sortFile(dev, "in", "out", Config{MemElements: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +262,7 @@ func TestSortFileMultiRunMultiPass(t *testing.T) {
 	}
 	writeFile(t, dev, "in", data)
 	// MemElements=8 forces 125 runs; FanIn=4 forces multiple merge passes.
-	n, err := SortFile(dev, "in", "out", Config{MemElements: 8, FanIn: 4})
+	n, err := sortFile(dev, "in", "out", Config{MemElements: 8, FanIn: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,18 +276,18 @@ func TestSortFileMultiRunMultiPass(t *testing.T) {
 		t.Error("multi-pass sort output incorrect")
 	}
 	// All intermediate run files must be gone: only in and out remain.
-	if dev.Exists("extsort-run-0") {
-		t.Error("run files not cleaned up")
+	if names, err := dev.List(""); err != nil || !slices.Equal(names, []string{"in", "out"}) {
+		t.Errorf("run files not cleaned up: device holds %v (err %v)", names, err)
 	}
 }
 
 func TestSortFileConfigValidation(t *testing.T) {
 	dev := newDev(t)
 	writeFile(t, dev, "in", []int64{1})
-	if _, err := SortFile(dev, "in", "out", Config{MemElements: 0}); err == nil {
+	if _, err := sortFile(dev, "in", "out", Config{MemElements: 0}); err == nil {
 		t.Error("want error for MemElements=0")
 	}
-	if _, err := SortFile(dev, "in", "out", Config{MemElements: 4}); err == nil {
+	if _, err := sortFile(dev, "in", "out", Config{MemElements: 4}); err == nil {
 		t.Error("want error for MemElements below one block")
 	}
 }
@@ -236,14 +312,11 @@ func TestSortedStream(t *testing.T) {
 		data[i] = rng.Int63n(1000)
 	}
 	writeFile(t, dev, "in", data)
-	src, count, cleanup, err := SortedStream(dev, "in", Config{MemElements: 16, FanIn: 4})
+	src, cleanup, err := SortedStream(dev, "in", Config{MemElements: 16, FanIn: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cleanup()
-	if count != 500 {
-		t.Errorf("count = %d", count)
-	}
 	var got []int64
 	for {
 		v, ok, err := src.Next()
@@ -257,6 +330,9 @@ func TestSortedStream(t *testing.T) {
 	}
 	want := slices.Clone(data)
 	slices.Sort(want)
+	if len(got) != 500 {
+		t.Errorf("count = %d", len(got))
+	}
 	if !slices.Equal(got, want) {
 		t.Error("SortedStream output incorrect")
 	}
@@ -280,7 +356,7 @@ func TestQuickSortFile(t *testing.T) {
 		if err := w.Close(); err != nil {
 			return false
 		}
-		if _, err := SortFile(dev, in, out, Config{MemElements: 8, FanIn: 3}); err != nil {
+		if _, err := sortFile(dev, in, out, Config{MemElements: 8, FanIn: 3}); err != nil {
 			return false
 		}
 		got := readAll(t, dev, out)
@@ -302,7 +378,7 @@ func TestSortFileIsSequentialIOOnly(t *testing.T) {
 	}
 	writeFile(t, dev, "in", data)
 	before := dev.Stats()
-	if _, err := SortFile(dev, "in", "out", Config{MemElements: 16, FanIn: 4}); err != nil {
+	if _, err := sortFile(dev, "in", "out", Config{MemElements: 16, FanIn: 4}); err != nil {
 		t.Fatal(err)
 	}
 	d := dev.Stats().Sub(before)

@@ -32,7 +32,7 @@ func TestSortFileMemBackend(t *testing.T) {
 	writeFile(t, dev, "in.dat", vals)
 
 	// MemElements 64 forces multiple runs and a real multi-way merge.
-	n, err := SortFile(dev, "in.dat", "out.dat", Config{MemElements: 64})
+	n, err := sortFile(dev, "in.dat", "out.dat", Config{MemElements: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

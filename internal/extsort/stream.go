@@ -7,123 +7,85 @@ import (
 	"repro/internal/disk"
 )
 
-// SortedStream externally sorts the unsorted element file `in` and returns a
-// Source that yields its elements in sorted order, together with the total
-// element count (known before the stream is drained) and a cleanup function
-// that removes intermediate run files. The caller must drain or abandon the
+// SortedStream externally sorts the unsorted element file `in` using at most
+// cfg.MemElements elements of memory and returns a Source that yields its
+// elements in sorted order, together with a cleanup function that closes and
+// removes the intermediate run files. The caller must drain or abandon the
 // Source and then call cleanup.
 //
-// This streaming form lets the partition store capture its in-memory summary
-// while writing the sorted partition, so that — as the paper requires — "no
-// additional disk access is required for computing the summary, beyond those
-// taken for generating the new data partition".
-func SortedStream(dev *disk.Manager, in string, cfg Config) (src Source, count int64, cleanup func(), err error) {
+// Returning the final merge instead of writing it lets the partition store
+// capture its in-memory summary while writing the sorted partition, so that
+// — as the paper requires — "no additional disk access is required for
+// computing the summary, beyond those taken for generating the new data
+// partition".
+func SortedStream(dev *disk.Manager, in string, cfg Config) (src Source, cleanup func(), err error) {
 	if err := cfg.setDefaults(dev); err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	r, err := dev.OpenSequential(in)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	defer r.Close()
-
-	var runs []string
-	var readers []*disk.Reader
-	cleanup = func() {
-		for _, rr := range readers {
-			rr.Close() //nolint:errcheck // cleanup
-		}
-		for _, name := range runs {
+	// runs are the sorted temporaries on the device; next is the pass being
+	// written over them.
+	var runs, next []string
+	removeRuns := func() {
+		for _, name := range slices.Concat(runs, next) {
 			dev.Remove(name) //nolint:errcheck // cleanup
 		}
 	}
+	// Every failure below leaves through here: the runs written so far go.
+	defer func() {
+		if err != nil {
+			removeRuns()
+		}
+	}()
 
+	// Pass 0: cut the input into sorted runs of MemElements.
+	r, err := dev.OpenSequential(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer r.Close() //nolint:errcheck // read-only
+	r.SetReadahead(disk.MergeReadahead)
 	buf := make([]int64, 0, cfg.MemElements)
-	total := int64(0)
-	runIdx := 0
-	flushRun := func() error {
-		if len(buf) == 0 {
-			return nil
+	for more := true; more; {
+		var v int64
+		if v, more, err = r.Next(); err != nil {
+			return nil, nil, err
 		}
-		slices.Sort(buf)
-		name := fmt.Sprintf("%s-s%d", cfg.TempPrefix, runIdx)
-		runIdx++
-		w, err := dev.Create(name)
-		if err != nil {
-			return err
+		if more {
+			buf = append(buf, v)
 		}
-		if err := w.AppendSlice(buf); err != nil {
-			w.Abort()
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		runs = append(runs, name)
-		buf = buf[:0]
-		return nil
-	}
-	for {
-		v, ok, err := r.Next()
-		if err != nil {
-			cleanup()
-			return nil, 0, nil, err
-		}
-		if !ok {
-			break
-		}
-		buf = append(buf, v)
-		total++
-		if len(buf) == cfg.MemElements {
-			if err := flushRun(); err != nil {
-				cleanup()
-				return nil, 0, nil, err
+		if len(buf) == cfg.MemElements || !more && len(buf) > 0 {
+			slices.Sort(buf)
+			name := fmt.Sprintf("%s-s%d", cfg.TempPrefix, len(runs))
+			if _, err = WriteRun(dev, name, SliceSource(buf), nil); err != nil {
+				return nil, nil, err
 			}
+			runs = append(runs, name)
+			buf = buf[:0]
 		}
-	}
-	if err := flushRun(); err != nil {
-		cleanup()
-		return nil, 0, nil, err
 	}
 
-	// Reduce the number of runs below FanIn with intermediate merge passes,
-	// then stream the final merge.
-	pass := 0
-	for len(runs) > cfg.FanIn {
-		pass++
-		var next []string
+	// Merge passes until at most FanIn runs remain; the caller drains the
+	// last merge.
+	for pass := 1; len(runs) > cfg.FanIn; pass++ {
 		for lo := 0; lo < len(runs); lo += cfg.FanIn {
-			hi := min(lo+cfg.FanIn, len(runs))
+			group := runs[lo:min(lo+cfg.FanIn, len(runs))]
 			name := fmt.Sprintf("%s-sp%d-%d", cfg.TempPrefix, pass, lo)
-			if err := MergeFiles(dev, runs[lo:hi], name); err != nil {
-				cleanup()
-				return nil, 0, nil, err
-			}
-			for _, g := range runs[lo:hi] {
-				if err := dev.Remove(g); err != nil {
-					cleanup()
-					return nil, 0, nil, err
-				}
+			if err = MergeFiles(dev, group, name); err != nil {
+				return nil, nil, err
 			}
 			next = append(next, name)
+			for _, g := range group {
+				if err = dev.Remove(g); err != nil {
+					return nil, nil, err
+				}
+			}
 		}
-		runs = next
+		runs, next = next, nil
 	}
 
-	sources := make([]Source, 0, len(runs))
-	for _, name := range runs {
-		rr, err := dev.OpenSequential(name)
-		if err != nil {
-			cleanup()
-			return nil, 0, nil, err
-		}
-		readers = append(readers, rr)
-		sources = append(sources, ReaderSource(rr))
-	}
-	merger, err := NewMerger(sources...)
+	m, closeAll, err := OpenRuns(dev, runs)
 	if err != nil {
-		cleanup()
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	return merger, total, cleanup, nil
+	return m, func() { closeAll(); removeRuns() }, nil
 }

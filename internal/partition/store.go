@@ -144,6 +144,11 @@ type SealedBatch struct {
 // it (see version.go). A crash at any point leaves either the old manifest
 // (new files are unreferenced orphans, collected by LoadStore) or the new
 // manifest (whose data the first sync made durable before the commit).
+//
+// Every partition file — sorted from memory, from an external sort or from a
+// κ-merge — is written by writeRun over extsort.WriteRun, which refuses a
+// run that steps backwards: a partition damaged on the device stops the
+// merge that reads it (see mergeLevel), not the next LoadStore.
 type Store struct {
 	dev *disk.Manager
 	// mdev is the maintenance-attributed view of the same device: all
@@ -425,9 +430,12 @@ func (s *Store) spillPendingLocked() error {
 // publishes again — the store's one install routine. It returns the
 // installed step number, 0 when nothing was pending or the install failed
 // before the step was published (the batch then stays sealed for a retry).
-// An error beside a non-zero step is ErrMergeIncomplete. The caller must be
-// the single build mutator, and should Commit afterwards: InstallOne makes
-// nothing durable.
+// An error beside a non-zero step is ErrMergeIncomplete: the step is served
+// from its level-0 partition, the overflowing level keeps its inputs and the
+// next install tries the merge again — until the operator replaces the file,
+// if the cause is an input that reads back out of order (see mergeLevel).
+// The caller must be the single build mutator, and should Commit afterwards:
+// InstallOne makes nothing durable.
 func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	var bd UpdateBreakdown
 	s.vmu.Lock()
@@ -552,33 +560,35 @@ func (s *Store) readRaw(name string, count int64) ([]int64, error) {
 	return out, nil
 }
 
-// sortInMemory sorts data in memory, writes the partition and captures its
-// summary from the in-memory slice.
-func (s *Store) sortInMemory(data []int64, part *Partition) (*Summary, error) {
-	sorted := slices.Clone(data)
-	slices.Sort(sorted)
+// writeRun writes part's file from src with the one run writer
+// (extsort.WriteRun, which refuses a source that steps backwards), capturing
+// the partition's summary as the elements pass. A run that is not exactly
+// part.Count elements long is an error; the file it leaves is overwritten by
+// the retry, like any failed install's.
+func (s *Store) writeRun(src extsort.Source, part *Partition) (*Summary, error) {
 	cap := newCapture(part.Count, s.cfg.Eps1, s.beta1)
-	w, err := s.mdev.Create(part.name)
+	n, err := extsort.WriteRun(s.mdev, part.name, src, cap.feed)
 	if err != nil {
 		return nil, err
 	}
-	for _, v := range sorted {
-		cap.feed(v)
-		if err := w.Append(v); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
+	if n != part.Count {
+		return nil, fmt.Errorf("partition: %s was written with %d elements, expected %d", part.name, n, part.Count)
 	}
 	return cap.summary(part)
 }
 
-// sortExternal externally sorts the raw batch file into the partition,
-// capturing the summary during the final merge pass.
+// sortInMemory sorts a copy of data in memory and writes it as the
+// partition.
+func (s *Store) sortInMemory(data []int64, part *Partition) (*Summary, error) {
+	sorted := slices.Clone(data)
+	slices.Sort(sorted)
+	return s.writeRun(extsort.SliceSource(sorted), part)
+}
+
+// sortExternal externally sorts the raw batch file and writes the final
+// merge pass as the partition.
 func (s *Store) sortExternal(rawName string, part *Partition) (*Summary, error) {
-	src, count, cleanup, err := extsort.SortedStream(s.mdev, rawName, extsort.Config{
+	src, cleanup, err := extsort.SortedStream(s.mdev, rawName, extsort.Config{
 		MemElements: s.cfg.SortMemElements,
 		TempPrefix:  fmt.Sprintf("sort-%06d", part.ID),
 	})
@@ -586,117 +596,48 @@ func (s *Store) sortExternal(rawName string, part *Partition) (*Summary, error) 
 		return nil, err
 	}
 	defer cleanup()
-	if count != part.Count {
-		return nil, fmt.Errorf("partition: external sort saw %d elements, expected %d", count, part.Count)
-	}
-	cap := newCapture(count, s.cfg.Eps1, s.beta1)
-	w, err := s.mdev.Create(part.name)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		v, ok, err := src.Next()
-		if err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		cap.feed(v)
-		if err := w.Append(v); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return cap.summary(part)
+	return s.writeRun(src, part)
 }
 
 // mergeLevel multi-way merges every partition at level lvl into a single
 // partition at lvl+1 with a single sequential pass (Algorithm 3 lines 9-13),
 // capturing the merged partition's summary in-flight.
+//
+// An input that steps backwards — a partition damaged on the device after it
+// was written — fails the merge in the run writer: the output is aborted,
+// nothing is retired, every input stays live and readable, and the level
+// stays over κ, so the same error (ErrMergeIncomplete, naming the level's
+// input files and the offending pair of values) comes back from each later
+// install until the file is repaired.
 func (s *Store) mergeLevel(lvl int) error {
 	group := s.levels[lvl]
 	if len(group) == 0 {
 		return nil
 	}
 	id := s.allocID()
-	var count int64
-	startStep, endStep := group[0].part.StartStep, group[0].part.EndStep
-	for _, e := range group {
-		count += e.part.Count
-		if e.part.StartStep < startStep {
-			startStep = e.part.StartStep
-		}
-		if e.part.EndStep > endStep {
-			endStep = e.part.EndStep
-		}
-	}
 	merged := &Partition{
 		ID:        id,
 		Level:     lvl + 1,
-		Count:     count,
-		StartStep: startStep,
-		EndStep:   endStep,
+		StartStep: group[0].part.StartStep,
+		EndStep:   group[0].part.EndStep,
 		dev:       s.dev,
 		name:      fmt.Sprintf("part-%06d.dat", id),
 	}
-
-	readers := make([]*disk.Reader, 0, len(group))
-	closeAll := func() {
-		for _, r := range readers {
-			r.Close() //nolint:errcheck // cleanup
-		}
-	}
-	sources := make([]extsort.Source, 0, len(group))
+	names := make([]string, 0, len(group))
 	for _, e := range group {
-		r, err := s.mdev.OpenSequential(e.part.name)
-		if err != nil {
-			closeAll()
-			return err
-		}
-		r.SetReadahead(disk.MergeReadahead)
-		readers = append(readers, r)
-		sources = append(sources, extsort.ReaderSource(r))
+		names = append(names, e.part.name)
+		merged.Count += e.part.Count
+		merged.StartStep = min(merged.StartStep, e.part.StartStep)
+		merged.EndStep = max(merged.EndStep, e.part.EndStep)
 	}
-	merger, err := extsort.NewMerger(sources...)
-	if err != nil {
-		closeAll()
-		return err
-	}
-	cap := newCapture(count, s.cfg.Eps1, s.beta1)
-	w, err := s.mdev.Create(merged.name)
-	if err != nil {
-		closeAll()
-		return err
-	}
-	for {
-		v, ok, err := merger.Next()
-		if err != nil {
-			w.Abort()
-			closeAll()
-			return err
-		}
-		if !ok {
-			break
-		}
-		cap.feed(v)
-		if err := w.Append(v); err != nil {
-			w.Abort()
-			closeAll()
-			return err
-		}
-	}
-	closeAll()
-	if err := w.Close(); err != nil {
-		return err
-	}
-	sum, err := cap.summary(merged)
+	merger, closeAll, err := extsort.OpenRuns(s.mdev, names)
 	if err != nil {
 		return err
+	}
+	defer closeAll()
+	sum, err := s.writeRun(merger, merged)
+	if err != nil {
+		return fmt.Errorf("partition: merging level %d %v: %w", lvl, names, err)
 	}
 	s.retireGroupAndInstall(lvl, group, merged, sum)
 	return nil

@@ -144,14 +144,6 @@ func (s *Store) Pin() *Version {
 	return s.cur
 }
 
-// CurrentVersion returns the current version's sequence number (for
-// diagnostics and tests).
-func (s *Store) CurrentVersion() int64 {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	return s.cur.seq
-}
-
 // LiveVersions returns how many versions are alive (current + pinned), for
 // diagnostics and tests.
 func (s *Store) LiveVersions() int {
