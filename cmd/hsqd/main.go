@@ -98,6 +98,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/ingest"
 )
 
 func main() {
@@ -244,15 +245,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 // million-stream directory, so cold streams show "hydrated": false with
 // their durable I/O counters and ingest tallies only.
 func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
-	perStream := s.db.StreamStats()
-	streams := make([]map[string]any, 0, len(perStream))
-	for _, name := range s.db.Streams() {
+	names := s.db.Streams()
+	ing := s.ing.Stats()
+	streams := make([]map[string]any, 0, len(names))
+	for _, name := range names {
 		st, ok := s.db.Lookup(name)
 		if !ok {
 			continue
 		}
-		io := perStream[name]
-		ing := s.ing.StreamStats(name)
+		io := st.DiskStats()
+		tally := ing.Streams[name]
 		hydrated := st.Hydrated()
 		row := map[string]any{
 			"name":             name,
@@ -261,9 +263,9 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"io_seq_writes":    io.SeqWrites,
 			"io_rand_reads":    io.RandReads,
 			"io_cache_hits":    io.CacheHits,
-			"ingest_values":    ing.Values,
-			"ingest_batches":   ing.Batches,
-			"ingest_end_steps": ing.EndSteps,
+			"ingest_values":    tally.Values,
+			"ingest_batches":   tally.Batches,
+			"ingest_end_steps": tally.EndSteps,
 		}
 		if hydrated {
 			row["stream_count"] = st.StreamCount()
@@ -275,7 +277,7 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	}
 	agg := s.db.DiskStats()
 	sched := s.db.SchedulerStats()
-	ing := s.ing.Stats()
+	dir := s.db.DirectoryStats()
 	writeJSON(w, map[string]any{
 		"streams": streams,
 		"device": map[string]any{
@@ -295,11 +297,11 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"merges":             sched.Merges,
 			"maint_io_reads":     sched.MaintIO.SeqReads + sched.MaintIO.RandReads,
 			"maint_io_writes":    sched.MaintIO.SeqWrites,
-			"registered_streams": sched.RegisteredStreams,
-			"hydrated_streams":   sched.HydratedStreams,
-			"hydrations":         sched.Hydrations,
-			"evictions":          sched.Evictions,
-			"summary_fallbacks":  s.db.DirectoryStats().SummaryFallbacks,
+			"registered_streams": dir.Registered,
+			"hydrated_streams":   dir.Hydrated,
+			"hydrations":         dir.Hydrations,
+			"evictions":          dir.Evictions,
+			"summary_fallbacks":  dir.SummaryFallbacks,
 		},
 		"ingest": map[string]any{
 			"listening":    s.ingAddr,
@@ -312,53 +314,17 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleIngest reports the ingest pipeline in full: listener state,
-// aggregate frame/value counters, the cumulative per-stream tallies
-// (batches, values and end-steps count REST writes too; frames, sessions and
-// connections are the wire's) and
-// every live connection (with its session token and applied sequence
-// high-water mark, the replay cursor a reconnect resumes from).
+// handleIngest reports the ingest pipeline in full — ingest.Stats, whose
+// json tags are the wire names, plus the listener address: aggregate
+// frame/value counters, the cumulative per-stream tallies (batches, values
+// and end-steps count REST writes too; frames, sessions and connections are
+// the wire's) and every live connection (with its session token and applied
+// sequence high-water mark, the replay cursor a reconnect resumes from).
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	st := s.ing.Stats()
-	conns := make([]map[string]any, 0, len(st.Conns))
-	for _, c := range st.Conns {
-		conns = append(conns, map[string]any{
-			"id":        c.ID,
-			"remote":    c.Remote,
-			"session":   c.Session,
-			"streams":   c.Streams,
-			"subs":      c.Subs,
-			"batches":   c.Batches,
-			"values":    c.Values,
-			"end_steps": c.EndSteps,
-			"last_seq":  c.LastSeq,
-		})
-	}
-	streams := make(map[string]any, len(st.Streams))
-	for name, ss := range st.Streams {
-		streams[name] = map[string]any{
-			"batches":   ss.Batches,
-			"values":    ss.Values,
-			"end_steps": ss.EndSteps,
-		}
-	}
-	writeJSON(w, map[string]any{
-		"listening":    s.ingAddr,
-		"window":       st.Window,
-		"active_conns": st.ActiveConns,
-		"total_conns":  st.TotalConns,
-		"sessions":     st.Sessions,
-		"frames":       st.Frames,
-		"batches":      st.Batches,
-		"values":       st.Values,
-		"end_steps":    st.EndSteps,
-		"dup_frames":   st.DupFrames,
-		"errors":       st.Errors,
-		"subscribes":   st.Subscribes,
-		"pushes":       st.Pushes,
-		"streams":      streams,
-		"conns":        conns,
-	})
+	writeJSON(w, struct {
+		Listening string `json:"listening"`
+		ingest.Stats
+	}{s.ingAddr, s.ing.Stats()})
 }
 
 // handleMaintainNow drains the stream's sealed backlog synchronously

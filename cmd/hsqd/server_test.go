@@ -353,7 +353,7 @@ func TestServerQuantilesAndRank(t *testing.T) {
 // ends steps. "rank" and "total" describe one snapshot, so they agree on
 // every reply: nothing exceeds MaxInt64, so its rank is the whole stream —
 // exactly total: partitions count exactly and each stream piece's estimate
-// is clamped to the piece's size (core.RankOfValue) — never more, and never
+// is clamped to the piece's size (core.RankOfValues) — never more, and never
 // less, which is what a total read after the rank, from a second snapshot
 // the writer has already moved, would show.
 func TestRankAndTotalFromOneSnapshot(t *testing.T) {

@@ -380,7 +380,7 @@ func runDoors(t *testing.T, seed int64, doors []*writeDoor) {
 		}
 		out := doorOutcome{
 			Total: st.TotalCount(), StreamCount: st.StreamCount(), Steps: st.Steps(),
-			Levels: st.Describe(), Ingest: n.srv.ing.StreamStats(d.stream),
+			Levels: st.Describe(), Ingest: n.srv.ing.Stats().Streams[d.stream],
 		}
 		for _, w := range watches {
 			if w.door == d && w.node == n {

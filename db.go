@@ -875,32 +875,8 @@ func (db *DB) Close() error {
 }
 
 // DiskStats returns the device-wide aggregate I/O counters: the sum of
-// every stream's per-stream IOStats (metadata I/O is never counted).
-func (db *DB) DiskStats() IOStats {
-	return fromDisk(db.dev.Stats())
-}
-
-// StreamStats returns the per-stream I/O counters for every registered
-// stream. Each stream's counters cover exactly the block I/O issued
-// through its namespaced device view — they survive eviction and
-// rehydration, so the values always sum to DiskStats. Streams never
-// hydrated this process report zero.
-func (db *DB) StreamStats() map[string]IOStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make(map[string]IOStats, len(db.dir))
-	for name, ent := range db.dir {
-		if ent.dropped {
-			continue
-		}
-		if ent.view != nil {
-			out[name] = fromDisk(ent.view.Stats())
-		} else {
-			out[name] = IOStats{}
-		}
-	}
-	return out
-}
+// every stream's Stream.DiskStats (metadata I/O is never counted).
+func (db *DB) DiskStats() IOStats { return db.dev.Stats() }
 
 // DirectoryStats describes the stream directory's hydration state.
 type DirectoryStats struct {

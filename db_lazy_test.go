@@ -318,11 +318,9 @@ func TestEvictionRoundTrip(t *testing.T) {
 	// Per-stream I/O counters are per-view and cached across eviction:
 	// their sum must equal the device aggregate exactly.
 	var sum hsq.IOStats
-	for _, io := range db.StreamStats() {
-		sum.SeqReads += io.SeqReads
-		sum.SeqWrites += io.SeqWrites
-		sum.RandReads += io.RandReads
-		sum.CacheHits += io.CacheHits
+	for _, name := range db.Streams() {
+		st, _ := db.Lookup(name)
+		sum = sum.Add(st.DiskStats())
 	}
 	if agg := db.DiskStats(); sum != agg {
 		t.Errorf("per-stream IO %+v does not sum to device aggregate %+v", sum, agg)
@@ -594,8 +592,8 @@ func TestCloseDetachesEngines(t *testing.T) {
 		t.Errorf("Registered = %d after Close, want 3 (directory survives Close)", ds.Registered)
 	}
 	ss := db.SchedulerStats()
-	if ss.HydratedStreams != 0 {
-		t.Errorf("SchedulerStats.HydratedStreams = %d after Close, want 0", ss.HydratedStreams)
+	if h := db.DirectoryStats().Hydrated; h != 0 {
+		t.Errorf("DirectoryStats().Hydrated = %d after SchedulerStats past Close, want 0", h)
 	}
 	if ss.PendingSteps != 0 || ss.MergeDebt != 0 {
 		t.Errorf("SchedulerStats backlog %d steps / %d elements after Close, want none (no engines to pin)", ss.PendingSteps, ss.MergeDebt)

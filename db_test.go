@@ -135,13 +135,9 @@ func TestDBConcurrentStreams(t *testing.T) {
 	}
 	// Aggregate invariant still holds after concurrent traffic.
 	var sum hsq.IOStats
-	for _, io := range db.StreamStats() {
-		sum.SeqReads += io.SeqReads
-		sum.SeqWrites += io.SeqWrites
-		sum.RandReads += io.RandReads
-		sum.CacheHits += io.CacheHits
-		sum.CacheMisses += io.CacheMisses
-		sum.SkippedBlocks += io.SkippedBlocks
+	for _, name := range db.Streams() {
+		st, _ := db.Lookup(name)
+		sum = sum.Add(st.DiskStats())
 	}
 	if agg := db.DiskStats(); sum != agg {
 		t.Errorf("per-stream sum %+v != aggregate %+v", sum, agg)

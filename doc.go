@@ -52,9 +52,11 @@
 // Options.Dir, the default) or "mem" (heap-resident, volatile — for tests,
 // benchmarks and cache simulation). Options.CacheBlocks layers a sharded LRU
 // block cache over either backend; random reads absorbed by the cache cost
-// no disk access and are reported separately as CacheHits in IOStats and
-// QueryStats, preserving the paper's "number of disk accesses" metric for
-// the reads that actually reach storage.
+// no disk access and are reported separately as CacheHits in IOStats (the
+// device's own disk.Stats) and QueryStats (the sweep's core.QueryCost),
+// preserving the paper's "number of disk accesses" metric for the reads that
+// actually reach storage. Each counter set is declared once, by the layer
+// that fills it; the names here are aliases of those declarations.
 //
 //	fast, err := hsq.Open(hsq.Options{Epsilon: 0.01, Backend: "mem", CacheBlocks: 4096})
 //
@@ -98,7 +100,8 @@
 // backend, one block-cache budget, one manifest root, one scheduler. Each
 // Stream is a handle on an unexported engine — the paper's GK sketch,
 // κ-leveled partitions and bisection — that the DB hydrates on first touch,
-// pins for the length of each call and may evict while idle; per-stream IOStats sum to the DB's aggregate,
+// pins for the length of each call and may evict while idle; each
+// Stream.DiskStats sums with the others to DB.DiskStats,
 // and the shared cache budget flows to whichever stream is hot (see
 // TestMultiStreamSharedCache). Open reads only the stream directory from the DB
 // manifest — cost proportional to the number of registered streams, not

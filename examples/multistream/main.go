@@ -80,7 +80,9 @@ func main() {
 	// Per-stream I/O sums to the device aggregate: many tenants, one
 	// accountable device.
 	fmt.Println()
-	for name, io := range db.StreamStats() {
+	for _, name := range db.Streams() {
+		st, _ := db.Lookup(name)
+		io := st.DiskStats()
 		fmt.Printf("stream %-14s randReads=%-5d cacheHits=%-5d seqWrites=%d\n",
 			name, io.RandReads, io.CacheHits, io.SeqWrites)
 	}

@@ -157,54 +157,16 @@ func (c *Options) withDefaults() (Options, error) {
 	return out, nil
 }
 
-// IOStats mirrors the block-level I/O counters of the warehouse device.
+// The counter sets a stream reports are declared once, by the layer that
+// fills them, and re-exported here.
+
+// IOStats is the warehouse device's block-level I/O counters (disk.Stats):
+// per stream (Stream.DiskStats), device-wide (DB.DiskStats), per update
+// phase (UpdateStats) and maintenance-attributed (MaintenanceStats.MaintIO).
 // RandReads counts only reads that reached the storage backend; random
-// probes absorbed by the block cache appear as CacheHits.
-type IOStats struct {
-	SeqReads    uint64
-	SeqWrites   uint64
-	RandReads   uint64
-	CacheHits   uint64
-	CacheMisses uint64
-	// SkippedBlocks counts bisection steps answered from columnar block
-	// headers with no block access at all. Not part of Total(): a skip is
-	// the absence of an access.
-	SkippedBlocks uint64
-}
-
-// Total returns the total number of block accesses.
-func (s IOStats) Total() uint64 { return s.SeqReads + s.SeqWrites + s.RandReads }
-
-// Sub returns the element-wise difference, with each counter clamped at
-// zero (counters may have been reset between the two snapshots).
-func (s IOStats) Sub(t IOStats) IOStats {
-	return IOStats{
-		SeqReads:      subClamp(s.SeqReads, t.SeqReads),
-		SeqWrites:     subClamp(s.SeqWrites, t.SeqWrites),
-		RandReads:     subClamp(s.RandReads, t.RandReads),
-		CacheHits:     subClamp(s.CacheHits, t.CacheHits),
-		CacheMisses:   subClamp(s.CacheMisses, t.CacheMisses),
-		SkippedBlocks: subClamp(s.SkippedBlocks, t.SkippedBlocks),
-	}
-}
-
-func subClamp(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-func fromDisk(d disk.Stats) IOStats {
-	return IOStats{
-		SeqReads:      d.SeqReads,
-		SeqWrites:     d.SeqWrites,
-		RandReads:     d.RandReads,
-		CacheHits:     d.CacheHits,
-		CacheMisses:   d.CacheMisses,
-		SkippedBlocks: d.SkippedBlocks,
-	}
-}
+// probes absorbed by the block cache appear as CacheHits. Total counts block
+// accesses; Sub and Add difference and sum snapshots.
+type IOStats = disk.Stats
 
 // UpdateStats reports the cost of one EndStep, split into the paper's four
 // phases (Figure 6): loading the raw batch (the seal's spill), sorting it
@@ -213,47 +175,15 @@ func fromDisk(d disk.Stats) IOStats {
 // EndStep caller ran it (synchronous maintenance) and zero when the step was
 // left sealed for the scheduler or SyncMaintenance, whose installs are
 // accounted in MaintenanceStats. The commit's barriers belong to no phase.
-type UpdateStats struct {
-	Load, Sort, Merge, Summary time.Duration
-	LoadIO, SortIO, MergeIO    IOStats
-	Merges                     int
-	BatchSize                  int64
-}
+type UpdateStats = partition.UpdateBreakdown
 
-// TotalTime returns the total update time.
-func (u UpdateStats) TotalTime() time.Duration { return u.Load + u.Sort + u.Merge + u.Summary }
-
-// TotalIO returns the total block accesses of the update.
-func (u UpdateStats) TotalIO() uint64 {
-	return u.LoadIO.Total() + u.SortIO.Total() + u.MergeIO.Total()
-}
-
-// QueryStats reports the cost of one accurate query.
-type QueryStats struct {
-	// Iterations is the number of value-space bisection probes.
-	Iterations int
-	// RandReads is the number of random block reads that reached the
-	// storage backend.
-	RandReads int
-	// CacheHits is the number of block probes served by the block cache,
-	// costing no disk access.
-	CacheHits int
-	// SkippedBlocks is the number of bisection steps resolved from columnar
-	// block-header min/max bounds without touching the block at all.
-	SkippedBlocks int
-	// MemoHits is the number of bisection probes resolved from the pinned
-	// snapshot's rank-probe memo with zero partition I/O (see
-	// Options.ProbeMemoEntries). Like cache hits and skipped blocks, memo
-	// hits spend no MaxReads budget — only reads that reach the storage
-	// backend do.
-	MemoHits int
-	// FilterU and FilterV bracket the search (Algorithm 7 output).
-	FilterU, FilterV int64
-	// Elapsed is the wall-clock query time.
-	Elapsed time.Duration
-	// Truncated reports that a MaxReads budget stopped the search early.
-	Truncated bool
-}
+// QueryStats reports the cost of one accurate query: bisection probes, the
+// random reads that reached the backend, block-cache hits, blocks skipped
+// from their headers, probe-memo hits (see Options.ProbeMemoEntries; like
+// cache hits and skips they spend no MaxReads budget), the Algorithm 7
+// filters, whether a MaxReads budget truncated the search, and the
+// wall-clock Elapsed.
+type QueryStats = core.QueryCost
 
 // Request is one read of a Stream: the targets, the scope, and
 // which of the paper's two read algorithms answers them (the package doc's
@@ -561,17 +491,7 @@ func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 	e.sealed = append(e.sealed, piece)
 	e.mu.Unlock()
 
-	t0 := time.Now()
-	io0 := e.dev.Stats()
-	maint0 := e.dev.MaintStats()
-	sealedStep, err := e.store.Seal(data)
-	// Isolate the seal's own I/O: installs on the same view are
-	// maintenance-tagged (subtracted), and concurrent query reads are
-	// excluded by keeping only the write counters — a seal is one
-	// sequential spill.
-	loadIO := fromDisk(e.dev.Stats().Sub(io0).Sub(e.dev.MaintStats().Sub(maint0)))
-	loadIO.SeqReads, loadIO.RandReads, loadIO.CacheHits, loadIO.CacheMisses = 0, 0, 0, 0
-	us := UpdateStats{Load: time.Since(t0), LoadIO: loadIO, BatchSize: int64(len(data))}
+	us, sealedStep, err := e.store.Seal(data)
 	switch {
 	case err != nil:
 		err = fmt.Errorf("hsq: seal step %d: %w", step, err)
@@ -589,14 +509,12 @@ func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 	switch e.cfg.Maintenance {
 	case MaintenanceSync:
 		// Oldest first, so a step whose install failed earlier is retried
-		// before this one; the stats left standing are this step's own.
+		// before this one; the stats left standing are this step's own
+		// (an install's breakdown starts from its seal's load phase).
 		for err == nil && e.store.PendingSteps() > 0 {
-			var bd partition.UpdateBreakdown
-			if bd, _, err = e.installOne(); err != nil {
+			if us, _, err = e.installOne(); err != nil {
 				err = fmt.Errorf("hsq: end step %d: %w", step, err)
 			}
-			us.Sort, us.Merge, us.Summary, us.Merges = bd.Sort, bd.Merge, bd.Summary, bd.Merges
-			us.SortIO, us.MergeIO = fromDisk(bd.SortIO), fromDisk(bd.MergeIO)
 		}
 	case MaintenanceAsync:
 		e.sched.enqueue(e)
@@ -748,43 +666,21 @@ func (e *engine) Query(ctx context.Context, req Request) (Answer, error) {
 		return Answer{}, err
 	}
 	ans := Answer{N: s.n}
-	var cost core.QueryCost
 	if len(req.Values) > 0 {
-		ans.Values = make([]int64, len(req.Values))
-		for i, v := range req.Values {
-			r, c, err := core.RankOfValue(s.sums, s.pieces, e.eps2, v, !e.cfg.NoBlockPin)
-			if err != nil {
-				return Answer{}, err
-			}
-			ans.Values[i] = r
-			cost.Iterations += c.Iterations
-			cost.RandReads += c.RandReads
-			cost.CacheHits += c.CacheHits
-			cost.SkippedBlocks += c.SkippedBlocks
-		}
+		ans.Values, ans.Stats, err = core.RankOfValues(s.sums, s.pieces, e.eps2, req.Values, !e.cfg.NoBlockPin)
 	} else {
 		c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
-		ans.Values, cost, err = core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
+		ans.Values, ans.Stats, err = core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
 			PinBlocks: !e.cfg.NoBlockPin,
 			MaxReads:  req.MaxReads,
 			Interrupt: ctx.Err,
 			Memo:      s.memo,
 		})
-		if err != nil {
-			return Answer{}, err
-		}
 	}
-	ans.Stats = QueryStats{
-		Iterations:    cost.Iterations,
-		RandReads:     cost.RandReads,
-		CacheHits:     cost.CacheHits,
-		SkippedBlocks: cost.SkippedBlocks,
-		MemoHits:      cost.MemoHits,
-		FilterU:       cost.FilterU,
-		FilterV:       cost.FilterV,
-		Elapsed:       time.Since(t0),
-		Truncated:     cost.Truncated,
+	if err != nil {
+		return Answer{}, err
 	}
+	ans.Stats.Elapsed = time.Since(t0)
 	return ans, nil
 }
 
@@ -881,30 +777,10 @@ func (e *engine) MemoryUsage() MemoryUsage {
 	}
 }
 
-// ProbeMemoStats reports cumulative rank-probe memo counters (see
+// ProbeMemoStats is a stream's rank-probe memo counters (see
 // Options.ProbeMemoEntries): hits, misses, stores and evictions across every
 // store version so far, plus the current version's occupancy.
-type ProbeMemoStats struct {
-	// Hits counts bisection probes answered from the memo (zero I/O);
-	// Misses counts memo lookups that fell through to the disk search.
-	Hits, Misses uint64
-	// Stores counts entry writes; Evictions counts entries dropped because
-	// a version's memo was full.
-	Stores, Evictions uint64
-	// Entries is the current version's live entry count; Capacity its
-	// bound. Both zero when memoization is disabled.
-	Entries, Capacity int
-}
-
-// ProbeMemoStats returns the engine's rank-probe memo counters.
-func (e *engine) ProbeMemoStats() ProbeMemoStats {
-	st := e.store.MemoStats()
-	return ProbeMemoStats{
-		Hits: st.Hits, Misses: st.Misses,
-		Stores: st.Stores, Evictions: st.Evictions,
-		Entries: st.Entries, Capacity: st.Capacity,
-	}
-}
+type ProbeMemoStats = partition.MemoStats
 
 // Checkpoint durably persists the stream's warehouse layout (DB.Checkpoint
 // calls it per hydrated stream). EndStep already commits every completed
@@ -980,23 +856,5 @@ func (e *engine) Destroy() error {
 	return nil
 }
 
-// LevelInfo describes one level of the on-disk store.
-type LevelInfo struct {
-	// Level is the level number (0 = freshest batches).
-	Level int
-	// Partitions is the number of live partitions at this level (≤ κ).
-	Partitions int
-	// Elements is the total element count across the level.
-	Elements int64
-	// Steps is the number of time steps the level covers.
-	Steps int
-}
-
-// Describe returns the warehouse layout, one entry per level.
-func (e *engine) Describe() []LevelInfo {
-	var out []LevelInfo
-	for _, li := range e.store.Describe() {
-		out = append(out, LevelInfo{Level: li.Level, Partitions: li.Partitions, Elements: li.Elements, Steps: li.Steps})
-	}
-	return out
-}
+// LevelInfo describes one level of a stream's on-disk store.
+type LevelInfo = partition.LevelInfo

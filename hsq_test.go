@@ -1,12 +1,16 @@
 package hsq
 
 import (
+	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/oracle"
+	"repro/internal/partition"
 	"repro/internal/workload"
 )
 
@@ -194,6 +198,14 @@ func TestRankQuery(t *testing.T) {
 	if math.Abs(float64(qv-500)) > 1.5*0.1*1000 {
 		t.Errorf("quick Ranks{500} = %d", qv)
 	}
+	// One request, three rank-of-value targets: one iteration each, timed once.
+	a, err := eng.Query(context.Background(), Request{Values: []int64{1, 500, 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.Values, []int64{1, 500, 1000}) || a.Stats.Iterations != 3 || a.Stats.Elapsed <= 0 {
+		t.Errorf("Values{1,500,1000} = %v, stats %+v; want exact ranks, 3 iterations, Elapsed > 0", a.Values, a.Stats)
+	}
 }
 
 func TestWindowQueries(t *testing.T) {
@@ -281,11 +293,17 @@ func TestStreamOnlyQueries(t *testing.T) {
 
 func TestUpdateStats(t *testing.T) {
 	eng := newEngine(t, 0.1, 2)
+	// The load phase is the 1000-value raw spill at newEngine's 1024-byte
+	// blocks, and nothing else.
+	spillBlocks := uint64((1000*disk.ElementSize + 1023) / 1024)
 	var us UpdateStats
+	var batch []int64
 	for step := 0; step < 3; step++ {
+		batch = batch[:0]
 		for i := 0; i < 1000; i++ {
-			eng.Observe(int64(step*10000 + i))
+			batch = append(batch, int64(step*10000+i))
 		}
+		eng.ObserveSlice(batch)
 		var err error
 		us, err = eng.EndStep()
 		if err != nil {
@@ -294,9 +312,25 @@ func TestUpdateStats(t *testing.T) {
 		if us.BatchSize != 1000 {
 			t.Errorf("BatchSize = %d", us.BatchSize)
 		}
-		if us.LoadIO.SeqWrites == 0 {
-			t.Error("load phase wrote nothing")
+		if l := us.LoadIO; l.SeqWrites != spillBlocks || l.SeqReads+l.RandReads+l.CacheHits+l.CacheMisses != 0 {
+			t.Errorf("LoadIO = %+v, want %d sequential writes and no reads", l, spillBlocks)
 		}
+	}
+	// Store.AddBatch reports the seal's one measurement of the same batch.
+	dev, err := disk.NewManagerOn(disk.NewMemBackend(), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := partition.NewStore(dev, partition.Config{Kappa: 2, Eps1: 0.05, SpillBatches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := store.AddBatch(batch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd.LoadIO != us.LoadIO {
+		t.Errorf("Store.AddBatch LoadIO = %+v, EndStep's = %+v", bd.LoadIO, us.LoadIO)
 	}
 	// κ=2: step 3 merges level 0.
 	if us.Merges != 1 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/partition"
 )
@@ -11,7 +12,7 @@ import (
 type QueryCost struct {
 	// Iterations is the number of bisection probes (Algorithm 8 recursion
 	// depth; for a multi-target sweep, probes shared across targets count
-	// once).
+	// once; one per value for RankOfValues).
 	Iterations int
 	// RandReads is the number of random block reads across all partitions
 	// that reached the storage backend.
@@ -34,6 +35,9 @@ type QueryCost struct {
 	// answer's error may exceed ε·m (but stays within the current filter
 	// spread).
 	Truncated bool
+	// Elapsed is the wall-clock query time, set by the caller that timed it
+	// (the hsq engine); the functions here leave it zero.
+	Elapsed time.Duration
 }
 
 // QueryOptions tunes an accurate query beyond the paper's defaults.

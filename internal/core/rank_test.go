@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/partition"
 )
 
 func TestQuickRank(t *testing.T) {
@@ -19,10 +21,24 @@ func TestQuickRank(t *testing.T) {
 			t.Errorf("QuickRank(%d) = %g, exact %g", v, got, exact)
 		}
 	}
-	// Below the minimum the rank is 0.
+	// Below the minimum the rank is 0; at or above the maximum it is N.
 	if got := c.QuickRank(f.all[0] - 1); got != 0 {
 		t.Errorf("QuickRank(below min) = %d", got)
 	}
+	for _, v := range []int64{f.all[len(f.all)-1], math.MaxInt64} {
+		if got := c.QuickRank(v); got != c.N() {
+			t.Errorf("QuickRank(%d) = %d, want N = %d", v, got, c.N())
+		}
+	}
+}
+
+// rankOfValue is RankOfValues for one value.
+func rankOfValue(sums []*partition.Summary, pieces []StreamPiece, eps2 float64, v int64, pinBlocks bool) (int64, QueryCost, error) {
+	rs, cost, err := RankOfValues(sums, pieces, eps2, []int64{v}, pinBlocks)
+	if err != nil {
+		return 0, cost, err
+	}
+	return rs[0], cost, nil
 }
 
 func TestRankOfValue(t *testing.T) {
@@ -31,7 +47,7 @@ func TestRankOfValue(t *testing.T) {
 	for _, idx := range []int{0, 50, 1000, len(f.all) / 2, len(f.all) - 1} {
 		v := f.all[idx]
 		exact := float64(f.rankOf(v))
-		got, cost, err := RankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
+		got, cost, err := rankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +79,7 @@ func TestRankOfValueNeverExceedsTotal(t *testing.T) {
 	for _, s := range f.sums {
 		n += s.Part.Count
 	}
-	got, _, err := RankOfValue(f.sums, pieces, eps2, math.MaxInt64, true)
+	got, _, err := rankOfValue(f.sums, pieces, eps2, math.MaxInt64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +91,13 @@ func TestRankOfValueNeverExceedsTotal(t *testing.T) {
 	}
 	// Two entries short of a piece's top the estimate is below M and untouched.
 	v := pieces[0].SS[len(pieces[0].SS)-3]
-	got, _, err = RankOfValue(nil, pieces[:1], eps2, v, true)
+	got, _, err = rankOfValue(nil, pieces[:1], eps2, v, true)
 	if want := int64(streamRankEstimate(pieces[:1], eps2, v)); err != nil || got != want || got >= 500 {
 		t.Errorf("RankOfValue below the top entries = %d, %v; want the unclamped %d < 500", got, err, want)
 	}
 }
 
-// Property: RankOfValue is monotone non-decreasing in v.
+// Property: RankOfValues is monotone non-decreasing in v.
 func TestQuickRankOfValueMonotone(t *testing.T) {
 	f := buildFixture(t, 107, 0.1, 5, 200, 400)
 	prop := func(aRaw, bRaw uint32) bool {
@@ -90,11 +106,11 @@ func TestQuickRankOfValueMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		ra, _, err := RankOfValue(f.sums, f.pieces(), f.eps/4, a, true)
+		ra, _, err := rankOfValue(f.sums, f.pieces(), f.eps/4, a, true)
 		if err != nil {
 			return false
 		}
-		rb, _, err := RankOfValue(f.sums, f.pieces(), f.eps/4, b, true)
+		rb, _, err := rankOfValue(f.sums, f.pieces(), f.eps/4, b, true)
 		if err != nil {
 			return false
 		}
@@ -125,14 +141,14 @@ func TestTruncatedStaysInFilters(t *testing.T) {
 	}
 }
 
-// Quick property: RankOfValue agrees with the exact oracle rank up to εm/2
+// Quick property: RankOfValues agrees with the exact oracle rank up to εm/2
 // for arbitrary probe values (not just data elements).
 func TestQuickRankOfValueAccuracy(t *testing.T) {
 	f := buildFixture(t, 127, 0.05, 6, 300, 900)
 	em := f.eps * float64(f.m)
 	prop := func(raw uint32) bool {
 		v := int64(raw) % (1 << 24)
-		got, _, err := RankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
+		got, _, err := rankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
 		if err != nil {
 			return false
 		}
@@ -149,7 +165,7 @@ func TestQuickRankEmpty(t *testing.T) {
 	if got := c.QuickRank(5); got != 0 {
 		t.Errorf("QuickRank on empty = %d", got)
 	}
-	if _, _, err := RankOfValue(nil, nil, 0.1, 5, true); err != nil {
+	if _, _, err := rankOfValue(nil, nil, 0.1, 5, true); err != nil {
 		t.Errorf("RankOfValue on empty combined should be 0, got err %v", err)
 	}
 	// sortedness helper sanity

@@ -54,8 +54,6 @@ type Backend interface {
 	List(prefix string) ([]string, error)
 	// Kind identifies the backend ("file", "mem", "crash") for diagnostics.
 	Kind() string
-	// Root returns the filesystem root for backends that have one, else "".
-	Root() string
 }
 
 // ReadHandle reads byte ranges of one file. ReadAt follows io.ReaderAt

@@ -354,7 +354,7 @@ func TestCachePlacementRepeats(t *testing.T) {
 		}
 		// 16 shards of three blocks each: most reads evict.
 		m.SetCache(48)
-		m.ResetStats()
+		s0 := m.Stats()
 		rng := rand.New(rand.NewSource(5))
 		for _, name := range names {
 			rr, err := m.OpenRandom(name)
@@ -376,7 +376,7 @@ func TestCachePlacementRepeats(t *testing.T) {
 			}
 			placement = append(placement, keys)
 		}
-		return placement, m.Stats()
+		return placement, m.Stats().Sub(s0)
 	}
 	p1, st1 := run()
 	p2, st2 := run()

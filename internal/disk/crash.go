@@ -73,9 +73,6 @@ func NewCrashBackend() *CrashBackend {
 // Kind returns "crash".
 func (b *CrashBackend) Kind() string { return "crash" }
 
-// Root returns "" — there is no filesystem root.
-func (b *CrashBackend) Root() string { return "" }
-
 // SetCrashPoint arms a crash at the given absolute mutating-operation index
 // (the op that would make Ops() == n+1 fails). tear makes the crashing
 // operation, when it is a data write, apply a partial, element-misaligned

@@ -96,12 +96,8 @@ type Stats struct {
 // Total returns the total number of block accesses (reads + writes).
 func (s Stats) Total() uint64 { return s.SeqReads + s.SeqWrites + s.RandReads }
 
-// Reads returns the total number of block reads.
-func (s Stats) Reads() uint64 { return s.SeqReads + s.RandReads }
-
-// sub64 returns a - b, clamped at zero. Counters only grow, but ResetStats
-// between two snapshots would otherwise wrap the unsigned difference to an
-// absurd huge value; clamping keeps such a window readable as "no I/O".
+// sub64 returns a - b, clamped at zero, so snapshots passed in the wrong
+// order read as "no I/O" rather than an absurd huge value.
 func sub64(a, b uint64) uint64 {
 	if a < b {
 		return 0
@@ -111,7 +107,7 @@ func sub64(a, b uint64) uint64 {
 
 // Sub returns the element-wise difference s - t, for measuring the I/O cost
 // of a region of execution bracketed by two snapshots. Each counter clamps
-// at zero rather than underflowing when t exceeds s (e.g. after ResetStats).
+// at zero rather than underflowing when t exceeds s.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{
 		SeqReads:      sub64(s.SeqReads, t.SeqReads),
@@ -172,18 +168,6 @@ func (c *ioCounters) snapshot() Stats {
 		CacheMisses:   c.cacheMisses.Load(),
 		SkippedBlocks: c.skippedBlocks.Load(),
 	}
-}
-
-func (c *ioCounters) reset() {
-	c.seqReads.Store(0)
-	c.seqWrites.Store(0)
-	c.randReads.Store(0)
-	c.bytesRead.Store(0)
-	c.bytesWritten.Store(0)
-	c.opens.Store(0)
-	c.cacheHits.Store(0)
-	c.cacheMisses.Store(0)
-	c.skippedBlocks.Store(0)
 }
 
 // device is the state shared by every view of one physical block device:
@@ -427,14 +411,6 @@ func (m *Manager) MaintStats() Stats {
 // only I/O issued through that view.
 func (m *Manager) Stats() Stats {
 	return m.stats.snapshot()
-}
-
-// ResetStats zeroes this view's counters. Resetting the root view does not
-// touch per-namespace counters (and vice versa), so mixing ResetStats with
-// per-stream accounting breaks the sum-to-aggregate invariant; it is
-// intended for experiment harnesses on root-view devices.
-func (m *Manager) ResetStats() {
-	m.stats.reset()
 }
 
 // invalidate drops cached blocks and the cached columnar index of a

@@ -40,9 +40,6 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 // Kind returns "file".
 func (b *FileBackend) Kind() string { return "file" }
 
-// Root returns the backing directory.
-func (b *FileBackend) Root() string { return b.root }
-
 func (b *FileBackend) path(name string) string {
 	return filepath.Join(b.root, filepath.FromSlash(name))
 }

@@ -34,9 +34,6 @@ func NewMemBackend() *MemBackend {
 // Kind returns "mem".
 func (b *MemBackend) Kind() string { return "mem" }
 
-// Root returns "" — there is no filesystem root.
-func (b *MemBackend) Root() string { return "" }
-
 func (b *MemBackend) lookup(name string) (*memFile, error) {
 	b.mu.RLock()
 	f := b.files[name]

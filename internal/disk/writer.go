@@ -23,6 +23,7 @@ type Writer struct {
 	fill   int    // raw format: elements staged in buf
 	count  int64  // elements written so far
 	blocks int64  // blocks flushed so far
+	io     Stats  // this writer's own share of the device counters
 	closed bool
 
 	// Columnar state. The frame is encoded incrementally as elements arrive;
@@ -71,6 +72,7 @@ func (m *Manager) CreateFormat(name string, f BlockFormat) (*Writer, error) {
 		name:   key,
 		h:      h,
 		format: f,
+		io:     Stats{Opens: 1},
 	}
 	if f == FormatColumnar {
 		w.budget = m.dev.blockSize - colHeaderLen
@@ -139,7 +141,7 @@ func (w *Writer) flushBlock() error {
 	if _, err := w.h.Write(w.buf[:n]); err != nil {
 		return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
 	}
-	w.m.countSeqWrite(n)
+	w.wrote(n)
 	w.blocks++
 	w.fill = 0
 	return nil
@@ -193,7 +195,7 @@ func (w *Writer) flushColumnar() error {
 	if _, err := w.h.Write(out); err != nil {
 		return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
 	}
-	w.m.countSeqWrite(len(out))
+	w.wrote(len(out))
 	w.buf = out[:0]
 
 	var e [colIndexEntryLen]byte
@@ -231,12 +233,24 @@ func (w *Writer) writeFooter() error {
 	if _, err := w.h.Write(footer); err != nil {
 		return fmt.Errorf("disk: write %s footer: %w", w.name, err)
 	}
-	w.m.countSeqWrite(len(footer))
+	w.wrote(len(footer))
 	return nil
+}
+
+// wrote counts one sequential write of nbytes, on the device and in Stats.
+func (w *Writer) wrote(nbytes int) {
+	w.m.countSeqWrite(nbytes)
+	w.io.SeqWrites++
+	w.io.BytesWritten += uint64(nbytes)
 }
 
 // Count returns the number of elements appended so far.
 func (w *Writer) Count() int64 { return w.count }
+
+// Stats returns the I/O this writer issued — its create's open and every
+// block (and footer) written so far — free of whatever else ran on the
+// device meanwhile.
+func (w *Writer) Stats() Stats { return w.io }
 
 // Close flushes the final partial block (and, for columnar files, the
 // footer) and closes the file.

@@ -939,6 +939,7 @@ func (s *Server) Stats() Stats {
 		Subscribes: s.subscribes.Load(),
 		Pushes:     s.pushes.Load(),
 		Streams:    make(map[string]StreamIngestStats),
+		Conns:      []ConnStats{},
 	}
 	s.mu.Lock()
 	out.ActiveConns = len(s.conns)
@@ -968,16 +969,4 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	sort.Slice(out.Conns, func(i, j int) bool { return out.Conns[i].ID < out.Conns[j].ID })
 	return out
-}
-
-// StreamStats returns the cumulative ingest counters for one stream
-// (zeros when nothing was ever applied to it on this node).
-func (s *Server) StreamStats(name string) StreamIngestStats {
-	s.mu.Lock()
-	sc := s.streams[name]
-	s.mu.Unlock()
-	if sc == nil {
-		return StreamIngestStats{}
-	}
-	return sc.stats()
 }

@@ -555,7 +555,7 @@ func TestUpdateBreakdownAccounting(t *testing.T) {
 	if bd.MergeIO.RandReads != 0 {
 		t.Error("merging must be sequential-only")
 	}
-	if bd.TotalIO() == 0 || bd.Total() <= 0 {
+	if bd.TotalIO() == 0 || bd.TotalTime() <= 0 {
 		t.Error("totals should be positive")
 	}
 }

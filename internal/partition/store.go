@@ -60,25 +60,22 @@ func (c Config) Beta1() int {
 	return b
 }
 
-// UpdateBreakdown reports where an install spent its time and I/O,
-// mirroring the paper's Figure 6/7 decomposition into load, sort, merge and
-// summary phases.
+// UpdateBreakdown reports where one time step's update spent its time and
+// I/O, split into the paper's four phases (Figure 6/7): loading the raw
+// batch (the seal's spill), sorting it into a level-0 partition, merging
+// overflowing levels, and summary maintenance. Seal fills the load phase and
+// BatchSize; InstallOne returns the step's whole breakdown.
 type UpdateBreakdown struct {
-	Load    time.Duration
-	Sort    time.Duration
-	Merge   time.Duration
-	Summary time.Duration
-
-	LoadIO  disk.Stats
-	SortIO  disk.Stats
-	MergeIO disk.Stats
-
+	Load, Sort, Merge, Summary time.Duration
+	LoadIO, SortIO, MergeIO    disk.Stats
 	// Merges is the number of level merges this update triggered.
 	Merges int
+	// BatchSize is the number of elements the step closed.
+	BatchSize int64
 }
 
-// Total returns the total update time.
-func (u UpdateBreakdown) Total() time.Duration { return u.Load + u.Sort + u.Merge + u.Summary }
+// TotalTime returns the total update time.
+func (u UpdateBreakdown) TotalTime() time.Duration { return u.Load + u.Sort + u.Merge + u.Summary }
 
 // TotalIO returns total block accesses across all phases.
 func (u UpdateBreakdown) TotalIO() uint64 {
@@ -116,6 +113,8 @@ type SealedBatch struct {
 	// data buffers the batch in memory until it is installed; nil after a
 	// restart (the raw file is then the only copy).
 	data []int64
+	// load is the breakdown Seal measured, the start of InstallOne's.
+	load UpdateBreakdown
 }
 
 // Store is HD + HS: the on-disk leveled partition structure together with
@@ -312,13 +311,10 @@ func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if at := s.Steps(); step != at+1 {
 		return UpdateBreakdown{}, fmt.Errorf("partition: batch for step %d, store is at step %d", step, at)
 	}
-	t0, io0 := time.Now(), s.dev.Stats()
-	if _, err := s.Seal(data); err != nil {
+	if _, _, err := s.Seal(data); err != nil {
 		return UpdateBreakdown{}, err
 	}
-	load, loadIO := time.Since(t0), s.dev.Stats().Sub(io0)
 	bd, _, err := s.InstallOne()
-	bd.Load, bd.LoadIO = load, loadIO
 	return bd, err
 }
 
@@ -327,28 +323,31 @@ func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 // device default: delta frames only pay off on sorted runs, and recovery
 // wants the dumbest possible format to replay. No two goroutines may spill
 // the same batch: Seal spills before the batch is queued, every later spill
-// (the repair of one that failed) runs under cmu.
-func (s *Store) spill(sb *SealedBatch) error {
+// (the repair of one that failed) runs under cmu. It returns the spill's
+// own I/O, which concurrent queries and installs on the device do not touch.
+func (s *Store) spill(sb *SealedBatch) (disk.Stats, error) {
 	name := fmt.Sprintf("batch-raw-%06d.dat", sb.ID)
-	if err := s.writeRaw(name, sb.data); err != nil {
-		return fmt.Errorf("partition: spill sealed batch %d: %w", sb.ID, err)
+	io, err := s.writeRaw(name, sb.data)
+	if err != nil {
+		return io, fmt.Errorf("partition: spill sealed batch %d: %w", sb.ID, err)
 	}
 	s.vmu.Lock()
 	sb.Name = name
 	s.vmu.Unlock()
-	return nil
+	return io, nil
 }
 
-func (s *Store) writeRaw(name string, data []int64) error {
+func (s *Store) writeRaw(name string, data []int64) (disk.Stats, error) {
 	w, err := s.dev.CreateFormat(name, disk.FormatRaw)
 	if err != nil {
-		return err
+		return disk.Stats{}, err
 	}
 	if err := w.AppendSlice(data); err != nil {
 		w.Abort()
-		return err
+		return w.Stats(), err
 	}
-	return w.Close()
+	err = w.Close()
+	return w.Stats(), err
 }
 
 // installEntry appends a fresh level-0 entry to the build state.
@@ -383,23 +382,30 @@ func (s *Store) cascadeMerges() (int, error) {
 // — it exists in memory and will be installed — and Commit retries the
 // spill before it writes any manifest that needs it.
 //
+// The breakdown Seal returns is the step's load phase (Load, LoadIO) and
+// BatchSize — the one place the spill is measured; InstallOne's breakdown
+// of the step starts from it.
+//
 // Seal may run concurrently with InstallOne and Commit; only one Seal at a
 // time (the engine's write path serializes end-of-steps).
-func (s *Store) Seal(data []int64) (int, error) {
+func (s *Store) Seal(data []int64) (UpdateBreakdown, int, error) {
 	if len(data) == 0 {
-		return 0, fmt.Errorf("partition: sealing empty batch")
+		return UpdateBreakdown{}, 0, fmt.Errorf("partition: sealing empty batch")
 	}
 	sb := &SealedBatch{ID: s.allocID(), Count: int64(len(data)), data: data}
+	sb.load.BatchSize = sb.Count
 	var err error
 	if s.cfg.SpillBatches {
-		err = s.spill(sb)
+		t0 := time.Now()
+		sb.load.LoadIO, err = s.spill(sb)
+		sb.load.Load = time.Since(t0)
 	}
 	s.vmu.Lock()
 	s.steps++
 	sb.Step = s.steps
 	s.pending = append(s.pending, sb)
 	s.vmu.Unlock()
-	return sb.Step, err
+	return sb.load, sb.Step, err
 }
 
 // spillPendingLocked writes the raw file of every sealed batch that does
@@ -417,7 +423,7 @@ func (s *Store) spillPendingLocked() error {
 		if sb.data == nil {
 			return fmt.Errorf("partition: sealed step %d has neither spill nor data", sb.Step)
 		}
-		if err := s.spill(sb); err != nil {
+		if _, err := s.spill(sb); err != nil {
 			return err
 		}
 	}
@@ -434,17 +440,19 @@ func (s *Store) spillPendingLocked() error {
 // from its level-0 partition, the overflowing level keeps its inputs and the
 // next install tries the merge again — until the operator replaces the file,
 // if the cause is an input that reads back out of order (see mergeLevel).
+// The breakdown is the step's whole update: the load phase Seal measured
+// (zero for a batch recovered from a manifest) plus the phases run here.
 // The caller must be the single build mutator, and should Commit afterwards:
 // InstallOne makes nothing durable.
 func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
-	var bd UpdateBreakdown
 	s.vmu.Lock()
 	if len(s.pending) == 0 {
 		s.vmu.Unlock()
-		return bd, 0, nil
+		return UpdateBreakdown{}, 0, nil
 	}
 	sb := s.pending[0]
 	s.vmu.Unlock()
+	bd := sb.load
 
 	// The partition takes its batch's id: a retried install then rewrites
 	// the file a failed attempt left behind instead of stranding it.
@@ -746,10 +754,14 @@ func (s *Store) Destroy() error {
 
 // LevelInfo describes one level of HD for diagnostics.
 type LevelInfo struct {
-	Level      int
+	// Level is the level number (0 = freshest batches).
+	Level int
+	// Partitions is the number of live partitions at this level (≤ κ).
 	Partitions int
-	Elements   int64
-	Steps      int
+	// Elements is the total element count across the level.
+	Elements int64
+	// Steps is the number of time steps the level covers.
+	Steps int
 }
 
 // Describe returns a per-level summary of the current version's layout

@@ -131,7 +131,7 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := s.Seal(seqBatch(1000, 50))
+	_, step, err := s.Seal(seqBatch(1000, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestVersionEntriesChronological(t *testing.T) {
 				// Seal a few steps, then install some of them: versions
 				// are published with and without a backlog behind them.
 				for i := 1 + rng.Intn(3); i > 0; i-- {
-					if _, err := s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40))); err != nil {
+					if _, _, err := s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40))); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -127,7 +127,7 @@ func (e *engine) MaintenanceStats() MaintenanceStats {
 		InstallTime:       e.mstats.installTime,
 		BackpressureWaits: e.mstats.bpWaits,
 		BackpressureTime:  e.mstats.bpTime,
-		MaintIO:           fromDisk(e.dev.MaintStats()),
+		MaintIO:           e.dev.MaintStats(),
 		LastError:         e.mstats.lastErr,
 	}
 	if e.maintErr != nil {
@@ -388,26 +388,14 @@ type SchedulerStats struct {
 	Merges   int
 	// MaintIO is the device-wide maintenance-attributed I/O.
 	MaintIO IOStats
-	// RegisteredStreams counts every stream in the directory;
-	// HydratedStreams of those currently hold a memory-resident engine.
-	// Only hydrated streams can contribute to the backlog above — eviction
-	// seals a stream only after its backlog drains — so the hydrated count
-	// bounds the scheduler's working set.
-	RegisteredStreams int
-	HydratedStreams   int
-	// Hydrations and Evictions count engine loads and LRU seals since
-	// Open — hydration is maintenance-adjacent work (each rehydration
-	// replays the stream's summary-rebuild scan), so backlog dashboards
-	// track it here alongside the merge debt.
-	Hydrations uint64
-	Evictions  uint64
 }
 
 // SchedulerStats returns the DB-wide maintenance picture: scheduler
-// occupancy (for async DBs), aggregate backlog over the hydrated streams,
-// and the directory's hydration/eviction counters. Cold streams have no
-// backlog by construction and are never touched (no hydration storm from
-// a stats poll).
+// occupancy (for async DBs) and aggregate backlog over the hydrated streams.
+// Only hydrated streams can hold a backlog — eviction seals a stream only
+// after it drains — so cold streams are never touched (no hydration storm
+// from a stats poll); DirectoryStats counts them, and the hydrations and
+// evictions that move streams between the two.
 func (db *DB) SchedulerStats() SchedulerStats {
 	var out SchedulerStats
 	if db.sched != nil {
@@ -417,11 +405,6 @@ func (db *DB) SchedulerStats() SchedulerStats {
 		out.RunningStreams = len(db.sched.running)
 		db.sched.mu.Unlock()
 	}
-	ds := db.DirectoryStats()
-	out.RegisteredStreams = ds.Registered
-	out.HydratedStreams = ds.Hydrated
-	out.Hydrations = ds.Hydrations
-	out.Evictions = ds.Evictions
 	ents, engs := db.pinHydrated()
 	defer func() {
 		for _, ent := range ents {
@@ -435,7 +418,7 @@ func (db *DB) SchedulerStats() SchedulerStats {
 		out.Installs += ms.Installs
 		out.Merges += ms.Merges
 	}
-	out.MaintIO = fromDisk(db.dev.MaintStats())
+	out.MaintIO = db.dev.MaintStats()
 	return out
 }
 

@@ -48,7 +48,7 @@ func msQuery(tb testing.TB, round int, quantile func(i int, phi float64)) {
 
 // runShared drives the workload against one DB hosting all streams over a
 // single cache budget and returns total backend RandReads.
-func runShared(tb testing.TB) (total uint64, perStream map[string]hsq.IOStats, agg hsq.IOStats) {
+func runShared(tb testing.TB) (total uint64, sum, agg hsq.IOStats) {
 	db, err := hsq.Open(msConfig(msCacheTotal))
 	if err != nil {
 		tb.Fatal(err)
@@ -69,8 +69,11 @@ func runShared(tb testing.TB) (total uint64, perStream map[string]hsq.IOStats, a
 			}
 		})
 	}
+	for _, st := range streams {
+		sum = sum.Add(st.DiskStats())
+	}
 	agg = db.DiskStats()
-	return agg.RandReads, db.StreamStats(), agg
+	return agg.RandReads, sum, agg
 }
 
 // runSplit drives the identical workload against N one-stream DBs, each
@@ -100,19 +103,11 @@ func runSplit(tb testing.TB) uint64 {
 // DBs with the cache split N ways, and per-stream IOStats sum exactly
 // to the device aggregate.
 func TestMultiStreamSharedCache(t *testing.T) {
-	shared, perStream, agg := runShared(t)
+	shared, sum, agg := runShared(t)
 	split := runSplit(t)
 	t.Logf("total RandReads: shared DB = %d, split DBs = %d", shared, split)
 	if shared >= split {
 		t.Errorf("shared cache (%d reads) should beat split caches (%d reads)", shared, split)
-	}
-	var sum hsq.IOStats
-	for _, io := range perStream {
-		sum.SeqReads += io.SeqReads
-		sum.SeqWrites += io.SeqWrites
-		sum.RandReads += io.RandReads
-		sum.CacheHits += io.CacheHits
-		sum.CacheMisses += io.CacheMisses
 	}
 	if sum != agg {
 		t.Errorf("per-stream IOStats sum %+v != device aggregate %+v", sum, agg)

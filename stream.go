@@ -177,7 +177,9 @@ func (s *Stream) Steps() int { return onEngine(s, (*engine).Steps) }
 func (s *Stream) PartitionCount() int { return onEngine(s, (*engine).PartitionCount) }
 
 // Describe returns the stream's level layout for inspection.
-func (s *Stream) Describe() []LevelInfo { return onEngine(s, (*engine).Describe) }
+func (s *Stream) Describe() []LevelInfo {
+	return onEngine(s, func(e *engine) []LevelInfo { return e.store.Describe() })
+}
 
 // Summary returns the stream's full-history core.ShardSummary — the scatter
 // half of the cluster's scatter-gather read — by the path of a local plan
@@ -203,10 +205,11 @@ func (s *Stream) MemoryUsage() MemoryUsage {
 	return eng.MemoryUsage()
 }
 
-// DiskStats returns this stream's I/O counters: the block I/O issued
-// through its namespaced view of the shared device. The counters are
-// cumulative across hydrate/evict cycles and always sum (with the DB's
-// other streams) to DB.DiskStats. Reading them never hydrates the stream.
+// DiskStats returns this stream's I/O counters — the one per-stream I/O
+// read: the block I/O issued through its namespaced view of the shared
+// device. The counters are cumulative across hydrate/evict cycles and always
+// sum (with the DB's other streams) to DB.DiskStats. Reading them never
+// hydrates the stream; one never hydrated this process reports zero.
 func (s *Stream) DiskStats() IOStats {
 	s.db.mu.Lock()
 	view := s.ent.view
@@ -214,7 +217,7 @@ func (s *Stream) DiskStats() IOStats {
 	if view == nil {
 		return IOStats{}
 	}
-	return fromDisk(view.Stats())
+	return view.Stats()
 }
 
 // ProbeMemoStats returns the stream's rank-probe memo counters (see
@@ -230,7 +233,7 @@ func (s *Stream) ProbeMemoStats() ProbeMemoStats {
 	s.ent.pins++
 	s.db.mu.Unlock()
 	defer s.db.release(s.ent)
-	return eng.ProbeMemoStats()
+	return eng.store.MemoStats()
 }
 
 // MaintenanceStats returns the stream's maintenance counters. A cold
