@@ -349,13 +349,15 @@
 // batches are delta-encoded zig-zag varints, and the public hsqclient
 // package is its batching SDK (Dial, Stream, Observe/ObserveSlice,
 // EndStep, Flush, Close). Batches and end-of-step markers are sequenced,
-// applied in order through the ObserveSlice fast path, and acknowledged
-// cumulatively after application; a reconnecting client resumes its
-// session and replays only unacknowledged frames, giving exactly-once
-// application per server process. Backpressure is explicit: a credit
-// window bounds frames in flight, the server applies each frame before
-// reading the next, and a stream stalled on MaxPendingSteps stops acking
-// until the producer's Observe blocks. The server pipeline lives in
+// applied in order through the ObserveSlice fast path, and confirmed by a
+// Ping barrier the server answers only after applying everything written
+// before it; a reconnecting client resumes its session and replays only
+// unconfirmed frames, giving exactly-once application per server process.
+// The client's connection is internal/sender, the same sender the cluster's
+// relay channels use. Backpressure is explicit: a credit window bounds
+// frames in flight, the server applies each frame before reading the next,
+// and a stream stalled on MaxPendingSteps stops confirming until the
+// producer's Observe blocks. The server pipeline lives in
 // internal/ingest; GET /ingest exposes its counters. hsqd's REST writes
 // (newline integers or batched JSON, parsed whole) enter the same pipeline
 // one step in, through ingest.Server.Write: the apply body a connection's
@@ -379,8 +381,12 @@
 // stream's other members, and acknowledges the client only after every
 // reachable member acknowledged. A client whose node dies fails over to
 // another address (hsqclient.Dial accepts a comma-separated list), learns
-// per-stream applied high-water marks from the Welcome, and replays only
-// what is missing.
+// per-stream applied high-water marks from the Welcome, replays only what
+// is missing, and counts what the Welcome reports applied delivered once
+// that node's relays of it are. Each relay channel is the client's own
+// sender (internal/sender) with the relay's give-up policy passed in; a
+// frame a channel cannot encode fails its waiter (the client connection is
+// errored) and is counted dropped, and the frames behind it proceed.
 //
 // Queries compose the same way the engine composes H and R: each shard
 // exports its in-memory state as a core.ShardSummary (the wire's
@@ -395,7 +401,8 @@
 // distribution costs latency, never accuracy. The replication guarantee
 // is bounded, not absolute: a follower unreachable past the transport's
 // DownAfter is declared down and its fan-out frames are dropped (counted,
-// visible in hsqd's GET /cluster) so ingest degrades instead of blocking;
+// visible in hsqd's GET /cluster) — at once, until it confirms a frame
+// again — so ingest degrades instead of blocking;
 // there is no automatic rebalancing and no cross-member read-your-writes
 // within a step. Peer summaries a coordinator fetches for streams it does
 // not host are cached per {stream, node, ring epoch} for

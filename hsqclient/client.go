@@ -25,26 +25,33 @@
 // # Backpressure
 //
 // The server grants a credit window: at most W sequenced frames may be in
-// flight (unacknowledged). When the server stalls — typically EndStep
-// blocked on the engine's MaxPendingSteps maintenance backpressure — acks
-// stop, the window fills, the client's frame queue backs up, and Observe
-// blocks. Producer speed is thereby coupled to warehouse speed with
-// bounded memory at every hop.
+// flight (written, not yet confirmed). When the server stalls — typically
+// EndStep blocked on the engine's MaxPendingSteps maintenance backpressure
+// — confirmations stop, the window fills, the client's frame queue backs
+// up, and Observe blocks. Producer speed is thereby coupled to warehouse
+// speed with bounded memory at every hop.
 //
 // # Reconnection and delivery guarantees
 //
-// On a broken connection the client redials (capped exponential backoff)
-// and resumes its session: the server's Welcome frame reports the highest
-// frame sequence it has applied, the client discards buffered frames at
-// or below it and replays the rest. Sequenced frames (batches,
-// end-of-steps) are therefore applied exactly once and in order per
-// server process, even across reconnects — what was never acknowledged is
-// retried; what was already applied is never applied twice. Elements
-// still in a stream's unsealed buffer are never lost either: they simply
-// have not been sent yet. Only a client process crash loses buffered
-// data, and a server restart loses its sessions (the replay then starts a
-// fresh session; see the "Durability" section of the hsq docs for what a
-// restarted server remembers).
+// Delivery is confirmed by the Ping barrier: the server answers a Ping only
+// after applying (on a cluster node: and relaying) every frame written
+// before it, and the client pings after a burst of frames whenever no
+// earlier Ping is outstanding. Flush waits until every frame sealed before
+// the call is confirmed.
+//
+// On a broken connection the client redials (capped, jittered exponential
+// backoff) and resumes its session: the server's Welcome frame reports, per
+// stream, the highest frame sequence it has applied (a server too old to
+// report it per stream is refused); the client replays the frames above it
+// and counts those at or below it delivered once the server acknowledges a
+// Flush for them, which it gates as it gates a Pong. Sequenced frames
+// (batches, end-of-steps) are therefore applied exactly once and in order
+// per server process, even across reconnects. Elements still in a stream's
+// unsealed buffer are never lost either: they simply have not been sent
+// yet. Only a client process crash loses buffered data, and a server
+// restart loses its sessions (the replay then starts a fresh session; see
+// the "Durability" section of the hsq docs for what a restarted server
+// remembers).
 package hsqclient
 
 import (
@@ -53,13 +60,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	mrand "math/rand/v2"
-	"net"
 	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/sender"
 	"repro/internal/wire"
 )
 
@@ -79,17 +85,12 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("hsqclient: server error %d: %s", e.Code, e.Message)
 }
 
+// options are Dial's: the client's own batching, and the sender policy the
+// rest of them set.
 type options struct {
 	batchSize     int
 	flushInterval time.Duration
-	maxQueue      int
-	dialTimeout   time.Duration
-	backoffMin    time.Duration
-	backoffMax    time.Duration
-	maxAttempts   int // consecutive failed dials before giving up; 0 = unlimited
-	keepalive     time.Duration
-	session       string
-	logf          func(format string, args ...any)
+	sender.Config
 }
 
 // Option customizes Dial.
@@ -105,70 +106,57 @@ func WithFlushInterval(d time.Duration) Option { return func(o *options) { o.flu
 
 // WithMaxQueuedFrames bounds the client-side frame queue; Observe blocks
 // when it is full (default 256 frames).
-func WithMaxQueuedFrames(n int) Option { return func(o *options) { o.maxQueue = n } }
+func WithMaxQueuedFrames(n int) Option { return func(o *options) { o.MaxQueue = n } }
 
 // WithDialTimeout bounds each dial attempt (default 5s).
-func WithDialTimeout(d time.Duration) Option { return func(o *options) { o.dialTimeout = d } }
+func WithDialTimeout(d time.Duration) Option { return func(o *options) { o.DialTimeout = d } }
 
 // WithReconnectBackoff sets the reconnect backoff range (default
 // 20ms–2s, doubling).
 func WithReconnectBackoff(min, max time.Duration) Option {
-	return func(o *options) { o.backoffMin, o.backoffMax = min, max }
+	return func(o *options) { o.BackoffMin, o.BackoffMax = min, max }
 }
 
 // WithMaxReconnectAttempts gives up (poisoning the client) after n
 // consecutive failed connection attempts; 0, the default, retries
 // forever.
-func WithMaxReconnectAttempts(n int) Option { return func(o *options) { o.maxAttempts = n } }
+func WithMaxReconnectAttempts(n int) Option { return func(o *options) { o.MaxAttempts = n } }
 
 // WithKeepalive sends a Ping frame whenever the connection has been idle
 // for d, so servers running with an ingest idle timeout do not reap
 // trickling producers (and dead connections are detected sooner). 0, the
 // default, sends no pings.
-func WithKeepalive(d time.Duration) Option { return func(o *options) { o.keepalive = d } }
+func WithKeepalive(d time.Duration) Option { return func(o *options) { o.Keepalive = d } }
 
 // WithSession fixes the session token instead of generating a random
 // one. Two clients must never share a token.
-func WithSession(s string) Option { return func(o *options) { o.session = s } }
+func WithSession(s string) Option { return func(o *options) { o.Session = s } }
 
 // WithLogf receives connection-lifecycle log lines (reconnects, fatal
 // errors). Default: silent.
-func WithLogf(f func(format string, args ...any)) Option { return func(o *options) { o.logf = f } }
+func WithLogf(f func(format string, args ...any)) Option { return func(o *options) { o.Logf = f } }
 
 // Client is a connection to an hsqd ingest listener hosting any number of
 // named streams. All methods are safe for concurrent use.
 type Client struct {
-	addrs []string // candidate servers; addrIdx rotates on dial failure
-	opts  options
-
-	addrIdx int // guarded by mu; index of the address to try next
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	streams     map[string]*Stream
-	subs        map[uint64]*Subscription
-	nextID      uint64
-	nextSubID   uint64
-	nextSeq     uint64
-	ackedSeq    uint64
-	credit      uint64
-	queue       []*wire.Frame // sealed frames awaiting write, FIFO
-	unacked     []*wire.Frame // written frames awaiting ack, seq-ordered
-	connUp      bool
-	wantFlush   bool   // a Flush waiter needs an explicit ack request
-	flushReqSeq uint64 // newest seq covered by a Flush frame on this connection
-	fatal       error
-	closed      bool
-
+	opts options
+	snd  *sender.Sender // owns the connection, the queue and the replay set
 	tick *time.Ticker
-	done chan struct{} // closed when run() exits
+
+	mu      sync.Mutex
+	streams map[string]*Stream
+	nextSeq uint64
+	closed  bool
+
+	subMu     sync.Mutex
+	subs      map[uint64]*Subscription
+	nextSubID uint64
 }
 
 // Stream is a named stream handle. Handles are cheap and cached: every
 // call to Client.Stream with the same name returns the same handle.
 type Stream struct {
 	c    *Client
-	id   uint64
 	name string
 	buf  []int64
 }
@@ -180,88 +168,57 @@ type Stream struct {
 //
 // addr may be a comma-separated list of addresses (the nodes of an hsqd
 // cluster): the client connects to the first reachable one and, when a
-// connection dies, fails over to the next — replaying unacknowledged
-// frames so the cluster's session replay state resumes the stream without
-// loss or duplication.
+// connection dies, fails over to the next — replaying unconfirmed frames
+// so the cluster's session replay state resumes the stream without loss
+// or duplication.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	o := options{
-		batchSize:     2048,
-		flushInterval: 50 * time.Millisecond,
-		maxQueue:      256,
-		dialTimeout:   5 * time.Second,
-		backoffMin:    20 * time.Millisecond,
-		backoffMax:    2 * time.Second,
-		logf:          func(string, ...any) {},
-	}
+	o := options{batchSize: 2048, flushInterval: 50 * time.Millisecond, Config: sender.Config{
+		MaxQueue: 256, DialTimeout: 5 * time.Second, BackoffMin: 20 * time.Millisecond, BackoffMax: 2 * time.Second,
+		Logf: func(string, ...any) {},
+	}}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.session == "" {
+	if o.Session == "" {
 		var b [8]byte
 		if _, err := rand.Read(b[:]); err != nil {
 			return nil, fmt.Errorf("hsqclient: session token: %w", err)
 		}
-		o.session = hex.EncodeToString(b[:])
+		o.Session = hex.EncodeToString(b[:])
 	}
-	var addrs []string
 	for _, a := range strings.Split(addr, ",") {
 		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
+			o.Addrs = append(o.Addrs, a)
 		}
 	}
-	if len(addrs) == 0 {
+	if len(o.Addrs) == 0 {
 		return nil, errors.New("hsqclient: no addresses")
 	}
-	c := &Client{
-		addrs:   addrs,
-		opts:    o,
-		streams: make(map[string]*Stream),
-		credit:  1, // replaced by the Welcome's window on connect
-		done:    make(chan struct{}),
-	}
-	c.cond = sync.NewCond(&c.mu)
-
-	// First connection synchronously, so Dial's error is meaningful.
-	nc, r, err := c.connectOnce()
+	c := &Client{opts: o, streams: make(map[string]*Stream), subs: make(map[uint64]*Subscription)}
+	o.Connected, o.OnError, o.OnFrame = c.resubscribe, c.serverError, c.dispatchPush
+	snd, err := sender.Dial(o.Config)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hsqclient: %w", err)
 	}
+	c.snd = snd
 	c.tick = time.NewTicker(o.flushInterval)
 	go c.tickLoop()
-	if o.keepalive > 0 {
-		go c.keepaliveLoop()
-	}
-	go c.run(nc, r)
 	return c, nil
 }
 
-// keepaliveLoop enqueues a Ping whenever the client has been idle for the
-// keepalive interval (no frames queued or in flight). The server's Pong is
-// ignored by readLoop; the ping's only job is to keep bytes moving so
-// idle-timeout reaping and dead-peer detection work.
-func (c *Client) keepaliveLoop() {
-	t := time.NewTicker(c.opts.keepalive)
-	defer t.Stop()
-	var seq uint64
-	for {
-		select {
-		case <-t.C:
-		case <-c.done:
-			return
-		}
-		c.mu.Lock()
-		if !c.closed && c.connUp && len(c.queue) == 0 && len(c.unacked) == 0 {
-			seq++
-			c.queue = append(c.queue, &wire.Frame{Type: wire.TypePing, Seq: seq})
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
+// serverError is the sender's policy for an Error frame: a server shutting
+// down is left for its successor, anything else poisons the client.
+func (c *Client) serverError(f *wire.Frame) error {
+	if f.Code == wire.ErrCodeShutdown {
+		c.opts.Logf("hsqclient: server shutting down, will reconnect")
+		return nil
 	}
+	return &ServerError{Code: f.Code, Message: f.Message}
 }
 
 // Session returns the client's session token (useful for tests and for
 // correlating client and server stats).
-func (c *Client) Session() string { return c.opts.session }
+func (c *Client) Session() string { return c.opts.Session }
 
 // Stream returns the handle for a named stream, registering it with the
 // server on first use.
@@ -271,32 +228,16 @@ func (c *Client) Stream(name string) *Stream {
 	if s, ok := c.streams[name]; ok {
 		return s
 	}
-	c.nextID++
-	s := &Stream{c: c, id: c.nextID, name: name}
+	s := &Stream{c: c, name: name}
 	c.streams[name] = s
-	// OpenStream frames are unsequenced and idempotent; one is also
-	// replayed for every known stream after each reconnect.
-	c.queue = append(c.queue, &wire.Frame{Type: wire.TypeOpenStream, StreamID: s.id, Name: name})
-	c.cond.Broadcast()
+	c.snd.Send(sender.Item{Stream: name}) //nolint:errcheck // a stopped client reports it on the next call
 	return s
 }
 
 // Observe buffers one element. It blocks only when the client's buffering
 // limits are reached (queue full — typically the server exerting
 // backpressure).
-func (s *Stream) Observe(v int64) error {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.errLocked(); err != nil {
-		return err
-	}
-	s.buf = append(s.buf, v)
-	if len(s.buf) >= c.opts.batchSize {
-		return c.sealLocked(s, true)
-	}
-	return nil
-}
+func (s *Stream) Observe(v int64) error { return s.ObserveSlice([]int64{v}) }
 
 // ObserveSlice buffers a slice of elements under one lock acquisition.
 func (s *Stream) ObserveSlice(vs []int64) error {
@@ -308,14 +249,14 @@ func (s *Stream) ObserveSlice(vs []int64) error {
 	}
 	s.buf = append(s.buf, vs...)
 	if len(s.buf) >= c.opts.batchSize {
-		return c.sealLocked(s, true)
+		return c.snd.Send(c.sealLocked(s)...)
 	}
 	return nil
 }
 
 // EndStep seals the stream's buffer and enqueues an end-of-step marker:
 // the server runs the stream's EndStep after applying everything observed
-// so far. Asynchronous — use Flush to wait for the ack.
+// so far. Asynchronous — use Flush to wait for the confirmation.
 func (s *Stream) EndStep() error {
 	c := s.c
 	c.mu.Lock()
@@ -323,20 +264,13 @@ func (s *Stream) EndStep() error {
 	if err := c.errLocked(); err != nil {
 		return err
 	}
-	if err := c.sealLocked(s, true); err != nil {
-		return err
-	}
-	if err := c.waitQueueSpaceLocked(); err != nil {
-		return err
-	}
+	items := c.sealLocked(s)
 	c.nextSeq++
-	c.queue = append(c.queue, &wire.Frame{Type: wire.TypeEndStep, Seq: c.nextSeq, StreamID: s.id})
-	c.cond.Broadcast()
-	return nil
+	return c.snd.Send(append(items, sender.Item{Stream: s.name, F: &wire.Frame{Type: wire.TypeEndStep, Seq: c.nextSeq}})...)
 }
 
 // Flush seals this stream's buffer and blocks until the server has
-// acknowledged every frame enqueued so far (all streams share the
+// confirmed every frame enqueued so far (all streams share the
 // connection's frame sequence, so this is a connection-wide barrier).
 func (s *Stream) Flush() error { return s.c.Flush() }
 
@@ -344,80 +278,47 @@ func (s *Stream) Flush() error { return s.c.Flush() }
 func (s *Stream) Name() string { return s.name }
 
 // Flush seals every stream's buffer and blocks until the server has
-// applied and acknowledged every frame enqueued so far. While the server
-// is unreachable Flush waits through the reconnect loop — indefinitely
-// under the default unlimited-retry policy; bound the wait with
+// applied and confirmed every frame enqueued so far. While the server is
+// unreachable Flush waits through the reconnect loop — indefinitely under
+// the default unlimited-retry policy; bound the wait with
 // WithMaxReconnectAttempts or use FlushCtx.
-func (c *Client) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flushLocked(context.Background())
-}
+func (c *Client) Flush() error { return c.FlushCtx(context.Background()) }
 
 // FlushCtx is Flush with a deadline: it returns ctx.Err() if the
-// acknowledgements do not arrive in time. The frames stay queued — a
+// confirmations do not arrive in time. The frames stay queued — a
 // timed-out flush abandons the wait, not the data.
 func (c *Client) FlushCtx(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stop()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flushLocked(ctx)
-}
-
-func (c *Client) flushLocked(ctx context.Context) error {
-	if err := c.errLocked(); err != nil {
+	last, err := c.sealAllLocked()
+	c.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	for _, s := range c.streams {
-		if err := c.sealLocked(s, true); err != nil {
-			return err
-		}
-	}
-	target := c.nextSeq
-	for c.ackedSeq < target {
-		if err := c.errLocked(); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Ask the writer to request an ack once the queue drains, unless
-		// this connection has already requested one covering target —
-		// without that guard the waiter and the writer wake each other
-		// into a ping-pong of redundant Flush frames.
-		if c.flushReqSeq < target {
-			c.wantFlush = true
-			c.cond.Broadcast()
-		}
-		c.cond.Wait()
-	}
-	return nil
+	return c.snd.Wait(ctx, last)
 }
 
-// Close flushes all buffered data, waits for the server's
-// acknowledgements, and releases the connection. Always releases
-// resources, even when the flush fails; the flush error is returned.
-// Like Flush, the drain waits through reconnects — a producer that must
-// bound its shutdown against a server that may never return should call
-// FlushCtx first (or set WithMaxReconnectAttempts) and Close after.
+// Close flushes all buffered data, waits for the server's confirmations,
+// and releases the connection. Always releases resources, even when the
+// flush fails; the flush error is returned. Like Flush, the drain waits
+// through reconnects — a producer that must bound its shutdown against a
+// server that may never return should call FlushCtx first (or set
+// WithMaxReconnectAttempts) and Close after.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	flushErr := c.flushLocked(context.Background())
+	last, err := c.sealAllLocked()
 	c.closed = true
-	c.cond.Broadcast()
 	c.mu.Unlock()
+	if err == nil {
+		err = c.snd.Wait(context.Background(), last)
+	}
 	c.tick.Stop()
-	<-c.done
-	return flushErr
+	c.snd.Close(ErrClosed)
+	c.closeSubs()
+	return err
 }
 
 // errLocked reports the terminal state, if any.
@@ -425,393 +326,56 @@ func (c *Client) errLocked() error {
 	if c.closed {
 		return ErrClosed
 	}
-	return c.fatal
+	return c.snd.Err()
 }
 
-// waitQueueSpaceLocked blocks while the frame queue is at its bound.
-func (c *Client) waitQueueSpaceLocked() error {
-	for len(c.queue) >= c.opts.maxQueue {
-		if err := c.errLocked(); err != nil {
-			return err
-		}
-		c.cond.Wait()
+// sealAllLocked queues every stream's buffer and returns the newest
+// sequence number.
+func (c *Client) sealAllLocked() (uint64, error) {
+	if err := c.errLocked(); err != nil {
+		return 0, err
 	}
-	return c.errLocked()
+	var items []sender.Item
+	for _, s := range c.streams {
+		items = append(items, c.sealLocked(s)...)
+	}
+	return c.nextSeq, c.snd.Send(items...)
 }
 
-// sealLocked turns s's buffer into one or more sequenced batch frames on
-// the queue. With block=false (the interval ticker) it skips instead of
-// waiting when the queue is full — the buffer just keeps growing until
-// the size threshold forces a blocking seal.
-func (c *Client) sealLocked(s *Stream, block bool) error {
+// sealLocked cuts s's buffer into sequenced batch frames. Each caller hands
+// what it seals to one Send, which waits while the queue is full: holding
+// c.mu meanwhile keeps every stream's frames queued in sequence order, and
+// one Send is one burst for the connection.
+func (c *Client) sealLocked(s *Stream) []sender.Item {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	if block {
-		if err := c.waitQueueSpaceLocked(); err != nil {
-			return err
-		}
-		// The wait released the lock: a concurrent caller may have sealed
-		// this stream's buffer already.
-		if len(s.buf) == 0 {
-			return nil
-		}
-	} else if len(c.queue) >= c.opts.maxQueue {
-		return nil
-	}
+	var items []sender.Item
 	for _, chunk := range wire.SplitBatch(s.buf) {
 		c.nextSeq++
-		c.queue = append(c.queue, &wire.Frame{
-			Type: wire.TypeBatch, Seq: c.nextSeq, StreamID: s.id,
-			Values: slices.Clone(chunk),
-		})
+		items = append(items, sender.Item{Stream: s.name, F: &wire.Frame{Type: wire.TypeBatch, Seq: c.nextSeq, Values: slices.Clone(chunk)}})
 	}
 	s.buf = s.buf[:0]
-	c.cond.Broadcast()
-	return nil
+	return items
 }
 
 // tickLoop seals partial buffers at the flush interval so trickling
-// producers still see their data arrive.
+// producers still see their data arrive, and ends the subscriptions once
+// the sender has stopped.
 func (c *Client) tickLoop() {
 	for {
 		select {
 		case <-c.tick.C:
-		case <-c.done:
+		case <-c.snd.Done():
+			c.closeSubs()
 			return
 		}
+		// Skip a tick the queue is full for: the buffers keep growing until
+		// the batch size forces a seal that waits.
 		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		for _, s := range c.streams {
-			c.sealLocked(s, false) //nolint:errcheck // non-blocking seal cannot fail
+		if c.errLocked() == nil && c.snd.Room() {
+			c.sealAllLocked() //nolint:errcheck // a stopped sender reports on the next call
 		}
 		c.mu.Unlock()
-	}
-}
-
-// connectOnce dials and handshakes a single attempt against the current
-// address; on any failure the next attempt targets the next address in
-// the list, so a dead node delays failover by one dial timeout at most.
-func (c *Client) connectOnce() (net.Conn, *wire.Reader, error) {
-	c.mu.Lock()
-	addr := c.addrs[c.addrIdx%len(c.addrs)]
-	c.mu.Unlock()
-	rotate := func() {
-		c.mu.Lock()
-		c.addrIdx++
-		c.mu.Unlock()
-	}
-	nc, err := net.DialTimeout("tcp", addr, c.opts.dialTimeout)
-	if err != nil {
-		rotate()
-		return nil, nil, fmt.Errorf("hsqclient: dial %s: %w", addr, err)
-	}
-	w := wire.NewWriter(nc)
-	hello := &wire.Frame{Type: wire.TypeHello, Version: wire.Version, Session: c.opts.session}
-	if err := w.WriteFrame(hello); err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		nc.Close() //nolint:errcheck
-		rotate()
-		return nil, nil, fmt.Errorf("hsqclient: handshake: %w", err)
-	}
-	r := wire.NewReader(nc)
-	nc.SetReadDeadline(time.Now().Add(c.opts.dialTimeout)) //nolint:errcheck
-	f, err := r.ReadFrame()
-	if err != nil {
-		nc.Close() //nolint:errcheck
-		rotate()
-		return nil, nil, fmt.Errorf("hsqclient: handshake: %w", err)
-	}
-	nc.SetReadDeadline(time.Time{}) //nolint:errcheck
-	switch f.Type {
-	case wire.TypeWelcome:
-		// fall through
-	case wire.TypeError:
-		nc.Close() //nolint:errcheck
-		rotate()
-		return nil, nil, &ServerError{Code: f.Code, Message: f.Message}
-	default:
-		nc.Close() //nolint:errcheck
-		rotate()
-		return nil, nil, fmt.Errorf("hsqclient: handshake: unexpected %s frame", wire.TypeName(f.Type))
-	}
-
-	// Adopt the server's view of the session: frames it has applied are
-	// pruned from the replay set; the rest go back to the front of the
-	// queue, ahead of anything sealed while disconnected, preceded by the
-	// idempotent OpenStream bindings the new connection needs.
-	//
-	// A v2 server reports per-stream marks, and pruning MUST then be per
-	// stream: after failing over to a replica, the new server knows the
-	// high-water marks only of the streams it stores, and its conn-wide
-	// Seq (the max over those) would wrongly prune frames of a stream
-	// whose path died with the old server. For the same reason the
-	// conn-wide Seq is not adopted into ackedSeq — acks for replayed
-	// frames (or the Flush reply, for fully pruned ones) advance it.
-	c.mu.Lock()
-	byID := make(map[uint64]string, len(c.streams))
-	for name, s := range c.streams {
-		byID[s.id] = name
-	}
-	var pruned func(uf *wire.Frame) bool
-	if len(f.StreamSeqs) > 0 {
-		marks := make(map[string]uint64, len(f.StreamSeqs))
-		for _, ss := range f.StreamSeqs {
-			marks[ss.Name] = ss.Seq
-		}
-		pruned = func(uf *wire.Frame) bool { return uf.Seq <= marks[byID[uf.StreamID]] }
-	} else {
-		// v1 server (or fresh session): one conn-wide high-water mark.
-		if f.Seq > c.ackedSeq {
-			c.ackedSeq = f.Seq
-		}
-		pruned = func(uf *wire.Frame) bool { return uf.Seq <= f.Seq }
-	}
-	c.credit = max(f.Credit, 1)
-	keep := c.unacked[:0]
-	for _, uf := range c.unacked {
-		if !pruned(uf) {
-			keep = append(keep, uf)
-		}
-	}
-	replay := append([]*wire.Frame{}, keep...)
-	c.unacked = nil
-	var opens []*wire.Frame
-	for _, s := range c.streams {
-		opens = append(opens, &wire.Frame{Type: wire.TypeOpenStream, StreamID: s.id, Name: s.name})
-	}
-	slices.SortFunc(opens, func(a, b *wire.Frame) int { return int(a.StreamID) - int(b.StreamID) })
-	// Re-register continuous queries with fresh credit: the new server has
-	// no subscription state, and the re-Subscribe triggers a fresh push
-	// (results missed during the outage are not replayed — subscribers get
-	// latest state, not history).
-	for _, sub := range c.subs {
-		sub.mu.Lock()
-		sub.received = 0
-		sub.mu.Unlock()
-		opens = append(opens, subscribeFrame(sub))
-	}
-	// Drop queued OpenStream/Subscribe frames (re-issued above) to keep
-	// the queue from accumulating per reconnect.
-	pending := c.queue[:0]
-	for _, qf := range c.queue {
-		if qf.Type != wire.TypeOpenStream && qf.Type != wire.TypeSubscribe {
-			pending = append(pending, qf)
-		}
-	}
-	c.queue = append(append(opens, replay...), pending...)
-	c.flushReqSeq = 0 // a flush request from the old connection died with it
-	c.connUp = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	return nc, r, nil
-}
-
-// run owns the connection: it alternates writeLoop (until the connection
-// dies) with reconnect attempts, and exits on Close or a terminal error.
-func (c *Client) run(nc net.Conn, r *wire.Reader) {
-	defer close(c.done)
-	defer c.closeSubs()
-	for {
-		readerDone := make(chan struct{})
-		go c.readLoop(nc, r, readerDone)
-		c.writeLoop(nc)
-		nc.Close() //nolint:errcheck
-		<-readerDone
-
-		c.mu.Lock()
-		c.connUp = false
-		stop := c.closed || c.fatal != nil
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		if stop {
-			return
-		}
-
-		var err error
-		nc, r, err = c.reconnect()
-		if err != nil {
-			c.mu.Lock()
-			if c.fatal == nil && !c.closed {
-				c.fatal = err
-			}
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			return
-		}
-		if nc == nil { // closed during reconnect
-			return
-		}
-	}
-}
-
-// reconnect redials with capped exponential backoff until it succeeds,
-// the client closes, or the attempt budget runs out. A nil conn with nil
-// error means the client closed.
-func (c *Client) reconnect() (net.Conn, *wire.Reader, error) {
-	backoff := c.opts.backoffMin
-	attempts := 0
-	for {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return nil, nil, nil
-		}
-		nc, r, err := c.connectOnce()
-		if err == nil {
-			c.opts.logf("hsqclient: reconnected (session %s)", c.opts.session)
-			return nc, r, nil
-		}
-		var se *ServerError
-		if errors.As(err, &se) && se.Code == wire.ErrCodeProtocol {
-			return nil, nil, err // no point retrying a protocol mismatch
-		}
-		attempts++
-		if c.opts.maxAttempts > 0 && attempts >= c.opts.maxAttempts {
-			return nil, nil, fmt.Errorf("hsqclient: giving up after %d reconnect attempts: %w", attempts, err)
-		}
-		c.opts.logf("hsqclient: reconnect failed (attempt %d): %v", attempts, err)
-		// Full jitter on the capped exponential backoff: a fleet of
-		// producers reconnecting after one node dies must not redial in
-		// lockstep.
-		time.Sleep(backoff/2 + time.Duration(mrand.Int64N(int64(backoff/2)+1)))
-		backoff = min(backoff*2, c.opts.backoffMax)
-	}
-}
-
-// writeLoop drains the frame queue onto the connection while credit
-// allows, returning when the connection dies or the client is done with
-// it (closed with everything acked).
-func (c *Client) writeLoop(nc net.Conn) {
-	w := wire.NewWriter(nc)
-	c.mu.Lock()
-	for {
-		if !c.connUp || c.fatal != nil {
-			c.mu.Unlock()
-			return
-		}
-		if c.closed && len(c.queue) == 0 && len(c.unacked) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		var towrite []*wire.Frame
-		for len(c.queue) > 0 && len(towrite) < 64 {
-			f := c.queue[0]
-			if f.Sequenced() && uint64(len(c.unacked)) >= c.credit {
-				break
-			}
-			c.queue = c.queue[1:]
-			if f.Sequenced() {
-				c.unacked = append(c.unacked, f)
-			}
-			towrite = append(towrite, f)
-		}
-		// A Flush waiter needs the server to ack promptly even when the
-		// ack-every-W/4 cadence would not fire: request one explicitly
-		// once everything pending has been handed to the connection. This
-		// fires even with nothing unacked — after a failover prunes every
-		// replay frame, the Flush reply is the only ack that can advance
-		// ackedSeq past the pruned frames.
-		wantFlush := c.wantFlush && len(c.queue) == 0
-		if wantFlush {
-			c.wantFlush = false
-			c.flushReqSeq = c.nextSeq
-		}
-		if len(towrite) == 0 && !wantFlush {
-			c.cond.Broadcast() // queue drained: wake blocked producers
-			c.cond.Wait()
-			continue
-		}
-		flushSeq := c.nextSeq
-		c.mu.Unlock()
-
-		var err error
-		for _, f := range towrite {
-			if err = w.WriteFrame(f); err != nil {
-				break
-			}
-		}
-		if err == nil && wantFlush {
-			err = w.WriteFrame(&wire.Frame{Type: wire.TypeFlush, Seq: flushSeq})
-		}
-		if err == nil {
-			err = w.Flush()
-		}
-
-		c.mu.Lock()
-		if err != nil {
-			// The frames sit in unacked; the next connection replays them.
-			c.mu.Unlock()
-			return
-		}
-		c.cond.Broadcast()
-	}
-}
-
-// readLoop consumes acks and errors until the connection dies.
-func (c *Client) readLoop(nc net.Conn, r *wire.Reader, done chan<- struct{}) {
-	defer close(done)
-	for {
-		f, err := r.ReadFrame()
-		if err != nil {
-			nc.Close() //nolint:errcheck — unblock a writer stuck in Write
-			c.mu.Lock()
-			c.connUp = false
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			return
-		}
-		switch f.Type {
-		case wire.TypeAck:
-			c.mu.Lock()
-			if f.Seq > c.ackedSeq {
-				c.ackedSeq = f.Seq
-			}
-			if f.Credit > 0 {
-				c.credit = f.Credit
-			}
-			keep := c.unacked[:0]
-			for _, uf := range c.unacked {
-				if uf.Seq > c.ackedSeq {
-					keep = append(keep, uf)
-				}
-			}
-			clear(c.unacked[len(keep):])
-			c.unacked = keep
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		case wire.TypeError:
-			if f.Code == wire.ErrCodeShutdown {
-				// The server is going away; treat as a connection drop and
-				// let the reconnect loop retry against its successor.
-				c.opts.logf("hsqclient: server shutting down, will reconnect")
-				nc.Close() //nolint:errcheck
-				c.mu.Lock()
-				c.connUp = false
-				c.cond.Broadcast()
-				c.mu.Unlock()
-				return
-			}
-			nc.Close() //nolint:errcheck
-			c.mu.Lock()
-			if c.fatal == nil {
-				c.fatal = &ServerError{Code: f.Code, Message: f.Message}
-			}
-			c.connUp = false
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			return
-		case wire.TypePush:
-			c.dispatchPush(f)
-		default:
-			// Unexpected server frame: ignore. Forward compatibility —
-			// newer servers may add informational frames.
-		}
 	}
 }

@@ -352,6 +352,42 @@ func TestBackpressureBlocks(t *testing.T) {
 	}
 }
 
+// TestKeepaliveOutlivesIdleTimeout: a server reaping connections idle for
+// 100ms keeps an idle client that pings every 20ms.
+func TestKeepaliveOutlivesIdleTimeout(t *testing.T) {
+	db, err := hsq.Open(hsq.Options{Epsilon: 0.05, Backend: "mem"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ingest.New(ingest.Config{DB: db, IdleTimeout: 100 * time.Millisecond})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck
+	t.Cleanup(func() {
+		srv.Shutdown(context.Background()) //nolint:errcheck
+		db.Close()                         //nolint:errcheck
+	})
+	c, err := Dial(l.Addr().String(), WithKeepalive(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+
+	// Four idle timeouts with nothing to send.
+	time.Sleep(400 * time.Millisecond)
+	if err := c.Stream("idle").Observe(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Stats().TotalConns; n != 1 {
+		t.Fatalf("%d connections, want 1: the idle client was reaped", n)
+	}
+}
+
 // TestFlushCtxTimeout pins the bounded-drain escape hatch: with the
 // server gone for good, FlushCtx returns the context error instead of
 // waiting through reconnects forever, and a bounded-retry client's Close

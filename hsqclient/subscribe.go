@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/sender"
 	"repro/internal/wire"
 )
 
@@ -49,8 +50,9 @@ type Subscription struct {
 	id   uint64
 	plan []byte
 
-	updates chan Update
-	ready   chan struct{} // closed on the first push (or nack)
+	updates   chan Update
+	ready     chan struct{} // closed on the first push (or nack)
+	readyOnce sync.Once
 
 	mu       sync.Mutex
 	firstErr error
@@ -71,10 +73,12 @@ type Subscription struct {
 // outage are not replayed.
 func (c *Client) Subscribe(ctx context.Context, planJSON []byte) (*Subscription, error) {
 	c.mu.Lock()
-	if err := c.errLocked(); err != nil {
-		c.mu.Unlock()
+	err := c.errLocked()
+	c.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
+	c.subMu.Lock()
 	c.nextSubID++
 	sub := &Subscription{
 		c:       c,
@@ -83,30 +87,27 @@ func (c *Client) Subscribe(ctx context.Context, planJSON []byte) (*Subscription,
 		updates: make(chan Update, 1),
 		ready:   make(chan struct{}),
 	}
-	if c.subs == nil {
-		c.subs = make(map[uint64]*Subscription)
+	// A plan too large for a frame fails here, before anything is sent.
+	f := subscribeFrame(sub)
+	if _, err = wire.AppendFrame(nil, f); err == nil {
+		c.subs[sub.id] = sub
 	}
-	c.subs[sub.id] = sub
-	c.queue = append(c.queue, subscribeFrame(sub))
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	c.subMu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("hsqclient: subscribe: %w", err)
+	}
+	c.snd.Send(sender.Item{F: f}) //nolint:errcheck // a stopped sender closes Done below
 
 	select {
 	case <-sub.ready:
 	case <-ctx.Done():
 		sub.Unsubscribe() //nolint:errcheck
 		return nil, ctx.Err()
-	case <-c.done:
-		c.mu.Lock()
-		err := c.errLocked()
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return nil, err
+	case <-c.snd.Done():
+		return nil, c.snd.Err()
 	}
 	sub.mu.Lock()
-	err := sub.firstErr
+	err = sub.firstErr
 	sub.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -131,17 +132,17 @@ func (s *Subscription) Updates() <-chan Update { return s.updates }
 
 // Unsubscribe deregisters the query and closes Updates. Idempotent.
 func (s *Subscription) Unsubscribe() error {
-	c := s.c
-	c.mu.Lock()
-	delete(c.subs, s.id)
-	alive := c.errLocked() == nil
-	if alive {
-		c.queue = append(c.queue, &wire.Frame{Type: wire.TypeUnsubscribe, StreamID: s.id})
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
+	s.c.forget(s)
+	s.c.snd.Send(sender.Item{F: &wire.Frame{Type: wire.TypeUnsubscribe, StreamID: s.id}}) //nolint:errcheck // a stopped client's server has dropped the subscription already
 	s.close(nil)
 	return nil
+}
+
+// forget drops s from the set re-subscribed on every new connection.
+func (c *Client) forget(s *Subscription) {
+	c.subMu.Lock()
+	delete(c.subs, s.id)
+	c.subMu.Unlock()
 }
 
 // close marks the subscription finished and closes Updates exactly once.
@@ -157,16 +158,7 @@ func (s *Subscription) close(firstErr error) {
 	}
 	s.mu.Unlock()
 	close(s.updates)
-	s.signalReady()
-}
-
-// signalReady closes the ready gate once.
-func (s *Subscription) signalReady() {
-	select {
-	case <-s.ready:
-	default:
-		close(s.ready)
-	}
+	s.readyOnce.Do(func() { close(s.ready) })
 }
 
 // deliver routes one Push frame to the subscription. renew reports that
@@ -184,17 +176,10 @@ func (s *Subscription) deliver(f *wire.Frame) (renew bool) {
 		first = true
 	}
 	if f.Code != 0 && first {
-		// Plan rejected before any result: fail the pending Subscribe and
-		// remove the subscription (the server never registered it).
-		s.firstErr = &PlanError{Code: f.Code, Message: f.Message}
-		s.closed = true
+		// Plan rejected before any result: fail the pending Subscribe.
 		s.mu.Unlock()
-		close(s.updates)
-		s.signalReady()
-		c := s.c
-		c.mu.Lock()
-		delete(c.subs, s.id)
-		c.mu.Unlock()
+		s.c.forget(s)
+		s.close(&PlanError{Code: f.Code, Message: f.Message})
 		return false
 	}
 	s.received++
@@ -223,41 +208,61 @@ func (s *Subscription) deliver(f *wire.Frame) (renew bool) {
 		}
 	}
 	s.mu.Unlock()
-	s.signalReady()
+	s.readyOnce.Do(func() { close(s.ready) })
 	return renew
 }
 
 // closeSubs tears down every live subscription when the client reaches a
 // terminal state, so consumers ranging over Updates unblock.
 func (c *Client) closeSubs() {
-	c.mu.Lock()
+	c.subMu.Lock()
 	subs := make([]*Subscription, 0, len(c.subs))
 	for _, sub := range c.subs {
 		subs = append(subs, sub)
 	}
 	clear(c.subs)
-	c.mu.Unlock()
+	c.subMu.Unlock()
 	for _, sub := range subs {
 		sub.close(ErrClosed)
 	}
 }
 
-// dispatchPush routes a Push frame from the read loop to its
-// subscription, enqueueing a credit renewal when the budget runs low.
-// Unknown subscription IDs are ignored (a push can race Unsubscribe).
+// resubscribe is the sender's Connected: every continuous query is
+// re-registered on a new connection with fresh credit, because the new
+// server has no subscription state. The re-Subscribe triggers a fresh
+// push; results missed during the outage are not replayed — subscribers
+// get latest state, not history.
+func (c *Client) resubscribe() []*wire.Frame {
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	var fs []*wire.Frame
+	for _, sub := range c.subs {
+		sub.mu.Lock()
+		sub.received = 0
+		sub.mu.Unlock()
+		fs = append(fs, subscribeFrame(sub))
+	}
+	return fs
+}
+
+// dispatchPush routes a Push frame from the sender to its subscription,
+// enqueueing a credit renewal when the budget runs low. Unknown
+// subscription IDs are ignored (a push can race Unsubscribe), and so are
+// other frame types — newer servers may add informational frames.
 func (c *Client) dispatchPush(f *wire.Frame) {
-	c.mu.Lock()
-	sub := c.subs[f.StreamID]
-	c.mu.Unlock()
-	if sub == nil {
+	if f.Type != wire.TypePush {
 		return
 	}
-	if sub.deliver(f) {
-		c.mu.Lock()
-		if c.errLocked() == nil && c.subs[sub.id] == sub {
-			c.queue = append(c.queue, subscribeFrame(sub))
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
+	c.subMu.Lock()
+	sub := c.subs[f.StreamID]
+	c.subMu.Unlock()
+	if sub == nil || !sub.deliver(f) {
+		return
+	}
+	c.subMu.Lock()
+	live := c.subs[sub.id] == sub
+	c.subMu.Unlock()
+	if live {
+		c.snd.Send(sender.Item{F: subscribeFrame(sub)}) //nolint:errcheck // a stopped sender ends the subscription anyway
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro"
 	"repro/internal/ingest"
 	"repro/internal/query"
+	"repro/internal/wire"
 )
 
 // newPushHarness is newHarness with a fast push debounce, so subscribe
@@ -157,6 +159,45 @@ func TestSubscribeBadPlanNack(t *testing.T) {
 	}
 	if eng, ok := h.db.Lookup("api.latency"); !ok || eng.TotalCount() != 1 {
 		t.Fatal("ingest broken after plan nack")
+	}
+}
+
+// TestSubscribeOversizePlan: a plan too large for one frame fails its
+// Subscribe at once with the encode error. The frame is never written, so
+// the connection stays up — no reconnect replays the session's unconfirmed
+// frames — and later ingest goes through.
+func TestSubscribeOversizePlan(t *testing.T) {
+	h := newPushHarness(t)
+	c, err := Dial(h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+
+	plan := []byte(`{"match":"api.*","phis":[0.5],"pad":"` + strings.Repeat("x", wire.MaxFrameSize) + `"}`)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = c.Subscribe(ctx, plan)
+	if !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("Subscribe = %v, want an error wrapping wire.ErrFrameTooLarge", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Subscribe took %v to fail, want < 1s", d)
+	}
+
+	st := c.Stream("api.latency")
+	if err := st.Observe(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.srv.Stats().TotalConns; n != 1 {
+		t.Fatalf("%d connections, want 1: the oversized plan reconnected %d times", n, n-1)
+	}
+	if eng, ok := h.db.Lookup("api.latency"); !ok || eng.StreamCount() != 1 {
+		t.Fatal("ingest broken after the oversized plan")
 	}
 }
 

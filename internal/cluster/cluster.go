@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/sender"
 	"repro/internal/wire"
 )
 
@@ -28,7 +29,8 @@ type Config struct {
 	DialTimeout time.Duration
 	// DownAfter is how long a relay keeps failing to reach a node before
 	// declaring it down — dropping its fan-out frames (leaf) or rerouting
-	// its frames to the next live member (routed). 0 means
+	// its frames to the next live member (routed) — and, until the node
+	// confirms a frame again, doing so at each further failure. 0 means
 	// DefaultDownAfter.
 	DownAfter time.Duration
 	// DownRetry is how long a down node is skipped by routing decisions
@@ -155,7 +157,7 @@ func (c *Cluster) Relay(session, stream string, f *wire.Frame, fanOnly bool) err
 			if n.ID == c.self.ID {
 				continue
 			}
-			c.relayLocked(n, session, true).enqueue(stream, f)
+			c.relayLocked(n, session, true).Send(sender.Item{Stream: stream, F: f}) //nolint:errcheck // a stopped channel fails its waiters
 		}
 		return nil
 	}
@@ -163,7 +165,7 @@ func (c *Cluster) Relay(session, stream string, f *wire.Frame, fanOnly bool) err
 	if !ok {
 		return fmt.Errorf("cluster: no live member for stream %q (owner %s)", stream, members[0].ID)
 	}
-	c.relayLocked(n, session, false).enqueue(stream, f)
+	c.relayLocked(n, session, false).Send(sender.Item{Stream: stream, F: f}) //nolint:errcheck // a stopped channel fails its waiters
 	return nil
 }
 
@@ -184,7 +186,7 @@ func (c *Cluster) WaitRelayed(ctx context.Context, session string, seq uint64) e
 		}
 		c.mu.Unlock()
 		for _, r := range rs {
-			if err := r.waitResolved(ctx, seq); err != nil {
+			if err := r.Wait(ctx, seq); err != nil {
 				return err
 			}
 		}
@@ -240,40 +242,25 @@ func (c *Cluster) nodeUp(n Node) {
 	c.mu.Unlock()
 }
 
-// reroute moves pending frames of a broken routed relay to the next live
-// member of each frame's stream. Returns an error if some frame has no
-// live member left; the frames stay queued on the broken relay and the
-// caller reports failure to waiters.
-func (c *Cluster) reroute(from *relay, frames []relayFrame) error {
+// reroute moves pending frames of a broken routed relay, whose node its
+// give-up has just marked down, to the next live member of each frame's
+// stream. From the first frame with no live member left, it returns the
+// frames to keep on the broken relay, whose waiters then get the error.
+func (c *Cluster) reroute(from *relay, frames []*sender.Item) ([]*sender.Item, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("cluster: closed")
+		return frames, fmt.Errorf("cluster: closed")
 	}
+	c.rerouteGen++ // frames move: waiters must re-snapshot the relays
 	for i, rf := range frames {
-		members := c.cfg.Ring.Members(rf.stream)
-		var target Node
-		found := false
-		for _, n := range members {
-			if n.ID == c.self.ID || n.ID == from.node.ID {
-				continue
-			}
-			if until, down := c.downUntil[n.ID]; down && time.Now().Before(until) {
-				continue
-			}
-			target = n
-			found = true
-			break
+		target, ok := c.firstLiveLocked(c.cfg.Ring.Members(rf.Stream))
+		if !ok {
+			return frames[i:], fmt.Errorf("cluster: no live member for stream %q", rf.Stream)
 		}
-		if !found {
-			// Re-queue what we could not place back where it came from.
-			from.requeueFront(frames[i:])
-			return fmt.Errorf("cluster: no live member for stream %q", rf.stream)
-		}
-		c.relayLocked(target, from.session, false).enqueue(rf.stream, rf.f)
+		c.relayLocked(target, from.session, false).Send(*rf) //nolint:errcheck // a stopped channel fails its waiters
 	}
-	c.rerouteGen++
-	return nil
+	return nil, nil
 }
 
 // Close stops every relay. Pending frames are abandoned (their clients'
@@ -291,7 +278,7 @@ func (c *Cluster) Close() {
 	}
 	c.mu.Unlock()
 	for _, r := range rs {
-		r.stop()
+		r.Close(fmt.Errorf("cluster: relay to %s stopped", r.node.ID))
 	}
 }
 
@@ -301,8 +288,12 @@ type NodeRelayStats struct {
 	Channels int    `json:"channels"`
 	Pending  uint64 `json:"pending"` // frames relayed, not yet acked by the target
 	Relayed  uint64 `json:"relayed"` // frames acknowledged by the target
-	Dropped  uint64 `json:"dropped"` // fan-out frames dropped (target down)
-	Down     bool   `json:"down"`
+	// Dropped counts frames resolved without reaching the target: fan-out
+	// frames a leaf channel gave up on after DownAfter, and frames the
+	// channel could not encode (one that grew past wire.MaxFrameSize when
+	// re-bound to the channel's stream ID), whose waiter got the error.
+	Dropped uint64 `json:"dropped"`
+	Down    bool   `json:"down"`
 }
 
 // Stats snapshots the relay layer, aggregated per target node and sorted
@@ -311,29 +302,25 @@ func (c *Cluster) Stats() []NodeRelayStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	agg := make(map[string]*NodeRelayStats)
-	for k, r := range c.relays {
-		s, ok := agg[k.node]
-		if !ok {
-			s = &NodeRelayStats{Node: k.node}
-			agg[k.node] = s
+	node := func(id string) *NodeRelayStats {
+		if agg[id] == nil {
+			agg[id] = &NodeRelayStats{Node: id}
 		}
-		pending, relayed, dropped := r.counters()
+		return agg[id]
+	}
+	for k, r := range c.relays {
+		s := node(k.node)
+		pending, relayed, refused := r.Stats()
 		s.Channels++
 		s.Pending += pending
 		s.Relayed += relayed
-		s.Dropped += dropped
+		s.Dropped += r.dropped.Load() + refused
 	}
 	now := time.Now()
 	for id, until := range c.downUntil {
-		if !now.Before(until) {
-			continue
+		if now.Before(until) {
+			node(id).Down = true
 		}
-		s, ok := agg[id]
-		if !ok {
-			s = &NodeRelayStats{Node: id}
-			agg[id] = s
-		}
-		s.Down = true
 	}
 	out := make([]NodeRelayStats, 0, len(agg))
 	for _, s := range agg {

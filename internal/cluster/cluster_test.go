@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"repro"
 	"repro/hsqclient"
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/oracle"
 	"repro/internal/wire"
 )
@@ -340,6 +343,123 @@ func TestLeafRelayDropsAfterDownAfter(t *testing.T) {
 	}
 	if dropped != 1 {
 		t.Errorf("dropped = %d, want 1 (stats: %+v)", dropped, stats)
+	}
+}
+
+// TestRelayRefusesUnencodableFrame: a frame a relay channel cannot encode
+// fails its waiter with the encode error, so the ingest server errors the
+// client instead of acking it; it is counted dropped; and the frames behind
+// it still reach the follower, which is never declared down.
+func TestRelayRefusesUnencodableFrame(t *testing.T) {
+	h, err := NewHarness(HarnessConfig{Nodes: 2, Replicas: 2, Options: hsq.Options{Epsilon: 0.05}, DownAfter: 200 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	from, to := h.Nodes[0], h.Nodes[1]
+	vals := make([]int64, 200_000)
+	for i := range vals {
+		vals[i] = int64(i%2) << 60 // every delta a nine-byte varint: ~1.8 MB encoded
+	}
+	if err := from.Cluster.Relay("s", "big", &wire.Frame{Type: wire.TypeBatch, Seq: 1, Values: vals}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := from.Cluster.Relay("s", "big", &wire.Frame{Type: wire.TypeEndStep, Seq: 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := from.Cluster.WaitRelayed(ctx, "s", 2); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("WaitRelayed = %v, want an error wrapping wire.ErrFrameTooLarge", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the encode error took %v, want < 1s", d)
+	}
+	if err := from.Cluster.WaitRelayed(ctx, "s", 2); err != nil {
+		t.Fatalf("the EndStep behind the refused frame: %v", err)
+	}
+	if got := to.Server.Stats().Streams["big"].EndSteps; got != 1 {
+		t.Errorf("follower applied %d end-steps, want 1", got)
+	}
+	stats := from.Cluster.Stats()
+	if len(stats) != 1 || stats[0].Down || stats[0].Dropped != 1 {
+		t.Errorf("stats %+v, want one node, not down, 1 dropped", stats)
+	}
+}
+
+// TestFailoverFlushWaitsForFanOut: a client's node dies and the client fails
+// over to the stream's owner, whose Welcome reports the client's frames
+// applied while the owner's fan-out of them to the follower is still
+// pending. The client's Flush must not return before the follower has them:
+// if the owner died next, a frame only it held would be lost.
+func TestFailoverFlushWaitsForFanOut(t *testing.T) {
+	h, err := NewHarness(HarnessConfig{Nodes: 3, Replicas: 2, Options: hsq.Options{Epsilon: 0.05}, DownAfter: time.Minute, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	const stream = "fan-out"
+	members := h.Ring.Members(stream)
+	entry := -1
+	var owner, follower *HarnessNode
+	for i, hn := range h.Nodes {
+		switch hn.Node.ID {
+		case members[0].ID:
+			owner = hn
+		case members[1].ID:
+			follower = hn
+		default:
+			entry = i
+		}
+	}
+	// The follower is down before any data; DownAfter is far off, so the
+	// owner's fan-out to it waits.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	follower.Server.Shutdown(ctx) //nolint:errcheck
+	follower.ln.Close()           //nolint:errcheck // Serve may not have taken it yet
+
+	c, err := hsqclient.Dial(h.Nodes[entry].Node.Addr+","+owner.Node.Addr, hsqclient.WithSession("fan-out"),
+		hsqclient.WithReconnectBackoff(time.Millisecond, 20*time.Millisecond), hsqclient.WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	st := c.Stream(stream)
+	if err := st.ObserveSlice([]int64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.EndStep(); err != nil {
+		t.Fatal(err)
+	}
+	for { // the entry node routes the step to the owner
+		if s, ok := owner.DB.Lookup(stream); ok && s.Steps() == 1 {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the owner never applied the step")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	h.Kill(entry)
+	fctx, fcancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer fcancel()
+	if err := c.FlushCtx(fctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Flush = %v while the follower lacks the step, want the deadline", err)
+	}
+
+	ln, err := net.Listen("tcp", follower.Node.Addr) // the follower comes back
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower.ln, follower.Server = ln, ingest.New(ingest.Config{DB: follower.DB, Cluster: follower.Cluster, Logf: t.Logf})
+	go follower.Server.Serve(ln) //nolint:errcheck
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := follower.DB.Lookup(stream); !ok || s.Steps() != 1 || s.TotalCount() != 3 {
+		t.Fatalf("Flush returned before the follower held the step (stream found: %v)", ok)
 	}
 }
 

@@ -1,405 +1,57 @@
 package cluster
 
 import (
-	"context"
-	"fmt"
-	"net"
+	"sync/atomic"
 	"time"
 
-	"sync"
-
+	"repro/internal/sender"
 	"repro/internal/wire"
 )
 
-// relayFrame is one sequenced frame in flight toward another node, tagged
-// with its stream name (stream IDs are connection-local, so the name is
-// re-bound per relay connection).
-type relayFrame struct {
-	stream string
-	f      *wire.Frame
-}
-
-// relay is the mini ingest client behind one relay channel: it forwards
-// sequenced frames to one node under the ORIGINAL client session token and
-// sequence numbers, so the target's per-(session, stream) replay dedup
-// applies across every path a frame can take through the cluster.
-//
-// Delivery confirmation uses a Ping barrier rather than cumulative acks:
-// the target processes frames strictly in order and echoes a Pong only
-// after everything written before the Ping has been applied. Cumulative
-// seq-based acks would be ambiguous here, because a rerouted channel can
-// legally carry an older frame after a newer one (different streams).
+// relay is one relay channel: a sender forwarding sequenced frames to one
+// node under the ORIGINAL client session token and sequence numbers, so the
+// target's per-(session, stream) replay dedup applies across every path a
+// frame can take through the cluster. Frames for a single stream arrive in
+// ascending sequence order (the ingest conn is serial); frames across
+// streams may interleave arbitrarily after rerouting.
 type relay struct {
+	*sender.Sender
 	c       *Cluster
 	node    Node
 	session string
 	leaf    bool
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []relayFrame // not yet written on the current connection
-	unacked []relayFrame // written, awaiting the Pong barrier
-	nc      net.Conn     // current connection, nil while disconnected
-	relayed uint64       // frames confirmed applied by the target
-	dropped uint64       // frames dropped because the target stayed down (leaf only)
-	failed  error        // routed channel with no live member; cleared on recovery
-	stopped bool
-	done    chan struct{}
+	dropped atomic.Uint64 // frames a leaf channel gave up on
 }
 
 func newRelay(c *Cluster, node Node, session string, leaf bool) *relay {
-	r := &relay{c: c, node: node, session: session, leaf: leaf, done: make(chan struct{})}
-	r.cond = sync.NewCond(&r.mu)
-	go r.loop()
+	r := &relay{c: c, node: node, session: session, leaf: leaf}
+	flags := uint64(wire.HelloFlagRelay)
+	if leaf {
+		flags = wire.HelloFlagLeaf
+	}
+	r.Sender = sender.New(sender.Config{
+		Addrs: []string{node.Addr}, Session: session, Flags: flags, DialTimeout: c.cfg.DialTimeout,
+		BackoffMin: 20 * time.Millisecond, BackoffMax: 500 * time.Millisecond,
+		DownAfter: c.cfg.DownAfter, GiveUp: r.giveUp,
+		// A handshake with the node clears its down mark; the channel has no
+		// frames of its own to write first.
+		Connected: func() []*wire.Frame { c.nodeUp(node); return nil },
+	})
 	return r
 }
 
-// enqueue adds one frame to the channel. Frames for a single stream always
-// arrive in ascending sequence order (the ingest conn is serial); frames
-// across streams may interleave arbitrarily after rerouting.
-func (r *relay) enqueue(stream string, f *wire.Frame) {
-	r.mu.Lock()
-	r.queue = append(r.queue, relayFrame{stream: stream, f: f})
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// requeueFront puts frames back at the head of the queue (reroute failure
-// path), preserving their relative order.
-func (r *relay) requeueFront(frames []relayFrame) {
-	r.mu.Lock()
-	r.queue = append(append([]relayFrame{}, frames...), r.queue...)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// pendingBelowLocked reports whether any frame with Seq ≤ seq is still
-// unresolved on this channel.
-func (r *relay) pendingBelowLocked(seq uint64) bool {
-	for _, rf := range r.queue {
-		if rf.f.Seq <= seq {
-			return true
-		}
-	}
-	for _, rf := range r.unacked {
-		if rf.f.Seq <= seq {
-			return true
-		}
-	}
-	return false
-}
-
-// waitResolved blocks until no frame with Seq ≤ seq is pending, the
-// channel fails (routed, no live member), or ctx is done.
-func (r *relay) waitResolved(ctx context.Context, seq uint64) error {
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if !r.pendingBelowLocked(seq) {
-			return nil
-		}
-		if r.failed != nil {
-			return r.failed
-		}
-		if r.stopped {
-			return fmt.Errorf("cluster: relay to %s stopped", r.node.ID)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r.cond.Wait()
-	}
-}
-
-func (r *relay) counters() (pending, relayed, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return uint64(len(r.queue) + len(r.unacked)), r.relayed, r.dropped
-}
-
-// stop shuts the channel down and waits for its goroutine.
-func (r *relay) stop() {
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		<-r.done
-		return
-	}
-	r.stopped = true
-	if r.nc != nil {
-		r.nc.Close() //nolint:errcheck
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	<-r.done
-}
-
-// loop is the channel's goroutine: wait for work, keep a connection up,
-// write bursts, await the Pong barrier. Connection failures retry with
-// backoff; after DownAfter of continuous failure the target is declared
-// down and the channel gives up on its pending frames (drop for leaf
-// channels, reroute for routed ones).
-func (r *relay) loop() {
-	defer close(r.done)
-	var (
-		rd        *wire.Reader
-		wr        *wire.Writer
-		ids       map[string]uint64
-		nextID    uint64
-		credit    = uint64(64)
-		nonce     uint64
-		firstFail time.Time
-		backoff   = 20 * time.Millisecond
-	)
-	dropConn := func() {
-		r.mu.Lock()
-		if r.nc != nil {
-			r.nc.Close() //nolint:errcheck
-			r.nc = nil
-		}
-		// Written-but-unconfirmed frames go back to the head of the queue;
-		// the Welcome prune (and the target's dedup) absorb any that were
-		// in fact applied.
-		if len(r.unacked) > 0 {
-			r.queue = append(append([]relayFrame{}, r.unacked...), r.queue...)
-			r.unacked = nil
-		}
-		r.mu.Unlock()
-		rd, wr, ids = nil, nil, nil
-	}
-	defer dropConn()
-
-	// fail records one failed attempt (dial or I/O) and, once the target
-	// has been unreachable for DownAfter, invokes the give-up policy.
-	fail := func(err error) {
-		dropConn()
-		if firstFail.IsZero() {
-			firstFail = time.Now()
-		}
-		if time.Since(firstFail) >= r.c.cfg.DownAfter {
-			r.c.cfg.Logf("cluster: relay %s→%s (session %s): giving up: %v", r.c.self.ID, r.node.ID, r.session, err)
-			r.giveUp()
-			firstFail = time.Time{}
-			backoff = 20 * time.Millisecond
-			return
-		}
-		time.Sleep(backoff)
-		backoff = min(backoff*2, 500*time.Millisecond)
-	}
-
-	for {
-		r.mu.Lock()
-		for len(r.queue) == 0 && !r.stopped {
-			r.cond.Wait()
-		}
-		if r.stopped {
-			r.mu.Unlock()
-			return
-		}
-		r.mu.Unlock()
-
-		// Ensure a connection.
-		if wr == nil {
-			nc, nrd, ncredit, err := r.connect()
-			if err != nil {
-				r.mu.Lock()
-				stopped := r.stopped
-				r.mu.Unlock()
-				if stopped {
-					return
-				}
-				fail(err)
-				continue
-			}
-			r.mu.Lock()
-			if r.stopped {
-				r.mu.Unlock()
-				nc.Close() //nolint:errcheck
-				return
-			}
-			r.nc = nc
-			r.failed = nil
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			rd, wr = nrd, wire.NewWriter(nc)
-			ids = make(map[string]uint64)
-			credit = max(ncredit, 1)
-			firstFail = time.Time{}
-			backoff = 20 * time.Millisecond
-			r.c.nodeUp(r.node)
-		}
-
-		// Take a burst (bounded by the target's credit window).
-		r.mu.Lock()
-		n := min(len(r.queue), int(credit))
-		burst := r.queue[:n:n]
-		r.queue = r.queue[n:]
-		r.unacked = append(r.unacked, burst...)
-		r.mu.Unlock()
-		if n == 0 {
-			continue
-		}
-
-		// Write: bind unseen streams, then the frames, then the barrier.
-		var err error
-		for _, rf := range burst {
-			id, ok := ids[rf.stream]
-			if !ok {
-				nextID++
-				id = nextID
-				ids[rf.stream] = id
-				if err = wr.WriteFrame(&wire.Frame{Type: wire.TypeOpenStream, StreamID: id, Name: rf.stream}); err != nil {
-					break
-				}
-			}
-			cp := *rf.f
-			cp.StreamID = id
-			if err = wr.WriteFrame(&cp); err != nil {
-				break
-			}
-		}
-		nonce++
-		if err == nil {
-			err = wr.WriteFrame(&wire.Frame{Type: wire.TypePing, Seq: nonce})
-		}
-		if err == nil {
-			err = wr.Flush()
-		}
-		if err == nil {
-			err = r.awaitBarrier(rd, nonce, &credit)
-		}
-		if err != nil {
-			r.mu.Lock()
-			stopped := r.stopped
-			r.mu.Unlock()
-			if stopped {
-				return
-			}
-			fail(err)
-			continue
-		}
-		r.mu.Lock()
-		r.relayed += uint64(len(r.unacked))
-		r.unacked = nil
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
-}
-
-// awaitBarrier reads frames until the Pong echoing nonce arrives: the
-// target has then applied every frame written before the Ping. Acks along
-// the way refresh the credit window; an Error frame is a failure.
-func (r *relay) awaitBarrier(rd *wire.Reader, nonce uint64, credit *uint64) error {
-	for {
-		f, err := rd.ReadFrame()
-		if err != nil {
-			return err
-		}
-		switch f.Type {
-		case wire.TypePong:
-			if f.Seq == nonce {
-				return nil
-			}
-		case wire.TypeAck:
-			if f.Credit > 0 {
-				*credit = f.Credit
-			}
-		case wire.TypeError:
-			return fmt.Errorf("relay target %s: server error %d: %s", r.node.ID, f.Code, f.Message)
-		default:
-			// Ignore anything else (forward compatibility).
-		}
-	}
-}
-
-// connect dials the target and handshakes: Hello with the original session
-// token and the channel's mode flag, Welcome back. The target's
-// per-stream marks prune queued frames it has already applied.
-func (r *relay) connect() (net.Conn, *wire.Reader, uint64, error) {
-	nc, err := net.DialTimeout("tcp", r.node.Addr, r.c.cfg.DialTimeout)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("relay dial %s (%s): %w", r.node.ID, r.node.Addr, err)
-	}
-	flags := uint64(wire.HelloFlagRelay)
-	if r.leaf {
-		flags = wire.HelloFlagLeaf
-	}
-	w := wire.NewWriter(nc)
-	if err := w.WriteFrame(&wire.Frame{Type: wire.TypeHello, Version: wire.Version, Session: r.session, Flags: flags}); err == nil {
-		err = w.Flush()
-	} else {
-		nc.Close() //nolint:errcheck
-		return nil, nil, 0, err
-	}
-	rd := wire.NewReader(nc)
-	nc.SetReadDeadline(time.Now().Add(r.c.cfg.DialTimeout)) //nolint:errcheck
-	f, err := rd.ReadFrame()
-	if err != nil {
-		nc.Close() //nolint:errcheck
-		return nil, nil, 0, fmt.Errorf("relay handshake %s: %w", r.node.ID, err)
-	}
-	nc.SetReadDeadline(time.Time{}) //nolint:errcheck
-	if f.Type != wire.TypeWelcome {
-		nc.Close() //nolint:errcheck
-		if f.Type == wire.TypeError {
-			return nil, nil, 0, fmt.Errorf("relay handshake %s: server error %d: %s", r.node.ID, f.Code, f.Message)
-		}
-		return nil, nil, 0, fmt.Errorf("relay handshake %s: unexpected %s frame", r.node.ID, wire.TypeName(f.Type))
-	}
-	if len(f.StreamSeqs) > 0 {
-		marks := make(map[string]uint64, len(f.StreamSeqs))
-		for _, ss := range f.StreamSeqs {
-			marks[ss.Name] = ss.Seq
-		}
-		r.mu.Lock()
-		kept := r.queue[:0]
-		for _, rf := range r.queue {
-			if rf.f.Seq > marks[rf.stream] {
-				kept = append(kept, rf)
-			} else {
-				r.relayed++
-			}
-		}
-		r.queue = kept
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
-	return nc, rd, f.Credit, nil
-}
-
-// giveUp resolves the channel's pending frames after the target has been
-// down for DownAfter: leaf channels drop them (the data is applied on this
-// node and acked upstream only because every other path was also
-// resolved), routed channels hand them to the next live member.
-func (r *relay) giveUp() {
+// giveUp is the channel's policy once its target has been unreachable for
+// DownAfter: mark the node down; a leaf channel then drops its pending
+// frames (counted — the data is applied on this node and acked upstream
+// only because every other path was also resolved), a routed channel hands
+// them to the next live member of each frame's stream and keeps, failing
+// their waiters, those that have none.
+func (r *relay) giveUp(err error, pending []*sender.Item) ([]*sender.Item, error) {
+	r.c.cfg.Logf("cluster: relay %s→%s (session %s): giving up: %v", r.c.self.ID, r.node.ID, r.session, err)
 	r.c.nodeDown(r.node)
-	r.mu.Lock()
-	pending := append(append([]relayFrame{}, r.unacked...), r.queue...)
-	r.unacked, r.queue = nil, nil
 	if r.leaf {
-		r.dropped += uint64(len(pending))
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		return
+		r.dropped.Add(uint64(len(pending)))
+		return nil, nil
 	}
-	r.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	if err := r.c.reroute(r, pending); err != nil {
-		r.mu.Lock()
-		r.failed = err
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	return r.c.reroute(r, pending)
 }

@@ -495,12 +495,15 @@ func (s *Server) handle(c *conn) error {
 				sinceAck = 0
 			}
 		case wire.TypeFlush:
-			// The client sends Flush only once every allocated sequence
-			// number is written or was pruned against the session's marks,
-			// so acking up to min(flush seq, session floor) covers pruned
-			// frames — the case where a failed-over client has nothing left
-			// to send but still needs its Flush to resolve — without ever
-			// covering a frame this connection has not processed.
+			// Acking up to min(flush seq, session floor) covers frames the
+			// Welcome pruned — the case where a failed-over client has
+			// nothing left to send but still needs them confirmed, relayed
+			// included. internal/sender writes one Flush first on a
+			// connection, for its pruned frames alone, and reads the Ack
+			// for those only. A client built before the Ping barrier sends
+			// it once every allocated sequence number is written or was
+			// pruned, so the Ack never covers a frame this connection has
+			// not processed.
 			sess.mu.Lock()
 			floor := sess.maxSeq
 			sess.mu.Unlock()
@@ -517,9 +520,9 @@ func (s *Server) handle(c *conn) error {
 			sinceAck = 0
 		case wire.TypePing:
 			// The Pong is a processing barrier: everything read before the
-			// Ping has been applied — and, over a cluster, relayed. Relay
-			// channels use it as their delivery confirmation, so it must be
-			// gated exactly like an ack.
+			// Ping has been applied — and, over a cluster, relayed. It is the
+			// delivery confirmation of internal/sender (hsqclient and the
+			// relay channels), so it must be gated exactly like an ack.
 			if s.cluster != nil && !c.leaf {
 				if err := s.cluster.WaitRelayed(c.ctx, c.session, c.lastSeq.Load()); err != nil {
 					return s.sendError(c, wire.ErrCodeStream, fmt.Errorf("relay: %w", err))

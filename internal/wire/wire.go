@@ -8,31 +8,37 @@
 // protocol version, session token). The server answers with a Welcome frame
 // carrying the highest sequence number it has already applied for that
 // session (0 for a new session) and the credit window. All further traffic
-// is frames: the client sends OpenStream, Batch, EndStep and Flush; the
-// server sends Ack and Error.
+// is frames: the client sends OpenStream, Batch, EndStep, Ping and Flush;
+// the server sends Ack, Pong and Error.
 //
-// # Sequencing, acks and credit
+// # Sequencing, confirmation and credit
 //
-// Batch and EndStep frames are "sequenced": each carries a connection-wide
-// strictly increasing Seq assigned by the client. The server applies
-// sequenced frames in order and acknowledges them cumulatively — an Ack
-// with Seq = s means every sequenced frame with Seq ≤ s has been fully
-// applied. The Ack also restates the credit window W: the client may have
-// at most W sequenced frames outstanding (sent but unacknowledged). When
-// the server stalls (e.g. EndStep blocked on maintenance backpressure),
-// acks stop, the client exhausts its credit and blocks — explicit
-// backpressure instead of unbounded buffering on either side.
+// Batch and EndStep frames are "sequenced": each carries a Seq the client
+// assigns, increasing per stream. The server applies sequenced frames in
+// order and answers a Ping with a Pong only once every frame read before it
+// is applied (on a cluster node: and relayed) — the delivery barrier both
+// senders in this repository use (hsqclient and the cluster's relay
+// channels, one internal/sender). Acks restate the credit window W: at most
+// W sequenced frames may be outstanding. When the server stalls (e.g.
+// EndStep blocked on maintenance backpressure), confirmations stop, the
+// sender exhausts its credit and blocks — explicit backpressure instead of
+// unbounded buffering on either side.
 //
-// OpenStream and Flush are not sequenced: OpenStream is idempotent (the
-// client replays all of its stream bindings after a reconnect) and Flush
-// merely requests an immediate Ack.
+// An Ack with Seq = s also means every frame with Seq ≤ s read so far is
+// applied, which confirms delivery only for a client whose Seq rises across
+// streams; clients built before the Ping barrier rely on it, and on Flush,
+// which requests an immediate Ack. internal/sender writes one Flush per
+// connection, for the frames the Welcome reports applied. OpenStream and
+// Flush are not sequenced; OpenStream is idempotent (a sender binds its
+// streams again on every connection).
 //
 // # Exactly-once replay
 //
 // A client that loses its connection reconnects with the same session
-// token. The Welcome's LastSeq tells it which buffered frames the server
-// already applied; it drops those and replays the rest, so every sequenced
-// frame is applied exactly once per server process even across reconnects.
+// token. The Welcome's per-stream marks (LastSeq before version 2) tell it
+// which buffered frames the server already applied; it drops those and
+// replays the rest, so every sequenced frame is applied exactly once per
+// server process even across reconnects.
 //
 // # Value encoding
 //
