@@ -87,11 +87,11 @@ func parseRead(route readRoute, q url.Values) (hsq.Request, error) {
 // read serves one /streams/{name}/... read route: local when this node
 // stores the stream, 404 when the stream would live here and does not
 // exist. When another shard owns {name} (cluster mode) the executor is a
-// member's shard summary answered by hsq.QuickAnswer — the function the
-// local Quick branch runs — so the answer is always quick, max-reads is moot
-// (no disk sits behind a summary) and window= is refused: windows need the
-// owning shard's partitions. Rank and total come from the one snapshot
-// either way.
+// member's shard summary, fetched as POST /query fetches it and answered by
+// hsq.QuickAnswer — the function the local Quick branch runs — so the answer
+// is always quick, max-reads is moot (no disk sits behind a summary) and
+// window= is refused: windows need the owning shard's partitions. Rank and
+// total come from the one snapshot either way.
 func (s *server) read(route readRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -109,13 +109,11 @@ func (s *server) read(route readRoute) http.HandlerFunc {
 		if st != nil {
 			ans, err = st.Query(r.Context(), req)
 		} else {
-			if req.Window != 0 {
-				httpError(w, http.StatusBadRequest, "window queries are not available for remote stream %q; ask a member node", name)
-				return
-			}
-			sum, ferr := s.fetchSummary(r.Context(), name)
+			// One fetch through POST /query's source, with its one error
+			// mapping: a window is refused before any fetch.
+			sum, ferr := (&planSource{s: s, ctx: r.Context()}).ScopedSummary(name, query.Scope{Window: req.Window})
 			if ferr != nil {
-				httpError(w, http.StatusBadGateway, "stream %q: %v", name, ferr)
+				httpError(w, planStatus(ferr), "%v", ferr)
 				return
 			}
 			// A stream with no data anywhere reachable is "unknown", like
@@ -124,12 +122,10 @@ func (s *server) read(route readRoute) http.HandlerFunc {
 				httpError(w, http.StatusNotFound, "unknown stream %q", name)
 				return
 			}
-			c, _, merr := core.MergeShardSummaries([]*core.ShardSummary{sum})
-			if merr != nil {
-				httpError(w, http.StatusInternalServerError, "stream %q: %v", name, merr)
-				return
+			var c *core.Combined
+			if c, _, err = core.MergeShardSummaries([]*core.ShardSummary{sum}); err == nil {
+				ans, err = hsq.QuickAnswer(c, req)
 			}
-			ans, err = hsq.QuickAnswer(c, req)
 		}
 		if err != nil {
 			op := string(route)
@@ -161,25 +157,6 @@ func (s *server) read(route readRoute) http.HandlerFunc {
 // member reports whether this node stores the named stream's data: always
 // on a single node, by ring placement in a cluster.
 func (s *server) member(name string) bool { return s.cl == nil || s.cl.Member(name) }
-
-// fetchSummary resolves the shard summary of a stream another shard owns
-// from the first member that answers — consulting the cluster's summary
-// cache first, so a dashboard re-polling the coordinator does not re-dial
-// every shard (entries expire after a short TTL and drop eagerly on
-// observed EndStep traffic). A nil summary means the stream holds no data
-// anywhere reachable.
-func (s *server) fetchSummary(ctx context.Context, name string) (*core.ShardSummary, error) {
-	var lastErr error
-	for _, n := range s.cl.Ring().Members(name) {
-		sum, err := s.cl.CachedSummary(ctx, n, name)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return sum, nil
-	}
-	return nil, lastErr
-}
 
 // maxQueryBody bounds a POST /query plan document. Plans are small JSON
 // objects; anything near this limit is malformed or hostile.
@@ -214,15 +191,21 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := query.Exec(&planSource{s: s, ctx: r.Context()}, plan)
 	if err != nil {
-		status := http.StatusBadRequest
-		var fe *fetchError
-		if errors.As(err, &fe) {
-			status = http.StatusBadGateway
-		}
-		httpError(w, status, "query: %v", err)
+		httpError(w, planStatus(err), "query: %v", err)
 		return
 	}
 	writeJSON(w, res)
+}
+
+// planStatus maps an error from a planSource fetch or a plan to its status:
+// a cluster-transport failure is 502, anything else — a bad plan, a scope a
+// remote stream cannot serve — 400.
+func planStatus(err error) int {
+	var fe *fetchError
+	if errors.As(err, &fe) {
+		return http.StatusBadGateway
+	}
+	return http.StatusBadRequest
 }
 
 // fetchError marks a cluster-transport failure (502, not the 400 a bad
@@ -238,11 +221,14 @@ func (e *fetchError) Error() string {
 
 func (e *fetchError) Unwrap() error { return e.err }
 
-// planSource is the query source of POST /query: streams this node stores
-// answer locally (scoped, sidecar-aware), streams other shards own answer
-// through the cached shard-summary fan-out. Remote streams carry only
-// full-history summaries over the wire, so scoped (window/as-of) plans
-// refuse them — ask a member node, like the per-stream reads.
+// planSource is the query source of POST /query and of the read routes'
+// remote branch: streams this node stores answer locally (scoped,
+// sidecar-aware), streams other shards own answer from the first member that
+// does, through the cluster's summary cache — so a dashboard re-polling the
+// coordinator does not re-dial every shard (entries expire after a short TTL
+// and drop eagerly on observed EndStep traffic). Remote streams carry only
+// full-history summaries over the wire, so scoped (window/as-of) reads refuse
+// them — ask a member node.
 type planSource struct {
 	s   *server
 	ctx context.Context
@@ -257,10 +243,14 @@ func (ps *planSource) ScopedSummary(name string, sc query.Scope) (*core.ShardSum
 	if !sc.IsFull() {
 		return nil, fmt.Errorf("windowed/as-of queries are not available for remote stream %q; ask a member node", name)
 	}
-	sum, err := ps.s.fetchSummary(ps.ctx, name)
-	if err != nil {
-		return nil, &fetchError{name: name, err: err}
+	var lastErr error
+	for _, n := range ps.s.cl.Ring().Members(name) {
+		sum, err := ps.s.cl.CachedSummary(ps.ctx, n, name)
+		if err == nil {
+			// nil means no data anywhere reachable: an empty contribution.
+			return sum, nil
+		}
+		lastErr = err
 	}
-	// nil means no data anywhere reachable: an empty contribution.
-	return sum, nil
+	return nil, &fetchError{name: name, err: lastErr}
 }

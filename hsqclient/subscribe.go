@@ -71,6 +71,11 @@ type Subscription struct {
 // updates (Update.Seq gaps). After a reconnect the client re-subscribes
 // and the server pushes a fresh evaluation; pushes missed during the
 // outage are not replayed.
+//
+// On a cluster the plan is evaluated by the node this client is connected
+// to, over the streams that node stores: a plan naming a stream another
+// shard owns is rejected as an unknown stream, although POST /query on the
+// same node answers it. Connect to a member of every stream the plan names.
 func (c *Client) Subscribe(ctx context.Context, planJSON []byte) (*Subscription, error) {
 	c.mu.Lock()
 	err := c.errLocked()

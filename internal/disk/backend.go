@@ -11,15 +11,15 @@ import (
 // every higher layer (extsort, partition, core, the engine) is independent of
 // where blocks physically live.
 //
-// Two implementations ship with the package: the file backend (a directory
-// of flat files, NewFileBackend) and MemBackend (a heap-resident map, for
-// tests, benchmarks and cache simulation). Both must satisfy the conformance
-// suite in conformance_test.go.
+// Three implementations ship with the package: the file backend (a directory
+// of flat files, NewFileBackend), MemBackend (a heap-resident map, for
+// tests, benchmarks and cache simulation) and CrashBackend (MemBackend with a
+// durable image and a crash point). All must satisfy the conformance suite in
+// conformance_test.go.
 //
 // Handles returned by Open and Create are independent: concurrent readers of
-// one file each get their own handle, and a reader opened mid-write observes
-// the length the file had at Open time via Size. Handles are not safe for
-// concurrent use individually.
+// one file each get their own handle. Handles are not safe for concurrent use
+// individually.
 type Backend interface {
 	// Open returns a random-access read handle for the named file.
 	Open(name string) (ReadHandle, error)
@@ -52,14 +52,15 @@ type Backend interface {
 	// starts with prefix, in unspecified order. Used by crash recovery to
 	// find orphaned files from half-finished installs.
 	List(prefix string) ([]string, error)
-	// Kind identifies the backend ("file", "mem", "crash") for diagnostics.
-	Kind() string
 }
 
 // ReadHandle reads byte ranges of one file. ReadAt follows io.ReaderAt
 // semantics: a read crossing EOF returns the available bytes with io.EOF.
-// Size reports the current byte length of the file the handle refers to —
-// the same file ReadAt reads, even if the name has since been recreated.
+// Size reports the current byte length of the file ReadAt reads.
+//
+// Recreating a name while a handle on it is open is unsupported: a file
+// backend handle then reads the new content, a heap one the old. The store
+// never reuses a name under a reader.
 type ReadHandle interface {
 	io.ReaderAt
 	io.Closer

@@ -303,8 +303,10 @@ func TestCacheCapacityExact(t *testing.T) {
 	}
 }
 
-// TestReaderSizeFromHandle: a reader opened on a file keeps reading that
-// file's content and length even if the name is recreated underneath it.
+// TestReaderSizeFromHandle: a reader's count is fixed when it opens.
+// Recreating a name under an open reader is unsupported (a file backend
+// handle then reads the new content); on the heap store, whose handle keeps
+// the old file, the reader reads exactly what it opened.
 func TestReaderSizeFromHandle(t *testing.T) {
 	m, err := NewManagerOn(NewMemBackend(), 64)
 	if err != nil {

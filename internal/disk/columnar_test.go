@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -83,7 +84,7 @@ func TestColumnarEveryBackend(t *testing.T) {
 			vals := sortedVals(100)
 			writeFmt(t, m, "c.dat", FormatColumnar, vals)
 
-			if n, err := m.Size("c.dat"); err != nil || n != 100 {
+			if n, err := count(m, "c.dat"); err != nil || n != 100 {
 				t.Fatalf("Size = %d, %v", n, err)
 			}
 			got := scanFile(t, m, "c.dat")
@@ -139,7 +140,7 @@ func TestTinyFilesBothFormats(t *testing.T) {
 		t.Run(f.String(), func(t *testing.T) {
 			m := colDev(t)
 			writeFmt(t, m, "empty.dat", f, nil)
-			if n, err := m.Size("empty.dat"); err != nil || n != 0 {
+			if n, err := count(m, "empty.dat"); err != nil || n != 0 {
 				t.Fatalf("empty Size = %d, %v", n, err)
 			}
 			if got := scanFile(t, m, "empty.dat"); len(got) != 0 {
@@ -155,7 +156,7 @@ func TestTinyFilesBothFormats(t *testing.T) {
 			rr.Close() //nolint:errcheck
 
 			writeFmt(t, m, "one.dat", f, []int64{-42})
-			if n, err := m.Size("one.dat"); err != nil || n != 1 {
+			if n, err := count(m, "one.dat"); err != nil || n != 1 {
 				t.Fatalf("single Size = %d, %v", n, err)
 			}
 			if got := scanFile(t, m, "one.dat"); len(got) != 1 || got[0] != -42 {
@@ -200,7 +201,7 @@ func TestFormatInterop(t *testing.T) {
 	if got := scanFile(t, m2, "old.dat"); len(got) != 20 || got[0] != oldVals[0] || got[19] != oldVals[19] {
 		t.Fatalf("format-0 file after upgrade: %v", got)
 	}
-	if n, err := m2.Size("old.dat"); err != nil || n != 20 {
+	if n, err := count(m2, "old.dat"); err != nil || n != 20 {
 		t.Fatalf("format-0 Size after upgrade = %d, %v", n, err)
 	}
 
@@ -217,9 +218,6 @@ func TestFormatInterop(t *testing.T) {
 	w, err := m2.Create("merged.dat")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if w.Format() != FormatColumnar {
-		t.Fatalf("merge output format = %v", w.Format())
 	}
 	va, oka, _ := ra.Next()
 	vb, okb, _ := rb.Next()
@@ -241,6 +239,14 @@ func TestFormatInterop(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	rr, err := m2.OpenRandom("merged.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := rr.BlockBounds(0); !ok {
+		t.Fatal("merge output is not columnar")
+	}
+	rr.Close() //nolint:errcheck
 	merged := scanFile(t, m2, "merged.dat")
 	if len(merged) != 50 {
 		t.Fatalf("merged %d elements, want 50", len(merged))
@@ -262,12 +268,46 @@ func TestMagicCollision(t *testing.T) {
 		vals[i] = magicVal
 	}
 	writeFmt(t, m, "collide.dat", FormatRaw, vals)
-	if n, err := m.Size("collide.dat"); err != nil || n != 12 {
+	if n, err := count(m, "collide.dat"); err != nil || n != 12 {
 		t.Fatalf("Size = %d, %v", n, err)
 	}
 	got := scanFile(t, m, "collide.dat")
 	if len(got) != 12 || got[0] != magicVal || got[11] != magicVal {
 		t.Fatalf("collision file misread: %v", got)
+	}
+}
+
+// TestTornRawFile: a format-0 file whose size is not a whole number of
+// elements — a torn tail — fails loudly through both readers, naming the
+// file, instead of reading as a shorter file.
+func TestTornRawFile(t *testing.T) {
+	for kind, b := range backends(t) {
+		t.Run(kind, func(t *testing.T) {
+			w, err := b.Create("ns/torn.dat")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(make([]byte, 20*ElementSize+3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			root, err := NewManagerOn(b, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := root.Namespace("ns")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.OpenSequential("torn.dat"); err == nil || !strings.Contains(err.Error(), "ns/torn.dat") {
+				t.Errorf("sequential open of a torn file = %v, want an error naming ns/torn.dat", err)
+			}
+			if _, err := m.OpenRandom("torn.dat"); err == nil || !strings.Contains(err.Error(), "ns/torn.dat") {
+				t.Errorf("random open of a torn file = %v, want an error naming ns/torn.dat", err)
+			}
+		})
 	}
 }
 

@@ -3,11 +3,8 @@ package disk
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"io"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -16,9 +13,11 @@ import (
 // all I/O freezes until Restart.
 var ErrCrashed = errors.New("disk: simulated crash")
 
-// CrashBackend is a deterministic crash-simulation backend: an in-memory
-// store that models the volatile/durable split of a real device with a
-// write-back cache.
+// CrashBackend is a deterministic crash-simulation backend: the heap store
+// (MemBackend) as the volatile image, plus what a crash adds to it — an
+// operation counter, a crash point, a torn tail, the freeze after the crash
+// and a durable image — modelling the volatile/durable split of a real device
+// with a write-back cache.
 //
 // Every mutating operation — Create, each WriteHandle.Write (one per block
 // at Manager granularity), Remove, WriteMeta, Sync — increments an
@@ -52,8 +51,8 @@ var ErrCrashed = errors.New("disk: simulated crash")
 // advance the counter.
 type CrashBackend struct {
 	mu      sync.Mutex
-	cur     map[string][]byte // volatile image
-	dur     map[string][]byte // durable image (last Sync)
+	cur     *MemBackend       // volatile image
+	dur     map[string][]byte // durable image (last Sync); replaced whole, never written in place
 	ops     int64             // mutating operations so far
 	crashAt int64             // absolute op index to crash on; <0 disarmed
 	tear    bool              // apply a partial prefix when the crashing op is a write
@@ -63,15 +62,8 @@ type CrashBackend struct {
 // NewCrashBackend returns an empty crash-simulation backend with no crash
 // point armed.
 func NewCrashBackend() *CrashBackend {
-	return &CrashBackend{
-		cur:     make(map[string][]byte),
-		dur:     make(map[string][]byte),
-		crashAt: -1,
-	}
+	return &CrashBackend{cur: NewMemBackend(), dur: map[string][]byte{}, crashAt: -1}
 }
-
-// Kind returns "crash".
-func (b *CrashBackend) Kind() string { return "crash" }
 
 // SetCrashPoint arms a crash at the given absolute mutating-operation index
 // (the op that would make Ops() == n+1 fails). tear makes the crashing
@@ -109,10 +101,10 @@ func (b *CrashBackend) Restart(keepUnsynced bool) {
 	b.crashed = false
 	b.crashAt = -1
 	if keepUnsynced {
-		b.dur = snapshot(b.cur)
+		b.dur = b.cur.image()
 		return
 	}
-	b.cur = snapshot(b.dur)
+	b.cur = memFrom(b.dur)
 }
 
 // RestartSubset is the adversarial restart: every file whose volatile state
@@ -128,8 +120,9 @@ func (b *CrashBackend) RestartSubset(seed int64) {
 	defer b.mu.Unlock()
 	b.crashed = false
 	b.crashAt = -1
-	names := make(map[string]struct{}, len(b.cur)+len(b.dur))
-	for n := range b.cur {
+	cur := b.cur.image()
+	names := make(map[string]struct{}, len(cur)+len(b.dur))
+	for n := range cur {
 		names[n] = struct{}{}
 	}
 	for n := range b.dur {
@@ -143,46 +136,38 @@ func (b *CrashBackend) RestartSubset(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	next := make(map[string][]byte, len(ordered))
 	for _, n := range ordered {
-		c, inC := b.cur[n]
+		c, inC := cur[n]
 		d, inD := b.dur[n]
 		if inC && inD && bytes.Equal(c, d) {
-			next[n] = append([]byte(nil), c...)
+			next[n] = c
 			continue
 		}
 		if rng.Intn(2) == 0 {
 			if inC {
-				next[n] = append([]byte(nil), c...)
+				next[n] = c
 			}
 		} else if inD {
-			next[n] = append([]byte(nil), d...)
+			next[n] = d
 		}
 	}
-	b.cur = next
-	b.dur = snapshot(next)
+	b.cur = memFrom(next)
+	b.dur = next
 }
 
-// Clone returns an independent deep copy of the backend — same images, op
+// Clone returns an independent copy of the backend — same images, op
 // counter and crash state — so one crashed replay can be restarted and
 // verified under several recovery modes.
 func (b *CrashBackend) Clone() *CrashBackend {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return &CrashBackend{
-		cur:     snapshot(b.cur),
-		dur:     snapshot(b.dur),
+		cur:     memFrom(b.cur.image()),
+		dur:     b.dur,
 		ops:     b.ops,
 		crashAt: b.crashAt,
 		tear:    b.tear,
 		crashed: b.crashed,
 	}
-}
-
-func snapshot(m map[string][]byte) map[string][]byte {
-	out := make(map[string][]byte, len(m))
-	for k, v := range m {
-		out[k] = append([]byte(nil), v...)
-	}
-	return out
 }
 
 // step gates one mutating operation: it fails if the backend is crashed,
@@ -201,183 +186,132 @@ func (b *CrashBackend) step() (bool, error) {
 	return false, nil
 }
 
-// frozen reports (under b.mu) whether reads should fail: after the crash
-// the process is gone, so even reads error until Restart.
-func (b *CrashBackend) frozen() error {
+// live returns the volatile image for a read. After the crash the process
+// is gone, so even reads fail until Restart.
+func (b *CrashBackend) live() (*MemBackend, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.crashed {
-		return ErrCrashed
+		return nil, ErrCrashed
 	}
-	return nil
+	return b.cur, nil
 }
 
-// Open returns a random-access read handle for the named file.
-func (b *CrashBackend) Open(name string) (ReadHandle, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.frozen(); err != nil {
-		return nil, err
-	}
-	if _, ok := b.cur[name]; !ok {
-		return nil, fmt.Errorf("crash: open %s: file does not exist", name)
-	}
-	return &crashReadHandle{b: b, name: name}, nil
-}
-
-// Create truncates (or creates) the named file for appending.
-func (b *CrashBackend) Create(name string) (WriteHandle, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, err := b.step(); err != nil {
-		return nil, err
-	}
-	b.cur[name] = []byte{}
-	return &crashWriteHandle{b: b, name: name}, nil
-}
-
-// Remove deletes the named file from the volatile image; the durable image
-// forgets it at the next Sync.
-func (b *CrashBackend) Remove(name string) error {
+// mutate counts one mutating operation (see step) and, unless it crashed,
+// applies it to the volatile image.
+func (b *CrashBackend) mutate(op func(cur *MemBackend) error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, err := b.step(); err != nil {
 		return err
 	}
-	if _, ok := b.cur[name]; !ok {
-		return fmt.Errorf("crash: remove %s: file does not exist", name)
+	return op(b.cur)
+}
+
+// Open returns a random-access read handle for the named file.
+func (b *CrashBackend) Open(name string) (ReadHandle, error) {
+	cur, err := b.live()
+	if err != nil {
+		return nil, err
 	}
-	delete(b.cur, name)
-	return nil
+	h, err := cur.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return crashReadHandle{b, h}, nil
+}
+
+// Create truncates (or creates) the named file for appending.
+func (b *CrashBackend) Create(name string) (WriteHandle, error) {
+	var h WriteHandle
+	err := b.mutate(func(cur *MemBackend) (err error) {
+		h, err = cur.Create(name)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return crashWriteHandle{b, h}, nil
+}
+
+// Remove deletes the named file from the volatile image; the durable image
+// forgets it at the next Sync.
+func (b *CrashBackend) Remove(name string) error {
+	return b.mutate(func(cur *MemBackend) error { return cur.Remove(name) })
 }
 
 // Size returns the byte length of the named file.
 func (b *CrashBackend) Size(name string) (int64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.frozen(); err != nil {
+	cur, err := b.live()
+	if err != nil {
 		return 0, err
 	}
-	data, ok := b.cur[name]
-	if !ok {
-		return 0, fmt.Errorf("crash: stat %s: file does not exist", name)
-	}
-	return int64(len(data)), nil
+	return cur.Size(name)
 }
 
 // Exists reports whether the named file exists (in the volatile image).
 func (b *CrashBackend) Exists(name string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	_, ok := b.cur[name]
-	return ok
+	return b.cur.Exists(name)
 }
 
 // WriteMeta atomically replaces a metadata file: the crash point either
 // fires before the replacement or the replacement lands whole.
 func (b *CrashBackend) WriteMeta(name string, data []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, err := b.step(); err != nil {
-		return err
-	}
-	b.cur[name] = append([]byte(nil), data...)
-	return nil
+	return b.mutate(func(cur *MemBackend) error { return cur.WriteMeta(name, data) })
 }
 
 // ReadMeta reads a metadata file.
 func (b *CrashBackend) ReadMeta(name string) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.frozen(); err != nil {
+	cur, err := b.live()
+	if err != nil {
 		return nil, err
 	}
-	data, ok := b.cur[name]
-	if !ok {
-		return nil, fmt.Errorf("crash: read meta %s: file does not exist", name)
-	}
-	return append([]byte(nil), data...), nil
+	return cur.ReadMeta(name)
 }
 
 // Sync snapshots the volatile image into the durable one.
 func (b *CrashBackend) Sync() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, err := b.step(); err != nil {
-		return err
-	}
-	b.dur = snapshot(b.cur)
-	return nil
+	return b.mutate(func(cur *MemBackend) error {
+		b.dur = cur.image()
+		return nil
+	})
 }
 
 // List returns the names of all files with the given prefix, sorted.
 func (b *CrashBackend) List(prefix string) ([]string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.frozen(); err != nil {
+	cur, err := b.live()
+	if err != nil {
 		return nil, err
 	}
-	var out []string
-	for name := range b.cur {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	return cur.List(prefix)
 }
 
+// crashReadHandle is a volatile-image read handle that freezes with the
+// crash.
 type crashReadHandle struct {
-	b      *CrashBackend
-	name   string
-	closed bool
+	b *CrashBackend
+	ReadHandle
 }
 
-func (h *crashReadHandle) ReadAt(p []byte, off int64) (int, error) {
-	h.b.mu.Lock()
-	defer h.b.mu.Unlock()
-	if err := h.b.frozen(); err != nil {
+func (h crashReadHandle) ReadAt(p []byte, off int64) (int, error) {
+	if _, err := h.b.live(); err != nil {
 		return 0, err
 	}
-	if h.closed {
-		return 0, fmt.Errorf("crash: read from closed handle %s", h.name)
-	}
-	data, ok := h.b.cur[h.name]
-	if !ok {
-		return 0, fmt.Errorf("crash: read %s: file does not exist", h.name)
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("crash: negative offset %d", off)
-	}
-	if off >= int64(len(data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return h.ReadHandle.ReadAt(p, off)
 }
 
-func (h *crashReadHandle) Size() (int64, error) {
-	return h.b.Size(h.name)
-}
-
-func (h *crashReadHandle) Close() error {
-	h.closed = true
-	return nil
-}
-
+// crashWriteHandle is a volatile-image write handle whose every Write is one
+// mutating operation, and the one that may tear.
 type crashWriteHandle struct {
-	b      *CrashBackend
-	name   string
-	closed bool
+	b *CrashBackend
+	WriteHandle
 }
 
-func (h *crashWriteHandle) Write(p []byte) (int, error) {
+func (h crashWriteHandle) Write(p []byte) (int, error) {
 	h.b.mu.Lock()
 	defer h.b.mu.Unlock()
-	if h.closed {
-		return 0, fmt.Errorf("crash: write to closed handle %s", h.name)
-	}
 	tear, err := h.b.step()
 	if err != nil {
 		if tear && len(p) > 0 {
@@ -386,25 +320,17 @@ func (h *crashWriteHandle) Write(p []byte) (int, error) {
 			if n%ElementSize == 0 && n+3 <= len(p) {
 				n += 3
 			}
-			h.b.cur[h.name] = append(h.b.cur[h.name], p[:n]...)
+			h.WriteHandle.Write(p[:n]) //nolint:errcheck // the crash is the error
 		}
 		return 0, err
 	}
-	h.b.cur[h.name] = append(h.b.cur[h.name], p...)
-	return len(p), nil
+	return h.WriteHandle.Write(p)
 }
 
-func (h *crashWriteHandle) Close() error {
-	h.closed = true
-	return nil
-}
-
-func (h *crashWriteHandle) Abort() {
+func (h crashWriteHandle) Abort() {
 	h.b.mu.Lock()
 	defer h.b.mu.Unlock()
-	h.closed = true
-	if h.b.crashed {
-		return // frozen: the file stays as the crash left it
+	if !h.b.crashed { // frozen: the file stays as the crash left it
+		h.WriteHandle.Abort()
 	}
-	delete(h.b.cur, h.name)
 }

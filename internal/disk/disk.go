@@ -194,14 +194,12 @@ type device struct {
 	// per file; reads always auto-detect, so mixed-format devices are fine.
 	format atomic.Uint32
 
-	// idxCache memoizes parsed columnar footers (nil = confirmed format 0)
-	// per device-wide name, so reopening a partition for every query does not
-	// re-read and re-parse its index.
+	// idxCache memoizes block indexes per device-wide name, so reopening a
+	// partition for every query does not re-read and re-parse its footer.
 	idxMu    sync.Mutex
 	idxCache map[string]*colIndex
 
-	mu    sync.RWMutex
-	fault FaultFunc
+	fault atomic.Pointer[FaultFunc]
 
 	latencyFields
 }
@@ -273,9 +271,6 @@ func NewManagerOn(b Backend, blockSize int) (*Manager, error) {
 // key maps a view-relative name to the device-wide name.
 func (m *Manager) key(name string) string { return m.prefix + name }
 
-// Prefix returns the view's namespace prefix ("" for the root view).
-func (m *Manager) Prefix() string { return m.prefix }
-
 // Backend returns the underlying storage backend.
 func (m *Manager) Backend() Backend { return m.dev.backend }
 
@@ -328,20 +323,23 @@ func (m *Manager) CacheBlocks() int {
 // SetFault installs a device-wide fault-injection hook; nil removes it. The
 // hook sees device-wide (prefixed) names.
 func (m *Manager) SetFault(f FaultFunc) {
-	m.dev.mu.Lock()
-	m.dev.fault = f
-	m.dev.mu.Unlock()
+	if f == nil {
+		m.dev.fault.Store(nil)
+		return
+	}
+	m.dev.fault.Store(&f)
 }
 
-// injected runs the fault hook for an operation on a device-wide name.
-func (m *Manager) injected(op Op, name string, block int64) error {
-	m.dev.mu.RLock()
-	f := m.dev.fault
-	m.dev.mu.RUnlock()
-	if f == nil {
-		return nil
+// gate is the one door every operation on a device-wide name passes before
+// its real I/O: the fault hook, then the simulated latency.
+func (m *Manager) gate(op Op, name string, block int64) error {
+	if f := m.dev.fault.Load(); f != nil {
+		if err := (*f)(op, name, block); err != nil {
+			return err
+		}
 	}
-	return f(op, name, block)
+	m.sleepFor(op)
+	return nil
 }
 
 func (m *Manager) countOpen() {
@@ -439,44 +437,17 @@ func (m *Manager) Exists(name string) bool {
 	return m.dev.backend.Exists(m.key(name))
 }
 
-// Size returns the number of elements stored in the named file. For
-// columnar files the count comes from the footer, not from byte-size
-// arithmetic; format detection may open the file (uncounted, like other
-// metadata access).
-func (m *Manager) Size(name string) (int64, error) {
-	key := m.key(name)
-	n, err := m.dev.backend.Size(key)
-	if err != nil {
-		return 0, fmt.Errorf("disk: stat %s: %w", key, err)
-	}
-	if n < colHeadLen+colTrailerLen {
-		return n / ElementSize, nil
-	}
-	h, err := m.dev.backend.Open(key)
-	if err != nil {
-		return 0, fmt.Errorf("disk: stat %s: %w", key, err)
-	}
-	defer h.Close()
-	ix, err := m.columnarIndex(key, h)
-	if err != nil {
-		return 0, fmt.Errorf("disk: stat %s: %w", key, err)
-	}
-	if ix != nil {
-		return ix.total(), nil
-	}
-	return n / ElementSize, nil
-}
-
 // WriteMeta atomically replaces a small metadata file (e.g. a manifest) on
 // the backend. Metadata I/O is not block-accounted: the paper's cost model
 // covers element data only. It does route through the fault hook (as
 // OpMetaWrite), so tests can fail manifest commits like any other I/O.
 func (m *Manager) WriteMeta(name string, data []byte) error {
 	key := m.key(name)
-	if err := m.injected(OpMetaWrite, key, 0); err != nil {
-		return fmt.Errorf("disk: write meta %s: %w", key, err)
+	err := m.gate(OpMetaWrite, key, 0)
+	if err == nil {
+		err = m.dev.backend.WriteMeta(key, data)
 	}
-	if err := m.dev.backend.WriteMeta(key, data); err != nil {
+	if err != nil {
 		return fmt.Errorf("disk: write meta %s: %w", key, err)
 	}
 	return nil
@@ -487,10 +458,11 @@ func (m *Manager) WriteMeta(name string, data []byte) error {
 // the backend. The barrier is device-wide — syncing any view syncs them
 // all. Sync routes through the fault hook as OpSync.
 func (m *Manager) Sync() error {
-	if err := m.injected(OpSync, m.prefix, 0); err != nil {
-		return fmt.Errorf("disk: sync: %w", err)
+	err := m.gate(OpSync, m.prefix, 0)
+	if err == nil {
+		err = m.dev.backend.Sync()
 	}
-	if err := m.dev.backend.Sync(); err != nil {
+	if err != nil {
 		return fmt.Errorf("disk: sync: %w", err)
 	}
 	return nil

@@ -37,9 +37,6 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 	return &FileBackend{root: dir, dirty: make(map[string]uint64)}, nil
 }
 
-// Kind returns "file".
-func (b *FileBackend) Kind() string { return "file" }
-
 func (b *FileBackend) path(name string) string {
 	return filepath.Join(b.root, filepath.FromSlash(name))
 }
@@ -92,8 +89,7 @@ func (b *FileBackend) Open(name string) (ReadHandle, error) {
 }
 
 // fileReadHandle adds handle-consistent sizing to *os.File: Size fstats the
-// open descriptor, so it always describes the file ReadAt reads even if the
-// name was recreated meanwhile.
+// open descriptor, so it describes the file ReadAt reads.
 type fileReadHandle struct {
 	f *os.File
 }

@@ -88,11 +88,16 @@ const (
 // colMagic opens (and, inside the trailer, closes) every columnar file.
 var colMagic = [colHeadLen]byte{'H', 'S', 'Q', 'C', 1, 0, 0, 0}
 
-// colIndex is the parsed footer of one columnar file: everything a reader
-// needs to locate, size and bound-check blocks without touching their frames.
+// colIndex is the block index of one element file: everything a reader needs
+// to locate, size and bound-check blocks without touching their frames. A
+// columnar file's comes from its footer; a format-0 file's is laid over the
+// device geometry (rawIndex), so both formats read through one path.
 type colIndex struct {
-	// offsets[i] is the file offset of block i's header; offsets[nblocks]
-	// is the end of the data region (= start of the index section).
+	// raw marks a format-0 file: its blocks are plain int64 frames with no
+	// header, and it carries no bounds (mins and maxs are nil).
+	raw bool
+	// offsets[i] is the file offset of block i; offsets[nblocks] is the end
+	// of the data region (a columnar file's index section starts there).
 	offsets []int64
 	// starts[i] is the element index of block i's first element;
 	// starts[nblocks] is the total element count.
@@ -111,6 +116,34 @@ func (ix *colIndex) frameLen(i int64) int {
 
 // blockCount returns the number of elements in block i.
 func (ix *colIndex) blockCount(i int64) int64 { return ix.starts[i+1] - ix.starts[i] }
+
+// decode decodes block i from buf, its bytes as the index locates them, into
+// dst, which must hold the block's elements.
+func (ix *colIndex) decode(dst []int64, buf []byte, i int64) error {
+	cnt := int(ix.blockCount(i))
+	if ix.raw {
+		decodeInto(dst[:cnt], buf)
+		return nil
+	}
+	return decodeColBlock(dst, buf, cnt)
+}
+
+// rawIndex lays a format-0 file of size bytes over the device geometry: block
+// i holds bytes [i·blockSize, (i+1)·blockSize), the last block the remainder.
+// A size that is not a whole number of elements is a torn file.
+func rawIndex(size int64, blockSize int) (*colIndex, error) {
+	if size%ElementSize != 0 {
+		return nil, fmt.Errorf("torn element: %d bytes is not a whole number of %d-byte elements", size, ElementSize)
+	}
+	bs, per := int64(blockSize), int64(blockSize/ElementSize)
+	nb := (size + bs - 1) / bs
+	ix := &colIndex{raw: true, offsets: make([]int64, nb+1), starts: make([]int64, nb+1)}
+	for i := int64(0); i < nb; i++ {
+		ix.offsets[i], ix.starts[i] = i*bs, i*per
+	}
+	ix.offsets[nb], ix.starts[nb] = size, size/ElementSize
+	return ix, nil
+}
 
 // findBlock returns the index of the block containing element e.
 func (ix *colIndex) findBlock(e int64) int64 {
@@ -258,10 +291,11 @@ func loadColumnarIndex(h ReadHandle, size int64) (*colIndex, error) {
 	return ix, nil
 }
 
-// columnarIndex returns the parsed index of the named (device-wide) file, or
-// nil for a format-0 file, consulting and filling the device-wide index
-// cache. The handle is only read on a cache miss.
-func (m *Manager) columnarIndex(key string, h ReadHandle) (*colIndex, error) {
+// index returns the block index of the named (device-wide) file — its
+// columnar footer, or the device geometry laid over a format-0 file —
+// consulting and filling the device-wide index cache. The handle is only read
+// on a cache miss.
+func (m *Manager) index(key string, h ReadHandle) (*colIndex, error) {
 	d := m.dev
 	d.idxMu.Lock()
 	if ix, ok := d.idxCache[key]; ok {
@@ -274,6 +308,9 @@ func (m *Manager) columnarIndex(key string, h ReadHandle) (*colIndex, error) {
 		return nil, err
 	}
 	ix, err := loadColumnarIndex(h, size)
+	if ix == nil && err == nil {
+		ix, err = rawIndex(size, d.blockSize)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +318,7 @@ func (m *Manager) columnarIndex(key string, h ReadHandle) (*colIndex, error) {
 	if d.idxCache == nil {
 		d.idxCache = make(map[string]*colIndex)
 	}
-	d.idxCache[key] = ix // nil marks a confirmed format-0 file
+	d.idxCache[key] = ix
 	d.idxMu.Unlock()
 	return ix, nil
 }

@@ -34,7 +34,8 @@ func (m *Manager) SetLatency(l Latency) {
 	m.dev.latRandRead.Store(int64(l.RandRead))
 }
 
-// sleepFor blocks for the simulated duration of op, if any.
+// sleepFor blocks for the simulated duration of op, if any. Only gate calls
+// it, after the fault hook.
 func (m *Manager) sleepFor(op Op) {
 	var d int64
 	switch op {

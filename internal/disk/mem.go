@@ -31,9 +31,6 @@ func NewMemBackend() *MemBackend {
 	return &MemBackend{files: make(map[string]*memFile)}
 }
 
-// Kind returns "mem".
-func (b *MemBackend) Kind() string { return "mem" }
-
 func (b *MemBackend) lookup(name string) (*memFile, error) {
 	b.mu.RLock()
 	f := b.files[name]
@@ -130,18 +127,27 @@ func (b *MemBackend) List(prefix string) ([]string, error) {
 	return out, nil
 }
 
-// MemoryBytes returns the total bytes held across all files, for tests and
-// capacity diagnostics.
-func (b *MemBackend) MemoryBytes() int64 {
+// image returns a copy of every file's bytes: CrashBackend's durable image
+// is taken from its volatile one this way.
+func (b *MemBackend) image() map[string][]byte {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var n int64
-	for _, f := range b.files {
+	out := make(map[string][]byte, len(b.files))
+	for name, f := range b.files {
 		f.mu.RLock()
-		n += int64(len(f.data))
+		out[name] = append([]byte(nil), f.data...)
 		f.mu.RUnlock()
 	}
-	return n
+	return out
+}
+
+// memFrom returns a heap store holding a copy of img.
+func memFrom(img map[string][]byte) *MemBackend {
+	b := NewMemBackend()
+	for name, data := range img {
+		b.files[name] = &memFile{data: append([]byte(nil), data...)}
+	}
+	return b
 }
 
 type memReadHandle struct {

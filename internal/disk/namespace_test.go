@@ -64,11 +64,11 @@ func TestNamespaceIsolationAndPrefix(t *testing.T) {
 			writeFile(t, c, "x.dat", seq(20))
 
 			// Same relative name, independent files.
-			na, err := a.Size("x.dat")
+			na, err := count(a, "x.dat")
 			if err != nil {
 				t.Fatal(err)
 			}
-			nc, err := c.Size("x.dat")
+			nc, err := count(c, "x.dat")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,8 +235,8 @@ func TestNamespaceComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inner.Prefix() != "streams/x/" {
-		t.Fatalf("prefix = %q", inner.Prefix())
+	if key := inner.key("f.dat"); key != "streams/x/f.dat" {
+		t.Fatalf("key = %q", key)
 	}
 	writeFile(t, inner, "f.dat", seq(1))
 	if !root.Exists("streams/x/f.dat") {

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -24,27 +23,41 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// openRead opens the named file for either reader: its handle, its size (via
-// the handle: the name may be recreated meanwhile) and its columnar index.
-func (m *Manager) openRead(name string) (key string, h ReadHandle, size int64, ix *colIndex, err error) {
+// openRead opens the named file for either reader: its handle and its block
+// index, in either format. The index fixes the file's element count and
+// geometry at open; recreating the name under an open reader is unsupported.
+func (m *Manager) openRead(name string) (key string, h ReadHandle, ix *colIndex, err error) {
 	key = m.key(name)
-	if err = m.injected(OpOpen, key, 0); err == nil {
+	if err = m.gate(OpOpen, key, 0); err == nil {
 		h, err = m.dev.backend.Open(key)
 	}
 	if err != nil {
-		return "", nil, 0, nil, fmt.Errorf("disk: open %s: %w", key, err)
+		return "", nil, nil, fmt.Errorf("disk: open %s: %w", key, err)
 	}
 	m.countOpen()
-	if size, err = h.Size(); err != nil {
-		err = fmt.Errorf("disk: stat %s: %w", key, err)
-	} else if ix, err = m.columnarIndex(key, h); err != nil {
-		err = fmt.Errorf("disk: open %s: %w", key, err)
+	if ix, err = m.index(key, h); err != nil {
+		h.Close() //nolint:errcheck
+		return "", nil, nil, fmt.Errorf("disk: open %s: %w", key, err)
+	}
+	return key, h, ix, nil
+}
+
+// readAt passes the operation's gate for block idx, then reads len(buf) bytes
+// at off: that block onward, as the file's index locates it. A short read is
+// an error, not EOF.
+func (m *Manager) readAt(op Op, name string, h ReadHandle, idx int64, buf []byte, off int64) error {
+	err := m.gate(op, name, idx)
+	if err == nil {
+		var n int
+		// io.ReaderAt may report EOF beside a full read that ends the file.
+		if n, err = h.ReadAt(buf, off); n == len(buf) {
+			err = nil
+		}
 	}
 	if err != nil {
-		h.Close() //nolint:errcheck
-		return "", nil, 0, nil, err
+		return fmt.Errorf("disk: read %s block %d: %w", name, idx, err)
 	}
-	return key, h, size, ix, nil
+	return nil
 }
 
 // Reader scans a file sequentially, one block at a time (or several with
@@ -55,17 +68,16 @@ type Reader struct {
 	m       *Manager
 	name    string
 	h       ReadHandle
-	ix      *colIndex // parsed columnar footer; nil for format-0 files
+	ix      *colIndex
 	bufp    *[]byte
 	valsp   *[]int64
 	buf     []byte
 	vals    []int64
 	pos     int   // next element index within vals
 	n       int   // valid elements in vals
-	block   int64 // next block index to read
-	fetched int64 // columnar: buf holds blocks [block, fetched), from file offset bufOff
+	block   int64 // next block index to decode
+	fetched int64 // buf holds blocks [block, fetched), from file offset bufOff
 	bufOff  int64
-	count   int64 // total elements in the file
 	read    int64 // elements returned so far
 	ahead   int   // blocks fetched per backend call (>= 1)
 	closed  bool
@@ -74,16 +86,9 @@ type Reader struct {
 // OpenSequential opens the named element file for a sequential scan. The
 // block format is auto-detected, so mixed-format stores scan uniformly.
 func (m *Manager) OpenSequential(name string) (*Reader, error) {
-	key, h, size, ix, err := m.openRead(name)
+	key, h, ix, err := m.openRead(name)
 	if err != nil {
 		return nil, err
-	}
-	count := size / ElementSize
-	if ix != nil {
-		// Element counts come from the footer the writer committed, not
-		// from byte-size arithmetic — a compressed file's size says nothing
-		// about its element count.
-		count = ix.total()
 	}
 	bufp := seqBufPool.Get().(*[]byte)
 	valsp := seqValsPool.Get().(*[]int64)
@@ -96,7 +101,6 @@ func (m *Manager) OpenSequential(name string) (*Reader, error) {
 		valsp: valsp,
 		buf:   *bufp,
 		vals:  *valsp,
-		count: count,
 		ahead: 1,
 	}, nil
 }
@@ -114,8 +118,10 @@ func (r *Reader) SetReadahead(k int) {
 	r.ahead = k
 }
 
-// Count returns the total number of elements in the file.
-func (r *Reader) Count() int64 { return r.count }
+// Count returns the total number of elements in the file. Element counts come
+// from the index — for a columnar file, the footer the writer committed, not
+// byte-size arithmetic.
+func (r *Reader) Count() int64 { return r.ix.total() }
 
 // Next returns the next element. It returns ok=false at end of file.
 func (r *Reader) Next() (v int64, ok bool, err error) {
@@ -123,7 +129,7 @@ func (r *Reader) Next() (v int64, ok bool, err error) {
 		return 0, false, fmt.Errorf("disk: read from closed reader %s", r.name)
 	}
 	if r.pos >= r.n {
-		if r.read >= r.count {
+		if r.read >= r.ix.total() {
 			return 0, false, nil
 		}
 		if err := r.fill(); err != nil {
@@ -139,71 +145,31 @@ func (r *Reader) Next() (v int64, ok bool, err error) {
 	return v, true, nil
 }
 
-func (r *Reader) fill() error {
-	if r.ix != nil {
-		return r.fillColumnar()
-	}
-	if err := r.m.injected(OpSeqRead, r.name, r.block); err != nil {
-		return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
-	}
-	r.m.sleepFor(OpSeqRead)
-	bs := r.m.dev.blockSize
-	r.buf = grow(r.buf, r.ahead*bs)
-	n, err := r.h.ReadAt(r.buf, r.block*int64(bs))
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		err = nil
-	}
-	if err != nil {
-		return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
-	}
-	if n%ElementSize != 0 {
-		return fmt.Errorf("disk: read %s block %d: torn element (%d bytes)", r.name, r.block, n)
-	}
-	cnt := n / ElementSize
-	r.vals = grow(r.vals, cnt)
-	decodeInto(r.vals[:cnt], r.buf[:n])
-	r.pos, r.n = 0, cnt
-	for got := 0; got < n; got += bs {
-		rem := n - got
-		if rem > bs {
-			rem = bs
-		}
-		r.m.countSeqRead(rem)
-		r.block++
-	}
-	return nil
-}
-
-// fillColumnar decodes the next block. The bytes arrive r.ahead blocks per
-// backend read — located by the footer, so a short read is corruption, not
-// EOF — and are decoded one block at a time: a reader, and the pool after it,
+// fill decodes the next block. The bytes arrive r.ahead blocks per backend
+// read and are decoded one block at a time: a reader, and the pool after it,
 // holds the fetched bytes and one decoded block, not r.ahead of them.
-func (r *Reader) fillColumnar() error {
-	nb := r.ix.blocks()
+func (r *Reader) fill() error {
+	ix := r.ix
+	nb := ix.blocks()
 	if r.block >= nb {
 		r.pos, r.n = 0, 0
 		return nil
 	}
 	if r.block >= r.fetched {
 		end := min(r.block+int64(r.ahead), nb)
-		r.bufOff = r.ix.offsets[r.block]
-		if err := r.m.injected(OpSeqRead, r.name, r.block); err != nil {
-			return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
-		}
-		r.m.sleepFor(OpSeqRead)
-		r.buf = grow(r.buf, int(r.ix.offsets[end]-r.bufOff))
-		if _, err := r.h.ReadAt(r.buf, r.bufOff); err != nil {
-			return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
+		r.bufOff = ix.offsets[r.block]
+		r.buf = grow(r.buf, int(ix.offsets[end]-r.bufOff))
+		if err := r.m.readAt(OpSeqRead, r.name, r.h, r.block, r.buf, r.bufOff); err != nil {
+			return err
 		}
 		for b := r.block; b < end; b++ {
-			r.m.countSeqRead(int(r.ix.offsets[b+1] - r.ix.offsets[b]))
+			r.m.countSeqRead(int(ix.offsets[b+1] - ix.offsets[b]))
 		}
 		r.fetched = end
 	}
-	bbuf := r.buf[r.ix.offsets[r.block]-r.bufOff : r.ix.offsets[r.block+1]-r.bufOff]
-	cnt := int(r.ix.blockCount(r.block))
+	cnt := int(ix.blockCount(r.block))
 	r.vals = grow(r.vals, cnt)
-	if err := decodeColBlock(r.vals, bbuf, cnt); err != nil {
+	if err := ix.decode(r.vals, r.buf[ix.offsets[r.block]-r.bufOff:ix.offsets[r.block+1]-r.bufOff], r.block); err != nil {
 		return fmt.Errorf("disk: read %s block %d: %w", r.name, r.block, err)
 	}
 	r.pos, r.n = 0, cnt
@@ -238,41 +204,27 @@ type RandomReader struct {
 	m      *Manager
 	name   string
 	h      ReadHandle
-	ix     *colIndex // parsed columnar footer; nil for format-0 files
-	count  int64     // elements in the file
-	blocks int64     // number of blocks
-	reads  int       // backend block reads issued through this handle
-	hits   int       // cache hits served through this handle
-	skips  int       // probes answered from header bounds without any read
+	ix     *colIndex
+	reads  int // backend block reads issued through this handle
+	hits   int // cache hits served through this handle
+	skips  int // probes answered from header bounds without any read
 	closed bool
 }
 
 // OpenRandom opens the named element file for random block access. The
 // block format is auto-detected.
 func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
-	key, h, size, ix, err := m.openRead(name)
+	key, h, ix, err := m.openRead(name)
 	if err != nil {
 		return nil, err
 	}
-	count := size / ElementSize
-	blocks := (count + int64(m.dev.perBlock) - 1) / int64(m.dev.perBlock)
-	if ix != nil {
-		count = ix.total()
-		blocks = ix.blocks()
-	}
-	return &RandomReader{
-		m:      m,
-		name:   key,
-		h:      h,
-		ix:     ix,
-		count:  count,
-		blocks: blocks,
-	}, nil
+	return &RandomReader{m: m, name: key, h: h, ix: ix}, nil
 }
 
 // staging takes n bytes of read buffer from the sequential readers' pool for
 // one backend read (a query's cursors share a buffer in turn). n comes from
-// the file's own index: a file keeps its geometry when the device's changes.
+// the file's own index: a columnar file keeps its geometry when the device's
+// changes.
 func staging(n int) *[]byte {
 	bufp := seqBufPool.Get().(*[]byte)
 	*bufp = grow(*bufp, n)
@@ -280,10 +232,10 @@ func staging(n int) *[]byte {
 }
 
 // Count returns the number of elements in the file.
-func (r *RandomReader) Count() int64 { return r.count }
+func (r *RandomReader) Count() int64 { return r.ix.total() }
 
 // Blocks returns the number of blocks in the file.
-func (r *RandomReader) Blocks() int64 { return r.blocks }
+func (r *RandomReader) Blocks() int64 { return r.ix.blocks() }
 
 // Reads returns the number of block reads this handle sent to the backend
 // (cache hits excluded).
@@ -300,31 +252,17 @@ func (r *RandomReader) Skips() int { return r.skips }
 // read from the columnar block index without touching the block itself.
 // ok is false for format-0 files, which carry no bounds.
 func (r *RandomReader) BlockBounds(idx int64) (min, max int64, ok bool) {
-	if r.ix == nil || idx < 0 || idx >= r.blocks {
+	if r.ix.mins == nil || idx < 0 || idx >= r.ix.blocks() {
 		return 0, 0, false
 	}
 	return r.ix.mins[idx], r.ix.maxs[idx], true
 }
 
 // BlockStart returns the element index of the first element in block idx.
-func (r *RandomReader) BlockStart(idx int64) int64 {
-	if r.ix != nil {
-		return r.ix.starts[idx]
-	}
-	return idx * int64(r.m.dev.perBlock)
-}
+func (r *RandomReader) BlockStart(idx int64) int64 { return r.ix.starts[idx] }
 
 // BlockLen returns the number of elements in block idx.
-func (r *RandomReader) BlockLen(idx int64) int64 {
-	if r.ix != nil {
-		return r.ix.blockCount(idx)
-	}
-	n := r.count - idx*int64(r.m.dev.perBlock)
-	if per := int64(r.m.dev.perBlock); n > per {
-		n = per
-	}
-	return n
-}
+func (r *RandomReader) BlockLen(idx int64) int64 { return r.ix.blockCount(idx) }
 
 // Skip records that the probe against block idx was answered entirely from
 // its header bounds — no backend read, no cache access. The search layer
@@ -342,8 +280,8 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 	if r.closed {
 		return nil, fmt.Errorf("disk: read from closed reader %s", r.name)
 	}
-	if idx < 0 || idx >= r.blocks {
-		return nil, fmt.Errorf("disk: block %d out of range [0,%d) in %s", idx, r.blocks, r.name)
+	if idx < 0 || idx >= r.ix.blocks() {
+		return nil, fmt.Errorf("disk: block %d out of range [0,%d) in %s", idx, r.ix.blocks(), r.name)
 	}
 	cache := r.m.dev.cache.Load()
 	if cache != nil {
@@ -353,45 +291,17 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 			return vals, nil
 		}
 	}
-	if err := r.m.injected(OpRandRead, r.name, idx); err != nil {
-		return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
-	}
-	r.m.sleepFor(OpRandRead)
-	// Format 0 has the device's geometry; a columnar file has its own.
-	off, nbytes := idx*int64(r.m.dev.blockSize), r.m.dev.blockSize
-	if r.ix != nil {
-		off = r.ix.offsets[idx]
-		nbytes = int(r.ix.offsets[idx+1] - off)
-	}
+	off, nbytes := r.ix.offsets[idx], int(r.ix.offsets[idx+1]-r.ix.offsets[idx])
 	bufp := staging(nbytes)
 	defer seqBufPool.Put(bufp)
-	buf := *bufp
-	var out []int64
-	if r.ix != nil {
-		if _, err := r.h.ReadAt(buf, off); err != nil {
-			return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
-		}
-		cnt := int(r.ix.blockCount(idx))
-		// Decoded blocks are pinned by the search layer and shared with the
-		// cache, so each gets its own allocation rather than pooled staging.
-		out = make([]int64, cnt)
-		if err := decodeColBlock(out, buf, cnt); err != nil {
-			return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
-		}
-	} else {
-		n, err := r.h.ReadAt(buf, off)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
-		}
-		if n%ElementSize != 0 {
-			return nil, fmt.Errorf("disk: read %s block %d: torn element (%d bytes)", r.name, idx, n)
-		}
-		out = make([]int64, n/ElementSize)
-		decodeInto(out, buf[:n])
-		nbytes = n
+	if err := r.m.readAt(OpRandRead, r.name, r.h, idx, *bufp, off); err != nil {
+		return nil, err
+	}
+	// Decoded blocks are pinned by the search layer and shared with the
+	// cache, so each gets its own allocation rather than pooled staging.
+	out := make([]int64, r.ix.blockCount(idx))
+	if err := r.ix.decode(out, *bufp, idx); err != nil {
+		return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
 	}
 	r.reads++
 	r.m.countRandRead(nbytes)
@@ -408,12 +318,7 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 }
 
 // ElementBlock returns the block index containing element i.
-func (r *RandomReader) ElementBlock(i int64) int64 {
-	if r.ix != nil {
-		return r.ix.findBlock(i)
-	}
-	return i / int64(r.m.dev.perBlock)
-}
+func (r *RandomReader) ElementBlock(i int64) int64 { return r.ix.findBlock(i) }
 
 // Close releases the underlying handle.
 func (r *RandomReader) Close() error {

@@ -53,7 +53,7 @@ func (m *Manager) CreateFormat(name string, f BlockFormat) (*Writer, error) {
 		return nil, fmt.Errorf("disk: create %s: block size %d too small for columnar format (min %d)",
 			key, m.dev.blockSize, colMinBlockSize)
 	}
-	if err := m.injected(OpOpen, key, 0); err != nil {
+	if err := m.gate(OpOpen, key, 0); err != nil {
 		return nil, fmt.Errorf("disk: create %s: %w", key, err)
 	}
 	h, err := m.dev.backend.Create(key)
@@ -82,9 +82,6 @@ func (m *Manager) CreateFormat(name string, f BlockFormat) (*Writer, error) {
 	}
 	return w, nil
 }
-
-// Format returns the block format this writer produces.
-func (w *Writer) Format() BlockFormat { return w.format }
 
 // Append stages one element for writing.
 func (w *Writer) Append(v int64) error {
@@ -133,15 +130,9 @@ func (w *Writer) flushBlock() error {
 	if w.fill == 0 {
 		return nil
 	}
-	if err := w.m.injected(OpSeqWrite, w.name, w.blocks); err != nil {
-		return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
+	if err := w.emit(w.buf[:w.fill*ElementSize]); err != nil {
+		return err
 	}
-	w.m.sleepFor(OpSeqWrite)
-	n := w.fill * ElementSize
-	if _, err := w.h.Write(w.buf[:n]); err != nil {
-		return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
-	}
-	w.wrote(n)
 	w.blocks++
 	w.fill = 0
 	return nil
@@ -188,14 +179,9 @@ func (w *Writer) flushColumnar() error {
 	}
 	putColHeader(out[hdr:], tag, cnt, frameLen, mn, mx)
 
-	if err := w.m.injected(OpSeqWrite, w.name, w.blocks); err != nil {
-		return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
+	if err := w.emit(out); err != nil {
+		return err
 	}
-	w.m.sleepFor(OpSeqWrite)
-	if _, err := w.h.Write(out); err != nil {
-		return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
-	}
-	w.wrote(len(out))
 	w.buf = out[:0]
 
 	var e [colIndexEntryLen]byte
@@ -226,22 +212,24 @@ func (w *Writer) writeFooter() error {
 	binary.LittleEndian.PutUint64(t[8:], uint64(w.blocks))
 	binary.LittleEndian.PutUint64(t[16:], uint64(len(w.index)))
 	copy(t[24:], colMagic[:])
-	if err := w.m.injected(OpSeqWrite, w.name, w.blocks); err != nil {
-		return fmt.Errorf("disk: write %s footer: %w", w.name, err)
-	}
-	w.m.sleepFor(OpSeqWrite)
-	if _, err := w.h.Write(footer); err != nil {
-		return fmt.Errorf("disk: write %s footer: %w", w.name, err)
-	}
-	w.wrote(len(footer))
-	return nil
+	return w.emit(footer)
 }
 
-// wrote counts one sequential write of nbytes, on the device and in Stats.
-func (w *Writer) wrote(nbytes int) {
-	w.m.countSeqWrite(nbytes)
+// emit writes p — one block, or a columnar file's footer, which sits at block
+// index w.blocks — as one backend Write behind the gate, and counts it as one
+// sequential write, on the device and in Stats.
+func (w *Writer) emit(p []byte) error {
+	err := w.m.gate(OpSeqWrite, w.name, w.blocks)
+	if err == nil {
+		_, err = w.h.Write(p)
+	}
+	if err != nil {
+		return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
+	}
+	w.m.countSeqWrite(len(p))
 	w.io.SeqWrites++
-	w.io.BytesWritten += uint64(nbytes)
+	w.io.BytesWritten += uint64(len(p))
+	return nil
 }
 
 // Count returns the number of elements appended so far.
@@ -275,9 +263,8 @@ func (w *Writer) Close() error {
 	if err := w.h.Close(); err != nil {
 		return fmt.Errorf("disk: close %s: %w", w.name, err)
 	}
-	// A Size or open racing the write may have cached a provisional "format
-	// 0" verdict for the half-written file; the finished file is the first
-	// state worth remembering.
+	// An open racing the write may have cached the index of the half-written
+	// file; the finished file is the first state worth remembering.
 	w.m.dev.dropIndex(w.name)
 	return nil
 }

@@ -332,12 +332,6 @@ func (s *plainStore) mergeLevel(lvl int) error {
 	return nil
 }
 
-// diskManager is a small indirection so tests can build devices without
-// importing internal/disk directly.
-func diskManager(dir string, blockSize int) (*disk.Manager, error) {
-	return disk.NewManager(dir, blockSize)
-}
-
 // newDevice builds a block device for one baseline run, honoring the
 // scale's backend selection.
 func (s Scale) newDevice(dir string) (*disk.Manager, error) {

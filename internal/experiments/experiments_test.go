@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/disk"
 )
 
 // tiny is a minimal scale so tests run in seconds.
@@ -254,7 +256,7 @@ func TestFigureIDsComplete(t *testing.T) {
 
 func TestPlainStore(t *testing.T) {
 	dir := t.TempDir()
-	dev, err := diskManager(dir, 1024)
+	dev, err := disk.NewManager(dir, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,26 +359,27 @@ func (s *Server) detachSession(c *conn) {
 	sess.mu.Unlock()
 }
 
+// push writes one frame and flushes it under the connection's write lock:
+// the one way the server sends a frame.
+func (c *conn) push(f *wire.Frame) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if err := c.w.WriteFrame(f); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
 // sendError writes a terminal error frame (best effort) and returns err.
 func (s *Server) sendError(c *conn, code uint64, err error) error {
 	s.errCount.Add(1)
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	f := &wire.Frame{Type: wire.TypeError, Code: code, Message: err.Error()}
-	if werr := c.w.WriteFrame(f); werr == nil {
-		c.w.Flush() //nolint:errcheck
-	}
+	c.push(&wire.Frame{Type: wire.TypeError, Code: code, Message: err.Error()}) //nolint:errcheck // best effort
 	return err
 }
 
 // sendAck acknowledges everything up to seq and restates the window.
 func (s *Server) sendAck(c *conn, seq uint64) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := c.w.WriteFrame(&wire.Frame{Type: wire.TypeAck, Seq: seq, Credit: s.window}); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return c.push(&wire.Frame{Type: wire.TypeAck, Seq: seq, Credit: s.window})
 }
 
 // handle runs the per-connection protocol: handshake, then the frame
@@ -430,13 +431,7 @@ func (s *Server) handle(c *conn) error {
 	// connection, and acking the session floor up front could cover a
 	// replayed frame the client has written but this server never read.
 	// Flush replies ack the floor explicitly (see the TypeFlush case).
-	c.writeMu.Lock()
-	err = c.w.WriteFrame(&wire.Frame{Type: wire.TypeWelcome, Version: wire.Version, Seq: last, Credit: s.window, StreamSeqs: marks})
-	if err == nil {
-		err = c.w.Flush()
-	}
-	c.writeMu.Unlock()
-	if err != nil {
+	if err := c.push(&wire.Frame{Type: wire.TypeWelcome, Version: wire.Version, Seq: last, Credit: s.window, StreamSeqs: marks}); err != nil {
 		return fmt.Errorf("welcome: %w", err)
 	}
 
@@ -528,13 +523,7 @@ func (s *Server) handle(c *conn) error {
 					return s.sendError(c, wire.ErrCodeStream, fmt.Errorf("relay: %w", err))
 				}
 			}
-			c.writeMu.Lock()
-			err := c.w.WriteFrame(&wire.Frame{Type: wire.TypePong, Seq: f.Seq})
-			if err == nil {
-				err = c.w.Flush()
-			}
-			c.writeMu.Unlock()
-			if err != nil {
+			if err := c.push(&wire.Frame{Type: wire.TypePong, Seq: f.Seq}); err != nil {
 				return err
 			}
 		case wire.TypeSummaryReq:
@@ -567,12 +556,7 @@ func (s *Server) serveSummary(c *conn, f *wire.Frame) error {
 			resp.Data = sum.AppendBinary(nil)
 		}
 	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := c.w.WriteFrame(resp); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return c.push(resp)
 }
 
 // adoptSession binds the connection to its session, superseding a
@@ -866,11 +850,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, c := range conns {
 		// Best-effort courtesy frame so clients report "server shutting
 		// down" instead of a bare reset, then cancel the apply context.
-		c.writeMu.Lock()
-		if err := c.w.WriteFrame(&wire.Frame{Type: wire.TypeError, Code: wire.ErrCodeShutdown, Message: "server shutting down"}); err == nil {
-			c.w.Flush() //nolint:errcheck
-		}
-		c.writeMu.Unlock()
+		c.push(&wire.Frame{Type: wire.TypeError, Code: wire.ErrCodeShutdown, Message: "server shutting down"}) //nolint:errcheck // best effort
 		c.cancel()
 		c.nc.Close() //nolint:errcheck
 	}

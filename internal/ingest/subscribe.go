@@ -56,7 +56,7 @@ func (s *Server) subscribe(c *conn, f *wire.Frame) error {
 	plan, err := query.ParsePlan(f.Data)
 	if err != nil {
 		s.errCount.Add(1)
-		return s.push(c, &wire.Frame{
+		return c.push(&wire.Frame{
 			Type:     wire.TypePush,
 			StreamID: f.StreamID,
 			Code:     wire.ErrCodePlan,
@@ -198,20 +198,10 @@ func (s *Server) pushDirty(c *conn) error {
 			f.Message = err.Error()
 			f.Data = nil
 		}
-		if werr := s.push(c, f); werr != nil {
+		if werr := c.push(f); werr != nil {
 			return werr
 		}
 		s.pushes.Add(1)
 	}
 	return nil
-}
-
-// push writes one frame under the connection's write lock.
-func (s *Server) push(c *conn, f *wire.Frame) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := c.w.WriteFrame(f); err != nil {
-		return err
-	}
-	return c.w.Flush()
 }
