@@ -2,6 +2,7 @@ package hsq
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -265,6 +266,10 @@ func (s *Stream) SyncMaintenance() error {
 	if s.db.closed {
 		s.db.mu.Unlock()
 		return ErrClosed
+	}
+	if s.ent.dropped {
+		s.db.mu.Unlock()
+		return fmt.Errorf("hsq: stream %q dropped: %w", s.name, ErrClosed)
 	}
 	eng := s.ent.eng
 	if eng == nil {
