@@ -1,11 +1,11 @@
 package hsq
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/query"
 )
 
@@ -93,19 +93,6 @@ func (db *DB) dropSidecar(stream string) {
 	}
 }
 
-// storeManifestView is the slice of a stream's MANIFEST.json the sidecar
-// cross-check needs: covered steps, pending backlog, and the partition
-// layout.
-type storeManifestView struct {
-	Steps int `json:"steps"`
-	Parts []struct {
-		Count     int64 `json:"count"`
-		StartStep int   `json:"start_step"`
-		EndStep   int   `json:"end_step"`
-	} `json:"partitions"`
-	Pending []json.RawMessage `json:"pending"`
-}
-
 // readColdSummary answers a scoped summary for a non-hydrated stream from
 // its sidecar. ok=false means the sidecar cannot answer (missing, refused by
 // the decoder, or stale) and the caller must fall back to hydration; err is
@@ -132,9 +119,9 @@ func (db *DB) readColdSummary(stream string, sc query.Scope) (sum *core.ShardSum
 		if err != nil {
 			return nil, false, nil
 		}
-		var m storeManifestView
-		if err := json.Unmarshal(mraw, &m); err != nil || !sidecarMatches(sum.Parts, m) {
-			return nil, false, nil // stale vs the committed manifest: hydrate
+		m, err := partition.ParseManifest(mraw)
+		if err != nil || !sidecarMatches(sum.Parts, m) {
+			return nil, false, nil // unreadable, or stale vs the committed manifest: hydrate
 		}
 	}
 	// The parts are the stream's spans (a cold stream has no sealed backlog
@@ -161,7 +148,7 @@ func (db *DB) readColdSummary(stream string, sc query.Scope) (sum *core.ShardSum
 // and step ranges, compared chronologically so manifest level-ordering
 // doesn't matter. Background merges change the layout without changing
 // steps or totals, so the layout itself must be part of the check.
-func sidecarMatches(parts []core.PartSummary, m storeManifestView) bool {
+func sidecarMatches(parts []core.PartSummary, m *partition.Manifest) bool {
 	steps := 0
 	if len(parts) > 0 {
 		steps = parts[len(parts)-1].EndStep
@@ -188,30 +175,31 @@ func sidecarMatches(parts []core.PartSummary, m storeManifestView) bool {
 // next eviction or checkpoint.
 func (db *DB) ScopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
 	db.mu.Lock()
-	ent, ok := db.dir[name]
-	unknown := !db.closed && (!ok || ent.dropped)
+	st, ok := db.dir[name]
+	unknown := !db.closed && (!ok || st.dropped)
 	db.mu.Unlock()
 	if unknown {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, name)
 	}
-	return db.entrySummary(ent, sc) // a closed DB is reported there, before ent is read
+	return st.scopedSummary(sc) // a closed DB is reported there, before st is read
 }
 
-// entrySummary is ScopedSummary for a directory entry already in hand (a
-// Stream handle's): a closed DB or a dropped stream is ErrClosed.
-func (db *DB) entrySummary(ent *streamEntry, sc query.Scope) (*core.ShardSummary, error) {
+// scopedSummary is ScopedSummary for a stream already in hand (a Stream
+// handle's): a closed DB or a dropped stream is ErrClosed.
+func (s *Stream) scopedSummary(sc query.Scope) (*core.ShardSummary, error) {
+	db := s.db
 	db.mu.Lock()
-	eng, err, done := db.tryAcquireLocked(ent)
+	eng, err, done := db.tryAcquireLocked(s)
 	db.mu.Unlock()
 	if done {
 		if err != nil {
 			return nil, err
 		}
-		defer db.release(ent)
+		defer db.release(s)
 		return eng.ScopedSummary(sc)
 	}
 	// Cold: try the sidecar — a pure metadata read, never a hydration.
-	if sum, ok, err := db.readColdSummary(ent.name, sc); err != nil {
+	if sum, ok, err := db.readColdSummary(s.name, sc); err != nil {
 		return nil, err
 	} else if ok {
 		return sum, nil
@@ -221,10 +209,10 @@ func (db *DB) entrySummary(ent *streamEntry, sc query.Scope) (*core.ShardSummary
 	db.mu.Lock()
 	db.summaryFallbacks++
 	db.mu.Unlock()
-	eng, err = db.acquire(ent)
+	eng, err = db.acquire(s)
 	if err != nil {
 		return nil, err
 	}
-	defer db.release(ent)
+	defer db.release(s)
 	return eng.ScopedSummary(sc)
 }

@@ -35,46 +35,6 @@ type dbManifest struct {
 	Streams []string `json:"streams"`
 }
 
-// streamEntry is one registered stream in the DB's directory. The entry is
-// a lightweight descriptor — a few pointers and counters — that exists for
-// every registered stream; the engine it points at is hydrated lazily on
-// first touch and may be evicted (sealed back to its on-disk manifest)
-// while the stream is idle, so a DB can host millions of registered
-// streams with only the hot set resident.
-//
-// Locking: the map-visible fields (eng, pins, seq, view, dropped, facade)
-// are guarded by db.mu. Slow state transitions — hydration, eviction,
-// drop — additionally serialize on opMu, the per-name singleflight lock,
-// which is always acquired before db.mu and never while holding it. The
-// fast path (pinning an already-hydrated engine) takes only db.mu, so one
-// stream's cold open can never stall another stream's operations.
-//
-// dropped marks a tombstone. While a tombstoned entry is still present in
-// db.dir, a DropStream has committed the directory removal but is still
-// destroying the stream's files: the name stays claimed — Stream waits the
-// destroy out, RegisterStreams rejects it, the manifest writer skips it —
-// so no new stream can hydrate over the half-deleted namespace. The
-// dropper deletes the entry once the destroy succeeds; on a destroy
-// failure the tombstone stays (the namespace holds partial debris) until
-// the next Open collects the orphans. A dropped entry no longer in db.dir
-// is just a dead handle: every operation through it reports ErrClosed.
-type streamEntry struct {
-	name string
-	opMu sync.Mutex
-
-	// view is the stream's namespaced device view, created on first
-	// hydration and cached for the entry's lifetime: per-stream I/O
-	// counters live on the view, so reusing it across hydrate/evict
-	// cycles keeps the counters cumulative and the per-stream sum equal
-	// to the device aggregate.
-	view    *disk.Manager
-	eng     *engine // nil while cold (not hydrated)
-	pins    int     // in-flight operations holding eng; eviction skips pinned entries
-	seq     uint64  // LRU clock value of the last touch
-	dropped bool
-	facade  *Stream
-}
-
 // DB hosts many named quantile streams over one shared device: one storage
 // backend, one block-cache budget, one manifest root. Each stream is the
 // paper's full engine (Observe/EndStep/Quantile/Rank/Window surface, see
@@ -103,10 +63,10 @@ type DB struct {
 	opts  Options
 	dev   *disk.Manager // root view: aggregate stats, shared cache
 	sched *scheduler    // DB-wide background maintenance pool (async mode)
-	dir   map[string]*streamEntry
+	dir   map[string]*Stream
 	seq   uint64 // LRU clock, incremented on every touch
 
-	hydrated         int // entries with eng != nil
+	hydrated         int // streams with eng != nil
 	hydrations       uint64
 	evictions        uint64
 	summaryFallbacks uint64 // cold summary reads that had to hydrate
@@ -133,7 +93,7 @@ func Open(opts Options) (*DB, error) {
 	// DB: installs and merges from all streams compete for the same
 	// MaintenanceWorkers goroutines, with per-stream FIFO ordering (see
 	// maintenance.go).
-	db := &DB{opts: full, dev: dev, dir: make(map[string]*streamEntry), sched: newScheduler(full)}
+	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), sched: newScheduler(full)}
 	if !dev.Exists(dbManifestName) && dev.Exists(manifestName) {
 		// A root-level store manifest without a DB manifest is a legacy
 		// single-stream warehouse (written by releases that had a standalone
@@ -159,7 +119,7 @@ func Open(opts Options) (*DB, error) {
 				continue
 			}
 			registered[name] = true
-			db.dir[name] = &streamEntry{name: name}
+			db.dir[name] = &Stream{name: name, db: db}
 		}
 	}
 	if err := db.collectUnregisteredStreams(registered); err != nil {
@@ -205,143 +165,137 @@ func ValidStreamName(name string) error {
 	return nil
 }
 
-// facadeLocked returns the entry's Stream handle, creating it on first
-// request. Caller holds db.mu. Lazily allocated so a directory of millions
-// of never-touched registered streams costs one small struct each.
-func (db *DB) facadeLocked(ent *streamEntry) *Stream {
-	if ent.facade == nil {
-		ent.facade = &Stream{name: ent.name, db: db, ent: ent}
-	}
-	return ent.facade
-}
-
-// touchLocked records a use of the entry for LRU eviction ordering.
+// touchLocked records a use of the stream for LRU eviction ordering.
 // Caller holds db.mu.
-func (db *DB) touchLocked(ent *streamEntry) {
+func (db *DB) touchLocked(s *Stream) {
 	db.seq++
-	ent.seq = db.seq
+	s.seq = db.seq
 }
 
-// acquire returns the entry's hydrated engine with a pin held; the caller
-// must db.release(ent) when its operation completes (a plain deferred call:
-// the write path allocates nothing here). While an entry is pinned it cannot
-// be evicted, so queries, ingest batches and maintenance barriers never lose
-// their engine mid-operation.
+// acquire returns the stream's hydrated engine with a pin held, hydrating it
+// if it is cold; the caller must db.release(s) when its operation completes
+// (a plain deferred call: the write path allocates nothing here). While a
+// stream is pinned it cannot be evicted, so queries, ingest batches and
+// maintenance barriers never lose their engine mid-operation.
 //
 // The fast path (engine already hydrated) takes only db.mu — a map lookup
 // and two counter bumps. The cold path hydrates outside db.mu under the
-// entry's opMu: concurrent callers of the same stream singleflight behind
+// stream's opMu: concurrent callers of the same stream singleflight behind
 // one hydration, while operations on other streams proceed untouched. This
 // is the structural fix for the historical cold-open stall, where one
 // stream's manifest load and summary-rebuild scan blocked the whole DB.
-func (db *DB) acquire(ent *streamEntry) (*engine, error) {
+func (db *DB) acquire(st *Stream) (*engine, error) {
 	db.mu.Lock()
-	eng, err, done := db.tryAcquireLocked(ent)
+	eng, err, done := db.tryAcquireLocked(st)
 	db.mu.Unlock()
 	if done {
 		return eng, err
 	}
 
 	// Cold: hydrate under the per-name singleflight lock, outside db.mu.
-	ent.opMu.Lock()
-	defer ent.opMu.Unlock()
+	st.opMu.Lock()
+	defer st.opMu.Unlock()
 	// Re-check: the hydration race may have been lost while waiting.
 	db.mu.Lock()
-	eng, err, done = db.tryAcquireLocked(ent)
-	view := ent.view
+	eng, err, done = db.tryAcquireLocked(st)
+	view := st.view
 	db.mu.Unlock()
 	if done {
 		return eng, err
 	}
 
 	if view == nil {
-		v, nsErr := db.dev.Namespace(streamNamespacePrefix + "/" + ent.name)
+		v, nsErr := db.dev.Namespace(streamNamespacePrefix + "/" + st.name)
 		if nsErr != nil {
 			return nil, nsErr
 		}
 		db.mu.Lock()
-		ent.view = v
+		st.view = v
 		view = v
 		db.mu.Unlock()
 	}
 	resume := view.Exists(manifestName)
-	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+ent.name, resume)
+	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+st.name, resume)
 	if err != nil {
-		return nil, fmt.Errorf("hsq: hydrate stream %q: %w", ent.name, err)
+		return nil, fmt.Errorf("hsq: hydrate stream %q: %w", st.name, err)
 	}
 	fresh.sched = db.sched
 
 	db.mu.Lock()
-	if db.closed || ent.dropped {
-		closed := db.closed
+	if err := st.errLocked(); err != nil {
 		db.mu.Unlock()
 		// The DB closed (or the stream was dropped) while we hydrated;
 		// nothing was mutated, so discard the engine quietly.
 		fresh.Close() //nolint:errcheck // freshly hydrated, nothing to lose
-		if closed {
-			return nil, ErrClosed
-		}
-		return nil, fmt.Errorf("hsq: stream %q dropped: %w", ent.name, ErrClosed)
+		return nil, err
 	}
-	ent.eng = fresh
-	ent.pins++
+	st.eng = fresh
+	st.pins++
 	db.hydrated++
 	db.hydrations++
-	db.touchLocked(ent)
+	db.touchLocked(st)
 	victims := db.evictVictimsLocked()
 	db.mu.Unlock()
 	db.evict(victims)
 	return fresh, nil
 }
 
+// errLocked reports why the stream's handle can no longer reach an engine:
+// ErrClosed for a closed DB and, wrapped with the name, for a dropped
+// stream — so callers racing a DropStream keep seeing ErrClosed, never an
+// I/O error. Caller holds db.mu.
+func (s *Stream) errLocked() error {
+	if s.db.closed {
+		return ErrClosed
+	}
+	if s.dropped {
+		return fmt.Errorf("hsq: stream %q dropped: %w", s.name, ErrClosed)
+	}
+	return nil
+}
+
 // tryAcquireLocked is acquire's fast path. Caller holds db.mu. done
 // reports whether the acquire finished (successfully or with an error);
-// !done means the entry is cold and the caller must hydrate.
-func (db *DB) tryAcquireLocked(ent *streamEntry) (_ *engine, _ error, done bool) {
-	if db.closed {
-		return nil, ErrClosed, true
+// !done means the stream is cold and the caller must hydrate.
+func (db *DB) tryAcquireLocked(st *Stream) (_ *engine, _ error, done bool) {
+	if err := st.errLocked(); err != nil {
+		return nil, err, true
 	}
-	if ent.dropped {
-		// Stale handle to a dropped stream: same contract as the closed
-		// engine the handle used to embed, so callers racing a DropStream
-		// keep seeing ErrClosed, never an I/O error.
-		return nil, fmt.Errorf("hsq: stream %q dropped: %w", ent.name, ErrClosed), true
-	}
-	if ent.eng == nil {
+	if st.eng == nil {
 		return nil, nil, false
 	}
-	ent.pins++
-	db.touchLocked(ent)
-	return ent.eng, nil, true
+	st.pins++
+	db.touchLocked(st)
+	return st.eng, nil, true
 }
 
 // release drops one pin and, if the hydration that pinned alongside us
 // pushed the DB over its budget while every candidate was pinned, retries
-// the eviction now that this entry is idle again.
-func (db *DB) release(ent *streamEntry) {
+// the eviction now that this stream is idle again.
+func (db *DB) release(st *Stream) {
 	db.mu.Lock()
-	ent.pins--
+	st.pins--
 	victims := db.evictVictimsLocked()
 	db.mu.Unlock()
 	db.evict(victims)
 }
 
 // evictVictimsLocked selects least-recently-used hydrated, unpinned
-// entries until the hydrated count is back within MaxHydratedStreams.
-// Entries with a live observe buffer are not candidates at all — evictOne
+// streams until the hydrated count is back within MaxHydratedStreams.
+// Streams with a live observe buffer are not candidates at all — evictOne
 // would refuse them anyway, and selecting them would burn the whole
 // victim quota on unevictable streams while sealed idle engines sit past
 // the budget. Caller holds db.mu. Selection only — the actual
 // seal-and-close runs in evict, outside db.mu.
-func (db *DB) evictVictimsLocked() []*streamEntry {
+func (db *DB) evictVictimsLocked() []*Stream {
 	max := db.opts.MaxHydratedStreams
 	if max <= 0 || db.hydrated <= max || db.closed {
 		return nil
 	}
-	var cands []*streamEntry
-	for _, ent := range db.dir {
-		if ent.eng != nil && !ent.dropped && ent.pins == 0 && ent.eng.StreamCount() == 0 {
-			cands = append(cands, ent)
+	var cands []*Stream
+	for _, st := range db.dir {
+		if st.eng != nil && !st.dropped && st.pins == 0 && st.eng.StreamCount() == 0 {
+			cands = append(cands, st)
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
@@ -352,10 +306,10 @@ func (db *DB) evictVictimsLocked() []*streamEntry {
 	return cands[:need]
 }
 
-// evict seals and dehydrates the victim entries, one at a time.
-func (db *DB) evict(victims []*streamEntry) {
-	for _, ent := range victims {
-		db.evictOne(ent)
+// evict seals and dehydrates the victim streams, one at a time.
+func (db *DB) evict(victims []*Stream) {
+	for _, st := range victims {
+		db.evictOne(st)
 	}
 }
 
@@ -363,18 +317,18 @@ func (db *DB) evict(victims []*streamEntry) {
 // its engine. Sealing is a durable checkpoint: engine.Close drains the
 // maintenance backlog, commits the manifest and waits out pinned queries,
 // so an evicted stream loses nothing — its next touch rehydrates the exact
-// same state. Entries that would lose state are skipped: a pinned entry
+// same state. Streams that would lose state are skipped: a pinned stream
 // (in-flight operation), a non-empty observe buffer (only EndStep may cut
 // a batch), or — in async mode — a sealed backlog, which is requeued to
 // the scheduler instead so the evictor never stalls behind another
 // stream's merges. The budget is therefore a target the DB converges to,
 // not a hard cap.
-func (db *DB) evictOne(ent *streamEntry) {
-	ent.opMu.Lock()
-	defer ent.opMu.Unlock()
+func (db *DB) evictOne(st *Stream) {
+	st.opMu.Lock()
+	defer st.opMu.Unlock()
 	db.mu.Lock()
-	eng := ent.eng
-	if db.closed || ent.dropped || eng == nil || ent.pins > 0 ||
+	eng := st.eng
+	if db.closed || st.dropped || eng == nil || st.pins > 0 ||
 		db.opts.MaxHydratedStreams <= 0 || db.hydrated <= db.opts.MaxHydratedStreams {
 		db.mu.Unlock()
 		return
@@ -394,16 +348,16 @@ func (db *DB) evictOne(ent *streamEntry) {
 		return
 	}
 	// Detach before closing: a concurrent fast-path acquire either pinned
-	// the entry before this point (pins > 0 above, so we bailed) or finds
+	// the stream before this point (pins > 0 above, so we bailed) or finds
 	// eng == nil and waits on opMu for the eviction to finish.
-	ent.eng = nil
+	st.eng = nil
 	db.hydrated--
 	db.evictions++
 	db.mu.Unlock()
 
 	// The stream is durably sealed and cold once this returns; its summary
 	// sidecar lets glob/group-by queries answer it without rehydrating.
-	if err := db.sealCold(ent.name, eng); err != nil {
+	if err := db.sealCold(st.name, eng); err != nil {
 		// The engine may be half-closed but its state is still durable up
 		// to the failure; restore it so nothing is lost and surface the
 		// failure on the next operation that touches the stream — unless
@@ -411,8 +365,8 @@ func (db *DB) evictOne(ent *streamEntry) {
 		// nothing will ever close it again and restoring would only make a
 		// closed DB report a hydrated engine.
 		db.mu.Lock()
-		if !db.closed && !ent.dropped {
-			ent.eng = eng
+		if !db.closed && !st.dropped {
+			st.eng = eng
 			db.hydrated++
 			db.evictions--
 		}
@@ -429,7 +383,6 @@ func (db *DB) evictOne(ent *streamEntry) {
 // never blocks operations on other streams.
 func (db *DB) Stream(name string) (*Stream, error) {
 	var (
-		ent     *streamEntry
 		st      *Stream
 		created bool
 	)
@@ -465,7 +418,7 @@ func (db *DB) Stream(name string) (*Stream, error) {
 				db.mu.Unlock()
 				return nil, err
 			}
-			e = &streamEntry{name: name}
+			e = &Stream{name: name, db: db}
 			db.dir[name] = e
 			if err := db.saveManifestLocked(); err != nil {
 				delete(db.dir, name)
@@ -474,27 +427,26 @@ func (db *DB) Stream(name string) (*Stream, error) {
 			}
 			created = true
 		}
-		ent = e
-		st = db.facadeLocked(e)
+		st = e
 		db.mu.Unlock()
 		break
 	}
 
-	if _, err := db.acquire(ent); err != nil {
+	if _, err := db.acquire(st); err != nil {
 		if created {
 			// Best-effort unregistration: the stream never hydrated, so
 			// removing its directory entry leaves no on-disk debris beyond
 			// what the next Open's orphan collection reclaims.
 			db.mu.Lock()
-			if db.dir[name] == ent && ent.eng == nil && ent.pins == 0 && !ent.dropped {
-				// Tombstone before deleting: a hydration of this entry we
+			if db.dir[name] == st && st.eng == nil && st.pins == 0 && !st.dropped {
+				// Tombstone before deleting: a hydration of this stream we
 				// raced (another caller lost the singleflight, re-entered,
 				// and is loading outside db.mu right now) re-checks dropped
 				// before installing its engine, so it discards the engine
-				// instead of hydrating into an entry that is no longer in
+				// instead of hydrating into a stream that is no longer in
 				// the directory — which would leak it past eviction and
 				// Close while a later Stream(name) doubled the namespace.
-				ent.dropped = true
+				st.dropped = true
 				delete(db.dir, name)
 				db.saveManifestLocked() //nolint:errcheck // unregistration is advisory here
 			}
@@ -502,7 +454,7 @@ func (db *DB) Stream(name string) (*Stream, error) {
 		}
 		return nil, err
 	}
-	db.release(ent)
+	db.release(st)
 	return st, nil
 }
 
@@ -528,8 +480,8 @@ func (db *DB) RegisterStreams(names ...string) error {
 	}
 	added := make([]string, 0, len(names))
 	for _, name := range names {
-		if ent, ok := db.dir[name]; ok {
-			if ent.dropped {
+		if st, ok := db.dir[name]; ok {
+			if st.dropped {
 				// Mid-destroy tombstone: registering over it would hand the
 				// new stream a namespace still being deleted. Stream waits
 				// such a drop out; a bulk register reports the conflict.
@@ -541,7 +493,7 @@ func (db *DB) RegisterStreams(names ...string) error {
 			}
 			continue
 		}
-		db.dir[name] = &streamEntry{name: name}
+		db.dir[name] = &Stream{name: name, db: db}
 		added = append(added, name)
 	}
 	if len(added) == 0 && !db.dirDirty {
@@ -587,11 +539,11 @@ func (db *DB) Lookup(name string) (*Stream, bool) {
 	if db.closed {
 		return nil, false
 	}
-	ent, ok := db.dir[name]
-	if !ok || ent.dropped {
+	st, ok := db.dir[name]
+	if !ok || st.dropped {
 		return nil, false
 	}
-	return db.facadeLocked(ent), true
+	return st, true
 }
 
 // Streams returns the names of all registered streams, sorted
@@ -605,8 +557,8 @@ func (db *DB) Streams() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]string, 0, len(db.dir))
-	for name, ent := range db.dir {
-		if ent.dropped {
+	for name, st := range db.dir {
+		if st.dropped {
 			continue
 		}
 		out = append(out, name)
@@ -634,7 +586,7 @@ func (db *DB) DropStream(name string) error {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	ent, ok := db.dir[name]
+	st, ok := db.dir[name]
 	db.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownStream, name)
@@ -642,25 +594,25 @@ func (db *DB) DropStream(name string) error {
 	// opMu serializes the drop against an in-flight hydration or eviction
 	// of the same stream (so the engine below is stable) and parks Stream
 	// callers waiting to re-create the name until the destroy completes.
-	ent.opMu.Lock()
-	defer ent.opMu.Unlock()
+	st.opMu.Lock()
+	defer st.opMu.Unlock()
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	if ent.dropped || db.dir[name] != ent {
+	if st.dropped || db.dir[name] != st {
 		db.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownStream, name)
 	}
 	// Tombstone rather than delete: saveManifestLocked skips dropped
 	// entries, so this one write is the commit, while the entry itself
 	// keeps the name claimed until the files are gone.
-	ent.dropped = true
+	st.dropped = true
 	if err := db.saveManifestLocked(); err != nil {
 		// WriteMeta is atomic: the failed write left the old directory (with
 		// the stream) on the device, so memory and disk still agree.
-		ent.dropped = false
+		st.dropped = false
 		db.mu.Unlock()
 		return err
 	}
@@ -674,7 +626,7 @@ func (db *DB) DropStream(name string) error {
 		// that directory durable and a subsequent Open destroy a live
 		// stream's data. Rewrite the directory with the stream restored.
 		db.mu.Lock()
-		ent.dropped = false
+		st.dropped = false
 		serr := db.saveManifestLocked()
 		db.mu.Unlock()
 		if serr != nil {
@@ -691,9 +643,9 @@ func (db *DB) DropStream(name string) error {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	eng := ent.eng
+	eng := st.eng
 	if eng != nil {
-		ent.eng = nil
+		st.eng = nil
 		db.hydrated--
 	}
 	db.mu.Unlock()
@@ -712,7 +664,7 @@ func (db *DB) DropStream(name string) error {
 	// must not survive into a re-created stream of the same name.
 	db.dropSidecar(name)
 	db.mu.Lock()
-	if db.dir[name] == ent {
+	if db.dir[name] == st {
 		delete(db.dir, name)
 	}
 	db.mu.Unlock()
@@ -740,8 +692,8 @@ func (db *DB) destroyColdStream(name string) error {
 // made). Caller holds db.mu.
 func (db *DB) saveManifestLocked() error {
 	m := dbManifest{Version: dbManifestVersion}
-	for name, ent := range db.dir {
-		if ent.dropped {
+	for name, st := range db.dir {
+		if st.dropped {
 			continue
 		}
 		m.Streams = append(m.Streams, name)
@@ -757,26 +709,38 @@ func (db *DB) saveManifestLocked() error {
 	return nil
 }
 
-// pinHydrated pins every currently-hydrated stream and returns the pinned
-// entries with their engines; the caller must release() each. Used by
-// DB-wide barriers (Checkpoint, WaitIdle) so eviction cannot close an
-// engine mid-barrier. Cold streams need no work: eviction sealed them
-// durably, and never-touched streams were durable to begin with.
-func (db *DB) pinHydrated() (ents []*streamEntry, engs []*engine) {
+// eachHydrated pins every hydrated stream, calls f on each — all of them,
+// returning the first error — and releases them. DB-wide barriers and stats
+// (Checkpoint, WaitIdle, SchedulerStats) walk the directory through it, so
+// eviction cannot close an engine under f. Cold streams need no work:
+// eviction sealed them durably, and never-touched streams were durable to
+// begin with. A closed DB has nothing hydrated and returns ErrClosed.
+func (db *DB) eachHydrated(f func(*Stream, *engine) error) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.closed {
-		// Close detached every engine; nothing is left to pin.
-		return nil, nil
+		db.mu.Unlock()
+		return ErrClosed
 	}
-	for _, ent := range db.dir {
-		if ent.eng != nil && !ent.dropped {
-			ent.pins++
-			ents = append(ents, ent)
-			engs = append(engs, ent.eng)
+	var pinned []*Stream
+	var engs []*engine // read under db.mu: Close detaches even pinned engines
+	for _, st := range db.dir {
+		if st.eng != nil && !st.dropped {
+			st.pins++
+			pinned = append(pinned, st)
+			engs = append(engs, st.eng)
 		}
 	}
-	return ents, engs
+	db.mu.Unlock()
+	var first error
+	for i, st := range pinned {
+		if err := f(st, engs[i]); err != nil && first == nil {
+			first = err
+		}
+	}
+	for _, st := range pinned {
+		db.release(st)
+	}
+	return first
 }
 
 // Checkpoint persists every hydrated stream's manifest plus the stream
@@ -788,25 +752,17 @@ func (db *DB) pinHydrated() (ents []*streamEntry, engs []*engine) {
 // background installs have run. Checkpoint does not wait for the maintenance
 // backlog; call WaitIdle first for a fully-merged on-disk layout.
 func (db *DB) Checkpoint() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	db.mu.Unlock()
-	ents, engs := db.pinHydrated()
-	defer func() {
-		for _, ent := range ents {
-			db.release(ent)
-		}
-	}()
-	for i, eng := range engs {
+	err := db.eachHydrated(func(st *Stream, eng *engine) error {
 		if err := eng.Checkpoint(); err != nil {
-			return fmt.Errorf("hsq: checkpoint stream %q: %w", ents[i].name, err)
+			return fmt.Errorf("hsq: checkpoint stream %q: %w", st.name, err)
 		}
 		// The stream's durable state is known here: refresh its sidecar.
 		sum, _ := eng.ScopedSummary(query.Scope{}) // nil if a racing Close got there first
-		db.refreshSidecar(ents[i].name, sum)
+		db.refreshSidecar(st.name, sum)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	db.mu.Lock()
 	if err := db.saveManifestLocked(); err != nil {
@@ -835,15 +791,15 @@ func (db *DB) Close() error {
 	db.closed = true
 	var names []string
 	var engs []*engine
-	for name, ent := range db.dir {
-		if ent.eng != nil {
+	for name, st := range db.dir {
+		if st.eng != nil {
 			names = append(names, name)
-			engs = append(engs, ent.eng)
+			engs = append(engs, st.eng)
 			// Detach now, under db.mu: once the DB is closed, nothing may
 			// see these engines as hydrated — DirectoryStats must not
-			// report stale counts and pinHydrated barriers racing Close
+			// report stale counts and eachHydrated walks racing Close
 			// must not pin engines that are about to be sealed.
-			ent.eng = nil
+			st.eng = nil
 		}
 	}
 	db.hydrated = 0
@@ -902,8 +858,8 @@ func (db *DB) DirectoryStats() DirectoryStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	registered := 0
-	for _, ent := range db.dir {
-		if !ent.dropped { // tombstones of in-flight drops are not registered
+	for _, st := range db.dir {
+		if !st.dropped { // tombstones of in-flight drops are not registered
 			registered++
 		}
 	}

@@ -3,6 +3,7 @@ package disk
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/enc"
 )
@@ -19,23 +20,28 @@ type Writer struct {
 	name   string
 	h      WriteHandle
 	format BlockFormat
-	buf    []byte // staging: raw = one block of elements; columnar = assembled output block
-	fill   int    // raw format: elements staged in buf
-	count  int64  // elements written so far
-	blocks int64  // blocks flushed so far
-	io     Stats  // this writer's own share of the device counters
+	// buf stages the block being written, one element at a time: its frame —
+	// 8 little-endian bytes per element for raw, a varint delta for columnar
+	// — behind hdr bytes kept free for what precedes the frame in the file (a
+	// columnar block's header, and the file's head magic before the first).
+	// A block is flushed when the next element would take the frame past
+	// budget bytes.
+	buf    []byte
+	hdr    int
+	budget int
+	count  int64 // elements written so far
+	blocks int64 // blocks flushed so far
+	off    int64 // file bytes written so far
+	io     Stats // this writer's own share of the device counters
 	closed bool
 
-	// Columnar state. The frame is encoded incrementally as elements arrive;
-	// vals retains the block's plain values for the raw-frame fallback and
-	// the header's min/max bounds.
-	budget int     // max frame bytes per block (blockSize - header)
-	frame  []byte  // delta-varint frame of the current block
-	vals   []int64 // plain values of the current block
-	prev   int64   // last encoded value (delta base)
-	off    int64   // file bytes written so far
-	index  []byte  // accumulated footer index entries
-	tmp    [enc.MaxVarintLen64]byte
+	// Columnar state: the staged block's plain values (for the header's
+	// min/max bounds and the raw-frame fallback), the delta base, and the
+	// accumulated footer index entries.
+	vals  []int64
+	prev  int64
+	index []byte
+	tmp   [enc.MaxVarintLen64]byte
 }
 
 // Create creates (truncating if present) the named element file in the
@@ -73,13 +79,13 @@ func (m *Manager) CreateFormat(name string, f BlockFormat) (*Writer, error) {
 		h:      h,
 		format: f,
 		io:     Stats{Opens: 1},
+		budget: m.dev.blockSize,
 	}
 	if f == FormatColumnar {
-		w.budget = m.dev.blockSize - colHeaderLen
-		w.buf = make([]byte, 0, m.dev.blockSize+colHeadLen)
-	} else {
-		w.buf = make([]byte, m.dev.blockSize)
+		w.budget -= colHeaderLen
+		w.hdr = colHeadLen + colHeaderLen
 	}
+	w.buf = make([]byte, w.hdr, w.hdr+w.budget)
 	return w, nil
 }
 
@@ -88,16 +94,29 @@ func (w *Writer) Append(v int64) error {
 	if w.closed {
 		return fmt.Errorf("disk: write to closed writer %s", w.name)
 	}
-	if w.format == FormatColumnar {
-		return w.appendColumnar(v)
+	e := w.encode(v)
+	if len(w.buf) > w.hdr && len(w.buf)-w.hdr+len(e) > w.budget {
+		if err := w.flush(); err != nil {
+			return err
+		}
+		e = w.encode(v) // a new block's delta base is zero
 	}
-	encodeInto(w.buf[w.fill*ElementSize:], []int64{v})
-	w.fill++
+	w.buf = append(w.buf, e...)
 	w.count++
-	if w.fill == w.m.dev.perBlock {
-		return w.flushBlock()
+	if w.format == FormatColumnar {
+		w.vals = append(w.vals, v)
+		w.prev = v
 	}
 	return nil
+}
+
+// encode returns v's bytes in the staged frame's encoding.
+func (w *Writer) encode(v int64) []byte {
+	if w.format == FormatRaw {
+		binary.LittleEndian.PutUint64(w.tmp[:], uint64(v))
+		return w.tmp[:ElementSize]
+	}
+	return w.tmp[:binary.PutVarint(w.tmp[:], v-w.prev)] // wrapping delta; see enc.AppendDelta
 }
 
 // AppendSlice stages a slice of elements.
@@ -110,92 +129,40 @@ func (w *Writer) AppendSlice(vals []int64) error {
 	return nil
 }
 
-func (w *Writer) appendColumnar(v int64) error {
-	// Wrapping delta; see enc.AppendDelta.
-	n := binary.PutVarint(w.tmp[:], v-w.prev)
-	if len(w.vals) > 0 && len(w.frame)+n > w.budget {
-		if err := w.flushColumnar(); err != nil {
-			return err
-		}
-		n = binary.PutVarint(w.tmp[:], v) // delta base reset to zero
-	}
-	w.frame = append(w.frame, w.tmp[:n]...)
-	w.prev = v
-	w.vals = append(w.vals, v)
-	w.count++
-	return nil
-}
-
-func (w *Writer) flushBlock() error {
-	if w.fill == 0 {
+// flush writes the staged block as one backend Write. A raw block is its
+// frame as staged. A columnar block is completed in place first: the file's
+// head magic before the first block, so torn files never carry a valid head
+// without at least one complete block behind it; the header; and, when the
+// delta frame lost to plain int64s (unsorted or adversarial data), a raw
+// frame over it under its own tag. Its footer index entry is recorded with
+// it; a writer whose write failed is only ever aborted.
+func (w *Writer) flush() error {
+	if len(w.buf) == w.hdr {
 		return nil
 	}
-	if err := w.emit(w.buf[:w.fill*ElementSize]); err != nil {
+	if w.format == FormatColumnar {
+		cnt, mn, mx := len(w.vals), slices.Min(w.vals), slices.Max(w.vals)
+		at := w.hdr - colHeaderLen // the header's offset: past the head magic, if any
+		copy(w.buf, colMagic[:at])
+		tag, frameLen := byte(colTagDelta), len(w.buf)-w.hdr
+		if rawLen := cnt * ElementSize; rawLen < frameLen {
+			tag, frameLen = colTagRaw, rawLen
+			w.buf = w.buf[:w.hdr+rawLen]
+			encodeInto(w.buf[w.hdr:], w.vals)
+		}
+		putColHeader(w.buf[at:], tag, cnt, frameLen, mn, mx)
+		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(w.off+int64(at)))
+		w.index = binary.LittleEndian.AppendUint32(w.index, uint32(cnt))
+		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(mn))
+		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(mx))
+		w.hdr = colHeaderLen // the head magic rides on the first block only
+	}
+	if err := w.emit(w.buf); err != nil {
 		return err
 	}
+	w.off += int64(len(w.buf))
 	w.blocks++
-	w.fill = 0
-	return nil
-}
-
-// flushColumnar writes the staged block — header plus the smaller of the
-// delta frame and a plain int64 frame — as one backend Write. The file's
-// head magic rides on the first block's write so torn files never carry a
-// valid head without at least one complete block behind it.
-func (w *Writer) flushColumnar() error {
-	cnt := len(w.vals)
-	if cnt == 0 {
-		return nil
-	}
-	out := w.buf[:0]
-	if w.blocks == 0 {
-		out = append(out, colMagic[:]...)
-	}
-	blockOff := w.off + int64(len(out))
-	mn, mx := w.vals[0], w.vals[0]
-	for _, v := range w.vals[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	// Reslicing within w.buf's fixed capacity: head magic (8) + header (25)
-	// + frame (≤ blockSize-25) never exceeds cap = blockSize + 8.
-	hdr := len(out)
-	tag := byte(colTagDelta)
-	frameLen := len(w.frame)
-	if rawLen := cnt * ElementSize; rawLen <= w.budget && rawLen < frameLen {
-		// Unsorted or adversarial data: the delta frame lost to plain
-		// int64s, so store the block uncompressed under its own tag.
-		tag = colTagRaw
-		frameLen = rawLen
-		out = out[:hdr+colHeaderLen+rawLen]
-		encodeInto(out[hdr+colHeaderLen:], w.vals)
-	} else {
-		out = out[:hdr+colHeaderLen]
-		out = append(out, w.frame...)
-	}
-	putColHeader(out[hdr:], tag, cnt, frameLen, mn, mx)
-
-	if err := w.emit(out); err != nil {
-		return err
-	}
-	w.buf = out[:0]
-
-	var e [colIndexEntryLen]byte
-	binary.LittleEndian.PutUint64(e[0:], uint64(blockOff))
-	binary.LittleEndian.PutUint32(e[8:], uint32(cnt))
-	binary.LittleEndian.PutUint64(e[12:], uint64(mn))
-	binary.LittleEndian.PutUint64(e[20:], uint64(mx))
-	w.index = append(w.index, e[:]...)
-
-	w.off += int64(len(out))
-	w.blocks++
-	w.frame = w.frame[:0]
-	w.vals = w.vals[:0]
-	w.prev = 0
+	w.buf, w.vals, w.prev = w.buf[:w.hdr], w.vals[:0], 0
 	return nil
 }
 
@@ -247,12 +214,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	var err error
-	if w.format == FormatColumnar {
-		err = w.flushColumnar()
-	} else {
-		err = w.flushBlock()
-	}
+	err := w.flush()
 	if err == nil {
 		err = w.writeFooter()
 	}

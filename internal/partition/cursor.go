@@ -10,8 +10,8 @@ import (
 // an accurate query (Algorithm 8). It maintains a closed index bracket
 // [lo, hi] guaranteed to contain boundary(z) — the number of partition
 // elements ≤ z — for every probe value z in the query's current filter range
-// [u, v]. The bracket is seeded from the partition summary (Summary.Bracket)
-// and narrowed by the engine as the filters tighten.
+// [u, v]. The bracket is seeded from the partition summary (Summary.Bracket),
+// and SeekTo re-seeds it for each probe of the shared sweep.
 //
 // When the candidate range fits inside one disk block, the block is pinned
 // in memory and subsequent probes cost no I/O — the paper's §2.4
@@ -55,9 +55,6 @@ func (c *Cursor) CacheHits() int { return c.rr.CacheHits() }
 // Skips returns the number of bisection steps answered from columnar block
 // header bounds without reading the block.
 func (c *Cursor) Skips() int { return c.rr.Skips() }
-
-// Bracket returns the current candidate bracket (for tests and diagnostics).
-func (c *Cursor) Bracket() (lo, hi int64) { return c.lo, c.hi }
 
 // block reads block idx, counting the access, and pins it if pinning is
 // enabled.
@@ -221,22 +218,4 @@ func (c *Cursor) Element(i int64) (int64, error) {
 // probe is still free.
 func (c *Cursor) SeekTo(z int64) {
 	c.lo, c.hi = c.sum.Bracket(z, z)
-}
-
-// NarrowUpper records that the query's upper filter moved down to the value
-// of the last Rank probe: future probes are ≤ z, so the boundary cannot
-// exceed the last result.
-func (c *Cursor) NarrowUpper() {
-	if c.lastIdx < c.hi {
-		c.hi = c.lastIdx
-	}
-}
-
-// NarrowLower records that the query's lower filter moved up to the value of
-// the last Rank probe: future probes are ≥ z, so the boundary cannot fall
-// below the last result.
-func (c *Cursor) NarrowLower() {
-	if c.lastIdx > c.lo {
-		c.lo = c.lastIdx
-	}
 }

@@ -82,16 +82,6 @@ func (s *Store) manifestSnapshotLocked() (Manifest, int64) {
 	return m, s.cur.seq
 }
 
-// SaveManifest writes the store's manifest atomically to the named metadata
-// file on the device's backend, from a consistent snapshot of the published
-// state.
-func (s *Store) SaveManifest(name string) error {
-	s.vmu.Lock()
-	m, _ := s.manifestSnapshotLocked()
-	s.vmu.Unlock()
-	return s.writeManifest(name, m)
-}
-
 // writeManifest serializes and atomically writes one manifest snapshot.
 func (s *Store) writeManifest(name string, m Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -104,7 +94,7 @@ func (s *Store) writeManifest(name string, m Manifest) error {
 	return nil
 }
 
-// ParseManifest decodes a manifest previously written by SaveManifest,
+// ParseManifest decodes a manifest previously written by Commit,
 // validating its version. Callers inspecting on-disk state directly (the
 // crash harness, tooling) share the store's own decoding rules.
 func ParseManifest(data []byte) (*Manifest, error) {
@@ -206,6 +196,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 		return nil, fmt.Errorf("partition: manifest kappa %d != config kappa %d", m.Kappa, cfg.Kappa)
 	}
 	s := &Store{dev: dev, mdev: dev.MaintTagged(), cfg: cfg, beta1: cfg.Beta1(), nextID: m.NextID, steps: m.Steps}
+	ents := make([]*Summary, 0, len(m.Parts))
 	for _, pe := range m.Parts {
 		p := &Partition{
 			ID:        pe.ID,
@@ -220,16 +211,11 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 		if err != nil {
 			return nil, err
 		}
-		for len(s.levels) <= pe.Level {
-			s.levels = append(s.levels, nil)
-		}
-		s.levels[pe.Level] = append(s.levels[pe.Level], entry{p, sum})
+		ents = append(ents, sum)
 	}
-	for lvl := range s.levels {
-		slices.SortFunc(s.levels[lvl], func(a, b entry) int {
-			return a.part.StartStep - b.part.StartStep
-		})
-	}
+	// The store's one list is oldest first, whatever order the manifest
+	// lists the partitions in.
+	slices.SortFunc(ents, func(a, b *Summary) int { return a.Part.StartStep - b.Part.StartStep })
 	for _, sb := range m.Pending {
 		if sb.Name == "" {
 			return nil, fmt.Errorf("partition: manifest pending step %d has no spill", sb.Step)
@@ -240,7 +226,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	// just read is by definition committed.
 	s.cur = &Version{store: s, seq: 0, refs: 1}
 	s.live = []*Version{s.cur}
-	v := s.publish(false)
+	v := s.publish(ents, nil, false)
 	s.committedSeq = v.seq
 
 	keep := make(map[string]bool, len(m.Parts)+len(m.Pending)+1)

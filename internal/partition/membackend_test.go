@@ -74,7 +74,7 @@ func TestStoreMemBackend(t *testing.T) {
 
 	// Manifest round-trip on the same backend (mem engines can checkpoint
 	// within a process).
-	if err := s.SaveManifest("MANIFEST.json"); err != nil {
+	if err := s.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := LoadStore(dev, "MANIFEST.json", Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16})

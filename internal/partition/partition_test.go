@@ -154,10 +154,20 @@ func TestMergeCascadeFigure2(t *testing.T) {
 	}
 	levelCounts := func() []int {
 		var out []int
-		for _, lvl := range s.levels {
-			out = append(out, len(lvl))
+		for _, lvl := range s.Describe() {
+			out = append(out, lvl.Partitions)
 		}
 		return out
+	}
+	// levelPart returns the oldest partition at level lvl.
+	levelPart := func(lvl int) *Partition {
+		for _, e := range s.Entries() {
+			if e.Part.Level == lvl {
+				return e.Part
+			}
+		}
+		t.Fatalf("no partition at level %d", lvl)
+		return nil
 	}
 
 	for step := 1; step <= 2; step++ {
@@ -173,7 +183,7 @@ func TestMergeCascadeFigure2(t *testing.T) {
 	if got := levelCounts(); !slices.Equal(got, []int{0, 1}) {
 		t.Errorf("after 3 steps: levels = %v", got)
 	}
-	if p := s.levels[1][0].part; p.StartStep != 1 || p.EndStep != 3 {
+	if p := levelPart(1); p.StartStep != 1 || p.EndStep != 3 {
 		t.Errorf("merged partition covers [%d,%d], want [1,3]", p.StartStep, p.EndStep)
 	}
 
@@ -193,10 +203,10 @@ func TestMergeCascadeFigure2(t *testing.T) {
 	if got := levelCounts(); !slices.Equal(got, []int{1, 1, 1}) {
 		t.Errorf("after 13 steps: levels = %v", got)
 	}
-	if p := s.levels[2][0].part; p.StartStep != 1 || p.EndStep != 9 {
+	if p := levelPart(2); p.StartStep != 1 || p.EndStep != 9 {
 		t.Errorf("level-2 partition covers [%d,%d], want [1,9]", p.StartStep, p.EndStep)
 	}
-	if p := s.levels[1][0].part; p.StartStep != 10 || p.EndStep != 12 {
+	if p := levelPart(1); p.StartStep != 10 || p.EndStep != 12 {
 		t.Errorf("level-1 partition covers [%d,%d], want [10,12]", p.StartStep, p.EndStep)
 	}
 	if s.TotalCount() != 26 {
@@ -220,9 +230,9 @@ func TestInvariantMaxKappa(t *testing.T) {
 			if _, err := s.AddBatch(batch, step); err != nil {
 				t.Fatal(err)
 			}
-			for lvl, es := range s.levels {
-				if len(es) > kappa {
-					t.Fatalf("kappa=%d: level %d holds %d partitions", kappa, lvl, len(es))
+			for _, lvl := range s.Describe() {
+				if lvl.Partitions > kappa {
+					t.Fatalf("kappa=%d: level %d holds %d partitions", kappa, lvl.Level, lvl.Partitions)
 				}
 			}
 		}
@@ -370,10 +380,18 @@ func TestCursorRank(t *testing.T) {
 	}
 }
 
-// TestCursorNarrowingAndPinning verifies that narrowed, pinned cursors stop
-// doing I/O and stay correct.
+// TestCursorNarrowingAndPinning runs a narrowing bisection the way the
+// engine's sweep does — SeekTo, then Rank, for each probe — and verifies that
+// every probe stays exact and that, once the probes close in on one block, a
+// probe inside the pinned block does no I/O.
 func TestCursorNarrowingAndPinning(t *testing.T) {
 	dev := newDev(t)
+	// Columnar, as the engine writes partitions: a SeekTo bracket spans one
+	// summary gap of several blocks, and the blocks' bounds settle the
+	// bisection steps outside the pinned one without a read.
+	if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
+		t.Fatal(err)
+	}
 	s := newStore(t, dev, 3, 0.25)
 	data := make([]int64, 512)
 	for i := range data {
@@ -394,44 +412,29 @@ func TestCursorNarrowingAndPinning(t *testing.T) {
 	var lastReads int
 	for v-u > 1 {
 		z := u + (v-u)/2
+		cur.SeekTo(z)
 		r, err := cur.Rank(z)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := z/2 + 1
-		if z < 0 {
-			want = 0
-		}
-		if z >= 0 && z <= 1022 && r != min64(want, 512) {
-			t.Fatalf("Rank(%d) = %d, want %d", z, r, min64(want, 512))
+		if want := min(z/2+1, 512); r != want {
+			t.Fatalf("Rank(%d) = %d, want %d", z, r, want)
 		}
 		if r > 250 {
 			v = z
-			cur.NarrowUpper()
 		} else {
 			u = z
-			cur.NarrowLower()
 		}
 		lastReads = cur.Reads()
 	}
-	lo, hi := cur.Bracket()
-	if hi-lo > int64(dev.ElementsPerBlock()) {
-		t.Errorf("bracket [%d,%d] did not narrow to a block", lo, hi)
-	}
-	// One more probe must not read (pinned).
+	// One more probe inside the pinned block must not read.
+	cur.SeekTo(u)
 	if _, err := cur.Rank(u); err != nil {
 		t.Fatal(err)
 	}
 	if cur.Reads() != lastReads {
 		t.Errorf("pinned probe still read: %d -> %d", lastReads, cur.Reads())
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Property: Bracket always contains the true boundary for any z in [u,v].
@@ -477,7 +480,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SaveManifest("MANIFEST.json"); err != nil {
+	if err := s.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadStore(dev, "MANIFEST.json", Config{Kappa: 3, Eps1: 0.2})

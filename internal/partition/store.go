@@ -88,12 +88,6 @@ func (u UpdateBreakdown) TotalIO() uint64 {
 // treat the step as loaded.
 var ErrMergeIncomplete = errors.New("partition: level merge incomplete (retried at the next update)")
 
-// entry pairs a partition with its in-memory summary.
-type entry struct {
-	part *Partition
-	sum  *Summary
-}
-
 // SealedBatch is one time step's batch that has been sealed — its step
 // number assigned and (normally) its raw data spilled — but not yet sorted
 // and installed as a level-0 partition. Sealed batches are the hand-off unit
@@ -120,15 +114,18 @@ type SealedBatch struct {
 // Store is HD + HS: the on-disk leveled partition structure together with
 // per-partition in-memory summaries.
 //
-// The store separates three kinds of state:
+// The store separates two kinds of state:
 //
-//   - Build state (levels, buildRetired): the mutable leveled structure that
-//     installs and merges edit. Exactly one mutator may touch it at a time —
-//     the engine serializes installers with its maintenance lock. Queries
-//     never read it.
 //   - Published state (cur, live, retired, pending, nextID, steps; guarded
 //     by vmu): the immutable Version chain queries pin, plus the sealed
-//     batch queue and the id/step counters. Safe for concurrent use.
+//     batch queue and the id/step counters. Safe for concurrent use. The
+//     current Version's entries are also the leveled structure that installs
+//     and merges edit: oldest first, each Summary.Part carrying its level, so
+//     every level is one contiguous run of the list and levels descend along
+//     it (a merge always takes a whole level, and its output is the newest
+//     partition of the next level up). An edit publishes a new Version, and
+//     exactly one mutator edits at a time — the engine serializes installers
+//     with its maintenance lock.
 //   - Durable state: the manifest, always written from a consistent
 //     published snapshot under the commit lock, so durable manifests never
 //     regress to an older version.
@@ -157,10 +154,6 @@ type Store struct {
 	mdev  *disk.Manager
 	cfg   Config
 	beta1 int
-
-	// Build state — single mutator only.
-	levels       [][]entry
-	buildRetired []string
 
 	// Published state.
 	vmu          sync.Mutex
@@ -350,28 +343,42 @@ func (s *Store) writeRaw(name string, data []int64) (disk.Stats, error) {
 	return w.Stats(), err
 }
 
-// installEntry appends a fresh level-0 entry to the build state.
-func (s *Store) installEntry(e entry) {
-	if len(s.levels) == 0 {
-		s.levels = append(s.levels, nil)
-	}
-	s.levels[0] = append(s.levels[0], e)
-}
-
 // cascadeMerges merges every level holding more than κ partitions
-// (Algorithm 3 lines 9-13), returning how many merges ran.
+// (Algorithm 3 lines 9-13), lowest level first, and publishes the result once
+// with the merged-away inputs retired. A level is a run of the current
+// entries, level 0 the newest; its merged partition replaces the run in
+// place, where it is the newest of the next level's run. It returns how many
+// merges ran; a failed merge ends the cascade, keeping the merges before it.
 func (s *Store) cascadeMerges() (int, error) {
+	ents := s.Entries()
+	var retired []string
+	var err error
 	merges := 0
-	for lvl := 0; lvl < len(s.levels); lvl++ {
-		if len(s.levels[lvl]) <= s.cfg.Kappa {
+	for end := len(ents); end > 0; {
+		start := end - 1
+		for start > 0 && ents[start-1].Part.Level == ents[end-1].Part.Level {
+			start--
+		}
+		if end-start <= s.cfg.Kappa {
+			end = start
 			continue
 		}
-		if err := s.mergeLevel(lvl); err != nil {
-			return merges, err
+		var merged *Summary
+		if merged, err = s.mergeLevel(ents[start:end]); err != nil {
+			break
 		}
+		for _, e := range ents[start:end] {
+			retired = append(retired, e.Part.name)
+		}
+		// A fresh slice: the published list is shared with pinned readers.
+		ents = slices.Concat(ents[:start], []*Summary{merged}, ents[end:])
 		merges++
+		end = start + 1
 	}
-	return merges, nil
+	if merges > 0 {
+		s.publish(ents, retired, false)
+	}
+	return merges, err
 }
 
 // Seal closes one time step without installing it: the batch is spilled raw
@@ -513,8 +520,7 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	// or commit failure leaves a consistent published state that the next
 	// install retries — never a double-installed batch.
 	t0 = time.Now()
-	s.installEntry(entry{part, sum})
-	v := s.publish(true)
+	v := s.publish(append(slices.Clip(s.Entries()), sum), nil, true)
 	// Retire the consumed spill AFTER publish, re-reading its name under
 	// vmu: a concurrent Commit may have repaired a spill that failed at
 	// seal time, and checking earlier could miss (and so leak) the file it
@@ -533,9 +539,6 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	bd.Merges = merges
 	bd.Merge = time.Since(t0)
 	bd.MergeIO = s.mdev.MaintStats().Sub(io0)
-	if merges > 0 {
-		s.publish(false)
-	}
 	if mergeErr != nil {
 		mergeErr = errors.Join(ErrMergeIncomplete, mergeErr)
 	}
@@ -607,9 +610,10 @@ func (s *Store) sortExternal(rawName string, part *Partition) (*Summary, error) 
 	return s.writeRun(src, part)
 }
 
-// mergeLevel multi-way merges every partition at level lvl into a single
-// partition at lvl+1 with a single sequential pass (Algorithm 3 lines 9-13),
-// capturing the merged partition's summary in-flight.
+// mergeLevel multi-way merges one level's run of partitions, oldest first,
+// into a single partition one level up with a single sequential pass
+// (Algorithm 3 lines 9-13), capturing the merged partition's summary
+// in-flight.
 //
 // An input that steps backwards — a partition damaged on the device after it
 // was written — fails the merge in the run writer: the output is aborted,
@@ -617,55 +621,32 @@ func (s *Store) sortExternal(rawName string, part *Partition) (*Summary, error) 
 // stays over κ, so the same error (ErrMergeIncomplete, naming the level's
 // input files and the offending pair of values) comes back from each later
 // install until the file is repaired.
-func (s *Store) mergeLevel(lvl int) error {
-	group := s.levels[lvl]
-	if len(group) == 0 {
-		return nil
-	}
+func (s *Store) mergeLevel(run []*Summary) (*Summary, error) {
 	id := s.allocID()
+	first := run[0].Part
 	merged := &Partition{
 		ID:        id,
-		Level:     lvl + 1,
-		StartStep: group[0].part.StartStep,
-		EndStep:   group[0].part.EndStep,
+		Level:     first.Level + 1,
+		StartStep: first.StartStep,
+		EndStep:   run[len(run)-1].Part.EndStep,
 		dev:       s.dev,
 		name:      fmt.Sprintf("part-%06d.dat", id),
 	}
-	names := make([]string, 0, len(group))
-	for _, e := range group {
-		names = append(names, e.part.name)
-		merged.Count += e.part.Count
-		merged.StartStep = min(merged.StartStep, e.part.StartStep)
-		merged.EndStep = max(merged.EndStep, e.part.EndStep)
+	names := make([]string, 0, len(run))
+	for _, e := range run {
+		names = append(names, e.Part.name)
+		merged.Count += e.Part.Count
 	}
 	merger, closeAll, err := extsort.OpenRuns(s.mdev, names)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer closeAll()
 	sum, err := s.writeRun(merger, merged)
 	if err != nil {
-		return fmt.Errorf("partition: merging level %d %v: %w", lvl, names, err)
+		return nil, fmt.Errorf("partition: merging level %d %v: %w", first.Level, names, err)
 	}
-	s.retireGroupAndInstall(lvl, group, merged, sum)
-	return nil
-}
-
-// retireGroupAndInstall retires the merged-away inputs of level lvl
-// (removed once a manifest without them is durable and no version pins
-// them) and installs the merged partition at lvl+1 in chronological order.
-func (s *Store) retireGroupAndInstall(lvl int, group []entry, merged *Partition, sum *Summary) {
-	for _, e := range group {
-		s.buildRetired = append(s.buildRetired, e.part.name)
-	}
-	s.levels[lvl] = nil
-	if lvl+1 >= len(s.levels) {
-		s.levels = append(s.levels, nil)
-	}
-	s.levels[lvl+1] = append(s.levels[lvl+1], entry{merged, sum})
-	slices.SortFunc(s.levels[lvl+1], func(a, b entry) int {
-		return a.part.StartStep - b.part.StartStep
-	})
+	return sum, nil
 }
 
 // Commit makes the store's current published state durable: any missing raw
@@ -747,8 +728,6 @@ func (s *Store) Destroy() error {
 	s.cur = &Version{store: s, seq: s.cur.seq + 1, refs: 1}
 	s.live = []*Version{s.cur}
 	s.vmu.Unlock()
-	s.levels = nil
-	s.buildRetired = nil
 	return nil
 }
 

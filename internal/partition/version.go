@@ -1,14 +1,11 @@
 package partition
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // Snapshot isolation for the historical store. The store's published state
-// is a chain of immutable Version objects: each install or merge edits the
-// private build state and then publishes a fresh Version (a copy-on-write
-// snapshot of the partition set). Queries pin a Version with Pin, run
+// is a chain of immutable Version objects: each install or merge publishes a
+// fresh Version whose partition list is a copy of the current one with the
+// edit applied. Queries pin a Version with Pin, run
 // entirely against it — its partition files are immutable on disk — and
 // Release it when done, so they never contend with the engine write lock or
 // observe a half-installed layout.
@@ -60,9 +57,10 @@ func (v *Version) Seq() int64 { return v.seq }
 
 // Entries returns the snapshot's (partition, summary) pairs, partitions
 // oldest-first: StartStep-ascending, contiguous (each starts one step after
-// the previous one ends) and ending at InstalledSteps. publish lays the
-// list out once and no reader re-orders it, so every surface hands
-// core.BuildPieces the same run order. The slice is shared and must not be
+// the previous one ends) and ending at InstalledSteps, with levels that
+// never increase along it. An install appends to the list and a merge
+// replaces a level's run in place; no reader re-orders it, so every surface
+// hands core.BuildPieces the same run order. The slice is shared and must not be
 // mutated.
 func (v *Version) Entries() []*Summary { return v.entries }
 
@@ -152,23 +150,16 @@ func (s *Store) LiveVersions() int {
 	return len(s.live)
 }
 
-// publish snapshots the build state into a new immutable Version and makes
-// it current. Files retired during this build edit are attached to the new
-// sequence number; popPending additionally consumes the oldest sealed batch
-// (whose data the edit just installed). Called only by the single build
-// mutator.
-func (s *Store) publish(popPending bool) *Version {
-	var ents []*Summary
+// publish makes ents, the edited partition list, the current Version. The
+// files in retired — merged-away inputs — are attached to the new sequence
+// number; popPending additionally consumes the oldest sealed batch (whose
+// data the edit just installed). Called only by the single mutator, with a
+// list no published Version shares.
+func (s *Store) publish(ents []*Summary, retired []string, popPending bool) *Version {
 	var total int64
-	for _, lvl := range s.levels {
-		for _, e := range lvl {
-			ents = append(ents, e.sum)
-			total += e.part.Count
-		}
+	for _, e := range ents {
+		total += e.Part.Count
 	}
-	// The one order every reader sees: partitions tile (0, installed], so
-	// StartStep orders them totally.
-	slices.SortFunc(ents, func(a, b *Summary) int { return a.Part.StartStep - b.Part.StartStep })
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
 	if popPending && len(s.pending) > 0 {
@@ -183,10 +174,9 @@ func (s *Store) publish(popPending bool) *Version {
 		refs:      1, // the store's own ref on the current version
 		memo:      s.newMemo(),
 	}
-	for _, name := range s.buildRetired {
+	for _, name := range retired {
 		s.retired = append(s.retired, retiredFile{name: name, seq: v.seq})
 	}
-	s.buildRetired = nil
 	old := s.cur
 	s.cur = v
 	s.live = append(s.live, v)

@@ -191,8 +191,8 @@ func TestSealInstallRoundtrip(t *testing.T) {
 // TestVersionEntriesChronological pins the one partition order as an
 // invariant of publish: whatever the levels hold — fresh level-0 installs,
 // cascading merges, a sealed backlog waiting — every published version
-// lists its partitions oldest first,
-// tiling (0, InstalledSteps] without a gap. A second goroutine pins while
+// lists its partitions oldest first, tiling (0, InstalledSteps] without a
+// gap, with levels that never increase along the list. A second goroutine pins while
 // installs run, so the version published between an install and its merges
 // is checked too.
 func TestVersionEntriesChronological(t *testing.T) {
@@ -203,6 +203,13 @@ func TestVersionEntriesChronological(t *testing.T) {
 			if e.Part.StartStep != next || e.Part.EndStep < e.Part.StartStep {
 				t.Errorf("version %d entry %d covers steps [%d, %d], want it to start at %d",
 					v.Seq(), i, e.Part.StartStep, e.Part.EndStep, next)
+				return
+			}
+			// Each level is one run of the list: levels never increase
+			// along it, which is what the store's merges rest on.
+			if i > 0 && e.Part.Level > v.Entries()[i-1].Part.Level {
+				t.Errorf("version %d entry %d is at level %d after a level-%d entry",
+					v.Seq(), i, e.Part.Level, v.Entries()[i-1].Part.Level)
 				return
 			}
 			next = e.Part.EndStep + 1

@@ -405,19 +405,14 @@ func (db *DB) SchedulerStats() SchedulerStats {
 		out.RunningStreams = len(db.sched.running)
 		db.sched.mu.Unlock()
 	}
-	ents, engs := db.pinHydrated()
-	defer func() {
-		for _, ent := range ents {
-			db.release(ent)
-		}
-	}()
-	for _, e := range engs {
+	db.eachHydrated(func(_ *Stream, e *engine) error { //nolint:errcheck // only a closed DB fails, and it has no backlog
 		ms := e.MaintenanceStats()
 		out.PendingSteps += ms.PendingSteps
 		out.MergeDebt += ms.PendingElements
 		out.Installs += ms.Installs
 		out.Merges += ms.Merges
-	}
+		return nil
+	})
 	out.MaintIO = db.dev.MaintStats()
 	return out
 }
@@ -429,23 +424,5 @@ func (db *DB) SchedulerStats() SchedulerStats {
 // them. It returns the first failure encountered (after attempting every
 // stream).
 func (db *DB) WaitIdle() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	db.mu.Unlock()
-	ents, engs := db.pinHydrated()
-	defer func() {
-		for _, ent := range ents {
-			db.release(ent)
-		}
-	}()
-	var firstErr error
-	for _, e := range engs {
-		if err := e.SyncMaintenance(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return db.eachHydrated(func(_ *Stream, e *engine) error { return e.SyncMaintenance() })
 }

@@ -16,10 +16,10 @@ func engineOf(t testing.TB, s *Stream) *engine {
 	t.Helper()
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
-	if s.ent.eng == nil {
+	if s.eng == nil {
 		t.Fatalf("stream %q is not hydrated", s.name)
 	}
-	return s.ent.eng
+	return s.eng
 }
 
 // loadEngine fills a one-stream DB with deterministic data: steps batches

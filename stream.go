@@ -2,9 +2,10 @@ package hsq
 
 import (
 	"context"
-	"fmt"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/query"
 )
 
@@ -35,7 +36,42 @@ import (
 type Stream struct {
 	name string
 	db   *DB
-	ent  *streamEntry
+
+	// The stream is also its own entry in the DB's directory: a lightweight
+	// descriptor — a few pointers and counters — that exists for every
+	// registered stream; the engine it points at is hydrated lazily on first
+	// touch and may be evicted (sealed back to its on-disk manifest) while
+	// the stream is idle, so a DB can host millions of registered streams
+	// with only the hot set resident.
+	//
+	// Locking: view, eng, pins, seq and dropped are guarded by db.mu. Slow
+	// state transitions — hydration, eviction, drop — additionally serialize
+	// on opMu, the per-name singleflight lock, which is always acquired
+	// before db.mu and never while holding it. The fast path (pinning an
+	// already-hydrated engine) takes only db.mu, so one stream's cold open
+	// can never stall another stream's operations.
+	//
+	// dropped marks a tombstone. While a tombstoned stream is still present
+	// in db.dir, a DropStream has committed the directory removal but is
+	// still destroying the stream's files: the name stays claimed — Stream
+	// waits the destroy out, RegisterStreams rejects it, the manifest writer
+	// skips it — so no new stream can hydrate over the half-deleted
+	// namespace. The dropper deletes the entry once the destroy succeeds; on
+	// a destroy failure the tombstone stays (the namespace holds partial
+	// debris) until the next Open collects the orphans. A dropped stream no
+	// longer in db.dir is just a dead handle: every operation through it
+	// reports ErrClosed.
+	opMu sync.Mutex
+	// view is the stream's namespaced device view, created on first
+	// hydration and cached for the stream's lifetime: per-stream I/O counters
+	// live on the view, so reusing it across hydrate/evict cycles keeps the
+	// counters cumulative and the per-stream sum equal to the device
+	// aggregate.
+	view    *disk.Manager
+	eng     *engine // nil while cold (not hydrated)
+	pins    int     // in-flight operations holding eng; eviction skips pinned streams
+	seq     uint64  // LRU clock value of the last touch
+	dropped bool
 }
 
 // Name returns the stream's name.
@@ -50,7 +86,7 @@ func (s *Stream) DB() *DB { return s.db }
 func (s *Stream) Hydrated() bool {
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
-	return s.ent.eng != nil
+	return s.eng != nil
 }
 
 // Epsilon returns the configured rank-error budget ε (DB-wide; streams
@@ -116,11 +152,11 @@ func (s *Stream) Query(ctx context.Context, req Request) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	eng, err := s.db.acquire(s.ent)
+	eng, err := s.db.acquire(s)
 	if err != nil {
 		return Answer{}, err
 	}
-	defer s.db.release(s.ent)
+	defer s.db.release(s)
 	return eng.Query(ctx, req)
 }
 
@@ -146,13 +182,31 @@ func (s *Stream) Rank(v int64) (int64, QueryStats, error) {
 // onEngine reads one value off the stream's pinned engine, hydrating it if
 // the stream is cold; a dropped stream or closed DB reads as the zero value.
 func onEngine[T any](s *Stream, get func(*engine) T) T {
-	eng, err := s.db.acquire(s.ent)
+	eng, err := s.db.acquire(s)
 	if err != nil {
 		var zero T
 		return zero
 	}
-	defer s.db.release(s.ent)
+	defer s.db.release(s)
 	return get(eng)
+}
+
+// peek runs f on the stream's engine, pinned for the call, only if the
+// engine is already hydrated: it never hydrates, and does not count as a
+// touch for eviction. A cold stream returns nil without calling f; a closed
+// DB or a dropped stream returns the ErrClosed every other method reports.
+func (s *Stream) peek(f func(*engine)) error {
+	s.db.mu.Lock()
+	eng, err := s.eng, s.errLocked()
+	if err != nil || eng == nil {
+		s.db.mu.Unlock()
+		return err
+	}
+	s.pins++
+	s.db.mu.Unlock()
+	defer s.db.release(s)
+	f(eng)
+	return nil
 }
 
 // AvailableWindows lists the trailing-window sizes (in time steps) that
@@ -187,23 +241,16 @@ func (s *Stream) Describe() []LevelInfo {
 // member (DB.ScopedSummary): an evicted stream answers from its sidecar, so
 // a peer's fetch is a metadata read and never a hydration.
 func (s *Stream) Summary() (*core.ShardSummary, error) {
-	return s.db.entrySummary(s.ent, query.Scope{})
+	return s.scopedSummary(query.Scope{})
 }
 
 // MemoryUsage returns the stream's memory-resident summary footprint. A
 // cold (evicted or never-touched) stream reports zero — which is the
 // point of eviction — without hydrating.
 func (s *Stream) MemoryUsage() MemoryUsage {
-	s.db.mu.Lock()
-	eng := s.ent.eng
-	if eng == nil || s.db.closed {
-		s.db.mu.Unlock()
-		return MemoryUsage{}
-	}
-	s.ent.pins++
-	s.db.mu.Unlock()
-	defer s.db.release(s.ent)
-	return eng.MemoryUsage()
+	var mu MemoryUsage
+	s.peek(func(e *engine) { mu = e.MemoryUsage() }) //nolint:errcheck // a dropped stream or closed DB holds nothing
+	return mu
 }
 
 // DiskStats returns this stream's I/O counters — the one per-stream I/O
@@ -213,7 +260,7 @@ func (s *Stream) MemoryUsage() MemoryUsage {
 // hydrates the stream; one never hydrated this process reports zero.
 func (s *Stream) DiskStats() IOStats {
 	s.db.mu.Lock()
-	view := s.ent.view
+	view := s.view
 	s.db.mu.Unlock()
 	if view == nil {
 		return IOStats{}
@@ -225,16 +272,9 @@ func (s *Stream) DiskStats() IOStats {
 // Options.ProbeMemoEntries). A cold stream reports zeros without hydrating:
 // its memos died with the evicted engine's versions.
 func (s *Stream) ProbeMemoStats() ProbeMemoStats {
-	s.db.mu.Lock()
-	eng := s.ent.eng
-	if eng == nil || s.db.closed {
-		s.db.mu.Unlock()
-		return ProbeMemoStats{}
-	}
-	s.ent.pins++
-	s.db.mu.Unlock()
-	defer s.db.release(s.ent)
-	return eng.store.MemoStats()
+	var ps ProbeMemoStats
+	s.peek(func(e *engine) { ps = e.store.MemoStats() }) //nolint:errcheck // a dropped stream or closed DB has no memo
+	return ps
 }
 
 // MaintenanceStats returns the stream's maintenance counters. A cold
@@ -242,16 +282,9 @@ func (s *Stream) ProbeMemoStats() ProbeMemoStats {
 // eviction seals a stream only after its backlog is installed, so cold
 // streams genuinely have no pending work.
 func (s *Stream) MaintenanceStats() MaintenanceStats {
-	s.db.mu.Lock()
-	eng := s.ent.eng
-	if eng == nil || s.db.closed {
-		s.db.mu.Unlock()
-		return MaintenanceStats{Mode: s.db.opts.Maintenance}
-	}
-	s.ent.pins++
-	s.db.mu.Unlock()
-	defer s.db.release(s.ent)
-	return eng.MaintenanceStats()
+	ms := MaintenanceStats{Mode: s.db.opts.Maintenance}
+	s.peek(func(e *engine) { ms = e.MaintenanceStats() }) //nolint:errcheck // a dropped stream or closed DB has no backlog
+	return ms
 }
 
 // SyncMaintenance blocks until every sealed step of this stream is
@@ -262,24 +295,11 @@ func (s *Stream) MaintenanceStats() MaintenanceStats {
 // pending work — sealing drained it — so the call returns immediately
 // without hydrating.
 func (s *Stream) SyncMaintenance() error {
-	s.db.mu.Lock()
-	if s.db.closed {
-		s.db.mu.Unlock()
-		return ErrClosed
+	var err error
+	if perr := s.peek(func(e *engine) { err = e.SyncMaintenance() }); perr != nil {
+		return perr
 	}
-	if s.ent.dropped {
-		s.db.mu.Unlock()
-		return fmt.Errorf("hsq: stream %q dropped: %w", s.name, ErrClosed)
-	}
-	eng := s.ent.eng
-	if eng == nil {
-		s.db.mu.Unlock()
-		return nil
-	}
-	s.ent.pins++
-	s.db.mu.Unlock()
-	defer s.db.release(s.ent)
-	return eng.SyncMaintenance()
+	return err
 }
 
 // Context variants of the mutating methods (reads take their context
@@ -296,11 +316,11 @@ func (s *Stream) ObserveCtx(ctx context.Context, v int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	eng, err := s.db.acquire(s.ent)
+	eng, err := s.db.acquire(s)
 	if err != nil {
 		return err
 	}
-	defer s.db.release(s.ent)
+	defer s.db.release(s)
 	return eng.observe(v)
 }
 
@@ -310,11 +330,11 @@ func (s *Stream) ObserveSliceCtx(ctx context.Context, vs []int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	eng, err := s.db.acquire(s.ent)
+	eng, err := s.db.acquire(s)
 	if err != nil {
 		return err
 	}
-	defer s.db.release(s.ent)
+	defer s.db.release(s)
 	return eng.observeSlice(vs)
 }
 
@@ -327,10 +347,10 @@ func (s *Stream) EndStepCtx(ctx context.Context) (UpdateStats, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
 	}
-	eng, err := s.db.acquire(s.ent)
+	eng, err := s.db.acquire(s)
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	defer s.db.release(s.ent)
+	defer s.db.release(s)
 	return eng.endStep(ctx)
 }
