@@ -330,8 +330,8 @@ func TestEvictionRoundTrip(t *testing.T) {
 // TestDirectoryGrowthKeepsResidentSetAtBudget grows the directory 1000× by
 // bulk registration under a fixed hydration budget: the resident set tracks
 // the budget and not the directory, evicted streams cycle through it, and
-// live heap after GC stays within 1.5× of what the hot set alone held (a
-// cold stream costs a directory entry, not an engine).
+// live heap after GC grows by at most 256 bytes per registered cold stream —
+// a cold stream costs a directory entry, not an engine.
 func TestDirectoryGrowthKeepsResidentSetAtBudget(t *testing.T) {
 	const (
 		hotStreams  = 8
@@ -420,12 +420,18 @@ func TestDirectoryGrowthKeepsResidentSetAtBudget(t *testing.T) {
 	if ds1.Evictions <= ds0.Evictions {
 		t.Errorf("evictions %d -> %d: cold touches past the budget evicted nothing", ds0.Evictions, ds1.Evictions)
 	}
-	ratio := float64(heap1) / float64(heap0)
-	t.Logf("live heap %.1f MB -> %.1f MB (%.2fx), hydrated %d -> %d, evictions %d -> %d",
-		float64(heap0)/(1<<20), float64(heap1)/(1<<20), ratio, ds0.Hydrated, ds1.Hydrated, ds0.Evictions, ds1.Evictions)
-	if ratio > 1.5 {
-		t.Errorf("live heap grew %.2fx (%.1f MB -> %.1f MB) across 1000x registered streams, want <= 1.5x",
-			ratio, float64(heap0)/(1<<20), float64(heap1)/(1<<20))
+	// A cold stream is its directory entry: the *Stream (72 B, an 80 B size
+	// class), its 7-byte name (8 B) and its map slot — a 16 B key and an 8 B
+	// pointer, 26 B with the bucket's tophash and overflow word, at 3.25–6.5
+	// used slots of 8 per bucket 32–64 B. That is 120–152 B; with map growth
+	// and rounding it measured ≈ 173 B. The bound is absolute, not relative
+	// to the hot set's heap, which moves with what the block cache holds.
+	perStream := float64(int64(heap1)-int64(heap0)) / float64(len(names))
+	t.Logf("live heap %.1f MB -> %.1f MB (%.0f B per registered cold stream), hydrated %d -> %d, evictions %d -> %d",
+		float64(heap0)/(1<<20), float64(heap1)/(1<<20), perStream, ds0.Hydrated, ds1.Hydrated, ds0.Evictions, ds1.Evictions)
+	if perStream > 256 {
+		t.Errorf("live heap grew %.0f B per registered cold stream (%.1f MB -> %.1f MB), want <= 256 B",
+			perStream, float64(heap0)/(1<<20), float64(heap1)/(1<<20))
 	}
 }
 

@@ -86,11 +86,11 @@
 // files coexist — and merge, into columnar outputs — freely within one
 // store.
 //
-// Cache accounting: the block cache charges cached blocks by their decoded
-// size in bytes (Options.CacheBlocks × BlockSize is the byte budget), not by
-// entry count — a decoded columnar block holds several blocks' worth of
-// raw elements, and counting entries would hand the compressed format a
-// hidden cache-size advantage in comparisons. benchmark/ traces the codec
+// Cache accounting: the block cache holds checked, undecoded frames and
+// charges each by its decoded size in bytes (Options.CacheBlocks × BlockSize
+// is the byte budget), not by entry count or frame bytes — a columnar block
+// holds several blocks' worth of raw elements, and counting entries would
+// hand the compressed format a hidden cache-size advantage in comparisons. benchmark/ traces the codec
 // on every workload (disk.encode_ns_per_value, disk.decode_ns_per_value,
 // disk.skip_ratio, disk.cache_hit_ratio).
 //

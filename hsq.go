@@ -59,8 +59,9 @@ type Options struct {
 	// SortMemElements bounds the memory used when sorting a batch; larger
 	// batches use external sort (default 1M elements).
 	SortMemElements int
-	// NoBlockPin disables the §2.4 optimization that pins a partition's
-	// final block in memory during a query.
+	// NoBlockPin disables the §2.4 optimization that keeps, per partition,
+	// the block a query's probe settled in (its checked frame) pinned for
+	// the query's next probes, so a probe inside it fetches nothing.
 	NoBlockPin bool
 	// ProbeMemoEntries bounds the per-snapshot rank-probe memo: each
 	// immutable store version caches up to this many bisection probes, so a

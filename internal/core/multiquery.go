@@ -18,8 +18,9 @@ import (
 // One deliberate refinement over the paper's pseudocode: Algorithm 8
 // returns the accepted midpoint z itself, which need not be an element of
 // T. We instead snap z to the largest known element ≤ z (the per-partition
-// predecessors sit right at the cursors' final boundary positions, usually
-// in an already-pinned block; the stream predecessor comes from SS). The
+// predecessors sit right at the cursors' final boundary positions, in the
+// run the probe decoded, a summary entry or a block's bounds; the stream
+// predecessor comes from SS). The
 // snapped element's rank differs from rank(z) by at most ~ε₂m additional
 // stream uncertainty, so the O(ε·m) guarantee of Lemma 5 is preserved — and
 // when the stream is empty the answer becomes the exact quantile.

@@ -5,12 +5,16 @@ import (
 	"sync"
 )
 
-// blockCache is a sharded LRU cache of decoded blocks, keyed by (file,
+// blockCache is a sharded LRU cache of checked block frames, keyed by (file,
 // block index). It sits between the Manager's random-read path and the
-// backend: a hit returns the decoded elements without touching the backend,
-// without a simulated-latency sleep, and without counting a random read —
-// in the paper's cost model a cached block is free, exactly like the §2.4
-// pinned block, but shared across queries and partitions.
+// backend: a hit returns the Frame without touching the backend, without a
+// simulated-latency sleep, and without counting a random read — in the
+// paper's cost model a cached block is free, exactly like the §2.4 pinned
+// block, but shared across queries and partitions.
+//
+// An entry is charged its decoded size (elements × ElementSize), not the
+// ~5× smaller frame it holds: a budget is a number of raw blocks' worth of
+// elements, whatever the format, so a cache size means one thing on both.
 //
 // Sequential scans deliberately bypass the cache: a merge or summary rebuild
 // touches each block once, and letting scans through would evict the hot
@@ -23,17 +27,16 @@ import (
 // data. Writing to a shared backend through a second Manager (or directly)
 // bypasses this cache and voids that guarantee.
 //
-// Cached slices are shared between the cache and all readers, so callers
-// must treat blocks returned by the read path as immutable. Every current
-// consumer (cursor binary search, element snapping) only reads them.
+// Cached frames are shared between the cache and all readers; a Frame is
+// immutable, so sharing needs no care.
 type blockCache struct {
 	shards []cacheShard
 }
 
 type cacheShard struct {
 	mu       sync.Mutex
-	capBytes int64 // this shard's budget in decoded bytes
-	bytes    int64 // decoded bytes currently held
+	capBytes int64 // this shard's budget in decoded-equivalent bytes
+	bytes    int64 // decoded-equivalent bytes currently held
 	// items indexes entries by file name first so that invalidate(name) —
 	// which runs on every Remove and Create, i.e. on every level merge —
 	// touches only that file's blocks instead of scanning the whole shard.
@@ -47,19 +50,22 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	key  cacheKey
-	vals []int64
+	key   cacheKey
+	frame *Frame
 }
+
+// cost is what an entry charges the budget: the size of its block decoded.
+func cost(f *Frame) int64 { return int64(f.n) * ElementSize }
 
 // cacheShards is the shard count: enough to keep lock contention negligible
 // when many streams' queries share the device cache, without fragmenting
 // small caches.
 const cacheShards = 16
 
-// newBlockCache builds a cache holding at most budgetBytes of decoded
-// elements in total. Accounting is in decoded bytes (len(vals) ×
-// ElementSize), not entries: a compressed columnar block decodes to several
-// raw blocks' worth of elements and is charged accordingly. The budget is
+// newBlockCache builds a cache holding at most budgetBytes of blocks' decoded
+// elements in total. Accounting is in decoded-equivalent bytes (elements ×
+// ElementSize), not entries: a compressed columnar block holds several raw
+// blocks' worth of elements and is charged accordingly. The budget is
 // distributed exactly across the shards (remainder to the first few); the
 // shard count shrinks until every shard can hold at least one worst-case
 // decoded columnar block (~8 × blockSize), so the per-shard split never
@@ -104,8 +110,8 @@ func (c *blockCache) shard(key cacheKey) *cacheShard {
 	return &c.shards[(h^h>>32)%uint64(len(c.shards))]
 }
 
-// get returns the cached block and true on a hit, bumping its recency.
-func (c *blockCache) get(name string, block int64) ([]int64, bool) {
+// get returns the cached frame and true on a hit, bumping its recency.
+func (c *blockCache) get(name string, block int64) (*Frame, bool) {
 	s := c.shard(cacheKey{name, block})
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -114,14 +120,14 @@ func (c *blockCache) get(name string, block int64) ([]int64, bool) {
 		return nil, false
 	}
 	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).vals, true
+	return el.Value.(*cacheEntry).frame, true
 }
 
 // remove drops one entry from the shard's indexes and releases its byte
 // charge. Caller holds s.mu.
 func (s *cacheShard) remove(el *list.Element) {
 	e := el.Value.(*cacheEntry)
-	s.bytes -= int64(len(e.vals)) * ElementSize
+	s.bytes -= cost(e.frame)
 	s.order.Remove(el)
 	blocks := s.items[e.key.name]
 	delete(blocks, e.key.block)
@@ -131,22 +137,21 @@ func (s *cacheShard) remove(el *list.Element) {
 }
 
 // put inserts (or refreshes) a block, evicting the shard's LRU tail until
-// the decoded-byte budget holds. A block bigger than the whole shard budget
+// the byte budget holds. A block bigger than the whole shard budget
 // is not inserted at all — caching it would evict everything else and still
 // bust the budget.
-func (c *blockCache) put(name string, block int64, vals []int64) {
-	cost := int64(len(vals)) * ElementSize
+func (c *blockCache) put(name string, block int64, f *Frame) {
 	key := cacheKey{name, block}
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cost > s.capBytes {
+	if cost(f) > s.capBytes {
 		return
 	}
 	if el, ok := s.items[name][block]; ok {
 		e := el.Value.(*cacheEntry)
-		s.bytes += cost - int64(len(e.vals))*ElementSize
-		e.vals = vals
+		s.bytes += cost(f) - cost(e.frame)
+		e.frame = f
 		s.order.MoveToFront(el)
 	} else {
 		blocks := s.items[name]
@@ -154,8 +159,8 @@ func (c *blockCache) put(name string, block int64, vals []int64) {
 			blocks = make(map[int64]*list.Element)
 			s.items[name] = blocks
 		}
-		blocks[block] = s.order.PushFront(&cacheEntry{key: key, vals: vals})
-		s.bytes += cost
+		blocks[block] = s.order.PushFront(&cacheEntry{key: key, frame: f})
+		s.bytes += cost(f)
 	}
 	for s.bytes > s.capBytes {
 		s.remove(s.order.Back())
@@ -172,7 +177,7 @@ func (c *blockCache) invalidate(name string) {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for _, el := range s.items[name] {
-			s.bytes -= int64(len(el.Value.(*cacheEntry).vals)) * ElementSize
+			s.bytes -= cost(el.Value.(*cacheEntry).frame)
 			s.order.Remove(el)
 		}
 		delete(s.items, name)

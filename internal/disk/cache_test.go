@@ -31,9 +31,9 @@ func cacheDev(t *testing.T, capBlocks int) *Manager {
 	return m
 }
 
-// TestCacheRepeatedProbesAreHits is the satellite requirement: repeated
-// probes of the same (pinned-block-style) block must be cache hits costing
-// no random read.
+// TestCacheRepeatedProbesAreHits: repeated probes of the same block must be
+// cache hits costing no random read, each returning the very Frame the miss
+// cached.
 func TestCacheRepeatedProbesAreHits(t *testing.T) {
 	m := cacheDev(t, 8)
 	rr, err := m.OpenRandom("c.dat")
@@ -42,17 +42,17 @@ func TestCacheRepeatedProbesAreHits(t *testing.T) {
 	}
 	defer rr.Close() //nolint:errcheck
 
-	first, err := rr.Block(1)
+	first, err := rr.Frame(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := rr.Block(1)
+		again, err := rr.Frame(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &again[0] != &first[0] {
-			t.Fatal("hit returned a different slice than the cached block")
+		if again != first {
+			t.Fatal("hit returned a different Frame than the cached one")
 		}
 	}
 	if rr.Reads() != 1 || rr.CacheHits() != 5 {
@@ -83,7 +83,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 	// One element (8 bytes) of budget per shard, so the second entry in any
 	// shard must evict the first.
 	c := newBlockCache(cacheShards*ElementSize, ElementSize)
-	c.put("f", 0, []int64{1})
+	c.put("f", 0, &Frame{n: 1})
 	key0shard := c.shard(cacheKey{"f", 0})
 	// Find another block index mapping to the same shard so the second put
 	// must evict the first.
@@ -97,7 +97,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 	if other < 0 {
 		t.Fatal("no colliding block index found")
 	}
-	c.put("f", other, []int64{2})
+	c.put("f", other, &Frame{n: 1})
 	if _, ok := c.get("f", 0); ok {
 		t.Error("LRU block survived eviction")
 	}
@@ -295,7 +295,7 @@ func TestCacheCapacityExact(t *testing.T) {
 		// Overfill with one-element (8-byte) entries and confirm the
 		// resident count never exceeds the budget.
 		for i := int64(0); i < int64(capBlocks*3); i++ {
-			c.put("f", i, []int64{i})
+			c.put("f", i, &Frame{n: 1})
 		}
 		if got := c.len(); got > capBlocks {
 			t.Errorf("capBlocks=%d: %d blocks resident", capBlocks, got)

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/enc"
 )
 
 // colDev returns a columnar-default Manager with 64-byte blocks over a mem
@@ -480,9 +482,11 @@ func TestSequentialDecodeZeroAlloc(t *testing.T) {
 }
 
 // TestBlockReadAllocates gates what a random read may allocate: a columnar
-// Block that reaches the backend allocates the decoded slice it returns and
-// nothing else — its staging is the pool's — and a reader that never reaches
-// the backend takes no staging at all.
+// Frame that reaches the backend allocates the frame — its struct and the
+// bytes it keeps — and its checkpoints, nothing else; a cache hit allocates
+// nothing; a run decoded into a buffer the caller keeps allocates nothing;
+// and a reader that never reaches the backend allocates far less than a
+// block.
 func TestBlockReadAllocates(t *testing.T) {
 	m, err := NewManagerOn(NewMemBackend(), 4096)
 	if err != nil {
@@ -497,40 +501,54 @@ func TestBlockReadAllocates(t *testing.T) {
 	if rr.Blocks() < 4 {
 		t.Fatalf("%d blocks; want several", rr.Blocks())
 	}
-	// Touch every block once so the staging has met the largest.
-	for b := int64(0); b < rr.Blocks(); b++ {
-		if _, err := rr.Block(b); err != nil {
-			t.Fatal(err)
-		}
-	}
 	next := int64(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := rr.Block(next % rr.Blocks()); err != nil {
+		if _, err := rr.Frame(next % rr.Blocks()); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	})
-	if allocs != 1 {
-		t.Errorf("uncached columnar Block: %v allocs/read, want 1 (the decoded slice)", allocs)
+	runtime.ReadMemStats(&after)
+	if allocs != 3 {
+		t.Errorf("uncached columnar Frame: %v allocs/read, want 3 (the Frame, its bytes, its checkpoints)", allocs)
+	}
+	// A 4 KB block holds ~2 000 values: 8 checkpoints, 32 bytes.
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / 101; perRead > uint64(m.BlockSize())+128 {
+		t.Errorf("uncached columnar Frame allocated %d bytes a read; the block is %d", perRead, m.BlockSize())
 	}
 
-	// A reader the cache answers takes no staging: opening it, a hit, a skip
-	// and closing it allocate far less than one block of bytes.
 	m.SetCache(64)
-	if _, err := rr.Block(0); err != nil { // fills the cache
+	f, err := rr.Frame(1) // fills the cache
+	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := rr.Frame(1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("cache hit: %v allocs, want 0", allocs)
+	}
+	win := make([]int64, 200)
+	at := rr.BlockStart(1) + 700 // sortedVals(n)[i] is 1000+7i
+	if allocs := testing.AllocsPerRun(100, func() { f.Decode(win, 700, 1000+7*(at-1)) }); allocs != 0 || win[0] != 1000+7*at {
+		t.Errorf("run decode: %v allocs, first value %d; want 0 and %d", allocs, win[0], 1000+7*at)
+	}
+
+	// A reader the cache answers: opening it, a hit, a skip and closing it
+	// allocate far less than one block of bytes.
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 100; i++ {
 		hit, err := m.OpenRandom("al.dat")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := hit.Block(0); err != nil {
+		if _, err := hit.Frame(1); err != nil {
 			t.Fatal(err)
 		}
-		hit.Skip(1)
+		hit.Skip(2)
 		if hit.CacheHits() != 1 || hit.Reads() != 0 {
 			t.Fatalf("hits %d reads %d; the reader must be served by the cache", hit.CacheHits(), hit.Reads())
 		}
@@ -627,4 +645,44 @@ func TestColumnarBytesUnchanged(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("columnar file bytes changed: sha256 %s, want %s", got, want)
 	}
+}
+
+// FuzzFrame holds the random read's frame check to the sequential scans'
+// whole-block decode: over arbitrary block bytes and a count, Frame accepts
+// the block exactly when decodeColBlock does, and then the run decoded from
+// any element, given the element before it, is that slice of the whole
+// decode — so every window a cursor decodes is.
+func FuzzFrame(f *testing.F) {
+	block := func(tag byte, count int, frame []byte) []byte {
+		b := make([]byte, colHeaderLen, colHeaderLen+len(frame))
+		putColHeader(b, tag, count, len(frame), 0, 0)
+		return append(b, frame...)
+	}
+	f.Add(block(colTagDelta, 700, enc.AppendDelta(nil, sortedVals(700))), uint16(700))
+	f.Add(block(colTagDelta, 3, enc.AppendDelta(nil, []int64{-1 << 63, 1<<63 - 1, 0})), uint16(3))
+	f.Add(block(colTagRaw, 3, make([]byte, 3*ElementSize)), uint16(3))
+	f.Add(block(colTagRaw, 3, make([]byte, 2*ElementSize)), uint16(3))
+	f.Add(block(colTagDelta, 2, []byte{0x02, 0x81, 0x01, 0x00}), uint16(2))
+	f.Add(block(colTagDelta, 1, append(slices.Repeat([]byte{0xff}, 9), 0x02)), uint16(1))
+	f.Add(block(2, 1, []byte{0}), uint16(1))
+	f.Fuzz(func(t *testing.T, buf []byte, count uint16) {
+		n := int(count)
+		want := make([]int64, n)
+		wantErr := decodeColBlock(want, buf, n)
+		ix := &colIndex{offsets: []int64{0, int64(len(buf))}, starts: []int64{0, int64(n)}}
+		fr, err := ix.frame(buf, 0)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("count %d, block %x: Frame err %v, decodeColBlock err %v", n, buf, err, wantErr)
+		}
+		for from := 0; err == nil && from < n; from++ {
+			prev := int64(0)
+			if from > 0 {
+				prev = want[from-1]
+			}
+			got := make([]int64, n-from)
+			if fr.Decode(got, from, prev); !slices.Equal(got, want[from:]) {
+				t.Fatalf("count %d, block %x: run from %d = %v, want %v", n, buf, from, got, want[from:])
+			}
+		}
+	})
 }

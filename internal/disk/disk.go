@@ -300,11 +300,11 @@ func (m *Manager) DefaultBlockFormat() BlockFormat {
 }
 
 // SetCache installs a block cache with a budget of blocks × BlockSize bytes
-// of decoded elements on the random-read path; blocks <= 0 removes the
-// cache. The budget is accounted in decoded bytes, not entries: compressed
-// columnar blocks decode to more than one raw block's worth of elements, so
-// the same budget holds correspondingly fewer (bigger) entries — compression
-// widens cache reach in elements, not in bookkeeping slots. The cache is a
+// on the random-read path; blocks <= 0 removes the cache. It holds checked
+// frames but charges each its decoded size, not entries or frame bytes:
+// compressed columnar blocks hold more than one raw block's worth of
+// elements, so the same budget holds correspondingly fewer (bigger) entries —
+// compression widens cache reach in elements, not in bookkeeping slots. The cache is a
 // device-wide budget shared by every view. Safe to call concurrently with
 // I/O.
 func (m *Manager) SetCache(blocks int) {

@@ -32,10 +32,12 @@ import (
 //
 // A cold read of one block: at the default 100 KB a sorted partition's block
 // holds ~57 000 values at ~1.75 B each (format 0: 12 800), so it is one
-// backend call and the decode of 456 KB of elements — enc.DecodeDelta, not the
-// fetch, is most of it. The bytes are staged in a pooled buffer sized from the
-// file's own index; the decoded slice is the read's one allocation, and the
-// cache keeps it in a shard that is a pure function of (file, block).
+// backend call into a buffer of its own, the header checks, and one pass of
+// enc.ScanDelta that checks the frame and records where every frameStride-th
+// value starts — no value is decoded. The resulting Frame owns its bytes, the
+// cache keeps it in a shard that is a pure function of (file, block), and a
+// probe decodes only the run it searches (Frame.Decode): one summary gap,
+// ~200 values, not 57 000.
 type BlockFormat uint8
 
 const (
@@ -162,57 +164,68 @@ func putColHeader(buf []byte, tag byte, count int, frameLen int, min, max int64)
 	binary.LittleEndian.PutUint64(buf[17:], uint64(max))
 }
 
-// colHeader is one decoded block header.
-type colHeader struct {
-	tag      byte
-	count    int
-	frameLen int
-	min, max int64
-}
-
-func parseColHeader(buf []byte) colHeader {
-	return colHeader{
-		tag:      buf[0],
-		count:    int(binary.LittleEndian.Uint32(buf[1:])),
-		frameLen: int(binary.LittleEndian.Uint32(buf[5:])),
-		min:      int64(binary.LittleEndian.Uint64(buf[9:])),
-		max:      int64(binary.LittleEndian.Uint64(buf[17:])),
+// colFrame checks one block (header + frame) against the index — so a torn or
+// misdirected read fails loudly instead of decoding garbage — and returns its
+// frame tag and bytes. A delta frame's varints are checked by whoever decodes
+// or scans them.
+func colFrame(buf []byte, wantCount int) (tag byte, frame []byte, err error) {
+	if len(buf) < colHeaderLen {
+		return 0, nil, fmt.Errorf("short block: %d bytes", len(buf))
 	}
+	tag = buf[0]
+	count := int(binary.LittleEndian.Uint32(buf[1:]))
+	frameLen := int(binary.LittleEndian.Uint32(buf[5:]))
+	switch {
+	case count != wantCount:
+		return 0, nil, fmt.Errorf("header count %d, index says %d", count, wantCount)
+	case colHeaderLen+frameLen != len(buf):
+		return 0, nil, fmt.Errorf("header frame length %d, index implies %d", frameLen, len(buf)-colHeaderLen)
+	case tag == colTagRaw && frameLen != wantCount*ElementSize:
+		return 0, nil, fmt.Errorf("raw frame of %d bytes for %d elements", frameLen, wantCount)
+	case tag != colTagRaw && tag != colTagDelta:
+		return 0, nil, fmt.Errorf("unknown frame tag %d", tag)
+	}
+	return tag, buf[colHeaderLen:], nil
 }
 
 // decodeColBlock parses one block (header + frame) from buf into dst, which
-// must hold wantCount elements. It cross-checks the header against the index
-// so a torn or misdirected read fails loudly instead of decoding garbage.
+// must hold wantCount elements: the sequential scans' whole-block decode.
 func decodeColBlock(dst []int64, buf []byte, wantCount int) error {
-	if len(buf) < colHeaderLen {
-		return fmt.Errorf("short block: %d bytes", len(buf))
+	tag, frame, err := colFrame(buf, wantCount)
+	if err != nil {
+		return err
 	}
-	h := parseColHeader(buf)
-	if h.count != wantCount {
-		return fmt.Errorf("header count %d, index says %d", h.count, wantCount)
-	}
-	if colHeaderLen+h.frameLen != len(buf) {
-		return fmt.Errorf("header frame length %d, index implies %d", h.frameLen, len(buf)-colHeaderLen)
-	}
-	frame := buf[colHeaderLen:]
-	switch h.tag {
-	case colTagRaw:
-		if h.frameLen != wantCount*ElementSize {
-			return fmt.Errorf("raw frame of %d bytes for %d elements", h.frameLen, wantCount)
-		}
+	if tag == colTagRaw {
 		decodeInto(dst[:wantCount], frame)
-	case colTagDelta:
-		rest, err := enc.DecodeDelta(dst[:wantCount], frame)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("frame has %d trailing bytes", len(rest))
-		}
-	default:
-		return fmt.Errorf("unknown frame tag %d", h.tag)
+		return nil
 	}
-	return nil
+	rest, err := enc.DecodeDelta(dst[:wantCount], frame)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("frame has %d trailing bytes", len(rest))
+	}
+	return err
+}
+
+// frame checks block i, its bytes as the index locates them, and returns it
+// as a Frame that keeps buf: a format-0 block or a raw-tagged one as is, a
+// delta frame once enc.ScanDelta has accepted it exactly as decodeColBlock
+// would, with its checkpoints.
+func (ix *colIndex) frame(buf []byte, i int64) (*Frame, error) {
+	f := &Frame{n: int(ix.blockCount(i)), bytes: buf}
+	if ix.raw {
+		return f, nil
+	}
+	tag, frame, err := colFrame(buf, f.n)
+	if err != nil {
+		return nil, err
+	}
+	f.bytes = frame
+	if tag == colTagDelta {
+		if f.offs, err = enc.ScanDelta(frame, f.n, frameStride); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
 }
 
 // loadColumnarIndex inspects an open handle and returns the parsed columnar

@@ -3,6 +3,8 @@ package disk
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/enc"
 )
 
 // Sequential readers recycle their block and element staging through pools,
@@ -195,7 +197,7 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// RandomReader reads individual blocks of a file by index. Every Block call
+// RandomReader reads individual blocks of a file by index. Every Frame call
 // that reaches the backend counts as one random read; calls absorbed by the
 // Manager's block cache count as cache hits instead, and probes answered
 // from columnar header bounds (see BlockBounds) count as skipped blocks.
@@ -221,14 +223,41 @@ func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
 	return &RandomReader{m: m, name: key, h: h, ix: ix}, nil
 }
 
-// staging takes n bytes of read buffer from the sequential readers' pool for
-// one backend read (a query's cursors share a buffer in turn). n comes from
-// the file's own index: a columnar file keeps its geometry when the device's
-// changes.
-func staging(n int) *[]byte {
-	bufp := seqBufPool.Get().(*[]byte)
-	*bufp = grow(*bufp, n)
-	return bufp
+// frameStride is how many values of a delta frame lie between checkpoints:
+// a run decode skips at most frameStride-1 deltas (~450 bytes of a sorted
+// block), and a 57 000-value block keeps 223 checkpoints (0.9 KB).
+const frameStride = 256
+
+// Frame is one block as a random read returns it: its bytes, checked once,
+// and for a delta frame the byte offset of every frameStride-th value, so any
+// run of the block decodes without decoding what precedes it. A Frame is
+// immutable and shared with the block cache.
+type Frame struct {
+	n     int
+	bytes []byte  // the frame: little-endian int64s, or delta varints
+	offs  []int32 // offs[k] is where value k·frameStride starts; nil for a raw frame
+}
+
+// Len returns the number of elements in the block.
+func (f *Frame) Len() int { return f.n }
+
+// Decode decodes the block's elements [from, from+len(dst)) into dst. prev is
+// the value of element from-1; a raw frame, or a run from the block's start,
+// needs none. A checked frame cannot fail to decode: a run outside the block
+// is a caller's bug, and panics.
+func (f *Frame) Decode(dst []int64, from int, prev int64) {
+	if f.offs == nil {
+		decodeInto(dst, f.bytes[from*ElementSize:])
+		return
+	}
+	if from == 0 {
+		prev = 0 // a block's deltas start from zero
+	}
+	ck := int(f.offs[from/frameStride])
+	off := ck + enc.SkipDelta(f.bytes[ck:], from%frameStride)
+	if _, err := enc.DecodeDeltaFrom(dst, f.bytes[off:], prev); err != nil {
+		panic(fmt.Sprintf("disk: decode of [%d,%d) from a %d-element block: %v", from, from+len(dst), f.n, err))
+	}
 }
 
 // Count returns the number of elements in the file.
@@ -241,7 +270,7 @@ func (r *RandomReader) Blocks() int64 { return r.ix.blocks() }
 // (cache hits excluded).
 func (r *RandomReader) Reads() int { return r.reads }
 
-// CacheHits returns the number of Block calls served by the block cache.
+// CacheHits returns the number of Frame calls served by the block cache.
 func (r *RandomReader) CacheHits() int { return r.hits }
 
 // Skips returns how many probes this handle answered from columnar header
@@ -273,10 +302,10 @@ func (r *RandomReader) Skip(int64) {
 	r.m.countBlockSkip()
 }
 
-// Block reads block idx and returns its elements. The returned slice is
-// shared with the Manager's block cache when one is installed, so callers
-// must treat it as immutable (the query layer only reads pinned blocks).
-func (r *RandomReader) Block(idx int64) ([]int64, error) {
+// Frame reads block idx and returns it checked, undecoded. The Frame is
+// shared with the Manager's block cache when one is installed; a hit returns
+// the very Frame the miss cached.
+func (r *RandomReader) Frame(idx int64) (*Frame, error) {
 	if r.closed {
 		return nil, fmt.Errorf("disk: read from closed reader %s", r.name)
 	}
@@ -285,22 +314,20 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 	}
 	cache := r.m.dev.cache.Load()
 	if cache != nil {
-		if vals, ok := cache.get(r.name, idx); ok {
+		if f, ok := cache.get(r.name, idx); ok {
 			r.hits++
 			r.m.countCacheHit()
-			return vals, nil
+			return f, nil
 		}
 	}
 	off, nbytes := r.ix.offsets[idx], int(r.ix.offsets[idx+1]-r.ix.offsets[idx])
-	bufp := staging(nbytes)
-	defer seqBufPool.Put(bufp)
-	if err := r.m.readAt(OpRandRead, r.name, r.h, idx, *bufp, off); err != nil {
+	// The frame keeps the bytes, so they get an allocation of their own.
+	buf := make([]byte, nbytes)
+	if err := r.m.readAt(OpRandRead, r.name, r.h, idx, buf, off); err != nil {
 		return nil, err
 	}
-	// Decoded blocks are pinned by the search layer and shared with the
-	// cache, so each gets its own allocation rather than pooled staging.
-	out := make([]int64, r.ix.blockCount(idx))
-	if err := r.ix.decode(out, *bufp, idx); err != nil {
+	f, err := r.ix.frame(buf, idx)
+	if err != nil {
 		return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
 	}
 	r.reads++
@@ -312,8 +339,20 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 		// file can never grow (Create truncates), so a visible partial
 		// block is as immutable as a full one. Writing to the backend
 		// directly, bypassing this Manager, voids that guarantee.
-		cache.put(r.name, idx, out)
+		cache.put(r.name, idx, f)
 	}
+	return f, nil
+}
+
+// Block reads block idx and returns all its elements in a fresh slice: a
+// Frame and a whole-block decode.
+func (r *RandomReader) Block(idx int64) ([]int64, error) {
+	f, err := r.Frame(idx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, f.n)
+	f.Decode(out, 0, 0)
 	return out, nil
 }
 

@@ -58,3 +58,44 @@ func BenchmarkDecodeDelta(b *testing.B) {
 		}
 	}
 }
+
+var benchOffs []int32
+
+// BenchmarkColdProbe times the three costs of a cold probe on the partition
+// block: checking the frame and taking its checkpoints (scan), and decoding
+// the run of one 200-value summary gap from the checkpoint before it
+// (window), beside the whole-block decode a probe paid before (full).
+func BenchmarkColdProbe(b *testing.B) {
+	vals := benchFrames()[0].vals
+	buf := AppendDelta(nil, vals)
+	offs, err := ScanDelta(buf, len(vals), 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	from := len(vals) / 3
+	win := make([]int64, 200)
+	b.Run("scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if benchOffs, err = ScanDelta(buf, len(vals), 256); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("window", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			k := from / 256
+			off := int(offs[k]) + SkipDelta(buf[offs[k]:], from%256)
+			if _, err := DecodeDeltaFrom(win, buf[off:], vals[from-1]); err != nil || win[0] != vals[from] {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		dst := make([]int64, len(vals))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeDelta(dst, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

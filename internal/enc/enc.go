@@ -6,13 +6,16 @@
 // bounded, error-latching cursor core.DecodeShardSummary reads a shard
 // summary — a peer's reply or a cold-summary sidecar, one encoding — with.
 //
-// DecodeDelta is the one decoder of that encoding and the hot loop of every
-// cold block read. Its contract is binary.Varint's, element by element: it
+// DecodeDelta (DecodeDeltaFrom, resumed mid-frame) is the one decoder of that
+// encoding. Its contract is binary.Varint's, element by element: it
 // accepts and rejects exactly the byte strings a loop of binary.Varint calls
 // does (truncation, an eleventh byte, a tenth byte above 1; non-canonical
 // encodings such as 0x80 0x00 are accepted, as there) and returns the same
 // values, the same remainder and the same error. enc_test.go keeps that loop
-// as decodeDeltaRef and holds the two together.
+// as decodeDeltaRef and holds the two together. ScanDelta checks a whole
+// frame against the same contract without decoding it, and SkipDelta steps
+// over deltas, so a random block read checks its frame once and then decodes
+// (DecodeDeltaFrom) only the run a probe needs.
 package enc
 
 import (
@@ -42,15 +45,20 @@ func AppendDelta(buf []byte, vs []int64) []byte {
 // DecodeDelta decodes len(dst) delta-encoded elements from buf into dst and
 // returns the unconsumed remainder of buf. It fails if buf is truncated or a
 // varint is malformed.
+func DecodeDelta(dst []int64, buf []byte) (rest []byte, err error) {
+	return DecodeDeltaFrom(dst, buf, 0)
+}
+
+// DecodeDeltaFrom is DecodeDelta resumed inside a frame: buf starts at a
+// delta boundary and prev is the value of the element before it.
 //
 // While eight whole bytes remain, a delta of one or two bytes — a sorted
 // partition block is made of little else — is decoded without a branch on its
 // length, and one of three to eight bytes from a single 64-bit load; nine- and
 // ten-byte deltas, the only ones that can overflow, and the last seven bytes
 // of buf go through binary.Varint, which carries every check.
-func DecodeDelta(dst []int64, buf []byte) (rest []byte, err error) {
-	prev := int64(0) // every add below wraps; see AppendDelta
-	p := 0
+func DecodeDeltaFrom(dst []int64, buf []byte, prev int64) (rest []byte, err error) {
+	p := 0 // every add to prev below wraps; see AppendDelta
 	for i := range dst {
 		if uint(p)+7 < uint(len(buf)) {
 			b0, b1 := uint64(buf[p]), uint64(buf[p+1])
@@ -63,7 +71,7 @@ func DecodeDelta(dst []int64, buf []byte) (rest []byte, err error) {
 				continue
 			}
 			x := binary.LittleEndian.Uint64(buf[p:])
-			if stop := ^x & 0x8080808080808080; stop != 0 {
+			if stop := ^x & stopBits; stop != 0 {
 				k := bits.TrailingZeros64(stop) // top bit of the delta's last byte
 				x &= ^uint64(0) >> (63 - k)
 				// Close the gaps the continuation bits leave: 8 groups of 7
@@ -86,4 +94,92 @@ func DecodeDelta(dst []int64, buf []byte) (rest []byte, err error) {
 		dst[i] = prev
 	}
 	return buf[p:], nil
+}
+
+// stopBits holds the continuation bit of each byte of a 64-bit word; a byte
+// whose bit is clear ends a varint.
+const stopBits = 0x8080808080808080
+
+// overlong reports whether a varint whose last byte is b, behind run
+// continuation bytes, is one binary.Varint refuses: an eleventh byte, or a
+// tenth above 1.
+func overlong(run int, b byte) bool {
+	return run > MaxVarintLen64-1 || run == MaxVarintLen64-1 && b > 1
+}
+
+// ScanDelta checks that frame is exactly count deltas — it accepts what
+// DecodeDelta into count elements followed by a check for trailing bytes
+// accepts, and nothing else — without decoding one: it counts the bytes that
+// end a varint, eight at a time. On the way it records the byte offset of
+// every every-th delta (0, every, 2·every, …; every > 0): the checkpoints
+// SkipDelta starts from.
+func ScanDelta(frame []byte, count, every int) (offs []int32, err error) {
+	if count > 0 {
+		offs = make([]int32, (count+every-1)/every)
+	}
+	k, next := 1, every // offs[k] is the offset of delta next, recorded next
+	n, run, p := 0, 0, 0
+	for ; p+8 <= len(frame); p += 8 {
+		stop := ^binary.LittleEndian.Uint64(frame[p:]) & stopBits
+		if stop == 0 {
+			run += 8
+			continue
+		}
+		// Only the word's first varint end can follow nine or more
+		// continuation bytes; the rest follow at most six.
+		if first := bits.TrailingZeros64(stop) >> 3; run+first >= MaxVarintLen64-1 && overlong(run+first, frame[p+first]) {
+			return nil, fmt.Errorf("enc: bad varint at element %d", n)
+		}
+		c := bits.OnesCount64(stop)
+		for ; k < len(offs) && next <= n+c; k, next = k+1, next+every {
+			s := stop
+			for j := next - n; j > 1; j-- {
+				s &= s - 1
+			}
+			offs[k] = int32(p + bits.TrailingZeros64(s)>>3 + 1)
+		}
+		n += c
+		run = bits.LeadingZeros64(stop) >> 3
+	}
+	for ; p < len(frame); p++ {
+		if frame[p] >= 0x80 {
+			run++
+			continue
+		}
+		if overlong(run, frame[p]) {
+			return nil, fmt.Errorf("enc: bad varint at element %d", n)
+		}
+		if n, run = n+1, 0; k < len(offs) && n == next {
+			offs[k] = int32(p + 1)
+			k, next = k+1, next+every
+		}
+	}
+	if run != 0 || n != count {
+		return nil, fmt.Errorf("enc: frame of %d bytes holds %d whole deltas, want exactly %d", len(frame), n, count)
+	}
+	return offs, nil
+}
+
+// SkipDelta returns the byte offset in buf just past its first n deltas,
+// counting varint ends eight bytes at a time. buf must hold n whole deltas,
+// as a frame ScanDelta accepted does from any delta boundary.
+func SkipDelta(buf []byte, n int) int {
+	p := 0
+	for ; n > 0 && p+8 <= len(buf); p += 8 {
+		stop := ^binary.LittleEndian.Uint64(buf[p:]) & stopBits
+		if c := bits.OnesCount64(stop); c < n {
+			n -= c
+			continue
+		}
+		for ; n > 1; n-- {
+			stop &= stop - 1
+		}
+		return p + bits.TrailingZeros64(stop)>>3 + 1
+	}
+	for ; n > 0; p++ {
+		if buf[p] < 0x80 {
+			n--
+		}
+	}
+	return p
 }

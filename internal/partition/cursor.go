@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/disk"
 )
@@ -13,7 +14,12 @@ import (
 // [u, v]. The bracket is seeded from the partition summary (Summary.Bracket),
 // and SeekTo re-seeds it for each probe of the shared sweep.
 //
-// When the candidate range fits inside one disk block, the block is pinned
+// A block read returns a checked, undecoded disk.Frame, and a probe decodes
+// only the bracket's share of the block — one summary gap, not the block —
+// into one buffer the cursor reuses, starting at a block start or at the
+// seeded lo = Pos[i]+1 with the summary's Values[i] as its predecessor.
+//
+// When the candidate range fits inside one disk block, the frame is pinned
 // in memory and subsequent probes cost no I/O — the paper's §2.4
 // optimization. On columnar partitions the cursor additionally consults
 // each block's header min/max bounds before reading it: a probe value
@@ -25,9 +31,13 @@ type Cursor struct {
 	lo, hi  int64
 	lastIdx int64
 	pinning bool
-	pinIdx  int64 // block index of the pinned block
-	pinBase int64 // element index of the pinned block's first element
-	pinned  []int64
+	pinIdx  int64 // block index of the pinned frame
+	pinned  *disk.Frame
+	// win holds elements [winLo, winLo+len(win)), the last run a probe
+	// decoded; buf backs it from probe to probe.
+	win   []int64
+	winLo int64
+	buf   []int64
 }
 
 // NewCursor opens a cursor over the summarized partition for probe values
@@ -56,38 +66,60 @@ func (c *Cursor) CacheHits() int { return c.rr.CacheHits() }
 // header bounds without reading the block.
 func (c *Cursor) Skips() int { return c.rr.Skips() }
 
-// block reads block idx, counting the access, and pins it if pinning is
-// enabled.
-func (c *Cursor) block(idx int64) ([]int64, error) {
+// frame returns block idx: the pinned frame, or a read counted as one.
+func (c *Cursor) frame(idx int64) (*disk.Frame, error) {
 	if c.pinned != nil && idx == c.pinIdx {
 		return c.pinned, nil
 	}
-	return c.rr.Block(idx)
+	return c.rr.Frame(idx)
 }
 
-// pin caches a block so later probes in the same range are free.
-func (c *Cursor) pin(vals []int64, idx, base int64) {
+// pin keeps a frame so later probes in the same range are free.
+func (c *Cursor) pin(f *disk.Frame, idx int64) {
 	if c.pinning {
-		c.pinned = vals
-		c.pinIdx = idx
-		c.pinBase = base
+		c.pinned, c.pinIdx = f, idx
 	}
 }
 
-// boundaryWithin binary-searches for boundary(z) inside vals (covering
-// positions [base, base+len)), restricted to candidates [lo, hi].
-func boundaryWithin(vals []int64, base, z, lo, hi int64) int64 {
-	a := max(lo, base)
-	b := min(base+int64(len(vals)), hi)
-	for a < b {
-		m := (a + b) / 2
-		if vals[m-base] > z {
-			b = m
-		} else {
-			a = m + 1
-		}
+// run returns the bracket [lo, hi)'s share of block idx, whose frame is f,
+// and the element index it starts at. The last run decoded is reused when it
+// covers this one; otherwise the run is decoded into the cursor's buffer.
+func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64) {
+	base := c.rr.BlockStart(idx)
+	a, b := max(lo, base), min(hi, base+int64(f.Len()))
+	if a >= c.winLo && b <= c.winLo+int64(len(c.win)) {
+		return c.win[a-c.winLo : b-c.winLo], a
 	}
-	return a
+	// Rank moves lo only to block starts, so a run starts mid-block only at
+	// the seeded lo = Pos[i]+1, whose predecessor the summary holds.
+	prev, ok := c.summaryAt(a - 1)
+	if !ok && a > base {
+		panic(fmt.Sprintf("partition: bracket starts at element %d, which follows no summary entry", a))
+	}
+	if int64(cap(c.buf)) < b-a {
+		c.buf = make([]int64, b-a)
+	}
+	c.win, c.winLo = c.buf[:b-a], a
+	f.Decode(c.win, int(a-base), prev)
+	return c.win, a
+}
+
+// summaryAt returns the partition element at position pos when the summary
+// captured it.
+func (c *Cursor) summaryAt(pos int64) (int64, bool) {
+	s := c.sum
+	i := sort.Search(len(s.Pos), func(i int) bool { return s.Pos[i] >= pos })
+	if i == len(s.Pos) || s.Pos[i] != pos {
+		return 0, false
+	}
+	return s.Values[i], true
+}
+
+// settle answers a probe inside a run starting at element a: boundary(z) is
+// a plus the run's elements ≤ z.
+func (c *Cursor) settle(run []int64, a, z int64) int64 {
+	c.lastIdx = a + int64(sort.Search(len(run), func(i int) bool { return run[i] > z }))
+	return c.lastIdx
 }
 
 // skipByBounds resolves the probe of block idx against its header bounds,
@@ -120,67 +152,47 @@ func (c *Cursor) skipByBounds(idx, z, lo, hi int64) (int64, int64, bool) {
 // for z within the cursor's filter range. It performs O(log(blocks in
 // bracket)) random block reads, or none once the bracket is pinned — and on
 // columnar partitions, bisection steps whose block bounds exclude z cost
-// nothing.
+// nothing. Each block it reads, it decodes only the bracket's share of.
 func (c *Cursor) Rank(z int64) (int64, error) {
 	lo, hi := c.lo, c.hi
-	for {
-		if lo >= hi {
-			c.lastIdx = lo
-			return lo, nil
-		}
-		// Fully answerable from the pinned block?
-		if c.pinned != nil && lo >= c.pinBase && hi <= c.pinBase+int64(len(c.pinned)) {
-			b := boundaryWithin(c.pinned, c.pinBase, z, lo, hi)
-			c.lastIdx = b
-			return b, nil
+	for lo < hi {
+		// Fully answerable from the pinned frame?
+		if f := c.pinned; f != nil {
+			if base := c.rr.BlockStart(c.pinIdx); lo >= base && hi <= base+int64(f.Len()) {
+				run, a := c.run(f, c.pinIdx, lo, hi)
+				return c.settle(run, a, z), nil
+			}
 		}
 		loBlk := c.rr.ElementBlock(lo)
 		hiBlk := c.rr.ElementBlock(hi - 1)
-		if loBlk == hiBlk {
-			// The bracket sits inside one block. If the header bounds already
-			// decide every candidate, the answer is a bracket endpoint and
-			// the read is unnecessary.
-			if nlo, nhi, done := c.skipByBounds(loBlk, z, lo, hi); done {
-				// z below the block's minimum collapses the bracket to lo;
-				// z at or above its maximum collapses it to hi. The re-check
-				// at the top of the loop returns the collapsed point.
-				lo, hi = nlo, nhi
-				continue
-			}
-			vals, err := c.block(loBlk)
-			if err != nil {
-				return 0, err
-			}
-			base := c.rr.BlockStart(loBlk)
-			c.pin(vals, loBlk, base)
-			b := boundaryWithin(vals, base, z, lo, hi)
-			c.lastIdx = b
-			return b, nil
-		}
-		midBlk := (loBlk + hiBlk) / 2
-		if nlo, nhi, done := c.skipByBounds(midBlk, z, lo, hi); done {
+		// Bisect the blocks; when the bracket sits inside one, blk is it, and
+		// if its header bounds already decide every candidate the answer is
+		// a bracket endpoint and the read is unnecessary.
+		blk := (loBlk + hiBlk) / 2
+		if nlo, nhi, done := c.skipByBounds(blk, z, lo, hi); done {
 			lo, hi = nlo, nhi
 			continue
 		}
-		vals, err := c.block(midBlk)
+		f, err := c.frame(blk)
 		if err != nil {
 			return 0, err
 		}
-		base := c.rr.BlockStart(midBlk)
-		firstPos := max(base, lo)
-		lastPos := min(base+int64(len(vals))-1, hi-1)
+		if loBlk == hiBlk {
+			c.pin(f, blk)
+		}
+		run, a := c.run(f, blk, lo, hi)
 		switch {
-		case z < vals[firstPos-base]:
-			hi = firstPos
-		case z >= vals[lastPos-base]:
-			lo = lastPos + 1
+		case z < run[0]:
+			hi = a
+		case z >= run[len(run)-1]:
+			lo = a + int64(len(run))
 		default:
-			c.pin(vals, midBlk, base)
-			b := boundaryWithin(vals, base, z, lo, hi)
-			c.lastIdx = b
-			return b, nil
+			c.pin(f, blk)
+			return c.settle(run, a, z), nil
 		}
 	}
+	c.lastIdx = lo
+	return lo, nil
 }
 
 // LastBoundary returns the boundary index found by the most recent Rank
@@ -190,23 +202,42 @@ func (c *Cursor) LastBoundary() int64 { return c.lastIdx }
 // Count returns the number of elements in the underlying partition.
 func (c *Cursor) Count() int64 { return c.sum.Part.Count }
 
-// Element returns the partition element at index i, preferring the pinned
-// block; otherwise it costs one random block read.
+// Element returns the partition element at index i — after Rank, the
+// boundary's neighbours i = LastBoundary()-1 and LastBoundary(). It reads
+// block i unless that block is pinned, whichever source then answers: the
+// last decoded run, one decode past the run's end, the summary, or the
+// block's bounds (format 0 stores every element whole). It never decodes
+// from a block start to a mid-block element.
 func (c *Cursor) Element(i int64) (int64, error) {
 	if i < 0 || i >= c.sum.Part.Count {
 		return 0, fmt.Errorf("partition: element index %d out of [0,%d)", i, c.sum.Part.Count)
 	}
-	if c.pinned != nil && i >= c.pinBase && i < c.pinBase+int64(len(c.pinned)) {
-		return c.pinned[i-c.pinBase], nil
-	}
 	idx := c.rr.ElementBlock(i)
-	vals, err := c.block(idx)
+	f, err := c.frame(idx)
 	if err != nil {
 		return 0, err
 	}
-	base := c.rr.BlockStart(idx)
-	c.pin(vals, idx, base)
-	return vals[i-base], nil
+	c.pin(f, idx)
+	base, end := c.rr.BlockStart(idx), c.winLo+int64(len(c.win))
+	var v [1]int64
+	switch mn, mx, bounded := c.rr.BlockBounds(idx); {
+	case i >= c.winLo && i < end:
+		return c.win[i-c.winLo], nil
+	case i == end && end > base:
+		f.Decode(v[:], int(i-base), c.win[len(c.win)-1])
+		return v[0], nil
+	case !bounded:
+		f.Decode(v[:], int(i-base), 0)
+		return v[0], nil
+	case i == base:
+		return mn, nil
+	case i == base+int64(f.Len())-1:
+		return mx, nil
+	}
+	if v, ok := c.summaryAt(i); ok {
+		return v, nil
+	}
+	return 0, fmt.Errorf("partition: element %d is not next to the last probe's run", i)
 }
 
 // SeekTo re-seeds the bracket from the summary for a single probe value z,
@@ -214,7 +245,7 @@ func (c *Cursor) Element(i int64) (int64, error) {
 // multi-target sweep). Summary.Bracket(z, z) is the tightest
 // summary-derived bracket for z — at most one summary gap (≈ ε₁·count
 // elements) wide — so a seek never costs more than a freshly opened cursor
-// would. A pinned block is kept: if the new bracket lands inside it, the
+// would. A pinned frame is kept: if the new bracket lands inside it, the
 // probe is still free.
 func (c *Cursor) SeekTo(z int64) {
 	c.lo, c.hi = c.sum.Bracket(z, z)

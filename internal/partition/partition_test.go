@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -434,6 +435,105 @@ func TestCursorNarrowingAndPinning(t *testing.T) {
 	}
 	if cur.Reads() != lastReads {
 		t.Errorf("pinned probe still read: %d -> %d", lastReads, cur.Reads())
+	}
+}
+
+// TestCursorWindows holds the bracket-only decode to a brute-force scan. On
+// 64-byte blocks a summary gap (ε₁ = 0.25 of 400 values) covers several
+// blocks, so runs straddle two blocks and some brackets span three or more;
+// on 1 KB blocks many brackets lie inside one. For both formats, data with
+// and without heavy duplicates, pinning on and off and the device cache on
+// and off, every probe's Rank(z), Element(b-1) and Element(b) equal the
+// sorted data's, and a second probe whose bracket lies inside the pinned
+// frame reads nothing, from the backend or the cache.
+func TestCursorWindows(t *testing.T) {
+	for _, format := range []disk.BlockFormat{disk.FormatRaw, disk.FormatColumnar} {
+		for _, dups := range []bool{false, true} {
+			for _, pin := range []bool{true, false} {
+				for _, cache := range []int{0, 16} {
+					for _, bs := range []int{64, 1024} {
+						t.Run(fmt.Sprintf("%s/dups=%v/pin=%v/cache=%d/block=%d", format, dups, pin, cache, bs), func(t *testing.T) {
+							cursorWindows(t, bs, format, dups, pin, cache)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+func cursorWindows(t *testing.T, blockSize int, format disk.BlockFormat, dups, pin bool, cache int) {
+	dev, err := disk.NewManager(t.TempDir(), blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.SetBlockFormat(format); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetCache(cache)
+	s := newStore(t, dev, 3, 0.25)
+	rng := rand.New(rand.NewSource(29))
+	data := make([]int64, 400)
+	for i := range data {
+		if data[i] = rng.Int63n(1 << 20); dups {
+			data[i] = rng.Int63n(12) * 100
+		}
+	}
+	if _, err := s.AddBatch(data, 1); err != nil {
+		t.Fatal(err)
+	}
+	sorted := slices.Clone(data)
+	slices.Sort(sorted)
+	sum := s.Entries()[0]
+	cur, err := NewCursor(sum, 0, 0, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	element := func(i int64) {
+		t.Helper()
+		if e, err := cur.Element(i); err != nil || e != sorted[i] {
+			t.Fatalf("Element(%d) = %d, %v; want %d", i, e, err, sorted[i])
+		}
+	}
+	wide, repinned := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		z := sorted[rng.Intn(len(sorted))] + rng.Int63n(3) - 1
+		if trial%4 == 0 {
+			z = sorted[0] - 10 + rng.Int63n(sorted[len(sorted)-1]-sorted[0]+20)
+		}
+		cur.SeekTo(z)
+		if lo, hi := sum.Bracket(z, z); lo < hi && cur.rr.ElementBlock(hi-1)-cur.rr.ElementBlock(lo) >= 2 {
+			wide++
+		}
+		b, err := cur.Rank(z)
+		if want := int64(sort.Search(len(sorted), func(i int) bool { return sorted[i] > z })); err != nil || b != want {
+			t.Fatalf("Rank(%d) = %d, %v; want %d", z, b, err, want)
+		}
+		if f := cur.pinned; f != nil {
+			base := cur.rr.BlockStart(cur.pinIdx)
+			if lo, hi := sum.Bracket(z, z); lo >= base && hi <= base+int64(f.Len()) {
+				reads, hits := cur.Reads(), cur.CacheHits()
+				cur.SeekTo(z)
+				if again, err := cur.Rank(z); err != nil || again != b || cur.Reads() != reads || cur.CacheHits() != hits {
+					t.Fatalf("second probe of %d inside the pinned frame: %d, %v, reads %d -> %d, hits %d -> %d",
+						z, again, err, reads, cur.Reads(), hits, cur.CacheHits())
+				}
+				repinned++
+			}
+		}
+		if b > 0 {
+			element(b - 1)
+		}
+		if b < int64(len(sorted)) {
+			element(b)
+		}
+	}
+	if blockSize == 64 && wide == 0 {
+		t.Error("no bracket spanned three blocks")
+	}
+	if blockSize == 1024 && pin && repinned == 0 {
+		t.Error("no probe landed inside the pinned frame")
 	}
 }
 

@@ -6,9 +6,11 @@ import "fmt"
 // β₁ elements whose ranks within the partition are known exactly. Values[0]
 // is the partition minimum; Values[i] for i ≥ 1 is the element at rank
 // ⌈i·ε₁·η⌉ (position i·ε₁·η − 1 in the zero-based sorted order), clamped to
-// the last element. Pos records each value's zero-based position so queries
-// can jump straight to the right part of the file, exactly as the paper's
-// summaries carry "a pointer to the on-disk address".
+// the last element. Pos records each value's zero-based position, exactly as
+// the paper's summaries carry "a pointer to the on-disk address": a query's
+// bracket starts at Pos[i]+1, and a Cursor decodes its block from there with
+// Values[i] as the predecessor the delta encoding needs, so a probe costs one
+// summary gap, not a block.
 type Summary struct {
 	Part   *Partition
 	Values []int64
