@@ -313,13 +313,11 @@ func goldenIngest(t *testing.T, srv *server) {
 	send(&wire.Frame{Type: wire.TypeBatch, Seq: 1, StreamID: 1, Values: vals})
 	send(&wire.Frame{Type: wire.TypeBatch, Seq: 2, StreamID: 1, Values: vals})
 	send(&wire.Frame{Type: wire.TypeEndStep, Seq: 3, StreamID: 1})
-	send(&wire.Frame{Type: wire.TypeFlush, Seq: 3})
-	// The endstep ack confirms everything up to seq 3 is applied; the
-	// flush ack repeats it. Both must arrive before the snapshot.
-	for i := 0; i < 2; i++ {
-		if f, err := r.ReadFrame(); err != nil || f.Type != wire.TypeAck || f.Seq != 3 {
-			t.Fatalf("ack %d: %v %v", i, f, err)
-		}
+	send(&wire.Frame{Type: wire.TypePing, Seq: 1})
+	// The Pong confirms everything up to seq 3 is applied; it must arrive
+	// before the snapshot.
+	if f, err := r.ReadFrame(); err != nil || f.Type != wire.TypePong || f.Seq != 1 {
+		t.Fatalf("pong: %v %v", f, err)
 	}
 }
 

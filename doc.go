@@ -349,10 +349,11 @@
 // batches are delta-encoded zig-zag varints, and the public hsqclient
 // package is its batching SDK (Dial, Stream, Observe/ObserveSlice,
 // EndStep, Flush, Close). Batches and end-of-step markers are sequenced,
-// applied in order through the ObserveSlice fast path, and confirmed by a
-// Ping barrier the server answers only after applying everything written
-// before it; a reconnecting client resumes its session and replays only
-// unconfirmed frames, giving exactly-once application per server process.
+// applied in order through the ObserveSlice fast path, and confirmed only
+// by the server's Pong to a Ping, sent once everything written before the
+// Ping is applied. A reconnecting client resumes its session, replays the
+// frames its Welcome's marks do not cover and counts those they do delivered
+// at the first Pong: exactly-once application per server process.
 // The client's connection is internal/sender, the same sender the cluster's
 // relay channels use. Backpressure is explicit: a credit window bounds
 // frames in flight, the server applies each frame before reading the next,
@@ -382,11 +383,12 @@
 // reachable member acknowledged. A client whose node dies fails over to
 // another address (hsqclient.Dial accepts a comma-separated list), learns
 // per-stream applied high-water marks from the Welcome, replays only what
-// is missing, and counts what the Welcome reports applied delivered once
-// that node's relays of it are. Each relay channel is the client's own
-// sender (internal/sender) with the relay's give-up policy passed in; a
-// frame a channel cannot encode fails its waiter (the client connection is
-// errored) and is counted dropped, and the frames behind it proceed.
+// is missing, and counts what the Welcome reports applied delivered at the
+// first Pong, which waits for that node's relays of it. Each relay channel
+// is the client's own sender (internal/sender) with the relay's give-up
+// policy passed in; a frame a channel cannot encode fails its waiter (the
+// client connection is errored) and is counted dropped, and the frames
+// behind it proceed.
 //
 // Queries compose the same way the engine composes H and R: each shard
 // exports its in-memory state as a core.ShardSummary (the wire's

@@ -41,10 +41,10 @@
 //
 // On a broken connection the client redials (capped, jittered exponential
 // backoff) and resumes its session: the server's Welcome frame reports, per
-// stream, the highest frame sequence it has applied (a server too old to
-// report it per stream is refused); the client replays the frames above it
-// and counts those at or below it delivered once the server acknowledges a
-// Flush for them, which it gates as it gates a Pong. Sequenced frames
+// stream, the highest frame sequence it has applied; the client replays the
+// frames above it and counts those at or below it delivered at the new
+// connection's first Pong, which a cluster node sends only once it has
+// relayed them too. Sequenced frames
 // (batches, end-of-steps) are therefore applied exactly once and in order
 // per server process, even across reconnects. Elements still in a stream's
 // unsealed buffer are never lost either: they simply have not been sent

@@ -201,6 +201,51 @@ func TestSubscribeOversizePlan(t *testing.T) {
 	}
 }
 
+// TestSubscribeHugeWindowCount: a plan asking for 2^50 windows is refused
+// with a PlanError instead of the server preallocating its scopes, and the
+// same connection then ingests, and answers a windowed plan, as before.
+func TestSubscribeHugeWindowCount(t *testing.T) {
+	h := newPushHarness(t)
+	c, err := Dial(h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+
+	_, err = c.Subscribe(context.Background(),
+		[]byte(`{"streams":["api.a"],"phis":[0.5],"window":{"steps":1,"count":1125899906842624}}`))
+	var pe *PlanError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Message, "window count") {
+		t.Fatalf("got %v, want a *PlanError about the window count", err)
+	}
+
+	st := c.Stream("api.a")
+	for v := int64(1); v <= 100; v++ {
+		if err := st.Observe(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.EndStep(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Subscribe(context.Background(),
+		[]byte(`{"streams":["api.a"],"phis":[0.5],"window":{"steps":1,"count":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := waitUpdate(t, sub)
+	var res query.Result
+	if u.Err != nil || json.Unmarshal(u.Result, &res) != nil || len(res.Groups) != 1 || res.Groups[0].Windows[0].N != 100 {
+		t.Fatalf("windowed push = %s (err %v), want one window of 100 values", u.Result, u.Err)
+	}
+	if n := h.srv.Stats().TotalConns; n != 1 {
+		t.Fatalf("%d connections, want 1: the refused plan cost a reconnect", n)
+	}
+}
+
 // TestSubscribePushDuringIngest races continuous pushes against a hot
 // ingest loop — the -race exercise for the subscription registry, the
 // shared write path, and the EndStep notification hook.

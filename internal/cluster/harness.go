@@ -43,8 +43,6 @@ type HarnessConfig struct {
 	// cluster package defaults — usually too slow for tests).
 	DownAfter time.Duration
 	DownRetry time.Duration
-	// Window overrides the ingest credit window (0 = server default).
-	Window int
 	// Logf receives node-prefixed log lines when non-nil.
 	Logf func(format string, args ...any)
 }
@@ -104,7 +102,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 			return fail(err)
 		}
 		hn.Cluster = cl
-		hn.Server = ingest.New(ingest.Config{DB: db, Cluster: cl, Window: cfg.Window, Logf: logf})
+		hn.Server = ingest.New(ingest.Config{DB: db, Cluster: cl, Logf: logf})
 		go hn.Server.Serve(hn.ln) //nolint:errcheck
 	}
 	return h, nil

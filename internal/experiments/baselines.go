@@ -87,74 +87,73 @@ func qdigestEpsForBudget(budget int64, bits uint) float64 {
 
 // baselineResult reports one pure-streaming run.
 type baselineResult struct {
-	relErr     float64
-	sketchTime time.Duration // total insert time across the whole run
-	queryTime  time.Duration
-	memBytes   int64 // peak sketch memory
+	relErr    float64
+	queryTime time.Duration
 }
 
-// runGKBaseline feeds the entire dataset through one Greenwald-Khanna
-// sketch sized for the budget (the paper's strongest pure-streaming
-// competitor) and queries the target quantile.
-func runGKBaseline(ds *dataset, budget int64, n int64) (*baselineResult, error) {
-	eps := gkEpsForBudget(budget, n)
-	g, err := gk.New(eps)
-	if err != nil {
-		return nil, err
-	}
-	var res baselineResult
-	t0 := time.Now()
+// streamingSketch is what every pure-streaming competitor offers: insert
+// one element at a time, then answer a quantile.
+type streamingSketch interface {
+	Insert(v int64)
+	Quantile(phi float64) (int64, bool)
+}
+
+// runBaseline feeds the entire dataset through one sketch and queries the
+// target quantile: the one driver every pure-streaming competitor shares.
+func runBaseline(ds *dataset, name string, s streamingSketch) (*baselineResult, error) {
 	for _, b := range ds.batches {
 		for _, v := range b {
-			g.Insert(v)
+			s.Insert(v)
 		}
 	}
 	for _, v := range ds.stream {
-		g.Insert(v)
+		s.Insert(v)
 	}
-	res.sketchTime = time.Since(t0)
-	t0 = time.Now()
-	v, ok := g.Quantile(QueryPhi)
-	res.queryTime = time.Since(t0)
+	t0 := time.Now()
+	v, ok := s.Quantile(QueryPhi)
+	res := &baselineResult{queryTime: time.Since(t0)}
 	if !ok {
-		return nil, fmt.Errorf("experiments: GK query failed")
+		return nil, fmt.Errorf("experiments: %s query failed", name)
 	}
 	res.relErr = ds.orc.RelativeSpanError(QueryPhi, v)
-	res.memBytes = g.MaxMemoryBytes()
-	return &res, nil
+	return res, nil
+}
+
+// runGKBaseline runs one Greenwald-Khanna sketch sized for the budget (the
+// paper's strongest pure-streaming competitor).
+func runGKBaseline(ds *dataset, budget int64, n int64) (*baselineResult, error) {
+	g, err := gk.New(gkEpsForBudget(budget, n))
+	if err != nil {
+		return nil, err
+	}
+	return runBaseline(ds, "GK", g)
+}
+
+// checkedDigest keeps the first value a Q-Digest refused as outside its
+// universe.
+type checkedDigest struct {
+	*qdigest.Digest
+	err error
+}
+
+func (d *checkedDigest) Insert(v int64) {
+	if err := d.Digest.Insert(v); err != nil && d.err == nil {
+		d.err = err
+	}
 }
 
 // runQDigestBaseline is the Q-Digest pure-streaming competitor.
 func runQDigestBaseline(ds *dataset, budget int64) (*baselineResult, error) {
-	eps := qdigestEpsForBudget(budget, ds.bits)
-	d, err := qdigest.New(eps, ds.bits)
+	d, err := qdigest.New(qdigestEpsForBudget(budget, ds.bits), ds.bits)
 	if err != nil {
 		return nil, err
 	}
-	var res baselineResult
-	t0 := time.Now()
-	for _, b := range ds.batches {
-		for _, v := range b {
-			if err := d.Insert(v); err != nil {
-				return nil, err
-			}
-		}
+	cd := &checkedDigest{Digest: d}
+	res, err := runBaseline(ds, "QDigest", cd)
+	if cd.err != nil {
+		return nil, cd.err
 	}
-	for _, v := range ds.stream {
-		if err := d.Insert(v); err != nil {
-			return nil, err
-		}
-	}
-	res.sketchTime = time.Since(t0)
-	t0 = time.Now()
-	v, ok := d.Quantile(QueryPhi)
-	res.queryTime = time.Since(t0)
-	if !ok {
-		return nil, fmt.Errorf("experiments: QDigest query failed")
-	}
-	res.relErr = ds.orc.RelativeSpanError(QueryPhi, v)
-	res.memBytes = d.MaxMemoryBytes()
-	return &res, nil
+	return res, err
 }
 
 // runMRLBaseline is the MRL99-style multi-level buffer competitor
@@ -164,58 +163,16 @@ func runMRLBaseline(ds *dataset, budget int64, seed int64) (*baselineResult, err
 	if err != nil {
 		return nil, err
 	}
-	var res baselineResult
-	t0 := time.Now()
-	for _, b := range ds.batches {
-		for _, v := range b {
-			s.Insert(v)
-		}
-	}
-	for _, v := range ds.stream {
-		s.Insert(v)
-	}
-	res.sketchTime = time.Since(t0)
-	t0 = time.Now()
-	v, ok := s.Quantile(QueryPhi)
-	res.queryTime = time.Since(t0)
-	if !ok {
-		return nil, fmt.Errorf("experiments: MRL query failed")
-	}
-	res.relErr = ds.orc.RelativeSpanError(QueryPhi, v)
-	res.memBytes = s.MemoryBytes()
-	return &res, nil
+	return runBaseline(ds, "MRL", s)
 }
 
 // runSampleBaseline is the RANDOM subsampling competitor (ablation).
 func runSampleBaseline(ds *dataset, budget int64, seed int64) (*baselineResult, error) {
-	capacity := int(budget / 8)
-	if capacity < 2 {
-		capacity = 2
-	}
-	s, err := sample.New(capacity, seed)
+	s, err := sample.New(max(int(budget/8), 2), seed)
 	if err != nil {
 		return nil, err
 	}
-	var res baselineResult
-	t0 := time.Now()
-	for _, b := range ds.batches {
-		for _, v := range b {
-			s.Insert(v)
-		}
-	}
-	for _, v := range ds.stream {
-		s.Insert(v)
-	}
-	res.sketchTime = time.Since(t0)
-	t0 = time.Now()
-	v, ok := s.Quantile(QueryPhi)
-	res.queryTime = time.Since(t0)
-	if !ok {
-		return nil, fmt.Errorf("experiments: sample query failed")
-	}
-	res.relErr = ds.orc.RelativeSpanError(QueryPhi, v)
-	res.memBytes = s.MemoryBytes()
-	return &res, nil
+	return runBaseline(ds, "sample", s)
 }
 
 // --- warehouse loading for pure-streaming update-time comparison ------

@@ -6,17 +6,17 @@
 //
 // One goroutine per connection reads frames in order and applies each
 // before reading the next, so the server never buffers un-applied data:
-// the only queue is the kernel socket buffer, and the credit window
-// (acknowledged back to the client in wire.Ack frames) bounds how far a
-// client may run ahead. When a stream's EndStep blocks on maintenance
-// backpressure (Config.MaxPendingSteps), acks stop and the client's
-// credit drains — backpressure propagates to the producer instead of
-// accumulating server-side.
+// the only queue is the kernel socket buffer, and the credit window the
+// Welcome grants bounds how far a client may run ahead of its Pongs. The
+// Pong is the server's only confirmation. When a stream's EndStep blocks
+// on maintenance backpressure (MaxPendingSteps), the connection stops
+// reading, Pongs stop and the client's credit drains — backpressure
+// propagates to the producer instead of accumulating server-side.
 //
 // Sessions give reconnecting clients exactly-once delivery per server
 // process: each sequenced frame carries a client-assigned sequence
-// number, the session records the highest applied one, and the Welcome
-// frame replays that high-water mark so the client can discard
+// number, the session records the highest applied one per stream, and the
+// Welcome frame restates those marks so the client can discard
 // already-applied frames before re-sending the rest.
 package ingest
 
@@ -38,7 +38,7 @@ import (
 )
 
 // DefaultWindow is the credit window granted to clients: the number of
-// sequenced frames a client may have in flight (sent, unacknowledged).
+// sequenced frames a client may have in flight (written, no Pong yet).
 const DefaultWindow = 64
 
 // handshakeTimeout bounds how long a fresh connection may take to present
@@ -52,12 +52,12 @@ const DefaultSessionTTL = time.Hour
 // ClusterHook is what a sharded deployment plugs into the ingest server
 // (implemented by internal/cluster; nil for a single-node server).
 //
-// The contract that keeps acks honest across the cluster: every sequenced
-// frame the server processes is offered to Relay before the server may
-// acknowledge it, and every acknowledgement — a connection's Ack, its
-// relay-barrier Pong, or Write returning nil — is preceded by WaitRelayed,
-// so an acknowledged frame is applied on every reachable member of its
-// stream.
+// The contract that keeps confirmations honest across the cluster: every
+// sequenced frame the server processes is offered to Relay before the
+// server may confirm it, and every confirmation — a connection's Pong, for
+// the frames it read and its Welcome's floor, or Write returning nil — is
+// preceded by WaitRelayed, so a confirmed frame is applied on every
+// reachable member of its stream.
 type ClusterHook interface {
 	// Member reports whether this node stores stream (owner or follower).
 	Member(stream string) bool
@@ -78,8 +78,6 @@ type ClusterHook interface {
 type Config struct {
 	// DB is the database frames are applied to. Required.
 	DB *hsq.DB
-	// Window is the credit window; 0 means DefaultWindow.
-	Window int
 	// SessionTTL bounds how long a session with no live connection keeps
 	// its replay state; a client reconnecting later starts a fresh
 	// session (its unacknowledged frames would then be re-applied, so
@@ -98,7 +96,7 @@ type Config struct {
 	PushDebounce time.Duration
 	// Cluster, when non-nil, shards the server: frames for streams this
 	// node does not store are routed to the owning shard, applied frames
-	// are fanned to replica followers, and acks wait for both.
+	// are fanned to replica followers, and Pongs wait for both.
 	Cluster ClusterHook
 	// Logf, when non-nil, receives connection-level log lines.
 	Logf func(format string, args ...any)
@@ -109,7 +107,6 @@ type Config struct {
 // connection).
 type Server struct {
 	db           *hsq.DB
-	window       uint64
 	sessionTTL   time.Duration
 	idleTimeout  time.Duration
 	pushDebounce time.Duration
@@ -159,14 +156,12 @@ type Server struct {
 // session's frames can reach this node over different paths (directly,
 // routed via another node, fanned from the owner), and a conn-wide
 // high-water mark would wrongly dedup a stream whose frames took the
-// slower path. maxSeq is the maximum over all marks; it backs the Welcome
-// frame's legacy Seq field and the ack floor for fresh connections.
+// slower path.
 type session struct {
 	mu         sync.Mutex
 	streams    map[string]uint64 // stream name → highest applied seq
-	maxSeq     uint64
-	conn       *conn     // current owner, nil when detached or relay-fed
-	lastActive time.Time // last adopt/detach/apply; zero before first detach
+	conn       *conn             // current owner, nil when detached or relay-fed
+	lastActive time.Time         // last adopt/detach/apply; zero before first detach
 }
 
 // streamCounters is the cumulative per-stream ingest tally (across every
@@ -197,9 +192,9 @@ type conn struct {
 	nc      net.Conn
 	ctx     context.Context
 	cancel  context.CancelFunc
-	writeMu sync.Mutex // guards w: acks from the handler, errors from Shutdown
+	writeMu sync.Mutex // guards w: replies from the handler, pushes, errors from Shutdown
 	w       *wire.Writer
-	leaf    bool // apply-only relay target: no fan-out, no ack gating
+	leaf    bool // apply-only relay target: no fan-out, no Pong gating
 	relayIn bool // routed-relay target: applies and fans, never routes
 
 	streamsMu sync.Mutex
@@ -218,10 +213,6 @@ type conn struct {
 
 // New returns a Server over cfg.DB.
 func New(cfg Config) *Server {
-	w := cfg.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -240,7 +231,6 @@ func New(cfg Config) *Server {
 	return &Server{
 		origin:       "origin-" + hex.EncodeToString(tok[:]),
 		db:           cfg.DB,
-		window:       uint64(w),
 		sessionTTL:   ttl,
 		idleTimeout:  cfg.IdleTimeout,
 		pushDebounce: debounce,
@@ -377,11 +367,6 @@ func (s *Server) sendError(c *conn, code uint64, err error) error {
 	return err
 }
 
-// sendAck acknowledges everything up to seq and restates the window.
-func (s *Server) sendAck(c *conn, seq uint64) error {
-	return c.push(&wire.Frame{Type: wire.TypeAck, Seq: seq, Credit: s.window})
-}
-
 // handle runs the per-connection protocol: handshake, then the frame
 // apply loop. Frames are applied strictly in arrival order, each fully
 // applied before the next is read.
@@ -399,8 +384,8 @@ func (s *Server) handle(c *conn) error {
 	if hello.Type != wire.TypeHello {
 		return s.sendError(c, wire.ErrCodeProtocol, fmt.Errorf("first frame is %s, want hello", wire.TypeName(hello.Type)))
 	}
-	if hello.Version < wire.MinVersion || hello.Version > wire.Version {
-		return s.sendError(c, wire.ErrCodeProtocol, fmt.Errorf("protocol version %d, server speaks %d–%d", hello.Version, wire.MinVersion, wire.Version))
+	if hello.Version != wire.Version {
+		return s.sendError(c, wire.ErrCodeProtocol, fmt.Errorf("protocol version %d, server speaks %d", hello.Version, wire.Version))
 	}
 	if hello.Session == "" {
 		return s.sendError(c, wire.ErrCodeProtocol, errors.New("empty session token"))
@@ -414,47 +399,22 @@ func (s *Server) handle(c *conn) error {
 	sess := s.adoptSession(c, hello.Session)
 
 	// Welcome restates the session's applied marks so the client prunes
-	// its replay buffer, plus the credit window. v2 clients get per-stream
-	// marks; the legacy Seq field carries their maximum for v1.
+	// its replay buffer, plus the credit window. floor is their maximum:
+	// what the client prunes it never writes here, so every Pong covers it
+	// as well as the frames this connection has read.
 	sess.mu.Lock()
-	last := sess.maxSeq
-	var marks []wire.StreamSeq
-	if hello.Version >= 2 && len(sess.streams) > 0 {
-		marks = make([]wire.StreamSeq, 0, len(sess.streams))
-		for name, seq := range sess.streams {
-			marks = append(marks, wire.StreamSeq{Name: name, Seq: seq})
-		}
-		sort.Slice(marks, func(i, j int) bool { return marks[i].Name < marks[j].Name })
+	var floor uint64
+	marks := make([]wire.StreamSeq, 0, len(sess.streams))
+	for name, seq := range sess.streams {
+		marks = append(marks, wire.StreamSeq{Name: name, Seq: seq})
+		floor = max(floor, seq)
 	}
 	sess.mu.Unlock()
-	// c.lastSeq stays 0 here: it tracks frames processed on THIS
-	// connection, and acking the session floor up front could cover a
-	// replayed frame the client has written but this server never read.
-	// Flush replies ack the floor explicitly (see the TypeFlush case).
-	if err := c.push(&wire.Frame{Type: wire.TypeWelcome, Version: wire.Version, Seq: last, Credit: s.window, StreamSeqs: marks}); err != nil {
+	sort.Slice(marks, func(i, j int) bool { return marks[i].Name < marks[j].Name })
+	if err := c.push(&wire.Frame{Type: wire.TypeWelcome, Version: wire.Version, Credit: DefaultWindow, StreamSeqs: marks}); err != nil {
 		return fmt.Errorf("welcome: %w", err)
 	}
 
-	// Apply loop. sinceAck counts sequenced frames applied since the last
-	// ack; acking every window/4 keeps the client's credit replenished
-	// well before it runs dry while bounding ack chatter.
-	ackEvery := s.window / 4
-	if ackEvery == 0 {
-		ackEvery = 1
-	}
-	// gatedAck waits for the cluster to resolve every relayed frame of the
-	// session up to the ack sequence before acknowledging — the step that
-	// makes an ack mean "applied on every reachable member", not "applied
-	// here".
-	gatedAck := func(seq uint64) error {
-		if s.cluster != nil && !c.leaf {
-			if err := s.cluster.WaitRelayed(c.ctx, c.session, seq); err != nil {
-				return s.sendError(c, wire.ErrCodeStream, fmt.Errorf("relay: %w", err))
-			}
-		}
-		return s.sendAck(c, seq)
-	}
-	var sinceAck uint64
 	for {
 		if s.idleTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(s.idleTimeout)) //nolint:errcheck
@@ -480,46 +440,12 @@ func (s *Server) handle(c *conn) error {
 			if !applied {
 				s.dupFrames.Add(1)
 			}
-			sinceAck++
-			// EndStep is the frame producers wait on (it can carry
-			// backpressure); ack it immediately.
-			if sinceAck >= ackEvery || f.Type == wire.TypeEndStep {
-				if err := gatedAck(c.lastSeq.Load()); err != nil {
-					return err
-				}
-				sinceAck = 0
-			}
-		case wire.TypeFlush:
-			// Acking up to min(flush seq, session floor) covers frames the
-			// Welcome pruned — the case where a failed-over client has
-			// nothing left to send but still needs them confirmed, relayed
-			// included. internal/sender writes one Flush first on a
-			// connection, for its pruned frames alone, and reads the Ack
-			// for those only. A client built before the Ping barrier sends
-			// it once every allocated sequence number is written or was
-			// pruned, so the Ack never covers a frame this connection has
-			// not processed.
-			sess.mu.Lock()
-			floor := sess.maxSeq
-			sess.mu.Unlock()
-			seq := c.lastSeq.Load()
-			if f.Seq < floor {
-				floor = f.Seq
-			}
-			if floor > seq {
-				seq = floor
-			}
-			if err := gatedAck(seq); err != nil {
-				return err
-			}
-			sinceAck = 0
 		case wire.TypePing:
-			// The Pong is a processing barrier: everything read before the
-			// Ping has been applied — and, over a cluster, relayed. It is the
-			// delivery confirmation of internal/sender (hsqclient and the
-			// relay channels), so it must be gated exactly like an ack.
+			// The Pong is the delivery confirmation: everything read before
+			// the Ping, and everything the Welcome reported applied, is
+			// applied — and, over a cluster, relayed.
 			if s.cluster != nil && !c.leaf {
-				if err := s.cluster.WaitRelayed(c.ctx, c.session, c.lastSeq.Load()); err != nil {
+				if err := s.cluster.WaitRelayed(c.ctx, c.session, max(c.lastSeq.Load(), floor)); err != nil {
 					return s.sendError(c, wire.ErrCodeStream, fmt.Errorf("relay: %w", err))
 				}
 			}
@@ -637,12 +563,12 @@ func (s *Server) openStream(c *conn, f *wire.Frame) error {
 // connection's session (apply, then relay), and keeps the connection's own
 // tallies and processed-sequence cursor. It reports whether the frame was
 // newly applied — a replay at or below the session's mark for the stream is
-// acknowledged but not re-applied, and a frame routed onward (no local
-// member) counts as applied.
+// confirmed but not re-applied, and a frame routed onward (no local member)
+// counts as applied.
 //
 // Duplicates relay too — a replayed frame proves the client never saw its
-// ack, so a follower may have missed it the first time; the follower's own
-// marks squash the duplicate.
+// confirmation, so a follower may have missed it the first time; the
+// follower's own marks squash the duplicate.
 func (s *Server) applySequenced(c *conn, sess *session, f *wire.Frame) (bool, error) {
 	c.streamsMu.Lock()
 	b, ok := c.streams[f.StreamID]
@@ -677,7 +603,7 @@ func (s *Server) applySequenced(c *conn, sess *session, f *wire.Frame) (bool, er
 // whichever door it came through: the engine call, the aggregate and
 // per-stream tallies GET /ingest reports, and the continuous-query nudge
 // after an EndStep. ctx aborts an EndStep blocked on MaxPendingSteps
-// backpressure (for a connection that stall also stops its acks, draining
+// backpressure (for a connection that stall also stops its Pongs, draining
 // the client's credit — the propagation path).
 //
 // gate is the session a connection's frame arrived under, nil for Write.
@@ -709,7 +635,6 @@ func (s *Server) apply(ctx context.Context, gate *session, st *hsq.Stream, f *wi
 				gate.streams = make(map[string]uint64)
 			}
 			gate.streams[name] = f.Seq
-			gate.maxSeq = max(gate.maxSeq, f.Seq)
 		}
 		gate.mu.Unlock()
 	}
@@ -746,8 +671,8 @@ var (
 // body: a member of the stream (every node without a cluster) applies it and
 // fans it to the other members, a non-member routes it to the owning shard.
 // It returns the local stream and, for an EndStep, the step it closed; a nil
-// stream means the frame was routed. A nil error is an acknowledgement in
-// the ClusterHook sense: every reachable member has applied the frame.
+// stream means the frame was routed. A nil error is a confirmation in the
+// ClusterHook sense: every reachable member has applied the frame.
 //
 // On a cluster node the frame travels under the server's origin session. A
 // batch is cut with wire.SplitBatch, so no body size can produce a frame the
@@ -911,7 +836,7 @@ type Stats struct {
 // by connection ID; per-stream entries are cumulative since server start.
 func (s *Server) Stats() Stats {
 	out := Stats{
-		Window:     int(s.window),
+		Window:     DefaultWindow,
 		TotalConns: s.totalConns.Load(),
 		Frames:     s.frames.Load(),
 		Batches:    s.batches.Load(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func newTestDB(t *testing.T, opts hsq.Options) *hsq.DB {
 // against the protocol itself rather than against our own client. (A
 // net.Pipe would deadlock here: it has no buffering, and the protocol
 // legitimately has moments where both sides write — e.g. the server
-// pushing an unprompted ack while the client pushes the next batch.)
+// answering a Ping while the client pushes the next batch.)
 type rawConn struct {
 	t  *testing.T
 	nc net.Conn
@@ -95,6 +96,26 @@ func (rc *rawConn) recv() *wire.Frame {
 	return f
 }
 
+// quiet asserts the server writes nothing for d.
+func (rc *rawConn) quiet(d time.Duration) {
+	rc.t.Helper()
+	rc.nc.SetReadDeadline(time.Now().Add(d)) //nolint:errcheck
+	f, err := rc.r.ReadFrame()
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		rc.t.Fatalf("server wrote %v (err %v), want nothing for %v", f, err, d)
+	}
+}
+
+// ping sends a Ping and expects exactly its Pong back.
+func (rc *rawConn) ping(seq uint64) {
+	rc.t.Helper()
+	rc.send(&wire.Frame{Type: wire.TypePing, Seq: seq})
+	if f := rc.recv(); f.Type != wire.TypePong || f.Seq != seq {
+		rc.t.Fatalf("got %s, want Pong{seq=%d}", f, seq)
+	}
+}
+
 func (rc *rawConn) hello(session string) *wire.Frame {
 	rc.t.Helper()
 	rc.send(&wire.Frame{Type: wire.TypeHello, Version: wire.Version, Session: session})
@@ -106,27 +127,30 @@ func (rc *rawConn) hello(session string) *wire.Frame {
 }
 
 // TestHandshake pins the happy path: Hello → Welcome with the window and
-// a zero high-water mark for a fresh session.
+// no marks for a fresh session.
 func TestHandshake(t *testing.T) {
 	s := New(Config{DB: newTestDB(t, hsq.Options{})})
 	rc := dialRaw(t, s)
 	w := rc.hello("sess-1")
-	if w.Seq != 0 || w.Credit != DefaultWindow || w.Version != wire.Version {
-		t.Fatalf("welcome = %s, want lastSeq=0 credit=%d v%d", w, DefaultWindow, wire.Version)
+	if len(w.StreamSeqs) != 0 || w.Credit != DefaultWindow || w.Version != wire.Version {
+		t.Fatalf("welcome = %s, want no marks, credit=%d v%d", w, DefaultWindow, wire.Version)
 	}
 }
 
 // TestHandshakeRejections pins the error paths: wrong first frame,
-// version mismatch, empty session. Each must produce an Error frame with
-// the protocol code, then a closed connection.
+// version mismatch (a client of protocol 1 or 2 among them), empty
+// session. Each must produce an Error frame with the protocol code, then a
+// closed connection.
 func TestHandshakeRejections(t *testing.T) {
 	cases := []struct {
 		name  string
 		frame *wire.Frame
 		want  string
 	}{
-		{"not-hello", &wire.Frame{Type: wire.TypeFlush, Seq: 1}, "want hello"},
+		{"not-hello", &wire.Frame{Type: wire.TypePing, Seq: 1}, "want hello"},
 		{"bad-version", &wire.Frame{Type: wire.TypeHello, Version: 99, Session: "s"}, "version"},
+		{"v1-hello", &wire.Frame{Type: wire.TypeHello, Version: 1, Session: "s"}, "version 1"},
+		{"v2-hello", &wire.Frame{Type: wire.TypeHello, Version: 2, Session: "s", Flags: wire.HelloFlagRelay}, "version 2"},
 		{"empty-session", &wire.Frame{Type: wire.TypeHello, Version: wire.Version, Session: ""}, "session"},
 	}
 	for _, tc := range cases {
@@ -145,9 +169,11 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 }
 
-// TestApplyAndAck drives batches and an end-step through one connection
-// and checks the data landed in the DB and the ack is cumulative.
-func TestApplyAndAck(t *testing.T) {
+// TestApplyConfirmedByPong drives batches and an end-step through one
+// connection. The server confirms nothing unasked — no frame arrives until
+// a Ping, which gets exactly one Pong — and the data has landed in the DB
+// by then.
+func TestApplyConfirmedByPong(t *testing.T) {
 	db := newTestDB(t, hsq.Options{})
 	s := New(Config{DB: db})
 	rc := dialRaw(t, s)
@@ -157,11 +183,10 @@ func TestApplyAndAck(t *testing.T) {
 	rc.send(&wire.Frame{Type: wire.TypeBatch, Seq: 1, StreamID: 1, Values: []int64{1, 2, 3}})
 	rc.send(&wire.Frame{Type: wire.TypeBatch, Seq: 2, StreamID: 1, Values: []int64{4, 5}})
 	rc.send(&wire.Frame{Type: wire.TypeEndStep, Seq: 3, StreamID: 1})
+	rc.quiet(200 * time.Millisecond)
+	rc.ping(7)
+	rc.quiet(200 * time.Millisecond)
 
-	ack := rc.recv()
-	if ack.Type != wire.TypeAck || ack.Seq != 3 {
-		t.Fatalf("got %s, want ack seq=3", ack)
-	}
 	st, ok := db.Lookup("api.latency")
 	if !ok {
 		t.Fatal("stream not created")
@@ -193,26 +218,20 @@ func TestSessionResume(t *testing.T) {
 	rc1.hello("sess-r")
 	rc1.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: "a"})
 	rc1.send(&wire.Frame{Type: wire.TypeBatch, Seq: 1, StreamID: 1, Values: []int64{10, 20}})
-	rc1.send(&wire.Frame{Type: wire.TypeFlush})
-	if ack := rc1.recv(); ack.Seq != 1 {
-		t.Fatalf("first conn ack = %s, want seq=1", ack)
-	}
+	rc1.ping(1)
 	rc1.nc.Close() //nolint:errcheck
 
 	rc2 := dialRaw(t, s)
 	w := rc2.hello("sess-r")
-	if w.Seq != 1 {
-		t.Fatalf("resumed welcome lastSeq = %d, want 1", w.Seq)
+	if want := []wire.StreamSeq{{Name: "a", Seq: 1}}; !reflect.DeepEqual(w.StreamSeqs, want) {
+		t.Fatalf("resumed welcome marks = %v, want %v", w.StreamSeqs, want)
 	}
-	// Replay the already-applied frame (as a client that missed the ack
+	// Replay the already-applied frame (as a client that missed the Pong
 	// would), plus a new one.
 	rc2.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: "a"})
 	rc2.send(&wire.Frame{Type: wire.TypeBatch, Seq: 1, StreamID: 1, Values: []int64{10, 20}})
 	rc2.send(&wire.Frame{Type: wire.TypeBatch, Seq: 2, StreamID: 1, Values: []int64{30}})
-	rc2.send(&wire.Frame{Type: wire.TypeFlush})
-	if ack := rc2.recv(); ack.Seq != 2 {
-		t.Fatalf("ack = %s, want seq=2", ack)
-	}
+	rc2.ping(2)
 
 	st, _ := db.Lookup("a")
 	if n := st.StreamCount(); n != 3 {
@@ -265,22 +284,47 @@ func TestRebindStreamID(t *testing.T) {
 	}
 }
 
-// TestAckCadence checks the server acks at the window/4 cadence without
-// any Flush frames, so client credit is replenished before it drains.
-func TestAckCadence(t *testing.T) {
-	s := New(Config{DB: newTestDB(t, hsq.Options{}), Window: 8})
-	rc := dialRaw(t, s)
-	rc.hello("sess-c")
-	rc.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: "a"})
-	for i := 1; i <= 4; i++ {
-		rc.send(&wire.Frame{Type: wire.TypeBatch, Seq: uint64(i), StreamID: 1, Values: []int64{int64(i)}})
-	}
-	// window/4 = 2: two acks must arrive unprompted.
-	if ack := rc.recv(); ack.Type != wire.TypeAck || ack.Seq != 2 {
-		t.Fatalf("first ack = %s, want seq=2", ack)
-	}
-	if ack := rc.recv(); ack.Type != wire.TypeAck || ack.Seq != 4 {
-		t.Fatalf("second ack = %s, want seq=4", ack)
+// floorHook is a ClusterHook that relays nothing and records the sequence
+// numbers its WaitRelayed is asked for.
+type floorHook struct {
+	mu    sync.Mutex
+	waits []uint64
+}
+
+func (h *floorHook) Member(string) bool                            { return true }
+func (h *floorHook) Relay(string, string, *wire.Frame, bool) error { return nil }
+func (h *floorHook) WaitRelayed(_ context.Context, _ string, seq uint64) error {
+	h.mu.Lock()
+	h.waits = append(h.waits, seq)
+	h.mu.Unlock()
+	return nil
+}
+
+// TestPongWaitsOnWelcomeFloor: a Pong is gated on the cluster relays up to
+// max(frames read on the connection, the session floor its Welcome
+// reported), so a reconnected client's first Pong also confirms the frames
+// the Welcome pruned — before any frame is written on the new connection.
+func TestPongWaitsOnWelcomeFloor(t *testing.T) {
+	hook := &floorHook{}
+	s := New(Config{DB: newTestDB(t, hsq.Options{}), Cluster: hook})
+	rc1 := dialRaw(t, s)
+	rc1.hello("sess-f")
+	rc1.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: "a"})
+	rc1.send(&wire.Frame{Type: wire.TypeBatch, Seq: 4, StreamID: 1, Values: []int64{1}})
+	rc1.send(&wire.Frame{Type: wire.TypeEndStep, Seq: 5, StreamID: 1})
+	rc1.ping(1)
+	rc1.nc.Close() //nolint:errcheck
+
+	rc2 := dialRaw(t, s)
+	rc2.hello("sess-f")
+	rc2.ping(1)
+	rc2.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: "b"})
+	rc2.send(&wire.Frame{Type: wire.TypeBatch, Seq: 6, StreamID: 1, Values: []int64{2}})
+	rc2.ping(2)
+	hook.mu.Lock()
+	defer hook.mu.Unlock()
+	if want := []uint64{5, 5, 6}; !reflect.DeepEqual(hook.waits, want) {
+		t.Fatalf("WaitRelayed seqs = %v, want %v", hook.waits, want)
 	}
 }
 

@@ -56,7 +56,9 @@ type Plan struct {
 // time steps each, the i-th ending i·Slide steps before the evaluation end
 // (the newest sealed step, or AsOfStep). Slide = Steps is a tumbling
 // window series; Slide < Steps overlaps (sliding). Windows are evaluated
-// relative to each member stream's own step counter.
+// relative to each member stream's own step counter. A plan evaluates one
+// scoped summary per (member, window), so Count is capped at
+// MaxWindowCount; Validate refuses more.
 type WindowSpec struct {
 	// Steps is the window length in time steps (> 0).
 	Steps int `json:"steps"`
@@ -66,6 +68,10 @@ type WindowSpec struct {
 	// Count is the number of windows, newest first; 0 defaults to 1.
 	Count int `json:"count,omitempty"`
 }
+
+// MaxWindowCount bounds WindowSpec.Count: the scopes a plan expands to, and
+// the summary fetches per member it costs.
+const MaxWindowCount = 1024
 
 // Scope restricts a stream's summary to a step range. The zero Scope is
 // the full history including the live buffer.
@@ -185,6 +191,9 @@ func (p *Plan) Validate() error {
 		}
 		if w.Slide < 0 || w.Count < 0 {
 			return fmt.Errorf("query: window slide and count must be ≥ 0")
+		}
+		if w.Count > MaxWindowCount {
+			return fmt.Errorf("query: window count %d exceeds the limit of %d", w.Count, MaxWindowCount)
 		}
 	}
 	if len(p.Phis) == 0 {

@@ -5,15 +5,12 @@
 // within the credit window, replay of what was not confirmed on the next
 // connection, and jittered backoff.
 //
-// Delivery is confirmed by the Ping barrier: the server handles a
-// connection's frames in order and answers a Ping only once everything
-// before it is applied (and, on a cluster node, relayed). Cumulative acks
-// cannot serve, because a relay channel may legally carry an older sequence
-// number after a newer one of another stream. The one exception is the
-// frames a Welcome reports applied: a Ping on the new connection covers only
-// what is written there, so they stay pending until the Ack of a Flush for
-// the newest of them, which the server gates on the session's relays as it
-// gates a Pong.
+// Delivery is confirmed by the Ping barrier, the protocol's only
+// confirmation: the server handles a connection's frames in order and
+// answers a Ping only once everything before it, and everything its Welcome
+// reported applied, is applied (and, on a cluster node, relayed). So the
+// frames a Welcome prunes join the flight unwritten and resolve at the
+// connection's first Pong, like the frames written there.
 package sender
 
 import (
@@ -77,9 +74,7 @@ type Sender struct {
 	mu             sync.Mutex
 	cond           *sync.Cond
 	queue          []*Item // unwritten on the current connection
-	inflight       []*Item // sequenced, written, awaiting a Pong
-	pruned         []*Item // reported applied by the Welcome, awaiting the Flush's Ack
-	flushSeq       uint64  // the newest pruned sequence number
+	inflight       []*Item // sequenced, written or pruned by the Welcome, awaiting a Pong
 	nc             net.Conn
 	credit         int
 	pinged, ponged uint64 // the connection's newest Ping and Pong nonces
@@ -168,7 +163,7 @@ func (s *Sender) Wait(ctx context.Context, seq uint64) error {
 	covered := func(it *Item) bool { return it.sequenced() && it.F.Seq <= seq }
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for slices.ContainsFunc(s.pruned, covered) || slices.ContainsFunc(s.inflight, covered) || slices.ContainsFunc(s.queue, covered) {
+	for slices.ContainsFunc(s.inflight, covered) || slices.ContainsFunc(s.queue, covered) {
 		if err := s.Err(); err != nil {
 			return err
 		}
@@ -193,7 +188,7 @@ func (s *Sender) Wait(ctx context.Context, seq uint64) error {
 func (s *Sender) Stats() (pending, confirmed, dropped uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return uint64(len(s.queue) + len(s.inflight) + len(s.pruned)), s.confirmed, s.dropped
+	return uint64(len(s.queue) + len(s.inflight)), s.confirmed, s.dropped
 }
 
 // Err returns the terminal error, if any.
@@ -311,9 +306,10 @@ func (s *Sender) giveUp(err error) {
 }
 
 // connect dials the next address, sends Hello and reads the Welcome, under
-// the dial timeout; a v1 Welcome, with no per-stream marks to prune by, is
-// terminal. On success the queue is headed by the Connected frames, and
-// what the Welcome's marks report applied moves to the pruned set.
+// the dial timeout; a Welcome of another protocol version is terminal. On
+// success the queue is headed by the Connected frames, and what the
+// Welcome's marks report applied moves to the flight: the first Pong
+// confirms it.
 func (s *Sender) connect() (net.Conn, *wire.Reader, error) {
 	addr := s.cfg.Addrs[s.addr%len(s.cfg.Addrs)]
 	nc, err := (&net.Dialer{Timeout: s.cfg.DialTimeout}).DialContext(s.ctx, "tcp", addr)
@@ -337,8 +333,8 @@ func (s *Sender) connect() (net.Conn, *wire.Reader, error) {
 		err = s.serverError(w)
 	case w.Type != wire.TypeWelcome:
 		err = fmt.Errorf("unexpected %s frame", wire.TypeName(w.Type))
-	case w.Version < 2:
-		err = fmt.Errorf("server speaks protocol version %d, need 2", w.Version)
+	case w.Version != wire.Version:
+		err = fmt.Errorf("server speaks protocol version %d, need %d", w.Version, wire.Version)
 		s.stop(err)
 	}
 	if err != nil {
@@ -365,11 +361,9 @@ func (s *Sender) connect() (net.Conn, *wire.Reader, error) {
 	for _, f := range first {
 		q = append(q, &Item{F: f})
 	}
-	s.flushSeq = 0
 	for _, it := range s.queue {
 		if it.sequenced() && it.F.Seq <= marks[it.Stream] {
-			s.pruned = append(s.pruned, it)
-			s.flushSeq = max(s.flushSeq, it.F.Seq)
+			s.inflight = append(s.inflight, it)
 		} else {
 			q = append(q, it)
 		}
@@ -411,8 +405,8 @@ func (s *Sender) serve(nc net.Conn, r *wire.Reader) error {
 		it.barrier = 0
 	}
 	// A stream's pruned frames precede its others, so its order holds.
-	s.queue = slices.Concat(s.pruned, s.inflight, s.queue)
-	s.pruned, s.inflight = nil, nil
+	s.queue = slices.Concat(s.inflight, s.queue)
+	s.inflight = nil
 	s.mu.Unlock()
 	return err
 }
@@ -429,8 +423,7 @@ func (s *Sender) drop(nc net.Conn) {
 }
 
 // read consumes the server's frames until the connection fails. A Pong
-// confirms every frame written before its Ping; an Ack renews the credit
-// and, covering the Flush, confirms the pruned frames.
+// confirms every frame its Ping covers.
 func (s *Sender) read(r *wire.Reader) error {
 	for {
 		f, err := r.ReadFrame()
@@ -447,15 +440,6 @@ func (s *Sender) read(r *wire.Reader) error {
 			s.inflight = slices.Delete(s.inflight, 0, n)
 			s.ponged = f.Seq
 			s.confirmLocked(n)
-			s.mu.Unlock()
-		case wire.TypeAck:
-			s.mu.Lock()
-			s.credit = max(int(f.Credit), 1)
-			if len(s.pruned) > 0 && f.Seq >= s.flushSeq {
-				s.confirmLocked(len(s.pruned))
-				s.pruned = nil
-			}
-			s.cond.Broadcast()
 			s.mu.Unlock()
 		case wire.TypeError:
 			return s.serverError(f)
@@ -475,24 +459,16 @@ func (s *Sender) confirmLocked(n int) {
 	s.cond.Broadcast()
 }
 
-// write asks for the pruned frames' barrier, then hands bursts to nc until
-// it is retired: frames in order, at most a quarter of the credit window of
-// them sequenced per burst, none beyond the window, each followed by the
-// Ping pingDueLocked asks for. A write error sticks to bw; Flush reports it.
+// write hands bursts to nc until it is retired: frames in order, at most a
+// quarter of the credit window of them sequenced per burst, none beyond the
+// window, each followed by the Ping pingDueLocked asks for — the first one
+// at once when the Welcome pruned frames, with or without a burst. A write
+// error sticks to bw; Flush reports it.
 func (s *Sender) write(nc net.Conn) error {
 	bw := bufio.NewWriterSize(nc, 64<<10)
 	ids := make(map[string]uint64)
 	var buf, out []byte
 	var burst []*Item
-	s.mu.Lock()
-	flush := &wire.Frame{Type: wire.TypeFlush, Seq: s.flushSeq}
-	s.mu.Unlock()
-	if flush.Seq > 0 {
-		out, _ = wire.AppendFrame(nil, flush)
-		if _, err := nc.Write(out); err != nil {
-			return err
-		}
-	}
 	for {
 		s.mu.Lock()
 		for s.nc == nc && !s.pingDueLocked() && (len(s.queue) == 0 || s.queue[0].sequenced() && len(s.inflight) >= s.credit) {

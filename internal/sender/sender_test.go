@@ -55,8 +55,8 @@ type peer struct {
 	w  *wire.Writer
 }
 
-// accept takes the next connection and answers its Hello with a v2
-// Welcome granting credit and restating marks.
+// accept takes the next connection and answers its Hello with a Welcome
+// granting credit and restating marks.
 func (sc *script) accept(credit uint64, marks ...wire.StreamSeq) *peer {
 	sc.t.Helper()
 	var nc net.Conn
@@ -127,11 +127,11 @@ func recv(t *testing.T, ch <-chan error) error {
 	}
 }
 
-// TestAckIsNotConfirmation: the server applies A:10, acknowledges it
-// cumulatively and hangs up before reading B:5. A cumulative ack would
-// confirm B:5 too; the barrier scheme must replay B:5 on the next
-// connection and hold Wait(10) until B:5 is confirmed there.
-func TestAckIsNotConfirmation(t *testing.T) {
+// TestWelcomeMarkIsNotConfirmation: the server applies A:10 and hangs up
+// before reading B:5 or answering a Ping. The next Welcome's mark {A:10}
+// prunes A:10 but confirms nothing: both it and B:5, replayed, stay pending
+// until the new connection's first Pong, and then resolve together.
+func TestWelcomeMarkIsNotConfirmation(t *testing.T) {
 	sc := newScript(t)
 	s := sc.sender()
 	if err := s.Send(batch("A", 10), batch("B", 5)); err != nil {
@@ -142,40 +142,32 @@ func TestAckIsNotConfirmation(t *testing.T) {
 	p := sc.accept(64)
 	p.expect(wire.TypeOpenStream, 0, "A")
 	p.expect(wire.TypeBatch, 10, "")
-	p.send(&wire.Frame{Type: wire.TypeAck, Seq: 10, Credit: 64})
 	p.nc.Close() //nolint:errcheck
 
 	p = sc.accept(64, wire.StreamSeq{Name: "A", Seq: 10})
-	p.expectFlush(10)
 	p.expect(wire.TypeOpenStream, 0, "B")
 	p.expect(wire.TypeBatch, 5, "")
 	ping := p.expect(wire.TypePing, 0, "")
-	p.send(&wire.Frame{Type: wire.TypeAck, Seq: 10, Credit: 64}) // the Flush's: A:10 is confirmed
+	if pending, confirmed, _ := s.Stats(); pending != 2 || confirmed != 0 {
+		t.Fatalf("before the Pong: pending %d, confirmed %d; want 2 and 0", pending, confirmed)
+	}
 	select {
 	case err := <-waited:
-		t.Fatalf("Wait(10) returned %v before B:5 was confirmed", err)
+		t.Fatalf("Wait(10) returned %v before the first Pong", err)
 	default:
 	}
 	p.send(&wire.Frame{Type: wire.TypePong, Seq: ping.Seq})
 	if err := recv(t, waited); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// expectFlush reads the Flush a sender writes first on a connection whose
-// Welcome pruned frames, and checks it names the newest of them.
-func (p *peer) expectFlush(seq uint64) {
-	p.t.Helper()
-	if f := p.read(); f.Type != wire.TypeFlush || f.Seq != seq {
-		p.t.Fatalf("server read %v, want a Flush for seq %d", f, seq)
+	if pending, confirmed, _ := s.Stats(); pending != 0 || confirmed != 2 {
+		t.Fatalf("after the Pong: pending %d, confirmed %d; want 0 and 2", pending, confirmed)
 	}
 }
 
 // TestWelcomePrunesPerStream: marks {A:10} prune A's frames up to 10, which
-// are not written and count confirmed once the Ack of the Flush written for
-// them covers 10 — not before, since the Ping on the new connection covers
-// only what is written there. B's frames, below 10 but of another stream,
-// go out.
+// are not written; B's frames, below 10 but of another stream, go out. The
+// Ping after them covers both, so the first Pong confirms all four.
 func TestWelcomePrunesPerStream(t *testing.T) {
 	sc := newScript(t)
 	s := sc.sender()
@@ -183,30 +175,43 @@ func TestWelcomePrunesPerStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := sc.accept(64, wire.StreamSeq{Name: "A", Seq: 10})
-	p.expectFlush(10)
 	p.expect(wire.TypeOpenStream, 0, "A")
 	p.expect(wire.TypeBatch, 11, "")
 	p.expect(wire.TypeOpenStream, 0, "B")
 	p.expect(wire.TypeBatch, 3, "")
 	ping := p.expect(wire.TypePing, 0, "")
 	p.send(&wire.Frame{Type: wire.TypePong, Seq: ping.Seq})
-	if err := s.Wait(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if pending, confirmed, _ := s.Stats(); pending != 2 || confirmed != 2 {
-		t.Fatalf("after the Pong: pending %d, confirmed %d; want 2 (the pruned) and 2", pending, confirmed)
-	}
-	p.send(&wire.Frame{Type: wire.TypeAck, Seq: 10, Credit: 64})
 	if err := s.Wait(context.Background(), 11); err != nil {
 		t.Fatal(err)
 	}
 	if pending, confirmed, _ := s.Stats(); pending != 0 || confirmed != 4 {
-		t.Fatalf("after the Ack: pending %d, confirmed %d; want 0 and 4", pending, confirmed)
+		t.Fatalf("after the Pong: pending %d, confirmed %d; want 0 and 4", pending, confirmed)
 	}
 }
 
-// TestPrunedFramesReplayWithoutAck: the connection dies before the Flush's
-// Ack, and the next server (restarted, so its Welcome restates no marks)
+// TestPrunedAloneStillPings: when the Welcome prunes every queued frame the
+// sender has nothing to write, and still writes a Ping at once, because only
+// a Pong confirms the pruned frames.
+func TestPrunedAloneStillPings(t *testing.T) {
+	sc := newScript(t)
+	s := sc.sender()
+	if err := s.Send(batch("A", 1), batch("A", 2)); err != nil {
+		t.Fatal(err)
+	}
+	waited := waitAsync(s, 2)
+	p := sc.accept(64, wire.StreamSeq{Name: "A", Seq: 2})
+	ping := p.expect(wire.TypePing, 0, "")
+	if pending, confirmed, _ := s.Stats(); pending != 2 || confirmed != 0 {
+		t.Fatalf("before the Pong: pending %d, confirmed %d; want 2 and 0", pending, confirmed)
+	}
+	p.send(&wire.Frame{Type: wire.TypePong, Seq: ping.Seq})
+	if err := recv(t, waited); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrunedFramesReplayWithoutAck: the connection dies before its first
+// Pong, and the next server (restarted, so its Welcome restates no marks)
 // must get the pruned frames replayed, ahead of the stream's later ones.
 func TestPrunedFramesReplayWithoutAck(t *testing.T) {
 	sc := newScript(t)
@@ -216,9 +221,9 @@ func TestPrunedFramesReplayWithoutAck(t *testing.T) {
 	}
 	waited := waitAsync(s, 11)
 	p := sc.accept(64, wire.StreamSeq{Name: "A", Seq: 10})
-	p.expectFlush(10)
 	p.expect(wire.TypeOpenStream, 0, "A")
 	p.expect(wire.TypeBatch, 11, "")
+	p.expect(wire.TypePing, 0, "")
 	p.nc.Close() //nolint:errcheck
 
 	p = sc.accept(64)

@@ -6,39 +6,36 @@
 //
 // The client opens a TCP connection and sends a Hello frame (magic,
 // protocol version, session token). The server answers with a Welcome frame
-// carrying the highest sequence number it has already applied for that
-// session (0 for a new session) and the credit window. All further traffic
-// is frames: the client sends OpenStream, Batch, EndStep, Ping and Flush;
-// the server sends Ack, Pong and Error.
+// carrying the credit window and, per stream name, the highest sequence
+// number it has already applied for that session (none for a new session).
+// Ingest traffic is then frames: the client sends OpenStream, Batch,
+// EndStep and Ping; the server sends Pong and Error.
 //
 // # Sequencing, confirmation and credit
 //
 // Batch and EndStep frames are "sequenced": each carries a Seq the client
 // assigns, increasing per stream. The server applies sequenced frames in
 // order and answers a Ping with a Pong only once every frame read before it
-// is applied (on a cluster node: and relayed) — the delivery barrier both
-// senders in this repository use (hsqclient and the cluster's relay
-// channels, one internal/sender). Acks restate the credit window W: at most
-// W sequenced frames may be outstanding. When the server stalls (e.g.
-// EndStep blocked on maintenance backpressure), confirmations stop, the
-// sender exhausts its credit and blocks — explicit backpressure instead of
-// unbounded buffering on either side.
-//
-// An Ack with Seq = s also means every frame with Seq ≤ s read so far is
-// applied, which confirms delivery only for a client whose Seq rises across
-// streams; clients built before the Ping barrier rely on it, and on Flush,
-// which requests an immediate Ack. internal/sender writes one Flush per
-// connection, for the frames the Welcome reports applied. OpenStream and
-// Flush are not sequenced; OpenStream is idempotent (a sender binds its
+// on the connection is applied, and every frame the Welcome reported
+// applied is too. On a cluster node both are also relayed to the stream's
+// other reachable members. The Pong is the protocol's only delivery
+// confirmation; both senders in this repository (hsqclient and the
+// cluster's relay channels, one internal/sender) rely on it. The Welcome's
+// credit W bounds the sequenced frames a sender may have written and not
+// yet seen confirmed. When the server stalls (e.g. EndStep blocked on
+// maintenance backpressure), Pongs stop, the sender exhausts its credit and
+// blocks — explicit backpressure instead of unbounded buffering on either
+// side. OpenStream is not sequenced and is idempotent (a sender binds its
 // streams again on every connection).
 //
 // # Exactly-once replay
 //
 // A client that loses its connection reconnects with the same session
-// token. The Welcome's per-stream marks (LastSeq before version 2) tell it
-// which buffered frames the server already applied; it drops those and
-// replays the rest, so every sequenced frame is applied exactly once per
-// server process even across reconnects.
+// token. The Welcome's per-stream marks tell it which buffered frames the
+// server already applied; it drops those, replays the rest, and counts the
+// dropped ones delivered at the new connection's first Pong. Every
+// sequenced frame is therefore applied exactly once per server process,
+// even across reconnects.
 //
 // # Value encoding
 //
@@ -58,14 +55,12 @@
 // with payloads per type:
 //
 //	Hello       magic "HSQW" | version u8 | session: uvarint len + bytes
-//	            | [uvarint flags — v2, written only when nonzero]
-//	Welcome     version u8 | uvarint lastSeq | uvarint credit
-//	            | [uvarint count | count × (name: uvarint len + bytes | uvarint seq) — v2]
+//	            | [uvarint flags — written only when nonzero]
+//	Welcome     version u8 | uvarint credit
+//	            | uvarint count | count × (name: uvarint len + bytes | uvarint seq)
 //	OpenStream  uvarint streamID | name: uvarint len + bytes
 //	Batch       uvarint seq | uvarint streamID | uvarint count | values
 //	EndStep     uvarint seq | uvarint streamID
-//	Flush       uvarint seq (the newest seq the client wants acknowledged)
-//	Ack         uvarint seq | uvarint credit
 //	Error       uvarint code | message: uvarint len + bytes
 //	Ping        uvarint seq (opaque; echoed back)
 //	Pong        uvarint seq (echo of the Ping's seq)
@@ -94,14 +89,16 @@
 // pushes are not replayed across reconnects — the client re-subscribes and
 // the first new push is a fresh full evaluation.
 //
-// # Version 2
+// # Version 3
 //
-// Version 2 adds keepalive (Ping/Pong), summary fetch (SummaryReq/
-// SummaryResp), Hello flags marking relayed and leaf connections, a
-// Welcome extension restating the last applied sequence per stream name,
-// and the continuous-query frames (Subscribe/Unsubscribe/Push).
-// Extensions to v1 frames are appended as optional trailing fields, so a
-// v1 peer's frames decode unchanged; servers accept v1 and v2 Hellos.
+// Version 3 makes the Pong the only confirmation. The cumulative Ack
+// (type 0x07) and the Flush that requested one (0x06) are gone, and the
+// Welcome's single legacy high-water mark went with them; its per-stream
+// marks are no longer an optional trailer. Type codes 0x06 and 0x07 are
+// retired and never reused: DecodeFrame refuses them as unknown. A server
+// speaks exactly Version. An older client's Hello still decodes, since the
+// Hello layout is unchanged, and is refused with an ErrCodeProtocol Error
+// frame naming its version.
 package wire
 
 import (
@@ -118,13 +115,9 @@ import (
 // fresh connection is talking to the wrong client (or an HTTP request).
 const Magic = "HSQW"
 
-// Version is the newest protocol version this package speaks. Servers
-// accept any version in [MinVersion, Version] and answer with the version
-// they will speak on the connection.
-const Version = 2
-
-// MinVersion is the oldest protocol version still accepted.
-const MinVersion = 1
+// Version is the protocol version this package speaks. A server refuses
+// a Hello of any other version.
+const Version = 3
 
 // MaxFrameSize caps the payload length a Reader will accept, bounding the
 // memory a malformed (or hostile) length prefix can make the decoder
@@ -142,19 +135,17 @@ const (
 	TypeOpenStream  = 0x03 // client → server: bind a stream ID to a name
 	TypeBatch       = 0x04 // client → server: sequenced value batch
 	TypeEndStep     = 0x05 // client → server: sequenced end-of-step
-	TypeFlush       = 0x06 // client → server: request an immediate Ack
-	TypeAck         = 0x07 // server → client: cumulative ack + credit
 	TypeError       = 0x08 // server → client: terminal error
-	TypePing        = 0x09 // either direction: keepalive probe (v2)
-	TypePong        = 0x0A // either direction: keepalive echo (v2)
-	TypeSummaryReq  = 0x0B // client → server: request a stream's shard summary (v2)
-	TypeSummaryResp = 0x0C // server → client: encoded shard summary or error (v2)
-	TypeSubscribe   = 0x0D // client → server: register/renew a continuous query (v2)
-	TypeUnsubscribe = 0x0E // client → server: cancel a continuous query (v2)
-	TypePush        = 0x0F // server → client: continuous query result or per-sub error (v2)
+	TypePing        = 0x09 // client → server: delivery barrier and keepalive
+	TypePong        = 0x0A // server → client: the barrier's confirmation
+	TypeSummaryReq  = 0x0B // client → server: request a stream's shard summary
+	TypeSummaryResp = 0x0C // server → client: encoded shard summary or error
+	TypeSubscribe   = 0x0D // client → server: register/renew a continuous query
+	TypeUnsubscribe = 0x0E // client → server: cancel a continuous query
+	TypePush        = 0x0F // server → client: continuous query result or per-sub error
 )
 
-// Hello flags (v2). A plain client sends no flags; cluster-internal
+// Hello flags. A plain client sends no flags; cluster-internal
 // connections mark themselves so the receiver knows how far a frame may
 // travel.
 const (
@@ -183,7 +174,7 @@ const (
 // beyond the reader's limit.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// StreamSeq is one per-stream high-water-mark entry in a v2 Welcome: the
+// StreamSeq is one per-stream high-water-mark entry in a Welcome: the
 // newest applied sequence number for one stream name of the session.
 type StreamSeq struct {
 	Name string
@@ -199,16 +190,16 @@ type Frame struct {
 
 	Version    byte        // Hello, Welcome
 	Session    string      // Hello
-	Flags      uint64      // Hello (v2)
-	Seq        uint64      // Batch, EndStep, Flush, Ack, Ping, Pong, SummaryReq/Resp; Welcome's LastSeq; Push's per-sub counter
-	Credit     uint64      // Welcome, Ack; Subscribe's push budget
+	Flags      uint64      // Hello
+	Seq        uint64      // Batch, EndStep, Ping, Pong, SummaryReq/Resp; Push's per-sub counter
+	Credit     uint64      // Welcome; Subscribe's push budget
 	StreamID   uint64      // OpenStream, Batch, EndStep; the subscription ID for Subscribe/Unsubscribe/Push
 	Name       string      // OpenStream, SummaryReq
 	Values     []int64     // Batch
 	Code       uint64      // Error, SummaryResp, Push
 	Message    string      // Error, SummaryResp, Push
 	Data       []byte      // SummaryResp; Subscribe's JSON plan; Push's JSON result
-	StreamSeqs []StreamSeq // Welcome (v2)
+	StreamSeqs []StreamSeq // Welcome
 }
 
 func (f *Frame) String() string {
@@ -216,17 +207,13 @@ func (f *Frame) String() string {
 	case TypeHello:
 		return fmt.Sprintf("Hello{v%d session=%q flags=%#x}", f.Version, f.Session, f.Flags)
 	case TypeWelcome:
-		return fmt.Sprintf("Welcome{v%d lastSeq=%d credit=%d streams=%v}", f.Version, f.Seq, f.Credit, f.StreamSeqs)
+		return fmt.Sprintf("Welcome{v%d credit=%d streams=%v}", f.Version, f.Credit, f.StreamSeqs)
 	case TypeOpenStream:
 		return fmt.Sprintf("OpenStream{id=%d name=%q}", f.StreamID, f.Name)
 	case TypeBatch:
 		return fmt.Sprintf("Batch{seq=%d id=%d n=%d}", f.Seq, f.StreamID, len(f.Values))
 	case TypeEndStep:
 		return fmt.Sprintf("EndStep{seq=%d id=%d}", f.Seq, f.StreamID)
-	case TypeFlush:
-		return fmt.Sprintf("Flush{seq=%d}", f.Seq)
-	case TypeAck:
-		return fmt.Sprintf("Ack{seq=%d credit=%d}", f.Seq, f.Credit)
 	case TypeError:
 		return fmt.Sprintf("Error{code=%d %q}", f.Code, f.Message)
 	case TypePing:
@@ -279,22 +266,18 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 		payload = append(payload, Magic...)
 		payload = append(payload, f.Version)
 		payload = appendString(payload, f.Session)
-		// The flags field is a v2 trailing extension; omitting it when
-		// zero keeps v1-shaped Hellos byte-identical to version 1.
+		// The flags field is optional so that every version's Hello
+		// decodes, and an older client gets a refusal rather than a hang.
 		if f.Flags != 0 {
 			payload = binary.AppendUvarint(payload, f.Flags)
 		}
 	case TypeWelcome:
 		payload = append(payload, f.Version)
-		payload = binary.AppendUvarint(payload, f.Seq)
 		payload = binary.AppendUvarint(payload, f.Credit)
-		// Per-stream marks are a v2 trailing extension, same deal.
-		if len(f.StreamSeqs) > 0 {
-			payload = binary.AppendUvarint(payload, uint64(len(f.StreamSeqs)))
-			for _, ss := range f.StreamSeqs {
-				payload = appendString(payload, ss.Name)
-				payload = binary.AppendUvarint(payload, ss.Seq)
-			}
+		payload = binary.AppendUvarint(payload, uint64(len(f.StreamSeqs)))
+		for _, ss := range f.StreamSeqs {
+			payload = appendString(payload, ss.Name)
+			payload = binary.AppendUvarint(payload, ss.Seq)
 		}
 	case TypeOpenStream:
 		payload = binary.AppendUvarint(payload, f.StreamID)
@@ -307,11 +290,6 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	case TypeEndStep:
 		payload = binary.AppendUvarint(payload, f.Seq)
 		payload = binary.AppendUvarint(payload, f.StreamID)
-	case TypeFlush:
-		payload = binary.AppendUvarint(payload, f.Seq)
-	case TypeAck:
-		payload = binary.AppendUvarint(payload, f.Seq)
-		payload = binary.AppendUvarint(payload, f.Credit)
 	case TypeError:
 		payload = binary.AppendUvarint(payload, f.Code)
 		payload = appendString(payload, f.Message)
@@ -440,22 +418,17 @@ func DecodeFrame(typ byte, payload []byte) (*Frame, error) {
 		}
 		f.Version = d.Byte()
 		f.Session = d.String(MaxSessionLen)
-		if d.Len() > 0 { // v2 trailing flags
+		if d.Len() > 0 {
 			f.Flags = d.Uvarint()
 		}
 	case TypeWelcome:
 		f.Version = d.Byte()
-		f.Seq = d.Uvarint()
 		f.Credit = d.Uvarint()
-		if d.Len() > 0 { // v2 per-stream marks
-			// Each entry costs at least 2 bytes (empty name len + seq), so
-			// Count's one-byte-per-element bound holds before allocating.
-			count := d.Count()
-			f.StreamSeqs = make([]StreamSeq, 0, count)
-			for i := 0; i < count && d.Err() == nil; i++ {
-				name := d.String(MaxFrameSize)
-				f.StreamSeqs = append(f.StreamSeqs, StreamSeq{Name: name, Seq: d.Uvarint()})
-			}
+		// Each entry costs at least 2 bytes (empty name len + seq), so
+		// Count's one-byte-per-element bound holds before allocating.
+		for i, count := 0, d.Count(); i < count && d.Err() == nil; i++ {
+			name := d.String(MaxFrameSize)
+			f.StreamSeqs = append(f.StreamSeqs, StreamSeq{Name: name, Seq: d.Uvarint()})
 		}
 	case TypeOpenStream:
 		f.StreamID = d.Uvarint()
@@ -470,11 +443,6 @@ func DecodeFrame(typ byte, payload []byte) (*Frame, error) {
 	case TypeEndStep:
 		f.Seq = d.Uvarint()
 		f.StreamID = d.Uvarint()
-	case TypeFlush:
-		f.Seq = d.Uvarint()
-	case TypeAck:
-		f.Seq = d.Uvarint()
-		f.Credit = d.Uvarint()
 	case TypeError:
 		f.Code = d.Uvarint()
 		f.Message = d.String(MaxFrameSize)
@@ -525,10 +493,6 @@ func TypeName(typ byte) string {
 		return "batch"
 	case TypeEndStep:
 		return "end-step"
-	case TypeFlush:
-		return "flush"
-	case TypeAck:
-		return "ack"
 	case TypeError:
 		return "error"
 	case TypePing:

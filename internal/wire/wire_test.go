@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -18,9 +19,10 @@ func sampleFrames() []*Frame {
 		{Type: TypeHello, Version: 7, Session: ""},
 		{Type: TypeHello, Version: Version, Session: "relay-1", Flags: HelloFlagRelay},
 		{Type: TypeHello, Version: Version, Session: "leaf-9", Flags: HelloFlagRelay | HelloFlagLeaf},
-		{Type: TypeWelcome, Version: Version, Seq: 0, Credit: 64},
-		{Type: TypeWelcome, Version: Version, Seq: math.MaxUint64, Credit: 1},
-		{Type: TypeWelcome, Version: Version, Seq: 7, Credit: 64,
+		{Type: TypeWelcome, Version: Version, Credit: 64},
+		{Type: TypeWelcome, Version: Version, Credit: 1,
+			StreamSeqs: []StreamSeq{{Name: "", Seq: math.MaxUint64}}},
+		{Type: TypeWelcome, Version: Version, Credit: 64,
 			StreamSeqs: []StreamSeq{{Name: "api.latency", Seq: 7}, {Name: "db.rows", Seq: 3}}},
 		{Type: TypeOpenStream, StreamID: 0, Name: "api.latency"},
 		{Type: TypeOpenStream, StreamID: 1 << 40, Name: ""},
@@ -29,8 +31,8 @@ func sampleFrames() []*Frame {
 		{Type: TypeBatch, Seq: 3, StreamID: 9,
 			Values: []int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MaxInt64, math.MinInt64}},
 		{Type: TypeEndStep, Seq: 17, StreamID: 2},
-		{Type: TypeFlush, Seq: 99},
-		{Type: TypeAck, Seq: 42, Credit: 64},
+		{Type: TypeEndStep, Seq: math.MaxUint64, StreamID: 1 << 40},
+		{Type: TypeHello, Version: 1, Session: "before-v3"},
 		{Type: TypeError, Code: ErrCodeShutdown, Message: "server shutting down"},
 		{Type: TypeError, Code: ErrCodeProtocol, Message: ""},
 		{Type: TypePing, Seq: 5},
@@ -143,15 +145,16 @@ func TestDeltaEncodingIsCompact(t *testing.T) {
 }
 
 // TestDecodeRejects pins the decoder's defenses: trailing bytes, bad
-// magic, oversized declared lengths, unknown types, truncated payloads.
+// magic, oversized declared lengths, unknown types (the retired Flush and
+// Ack codes among them), truncated payloads.
 func TestDecodeRejects(t *testing.T) {
-	ok, err := AppendFrame(nil, &Frame{Type: TypeAck, Seq: 1, Credit: 2})
+	ok, err := AppendFrame(nil, &Frame{Type: TypeEndStep, Seq: 1, StreamID: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("trailing-bytes", func(t *testing.T) {
-		if _, err := DecodeFrame(TypeAck, append([]byte{1, 2}, 0xff)); err == nil {
+		if _, err := DecodeFrame(TypeEndStep, append([]byte{1, 2}, 0xff)); err == nil {
 			t.Error("trailing bytes accepted")
 		}
 	})
@@ -175,9 +178,12 @@ func TestDecodeRejects(t *testing.T) {
 		}
 	})
 	t.Run("unknown-type", func(t *testing.T) {
-		raw := append([]byte{0x7f}, ok[1:]...)
-		if _, err := NewReader(bytes.NewReader(raw)).ReadFrame(); err == nil {
-			t.Error("unknown type accepted")
+		for _, typ := range []byte{0x06, 0x07, 0x7f} {
+			raw := append([]byte{typ}, ok[1:]...)
+			_, err := NewReader(bytes.NewReader(raw)).ReadFrame()
+			if err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+				t.Errorf("type %#x: got %v, want an unknown-type error", typ, err)
+			}
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
