@@ -37,6 +37,11 @@
 // /ingest, pushed to subscribers and, in a cluster, replicated or routed
 // exactly as a wire write is.
 //
+// Limits: an observe body is at most 16 MiB (about 8.4 M values; a larger
+// one is a 413 and applies nothing), a POST /query plan at most 1 MiB (413),
+// and a stream name at most 255 bytes, one path component on every backend
+// (400, and the wire protocol's ErrCodeStream).
+//
 // With -ingest-addr, hsqd additionally listens for the binary wire
 // protocol (package hsqclient / internal/wire): length-prefixed frames
 // carrying delta-compressed value batches, with session-replay

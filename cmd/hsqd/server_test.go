@@ -154,6 +154,39 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestObserveLimits pins the two bounds of a REST observe: a stream name
+// over one path component is a 400, and a body one byte over maxObserveBody
+// is a 413 that applies none of its values; a body at the limit is taken.
+func TestObserveLimits(t *testing.T) {
+	ts := newTestServer(t)
+	post := func(url, body string) int {
+		t.Helper()
+		resp, err := http.Post(url, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(ts.URL+"/streams/"+strings.Repeat("n", 256)+"/observe", "1\n"); code != http.StatusBadRequest {
+		t.Errorf("256-byte stream name: status %d, want 400", code)
+	}
+	S := ts.URL + "/streams/lat"
+	postBody(t, S+"/observe", "1\n2\n")
+	// Two values padded with blank lines to exactly the limit, then one
+	// byte more.
+	atLimit := "5\n" + strings.Repeat("\n", maxObserveBody-3) + "6"
+	if code := post(S+"/observe", atLimit+"\n"); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body one byte over the limit: status %d, want 413", code)
+	}
+	if st, _ := getJSON(t, S+"/stats"); st["stream_count"] != float64(2) {
+		t.Errorf("stream_count = %v after a refused body, want 2", st["stream_count"])
+	}
+	if got := postBody(t, S+"/observe", atLimit); got["stream_count"] != float64(4) {
+		t.Errorf("body at the limit: stream_count = %v, want 4", got["stream_count"])
+	}
+}
+
 func TestServerResume(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := newServer(serverConfig{dir: dir, epsilon: 0.05, kappa: 3})

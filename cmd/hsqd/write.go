@@ -21,6 +21,11 @@ import (
 // applied, tallied, pushed to subscribers, replicated and routed exactly as
 // a wire write is.
 
+// maxObserveBody bounds one REST observe body: about 8.4 M newline-separated
+// values, or ~64 MB decoded. A larger batch is split across requests (or
+// sent over the wire protocol).
+const maxObserveBody = 16 << 20
+
 // parseValues reads an observe body into one slice. A body that starts with
 // '{' is a JSON object carrying "values":[...] and/or "value":v — so HTTP
 // producers can batch without speaking the binary protocol — anything else
@@ -35,7 +40,7 @@ func parseValues(body io.Reader) ([]int64, error) {
 		}
 		dec := json.NewDecoder(br)
 		if err := dec.Decode(&doc); err != nil {
-			return nil, fmt.Errorf("bad JSON body: %v", err)
+			return nil, fmt.Errorf("bad JSON body: %w", err)
 		}
 		// Trailing content after the object means a malformed (e.g.
 		// concatenated) body; dropping it silently would lose data.
@@ -64,7 +69,7 @@ func parseValues(body io.Reader) ([]int64, error) {
 		vals = append(vals, v)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("read body: %v", err)
+		return nil, fmt.Errorf("read body: %w", err)
 	}
 	return vals, nil
 }
@@ -105,10 +110,15 @@ func writeFailed(w http.ResponseWriter, err error, engineCode int) {
 // The reply carries "stream_count" when this node applied them and
 // "forwarded": true when it routed them to the owning shard; either way the
 // 200 is ack-gated like a wire client's — every reachable member applied
-// (or the transport declared the straggler down).
+// (or the transport declared the straggler down). A body over
+// maxObserveBody is refused with 413, and none of it is applied.
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	vals, err := parseValues(r.Body)
+	vals, err := parseValues(http.MaxBytesReader(w, r.Body, maxObserveBody))
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "observe body exceeds %d bytes", maxObserveBody)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -153,9 +153,16 @@ func (db *DB) collectUnregisteredStreams(registered map[string]bool) error {
 	return nil
 }
 
+// maxStreamNameLen bounds a stream name to one path component (NAME_MAX on
+// the file backend, where each stream is a directory), on every backend.
+const maxStreamNameLen = 255
+
 // ValidStreamName reports whether name can name a stream: one namespace
-// segment (letters, digits, '.', '_', '-'; no '/').
+// segment (letters, digits, '.', '_', '-'; no '/') of at most 255 bytes.
 func ValidStreamName(name string) error {
+	if len(name) > maxStreamNameLen {
+		return fmt.Errorf("hsq: stream name of %d bytes exceeds %d", len(name), maxStreamNameLen)
+	}
 	if strings.Contains(name, "/") {
 		return fmt.Errorf("hsq: stream name %q must not contain '/'", name)
 	}

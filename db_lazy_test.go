@@ -620,8 +620,10 @@ type churnModel struct {
 // directory equals the registered set, every surviving stream matches its
 // model exactly, and a reopen over the same device recovers the same
 // directory. Writers shard streams by ownership so each model is exact;
-// extra readers race Lookup/Quantile against drops and evictions. Replay a
-// failure with HSQ_PROP_SEED.
+// extra readers race Lookup/Quantile against drops and evictions. It runs
+// under sync maintenance and under async at the tightest backpressure, where
+// a background install and its commit race every eviction and drop. Replay
+// a failure with HSQ_PROP_SEED.
 func TestDirectoryChurn(t *testing.T) {
 	seed := int64(7)
 	if s := os.Getenv("HSQ_PROP_SEED"); s != "" {
@@ -631,6 +633,14 @@ func TestDirectoryChurn(t *testing.T) {
 		}
 		seed = v
 	}
+	for _, maxPending := range []int{0, 1} {
+		t.Run(fmt.Sprintf("max-pending=%d", maxPending), func(t *testing.T) { directoryChurn(t, seed, maxPending) })
+	}
+}
+
+// directoryChurn is one TestDirectoryChurn run; maxPending > 0 selects async
+// maintenance.
+func directoryChurn(t *testing.T, seed int64, maxPending int) {
 	const (
 		workers = 4
 		streams = 8
@@ -639,7 +649,7 @@ func TestDirectoryChurn(t *testing.T) {
 	inner := disk.NewMemBackend()
 	db, err := hsq.Open(hsq.Options{
 		Epsilon: 0.05, Kappa: 2, Device: inner, BlockSize: 512,
-		MaxHydratedStreams: 2,
+		MaxHydratedStreams: 2, MaxPendingSteps: maxPending,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -780,7 +790,7 @@ func TestDirectoryChurn(t *testing.T) {
 	// the engine's Close drops them by contract).
 	re, err := hsq.Open(hsq.Options{
 		Epsilon: 0.05, Kappa: 2, Device: inner, BlockSize: 512,
-		MaxHydratedStreams: 2,
+		MaxHydratedStreams: 2, MaxPendingSteps: maxPending,
 	})
 	if err != nil {
 		t.Fatalf("seed=%d: reopen: %v", seed, err)

@@ -219,6 +219,52 @@ func TestDBCheckpointRestart(t *testing.T) {
 	}
 }
 
+// TestStreamNameLimit bounds a stream name to one path component on every
+// backend: 256 bytes are refused by Stream and RegisterStreams before
+// anything is registered, and a 255-byte name works end to end on the file
+// backend, through a reopen.
+func TestStreamNameLimit(t *testing.T) {
+	opts := hsq.Options{Epsilon: 0.05, Dir: t.TempDir(), BlockSize: 1024}
+	db, err := hsq.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooLong := strings.Repeat("n", 256)
+	if _, err := db.Stream(tooLong); err == nil {
+		t.Error("Stream accepted a 256-byte name")
+	}
+	if err := db.RegisterStreams("ok", tooLong); err == nil {
+		t.Error("RegisterStreams accepted a 256-byte name")
+	}
+	if names := db.Streams(); len(names) != 0 {
+		t.Errorf("registered %v after refusals", names)
+	}
+	longest := strings.Repeat("m", 255)
+	st, err := db.Stream(longest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.ObserveSlice([]int64{5, 1, 4, 2, 3})
+	if _, err := st.EndStep(); err != nil {
+		t.Fatalf("EndStep on a 255-byte name: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	db, err = hsq.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	st, ok := db.Lookup(longest)
+	if !ok {
+		t.Fatal("255-byte stream lost across reopen")
+	}
+	if v, _, err := st.Quantile(0.5); err != nil || v != 3 || st.TotalCount() != 5 {
+		t.Errorf("reopened: median %d (%v), TotalCount %d; want 3, 5", v, err, st.TotalCount())
+	}
+}
+
 // TestOpenRejectsLegacyLayout: a root-level single-stream warehouse (root
 // MANIFEST.json and part files, no DB.json — the layout releases with a
 // standalone engine wrote) must not be silently shadowed by an empty DB.

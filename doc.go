@@ -224,21 +224,26 @@
 // # Concurrency model
 //
 // Reads are snapshot-isolated. The store's published state is a chain of
-// immutable versions (partition set + summaries); a query takes the engine
-// lock only long enough to pin the current version and capture the
-// memory-resident stream summaries, then runs its whole disk search outside
-// any lock. Files a merge supersedes are reclaimed only once no durable
+// immutable versions, and the current one is the stream's whole history:
+// the installed partitions with their summaries, then the sealed steps with
+// their frozen GK sketches. A query takes the engine lock only long enough
+// to pin the current version and capture the stream summaries (sealed steps
+// and live sketch), then runs its whole disk search outside any lock. Files a merge supersedes are reclaimed only once no durable
 // manifest references them AND the last query pinning an older version has
 // finished — so an in-flight query always reads a consistent, existing
 // layout, no matter what maintenance does behind it.
 //
-// EndStep is one pipeline in every maintenance mode: cut (the batch and GK
-// sketch leave the stream atomically), seal (the raw batch is spilled and
-// queued), install (external sort into a level-0 partition, cascading
-// κ-way merges), commit (data barrier, manifest, barrier). Until a step's
-// install is published, queries cover it through its frozen stream summary,
-// so answers always span the full observed history and neither Observe nor
-// a query waits for an install; the rank-error bound degrades gracefully to
+// EndStep is one pipeline in every maintenance mode: cut and seal (under
+// the engine lock, the batch and GK sketch leave the live step and become
+// the newest sealed step of the store's published version, with no I/O),
+// spill (the raw batch is written, outside every engine lock), install
+// (external sort into a level-0 partition, cascading κ-way merges), commit
+// (data barrier, manifest, barrier). The sealed step is held once, in that
+// version, so the counters (TotalCount, HistCount, Steps, MaintenanceStats)
+// and the answers agree from the cut on. Until a step's install is
+// published, queries cover it through its frozen stream summary, so answers
+// always span the full observed history and neither Observe nor a query
+// waits for a spill or an install; the rank-error bound degrades gracefully to
 // ε times the stream-side mass (live stream + sealed steps). The install is
 // one routine, and Options.Maintenance picks only who runs it:
 //

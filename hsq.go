@@ -257,13 +257,15 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // view of the shared device and owns that device and the scheduler; a Stream
 // handle pins the engine for each call. It is safe for concurrent use.
 //
-// Reads are snapshot-isolated: a query briefly takes the engine lock to pin
-// an immutable store version plus the frozen summaries of any
-// sealed-but-uninstalled steps, then runs its disk probes entirely outside
-// the lock — so queries proceed while background maintenance sorts and
-// merges behind them, and an in-flight query keeps the partition files of
-// its pinned version alive until it finishes. See the package docs'
-// "Concurrency model" for the full locking contract.
+// The stream's history — installed partitions, then sealed steps with their
+// frozen sketches — is the store's published partition.Version; the engine
+// holds only the live step. Reads are snapshot-isolated: a query briefly
+// takes the engine lock to pin that version beside the live sketch, then
+// runs its disk probes entirely outside the lock — so queries proceed while
+// background maintenance sorts and merges behind them, and an in-flight
+// query keeps the partition files of its pinned version alive until it
+// finishes. See the package docs' "Concurrency model" for the full locking
+// contract.
 type engine struct {
 	cfg   Options
 	eps1  float64
@@ -275,8 +277,8 @@ type engine struct {
 	// loadMu serializes the write path's step logic (EndStep, Close,
 	// Destroy) without blocking observes or queries.
 	loadMu sync.Mutex
-	// maintMu serializes store build mutations — installs and merges. Lock
-	// order: loadMu > maintMu > mu.
+	// maintMu serializes store build mutations — installs and merges — and
+	// a background install's commit. Lock order: loadMu > maintMu > mu.
 	maintMu sync.Mutex
 
 	// mu guards the fast in-memory state below. Queries hold it only long
@@ -285,8 +287,6 @@ type engine struct {
 	sketch   *gk.Sketch
 	spare    *gk.Sketch // empty, buffers grown: the next cut's live sketch
 	batch    []int64
-	sealed   []*sealedPiece
-	step     int
 	closed   bool
 	maintErr error
 	wake     chan struct{}
@@ -381,11 +381,10 @@ func newEngineOn(dev *disk.Manager, full Options, namespace string, resume bool)
 		dev: dev, store: store, sketch: sketch,
 		wake: make(chan struct{}),
 	}
-	e.step = store.Steps()
 	// Fold sealed-but-uninstalled steps from the recovered manifest back into
-	// partitions before serving: their frozen summaries died with the old
+	// partitions before serving: their frozen sketches died with the old
 	// process, so the spills are the only queryable form.
-	for store.PendingSteps() > 0 {
+	for len(store.Pending()) > 0 {
 		if _, err := e.runMaintenanceOnce(); err != nil {
 			return nil, fmt.Errorf("hsq: recover sealed step: %w", err)
 		}
@@ -431,11 +430,7 @@ func (e *engine) StreamCount() int64 {
 // HistCount returns n, the number of elements in the warehouse — installed
 // partitions plus steps sealed by EndStep and awaiting background
 // installation.
-func (e *engine) HistCount() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.store.TotalCount()
-}
+func (e *engine) HistCount() int64 { return e.store.TotalCount() }
 
 // TotalCount returns N = n + m.
 func (e *engine) TotalCount() int64 {
@@ -445,20 +440,16 @@ func (e *engine) TotalCount() int64 {
 }
 
 // Steps returns the number of completed time steps.
-func (e *engine) Steps() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.step
-}
+func (e *engine) Steps() int { return e.store.Steps() }
 
 // PartitionCount returns the number of live partitions in HD.
 func (e *engine) PartitionCount() int {
 	return e.store.PartitionCount()
 }
 
-// endStep is Stream.EndStepCtx on the pinned engine: cut, seal, install (by
-// whoever the maintenance mode names), commit. ctx aborts only the
-// backpressure wait.
+// endStep is Stream.EndStepCtx on the pinned engine: cut and seal, spill,
+// install (by whoever the maintenance mode names), commit. ctx aborts only
+// the backpressure wait.
 func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
@@ -480,30 +471,21 @@ func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 		e.mu.Unlock()
 		return UpdateStats{}, nil
 	}
-	data := e.batch
+	// The cut: the batch and its sketch leave the live step and join the
+	// store's published history in one move, so from here on every reader
+	// counts and answers the step alike.
+	sb := e.store.Seal(e.batch, e.sketch)
+	step := sb.Step
 	e.batch = nil
-	e.step++
-	step := e.step
-	piece := &sealedPiece{step: step, count: e.sketch.Count(), sketch: e.sketch}
 	e.sketch, e.spare = e.spare, nil
 	if e.sketch == nil {
-		e.sketch = gk.MustNew(piece.sketch.Epsilon())
+		e.sketch = gk.MustNew(e.eps2 / 2)
 	}
-	e.sealed = append(e.sealed, piece)
 	e.mu.Unlock()
 
-	us, sealedStep, err := e.store.Seal(data)
-	switch {
-	case err != nil:
+	us, err := e.store.Spill(sb)
+	if err != nil {
 		err = fmt.Errorf("hsq: seal step %d: %w", step, err)
-	case sealedStep != step:
-		err = fmt.Errorf("hsq: engine at step %d but store sealed step %d", step, sealedStep)
-	default:
-		// The spill is written, so nothing will read data again once the
-		// install has sorted its copy: the install may hand the buffer back.
-		e.mu.Lock()
-		piece.buf = data
-		e.mu.Unlock()
 	}
 
 	// The one thing the modes differ in: who drains the sealed queue.
@@ -512,11 +494,13 @@ func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 		// Oldest first, so a step whose install failed earlier is retried
 		// before this one; the stats left standing are this step's own
 		// (an install's breakdown starts from its seal's load phase).
-		for err == nil && e.store.PendingSteps() > 0 {
+		e.maintMu.Lock()
+		for err == nil && len(e.store.Pending()) > 0 {
 			if us, _, err = e.installOne(); err != nil {
 				err = fmt.Errorf("hsq: end step %d: %w", step, err)
 			}
 		}
+		e.maintMu.Unlock()
 	case MaintenanceAsync:
 		e.sched.enqueue(e)
 	}
@@ -546,7 +530,7 @@ func (e *engine) waitBackpressure(ctx context.Context) error {
 			e.mu.Unlock()
 			return maintFailed(err)
 		}
-		if len(e.sealed) < max {
+		if len(e.store.Pending()) < max {
 			e.mu.Unlock()
 			return nil
 		}
@@ -591,19 +575,17 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 }
 
 // querySnap is one snapshot-isolated view of the engine: an immutable,
-// pinned store version plus the memory-resident stream pieces (frozen
-// summaries of sealed steps awaiting installation, then the live sketch's
-// summary). Everything a query reads after the snapshot is immutable, so
-// the whole disk search runs without any engine lock; release returns the
-// pin so reclaimed partitions can be deleted.
+// pinned store version plus the memory-resident stream pieces (the frozen
+// summaries of the version's sealed steps, then the live sketch's summary).
+// Everything a query reads after the snapshot is immutable, so the whole
+// disk search runs without any engine lock; release returns the pin so
+// reclaimed partitions can be deleted.
 type querySnap struct {
 	ver    *partition.Version
 	memo   *partition.ProbeMemo // the version's; nil once scope narrows sums
 	sums   []*partition.Summary // installed partitions, oldest first
 	pieces []core.StreamPiece
-	sealed int   // number of sealed (pending-install) pieces, oldest first
-	m      int64 // live stream count
-	n      int64 // grand total across version, sealed pieces and stream
+	n      int64 // grand total across version and live stream
 }
 
 func (s *querySnap) release() { s.ver.Release() }
@@ -617,30 +599,24 @@ func (e *engine) snapshot() (*querySnap, error) {
 		return nil, ErrClosed
 	}
 	s := &querySnap{ver: e.store.Pin()}
-	s.sums, s.memo = s.ver.Entries(), s.ver.Memo()
-	s.n = s.ver.TotalCount()
-	s.pieces = make([]core.StreamPiece, 0, len(e.sealed)+1)
-	// Only pieces the pinned version has not installed yet: an install
-	// publishes its version before the engine retires the frozen summary,
-	// and filtering on the version's own step count keeps the snapshot
-	// exact under every interleaving — a step is covered by its partition
-	// or its frozen summary, never both.
-	installed := s.ver.InstalledSteps()
-	for _, p := range e.sealed {
-		if p.step <= installed {
-			continue
-		}
-		s.pieces = append(s.pieces, core.StreamPiece{SS: p.summary(e.eps2), M: p.count})
-		s.n += p.count
+	s.sums, s.memo, s.n = s.ver.Entries(), s.ver.Memo(), s.ver.TotalCount()
+	// One version covers each step once: by its partition or, sealed, by its
+	// frozen sketch. The sketch's summary is extracted under this lock, the
+	// one the install's buffer recycling takes.
+	pending := s.ver.Pending()
+	s.pieces = make([]core.StreamPiece, 0, len(pending)+1)
+	for _, sb := range pending {
+		s.pieces = append(s.pieces, core.StreamPiece{SS: sb.Summary(e.streamSummary), M: sb.Count})
 	}
-	s.sealed = len(s.pieces)
-	s.m = e.sketch.Count()
-	if s.m > 0 {
-		s.pieces = append(s.pieces, core.StreamPiece{SS: core.StreamSummary(e.sketch, e.eps2), M: s.m})
-		s.n += s.m
+	if m := e.sketch.Count(); m > 0 {
+		s.pieces = append(s.pieces, core.StreamPiece{SS: e.streamSummary(e.sketch), M: m})
+		s.n += m
 	}
 	return s, nil
 }
+
+// streamSummary extracts a GK sketch's stream summary at the engine's ε₂.
+func (e *engine) streamSummary(g *gk.Sketch) []int64 { return core.StreamSummary(g, e.eps2) }
 
 // Query is Stream.Query on the pinned engine — the package's single read
 // path. It pins one snapshot, selects the scope (full history or a
@@ -766,10 +742,9 @@ func (e *engine) MemoryUsage() MemoryUsage {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var pendingBytes int64
-	for _, p := range e.sealed {
-		pendingBytes += p.sketch.MemoryBytes()
+	for _, sb := range e.store.Pending() {
+		pendingBytes += sb.MemoryBytes()
 	}
-	pendingBytes += e.store.PendingBytes()
 	return MemoryUsage{
 		HistBytes:       e.store.MemoryBytes(),
 		StreamBytes:     e.sketch.MemoryBytes(),
@@ -840,7 +815,6 @@ func (e *engine) Destroy() error {
 	defer e.maintMu.Unlock()
 	e.mu.Lock()
 	e.closed = true
-	e.sealed = nil
 	e.wakeLocked()
 	e.mu.Unlock()
 	// Queries that pinned a version before we closed may still be probing

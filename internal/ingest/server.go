@@ -138,9 +138,6 @@ type Server struct {
 
 	totalConns atomic.Uint64
 	frames     atomic.Uint64
-	batches    atomic.Uint64
-	values     atomic.Uint64
-	endSteps   atomic.Uint64
 	dupFrames  atomic.Uint64
 	errCount   atomic.Uint64
 	subscribes atomic.Uint64
@@ -165,7 +162,8 @@ type session struct {
 }
 
 // streamCounters is the cumulative per-stream ingest tally (across every
-// write door, connection and session).
+// write door, connection and session). Entries are never removed, so the
+// server's totals are their sums.
 type streamCounters struct {
 	batches  atomic.Uint64
 	values   atomic.Uint64
@@ -643,13 +641,9 @@ func (s *Server) apply(ctx context.Context, gate *session, st *hsq.Stream, f *wi
 	}
 	sc := s.streamCounters(name)
 	if f.Type == wire.TypeBatch {
-		n := uint64(len(f.Values))
-		s.batches.Add(1)
-		s.values.Add(n)
 		sc.batches.Add(1)
-		sc.values.Add(n)
+		sc.values.Add(uint64(len(f.Values)))
 	} else {
-		s.endSteps.Add(1)
 		sc.endSteps.Add(1)
 		s.notifySubscribers(name)
 	}
@@ -839,9 +833,6 @@ func (s *Server) Stats() Stats {
 		Window:     DefaultWindow,
 		TotalConns: s.totalConns.Load(),
 		Frames:     s.frames.Load(),
-		Batches:    s.batches.Load(),
-		Values:     s.values.Load(),
-		EndSteps:   s.endSteps.Load(),
 		DupFrames:  s.dupFrames.Load(),
 		Errors:     s.errCount.Load(),
 		Subscribes: s.subscribes.Load(),
@@ -853,7 +844,11 @@ func (s *Server) Stats() Stats {
 	out.ActiveConns = len(s.conns)
 	out.Sessions = len(s.sessions)
 	for name, sc := range s.streams {
-		out.Streams[name] = sc.stats()
+		st := sc.stats()
+		out.Streams[name] = st
+		out.Batches += st.Batches
+		out.Values += st.Values
+		out.EndSteps += st.EndSteps
 	}
 	for _, c := range s.conns {
 		c.streamsMu.Lock()

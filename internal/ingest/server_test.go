@@ -266,6 +266,23 @@ func TestInvalidStreamName(t *testing.T) {
 	}
 }
 
+// TestStreamNameTooLong pins that a name over one path component (256
+// bytes) is refused at OpenStream, before the DB registers it.
+func TestStreamNameTooLong(t *testing.T) {
+	db := newTestDB(t, hsq.Options{})
+	s := New(Config{DB: db})
+	rc := dialRaw(t, s)
+	rc.hello("sess-l")
+	rc.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: strings.Repeat("n", 256)})
+	f := rc.recv()
+	if f.Type != wire.TypeError || f.Code != wire.ErrCodeStream {
+		t.Fatalf("got %s, want stream error", f)
+	}
+	if names := db.Streams(); len(names) != 0 {
+		t.Fatalf("registered %d stream(s) after a refused OpenStream", len(names))
+	}
+}
+
 // TestRebindStreamID pins that re-binding an ID to a different name is a
 // protocol-level error (silent rebinding would mis-route batches).
 func TestRebindStreamID(t *testing.T) {

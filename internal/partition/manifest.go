@@ -58,7 +58,7 @@ func (s *Store) manifestSnapshotLocked() (Manifest, int64) {
 		Kappa:     s.cfg.Kappa,
 		Eps1:      s.cfg.Eps1,
 		NextID:    s.nextID,
-		Steps:     s.cur.installed,
+		Steps:     s.cur.InstalledSteps(),
 	}
 	for _, e := range s.cur.entries {
 		m.Parts = append(m.Parts, ManifestEntry{
@@ -70,7 +70,7 @@ func (s *Store) manifestSnapshotLocked() (Manifest, int64) {
 			Name:      e.Part.name,
 		})
 	}
-	for _, sb := range s.pending {
+	for _, sb := range s.cur.pending {
 		if sb.Name == "" {
 			break
 		}
@@ -195,7 +195,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	if m.Kappa != cfg.Kappa {
 		return nil, fmt.Errorf("partition: manifest kappa %d != config kappa %d", m.Kappa, cfg.Kappa)
 	}
-	s := &Store{dev: dev, mdev: dev.MaintTagged(), cfg: cfg, beta1: cfg.Beta1(), nextID: m.NextID, steps: m.Steps}
+	s := &Store{dev: dev, mdev: dev.MaintTagged(), cfg: cfg, beta1: cfg.Beta1(), nextID: m.NextID}
 	ents := make([]*Summary, 0, len(m.Parts))
 	for _, pe := range m.Parts {
 		p := &Partition{
@@ -216,25 +216,27 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	// The store's one list is oldest first, whatever order the manifest
 	// lists the partitions in.
 	slices.SortFunc(ents, func(a, b *Summary) int { return a.Part.StartStep - b.Part.StartStep })
-	for _, sb := range m.Pending {
+	pending := make([]*SealedBatch, 0, len(m.Pending))
+	for i := range m.Pending {
+		sb := &m.Pending[i]
 		if sb.Name == "" {
 			return nil, fmt.Errorf("partition: manifest pending step %d has no spill", sb.Step)
 		}
-		s.pending = append(s.pending, &SealedBatch{ID: sb.ID, Name: sb.Name, Count: sb.Count, Step: sb.Step})
+		pending = append(pending, &SealedBatch{ID: sb.ID, Name: sb.Name, Count: sb.Count, Step: sb.Step})
 	}
-	// Publish the recovered state as the initial version; the manifest we
-	// just read is by definition committed.
+	// Publish the recovered state as the initial version (no other goroutine
+	// has the store yet); the manifest we just read is by definition
+	// committed.
 	s.cur = &Version{store: s, seq: 0, refs: 1}
 	s.live = []*Version{s.cur}
-	v := s.publish(ents, nil, false)
-	s.committedSeq = v.seq
+	s.committedSeq = s.publishLocked(ents, pending, s.newMemo()).seq
 
 	keep := make(map[string]bool, len(m.Parts)+len(m.Pending)+1)
 	keep[manifestName] = true
 	for _, pe := range m.Parts {
 		keep[pe.Name] = true
 	}
-	for _, sb := range m.Pending {
+	for _, sb := range pending {
 		keep[sb.Name] = true
 	}
 	if _, err := CollectOrphans(dev, keep); err != nil {

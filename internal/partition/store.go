@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/extsort"
+	"repro/internal/gk"
 )
 
 // Config parametrizes a Store.
@@ -63,7 +64,7 @@ func (c Config) Beta1() int {
 // UpdateBreakdown reports where one time step's update spent its time and
 // I/O, split into the paper's four phases (Figure 6/7): loading the raw
 // batch (the seal's spill), sorting it into a level-0 partition, merging
-// overflowing levels, and summary maintenance. Seal fills the load phase and
+// overflowing levels, and summary maintenance. Spill fills the load phase and
 // BatchSize; InstallOne returns the step's whole breakdown.
 type UpdateBreakdown struct {
 	Load, Sort, Merge, Summary time.Duration
@@ -89,15 +90,16 @@ func (u UpdateBreakdown) TotalIO() uint64 {
 var ErrMergeIncomplete = errors.New("partition: level merge incomplete (retried at the next update)")
 
 // SealedBatch is one time step's batch that has been sealed — its step
-// number assigned and (normally) its raw data spilled — but not yet sorted
-// and installed as a level-0 partition. Sealed batches are the hand-off unit
-// between Seal and InstallOne, whoever calls the latter.
+// number assigned, it and its frozen GK sketch part of the published Version
+// (Version.Pending) — but not yet sorted and installed as a level-0
+// partition. Its raw spill is written after the seal (Spill, or Commit's
+// repair), and the batch is durable once a manifest lists it.
 type SealedBatch struct {
 	// ID is the batch's store-unique id; it names the raw spill file.
 	ID int64 `json:"id"`
 	// Name is the raw spill file, or "" while the spill has not succeeded
 	// yet (Commit retries it before writing any manifest that would need
-	// it).
+	// it). Guarded by the store's vmu.
 	Name string `json:"name"`
 	// Count is the number of elements.
 	Count int64 `json:"count"`
@@ -107,8 +109,32 @@ type SealedBatch struct {
 	// data buffers the batch in memory until it is installed; nil after a
 	// restart (the raw file is then the only copy).
 	data []int64
-	// load is the breakdown Seal measured, the start of InstallOne's.
+	// sketch is the stream's GK sketch frozen at the cut, nil after a restart
+	// or when the sealer keeps none; ss is its summary, extracted once.
+	sketch *gk.Sketch
+	once   sync.Once
+	ss     []int64
+	// load is the breakdown the spill measured, the start of InstallOne's;
+	// guarded by vmu like Name.
 	load UpdateBreakdown
+}
+
+// Summary returns extract applied to the batch's frozen sketch, computed by
+// the first caller only: a step installed before anyone asks never pays for
+// it. The sketch must be non-nil.
+func (sb *SealedBatch) Summary(extract func(*gk.Sketch) []int64) []int64 {
+	sb.once.Do(func() { sb.ss = extract(sb.sketch) })
+	return sb.ss
+}
+
+// MemoryBytes returns the heap the batch holds until its install: the
+// buffered data plus the frozen sketch.
+func (sb *SealedBatch) MemoryBytes() int64 {
+	n := int64(len(sb.data)) * 8
+	if sb.sketch != nil {
+		n += sb.sketch.MemoryBytes()
+	}
+	return n
 }
 
 // Store is HD + HS: the on-disk leveled partition structure together with
@@ -116,16 +142,18 @@ type SealedBatch struct {
 //
 // The store separates two kinds of state:
 //
-//   - Published state (cur, live, retired, pending, nextID, steps; guarded
-//     by vmu): the immutable Version chain queries pin, plus the sealed
-//     batch queue and the id/step counters. Safe for concurrent use. The
-//     current Version's entries are also the leveled structure that installs
-//     and merges edit: oldest first, each Summary.Part carrying its level, so
-//     every level is one contiguous run of the list and levels descend along
-//     it (a merge always takes a whole level, and its output is the newest
-//     partition of the next level up). An edit publishes a new Version, and
-//     exactly one mutator edits at a time — the engine serializes installers
-//     with its maintenance lock.
+//   - Published state (cur, live, retired, nextID; guarded by vmu): the
+//     immutable Version chain queries pin, plus the file-id counter. Safe for
+//     concurrent use. The current Version is the stream's one history: its
+//     entries are the leveled structure that installs and merges edit —
+//     oldest first, each Summary.Part carrying its level, so every level is
+//     one contiguous run of the list and levels descend along it (a merge
+//     always takes a whole level, and its output is the newest partition of
+//     the next level up) — and its pending list is the sealed steps queued
+//     after them, which Seal appends to and an install takes the head of.
+//     Every edit publishes a new Version. Exactly one mutator edits entries
+//     at a time — the engine serializes installers with its maintenance lock
+//     — and one sealer appends at a time.
 //   - Durable state: the manifest, always written from a consistent
 //     published snapshot under the commit lock, so durable manifests never
 //     regress to an older version.
@@ -161,12 +189,11 @@ type Store struct {
 	live         []*Version
 	retired      []retiredFile
 	committedSeq int64
-	pending      []*SealedBatch
 	nextID       int64
-	steps        int // sealed time steps (installed + pending)
 
 	// cmu serializes manifest commits (the write path's can race a
-	// maintenance worker's) so the durable manifest sequence is monotone.
+	// maintenance worker's) so the durable manifest sequence is monotone, and
+	// owns every raw spill, so no batch is spilled twice.
 	cmu sync.Mutex
 
 	// pinCond (lazily created under vmu by DrainPins) is broadcast on every
@@ -203,11 +230,7 @@ func (s *Store) Beta1() int { return s.beta1 }
 func (s *Store) TotalCount() int64 {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
-	n := s.cur.total
-	for _, sb := range s.pending {
-		n += sb.Count
-	}
-	return n
+	return s.cur.total
 }
 
 // Steps returns the number of time steps sealed so far (installed or
@@ -215,38 +238,15 @@ func (s *Store) TotalCount() int64 {
 func (s *Store) Steps() int {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
-	return s.steps
+	return s.cur.Steps()
 }
 
-// PendingSteps returns the number of sealed batches awaiting installation.
-func (s *Store) PendingSteps() int {
+// Pending returns the current version's sealed steps awaiting installation,
+// oldest first (Version.Pending). The slice is an immutable snapshot.
+func (s *Store) Pending() []*SealedBatch {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
-	return len(s.pending)
-}
-
-// PendingElements returns the total element count across sealed batches
-// awaiting installation — the stream's merge debt in elements.
-func (s *Store) PendingElements() int64 {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	var n int64
-	for _, sb := range s.pending {
-		n += sb.Count
-	}
-	return n
-}
-
-// PendingBytes returns the heap footprint of batch data buffered until
-// installation.
-func (s *Store) PendingBytes() int64 {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	var n int64
-	for _, sb := range s.pending {
-		n += int64(len(sb.data)) * 8
-	}
-	return n
+	return s.cur.pending
 }
 
 // Levels returns the number of non-empty levels in the current version.
@@ -296,51 +296,60 @@ func (s *Store) allocID() int64 {
 	return id
 }
 
-// AddBatch loads one time step's batch into the warehouse in one call: Seal
-// then InstallOne, for callers that are the store's only writer (layer
-// benchmarks, tests). step must be the next time step. Like its two halves
+// AddBatch loads one time step's batch into the warehouse in one call: Seal,
+// Spill, then InstallOne, for callers that are the store's only writer
+// (layer benchmarks, tests). step must be the next time step. Like its parts
 // it commits nothing.
 func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
+	if len(data) == 0 {
+		return UpdateBreakdown{}, fmt.Errorf("partition: sealing empty batch")
+	}
 	if at := s.Steps(); step != at+1 {
 		return UpdateBreakdown{}, fmt.Errorf("partition: batch for step %d, store is at step %d", step, at)
 	}
-	if _, _, err := s.Seal(data); err != nil {
+	if _, err := s.Spill(s.Seal(data, nil)); err != nil {
 		return UpdateBreakdown{}, err
 	}
 	bd, _, err := s.InstallOne()
 	return bd, err
 }
 
-// spill writes a sealed batch's raw file and records its name. Spills are
-// unsorted arrival-order batches, so they pin FormatRaw regardless of the
-// device default: delta frames only pay off on sorted runs, and recovery
-// wants the dumbest possible format to replay. No two goroutines may spill
-// the same batch: Seal spills before the batch is queued, every later spill
-// (the repair of one that failed) runs under cmu. It returns the spill's
-// own I/O, which concurrent queries and installs on the device do not touch.
-func (s *Store) spill(sb *SealedBatch) (disk.Stats, error) {
+// spillLocked writes a sealed batch's raw file unless it has one, recording
+// its name and the load phase. Spills are unsorted arrival-order batches, so
+// they pin FormatRaw regardless of the device default: delta frames only pay
+// off on sorted runs, and recovery wants the dumbest possible format to
+// replay. A batch installed while its spill ran is in no Version's pending
+// list, so no manifest will list the file: the spill retires it. Caller
+// holds cmu.
+func (s *Store) spillLocked(sb *SealedBatch) (UpdateBreakdown, error) {
+	s.vmu.Lock()
+	bd, done := sb.load, sb.Name != ""
+	s.vmu.Unlock()
+	if done {
+		return bd, nil
+	}
 	name := fmt.Sprintf("batch-raw-%06d.dat", sb.ID)
-	io, err := s.writeRaw(name, sb.data)
+	t0 := time.Now()
+	w, err := s.dev.CreateFormat(name, disk.FormatRaw)
+	if err == nil {
+		if err = w.AppendSlice(sb.data); err != nil {
+			w.Abort()
+		} else {
+			err = w.Close()
+		}
+		bd.LoadIO = w.Stats()
+	}
+	bd.Load = time.Since(t0)
 	if err != nil {
-		return io, fmt.Errorf("partition: spill sealed batch %d: %w", sb.ID, err)
+		return bd, fmt.Errorf("partition: spill sealed batch %d: %w", sb.ID, err)
 	}
 	s.vmu.Lock()
-	sb.Name = name
+	sb.Name, sb.load = name, bd
+	if sb.Step <= s.cur.InstalledSteps() {
+		s.retired = append(s.retired, retiredFile{name: name, seq: s.cur.seq})
+	}
 	s.vmu.Unlock()
-	return io, nil
-}
-
-func (s *Store) writeRaw(name string, data []int64) (disk.Stats, error) {
-	w, err := s.dev.CreateFormat(name, disk.FormatRaw)
-	if err != nil {
-		return disk.Stats{}, err
-	}
-	if err := w.AppendSlice(data); err != nil {
-		w.Abort()
-		return w.Stats(), err
-	}
-	err = w.Close()
-	return w.Stats(), err
+	return bd, nil
 }
 
 // cascadeMerges merges every level holding more than κ partitions
@@ -376,65 +385,64 @@ func (s *Store) cascadeMerges() (int, error) {
 		end = start + 1
 	}
 	if merges > 0 {
-		s.publish(ents, retired, false)
+		s.vmu.Lock()
+		v := s.publishLocked(ents, s.cur.pending, s.newMemo())
+		for _, name := range retired {
+			s.retired = append(s.retired, retiredFile{name: name, seq: v.seq})
+		}
+		s.vmu.Unlock()
 	}
 	return merges, err
 }
 
-// Seal closes one time step without installing it: the batch is spilled raw
-// (with SpillBatches — the paper's "load" phase) and queued under the next
-// step number, which Seal returns. From here the step is counted; it is
-// durable once the caller's next Commit returns nil, after which a reopened
-// store re-installs it from the spill. A failed spill still seals the step
-// — it exists in memory and will be installed — and Commit retries the
-// spill before it writes any manifest that needs it.
+// Seal closes one time step without I/O: the batch, with the stream's GK
+// sketch frozen at the cut (nil when the caller keeps none), becomes the
+// newest sealed step of a Version that shares the current partitions and
+// probe memo. From the publish on the step is counted and answered by every
+// reader. It is durable once its raw file is written (Spill, or Commit's
+// repair) and a Commit returns nil, after which a reopened store
+// re-installs it from the spill. data must not be empty, and neither it nor
+// the sketch may change until Reusable hands them back.
 //
-// The breakdown Seal returns is the step's load phase (Load, LoadIO) and
-// BatchSize — the one place the spill is measured; InstallOne's breakdown
-// of the step starts from it.
-//
-// Seal may run concurrently with InstallOne and Commit; only one Seal at a
-// time (the engine's write path serializes end-of-steps).
-func (s *Store) Seal(data []int64) (UpdateBreakdown, int, error) {
-	if len(data) == 0 {
-		return UpdateBreakdown{}, 0, fmt.Errorf("partition: sealing empty batch")
-	}
-	sb := &SealedBatch{ID: s.allocID(), Count: int64(len(data)), data: data}
-	sb.load.BatchSize = sb.Count
-	var err error
-	if s.cfg.SpillBatches {
-		t0 := time.Now()
-		sb.load.LoadIO, err = s.spill(sb)
-		sb.load.Load = time.Since(t0)
-	}
+// Seal may run concurrently with InstallOne, Spill and Commit; only one Seal
+// at a time (the engine's write path serializes end-of-steps).
+func (s *Store) Seal(data []int64, sketch *gk.Sketch) *SealedBatch {
 	s.vmu.Lock()
-	s.steps++
-	sb.Step = s.steps
-	s.pending = append(s.pending, sb)
-	s.vmu.Unlock()
-	return sb.load, sb.Step, err
+	defer s.vmu.Unlock()
+	sb := &SealedBatch{ID: s.nextID, Count: int64(len(data)), Step: s.cur.Steps() + 1, data: data, sketch: sketch}
+	sb.load.BatchSize = sb.Count
+	s.nextID++
+	s.publishLocked(s.cur.entries, append(slices.Clip(s.cur.pending), sb), s.cur.memo)
+	return sb
 }
 
-// spillPendingLocked writes the raw file of every sealed batch that does
-// not have one yet. Caller holds cmu.
-func (s *Store) spillPendingLocked() error {
+// Spill writes a sealed batch's raw file — with SpillBatches, the paper's
+// "load" phase — and returns the step's load breakdown (Load, LoadIO,
+// BatchSize), where InstallOne's breakdown of the step starts. It runs under
+// the commit lock, outside any lock a reader or the sealer needs, so a batch
+// Commit already repaired is not written twice. A failed spill leaves the
+// step sealed; Commit retries it before it writes any manifest that needs
+// it.
+func (s *Store) Spill(sb *SealedBatch) (UpdateBreakdown, error) {
+	if !s.cfg.SpillBatches {
+		return UpdateBreakdown{BatchSize: sb.Count}, nil
+	}
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
+	return s.spillLocked(sb)
+}
+
+// Reusable hands back the buffers of sb, a batch InstallOne has installed,
+// for reuse by the observe path: the batch buffer — nil until its spill is
+// written, since the spill may still read it — and the frozen sketch.
+// Nothing in the store reads either again.
+func (s *Store) Reusable(sb *SealedBatch) ([]int64, *gk.Sketch) {
 	s.vmu.Lock()
-	todo := make([]*SealedBatch, 0, len(s.pending))
-	for _, sb := range s.pending {
-		if sb.Name == "" {
-			todo = append(todo, sb)
-		}
+	defer s.vmu.Unlock()
+	if sb.Name == "" {
+		return nil, sb.sketch
 	}
-	s.vmu.Unlock()
-	for _, sb := range todo {
-		if sb.data == nil {
-			return fmt.Errorf("partition: sealed step %d has neither spill nor data", sb.Step)
-		}
-		if _, err := s.spill(sb); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sb.data, sb.sketch
 }
 
 // InstallOne sorts the oldest sealed batch into a new level-0 partition with
@@ -453,13 +461,13 @@ func (s *Store) spillPendingLocked() error {
 // InstallOne makes nothing durable.
 func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	s.vmu.Lock()
-	if len(s.pending) == 0 {
+	if len(s.cur.pending) == 0 {
 		s.vmu.Unlock()
 		return UpdateBreakdown{}, 0, nil
 	}
-	sb := s.pending[0]
+	sb := s.cur.pending[0]
+	bd, rawName := sb.load, sb.Name
 	s.vmu.Unlock()
-	bd := sb.load
 
 	// The partition takes its batch's id: a retried install then rewrites
 	// the file a failed attempt left behind instead of stranding it.
@@ -476,9 +484,6 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	t0 := time.Now()
 	io0 := s.mdev.MaintStats()
 	data := sb.data
-	s.vmu.Lock()
-	rawName := sb.Name
-	s.vmu.Unlock()
 	var sum *Summary
 	var err error
 	switch {
@@ -493,19 +498,16 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	case data != nil && len(data) <= s.cfg.SortMemElements:
 		sum, err = s.sortInMemory(data, part)
 	default:
-		// Large batch: external sort from the spill. Sealing normally wrote
-		// it already; repair a failed spill first (under the commit lock,
-		// which owns spill repair).
+		// Large batch: external sort from the spill, written first if the
+		// seal's has not been (under the commit lock, which owns spills).
 		if rawName == "" {
 			s.cmu.Lock()
-			serr := s.spillPendingLocked()
+			_, serr := s.spillLocked(sb)
 			s.cmu.Unlock()
 			if serr != nil {
 				return bd, 0, serr
 			}
-			s.vmu.Lock()
 			rawName = sb.Name
-			s.vmu.Unlock()
 		}
 		sum, err = s.sortExternal(rawName, part)
 	}
@@ -520,13 +522,13 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	// or commit failure leaves a consistent published state that the next
 	// install retries — never a double-installed batch.
 	t0 = time.Now()
-	v := s.publish(append(slices.Clip(s.Entries()), sum), nil, true)
-	// Retire the consumed spill AFTER publish, re-reading its name under
-	// vmu: a concurrent Commit may have repaired a spill that failed at
-	// seal time, and checking earlier could miss (and so leak) the file it
-	// wrote. No version references spills, so the new sequence number makes
-	// it removable as soon as a manifest of this version commits.
 	s.vmu.Lock()
+	v := s.publishLocked(append(slices.Clip(s.cur.entries), sum), s.cur.pending[1:], s.newMemo())
+	// Retire the consumed spill in the same move, reading its name under
+	// vmu: a spill still running sees the step installed when it finishes
+	// and retires its own file. No version references spills, so the new
+	// sequence number makes it removable as soon as a manifest of this
+	// version commits.
 	if sb.Name != "" {
 		s.retired = append(s.retired, retiredFile{name: sb.Name, seq: v.seq})
 	}
@@ -664,8 +666,10 @@ func (s *Store) mergeLevel(run []*Summary) (*Summary, error) {
 func (s *Store) Commit(manifestName string) error {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
-	if err := s.spillPendingLocked(); err != nil {
-		return err
+	for _, sb := range s.Pending() {
+		if _, err := s.spillLocked(sb); err != nil {
+			return err
+		}
 	}
 	// The snapshot is taken BEFORE the data barrier: every file a published
 	// version references was fully written before publish, so syncing after
@@ -701,14 +705,14 @@ func (s *Store) Commit(manifestName string) error {
 // installs or pinned queries.
 func (s *Store) Destroy() error {
 	s.vmu.Lock()
-	names := make([]string, 0, len(s.cur.entries)+len(s.retired)+len(s.pending))
+	names := make([]string, 0, len(s.cur.entries)+len(s.retired)+len(s.cur.pending))
 	for _, e := range s.cur.entries {
 		names = append(names, e.Part.name)
 	}
 	for _, rf := range s.retired {
 		names = append(names, rf.name)
 	}
-	for _, sb := range s.pending {
+	for _, sb := range s.cur.pending {
 		if sb.Name != "" {
 			names = append(names, sb.Name)
 		}
@@ -723,10 +727,7 @@ func (s *Store) Destroy() error {
 	}
 	s.vmu.Lock()
 	s.retired = nil
-	s.pending = nil
-	s.steps = 0
-	s.cur = &Version{store: s, seq: s.cur.seq + 1, refs: 1}
-	s.live = []*Version{s.cur}
+	s.publishLocked(nil, nil, nil)
 	s.vmu.Unlock()
 	return nil
 }

@@ -3,12 +3,13 @@ package partition
 import "sync"
 
 // Snapshot isolation for the historical store. The store's published state
-// is a chain of immutable Version objects: each install or merge publishes a
-// fresh Version whose partition list is a copy of the current one with the
-// edit applied. Queries pin a Version with Pin, run
-// entirely against it — its partition files are immutable on disk — and
-// Release it when done, so they never contend with the engine write lock or
-// observe a half-installed layout.
+// is a chain of immutable Version objects, and the current one is the
+// stream's whole history: the installed partitions, then the sealed steps
+// after them. Each install, merge or seal publishes a fresh Version whose
+// lists are copies of the current ones with the edit applied. Queries pin a
+// Version with Pin, run entirely against it — its partition files are
+// immutable on disk — and Release it when done, so they never contend with
+// the engine write lock or observe a half-installed layout.
 //
 // File reclamation composes the pin discipline with the crash-consistency
 // rule introduced with the commit protocol: a file superseded while building
@@ -26,23 +27,22 @@ import "sync"
 // A Version lists its partitions in one order, oldest first (Entries), and
 // offers no step-range selection of its own: which spans a windowed, shifted
 // or as-of read sees is decided by query.Scope.Select over the EndSteps of
-// this list, for every caller.
+// this list and the Steps of Pending, for every caller.
 
-// Version is one immutable snapshot of the store's published partition set
-// plus the per-partition summaries. It is created by the store (publish) and
-// handed to queries by Pin; all accessors are safe for concurrent use since
-// the snapshot never mutates.
+// Version is one immutable snapshot of the store's published history: the
+// partition set with the per-partition summaries, then the sealed steps not
+// yet installed. It is created by the store (publishLocked) and handed to
+// queries by Pin; all accessors are safe for concurrent use since the
+// snapshot never mutates.
 type Version struct {
 	store *Store
 	seq   int64
 	// entries is the frozen (partition, summary) list, oldest first (see
 	// Entries).
 	entries []*Summary
+	// pending is the sealed steps after entries, oldest first (see Pending).
+	pending []*SealedBatch
 	total   int64
-	// installed is the number of time steps covered by the partitions
-	// (sealed-but-uninstalled steps are not part of any Version; the engine
-	// layers them on top as stream pieces).
-	installed int
 	// refs is guarded by store.vmu. The store itself holds one ref on the
 	// current version; each Pin adds one.
 	refs int
@@ -64,20 +64,38 @@ func (v *Version) Seq() int64 { return v.seq }
 // mutated.
 func (v *Version) Entries() []*Summary { return v.entries }
 
+// Pending returns the snapshot's sealed steps, oldest first: one batch per
+// step, the first at InstalledSteps+1 and each one step after the last.
+// Entries and Pending are the only record of the stream's history; a seal
+// appends to Pending and an install moves its head into Entries, in one
+// publish. The slice is shared and must not be mutated.
+func (v *Version) Pending() []*SealedBatch { return v.pending }
+
 // Memo returns the version's rank-probe memo, valid for queries that probe
 // exactly the version's full entry set; nil when memoization is disabled.
 func (v *Version) Memo() *ProbeMemo { return v.memo }
 
-// TotalCount returns the number of elements across the snapshot.
+// TotalCount returns n, the number of elements across the snapshot's
+// partitions and sealed steps.
 func (v *Version) TotalCount() int64 { return v.total }
 
-// InstalledSteps returns the number of time steps the snapshot covers.
-func (v *Version) InstalledSteps() int { return v.installed }
+// InstalledSteps returns the number of time steps the snapshot's partitions
+// cover.
+func (v *Version) InstalledSteps() int {
+	if len(v.entries) == 0 {
+		return 0
+	}
+	return v.entries[len(v.entries)-1].Part.EndStep
+}
+
+// Steps returns the number of time steps the snapshot covers: installed
+// plus sealed.
+func (v *Version) Steps() int { return v.InstalledSteps() + len(v.pending) }
 
 // PartitionCount returns the number of partitions in the snapshot.
 func (v *Version) PartitionCount() int { return len(v.entries) }
 
-// MemoryBytes returns the summary footprint of the snapshot.
+// MemoryBytes returns the partition-summary footprint of the snapshot (HS).
 func (v *Version) MemoryBytes() int64 {
 	var b int64
 	for _, s := range v.entries {
@@ -150,32 +168,25 @@ func (s *Store) LiveVersions() int {
 	return len(s.live)
 }
 
-// publish makes ents, the edited partition list, the current Version. The
-// files in retired — merged-away inputs — are attached to the new sequence
-// number; popPending additionally consumes the oldest sealed batch (whose
-// data the edit just installed). Called only by the single mutator, with a
-// list no published Version shares.
-func (s *Store) publish(ents []*Summary, retired []string, popPending bool) *Version {
-	var total int64
-	for _, e := range ents {
-		total += e.Part.Count
-	}
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	if popPending && len(s.pending) > 0 {
-		s.pending = s.pending[1:]
-	}
+// publishLocked makes the Version of ents and pending current, with memo as
+// its probe memo: the current one when the partition set is unchanged (a
+// seal), a fresh one otherwise. ents is edited only by the single mutator
+// (installs and merges), pending also by Seal, which only appends; both are
+// lists no published Version's slice can grow into. Caller holds vmu.
+func (s *Store) publishLocked(ents []*Summary, pending []*SealedBatch, memo *ProbeMemo) *Version {
 	v := &Version{
-		store:     s,
-		seq:       s.cur.seq + 1,
-		entries:   ents,
-		total:     total,
-		installed: s.steps - len(s.pending),
-		refs:      1, // the store's own ref on the current version
-		memo:      s.newMemo(),
+		store:   s,
+		seq:     s.cur.seq + 1,
+		entries: ents,
+		pending: pending,
+		refs:    1, // the store's own ref on the current version
+		memo:    memo,
 	}
-	for _, name := range retired {
-		s.retired = append(s.retired, retiredFile{name: name, seq: v.seq})
+	for _, e := range ents {
+		v.total += e.Part.Count
+	}
+	for _, sb := range pending {
+		v.total += sb.Count
 	}
 	old := s.cur
 	s.cur = v

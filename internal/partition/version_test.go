@@ -120,10 +120,10 @@ func TestReclaimWaitsForCommit(t *testing.T) {
 	}
 }
 
-// TestSealInstallRoundtrip drives the write path at the store level: Seal +
-// Commit leave a durable spill + pending manifest entry, InstallOne + Commit
-// fold it into a partition and retire the spill, and a LoadStore in between
-// recovers the pending entry.
+// TestSealInstallRoundtrip drives the write path at the store level: Seal
+// publishes the step with no I/O, Spill + Commit leave a durable spill +
+// pending manifest entry, InstallOne + Commit fold it into a partition and
+// retire the spill, and a LoadStore in between recovers the pending entry.
 func TestSealInstallRoundtrip(t *testing.T) {
 	dev := newDev(t)
 	cfg := Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16, SpillBatches: true}
@@ -131,18 +131,21 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, step, err := s.Seal(seqBatch(1000, 50))
-	if err != nil {
-		t.Fatal(err)
+	sb := s.Seal(seqBatch(1000, 50), nil)
+	if dev.Exists("batch-raw-000000.dat") {
+		t.Fatal("seal wrote the spill")
+	}
+	if bd, err := s.Spill(sb); err != nil || bd.LoadIO.SeqWrites == 0 || bd.BatchSize != 50 {
+		t.Fatalf("Spill = %+v, %v; want a 50-element load with writes", bd, err)
 	}
 	if err := s.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
-	if step != 1 {
-		t.Fatalf("sealed step = %d, want 1", step)
+	if sb.Step != 1 {
+		t.Fatalf("sealed step = %d, want 1", sb.Step)
 	}
-	if s.PendingSteps() != 1 || s.PendingElements() != 50 {
-		t.Fatalf("pending = %d steps / %d elements, want 1 / 50", s.PendingSteps(), s.PendingElements())
+	if p := s.Pending(); len(p) != 1 || p[0] != sb || sb.Count != 50 {
+		t.Fatalf("pending = %v, want the one sealed batch of 50", p)
 	}
 	if s.TotalCount() != 50 || s.Steps() != 1 {
 		t.Fatalf("TotalCount/Steps = %d/%d, want 50/1", s.TotalCount(), s.Steps())
@@ -159,8 +162,8 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.PendingSteps() != 1 || loaded.Steps() != 1 || loaded.TotalCount() != 50 {
-		t.Fatalf("reloaded: pending=%d steps=%d total=%d, want 1/1/50", loaded.PendingSteps(), loaded.Steps(), loaded.TotalCount())
+	if len(loaded.Pending()) != 1 || loaded.Steps() != 1 || loaded.TotalCount() != 50 {
+		t.Fatalf("reloaded: pending=%d steps=%d total=%d, want 1/1/50", len(loaded.Pending()), loaded.Steps(), loaded.TotalCount())
 	}
 
 	bd, installed, err := loaded.InstallOne()
@@ -176,8 +179,8 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if bd.SortIO.Total() == 0 {
 		t.Error("install reported no maintenance I/O")
 	}
-	if loaded.PendingSteps() != 0 || loaded.PartitionCount() != 1 {
-		t.Fatalf("after install: pending=%d partitions=%d, want 0/1", loaded.PendingSteps(), loaded.PartitionCount())
+	if len(loaded.Pending()) != 0 || loaded.PartitionCount() != 1 {
+		t.Fatalf("after install: pending=%d partitions=%d, want 0/1", len(loaded.Pending()), loaded.PartitionCount())
 	}
 	if dev.Exists("batch-raw-000000.dat") {
 		t.Error("spill survived its install's commit")
@@ -185,6 +188,40 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	// Idempotent when drained.
 	if _, installed, err := loaded.InstallOne(); err != nil || installed != 0 {
 		t.Fatalf("InstallOne on drained store: step=%d err=%v", installed, err)
+	}
+}
+
+// TestLateSpillRetiresItself pins the async interleaving where a step's
+// install publishes before its seal's spill is written: the buffer is not
+// handed back while the spill may still read it, and the spill, finding its
+// step installed, retires its own file for the next commit to remove.
+func TestLateSpillRetiresItself(t *testing.T) {
+	dev := newDev(t)
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16, SpillBatches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := s.Seal(seqBatch(1000, 50), nil)
+	if _, step, err := s.InstallOne(); err != nil || step != 1 {
+		t.Fatalf("InstallOne = step %d, %v; want 1", step, err)
+	}
+	if buf, _ := s.Reusable(sb); buf != nil {
+		t.Fatal("batch buffer handed back before its spill was written")
+	}
+	if _, err := s.Spill(sb); err != nil {
+		t.Fatal(err)
+	}
+	if !dev.Exists("batch-raw-000000.dat") {
+		t.Fatal("late spill wrote no file")
+	}
+	if buf, _ := s.Reusable(sb); len(buf) != 50 {
+		t.Fatalf("Reusable after the spill = %d values, want the 50-value buffer", len(buf))
+	}
+	if err := s.Commit("MANIFEST.json"); err != nil {
+		t.Fatal(err)
+	}
+	if dev.Exists("batch-raw-000000.dat") {
+		t.Error("late spill survived the next commit")
 	}
 }
 
@@ -217,6 +254,13 @@ func TestVersionEntriesChronological(t *testing.T) {
 		if next-1 != v.InstalledSteps() {
 			t.Errorf("version %d entries end at step %d, InstalledSteps = %d", v.Seq(), next-1, v.InstalledSteps())
 		}
+		// The sealed steps continue the partitions step by step.
+		for i, sb := range v.Pending() {
+			if sb.Step != next+i {
+				t.Errorf("version %d sealed batch %d is step %d, want %d", v.Seq(), i, sb.Step, next+i)
+				return
+			}
+		}
 	}
 	for _, kappa := range []int{2, 3, 5} {
 		t.Run(fmt.Sprintf("kappa=%d", kappa), func(t *testing.T) {
@@ -244,9 +288,7 @@ func TestVersionEntriesChronological(t *testing.T) {
 				// Seal a few steps, then install some of them: versions
 				// are published with and without a backlog behind them.
 				for i := 1 + rng.Intn(3); i > 0; i-- {
-					if _, _, err := s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40))); err != nil {
-						t.Fatal(err)
-					}
+					s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40)), nil)
 				}
 				for i := rng.Intn(4); i > 0; i-- {
 					if _, _, err := s.InstallOne(); err != nil {

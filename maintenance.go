@@ -5,21 +5,22 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/gk"
 	"repro/internal/partition"
 )
 
 // Maintenance: who installs the steps EndStep seals.
 //
 // EndStep is one pipeline in every mode — cut, seal, install, commit (see
-// Stream.EndStep). The cut and the seal always run on the caller: the
-// in-memory batch and the GK sketch are cut atomically, the raw batch is
-// spilled and queued. The install (external sort, level-0 partition,
-// cascading κ-way merges) is one routine, engine.installOne, run under no
-// engine lock a reader or producer needs; until it publishes a step, queries
-// cover that step through its frozen stream summary (a core.StreamPiece).
-// The three maintenance modes differ only in which goroutine calls it:
+// Stream.EndStep). The cut and the seal always run on the caller: under the
+// engine lock, the in-memory batch and its GK sketch leave the live step and
+// become the newest sealed step of the store's published partition.Version,
+// which is the stream's one history — so counts and answers agree from the
+// cut on. The raw spill then runs outside every engine lock. The install
+// (external sort, level-0 partition, cascading κ-way merges) is one
+// routine, engine.installOne, run under no engine lock a reader or producer
+// needs; until it publishes a step, queries cover that step through its
+// frozen stream summary (a core.StreamPiece). The three maintenance modes
+// differ only in which goroutine calls it:
 //
 //   - sync (default): the EndStep caller, before it commits and returns.
 //   - async: a DB-wide scheduler, on a bounded worker pool. Per stream,
@@ -44,28 +45,6 @@ const (
 	// MaintenanceManual leaves installs until SyncMaintenance is called.
 	MaintenanceManual = "manual"
 )
-
-// sealedPiece is the query-visible face of one sealed-but-uninstalled step:
-// the step's GK sketch, frozen at the cut. Queries treat it exactly like the
-// live stream — a stream summary, estimate-only, no disk probes — so its
-// rank error contributes at most ε₂·count. The summary is extracted by the
-// first query that needs it: a step installed before anyone asks never pays
-// for one.
-type sealedPiece struct {
-	step   int
-	count  int64
-	sketch *gk.Sketch
-	once   sync.Once
-	ss     []int64
-	// buf is the step's batch buffer, set once its spill is written: the
-	// install that retires the piece hands it back to the observe path.
-	buf []int64
-}
-
-func (p *sealedPiece) summary(eps2 float64) []int64 {
-	p.once.Do(func() { p.ss = core.StreamSummary(p.sketch, eps2) })
-	return p.ss
-}
 
 // maintAccum aggregates a stream's maintenance counters; guarded by the
 // engine's mu.
@@ -113,13 +92,14 @@ type MaintenanceStats struct {
 func (e *engine) MaintenanceStats() MaintenanceStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	pending := e.store.Pending()
 	var pendingN int64
-	for _, p := range e.sealed {
-		pendingN += p.count
+	for _, sb := range pending {
+		pendingN += sb.Count
 	}
 	ms := MaintenanceStats{
 		Mode:              e.cfg.Maintenance,
-		PendingSteps:      len(e.sealed),
+		PendingSteps:      len(pending),
 		PendingElements:   pendingN,
 		Running:           e.mstats.running,
 		Installs:          e.mstats.installs,
@@ -149,23 +129,23 @@ func maintFailed(err error) error {
 }
 
 // installOne installs the oldest sealed step — sort, level-0 partition,
-// publish, cascading merges — and retires its frozen summary: the one
-// install routine, run by the scheduler worker, SyncMaintenance, a
+// publish, cascading merges — and recycles its buffers: the one install
+// routine, run by the scheduler worker, SyncMaintenance, a
 // synchronous EndStep and crash recovery alike. It commits nothing; the
 // caller issues the barrier. installed reports that the step was published.
 // A failure before that is sticky (maintErr): the step stays sealed, the
 // scheduler stops retrying and a backpressured EndStep surfaces the error
 // until an inline drain retries. A failure after it (an unfinished merge
-// cascade) is recorded but not sticky — the next install repairs it.
+// cascade) is recorded but not sticky — the next install repairs it. Caller
+// holds maintMu.
 func (e *engine) installOne() (bd partition.UpdateBreakdown, installed bool, err error) {
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return bd, false, ErrClosed
 	}
-	if e.store.PendingSteps() == 0 {
+	pending := e.store.Pending()
+	if len(pending) == 0 {
 		e.mu.Unlock()
 		return bd, false, nil
 	}
@@ -179,14 +159,8 @@ func (e *engine) installOne() (bd partition.UpdateBreakdown, installed bool, err
 	defer e.mu.Unlock()
 	e.mstats.running = false
 	if step != 0 {
-		// The step is installed and published: retire its frozen summary so
-		// queries stop double-covering it, even if a later merge failed.
-		// (A step recovered from a spill at open has none.)
-		if len(e.sealed) > 0 && e.sealed[0].step == step {
-			e.recycleLocked(e.sealed[0])
-			e.sealed[0] = nil
-			e.sealed = e.sealed[1:]
-		}
+		// The step published is the head this installer, the only one, read.
+		e.recycleLocked(pending[0])
 		e.mstats.installs++
 		e.mstats.merges += bd.Merges
 		e.mstats.installTime += time.Since(t0)
@@ -206,26 +180,34 @@ func (e *engine) installOne() (bd partition.UpdateBreakdown, installed bool, err
 	return bd, step != 0, err
 }
 
-// recycleLocked hands a retired step's grown buffers back to the observe
-// path, which nothing else references any more: each replaces its live
-// counterpart if no observe has used that one since the cut, and otherwise
-// the sketch waits as the next cut's spare. Caller holds e.mu.
-func (e *engine) recycleLocked(p *sealedPiece) {
-	if len(e.batch) == 0 && cap(p.buf) > cap(e.batch) {
-		e.batch = p.buf[:0]
+// recycleLocked hands an installed step's grown buffers back to the observe
+// path: each replaces its live counterpart if no observe has used that one
+// since the cut, and otherwise the sketch waits as the next cut's spare.
+// Queries extract a sealed sketch's summary under e.mu, which the caller
+// holds, so no reader is left on it.
+func (e *engine) recycleLocked(sb *partition.SealedBatch) {
+	buf, sketch := e.store.Reusable(sb)
+	if len(e.batch) == 0 && cap(buf) > cap(e.batch) {
+		e.batch = buf[:0]
 	}
-	p.sketch.Reset()
+	if sketch == nil {
+		return // recovered from a spill at open
+	}
+	sketch.Reset()
 	if e.sketch.Count() == 0 {
-		e.sketch = p.sketch
+		e.sketch = sketch
 	} else if e.spare == nil {
-		e.spare = p.sketch
+		e.spare = sketch
 	}
 }
 
 // runMaintenanceOnce installs at most one sealed step and commits the result
 // — one unit of background maintenance. It returns whether a step was
-// installed.
+// installed. The maintenance lock spans the commit too, so a Close that
+// waited it out is never followed by this store's commit.
 func (e *engine) runMaintenanceOnce() (bool, error) {
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
 	_, installed, err := e.installOne()
 	if !installed {
 		return false, err
@@ -241,7 +223,10 @@ func (e *engine) runMaintenanceOnce() (bool, error) {
 
 // SyncMaintenance is Stream.SyncMaintenance on the pinned engine: it clears
 // a sticky maintenance error, then installs and commits sealed steps inline
-// until none is left or one fails.
+// until none is left or one fails. An install publishes its step before its
+// merges run, so an empty queue is not yet an idle stream: each round takes
+// the maintenance lock, which waits out an install and its commit in
+// flight.
 func (e *engine) SyncMaintenance() error {
 	for {
 		e.mu.Lock()
@@ -250,12 +235,8 @@ func (e *engine) SyncMaintenance() error {
 			return ErrClosed
 		}
 		e.maintErr = nil
-		n := len(e.sealed)
 		e.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		if _, err := e.runMaintenanceOnce(); err != nil {
+		if installed, err := e.runMaintenanceOnce(); err != nil || !installed {
 			return err
 		}
 	}
@@ -266,7 +247,7 @@ func (e *engine) SyncMaintenance() error {
 func (e *engine) maintPending() bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return !e.closed && e.maintErr == nil && len(e.sealed) > 0
+	return !e.closed && e.maintErr == nil && len(e.store.Pending()) > 0
 }
 
 // scheduler is the DB-wide background maintenance executor: one bounded

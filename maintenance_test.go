@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,6 +200,63 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 		t.Errorf("%d steps still sealed after EndStep returned", got)
 	}
 	checkAgainstOracle(t, eng, all, "installed")
+}
+
+// TestCountsAgreeDuringSeal parks a step's raw spill and requires every
+// counter to agree with the answers while it is in flight: the cut hands the
+// batch to the store in the same move that takes it off the live sketch, so
+// from then on the step is history to every reader, counted and answered
+// alike.
+func TestCountsAgreeDuringSeal(t *testing.T) {
+	eng := OneStream(t, maintConfig(MaintenanceSync, 0))
+	parked, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the EndStep
+	var once sync.Once
+	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqWrite && strings.HasPrefix(path.Base(name), "batch-raw-") {
+			once.Do(func() { close(parked) })
+			<-gate
+		}
+		return nil
+	})
+	eng.ObserveSlice(workload.Fill(workload.NewUniform(23), 500))
+	endStep := make(chan error, 1)
+	go func() {
+		_, err := eng.EndStep()
+		endStep <- err
+	}()
+	<-parked
+
+	ans, err := eng.Query(context.Background(), Request{Phis: []float64{0.5}})
+	if err != nil {
+		t.Fatalf("query with the spill in flight: %v", err)
+	}
+	sum, err := eng.Summary()
+	if err != nil {
+		t.Fatalf("summary with the spill in flight: %v", err)
+	}
+	total, hist, steps := eng.TotalCount(), eng.HistCount(), eng.Steps()
+	pending := eng.MaintenanceStats().PendingSteps
+	t.Logf("spill in flight: TotalCount %d, HistCount %d, Steps %d, PendingSteps %d; Query N %d, Summary N %d",
+		total, hist, steps, pending, ans.N, sum.N)
+	if ans.N != 500 || sum.N != ans.N {
+		t.Errorf("Query N = %d, Summary N = %d; want 500 both", ans.N, sum.N)
+	}
+	if total != ans.N || hist != ans.N {
+		t.Errorf("TotalCount = %d, HistCount = %d; the answers cover %d", total, hist, ans.N)
+	}
+	if steps != 1 || pending != 1 {
+		t.Errorf("Steps = %d, PendingSteps = %d; want 1, 1", steps, pending)
+	}
+	release()
+	if err := <-endStep; err != nil {
+		t.Fatalf("EndStep: %v", err)
+	}
+	eng.db.dev.SetFault(nil)
+	if got := eng.MaintenanceStats().PendingSteps; got != 0 || eng.TotalCount() != 500 {
+		t.Errorf("after EndStep: %d steps sealed, TotalCount %d; want 0, 500", got, eng.TotalCount())
+	}
 }
 
 // TestManualMaintenanceDefersInstalls pins the deferred-phase contract:

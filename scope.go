@@ -16,16 +16,16 @@ import (
 // list and a scope is an index range of it.
 
 // ends lists the last step of each of the snapshot's spans, oldest first:
-// the installed partitions, then the sealed-but-uninstalled steps (piece i
-// is step installed+1+i — the snapshot keeps exactly the pieces the pinned
-// version has not installed, and sealed steps are consecutive).
+// the installed partitions, then the version's sealed steps (piece i is
+// sealed batch i).
 func (s *querySnap) ends() []int {
-	ends := make([]int, 0, len(s.sums)+s.sealed)
+	pending := s.ver.Pending()
+	ends := make([]int, 0, len(s.sums)+len(pending))
 	for _, ps := range s.sums {
 		ends = append(ends, ps.Part.EndStep)
 	}
-	for i := 1; i <= s.sealed; i++ {
-		ends = append(ends, s.ver.InstalledSteps()+i)
+	for _, sb := range pending {
+		ends = append(ends, sb.Step)
 	}
 	return ends
 }
@@ -43,11 +43,11 @@ func (s *querySnap) scope(sc query.Scope) error {
 	}
 	np := len(s.sums)
 	a, b := max(lo, np)-np, max(hi, np)-np // the sealed pieces in scope
-	s.sums, s.sealed = s.sums[min(lo, np):min(hi, np)], b-a
+	s.sums = s.sums[min(lo, np):min(hi, np)]
 	if live { // the scope ends at the newest span, so pieces[b:] is the live piece
 		s.pieces = s.pieces[a:]
 	} else {
-		s.pieces, s.m = s.pieces[a:b], 0
+		s.pieces = s.pieces[a:b]
 	}
 	s.memo, s.n = nil, 0
 	for _, ps := range s.sums {

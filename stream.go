@@ -116,18 +116,19 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // buffered batch becomes part of the warehouse and the stream sketch is
 // reset. An empty stream is a no-op.
 //
-// Every maintenance mode runs the same four moves. Cut: the batch, its
-// sketch and the step counter move together under the engine lock, so
-// elements observed from here on belong to the next step. Seal: the raw
-// batch is spilled and queued for installation; from the cut until its
-// install is published, queries cover the step through its frozen summary,
-// so answers always span the full observed history and neither Observe nor
-// Query waits for an install. Install (Algorithm 3, HistUpdate: sort into a
-// level-0 partition, κ-way merges as needed) by whoever the mode names —
-// this caller before it returns (sync, the default), the scheduler (async;
-// EndStep first blocks while MaxPendingSteps seals await installation, and
-// EndStepCtx aborts that wait on cancellation), or nobody until
-// SyncMaintenance (manual). Commit: one write-data → sync → commit-manifest
+// Every maintenance mode runs the same four moves. Cut and seal: under the
+// engine lock the batch and its sketch leave the live step and become the
+// newest sealed step of the store's published history, so elements observed
+// from here on belong to the next step, and counters and answers agree on
+// this one. Spill: the raw batch is written, outside every engine lock; from
+// the cut until its install is published, queries cover the step through
+// its frozen summary, so answers always span the full observed history and
+// neither Observe nor Query waits for a spill or an install. Install
+// (Algorithm 3, HistUpdate: sort into a level-0 partition, κ-way merges as
+// needed) by whoever the mode names — this caller before it returns (sync,
+// the default), the scheduler (async; EndStep first blocks while
+// MaxPendingSteps seals await installation, and EndStepCtx aborts that wait
+// on cancellation), or nobody until SyncMaintenance (manual). Commit: one write-data → sync → commit-manifest
 // → sync sequence, so when EndStep returns nil the step survives any crash
 // — as a partition, or as a spill a reopened DB re-installs — and a
 // reopened stream recovers exactly the prefix of time steps whose EndStep
