@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -255,6 +256,62 @@ func TestClusterHTTPForwarding(t *testing.T) {
 	// Unknown streams still 404 from every door (owner answers "no data").
 	if code, _ := get(t, tsA.URL+"/streams/"+streamOn(srvB)+"x-missing/quantile?phi=0.5"); code != http.StatusNotFound && code != http.StatusOK {
 		t.Errorf("missing stream: status %d", code)
+	}
+}
+
+// TestClusterHTTPCoordinatorReadIsFresh holds a non-member's reads to the
+// acknowledged writes: once the owner has confirmed a step, the next read
+// through another node covers it, so its N is every confirmed value and its
+// median is within the merged quick bound ⌈1.5·ε·N⌉ over all of them. The
+// non-member reads once before the second step, so a node that kept the
+// first fetch would answer over the first step only.
+func TestClusterHTTPCoordinatorReadIsFresh(t *testing.T) {
+	tsA, tsB, _, srvB := clusterTestServers(t, 1)
+	name := "fresh-0"
+	for i := 1; !srvB.cl.Member(name); i++ {
+		name = fmt.Sprintf("fresh-%d", i)
+	}
+	const n = 2000
+	step := func(lo int) {
+		var body strings.Builder
+		for v := lo; v < lo+n; v++ {
+			fmt.Fprintf(&body, "%d\n", v)
+		}
+		postBody(t, tsB.URL+"/streams/"+name+"/observe", body.String())
+		postBody(t, tsB.URL+"/streams/"+name+"/endstep", "")
+	}
+	rankTotal := func() int {
+		code, body := get(t, tsA.URL+"/streams/"+name+"/rank?v="+fmt.Sprint(n))
+		if code != http.StatusOK {
+			t.Fatalf("rank via the non-member: status %d: %s", code, body)
+		}
+		return jsonField(t, body, "total")
+	}
+
+	step(1)
+	if total := rankTotal(); total != n {
+		t.Fatalf("after step 1: rank total = %d, want %d", total, n)
+	}
+	step(n + 1)
+	total := rankTotal()
+	resp, err := http.Post(tsA.URL+"/query", "application/json", strings.NewReader(fmt.Sprintf(`{"streams":[%q],"phis":[0.5]}`, name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res query.Result
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("POST /query via the non-member: status %d, %v", resp.StatusCode, err)
+	}
+	win := res.Groups[0].Windows[0]
+	bound := int64(math.Ceil(1.5 * 0.02 * 2 * n))
+	t.Logf("after step 2 via the non-member: rank total %d, query N %d, median %d (want %d, %d, %d±%d)", total, win.N, win.Values[0], 2*n, 2*n, n, bound)
+	if total != 2*n || win.N != 2*n {
+		t.Errorf("after step 2: rank total %d and query N %d, want %d: the read missed a confirmed step", total, win.N, 2*n)
+	}
+	if dev := win.Values[0] - n; dev < -bound || dev > bound {
+		t.Errorf("after step 2: median %d is %d ranks from %d, bound %d", win.Values[0], dev, n, bound)
 	}
 }
 

@@ -127,7 +127,6 @@ func main() {
 		replicas   = flag.Int("replicas", 1, "cluster replication factor R: each stream lives on its owner plus R-1 followers")
 		ringEpoch  = flag.Uint64("ring-epoch", 1, "cluster membership epoch; every node of a cluster must run the same value (GET /cluster reports it)")
 		ingestIdle = flag.Duration("ingest-idle-timeout", 0, "drop ingest connections idle longer than this (0 = never)")
-		summaryTTL = flag.Duration("summary-cache-ttl", 0, "peer shard-summary cache lifetime for coordinator reads; entries also drop on observed endstep traffic (0 = default 2s, negative = off)")
 	)
 	flag.Parse()
 	if *dir == "" && *backend != "mem" {
@@ -147,7 +146,7 @@ func main() {
 		maintenance: *maintenance, maxPending: *maxPending, maintWorkers: *maintWork,
 		maxHydrated: *maxHydrated, probeMemo: *probeMemo,
 		nodeID: *nodeID, clusterPeers: *peers, replicas: *replicas,
-		ringEpoch: *ringEpoch, ingestIdle: *ingestIdle, summaryTTL: *summaryTTL,
+		ringEpoch: *ringEpoch, ingestIdle: *ingestIdle,
 		logf: log.Printf,
 	})
 	if err != nil {
@@ -246,9 +245,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 // including its cumulative ingest tally — plus the shared device
 // aggregate the per-stream counters sum to and a summary of the ingest
 // listener. Engine counters (stream/hist/steps/partitions) are reported
-// only for hydrated streams: a status poll must never hydrate a
-// million-stream directory, so cold streams show "hydrated": false with
-// their durable I/O counters and ingest tallies only.
+// only for hydrated streams, each row read through one Stream.Counters peek:
+// a status poll must never hydrate a million-stream directory nor reorder
+// its evictions, so cold streams show "hydrated": false with their durable
+// I/O counters and ingest tallies only.
 func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	names := s.db.Streams()
 	ing := s.ing.Stats()
@@ -260,7 +260,7 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		}
 		io := st.DiskStats()
 		tally := ing.Streams[name]
-		hydrated := st.Hydrated()
+		m, n, steps, parts, hydrated := st.Counters()
 		row := map[string]any{
 			"name":             name,
 			"hydrated":         hydrated,
@@ -273,10 +273,7 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"ingest_end_steps": tally.EndSteps,
 		}
 		if hydrated {
-			row["stream_count"] = st.StreamCount()
-			row["hist_count"] = st.HistCount()
-			row["steps"] = st.Steps()
-			row["partitions"] = st.PartitionCount()
+			row["stream_count"], row["hist_count"], row["steps"], row["partitions"] = m, n, steps, parts
 		}
 		streams = append(streams, row)
 	}

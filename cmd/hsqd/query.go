@@ -201,34 +201,23 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // a cluster-transport failure is 502, anything else — a bad plan, a scope a
 // remote stream cannot serve — 400.
 func planStatus(err error) int {
-	var fe *fetchError
-	if errors.As(err, &fe) {
+	if errors.Is(err, errFetch) {
 		return http.StatusBadGateway
 	}
 	return http.StatusBadRequest
 }
 
-// fetchError marks a cluster-transport failure (502, not the 400 a bad
-// plan earns).
-type fetchError struct {
-	name string
-	err  error
-}
-
-func (e *fetchError) Error() string {
-	return fmt.Sprintf("fetch summary for %q: %v", e.name, e.err)
-}
-
-func (e *fetchError) Unwrap() error { return e.err }
+// errFetch marks a cluster-transport failure (502, not the 400 a bad plan
+// earns).
+var errFetch = errors.New("fetch summary")
 
 // planSource is the query source of POST /query and of the read routes'
 // remote branch: streams this node stores answer locally (scoped,
-// sidecar-aware), streams other shards own answer from the first member that
-// does, through the cluster's summary cache — so a dashboard re-polling the
-// coordinator does not re-dial every shard (entries expire after a short TTL
-// and drop eagerly on observed EndStep traffic). Remote streams carry only
-// full-history summaries over the wire, so scoped (window/as-of) reads refuse
-// them — ask a member node.
+// sidecar-aware), streams other shards own answer from a summary fetched
+// fresh from the first member that serves it — one fetch per remote member
+// per read, so every answer covers each confirmed step. Remote streams carry
+// only full-history summaries over the wire, so scoped (window/as-of) reads
+// refuse them — ask a member node.
 type planSource struct {
 	s   *server
 	ctx context.Context
@@ -243,14 +232,9 @@ func (ps *planSource) ScopedSummary(name string, sc query.Scope) (*core.ShardSum
 	if !sc.IsFull() {
 		return nil, fmt.Errorf("windowed/as-of queries are not available for remote stream %q; ask a member node", name)
 	}
-	var lastErr error
-	for _, n := range ps.s.cl.Ring().Members(name) {
-		sum, err := ps.s.cl.CachedSummary(ps.ctx, n, name)
-		if err == nil {
-			// nil means no data anywhere reachable: an empty contribution.
-			return sum, nil
-		}
-		lastErr = err
+	sum, err := ps.s.cl.Summary(ps.ctx, name)
+	if err != nil {
+		return nil, fmt.Errorf("%w for %q: %w", errFetch, name, err)
 	}
-	return nil, &fetchError{name: name, err: lastErr}
+	return sum, nil // nil: no data anywhere reachable, an empty contribution
 }

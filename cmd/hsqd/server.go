@@ -48,7 +48,6 @@ type serverConfig struct {
 	replicas     int           // replication factor R (≥ 1)
 	ringEpoch    uint64        // membership epoch (0 = 1)
 	ingestIdle   time.Duration // drop idle ingest conns after this (0 = never)
-	summaryTTL   time.Duration // peer summary cache TTL (0 = default, < 0 = off)
 }
 
 // newServer opens (or resumes — the DB manifest decides) a multi-stream DB
@@ -101,7 +100,7 @@ func newCluster(sc serverConfig) (*cluster.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cluster.New(cluster.Config{Self: sc.nodeID, Ring: ring, SummaryTTL: sc.summaryTTL, Logf: sc.logf})
+	return cluster.New(cluster.Config{Self: sc.nodeID, Ring: ring, Logf: sc.logf})
 }
 
 // streamHandler is an HTTP handler parameterized by the stream it operates
@@ -184,12 +183,11 @@ func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, map[string]any{
-		"enabled":       true,
-		"epoch":         ring.Epoch(),
-		"replicas":      ring.Replicas(),
-		"self":          s.cl.Self().ID,
-		"nodes":         nodes,
-		"relays":        s.cl.Stats(),
-		"summary_cache": s.cl.SummaryCacheStats(),
+		"enabled":  true,
+		"epoch":    ring.Epoch(),
+		"replicas": ring.Replicas(),
+		"self":     s.cl.Self().ID,
+		"nodes":    nodes,
+		"relays":   s.cl.Stats(),
 	})
 }

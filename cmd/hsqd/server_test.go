@@ -111,6 +111,39 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStreamsPollLeavesLRU holds GET /streams to a read that is not a use:
+// with a budget of two hydrated streams, b written before a, a poll in
+// between must leave b the least recently used, so writing c evicts b.
+func TestStreamsPollLeavesLRU(t *testing.T) {
+	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maxHydrated: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	write := func(name string) {
+		postBody(t, ts.URL+"/streams/"+name+"/observe", "1\n2\n3\n")
+		postBody(t, ts.URL+"/streams/"+name+"/endstep", "")
+	}
+	write("b")
+	write("a")
+	out, code := getJSON(t, ts.URL+"/streams")
+	if code != http.StatusOK {
+		t.Fatalf("GET /streams: status %d", code)
+	}
+	for _, row := range out["streams"].([]any) {
+		if r := row.(map[string]any); r["hydrated"] != true || r["hist_count"] != 3.0 {
+			t.Fatalf("GET /streams row %v, want hydrated with hist_count 3", r)
+		}
+	}
+	write("c")
+	for name, want := range map[string]bool{"a": true, "b": false, "c": true} {
+		if st, _ := srv.db.Lookup(name); st.Hydrated() != want {
+			t.Errorf("after writing c: %s hydrated = %v, want %v (the poll reordered eviction)", name, !want, want)
+		}
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	ts := newTestServer(t)
 	// Bad element.

@@ -176,7 +176,7 @@
 //
 // Continuous queries push instead of poll: hsqclient.Subscribe registers
 // a plan over the ingest connection and the server re-evaluates it after
-// relevant end-of-step events, debounced (ingest.Config.PushDebounce)
+// relevant end-of-step events, always debounced (ingest.Config.PushDebounce)
 // and coalesced to the latest state — delivery is at-least-once per
 // dirty state, newest wins, intermediate states may be skipped, and a
 // reconnect re-subscribes rather than replays. A malformed plan nacks
@@ -411,14 +411,13 @@
 // visible in hsqd's GET /cluster) — at once, until it confirms a frame
 // again — so ingest degrades instead of blocking;
 // there is no automatic rebalancing and no cross-member read-your-writes
-// within a step. Peer summaries a coordinator fetches for streams it does
-// not host are cached per {stream, node, ring epoch} for
-// cluster.Config.SummaryTTL (hsqd -summary-cache-ttl, default 2s,
-// negative disables), invalidated early when the node relays an
-// end-of-step frame for the stream and wholesale on membership-epoch
-// change; a cached summary can be stale only by in-flight data the
-// 1.5·ε·N quick-query bound already absorbs. TestClusterEndToEnd and the node-kill harness in
-// internal/crashtest prove the failover contract under -race.
+// within a step. A coordinator reads a stream it does not host by fetching
+// the summary fresh from the first member that answers (Cluster.Summary):
+// one round trip per remote member per read, nothing kept between reads,
+// so every answer covers each step its owner has confirmed (about 0.2 ms a
+// member on loopback; README, "What a coordinator read costs").
+// TestClusterEndToEnd and the node-kill harness in internal/crashtest prove
+// the failover contract under -race.
 //
 // See DESIGN.md for the full mapping from the paper's algorithms to this
 // package and EXPERIMENTS.md for the reproduced evaluation.

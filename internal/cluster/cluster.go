@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,12 +37,6 @@ type Config struct {
 	// DownRetry is how long a down node is skipped by routing decisions
 	// before being probed again. 0 means DefaultDownRetry.
 	DownRetry time.Duration
-	// SummaryTTL bounds how long a fetched peer shard summary may be served
-	// from cache without refetching. 0 means DefaultSummaryTTL; negative
-	// disables summary caching. Cached entries are additionally dropped the
-	// moment this node observes EndStep relay traffic for the stream, so
-	// the TTL only matters for writes this node never sees.
-	SummaryTTL time.Duration
 	// Logf, when non-nil, receives relay lifecycle log lines.
 	Logf func(format string, args ...any)
 }
@@ -49,13 +44,10 @@ type Config struct {
 // Cluster is one node's view of the sharded deployment: the ring, plus the
 // set of live relay channels fanning applied frames to followers and
 // routing misdirected frames to their owning shard. It implements the
-// ingest server's cluster hook.
+// ingest server's cluster hook. It keeps no read state (see Summary).
 type Cluster struct {
 	cfg  Config
 	self Node
-	// summaries caches peer shard summaries for coordinator reads; nil
-	// when disabled. It has its own lock — reads never touch c.mu.
-	summaries *summaryCache
 
 	mu         sync.Mutex
 	relays     map[relayKey]*relay
@@ -97,7 +89,6 @@ func New(cfg Config) (*Cluster, error) {
 	return &Cluster{
 		cfg:       cfg,
 		self:      self,
-		summaries: newSummaryCache(cfg.SummaryTTL),
 		relays:    make(map[relayKey]*relay),
 		downUntil: make(map[string]time.Time),
 	}, nil
@@ -131,20 +122,8 @@ func (c *Cluster) Member(stream string) bool {
 // ingest server turns a Relay error into a connection error and the
 // client retries elsewhere.
 func (c *Cluster) Relay(session, stream string, f *wire.Frame, fanOnly bool) error {
-	if f.Type == wire.TypeEndStep {
-		// A closing step is the only event that moves a shard summary's
-		// boundary; every path a step close can take — local fan-out,
-		// routed client frame, forwarded REST write — passes through here.
-		c.InvalidateSummaries(stream)
-	}
 	members := c.cfg.Ring.Members(stream)
-	selfMember := false
-	for _, n := range members {
-		if n.ID == c.self.ID {
-			selfMember = true
-			break
-		}
-	}
+	selfMember := slices.ContainsFunc(members, func(n Node) bool { return n.ID == c.self.ID })
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {

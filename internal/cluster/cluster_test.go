@@ -9,6 +9,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -386,6 +387,137 @@ func TestRelayRefusesUnencodableFrame(t *testing.T) {
 	if len(stats) != 1 || stats[0].Down || stats[0].Dropped != 1 {
 		t.Errorf("stats %+v, want one node, not down, 1 dropped", stats)
 	}
+}
+
+// bindingPeer is an ingest peer for the stream-limit tests: it binds stream
+// IDs as the ingest server does, refusing a new one past wire.MaxConnStreams
+// on a connection with ErrCodeStream, answers every Ping, and records the
+// connections it accepted and the streams a Batch reached. It stores no
+// stream, so the tests need not register 65 537 of them in a DB.
+type bindingPeer struct {
+	addr           string
+	mu             sync.Mutex
+	conns, refused int
+	fed            map[string]bool
+}
+
+func newBindingPeer(t *testing.T) *bindingPeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() }) //nolint:errcheck
+	p := &bindingPeer{addr: ln.Addr().String(), fed: make(map[string]bool)}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.mu.Lock()
+			p.conns++
+			p.mu.Unlock()
+			go p.serve(nc)
+		}
+	}()
+	return p
+}
+
+func (p *bindingPeer) serve(nc net.Conn) {
+	defer nc.Close() //nolint:errcheck
+	r, w := wire.NewReader(nc), wire.NewWriter(nc)
+	names := make(map[uint64]string)
+	for {
+		f, err := r.ReadFrame()
+		if err != nil {
+			return
+		}
+		var out *wire.Frame
+		p.mu.Lock()
+		switch _, ok := names[f.StreamID]; {
+		case f.Type == wire.TypeHello:
+			out = &wire.Frame{Type: wire.TypeWelcome, Version: wire.Version, Credit: 64}
+		case f.Type == wire.TypeOpenStream && !ok && len(names) >= wire.MaxConnStreams:
+			p.refused++
+			out = &wire.Frame{Type: wire.TypeError, Code: wire.ErrCodeStream, Message: "past MaxConnStreams"}
+		case f.Type == wire.TypeOpenStream:
+			names[f.StreamID] = f.Name
+		case f.Type == wire.TypeBatch:
+			p.fed[names[f.StreamID]] = true
+		case f.Type == wire.TypePing:
+			out = &wire.Frame{Type: wire.TypePong, Seq: f.Seq}
+		}
+		p.mu.Unlock()
+		if out != nil && (w.WriteFrame(out) != nil || w.Flush() != nil) {
+			return
+		}
+	}
+}
+
+// check requires every one of streams fed, over two connections (the
+// first one full), and no binding refused.
+func (p *bindingPeer) check(t *testing.T, streams int) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.fed) != streams || p.conns != 2 || p.refused != 0 {
+		t.Errorf("peer: %d streams fed over %d connections, %d bindings refused; want %d over 2, none refused",
+			len(p.fed), p.conns, p.refused, streams)
+	}
+}
+
+// TestClientRollsPastStreamLimit: an hsqclient writing to one stream more
+// than a connection may bind ends its full connection once every write on it
+// is confirmed and binds the rest on a new one. Its Flush confirms every
+// write and the client stays usable.
+func TestClientRollsPastStreamLimit(t *testing.T) {
+	p := newBindingPeer(t)
+	c, err := hsqclient.Dial(p.addr, hsqclient.WithSession("roll"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	const streams = wire.MaxConnStreams + 1
+	for i := range streams {
+		if err := c.Stream(fmt.Sprintf("s%d", i)).Observe(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p.check(t, streams)
+}
+
+// TestRelayRollsPastStreamLimit: a node's relay session to a peer, which on
+// a cluster node carries every REST write, rolls its connection the same way
+// and WaitRelayed confirms every frame.
+func TestRelayRollsPastStreamLimit(t *testing.T) {
+	p := newBindingPeer(t)
+	ring := mustRing(t, Membership{Epoch: 1, Replicas: 2, Nodes: []Node{
+		{ID: "a", Addr: "127.0.0.1:1"}, // self; never dialed
+		{ID: "b", Addr: p.addr},
+	}})
+	cl, err := New(Config{Self: "a", Ring: ring, DialTimeout: 5 * time.Second,
+		DownAfter: time.Minute, DownRetry: time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const streams = wire.MaxConnStreams + 1
+	for i := range streams {
+		f := &wire.Frame{Type: wire.TypeBatch, Seq: uint64(i + 1), Values: []int64{int64(i)}}
+		if err := cl.Relay("origin", fmt.Sprintf("s%d", i), f, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := cl.WaitRelayed(ctx, "origin", streams); err != nil {
+		t.Fatal(err)
+	}
+	p.check(t, streams)
 }
 
 // TestFailoverFlushWaitsForFanOut: a client's node dies and the client fails

@@ -10,6 +10,19 @@ import (
 	"repro/internal/wire"
 )
 
+// Summary is a coordinator's read of a stream this node does not store: the
+// shard summary its first member to answer serves now, under the dial
+// timeout. Nothing is kept between calls. A nil summary means that member
+// holds no data for the stream; the error is the last member's.
+func (c *Cluster) Summary(ctx context.Context, stream string) (sum *core.ShardSummary, err error) {
+	for _, n := range c.cfg.Ring.Members(stream) {
+		if sum, err = FetchSummary(ctx, c.cfg.DialTimeout, n, stream); err == nil {
+			return sum, nil
+		}
+	}
+	return nil, err
+}
+
 // FetchSummary dials node and retrieves its current shard summary for
 // stream over one short-lived wire connection: Hello (leaf, so the peer
 // never adopts or fans anything), SummaryReq, SummaryResp. A peer that

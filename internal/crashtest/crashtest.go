@@ -46,6 +46,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/oracle"
 	"repro/internal/partition"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -275,6 +276,15 @@ func Verify(cb *disk.CrashBackend, cfg Config, plan []Op, res Result) error {
 	}
 	defer db.Close() //nolint:errcheck // best-effort; Close errors surface below
 
+	// Cold summaries first, before the loop below hydrates anything, must
+	// cover exactly the recovered steps: from the sidecar, or, where it does
+	// not match the committed manifest, the fallback hydrates the stream.
+	cold := make(map[string]*core.ShardSummary)
+	for _, name := range db.Streams() {
+		if cold[name], err = db.ScopedSummary(name, query.Scope{}); err != nil {
+			return fmt.Errorf("stream %s: cold summary after recovery: %w", name, err)
+		}
+	}
 	groups := stepGroups(plan)
 	for i := 0; i < cfg.Streams; i++ {
 		name := streamName(i)
@@ -298,6 +308,13 @@ func Verify(cb *disk.CrashBackend, cfg Config, plan []Op, res Result) error {
 		var want []int64
 		for _, g := range groups[name][:r] {
 			want = append(want, g...)
+		}
+		sum, last := cold[name], 0
+		if len(sum.Parts) > 0 {
+			last = sum.Parts[len(sum.Parts)-1].EndStep
+		}
+		if sum.N != int64(len(want)) || last != r {
+			return fmt.Errorf("stream %s: cold summary has N=%d through step %d, want N=%d through step %d", name, sum.N, last, len(want), r)
 		}
 		if got := st.HistCount(); got != int64(len(want)) {
 			return fmt.Errorf("stream %s: recovered %d elements, want %d (steps=%d)", name, got, len(want), r)

@@ -18,6 +18,16 @@
 // number, the session records the highest applied one per stream, and the
 // Welcome frame restates those marks so the client can discard
 // already-applied frames before re-sending the rest.
+//
+// Limits. Past each, a peer gets a named refusal, never an unbounded
+// allocation:
+//
+//	frame                      wire.MaxFrameSize (1 MiB)          decode error, connection closed
+//	session token              wire.MaxSessionLen (64 bytes)      decode error, connection closed
+//	stream name                255 bytes (hsq.ValidStreamName)    ErrCodeStream, connection closed
+//	stream IDs per connection  wire.MaxConnStreams (65 536)       ErrCodeStream, connection closed
+//	subscriptions per conn.    wire.MaxConnSubscriptions (1 024)  Push nack ErrCodePlan, connection kept
+//	window count of a plan     query.MaxWindowCount (1 024)       Push nack ErrCodePlan, connection kept
 package ingest
 
 import (
@@ -91,8 +101,8 @@ type Config struct {
 	// connect once and write rarely keep working).
 	IdleTimeout time.Duration
 	// PushDebounce is the settle window between an EndStep and the
-	// continuous-query push it triggers (see subscribe.go). 0 means
-	// DefaultPushDebounce; negative disables debouncing (tests).
+	// continuous-query push it triggers (see subscribe.go). A value ≤ 0
+	// means DefaultPushDebounce.
 	PushDebounce time.Duration
 	// Cluster, when non-nil, shards the server: frames for streams this
 	// node does not store are routed to the owning shard, applied frames
@@ -195,7 +205,7 @@ type conn struct {
 	leaf    bool // apply-only relay target: no fan-out, no Pong gating
 	relayIn bool // routed-relay target: applies and fans, never routes
 
-	streamsMu sync.Mutex
+	streamsMu sync.Mutex // the handler goroutine, c.streams' only writer, reads it unlocked
 	streams   map[uint64]bound
 
 	subMu   sync.Mutex
@@ -220,7 +230,7 @@ func New(cfg Config) *Server {
 		ttl = DefaultSessionTTL
 	}
 	debounce := cfg.PushDebounce
-	if debounce == 0 {
+	if debounce <= 0 {
 		debounce = DefaultPushDebounce
 	}
 	var tok [16]byte
@@ -299,6 +309,8 @@ func (s *Server) startConn(nc net.Conn) <-chan struct{} {
 		ctx:     ctx,
 		cancel:  cancel,
 		w:       wire.NewWriter(nc),
+		streams: make(map[uint64]bound),
+		subs:    make(map[uint64]*subscription),
 		subWake: make(chan struct{}, 1),
 	}
 	s.conns[c.id] = c
@@ -534,8 +546,14 @@ func (s *Server) adoptSession(c *conn, token string) *session {
 // later applied) when this node is a member of the stream; otherwise the
 // binding carries just the name and frames are routed onward. Relay and
 // leaf connections always apply locally — the sender already decided this
-// node is a member.
+// node is a member. A new ID past wire.MaxConnStreams is refused before any
+// stream is opened.
 func (s *Server) openStream(c *conn, f *wire.Frame) error {
+	if prev, ok := c.streams[f.StreamID]; ok && prev.name != f.Name {
+		return fmt.Errorf("stream id %d already bound to %q, rebound to %q", f.StreamID, prev.name, f.Name)
+	} else if !ok && len(c.streams) >= wire.MaxConnStreams {
+		return fmt.Errorf("stream id %d: the connection already binds %d stream ids, the limit (MaxConnStreams)", f.StreamID, len(c.streams))
+	}
 	b := bound{name: f.Name}
 	if s.cluster == nil || c.leaf || c.relayIn || s.cluster.Member(f.Name) {
 		st, err := s.db.Stream(f.Name)
@@ -546,12 +564,6 @@ func (s *Server) openStream(c *conn, f *wire.Frame) error {
 	}
 	c.streamsMu.Lock()
 	defer c.streamsMu.Unlock()
-	if c.streams == nil {
-		c.streams = make(map[uint64]bound)
-	}
-	if prev, ok := c.streams[f.StreamID]; ok && prev.name != f.Name {
-		return fmt.Errorf("stream id %d already bound to %q, rebound to %q", f.StreamID, prev.name, f.Name)
-	}
 	c.streams[f.StreamID] = b
 	return nil
 }
@@ -568,9 +580,7 @@ func (s *Server) openStream(c *conn, f *wire.Frame) error {
 // confirmation, so a follower may have missed it the first time; the
 // follower's own marks squash the duplicate.
 func (s *Server) applySequenced(c *conn, sess *session, f *wire.Frame) (bool, error) {
-	c.streamsMu.Lock()
 	b, ok := c.streams[f.StreamID]
-	c.streamsMu.Unlock()
 	if !ok {
 		return false, fmt.Errorf("%s for unbound stream id %d", wire.TypeName(f.Type), f.StreamID)
 	}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -299,6 +300,102 @@ func TestRebindStreamID(t *testing.T) {
 	if !strings.Contains(f.Message, "rebound") {
 		t.Fatalf("error %q does not mention rebinding", f.Message)
 	}
+}
+
+// writeAll writes frames from a goroutine, so the caller can read the
+// server's replies meanwhile, and reports the write error when done.
+func (rc *rawConn) writeAll(frames []*wire.Frame) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		for _, f := range frames {
+			if err := rc.w.WriteFrame(f); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- rc.w.Flush()
+	}()
+	return done
+}
+
+// ingestsAfresh checks that a new connection to s still applies a batch.
+func ingestsAfresh(t *testing.T, s *Server, db *hsq.DB) {
+	t.Helper()
+	rc := dialRaw(t, s)
+	rc.hello("sess-fresh")
+	rc.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: "fresh"})
+	rc.send(&wire.Frame{Type: wire.TypeBatch, Seq: 1, StreamID: 1, Values: []int64{1, 2, 3}})
+	rc.ping(1)
+	if st, ok := db.Lookup("fresh"); !ok || st.StreamCount() != 3 {
+		t.Fatalf("a fresh connection did not ingest: stream found %v", ok)
+	}
+}
+
+// TestConnStreamLimit pins MaxConnStreams: one connection binds that many
+// stream IDs (all to one name, so the DB holds one stream), the next new ID
+// is refused with ErrCodeStream naming the limit, and a fresh connection
+// still ingests.
+func TestConnStreamLimit(t *testing.T) {
+	db := newTestDB(t, hsq.Options{})
+	s := New(Config{DB: db})
+	rc := dialRaw(t, s)
+	rc.hello("sess-streams")
+	var opens []*wire.Frame
+	for id := uint64(1); id <= wire.MaxConnStreams+1; id++ {
+		opens = append(opens, &wire.Frame{Type: wire.TypeOpenStream, StreamID: id, Name: "one"})
+	}
+	done := rc.writeAll(opens)
+	f := rc.recv()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != wire.TypeError || f.Code != wire.ErrCodeStream ||
+		!strings.Contains(f.Message, fmt.Sprintf("stream id %d:", wire.MaxConnStreams+1)) || !strings.Contains(f.Message, "MaxConnStreams") {
+		t.Fatalf("got %s, want a stream error for id %d naming MaxConnStreams", f, wire.MaxConnStreams+1)
+	}
+	ingestsAfresh(t, s, db)
+}
+
+// TestConnSubscriptionLimit pins MaxConnSubscriptions: one connection
+// holds that many subscriptions, the next new one is nacked with
+// ErrCodePlan naming the limit while the others push results, the
+// connection still answers a Ping, and a fresh connection still ingests.
+func TestConnSubscriptionLimit(t *testing.T) {
+	db := newTestDB(t, hsq.Options{})
+	s := New(Config{DB: db})
+	rc := dialRaw(t, s)
+	rc.hello("sess-subs")
+	rc.send(&wire.Frame{Type: wire.TypeOpenStream, StreamID: 1, Name: "one"})
+	rc.send(&wire.Frame{Type: wire.TypeBatch, Seq: 1, StreamID: 1, Values: []int64{1, 2, 3}})
+	rc.send(&wire.Frame{Type: wire.TypeEndStep, Seq: 2, StreamID: 1})
+	rc.ping(1)
+	plan := []byte(`{"streams":["one"],"phis":[0.5]}`)
+	var subs []*wire.Frame
+	for id := uint64(1); id <= wire.MaxConnSubscriptions+1; id++ {
+		subs = append(subs, &wire.Frame{Type: wire.TypeSubscribe, StreamID: id, Data: plan})
+	}
+	done := rc.writeAll(append(subs, &wire.Frame{Type: wire.TypePing, Seq: 2}))
+	var nack, pong bool
+	for !nack || !pong {
+		switch f := rc.recv(); {
+		case f.Type == wire.TypePong && f.Seq == 2:
+			pong = true
+		case f.Type == wire.TypePush && f.StreamID == wire.MaxConnSubscriptions+1:
+			if f.Code != wire.ErrCodePlan || !strings.Contains(f.Message, "MaxConnSubscriptions") {
+				t.Fatalf("got %s, want a plan nack naming MaxConnSubscriptions", f)
+			}
+			nack = true
+		case f.Type != wire.TypePush || f.Code != 0:
+			t.Fatalf("got %s, want a push result", f)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Subscribes; got != wire.MaxConnSubscriptions {
+		t.Fatalf("%d subscriptions registered, want %d", got, wire.MaxConnSubscriptions)
+	}
+	ingestsAfresh(t, s, db)
 }
 
 // floorHook is a ClusterHook that relays nothing and records the sequence

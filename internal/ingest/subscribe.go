@@ -26,14 +26,15 @@ import (
 //     same subscription ID); 0 means unbounded. A subscription out of
 //     credit stays registered and dirty, and the next renewal triggers a
 //     fresh push — slow consumers bound server work instead of queueing.
-//   - An invalid plan is refused with a Push frame carrying ErrCodePlan
-//     for that subscription ID; the connection stays healthy. Later
+//   - An invalid plan, or a new subscription past wire.MaxConnSubscriptions, is
+//     refused with a Push frame carrying ErrCodePlan for that subscription
+//     ID; the connection stays healthy. Later
 //     evaluation errors (e.g. a selected stream dropped mid-flight) are
 //     delivered the same way and the subscription stays registered.
 
 // DefaultPushDebounce is the settle window between an EndStep and the
 // push it triggers, coalescing multi-stream ingest bursts into one
-// evaluation. Config.PushDebounce overrides it; negative disables.
+// evaluation. A positive Config.PushDebounce overrides it.
 const DefaultPushDebounce = 25 * time.Millisecond
 
 // subscription is one standing continuous query on a connection.
@@ -49,12 +50,18 @@ type subscription struct {
 }
 
 // subscribe registers or renews a continuous query from a Subscribe
-// frame. Plan errors are answered with a Push nack for the subscription
-// ID and do not fail the connection; the returned error is reserved for
-// transport failures.
+// frame. Plan errors, and a new subscription past wire.MaxConnSubscriptions, are
+// answered with a Push nack for the subscription ID and do not fail the
+// connection; the returned error is reserved for transport failures.
 func (s *Server) subscribe(c *conn, f *wire.Frame) error {
 	plan, err := query.ParsePlan(f.Data)
+	c.subMu.Lock()
+	sub, ok := c.subs[f.StreamID]
+	if err == nil && !ok && len(c.subs) >= wire.MaxConnSubscriptions {
+		err = fmt.Errorf("the connection already holds %d subscriptions, the limit (MaxConnSubscriptions)", len(c.subs))
+	}
 	if err != nil {
+		c.subMu.Unlock()
 		s.errCount.Add(1)
 		return c.push(&wire.Frame{
 			Type:     wire.TypePush,
@@ -63,11 +70,6 @@ func (s *Server) subscribe(c *conn, f *wire.Frame) error {
 			Message:  err.Error(),
 		})
 	}
-	c.subMu.Lock()
-	if c.subs == nil {
-		c.subs = make(map[uint64]*subscription)
-	}
-	sub, ok := c.subs[f.StreamID]
 	if !ok {
 		sub = &subscription{id: f.StreamID}
 		c.subs[f.StreamID] = sub
@@ -143,14 +145,10 @@ func (s *Server) pushLoop(c *conn) {
 			return
 		case <-c.subWake:
 		}
-		if s.pushDebounce > 0 {
-			t := time.NewTimer(s.pushDebounce)
-			select {
-			case <-c.ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
+		select {
+		case <-c.ctx.Done():
+			return
+		case <-time.After(s.pushDebounce):
 		}
 		// Drain a wake that raced the debounce window: the dirty marks it
 		// announced are visible to the snapshot below, so it is spent.

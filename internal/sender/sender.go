@@ -16,6 +16,7 @@ package sender
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	mrand "math/rand/v2"
 	"net"
@@ -242,7 +243,7 @@ func (s *Sender) run(nc net.Conn, r *wire.Reader) {
 		}
 		err = s.serve(nc, r)
 		nc = nil
-		if !s.fail(err, false) {
+		if err != errRoll && !s.fail(err, false) {
 			return
 		}
 	}
@@ -281,10 +282,8 @@ func (s *Sender) fail(err error, attempt bool) bool {
 			delay = min(delay, left)
 		}
 	}
-	t := time.NewTimer(delay)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-time.After(delay):
 		return true
 	case <-s.ctx.Done():
 		return false
@@ -397,7 +396,7 @@ func (s *Sender) serve(nc net.Conn, r *wire.Reader) error {
 	}()
 	err := s.write(nc)
 	s.drop(nc)
-	if rerr := <-rerr; rerr != nil {
+	if rerr := <-rerr; rerr != nil && err != errRoll {
 		err = rerr
 	}
 	s.mu.Lock()
@@ -459,19 +458,26 @@ func (s *Sender) confirmLocked(n int) {
 	s.cond.Broadcast()
 }
 
+// errRoll ends a full, confirmed connection (see write); run redials at once.
+var errRoll = errors.New("connection binds wire.MaxConnStreams streams")
+
 // write hands bursts to nc until it is retired: frames in order, at most a
 // quarter of the credit window of them sequenced per burst, none beyond the
 // window, each followed by the Ping pingDueLocked asks for — the first one
-// at once when the Welcome pruned frames, with or without a burst. A write
-// error sticks to bw; Flush reports it.
+// at once when the Welcome pruned frames, with or without a burst. A frame
+// that would bind a stream past wire.MaxConnStreams waits for the flight's
+// confirmation, then ends the connection with errRoll: nothing is replayed.
+// A write error sticks to bw; Flush reports it.
 func (s *Sender) write(nc net.Conn) error {
 	bw := bufio.NewWriterSize(nc, 64<<10)
 	ids := make(map[string]uint64)
+	unbound := func(it *Item) bool { return it.Stream != "" && ids[it.Stream] == 0 }
+	full := func() bool { return len(s.queue) > 0 && unbound(s.queue[0]) && len(ids) >= wire.MaxConnStreams }
 	var buf, out []byte
 	var burst []*Item
 	for {
 		s.mu.Lock()
-		for s.nc == nc && !s.pingDueLocked() && (len(s.queue) == 0 || s.queue[0].sequenced() && len(s.inflight) >= s.credit) {
+		for s.nc == nc && !s.pingDueLocked() && (len(s.queue) == 0 || s.queue[0].sequenced() && len(s.inflight) >= s.credit || full() && len(s.inflight) > 0) {
 			if d := s.cfg.Keepalive; d > 0 && len(s.queue)+len(s.inflight) == 0 {
 				// Idle: a keepalive is due unless something wakes us first.
 				t := time.AfterFunc(d, func() {
@@ -490,9 +496,18 @@ func (s *Sender) write(nc net.Conn) error {
 			s.mu.Unlock()
 			return nil
 		}
+		if full() && len(s.inflight) == 0 {
+			s.mu.Unlock()
+			return errRoll
+		}
 		burst = burst[:0]
-		for n := 0; len(s.queue) > 0 && n < max(s.credit/4, 1); {
+		for n, binds := 0, 0; len(s.queue) > 0 && n < max(s.credit/4, 1); {
 			it := s.queue[0]
+			if unbound(it) { // a stream counts once per frame: the burst may end early
+				if binds++; len(ids)+binds > wire.MaxConnStreams {
+					break
+				}
+			}
 			if it.sequenced() {
 				if len(s.inflight) >= s.credit {
 					break

@@ -128,6 +128,14 @@ const MaxFrameSize = 1 << 20
 // MaxSessionLen bounds the opaque session token carried by Hello.
 const MaxSessionLen = 64
 
+// MaxConnStreams bounds the stream IDs one connection may bind (no frame
+// releases one: a sender that needs more rolls to a new connection), and
+// MaxConnSubscriptions the standing queries it may hold.
+const (
+	MaxConnStreams       = 65536
+	MaxConnSubscriptions = 1024
+)
+
 // Frame types.
 const (
 	TypeHello       = 0x01 // client → server: magic, version, session

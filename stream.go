@@ -232,6 +232,16 @@ func (s *Stream) Steps() int { return onEngine(s, (*engine).Steps) }
 // PartitionCount returns the number of disk partitions across all levels.
 func (s *Stream) PartitionCount() int { return onEngine(s, (*engine).PartitionCount) }
 
+// Counters reads m, n, completed steps and partitions through one peek: it
+// never hydrates and is no touch for eviction, so a status poll leaves the
+// LRU order alone. A cold stream reports hydrated false and zeros.
+func (s *Stream) Counters() (m, n int64, steps, partitions int, hydrated bool) {
+	s.peek(func(e *engine) { //nolint:errcheck // a dropped stream or closed DB reads as cold
+		m, n, steps, partitions, hydrated = e.StreamCount(), e.HistCount(), e.Steps(), e.PartitionCount(), true
+	})
+	return
+}
+
 // Describe returns the stream's level layout for inspection.
 func (s *Stream) Describe() []LevelInfo {
 	return onEngine(s, func(e *engine) []LevelInfo { return e.store.Describe() })
