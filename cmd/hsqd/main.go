@@ -121,6 +121,7 @@ func main() {
 		maintWork   = flag.Int("maint-workers", 0, "async scheduler worker pool size shared by all streams (0 = default 2)")
 		maxHydrated = flag.Int("max-hydrated", 0, "hydrated-engine budget: streams resident in memory before LRU eviction seals idle ones (0 = unbounded)")
 		probeMemo   = flag.Int("probe-memo-entries", 0, "per-snapshot rank-probe memo capacity: repeated queries against an unchanged stream resolve with no disk reads (0 = default 4096, negative = off)")
+		simDisk     = flag.String("simulate-disk", "", "inject per-block device latency so timings track I/O counts: ssd|hdd (empty = off)")
 
 		nodeID     = flag.String("node-id", "", "this node's stable cluster ID (required with -cluster-peers)")
 		peers      = flag.String("cluster-peers", "", "cluster membership: comma-separated id=host:port ingest addresses, self included; empty = single node")
@@ -144,7 +145,7 @@ func main() {
 		dir: *dir, backend: *backend, cacheBlocks: *cache,
 		epsilon: *epsilon, kappa: *kappa,
 		maintenance: *maintenance, maxPending: *maxPending, maintWorkers: *maintWork,
-		maxHydrated: *maxHydrated, probeMemo: *probeMemo,
+		maxHydrated: *maxHydrated, probeMemo: *probeMemo, simulateDisk: *simDisk,
 		nodeID: *nodeID, clusterPeers: *peers, replicas: *replicas,
 		ringEpoch: *ringEpoch, ingestIdle: *ingestIdle,
 		logf: log.Printf,
@@ -304,6 +305,8 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"hydrations":         dir.Hydrations,
 			"evictions":          dir.Evictions,
 			"summary_fallbacks":  dir.SummaryFallbacks,
+			"cold_summary_bytes": dir.ColdSummaryBytes,
+			"sidecar_decodes":    dir.SidecarDecodes,
 		},
 		"ingest": map[string]any{
 			"listening":    s.ingAddr,

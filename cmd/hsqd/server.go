@@ -40,6 +40,7 @@ type serverConfig struct {
 	maintWorkers int
 	maxHydrated  int
 	probeMemo    int                              // per-snapshot rank-probe memo entries (0 = default, < 0 = off)
+	simulateDisk string                           // per-block latency profile: "", "ssd" or "hdd"
 	logf         func(format string, args ...any) // ingest connection logs; nil = silent
 
 	// Cluster mode (empty clusterPeers = single node).
@@ -66,6 +67,7 @@ func newServer(sc serverConfig) (*server, error) {
 		MaintenanceWorkers: sc.maintWorkers,
 		MaxHydratedStreams: sc.maxHydrated,
 		ProbeMemoEntries:   sc.probeMemo,
+		SimulateDisk:       sc.simulateDisk,
 	})
 	if err != nil {
 		return nil, err

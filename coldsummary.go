@@ -15,10 +15,11 @@ import (
 // observe buffer, no sealed backlog), the DB writes the stream's full-scope
 // summary to a SUMMARY.bin metadata file in the stream's namespace. The file
 // is a core.ShardSummary in its one encoding (internal/core/snapshot.go),
-// byte for byte what the stream would send a peer. A scoped summary for a
-// cold stream is then one metadata read — metadata I/O is never counted in
+// byte for byte what the stream would send a peer. A cold stream's first
+// scoped read decodes and checks the file — metadata I/O, never counted in
 // IOStats, so a merged query over a thousand cold sensors costs zero
-// RandReads.
+// RandReads — and the stream then holds the validated summary: later reads
+// narrow it with no I/O, no decode and no manifest parse.
 //
 // Freshness is structural, not best-effort: the parts carry their step
 // ranges, and a cold read first cross-checks the per-partition (count,
@@ -30,6 +31,13 @@ import (
 // which the next eviction or checkpoint rewrites the sidecar. A stream whose
 // namespace has no manifest at all has no durable data (registered but never
 // sealed), and answers as zero spans without hydrating.
+//
+// A held summary stays fresh because a cold stream's durable state changes
+// only through a hydration (every write acquires first): hydrating forgets
+// it, as do an eviction's end, a drop and Close, each bumping coldEpoch; a
+// read holds what it decoded only if the epoch it saw before reading is
+// still current. Held summaries share coldSummaryBudget, first come; a read
+// past it decodes its file every time, as if nothing were held.
 //
 // Scope selection is not done here: readColdSummary hands the decoded parts'
 // end steps to query.Scope.Select — the selector a hydrated engine's
@@ -93,52 +101,99 @@ func (db *DB) dropSidecar(stream string) {
 	}
 }
 
+// coldSummaryBudget caps the summaries cold streams hold, at 8 B a value.
+const coldSummaryBudget = 32 << 20
+
 // readColdSummary answers a scoped summary for a non-hydrated stream from
-// its sidecar. ok=false means the sidecar cannot answer (missing, refused by
-// the decoder, or stale) and the caller must fall back to hydration; err is
-// a real query error (bad scope) that hydrating would not fix — the
-// validated sidecar is exactly the stream's durable state.
-func (db *DB) readColdSummary(stream string, sc query.Scope) (sum *core.ShardSummary, ok bool, err error) {
-	eps1, eps2 := db.opts.Epsilon/2, db.opts.Epsilon/4
-	if !db.dev.Exists(streamManifestPath(stream)) {
-		// Registered but never sealed: no durable data by the durability
-		// contract, so the stream is zero spans — what a fresh engine holds.
-		sum = &core.ShardSummary{Eps1: eps1, Eps2: eps2}
-	} else {
-		raw, err := db.dev.ReadMeta(sidecarPath(stream))
-		if err != nil {
-			return nil, false, nil // missing sidecar: hydrate
-		}
-		// A sidecar is installed partitions only, under this DB's ε (a DB
-		// reopened with another ε rebuilds its summaries on hydration).
-		sum, err = core.DecodeShardSummary(raw)
-		if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 || sum.Eps2 != eps2 {
-			return nil, false, nil // corrupt or foreign sidecar: hydrate, next seal rewrites it
-		}
-		mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
-		if err != nil {
+// held (s.cold, read under one db.mu with epoch, s.coldEpoch) or its sidecar,
+// as a shallow copy: a held summary is shared and never mutated. ok=false
+// means the sidecar cannot answer (missing, refused, stale) and the caller
+// must hydrate; err is a query error (bad scope) hydrating would not fix.
+func (db *DB) readColdSummary(s *Stream, held *core.ShardSummary, epoch uint64, sc query.Scope) (_ *core.ShardSummary, ok bool, _ error) {
+	if held == nil {
+		if held = db.readSidecar(s.name); held == nil {
 			return nil, false, nil
 		}
-		m, err := partition.ParseManifest(mraw)
-		if err != nil || !sidecarMatches(sum.Parts, m) {
-			return nil, false, nil // unreadable, or stale vs the committed manifest: hydrate
-		}
+		db.holdColdSummary(s, held, epoch)
 	}
 	// The parts are the stream's spans (a cold stream has no sealed backlog
 	// and no live buffer); the scope is an index range of them.
-	ends := make([]int, len(sum.Parts))
-	for i, p := range sum.Parts {
+	ends := make([]int, len(held.Parts))
+	for i, p := range held.Parts {
 		ends[i] = p.EndStep
 	}
 	lo, hi, _, err := sc.Select(ends)
 	if err != nil {
 		return nil, false, err
 	}
-	sum.Parts, sum.N = sum.Parts[lo:hi], 0
+	sum := *held
+	sum.Parts, sum.N = held.Parts[lo:hi:hi], 0
 	for _, p := range sum.Parts {
 		sum.N += p.Count
 	}
-	return sum, true, nil
+	return &sum, true, nil
+}
+
+// readSidecar returns a cold stream's full-scope summary as its sidecar
+// records it, or nil if the sidecar cannot answer.
+func (db *DB) readSidecar(stream string) *core.ShardSummary {
+	eps1, eps2 := db.opts.Epsilon/2, db.opts.Epsilon/4
+	if !db.dev.Exists(streamManifestPath(stream)) {
+		// Registered but never sealed: no durable data by the durability
+		// contract, so the stream is zero spans — what a fresh engine holds.
+		return &core.ShardSummary{Eps1: eps1, Eps2: eps2}
+	}
+	raw, err := db.dev.ReadMeta(sidecarPath(stream))
+	if err != nil {
+		return nil // missing sidecar: hydrate
+	}
+	db.sidecarDecodes.Add(1)
+	// A sidecar is installed partitions only, under this DB's ε (a DB
+	// reopened with another ε rebuilds its summaries on hydration).
+	sum, err := core.DecodeShardSummary(raw)
+	if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 || sum.Eps2 != eps2 {
+		return nil // corrupt or foreign sidecar: hydrate, next seal rewrites it
+	}
+	mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
+	if err != nil {
+		return nil
+	}
+	m, err := partition.ParseManifest(mraw)
+	if err != nil || !sidecarMatches(sum.Parts, m) {
+		return nil // unreadable, or stale vs the committed manifest: hydrate
+	}
+	return sum
+}
+
+// holdColdSummary has s hold sum, which readSidecar validated after
+// s.coldEpoch read epoch — unless s was forgotten since, is no longer cold,
+// holds one already, or sum does not fit the budget.
+func (db *DB) holdColdSummary(s *Stream, sum *core.ShardSummary, epoch uint64) {
+	size := coldSummarySize(sum)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if s.coldEpoch == epoch && s.cold == nil && s.eng == nil && s.errLocked() == nil && db.coldBytes+size <= db.coldBudget {
+		s.cold, db.coldBytes = sum, db.coldBytes+size
+	}
+}
+
+// forgetColdLocked drops s's held summary and bumps its coldEpoch, so no
+// read that began before the call holds one. Caller holds db.mu.
+func (db *DB) forgetColdLocked(s *Stream) {
+	if s.cold != nil {
+		db.coldBytes -= coldSummarySize(s.cold)
+		s.cold = nil
+	}
+	s.coldEpoch++
+}
+
+// coldSummarySize is what a held summary counts against the budget.
+func coldSummarySize(sum *core.ShardSummary) int64 {
+	var n int64
+	for _, p := range sum.Parts {
+		n += 8 * int64(len(p.Values))
+	}
+	return n
 }
 
 // sidecarMatches cross-checks a decoded sidecar's parts against the stream's
@@ -169,10 +224,10 @@ func sidecarMatches(parts []core.PartSummary, m *partition.Manifest) bool {
 // scope — the per-member fetch of the query executor, whose Source a DB is;
 // hsqd's cluster mode calls it directly for the streams this node stores.
 // Hydrated streams answer from their live engine (one pin, no LRU side
-// effects beyond a touch), cold streams from the sealed sidecar without
-// hydrating, and only as a last resort — no or stale sidecar — by hydrating
-// once, which also queues the stream to have a fresh sidecar written at its
-// next eviction or checkpoint.
+// effects beyond a touch), cold streams from their held summary or sealed
+// sidecar without hydrating, and only as a last resort — no or stale
+// sidecar — by hydrating once, which also queues the stream to have a fresh
+// sidecar written at its next eviction or checkpoint.
 func (db *DB) ScopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
 	db.mu.Lock()
 	st, ok := db.dir[name]
@@ -190,6 +245,7 @@ func (s *Stream) scopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	db := s.db
 	db.mu.Lock()
 	eng, err, done := db.tryAcquireLocked(s)
+	held, epoch := s.cold, s.coldEpoch
 	db.mu.Unlock()
 	if done {
 		if err != nil {
@@ -198,8 +254,8 @@ func (s *Stream) scopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 		defer db.release(s)
 		return eng.ScopedSummary(sc)
 	}
-	// Cold: try the sidecar — a pure metadata read, never a hydration.
-	if sum, ok, err := db.readColdSummary(s.name, sc); err != nil {
+	// Cold: the held summary or the sidecar — never a hydration.
+	if sum, ok, err := db.readColdSummary(s, held, epoch, sc); err != nil {
 		return nil, err
 	} else if ok {
 		return sum, nil

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -49,10 +51,12 @@ func (f *coldFixture) step(name string, n int) {
 	}
 }
 
-// evict seals "s" cold by giving "other" the one slot; the eviction writes
-// a fresh sidecar, which evict returns.
+// evict hydrates "s" and seals it cold again by giving "other" the one
+// slot, so the summary a cold "s" held is gone and the next cold read sees
+// the file; the eviction writes a fresh sidecar, which evict returns.
 func (f *coldFixture) evict() []byte {
 	f.t.Helper()
+	f.step("s", 0)
 	f.step("other", 1)
 	if st, _ := f.db.Lookup("s"); st == nil || st.Hydrated() {
 		f.t.Fatal("fixture: s is still hydrated")
@@ -251,5 +255,183 @@ func TestColdSummaryFallsBack(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// A file damaged while the stream holds its summary is not read: the
+	// held summary answers until a hydrate→evict cycle forgets it and the
+	// eviction rewrites the file.
+	t.Run("damaged while held", func(t *testing.T) {
+		f := newColdFixture(t, 5)
+		fresh := f.evict()
+		want := f.answer(query.Scope{}) // decodes and holds
+		if err := f.db.dev.WriteMeta(sidecarPath("s"), fresh[:1]); err != nil {
+			t.Fatal(err)
+		}
+		before := f.db.DirectoryStats()
+		if got := f.answer(query.Scope{}); got != want {
+			t.Fatalf("held read over a damaged file:\n got %q\nwant %q", got, want)
+		}
+		if after := f.db.DirectoryStats(); after != before {
+			t.Fatalf("a held read moved the directory: %+v → %+v", before, after)
+		}
+		if rewritten := f.evict(); !bytes.Equal(rewritten, fresh) {
+			t.Fatalf("the next eviction wrote %x, want %x", rewritten, fresh)
+		}
+		before = f.db.DirectoryStats()
+		if got := f.answer(query.Scope{}); got != want {
+			t.Fatalf("read after the cycle:\n got %q\nwant %q", got, want)
+		}
+		if after := f.db.DirectoryStats(); after.SidecarDecodes != before.SidecarDecodes+1 || after.SummaryFallbacks != before.SummaryFallbacks {
+			t.Fatalf("read after the cycle: %+v → %+v, want one decode and no fallback", before, after)
+		}
+	})
+}
+
+// TestColdSummaryHeldUntilHydration: the first read of a cold stream decodes
+// its sidecar and holds the summary; later reads use it — no decode, a
+// constant number of allocations whatever the summary's size — until a
+// write hydrates the stream, after which the next cold read decodes the new
+// state. Past the budget nothing is held and every read decodes, answering
+// the same bytes.
+func TestColdSummaryHeldUntilHydration(t *testing.T) {
+	scopes := []query.Scope{{}, {Window: 1}, {AsOf: 1}}
+	var allocs []float64
+	for _, steps := range []int{4, 40} {
+		f := newColdFixture(t, steps)
+		f.evict()
+		first := f.db.DirectoryStats()
+		want := make([]string, len(scopes))
+		for i, sc := range scopes {
+			want[i] = f.answer(sc)
+		}
+		held := f.db.DirectoryStats()
+		if held.SidecarDecodes != first.SidecarDecodes+1 || held.ColdSummaryBytes <= 0 {
+			t.Fatalf("%d steps: first cold reads %+v → %+v, want one decode and a held summary", steps, first, held)
+		}
+		for i, sc := range scopes {
+			if got := f.answer(sc); got != want[i] {
+				t.Fatalf("%d steps, scope %+v: held read\n got %q\nwant %q", steps, sc, got, want[i])
+			}
+		}
+		allocs = append(allocs, testing.AllocsPerRun(100, func() { f.db.ScopedSummary("s", query.Scope{Window: 1}) })) //nolint:errcheck
+		if ds := f.db.DirectoryStats(); ds != held {
+			t.Fatalf("%d steps: held reads moved the directory: %+v → %+v", steps, held, ds)
+		}
+
+		// Over the budget: the same bytes, a decode per read, nothing held.
+		f.evict()
+		f.db.coldBudget = held.ColdSummaryBytes - 1
+		for i, sc := range scopes {
+			if got := f.answer(sc); got != want[i] {
+				t.Fatalf("%d steps, scope %+v: over-budget read\n got %q\nwant %q", steps, sc, got, want[i])
+			}
+		}
+		if ds := f.db.DirectoryStats(); ds.SidecarDecodes != held.SidecarDecodes+uint64(len(scopes)) || ds.ColdSummaryBytes != 0 || ds.SummaryFallbacks != 0 {
+			t.Fatalf("%d steps: over-budget reads %+v → %+v, want a decode each and nothing held", steps, held, ds)
+		}
+		f.db.coldBudget = coldSummaryBudget
+
+		// A write hydrates: the held summary goes, and the next cold read
+		// decodes the state the eviction sealed.
+		f.answer(query.Scope{})
+		f.step("s", 1)
+		if ds := f.db.DirectoryStats(); ds.ColdSummaryBytes != 0 {
+			t.Fatalf("%d steps: %d bytes still held after a hydration", steps, ds.ColdSummaryBytes)
+		}
+		hot, err := f.db.ScopedSummary("s", query.Scope{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.evict()
+		before := f.db.DirectoryStats()
+		cold, err := f.db.ScopedSummary("s", query.Scope{})
+		if err != nil || cold.N != hot.N || cold.N == 0 {
+			t.Fatalf("%d steps: cold read after EndStep: %+v, %v; want N=%d", steps, cold, err, hot.N)
+		}
+		if ds := f.db.DirectoryStats(); ds.SidecarDecodes != before.SidecarDecodes+1 || ds.Hydrations != before.Hydrations {
+			t.Fatalf("%d steps: cold read after EndStep %+v → %+v, want one decode, no hydration", steps, before, ds)
+		}
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 2 {
+		t.Fatalf("a held read allocates %v times (4 steps) and %v (40 steps), want the same ≤ 2", allocs[0], allocs[1])
+	}
+}
+
+// TestHeldColdSummaryNotStale drives the store race directly: a cold read
+// validates the sidecar, then — before it stores what it read — the stream
+// hydrates, seals another step and is evicted again. The store must not
+// happen, or every later read would answer the old history. Then it lets
+// concurrent readers race the same cycle.
+func TestHeldColdSummaryNotStale(t *testing.T) {
+	f := newColdFixture(t, 5)
+	f.evict()
+	st, _ := f.db.Lookup("s")
+	f.db.mu.Lock()
+	epoch := st.coldEpoch
+	f.db.mu.Unlock()
+	old := f.db.readSidecar("s")
+	if old == nil {
+		t.Fatal("fixture: the fresh sidecar did not validate")
+	}
+
+	f.step("s", 1)
+	hot, err := f.db.ScopedSummary("s", query.Scope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.evict()
+	f.db.holdColdSummary(st, old, epoch) // the first read's store, late
+
+	cold, err := f.db.ScopedSummary("s", query.Scope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.N != hot.N || len(cold.Parts) != len(hot.Parts) {
+		t.Fatalf("cold read after the raced store: N=%d over %d parts, want N=%d over %d (the stale read had N=%d)",
+			cold.N, len(cold.Parts), hot.N, len(hot.Parts), old.N)
+	}
+
+	// The same race left to the scheduler: readers decode, hold and reuse
+	// s's summary while this goroutine cycles s through hydrate, EndStep and
+	// evict. No read may answer fewer values than were confirmed before it
+	// began, and once the writer stops the next read answers all of them.
+	var confirmed atomic.Int64
+	confirmed.Store(hot.N)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				floor := confirmed.Load()
+				if sum, err := f.db.ScopedSummary("s", query.Scope{}); err != nil || sum.N < floor {
+					t.Errorf("concurrent read: %+v, %v; want N ≥ %d", sum, err, floor)
+					return
+				}
+			}
+		}()
+	}
+	other, _ := f.db.Lookup("other")
+	for i := 0; i < 40; i++ {
+		st.ObserveSlice([]int64{int64(i), 7, 500})
+		if _, err := st.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+		confirmed.Add(3)
+		other.Observe(1)
+		if _, err := other.EndStep(); err != nil { // takes the slot: s is evicted
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if sum, err := f.db.ScopedSummary("s", query.Scope{}); err != nil || sum.N != confirmed.Load() {
+		t.Fatalf("read after the churn: %+v, %v; want N = %d", sum, err, confirmed.Load())
 	}
 }

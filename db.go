@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/disk"
 	"repro/internal/query"
@@ -69,7 +70,10 @@ type DB struct {
 	hydrated         int // streams with eng != nil
 	hydrations       uint64
 	evictions        uint64
-	summaryFallbacks uint64 // cold summary reads that had to hydrate
+	summaryFallbacks uint64        // cold summary reads that had to hydrate
+	sidecarDecodes   atomic.Uint64 // cold summary reads that decoded SUMMARY.bin
+	coldBytes        int64         // held cold summaries, at most coldBudget
+	coldBudget       int64         // coldSummaryBudget (lowered by internal tests)
 	closed           bool
 	dirDirty         bool // directory written but its durability sync failed
 }
@@ -93,7 +97,7 @@ func Open(opts Options) (*DB, error) {
 	// DB: installs and merges from all streams compete for the same
 	// MaintenanceWorkers goroutines, with per-stream FIFO ordering (see
 	// maintenance.go).
-	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), sched: newScheduler(full)}
+	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), sched: newScheduler(full), coldBudget: coldSummaryBudget}
 	if !dev.Exists(dbManifestName) && dev.Exists(manifestName) {
 		// A root-level store manifest without a DB manifest is a legacy
 		// single-stream warehouse (written by releases that had a standalone
@@ -237,6 +241,7 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 		return nil, err
 	}
 	st.eng = fresh
+	db.forgetColdLocked(st) // writes may now change the durable state it mirrors
 	st.pins++
 	db.hydrated++
 	db.hydrations++
@@ -363,21 +368,22 @@ func (db *DB) evictOne(st *Stream) {
 	db.mu.Unlock()
 
 	// The stream is durably sealed and cold once this returns; its summary
-	// sidecar lets glob/group-by queries answer it without rehydrating.
-	if err := db.sealCold(st.name, eng); err != nil {
+	// sidecar lets glob/group-by queries answer it without rehydrating, and
+	// a summary a read held during the seal (the state before it) goes.
+	err := db.sealCold(st.name, eng)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.forgetColdLocked(st)
+	if err != nil && !db.closed && !st.dropped {
 		// The engine may be half-closed but its state is still durable up
 		// to the failure; restore it so nothing is lost and surface the
 		// failure on the next operation that touches the stream — unless
 		// the DB closed (or the stream dropped) meanwhile, in which case
 		// nothing will ever close it again and restoring would only make a
 		// closed DB report a hydrated engine.
-		db.mu.Lock()
-		if !db.closed && !st.dropped {
-			st.eng = eng
-			db.hydrated++
-			db.evictions--
-		}
-		db.mu.Unlock()
+		st.eng = eng
+		db.hydrated++
+		db.evictions--
 	}
 }
 
@@ -616,6 +622,7 @@ func (db *DB) DropStream(name string) error {
 	// entries, so this one write is the commit, while the entry itself
 	// keeps the name claimed until the files are gone.
 	st.dropped = true
+	db.forgetColdLocked(st)
 	if err := db.saveManifestLocked(); err != nil {
 		// WriteMeta is atomic: the failed write left the old directory (with
 		// the stream) on the device, so memory and disk still agree.
@@ -799,6 +806,7 @@ func (db *DB) Close() error {
 	var names []string
 	var engs []*engine
 	for name, st := range db.dir {
+		db.forgetColdLocked(st)
 		if st.eng != nil {
 			names = append(names, name)
 			engs = append(engs, st.eng)
@@ -857,6 +865,11 @@ type DirectoryStats struct {
 	// its sidecar could not answer (missing, refused by the decoder, or
 	// stale against the manifest) and that hydrated the stream instead.
 	SummaryFallbacks uint64
+	// ColdSummaryBytes is held by cold streams' validated sidecar summaries
+	// now (8 B a value, ≤ 32 MiB). SidecarDecodes counts cold reads that
+	// decoded a SUMMARY.bin instead: first reads, over-budget reads, refusals.
+	ColdSummaryBytes int64
+	SidecarDecodes   uint64
 }
 
 // DirectoryStats returns the directory's registered/hydrated breakdown and
@@ -877,6 +890,8 @@ func (db *DB) DirectoryStats() DirectoryStats {
 		Hydrations:       db.hydrations,
 		Evictions:        db.evictions,
 		SummaryFallbacks: db.summaryFallbacks,
+		ColdSummaryBytes: db.coldBytes,
+		SidecarDecodes:   db.sidecarDecodes.Load(),
 	}
 }
 

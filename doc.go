@@ -153,7 +153,9 @@
 // version byte included) or that fails its freshness cross-check against
 // the stream manifest falls back to one hydration, counted in
 // DirectoryStats.SummaryFallbacks, and is rewritten at the stream's next
-// eviction or checkpoint.
+// eviction or checkpoint. The stream then holds the validated summary
+// until it next hydrates, so later reads decode nothing (32 MiB in all,
+// first come: DirectoryStats.ColdSummaryBytes, .SidecarDecodes).
 //
 // Which summaries a scoped read sees is one decision in one place. A
 // stream is a chronological list of spans — its partitions, oldest first
@@ -399,18 +401,18 @@
 // exports its in-memory state as a core.ShardSummary (the wire's
 // SummaryReq/SummaryResp frames, served by Stream.Summary — the full-scope
 // case of the DB.ScopedSummary a local plan member uses, so fetching an
-// evicted stream's summary is a metadata read of its sidecar on the owner
-// and never hydrates it; the encoding is versioned and a peer on another
-// version is refused by name, so a mixed-build cluster fails cross-shard
-// reads loudly instead of guessing), and a coordinator merges any set
-// of them with core.MergeShardSummaries into one Combined summary whose
-// quick answers are within 1.5·ε·N of the true rank over the union —
-// distribution costs latency, never accuracy. The replication guarantee
-// is bounded, not absolute: a follower unreachable past the transport's
-// DownAfter is declared down and its fan-out frames are dropped (counted,
-// visible in hsqd's GET /cluster) — at once, until it confirms a frame
-// again — so ingest degrades instead of blocking;
-// there is no automatic rebalancing and no cross-member read-your-writes
+// evicted stream's summary reads the summary the owner holds for it (or,
+// first, its sidecar) and never hydrates it; the encoding is versioned and
+// a peer on another version is refused by name, so a mixed-build cluster
+// fails cross-shard reads loudly instead of guessing), and a coordinator
+// merges any set of them with core.MergeShardSummaries into one Combined
+// summary whose quick answers are within 1.5·ε·N of the true rank over the
+// union — distribution costs latency, never accuracy. The replication
+// guarantee is bounded, not absolute: a follower unreachable past the
+// transport's DownAfter is declared down and its fan-out frames are
+// dropped (counted, visible in hsqd's GET /cluster) — at once, until it
+// confirms a frame again — so ingest degrades instead of blocking; there
+// is no automatic rebalancing and no cross-member read-your-writes
 // within a step. A coordinator reads a stream it does not host by fetching
 // the summary fresh from the first member that answers (Cluster.Summary):
 // one round trip per remote member per read, nothing kept between reads,

@@ -66,11 +66,15 @@ type WindowResult struct {
 	Values    []int64 `json:"values,omitempty"`
 }
 
+// maxInFlightFetches bounds Exec's concurrent ScopedSummary calls (and
+// goroutines): a plan may have members × MaxWindowCount of them.
+const maxInFlightFetches = 16
+
 // Exec evaluates the plan against the source. Construction is lazy — a
 // Plan touches no stream until here — and evaluation pulls exactly one
-// scoped summary per (member, window) pair, fetched concurrently, then
-// merges and answers in memory. No raw data moves: the only per-stream
-// cost is its summary.
+// scoped summary per (member, window) pair, fetched concurrently (at most
+// maxInFlightFetches at once), then merges and answers in memory. No raw
+// data moves: the only per-stream cost is its summary.
 func Exec(src Source, p *Plan) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -94,8 +98,8 @@ func Exec(src Source, p *Plan) (*Result, error) {
 	sort.Strings(keys)
 	scopes := p.Scopes()
 
-	// One concurrent fetch per (member, scope): summaries are independent
-	// snapshots, so there is nothing to order.
+	// One fetch per (member, scope), at most maxInFlightFetches at a time:
+	// summaries are independent snapshots, so there is nothing to order.
 	type fetch struct {
 		name string
 		sc   Scope
@@ -113,10 +117,12 @@ func Exec(src Source, p *Plan) (*Result, error) {
 		}
 	}
 	var wg sync.WaitGroup
+	slots := make(chan struct{}, maxInFlightFetches)
 	for _, f := range fetches {
 		wg.Add(1)
+		slots <- struct{}{}
 		go func(f *fetch) {
-			defer wg.Done()
+			defer func() { <-slots; wg.Done() }()
 			f.sum, f.err = src.ScopedSummary(f.name, f.sc)
 		}(f)
 	}

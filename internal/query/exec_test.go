@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -258,5 +260,59 @@ func TestExecNilSummaryIsEmpty(t *testing.T) {
 	}
 	if got := res.Groups[0].Windows[0].N; got != full.N {
 		t.Fatalf("N = %d, want %d (nil member contributes nothing)", got, full.N)
+	}
+}
+
+// TestExecBoundsInFlightFetches: however many (member, window) pairs a plan
+// has and however long each fetch blocks, at most maxInFlightFetches
+// ScopedSummary calls are in flight at once — one goroutine per pair would
+// start them all.
+func TestExecBoundsInFlightFetches(t *testing.T) {
+	const members, windows = 200, 8
+	names := make([]string, members)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%03d", i)
+	}
+	var (
+		mu             sync.Mutex
+		inFlight, peak int
+	)
+	release := make(chan struct{})
+	src := &fakeSource{names: names, fetch: func(name string, sc Scope) (*core.ShardSummary, error) {
+		mu.Lock()
+		inFlight++
+		peak = max(peak, inFlight)
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+		return synthSummary(int64(len(name)), 1, 0), nil
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Exec(src, &Plan{Match: "*", Window: &WindowSpec{Steps: 1, Count: windows}, Phis: []float64{0.5}})
+		done <- err
+	}()
+	// Wait for the first wave to block, then give any fetch past the bound
+	// time to arrive before letting them all finish.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := inFlight
+		mu.Unlock()
+		if n >= maxInFlightFetches || time.Now().After(deadline) {
+			break
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if src.calls != members*windows {
+		t.Fatalf("fetches = %d, want one per (member, window) = %d", src.calls, members*windows)
+	}
+	if peak != maxInFlightFetches {
+		t.Fatalf("%d ScopedSummary calls were in flight at once, want the bound %d", peak, maxInFlightFetches)
 	}
 }

@@ -44,10 +44,10 @@ type Stream struct {
 	// the stream is idle, so a DB can host millions of registered streams
 	// with only the hot set resident.
 	//
-	// Locking: view, eng, pins, seq and dropped are guarded by db.mu. Slow
-	// state transitions — hydration, eviction, drop — additionally serialize
-	// on opMu, the per-name singleflight lock, which is always acquired
-	// before db.mu and never while holding it. The fast path (pinning an
+	// Locking: every field below opMu is guarded by db.mu. Slow state
+	// transitions — hydration, eviction, drop — additionally serialize on
+	// opMu, the per-name singleflight lock, which is always acquired before
+	// db.mu and never while holding it. The fast path (pinning an
 	// already-hydrated engine) takes only db.mu, so one stream's cold open
 	// can never stall another stream's operations.
 	//
@@ -72,6 +72,10 @@ type Stream struct {
 	pins    int     // in-flight operations holding eng; eviction skips pinned streams
 	seq     uint64  // LRU clock value of the last touch
 	dropped bool
+	// cold is the sidecar summary a cold stream holds until it hydrates;
+	// coldEpoch counts its forgets (coldsummary.go).
+	cold      *core.ShardSummary
+	coldEpoch uint64
 }
 
 // Name returns the stream's name.
@@ -249,15 +253,15 @@ func (s *Stream) Describe() []LevelInfo {
 
 // Summary returns the stream's full-history core.ShardSummary — the scatter
 // half of the cluster's scatter-gather read — by the path of a local plan
-// member (DB.ScopedSummary): an evicted stream answers from its sidecar, so
-// a peer's fetch is a metadata read and never a hydration.
+// member (DB.ScopedSummary): an evicted stream answers from its held summary
+// or its sidecar, so a peer's fetch is never a hydration.
 func (s *Stream) Summary() (*core.ShardSummary, error) {
 	return s.scopedSummary(query.Scope{})
 }
 
-// MemoryUsage returns the stream's memory-resident summary footprint. A
-// cold (evicted or never-touched) stream reports zero — which is the
-// point of eviction — without hydrating.
+// MemoryUsage returns the stream's engine footprint without hydrating: zero
+// when cold, though a cold stream may hold its sidecar summary for plan
+// reads (counted DB-wide, DirectoryStats.ColdSummaryBytes).
 func (s *Stream) MemoryUsage() MemoryUsage {
 	var mu MemoryUsage
 	s.peek(func(e *engine) { mu = e.MemoryUsage() }) //nolint:errcheck // a dropped stream or closed DB holds nothing

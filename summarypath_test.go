@@ -126,7 +126,9 @@ func TestSummaryOnDroppedStream(t *testing.T) {
 // the same bytes or the same error text — whether its stream is hydrated
 // (snapshot) or evicted (sidecar), on histories whose merges have coarsened
 // some step boundaries; and a registered-never-sealed stream answers like a
-// fresh engine. Seeded: the seed is logged and HSQ_PROP_SEED replays it.
+// fresh engine. Every cold read is made twice — the first of the stream
+// decodes its sidecar, later ones use the summary it holds — and both agree
+// byte for byte. Seeded: the seed is logged and HSQ_PROP_SEED replays it.
 func TestScopeHotColdAgree(t *testing.T) {
 	seed := propSeed(t)
 	t.Logf("seed %d", seed)
@@ -191,6 +193,9 @@ func TestScopeHotColdAgree(t *testing.T) {
 				cold := answer(db.ScopedSummary("s", sc))
 				if cold != hot[sc] {
 					t.Fatalf("seed %d kappa %d steps %d scope %+v:\n hot: %q\ncold: %q", seed, kappa, steps, sc, hot[sc], cold)
+				}
+				if again := answer(db.ScopedSummary("s", sc)); again != cold {
+					t.Fatalf("seed %d kappa %d steps %d scope %+v: a second cold read\n got %q\nwant %q", seed, kappa, steps, sc, again, cold)
 				}
 				if sc.Window <= steps && sc.AsOf <= steps && strings.HasPrefix(cold, "error: ") {
 					refused++
