@@ -19,7 +19,7 @@
 //	GET    /streams/{name}/quantile?phi=0.99            one φ      → "value"
 //	GET    /streams/{name}/quantiles?phi=0.5,0.95,0.99  several φ  → "values"
 //	GET    /streams/{name}/rank?v=12345                 rank of v  → "rank", "total"
-//	GET    /streams/{name}/stats
+//	GET    /streams/{name}/stats          counters; never hydrates
 //	GET    /streams/{name}/maintenance    background-maintenance state
 //	POST   /streams/{name}/maintenance    drain: install every sealed step now
 //	POST   /query                         JSON plan over stream sets: globs,
@@ -95,6 +95,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -246,7 +247,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // including its cumulative ingest tally — plus the shared device
 // aggregate the per-stream counters sum to and a summary of the ingest
 // listener. Engine counters (stream/hist/steps/partitions) are reported
-// only for hydrated streams, each row read through one Stream.Counters peek:
+// only for hydrated streams, each row read through one Stream.Status peek:
 // a status poll must never hydrate a million-stream directory nor reorder
 // its evictions, so cold streams show "hydrated": false with their durable
 // I/O counters and ingest tallies only.
@@ -261,10 +262,10 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		}
 		io := st.DiskStats()
 		tally := ing.Streams[name]
-		m, n, steps, parts, hydrated := st.Counters()
+		ss := st.Status()
 		row := map[string]any{
 			"name":             name,
-			"hydrated":         hydrated,
+			"hydrated":         ss.Hydrated,
 			"io_seq_reads":     io.SeqReads,
 			"io_seq_writes":    io.SeqWrites,
 			"io_rand_reads":    io.RandReads,
@@ -273,8 +274,8 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"ingest_batches":   tally.Batches,
 			"ingest_end_steps": tally.EndSteps,
 		}
-		if hydrated {
-			row["stream_count"], row["hist_count"], row["steps"], row["partitions"] = m, n, steps, parts
+		if ss.Hydrated {
+			row["stream_count"], row["hist_count"], row["steps"], row["partitions"] = ss.StreamCount, ss.HistCount, ss.Steps, ss.Partitions
 		}
 		streams = append(streams, row)
 	}
@@ -388,31 +389,38 @@ func (s *server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"dropped": name, "streams": s.db.Streams()})
 }
 
+// handleStreamStats reports one stream through one Stream.Status peek, like
+// its GET /streams row: it never hydrates nor reorders eviction, so a cold
+// stream answers "hydrated": false with its durable I/O counters only.
 func (s *server) handleStreamStats(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	mu := st.MemoryUsage()
+	ss := st.Status()
 	io := st.DiskStats() // per-stream: this stream's namespaced device view
-	agg := s.db.DiskStats()
-	pm := st.ProbeMemoStats()
-	writeJSON(w, map[string]any{
+	reply := map[string]any{
 		"stream":               st.Name(),
-		"levels":               st.Describe(),
-		"stream_count":         st.StreamCount(),
-		"hist_count":           st.HistCount(),
-		"total_count":          st.TotalCount(),
-		"steps":                st.Steps(),
-		"partitions":           st.PartitionCount(),
-		"windows":              st.AvailableWindows(),
-		"mem_hist":             mu.HistBytes,
-		"mem_stream":           mu.StreamBytes,
+		"hydrated":             ss.Hydrated,
 		"io_seq_reads":         io.SeqReads,
 		"io_seq_writes":        io.SeqWrites,
 		"io_rand_reads":        io.RandReads,
 		"io_cache_hits":        io.CacheHits,
 		"io_cache_miss":        io.CacheMisses,
-		"device_io_rand_reads": agg.RandReads,
-		"probe_memo_hits":      pm.Hits,
-		"probe_memo_misses":    pm.Misses,
-		"probe_memo_entries":   pm.Entries,
-		"probe_memo_capacity":  pm.Capacity,
-	})
+		"device_io_rand_reads": s.db.DiskStats().RandReads,
+	}
+	if ss.Hydrated {
+		maps.Copy(reply, map[string]any{
+			"levels":              ss.Levels,
+			"stream_count":        ss.StreamCount,
+			"hist_count":          ss.HistCount,
+			"total_count":         ss.StreamCount + ss.HistCount,
+			"steps":               ss.Steps,
+			"partitions":          ss.Partitions,
+			"windows":             ss.Windows,
+			"mem_hist":            ss.Memory.HistBytes,
+			"mem_stream":          ss.Memory.StreamBytes,
+			"probe_memo_hits":     ss.ProbeMemo.Hits,
+			"probe_memo_misses":   ss.ProbeMemo.Misses,
+			"probe_memo_entries":  ss.ProbeMemo.Entries,
+			"probe_memo_capacity": ss.ProbeMemo.Capacity,
+		})
+	}
+	writeJSON(w, reply)
 }

@@ -144,6 +144,69 @@ func TestStreamsPollLeavesLRU(t *testing.T) {
 	}
 }
 
+// TestStreamStatsLeavesLRU: GET /streams/{name}/stats on a cold stream
+// answers from the directory entry — no hydration, no eviction of the hot
+// stream — and a hot stream's counts come from one read.
+func TestStreamStatsLeavesLRU(t *testing.T) {
+	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maxHydrated: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	for _, name := range []string{"a", "b"} {
+		postBody(t, ts.URL+"/streams/"+name+"/observe", "1\n2\n3\n")
+		postBody(t, ts.URL+"/streams/"+name+"/endstep", "")
+	}
+	postBody(t, ts.URL+"/streams/b/observe", "4\n")
+	before := srv.db.DirectoryStats().Hydrations
+	cold, code := getJSON(t, ts.URL+"/streams/a/stats")
+	if code != http.StatusOK {
+		t.Fatalf("GET /streams/a/stats: status %d", code)
+	}
+	if cold["hydrated"] != false || cold["io_seq_writes"] == nil || cold["stream_count"] != nil {
+		t.Errorf("cold stats %v, want hydrated false with I/O counters and no engine counts", cold)
+	}
+	if got := srv.db.DirectoryStats().Hydrations; got != before {
+		t.Errorf("GET /streams/a/stats: hydrations %d -> %d, want none", before, got)
+	}
+	for name, want := range map[string]bool{"a": false, "b": true} {
+		if st, _ := srv.db.Lookup(name); st.Hydrated() != want {
+			t.Errorf("after the stats read: %s hydrated = %v, want %v", name, !want, want)
+		}
+	}
+	hot, code := getJSON(t, ts.URL+"/streams/b/stats")
+	if code != http.StatusOK {
+		t.Fatalf("GET /streams/b/stats: status %d", code)
+	}
+	if hot["hydrated"] != true || hot["stream_count"] != 1.0 || hot["hist_count"] != 3.0 || hot["total_count"] != 4.0 {
+		t.Errorf("hot stats %v, want hydrated with m=1, n=3, N=4", hot)
+	}
+}
+
+// TestMaintainNow: POST /streams/{name}/maintenance drains a manual-mode
+// stream's sealed step inline, and the GET that follows agrees.
+func TestMaintainNow(t *testing.T) {
+	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maintenance: "manual"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	url := ts.URL + "/streams/m/maintenance"
+	postBody(t, ts.URL+"/streams/m/observe", "1\n2\n3\n")
+	postBody(t, ts.URL+"/streams/m/endstep", "")
+	if got, _ := getJSON(t, url); got["pending_steps"] != 1.0 || got["installs"] != 0.0 {
+		t.Fatalf("before the drain: %v, want pending_steps 1, installs 0", got)
+	}
+	if got := postBody(t, url, ""); got["stream"] != "m" || got["pending_steps"] != 0.0 || got["installs"] != 1.0 {
+		t.Errorf("POST maintenance: %v, want pending_steps 0, installs 1", got)
+	}
+	if got, _ := getJSON(t, url); got["pending_steps"] != 0.0 || got["installs"] != 1.0 || got["mode"] != "manual" {
+		t.Errorf("GET after the drain: %v, want pending_steps 0, installs 1", got)
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	ts := newTestServer(t)
 	// Bad element.

@@ -1,7 +1,9 @@
 package hsq
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,5 +261,112 @@ func TestDropStreamWaitsForQueries(t *testing.T) {
 	close(qErrs)
 	for err := range qErrs {
 		t.Errorf("query raced the drop: %v", err)
+	}
+}
+
+// TestLiveStepOneGuard: the engine lock is the only guard of the stream's GK
+// sketches (gk.Sketch locks nothing, and its reads flush), so every engine
+// path that touches one — observes, counts, memory, both query kinds, the
+// cut and the install's recycling — runs at once here on one manual-mode
+// stream with three sealed steps pending. Under -race a path that reads a
+// sketch outside the lock fails it; the counts must never go backwards and
+// must add up once everything has stopped.
+func TestLiveStepOneGuard(t *testing.T) {
+	const rounds, batch = 200, 64
+	st := OneStream(t, Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512, Maintenance: MaintenanceManual})
+	var fed atomic.Int64
+	feed := func() error {
+		vs := make([]int64, batch)
+		for i := range vs {
+			vs[i] = fed.Add(1)
+		}
+		return st.ObserveSliceCtx(context.Background(), vs)
+	}
+	for range 3 {
+		if err := feed(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := feed(); err != nil {
+		t.Fatal(err)
+	}
+	if ms := st.MaintenanceStats(); ms.PendingSteps != 3 {
+		t.Fatalf("setup: %d sealed steps pending, want 3", ms.PendingSteps)
+	}
+
+	var lastN int64 // only the counts goroutine reads and writes it
+	ops := map[string]func() error{
+		"accurate Query": func() error {
+			_, err := st.Query(context.Background(), Request{Phis: []float64{0.1, 0.5, 0.99}})
+			return err
+		},
+		"quick Query": func() error {
+			_, err := st.Query(context.Background(), Request{Phis: []float64{0.5}, Quick: true})
+			return err
+		},
+		"MemoryUsage": func() error {
+			if mu := st.MemoryUsage(); mu.Total() <= 0 {
+				return fmt.Errorf("MemoryUsage %+v, want a positive total", mu)
+			}
+			return nil
+		},
+		"StreamCount, TotalCount and Status": func() error {
+			m, n := st.StreamCount(), st.TotalCount()
+			if m < 0 || m > n || n < lastN {
+				return fmt.Errorf("StreamCount %d, TotalCount %d after a TotalCount of %d", m, n, lastN)
+			}
+			ss := st.Status()
+			if !ss.Hydrated || ss.StreamCount+ss.HistCount < n {
+				return fmt.Errorf("Status %+v after a TotalCount of %d", ss, n)
+			}
+			lastN = ss.StreamCount + ss.HistCount
+			return nil
+		},
+		"ObserveSlice": feed,
+		"EndStep": func() error {
+			_, err := st.EndStep()
+			return err
+		},
+		"SyncMaintenance": st.SyncMaintenance,
+	}
+	// Every path runs at least rounds times and keeps running until the
+	// last one has, so each overlaps all the others.
+	var wg sync.WaitGroup
+	var short atomic.Int32 // goroutines still short of rounds
+	short.Store(int32(len(ops)))
+	start := make(chan struct{})
+	for name, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counted := false
+			defer func() {
+				if !counted {
+					short.Add(-1)
+				}
+			}()
+			<-start
+			for i := 1; !counted || short.Load() > 0; i++ {
+				if err := op(); err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				if i == rounds {
+					counted = true
+					short.Add(-1)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if err := st.SyncMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := st.TotalCount(), fed.Load(); n != want {
+		t.Errorf("TotalCount %d after the run, want the %d values fed", n, want)
 	}
 }

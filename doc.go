@@ -178,7 +178,7 @@
 //
 // Continuous queries push instead of poll: hsqclient.Subscribe registers
 // a plan over the ingest connection and the server re-evaluates it after
-// relevant end-of-step events, always debounced (ingest.Config.PushDebounce)
+// relevant end-of-step events, always debounced (ingest.DefaultPushDebounce)
 // and coalesced to the latest state — delivery is at-least-once per
 // dirty state, newest wins, intermediate states may be skipped, and a
 // reconnect re-subscribes rather than replays. A malformed plan nacks
@@ -230,10 +230,13 @@
 // the installed partitions with their summaries, then the sealed steps with
 // their frozen GK sketches. A query takes the engine lock only long enough
 // to pin the current version and capture the stream summaries (sealed steps
-// and live sketch), then runs its whole disk search outside any lock. Files a merge supersedes are reclaimed only once no durable
-// manifest references them AND the last query pinning an older version has
-// finished — so an in-flight query always reads a consistent, existing
-// layout, no matter what maintenance does behind it.
+// and live sketch), then runs its whole disk search outside any lock. The
+// engine lock is one plain mutex and the only guard of the stream's GK
+// sketches, which lock nothing themselves: observes, counts and summary
+// captures all take it. Files a merge supersedes are reclaimed only once no
+// durable manifest references them AND the last query pinning an older
+// version has finished — so an in-flight query always reads a consistent,
+// existing layout, no matter what maintenance does behind it.
 //
 // EndStep is one pipeline in every maintenance mode: cut and seal (under
 // the engine lock, the batch and GK sketch leave the live step and become

@@ -144,9 +144,9 @@ func endStepAndDrain(t *testing.T, st *Stream) error {
 		for {
 			// Every install attempt ends by closing the wake channel of its
 			// moment, so take the channel before looking at the state.
-			eng.mu.RLock()
+			eng.mu.Lock()
 			wake := eng.wake
-			eng.mu.RUnlock()
+			eng.mu.Unlock()
 			ms := eng.MaintenanceStats()
 			if !ms.Running && (ms.PendingSteps == 0 || ms.LastError != "") {
 				if err == nil && ms.LastError != "" {

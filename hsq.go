@@ -281,9 +281,16 @@ type engine struct {
 	// a background install's commit. Lock order: loadMu > maintMu > mu.
 	maintMu sync.Mutex
 
-	// mu guards the fast in-memory state below. Queries hold it only long
-	// enough to pin a snapshot.
-	mu       sync.RWMutex
+	// mu guards the fast in-memory state below, and it is the one guard of
+	// every GK sketch the stream keeps — the live one, the spare and the
+	// frozen sketches of sealed steps — for gk.Sketch locks nothing itself
+	// and its reads flush. Every gk call the engine makes runs under it:
+	// observe and observeSlice (Insert), StreamCount, TotalCount and status
+	// (Count), snapshot (the live and the sealed summary extraction),
+	// MemoryUsage (with SealedBatch.MemoryBytes), endStep's cut (the seal
+	// hands the live sketch to the store) and recycleLocked (Reset, Count).
+	// Queries hold it only long enough to pin a snapshot.
+	mu       sync.Mutex
 	sketch   *gk.Sketch
 	spare    *gk.Sketch // empty, buffers grown: the next cut's live sketch
 	batch    []int64
@@ -422,8 +429,8 @@ func (e *engine) observeSlice(vs []int64) error {
 // StreamCount returns m, the number of elements in the current (unloaded)
 // stream.
 func (e *engine) StreamCount() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.sketch.Count()
 }
 
@@ -434,8 +441,8 @@ func (e *engine) HistCount() int64 { return e.store.TotalCount() }
 
 // TotalCount returns N = n + m.
 func (e *engine) TotalCount() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.store.TotalCount() + e.sketch.Count()
 }
 
@@ -593,16 +600,16 @@ func (s *querySnap) release() { s.ver.Release() }
 // snapshot pins the engine's current state for one query. The engine lock
 // is held only for the pin and the sketch-summary extraction.
 func (e *engine) snapshot() (*querySnap, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
 		return nil, ErrClosed
 	}
 	s := &querySnap{ver: e.store.Pin()}
 	s.sums, s.memo, s.n = s.ver.Entries(), s.ver.Memo(), s.ver.TotalCount()
 	// One version covers each step once: by its partition or, sealed, by its
-	// frozen sketch. The sketch's summary is extracted under this lock, the
-	// one the install's buffer recycling takes.
+	// frozen sketch. Both summaries are extracted under e.mu, the sketches'
+	// one guard, which the install's buffer recycling takes too.
 	pending := s.ver.Pending()
 	s.pieces = make([]core.StreamPiece, 0, len(pending)+1)
 	for _, sb := range pending {
@@ -720,27 +727,37 @@ func one(a Answer, err error) (int64, QueryStats, error) {
 	return a.Values[0], a.Stats, nil
 }
 
-// AvailableWindows is Stream.AvailableWindows on the pinned engine.
-func (e *engine) AvailableWindows() []int {
-	s, err := e.snapshot()
-	if err != nil {
-		return nil
+// status is Stream.Status on the pinned engine. The live count and the
+// version pin share one hold of e.mu, the hold a cut seals under, so m and
+// n never straddle a seal; the rest is read off the pinned version. A
+// closed engine reports the zero status: no pin is taken past closed.
+func (e *engine) status() StreamStatus {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return StreamStatus{}
 	}
-	defer s.release()
+	ver, m := e.store.Pin(), e.sketch.Count()
+	e.mu.Unlock()
+	defer ver.Release()
+	st := StreamStatus{
+		Hydrated: true, StreamCount: m, HistCount: ver.TotalCount(),
+		Steps: ver.Steps(), Partitions: ver.PartitionCount(), Levels: ver.Describe(),
+		Memory: e.MemoryUsage(), ProbeMemo: e.store.MemoStats(),
+	}
 	// A window is answerable iff it starts on a span boundary (the selector's
 	// rule): one size per span, newest span first.
-	bounds := append([]int{0}, s.ends()...)
-	var out []int
+	bounds := append([]int{0}, spanEnds(ver)...)
 	for i := len(bounds) - 2; i >= 0; i-- {
-		out = append(out, bounds[len(bounds)-1]-bounds[i])
+		st.Windows = append(st.Windows, bounds[len(bounds)-1]-bounds[i])
 	}
-	return out
+	return st
 }
 
 // MemoryUsage returns the current summary footprint (Observation 1).
 func (e *engine) MemoryUsage() MemoryUsage {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var pendingBytes int64
 	for _, sb := range e.store.Pending() {
 		pendingBytes += sb.MemoryBytes()
@@ -765,9 +782,9 @@ type ProbeMemoStats = partition.MemoStats
 // will be replayed or lost, exactly as a DSMS would); only historical state
 // — including sealed steps awaiting installation — is durable.
 func (e *engine) Checkpoint() error {
-	e.mu.RLock()
+	e.mu.Lock()
 	closed := e.closed
-	e.mu.RUnlock()
+	e.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
@@ -783,9 +800,9 @@ func (e *engine) Checkpoint() error {
 func (e *engine) Close() error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
-	e.mu.RLock()
+	e.mu.Lock()
 	closed := e.closed
-	e.mu.RUnlock()
+	e.mu.Unlock()
 	if closed {
 		return nil
 	}

@@ -4,38 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
-	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/wire"
 )
-
-// newPushHarness is newHarness with a fast push debounce, so subscribe
-// tests don't wait out the production settle window.
-func newPushHarness(t *testing.T) *harness {
-	t.Helper()
-	db, err := hsq.Open(hsq.Options{Epsilon: 0.05, Backend: "mem"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ingest.New(ingest.Config{DB: db, Logf: t.Logf, PushDebounce: time.Millisecond})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l) //nolint:errcheck
-	t.Cleanup(func() {
-		srv.Shutdown(context.Background()) //nolint:errcheck
-		db.Close()                         //nolint:errcheck
-	})
-	return &harness{db: db, srv: srv, addr: l.Addr().String()}
-}
 
 // waitUpdate receives the next update within a deadline.
 func waitUpdate(t *testing.T, sub *Subscription) Update {
@@ -55,7 +32,7 @@ func waitUpdate(t *testing.T, sub *Subscription) Update {
 // TestSubscribeEndToEnd drives the full continuous-query path over a real
 // socket: subscribe, ingest a step, receive the pushed re-evaluation.
 func TestSubscribeEndToEnd(t *testing.T) {
-	h := newPushHarness(t)
+	h := newHarness(t, hsq.Options{})
 	c, err := Dial(h.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +110,7 @@ func TestSubscribeEndToEnd(t *testing.T) {
 // invalid plan fails the Subscribe call with a PlanError and leaves the
 // connection (and other traffic) healthy.
 func TestSubscribeBadPlanNack(t *testing.T) {
-	h := newPushHarness(t)
+	h := newHarness(t, hsq.Options{})
 	c, err := Dial(h.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +144,7 @@ func TestSubscribeBadPlanNack(t *testing.T) {
 // the connection stays up — no reconnect replays the session's unconfirmed
 // frames — and later ingest goes through.
 func TestSubscribeOversizePlan(t *testing.T) {
-	h := newPushHarness(t)
+	h := newHarness(t, hsq.Options{})
 	c, err := Dial(h.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +182,7 @@ func TestSubscribeOversizePlan(t *testing.T) {
 // with a PlanError instead of the server preallocating its scopes, and the
 // same connection then ingests, and answers a windowed plan, as before.
 func TestSubscribeHugeWindowCount(t *testing.T) {
-	h := newPushHarness(t)
+	h := newHarness(t, hsq.Options{})
 	c, err := Dial(h.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +227,7 @@ func TestSubscribeHugeWindowCount(t *testing.T) {
 // ingest loop — the -race exercise for the subscription registry, the
 // shared write path, and the EndStep notification hook.
 func TestSubscribePushDuringIngest(t *testing.T) {
-	h := newPushHarness(t)
+	h := newHarness(t, hsq.Options{})
 	c, err := Dial(h.addr, WithBatchSize(64))
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,11 @@
 // summary layer (internal/core) therefore runs GK at ε/2 and offsets query
 // ranks by εm/2, which restores exactly the band [i·εm, (i+1)·εm] of
 // Lemma 1. See DESIGN.md §2.
+//
+// A Sketch has one writer and no lock of its own: the stream summary it
+// feeds (Algorithm 4, StreamUpdate) is written by one producer at a time,
+// and the owner that serializes those writes serializes the reads beside
+// them too.
 package gk
 
 import (
@@ -21,7 +26,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // tuple is one summary entry. g is the gap rmin(i) - rmin(i-1); delta is
@@ -33,12 +37,11 @@ type tuple struct {
 }
 
 // Sketch is a Greenwald-Khanna ε-approximate quantile summary. The zero
-// value is not usable; construct with New. A Sketch is safe for concurrent
-// use: an internal mutex serializes mutation, including the lazy
-// buffer-flush that read paths trigger — necessary because the engine layer
-// allows concurrent read-locked queries over one sketch.
+// value is not usable; construct with New. A Sketch is not safe for
+// concurrent use, and reads are no exception: every read that needs the
+// tuple list first flushes the insert buffer into it. Its owner guards it —
+// in hsq, the engine lock of the stream that keeps it.
 type Sketch struct {
-	mu     sync.Mutex
 	eps    float64
 	n      int64 // includes buffered-but-unmerged elements
 	tuples []tuple
@@ -86,49 +89,29 @@ func MustNew(eps float64) *Sketch {
 func (s *Sketch) Epsilon() float64 { return s.eps }
 
 // Count returns the number of elements inserted.
-func (s *Sketch) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
+func (s *Sketch) Count() int64 { return s.n }
 
 // TupleCount returns the current number of summary tuples (after merging
 // any buffered inserts).
 func (s *Sketch) TupleCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.flush()
 	return len(s.tuples)
 }
 
 // MaxTupleCount returns the high-water mark of the tuple list.
-func (s *Sketch) MaxTupleCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxTuples
-}
+func (s *Sketch) MaxTupleCount() int { return s.maxTuples }
 
 // MemoryBytes estimates the live memory footprint of the summary: 24 bytes
 // per tuple (three int64 fields) plus 8 bytes per buffered insert.
-func (s *Sketch) MemoryBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.tuples))*24 + int64(cap(s.pending))*8
-}
+func (s *Sketch) MemoryBytes() int64 { return int64(len(s.tuples))*24 + int64(cap(s.pending))*8 }
 
 // MaxMemoryBytes estimates the peak memory footprint.
-func (s *Sketch) MaxMemoryBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(s.maxTuples) * 24
-}
+func (s *Sketch) MaxMemoryBytes() int64 { return int64(s.maxTuples) * 24 }
 
 // Reset empties the sketch, keeping its parameters. Used at the end of each
 // time step when the batch is loaded into the warehouse (StreamReset,
 // Algorithm 4).
 func (s *Sketch) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.n = 0
 	s.tuples = s.tuples[:0]
 	s.pending = s.pending[:0]
@@ -136,8 +119,6 @@ func (s *Sketch) Reset() {
 
 // Insert adds one element to the summary.
 func (s *Sketch) Insert(v int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.pending = append(s.pending, v)
 	s.n++
 	if len(s.pending) >= s.flushEvery {
@@ -224,12 +205,6 @@ func (s *Sketch) compress() {
 // Query returns a value whose rank in the stream is within ±εn of r.
 // r is clamped to [1, n]. Query on an empty sketch returns ok=false.
 func (s *Sketch) Query(r int64) (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queryLocked(r)
-}
-
-func (s *Sketch) queryLocked(r int64) (int64, bool) {
 	s.flush()
 	if len(s.tuples) == 0 {
 		return 0, false
@@ -258,11 +233,9 @@ func (s *Sketch) queryLocked(r int64) (int64, bool) {
 // QueryAscending is Query for a whole ascending list of ranks: on return
 // rs[k] holds the answer Query would give for the rank rs[k] held on entry.
 // "First tuple with rmax > r + e" only moves right as r grows, so one
-// forward scan under one lock answers every rank. It reports false (and
-// leaves rs alone) on an empty sketch.
+// forward scan answers every rank. It reports false (and leaves rs alone)
+// on an empty sketch.
 func (s *Sketch) QueryAscending(rs []int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.flush()
 	if len(s.tuples) == 0 {
 		return false
@@ -284,19 +257,14 @@ func (s *Sketch) QueryAscending(rs []int64) bool {
 // Quantile returns an element approximating the φ-quantile (smallest element
 // with rank ≥ ⌈φn⌉), within ±εn rank error.
 func (s *Sketch) Quantile(phi float64) (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.n == 0 {
 		return 0, false
 	}
-	r := int64(math.Ceil(phi * float64(s.n)))
-	return s.queryLocked(r)
+	return s.Query(int64(math.Ceil(phi * float64(s.n))))
 }
 
 // Min returns the exact minimum seen so far.
 func (s *Sketch) Min() (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.flush()
 	if len(s.tuples) == 0 {
 		return 0, false
@@ -306,8 +274,6 @@ func (s *Sketch) Min() (int64, bool) {
 
 // Max returns the exact maximum seen so far.
 func (s *Sketch) Max() (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.flush()
 	if len(s.tuples) == 0 {
 		return 0, false
@@ -318,12 +284,6 @@ func (s *Sketch) Max() (int64, bool) {
 // RankBounds returns lower and upper bounds on the rank of v in the stream
 // (number of elements ≤ v), derived from the summary invariants.
 func (s *Sketch) RankBounds(v int64) (lo, hi int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rankBoundsLocked(v)
-}
-
-func (s *Sketch) rankBoundsLocked(v int64) (lo, hi int64) {
 	s.flush()
 	if len(s.tuples) == 0 {
 		return 0, 0
@@ -347,17 +307,13 @@ func (s *Sketch) rankBoundsLocked(v int64) (lo, hi int64) {
 // RankEstimate returns a point estimate of the rank of v (midpoint of the
 // bounds).
 func (s *Sketch) RankEstimate(v int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lo, hi := s.rankBoundsLocked(v)
+	lo, hi := s.RankBounds(v)
 	return (lo + hi) / 2
 }
 
 // checkInvariant verifies g_i + Δ_i ≤ ⌊2εn⌋ + 1 for all tuples and that
 // values are sorted; used by tests.
 func (s *Sketch) checkInvariant() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.flush()
 	p := int64(2*s.eps*float64(s.n)) + 1
 	total := int64(0)

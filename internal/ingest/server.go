@@ -100,10 +100,6 @@ type Config struct {
 	// idle periods. 0 disables the deadline (the default: producers that
 	// connect once and write rarely keep working).
 	IdleTimeout time.Duration
-	// PushDebounce is the settle window between an EndStep and the
-	// continuous-query push it triggers (see subscribe.go). A value ≤ 0
-	// means DefaultPushDebounce.
-	PushDebounce time.Duration
 	// Cluster, when non-nil, shards the server: frames for streams this
 	// node does not store are routed to the owning shard, applied frames
 	// are fanned to replica followers, and Pongs wait for both.
@@ -116,12 +112,11 @@ type Config struct {
 // ready immediately (Serve binds it to a listener, ServeConn to a single
 // connection).
 type Server struct {
-	db           *hsq.DB
-	sessionTTL   time.Duration
-	idleTimeout  time.Duration
-	pushDebounce time.Duration
-	cluster      ClusterHook
-	logf         func(format string, args ...any)
+	db          *hsq.DB
+	sessionTTL  time.Duration
+	idleTimeout time.Duration
+	cluster     ClusterHook
+	logf        func(format string, args ...any)
 
 	// origin is the session Write relays under: frames that enter the
 	// cluster at this node rather than over a client connection. The token
@@ -229,27 +224,22 @@ func New(cfg Config) *Server {
 	if ttl <= 0 {
 		ttl = DefaultSessionTTL
 	}
-	debounce := cfg.PushDebounce
-	if debounce <= 0 {
-		debounce = DefaultPushDebounce
-	}
 	var tok [16]byte
 	rand.Read(tok[:]) //nolint:errcheck // crypto/rand.Read never fails (it aborts the process instead)
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		origin:       "origin-" + hex.EncodeToString(tok[:]),
-		db:           cfg.DB,
-		sessionTTL:   ttl,
-		idleTimeout:  cfg.IdleTimeout,
-		pushDebounce: debounce,
-		cluster:      cfg.Cluster,
-		logf:         logf,
-		sessions:     make(map[string]*session),
-		conns:        make(map[uint64]*conn),
-		listeners:    make(map[net.Listener]struct{}),
-		streams:      make(map[string]*streamCounters),
-		baseCtx:      ctx,
-		cancel:       cancel,
+		origin:      "origin-" + hex.EncodeToString(tok[:]),
+		db:          cfg.DB,
+		sessionTTL:  ttl,
+		idleTimeout: cfg.IdleTimeout,
+		cluster:     cfg.Cluster,
+		logf:        logf,
+		sessions:    make(map[string]*session),
+		conns:       make(map[uint64]*conn),
+		listeners:   make(map[net.Listener]struct{}),
+		streams:     make(map[string]*streamCounters),
+		baseCtx:     ctx,
+		cancel:      cancel,
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 //
 // Delivery model:
 //
-//   - Evaluation is debounced (Config.PushDebounce): a burst of EndSteps
+//   - Evaluation is debounced (DefaultPushDebounce): a burst of EndSteps
 //     across many selected streams coalesces into one push carrying the
 //     state after the burst. Subscribers see the latest state, not every
 //     intermediate one.
@@ -34,7 +34,7 @@ import (
 
 // DefaultPushDebounce is the settle window between an EndStep and the
 // push it triggers, coalescing multi-stream ingest bursts into one
-// evaluation. A positive Config.PushDebounce overrides it.
+// evaluation.
 const DefaultPushDebounce = 25 * time.Millisecond
 
 // subscription is one standing continuous query on a connection.
@@ -148,7 +148,7 @@ func (s *Server) pushLoop(c *conn) {
 		select {
 		case <-c.ctx.Done():
 			return
-		case <-time.After(s.pushDebounce):
+		case <-time.After(DefaultPushDebounce):
 		}
 		// Drain a wake that raced the debounce window: the dirty marks it
 		// announced are visible to the snapshot below, so it is spent.

@@ -51,9 +51,6 @@ func (p *Partition) OpenSequential() (*disk.Reader, error) {
 	return p.dev.OpenSequential(p.name)
 }
 
-// remove deletes the partition's file.
-func (p *Partition) remove() error { return p.dev.Remove(p.name) }
-
 func (p *Partition) String() string {
 	return fmt.Sprintf("P%d(level=%d steps=[%d,%d] count=%d)", p.ID, p.Level, p.StartStep, p.EndStep, p.Count)
 }

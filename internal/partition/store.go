@@ -216,15 +216,6 @@ func NewStore(dev *disk.Manager, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Kappa returns the merge threshold.
-func (s *Store) Kappa() int { return s.cfg.Kappa }
-
-// Eps1 returns the historical summary parameter.
-func (s *Store) Eps1() float64 { return s.cfg.Eps1 }
-
-// Beta1 returns the per-partition summary length.
-func (s *Store) Beta1() int { return s.beta1 }
-
 // TotalCount returns n, the number of historical elements — installed
 // partitions plus sealed-but-uninstalled batches.
 func (s *Store) TotalCount() int64 {
@@ -744,11 +735,16 @@ type LevelInfo struct {
 	Steps int
 }
 
-// Describe returns a per-level summary of the current version's layout
-// (level order ascending).
+// Describe is Version.Describe on the current version.
 func (s *Store) Describe() []LevelInfo {
 	v := s.Pin()
 	defer v.Release()
+	return v.Describe()
+}
+
+// Describe returns a per-level summary of the version's layout (level order
+// ascending).
+func (v *Version) Describe() []LevelInfo {
 	var out []LevelInfo
 	for _, e := range v.entries {
 		for len(out) <= e.Part.Level {

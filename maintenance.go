@@ -90,8 +90,8 @@ type MaintenanceStats struct {
 
 // MaintenanceStats returns the stream's current maintenance counters.
 func (e *engine) MaintenanceStats() MaintenanceStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	pending := e.store.Pending()
 	var pendingN int64
 	for _, sb := range pending {
@@ -245,8 +245,8 @@ func (e *engine) SyncMaintenance() error {
 // maintPending reports whether the stream has sealed steps awaiting
 // installation and is not wedged on a sticky error.
 func (e *engine) maintPending() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return !e.closed && e.maintErr == nil && len(e.store.Pending()) > 0
 }
 

@@ -2,6 +2,7 @@ package hsq
 
 import (
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/query"
 )
 
@@ -15,13 +16,13 @@ import (
 // the sealed pieces follow oldest-first, so the spans are one chronological
 // list and a scope is an index range of it.
 
-// ends lists the last step of each of the snapshot's spans, oldest first:
-// the installed partitions, then the version's sealed steps (piece i is
+// spanEnds lists the last step of each of ver's spans, oldest first: the
+// installed partitions, then the sealed steps (a snapshot's piece i is
 // sealed batch i).
-func (s *querySnap) ends() []int {
-	pending := s.ver.Pending()
-	ends := make([]int, 0, len(s.sums)+len(pending))
-	for _, ps := range s.sums {
+func spanEnds(ver *partition.Version) []int {
+	sums, pending := ver.Entries(), ver.Pending()
+	ends := make([]int, 0, len(sums)+len(pending))
+	for _, ps := range sums {
 		ends = append(ends, ps.Part.EndStep)
 	}
 	for _, sb := range pending {
@@ -37,7 +38,7 @@ func (s *querySnap) scope(sc query.Scope) error {
 	if sc.IsFull() {
 		return nil
 	}
-	lo, hi, live, err := sc.Select(s.ends())
+	lo, hi, live, err := sc.Select(spanEnds(s.ver))
 	if err != nil {
 		return err
 	}

@@ -218,7 +218,9 @@ func (s *Stream) peek(f func(*engine)) error {
 // align with partition boundaries; windowed queries also include the current
 // stream (paper §2.4, "Queries Over Windows"). Steps sealed but not yet
 // installed by background maintenance are the newest windows.
-func (s *Stream) AvailableWindows() []int { return onEngine(s, (*engine).AvailableWindows) }
+func (s *Stream) AvailableWindows() []int {
+	return onEngine(s, func(e *engine) []int { return e.status().Windows })
+}
 
 // StreamCount returns m, the element count of the live (unsealed) batch.
 func (s *Stream) StreamCount() int64 { return onEngine(s, (*engine).StreamCount) }
@@ -236,14 +238,33 @@ func (s *Stream) Steps() int { return onEngine(s, (*engine).Steps) }
 // PartitionCount returns the number of disk partitions across all levels.
 func (s *Stream) PartitionCount() int { return onEngine(s, (*engine).PartitionCount) }
 
-// Counters reads m, n, completed steps and partitions through one peek: it
-// never hydrates and is no touch for eviction, so a status poll leaves the
-// LRU order alone. A cold stream reports hydrated false and zeros.
-func (s *Stream) Counters() (m, n int64, steps, partitions int, hydrated bool) {
-	s.peek(func(e *engine) { //nolint:errcheck // a dropped stream or closed DB reads as cold
-		m, n, steps, partitions, hydrated = e.StreamCount(), e.HistCount(), e.Steps(), e.PartitionCount(), true
-	})
-	return
+// StreamStatus is a hydrated stream's engine state as one read (see
+// Stream.Status).
+type StreamStatus struct {
+	// Hydrated reports a memory-resident engine; a cold stream's status is
+	// otherwise zero.
+	Hydrated bool
+	// StreamCount (m) and HistCount (n) come from one hold of the engine
+	// lock, so N = n + m never straddles a seal.
+	StreamCount, HistCount int64
+	// Steps and Partitions count completed steps and disk partitions.
+	Steps, Partitions int
+	// The rest is what Describe, AvailableWindows, MemoryUsage and
+	// ProbeMemoStats report.
+	Levels    []LevelInfo
+	Windows   []int
+	Memory    MemoryUsage
+	ProbeMemo ProbeMemoStats
+}
+
+// Status reads the stream's engine state through one peek: it never
+// hydrates and is no touch for eviction, so a status poll leaves the LRU
+// order alone. The counts, level layout and windows come from one pinned
+// version.
+func (s *Stream) Status() StreamStatus {
+	var st StreamStatus
+	s.peek(func(e *engine) { st = e.status() }) //nolint:errcheck // a dropped stream or closed DB reads as cold
+	return st
 }
 
 // Describe returns the stream's level layout for inspection.
