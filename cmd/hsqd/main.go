@@ -121,7 +121,6 @@ func main() {
 		maxPending  = flag.Int("max-pending-steps", 0, "async backpressure: sealed steps a stream may queue before endstep blocks (0 = default 4); > 0 alone turns async maintenance on")
 		maintWork   = flag.Int("maint-workers", 0, "async scheduler worker pool size shared by all streams (0 = default 2)")
 		maxHydrated = flag.Int("max-hydrated", 0, "hydrated-engine budget: streams resident in memory before LRU eviction seals idle ones (0 = unbounded)")
-		probeMemo   = flag.Int("probe-memo-entries", 0, "per-snapshot rank-probe memo capacity: repeated queries against an unchanged stream resolve with no disk reads (0 = default 4096, negative = off)")
 		simDisk     = flag.String("simulate-disk", "", "inject per-block device latency so timings track I/O counts: ssd|hdd (empty = off)")
 
 		nodeID     = flag.String("node-id", "", "this node's stable cluster ID (required with -cluster-peers)")
@@ -146,7 +145,7 @@ func main() {
 		dir: *dir, backend: *backend, cacheBlocks: *cache,
 		epsilon: *epsilon, kappa: *kappa,
 		maintenance: *maintenance, maxPending: *maxPending, maintWorkers: *maintWork,
-		maxHydrated: *maxHydrated, probeMemo: *probeMemo, simulateDisk: *simDisk,
+		maxHydrated: *maxHydrated, simulateDisk: *simDisk,
 		nodeID: *nodeID, clusterPeers: *peers, replicas: *replicas,
 		ringEpoch: *ringEpoch, ingestIdle: *ingestIdle,
 		logf: log.Printf,
@@ -260,23 +259,14 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		io := st.DiskStats()
 		tally := ing.Streams[name]
-		ss := st.Status()
-		row := map[string]any{
+		row, _ := streamKeys(st)
+		maps.Copy(row, map[string]any{
 			"name":             name,
-			"hydrated":         ss.Hydrated,
-			"io_seq_reads":     io.SeqReads,
-			"io_seq_writes":    io.SeqWrites,
-			"io_rand_reads":    io.RandReads,
-			"io_cache_hits":    io.CacheHits,
 			"ingest_values":    tally.Values,
 			"ingest_batches":   tally.Batches,
 			"ingest_end_steps": tally.EndSteps,
-		}
-		if ss.Hydrated {
-			row["stream_count"], row["hist_count"], row["steps"], row["partitions"] = ss.StreamCount, ss.HistCount, ss.Steps, ss.Partitions
-		}
+		})
 		streams = append(streams, row)
 	}
 	agg := s.db.DiskStats()
@@ -389,30 +379,42 @@ func (s *server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"dropped": name, "streams": s.db.Streams()})
 }
 
-// handleStreamStats reports one stream through one Stream.Status peek, like
-// its GET /streams row: it never hydrates nor reorders eviction, so a cold
-// stream answers "hydrated": false with its durable I/O counters only.
-func (s *server) handleStreamStats(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
+// streamKeys builds the keys a GET /streams row and GET
+// /streams/{name}/stats share, from one Stream.Status peek: "hydrated", the
+// stream's own I/O counters (its namespaced device view) and, for a
+// hydrated stream only, its engine counts. A peek never hydrates nor
+// reorders eviction, so a cold stream reports its durable I/O counters
+// only.
+func streamKeys(st *hsq.Stream) (map[string]any, hsq.StreamStatus) {
 	ss := st.Status()
-	io := st.DiskStats() // per-stream: this stream's namespaced device view
-	reply := map[string]any{
-		"stream":               st.Name(),
-		"hydrated":             ss.Hydrated,
-		"io_seq_reads":         io.SeqReads,
-		"io_seq_writes":        io.SeqWrites,
-		"io_rand_reads":        io.RandReads,
-		"io_cache_hits":        io.CacheHits,
-		"io_cache_miss":        io.CacheMisses,
-		"device_io_rand_reads": s.db.DiskStats().RandReads,
+	io := st.DiskStats()
+	keys := map[string]any{
+		"hydrated":      ss.Hydrated,
+		"io_seq_reads":  io.SeqReads,
+		"io_seq_writes": io.SeqWrites,
+		"io_rand_reads": io.RandReads,
+		"io_cache_hits": io.CacheHits,
 	}
+	if ss.Hydrated {
+		keys["stream_count"], keys["hist_count"], keys["steps"], keys["partitions"] = ss.StreamCount, ss.HistCount, ss.Steps, ss.Partitions
+	}
+	return keys, ss
+}
+
+// handleStreamStats reports one stream: its GET /streams row's shared keys
+// (streamKeys), plus cache misses, the device's random reads and, when
+// hydrated, its levels, windows, memory and probe memo.
+func (s *server) handleStreamStats(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
+	reply, ss := streamKeys(st)
+	maps.Copy(reply, map[string]any{
+		"stream":               st.Name(),
+		"io_cache_miss":        st.DiskStats().CacheMisses,
+		"device_io_rand_reads": s.db.DiskStats().RandReads,
+	})
 	if ss.Hydrated {
 		maps.Copy(reply, map[string]any{
 			"levels":              ss.Levels,
-			"stream_count":        ss.StreamCount,
-			"hist_count":          ss.HistCount,
 			"total_count":         ss.StreamCount + ss.HistCount,
-			"steps":               ss.Steps,
-			"partitions":          ss.Partitions,
 			"windows":             ss.Windows,
 			"mem_hist":            ss.Memory.HistBytes,
 			"mem_stream":          ss.Memory.StreamBytes,

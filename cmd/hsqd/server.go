@@ -39,7 +39,6 @@ type serverConfig struct {
 	maxPending   int
 	maintWorkers int
 	maxHydrated  int
-	probeMemo    int                              // per-snapshot rank-probe memo entries (0 = default, < 0 = off)
 	simulateDisk string                           // per-block latency profile: "", "ssd" or "hdd"
 	logf         func(format string, args ...any) // ingest connection logs; nil = silent
 
@@ -51,10 +50,10 @@ type serverConfig struct {
 	ingestIdle   time.Duration // drop idle ingest conns after this (0 = never)
 }
 
-// newServer opens (or resumes — the DB manifest decides) a multi-stream DB
-// on the configured backend. A pre-multi-stream warehouse in dir (a root
-// MANIFEST.json without DB.json) is refused by hsq.Open, whose error says
-// how to adopt it by hand.
+// newServer opens a multi-stream DB on the configured backend, resuming
+// every stream whose manifest the device holds. A warehouse an earlier
+// release laid out (a root MANIFEST.json, or a root DB.json) is refused by
+// hsq.Open, whose error says how to adopt it by hand.
 func newServer(sc serverConfig) (*server, error) {
 	db, err := hsq.Open(hsq.Options{
 		Epsilon:            sc.epsilon,
@@ -66,7 +65,6 @@ func newServer(sc serverConfig) (*server, error) {
 		MaxPendingSteps:    sc.maxPending,
 		MaintenanceWorkers: sc.maintWorkers,
 		MaxHydratedStreams: sc.maxHydrated,
-		ProbeMemoEntries:   sc.probeMemo,
 		SimulateDisk:       sc.simulateDisk,
 	})
 	if err != nil {

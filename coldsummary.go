@@ -28,9 +28,10 @@ import (
 // merge that reshaped partitions, a drop/re-create, a file an earlier build
 // or another ε wrote — fails the check and the query falls back to a
 // one-time hydration (counted in DirectoryStats.SummaryFallbacks), after
-// which the next eviction or checkpoint rewrites the sidecar. A stream whose
-// namespace has no manifest at all has no durable data (registered but never
-// sealed), and answers as zero spans without hydrating.
+// which the next eviction or checkpoint rewrites the sidecar. A missing
+// sidecar reads as zero spans, which the check accepts only against a
+// manifest that has sealed no step: a stream registered but never sealed
+// answers without hydrating.
 //
 // A held summary stays fresh because a cold stream's durable state changes
 // only through a hydration (every write acquires first): hydrating forgets
@@ -93,8 +94,8 @@ func (db *DB) sealCold(stream string, eng *engine) error {
 
 // dropSidecar best-effort removes a stream's sidecar: used when the
 // stream's durable state stops being representable (pending work at
-// checkpoint) or the stream is dropped. A leftover sidecar is safe — the
-// manifest cross-check rejects it — this just avoids pointless fallbacks.
+// checkpoint). A leftover sidecar is safe — the manifest cross-check
+// rejects it — this just avoids pointless fallbacks.
 func (db *DB) dropSidecar(stream string) {
 	if db.dev.Exists(sidecarPath(stream)) {
 		db.dev.Remove(sidecarPath(stream)) //nolint:errcheck // advisory cleanup
@@ -138,21 +139,15 @@ func (db *DB) readColdSummary(s *Stream, held *core.ShardSummary, epoch uint64, 
 // records it, or nil if the sidecar cannot answer.
 func (db *DB) readSidecar(stream string) *core.ShardSummary {
 	eps1, eps2 := db.opts.Epsilon/2, db.opts.Epsilon/4
-	if !db.dev.Exists(streamManifestPath(stream)) {
-		// Registered but never sealed: no durable data by the durability
-		// contract, so the stream is zero spans — what a fresh engine holds.
-		return &core.ShardSummary{Eps1: eps1, Eps2: eps2}
-	}
-	raw, err := db.dev.ReadMeta(sidecarPath(stream))
-	if err != nil {
-		return nil // missing sidecar: hydrate
-	}
-	db.sidecarDecodes.Add(1)
-	// A sidecar is installed partitions only, under this DB's ε (a DB
-	// reopened with another ε rebuilds its summaries on hydration).
-	sum, err := core.DecodeShardSummary(raw)
-	if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 || sum.Eps2 != eps2 {
-		return nil // corrupt or foreign sidecar: hydrate, next seal rewrites it
+	sum := &core.ShardSummary{Eps1: eps1, Eps2: eps2} // no sidecar: zero spans
+	if raw, err := db.dev.ReadMeta(sidecarPath(stream)); err == nil {
+		db.sidecarDecodes.Add(1)
+		// A sidecar is installed partitions only, under this DB's ε (a DB
+		// reopened with another ε rebuilds its summaries on hydration).
+		sum, err = core.DecodeShardSummary(raw)
+		if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 || sum.Eps2 != eps2 {
+			return nil // corrupt or foreign sidecar: hydrate, next seal rewrites it
+		}
 	}
 	mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
 	if err != nil {

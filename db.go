@@ -1,7 +1,6 @@
 package hsq
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/disk"
+	"repro/internal/partition"
 	"repro/internal/query"
 )
 
@@ -18,23 +18,16 @@ import (
 // stream the DB does not host; test with errors.Is.
 var ErrUnknownStream = errors.New("hsq: unknown stream")
 
-// dbManifestName is the DB-level manifest (stream directory) on the root
-// of the device.
-const dbManifestName = "DB.json"
-
 // streamNamespacePrefix is where stream state lives on the device:
-// streams/<name>/{MANIFEST.json, part-*.dat}.
+// streams/<name>/{MANIFEST.json, part-*.dat}. A stream is registered exactly
+// when its namespace holds a MANIFEST.json; the device keeps no other list
+// of streams.
 const streamNamespacePrefix = "streams"
 
-const dbManifestVersion = 1
-
-// dbManifest is the durable stream directory: which named streams exist,
-// so Open can resume all of them after a restart. Per-stream layout lives
-// in each stream's own manifest under its namespace.
-type dbManifest struct {
-	Version int      `json:"version"`
-	Streams []string `json:"streams"`
-}
+// legacyDirectoryName is the root stream directory earlier releases kept
+// beside the per-stream manifests; Open refuses a device that still holds
+// one.
+const legacyDirectoryName = "DB.json"
 
 // DB hosts many named quantile streams over one shared device: one storage
 // backend, one block-cache budget, one manifest root. Each stream is the
@@ -45,10 +38,10 @@ type dbManifest struct {
 // the same cache. DB is safe for concurrent use.
 //
 // The stream directory distinguishes registered from hydrated streams:
-// every stream listed in the DB manifest is registered (a lightweight
-// descriptor, ~100 bytes), but an engine — GK sketch, partition summaries,
-// maintenance state — is hydrated only on first touch, outside the DB
-// lock, with per-name singleflight. With Options.MaxHydratedStreams set,
+// every stream whose namespace holds a store manifest is registered (a
+// lightweight descriptor, ~100 bytes), but an engine — GK sketch,
+// partition summaries, maintenance state — is hydrated only on first touch,
+// outside the DB lock, with per-name singleflight. With Options.MaxHydratedStreams set,
 // idle streams are sealed (durably checkpointed) and evicted in LRU order,
 // so resident memory tracks the hot set, not the directory size. Open
 // loads only the directory: restart cost is O(registered streams), with
@@ -75,15 +68,14 @@ type DB struct {
 	coldBytes        int64         // held cold summaries, at most coldBudget
 	coldBudget       int64         // coldSummaryBudget (lowered by internal tests)
 	closed           bool
-	dirDirty         bool // directory written but its durability sync failed
 }
 
-// Open opens (or creates) a multi-stream DB on the configured device. If
-// the device holds a DB manifest from a previous run, every stream listed
-// in it is registered — but not hydrated: each stream's engine (and its
-// one-sequential-scan summary rebuild) is loaded lazily on the stream's
-// first touch, so Open costs O(directory), not O(total data), and a daemon
-// with a huge, mostly-cold stream directory restarts in constant-ish time.
+// Open opens (or creates) a multi-stream DB on the configured device. Every
+// stream whose namespace holds a store manifest is registered — but not
+// hydrated: each stream's engine (and its one-sequential-scan summary
+// rebuild) is loaded lazily on the stream's first touch, so Open costs one
+// listing of the stream namespaces, not O(total data), and a daemon with a
+// huge, mostly-cold stream directory restarts in constant-ish time.
 func Open(opts Options) (*DB, error) {
 	full, err := opts.withDefaults()
 	if err != nil {
@@ -93,68 +85,59 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Layouts of earlier releases that this DB would misread are refused,
+	// each with the by-hand recipe that adopts it.
+	switch {
+	case dev.Exists(legacyDirectoryName):
+		// The stream directory is the per-stream manifests now. Under the root
+		// file, a namespace it did not list was crash debris, and a listed
+		// name without a manifest held no data.
+		return nil, fmt.Errorf("hsq: %s holds a %s stream directory from an earlier release; to adopt it, delete every %s/<name>/ whose name it does not list, then delete %s (a listed name without a %s/<name>/%s held no data: RegisterStreams brings the name back)",
+			full.Dir, legacyDirectoryName, streamNamespacePrefix, legacyDirectoryName, streamNamespacePrefix, manifestName)
+	case dev.Exists(manifestName):
+		// A root-level store manifest is a single-stream warehouse (written by
+		// releases that had a standalone engine). Opening a DB over it would
+		// silently ignore all its data.
+		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s); to adopt it as a DB stream, move its files into %s/<name>/ and set the moved manifest's \"namespace\" to that path",
+			full.Dir, manifestName, streamNamespacePrefix)
+	}
 	// In async mode, one bounded worker pool shared by every stream of the
 	// DB: installs and merges from all streams compete for the same
 	// MaintenanceWorkers goroutines, with per-stream FIFO ordering (see
 	// maintenance.go).
 	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), sched: newScheduler(full), coldBudget: coldSummaryBudget}
-	if !dev.Exists(dbManifestName) && dev.Exists(manifestName) {
-		// A root-level store manifest without a DB manifest is a legacy
-		// single-stream warehouse (written by releases that had a standalone
-		// engine). Opening a DB over it would silently ignore all its data.
-		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s, no %s); to adopt it as a DB stream, move its files into %s/<name>/, set the moved manifest's \"namespace\" to that path and list <name> under \"streams\" in a version-%d %s",
-			full.Dir, manifestName, dbManifestName, streamNamespacePrefix, dbManifestVersion, dbManifestName)
+	files, err := dev.List(streamNamespacePrefix + "/")
+	if err != nil {
+		return nil, fmt.Errorf("hsq: list stream namespaces: %w", err)
 	}
-	registered := map[string]bool{}
-	if dev.Exists(dbManifestName) {
-		data, err := dev.ReadMeta(dbManifestName)
-		if err != nil {
-			return nil, fmt.Errorf("hsq: read DB manifest: %w", err)
-		}
-		var m dbManifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("hsq: parse DB manifest: %w", err)
-		}
-		if m.Version != dbManifestVersion {
-			return nil, fmt.Errorf("hsq: DB manifest version %d, want %d", m.Version, dbManifestVersion)
-		}
-		for _, name := range m.Streams {
-			if registered[name] {
-				continue
-			}
-			registered[name] = true
+	for _, f := range files {
+		if name, file, ok := splitStreamFile(f); ok && file == manifestName {
 			db.dir[name] = &Stream{name: name, db: db}
 		}
 	}
-	if err := db.collectUnregisteredStreams(registered); err != nil {
-		return nil, err
+	// A namespace without a manifest is crash debris: a DropStream that
+	// removed the manifest but died before its sweep, or files of a stream
+	// whose registration never became durable. Per the durability contract
+	// such a stream has an empty prefix of completed steps — its files are
+	// orphans.
+	for _, f := range files {
+		if name, _, ok := splitStreamFile(f); ok && db.dir[name] == nil {
+			if err := dev.Remove(f); err != nil {
+				return nil, fmt.Errorf("hsq: collect unregistered stream %q: %w", name, err)
+			}
+		}
 	}
 	return db, nil
 }
 
-// collectUnregisteredStreams removes the on-disk state of stream
-// namespaces that the (committed) DB manifest does not list. They are
-// crash debris: either a DropStream that committed the directory update
-// but died before finishing the destroy, or a stream created and written
-// whose registration never became durable. Per the durability contract,
-// a stream missing from the committed directory has an empty prefix of
-// completed steps — its files are orphans.
-func (db *DB) collectUnregisteredStreams(registered map[string]bool) error {
-	names, err := db.dev.List(streamNamespacePrefix + "/")
-	if err != nil {
-		return fmt.Errorf("hsq: list stream namespaces: %w", err)
+// splitStreamFile splits a root-view key streams/<name>/<file> into the
+// stream's name and the file's name within its namespace.
+func splitStreamFile(key string) (name, file string, ok bool) {
+	rel, ok := strings.CutPrefix(key, streamNamespacePrefix+"/")
+	if !ok {
+		return "", "", false
 	}
-	for _, name := range names {
-		rel := strings.TrimPrefix(name, streamNamespacePrefix+"/")
-		stream, _, ok := strings.Cut(rel, "/")
-		if !ok || registered[stream] {
-			continue
-		}
-		if err := db.dev.Remove(name); err != nil {
-			return fmt.Errorf("hsq: collect unregistered stream %q: %w", stream, err)
-		}
-	}
-	return nil
+	return strings.Cut(rel, "/")
 }
 
 // maxStreamNameLen bounds a stream name to one path component (NAME_MAX on
@@ -225,21 +208,24 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 		view = v
 		db.mu.Unlock()
 	}
-	resume := view.Exists(manifestName)
-	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+st.name, resume)
+	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+st.name)
+
+	db.mu.Lock()
+	if serr := st.errLocked(); serr != nil {
+		db.mu.Unlock()
+		// The DB closed (or the stream was unregistered) while we hydrated:
+		// that is the answer, whatever the load found. Nothing was mutated,
+		// so the engine goes without a commit.
+		if fresh != nil {
+			fresh.shut()
+		}
+		return nil, serr
+	}
 	if err != nil {
+		db.mu.Unlock()
 		return nil, fmt.Errorf("hsq: hydrate stream %q: %w", st.name, err)
 	}
 	fresh.sched = db.sched
-
-	db.mu.Lock()
-	if err := st.errLocked(); err != nil {
-		db.mu.Unlock()
-		// The DB closed (or the stream was dropped) while we hydrated;
-		// nothing was mutated, so discard the engine quietly.
-		fresh.Close() //nolint:errcheck // freshly hydrated, nothing to lose
-		return nil, err
-	}
 	st.eng = fresh
 	db.forgetColdLocked(st) // writes may now change the durable state it mirrors
 	st.pins++
@@ -387,13 +373,14 @@ func (db *DB) evictOne(st *Stream) {
 	}
 }
 
-// Stream returns the named stream, creating it on first use (and recording
-// it in the DB manifest so a restart finds it). The returned *Stream is
-// shared: every caller asking for the same name gets the same stream. The
-// call hydrates the stream's engine if it is cold — registration itself is
-// one atomic manifest write under the DB lock; the hydration (manifest
-// read plus summary-rebuild scan) runs outside it, so a slow cold open
-// never blocks operations on other streams.
+// Stream returns the named stream, creating it on first use. The returned
+// *Stream is shared: every caller asking for the same name gets the same
+// stream. Creating a stream registers it — one write of its empty store
+// manifest under the DB lock, durable at the next device sync (the stream's
+// first EndStep commit at the latest). The call then hydrates the stream's
+// engine if it is cold; the hydration (manifest read plus summary-rebuild
+// scan) runs outside the DB lock, so a slow cold open never blocks
+// operations on other streams.
 func (db *DB) Stream(name string) (*Stream, error) {
 	var (
 		st      *Stream
@@ -407,34 +394,30 @@ func (db *DB) Stream(name string) (*Stream, error) {
 		}
 		e, ok := db.dir[name]
 		if ok && e.dropped {
-			// The name is tombstoned: a DropStream committed the removal
-			// and is still destroying files under e.opMu. Re-creating the
-			// name now would let the new stream hydrate from the old,
-			// not-yet-deleted manifest — and lose its fresh files to the
-			// in-flight destroy. Wait the destroy out, then retry.
+			// The name is tombstoned: a DropStream is closing the stream or
+			// sweeping its namespace under e.opMu. Re-creating the name now
+			// would let the new stream's files fall to the in-flight sweep.
+			// Wait the drop out, then retry.
 			db.mu.Unlock()
-			e.opMu.Lock() // parks until the dropper finishes its destroy
+			e.opMu.Lock() // parks until the dropper finishes
 			db.mu.Lock()
 			failed := db.dir[name] == e && e.dropped
 			db.mu.Unlock()
 			e.opMu.Unlock()
 			if failed {
-				// The destroy failed and left its tombstone: the namespace
-				// holds partially deleted files, so the name stays
-				// unavailable until the next Open collects them.
+				// The sweep failed and left its tombstone: the namespace holds
+				// partially deleted files, so the name stays unavailable until
+				// the next Open collects them.
 				return nil, fmt.Errorf("hsq: stream %q dropped: %w", name, ErrClosed)
 			}
 			continue
 		}
 		if !ok {
-			if err := ValidStreamName(name); err != nil {
-				db.mu.Unlock()
-				return nil, err
+			err := ValidStreamName(name)
+			if err == nil {
+				e, err = db.registerLocked(name)
 			}
-			e = &Stream{name: name, db: db}
-			db.dir[name] = e
-			if err := db.saveManifestLocked(); err != nil {
-				delete(db.dir, name)
+			if err != nil {
 				db.mu.Unlock()
 				return nil, err
 			}
@@ -447,21 +430,11 @@ func (db *DB) Stream(name string) (*Stream, error) {
 
 	if _, err := db.acquire(st); err != nil {
 		if created {
-			// Best-effort unregistration: the stream never hydrated, so
-			// removing its directory entry leaves no on-disk debris beyond
-			// what the next Open's orphan collection reclaims.
+			// Best-effort unregistration: the stream never hydrated, so its
+			// manifest is all it has on the device.
 			db.mu.Lock()
 			if db.dir[name] == st && st.eng == nil && st.pins == 0 && !st.dropped {
-				// Tombstone before deleting: a hydration of this stream we
-				// raced (another caller lost the singleflight, re-entered,
-				// and is loading outside db.mu right now) re-checks dropped
-				// before installing its engine, so it discards the engine
-				// instead of hydrating into a stream that is no longer in
-				// the directory — which would leak it past eviction and
-				// Close while a later Stream(name) doubled the namespace.
-				st.dropped = true
-				delete(db.dir, name)
-				db.saveManifestLocked() //nolint:errcheck // unregistration is advisory here
+				db.unregisterLocked(st)
 			}
 			db.mu.Unlock()
 		}
@@ -471,73 +444,73 @@ func (db *DB) Stream(name string) (*Stream, error) {
 	return st, nil
 }
 
-// RegisterStreams registers the named streams in the directory — one
-// durable manifest commit for the whole batch — without hydrating any of
-// them. It is the bulk-provisioning path for large fleets (per-user or
-// per-sensor stream sets), where registering names one Stream call at a
-// time would rewrite the directory once per name. Already-registered names
-// are skipped; a name whose DropStream is still destroying files is
-// rejected (retry once the drop completes). On a validation, conflict or
-// commit error nothing is registered; after a durability (sync) error the
-// batch is registered in memory and a retry of the call re-syncs it.
+// registerLocked registers a stream the directory lacks: it writes the
+// stream's empty store manifest — atomic on the backend, durable at the
+// next device sync — and adds the directory entry. Caller holds db.mu.
+func (db *DB) registerLocked(name string) (*Stream, error) {
+	ns := streamNamespacePrefix + "/" + name
+	if err := partition.CreateManifest(db.dev, streamManifestPath(name), storeConfig(db.opts, db.opts.Epsilon/2, ns)); err != nil {
+		return nil, fmt.Errorf("hsq: register stream %q: %w", name, err)
+	}
+	st := &Stream{name: name, db: db}
+	db.dir[name] = st
+	return st, nil
+}
+
+// unregisterLocked takes a created stream that never hydrated back out of
+// the directory. It tombstones the entry before deleting it: a hydration of
+// it we raced (another caller lost the singleflight, re-entered, and is
+// loading outside db.mu right now) re-checks dropped before installing its
+// engine, so it discards the engine instead of hydrating into a stream no
+// longer in the directory — which would leak it past eviction and Close
+// while a later Stream(name) doubled the namespace. Caller holds db.mu.
+func (db *DB) unregisterLocked(st *Stream) {
+	st.dropped = true
+	delete(db.dir, st.name)
+	db.dev.Remove(streamManifestPath(st.name)) //nolint:errcheck // one left behind registers an empty stream at the next Open
+}
+
+// RegisterStreams registers the named streams in the directory without
+// hydrating any of them: the bulk-provisioning path for large fleets
+// (per-user or per-sensor stream sets). Each name is registered by its own
+// manifest write, so registering n streams writes n small files however
+// many are registered already, and the call ends with one device sync,
+// after which every name is durable. Already-registered names are skipped,
+// so the call is idempotent. A name whose DropStream is still in flight is
+// rejected (retry once the drop completes). An invalid name registers
+// nothing. Otherwise names are registered one at a time: a conflict or write
+// error — or a crash — part-way through leaves the names before it
+// registered, and a retry of the call registers the rest (and repeats the
+// sync a failed one did not finish).
 func (db *DB) RegisterStreams(names ...string) error {
 	for _, name := range names {
 		if err := ValidStreamName(name); err != nil {
 			return err
 		}
 	}
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	added := make([]string, 0, len(names))
 	for _, name := range names {
-		if st, ok := db.dir[name]; ok {
-			if st.dropped {
-				// Mid-destroy tombstone: registering over it would hand the
-				// new stream a namespace still being deleted. Stream waits
-				// such a drop out; a bulk register reports the conflict.
-				for _, a := range added {
-					delete(db.dir, a)
-				}
-				db.mu.Unlock()
-				return fmt.Errorf("hsq: stream %q is being dropped; retry when the drop completes", name)
-			}
-			continue
+		db.mu.Lock()
+		var err error
+		st, ok := db.dir[name]
+		switch {
+		case db.closed:
+			err = ErrClosed
+		case ok && st.dropped:
+			// A drop in flight: registering over it would hand the new
+			// stream a namespace still being swept. Stream waits such a drop
+			// out; a bulk register reports the conflict.
+			err = fmt.Errorf("hsq: stream %q is being dropped; retry when the drop completes", name)
+		case !ok:
+			_, err = db.registerLocked(name)
 		}
-		db.dir[name] = &Stream{name: name, db: db}
-		added = append(added, name)
-	}
-	if len(added) == 0 && !db.dirDirty {
 		db.mu.Unlock()
-		return nil
-	}
-	if len(added) > 0 {
-		if err := db.saveManifestLocked(); err != nil {
-			for _, name := range added {
-				delete(db.dir, name)
-			}
-			db.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
-	db.mu.Unlock()
 	// The device-wide durability sync runs outside db.mu: a slow flush must
-	// not stall every other stream's fast-path acquire. On failure the
-	// batch stays registered in memory and in the written (not yet durable)
-	// directory; dirDirty makes a retry — even one that adds no new names —
-	// repeat the sync instead of short-circuiting.
-	if err := db.dev.Sync(); err != nil {
-		db.mu.Lock()
-		db.dirDirty = true
-		db.mu.Unlock()
-		return err
-	}
-	db.mu.Lock()
-	db.dirDirty = false
-	db.mu.Unlock()
-	return nil
+	// not stall every other stream's fast-path acquire.
+	return db.dev.Sync()
 }
 
 // Lookup returns the named stream without creating it (and without
@@ -580,19 +553,23 @@ func (db *DB) Streams() []string {
 	return out
 }
 
-// DropStream destroys the named stream: its partitions and manifest are
-// removed from the device and it disappears from the stream directory.
+// DropStream destroys the named stream: its manifest, partitions and
+// sidecar are removed from the device and it disappears from the stream
+// directory.
 //
-// The drop is committed first — the stream directory without the stream is
-// durably written before any file is deleted — so a crash mid-destroy
-// leaves only unregistered orphan files, which the next Open collects. The
-// reverse order would risk a committed directory pointing at a
-// half-destroyed stream. Until the destroy finishes, the entry stays in
-// the directory as a tombstone claiming the name (Stream waits, Register
-// rejects): re-creating the stream mid-destroy would let it hydrate from
-// the old, not-yet-deleted manifest while its fresh files were swept away.
-// If the destroy itself fails, the tombstone — and the error — stand, and
-// the name stays unavailable until the next Open collects the debris.
+// The stream's manifest is its registration, so removing it is the drop's
+// commit. The engine is closed first — write path, maintenance and pinned
+// queries drained, no commit of its own — so no EndStep, install or
+// checkpoint can write the manifest back after the commit and register the
+// stream again at the next Open. Then the removal is made durable, and only
+// then is the rest of the namespace swept: a crash mid-sweep leaves a
+// namespace without a manifest, which the next Open collects. If the commit
+// fails, the manifest is written back and the stream stays (cold; its live
+// step, volatile by contract, is lost). Until the sweep finishes, the entry
+// stays in the directory as a tombstone claiming the name (Stream waits,
+// RegisterStreams rejects). If the sweep itself fails, the tombstone — and
+// the error — stand, and the name stays unavailable until the next Open
+// collects the debris.
 func (db *DB) DropStream(name string) error {
 	db.mu.Lock()
 	if db.closed {
@@ -606,7 +583,7 @@ func (db *DB) DropStream(name string) error {
 	}
 	// opMu serializes the drop against an in-flight hydration or eviction
 	// of the same stream (so the engine below is stable) and parks Stream
-	// callers waiting to re-create the name until the destroy completes.
+	// callers waiting to re-create the name until the drop completes.
 	st.opMu.Lock()
 	defer st.opMu.Unlock()
 	db.mu.Lock()
@@ -618,65 +595,28 @@ func (db *DB) DropStream(name string) error {
 		db.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownStream, name)
 	}
-	// Tombstone rather than delete: saveManifestLocked skips dropped
-	// entries, so this one write is the commit, while the entry itself
-	// keeps the name claimed until the files are gone.
+	// Tombstone rather than delete: the entry keeps the name claimed until
+	// the namespace is swept, and no new operation reaches the engine.
 	st.dropped = true
 	db.forgetColdLocked(st)
-	if err := db.saveManifestLocked(); err != nil {
-		// WriteMeta is atomic: the failed write left the old directory (with
-		// the stream) on the device, so memory and disk still agree.
-		st.dropped = false
-		db.mu.Unlock()
-		return err
-	}
-	db.mu.Unlock()
-	// The device-wide durability sync runs outside db.mu — a slow flush
-	// must not stall every other stream's fast-path acquire; opMu alone
-	// keeps the drop serialized against this stream.
-	if err := db.dev.Sync(); err != nil {
-		// The device now holds a directory without the stream; abandoning
-		// the drop in memory alone would let any later device-wide sync make
-		// that directory durable and a subsequent Open destroy a live
-		// stream's data. Rewrite the directory with the stream restored.
-		db.mu.Lock()
-		st.dropped = false
-		serr := db.saveManifestLocked()
-		db.mu.Unlock()
-		if serr != nil {
-			return errors.Join(err, serr)
-		}
-		return err
-	}
-	db.mu.Lock()
-	if db.closed {
-		// Close raced in after the commit and owns every attached engine
-		// now. The drop itself is durable — the stream's files are
-		// unregistered orphans the next Open collects — but the destroy
-		// cannot proceed over a closing device.
-		db.mu.Unlock()
-		return ErrClosed
-	}
 	eng := st.eng
 	if eng != nil {
 		st.eng = nil
 		db.hydrated--
 	}
 	db.mu.Unlock()
-	var derr error
 	if eng != nil {
-		// Destroy waits out pinned queries before deleting partition
-		// files, so in-flight reads never see files vanish mid-search.
-		derr = eng.Destroy()
-	} else {
-		derr = db.destroyColdStream(name)
+		eng.shut()
 	}
-	if derr != nil {
-		return derr
+	if err := db.commitDrop(name); err != nil {
+		db.mu.Lock()
+		st.dropped = false
+		db.mu.Unlock()
+		return err
 	}
-	// The engine only destroys files it owns; the DB-level summary sidecar
-	// must not survive into a re-created stream of the same name.
-	db.dropSidecar(name)
+	if err := db.sweepNamespace(name); err != nil {
+		return err
+	}
 	db.mu.Lock()
 	if db.dir[name] == st {
 		delete(db.dir, name)
@@ -685,10 +625,9 @@ func (db *DB) DropStream(name string) error {
 	return nil
 }
 
-// destroyColdStream removes the on-disk files of a stream that has no
-// hydrated engine. The directory commit already removed the stream, so a
-// failure (or crash) mid-removal leaves only orphans for the next Open.
-func (db *DB) destroyColdStream(name string) error {
+// sweepNamespace removes every file left in a dropped stream's namespace,
+// hot or cold: partitions, spills, sort temporaries, the sidecar.
+func (db *DB) sweepNamespace(name string) error {
 	files, err := db.dev.List(streamNamespacePrefix + "/" + name + "/")
 	if err != nil {
 		return fmt.Errorf("hsq: drop stream %q: %w", name, err)
@@ -701,24 +640,22 @@ func (db *DB) destroyColdStream(name string) error {
 	return nil
 }
 
-// saveManifestLocked writes the stream directory atomically, excluding
-// tombstoned entries (their removal is the commit a DropStream already
-// made). Caller holds db.mu.
-func (db *DB) saveManifestLocked() error {
-	m := dbManifest{Version: dbManifestVersion}
-	for name, st := range db.dir {
-		if st.dropped {
-			continue
-		}
-		m.Streams = append(m.Streams, name)
+// commitDrop durably removes the stream's manifest. The device-wide
+// durability sync runs outside db.mu — a slow flush must not stall every
+// other stream's fast-path acquire; the caller's opMu keeps the drop
+// serialized against this stream. If the sync fails, the removal may still
+// become durable with any later sync, so the manifest is written back.
+func (db *DB) commitDrop(name string) error {
+	path := streamManifestPath(name)
+	data, err := db.dev.ReadMeta(path)
+	if err == nil {
+		err = db.dev.Remove(path)
 	}
-	sort.Strings(m.Streams)
-	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("hsq: marshal DB manifest: %w", err)
+		return fmt.Errorf("hsq: drop stream %q: %w", name, err)
 	}
-	if err := db.dev.WriteMeta(dbManifestName, data); err != nil {
-		return fmt.Errorf("hsq: write DB manifest: %w", err)
+	if err := db.dev.Sync(); err != nil {
+		return errors.Join(fmt.Errorf("hsq: drop stream %q: %w", name, err), db.dev.WriteMeta(path, data))
 	}
 	return nil
 }
@@ -757,14 +694,15 @@ func (db *DB) eachHydrated(f func(*Stream, *engine) error) error {
 	return first
 }
 
-// Checkpoint persists every hydrated stream's manifest plus the stream
-// directory, each write atomic on the backend, so a multi-stream daemon
-// can restart cleanly with Open. Cold (evicted or never-touched) streams
-// are already durable and cost nothing. In-flight (unloaded) stream batches
-// are volatile by design (replayed or lost, exactly as a DSMS would) — but
-// steps already sealed by EndStep are durable whether or not their
-// background installs have run. Checkpoint does not wait for the maintenance
-// backlog; call WaitIdle first for a fully-merged on-disk layout.
+// Checkpoint persists every hydrated stream's manifest, each write atomic on
+// the backend, and ends with a device sync that also makes every
+// registration durable, so a multi-stream daemon can restart cleanly with
+// Open. Cold (evicted or never-touched) streams are already durable and
+// cost nothing. In-flight (unloaded) stream batches are volatile by design
+// (replayed or lost, exactly as a DSMS would) — but steps already sealed by
+// EndStep are durable whether or not their background installs have run.
+// Checkpoint does not wait for the maintenance backlog; call WaitIdle first
+// for a fully-merged on-disk layout.
 func (db *DB) Checkpoint() error {
 	err := db.eachHydrated(func(st *Stream, eng *engine) error {
 		if err := eng.Checkpoint(); err != nil {
@@ -778,12 +716,6 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	if err := db.saveManifestLocked(); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	db.mu.Unlock()
 	return db.dev.Sync()
 }
 
@@ -792,10 +724,10 @@ func (db *DB) Checkpoint() error {
 // and releases the shared backend (when it implements io.Closer).
 //
 // The DB is marked closed first and exactly once: even if sealing a stream
-// fails, every other stream is still sealed, the directory is still
-// committed, and every later operation (and Lookup) observes the closed
-// state. All failures along the way are joined into the returned error.
-// Close is idempotent; Destroy-like cleanup is per-stream via DropStream.
+// fails, every other stream is still sealed, the device is still synced,
+// and every later operation (and Lookup) observes the closed state. All
+// failures along the way are joined into the returned error. Close is
+// idempotent; Destroy-like cleanup is per-stream via DropStream.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -829,11 +761,6 @@ func (db *DB) Close() error {
 	if db.sched != nil {
 		db.sched.close()
 	}
-	db.mu.Lock()
-	if err := db.saveManifestLocked(); err != nil {
-		errs = append(errs, err)
-	}
-	db.mu.Unlock()
 	if err := db.dev.Sync(); err != nil {
 		errs = append(errs, err)
 	}

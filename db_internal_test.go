@@ -92,19 +92,14 @@ func TestUnregisterDiscardsRacedHydration(t *testing.T) {
 	<-gb.signal // the hydration is parked mid-load, db.mu free
 
 	// Interleave the exact unregistration Stream performs after a failed
-	// create: tombstone, drop from the directory, rewrite the manifest.
+	// create: tombstone, drop from the directory, remove the manifest.
 	db2.mu.Lock()
 	ent := db2.dir["n"]
 	if ent == nil {
 		db2.mu.Unlock()
 		t.Fatal("entry missing from directory")
 	}
-	ent.dropped = true
-	delete(db2.dir, "n")
-	if err := db2.saveManifestLocked(); err != nil {
-		db2.mu.Unlock()
-		t.Fatal(err)
-	}
+	db2.unregisterLocked(ent)
 	db2.mu.Unlock()
 
 	close(gb.gate)

@@ -2,7 +2,6 @@ package hsq_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -563,6 +562,147 @@ func TestDropStreamRecreateWaitsForDestroy(t *testing.T) {
 	}
 }
 
+// TestDropRacesEndStep: a stream's manifest is its registration, so a commit
+// of the stream landing after its drop removed the manifest would register
+// the stream again at the next Open — and a commit syncs, while the drop's
+// sweep of the namespace does not. EndSteps (each one commit) and
+// background installs run beside the drop, and in every other round DB
+// checkpoints too (their device syncs make the sweep durable, so those
+// rounds cannot see a commit that lands between the drop's commit and its
+// sweep); once the drop has returned, a reopen after a crash — losing every
+// unsynced write, or keeping them all — finds neither the stream nor any of
+// its files.
+func TestDropRacesEndStep(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		backend := disk.NewCrashBackend()
+		opts := hsq.Options{Epsilon: 0.1, Kappa: 2, Device: backend, BlockSize: 512, MaxPendingSteps: 2}
+		db, err := hsq.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := db.Stream("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int64(0); ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					x.ObserveSlice([]int64{i, i * 7 % 101, i * 13 % 97})
+					if _, err := x.EndStep(); err != nil && !errors.Is(err, hsq.ErrClosed) {
+						errs <- fmt.Errorf("EndStep beside the drop: %w", err)
+						return
+					}
+				}
+			}()
+		}
+		if round%2 == 1 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := db.Checkpoint(); err != nil && !errors.Is(err, hsq.ErrClosed) {
+						errs <- fmt.Errorf("Checkpoint beside the drop: %w", err)
+						return
+					}
+				}
+			}()
+		}
+		for x.Steps() < 1+round%4 {
+			runtime.Gosched()
+		}
+		dropErr := db.DropStream("x")
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if dropErr != nil {
+			t.Fatalf("round %d: DropStream: %v", round, dropErr)
+		}
+		for _, keep := range []bool{false, true} {
+			crashed := backend.Clone()
+			crashed.Restart(keep)
+			re, err := hsq.Open(hsq.Options{Epsilon: 0.1, Kappa: 2, Device: crashed, BlockSize: 512})
+			if err != nil {
+				t.Fatalf("round %d keep=%v: reopen: %v", round, keep, err)
+			}
+			if names := re.Streams(); len(names) != 0 {
+				t.Fatalf("round %d keep=%v: the dropped stream came back on reopen: %v", round, keep, names)
+			}
+			if files, err := crashed.List("streams/x/"); err != nil || len(files) != 0 {
+				t.Fatalf("round %d keep=%v: files left after the drop and a reopen: %v (%v)", round, keep, files, err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+	}
+}
+
+// metaBytesBackend sums the bytes of every metadata write.
+type metaBytesBackend struct {
+	disk.Backend
+	bytes atomic.Int64
+}
+
+func (b *metaBytesBackend) WriteMeta(name string, data []byte) error {
+	b.bytes.Add(int64(len(data)))
+	return b.Backend.WriteMeta(name, data)
+}
+
+// TestRegistrationIsLinear: a stream is registered by its own manifest, and
+// nothing the device holds grows with the directory, so creating 2 000
+// streams one Stream call at a time writes a bounded number of metadata
+// bytes per call — the last call as few as the first. (Under a hydration
+// budget of 4, each call also evicts one stream: its manifest commit and
+// sidecar are in the count.)
+func TestRegistrationIsLinear(t *testing.T) {
+	const streams, perRegistration = 2000, 1024
+	backend := &metaBytesBackend{Backend: disk.NewMemBackend()}
+	db, err := hsq.Open(hsq.Options{Epsilon: 0.05, Device: backend, BlockSize: 512, MaxHydratedStreams: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	var first, worst int64
+	for i := 0; i < streams; i++ {
+		before := backend.bytes.Load()
+		if _, err := db.Stream(fmt.Sprintf("sensor-%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+		d := backend.bytes.Load() - before
+		if i == 0 {
+			first = d
+		}
+		if d > worst {
+			worst = d
+		}
+		if d > perRegistration {
+			t.Fatalf("registering stream %d wrote %d metadata bytes, over %d: registration grows with the directory", i+1, d, perRegistration)
+		}
+	}
+	t.Logf("%d registrations: %d metadata bytes in all, the first %d, at most %d", streams, backend.bytes.Load(), first, worst)
+}
+
 // TestCloseDetachesEngines is the regression test for Close leaving
 // engine pointers and the hydrated count behind: after Close, the
 // directory must report zero hydrated streams and DB-wide barriers must
@@ -820,23 +960,24 @@ func directoryChurn(t *testing.T, seed int64, maxPending int) {
 	}
 }
 
-// checkDirMatchesManifest asserts the durable DB manifest equals the
-// registered set reported by the live DB.
+// checkDirMatchesManifest asserts that the set of stream namespaces holding
+// a manifest — the durable directory — equals the registered set reported
+// by the live DB.
 func checkDirMatchesManifest(t *testing.T, db *hsq.DB, backend disk.Backend, seed int64) {
 	t.Helper()
-	data, err := backend.ReadMeta("DB.json")
+	files, err := backend.List("streams/")
 	if err != nil {
-		t.Fatalf("seed=%d: read DB manifest: %v", seed, err)
+		t.Fatalf("seed=%d: list stream namespaces: %v", seed, err)
 	}
-	var m struct {
-		Streams []string `json:"streams"`
+	var onDisk []string
+	for _, f := range files {
+		if name, ok := strings.CutSuffix(strings.TrimPrefix(f, "streams/"), "/MANIFEST.json"); ok {
+			onDisk = append(onDisk, name)
+		}
 	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("seed=%d: parse DB manifest: %v", seed, err)
-	}
-	sort.Strings(m.Streams)
-	if got := db.Streams(); !equalStrings(m.Streams, got) {
-		t.Fatalf("seed=%d: on-disk directory %v != registered set %v", seed, m.Streams, got)
+	sort.Strings(onDisk)
+	if got := db.Streams(); !equalStrings(onDisk, got) {
+		t.Fatalf("seed=%d: on-disk directory %v != registered set %v", seed, onDisk, got)
 	}
 }
 

@@ -266,11 +266,13 @@ func TestStreamNameLimit(t *testing.T) {
 }
 
 // TestOpenRejectsLegacyLayout: a root-level single-stream warehouse (root
-// MANIFEST.json and part files, no DB.json — the layout releases with a
-// standalone engine wrote) must not be silently shadowed by an empty DB.
-// Nothing in the tree writes that layout any more, so the fixture demotes a
-// DB stream to it by hand; Open refuses it, leaves it untouched, and the
-// adoption recipe its error spells out brings the history back.
+// MANIFEST.json and part files — the layout releases with a standalone
+// engine wrote) must not be silently shadowed by an empty DB, nor may a
+// root DB.json stream directory (which releases before the per-stream
+// manifests registered streams on their own wrote) be ignored. Nothing in
+// the tree writes either layout any more, so the fixture builds each by
+// hand; Open refuses it, leaves it untouched, and the adoption recipe its
+// error spells out brings the history back.
 func TestOpenRejectsLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
 	opts := hsq.Options{Epsilon: 0.05, Kappa: 3, Dir: dir}
@@ -339,20 +341,63 @@ func TestOpenRejectsLegacyLayout(t *testing.T) {
 	}
 
 	// The recipe, by hand: files under streams/<name>/, the manifest's
-	// namespace set to that path, the name listed in a version-1 DB.json.
+	// namespace set to that path.
 	if err := os.MkdirAll(filepath.Join(dir, ns), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	move("", ns, filepath.ToSlash(ns))
-	if err := os.WriteFile(filepath.Join(dir, "DB.json"), []byte(`{"version":1,"streams":["`+hsq.OneStreamName+`"]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	adopted := hsq.OneStream(t, opts)
 	if got := adopted.HistCount(); got != 1000 {
 		t.Errorf("adopted HistCount = %d, want 1000", got)
 	}
 	if v, _, err := adopted.Quantile(0.5); err != nil || v != 500 {
 		t.Errorf("adopted median = %d, %v", v, err)
+	}
+	if err := adopted.DB().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The DB.json layout: the directory the stream's manifest now is, kept a
+	// second time at the root, plus a namespace it does not list (debris the
+	// releases that wrote it collected at Open).
+	dbJSON := filepath.Join(dir, "DB.json")
+	if err := os.WriteFile(dbJSON, []byte(`{"version":1,"streams":["`+hsq.OneStreamName+`"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ghost := filepath.Join(dir, "streams", "ghost")
+	if err := os.MkdirAll(ghost, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ghost, "MANIFEST.json"), []byte(`{"version":1,"namespace":"streams/ghost","kappa":3}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = hsq.Open(opts)
+	if err == nil {
+		t.Fatal("Open over a DB.json stream directory: want error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "DB.json") || !strings.Contains(msg, "streams/<name>/") || !strings.Contains(msg, "RegisterStreams") {
+		t.Errorf("refusal does not carry the by-hand recipe: %v", err)
+	}
+	if _, err := os.Stat(dbJSON); err != nil {
+		t.Errorf("the refused directory was touched: %v", err)
+	}
+	// The recipe: delete the namespaces DB.json does not list, then DB.json.
+	for _, gone := range []string{ghost, dbJSON} {
+		if err := os.RemoveAll(gone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := hsq.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	if got := db.Streams(); len(got) != 1 || got[0] != hsq.OneStreamName {
+		t.Fatalf("adopted directory %v, want [%s]", got, hsq.OneStreamName)
+	}
+	st, _ := db.Lookup(hsq.OneStreamName)
+	if got := st.HistCount(); got != 1000 {
+		t.Errorf("adopted HistCount = %d, want 1000", got)
 	}
 }
 

@@ -103,10 +103,10 @@
 // pins for the length of each call and may evict while idle; each
 // Stream.DiskStats sums with the others to DB.DiskStats,
 // and the shared cache budget flows to whichever stream is hot (see
-// TestMultiStreamSharedCache). Open reads only the stream directory from the DB
-// manifest — cost proportional to the number of registered streams, not
-// to their data — so a multi-stream daemon restarts in milliseconds
-// regardless of warehouse size.
+// TestMultiStreamSharedCache). Open only lists the stream namespaces — a
+// stream is registered exactly when its namespace holds a store manifest —
+// at a cost proportional to the number of files, not to their data, so a
+// multi-stream daemon restarts in milliseconds regardless of warehouse size.
 //
 //	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Dir: dir, CacheBlocks: 4096})
 //	lat, err := db.Stream("api.latency")     // get-or-create
@@ -188,15 +188,20 @@
 // # Stream lifecycle
 //
 // A stream is registered or hydrated. Registered means the DB knows the
-// name: an entry in the directory manifest plus a ~150-byte in-memory
+// name: the stream's own manifest, streams/<name>/MANIFEST.json, exists —
+// the device keeps no other list of streams — plus a ~150-byte in-memory
 // descriptor, nothing else. Hydrated means the stream's engine is
 // resident — summaries rebuilt, maintenance resumed, queries served from
 // memory plus a few random reads. Registration happens in Stream (get-or-
-// create) or RegisterStreams (bulk, one manifest commit for any number of
-// names); hydration happens lazily, on the first operation that needs the
-// engine, outside the DB-wide lock — a slow cold open (large manifest,
-// summary-rebuild scan) never blocks operations on other streams, and two
-// goroutines touching the same cold stream hydrate it exactly once.
+// create) or RegisterStreams (bulk), and writes the stream's empty
+// manifest: one small file per name, so registering n streams costs O(n)
+// however they are batched, and a crash part-way through RegisterStreams
+// leaves some names registered, which a retry completes. A registered
+// stream's κ is checked against its manifest when it hydrates. Hydration
+// happens lazily, on the first operation that needs the engine, outside
+// the DB-wide lock — a slow cold open (large manifest, summary-rebuild
+// scan) never blocks operations on other streams, and two goroutines
+// touching the same cold stream hydrate it exactly once.
 //
 // Options.MaxHydratedStreams bounds how many engines stay resident (0, the
 // default, means unbounded). Past the budget the DB evicts
@@ -216,10 +221,12 @@
 // benchmark/'s endstep_fleet workload times hydration and eviction under
 // load (hsq.stream_acquire_us_p50, hsq.hydrations, hsq.evictions).
 //
-// DropStream commits the directory without the stream durably before
-// deleting any file, and the name stays claimed until the deletion
-// completes: Stream waits an in-flight drop out, RegisterStreams reports
-// the conflict, and Lookup treats the stream as already gone. A
+// DropStream closes the stream's engine without a commit, then removes
+// the stream's manifest durably — the drop's commit — before sweeping the
+// rest of its namespace; a crash mid-sweep leaves a namespace without a
+// manifest, which the next Open collects. The name stays claimed until
+// the sweep completes: Stream waits an in-flight drop out, RegisterStreams
+// reports the conflict, and Lookup treats the stream as already gone. A
 // re-created stream therefore always starts empty — it can never resume
 // from the dropped stream's not-yet-deleted files.
 //

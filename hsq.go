@@ -331,8 +331,9 @@ func newDevice(cfg Options) (*disk.Manager, error) {
 }
 
 // storeConfig derives a stream's partition-store configuration from the DB
-// options — the one place every knob is forwarded, shared by fresh and
-// resumed stores so they cannot drift apart.
+// options — the one place every knob is forwarded, shared by the manifest a
+// registration writes and the store a hydration loads, so they cannot drift
+// apart.
 func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 	return partition.Config{
 		Kappa:            cfg.Kappa,
@@ -344,36 +345,17 @@ func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 	}
 }
 
-// newEngineOn builds (or, with resume, reopens) a stream's engine over its
-// namespaced device view. full must have passed withDefaults. Resuming
-// rebuilds partition summaries with one sequential scan each, garbage-
+// newEngineOn hydrates a registered stream's engine from the store manifest
+// in its namespaced device view. full must have passed withDefaults. The
+// load rebuilds partition summaries with one sequential scan each, garbage-
 // collects files a half-finished install left behind, and re-installs
 // steps that were sealed but not installed when the previous process died
 // before the engine is returned, so a reopened stream always serves its
 // full recovered prefix from partitions.
-func newEngineOn(dev *disk.Manager, full Options, namespace string, resume bool) (*engine, error) {
+func newEngineOn(dev *disk.Manager, full Options, namespace string) (*engine, error) {
 	eps1 := full.Epsilon / 2
 	eps2 := full.Epsilon / 4
-	pcfg := storeConfig(full, eps1, namespace)
-	var (
-		store *partition.Store
-		err   error
-	)
-	if resume {
-		store, err = partition.LoadStore(dev, manifestName, pcfg)
-	} else {
-		store, err = partition.NewStore(dev, pcfg)
-		if err == nil {
-			// A stream opening fresh may still find debris from a crash
-			// before its first durable commit (the stream was in the DB
-			// directory but never wrote a manifest). Nothing is referenced
-			// yet, so everything matching the store's file patterns is an
-			// orphan.
-			if _, gcErr := partition.CollectOrphans(dev, nil); gcErr != nil {
-				return nil, gcErr
-			}
-		}
-	}
+	store, err := partition.LoadStore(dev, manifestName, storeConfig(full, eps1, namespace))
 	if err != nil {
 		return nil, err
 	}
@@ -782,6 +764,10 @@ type ProbeMemoStats = partition.MemoStats
 // will be replayed or lost, exactly as a DSMS would); only historical state
 // — including sealed steps awaiting installation — is durable.
 func (e *engine) Checkpoint() error {
+	// Under maintMu, as every commit past the write path's is, so none
+	// follows shut.
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
@@ -812,40 +798,31 @@ func (e *engine) Close() error {
 	if err := e.store.Commit(manifestName); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	e.closed = true
-	e.wakeLocked()
-	e.mu.Unlock()
-	// No new pins are possible past closed; wait out in-flight queries so
-	// the backend is never torn down under their reads.
-	e.store.DrainPins()
+	e.markClosed()
 	return nil
 }
 
-// Destroy removes all of the stream's on-disk state (DB.DropStream), including
-// spills of steps awaiting installation. The engine is unusable afterwards
-// (it behaves as closed); there is no state left to checkpoint.
-func (e *engine) Destroy() error {
+// shut closes the engine without a commit (DB.DropStream, and a hydration
+// the DB no longer wants): with loadMu and maintMu held, no EndStep, install
+// or checkpoint is mid-commit, and none commits once the engine is closed.
+// The durable state is what was last committed; the live step is lost.
+func (e *engine) shut() {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
+	e.markClosed()
+}
+
+// markClosed moves the engine to its terminal state and waits out in-flight
+// queries: no new pins are possible past closed, so the files they read
+// are never removed under them. Caller holds loadMu.
+func (e *engine) markClosed() {
 	e.mu.Lock()
 	e.closed = true
 	e.wakeLocked()
 	e.mu.Unlock()
-	// Queries that pinned a version before we closed may still be probing
-	// partition files; wait them out before deleting anything.
 	e.store.DrainPins()
-	if err := e.store.Destroy(); err != nil {
-		return err
-	}
-	if e.dev.Exists(manifestName) {
-		if err := e.dev.Remove(manifestName); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LevelInfo describes one level of a stream's on-disk store.

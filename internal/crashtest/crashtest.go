@@ -30,6 +30,13 @@
 // external sort cuts a larger step into — and Verify's orphan check proves no
 // sort-* file survives a reopen.
 //
+// The plan also drops streams, and a later operation on a dropped stream
+// re-creates it, so the sweep lands inside drop commits (the removal of the
+// stream's manifest) and namespace sweeps too: a drop that returned is
+// absent after the reopen, a re-created stream holds only the steps written
+// after its re-creation, and a drop the crash interrupted leaves its stream
+// absent or intact.
+//
 // Every run is reproducible from its (seed, crash index, restart mode)
 // triple, which failures report.
 package crashtest
@@ -120,13 +127,15 @@ func (c Config) options(cb *disk.CrashBackend) hsq.Options {
 }
 
 // Op is one workload operation on the named stream: an observe batch
-// (Batch non-nil), an end step (Batch nil, !Maintain), or a maintenance
+// (Batch non-nil), an end step (Batch nil, !Maintain, !Drop), a maintenance
 // drain (Maintain) that installs every sealed step — the deterministic
-// stand-in for the background scheduler's work.
+// stand-in for the background scheduler's work — or a drop (Drop) of the
+// stream. The next operation on a dropped stream re-creates it.
 type Op struct {
 	Stream   string
 	Batch    []int64
 	Maintain bool
+	Drop     bool
 }
 
 // BuildPlan generates the seeded workload plan: cfg.Ops operations
@@ -134,9 +143,9 @@ type Op struct {
 // the four paper workload generators. End steps are only emitted for
 // streams with buffered data, so every EndStep in the plan loads a batch;
 // maintain operations only for streams with a sealed backlog, so every
-// drain installs at least one step. Backlogs are allowed to grow several
-// steps deep before a drain, so the sweep crashes inside multi-step
-// recoveries too.
+// drain installs at least one step; drops only for streams that exist.
+// Backlogs are allowed to grow several steps deep before a drain, so the
+// sweep crashes inside multi-step recoveries too.
 func BuildPlan(cfg Config) []Op {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gens := make([]workload.Generator, cfg.Streams)
@@ -150,6 +159,7 @@ func BuildPlan(cfg Config) []Op {
 	}
 	pending := make([]int, cfg.Streams)
 	sealed := make([]int, cfg.Streams)
+	exists := make([]bool, cfg.Streams)
 	plan := make([]Op, 0, cfg.Ops)
 	for len(plan) < cfg.Ops {
 		s := rng.Intn(cfg.Streams)
@@ -162,10 +172,14 @@ func BuildPlan(cfg Config) []Op {
 		case r < 0.45 && sealed[s] > 0:
 			plan = append(plan, Op{Stream: streamName(s), Maintain: true})
 			sealed[s] = 0
+		case r > 0.975 && exists[s]:
+			plan = append(plan, Op{Stream: streamName(s), Drop: true})
+			pending[s], sealed[s], exists[s] = 0, 0, false
 		default:
 			n := 8 + rng.Intn(57)
 			plan = append(plan, Op{Stream: streamName(s), Batch: workload.Fill(gens[s], n)})
 			pending[s] += n
+			exists[s] = true
 		}
 	}
 	return plan
@@ -175,11 +189,19 @@ func streamName(i int) string { return fmt.Sprintf("s%d", i) }
 
 // Result describes how far a replay got before the armed crash fired.
 type Result struct {
-	// Completed counts, per stream, the EndSteps that returned success.
+	// Completed counts, per stream, the EndSteps that returned success since
+	// the stream's last drop that returned success.
 	Completed map[string]int
+	// Dropped counts, per stream, the drops that returned success; Gone
+	// marks the streams whose last operation was one of them.
+	Dropped map[string]int
+	Gone    map[string]bool
 	// Inflight names the stream whose EndStep was running when the crash
 	// fired ("" when the crash hit outside any EndStep).
 	Inflight string
+	// InflightDrop names the stream whose DropStream was running when the
+	// crash fired.
+	InflightDrop string
 	// Err is the first non-crash error (a real bug), or nil.
 	Err error
 }
@@ -188,7 +210,7 @@ type Result struct {
 // crash point freezes it. Only genuine failures land in Result.Err;
 // ErrCrashed is the expected outcome of an armed replay.
 func Replay(cb *disk.CrashBackend, cfg Config, plan []Op) Result {
-	res := Result{Completed: make(map[string]int)}
+	res := Result{Completed: make(map[string]int), Dropped: make(map[string]int), Gone: make(map[string]bool)}
 	db, err := hsq.Open(cfg.options(cb))
 	if err != nil {
 		if !errors.Is(err, disk.ErrCrashed) {
@@ -197,6 +219,21 @@ func Replay(cb *disk.CrashBackend, cfg Config, plan []Op) Result {
 		return res
 	}
 	for _, op := range plan {
+		if op.Drop {
+			if err := db.DropStream(op.Stream); err != nil {
+				if !errors.Is(err, disk.ErrCrashed) {
+					res.Err = fmt.Errorf("drop %s: %w", op.Stream, err)
+				} else {
+					res.InflightDrop = op.Stream
+				}
+				return res
+			}
+			res.Dropped[op.Stream]++
+			res.Completed[op.Stream] = 0
+			res.Gone[op.Stream] = true
+			continue
+		}
+		delete(res.Gone, op.Stream) // this call may re-create it
 		st, err := db.Stream(op.Stream)
 		if err != nil {
 			if !errors.Is(err, disk.ErrCrashed) {
@@ -242,29 +279,38 @@ func Replay(cb *disk.CrashBackend, cfg Config, plan []Op) Result {
 	return res
 }
 
-// stepGroups reconstructs, per stream, the batch sealed by each EndStep of
-// the plan (the ground truth the recovered state must be a prefix of).
-func stepGroups(plan []Op) map[string][][]int64 {
+// stepGroups reconstructs, per stream and per life of it (the first, then
+// one after each drop), the batch sealed by each EndStep of the plan (the
+// ground truth the recovered state must be a prefix of).
+func stepGroups(plan []Op) map[string][][][]int64 {
 	pending := make(map[string][]int64)
-	groups := make(map[string][][]int64)
+	groups := make(map[string][][][]int64)
 	for _, op := range plan {
-		if op.Batch != nil {
+		lives := groups[op.Stream]
+		if lives == nil {
+			lives = [][][]int64{nil}
+		}
+		switch {
+		case op.Batch != nil:
 			pending[op.Stream] = append(pending[op.Stream], op.Batch...)
-			continue
+		case op.Drop:
+			lives = append(lives, nil)
+			pending[op.Stream] = nil
+		case !op.Maintain:
+			lives[len(lives)-1] = append(lives[len(lives)-1], pending[op.Stream])
+			pending[op.Stream] = nil
 		}
-		if op.Maintain {
-			continue
-		}
-		groups[op.Stream] = append(groups[op.Stream], pending[op.Stream])
-		pending[op.Stream] = nil
+		groups[op.Stream] = lives
 	}
 	return groups
 }
 
 // Verify reopens the DB on an already-restarted backend and checks the
 // full recovery contract: the reopen succeeds, every stream's recovered
-// history is exactly a prefix of its completed EndSteps (at most one step
-// ahead, when the crash interrupted a committed-but-unreturned EndStep),
+// history is exactly a prefix of its completed EndSteps since its last
+// completed drop (at most one step ahead, when the crash interrupted a
+// committed-but-unreturned EndStep; absent or all of them, when it
+// interrupted a drop),
 // quantiles stay within ε of an exact oracle over that prefix, no orphan
 // files survive, and the DB accepts new writes. The caller restarts the
 // backend (Restart or RestartSubset) — typically on a Clone, so one
@@ -291,10 +337,13 @@ func Verify(cb *disk.CrashBackend, cfg Config, plan []Op, res Result) error {
 		completed := res.Completed[name]
 		st, ok := db.Lookup(name)
 		if !ok {
-			if completed > 0 {
+			if completed > 0 && res.InflightDrop != name {
 				return fmt.Errorf("stream %s: %d completed steps but stream missing after recovery", name, completed)
 			}
 			continue
+		}
+		if res.Gone[name] {
+			return fmt.Errorf("stream %s: dropped, and back after recovery with %d steps", name, st.Steps())
 		}
 		r := st.Steps()
 		switch {
@@ -306,7 +355,7 @@ func Verify(cb *disk.CrashBackend, cfg Config, plan []Op, res Result) error {
 				name, r, completed, completed+1, res.Inflight)
 		}
 		var want []int64
-		for _, g := range groups[name][:r] {
+		for _, g := range groups[name][res.Dropped[name]][:r] {
 			want = append(want, g...)
 		}
 		sum, last := cold[name], 0

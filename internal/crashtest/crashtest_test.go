@@ -20,24 +20,31 @@ func harnessConfig() Config {
 }
 
 // TestCrashEveryPoint is the tentpole assertion: for a ≥500-operation
-// multi-stream workload, crash the backend at every mutating-operation
-// index, restart it both dropping and keeping unsynced writes, and require
-// that reopen succeeds, the recovered state is a prefix of completed steps
-// with quantiles within ε of the oracle, and the DB stays writable.
+// multi-stream workload with drops and re-creates, crash the backend at
+// every mutating-operation index, restart it both dropping and keeping
+// unsynced writes, and require that reopen succeeds, the recovered state is
+// a prefix of completed steps with quantiles within ε of the oracle, and
+// the DB stays writable.
 func TestCrashEveryPoint(t *testing.T) {
 	cfg := harnessConfig()
 	plan := BuildPlan(cfg)
 	if len(plan) < 500 {
 		t.Fatalf("plan has %d operations, want >= 500", len(plan))
 	}
-	maintains := 0
+	maintains, drops := 0, 0
 	for _, op := range plan {
 		if op.Maintain {
 			maintains++
 		}
+		if op.Drop {
+			drops++
+		}
 	}
 	if maintains == 0 {
 		t.Fatal("plan schedules no maintenance drains — background install crash points would go untested")
+	}
+	if drops == 0 {
+		t.Fatal("plan schedules no drops — drop commit and sweep crash points would go untested")
 	}
 
 	// Counting run: no crash armed; the workload must complete cleanly.
@@ -62,8 +69,8 @@ func TestCrashEveryPoint(t *testing.T) {
 	for k := int64(0); k < total; k += stride {
 		points = append(points, k)
 	}
-	t.Logf("seed=%d ops=%d maintains=%d mode=%s backend-ops=%d crash-points=%d (stride %d)",
-		cfg.Seed, len(plan), maintains, cfg.Maintenance, total, len(points), stride)
+	t.Logf("seed=%d ops=%d maintains=%d drops=%d mode=%s backend-ops=%d crash-points=%d (stride %d)",
+		cfg.Seed, len(plan), maintains, drops, cfg.Maintenance, total, len(points), stride)
 
 	const shards = 8
 	for shard := 0; shard < shards; shard++ {

@@ -82,13 +82,19 @@ func (s *Store) manifestSnapshotLocked() (Manifest, int64) {
 	return m, s.cur.seq
 }
 
+// CreateManifest writes, at name, the manifest of an empty store under cfg:
+// the state LoadStore opens as a store that has sealed no step.
+func CreateManifest(dev *disk.Manager, name string, cfg Config) error {
+	return writeManifest(dev, name, Manifest{Version: manifestVersion, Namespace: cfg.Namespace, Kappa: cfg.Kappa, Eps1: cfg.Eps1})
+}
+
 // writeManifest serializes and atomically writes one manifest snapshot.
-func (s *Store) writeManifest(name string, m Manifest) error {
+func writeManifest(dev *disk.Manager, name string, m Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("partition: marshal manifest: %w", err)
 	}
-	if err := s.dev.WriteMeta(name, data); err != nil {
+	if err := dev.WriteMeta(name, data); err != nil {
 		return fmt.Errorf("partition: write manifest: %w", err)
 	}
 	return nil

@@ -252,9 +252,6 @@ func TestInvariantMaxKappa(t *testing.T) {
 		if !slices.Equal(merged, all) {
 			t.Fatalf("kappa=%d: multiset not preserved", kappa)
 		}
-		if err := s.Destroy(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -607,24 +604,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadStore(dev, "missing.json", Config{Kappa: 3, Eps1: 0.2}); err == nil {
 		t.Error("missing manifest: want error")
-	}
-}
-
-func TestDestroy(t *testing.T) {
-	dev := newDev(t)
-	s := newStore(t, dev, 3, 0.25)
-	if _, err := s.AddBatch([]int64{1, 2, 3}, 1); err != nil {
-		t.Fatal(err)
-	}
-	name := s.Entries()[0].Part.Name()
-	if err := s.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	if dev.Exists(name) {
-		t.Error("partition file survived Destroy")
-	}
-	if s.TotalCount() != 0 || s.PartitionCount() != 0 {
-		t.Error("store not empty after Destroy")
 	}
 }
 

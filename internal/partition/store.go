@@ -674,7 +674,7 @@ func (s *Store) Commit(manifestName string) error {
 	if err := s.dev.Sync(); err != nil {
 		return fmt.Errorf("partition: commit data barrier: %w", err)
 	}
-	if err := s.writeManifest(manifestName, m); err != nil {
+	if err := writeManifest(s.dev, manifestName, m); err != nil {
 		return err
 	}
 	if err := s.dev.Sync(); err != nil {
@@ -688,38 +688,6 @@ func (s *Store) Commit(manifestName string) error {
 	reclaim = s.takeReclaimableLocked()
 	s.vmu.Unlock()
 	s.removeRetired(reclaim)
-	return nil
-}
-
-// Destroy removes every partition file, raw spill and retired file. The
-// store is unusable afterwards. The caller must guarantee no concurrent
-// installs or pinned queries.
-func (s *Store) Destroy() error {
-	s.vmu.Lock()
-	names := make([]string, 0, len(s.cur.entries)+len(s.retired)+len(s.cur.pending))
-	for _, e := range s.cur.entries {
-		names = append(names, e.Part.name)
-	}
-	for _, rf := range s.retired {
-		names = append(names, rf.name)
-	}
-	for _, sb := range s.cur.pending {
-		if sb.Name != "" {
-			names = append(names, sb.Name)
-		}
-	}
-	s.vmu.Unlock()
-	for _, name := range names {
-		if s.dev.Exists(name) {
-			if err := s.dev.Remove(name); err != nil {
-				return err
-			}
-		}
-	}
-	s.vmu.Lock()
-	s.retired = nil
-	s.publishLocked(nil, nil, nil)
-	s.vmu.Unlock()
 	return nil
 }
 

@@ -201,8 +201,8 @@ func TestRawPartitionsStillServe(t *testing.T) {
 	orc := oracle.New(0)
 
 	// The old release: a manager left at its raw default under the stream's
-	// own store configuration, κ level-0 partitions (one short of a merge),
-	// and a directory naming the stream.
+	// own store configuration and κ level-0 partitions (one short of a
+	// merge); the committed manifest registers the stream.
 	b, err := disk.OpenBackend(cfg.Backend, cfg.Dir)
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +228,6 @@ func TestRawPartitionsStillServe(t *testing.T) {
 		}
 	}
 	if err := store.Commit(manifestName); err != nil {
-		t.Fatal(err)
-	}
-	if err := root.WriteMeta(dbManifestName, []byte(`{"version":1,"streams":["`+OneStreamName+`"]}`)); err != nil {
 		t.Fatal(err)
 	}
 

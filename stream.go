@@ -52,15 +52,15 @@ type Stream struct {
 	// can never stall another stream's operations.
 	//
 	// dropped marks a tombstone. While a tombstoned stream is still present
-	// in db.dir, a DropStream has committed the directory removal but is
-	// still destroying the stream's files: the name stays claimed — Stream
-	// waits the destroy out, RegisterStreams rejects it, the manifest writer
-	// skips it — so no new stream can hydrate over the half-deleted
-	// namespace. The dropper deletes the entry once the destroy succeeds; on
-	// a destroy failure the tombstone stays (the namespace holds partial
-	// debris) until the next Open collects the orphans. A dropped stream no
-	// longer in db.dir is just a dead handle: every operation through it
-	// reports ErrClosed.
+	// in db.dir, a DropStream is closing its engine, removing its manifest
+	// or sweeping its namespace: the name stays claimed — Stream waits the
+	// drop out, RegisterStreams rejects it — so no new stream's files can
+	// fall to the sweep. The dropper deletes the entry once the sweep
+	// succeeds, and lifts the tombstone if the manifest's removal fails; on
+	// a sweep failure the tombstone stays (the namespace holds partial
+	// debris) until the next Open collects it. A dropped stream no longer in
+	// db.dir is just a dead handle: every operation through it reports
+	// ErrClosed.
 	opMu sync.Mutex
 	// view is the stream's namespaced device view, created on first
 	// hydration and cached for the stream's lifetime: per-stream I/O counters

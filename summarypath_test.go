@@ -211,8 +211,8 @@ func TestScopeHotColdAgree(t *testing.T) {
 		}
 	}
 
-	// Registered, never sealed: no manifest, no sidecar — zero spans, like an
-	// engine that has seen nothing.
+	// Registered, never sealed: an empty manifest, no sidecar — zero spans,
+	// like an engine that has seen nothing.
 	db, err := hsq.Open(hsq.Options{Epsilon: 0.1, Backend: "mem"})
 	if err != nil {
 		t.Fatal(err)
