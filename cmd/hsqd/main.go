@@ -21,7 +21,7 @@
 //	GET    /streams/{name}/rank?v=12345                 rank of v  → "rank", "total"
 //	GET    /streams/{name}/stats          counters; never hydrates
 //	GET    /streams/{name}/maintenance    background-maintenance state
-//	POST   /streams/{name}/maintenance    drain: install every sealed step now
+//	POST   /streams/{name}/maintenance    drain: run every due merge now
 //	POST   /query                         JSON plan over stream sets: globs,
 //	                                      merge, group-by, windows, as-of
 //
@@ -69,13 +69,14 @@
 // expose the cluster itself. All nodes must be started with the same
 // -cluster-peers, -replicas and -ring-epoch values.
 //
-// An end-of-step seals the batch, installs it (sort, merges) and commits;
-// queries and ingest on the stream keep answering — within ε — throughout.
-// -maintenance picks who installs: the endstep request itself (sync, the
-// default, and the mode benchmark/ measures) or a DB-wide worker pool
-// (async), in which case endstep returns once the seal is durable, GET
-// /streams also reports the scheduler (queued/running streams, aggregate
-// merge debt) and -max-pending-steps bounds how far a stream may fall behind
+// An end-of-step seals the batch, writes it once as its level-0 partition,
+// runs the merges it makes due and commits; queries and ingest on the
+// stream keep answering — within ε — throughout. -maintenance picks who
+// merges: the endstep request itself (sync, the default, and the mode
+// benchmark/ measures) or a DB-wide worker pool (async), in which case
+// endstep returns once its partition is durable, GET /streams also reports
+// the scheduler (queued/running streams, aggregate merge debt) and
+// -max-pending-steps bounds how far a stream's merges may fall behind
 // before endstep blocks (backpressure). Async shortens the endstep request,
 // not reads or observes: go test -bench 'IngestStall|QueryDuringMerge' . at
 // the repository root prints both modes side by side.
@@ -117,8 +118,8 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		ingestAddr = flag.String("ingest-addr", "", "TCP listen address for the binary ingest protocol (hsqclient); empty = disabled")
 
-		maintenance = flag.String("maintenance", "", "who installs sealed steps: sync (default: the endstep request), async (background scheduler), manual (drain on demand via POST maintenance); unset with -max-pending-steps > 0 selects async")
-		maxPending  = flag.Int("max-pending-steps", 0, "async backpressure: sealed steps a stream may queue before endstep blocks (0 = default 4); > 0 alone turns async maintenance on")
+		maintenance = flag.String("maintenance", "", "who runs the level merges (every endstep writes its own step): sync (default: the endstep request), async (background scheduler), manual (drain on demand via POST maintenance); unset with -max-pending-steps > 0 selects async")
+		maxPending  = flag.Int("max-pending-steps", 0, "async backpressure: pending steps (partitions past κ on any level, plus a step whose write failed) a stream may hold before endstep blocks (0 = default 4); > 0 alone turns async maintenance on")
 		maintWork   = flag.Int("maint-workers", 0, "async scheduler worker pool size shared by all streams (0 = default 2)")
 		maxHydrated = flag.Int("max-hydrated", 0, "hydrated-engine budget: streams resident in memory before LRU eviction seals idle ones (0 = unbounded)")
 		simDisk     = flag.String("simulate-disk", "", "inject per-block device latency so timings track I/O counts: ssd|hdd (empty = off)")
@@ -323,11 +324,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}{s.ingAddr, s.ing.Stats()})
 }
 
-// handleMaintainNow drains the stream's sealed backlog synchronously
-// (SyncMaintenance): every pending step is sorted, installed and committed
-// before the response. This is the drain hook for -maintenance manual —
-// without periodic drains a manual-mode stream buffers every sealed batch
-// in memory — and a quiescence barrier for async streams.
+// handleMaintainNow drains the stream's pending work synchronously
+// (SyncMaintenance): a step whose write failed is written and every due
+// merge runs and commits before the response. This is the drain hook for
+// -maintenance manual — without periodic drains a manual-mode stream's
+// level 0 grows past κ, and every query probes each of its partitions —
+// and a quiescence barrier for async streams.
 func (s *server) handleMaintainNow(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
 	if err := st.SyncMaintenance(); err != nil {
 		httpError(w, http.StatusInternalServerError, "maintenance: %v", err)

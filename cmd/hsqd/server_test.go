@@ -184,8 +184,8 @@ func TestStreamStatsLeavesLRU(t *testing.T) {
 	}
 }
 
-// TestMaintainNow: POST /streams/{name}/maintenance drains a manual-mode
-// stream's sealed step inline, and the GET that follows agrees.
+// TestMaintainNow: POST /streams/{name}/maintenance runs a manual-mode
+// stream's due merge inline, and the GET that follows agrees.
 func TestMaintainNow(t *testing.T) {
 	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maintenance: "manual"})
 	if err != nil {
@@ -194,16 +194,18 @@ func TestMaintainNow(t *testing.T) {
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 	url := ts.URL + "/streams/m/maintenance"
-	postBody(t, ts.URL+"/streams/m/observe", "1\n2\n3\n")
-	postBody(t, ts.URL+"/streams/m/endstep", "")
-	if got, _ := getJSON(t, url); got["pending_steps"] != 1.0 || got["installs"] != 0.0 {
-		t.Fatalf("before the drain: %v, want pending_steps 1, installs 0", got)
+	for range 4 { // κ=3: the 4th step's partition makes a merge due
+		postBody(t, ts.URL+"/streams/m/observe", "1\n2\n3\n")
+		postBody(t, ts.URL+"/streams/m/endstep", "")
 	}
-	if got := postBody(t, url, ""); got["stream"] != "m" || got["pending_steps"] != 0.0 || got["installs"] != 1.0 {
-		t.Errorf("POST maintenance: %v, want pending_steps 0, installs 1", got)
+	if got, _ := getJSON(t, url); got["pending_steps"] != 1.0 || got["installs"] != 4.0 || got["merges"] != 0.0 {
+		t.Fatalf("before the drain: %v, want pending_steps 1, installs 4, merges 0", got)
 	}
-	if got, _ := getJSON(t, url); got["pending_steps"] != 0.0 || got["installs"] != 1.0 || got["mode"] != "manual" {
-		t.Errorf("GET after the drain: %v, want pending_steps 0, installs 1", got)
+	if got := postBody(t, url, ""); got["stream"] != "m" || got["pending_steps"] != 0.0 || got["merges"] != 1.0 {
+		t.Errorf("POST maintenance: %v, want pending_steps 0, merges 1", got)
+	}
+	if got, _ := getJSON(t, url); got["pending_steps"] != 0.0 || got["merges"] != 1.0 || got["mode"] != "manual" {
+		t.Errorf("GET after the drain: %v, want pending_steps 0, merges 1", got)
 	}
 }
 

@@ -159,7 +159,7 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 }
 
 // TestObserveNotBlockedByMerge proves the lock split directly: while a
-// background install is wedged (blocking fault hook), Observe and Quantile
+// background merge is wedged (blocking fault hook), Observe and Quantile
 // both complete — only EndStep past the backpressure bound waits.
 func TestObserveNotBlockedByMerge(t *testing.T) {
 	eng := OneStream(t, Options{
@@ -167,28 +167,33 @@ func TestObserveNotBlockedByMerge(t *testing.T) {
 		Maintenance: MaintenanceAsync, MaxPendingSteps: 8, MaintenanceWorkers: 1,
 	})
 
-	gate := make(chan struct{})
+	gate, parked := make(chan struct{}), make(chan struct{})
 	var gateOff atomic.Bool
+	var once sync.Once
 	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
-		// Wedge partition writes (the background install); seals and query
+		// Wedge the merge's reads of its inputs; level-0 writes and query
 		// reads pass through untouched.
-		if op == disk.OpSeqWrite && partFile(name) && !gateOff.Load() {
+		if op == disk.OpSeqRead && partFile(name) && !gateOff.Load() {
+			once.Do(func() { close(parked) })
 			<-gate
 		}
 		return nil
 	})
 
-	for i := int64(1); i <= 500; i++ {
-		eng.Observe(i)
+	for s := int64(0); s < 3; s++ {
+		for i := int64(1); i <= 500; i++ {
+			eng.Observe(s*500 + i)
+		}
+		if _, err := eng.EndStep(); err != nil {
+			t.Fatal(err) // the third puts level 0 past κ: the merge wedges
+		}
 	}
-	if _, err := eng.EndStep(); err != nil {
-		t.Fatal(err) // install now wedged behind the gate
-	}
+	<-parked
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := int64(501); i <= 1000; i++ {
+		for i := int64(1501); i <= 2000; i++ {
 			eng.Observe(i)
 		}
 		if _, _, err := eng.Quantile(0.5); err != nil {
@@ -198,7 +203,7 @@ func TestObserveNotBlockedByMerge(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Observe/Quantile blocked behind a wedged background install")
+		t.Fatal("Observe/Quantile blocked behind a wedged background merge")
 	}
 	gateOff.Store(true)
 	close(gate)
@@ -267,10 +272,11 @@ func TestDropStreamWaitsForQueries(t *testing.T) {
 // TestLiveStepOneGuard: the engine lock is the only guard of the stream's GK
 // sketches (gk.Sketch locks nothing, and its reads flush), so every engine
 // path that touches one — observes, counts, memory, both query kinds, the
-// cut and the install's recycling — runs at once here on one manual-mode
-// stream with three sealed steps pending. Under -race a path that reads a
-// sketch outside the lock fails it; the counts must never go backwards and
-// must add up once everything has stopped.
+// cut, the sealed step's frozen sketch while its level-0 write runs, and the
+// write's recycling — runs at once here on one manual-mode stream with a
+// merge due. Under -race a path that reads a sketch outside the lock fails
+// it; the counts must never go backwards and must add up once everything
+// has stopped.
 func TestLiveStepOneGuard(t *testing.T) {
 	const rounds, batch = 200, 64
 	st := OneStream(t, Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512, Maintenance: MaintenanceManual})
@@ -293,8 +299,8 @@ func TestLiveStepOneGuard(t *testing.T) {
 	if err := feed(); err != nil {
 		t.Fatal(err)
 	}
-	if ms := st.MaintenanceStats(); ms.PendingSteps != 3 {
-		t.Fatalf("setup: %d sealed steps pending, want 3", ms.PendingSteps)
+	if ms := st.MaintenanceStats(); ms.PendingSteps != 1 {
+		t.Fatalf("setup: %d steps pending, want 1 (the partition past κ=2)", ms.PendingSteps)
 	}
 
 	var lastN int64 // only the counts goroutine reads and writes it

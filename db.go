@@ -102,9 +102,8 @@ func Open(opts Options) (*DB, error) {
 			full.Dir, manifestName, streamNamespacePrefix)
 	}
 	// In async mode, one bounded worker pool shared by every stream of the
-	// DB: installs and merges from all streams compete for the same
-	// MaintenanceWorkers goroutines, with per-stream FIFO ordering (see
-	// maintenance.go).
+	// DB: merges from all streams compete for the same MaintenanceWorkers
+	// goroutines, one at a time per stream (see maintenance.go).
 	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), sched: newScheduler(full), coldBudget: coldSummaryBudget}
 	files, err := dev.List(streamNamespacePrefix + "/")
 	if err != nil {
@@ -340,7 +339,7 @@ func (db *DB) evictOne(st *Stream) {
 	if db.sched != nil && eng.maintPending() {
 		// Hand the backlog to the scheduler rather than draining it on
 		// this caller; a later eviction pass collects the stream once the
-		// installs finish.
+		// merges finish.
 		db.mu.Unlock()
 		db.sched.enqueue(eng)
 		return
@@ -559,7 +558,7 @@ func (db *DB) Streams() []string {
 //
 // The stream's manifest is its registration, so removing it is the drop's
 // commit. The engine is closed first — write path, maintenance and pinned
-// queries drained, no commit of its own — so no EndStep, install or
+// queries drained, no commit of its own — so no EndStep, merge or
 // checkpoint can write the manifest back after the commit and register the
 // stream again at the next Open. Then the removal is made durable, and only
 // then is the rest of the namespace swept: a crash mid-sweep leaves a
@@ -626,7 +625,7 @@ func (db *DB) DropStream(name string) error {
 }
 
 // sweepNamespace removes every file left in a dropped stream's namespace,
-// hot or cold: partitions, spills, sort temporaries, the sidecar.
+// hot or cold: partitions, sort temporaries, the sidecar.
 func (db *DB) sweepNamespace(name string) error {
 	files, err := db.dev.List(streamNamespacePrefix + "/" + name + "/")
 	if err != nil {
@@ -699,10 +698,10 @@ func (db *DB) eachHydrated(f func(*Stream, *engine) error) error {
 // registration durable, so a multi-stream daemon can restart cleanly with
 // Open. Cold (evicted or never-touched) streams are already durable and
 // cost nothing. In-flight (unloaded) stream batches are volatile by design
-// (replayed or lost, exactly as a DSMS would) — but steps already sealed by
-// EndStep are durable whether or not their background installs have run.
-// Checkpoint does not wait for the maintenance backlog; call WaitIdle first
-// for a fully-merged on-disk layout.
+// (replayed or lost, exactly as a DSMS would); a step whose level-0 write
+// failed is written first, so every step EndStep sealed is durable once
+// Checkpoint returns nil. Checkpoint does not run due merges; call WaitIdle
+// first for a fully-merged on-disk layout.
 func (db *DB) Checkpoint() error {
 	err := db.eachHydrated(func(st *Stream, eng *engine) error {
 		if err := eng.Checkpoint(); err != nil {

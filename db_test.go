@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -269,10 +270,13 @@ func TestStreamNameLimit(t *testing.T) {
 // MANIFEST.json and part files — the layout releases with a standalone
 // engine wrote) must not be silently shadowed by an empty DB, nor may a
 // root DB.json stream directory (which releases before the per-stream
-// manifests registered streams on their own wrote) be ignored. Nothing in
-// the tree writes either layout any more, so the fixture builds each by
-// hand; Open refuses it, leaves it untouched, and the adoption recipe its
-// error spells out brings the history back.
+// manifests registered streams on their own wrote) be ignored, nor a
+// stream manifest whose pending section lists raw spills (the layout of
+// releases that spilled every step before installing it). Nothing in the
+// tree writes these layouts any more, so the fixture builds each by hand;
+// Open (or, for the pending section, the stream's hydration) refuses it,
+// leaves it untouched, and the recipe its error spells out brings the
+// history back.
 func TestOpenRejectsLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
 	opts := hsq.Options{Epsilon: 0.05, Kappa: 3, Dir: dir}
@@ -398,6 +402,62 @@ func TestOpenRejectsLegacyLayout(t *testing.T) {
 	st, _ := db.Lookup(hsq.OneStreamName)
 	if got := st.HistCount(); got != 1000 {
 		t.Errorf("adopted HistCount = %d, want 1000", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A manifest whose pending section lists sealed steps as raw spills (the
+	// layout of releases that wrote every step twice): the stream is refused
+	// by name when it hydrates, the spill untouched, and the error carries
+	// the recipe. Without the section the same manifest opens.
+	manifest := filepath.Join(dir, ns, "MANIFEST.json")
+	clean, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(clean, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["pending"] = []map[string]any{{"id": 99, "name": "batch-raw-000099.dat", "count": 10, "step": 2}}
+	legacy, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spill := filepath.Join(dir, ns, "batch-raw-000099.dat")
+	for file, data := range map[string][]byte{manifest: legacy, spill: make([]byte, 80)} {
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err = hsq.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ = db.Lookup(hsq.OneStreamName)
+	_, err = st.Query(context.Background(), hsq.Request{Phis: []float64{0.5}})
+	if err == nil {
+		t.Fatal("a stream whose manifest has a pending section hydrated")
+	}
+	if msg := err.Error(); !strings.Contains(msg, strconv.Quote(hsq.OneStreamName)) || !strings.Contains(msg, "previous release") || !strings.Contains(msg, "Close") {
+		t.Errorf("refusal does not name the stream and carry the recipe: %v", err)
+	}
+	if _, err := os.Stat(spill); err != nil {
+		t.Errorf("the refused stream's spill was touched: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, clean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened := hsq.OneStream(t, opts)
+	if got := reopened.HistCount(); got != 1000 {
+		t.Errorf("HistCount = %d without the pending section, want 1000", got)
+	}
+	if _, err := os.Stat(spill); !os.IsNotExist(err) {
+		t.Errorf("stray spill after the hydration: %v, want it collected as an orphan", err)
 	}
 }
 

@@ -77,8 +77,7 @@
 //     block's bounds resolves with no access at all, reported as
 //     SkippedBlocks in IOStats and QueryStats.
 //   - raw, the original format — plain little-endian int64 frames, no
-//     header: the layout of unsorted batch spills (delta frames only pay
-//     off on sorted data) and of partitions written by earlier releases.
+//     header: the layout of partitions written by earlier releases.
 //
 // Versioning rule: readers detect the layout per file (magic plus footer
 // validation, falling back to raw), so a warehouse written by an older
@@ -234,10 +233,11 @@
 //
 // Reads are snapshot-isolated. The store's published state is a chain of
 // immutable versions, and the current one is the stream's whole history:
-// the installed partitions with their summaries, then the sealed steps with
-// their frozen GK sketches. A query takes the engine lock only long enough
-// to pin the current version and capture the stream summaries (sealed steps
-// and live sketch), then runs its whole disk search outside any lock. The
+// the installed partitions with their summaries, then the sealed step whose
+// level-0 write is running or failed, with its frozen GK sketch. A query
+// takes the engine lock only long enough to pin the current version and
+// capture the stream summaries (sealed step and live sketch), then runs its
+// whole disk search outside any lock. The
 // engine lock is one plain mutex and the only guard of the stream's GK
 // sketches, which lock nothing themselves: observes, counts and summary
 // captures all take it. Files a merge supersedes are reclaimed only once no
@@ -247,34 +247,41 @@
 //
 // EndStep is one pipeline in every maintenance mode: cut and seal (under
 // the engine lock, the batch and GK sketch leave the live step and become
-// the newest sealed step of the store's published version, with no I/O),
-// spill (the raw batch is written, outside every engine lock), install
-// (external sort into a level-0 partition, cascading κ-way merges), commit
-// (data barrier, manifest, barrier). The sealed step is held once, in that
-// version, so the counters (TotalCount, HistCount, Steps, MaintenanceStats)
-// and the answers agree from the cut on. Until a step's install is
-// published, queries cover it through its frozen stream summary, so answers
-// always span the full observed history and neither Observe nor a query
-// waits for a spill or an install; the rank-error bound degrades gracefully to
-// ε times the stream-side mass (live stream + sealed steps). The install is
-// one routine, and Options.Maintenance picks only who runs it:
+// the sealed step of the store's published version, with no I/O), write
+// (outside every engine lock, the step is sorted — in memory, or by the
+// external sort above SortMemElements — and written once, as its level-0
+// partition), merge (a level holding more than κ partitions merges its
+// oldest κ+1 into one a level up), commit (data barrier, manifest,
+// barrier). The sealed step is held once, in that version, so the counters
+// (TotalCount, HistCount, Steps, MaintenanceStats) and the answers agree
+// from the cut on. Until its partition is published, queries cover it
+// through its frozen stream summary, so answers always span the full
+// observed history and neither Observe nor a query waits for a write or a
+// merge; the rank-error bound degrades gracefully to ε times the
+// stream-side mass (live stream + sealed step). Options.Maintenance picks
+// only who runs the merges:
 //
 //   - "sync" (default): the EndStep caller, before it commits and returns —
-//     the paper's loading paradigm. A returned step is a partition.
+//     the paper's loading paradigm.
 //   - "async": a DB-wide scheduler (one bounded pool of
-//     Options.MaintenanceWorkers workers shared by all streams), FIFO per
-//     stream. EndStep returns once the seal is committed; the sealed
-//     backlog is bounded by MaxPendingSteps.
+//     Options.MaintenanceWorkers workers shared by all streams), one merge
+//     at a time per stream. EndStep returns once its step's partition is
+//     committed, and never waits for a merge that is running: a merge
+//     splices its output over the partitions it read while EndStep appends
+//     beside it.
 //   - "manual": nobody until SyncMaintenance is called — for deterministic
 //     harnesses (internal/crashtest).
 //
-// A step whose install fails stays sealed — counted, answered, durable once
-// a commit succeeds — and is retried by the next EndStep in sync mode or by
-// SyncMaintenance in any.
+// Each merge takes a level's oldest κ+1 partitions, so merges that lag
+// leave the layout sync mode would. A step whose level-0 write fails stays
+// sealed — counted and answered — and is written, before anything else, by
+// the next EndStep, SyncMaintenance, Checkpoint or Close. A merge that
+// fails keeps its inputs and is retried by the next merge of its level.
 //
-// Backpressure: with async maintenance, EndStep blocks once
-// Options.MaxPendingSteps sealed steps await installation, waking as
-// installs complete; EndStepCtx aborts the wait on cancellation. A stream
+// Backpressure: with async maintenance, EndStep blocks once a stream has
+// Options.MaxPendingSteps pending steps — its merge debt (the partitions
+// past κ on any level) plus a step whose level-0 write failed — waking as
+// merges complete; EndStepCtx aborts the wait on cancellation. A stream
 // that wants a fully-merged, quiesced layout (before a benchmark, a
 // snapshot copy, a test assertion) calls SyncMaintenance; DB.WaitIdle is
 // the all-streams barrier. MaintenanceStats (per stream) and
@@ -282,9 +289,8 @@
 // maintenance-attributed I/O) expose the machinery.
 //
 // The durability guarantee is mode-independent: a nil EndStep return means
-// the step survives any crash. A step sealed but not yet installed has its
-// spill as its durable form — reopening re-installs sealed steps from their
-// spills before serving.
+// the step survives any crash, as a partition — every durable step is one,
+// so reopening replays nothing.
 //
 // # Query performance
 //
@@ -341,12 +347,14 @@
 // ordering on every mutation: partition files are immutable once written
 // and durable before the manifest that references them commits, manifests
 // replace atomically, and files superseded by a commit (merged-away
-// partitions, raw batch spills) are removed only after the commit is
-// durable — and, with snapshot-isolated reads, only after the last pinned
-// version that could read them is released. Opening detects and
-// garbage-collects whatever a half-finished install left behind instead of
-// failing on it, and re-installs any steps that were sealed but not yet
-// installed when the process died.
+// partitions) are removed only after the commit is durable — and, with
+// snapshot-isolated reads, only after the last pinned version that could
+// read them is released. Opening detects and garbage-collects whatever a
+// half-finished install left behind instead of failing on it. A stream
+// whose manifest still lists sealed steps as raw spills (the layout of
+// releases that wrote every step twice) is refused when it hydrates, by
+// name: open the directory with the previous release and Close it, which
+// installs every sealed step.
 //
 // Backend implementations must provide the three primitives this protocol
 // leans on: WriteMeta must be crash-atomic (old content or new, never

@@ -76,16 +76,19 @@ type Options struct {
 	// "" (off, default), "hdd" (the paper's ~1 ms random access) or "ssd".
 	SimulateDisk string
 
-	// Maintenance selects who installs the steps EndStep seals (sort,
-	// level-0 partition, κ-way merges): "sync" (the EndStep caller, before it
+	// Maintenance selects who runs the κ-way merges the steps EndStep
+	// writes make due (every mode writes each step's level-0 partition in
+	// the EndStep that seals it): "sync" (the EndStep caller, before it
 	// returns — the default), "async" (the DB-wide background scheduler) or
 	// "manual" (nobody, until SyncMaintenance). See the package docs'
 	// "Concurrency model".
 	Maintenance string
-	// MaxPendingSteps bounds how many sealed steps may await background
-	// installation per stream before EndStep blocks (backpressure). Setting
-	// it > 0 with Maintenance unset selects "async"; in async mode 0 means
-	// the default bound (4). The other modes have no bound.
+	// MaxPendingSteps bounds a stream's pending steps — its merge debt (the
+	// partitions past κ on any level) plus a step whose level-0 write failed
+	// — before EndStep blocks (backpressure) until the background merges
+	// catch up. Setting it > 0 with Maintenance unset selects "async"; in
+	// async mode 0 means the default bound (4). The other modes have no
+	// bound.
 	MaxPendingSteps int
 	// MaintenanceWorkers sizes the async scheduler's worker pool, shared by
 	// all streams of a DB (default 2).
@@ -170,12 +173,14 @@ func (c *Options) withDefaults() (Options, error) {
 type IOStats = disk.Stats
 
 // UpdateStats reports the cost of one EndStep, split into the paper's four
-// phases (Figure 6): loading the raw batch (the seal's spill), sorting it
-// into a level-0 partition, merging overflowing levels, and summary
-// maintenance. The last three are the install: they are filled in when the
-// EndStep caller ran it (synchronous maintenance) and zero when the step was
-// left sealed for the scheduler or SyncMaintenance, whose installs are
-// accounted in MaintenanceStats. The commit's barriers belong to no phase.
+// phases (Figure 6): loading the step — the write of its level-0 partition,
+// the step's one trip to the device — sorting it (CPU time for a step sorted
+// in memory, the run passes for one larger than SortMemElements), merging
+// overflowing levels, and summary maintenance. Every mode fills all but the
+// merge phase; the merges are filled in when the EndStep caller ran them
+// (synchronous maintenance) and zero when they were left to the scheduler or
+// SyncMaintenance, whose merges are accounted in MaintenanceStats. The
+// commit's barriers belong to no phase.
 type UpdateStats = partition.UpdateBreakdown
 
 // QueryStats reports the cost of one accurate query: bisection probes, the
@@ -242,9 +247,9 @@ type MemoryUsage struct {
 	StreamBytes int64
 	// StreamPeakBytes is the GK sketch's high-water mark this time step.
 	StreamPeakBytes int64
-	// PendingBytes buffers sealed-but-uninstalled batches (raw data plus
-	// frozen sketches): zero once every sealed step is installed, bounded
-	// by MaxPendingSteps batches under the async scheduler.
+	// PendingBytes buffers the sealed step (raw data plus frozen sketch)
+	// while its level-0 write runs, or after it failed until a retry
+	// succeeds: at most one step, zero once its partition is published.
 	PendingBytes int64
 }
 
@@ -257,15 +262,15 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // view of the shared device and owns that device and the scheduler; a Stream
 // handle pins the engine for each call. It is safe for concurrent use.
 //
-// The stream's history — installed partitions, then sealed steps with their
-// frozen sketches — is the store's published partition.Version; the engine
-// holds only the live step. Reads are snapshot-isolated: a query briefly
-// takes the engine lock to pin that version beside the live sketch, then
-// runs its disk probes entirely outside the lock — so queries proceed while
-// background maintenance sorts and merges behind them, and an in-flight
-// query keeps the partition files of its pinned version alive until it
-// finishes. See the package docs' "Concurrency model" for the full locking
-// contract.
+// The stream's history — installed partitions, then the sealed step whose
+// level-0 write is running or failed, with its frozen sketch — is the
+// store's published partition.Version; the engine holds only the live step.
+// Reads are snapshot-isolated: a query briefly takes the engine lock to pin
+// that version beside the live sketch, then runs its disk probes entirely
+// outside the lock — so queries proceed while EndStep writes and
+// maintenance merges behind them, and an in-flight query keeps the
+// partition files of its pinned version alive until it finishes. See the
+// package docs' "Concurrency model" for the full locking contract.
 type engine struct {
 	cfg   Options
 	eps1  float64
@@ -274,11 +279,14 @@ type engine struct {
 	store *partition.Store
 	sched *scheduler // async mode; shared across a DB's streams
 
-	// loadMu serializes the write path's step logic (EndStep, Close,
-	// Destroy) without blocking observes or queries.
+	// loadMu serializes the write path — EndStep, the drains and checkpoints
+	// that retry a failed level-0 write, Close and shut — without blocking
+	// observes or queries: its holder is the stream's one level-0 writer,
+	// and closed changes only under it.
 	loadMu sync.Mutex
-	// maintMu serializes store build mutations — installs and merges — and
-	// a background install's commit. Lock order: loadMu > maintMu > mu.
+	// maintMu serializes merges and a background merge's commit, so an
+	// async EndStep's write never waits for a merge. Lock order: loadMu >
+	// maintMu > mu.
 	maintMu sync.Mutex
 
 	// mu guards the fast in-memory state below, and it is the one guard of
@@ -318,9 +326,9 @@ func newDevice(cfg Options) (*disk.Manager, error) {
 	if cfg.CacheBlocks > 0 {
 		dev.SetCache(cfg.CacheBlocks)
 	}
-	// Partitions, sort runs and merge outputs are written columnar; batch
-	// spills pin the raw format themselves. Readers auto-detect, so files
-	// of either format written by earlier releases stay readable.
+	// Partitions, sort runs and merge outputs are written columnar. Readers
+	// auto-detect, so raw-format files written by earlier releases stay
+	// readable.
 	if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
 		return nil, fmt.Errorf("hsq: %w", err)
 	}
@@ -339,7 +347,6 @@ func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 		Kappa:            cfg.Kappa,
 		Eps1:             eps1,
 		SortMemElements:  cfg.SortMemElements,
-		SpillBatches:     true,
 		ProbeMemoEntries: cfg.ProbeMemoEntries,
 		Namespace:        namespace,
 	}
@@ -347,11 +354,10 @@ func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 
 // newEngineOn hydrates a registered stream's engine from the store manifest
 // in its namespaced device view. full must have passed withDefaults. The
-// load rebuilds partition summaries with one sequential scan each, garbage-
-// collects files a half-finished install left behind, and re-installs
-// steps that were sealed but not installed when the previous process died
-// before the engine is returned, so a reopened stream always serves its
-// full recovered prefix from partitions.
+// load rebuilds partition summaries with one sequential scan each and
+// garbage-collects files a half-finished install left behind; every durable
+// step is a partition, so a reopened stream serves its recovered prefix at
+// once.
 func newEngineOn(dev *disk.Manager, full Options, namespace string) (*engine, error) {
 	eps1 := full.Epsilon / 2
 	eps2 := full.Epsilon / 4
@@ -365,20 +371,11 @@ func newEngineOn(dev *disk.Manager, full Options, namespace string) (*engine, er
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{
+	return &engine{
 		cfg: full, eps1: eps1, eps2: eps2,
 		dev: dev, store: store, sketch: sketch,
 		wake: make(chan struct{}),
-	}
-	// Fold sealed-but-uninstalled steps from the recovered manifest back into
-	// partitions before serving: their frozen sketches died with the old
-	// process, so the spills are the only queryable form.
-	for len(store.Pending()) > 0 {
-		if _, err := e.runMaintenanceOnce(); err != nil {
-			return nil, fmt.Errorf("hsq: recover sealed step: %w", err)
-		}
-	}
-	return e, nil
+	}, nil
 }
 
 // observe feeds one stream element (StreamUpdate, Algorithm 4): it is both
@@ -417,8 +414,7 @@ func (e *engine) StreamCount() int64 {
 }
 
 // HistCount returns n, the number of elements in the warehouse — installed
-// partitions plus steps sealed by EndStep and awaiting background
-// installation.
+// partitions plus a sealed step whose level-0 write is running or failed.
 func (e *engine) HistCount() int64 { return e.store.TotalCount() }
 
 // TotalCount returns N = n + m.
@@ -436,35 +432,37 @@ func (e *engine) PartitionCount() int {
 	return e.store.PartitionCount()
 }
 
-// endStep is Stream.EndStepCtx on the pinned engine: cut and seal, spill,
-// install (by whoever the maintenance mode names), commit. ctx aborts only
-// the backpressure wait.
+// endStep is Stream.EndStepCtx on the pinned engine: cut and seal, write
+// the step's level-0 partition, merge (sync) or hand the merges to the
+// scheduler (async), commit. ctx aborts only the backpressure wait.
 func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
-	// Backpressure is enforced while holding the seal lock: concurrent
-	// EndStep callers serialize here and each re-validates the bound, so
-	// the sealed backlog can never exceed MaxPendingSteps. Installs need no
-	// engine lock we hold, so the wait always resolves (or surfaces the
-	// maintenance error / cancellation).
+	// closed only changes under loadMu, and only a cut empties the batch.
+	e.mu.Lock()
+	closed, empty := e.closed, len(e.batch) == 0
+	e.mu.Unlock()
+	if closed {
+		return UpdateStats{}, ErrClosed
+	}
+	if empty {
+		return UpdateStats{}, nil
+	}
+	// A step a failed EndStep left sealed is written first: only loadMu's
+	// holder writes level-0 partitions, so the backlog the wait bounds is
+	// then merges alone, and no step is ever sealed behind a failed one.
+	if _, err := e.installOne(); err != nil {
+		return UpdateStats{}, err
+	}
 	if err := e.waitBackpressure(ctx); err != nil {
 		return UpdateStats{}, err
 	}
 
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return UpdateStats{}, ErrClosed
-	}
-	if len(e.batch) == 0 {
-		e.mu.Unlock()
-		return UpdateStats{}, nil
-	}
 	// The cut: the batch and its sketch leave the live step and join the
 	// store's published history in one move, so from here on every reader
 	// counts and answers the step alike.
-	sb := e.store.Seal(e.batch, e.sketch)
-	step := sb.Step
+	e.mu.Lock()
+	step := e.store.Seal(e.batch, e.sketch).Step
 	e.batch = nil
 	e.sketch, e.spare = e.spare, nil
 	if e.sketch == nil {
@@ -472,37 +470,31 @@ func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 	}
 	e.mu.Unlock()
 
-	us, err := e.store.Spill(sb)
-	if err != nil {
-		err = fmt.Errorf("hsq: seal step %d: %w", step, err)
-	}
-
-	// The one thing the modes differ in: who drains the sealed queue.
-	switch e.cfg.Maintenance {
-	case MaintenanceSync:
-		// Oldest first, so a step whose install failed earlier is retried
-		// before this one; the stats left standing are this step's own
-		// (an install's breakdown starts from its seal's load phase).
+	us, err := e.installOne()
+	switch {
+	case err != nil:
+		err = fmt.Errorf("hsq: end step %d: %w", step, err)
+	case e.cfg.Maintenance == MaintenanceSync:
+		// The one thing the modes differ in: who runs the merges.
 		e.maintMu.Lock()
-		for err == nil && len(e.store.Pending()) > 0 {
-			if us, _, err = e.installOne(); err != nil {
-				err = fmt.Errorf("hsq: end step %d: %w", step, err)
-			}
-		}
+		us.Merges, us.Merge, us.MergeIO, err = e.merge(true)
 		e.maintMu.Unlock()
-	case MaintenanceAsync:
+		if err != nil {
+			err = fmt.Errorf("hsq: end step %d: %w", step, err)
+		}
+	case e.cfg.Maintenance == MaintenanceAsync:
 		e.sched.enqueue(e)
 	}
-
 	if cerr := e.store.Commit(manifestName); cerr != nil && err == nil {
 		err = fmt.Errorf("hsq: commit step %d: %w", step, cerr)
 	}
 	return us, err
 }
 
-// waitBackpressure blocks while the stream's sealed backlog is at the
-// MaxPendingSteps bound, waking on maintenance progress. ctx aborts the
-// wait.
+// waitBackpressure blocks while the stream's pending steps are at the
+// MaxPendingSteps bound, waking on maintenance progress, and fails instead
+// when the merge it would wait for has failed (SyncMaintenance retries it).
+// ctx aborts the wait.
 func (e *engine) waitBackpressure(ctx context.Context) error {
 	if e.cfg.Maintenance != MaintenanceAsync {
 		return nil
@@ -511,17 +503,13 @@ func (e *engine) waitBackpressure(ctx context.Context) error {
 	waited := false
 	for {
 		e.mu.Lock()
-		if e.closed {
+		if pending, _ := e.store.Backlog(); pending < max {
 			e.mu.Unlock()
-			return ErrClosed
+			return nil
 		}
 		if err := e.maintErr; err != nil {
 			e.mu.Unlock()
 			return maintFailed(err)
-		}
-		if len(e.store.Pending()) < max {
-			e.mu.Unlock()
-			return nil
 		}
 		ch := e.wake
 		if !waited {
@@ -758,41 +746,33 @@ func (e *engine) MemoryUsage() MemoryUsage {
 type ProbeMemoStats = partition.MemoStats
 
 // Checkpoint durably persists the stream's warehouse layout (DB.Checkpoint
-// calls it per hydrated stream). EndStep already commits every completed
-// step (seals included), so it is only needed to retry after a failed commit
-// or as an explicit barrier. The in-flight stream is volatile by design (it
-// will be replayed or lost, exactly as a DSMS would); only historical state
-// — including sealed steps awaiting installation — is durable.
+// calls it per hydrated stream), writing first a step whose level-0 write
+// failed. EndStep already commits every step it writes, so it is only
+// needed to retry after a failed write or commit, or as an explicit
+// barrier. The in-flight stream is volatile by design (it will be replayed
+// or lost, exactly as a DSMS would); only historical state is durable.
 func (e *engine) Checkpoint() error {
-	// Under maintMu, as every commit past the write path's is, so none
-	// follows shut.
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return ErrClosed
+	e.loadMu.Lock()
+	defer e.loadMu.Unlock()
+	if _, err := e.installOne(); err != nil {
+		return err
 	}
 	return e.store.Commit(manifestName)
 }
 
-// Close drains background maintenance, checkpoints the engine and releases
-// it — how the DB evicts a stream and seals it at DB.Close: sealed steps are
-// installed and committed, the manifest is persisted, and the engine
-// transitions to a terminal state in which every subsequent mutation or
-// query fails with ErrClosed. The device and the scheduler are the DB's.
-// Close is idempotent.
+// Close drains maintenance, checkpoints the engine and releases it — how
+// the DB evicts a stream and seals it at DB.Close: a step whose level-0
+// write failed is written, due merges run, the manifest is persisted, and
+// the engine transitions to a terminal state in which every subsequent
+// mutation or query fails with ErrClosed. The device and the scheduler are
+// the DB's. Close is idempotent.
 func (e *engine) Close() error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return nil
-	}
-	if err := e.SyncMaintenance(); err != nil {
+	if _, err := e.drain(); err != nil {
+		if errors.Is(err, ErrClosed) {
+			return nil
+		}
 		return err
 	}
 	if err := e.store.Commit(manifestName); err != nil {
@@ -803,7 +783,7 @@ func (e *engine) Close() error {
 }
 
 // shut closes the engine without a commit (DB.DropStream, and a hydration
-// the DB no longer wants): with loadMu and maintMu held, no EndStep, install
+// the DB no longer wants): with loadMu and maintMu held, no EndStep, merge
 // or checkpoint is mid-commit, and none commits once the engine is closed.
 // The durable state is what was last committed; the live step is lost.
 func (e *engine) shut() {

@@ -293,9 +293,6 @@ func TestStreamOnlyQueries(t *testing.T) {
 
 func TestUpdateStats(t *testing.T) {
 	eng := newEngine(t, 0.1, 2)
-	// The load phase is the 1000-value raw spill at newEngine's 1024-byte
-	// blocks, and nothing else.
-	spillBlocks := uint64((1000*disk.ElementSize + 1023) / 1024)
 	var us UpdateStats
 	var batch []int64
 	for step := 0; step < 3; step++ {
@@ -312,16 +309,34 @@ func TestUpdateStats(t *testing.T) {
 		if us.BatchSize != 1000 {
 			t.Errorf("BatchSize = %d", us.BatchSize)
 		}
-		if l := us.LoadIO; l.SeqWrites != spillBlocks || l.SeqReads+l.RandReads+l.CacheHits+l.CacheMisses != 0 {
-			t.Errorf("LoadIO = %+v, want %d sequential writes and no reads", l, spillBlocks)
+		if l := us.LoadIO; l.SeqReads+l.RandReads+l.CacheHits+l.CacheMisses != 0 || us.SortIO.Total() != 0 {
+			t.Errorf("LoadIO = %+v, SortIO = %+v; want writes only, and an in-memory sort", l, us.SortIO)
+		}
+		if us.Merges > 0 {
+			continue // the step's partition is merged away
+		}
+		// The load phase is the step's level-0 partition — one write per
+		// block and one for its footer — and nothing else.
+		ents := engineOf(t, eng).store.Entries()
+		r, err := ents[len(ents)-1].Part.OpenRandom()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := uint64(r.Blocks())
+		r.Close() //nolint:errcheck // read-only
+		if us.LoadIO.SeqWrites != blocks+1 || us.LoadIO.Opens != 1 {
+			t.Errorf("step %d: LoadIO = %+v, want the partition's %d blocks and footer, one open", step+1, us.LoadIO, blocks)
 		}
 	}
-	// Store.AddBatch reports the seal's one measurement of the same batch.
+	// Store.AddBatch reports the same load for the same batch.
 	dev, err := disk.NewManagerOn(disk.NewMemBackend(), 1024)
+	if err == nil {
+		err = dev.SetBlockFormat(disk.FormatColumnar) // the engine's partition format
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := partition.NewStore(dev, partition.Config{Kappa: 2, Eps1: 0.05, SpillBatches: true})
+	store, err := partition.NewStore(dev, partition.Config{Kappa: 2, Eps1: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,17 +12,16 @@
 // is checked against an exact oracle over the completed prefix. A final
 // write/query round proves the recovered DB is live, not just readable.
 //
-// An EndStep seals its step and commits; the install — sort, level-0
-// partition, level merges — is run by whoever the maintenance mode names.
+// An EndStep seals its step, writes it once as its level-0 partition and
+// commits; the level merges are run by whoever the maintenance mode names.
 // The harness covers the split while staying deterministic: streams run in
 // "manual" maintenance mode by default, the plan interleaves explicit
-// maintain operations that drain sealed backlogs, and the crash sweep
-// therefore lands inside seal commits, scheduler-style installs, merge
-// cascades and their commits alike; in "sync" mode the same install runs
-// between each seal and its one commit. EndStep's durability contract is the
-// same either way (a nil return means the step survives any crash: it is
-// either a partition or a manifest-referenced spill), so the
-// prefix-of-EndSteps guarantee is asserted identically.
+// maintain operations that run the due merges, and the crash sweep
+// therefore lands inside step writes, their commits, scheduler-style merges
+// and their commits alike; in "sync" mode the merges run between each
+// step's write and its one commit. EndStep's durability contract is the
+// same either way (a nil return means the step survives any crash as a
+// partition), so the prefix-of-EndSteps guarantee is asserted identically.
 //
 // With the default sort memory every step of a plan sorts in memory.
 // TestCrashSweepExternalSort shrinks it to one block (Config.SortMemElements)
@@ -73,8 +72,8 @@ type Config struct {
 	// multiple blocks and crashes land inside multi-block writes).
 	BlockSize int
 	// Maintenance is the engine maintenance mode under test: "manual"
-	// (default — installs run at the plan's deterministic drains) or "sync"
-	// (each EndStep installs the step it sealed).
+	// (default — merges run at the plan's deterministic drains) or "sync"
+	// (each EndStep runs the merges its step makes due).
 	Maintenance string
 	// MaxHydrated caps the DB's hydrated-engine budget
 	// (Config.MaxHydratedStreams; 0 = unlimited). A cap of 1 with several
@@ -83,7 +82,7 @@ type Config struct {
 	MaxHydrated int
 	// SortMemElements is the DB's batch-sort memory (hsq.Options field of the
 	// same name; 0 = its 1 Mi default, which no plan's step exceeds). Set to
-	// one block's worth of elements, every step larger than a block installs
+	// one block's worth of elements, every step larger than a block is written
 	// through the external sort, so the sweep crashes among its run files.
 	SortMemElements int
 }
@@ -128,8 +127,8 @@ func (c Config) options(cb *disk.CrashBackend) hsq.Options {
 
 // Op is one workload operation on the named stream: an observe batch
 // (Batch non-nil), an end step (Batch nil, !Maintain, !Drop), a maintenance
-// drain (Maintain) that installs every sealed step — the deterministic
-// stand-in for the background scheduler's work — or a drop (Drop) of the
+// drain (Maintain) that runs every due merge — the deterministic stand-in
+// for the background scheduler's work — or a drop (Drop) of the
 // stream. The next operation on a dropped stream re-creates it.
 type Op struct {
 	Stream   string
@@ -142,10 +141,10 @@ type Op struct {
 // interleaved across cfg.Streams streams, each stream drawing from one of
 // the four paper workload generators. End steps are only emitted for
 // streams with buffered data, so every EndStep in the plan loads a batch;
-// maintain operations only for streams with a sealed backlog, so every
-// drain installs at least one step; drops only for streams that exist.
-// Backlogs are allowed to grow several steps deep before a drain, so the
-// sweep crashes inside multi-step recoveries too.
+// maintain operations only for streams with steps since their last drain;
+// drops only for streams that exist. Several steps may pass between drains,
+// so merges fall several steps behind and the sweep crashes inside
+// multi-merge drains too.
 func BuildPlan(cfg Config) []Op {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gens := make([]workload.Generator, cfg.Streams)
@@ -246,9 +245,9 @@ func Replay(cb *disk.CrashBackend, cfg Config, plan []Op) Result {
 			continue
 		}
 		if op.Maintain {
-			// Drain the sealed backlog — the deterministic equivalent of the
-			// background scheduler's installs and merges. A crash here never
-			// loses a step: every sealed step is already durable.
+			// Run the due merges — the deterministic equivalent of the
+			// background scheduler's work. A crash here never loses a step:
+			// every step EndStep returned is already a durable partition.
 			if err := st.SyncMaintenance(); err != nil {
 				if !errors.Is(err, disk.ErrCrashed) {
 					res.Err = fmt.Errorf("maintain %s: %w", op.Stream, err)
@@ -379,8 +378,7 @@ func Verify(cb *disk.CrashBackend, cfg Config, plan []Op, res Result) error {
 		}
 	}
 
-	// Per-stream recovery — re-installing manifest-referenced sealed steps,
-	// retiring their spills, sweeping install temporaries — runs at
+	// Per-stream recovery — sweeping install temporaries — runs at
 	// hydration (Open loads only the directory), so the orphan check comes
 	// after the loop above has touched every registered stream.
 	if err := checkNoOrphans(cb); err != nil {
@@ -435,7 +433,7 @@ func checkQuantiles(st *hsq.Stream, want []int64, eps float64) error {
 }
 
 // debrisPatterns matches files that must never survive a recovery: install
-// temporaries and spills, as defined by the store itself. Partition files
+// temporaries, as defined by the store itself. Partition files
 // are checked against their stream's manifest instead, since committed
 // partitions share the pattern.
 var debrisPatterns = partition.TempFilePatterns()
@@ -443,10 +441,9 @@ var debrisPatterns = partition.TempFilePatterns()
 // checkNoOrphans asserts that recovery garbage-collected every file a
 // half-finished install left behind: no temporary debris anywhere, every
 // partition file referenced by its stream's manifest, and no stream
-// namespace outside the DB directory. Raw spills never survive either:
-// each stream's hydration re-installs its manifest-referenced sealed steps
-// and retires their spills — Open itself collects only unregistered
-// namespaces, so the caller must touch every stream before this check.
+// namespace outside the DB directory. Each stream's hydration collects its
+// debris — Open itself collects only unregistered namespaces — so the
+// caller must touch every stream before this check.
 func checkNoOrphans(cb *disk.CrashBackend) error {
 	names, err := cb.List("")
 	if err != nil {

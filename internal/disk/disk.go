@@ -17,6 +17,7 @@ package disk
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -395,6 +396,15 @@ func (m *Manager) countCacheMiss() {
 // the device aggregate.
 func (m *Manager) MaintTagged() *Manager {
 	return newView(m.dev, m.prefix, m.stats, m.maint, true)
+}
+
+// Metered returns a handle on the same view whose I/O is counted exactly as
+// through m and, besides, in counters of its own, which are what its Stats
+// report: one job's I/O, free of whatever else runs on the view meanwhile
+// (the store meters each level-0 write and each merge with one).
+func (m *Manager) Metered() *Manager {
+	own := new(ioCounters)
+	return &Manager{dev: m.dev, prefix: m.prefix, stats: own, maint: m.maint, feeds: append(slices.Clip(m.feeds), own)}
 }
 
 // MaintStats returns the view's maintenance-attributed counters (the root

@@ -10,14 +10,13 @@ import (
 )
 
 // BlockFormat is the on-disk layout of an element file. There is one writer
-// per file kind and no knob: the engine writes partitions, sort runs and
-// merge outputs columnar and batch spills raw; readers auto-detect, so both
-// formats always open.
+// and no knob: the engine writes partitions, sort runs and merge outputs
+// columnar; readers auto-detect, so both formats always open.
 //
 // Format 0 ("raw") is the seed layout: a headerless flat file of
-// little-endian int64s, blockSize bytes per block. It remains the format of
-// unsorted batch spills and the backward-compatibility target — files
-// written by earlier releases are format 0 and still open.
+// little-endian int64s, blockSize bytes per block. It remains the
+// backward-compatibility target — files written by earlier releases are
+// format 0 and still open.
 //
 // Format 1 ("columnar") is the compressed layout: a self-describing file of
 // variable-length blocks, each carrying a 25-byte header (frame tag, element

@@ -51,8 +51,8 @@ func (m *Manager) Create(name string) (*Writer, error) {
 }
 
 // CreateFormat creates the named element file in an explicit block format,
-// overriding the device default — the store pins unsorted batch spills to
-// FormatRaw, where delta encoding would only waste space.
+// overriding the device default — how the interoperability tests lay down
+// the files of earlier releases beside current ones.
 func (m *Manager) CreateFormat(name string, f BlockFormat) (*Writer, error) {
 	key := m.key(name)
 	if f == FormatColumnar && m.dev.blockSize < colMinBlockSize {

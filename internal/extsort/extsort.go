@@ -5,9 +5,10 @@
 //     level-0 partition, a κ-merge output, a sort temporary. Callers hand it
 //     a Source and, to compute something in flight (the store's HSᵢ capture,
 //     Algorithm 2), a per-element callback.
-//   - SortedStream is the only external sort [Graefe 14]: it cuts a file into
-//     sorted runs of bounded memory and returns their merge as a Source, so
-//     whoever writes the result also sees every element pass.
+//   - SortedStream is the only external sort [Graefe 14]: it cuts a batch
+//     held in memory into sorted runs of bounded memory and returns their
+//     merge as a Source, so whoever writes the result also sees every
+//     element pass.
 //   - Merger is the only k-way merge; OpenRuns builds one over run files.
 //
 // WriteRun refuses a value smaller than its predecessor before the file is

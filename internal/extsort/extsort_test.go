@@ -54,10 +54,30 @@ func readAll(t *testing.T, dev *disk.Manager, name string) []int64 {
 	}
 }
 
-// sortFile externally sorts file in into file out the way the store does:
-// SortedStream's final merge drained by the run writer.
+// sortFile externally sorts the elements of file in into file out the way
+// the store sorts a step: the batch in memory, SortedStream's final merge
+// drained by the run writer.
 func sortFile(dev *disk.Manager, in, out string, cfg Config) (int64, error) {
-	src, cleanup, err := SortedStream(dev, in, cfg)
+	r, err := dev.OpenSequential(in)
+	if err != nil {
+		return 0, err
+	}
+	var data []int64
+	for {
+		v, ok, err := r.Next()
+		if err != nil {
+			r.Close() //nolint:errcheck // already failing
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		data = append(data, v)
+	}
+	if err := r.Close(); err != nil {
+		return 0, err
+	}
+	src, cleanup, err := SortedStream(dev, data, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -311,8 +331,8 @@ func TestSortedStream(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Int63n(1000)
 	}
-	writeFile(t, dev, "in", data)
-	src, cleanup, err := SortedStream(dev, "in", Config{MemElements: 16, FanIn: 4})
+	orig := slices.Clone(data)
+	src, cleanup, err := SortedStream(dev, data, Config{MemElements: 16, FanIn: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +355,9 @@ func TestSortedStream(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Error("SortedStream output incorrect")
+	}
+	if !slices.Equal(data, orig) {
+		t.Error("SortedStream changed the batch it sorted")
 	}
 }
 

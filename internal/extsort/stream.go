@@ -7,18 +7,20 @@ import (
 	"repro/internal/disk"
 )
 
-// SortedStream externally sorts the unsorted element file `in` using at most
-// cfg.MemElements elements of memory and returns a Source that yields its
-// elements in sorted order, together with a cleanup function that closes and
-// removes the intermediate run files. The caller must drain or abandon the
-// Source and then call cleanup.
+// SortedStream externally sorts data, a batch already in memory, using at
+// most cfg.MemElements elements of working memory: it cuts data into runs of
+// MemElements, sorts a copy of each and writes it as a run file, merges the
+// runs in passes of at most FanIn, and returns a Source over the final merge
+// together with a cleanup function that closes and removes the run files.
+// data is only read. The caller must drain or abandon the Source and then
+// call cleanup.
 //
 // Returning the final merge instead of writing it lets the partition store
 // capture its in-memory summary while writing the sorted partition, so that
 // — as the paper requires — "no additional disk access is required for
 // computing the summary, beyond those taken for generating the new data
 // partition".
-func SortedStream(dev *disk.Manager, in string, cfg Config) (src Source, cleanup func(), err error) {
+func SortedStream(dev *disk.Manager, data []int64, cfg Config) (src Source, cleanup func(), err error) {
 	if err := cfg.setDefaults(dev); err != nil {
 		return nil, nil, err
 	}
@@ -37,31 +39,16 @@ func SortedStream(dev *disk.Manager, in string, cfg Config) (src Source, cleanup
 		}
 	}()
 
-	// Pass 0: cut the input into sorted runs of MemElements.
-	r, err := dev.OpenSequential(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer r.Close() //nolint:errcheck // read-only
-	r.SetReadahead(disk.MergeReadahead)
-	buf := make([]int64, 0, cfg.MemElements)
-	for more := true; more; {
-		var v int64
-		if v, more, err = r.Next(); err != nil {
+	// Pass 0: cut the batch into sorted runs of MemElements.
+	buf := make([]int64, 0, min(cfg.MemElements, len(data)))
+	for lo := 0; lo < len(data); lo += cfg.MemElements {
+		buf = append(buf[:0], data[lo:min(lo+cfg.MemElements, len(data))]...)
+		slices.Sort(buf)
+		name := fmt.Sprintf("%s-s%d", cfg.TempPrefix, len(runs))
+		if _, err = WriteRun(dev, name, SliceSource(buf), nil); err != nil {
 			return nil, nil, err
 		}
-		if more {
-			buf = append(buf, v)
-		}
-		if len(buf) == cfg.MemElements || !more && len(buf) > 0 {
-			slices.Sort(buf)
-			name := fmt.Sprintf("%s-s%d", cfg.TempPrefix, len(runs))
-			if _, err = WriteRun(dev, name, SliceSource(buf), nil); err != nil {
-				return nil, nil, err
-			}
-			runs = append(runs, name)
-			buf = buf[:0]
-		}
+		runs = append(runs, name)
 	}
 
 	// Merge passes until at most FanIn runs remain; the caller drains the

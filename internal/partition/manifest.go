@@ -11,8 +11,6 @@ import (
 )
 
 // manifestVersion guards against loading manifests from incompatible builds.
-// Version 1 gained the optional "pending" section with the seal/install
-// split; manifests without it load as fully-installed stores.
 const manifestVersion = 1
 
 // Manifest is the durable description of a Store: enough to reopen the
@@ -29,10 +27,10 @@ type Manifest struct {
 	NextID    int64           `json:"next_id"`
 	Steps     int             `json:"steps"`
 	Parts     []ManifestEntry `json:"partitions"`
-	// Pending lists time steps that were sealed (their raw spill is durable)
-	// but not yet installed as partitions when the manifest was written, in
-	// step order. A reopened store re-installs them from their spills.
-	Pending []SealedBatch `json:"pending,omitempty"`
+	// Pending is the sealed steps an earlier release kept as raw spills until
+	// they were installed. Nothing writes it any more, and LoadStore refuses
+	// a manifest that has it.
+	Pending []json.RawMessage `json:"pending,omitempty"`
 }
 
 // ManifestEntry describes one partition.
@@ -45,12 +43,9 @@ type ManifestEntry struct {
 	Name      string `json:"name"`
 }
 
-// manifestSnapshotLocked builds the manifest from the published state.
-// Caller holds vmu. Sealed batches whose spill has not succeeded are not
-// durable, so they — and every later step, to keep the durable history a
-// prefix — are omitted and Steps is truncated accordingly; Commit repairs
-// missing spills before taking the snapshot, so this only matters when a
-// spill repair itself failed.
+// manifestSnapshotLocked builds the manifest from the published state: its
+// partitions. Sealed steps are not durable until their partitions are
+// published, so Steps is the installed steps. Caller holds vmu.
 func (s *Store) manifestSnapshotLocked() (Manifest, int64) {
 	m := Manifest{
 		Version:   manifestVersion,
@@ -69,15 +64,6 @@ func (s *Store) manifestSnapshotLocked() (Manifest, int64) {
 			EndStep:   e.Part.EndStep,
 			Name:      e.Part.name,
 		})
-	}
-	for _, sb := range s.cur.pending {
-		if sb.Name == "" {
-			break
-		}
-		m.Pending = append(m.Pending, SealedBatch{
-			ID: sb.ID, Name: sb.Name, Count: sb.Count, Step: sb.Step,
-		})
-		m.Steps++
 	}
 	return m, s.cur.seq
 }
@@ -115,11 +101,9 @@ func ParseManifest(data []byte) (*Manifest, error) {
 }
 
 // tempFilePatterns matches the transient files an install creates and a
-// crash can strand: raw batch spills, external-sort temporaries, the
+// crash can strand: external-sort temporaries, the raw batch spills and
 // pmerge-* temporaries of earlier builds, and interrupted metadata temp
-// files. Any match is removable debris once no install is in flight —
-// except raw spills referenced by the manifest's pending section, which are
-// the durable form of sealed steps.
+// files. Any match is removable debris once no install is in flight.
 var tempFilePatterns = []string{
 	"batch-raw-*.dat",
 	"sort-*",
@@ -131,8 +115,7 @@ var tempFilePatterns = []string{
 // TempFilePatterns returns the patterns of transient install files, for
 // harnesses asserting that recovery leaves none behind. Partition files
 // (part-*.dat) are deliberately excluded: whether one is debris depends on
-// whether a manifest references it. The same caveat applies to raw spills
-// (batch-raw-*.dat) listed in a manifest's pending section.
+// whether a manifest references it.
 func TempFilePatterns() []string {
 	return slices.Clone(tempFilePatterns)
 }
@@ -177,12 +160,13 @@ func CollectOrphans(dev *disk.Manager, keep map[string]bool) ([]string, error) {
 
 // LoadStore reopens a Store from a manifest, rebuilding each partition's
 // in-memory summary with a sequential scan. Files from half-finished
-// installs — partitions written but never committed, raw batches not listed
-// as pending, sort temporaries — are detected and garbage-collected, so a
-// crash between data writes and the manifest commit never poisons a reopen.
-// Sealed-but-uninstalled steps listed in the manifest's pending section are
-// re-queued; callers should run maintenance (or install synchronously) to
-// fold them back into partitions before serving queries.
+// installs — partitions written but never committed, sort temporaries — are
+// detected and garbage-collected, so a crash between data writes and the
+// manifest commit never poisons a reopen.
+//
+// A manifest with a pending section — sealed steps an earlier release kept
+// as raw spills — is refused before anything is touched: open the directory
+// with that release and Close it, which installs every sealed step.
 func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -195,6 +179,10 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	if err != nil {
 		return nil, err
 	}
+	if len(m.Pending) > 0 {
+		return nil, fmt.Errorf("partition: manifest lists %d sealed steps as raw spills, a layout this release no longer reads: "+
+			"open the directory with the previous release and Close it, which installs every sealed step, then reopen", len(m.Pending))
+	}
 	if m.Namespace != cfg.Namespace {
 		return nil, fmt.Errorf("partition: manifest namespace %q != config namespace %q", m.Namespace, cfg.Namespace)
 	}
@@ -203,6 +191,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	}
 	s := &Store{dev: dev, mdev: dev.MaintTagged(), cfg: cfg, beta1: cfg.Beta1(), nextID: m.NextID}
 	ents := make([]*Summary, 0, len(m.Parts))
+	keep := map[string]bool{manifestName: true}
 	for _, pe := range m.Parts {
 		p := &Partition{
 			ID:        pe.ID,
@@ -218,33 +207,17 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 			return nil, err
 		}
 		ents = append(ents, sum)
+		keep[pe.Name] = true
 	}
 	// The store's one list is oldest first, whatever order the manifest
 	// lists the partitions in.
 	slices.SortFunc(ents, func(a, b *Summary) int { return a.Part.StartStep - b.Part.StartStep })
-	pending := make([]*SealedBatch, 0, len(m.Pending))
-	for i := range m.Pending {
-		sb := &m.Pending[i]
-		if sb.Name == "" {
-			return nil, fmt.Errorf("partition: manifest pending step %d has no spill", sb.Step)
-		}
-		pending = append(pending, &SealedBatch{ID: sb.ID, Name: sb.Name, Count: sb.Count, Step: sb.Step})
-	}
 	// Publish the recovered state as the initial version (no other goroutine
 	// has the store yet); the manifest we just read is by definition
 	// committed.
 	s.cur = &Version{store: s, seq: 0, refs: 1}
 	s.live = []*Version{s.cur}
-	s.committedSeq = s.publishLocked(ents, pending, s.newMemo()).seq
-
-	keep := make(map[string]bool, len(m.Parts)+len(m.Pending)+1)
-	keep[manifestName] = true
-	for _, pe := range m.Parts {
-		keep[pe.Name] = true
-	}
-	for _, sb := range pending {
-		keep[sb.Name] = true
-	}
+	s.committedSeq = s.publishLocked(ents, nil, s.newMemo()).seq
 	if _, err := CollectOrphans(dev, keep); err != nil {
 		return nil, err
 	}

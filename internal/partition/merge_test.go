@@ -92,16 +92,18 @@ func TestMergeRefusesUnsortedInput(t *testing.T) {
 			if _, err := s.AddBatch(seqBatch(4000, 40), 4); !errors.Is(err, ErrMergeIncomplete) {
 				t.Fatalf("second AddBatch over the backwards input: err = %v, want ErrMergeIncomplete", err)
 			}
-			// ... and then the next install completes the merge.
+			// ... and then the next install completes the merge: the oldest
+			// κ+1 partitions of level 0 (steps 1-3) go a level up, and steps
+			// 4 and 5 stay at level 0, as if no merge had ever failed.
 			rewrite(seqBatch(1000, 40))
 			if _, err := s.AddBatch(seqBatch(5000, 40), 5); err != nil {
 				t.Fatalf("AddBatch after the repair: %v", err)
 			}
-			if got := s.PartitionCount(); got != 1 {
-				t.Fatalf("PartitionCount after the repair = %d, want 1", got)
+			if got := s.PartitionCount(); got != 3 {
+				t.Fatalf("PartitionCount after the repair = %d, want 3", got)
 			}
 			merged := s.Entries()[0].Part
-			if got := readPartition(t, merged); len(got) != 200 || !slices.IsSorted(got) {
+			if got := readPartition(t, merged); len(got) != 120 || merged.EndStep != 3 || !slices.IsSorted(got) {
 				t.Errorf("merged %s: %d elements, sorted=%v", merged, len(got), slices.IsSorted(got))
 			}
 			if err := s.Commit("MANIFEST.json"); err != nil {

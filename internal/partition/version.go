@@ -13,8 +13,8 @@ import "sync"
 //
 // File reclamation composes the pin discipline with the crash-consistency
 // rule introduced with the commit protocol: a file superseded while building
-// version S (a merged-away partition, a consumed raw spill) is physically
-// removed only once BOTH hold:
+// version S (a merged-away partition) is physically removed only once BOTH
+// hold:
 //
 //   - a manifest of some version ≥ S is durably committed, so no durable
 //     manifest references the file (the crash rule), and
@@ -59,17 +59,34 @@ func (v *Version) Seq() int64 { return v.seq }
 // oldest-first: StartStep-ascending, contiguous (each starts one step after
 // the previous one ends) and ending at InstalledSteps, with levels that
 // never increase along it. An install appends to the list and a merge
-// replaces a level's run in place; no reader re-orders it, so every surface
-// hands core.BuildPieces the same run order. The slice is shared and must not be
-// mutated.
+// replaces a level's oldest κ+1 partitions in place; no reader re-orders it,
+// so every surface hands core.BuildPieces the same run order. The slice is
+// shared and must not be mutated.
 func (v *Version) Entries() []*Summary { return v.entries }
 
 // Pending returns the snapshot's sealed steps, oldest first: one batch per
-// step, the first at InstalledSteps+1 and each one step after the last.
-// Entries and Pending are the only record of the stream's history; a seal
-// appends to Pending and an install moves its head into Entries, in one
-// publish. The slice is shared and must not be mutated.
+// step, the first at InstalledSteps+1 and each one step after the last —
+// steps whose level-0 write is running or has failed. Entries and Pending
+// are the only record of the stream's history; a seal appends to Pending
+// and an install moves its head into Entries, in one publish. The slice is
+// shared and must not be mutated.
 func (v *Version) Pending() []*SealedBatch { return v.pending }
+
+// overflow returns where, in ents, the oldest κ+1 partitions of the lowest
+// level holding more than κ start; ok is false when no level does. A level
+// is one run of the list, and the lowest is the newest.
+func overflow(ents []*Summary, kappa int) (start int, ok bool) {
+	for end := len(ents); end > 0; end = start {
+		start = end - 1
+		for start > 0 && ents[start-1].Part.Level == ents[end-1].Part.Level {
+			start--
+		}
+		if end-start > kappa {
+			return start, true
+		}
+	}
+	return 0, false
+}
 
 // Memo returns the version's rank-probe memo, valid for queries that probe
 // exactly the version's full entry set; nil when memoization is disabled.
@@ -170,9 +187,11 @@ func (s *Store) LiveVersions() int {
 
 // publishLocked makes the Version of ents and pending current, with memo as
 // its probe memo: the current one when the partition set is unchanged (a
-// seal), a fresh one otherwise. ents is edited only by the single mutator
-// (installs and merges), pending also by Seal, which only appends; both are
-// lists no published Version's slice can grow into. Caller holds vmu.
+// seal), a fresh one otherwise. Each caller derives ents and pending from
+// the current version under vmu — the installer appends to the entries, the
+// merger splices them, Seal appends to pending and the installer takes its
+// head — as lists no published Version's slice can grow into. Caller holds
+// vmu.
 func (s *Store) publishLocked(ents []*Summary, pending []*SealedBatch, memo *ProbeMemo) *Version {
 	v := &Version{
 		store:   s,

@@ -3,6 +3,8 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -121,25 +123,21 @@ func TestReclaimWaitsForCommit(t *testing.T) {
 }
 
 // TestSealInstallRoundtrip drives the write path at the store level: Seal
-// publishes the step with no I/O, Spill + Commit leave a durable spill +
-// pending manifest entry, InstallOne + Commit fold it into a partition and
-// retire the spill, and a LoadStore in between recovers the pending entry.
+// publishes the step with no I/O, a Commit while it is sealed makes none of
+// it durable, InstallOne writes it once — its level-0 partition and nothing
+// else — and a Commit after that leaves a manifest that reopens to the
+// partition.
 func TestSealInstallRoundtrip(t *testing.T) {
 	dev := newDev(t)
-	cfg := Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16, SpillBatches: true}
+	cfg := Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16}
 	s, err := NewStore(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := dev.Stats()
 	sb := s.Seal(seqBatch(1000, 50), nil)
-	if dev.Exists("batch-raw-000000.dat") {
-		t.Fatal("seal wrote the spill")
-	}
-	if bd, err := s.Spill(sb); err != nil || bd.LoadIO.SeqWrites == 0 || bd.BatchSize != 50 {
-		t.Fatalf("Spill = %+v, %v; want a 50-element load with writes", bd, err)
-	}
-	if err := s.Commit("MANIFEST.json"); err != nil {
-		t.Fatal(err)
+	if io := dev.Stats().Sub(before); io.Total() != 0 || io.Opens != 0 {
+		t.Fatalf("seal did I/O: %+v", io)
 	}
 	if sb.Step != 1 {
 		t.Fatalf("sealed step = %d, want 1", sb.Step)
@@ -147,81 +145,51 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if p := s.Pending(); len(p) != 1 || p[0] != sb || sb.Count != 50 {
 		t.Fatalf("pending = %v, want the one sealed batch of 50", p)
 	}
-	if s.TotalCount() != 50 || s.Steps() != 1 {
-		t.Fatalf("TotalCount/Steps = %d/%d, want 50/1", s.TotalCount(), s.Steps())
+	if s.TotalCount() != 50 || s.Steps() != 1 || s.PartitionCount() != 0 {
+		t.Fatalf("TotalCount/Steps/PartitionCount = %d/%d/%d, want 50/1/0", s.TotalCount(), s.Steps(), s.PartitionCount())
 	}
-	if s.PartitionCount() != 0 {
-		t.Fatalf("PartitionCount = %d before install", s.PartitionCount())
+	if err := s.Commit("MANIFEST.json"); err != nil {
+		t.Fatal(err)
 	}
-	if !dev.Exists("batch-raw-000000.dat") {
-		t.Fatal("seal left no spill")
-	}
-
-	// A reload at this point must recover the pending entry, not drop it.
-	loaded, err := LoadStore(dev, "MANIFEST.json", cfg)
+	sealed, err := LoadStore(dev, "MANIFEST.json", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Pending()) != 1 || loaded.Steps() != 1 || loaded.TotalCount() != 50 {
-		t.Fatalf("reloaded: pending=%d steps=%d total=%d, want 1/1/50", len(loaded.Pending()), loaded.Steps(), loaded.TotalCount())
+	if sealed.Steps() != 0 || sealed.TotalCount() != 0 || len(sealed.Pending()) != 0 {
+		t.Fatalf("reloaded while sealed: steps=%d total=%d pending=%d, want nothing durable",
+			sealed.Steps(), sealed.TotalCount(), len(sealed.Pending()))
 	}
 
-	bd, installed, err := loaded.InstallOne()
+	before = dev.Stats()
+	bd, installed, err := s.InstallOne()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
 	if installed != 1 {
 		t.Fatalf("installed step = %d, want 1", installed)
 	}
-	if bd.SortIO.Total() == 0 {
-		t.Error("install reported no maintenance I/O")
+	if io := dev.Stats().Sub(before); io != bd.LoadIO || io.SeqWrites == 0 || bd.SortIO.Total() != 0 {
+		t.Errorf("install did %+v, its load %+v and sort %+v; want the load, a partition write, to be all of it", io, bd.LoadIO, bd.SortIO)
 	}
-	if len(loaded.Pending()) != 0 || loaded.PartitionCount() != 1 {
-		t.Fatalf("after install: pending=%d partitions=%d, want 0/1", len(loaded.Pending()), loaded.PartitionCount())
+	if names, err := dev.List(""); err != nil || !slices.Equal(names, []string{"MANIFEST.json", "part-000000.dat"}) {
+		t.Errorf("device holds %v (%v), want the manifest and the one partition", names, err)
 	}
-	if dev.Exists("batch-raw-000000.dat") {
-		t.Error("spill survived its install's commit")
-	}
-	// Idempotent when drained.
-	if _, installed, err := loaded.InstallOne(); err != nil || installed != 0 {
-		t.Fatalf("InstallOne on drained store: step=%d err=%v", installed, err)
-	}
-}
-
-// TestLateSpillRetiresItself pins the async interleaving where a step's
-// install publishes before its seal's spill is written: the buffer is not
-// handed back while the spill may still read it, and the spill, finding its
-// step installed, retires its own file for the next commit to remove.
-func TestLateSpillRetiresItself(t *testing.T) {
-	dev := newDev(t)
-	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16, SpillBatches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := s.Seal(seqBatch(1000, 50), nil)
-	if _, step, err := s.InstallOne(); err != nil || step != 1 {
-		t.Fatalf("InstallOne = step %d, %v; want 1", step, err)
-	}
-	if buf, _ := s.Reusable(sb); buf != nil {
-		t.Fatal("batch buffer handed back before its spill was written")
-	}
-	if _, err := s.Spill(sb); err != nil {
-		t.Fatal(err)
-	}
-	if !dev.Exists("batch-raw-000000.dat") {
-		t.Fatal("late spill wrote no file")
-	}
-	if buf, _ := s.Reusable(sb); len(buf) != 50 {
-		t.Fatalf("Reusable after the spill = %d values, want the 50-value buffer", len(buf))
+	if len(s.Pending()) != 0 || s.PartitionCount() != 1 || s.TotalCount() != 50 {
+		t.Fatalf("after install: pending=%d partitions=%d total=%d, want 0/1/50", len(s.Pending()), s.PartitionCount(), s.TotalCount())
 	}
 	if err := s.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
-	if dev.Exists("batch-raw-000000.dat") {
-		t.Error("late spill survived the next commit")
+	loaded, err := LoadStore(dev, "MANIFEST.json", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Steps() != 1 || loaded.TotalCount() != 50 || loaded.PartitionCount() != 1 {
+		t.Fatalf("reloaded: steps=%d total=%d partitions=%d, want 1/50/1", loaded.Steps(), loaded.TotalCount(), loaded.PartitionCount())
+	}
+	// Idempotent when drained.
+	if _, installed, err := s.InstallOne(); err != nil || installed != 0 {
+		t.Fatalf("InstallOne on drained store: step=%d err=%v", installed, err)
 	}
 }
 
@@ -229,9 +197,9 @@ func TestLateSpillRetiresItself(t *testing.T) {
 // invariant of publish: whatever the levels hold — fresh level-0 installs,
 // cascading merges, a sealed backlog waiting — every published version
 // lists its partitions oldest first, tiling (0, InstalledSteps] without a
-// gap, with levels that never increase along the list. A second goroutine pins while
-// installs run, so the version published between an install and its merges
-// is checked too.
+// gap, with levels that never increase along the list. A reader pins while
+// installs append and a merger splices beside them, so versions published
+// by either, in any interleaving, are checked too.
 func TestVersionEntriesChronological(t *testing.T) {
 	check := func(t *testing.T, v *Version) {
 		t.Helper()
@@ -269,9 +237,11 @@ func TestVersionEntriesChronological(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(31*kappa + 1)))
-			stop, done := make(chan struct{}), make(chan struct{})
-			go func() {
-				defer close(done)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { // a reader
+				defer wg.Done()
 				for {
 					select {
 					case <-stop:
@@ -281,6 +251,20 @@ func TestVersionEntriesChronological(t *testing.T) {
 					v := s.Pin()
 					check(t, v)
 					v.Release()
+				}
+			}()
+			go func() { // the merger, splicing beside the installs
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, _, err := s.Merge(); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}()
 			levels := 0
@@ -301,7 +285,21 @@ func TestVersionEntriesChronological(t *testing.T) {
 				levels = max(levels, s.Levels())
 			}
 			close(stop)
-			<-done
+			wg.Wait()
+			// What the merger left, merged out in step with the installs.
+			for {
+				merged, _, err := s.Merge()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !merged {
+					break
+				}
+				v := s.Pin()
+				check(t, v)
+				v.Release()
+			}
+			levels = max(levels, s.Levels())
 			if levels < 2 {
 				t.Fatalf("only %d level(s) ever held partitions: no merge cascaded, test is vacuous", levels)
 			}

@@ -464,21 +464,40 @@ var errRoll = errors.New("connection binds wire.MaxConnStreams streams")
 // write hands bursts to nc until it is retired: frames in order, at most a
 // quarter of the credit window of them sequenced per burst, none beyond the
 // window, each followed by the Ping pingDueLocked asks for — the first one
-// at once when the Welcome pruned frames, with or without a burst. A frame
-// that would bind a stream past wire.MaxConnStreams waits for the flight's
-// confirmation, then ends the connection with errRoll: nothing is replayed.
-// A write error sticks to bw; Flush reports it.
+// at once when the Welcome pruned frames, with or without a burst. Once the
+// connection binds wire.MaxConnStreams streams, the frames of those streams
+// go ahead of any that would bind another, and a frame that would waits for
+// the flight's confirmation, then ends the connection with errRoll: nothing
+// is replayed. A bare binding (a stream's announcement, no frame) ends no
+// connection on its own; it rides the next one. A write error sticks to bw;
+// Flush reports it.
 func (s *Sender) write(nc net.Conn) error {
 	bw := bufio.NewWriterSize(nc, 64<<10)
 	ids := make(map[string]uint64)
 	unbound := func(it *Item) bool { return it.Stream != "" && ids[it.Stream] == 0 }
-	full := func() bool { return len(s.queue) > 0 && unbound(s.queue[0]) && len(ids) >= wire.MaxConnStreams }
+	bound := func(it *Item) bool { return it.Stream != "" && !unbound(it) }
+	// full reports a queue head the connection cannot bind. Before it does,
+	// the frames of streams bound here move to the front — a stable
+	// partition, so each stream's frames keep their order — and the next
+	// connection binds only streams with nothing left to write on this one.
+	full := func() bool {
+		if len(s.queue) == 0 || !unbound(s.queue[0]) || len(ids) < wire.MaxConnStreams {
+			return false
+		}
+		if !slices.ContainsFunc(s.queue, bound) {
+			return true
+		}
+		first := slices.DeleteFunc(slices.Clone(s.queue), func(it *Item) bool { return !bound(it) })
+		s.queue = append(first, slices.DeleteFunc(s.queue, bound)...)
+		return false
+	}
+	framed := func() bool { return slices.ContainsFunc(s.queue, func(it *Item) bool { return it.F != nil }) }
 	var buf, out []byte
 	var burst []*Item
 	for {
 		s.mu.Lock()
-		for s.nc == nc && !s.pingDueLocked() && (len(s.queue) == 0 || s.queue[0].sequenced() && len(s.inflight) >= s.credit || full() && len(s.inflight) > 0) {
-			if d := s.cfg.Keepalive; d > 0 && len(s.queue)+len(s.inflight) == 0 {
+		for s.nc == nc && !s.pingDueLocked() && (len(s.queue) == 0 || s.queue[0].sequenced() && len(s.inflight) >= s.credit || full() && (len(s.inflight) > 0 || !framed())) {
+			if d := s.cfg.Keepalive; d > 0 && len(s.inflight) == 0 && !framed() {
 				// Idle: a keepalive is due unless something wakes us first.
 				t := time.AfterFunc(d, func() {
 					s.mu.Lock()
@@ -496,7 +515,7 @@ func (s *Sender) write(nc net.Conn) error {
 			s.mu.Unlock()
 			return nil
 		}
-		if full() && len(s.inflight) == 0 {
+		if full() && len(s.inflight) == 0 && framed() {
 			s.mu.Unlock()
 			return errRoll
 		}

@@ -8,41 +8,49 @@ import (
 	"repro/internal/partition"
 )
 
-// Maintenance: who installs the steps EndStep seals.
+// Maintenance: who runs the merges the steps EndStep writes make due.
 //
-// EndStep is one pipeline in every mode — cut, seal, install, commit (see
-// Stream.EndStep). The cut and the seal always run on the caller: under the
-// engine lock, the in-memory batch and its GK sketch leave the live step and
-// become the newest sealed step of the store's published partition.Version,
-// which is the stream's one history — so counts and answers agree from the
-// cut on. The raw spill then runs outside every engine lock. The install
-// (external sort, level-0 partition, cascading κ-way merges) is one
-// routine, engine.installOne, run under no engine lock a reader or producer
-// needs; until it publishes a step, queries cover that step through its
-// frozen stream summary (a core.StreamPiece). The three maintenance modes
-// differ only in which goroutine calls it:
+// EndStep is one pipeline in every mode — cut, seal, write, commit (see
+// Stream.EndStep). The cut and the seal run on the caller under the engine
+// lock: the in-memory batch and its GK sketch leave the live step and become
+// the sealed step of the store's published partition.Version, which is the
+// stream's one history — so counts and answers agree from the cut on. The
+// caller then writes the step, outside every engine lock a reader or
+// producer needs, as its level-0 partition (engine.installOne: one sort, one
+// sequential write); until that publishes, queries cover the step through
+// its frozen stream summary (a core.StreamPiece). Each step is written once,
+// in every mode. What is left is Algorithm 3's merges: a level holding more
+// than κ partitions merges its oldest κ+1 into one a level up
+// (engine.merge). The three maintenance modes differ only in which goroutine
+// runs them:
 //
 //   - sync (default): the EndStep caller, before it commits and returns.
 //   - async: a DB-wide scheduler, on a bounded worker pool. Per stream,
-//     installs are FIFO (step order); across streams, the pool is shared and
-//     dispatch is round-robin. Options.MaxPendingSteps bounds how far a
-//     stream's installs may lag its seals; EndStep blocks (backpressure)
-//     when the bound is hit.
+//     merges run one at a time, lowest level first; across streams, the
+//     pool is shared and dispatch is round-robin. A merge splices its output
+//     over the partitions it read while EndStep appends beside it, so an
+//     EndStep never waits for a merge that is running — unless the stream's
+//     pending steps reach Options.MaxPendingSteps, when EndStep blocks
+//     (backpressure).
 //   - manual: nobody until SyncMaintenance — deterministic, for harnesses
 //     like internal/crashtest that need reproducible operation orderings.
 //
-// One failure rule: a step whose install fails before it is published stays
-// sealed — counted, answered from its frozen summary, durable once a commit
-// succeeds — and is installed exactly once by a later drain (the next
-// EndStep in sync mode, SyncMaintenance in any).
+// However far the merges lag, they leave the layout sync mode would.
+//
+// One failure rule: a step whose level-0 write fails stays sealed — counted,
+// answered from its frozen summary — and is written exactly once, before
+// anything else, by the next EndStep, SyncMaintenance, Checkpoint or Close;
+// it is durable once that caller's commit returns nil. A failed merge keeps
+// its inputs live and is retried by the next merge of its level.
 
 // Maintenance mode names for Options.Maintenance.
 const (
-	// MaintenanceSync installs each step inside the EndStep that sealed it.
+	// MaintenanceSync runs each step's merges inside the EndStep that wrote
+	// it.
 	MaintenanceSync = "sync"
-	// MaintenanceAsync leaves installs to the DB-wide background scheduler.
+	// MaintenanceAsync leaves merges to the DB-wide background scheduler.
 	MaintenanceAsync = "async"
-	// MaintenanceManual leaves installs until SyncMaintenance is called.
+	// MaintenanceManual leaves merges until SyncMaintenance is called.
 	MaintenanceManual = "manual"
 )
 
@@ -52,28 +60,30 @@ type maintAccum struct {
 	installs    int
 	merges      int
 	installTime time.Duration
-	running     bool
+	running     int // level-0 writes and merges in flight
 	bpWaits     int64
 	bpTime      time.Duration
 	lastErr     string
 }
 
-// MaintenanceStats describes one stream's background-maintenance state.
+// MaintenanceStats describes one stream's maintenance state.
 type MaintenanceStats struct {
 	// Mode is the stream's maintenance mode: "sync", "async" or "manual".
 	Mode string
-	// PendingSteps is the number of sealed steps awaiting installation.
+	// PendingSteps is the number of steps whose deferred work has not run
+	// yet: the merge debt (on every level, the partitions past κ) plus a
+	// step whose level-0 write is running or failed.
 	PendingSteps int
-	// PendingElements is the element count across pending steps — the
-	// stream's merge debt.
+	// PendingElements is the element count across those steps.
 	PendingElements int64
-	// Running reports an install or merge executing right now.
+	// Running reports a level-0 write or a merge executing right now.
 	Running bool
-	// Installs counts installs completed since open, whoever ran them.
+	// Installs counts level-0 partitions written since open, whoever wrote
+	// them.
 	Installs int
-	// Merges counts level merges run by those installs.
+	// Merges counts level merges run since open.
 	Merges int
-	// InstallTime is total wall-clock spent in installs.
+	// InstallTime is total wall-clock spent in level-0 writes and merges.
 	InstallTime time.Duration
 	// BackpressureWaits counts EndStep calls that blocked on
 	// MaxPendingSteps; BackpressureTime is the total time they waited.
@@ -82,9 +92,9 @@ type MaintenanceStats struct {
 	// MaintIO is the stream's maintenance-attributed I/O (sorts, partition
 	// writes, merge passes) — always a subset of DiskStats.
 	MaintIO IOStats
-	// LastError is the most recent maintenance failure ("" when healthy).
-	// A non-empty value with PendingSteps > 0 means the stream is stalled;
-	// SyncMaintenance retries.
+	// LastError is the most recent write or merge failure ("" when
+	// healthy). A failed merge stalls the scheduler on the stream until a
+	// merge succeeds; SyncMaintenance retries.
 	LastError string
 }
 
@@ -92,16 +102,12 @@ type MaintenanceStats struct {
 func (e *engine) MaintenanceStats() MaintenanceStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pending := e.store.Pending()
-	var pendingN int64
-	for _, sb := range pending {
-		pendingN += sb.Count
-	}
+	steps, elements := e.store.Backlog()
 	ms := MaintenanceStats{
 		Mode:              e.cfg.Maintenance,
-		PendingSteps:      len(pending),
-		PendingElements:   pendingN,
-		Running:           e.mstats.running,
+		PendingSteps:      steps,
+		PendingElements:   elements,
+		Running:           e.mstats.running > 0,
 		Installs:          e.mstats.installs,
 		Merges:            e.mstats.merges,
 		InstallTime:       e.mstats.installTime,
@@ -116,8 +122,8 @@ func (e *engine) MaintenanceStats() MaintenanceStats {
 	return ms
 }
 
-// wakeLocked signals every goroutine waiting for maintenance progress
-// (backpressure waiters, SyncMaintenance). Caller holds e.mu.
+// wakeLocked signals every goroutine waiting for maintenance progress (a
+// backpressured EndStep). Caller holds e.mu.
 func (e *engine) wakeLocked() {
 	close(e.wake)
 	e.wake = make(chan struct{})
@@ -128,28 +134,25 @@ func maintFailed(err error) error {
 	return fmt.Errorf("hsq: stream maintenance failed (SyncMaintenance retries): %w", err)
 }
 
-// installOne installs the oldest sealed step — sort, level-0 partition,
-// publish, cascading merges — and recycles its buffers: the one install
-// routine, run by the scheduler worker, SyncMaintenance, a
-// synchronous EndStep and crash recovery alike. It commits nothing; the
-// caller issues the barrier. installed reports that the step was published.
-// A failure before that is sticky (maintErr): the step stays sealed, the
-// scheduler stops retrying and a backpressured EndStep surfaces the error
-// until an inline drain retries. A failure after it (an unfinished merge
-// cascade) is recorded but not sticky — the next install repairs it. Caller
-// holds maintMu.
-func (e *engine) installOne() (bd partition.UpdateBreakdown, installed bool, err error) {
+// installOne writes the sealed step as its level-0 partition and publishes
+// it — the one level-0 write, run by EndStep for its own step and, for a
+// step whose write failed, by the next EndStep, SyncMaintenance, Checkpoint
+// or Close — and recycles the step's buffers. It returns the step's update
+// breakdown, zero when nothing was sealed. A failure leaves the step sealed
+// and shows as LastError until a write succeeds; it commits nothing. Caller
+// holds loadMu.
+func (e *engine) installOne() (UpdateStats, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return bd, false, ErrClosed
+		return UpdateStats{}, ErrClosed
 	}
 	pending := e.store.Pending()
 	if len(pending) == 0 {
 		e.mu.Unlock()
-		return bd, false, nil
+		return UpdateStats{}, nil
 	}
-	e.mstats.running = true
+	e.mstats.running++
 	e.mu.Unlock()
 
 	t0 := time.Now()
@@ -157,27 +160,19 @@ func (e *engine) installOne() (bd partition.UpdateBreakdown, installed bool, err
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.mstats.running = false
+	e.mstats.running--
 	if step != 0 {
 		// The step published is the head this installer, the only one, read.
 		e.recycleLocked(pending[0])
 		e.mstats.installs++
-		e.mstats.merges += bd.Merges
 		e.mstats.installTime += time.Since(t0)
+		e.mstats.lastErr = ""
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		e.mstats.lastErr = err.Error()
-		if step == 0 {
-			e.maintErr = err
-		}
-	case step != 0:
-		// A clean install means the stream is healthy again; stop reporting
-		// a stale failure.
-		e.mstats.lastErr, e.maintErr = "", nil
 	}
 	e.wakeLocked()
-	return bd, step != 0, err
+	return bd, err
 }
 
 // recycleLocked hands an installed step's grown buffers back to the observe
@@ -190,9 +185,6 @@ func (e *engine) recycleLocked(sb *partition.SealedBatch) {
 	if len(e.batch) == 0 && cap(buf) > cap(e.batch) {
 		e.batch = buf[:0]
 	}
-	if sketch == nil {
-		return // recovered from a spill at open
-	}
 	sketch.Reset()
 	if e.sketch.Count() == 0 {
 		e.sketch = sketch
@@ -201,15 +193,59 @@ func (e *engine) recycleLocked(sb *partition.SealedBatch) {
 	}
 }
 
-// runMaintenanceOnce installs at most one sealed step and commits the result
-// — one unit of background maintenance. It returns whether a step was
-// installed. The maintenance lock spans the commit too, so a Close that
-// waited it out is never followed by this store's commit.
+// merge runs the due merges — all of them, or at most one — keeping the
+// counters, and reports how many ran with their time and I/O. A failure is
+// sticky (maintErr): the scheduler stops retrying it and a backpressured
+// EndStep reports it, until a merge succeeds (SyncMaintenance, or the
+// scheduler run the next EndStep asks for). It commits nothing. Caller
+// holds maintMu.
+func (e *engine) merge(all bool) (n int, d time.Duration, io IOStats, err error) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return 0, 0, io, ErrClosed
+	}
+	e.mstats.running++
+	e.mu.Unlock()
+
+	t0 := time.Now()
+	for merged := true; merged && (all || n == 0); {
+		var mio IOStats
+		merged, mio, err = e.store.Merge()
+		io = io.Add(mio)
+		if err != nil {
+			break
+		}
+		if merged {
+			n++
+		}
+	}
+	d = time.Since(t0)
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.mstats.running--
+	e.mstats.merges += n
+	e.mstats.installTime += d
+	switch {
+	case err != nil:
+		e.mstats.lastErr, e.maintErr = err.Error(), err
+	case n > 0:
+		e.mstats.lastErr, e.maintErr = "", nil
+	}
+	e.wakeLocked()
+	return n, d, io, err
+}
+
+// runMaintenanceOnce runs one due merge and commits it — one unit of
+// background maintenance. It reports whether a merge ran. The maintenance
+// lock spans the commit too, so a Close that waited it out is never
+// followed by this store's commit.
 func (e *engine) runMaintenanceOnce() (bool, error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
-	_, installed, err := e.installOne()
-	if !installed {
+	n, _, _, err := e.merge(false)
+	if n == 0 {
 		return false, err
 	}
 	if cerr := e.store.Commit(manifestName); cerr != nil && err == nil {
@@ -221,41 +257,53 @@ func (e *engine) runMaintenanceOnce() (bool, error) {
 	return true, err
 }
 
-// SyncMaintenance is Stream.SyncMaintenance on the pinned engine: it clears
-// a sticky maintenance error, then installs and commits sealed steps inline
-// until none is left or one fails. An install publishes its step before its
-// merges run, so an empty queue is not yet an idle stream: each round takes
-// the maintenance lock, which waits out an install and its commit in
-// flight.
-func (e *engine) SyncMaintenance() error {
-	for {
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return ErrClosed
-		}
-		e.maintErr = nil
-		e.mu.Unlock()
-		if installed, err := e.runMaintenanceOnce(); err != nil || !installed {
-			return err
-		}
+// drain clears a sticky merge failure, writes a step whose level-0 write
+// failed, then runs every due merge — the inline work of SyncMaintenance
+// and Close. It reports whether it changed the published layout, and
+// commits nothing. Caller holds loadMu.
+func (e *engine) drain() (bool, error) {
+	e.mu.Lock()
+	e.maintErr = nil
+	e.mu.Unlock()
+	us, err := e.installOne()
+	if err != nil {
+		return false, err
 	}
+	// maintMu waits out a background merge and its commit in flight.
+	e.maintMu.Lock()
+	n, _, _, err := e.merge(true)
+	e.maintMu.Unlock()
+	return us.BatchSize > 0 || n > 0, err
 }
 
-// maintPending reports whether the stream has sealed steps awaiting
-// installation and is not wedged on a sticky error.
+// SyncMaintenance is Stream.SyncMaintenance on the pinned engine: it runs
+// drain inline and commits what it changed, returning the first failure.
+func (e *engine) SyncMaintenance() error {
+	e.loadMu.Lock()
+	defer e.loadMu.Unlock()
+	changed, err := e.drain()
+	if changed {
+		if cerr := e.store.Commit(manifestName); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// maintPending reports whether a merge is due on the stream and it is not
+// wedged on a sticky failure.
 func (e *engine) maintPending() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return !e.closed && e.maintErr == nil && len(e.store.Pending()) > 0
+	steps, _ := e.store.Backlog()
+	return !e.closed && e.maintErr == nil && steps > len(e.store.Pending())
 }
 
 // scheduler is the DB-wide background maintenance executor: one bounded
-// worker pool shared by every stream of a DB. Streams with pending installs
-// queue FIFO; a worker pops a stream, installs exactly one sealed step, and
-// re-queues the stream at the tail if it still has work — so a backlogged
-// stream cannot starve the others, and per-stream installs stay in step
-// order.
+// worker pool shared by every stream of a DB. Streams with a merge due
+// queue FIFO; a worker pops a stream, runs exactly one merge, and re-queues
+// the stream at the tail if another is due — so a backlogged stream cannot
+// starve the others, and a stream's merges never run concurrently.
 type scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -288,9 +336,9 @@ func newScheduler(cfg Options) *scheduler {
 	return s
 }
 
-// enqueue schedules a stream for one install. Idempotent; a stream already
-// being serviced is marked dirty and revisited when its current install
-// finishes (per-stream installs never run concurrently).
+// enqueue schedules a stream for one merge. Idempotent; a stream already
+// being serviced is marked dirty and revisited when its current merge
+// finishes (per-stream merges never run concurrently).
 func (s *scheduler) enqueue(e *engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,7 +386,7 @@ func (s *scheduler) worker() {
 	}
 }
 
-// close stops the workers after their current installs; queued work is
+// close stops the workers after their current merges; queued work is
 // abandoned (engines drain inline on Close).
 func (s *scheduler) close() {
 	s.mu.Lock()
@@ -359,12 +407,12 @@ type SchedulerStats struct {
 	// a worker.
 	QueuedStreams  int
 	RunningStreams int
-	// PendingSteps and MergeDebt aggregate every stream's sealed backlog
-	// (steps, elements).
+	// PendingSteps and MergeDebt aggregate every stream's pending steps and
+	// their elements (MaintenanceStats.PendingSteps, PendingElements).
 	PendingSteps int
 	MergeDebt    int64
-	// Installs and Merges total the installs and level merges completed
-	// across all hydrated streams since they were hydrated.
+	// Installs and Merges total the level-0 writes and level merges
+	// completed across all hydrated streams since they were hydrated.
 	Installs int
 	Merges   int
 	// MaintIO is the device-wide maintenance-attributed I/O.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path"
 	"slices"
@@ -132,6 +133,143 @@ func TestMaintenanceModesEquivalent(t *testing.T) {
 	}
 }
 
+// TestEachStepWrittenOnce pins a step's one write, in every mode and on
+// both sort paths: no EndStep creates a raw spill (the fault hook fails any
+// that tries), and before any merge is due each step's sequential block
+// writes are its level-0 partition's — one per block and one for the footer
+// — plus, when SortMemElements is one block (64) and the external sort
+// takes the step, the sorted runs it cuts from the batch, temporaries that
+// are gone once maintenance is done.
+func TestEachStepWrittenOnce(t *testing.T) {
+	for _, mode := range []string{MaintenanceSync, MaintenanceAsync, MaintenanceManual} {
+		for _, sortMem := range []int{0, 64} {
+			t.Run(fmt.Sprintf("%s/sortmem=%d", mode, sortMem), func(t *testing.T) {
+				cfg := maintConfig(mode, 4)
+				cfg.BlockSize, cfg.SortMemElements = 512, sortMem
+				eng := OneStream(t, cfg)
+				var mu sync.Mutex
+				writes := make(map[string]int) // sequential block writes, by file-name prefix
+				eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+					base := path.Base(name)
+					if op == disk.OpOpen && strings.HasPrefix(base, "batch-raw-") {
+						return fmt.Errorf("raw spill %s created", name)
+					}
+					if op == disk.OpSeqWrite {
+						kind, _, _ := strings.Cut(base, "-")
+						mu.Lock()
+						writes[kind]++
+						mu.Unlock()
+					}
+					return nil
+				})
+				gen := workload.NewUniform(42)
+				for step := 1; step <= 12; step++ {
+					mu.Lock()
+					clear(writes)
+					mu.Unlock()
+					eng.ObserveSlice(workload.Fill(gen, 700))
+					if _, err := eng.EndStep(); err != nil {
+						t.Fatalf("EndStep %d: %v", step, err)
+					}
+					if step > 3 {
+						continue // κ=3: merges come due from step 4 on
+					}
+					ents := engineOf(t, eng).store.Entries()
+					r, err := ents[len(ents)-1].Part.OpenRandom()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := map[string]int{"part": int(r.Blocks()) + 1}
+					r.Close() //nolint:errcheck // read-only
+					mu.Lock()
+					got := maps.Clone(writes)
+					mu.Unlock()
+					if sortMem > 0 {
+						if got["sort"] == 0 {
+							t.Errorf("step %d cut no sort runs with a one-block sort memory", step)
+						}
+						want["sort"] = got["sort"]
+					}
+					if !maps.Equal(got, want) {
+						t.Errorf("step %d wrote %v, want its partition's %d blocks and footer alone", step, got, want["part"]-1)
+					}
+				}
+				if err := eng.SyncMaintenance(); err != nil {
+					t.Fatal(err)
+				}
+				if got := eng.MaintenanceStats().Installs; got != 12 {
+					t.Errorf("Installs = %d, want 12", got)
+				}
+				names, err := eng.db.dev.List("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					if base := path.Base(name); strings.HasPrefix(base, "sort-") || strings.HasPrefix(base, "batch-raw-") {
+						t.Errorf("%s left on the device", name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAsyncEndStepSkipsMerge parks a background merge and requires an async
+// EndStep below the backpressure bound to return anyway, with its step
+// already written as a level-0 partition beside the parked merge's inputs —
+// no step left sealed behind it — and every answer within ε.
+func TestAsyncEndStepSkipsMerge(t *testing.T) {
+	eng := OneStream(t, maintConfig(MaintenanceAsync, 4))
+	parked, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the merge
+	var once sync.Once
+	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqRead && partFile(name) {
+			once.Do(func() { close(parked) })
+			<-gate
+		}
+		return nil
+	})
+	gen := workload.NewUniform(29)
+	all := feedSteps(t, eng, gen, 4, 500) // κ=3: the 4th step's partition makes a merge due
+	<-parked
+
+	vals := workload.Fill(gen, 500)
+	all = append(all, vals...)
+	eng.ObserveSlice(vals)
+	endStep := make(chan error, 1)
+	go func() {
+		_, err := eng.EndStep()
+		endStep <- err
+	}()
+	select {
+	case err := <-endStep:
+		if err != nil {
+			t.Fatalf("EndStep beside the parked merge: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an async EndStep waited for a running merge")
+	}
+	if got := eng.PartitionCount(); got != 5 {
+		t.Errorf("PartitionCount = %d with the merge parked, want 5 (the new step's partition beside the merge's 4 inputs)", got)
+	}
+	if ms := eng.MaintenanceStats(); !ms.Running || ms.PendingSteps != 2 || ms.Installs != 5 {
+		t.Errorf("with the merge parked: running %v, %d pending steps, %d installs; want true, the 2 partitions past κ, 5",
+			ms.Running, ms.PendingSteps, ms.Installs)
+	}
+	if n := len(engineOf(t, eng).store.Pending()); n != 0 {
+		t.Errorf("%d steps sealed behind the parked merge, want 0", n)
+	}
+	checkAgainstOracle(t, eng, all, "merge parked")
+	release()
+	if err := eng.SyncMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	eng.db.dev.SetFault(nil)
+	checkAgainstOracle(t, eng, all, "merged")
+}
+
 // TestSyncInstallBlocksNobody parks a synchronous EndStep inside its install
 // (a gate on the level-0 partition write) and requires that, while it is in
 // flight, ObserveSlice returns and a query answers within ε over everything
@@ -202,11 +340,11 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 	checkAgainstOracle(t, eng, all, "installed")
 }
 
-// TestCountsAgreeDuringSeal parks a step's raw spill and requires every
-// counter to agree with the answers while it is in flight: the cut hands the
-// batch to the store in the same move that takes it off the live sketch, so
-// from then on the step is history to every reader, counted and answered
-// alike.
+// TestCountsAgreeDuringSeal parks a step's level-0 partition write and
+// requires every counter to agree with the answers while it is in flight:
+// the cut hands the batch to the store in the same move that takes it off
+// the live sketch, so from then on the step is history to every reader,
+// counted and answered alike.
 func TestCountsAgreeDuringSeal(t *testing.T) {
 	eng := OneStream(t, maintConfig(MaintenanceSync, 0))
 	parked, gate := make(chan struct{}), make(chan struct{})
@@ -214,7 +352,7 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 	defer release() // before Close, which waits for the EndStep
 	var once sync.Once
 	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
-		if op == disk.OpSeqWrite && strings.HasPrefix(path.Base(name), "batch-raw-") {
+		if op == disk.OpSeqWrite && partFile(name) {
 			once.Do(func() { close(parked) })
 			<-gate
 		}
@@ -230,15 +368,15 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 
 	ans, err := eng.Query(context.Background(), Request{Phis: []float64{0.5}})
 	if err != nil {
-		t.Fatalf("query with the spill in flight: %v", err)
+		t.Fatalf("query with the write in flight: %v", err)
 	}
 	sum, err := eng.Summary()
 	if err != nil {
-		t.Fatalf("summary with the spill in flight: %v", err)
+		t.Fatalf("summary with the write in flight: %v", err)
 	}
 	total, hist, steps := eng.TotalCount(), eng.HistCount(), eng.Steps()
 	pending := eng.MaintenanceStats().PendingSteps
-	t.Logf("spill in flight: TotalCount %d, HistCount %d, Steps %d, PendingSteps %d; Query N %d, Summary N %d",
+	t.Logf("write in flight: TotalCount %d, HistCount %d, Steps %d, PendingSteps %d; Query N %d, Summary N %d",
 		total, hist, steps, pending, ans.N, sum.N)
 	if ans.N != 500 || sum.N != ans.N {
 		t.Errorf("Query N = %d, Summary N = %d; want 500 both", ans.N, sum.N)
@@ -260,41 +398,42 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 }
 
 // TestManualMaintenanceDefersInstalls pins the deferred-phase contract:
-// EndStep in manual mode seals without installing (no new partitions, the
-// backlog grows, queries still cover everything), and SyncMaintenance folds
-// the backlog into partitions.
+// EndStep in manual mode writes each step's level-0 partition but runs no
+// merge (the level-0 run grows past κ, its excess counted as pending, and
+// queries cover everything), and SyncMaintenance runs the merges.
 func TestManualMaintenanceDefersInstalls(t *testing.T) {
 	eng := OneStream(t, maintConfig(MaintenanceManual, 0))
 	all := feedSteps(t, eng, workload.NewNormal(7), 5, 400)
-	if got := eng.PartitionCount(); got != 0 {
-		t.Errorf("PartitionCount = %d before maintenance, want 0", got)
+	if got := eng.Describe(); len(got) != 1 || got[0].Partitions != 5 {
+		t.Errorf("layout %+v before maintenance, want the 5 steps' partitions at level 0", got)
 	}
 	ms := eng.MaintenanceStats()
-	if ms.PendingSteps != 5 || ms.PendingElements != 2000 {
-		t.Errorf("pending = %d steps / %d elements, want 5 / 2000", ms.PendingSteps, ms.PendingElements)
+	if ms.PendingSteps != 2 || ms.PendingElements != 800 || ms.Merges != 0 {
+		t.Errorf("pending = %d steps / %d elements after %d merges, want the 2 partitions past κ=3, 800 elements, no merge",
+			ms.PendingSteps, ms.PendingElements, ms.Merges)
 	}
 	if got := eng.HistCount(); got != 2000 {
-		t.Errorf("HistCount = %d, want 2000 (sealed steps count as history)", got)
+		t.Errorf("HistCount = %d, want 2000", got)
 	}
 	if got := eng.Steps(); got != 5 {
 		t.Errorf("Steps = %d, want 5", got)
 	}
-	checkAgainstOracle(t, eng, all, "sealed-only")
+	checkAgainstOracle(t, eng, all, "unmerged")
 
 	if err := eng.SyncMaintenance(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.PartitionCount(); got == 0 {
-		t.Error("PartitionCount still 0 after SyncMaintenance")
+	if got := eng.Describe(); len(got) != 2 || got[0].Partitions != 1 || got[1].Partitions != 1 || got[1].Steps != 4 {
+		t.Errorf("layout %+v after SyncMaintenance, want step 5 at level 0 and steps 1-4 merged at level 1", got)
 	}
-	if got := eng.MaintenanceStats().PendingSteps; got != 0 {
-		t.Errorf("pending = %d after SyncMaintenance", got)
+	if got := eng.MaintenanceStats(); got.PendingSteps != 0 || got.Merges != 1 {
+		t.Errorf("pending = %d after SyncMaintenance's %d merges, want 0 after 1", got.PendingSteps, got.Merges)
 	}
-	checkAgainstOracle(t, eng, all, "installed")
+	checkAgainstOracle(t, eng, all, "merged")
 }
 
-// TestAsyncBackpressureBlocks wedges the background install with a blocking
-// fault hook and proves that (a) EndStep blocks once MaxPendingSteps seals
+// TestAsyncBackpressureBlocks wedges the background merge with a blocking
+// fault hook and proves that (a) EndStep blocks once MaxPendingSteps steps
 // are pending, (b) EndStepCtx aborts the wait on cancellation, and (c) the
 // wait resolves as soon as maintenance progresses.
 func TestAsyncBackpressureBlocks(t *testing.T) {
@@ -306,21 +445,18 @@ func TestAsyncBackpressureBlocks(t *testing.T) {
 	gate := make(chan struct{})
 	var released atomic.Bool
 	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
-		// Block the first partition write (the background install) until the
-		// gate opens. Seals write batch-raw files, which pass through.
-		if op == disk.OpSeqWrite && partFile(name) && !released.Load() {
+		// Block the merge's reads of its input partitions until the gate
+		// opens. EndStep's level-0 writes read nothing and pass through.
+		if op == disk.OpSeqRead && partFile(name) && !released.Load() {
 			<-gate
 		}
 		return nil
 	})
 
 	gen := workload.NewUniform(3)
-	eng.ObserveSlice(workload.Fill(gen, 300))
-	if _, err := eng.EndStep(); err != nil {
-		t.Fatal(err) // seals; install blocks in the background
-	}
+	feedSteps(t, eng, gen, 4, 300) // the 4th partition puts level 0 past κ: the merge wedges
 
-	// Second EndStep must hit backpressure (1 pending >= MaxPendingSteps=1).
+	// The next EndStep must hit backpressure (1 pending >= MaxPendingSteps=1).
 	eng.ObserveSlice(workload.Fill(gen, 300))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -339,7 +475,7 @@ func TestAsyncBackpressureBlocks(t *testing.T) {
 	case <-time.After(30 * time.Millisecond):
 	}
 	released.Store(true)
-	close(gate) // let the install finish
+	close(gate) // let the merge finish
 	select {
 	case err := <-done:
 		if err != nil {
@@ -356,8 +492,8 @@ func TestAsyncBackpressureBlocks(t *testing.T) {
 	if ms.BackpressureWaits == 0 {
 		t.Error("BackpressureWaits = 0, want > 0")
 	}
-	if ms.Installs != 2 {
-		t.Errorf("Installs = %d, want 2", ms.Installs)
+	if ms.Installs != 5 || ms.Merges != 1 {
+		t.Errorf("Installs = %d, Merges = %d; want 5, 1", ms.Installs, ms.Merges)
 	}
 }
 
@@ -455,19 +591,19 @@ func TestDBWaitIdleAndSchedulerStats(t *testing.T) {
 	}
 }
 
-// TestAsyncRestartRecoversSealedSteps crashes (well, closes the backend
-// abruptly by just reopening over the same memory device is impossible —
-// use the file backend) with a sealed backlog and requires the reopened
-// engine to re-install every sealed step from its spill.
+// TestManualRestartRecoversSealedSteps reopens a manual-mode stream after
+// an unclean shutdown — no Close, no SyncMaintenance, merges still due —
+// and requires the reopen to find every step EndStep returned as a
+// partition: the same layout, with no step replayed and nothing written.
 func TestManualRestartRecoversSealedSteps(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Options{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024, Maintenance: MaintenanceManual}
 	eng := OneStream(t, cfg)
 	all := feedSteps(t, eng, workload.NewUniform(11), 4, 350)
-	// Simulate an unclean shutdown: no Close, no SyncMaintenance — the
-	// sealed steps exist only as spills + manifest pending entries.
-	if got := eng.PartitionCount(); got != 0 {
-		t.Fatalf("PartitionCount = %d, want 0 (nothing installed)", got)
+	// Simulate an unclean shutdown: the first DB is never closed.
+	want := eng.Describe()
+	if len(want) != 1 || want[0].Partitions != 4 {
+		t.Fatalf("layout %+v, want the 4 steps' partitions at level 0 (no merge run)", want)
 	}
 
 	re := OneStream(t, cfg) // a second DB over the same directory: the reopen
@@ -477,11 +613,14 @@ func TestManualRestartRecoversSealedSteps(t *testing.T) {
 	if got := re.HistCount(); got != int64(len(all)) {
 		t.Errorf("recovered HistCount = %d, want %d", got, len(all))
 	}
-	if got := re.PartitionCount(); got == 0 {
-		t.Error("recovered engine installed no partitions")
+	if got := re.Describe(); !slices.Equal(got, want) {
+		t.Errorf("recovered layout %+v, want %+v", got, want)
 	}
-	if got := re.MaintenanceStats().PendingSteps; got != 0 {
-		t.Errorf("recovered pending = %d, want 0 (reopen drains)", got)
+	if got := re.DiskStats().SeqWrites; got != 0 {
+		t.Errorf("the reopen wrote %d blocks, want none (nothing to replay)", got)
+	}
+	if got := re.MaintenanceStats().PendingSteps; got != 1 {
+		t.Errorf("recovered pending = %d, want the 1 partition past κ (manual mode merges nothing on open)", got)
 	}
 	checkAgainstOracle(t, re, all, "recovered")
 }
@@ -545,13 +684,14 @@ func maintBenchConfig(mode string) Options {
 	return cfg
 }
 
-func reportP99(b *testing.B, lat []time.Duration, name string) {
+// reportPct reports the pct-th percentile of lat as the metric name.
+func reportPct(b *testing.B, lat []time.Duration, pct int, name string) {
 	b.Helper()
 	if len(lat) == 0 {
 		return
 	}
 	slices.Sort(lat)
-	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), name)
+	b.ReportMetric(float64(lat[len(lat)*pct/100].Nanoseconds()), name)
 }
 
 // BenchmarkIngestStall measures the write path's tail latency across step
@@ -606,14 +746,15 @@ func BenchmarkIngestStall(b *testing.B) {
 				endStep = append(endStep, time.Since(t0))
 			}
 			b.StopTimer()
-			reportP99(b, endStep, "p99-endstep-ns")
+			reportPct(b, endStep, 50, "p50-endstep-ns")
+			reportPct(b, endStep, 99, "p99-endstep-ns")
 			stop.Store(true)
 			wg.Wait()
 			if err := eng.SyncMaintenance(); err != nil {
 				b.Fatal(err)
 			}
 			mu.Lock()
-			reportP99(b, lat, "p99-observe-ns")
+			reportPct(b, lat, 99, "p99-observe-ns")
 			mu.Unlock()
 		})
 	}
@@ -666,7 +807,7 @@ func BenchmarkQueryDuringMerge(b *testing.B) {
 			if err := eng.SyncMaintenance(); err != nil {
 				b.Fatal(err)
 			}
-			reportP99(b, lat, "p99-query-ns")
+			reportPct(b, lat, 99, "p99-query-ns")
 		})
 	}
 }

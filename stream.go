@@ -120,28 +120,28 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // buffered batch becomes part of the warehouse and the stream sketch is
 // reset. An empty stream is a no-op.
 //
-// Every maintenance mode runs the same four moves. Cut and seal: under the
+// Every maintenance mode runs the same moves. Cut and seal: under the
 // engine lock the batch and its sketch leave the live step and become the
-// newest sealed step of the store's published history, so elements observed
-// from here on belong to the next step, and counters and answers agree on
-// this one. Spill: the raw batch is written, outside every engine lock; from
-// the cut until its install is published, queries cover the step through
-// its frozen summary, so answers always span the full observed history and
-// neither Observe nor Query waits for a spill or an install. Install
-// (Algorithm 3, HistUpdate: sort into a level-0 partition, κ-way merges as
-// needed) by whoever the mode names — this caller before it returns (sync,
-// the default), the scheduler (async; EndStep first blocks while
-// MaxPendingSteps seals await installation, and EndStepCtx aborts that wait
-// on cancellation), or nobody until SyncMaintenance (manual). Commit: one write-data → sync → commit-manifest
-// → sync sequence, so when EndStep returns nil the step survives any crash
-// — as a partition, or as a spill a reopened DB re-installs — and a
-// reopened stream recovers exactly the prefix of time steps whose EndStep
-// completed.
+// sealed step of the store's published history, so elements observed from
+// here on belong to the next step, and counters and answers agree on this
+// one. Write: outside every engine lock, the step is sorted and written
+// once, as its level-0 partition (Algorithm 3, HistUpdate); until that is
+// published, queries cover the step through its frozen summary, so answers
+// always span the full observed history and neither Observe nor Query waits
+// for the write. Merge: a level holding more than κ partitions merges its
+// oldest κ+1, run by whoever the mode names — this caller before it returns
+// (sync, the default), the scheduler (async; EndStep first blocks while
+// MaxPendingSteps steps are pending, and EndStepCtx aborts that wait on
+// cancellation), or nobody until SyncMaintenance (manual). Commit: one
+// write-data → sync → commit-manifest → sync sequence, so when EndStep
+// returns nil the step survives any crash as a partition, and a reopened
+// stream recovers exactly the prefix of time steps whose EndStep completed.
 //
-// On an error the step is still sealed: counted, answered from its frozen
-// summary, and durable once any later commit succeeds (the next EndStep's,
-// or DB.Checkpoint's). An install that failed is retried by the next
-// synchronous EndStep or by SyncMaintenance; no step is installed twice.
+// If the level-0 write fails, the step stays sealed: counted, answered from
+// its frozen summary, and written — before anything else — by the next
+// EndStep, SyncMaintenance, DB.Checkpoint or Close, whose commit makes it
+// durable; no step is written twice. A failed merge is retried by the next
+// merge of its level.
 func (s *Stream) EndStep() (UpdateStats, error) {
 	return s.EndStepCtx(context.Background())
 }
@@ -151,8 +151,8 @@ func (s *Stream) EndStep() (UpdateStats, error) {
 // is hydrated, and polled between bisection probes, so a cancelled request
 // abandons its remaining random disk reads mid-search.
 //
-// With a deferred-maintenance backlog, sealed steps count toward the stream
-// side of the error bound until their installs complete.
+// A sealed step counts toward the stream side of the error bound until its
+// level-0 partition is published; merges still due change no answer.
 func (s *Stream) Query(ctx context.Context, req Request) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
@@ -216,8 +216,8 @@ func (s *Stream) peek(f func(*engine)) error {
 
 // AvailableWindows lists the trailing-window sizes (in time steps) that
 // align with partition boundaries; windowed queries also include the current
-// stream (paper §2.4, "Queries Over Windows"). Steps sealed but not yet
-// installed by background maintenance are the newest windows.
+// stream (paper §2.4, "Queries Over Windows"). A sealed step whose level-0
+// write is running or failed is the newest window.
 func (s *Stream) AvailableWindows() []int {
 	return onEngine(s, func(e *engine) []int { return e.status().Windows })
 }
@@ -226,7 +226,8 @@ func (s *Stream) AvailableWindows() []int {
 func (s *Stream) StreamCount() int64 { return onEngine(s, (*engine).StreamCount) }
 
 // HistCount returns n, the element count across all completed steps —
-// installed partitions plus steps sealed and awaiting installation.
+// installed partitions plus a sealed step whose level-0 write is running or
+// failed.
 func (s *Stream) HistCount() int64 { return onEngine(s, (*engine).HistCount) }
 
 // TotalCount returns N = n + m.
@@ -315,21 +316,22 @@ func (s *Stream) ProbeMemoStats() ProbeMemoStats {
 
 // MaintenanceStats returns the stream's maintenance counters. A cold
 // stream reports an empty (fully drained) state without hydrating —
-// eviction seals a stream only after its backlog is installed, so cold
-// streams genuinely have no pending work.
+// eviction seals a stream only after its pending work is done, so cold
+// streams genuinely have none.
 func (s *Stream) MaintenanceStats() MaintenanceStats {
 	ms := MaintenanceStats{Mode: s.db.opts.Maintenance}
 	s.peek(func(e *engine) { ms = e.MaintenanceStats() }) //nolint:errcheck // a dropped stream or closed DB has no backlog
 	return ms
 }
 
-// SyncMaintenance blocks until every sealed step of this stream is
-// installed and committed, running the installs inline: the drain of manual
-// mode, an accelerator for a backlogged async stream, and the retry of a
-// step whose install failed in any mode (it clears the sticky maintenance
-// error first and returns the first failure it meets). A cold stream has no
-// pending work — sealing drained it — so the call returns immediately
-// without hydrating.
+// SyncMaintenance blocks until this stream has no pending work, running it
+// inline and committing the result: it writes a step whose level-0 write
+// failed, then runs every due merge — the drain of manual mode, an
+// accelerator for a backlogged async stream, and the retry of a failed
+// write or merge in any mode (it clears the sticky maintenance error first
+// and returns the first failure it meets). A cold stream has no pending
+// work — sealing drained it — so the call returns immediately without
+// hydrating.
 func (s *Stream) SyncMaintenance() error {
 	var err error
 	if perr := s.peek(func(e *engine) { err = e.SyncMaintenance() }); perr != nil {

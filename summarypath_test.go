@@ -21,7 +21,8 @@ import (
 // local plan member takes: over a real ingest listener, the SummaryReq for an
 // evicted stream is a sidecar read — no hydration, no eviction of the
 // owner's hot set — and for a hydrated stream a snapshot that carries the
-// stream-side pieces; both replies are byte-equal to db.ScopedSummary's.
+// stream-side piece of its live step; both replies are byte-equal to
+// db.ScopedSummary's.
 func TestRemoteSummaryDoesNotHydrate(t *testing.T) {
 	db, err := hsq.Open(hsq.Options{
 		Epsilon: 0.1, Kappa: 2, Backend: "mem", BlockSize: 512,
@@ -48,11 +49,11 @@ func TestRemoteSummaryDoesNotHydrate(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		step(cold, 200)
 	}
-	if err := cold.SyncMaintenance(); err != nil { // eviction needs an installed backlog
+	if err := cold.SyncMaintenance(); err != nil { // its due merges, so the sidecar is of a merged layout
 		t.Fatal(err)
 	}
-	// The second stream takes the one hydration slot and keeps it: a sealed
-	// backlog (manual mode installs nothing) and a live buffer.
+	// The second stream takes the one hydration slot and keeps it: a live
+	// buffer, which only EndStep may cut.
 	hot, err := db.Stream("fleet.hot")
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestRemoteSummaryDoesNotHydrate(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		pieces int
-	}{{"fleet.cold", 0}, {"fleet.hot", 3}} {
+	}{{"fleet.cold", 0}, {"fleet.hot", 1}} {
 		before := db.DirectoryStats()
 		got, err := cluster.FetchSummary(context.Background(), 5*time.Second, node, c.name)
 		if err != nil {
