@@ -47,11 +47,11 @@ type Sketch struct {
 	tuples []tuple
 	// pending buffers recent inserts; they are sorted and merged into the
 	// tuple list in one pass when the buffer fills (or before any query).
-	// This keeps insertion amortized O(log) instead of O(tuples) per
-	// element, without weakening the invariant: each buffered element is
-	// merged with the same g=1, Δ=⌊2εn⌋−1 it would have received
-	// individually (n only grows while it waits, so the invariant bound
-	// only loosens).
+	// So every 1/(2ε) inserts cost one sort of the buffer, one merge pass
+	// and one compress pass, each linear in tuples + buffer. The invariant
+	// is not weakened: each buffered element is merged with the same g=1,
+	// Δ=⌊2εn⌋−1 it would have received individually (n only grows while
+	// it waits, so the invariant bound only loosens).
 	pending    []int64
 	flushEvery int
 	// scratch is the spare tuple buffer flush merges into; it swaps roles
@@ -126,12 +126,18 @@ func (s *Sketch) Insert(v int64) {
 	}
 }
 
-// flush merges the pending buffer into the tuple list in one pass and
-// compresses.
+// flush merges the pending buffer into the tuple list and compresses it.
 func (s *Sketch) flush() {
 	if len(s.pending) == 0 {
 		return
 	}
+	s.merge()
+	s.compress()
+}
+
+// merge sorts the pending buffer and merges it into the tuple list in one
+// pass, emptying the buffer.
+func (s *Sketch) merge() {
 	slices.Sort(s.pending)
 	cap2 := int64(2 * s.eps * float64(s.n))
 	midDelta := cap2 - 1
@@ -166,7 +172,6 @@ func (s *Sketch) flush() {
 	if len(s.tuples) > s.maxTuples {
 		s.maxTuples = len(s.tuples)
 	}
-	s.compress()
 }
 
 // band computes the compression band of a tuple's delta given the current
@@ -184,22 +189,29 @@ func band(delta, p int64) int64 {
 }
 
 // compress merges adjacent tuples whose combined uncertainty fits within the
-// invariant g_i + g_{i+1} + Δ_{i+1} ≤ ⌊2εn⌋, respecting band order.
+// invariant g_i + g_{i+1} + Δ_{i+1} ≤ ⌊2εn⌋, respecting band order. One
+// right-to-left sweep tests each tuple i against the nearest survivor on its
+// right, tuples[w], and packs the survivors into tuples[w:] (w > i, so no
+// unread tuple is overwritten); one copy then moves them to the front. The
+// first and last tuples (exact min and max) are never removed.
 func (s *Sketch) compress() {
 	if len(s.tuples) < 3 {
 		return
 	}
 	p := int64(2 * s.eps * float64(s.n))
-	// Sweep right-to-left; never remove the first or last tuple (exact min
-	// and max).
-	for i := len(s.tuples) - 2; i >= 1; i-- {
-		t := s.tuples[i]
-		next := s.tuples[i+1]
+	w := len(s.tuples) - 1
+	for i := w - 1; i >= 1; i-- {
+		t, next := s.tuples[i], &s.tuples[w]
 		if band(t.delta, p) <= band(next.delta, p) && t.g+next.g+next.delta <= p {
-			s.tuples[i+1].g += t.g
-			s.tuples = append(s.tuples[:i], s.tuples[i+1:]...)
+			next.g += t.g
+		} else {
+			w--
+			s.tuples[w] = t
 		}
 	}
+	w--
+	s.tuples[w] = s.tuples[0]
+	s.tuples = s.tuples[:copy(s.tuples, s.tuples[w:])]
 }
 
 // Query returns a value whose rank in the stream is within ±εn of r.

@@ -314,3 +314,120 @@ func TestBandMonotonicity(t *testing.T) {
 		}
 	}
 }
+
+// compressReference is compress as it stood before the one-pass rewrite:
+// each absorbed tuple is deleted by shifting the rest of the list left.
+// TestCompressMatchesReference holds compress to it.
+func compressReference(s *Sketch) {
+	if len(s.tuples) < 3 {
+		return
+	}
+	p := int64(2 * s.eps * float64(s.n))
+	// Sweep right-to-left; never remove the first or last tuple (exact min
+	// and max).
+	for i := len(s.tuples) - 2; i >= 1; i-- {
+		t := s.tuples[i]
+		next := s.tuples[i+1]
+		if band(t.delta, p) <= band(next.delta, p) && t.g+next.g+next.delta <= p {
+			s.tuples[i+1].g += t.g
+			s.tuples = append(s.tuples[:i], s.tuples[i+1:]...)
+		}
+	}
+}
+
+// TestCompressMatchesReference feeds the same values to a sketch and to a
+// twin whose flushes compress with compressReference, and requires the two
+// tuple lists to be identical after every flush, and the answers at fixed
+// probes to be equal once the last partial buffer is flushed.
+func TestCompressMatchesReference(t *testing.T) {
+	dists := []struct {
+		name string
+		gen  func(rng *rand.Rand, i, n int) int64
+	}{
+		{"uniform", func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(1 << 40) }},
+		{"ascending", func(_ *rand.Rand, i, _ int) int64 { return int64(i) }},
+		{"descending", func(_ *rand.Rand, i, n int) int64 { return int64(n - i) }},
+		{"distinct16", func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(16) }},
+		{"normal", func(rng *rand.Rand, _, _ int) int64 { return int64(rng.NormFloat64() * 1e6) }},
+	}
+	for _, eps := range []float64{0.001 / 8, 0.01, 0.05} {
+		every := MustNew(eps).flushEvery
+		for _, d := range dists {
+			for _, n := range []int{1, 2, 3, every - 1, every, every + 1, 5*every + every/2} {
+				rng := rand.New(rand.NewSource(int64(n)))
+				s, ref := MustNew(eps), MustNew(eps)
+				data := make([]int64, n)
+				for i := range data {
+					v := d.gen(rng, i, n)
+					data[i] = v
+					s.Insert(v)
+					ref.pending = append(ref.pending, v)
+					ref.n++
+					if len(ref.pending) < ref.flushEvery {
+						continue
+					}
+					ref.merge()
+					compressReference(ref)
+					if len(s.pending) != 0 || !slices.Equal(s.tuples, ref.tuples) {
+						t.Fatalf("eps=%g %s n=%d: tuples differ after the flush at insert %d", eps, d.name, n, i+1)
+					}
+					if err := s.checkInvariant(); err != nil {
+						t.Fatalf("eps=%g %s n=%d insert %d: %v", eps, d.name, n, i+1, err)
+					}
+				}
+				if len(ref.pending) > 0 {
+					ref.merge()
+					compressReference(ref)
+				}
+				if err := s.checkInvariant(); err != nil {
+					t.Fatalf("eps=%g %s n=%d: %v", eps, d.name, n, err)
+				}
+				if !slices.Equal(s.tuples, ref.tuples) {
+					t.Fatalf("eps=%g %s n=%d: tuples differ after the last flush", eps, d.name, n)
+				}
+				ranks := []int64{0, 1, int64(n) / 4, int64(n) / 2, int64(n) - 1, int64(n), int64(n) + 1}
+				got, want := slices.Clone(ranks), slices.Clone(ranks)
+				s.QueryAscending(got)
+				ref.QueryAscending(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("eps=%g %s n=%d: QueryAscending %v, reference %v", eps, d.name, n, got, want)
+				}
+				slices.Sort(data)
+				for _, v := range []int64{data[0] - 1, data[0], data[n/3], data[n/2], data[n-1], data[n-1] + 1} {
+					lo, hi := s.RankBounds(v)
+					if rlo, rhi := ref.RankBounds(v); lo != rlo || hi != rhi {
+						t.Fatalf("eps=%g %s n=%d: RankBounds(%d) = [%d,%d], reference [%d,%d]", eps, d.name, n, v, lo, hi, rlo, rhi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// stepValues returns n uniform values, the shape of one stream step.
+func stepValues(n int) []int64 {
+	rng := rand.New(rand.NewSource(int64(n)))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(1 << 40)
+	}
+	return vals
+}
+
+// TestInsertStepZeroAlloc: once its buffers have grown to a step's working
+// set, a sketch takes a whole step — several flushes — and its Reset without
+// allocating, as the engine's live step does at the engine's ε/8.
+func TestInsertStepZeroAlloc(t *testing.T) {
+	s := MustNew(0.001 / 8)
+	vals := stepValues(20_000)
+	step := func() {
+		for _, v := range vals {
+			s.Insert(v)
+		}
+		s.Reset()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+		t.Fatalf("a 20 000-value step allocated %.1f times after warm-up, want 0", allocs)
+	}
+}
