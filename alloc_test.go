@@ -14,46 +14,39 @@ import (
 // inside the measurement (ObserveSliceCtx is what ingest.Server.apply calls):
 // once the engine's batch buffer and the GK sketch's tuple/pending/scratch
 // buffers have grown to their working-set size, neither ObserveSlice nor
-// ObserveSliceCtx may allocate. The rule that
-// makes it so in every mode: a step's batch buffer goes to the sealed step
-// at the cut and comes back to the observe path when that step's install is
-// published — before EndStep returns under synchronous maintenance, at the
-// drain otherwise.
+// ObserveSliceCtx may allocate. The rule that makes it so: a step's batch
+// buffer goes to the sealed step at the cut and comes back to the observe
+// path when that step's install is published, before EndStep returns. The
+// subtest keeps the name of the one maintenance schedule left, "sync", so its
+// id carries over.
 func TestObserveSliceZeroAlloc(t *testing.T) {
-	for _, mode := range []string{hsq.MaintenanceSync, hsq.MaintenanceManual} {
-		t.Run(mode, func(t *testing.T) {
-			eng := hsq.OneStream(t, hsq.Options{
-				Epsilon: 0.01, Kappa: 10, Backend: "mem", Maintenance: mode,
-			})
+	t.Run(hsq.MaintenanceSync, func(t *testing.T) {
+		eng := hsq.OneStream(t, hsq.Options{Epsilon: 0.01, Kappa: 10, Backend: "mem"})
 
-			gen := workload.NewUniform(99)
-			// Warm up: one large step grows every buffer past anything the
-			// measurement loop will need, then the step's install hands the
-			// batch buffer back with its capacity.
-			eng.ObserveSlice(workload.Fill(gen, 100_000))
-			if _, err := eng.EndStep(); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.SyncMaintenance(); err != nil {
-				t.Fatal(err)
-			}
+		gen := workload.NewUniform(99)
+		// Warm up: one large step grows every buffer past anything the
+		// measurement loop will need, then the step's install hands the
+		// batch buffer back with its capacity.
+		eng.ObserveSlice(workload.Fill(gen, 100_000))
+		if _, err := eng.EndStep(); err != nil {
+			t.Fatal(err)
+		}
 
-			chunk := workload.Fill(gen, 100)
-			allocs := testing.AllocsPerRun(50, func() {
-				eng.ObserveSlice(chunk)
-			})
-			if allocs != 0 {
-				t.Fatalf("ObserveSlice allocated %.1f times per call after warmup, want 0", allocs)
-			}
-			ctx := context.Background()
-			allocs = testing.AllocsPerRun(50, func() {
-				eng.ObserveSliceCtx(ctx, chunk) //nolint:errcheck
-			})
-			if allocs != 0 {
-				t.Fatalf("ObserveSliceCtx allocated %.1f times per call after warmup, want 0", allocs)
-			}
+		chunk := workload.Fill(gen, 100)
+		allocs := testing.AllocsPerRun(50, func() {
+			eng.ObserveSlice(chunk)
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("ObserveSlice allocated %.1f times per call after warmup, want 0", allocs)
+		}
+		ctx := context.Background()
+		allocs = testing.AllocsPerRun(50, func() {
+			eng.ObserveSliceCtx(ctx, chunk) //nolint:errcheck
+		})
+		if allocs != 0 {
+			t.Fatalf("ObserveSliceCtx allocated %.1f times per call after warmup, want 0", allocs)
+		}
+	})
 }
 
 // TestRankBuildsNoCombinedSummary: an accurate rank query reads the

@@ -212,32 +212,8 @@ func TestGoldenErrors(t *testing.T) {
 	checkGolden(t, "errors", out.Bytes())
 }
 
-// goldenMaintServer builds a deterministic server in manual maintenance
-// mode: every endstep writes its step and runs no merge, so four steps at
-// κ=3 show a reproducible backlog of one due merge (no timing, no worker
-// pool).
-func goldenMaintServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maintenance: "manual"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.mux())
-	t.Cleanup(ts.Close)
-	for step := 0; step < 4; step++ {
-		var lat strings.Builder
-		for i := 1; i <= 125; i++ {
-			fmt.Fprintf(&lat, "%d\n", step*125+i)
-		}
-		postBody(t, ts.URL+"/streams/api.latency/observe", lat.String())
-		postBody(t, ts.URL+"/streams/api.latency/endstep", "")
-	}
-	return ts
-}
-
-// TestGoldenMaintenance pins GET /streams/{name}/maintenance in both the
-// synchronous default (empty backlog) and manual mode (one merge due), plus
-// the scheduler block of GET /streams with a backlog.
+// TestGoldenMaintenance pins GET /streams/{name}/maintenance after an
+// endstep: its step written, nothing pending.
 func TestGoldenMaintenance(t *testing.T) {
 	var out bytes.Buffer
 	ts := goldenServer(t)
@@ -245,25 +221,12 @@ func TestGoldenMaintenance(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET maintenance (sync): status %d", code)
 	}
-	// install_ms is wall-clock, and in every mode the steps' level-0 writes
-	// have run: a slow machine rounds it up to 1.
+	// install_ms is wall-clock, and the step's level-0 write has run: a slow
+	// machine rounds it up to 1.
 	redactMs := func(body []byte) []byte {
 		return installMsPattern.ReplaceAll(canonicalJSON(t, body), []byte(`"install_ms": "<ms>"`))
 	}
 	fmt.Fprintf(&out, "### sync\n%s", redactMs(body))
-
-	tm := goldenMaintServer(t)
-	code, body = get(t, tm.URL+"/streams/api.latency/maintenance")
-	if code != http.StatusOK {
-		t.Fatalf("GET maintenance (manual): status %d", code)
-	}
-	fmt.Fprintf(&out, "### manual, one merge due\n%s", redactMs(body))
-
-	code, body = get(t, tm.URL+"/streams")
-	if code != http.StatusOK {
-		t.Fatalf("GET /streams (manual): status %d", code)
-	}
-	fmt.Fprintf(&out, "### manual /streams scheduler block\n%s", canonicalJSON(t, body))
 	checkGolden(t, "maintenance", out.Bytes())
 }
 

@@ -20,8 +20,8 @@
 //	GET    /streams/{name}/quantiles?phi=0.5,0.95,0.99  several φ  → "values"
 //	GET    /streams/{name}/rank?v=12345                 rank of v  → "rank", "total"
 //	GET    /streams/{name}/stats          counters; never hydrates
-//	GET    /streams/{name}/maintenance    background-maintenance state
-//	POST   /streams/{name}/maintenance    drain: run every due merge now
+//	GET    /streams/{name}/maintenance    maintenance state and counters
+//	POST   /streams/{name}/maintenance    retry a failed write or merge now
 //	POST   /query                         JSON plan over stream sets: globs,
 //	                                      merge, group-by, windows, as-of
 //
@@ -70,22 +70,16 @@
 // -cluster-peers, -replicas and -ring-epoch values.
 //
 // An end-of-step seals the batch, writes it once as its level-0 partition,
-// runs the merges it makes due and commits; queries and ingest on the
-// stream keep answering — within ε — throughout. -maintenance picks who
-// merges: the endstep request itself (sync, the default, and the mode
-// benchmark/ measures) or a DB-wide worker pool (async), in which case
-// endstep returns once its partition is durable, GET /streams also reports
-// the scheduler (queued/running streams, aggregate merge debt) and
-// -max-pending-steps bounds how far a stream's merges may fall behind
-// before endstep blocks (backpressure). Async shortens the endstep request,
-// not reads or observes: go test -bench 'IngestStall|QueryDuringMerge' . at
-// the repository root prints both modes side by side.
+// runs the merges it makes due and commits, all before the endstep request
+// returns; queries and ingest on the stream keep answering — within ε —
+// throughout. GET /streams reports the aggregate backlog in its "scheduler"
+// block: nonzero only while an endstep runs, or after a failed write or
+// merge, which the next endstep or POST maintenance retries.
 //
 // Usage:
 //
 //	hsqd -dir /var/lib/hsq -epsilon 0.001 -kappa 10 -addr :8080
 //	hsqd -backend mem -cache-blocks 1024 -epsilon 0.001    # volatile, no dir
-//	hsqd -dir /var/lib/hsq -epsilon 0.001 -maintenance async -maint-workers 4
 //	hsqd -dir /var/lib/hsq -epsilon 0.001 -ingest-addr :9090   # + wire ingest
 package main
 
@@ -118,9 +112,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		ingestAddr = flag.String("ingest-addr", "", "TCP listen address for the binary ingest protocol (hsqclient); empty = disabled")
 
-		maintenance = flag.String("maintenance", "", "who runs the level merges (every endstep writes its own step): sync (default: the endstep request), async (background scheduler), manual (drain on demand via POST maintenance); unset with -max-pending-steps > 0 selects async")
-		maxPending  = flag.Int("max-pending-steps", 0, "async backpressure: pending steps (partitions past κ on any level, plus a step whose write failed) a stream may hold before endstep blocks (0 = default 4); > 0 alone turns async maintenance on")
-		maintWork   = flag.Int("maint-workers", 0, "async scheduler worker pool size shared by all streams (0 = default 2)")
+		maintenance = flag.String("maintenance", "", "accepts only sync, the one schedule: every endstep runs the merges it makes due (async and manual were removed; kept for callers that pass sync)")
 		maxHydrated = flag.Int("max-hydrated", 0, "hydrated-engine budget: streams resident in memory before LRU eviction seals idle ones (0 = unbounded)")
 		simDisk     = flag.String("simulate-disk", "", "inject per-block device latency so timings track I/O counts: ssd|hdd (empty = off)")
 
@@ -145,8 +137,7 @@ func main() {
 	srv, err := newServer(serverConfig{
 		dir: *dir, backend: *backend, cacheBlocks: *cache,
 		epsilon: *epsilon, kappa: *kappa,
-		maintenance: *maintenance, maxPending: *maxPending, maintWorkers: *maintWork,
-		maxHydrated: *maxHydrated, simulateDisk: *simDisk,
+		maintenance: *maintenance, maxHydrated: *maxHydrated, simulateDisk: *simDisk,
 		nodeID: *nodeID, clusterPeers: *peers, replicas: *replicas,
 		ringEpoch: *ringEpoch, ingestIdle: *ingestIdle,
 		logf: log.Printf,
@@ -183,8 +174,8 @@ func main() {
 			httpErr <- err
 		}
 	}()
-	log.Printf("hsqd: serving on %s (ingest=%s backend=%s dir=%s ε=%g κ=%d cache=%d maintenance=%s streams=%v)",
-		*addr, orNone(srv.ingAddr), *backend, *dir, *epsilon, *kappa, *cache, srv.db.MaintenanceMode(), srv.db.Streams())
+	log.Printf("hsqd: serving on %s (ingest=%s backend=%s dir=%s ε=%g κ=%d cache=%d streams=%v)",
+		*addr, orNone(srv.ingAddr), *backend, *dir, *epsilon, *kappa, *cache, srv.db.Streams())
 	if srv.cl != nil {
 		ring := srv.cl.Ring()
 		log.Printf("hsqd: cluster mode: node %s, epoch %d, replicas %d, %d members",
@@ -283,9 +274,6 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"cache_blocks":  s.db.CacheBlocks(),
 		},
 		"scheduler": map[string]any{
-			"workers":            sched.Workers,
-			"queued_streams":     sched.QueuedStreams,
-			"running_streams":    sched.RunningStreams,
 			"pending_steps":      sched.PendingSteps,
 			"merge_debt":         sched.MergeDebt,
 			"installs":           sched.Installs,
@@ -324,12 +312,10 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}{s.ingAddr, s.ing.Stats()})
 }
 
-// handleMaintainNow drains the stream's pending work synchronously
-// (SyncMaintenance): a step whose write failed is written and every due
-// merge runs and commits before the response. This is the drain hook for
-// -maintenance manual — without periodic drains a manual-mode stream's
-// level 0 grows past κ, and every query probes each of its partitions —
-// and a quiescence barrier for async streams.
+// handleMaintainNow retries the stream's failed work synchronously
+// (SyncMaintenance): a step whose write failed is written and every merge a
+// failure left due runs and commits before the response — what the next
+// endstep would also do. On a healthy stream it changes nothing.
 func (s *server) handleMaintainNow(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
 	if err := st.SyncMaintenance(); err != nil {
 		httpError(w, http.StatusInternalServerError, "maintenance: %v", err)
@@ -344,25 +330,21 @@ func (s *server) handleMaintainNow(st *hsq.Stream, w http.ResponseWriter, r *htt
 	})
 }
 
-// handleMaintenance reports one stream's background-maintenance state:
-// backlog, install/merge counters, backpressure and maintenance-attributed
-// I/O.
+// handleMaintenance reports one stream's maintenance state: backlog,
+// install/merge counters, maintenance-attributed I/O and the last failure.
 func (s *server) handleMaintenance(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
 	ms := st.MaintenanceStats()
 	writeJSON(w, map[string]any{
-		"stream":             st.Name(),
-		"mode":               ms.Mode,
-		"pending_steps":      ms.PendingSteps,
-		"pending_elements":   ms.PendingElements,
-		"running":            ms.Running,
-		"installs":           ms.Installs,
-		"merges":             ms.Merges,
-		"install_ms":         ms.InstallTime.Milliseconds(),
-		"backpressure_waits": ms.BackpressureWaits,
-		"backpressure_ms":    ms.BackpressureTime.Milliseconds(),
-		"maint_io_reads":     ms.MaintIO.SeqReads + ms.MaintIO.RandReads,
-		"maint_io_writes":    ms.MaintIO.SeqWrites,
-		"last_error":         ms.LastError,
+		"stream":           st.Name(),
+		"pending_steps":    ms.PendingSteps,
+		"pending_elements": ms.PendingElements,
+		"running":          ms.Running,
+		"installs":         ms.Installs,
+		"merges":           ms.Merges,
+		"install_ms":       ms.InstallTime.Milliseconds(),
+		"maint_io_reads":   ms.MaintIO.SeqReads + ms.MaintIO.RandReads,
+		"maint_io_writes":  ms.MaintIO.SeqWrites,
+		"last_error":       ms.LastError,
 	})
 }
 

@@ -35,9 +35,7 @@ type serverConfig struct {
 	cacheBlocks  int
 	epsilon      float64
 	kappa        int
-	maintenance  string
-	maxPending   int
-	maintWorkers int
+	maintenance  string // "" or "sync" (hsq.Options.Maintenance)
 	maxHydrated  int
 	simulateDisk string                           // per-block latency profile: "", "ssd" or "hdd"
 	logf         func(format string, args ...any) // ingest connection logs; nil = silent
@@ -62,8 +60,6 @@ func newServer(sc serverConfig) (*server, error) {
 		Dir:                sc.dir,
 		CacheBlocks:        sc.cacheBlocks,
 		Maintenance:        sc.maintenance,
-		MaxPendingSteps:    sc.maxPending,
-		MaintenanceWorkers: sc.maintWorkers,
 		MaxHydratedStreams: sc.maxHydrated,
 		SimulateDisk:       sc.simulateDisk,
 	})

@@ -3,14 +3,20 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro"
 	"repro/hsqclient"
+	"repro/internal/disk"
+	"repro/internal/ingest"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -184,29 +190,76 @@ func TestStreamStatsLeavesLRU(t *testing.T) {
 	}
 }
 
-// TestMaintainNow: POST /streams/{name}/maintenance runs a manual-mode
-// stream's due merge inline, and the GET that follows agrees.
+// failingReads is a backend whose partition reads fail while armed: the
+// reads of a merge's inputs, before any query has read a partition.
+type failingReads struct {
+	disk.Backend
+	armed atomic.Bool
+}
+
+func (b *failingReads) Open(name string) (disk.ReadHandle, error) {
+	if b.armed.Load() && strings.HasPrefix(path.Base(name), "part-") {
+		return nil, errors.New("injected read fault")
+	}
+	return b.Backend.Open(name)
+}
+
+// TestMaintainNow: POST /streams/{name}/maintenance is the retry of a failed
+// merge. The endstep whose merge fails reports it, the GET shows the merge
+// still due with the failure, and the POST runs it inline; the GET that
+// follows agrees.
 func TestMaintainNow(t *testing.T) {
-	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maintenance: "manual"})
+	dev := &failingReads{Backend: disk.NewMemBackend()}
+	db, err := hsq.Open(hsq.Options{Epsilon: 0.05, Kappa: 3, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := &server{db: db, ing: ingest.New(ingest.Config{DB: db})}
 	ts := httptest.NewServer(srv.mux())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		db.Close() //nolint:errcheck
+	})
 	url := ts.URL + "/streams/m/maintenance"
-	for range 4 { // κ=3: the 4th step's partition makes a merge due
+	for step := 1; step <= 4; step++ { // κ=3: the 4th step's partition makes a merge due
 		postBody(t, ts.URL+"/streams/m/observe", "1\n2\n3\n")
-		postBody(t, ts.URL+"/streams/m/endstep", "")
+		dev.armed.Store(step == 4)
+		resp, err := http.Post(ts.URL+"/streams/m/endstep", "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if failed := resp.StatusCode != http.StatusOK; failed != (step == 4) {
+			t.Fatalf("endstep %d: status %d", step, resp.StatusCode)
+		}
 	}
-	if got, _ := getJSON(t, url); got["pending_steps"] != 1.0 || got["installs"] != 4.0 || got["merges"] != 0.0 {
-		t.Fatalf("before the drain: %v, want pending_steps 1, installs 4, merges 0", got)
+	dev.armed.Store(false)
+	got, _ := getJSON(t, url)
+	if got["pending_steps"] != 1.0 || got["installs"] != 4.0 || got["merges"] != 0.0 || !strings.Contains(fmt.Sprint(got["last_error"]), "injected read fault") {
+		t.Fatalf("after the failed merge: %v, want pending_steps 1, installs 4, merges 0 and the fault", got)
 	}
 	if got := postBody(t, url, ""); got["stream"] != "m" || got["pending_steps"] != 0.0 || got["merges"] != 1.0 {
 		t.Errorf("POST maintenance: %v, want pending_steps 0, merges 1", got)
 	}
-	if got, _ := getJSON(t, url); got["pending_steps"] != 0.0 || got["merges"] != 1.0 || got["mode"] != "manual" {
-		t.Errorf("GET after the drain: %v, want pending_steps 0, merges 1", got)
+	if got, _ := getJSON(t, url); got["pending_steps"] != 0.0 || got["merges"] != 1.0 || got["last_error"] != "" {
+		t.Errorf("GET after the retry: %v, want pending_steps 0, merges 1, no error", got)
 	}
+}
+
+// TestMaintenanceFlagRejectsRemovedModes: -maintenance accepts only sync
+// (and empty); async and manual fail startup with the removal.
+func TestMaintenanceFlagRejectsRemovedModes(t *testing.T) {
+	for _, mode := range []string{"async", "manual"} {
+		_, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maintenance: mode})
+		if err == nil || !strings.Contains(err.Error(), "async and manual maintenance were removed, every EndStep runs its own merges") {
+			t.Errorf("-maintenance %s: err = %v, want the removal", mode, err)
+		}
+	}
+	srv, err := newServer(serverConfig{backend: "mem", epsilon: 0.05, kappa: 3, maintenance: "sync"})
+	if err != nil {
+		t.Fatalf("-maintenance sync: %v", err)
+	}
+	srv.db.Close() //nolint:errcheck
 }
 
 func TestServerErrors(t *testing.T) {

@@ -196,8 +196,8 @@ func coldSummarySize(sum *core.ShardSummary) int64 {
 // so the last one ends at it), no pending sealed batches (a sidecar holds
 // installed partitions only), and the identical partition layout — counts
 // and step ranges, compared chronologically so manifest level-ordering
-// doesn't matter. Background merges change the layout without changing
-// steps or totals, so the layout itself must be part of the check.
+// doesn't matter. Merges change the layout without changing steps or
+// totals, so the layout itself must be part of the check.
 func sidecarMatches(parts []core.PartSummary, m *partition.Manifest) bool {
 	steps := 0
 	if len(parts) > 0 {

@@ -14,9 +14,9 @@ import (
 )
 
 // TestConcurrentQueriesDuringBackgroundMerge is the snapshot-isolation
-// acceptance test: with async maintenance, producers Observe and EndStep
-// while readers run accurate Quantile and Rank queries the whole time —
-// including while background installs and κ-way merges are in flight — and
+// acceptance test: a producer Observes and EndSteps while readers run
+// accurate Quantile and Rank queries the whole time — including while the
+// level-0 writes and κ-way merges each EndStep runs are in flight — and
 // every answer must stay within ε of ground truth.
 //
 // The stream feeds the ascending sequence 1, 2, 3, ..., so ground truth is
@@ -38,7 +38,6 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 	eng := OneStream(t, Options{
 		Epsilon: eps, Kappa: 2, // κ=2 cascades merges constantly
 		Backend: "mem", BlockSize: 512,
-		Maintenance: MaintenanceAsync, MaxPendingSteps: envMaxPending(3), MaintenanceWorkers: 2,
 	})
 
 	var observed atomic.Int64 // elements fed so far (== largest value fed)
@@ -102,8 +101,8 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 		}
 	}()
 
-	// Producer: ascending values, one EndStep per batch. Observe latency is
-	// bounded by the seal, never by a merge.
+	// Producer: ascending values, one EndStep per batch, each running its
+	// step's write and merges beside the readers.
 	next := int64(1)
 	for s := 0; s < steps; s++ {
 		for i := 0; i < batch; i++ {
@@ -133,7 +132,7 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 		t.Errorf("Installs = %d, want %d", ms.Installs, steps)
 	}
 	if ms.Merges == 0 {
-		t.Errorf("no background merges ran (κ=2 over %d steps must cascade)", steps)
+		t.Errorf("no merges ran (κ=2 over %d steps must cascade)", steps)
 	}
 
 	// Final cross-check against the exact oracle.
@@ -158,14 +157,11 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 	}
 }
 
-// TestObserveNotBlockedByMerge proves the lock split directly: while a
-// background merge is wedged (blocking fault hook), Observe and Quantile
-// both complete — only EndStep past the backpressure bound waits.
+// TestObserveNotBlockedByMerge proves the lock split directly: while the
+// merge an EndStep runs is wedged (blocking fault hook), Observe and
+// Quantile both complete — only that EndStep waits.
 func TestObserveNotBlockedByMerge(t *testing.T) {
-	eng := OneStream(t, Options{
-		Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512,
-		Maintenance: MaintenanceAsync, MaxPendingSteps: 8, MaintenanceWorkers: 1,
-	})
+	eng := OneStream(t, Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512})
 
 	gate, parked := make(chan struct{}), make(chan struct{})
 	var gateOff atomic.Bool
@@ -180,14 +176,22 @@ func TestObserveNotBlockedByMerge(t *testing.T) {
 		return nil
 	})
 
-	for s := int64(0); s < 3; s++ {
+	for s := int64(0); s < 2; s++ {
 		for i := int64(1); i <= 500; i++ {
 			eng.Observe(s*500 + i)
 		}
 		if _, err := eng.EndStep(); err != nil {
-			t.Fatal(err) // the third puts level 0 past κ: the merge wedges
+			t.Fatal(err)
 		}
 	}
+	for i := int64(1001); i <= 1500; i++ {
+		eng.Observe(i)
+	}
+	endStep := make(chan error, 1)
+	go func() {
+		_, err := eng.EndStep() // the third puts level 0 past κ: its merge wedges
+		endStep <- err
+	}()
 	<-parked
 
 	done := make(chan struct{})
@@ -202,15 +206,20 @@ func TestObserveNotBlockedByMerge(t *testing.T) {
 	}()
 	select {
 	case <-done:
+	case err := <-endStep:
+		t.Fatalf("EndStep returned (%v) while its merge was wedged", err)
 	case <-time.After(10 * time.Second):
-		t.Fatal("Observe/Quantile blocked behind a wedged background merge")
+		t.Fatal("Observe/Quantile blocked behind the merge a concurrent EndStep runs")
 	}
 	gateOff.Store(true)
 	close(gate)
-	if err := eng.SyncMaintenance(); err != nil {
-		t.Fatal(err)
+	if err := <-endStep; err != nil {
+		t.Fatalf("EndStep after the merge resumed: %v", err)
 	}
 	eng.db.dev.SetFault(nil)
+	if ms := eng.MaintenanceStats(); ms.Merges != 1 || ms.PendingSteps != 0 {
+		t.Errorf("after the EndStep: %d merges, %d steps pending; want 1, 0", ms.Merges, ms.PendingSteps)
+	}
 }
 
 // TestDropStreamWaitsForQueries pins the teardown barrier: DropStream (and
@@ -273,13 +282,13 @@ func TestDropStreamWaitsForQueries(t *testing.T) {
 // sketches (gk.Sketch locks nothing, and its reads flush), so every engine
 // path that touches one — observes, counts, memory, both query kinds, the
 // cut, the sealed step's frozen sketch while its level-0 write runs, and the
-// write's recycling — runs at once here on one manual-mode stream with a
-// merge due. Under -race a path that reads a sketch outside the lock fails
-// it; the counts must never go backwards and must add up once everything
-// has stopped.
+// write's recycling — runs at once here on one stream whose EndSteps run
+// merges (κ=2) beside all of them. Under -race a path that reads a sketch
+// outside the lock fails it; the counts must never go backwards and must add
+// up once everything has stopped.
 func TestLiveStepOneGuard(t *testing.T) {
 	const rounds, batch = 200, 64
-	st := OneStream(t, Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512, Maintenance: MaintenanceManual})
+	st := OneStream(t, Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512})
 	var fed atomic.Int64
 	feed := func() error {
 		vs := make([]int64, batch)
@@ -299,8 +308,8 @@ func TestLiveStepOneGuard(t *testing.T) {
 	if err := feed(); err != nil {
 		t.Fatal(err)
 	}
-	if ms := st.MaintenanceStats(); ms.PendingSteps != 1 {
-		t.Fatalf("setup: %d steps pending, want 1 (the partition past κ=2)", ms.PendingSteps)
+	if ms := st.MaintenanceStats(); ms.Merges != 1 {
+		t.Fatalf("setup: %d merges, want 1 (the third step's partition put level 0 past κ=2)", ms.Merges)
 	}
 
 	var lastN int64 // only the counts goroutine reads and writes it

@@ -53,12 +53,11 @@ const legacyDirectoryName = "DB.json"
 //	...
 //	p99, _, err := lat.Quantile(0.99)
 type DB struct {
-	mu    sync.Mutex
-	opts  Options
-	dev   *disk.Manager // root view: aggregate stats, shared cache
-	sched *scheduler    // DB-wide background maintenance pool (async mode)
-	dir   map[string]*Stream
-	seq   uint64 // LRU clock, incremented on every touch
+	mu   sync.Mutex
+	opts Options
+	dev  *disk.Manager // root view: aggregate stats, shared cache
+	dir  map[string]*Stream
+	seq  uint64 // LRU clock, incremented on every touch
 
 	hydrated         int // streams with eng != nil
 	hydrations       uint64
@@ -101,10 +100,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s); to adopt it as a DB stream, move its files into %s/<name>/ and set the moved manifest's \"namespace\" to that path",
 			full.Dir, manifestName, streamNamespacePrefix)
 	}
-	// In async mode, one bounded worker pool shared by every stream of the
-	// DB: merges from all streams compete for the same MaintenanceWorkers
-	// goroutines, one at a time per stream (see maintenance.go).
-	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), sched: newScheduler(full), coldBudget: coldSummaryBudget}
+	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), coldBudget: coldSummaryBudget}
 	files, err := dev.List(streamNamespacePrefix + "/")
 	if err != nil {
 		return nil, fmt.Errorf("hsq: list stream namespaces: %w", err)
@@ -224,7 +220,6 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 		db.mu.Unlock()
 		return nil, fmt.Errorf("hsq: hydrate stream %q: %w", st.name, err)
 	}
-	fresh.sched = db.sched
 	st.eng = fresh
 	db.forgetColdLocked(st) // writes may now change the durable state it mirrors
 	st.pins++
@@ -315,11 +310,9 @@ func (db *DB) evict(victims []*Stream) {
 // maintenance backlog, commits the manifest and waits out pinned queries,
 // so an evicted stream loses nothing — its next touch rehydrates the exact
 // same state. Streams that would lose state are skipped: a pinned stream
-// (in-flight operation), a non-empty observe buffer (only EndStep may cut
-// a batch), or — in async mode — a sealed backlog, which is requeued to
-// the scheduler instead so the evictor never stalls behind another
-// stream's merges. The budget is therefore a target the DB converges to,
-// not a hard cap.
+// (in-flight operation) or a non-empty observe buffer (only EndStep may cut
+// a batch). The budget is therefore a target the DB converges to, not a
+// hard cap.
 func (db *DB) evictOne(st *Stream) {
 	st.opMu.Lock()
 	defer st.opMu.Unlock()
@@ -334,14 +327,6 @@ func (db *DB) evictOne(st *Stream) {
 		// A live observe buffer is volatile only across process death;
 		// sealing here would silently drop it. Keep the stream resident.
 		db.mu.Unlock()
-		return
-	}
-	if db.sched != nil && eng.maintPending() {
-		// Hand the backlog to the scheduler rather than draining it on
-		// this caller; a later eviction pass collects the stream once the
-		// merges finish.
-		db.mu.Unlock()
-		db.sched.enqueue(eng)
 		return
 	}
 	// Detach before closing: a concurrent fast-path acquire either pinned
@@ -719,8 +704,8 @@ func (db *DB) Checkpoint() error {
 }
 
 // Close seals every hydrated stream — maintenance backlog drained,
-// manifest committed — marks the DB closed, stops the background scheduler
-// and releases the shared backend (when it implements io.Closer).
+// manifest committed — marks the DB closed and releases the shared backend
+// (when it implements io.Closer).
 //
 // The DB is marked closed first and exactly once: even if sealing a stream
 // fails, every other stream is still sealed, the device is still synced,
@@ -756,9 +741,6 @@ func (db *DB) Close() error {
 		if err := db.sealCold(names[i], eng); err != nil {
 			errs = append(errs, fmt.Errorf("hsq: close stream %q: %w", names[i], err))
 		}
-	}
-	if db.sched != nil {
-		db.sched.close()
 	}
 	if err := db.dev.Sync(); err != nil {
 		errs = append(errs, err)
@@ -824,8 +806,3 @@ func (db *DB) DirectoryStats() DirectoryStats {
 // CacheBlocks returns the number of blocks currently resident in the
 // shared cache.
 func (db *DB) CacheBlocks() int { return db.dev.CacheBlocks() }
-
-// MaintenanceMode returns the resolved maintenance mode every stream of
-// this DB runs under ("sync", "async" or "manual") — the value after
-// Options defaulting, so callers never re-derive the resolution rule.
-func (db *DB) MaintenanceMode() string { return db.opts.Maintenance }

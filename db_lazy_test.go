@@ -565,8 +565,8 @@ func TestDropStreamRecreateWaitsForDestroy(t *testing.T) {
 // TestDropRacesEndStep: a stream's manifest is its registration, so a commit
 // of the stream landing after its drop removed the manifest would register
 // the stream again at the next Open — and a commit syncs, while the drop's
-// sweep of the namespace does not. EndSteps (each one commit) and
-// background installs run beside the drop, and in every other round DB
+// sweep of the namespace does not. EndSteps (each one commit, with the
+// merges it makes due) run beside the drop, and in every other round DB
 // checkpoints too (their device syncs make the sweep durable, so those
 // rounds cannot see a commit that lands between the drop's commit and its
 // sweep); once the drop has returned, a reopen after a crash — losing every
@@ -575,7 +575,7 @@ func TestDropStreamRecreateWaitsForDestroy(t *testing.T) {
 func TestDropRacesEndStep(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		backend := disk.NewCrashBackend()
-		opts := hsq.Options{Epsilon: 0.1, Kappa: 2, Device: backend, BlockSize: 512, MaxPendingSteps: 2}
+		opts := hsq.Options{Epsilon: 0.1, Kappa: 2, Device: backend, BlockSize: 512}
 		db, err := hsq.Open(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -760,10 +760,9 @@ type churnModel struct {
 // directory equals the registered set, every surviving stream matches its
 // model exactly, and a reopen over the same device recovers the same
 // directory. Writers shard streams by ownership so each model is exact;
-// extra readers race Lookup/Quantile against drops and evictions. It runs
-// under sync maintenance and under async at the tightest backpressure, where
-// a background install and its commit race every eviction and drop. Replay
-// a failure with HSQ_PROP_SEED.
+// extra readers race Lookup/Quantile against drops and evictions. The
+// subtest is named for the schedule it runs: every EndStep returns with no
+// step left pending its merges. Replay a failure with HSQ_PROP_SEED.
 func TestDirectoryChurn(t *testing.T) {
 	seed := int64(7)
 	if s := os.Getenv("HSQ_PROP_SEED"); s != "" {
@@ -773,14 +772,11 @@ func TestDirectoryChurn(t *testing.T) {
 		}
 		seed = v
 	}
-	for _, maxPending := range []int{0, 1} {
-		t.Run(fmt.Sprintf("max-pending=%d", maxPending), func(t *testing.T) { directoryChurn(t, seed, maxPending) })
-	}
+	t.Run("max-pending=0", func(t *testing.T) { directoryChurn(t, seed) })
 }
 
-// directoryChurn is one TestDirectoryChurn run; maxPending > 0 selects async
-// maintenance.
-func directoryChurn(t *testing.T, seed int64, maxPending int) {
+// directoryChurn is one TestDirectoryChurn run.
+func directoryChurn(t *testing.T, seed int64) {
 	const (
 		workers = 4
 		streams = 8
@@ -789,7 +785,7 @@ func directoryChurn(t *testing.T, seed int64, maxPending int) {
 	inner := disk.NewMemBackend()
 	db, err := hsq.Open(hsq.Options{
 		Epsilon: 0.05, Kappa: 2, Device: inner, BlockSize: 512,
-		MaxHydratedStreams: 2, MaxPendingSteps: maxPending,
+		MaxHydratedStreams: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -930,7 +926,7 @@ func directoryChurn(t *testing.T, seed int64, maxPending int) {
 	// the engine's Close drops them by contract).
 	re, err := hsq.Open(hsq.Options{
 		Epsilon: 0.05, Kappa: 2, Device: inner, BlockSize: 512,
-		MaxHydratedStreams: 2, MaxPendingSteps: maxPending,
+		MaxHydratedStreams: 2,
 	})
 	if err != nil {
 		t.Fatalf("seed=%d: reopen: %v", seed, err)

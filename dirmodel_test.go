@@ -112,7 +112,7 @@ func TestDirectoryModel(t *testing.T) {
 		if pm := h.st.ProbeMemoStats(); pm != (hsq.ProbeMemoStats{}) {
 			fail("stale handle %q: ProbeMemoStats = %+v, want zero", name, pm)
 		}
-		if ms := h.st.MaintenanceStats(); ms != (hsq.MaintenanceStats{Mode: "sync"}) {
+		if ms := h.st.MaintenanceStats(); ms != (hsq.MaintenanceStats{}) {
 			fail("stale handle %q: MaintenanceStats = %+v, want drained", name, ms)
 		}
 		err := h.st.SyncMaintenance()
@@ -159,10 +159,10 @@ func TestDirectoryModel(t *testing.T) {
 			if err := st.SyncMaintenance(); err != nil {
 				fail("stream %q: SyncMaintenance: %v", name, err)
 			}
-			if ms.PendingSteps != 0 || ms.Mode != "sync" {
-				fail("stream %q: MaintenanceStats = %+v, want a drained sync stream", name, ms)
+			if ms.PendingSteps != 0 {
+				fail("stream %q: MaintenanceStats = %+v, want a drained stream", name, ms)
 			}
-			if cold && (mu != (hsq.MemoryUsage{}) || pm != (hsq.ProbeMemoStats{}) || ms != (hsq.MaintenanceStats{Mode: "sync"})) {
+			if cold && (mu != (hsq.MemoryUsage{}) || pm != (hsq.ProbeMemoStats{}) || ms != (hsq.MaintenanceStats{})) {
 				fail("cold stream %q: MemoryUsage %+v, ProbeMemoStats %+v, MaintenanceStats %+v, want zero", name, mu, pm, ms)
 			}
 			if cold && st.Hydrated() {

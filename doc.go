@@ -96,7 +96,7 @@
 // # Multiple streams
 //
 // A DB hosts many named quantile streams over one shared device: one
-// backend, one block-cache budget, one manifest root, one scheduler. Each
+// backend, one block-cache budget, one manifest root. Each
 // Stream is a handle on an unexported engine — the paper's GK sketch,
 // κ-leveled partitions and bisection — that the DB hydrates on first touch,
 // pins for the length of each call and may evict while idle; each
@@ -115,8 +115,7 @@
 //	db.Close()                               // checkpoint all streams, release backend
 //
 // Mutating methods have context variants (ObserveCtx, ObserveSliceCtx,
-// EndStepCtx) that honor cancellation — for EndStepCtx under async
-// maintenance, also while blocked on backpressure.
+// EndStepCtx) that honor cancellation at entry.
 //
 // # Query layer
 //
@@ -169,11 +168,10 @@
 //
 // Retention caveat for windows, AsOfStep and shifted windows: scoped
 // answers are assembled from whole spans, so both scope ends must land on
-// span boundaries. Background merges coarsen those boundaries over
-// time — old cut points disappear as their partitions merge (κ controls
-// how fast), and a query that cuts inside a merged partition is refused
-// with the surviving boundaries listed rather than answered beyond the
-// guarantee.
+// span boundaries. Merges coarsen those boundaries over time — old cut
+// points disappear as their partitions merge (κ controls how fast), and a
+// query that cuts inside a merged partition is refused with the surviving
+// boundaries listed rather than answered beyond the guarantee.
 //
 // Continuous queries push instead of poll: hsqclient.Subscribe registers
 // a plan over the ingest connection and the server re-evaluates it after
@@ -245,52 +243,36 @@
 // version has finished — so an in-flight query always reads a consistent,
 // existing layout, no matter what maintenance does behind it.
 //
-// EndStep is one pipeline in every maintenance mode: cut and seal (under
-// the engine lock, the batch and GK sketch leave the live step and become
-// the sealed step of the store's published version, with no I/O), write
-// (outside every engine lock, the step is sorted — in memory, or by the
-// external sort above SortMemElements — and written once, as its level-0
-// partition), merge (a level holding more than κ partitions merges its
-// oldest κ+1 into one a level up), commit (data barrier, manifest,
-// barrier). The sealed step is held once, in that version, so the counters
-// (TotalCount, HistCount, Steps, MaintenanceStats) and the answers agree
-// from the cut on. Until its partition is published, queries cover it
-// through its frozen stream summary, so answers always span the full
-// observed history and neither Observe nor a query waits for a write or a
-// merge; the rank-error bound degrades gracefully to ε times the
-// stream-side mass (live stream + sealed step). Options.Maintenance picks
-// only who runs the merges:
+// EndStep is one pipeline, run by its caller under the stream's write-path
+// lock: cut and seal (under the engine lock, the batch and GK sketch leave
+// the live step and become the sealed step of the store's published
+// version, with no I/O), write (outside every engine lock, the step is
+// sorted — in memory, or by the external sort above SortMemElements — and
+// written once, as its level-0 partition), merge (a level holding more than
+// κ partitions merges its oldest κ+1 into one a level up, until no level
+// does — the merges the paper's HistUpdate makes due), commit (data
+// barrier, manifest, barrier). The sealed step is held once, in that
+// version, so the counters (TotalCount, HistCount, Steps, MaintenanceStats)
+// and the answers agree from the cut on. Until its partition is published,
+// queries cover it through its frozen stream summary, so answers always
+// span the full observed history and neither Observe nor a query waits for
+// a write or a merge; the rank-error bound degrades gracefully to ε times
+// the stream-side mass (live stream + sealed step). Only the EndStep caller
+// waits for its write and merges; a producer on a wire connection feels
+// them as the credit window draining (see "Remote ingestion").
 //
-//   - "sync" (default): the EndStep caller, before it commits and returns —
-//     the paper's loading paradigm.
-//   - "async": a DB-wide scheduler (one bounded pool of
-//     Options.MaintenanceWorkers workers shared by all streams), one merge
-//     at a time per stream. EndStep returns once its step's partition is
-//     committed, and never waits for a merge that is running: a merge
-//     splices its output over the partitions it read while EndStep appends
-//     beside it.
-//   - "manual": nobody until SyncMaintenance is called — for deterministic
-//     harnesses (internal/crashtest).
+// A step whose level-0 write fails stays sealed — counted and answered —
+// and is written, before anything else, by the next EndStep,
+// SyncMaintenance, Checkpoint or Close. A merge that fails keeps its
+// inputs, returns its error from the EndStep that ran it, and is retried by
+// the next EndStep, SyncMaintenance or Close; SyncMaintenance (per stream)
+// and DB.WaitIdle (all streams) are that retry on demand. MaintenanceStats
+// (per stream) and DB.SchedulerStats (aggregate merge debt,
+// maintenance-attributed I/O) expose what is pending and what ran.
 //
-// Each merge takes a level's oldest κ+1 partitions, so merges that lag
-// leave the layout sync mode would. A step whose level-0 write fails stays
-// sealed — counted and answered — and is written, before anything else, by
-// the next EndStep, SyncMaintenance, Checkpoint or Close. A merge that
-// fails keeps its inputs and is retried by the next merge of its level.
-//
-// Backpressure: with async maintenance, EndStep blocks once a stream has
-// Options.MaxPendingSteps pending steps — its merge debt (the partitions
-// past κ on any level) plus a step whose level-0 write failed — waking as
-// merges complete; EndStepCtx aborts the wait on cancellation. A stream
-// that wants a fully-merged, quiesced layout (before a benchmark, a
-// snapshot copy, a test assertion) calls SyncMaintenance; DB.WaitIdle is
-// the all-streams barrier. MaintenanceStats (per stream) and
-// DB.SchedulerStats (pool occupancy, aggregate merge debt,
-// maintenance-attributed I/O) expose the machinery.
-//
-// The durability guarantee is mode-independent: a nil EndStep return means
-// the step survives any crash, as a partition — every durable step is one,
-// so reopening replays nothing.
+// The durability guarantee: a nil EndStep return means the step survives
+// any crash, as a partition — every durable step is one, so reopening
+// replays nothing.
 //
 // # Query performance
 //
@@ -382,8 +364,8 @@
 // The client's connection is internal/sender, the same sender the cluster's
 // relay channels use. Backpressure is explicit: a credit window bounds
 // frames in flight, the server applies each frame before reading the next,
-// and a stream stalled on MaxPendingSteps stops confirming until the
-// producer's Observe blocks. The server pipeline lives in
+// and a stream whose EndStep is writing its step and running its merges
+// stops confirming until the producer's Observe blocks. The server pipeline lives in
 // internal/ingest; GET /ingest exposes its counters. hsqd's REST writes
 // (newline integers or batched JSON, parsed whole) enter the same pipeline
 // one step in, through ingest.Server.Write: the apply body a connection's

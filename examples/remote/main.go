@@ -24,15 +24,10 @@ import (
 )
 
 func main() {
-	// Server half: a volatile DB with async maintenance (ingest never
-	// stalls on merges; backpressure bounds the backlog) behind an ingest
-	// listener on a loopback port.
-	db, err := hsq.Open(hsq.Options{
-		Epsilon:         0.01,
-		Backend:         "mem",
-		Maintenance:     hsq.MaintenanceAsync,
-		MaxPendingSteps: 4,
-	})
+	// Server half: a volatile DB behind an ingest listener on a loopback
+	// port. Each end-of-step runs its merges before the server confirms it,
+	// and the client's credit window carries that stall back to Observe.
+	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Backend: "mem"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,16 +25,16 @@ func partFile(name string) bool { return strings.HasPrefix(path.Base(name), "par
 
 var errInjected = errors.New("injected disk fault")
 
-// TestFaultDuringEndStep pins the write path's one failure rule in every
-// maintenance mode, for a fault in each of its three moves — the load (the
-// seal's spill and the install's partition write), the merge (reads of the
-// cascade's inputs) and the commit (manifest write, barrier). Two clean
-// steps, then a step under the fault: whoever the mode makes the drainer
+// TestFaultDuringEndStep pins the write path's one failure rule for a fault
+// in each of its three moves — the load (the install's partition write), the
+// merge (reads of the cascade's inputs) and the commit (manifest write,
+// barrier). Two clean steps, then a step under the fault: its EndStep
 // reports the injected error, and the step is sealed all the same — counted
 // in HistCount and answered within ε from its frozen summary. With the fault
-// gone the mode's retry (the next EndStep in sync mode, SyncMaintenance in
-// the others) installs it exactly once: counts equal the oracle's and the
-// layout equals a fault-free run's. The same holds after a reopen.
+// gone the next EndStep retries it and installs it exactly once: counts
+// equal the oracle's and the layout equals a fault-free run's. The same
+// holds after a reopen. The subtests keep the name of the one maintenance
+// schedule left, "sync", so their ids carry over.
 func TestFaultDuringEndStep(t *testing.T) {
 	only := func(ops ...disk.Op) disk.FaultFunc {
 		return func(o disk.Op, name string, block int64) error {
@@ -64,112 +64,63 @@ func TestFaultDuringEndStep(t *testing.T) {
 		{"commit-meta", only(disk.OpMetaWrite), false},
 		{"commit-sync", only(disk.OpSync), false},
 	}
-	for _, mode := range []string{MaintenanceSync, MaintenanceManual, MaintenanceAsync} {
-		for _, f := range faults {
-			t.Run(mode+"/"+f.name, func(t *testing.T) {
-				cfg := Options{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024, Maintenance: mode}
-				eng := OneStream(t, cfg)
-				gen := workload.NewUniform(1)
-				all := feedSteps(t, eng, gen, 2, 500)
-				if err := eng.SyncMaintenance(); err != nil {
-					t.Fatal(err)
-				}
+	for _, f := range faults {
+		t.Run("sync/"+f.name, func(t *testing.T) {
+			cfg := Options{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024}
+			eng := OneStream(t, cfg)
+			gen := workload.NewUniform(1)
+			all := feedSteps(t, eng, gen, 2, 500)
 
-				eng.db.dev.SetFault(f.fault)
-				vals := workload.Fill(gen, 500)
-				all = append(all, vals...)
-				eng.ObserveSlice(vals)
-				if err := endStepAndDrain(t, eng); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
-					t.Fatalf("step under %s fault: err = %v, want the injected fault", f.name, err)
-				}
-				eng.db.dev.SetFault(nil)
-				if got := eng.HistCount(); got != 1500 {
-					t.Errorf("HistCount = %d after the faulted step, want 1500 (the step is sealed)", got)
-				}
-				checkAgainstOracle(t, eng, all, "after fault")
-
-				// The retry. A sync engine needs no call of its own: its next
-				// EndStep drains what the failed one left sealed.
-				if mode != MaintenanceSync {
-					if err := eng.SyncMaintenance(); err != nil {
-						t.Fatalf("SyncMaintenance retry: %v", err)
-					}
-				}
-				all = append(all, feedSteps(t, eng, gen, 1, 500)...)
-				if err := eng.SyncMaintenance(); err != nil {
-					t.Fatal(err)
-				}
-				want := faultFreeLayout(t, cfg, 4, 500)
-				check := func(e *Stream, label string) {
-					t.Helper()
-					if got := e.HistCount(); got != int64(len(all)) {
-						t.Errorf("%s: HistCount = %d, want %d (each step installed exactly once)", label, got, len(all))
-					}
-					if ms := e.MaintenanceStats(); ms.PendingSteps != 0 {
-						t.Errorf("%s: %d steps still sealed", label, ms.PendingSteps)
-					}
-					if got := e.Describe(); !f.lateMerge && !slices.Equal(got, want) {
-						t.Errorf("%s: layout %+v, want the fault-free run's %+v", label, got, want)
-					}
-					checkAgainstOracle(t, e, all, label)
-				}
-				check(eng, "after retry")
-				if got := eng.MaintenanceStats().Installs; got != 4 {
-					t.Errorf("Installs = %d, want 4", got)
-				}
-
-				if err := eng.DB().Close(); err != nil {
-					t.Fatal(err)
-				}
-				check(OneStream(t, cfg), "reopened")
-			})
-		}
-	}
-}
-
-// endStepAndDrain closes a step and lets the engine's mode run its drainer,
-// returning the first failure either of them reported: EndStep's own (the
-// seal, the commit, and in sync mode the install), SyncMaintenance's in
-// manual mode, and in async mode the scheduler's, which has no caller to
-// return to and leaves it in MaintenanceStats.
-func endStepAndDrain(t *testing.T, st *Stream) error {
-	_, err := st.EndStep()
-	eng := engineOf(t, st)
-	switch eng.cfg.Maintenance {
-	case MaintenanceManual:
-		if derr := eng.SyncMaintenance(); err == nil {
-			err = derr
-		}
-	case MaintenanceAsync:
-		for {
-			// Every install attempt ends by closing the wake channel of its
-			// moment, so take the channel before looking at the state.
-			eng.mu.Lock()
-			wake := eng.wake
-			eng.mu.Unlock()
-			ms := eng.MaintenanceStats()
-			if !ms.Running && (ms.PendingSteps == 0 || ms.LastError != "") {
-				if err == nil && ms.LastError != "" {
-					err = errors.New(ms.LastError)
-				}
-				return err
+			eng.db.dev.SetFault(f.fault)
+			vals := workload.Fill(gen, 500)
+			all = append(all, vals...)
+			eng.ObserveSlice(vals)
+			if _, err := eng.EndStep(); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+				t.Fatalf("step under %s fault: err = %v, want the injected fault", f.name, err)
 			}
-			<-wake
-		}
+			eng.db.dev.SetFault(nil)
+			if got := eng.HistCount(); got != 1500 {
+				t.Errorf("HistCount = %d after the faulted step, want 1500 (the step is sealed)", got)
+			}
+			checkAgainstOracle(t, eng, all, "after fault")
+
+			// The retry: the next EndStep writes what the failed one left
+			// sealed and runs the merges it left due.
+			all = append(all, feedSteps(t, eng, gen, 1, 500)...)
+			want := faultFreeLayout(t, cfg, 4, 500)
+			check := func(e *Stream, label string) {
+				t.Helper()
+				if got := e.HistCount(); got != int64(len(all)) {
+					t.Errorf("%s: HistCount = %d, want %d (each step installed exactly once)", label, got, len(all))
+				}
+				if ms := e.MaintenanceStats(); ms.PendingSteps != 0 {
+					t.Errorf("%s: %d steps still sealed", label, ms.PendingSteps)
+				}
+				if got := e.Describe(); !f.lateMerge && !slices.Equal(got, want) {
+					t.Errorf("%s: layout %+v, want the fault-free run's %+v", label, got, want)
+				}
+				checkAgainstOracle(t, e, all, label)
+			}
+			check(eng, "after retry")
+			if got := eng.MaintenanceStats().Installs; got != 4 {
+				t.Errorf("Installs = %d, want 4", got)
+			}
+
+			if err := eng.DB().Close(); err != nil {
+				t.Fatal(err)
+			}
+			check(OneStream(t, cfg), "reopened")
+		})
 	}
-	return err
 }
 
 // faultFreeLayout is the Describe() of an engine that ran steps clean steps
-// of the given size under cfg's mode and κ, fully drained.
+// of the given size under cfg's κ.
 func faultFreeLayout(t *testing.T, cfg Options, steps, batch int) []LevelInfo {
 	t.Helper()
 	cfg.Dir = t.TempDir()
 	eng := OneStream(t, cfg)
 	feedSteps(t, eng, workload.NewUniform(1), steps, batch)
-	if err := eng.SyncMaintenance(); err != nil {
-		t.Fatal(err)
-	}
 	return eng.Describe()
 }
 

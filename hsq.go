@@ -76,23 +76,11 @@ type Options struct {
 	// "" (off, default), "hdd" (the paper's ~1 ms random access) or "ssd".
 	SimulateDisk string
 
-	// Maintenance selects who runs the κ-way merges the steps EndStep
-	// writes make due (every mode writes each step's level-0 partition in
-	// the EndStep that seals it): "sync" (the EndStep caller, before it
-	// returns — the default), "async" (the DB-wide background scheduler) or
-	// "manual" (nobody, until SyncMaintenance). See the package docs'
-	// "Concurrency model".
+	// Maintenance is ignored when it is "" or "sync" (MaintenanceSync) and
+	// refused otherwise: every EndStep runs the merges its step makes due,
+	// and there is no other schedule. The field stays so callers that name
+	// "sync" compile.
 	Maintenance string
-	// MaxPendingSteps bounds a stream's pending steps — its merge debt (the
-	// partitions past κ on any level) plus a step whose level-0 write failed
-	// — before EndStep blocks (backpressure) until the background merges
-	// catch up. Setting it > 0 with Maintenance unset selects "async"; in
-	// async mode 0 means the default bound (4). The other modes have no
-	// bound.
-	MaxPendingSteps int
-	// MaintenanceWorkers sizes the async scheduler's worker pool, shared by
-	// all streams of a DB (default 2).
-	MaintenanceWorkers int
 
 	// MaxHydratedStreams bounds how many of a DB's registered streams may
 	// hold a hydrated (memory-resident) engine at once; 0 means unlimited.
@@ -100,8 +88,8 @@ type Options struct {
 	// durably committed — and evicted in least-recently-used order, then
 	// rehydrated transparently on their next touch. The bound is a target,
 	// not a hard cap: streams that cannot be sealed without losing state
-	// (an in-flight operation, a non-empty observe buffer, a sealed
-	// maintenance backlog still draining) stay resident until they quiesce.
+	// (an in-flight operation, a non-empty observe buffer) stay resident
+	// until they quiesce.
 	MaxHydratedStreams int
 }
 
@@ -134,26 +122,9 @@ func (c *Options) withDefaults() (Options, error) {
 	if out.ProbeMemoEntries == 0 {
 		out.ProbeMemoEntries = 4096
 	}
-	switch out.Maintenance {
-	case "":
-		if out.MaxPendingSteps > 0 {
-			out.Maintenance = MaintenanceAsync
-		} else {
-			out.Maintenance = MaintenanceSync
-		}
-	case MaintenanceSync, MaintenanceAsync, MaintenanceManual:
-	default:
-		return out, fmt.Errorf("hsq: unknown Maintenance mode %q (want %q, %q or %q)",
-			out.Maintenance, MaintenanceSync, MaintenanceAsync, MaintenanceManual)
-	}
-	if out.MaxPendingSteps < 0 {
-		return out, fmt.Errorf("hsq: MaxPendingSteps must be >= 0, got %d", out.MaxPendingSteps)
-	}
-	if out.Maintenance == MaintenanceAsync && out.MaxPendingSteps == 0 {
-		out.MaxPendingSteps = 4
-	}
-	if out.MaintenanceWorkers <= 0 {
-		out.MaintenanceWorkers = 2
+	if out.Maintenance != "" && out.Maintenance != MaintenanceSync {
+		return out, fmt.Errorf("hsq: Maintenance %q: async and manual maintenance were removed, every EndStep runs its own merges (leave it empty or %q)",
+			out.Maintenance, MaintenanceSync)
 	}
 	if out.MaxHydratedStreams < 0 {
 		return out, fmt.Errorf("hsq: MaxHydratedStreams must be >= 0, got %d", out.MaxHydratedStreams)
@@ -176,11 +147,9 @@ type IOStats = disk.Stats
 // phases (Figure 6): loading the step — the write of its level-0 partition,
 // the step's one trip to the device — sorting it (CPU time for a step sorted
 // in memory, the run passes for one larger than SortMemElements), merging
-// overflowing levels, and summary maintenance. Every mode fills all but the
-// merge phase; the merges are filled in when the EndStep caller ran them
-// (synchronous maintenance) and zero when they were left to the scheduler or
-// SyncMaintenance, whose merges are accounted in MaintenanceStats. The
-// commit's barriers belong to no phase.
+// overflowing levels, and summary maintenance. EndStep fills all four; a
+// merge retried by SyncMaintenance or Close after a failure is accounted in
+// MaintenanceStats only. The commit's barriers belong to no phase.
 type UpdateStats = partition.UpdateBreakdown
 
 // QueryStats reports the cost of one accurate query: bisection probes, the
@@ -259,35 +228,31 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // engine is the memory-resident core of one hydrated stream: it answers
 // quantile queries over the union of the stream's historical warehouse and
 // its current step. The DB hosts one per hydrated stream over a namespaced
-// view of the shared device and owns that device and the scheduler; a Stream
-// handle pins the engine for each call. It is safe for concurrent use.
+// view of the shared device and owns that device; a Stream handle pins the
+// engine for each call. It is safe for concurrent use.
 //
 // The stream's history — installed partitions, then the sealed step whose
 // level-0 write is running or failed, with its frozen sketch — is the
 // store's published partition.Version; the engine holds only the live step.
 // Reads are snapshot-isolated: a query briefly takes the engine lock to pin
 // that version beside the live sketch, then runs its disk probes entirely
-// outside the lock — so queries proceed while EndStep writes and
-// maintenance merges behind them, and an in-flight query keeps the
-// partition files of its pinned version alive until it finishes. See the
-// package docs' "Concurrency model" for the full locking contract.
+// outside the lock — so queries proceed while EndStep writes and merges
+// behind them, and an in-flight query keeps the partition files of its
+// pinned version alive until it finishes. See the package docs'
+// "Concurrency model" for the full locking contract.
 type engine struct {
 	cfg   Options
 	eps1  float64
 	eps2  float64
 	dev   *disk.Manager
 	store *partition.Store
-	sched *scheduler // async mode; shared across a DB's streams
 
 	// loadMu serializes the write path — EndStep, the drains and checkpoints
-	// that retry a failed level-0 write, Close and shut — without blocking
-	// observes or queries: its holder is the stream's one level-0 writer,
-	// and closed changes only under it.
+	// that retry a failed level-0 write or merge, Close and shut — without
+	// blocking observes or queries: its holder is the stream's one level-0
+	// writer, its one merger and its one committer, and closed changes only
+	// under it. Lock order: loadMu > mu.
 	loadMu sync.Mutex
-	// maintMu serializes merges and a background merge's commit, so an
-	// async EndStep's write never waits for a merge. Lock order: loadMu >
-	// maintMu > mu.
-	maintMu sync.Mutex
 
 	// mu guards the fast in-memory state below, and it is the one guard of
 	// every GK sketch the stream keeps — the live one, the spare and the
@@ -298,14 +263,12 @@ type engine struct {
 	// MemoryUsage (with SealedBatch.MemoryBytes), endStep's cut (the seal
 	// hands the live sketch to the store) and recycleLocked (Reset, Count).
 	// Queries hold it only long enough to pin a snapshot.
-	mu       sync.Mutex
-	sketch   *gk.Sketch
-	spare    *gk.Sketch // empty, buffers grown: the next cut's live sketch
-	batch    []int64
-	closed   bool
-	maintErr error
-	wake     chan struct{}
-	mstats   maintAccum
+	mu     sync.Mutex
+	sketch *gk.Sketch
+	spare  *gk.Sketch // empty, buffers grown: the next cut's live sketch
+	batch  []int64
+	closed bool
+	mstats maintAccum
 }
 
 // newDevice builds the warehouse block device described by cfg: backend,
@@ -374,7 +337,6 @@ func newEngineOn(dev *disk.Manager, full Options, namespace string) (*engine, er
 	return &engine{
 		cfg: full, eps1: eps1, eps2: eps2,
 		dev: dev, store: store, sketch: sketch,
-		wake: make(chan struct{}),
 	}, nil
 }
 
@@ -432,10 +394,9 @@ func (e *engine) PartitionCount() int {
 	return e.store.PartitionCount()
 }
 
-// endStep is Stream.EndStepCtx on the pinned engine: cut and seal, write
-// the step's level-0 partition, merge (sync) or hand the merges to the
-// scheduler (async), commit. ctx aborts only the backpressure wait.
-func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
+// endStep is Stream.EndStep on the pinned engine: cut and seal, write the
+// step's level-0 partition, run the merges it makes due, commit.
+func (e *engine) endStep() (UpdateStats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	// closed only changes under loadMu, and only a cut empties the batch.
@@ -449,12 +410,9 @@ func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 		return UpdateStats{}, nil
 	}
 	// A step a failed EndStep left sealed is written first: only loadMu's
-	// holder writes level-0 partitions, so the backlog the wait bounds is
-	// then merges alone, and no step is ever sealed behind a failed one.
+	// holder writes level-0 partitions, so no step is ever sealed behind a
+	// failed one.
 	if _, err := e.installOne(); err != nil {
-		return UpdateStats{}, err
-	}
-	if err := e.waitBackpressure(ctx); err != nil {
 		return UpdateStats{}, err
 	}
 
@@ -471,69 +429,16 @@ func (e *engine) endStep(ctx context.Context) (UpdateStats, error) {
 	e.mu.Unlock()
 
 	us, err := e.installOne()
-	switch {
-	case err != nil:
+	if err == nil {
+		us.Merges, us.Merge, us.MergeIO, err = e.merge()
+	}
+	if err != nil {
 		err = fmt.Errorf("hsq: end step %d: %w", step, err)
-	case e.cfg.Maintenance == MaintenanceSync:
-		// The one thing the modes differ in: who runs the merges.
-		e.maintMu.Lock()
-		us.Merges, us.Merge, us.MergeIO, err = e.merge(true)
-		e.maintMu.Unlock()
-		if err != nil {
-			err = fmt.Errorf("hsq: end step %d: %w", step, err)
-		}
-	case e.cfg.Maintenance == MaintenanceAsync:
-		e.sched.enqueue(e)
 	}
 	if cerr := e.store.Commit(manifestName); cerr != nil && err == nil {
 		err = fmt.Errorf("hsq: commit step %d: %w", step, cerr)
 	}
 	return us, err
-}
-
-// waitBackpressure blocks while the stream's pending steps are at the
-// MaxPendingSteps bound, waking on maintenance progress, and fails instead
-// when the merge it would wait for has failed (SyncMaintenance retries it).
-// ctx aborts the wait.
-func (e *engine) waitBackpressure(ctx context.Context) error {
-	if e.cfg.Maintenance != MaintenanceAsync {
-		return nil
-	}
-	max := e.cfg.MaxPendingSteps
-	waited := false
-	for {
-		e.mu.Lock()
-		if pending, _ := e.store.Backlog(); pending < max {
-			e.mu.Unlock()
-			return nil
-		}
-		if err := e.maintErr; err != nil {
-			e.mu.Unlock()
-			return maintFailed(err)
-		}
-		ch := e.wake
-		if !waited {
-			// One blocked EndStep counts once, however many wakeups it takes.
-			e.mstats.bpWaits++
-			waited = true
-		}
-		e.mu.Unlock()
-		e.sched.enqueue(e)
-		t0 := time.Now()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			e.addBackpressureTime(time.Since(t0))
-			return ctx.Err()
-		}
-		e.addBackpressureTime(time.Since(t0))
-	}
-}
-
-func (e *engine) addBackpressureTime(d time.Duration) {
-	e.mu.Lock()
-	e.mstats.bpTime += d
-	e.mu.Unlock()
 }
 
 // applyDiskProfile installs a simulated latency profile on the device.
@@ -553,7 +458,7 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 
 // querySnap is one snapshot-isolated view of the engine: an immutable,
 // pinned store version plus the memory-resident stream pieces (the frozen
-// summaries of the version's sealed steps, then the live sketch's summary).
+// summary of the version's sealed step, then the live sketch's summary).
 // Everything a query reads after the snapshot is immutable, so the whole
 // disk search runs without any engine lock; release returns the pin so
 // reclaimed partitions can be deleted.
@@ -580,9 +485,8 @@ func (e *engine) snapshot() (*querySnap, error) {
 	// One version covers each step once: by its partition or, sealed, by its
 	// frozen sketch. Both summaries are extracted under e.mu, the sketches'
 	// one guard, which the install's buffer recycling takes too.
-	pending := s.ver.Pending()
-	s.pieces = make([]core.StreamPiece, 0, len(pending)+1)
-	for _, sb := range pending {
+	s.pieces = make([]core.StreamPiece, 0, 2)
+	if sb := s.ver.Sealed(); sb != nil {
 		s.pieces = append(s.pieces, core.StreamPiece{SS: sb.Summary(e.streamSummary), M: sb.Count})
 	}
 	if m := e.sketch.Count(); m > 0 {
@@ -729,8 +633,8 @@ func (e *engine) MemoryUsage() MemoryUsage {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var pendingBytes int64
-	for _, sb := range e.store.Pending() {
-		pendingBytes += sb.MemoryBytes()
+	if sb := e.store.Sealed(); sb != nil {
+		pendingBytes = sb.MemoryBytes()
 	}
 	return MemoryUsage{
 		HistBytes:       e.store.MemoryBytes(),
@@ -762,10 +666,10 @@ func (e *engine) Checkpoint() error {
 
 // Close drains maintenance, checkpoints the engine and releases it — how
 // the DB evicts a stream and seals it at DB.Close: a step whose level-0
-// write failed is written, due merges run, the manifest is persisted, and
-// the engine transitions to a terminal state in which every subsequent
-// mutation or query fails with ErrClosed. The device and the scheduler are
-// the DB's. Close is idempotent.
+// write failed is written, merges a failure left due run, the manifest is
+// persisted, and the engine transitions to a terminal state in which every
+// subsequent mutation or query fails with ErrClosed. The device is the
+// DB's. Close is idempotent.
 func (e *engine) Close() error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
@@ -783,14 +687,12 @@ func (e *engine) Close() error {
 }
 
 // shut closes the engine without a commit (DB.DropStream, and a hydration
-// the DB no longer wants): with loadMu and maintMu held, no EndStep, merge
-// or checkpoint is mid-commit, and none commits once the engine is closed.
-// The durable state is what was last committed; the live step is lost.
+// the DB no longer wants): with loadMu held, no EndStep, merge or checkpoint
+// is mid-commit, and none commits once the engine is closed. The durable
+// state is what was last committed; the live step is lost.
 func (e *engine) shut() {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
 	e.markClosed()
 }
 
@@ -800,7 +702,6 @@ func (e *engine) shut() {
 func (e *engine) markClosed() {
 	e.mu.Lock()
 	e.closed = true
-	e.wakeLocked()
 	e.mu.Unlock()
 	e.store.DrainPins()
 }

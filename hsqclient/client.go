@@ -26,9 +26,9 @@
 //
 // The server grants a credit window: at most W sequenced frames may be in
 // flight (written, not yet confirmed). When the server stalls — typically
-// EndStep blocked on the engine's MaxPendingSteps maintenance backpressure
-// — confirmations stop, the window fills, the client's frame queue backs
-// up, and Observe blocks. Producer speed is thereby coupled to warehouse
+// an EndStep running its level-0 write and the merges it makes due on a
+// slow device — confirmations stop, the window fills, the client's frame
+// queue backs up, and Observe blocks. Producer speed is thereby coupled to warehouse
 // speed with bounded memory at every hop.
 //
 // # Reconnection and delivery guarantees

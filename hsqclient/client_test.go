@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"net"
+	"path"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/disk"
 	"repro/internal/ingest"
 )
 
@@ -297,28 +301,45 @@ func TestDialFailsFast(t *testing.T) {
 	}
 }
 
-// TestBackpressureBlocks pins the credit path end to end: with
-// MaxPendingSteps=1 and manual maintenance the server's EndStep stalls,
-// and a producer pushing more end-steps must block rather than buffer
-// unboundedly — then unblock once maintenance drains.
+// parkedWrite is a backend that parks the first level-0 partition write —
+// the Create of a part- file — until release is closed.
+type parkedWrite struct {
+	disk.Backend
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (b *parkedWrite) Create(name string) (disk.WriteHandle, error) {
+	if strings.HasPrefix(path.Base(name), "part-") {
+		b.once.Do(func() {
+			close(b.parked)
+			<-b.release
+		})
+	}
+	return b.Backend.Create(name)
+}
+
+// TestBackpressureBlocks pins the credit path end to end: with the server's
+// first level-0 write parked, its EndStep stalls the connection, and a
+// producer pushing more end-steps must block rather than buffer unboundedly
+// — then unblock once the write resumes.
 func TestBackpressureBlocks(t *testing.T) {
-	h := newHarness(t, hsq.Options{
-		Maintenance:     hsq.MaintenanceAsync,
-		MaxPendingSteps: 1,
-		// One worker, but stalled by the flood of steps; the queue bound is
-		// what matters.
-		MaintenanceWorkers: 1,
-	})
+	dev := &parkedWrite{Backend: disk.NewMemBackend(), parked: make(chan struct{}), release: make(chan struct{})}
+	h := newHarness(t, hsq.Options{Device: dev})
+	release := sync.OnceFunc(func() { close(dev.release) })
+	defer release() // before the harness's cleanup, whose Close waits for the write
 	c, err := Dial(h.addr, WithBatchSize(64), WithMaxQueuedFrames(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close() //nolint:errcheck
 
+	const steps = 50
 	st := c.Stream("bp")
+	var sent atomic.Int64 // end-steps the producer got past
 	done := make(chan error, 1)
 	go func() {
-		for step := 0; step < 50; step++ {
+		for step := 0; step < steps; step++ {
 			for v := int64(0); v < 200; v++ {
 				if err := st.Observe(v); err != nil {
 					done <- err
@@ -329,21 +350,36 @@ func TestBackpressureBlocks(t *testing.T) {
 				done <- err
 				return
 			}
+			sent.Add(1)
 		}
 		done <- c.Flush()
 	}()
+	<-dev.parked
+	// The parked EndStep stops the connection: no more frames are read or
+	// confirmed, the credit window and the client's queue fill, and the
+	// producer blocks well short of its last step.
+	time.Sleep(300 * time.Millisecond)
+	stalled := sent.Load()
+	time.Sleep(200 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("producer finished (%v) with the server's write parked", err)
+	default:
+	}
+	if got := sent.Load(); got != stalled || got >= steps {
+		t.Fatalf("producer got past %d then %d of %d end-steps with the server stalled; want it blocked", stalled, got, steps)
+	}
+	t.Logf("producer blocked after %d of %d end-steps", stalled, steps)
+	release()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("producer deadlocked under backpressure")
+		t.Fatal("producer still blocked after the write resumed")
 	}
 	eng, _ := h.db.Lookup("bp")
-	if err := eng.SyncMaintenance(); err != nil {
-		t.Fatal(err)
-	}
 	if n := eng.TotalCount(); n != 50*200 {
 		t.Fatalf("count = %d, want %d", n, 50*200)
 	}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,15 +18,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/wire"
 )
-
-func maxPendingSteps() int {
-	if v := os.Getenv("HSQ_MAX_PENDING_STEPS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
 
 // TestClusterEndToEnd is the acceptance test for the sharded deployment:
 // a 3-node cluster with replication factor 2 over real sockets, several
@@ -51,7 +40,6 @@ func TestClusterEndToEnd(t *testing.T) {
 		Replicas: 2,
 		Options: hsq.Options{
 			Epsilon: eps, Kappa: 2, Backend: "mem", BlockSize: 4096,
-			Maintenance: hsq.MaintenanceAsync, MaxPendingSteps: maxPendingSteps(), MaintenanceWorkers: 2,
 		},
 		DownAfter: 300 * time.Millisecond,
 		DownRetry: 500 * time.Millisecond,

@@ -12,16 +12,11 @@
 // is checked against an exact oracle over the completed prefix. A final
 // write/query round proves the recovered DB is live, not just readable.
 //
-// An EndStep seals its step, writes it once as its level-0 partition and
-// commits; the level merges are run by whoever the maintenance mode names.
-// The harness covers the split while staying deterministic: streams run in
-// "manual" maintenance mode by default, the plan interleaves explicit
-// maintain operations that run the due merges, and the crash sweep
-// therefore lands inside step writes, their commits, scheduler-style merges
-// and their commits alike; in "sync" mode the merges run between each
-// step's write and its one commit. EndStep's durability contract is the
-// same either way (a nil return means the step survives any crash as a
-// partition), so the prefix-of-EndSteps guarantee is asserted identically.
+// An EndStep seals its step, writes it once as its level-0 partition, runs
+// the merges it makes due and commits them all at once, so the crash sweep
+// lands inside step writes, merges and their one commit alike. EndStep's
+// durability contract is that a nil return means the step survives any
+// crash as a partition; the prefix-of-EndSteps guarantee asserts it.
 //
 // With the default sort memory every step of a plan sorts in memory.
 // TestCrashSweepExternalSort shrinks it to one block (Config.SortMemElements)
@@ -71,10 +66,6 @@ type Config struct {
 	// BlockSize is the device block size in bytes (small, so batches span
 	// multiple blocks and crashes land inside multi-block writes).
 	BlockSize int
-	// Maintenance is the engine maintenance mode under test: "manual"
-	// (default — merges run at the plan's deterministic drains) or "sync"
-	// (each EndStep runs the merges its step makes due).
-	Maintenance string
 	// MaxHydrated caps the DB's hydrated-engine budget
 	// (Config.MaxHydratedStreams; 0 = unlimited). A cap of 1 with several
 	// streams forces constant seal/evict/rehydrate churn, so the crash
@@ -107,9 +98,6 @@ func (c Config) WithDefaults() Config {
 	if c.BlockSize == 0 {
 		c.BlockSize = 512 // 64 elements per block
 	}
-	if c.Maintenance == "" {
-		c.Maintenance = hsq.MaintenanceManual
-	}
 	return c
 }
 
@@ -119,32 +107,25 @@ func (c Config) options(cb *disk.CrashBackend) hsq.Options {
 		Kappa:              c.Kappa,
 		Device:             cb,
 		BlockSize:          c.BlockSize,
-		Maintenance:        c.Maintenance,
 		MaxHydratedStreams: c.MaxHydrated,
 		SortMemElements:    c.SortMemElements,
 	}
 }
 
 // Op is one workload operation on the named stream: an observe batch
-// (Batch non-nil), an end step (Batch nil, !Maintain, !Drop), a maintenance
-// drain (Maintain) that runs every due merge — the deterministic stand-in
-// for the background scheduler's work — or a drop (Drop) of the
+// (Batch non-nil), an end step (Batch nil, !Drop) or a drop (Drop) of the
 // stream. The next operation on a dropped stream re-creates it.
 type Op struct {
-	Stream   string
-	Batch    []int64
-	Maintain bool
-	Drop     bool
+	Stream string
+	Batch  []int64
+	Drop   bool
 }
 
 // BuildPlan generates the seeded workload plan: cfg.Ops operations
 // interleaved across cfg.Streams streams, each stream drawing from one of
 // the four paper workload generators. End steps are only emitted for
 // streams with buffered data, so every EndStep in the plan loads a batch;
-// maintain operations only for streams with steps since their last drain;
-// drops only for streams that exist. Several steps may pass between drains,
-// so merges fall several steps behind and the sweep crashes inside
-// multi-merge drains too.
+// drops only for streams that exist.
 func BuildPlan(cfg Config) []Op {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gens := make([]workload.Generator, cfg.Streams)
@@ -157,7 +138,6 @@ func BuildPlan(cfg Config) []Op {
 		gens[i] = g
 	}
 	pending := make([]int, cfg.Streams)
-	sealed := make([]int, cfg.Streams)
 	exists := make([]bool, cfg.Streams)
 	plan := make([]Op, 0, cfg.Ops)
 	for len(plan) < cfg.Ops {
@@ -167,13 +147,9 @@ func BuildPlan(cfg Config) []Op {
 		case r < 0.3 && pending[s] > 0:
 			plan = append(plan, Op{Stream: streamName(s)})
 			pending[s] = 0
-			sealed[s]++
-		case r < 0.45 && sealed[s] > 0:
-			plan = append(plan, Op{Stream: streamName(s), Maintain: true})
-			sealed[s] = 0
 		case r > 0.975 && exists[s]:
 			plan = append(plan, Op{Stream: streamName(s), Drop: true})
-			pending[s], sealed[s], exists[s] = 0, 0, false
+			pending[s], exists[s] = 0, false
 		default:
 			n := 8 + rng.Intn(57)
 			plan = append(plan, Op{Stream: streamName(s), Batch: workload.Fill(gens[s], n)})
@@ -244,18 +220,6 @@ func Replay(cb *disk.CrashBackend, cfg Config, plan []Op) Result {
 			st.ObserveSlice(op.Batch)
 			continue
 		}
-		if op.Maintain {
-			// Run the due merges — the deterministic equivalent of the
-			// background scheduler's work. A crash here never loses a step:
-			// every step EndStep returned is already a durable partition.
-			if err := st.SyncMaintenance(); err != nil {
-				if !errors.Is(err, disk.ErrCrashed) {
-					res.Err = fmt.Errorf("maintain %s: %w", op.Stream, err)
-				}
-				return res
-			}
-			continue
-		}
 		if _, err := st.EndStep(); err != nil {
 			if !errors.Is(err, disk.ErrCrashed) {
 				res.Err = fmt.Errorf("endstep %s: %w", op.Stream, err)
@@ -295,7 +259,7 @@ func stepGroups(plan []Op) map[string][][][]int64 {
 		case op.Drop:
 			lives = append(lives, nil)
 			pending[op.Stream] = nil
-		case !op.Maintain:
+		default:
 			lives[len(lives)-1] = append(lives[len(lives)-1], pending[op.Stream])
 			pending[op.Stream] = nil
 		}

@@ -12,11 +12,10 @@ var (
 	seedFlag   = flag.Int64("crash.seed", 1, "workload seed for the crash harness")
 	opsFlag    = flag.Int("crash.ops", 520, "workload operations in the crash harness plan")
 	strideFlag = flag.Int("crash.stride", 0, "test every Nth crash point (0 = every point, or a sparse sample under -short)")
-	maintFlag  = flag.String("crash.maintenance", "manual", "maintenance mode under test: manual (installs at the plan's drains) or sync (each EndStep installs its own step)")
 )
 
 func harnessConfig() Config {
-	return Config{Seed: *seedFlag, Ops: *opsFlag, Maintenance: *maintFlag}.WithDefaults()
+	return Config{Seed: *seedFlag, Ops: *opsFlag}.WithDefaults()
 }
 
 // TestCrashEveryPoint is the tentpole assertion: for a ≥500-operation
@@ -24,24 +23,24 @@ func harnessConfig() Config {
 // every mutating-operation index, restart it both dropping and keeping
 // unsynced writes, and require that reopen succeeds, the recovered state is
 // a prefix of completed steps with quantiles within ε of the oracle, and
-// the DB stays writable.
+// the DB stays writable. It logs the backend operations per EndStep: the
+// durable sequence of a step is its partition file, the merge outputs, data
+// barrier, manifest, barrier, so a change in barrier ordering moves that
+// number.
 func TestCrashEveryPoint(t *testing.T) {
 	cfg := harnessConfig()
 	plan := BuildPlan(cfg)
 	if len(plan) < 500 {
 		t.Fatalf("plan has %d operations, want >= 500", len(plan))
 	}
-	maintains, drops := 0, 0
+	steps, drops := 0, 0
 	for _, op := range plan {
-		if op.Maintain {
-			maintains++
-		}
-		if op.Drop {
+		switch {
+		case op.Drop:
 			drops++
+		case op.Batch == nil:
+			steps++
 		}
-	}
-	if maintains == 0 {
-		t.Fatal("plan schedules no maintenance drains — background install crash points would go untested")
 	}
 	if drops == 0 {
 		t.Fatal("plan schedules no drops — drop commit and sweep crash points would go untested")
@@ -69,8 +68,8 @@ func TestCrashEveryPoint(t *testing.T) {
 	for k := int64(0); k < total; k += stride {
 		points = append(points, k)
 	}
-	t.Logf("seed=%d ops=%d maintains=%d drops=%d mode=%s backend-ops=%d crash-points=%d (stride %d)",
-		cfg.Seed, len(plan), maintains, drops, cfg.Maintenance, total, len(points), stride)
+	t.Logf("seed=%d ops=%d end-steps=%d drops=%d backend-ops=%d ops/step=%.2f crash-points=%d (stride %d)",
+		cfg.Seed, len(plan), steps, drops, total, float64(total)/float64(steps), len(points), stride)
 
 	const shards = 8
 	for shard := 0; shard < shards; shard++ {
@@ -103,8 +102,8 @@ func TestCrashEveryPoint(t *testing.T) {
 					clone := cb.Clone()
 					m.restart(clone)
 					if err := Verify(clone, cfg, plan, res); err != nil {
-						t.Errorf("crash@%d mode=%s seed=%d: %v\nreproduce: go test ./internal/crashtest -run TestCrashEveryPoint -crash.seed=%d -crash.ops=%d -crash.maintenance=%s",
-							k, m.name, cfg.Seed, err, cfg.Seed, cfg.Ops, cfg.Maintenance)
+						t.Errorf("crash@%d mode=%s seed=%d: %v\nreproduce: go test ./internal/crashtest -run TestCrashEveryPoint -crash.seed=%d -crash.ops=%d",
+							k, m.name, cfg.Seed, err, cfg.Seed, cfg.Ops)
 					}
 				}
 			}
@@ -128,32 +127,19 @@ func TestCleanShutdownRecovers(t *testing.T) {
 	}
 }
 
-// TestCrashSweepSyncMode runs a sampled sweep with synchronous maintenance
-// — seal, install and one commit inside every EndStep — so both orderings
-// of the write path stay covered no matter which mode the flag selects.
-// (The full sweep for the flagged mode is TestCrashEveryPoint; CI runs it
-// for both modes.) It logs the backend operations per EndStep: the durable
-// sequence of a step is one spill, one partition file, the merge outputs,
-// data barrier, manifest, barrier, so a change in barrier ordering moves
-// that number.
+// TestCrashSweepSyncMode runs a sampled sweep over a shorter plan than
+// TestCrashEveryPoint's, with its own crash-point spacing, so the step and
+// drop boundaries fall at other backend-op indices: every EndStep seals,
+// writes its partition, runs the merges it makes due and commits, and a
+// crash anywhere in that sequence must leave a recoverable prefix.
 func TestCrashSweepSyncMode(t *testing.T) {
-	if *maintFlag == "sync" {
-		t.Skip("flagged sweep already runs sync mode")
-	}
-	cfg := Config{Seed: *seedFlag, Ops: 200, Maintenance: "sync"}.WithDefaults()
+	cfg := Config{Seed: *seedFlag, Ops: 200}.WithDefaults()
 	plan := BuildPlan(cfg)
 	counter := disk.NewCrashBackend()
 	if res := Replay(counter, cfg, plan); res.Err != nil {
 		t.Fatalf("uncrashed replay failed: %v", res.Err)
 	}
 	total := counter.Ops()
-	steps := 0
-	for _, op := range plan {
-		if op.Batch == nil && !op.Maintain {
-			steps++
-		}
-	}
-	t.Logf("seed=%d mode=sync backend-ops=%d end-steps=%d ops/step=%.2f", cfg.Seed, total, steps, float64(total)/float64(steps))
 	stride := int64(7)
 	if testing.Short() {
 		stride = 41
@@ -184,7 +170,7 @@ func TestCrashSweepSyncMode(t *testing.T) {
 // checkpoint, so a crash mid-evict or mid-rehydrate loses nothing beyond
 // the usual in-flight batch.
 func TestCrashSweepEviction(t *testing.T) {
-	cfg := Config{Seed: *seedFlag, Ops: 200, Maintenance: *maintFlag, MaxHydrated: 1}.WithDefaults()
+	cfg := Config{Seed: *seedFlag, Ops: 200, MaxHydrated: 1}.WithDefaults()
 	plan := BuildPlan(cfg)
 	counter := disk.NewCrashBackend()
 	if res := Replay(counter, cfg, plan); res.Err != nil {
@@ -216,48 +202,47 @@ func TestCrashSweepEviction(t *testing.T) {
 // so every larger step installs through extsort.SortedStream — sorted run
 // files, then their merge drained into the partition — which no other sweep,
 // figure or workload reaches through the engine (the 1 Mi default sorts
-// every step in memory). In both maintenance modes: the recovery contract
-// holds at every sampled crash point, and Verify's orphan check finds no
-// sort-* temporary after the reopen.
+// every step in memory). The recovery contract holds at every sampled crash
+// point, and Verify's orphan check finds no sort-* temporary after the
+// reopen. The subtest keeps the name of the one maintenance schedule left,
+// "sync", so its id carries over.
 func TestCrashSweepExternalSort(t *testing.T) {
-	for _, mode := range []string{"sync", "manual"} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := Config{Seed: *seedFlag, Ops: 200, Maintenance: mode, SortMemElements: 64}.WithDefaults()
-			plan := BuildPlan(cfg)
-			counter := disk.NewCrashBackend()
-			if res := Replay(counter, cfg, plan); res.Err != nil {
-				t.Fatalf("uncrashed replay failed: %v", res.Err)
+	t.Run("sync", func(t *testing.T) {
+		cfg := Config{Seed: *seedFlag, Ops: 200, SortMemElements: 64}.WithDefaults()
+		plan := BuildPlan(cfg)
+		counter := disk.NewCrashBackend()
+		if res := Replay(counter, cfg, plan); res.Err != nil {
+			t.Fatalf("uncrashed replay failed: %v", res.Err)
+		}
+		total := counter.Ops()
+		inMemory := cfg
+		inMemory.SortMemElements = 0
+		baseline := disk.NewCrashBackend()
+		if res := Replay(baseline, inMemory, plan); res.Err != nil {
+			t.Fatalf("uncrashed in-memory replay failed: %v", res.Err)
+		}
+		t.Logf("seed=%d backend-ops=%d (in-memory sort: %d)", cfg.Seed, total, baseline.Ops())
+		if total <= baseline.Ops() {
+			t.Fatalf("the plan never reached the external sort: %d backend ops, %d with the default sort memory", total, baseline.Ops())
+		}
+		stride := int64(7)
+		if testing.Short() {
+			stride = 41
+		}
+		for k := int64(0); k < total; k += stride {
+			cb := disk.NewCrashBackend()
+			cb.SetCrashPoint(k, true)
+			res := Replay(cb, cfg, plan)
+			if res.Err != nil {
+				t.Fatalf("crash@%d: replay: %v", k, res.Err)
 			}
-			total := counter.Ops()
-			inMemory := cfg
-			inMemory.SortMemElements = 0
-			baseline := disk.NewCrashBackend()
-			if res := Replay(baseline, inMemory, plan); res.Err != nil {
-				t.Fatalf("uncrashed in-memory replay failed: %v", res.Err)
-			}
-			t.Logf("seed=%d mode=%s backend-ops=%d (in-memory sort: %d)", cfg.Seed, mode, total, baseline.Ops())
-			if total <= baseline.Ops() {
-				t.Fatalf("the plan never reached the external sort: %d backend ops, %d with the default sort memory", total, baseline.Ops())
-			}
-			stride := int64(7)
-			if testing.Short() {
-				stride = 41
-			}
-			for k := int64(0); k < total; k += stride {
-				cb := disk.NewCrashBackend()
-				cb.SetCrashPoint(k, true)
-				res := Replay(cb, cfg, plan)
-				if res.Err != nil {
-					t.Fatalf("crash@%d: replay: %v", k, res.Err)
-				}
-				for _, keep := range []bool{false, true} {
-					clone := cb.Clone()
-					clone.Restart(keep)
-					if err := Verify(clone, cfg, plan, res); err != nil {
-						t.Errorf("crash@%d keep=%v: %v", k, keep, err)
-					}
+			for _, keep := range []bool{false, true} {
+				clone := cb.Clone()
+				clone.Restart(keep)
+				if err := Verify(clone, cfg, plan, res); err != nil {
+					t.Errorf("crash@%d keep=%v: %v", k, keep, err)
 				}
 			}
-		})
-	}
+		}
+	})
 }

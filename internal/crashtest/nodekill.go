@@ -82,11 +82,9 @@ func RunNodeKill(cfg NodeKillConfig) error {
 		Nodes:    cfg.Nodes,
 		Replicas: cfg.Replicas,
 		Options: hsq.Options{
-			Epsilon:         cfg.Epsilon,
-			Kappa:           2,
-			Backend:         "mem",
-			Maintenance:     hsq.MaintenanceAsync,
-			MaxPendingSteps: 1,
+			Epsilon: cfg.Epsilon,
+			Kappa:   2,
+			Backend: "mem",
 		},
 		DownAfter: 300 * time.Millisecond,
 		DownRetry: 500 * time.Millisecond,
@@ -179,9 +177,6 @@ func verifyStream(h *cluster.Harness, victim int, name string, or *oracle.Oracle
 		}
 		if !ok {
 			return fmt.Errorf("missing on surviving member %s", hn.Node.ID)
-		}
-		if err := st.SyncMaintenance(); err != nil {
-			return err
 		}
 		if got := st.TotalCount(); got != n {
 			return fmt.Errorf("node %s: count %d, want %d (loss or duplication)", hn.Node.ID, got, n)

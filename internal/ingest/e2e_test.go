@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,9 +18,9 @@ import (
 // TestRemoteIngestEndToEnd is the full-subsystem correctness test over a
 // real socket: several streams fed concurrently through one hsqclient,
 // the server connection force-closed repeatedly mid-batch (exercising
-// session replay), maintenance backpressure active throughout
-// (MaxPendingSteps=1 unless HSQ_MAX_PENDING_STEPS overrides — the same
-// knob the CI race matrix turns), and queries served during ingest. At a
+// session replay), every EndStep running its merges (κ=2) on the
+// connection's goroutine so the connection stalls for them, and queries
+// served during ingest. At a
 // flush barrier mid-run and again at the end, every stream's quantiles
 // must match the exact oracle within the ε bound — i.e. remote delivery
 // lost nothing, duplicated nothing, and reordered nothing.
@@ -33,17 +31,7 @@ func TestRemoteIngestEndToEnd(t *testing.T) {
 		steps    = 6
 		perStep  = 5000
 	)
-	maxPending := 1
-	if v := os.Getenv("HSQ_MAX_PENDING_STEPS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			maxPending = n
-		}
-	}
-
-	db, err := hsq.Open(hsq.Options{
-		Epsilon: eps, Kappa: 2, Backend: "mem", BlockSize: 4096,
-		Maintenance: hsq.MaintenanceAsync, MaxPendingSteps: maxPending, MaintenanceWorkers: 2,
-	})
+	db, err := hsq.Open(hsq.Options{Epsilon: eps, Kappa: 2, Backend: "mem", BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +200,6 @@ func TestRemoteIngestEndToEnd(t *testing.T) {
 	if stats.TotalConns < 2 {
 		t.Errorf("TotalConns = %d; chaos never forced a reconnect?", stats.TotalConns)
 	}
-	t.Logf("e2e: %d conns, %d frames (%d dup), %d values, maxPending=%d",
-		stats.TotalConns, stats.Frames, stats.DupFrames, stats.Values, maxPending)
+	t.Logf("e2e: %d conns, %d frames (%d dup), %d values",
+		stats.TotalConns, stats.Frames, stats.DupFrames, stats.Values)
 }

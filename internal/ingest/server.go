@@ -8,8 +8,8 @@
 // before reading the next, so the server never buffers un-applied data:
 // the only queue is the kernel socket buffer, and the credit window the
 // Welcome grants bounds how far a client may run ahead of its Pongs. The
-// Pong is the server's only confirmation. When a stream's EndStep blocks
-// on maintenance backpressure (MaxPendingSteps), the connection stops
+// Pong is the server's only confirmation. While a stream's EndStep runs
+// its step's level-0 write and the merges it makes due, the connection stops
 // reading, Pongs stop and the client's credit drains — backpressure
 // propagates to the producer instead of accumulating server-side.
 //
@@ -600,9 +600,9 @@ func (s *Server) applySequenced(c *conn, sess *session, f *wire.Frame) (bool, er
 // apply is the one place a Batch or EndStep frame meets an engine,
 // whichever door it came through: the engine call, the aggregate and
 // per-stream tallies GET /ingest reports, and the continuous-query nudge
-// after an EndStep. ctx aborts an EndStep blocked on MaxPendingSteps
-// backpressure (for a connection that stall also stops its Pongs, draining
-// the client's credit — the propagation path).
+// after an EndStep. ctx is checked before an EndStep starts; a started one
+// runs its write and merges to completion (for a connection that stall also
+// stops its Pongs, draining the client's credit — the propagation path).
 //
 // gate is the session a connection's frame arrived under, nil for Write.
 // A gated frame is applied only when it is above the session's mark for the

@@ -91,8 +91,9 @@ var ErrMergeIncomplete = errors.New("partition: level merge incomplete (retried 
 
 // SealedBatch is one time step that has been sealed — its step number
 // assigned, it and its frozen GK sketch part of the published Version
-// (Version.Pending) — but whose level-0 partition is not published yet,
-// because its write is still running or has failed.
+// (Version.Sealed) — but whose level-0 partition is not published yet,
+// because its write is still running or has failed. A store holds at most
+// one.
 type SealedBatch struct {
 	// ID is the batch's store-unique id; its level-0 partition takes it.
 	ID int64
@@ -140,12 +141,12 @@ func (sb *SealedBatch) MemoryBytes() int64 {
 //     oldest first, each Summary.Part carrying its level, so every level is
 //     one contiguous run of the list and levels descend along it (a merge
 //     takes a level's oldest κ+1 partitions, and its output is the newest
-//     partition of the next level up) — and its pending list is the sealed
-//     steps queued after them, which Seal appends to and an install takes
-//     the head of. Every edit publishes a new Version. One installer appends
-//     to the entries and one merger splices them, each serialized by its
-//     caller (the engine's write-path and maintenance locks), and the two
-//     may run at once; one sealer appends to the pending list at a time.
+//     partition of the next level up) — and after them at most one sealed
+//     step, which Seal sets and an install moves into the entries. Every
+//     edit publishes a new Version. One installer appends to the entries and
+//     one merger splices them, each serialized by its caller; the store lets
+//     the two run at once, and the engine runs both, with the seal and the
+//     commit, under its one write-path lock.
 //   - Durable state: the manifest, always written from a consistent
 //     published snapshot under the commit lock, so durable manifests never
 //     regress to an older version.
@@ -184,8 +185,8 @@ type Store struct {
 	committedSeq int64
 	nextID       int64
 
-	// cmu serializes manifest commits (the write path's can race a
-	// maintenance worker's) so the durable manifest sequence is monotone.
+	// cmu serializes manifest commits so the durable manifest sequence is
+	// monotone.
 	cmu sync.Mutex
 
 	// pinCond (lazily created under vmu by DrainPins) is broadcast on every
@@ -209,7 +210,7 @@ func NewStore(dev *disk.Manager, cfg Config) (*Store, error) {
 }
 
 // TotalCount returns n, the number of historical elements — installed
-// partitions plus sealed steps.
+// partitions plus the sealed step.
 func (s *Store) TotalCount() int64 {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
@@ -217,30 +218,29 @@ func (s *Store) TotalCount() int64 {
 }
 
 // Steps returns the number of time steps sealed so far (installed or
-// pending).
+// not).
 func (s *Store) Steps() int {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
 	return s.cur.Steps()
 }
 
-// Pending returns the current version's sealed steps, oldest first
-// (Version.Pending). The slice is an immutable snapshot.
-func (s *Store) Pending() []*SealedBatch {
+// Sealed returns the current version's sealed step, or nil
+// (Version.Sealed).
+func (s *Store) Sealed() *SealedBatch {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
-	return s.cur.pending
+	return s.cur.sealed
 }
 
-// Backlog returns the current version's deferred work: its sealed steps,
+// Backlog returns the current version's deferred work: its sealed step,
 // plus the merge debt — on every level, the partitions past its κ oldest —
 // in steps and in elements.
 func (s *Store) Backlog() (steps int, elements int64) {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
-	for _, sb := range s.cur.pending {
-		steps++
-		elements += sb.Count
+	if sb := s.cur.sealed; sb != nil {
+		steps, elements = 1, sb.Count
 	}
 	ents := s.cur.entries
 	for start, end := 0, 0; start < len(ents); start = end {
@@ -304,15 +304,19 @@ func (s *Store) allocID() int64 {
 // AddBatch loads one time step's batch into the warehouse in one call: Seal,
 // InstallOne, then Merge until no level holds more than κ partitions, for
 // callers that are the store's only writer (layer benchmarks, tests). step
-// must be the next time step. A failed merge is ErrMergeIncomplete: the step
-// is installed, and the next AddBatch retries the merge. Like its parts it
-// commits nothing.
+// must be the next time step. A step whose write failed stays sealed, and
+// the next AddBatch writes it before sealing its own. A failed merge is
+// ErrMergeIncomplete: the step is installed, and the next AddBatch retries
+// the merge. Like its parts it commits nothing.
 func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if len(data) == 0 {
 		return UpdateBreakdown{}, fmt.Errorf("partition: sealing empty batch")
 	}
 	if at := s.Steps(); step != at+1 {
 		return UpdateBreakdown{}, fmt.Errorf("partition: batch for step %d, store is at step %d", step, at)
+	}
+	if _, _, err := s.InstallOne(); err != nil {
+		return UpdateBreakdown{}, err
 	}
 	s.Seal(data, nil)
 	bd, _, err := s.InstallOne()
@@ -336,20 +340,24 @@ func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 
 // Seal closes one time step without I/O: the batch, with the stream's GK
 // sketch frozen at the cut (nil when the caller keeps none), becomes the
-// newest sealed step of a Version that shares the current partitions and
-// probe memo. From the publish on the step is counted and answered by every
+// sealed step of a Version that shares the current partitions and probe
+// memo. From the publish on the step is counted and answered by every
 // reader; InstallOne then writes it. It is durable once its partition is
 // published and a Commit returns nil. data must not be empty, and neither it
 // nor the sketch may change until Reusable hands them back.
 //
-// Seal may run concurrently with InstallOne, Merge and Commit; only one Seal
-// at a time (the engine's write path serializes end-of-steps).
+// A store holds at most one sealed step: the caller installs a step whose
+// write failed before it seals the next, and Seal panics otherwise. Seal may
+// run concurrently with Merge and Commit.
 func (s *Store) Seal(data []int64, sketch *gk.Sketch) *SealedBatch {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
+	if old := s.cur.sealed; old != nil {
+		panic(fmt.Sprintf("partition: Seal with step %d still sealed", old.Step))
+	}
 	sb := &SealedBatch{ID: s.nextID, Count: int64(len(data)), Step: s.cur.Steps() + 1, data: data, sketch: sketch}
 	s.nextID++
-	s.publishLocked(s.cur.entries, append(slices.Clip(s.cur.pending), sb), s.cur.memo)
+	s.publishLocked(s.cur.entries, sb, s.cur.memo)
 	return sb
 }
 
@@ -358,22 +366,19 @@ func (s *Store) Seal(data []int64, sketch *gk.Sketch) *SealedBatch {
 // Nothing in the store reads either again.
 func (s *Store) Reusable(sb *SealedBatch) ([]int64, *gk.Sketch) { return sb.data, sb.sketch }
 
-// InstallOne writes the oldest sealed step as a new level-0 partition — its
-// one write, sorted from the batch in memory (a copy, or the external sort's
+// InstallOne writes the sealed step as a new level-0 partition — its one
+// write, sorted from the batch in memory (a copy, or the external sort's
 // runs for a step of more than SortMemElements values) with its summary
 // captured in flight — and publishes it by appending it to the entries. It
 // returns the installed step number, 0 when nothing was sealed or the write
 // failed (the step then stays sealed for a retry). It merges nothing (Merge
 // does) and makes nothing durable (Commit does). The caller must be the
-// store's single installer; Seal, Merge and Commit may run beside it.
+// store's single installer; Merge and Commit may run beside it.
 func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
-	s.vmu.Lock()
-	if len(s.cur.pending) == 0 {
-		s.vmu.Unlock()
+	sb := s.Sealed()
+	if sb == nil {
 		return UpdateBreakdown{}, 0, nil
 	}
-	sb := s.cur.pending[0]
-	s.vmu.Unlock()
 
 	// The partition takes its batch's id: a retried install then rewrites
 	// the file a failed attempt left behind instead of stranding it.
@@ -421,7 +426,7 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	// append to whatever is current.
 	t0 = time.Now()
 	s.vmu.Lock()
-	s.publishLocked(append(slices.Clip(s.cur.entries), sum), s.cur.pending[1:], s.newMemo())
+	s.publishLocked(append(slices.Clip(s.cur.entries), sum), nil, s.newMemo())
 	s.vmu.Unlock()
 	bd.Summary = time.Since(t0)
 	return bd, sb.Step, nil
@@ -450,7 +455,7 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 	s.vmu.Lock()
 	// A fresh slice: the published list is shared with pinned readers.
 	ents = s.cur.entries
-	v := s.publishLocked(slices.Concat(ents[:start], []*Summary{merged}, ents[start+len(run):]), s.cur.pending, s.newMemo())
+	v := s.publishLocked(slices.Concat(ents[:start], []*Summary{merged}, ents[start+len(run):]), s.cur.sealed, s.newMemo())
 	for _, e := range run {
 		s.retired = append(s.retired, retiredFile{name: e.Part.name, seq: v.seq})
 	}
@@ -524,9 +529,9 @@ func (s *Store) mergeLevel(dev *disk.Manager, run []*Summary) (*Summary, error) 
 // partition is published and a Commit returns nil.
 //
 // Nothing else in the store commits: the engine calls Commit once per
-// EndStep, once per background merge, and at checkpoints. It is safe to
-// call concurrently (the write path vs a maintenance worker); commits are
-// serialized and the durable manifest sequence is monotone.
+// EndStep and at its retries and checkpoints. It is safe to call
+// concurrently; commits are serialized and the durable manifest sequence is
+// monotone.
 func (s *Store) Commit(manifestName string) error {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()

@@ -4,12 +4,12 @@ import "sync"
 
 // Snapshot isolation for the historical store. The store's published state
 // is a chain of immutable Version objects, and the current one is the
-// stream's whole history: the installed partitions, then the sealed steps
-// after them. Each install, merge or seal publishes a fresh Version whose
-// lists are copies of the current ones with the edit applied. Queries pin a
-// Version with Pin, run entirely against it — its partition files are
-// immutable on disk — and Release it when done, so they never contend with
-// the engine write lock or observe a half-installed layout.
+// stream's whole history: the installed partitions, then at most one sealed
+// step after them. Each install, merge or seal publishes a fresh Version
+// whose partition list is a copy of the current one with the edit applied.
+// Queries pin a Version with Pin, run entirely against it — its partition
+// files are immutable on disk — and Release it when done, so they never
+// contend with the engine write lock or observe a half-installed layout.
 //
 // File reclamation composes the pin discipline with the crash-consistency
 // rule introduced with the commit protocol: a file superseded while building
@@ -27,22 +27,23 @@ import "sync"
 // A Version lists its partitions in one order, oldest first (Entries), and
 // offers no step-range selection of its own: which spans a windowed, shifted
 // or as-of read sees is decided by query.Scope.Select over the EndSteps of
-// this list and the Steps of Pending, for every caller.
+// this list and the Step of Sealed, for every caller.
 
 // Version is one immutable snapshot of the store's published history: the
-// partition set with the per-partition summaries, then the sealed steps not
-// yet installed. It is created by the store (publishLocked) and handed to
-// queries by Pin; all accessors are safe for concurrent use since the
-// snapshot never mutates.
+// partition set with the per-partition summaries, then the sealed step not
+// yet installed, if any. It is created by the store (publishLocked) and
+// handed to queries by Pin; all accessors are safe for concurrent use since
+// the snapshot never mutates.
 type Version struct {
 	store *Store
 	seq   int64
 	// entries is the frozen (partition, summary) list, oldest first (see
 	// Entries).
 	entries []*Summary
-	// pending is the sealed steps after entries, oldest first (see Pending).
-	pending []*SealedBatch
-	total   int64
+	// sealed is the step after entries whose partition is not published
+	// yet, nil when there is none (see Sealed).
+	sealed *SealedBatch
+	total  int64
 	// refs is guarded by store.vmu. The store itself holds one ref on the
 	// current version; each Pin adds one.
 	refs int
@@ -64,13 +65,11 @@ func (v *Version) Seq() int64 { return v.seq }
 // shared and must not be mutated.
 func (v *Version) Entries() []*Summary { return v.entries }
 
-// Pending returns the snapshot's sealed steps, oldest first: one batch per
-// step, the first at InstalledSteps+1 and each one step after the last —
-// steps whose level-0 write is running or has failed. Entries and Pending
-// are the only record of the stream's history; a seal appends to Pending
-// and an install moves its head into Entries, in one publish. The slice is
-// shared and must not be mutated.
-func (v *Version) Pending() []*SealedBatch { return v.pending }
+// Sealed returns the snapshot's sealed step — step InstalledSteps+1, whose
+// level-0 write is running or has failed — or nil. Entries and Sealed are
+// the only record of the stream's history; a seal sets Sealed and an
+// install moves it into Entries, in one publish.
+func (v *Version) Sealed() *SealedBatch { return v.sealed }
 
 // overflow returns where, in ents, the oldest κ+1 partitions of the lowest
 // level holding more than κ start; ok is false when no level does. A level
@@ -93,7 +92,7 @@ func overflow(ents []*Summary, kappa int) (start int, ok bool) {
 func (v *Version) Memo() *ProbeMemo { return v.memo }
 
 // TotalCount returns n, the number of elements across the snapshot's
-// partitions and sealed steps.
+// partitions and its sealed step.
 func (v *Version) TotalCount() int64 { return v.total }
 
 // InstalledSteps returns the number of time steps the snapshot's partitions
@@ -107,7 +106,12 @@ func (v *Version) InstalledSteps() int {
 
 // Steps returns the number of time steps the snapshot covers: installed
 // plus sealed.
-func (v *Version) Steps() int { return v.InstalledSteps() + len(v.pending) }
+func (v *Version) Steps() int {
+	if v.sealed != nil {
+		return v.sealed.Step
+	}
+	return v.InstalledSteps()
+}
 
 // PartitionCount returns the number of partitions in the snapshot.
 func (v *Version) PartitionCount() int { return len(v.entries) }
@@ -185,27 +189,26 @@ func (s *Store) LiveVersions() int {
 	return len(s.live)
 }
 
-// publishLocked makes the Version of ents and pending current, with memo as
+// publishLocked makes the Version of ents and sealed current, with memo as
 // its probe memo: the current one when the partition set is unchanged (a
-// seal), a fresh one otherwise. Each caller derives ents and pending from
-// the current version under vmu — the installer appends to the entries, the
-// merger splices them, Seal appends to pending and the installer takes its
-// head — as lists no published Version's slice can grow into. Caller holds
-// vmu.
-func (s *Store) publishLocked(ents []*Summary, pending []*SealedBatch, memo *ProbeMemo) *Version {
+// seal), a fresh one otherwise. Each caller derives ents and sealed from the
+// current version under vmu — the installer appends to the entries and
+// clears sealed, the merger splices the entries, Seal sets sealed — with ents
+// a list no published Version's slice can grow into. Caller holds vmu.
+func (s *Store) publishLocked(ents []*Summary, sealed *SealedBatch, memo *ProbeMemo) *Version {
 	v := &Version{
 		store:   s,
 		seq:     s.cur.seq + 1,
 		entries: ents,
-		pending: pending,
+		sealed:  sealed,
 		refs:    1, // the store's own ref on the current version
 		memo:    memo,
 	}
 	for _, e := range ents {
 		v.total += e.Part.Count
 	}
-	for _, sb := range pending {
-		v.total += sb.Count
+	if sealed != nil {
+		v.total += sealed.Count
 	}
 	old := s.cur
 	s.cur = v

@@ -1,11 +1,16 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/disk"
 )
 
 // seqBatch returns base..base+n-1.
@@ -142,8 +147,8 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if sb.Step != 1 {
 		t.Fatalf("sealed step = %d, want 1", sb.Step)
 	}
-	if p := s.Pending(); len(p) != 1 || p[0] != sb || sb.Count != 50 {
-		t.Fatalf("pending = %v, want the one sealed batch of 50", p)
+	if got := s.Sealed(); got != sb || sb.Count != 50 {
+		t.Fatalf("sealed = %v, want the one sealed batch of 50", got)
 	}
 	if s.TotalCount() != 50 || s.Steps() != 1 || s.PartitionCount() != 0 {
 		t.Fatalf("TotalCount/Steps/PartitionCount = %d/%d/%d, want 50/1/0", s.TotalCount(), s.Steps(), s.PartitionCount())
@@ -155,9 +160,9 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sealed.Steps() != 0 || sealed.TotalCount() != 0 || len(sealed.Pending()) != 0 {
-		t.Fatalf("reloaded while sealed: steps=%d total=%d pending=%d, want nothing durable",
-			sealed.Steps(), sealed.TotalCount(), len(sealed.Pending()))
+	if sealed.Steps() != 0 || sealed.TotalCount() != 0 || sealed.Sealed() != nil {
+		t.Fatalf("reloaded while sealed: steps=%d total=%d sealed=%v, want nothing durable",
+			sealed.Steps(), sealed.TotalCount(), sealed.Sealed())
 	}
 
 	before = dev.Stats()
@@ -174,8 +179,8 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if names, err := dev.List(""); err != nil || !slices.Equal(names, []string{"MANIFEST.json", "part-000000.dat"}) {
 		t.Errorf("device holds %v (%v), want the manifest and the one partition", names, err)
 	}
-	if len(s.Pending()) != 0 || s.PartitionCount() != 1 || s.TotalCount() != 50 {
-		t.Fatalf("after install: pending=%d partitions=%d total=%d, want 0/1/50", len(s.Pending()), s.PartitionCount(), s.TotalCount())
+	if s.Sealed() != nil || s.PartitionCount() != 1 || s.TotalCount() != 50 {
+		t.Fatalf("after install: sealed=%v partitions=%d total=%d, want nil/1/50", s.Sealed(), s.PartitionCount(), s.TotalCount())
 	}
 	if err := s.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
@@ -193,9 +198,40 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	}
 }
 
+// TestAddBatchWritesLeftoverFirst: a step whose level-0 write failed stays
+// sealed, and the next AddBatch writes it before it seals its own — so that
+// call returns with no step sealed behind it and both steps' partitions
+// published.
+func TestAddBatchWritesLeftoverFirst(t *testing.T) {
+	dev := newDev(t)
+	s := newStore(t, dev, 3, 0.1)
+	var failed atomic.Bool
+	dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqWrite && strings.HasPrefix(name, "part-") && failed.CompareAndSwap(false, true) {
+			return errors.New("injected write fault")
+		}
+		return nil
+	})
+	if _, err := s.AddBatch(seqBatch(0, 40), 1); err == nil {
+		t.Fatal("AddBatch(1) with its partition write failing returned nil")
+	}
+	if _, err := s.AddBatch(seqBatch(100, 40), 2); err != nil {
+		t.Fatalf("AddBatch(2): %v", err)
+	}
+	v := s.Pin()
+	defer v.Release()
+	if v.InstalledSteps() != 2 || v.Steps() != 2 || s.PartitionCount() != 2 {
+		t.Errorf("after AddBatch(2): %d of %d steps installed in %d partitions, want 2 of 2 in 2",
+			v.InstalledSteps(), v.Steps(), s.PartitionCount())
+	}
+	if sb := v.Sealed(); sb != nil {
+		t.Errorf("step %d still sealed", sb.Step)
+	}
+}
+
 // TestVersionEntriesChronological pins the one partition order as an
 // invariant of publish: whatever the levels hold — fresh level-0 installs,
-// cascading merges, a sealed backlog waiting — every published version
+// cascading merges, a sealed step waiting — every published version
 // lists its partitions oldest first, tiling (0, InstalledSteps] without a
 // gap, with levels that never increase along the list. A reader pins while
 // installs append and a merger splices beside them, so versions published
@@ -222,12 +258,9 @@ func TestVersionEntriesChronological(t *testing.T) {
 		if next-1 != v.InstalledSteps() {
 			t.Errorf("version %d entries end at step %d, InstalledSteps = %d", v.Seq(), next-1, v.InstalledSteps())
 		}
-		// The sealed steps continue the partitions step by step.
-		for i, sb := range v.Pending() {
-			if sb.Step != next+i {
-				t.Errorf("version %d sealed batch %d is step %d, want %d", v.Seq(), i, sb.Step, next+i)
-				return
-			}
+		// The sealed step continues the partitions.
+		if sb := v.Sealed(); sb != nil && sb.Step != next {
+			t.Errorf("version %d sealed step %d, want %d", v.Seq(), sb.Step, next)
 		}
 	}
 	for _, kappa := range []int{2, 3, 5} {
@@ -269,12 +302,13 @@ func TestVersionEntriesChronological(t *testing.T) {
 			}()
 			levels := 0
 			for s.Steps() < 60 {
-				// Seal a few steps, then install some of them: versions
-				// are published with and without a backlog behind them.
-				for i := 1 + rng.Intn(3); i > 0; i-- {
+				// Seal a step and install it, or leave it sealed a while:
+				// versions are published with and without a sealed step
+				// behind them.
+				if s.Sealed() == nil {
 					s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40)), nil)
 				}
-				for i := rng.Intn(4); i > 0; i-- {
+				if rng.Intn(3) > 0 {
 					if _, _, err := s.InstallOne(); err != nil {
 						t.Fatal(err)
 					}

@@ -2,13 +2,10 @@ package hsq
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
-	"os"
 	"path"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,23 +18,17 @@ import (
 	"repro/internal/workload"
 )
 
-// envMaxPending lets CI force a backpressure depth on every
-// maintenance-mode test (HSQ_MAX_PENDING_STEPS=1 runs the whole suite under
-// constant backpressure; a large value exercises deep pending queues).
-func envMaxPending(def int) int {
-	if v := os.Getenv("HSQ_MAX_PENDING_STEPS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return def
+func maintConfig() Options {
+	return Options{Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024}
 }
 
-func maintConfig(mode string, maxPending int) Options {
-	return Options{
-		Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024,
-		Maintenance: mode, MaxPendingSteps: maxPending,
+// failMerges is a fault hook that fails every merge: the reads of its input
+// partitions. Level-0 writes and query reads pass through.
+func failMerges(op disk.Op, name string, block int64) error {
+	if op == disk.OpSeqRead && partFile(name) {
+		return errInjected
 	}
+	return nil
 }
 
 // feedSteps drives steps batches of size batch through the engine,
@@ -84,190 +75,81 @@ func checkAgainstOracle(t *testing.T, eng oracleQuerier, all []int64, label stri
 	}
 }
 
-// TestMaintenanceModesEquivalent feeds the same workload through all three
-// maintenance modes and requires identical step counts, identical histories
-// and oracle-accurate quantiles — and, once drained, the same warehouse
-// layout, the same install counters and the same sequential writes: who
-// drains the sealed queue must change nothing else.
-func TestMaintenanceModesEquivalent(t *testing.T) {
-	type outcome struct {
-		layout    []LevelInfo
-		seqWrites uint64
-	}
-	var first *outcome
-	for _, mode := range []string{MaintenanceSync, MaintenanceAsync, MaintenanceManual} {
-		t.Run(mode, func(t *testing.T) {
-			eng := OneStream(t, maintConfig(mode, envMaxPending(3)))
-			all := feedSteps(t, eng, workload.NewUniform(42), 12, 700)
-			// Quantiles must be accurate BEFORE draining: sealed steps are
-			// covered by their frozen summaries.
-			checkAgainstOracle(t, eng, all, "pre-drain")
-			if err := eng.SyncMaintenance(); err != nil {
-				t.Fatalf("SyncMaintenance: %v", err)
-			}
-			if got := eng.Steps(); got != 12 {
-				t.Errorf("Steps = %d, want 12", got)
-			}
-			if got := eng.HistCount(); got != int64(len(all)) {
-				t.Errorf("HistCount = %d, want %d", got, len(all))
-			}
-			ms := eng.MaintenanceStats()
-			if ms.PendingSteps != 0 || ms.PendingElements != 0 {
-				t.Errorf("after SyncMaintenance: pending = %d steps / %d elements", ms.PendingSteps, ms.PendingElements)
-			}
-			if ms.Installs != 12 {
-				t.Errorf("Installs = %d, want 12", ms.Installs)
-			}
-			if ms.MaintIO.Total() == 0 {
-				t.Error("zero maintenance I/O after 12 installs")
-			}
-			checkAgainstOracle(t, eng, all, "post-drain")
-			got := &outcome{eng.Describe(), eng.DiskStats().SeqWrites}
-			if first == nil {
-				first = got
-			} else if !slices.Equal(got.layout, first.layout) || got.seqWrites != first.seqWrites {
-				t.Errorf("layout %+v with %d sequential writes, sync mode left %+v with %d",
-					got.layout, got.seqWrites, first.layout, first.seqWrites)
-			}
-		})
-	}
-}
-
-// TestEachStepWrittenOnce pins a step's one write, in every mode and on
-// both sort paths: no EndStep creates a raw spill (the fault hook fails any
-// that tries), and before any merge is due each step's sequential block
-// writes are its level-0 partition's — one per block and one for the footer
-// — plus, when SortMemElements is one block (64) and the external sort
-// takes the step, the sorted runs it cuts from the batch, temporaries that
-// are gone once maintenance is done.
+// TestEachStepWrittenOnce pins a step's one write on both sort paths: no
+// EndStep creates a raw spill (the fault hook fails any that tries), and
+// before any merge is due each step's sequential block writes are its
+// level-0 partition's — one per block and one for the footer — plus, when
+// SortMemElements is one block (64) and the external sort takes the step,
+// the sorted runs it cuts from the batch, temporaries that are gone once the
+// EndStep returns. The subtests keep the name of the one maintenance
+// schedule left, "sync", so their ids carry over.
 func TestEachStepWrittenOnce(t *testing.T) {
-	for _, mode := range []string{MaintenanceSync, MaintenanceAsync, MaintenanceManual} {
-		for _, sortMem := range []int{0, 64} {
-			t.Run(fmt.Sprintf("%s/sortmem=%d", mode, sortMem), func(t *testing.T) {
-				cfg := maintConfig(mode, 4)
-				cfg.BlockSize, cfg.SortMemElements = 512, sortMem
-				eng := OneStream(t, cfg)
-				var mu sync.Mutex
-				writes := make(map[string]int) // sequential block writes, by file-name prefix
-				eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
-					base := path.Base(name)
-					if op == disk.OpOpen && strings.HasPrefix(base, "batch-raw-") {
-						return fmt.Errorf("raw spill %s created", name)
-					}
-					if op == disk.OpSeqWrite {
-						kind, _, _ := strings.Cut(base, "-")
-						mu.Lock()
-						writes[kind]++
-						mu.Unlock()
-					}
-					return nil
-				})
-				gen := workload.NewUniform(42)
-				for step := 1; step <= 12; step++ {
+	for _, sortMem := range []int{0, 64} {
+		t.Run(fmt.Sprintf("sync/sortmem=%d", sortMem), func(t *testing.T) {
+			cfg := maintConfig()
+			cfg.BlockSize, cfg.SortMemElements = 512, sortMem
+			eng := OneStream(t, cfg)
+			var mu sync.Mutex
+			writes := make(map[string]int) // sequential block writes, by file-name prefix
+			eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+				base := path.Base(name)
+				if op == disk.OpOpen && strings.HasPrefix(base, "batch-raw-") {
+					return fmt.Errorf("raw spill %s created", name)
+				}
+				if op == disk.OpSeqWrite {
+					kind, _, _ := strings.Cut(base, "-")
 					mu.Lock()
-					clear(writes)
+					writes[kind]++
 					mu.Unlock()
-					eng.ObserveSlice(workload.Fill(gen, 700))
-					if _, err := eng.EndStep(); err != nil {
-						t.Fatalf("EndStep %d: %v", step, err)
-					}
-					if step > 3 {
-						continue // κ=3: merges come due from step 4 on
-					}
-					ents := engineOf(t, eng).store.Entries()
-					r, err := ents[len(ents)-1].Part.OpenRandom()
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := map[string]int{"part": int(r.Blocks()) + 1}
-					r.Close() //nolint:errcheck // read-only
-					mu.Lock()
-					got := maps.Clone(writes)
-					mu.Unlock()
-					if sortMem > 0 {
-						if got["sort"] == 0 {
-							t.Errorf("step %d cut no sort runs with a one-block sort memory", step)
-						}
-						want["sort"] = got["sort"]
-					}
-					if !maps.Equal(got, want) {
-						t.Errorf("step %d wrote %v, want its partition's %d blocks and footer alone", step, got, want["part"]-1)
-					}
 				}
-				if err := eng.SyncMaintenance(); err != nil {
-					t.Fatal(err)
+				return nil
+			})
+			gen := workload.NewUniform(42)
+			for step := 1; step <= 12; step++ {
+				mu.Lock()
+				clear(writes)
+				mu.Unlock()
+				eng.ObserveSlice(workload.Fill(gen, 700))
+				if _, err := eng.EndStep(); err != nil {
+					t.Fatalf("EndStep %d: %v", step, err)
 				}
-				if got := eng.MaintenanceStats().Installs; got != 12 {
-					t.Errorf("Installs = %d, want 12", got)
+				if step > 3 {
+					continue // κ=3: merges come due from step 4 on
 				}
-				names, err := eng.db.dev.List("")
+				ents := engineOf(t, eng).store.Entries()
+				r, err := ents[len(ents)-1].Part.OpenRandom()
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, name := range names {
-					if base := path.Base(name); strings.HasPrefix(base, "sort-") || strings.HasPrefix(base, "batch-raw-") {
-						t.Errorf("%s left on the device", name)
+				want := map[string]int{"part": int(r.Blocks()) + 1}
+				r.Close() //nolint:errcheck // read-only
+				mu.Lock()
+				got := maps.Clone(writes)
+				mu.Unlock()
+				if sortMem > 0 {
+					if got["sort"] == 0 {
+						t.Errorf("step %d cut no sort runs with a one-block sort memory", step)
 					}
+					want["sort"] = got["sort"]
 				}
-			})
-		}
+				if !maps.Equal(got, want) {
+					t.Errorf("step %d wrote %v, want its partition's %d blocks and footer alone", step, got, want["part"]-1)
+				}
+			}
+			if got := eng.MaintenanceStats().Installs; got != 12 {
+				t.Errorf("Installs = %d, want 12", got)
+			}
+			names, err := eng.db.dev.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				if base := path.Base(name); strings.HasPrefix(base, "sort-") || strings.HasPrefix(base, "batch-raw-") {
+					t.Errorf("%s left on the device", name)
+				}
+			}
+		})
 	}
-}
-
-// TestAsyncEndStepSkipsMerge parks a background merge and requires an async
-// EndStep below the backpressure bound to return anyway, with its step
-// already written as a level-0 partition beside the parked merge's inputs —
-// no step left sealed behind it — and every answer within ε.
-func TestAsyncEndStepSkipsMerge(t *testing.T) {
-	eng := OneStream(t, maintConfig(MaintenanceAsync, 4))
-	parked, gate := make(chan struct{}), make(chan struct{})
-	release := sync.OnceFunc(func() { close(gate) })
-	defer release() // before Close, which waits for the merge
-	var once sync.Once
-	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
-		if op == disk.OpSeqRead && partFile(name) {
-			once.Do(func() { close(parked) })
-			<-gate
-		}
-		return nil
-	})
-	gen := workload.NewUniform(29)
-	all := feedSteps(t, eng, gen, 4, 500) // κ=3: the 4th step's partition makes a merge due
-	<-parked
-
-	vals := workload.Fill(gen, 500)
-	all = append(all, vals...)
-	eng.ObserveSlice(vals)
-	endStep := make(chan error, 1)
-	go func() {
-		_, err := eng.EndStep()
-		endStep <- err
-	}()
-	select {
-	case err := <-endStep:
-		if err != nil {
-			t.Fatalf("EndStep beside the parked merge: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("an async EndStep waited for a running merge")
-	}
-	if got := eng.PartitionCount(); got != 5 {
-		t.Errorf("PartitionCount = %d with the merge parked, want 5 (the new step's partition beside the merge's 4 inputs)", got)
-	}
-	if ms := eng.MaintenanceStats(); !ms.Running || ms.PendingSteps != 2 || ms.Installs != 5 {
-		t.Errorf("with the merge parked: running %v, %d pending steps, %d installs; want true, the 2 partitions past κ, 5",
-			ms.Running, ms.PendingSteps, ms.Installs)
-	}
-	if n := len(engineOf(t, eng).store.Pending()); n != 0 {
-		t.Errorf("%d steps sealed behind the parked merge, want 0", n)
-	}
-	checkAgainstOracle(t, eng, all, "merge parked")
-	release()
-	if err := eng.SyncMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	eng.db.dev.SetFault(nil)
-	checkAgainstOracle(t, eng, all, "merged")
 }
 
 // TestSyncInstallBlocksNobody parks a synchronous EndStep inside its install
@@ -276,7 +158,7 @@ func TestAsyncEndStepSkipsMerge(t *testing.T) {
 // observed — the sealed step through its frozen summary, the new elements
 // through the live sketch. Only the EndStep caller waits for the install.
 func TestSyncInstallBlocksNobody(t *testing.T) {
-	eng := OneStream(t, maintConfig(MaintenanceSync, 0))
+	eng := OneStream(t, maintConfig())
 	gen := workload.NewUniform(17)
 	all := feedSteps(t, eng, gen, 2, 600)
 
@@ -346,7 +228,7 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 // the live sketch, so from then on the step is history to every reader,
 // counted and answered alike.
 func TestCountsAgreeDuringSeal(t *testing.T) {
-	eng := OneStream(t, maintConfig(MaintenanceSync, 0))
+	eng := OneStream(t, maintConfig())
 	parked, gate := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release() // before Close, which waits for the EndStep
@@ -397,128 +279,38 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 	}
 }
 
-// TestManualMaintenanceDefersInstalls pins the deferred-phase contract:
-// EndStep in manual mode writes each step's level-0 partition but runs no
-// merge (the level-0 run grows past κ, its excess counted as pending, and
-// queries cover everything), and SyncMaintenance runs the merges.
-func TestManualMaintenanceDefersInstalls(t *testing.T) {
-	eng := OneStream(t, maintConfig(MaintenanceManual, 0))
-	all := feedSteps(t, eng, workload.NewNormal(7), 5, 400)
-	if got := eng.Describe(); len(got) != 1 || got[0].Partitions != 5 {
-		t.Errorf("layout %+v before maintenance, want the 5 steps' partitions at level 0", got)
-	}
-	ms := eng.MaintenanceStats()
-	if ms.PendingSteps != 2 || ms.PendingElements != 800 || ms.Merges != 0 {
-		t.Errorf("pending = %d steps / %d elements after %d merges, want the 2 partitions past κ=3, 800 elements, no merge",
-			ms.PendingSteps, ms.PendingElements, ms.Merges)
-	}
-	if got := eng.HistCount(); got != 2000 {
-		t.Errorf("HistCount = %d, want 2000", got)
-	}
-	if got := eng.Steps(); got != 5 {
-		t.Errorf("Steps = %d, want 5", got)
-	}
-	checkAgainstOracle(t, eng, all, "unmerged")
-
-	if err := eng.SyncMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Describe(); len(got) != 2 || got[0].Partitions != 1 || got[1].Partitions != 1 || got[1].Steps != 4 {
-		t.Errorf("layout %+v after SyncMaintenance, want step 5 at level 0 and steps 1-4 merged at level 1", got)
-	}
-	if got := eng.MaintenanceStats(); got.PendingSteps != 0 || got.Merges != 1 {
-		t.Errorf("pending = %d after SyncMaintenance's %d merges, want 0 after 1", got.PendingSteps, got.Merges)
-	}
-	checkAgainstOracle(t, eng, all, "merged")
-}
-
-// TestAsyncBackpressureBlocks wedges the background merge with a blocking
-// fault hook and proves that (a) EndStep blocks once MaxPendingSteps steps
-// are pending, (b) EndStepCtx aborts the wait on cancellation, and (c) the
-// wait resolves as soon as maintenance progresses.
-func TestAsyncBackpressureBlocks(t *testing.T) {
-	eng := OneStream(t, Options{
-		Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024,
-		Maintenance: MaintenanceAsync, MaxPendingSteps: 1, MaintenanceWorkers: 1,
-	})
-
-	gate := make(chan struct{})
-	var released atomic.Bool
-	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
-		// Block the merge's reads of its input partitions until the gate
-		// opens. EndStep's level-0 writes read nothing and pass through.
-		if op == disk.OpSeqRead && partFile(name) && !released.Load() {
-			<-gate
-		}
-		return nil
-	})
-
-	gen := workload.NewUniform(3)
-	feedSteps(t, eng, gen, 4, 300) // the 4th partition puts level 0 past κ: the merge wedges
-
-	// The next EndStep must hit backpressure (1 pending >= MaxPendingSteps=1).
-	eng.ObserveSlice(workload.Fill(gen, 300))
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := eng.EndStepCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("EndStepCtx under backpressure: err = %v, want deadline exceeded", err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := eng.EndStep()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("EndStep returned while backpressured: %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	released.Store(true)
-	close(gate) // let the merge finish
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("EndStep after release: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("EndStep still blocked after maintenance progressed")
-	}
-	eng.db.dev.SetFault(nil)
-	if err := eng.SyncMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	ms := eng.MaintenanceStats()
-	if ms.BackpressureWaits == 0 {
-		t.Error("BackpressureWaits = 0, want > 0")
-	}
-	if ms.Installs != 5 || ms.Merges != 1 {
-		t.Errorf("Installs = %d, Merges = %d; want 5, 1", ms.Installs, ms.Merges)
-	}
-}
-
-// TestMaintenanceStatsAndWindows covers the windowed-query composition with
-// a backlog: sealed steps are the newest windows; partition-aligned windows
-// shift by the backlog size.
+// TestMaintenanceWindowsWithBacklog covers the windowed-query composition
+// with a backlog: a step whose level-0 write failed stays sealed and is the
+// newest window; the partition-aligned windows shift by one behind it.
 func TestMaintenanceWindowsWithBacklog(t *testing.T) {
-	eng := OneStream(t, maintConfig(MaintenanceManual, 0))
+	eng := OneStream(t, maintConfig())
 	gen := workload.NewUniform(5)
 	// Two installed steps...
 	feedSteps(t, eng, gen, 2, 300)
-	if err := eng.SyncMaintenance(); err != nil {
-		t.Fatal(err)
-	}
 	installedWins := eng.AvailableWindows()
-	// ...then two sealed-but-uninstalled steps.
-	feedSteps(t, eng, gen, 2, 300)
+	// ...then a sealed-but-uninstalled step: its level-0 write fails.
+	eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqWrite && partFile(name) {
+			return errInjected
+		}
+		return nil
+	})
+	eng.ObserveSlice(workload.Fill(gen, 300))
+	if _, err := eng.EndStep(); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+		t.Fatalf("EndStep with its write failing: err = %v, want the injected fault", err)
+	}
+	eng.db.dev.SetFault(nil)
 	wins := eng.AvailableWindows()
-	want := map[int]bool{1: true, 2: true}
+	want := map[int]bool{1: true}
 	for _, w := range installedWins {
-		want[w+2] = true
+		want[w+1] = true
+	}
+	if len(wins) != len(want) {
+		t.Errorf("AvailableWindows = %v, want installed wins %v + 1 sealed", wins, installedWins)
 	}
 	for _, w := range wins {
 		if !want[w] {
-			t.Errorf("AvailableWindows = %v: window %d unexpected (installed wins %v + 2 sealed)", wins, w, installedWins)
+			t.Errorf("AvailableWindows = %v: window %d unexpected (installed wins %v + 1 sealed)", wins, w, installedWins)
 		}
 	}
 	for _, w := range wins {
@@ -535,17 +327,21 @@ func TestMaintenanceWindowsWithBacklog(t *testing.T) {
 	}
 }
 
-// TestDBWaitIdleAndSchedulerStats drives several async streams of one DB
-// and checks the DB-wide scheduler accounting plus the WaitIdle barrier.
+// TestDBWaitIdleAndSchedulerStats drives several streams of one DB, fails
+// the merge one of them makes due, and checks the DB-wide backlog accounting
+// plus WaitIdle as the retry that clears it.
 func TestDBWaitIdleAndSchedulerStats(t *testing.T) {
-	db, err := Open(Options{
-		Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024,
-		Maintenance: MaintenanceAsync, MaxPendingSteps: envMaxPending(4), MaintenanceWorkers: 2,
-	})
+	db, err := Open(Options{Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close() //nolint:errcheck
+	db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if strings.HasPrefix(name, "streams/s1/") {
+			return failMerges(op, name, block)
+		}
+		return nil
+	})
 	gen := workload.NewUniform(9)
 	data := make(map[string][]int64)
 	for i := 0; i < 3; i++ {
@@ -554,30 +350,31 @@ func TestDBWaitIdleAndSchedulerStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < 4; k++ {
+		for k := 0; k < 4; k++ { // κ=3: the 4th step's partition makes a merge due
 			vals := workload.Fill(gen, 500)
 			data[name] = append(data[name], vals...)
 			st.ObserveSlice(vals)
-			if _, err := st.EndStep(); err != nil {
-				t.Fatalf("stream %s EndStep: %v", name, err)
+			_, err := st.EndStep()
+			if failed := name == "s1" && k == 3; failed != (err != nil) {
+				t.Fatalf("stream %s EndStep %d: err = %v, want a failed merge %v", name, k+1, err, failed)
 			}
 		}
 	}
+	ss := db.SchedulerStats()
+	if ss.PendingSteps != 1 || ss.MergeDebt != 500 || ss.Installs != 12 || ss.Merges != 2 {
+		t.Errorf("with s1's merge failed: %d steps / %d elements pending, %d installs, %d merges; want 1 / 500 (s1's partition past κ), 12, 2",
+			ss.PendingSteps, ss.MergeDebt, ss.Installs, ss.Merges)
+	}
+	db.dev.SetFault(nil)
 	if err := db.WaitIdle(); err != nil {
 		t.Fatalf("WaitIdle: %v", err)
 	}
-	ss := db.SchedulerStats()
-	if ss.Workers != 2 {
-		t.Errorf("Workers = %d, want 2", ss.Workers)
-	}
-	if ss.PendingSteps != 0 || ss.MergeDebt != 0 {
-		t.Errorf("after WaitIdle: pending %d steps / debt %d", ss.PendingSteps, ss.MergeDebt)
-	}
-	if ss.Installs != 12 {
-		t.Errorf("Installs = %d, want 12", ss.Installs)
+	ss = db.SchedulerStats()
+	if ss.PendingSteps != 0 || ss.MergeDebt != 0 || ss.Merges != 3 {
+		t.Errorf("after WaitIdle: pending %d steps / debt %d, %d merges; want 0 / 0, 3", ss.PendingSteps, ss.MergeDebt, ss.Merges)
 	}
 	if ss.MaintIO.Total() == 0 {
-		t.Error("device-wide MaintIO is zero after 12 background installs")
+		t.Error("device-wide MaintIO is zero after 12 installs")
 	}
 	for name, all := range data {
 		st, ok := db.Lookup(name)
@@ -591,16 +388,26 @@ func TestDBWaitIdleAndSchedulerStats(t *testing.T) {
 	}
 }
 
-// TestManualRestartRecoversSealedSteps reopens a manual-mode stream after
-// an unclean shutdown — no Close, no SyncMaintenance, merges still due —
-// and requires the reopen to find every step EndStep returned as a
+// TestManualRestartRecoversSealedSteps reopens a stream after an unclean
+// shutdown — no Close, no SyncMaintenance, a merge left due by its failure —
+// and requires the reopen to find every step EndStep committed as a
 // partition: the same layout, with no step replayed and nothing written.
 func TestManualRestartRecoversSealedSteps(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Options{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024, Maintenance: MaintenanceManual}
+	cfg := Options{Epsilon: 0.05, Kappa: 3, Dir: dir, BlockSize: 1024}
 	eng := OneStream(t, cfg)
-	all := feedSteps(t, eng, workload.NewUniform(11), 4, 350)
-	// Simulate an unclean shutdown: the first DB is never closed.
+	gen := workload.NewUniform(11)
+	all := feedSteps(t, eng, gen, 3, 350)
+	// The 4th step's partition makes a merge due, and the merge fails; the
+	// step's commit does not. The first DB is never closed cleanly: its fault
+	// hook stays set.
+	eng.db.dev.SetFault(failMerges)
+	vals := workload.Fill(gen, 350)
+	all = append(all, vals...)
+	eng.ObserveSlice(vals)
+	if _, err := eng.EndStep(); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+		t.Fatalf("EndStep with its merge failing: err = %v, want the injected fault", err)
+	}
 	want := eng.Describe()
 	if len(want) != 1 || want[0].Partitions != 4 {
 		t.Fatalf("layout %+v, want the 4 steps' partitions at level 0 (no merge run)", want)
@@ -620,7 +427,7 @@ func TestManualRestartRecoversSealedSteps(t *testing.T) {
 		t.Errorf("the reopen wrote %d blocks, want none (nothing to replay)", got)
 	}
 	if got := re.MaintenanceStats().PendingSteps; got != 1 {
-		t.Errorf("recovered pending = %d, want the 1 partition past κ (manual mode merges nothing on open)", got)
+		t.Errorf("recovered pending = %d, want the 1 partition past κ (a reopen merges nothing)", got)
 	}
 	checkAgainstOracle(t, re, all, "recovered")
 }
@@ -660,28 +467,29 @@ func TestValidationSingleSource(t *testing.T) {
 	if _, err := partition.NewStore(dev, partition.Config{Kappa: 0, Eps1: 0.05}); err == nil {
 		t.Error("store kappa=0: accepted")
 	}
-	// Unknown maintenance mode and negative backpressure are rejected.
-	if _, err := Open(Options{Epsilon: 0.1, Backend: "mem", Maintenance: "turbo"}); err == nil {
-		t.Error("Maintenance=turbo: accepted")
+	// Every EndStep runs its own merges: "" and "sync" are the only
+	// maintenance values, and any other fails Open with the removal.
+	for _, mode := range []string{"async", "manual", "turbo"} {
+		_, err := Open(Options{Epsilon: 0.1, Backend: "mem", Maintenance: mode})
+		if err == nil || !strings.Contains(err.Error(), "async and manual maintenance were removed, every EndStep runs its own merges") {
+			t.Errorf("Maintenance=%s: err = %v, want the removal", mode, err)
+		}
 	}
-	if _, err := Open(Options{Epsilon: 0.1, Backend: "mem", MaxPendingSteps: -1}); err == nil {
-		t.Error("MaxPendingSteps=-1: accepted")
+	for _, mode := range []string{"", MaintenanceSync} {
+		db, err := Open(Options{Epsilon: 0.1, Backend: "mem", Maintenance: mode})
+		if err != nil {
+			t.Errorf("Maintenance=%q: %v", mode, err)
+			continue
+		}
+		db.Close() //nolint:errcheck
 	}
 }
 
-// maintBenchConfig builds the sync-vs-async comparison engine: κ=2 so
-// merges cascade constantly, simulated SSD latency so the inline
-// sort+merge cost is the device's rather than the allocator's.
-func maintBenchConfig(mode string) Options {
-	cfg := Options{
-		Epsilon: 0.01, Kappa: 2, Backend: "mem", BlockSize: 4096,
-		SimulateDisk: "ssd", Maintenance: mode,
-	}
-	if mode == "async" {
-		cfg.MaxPendingSteps = 8
-		cfg.MaintenanceWorkers = 2
-	}
-	return cfg
+// maintBenchConfig is the benchmarks' engine: κ=2 so merges cascade
+// constantly, simulated SSD latency so the sort+merge cost each EndStep runs
+// is the device's rather than the allocator's.
+var maintBenchConfig = Options{
+	Epsilon: 0.01, Kappa: 2, Backend: "mem", BlockSize: 4096, SimulateDisk: "ssd",
 }
 
 // reportPct reports the pct-th percentile of lat as the metric name.
@@ -696,118 +504,102 @@ func reportPct(b *testing.B, lat []time.Duration, pct int, name string) {
 
 // BenchmarkIngestStall measures the write path's tail latency across step
 // boundaries: a producer observes continuously while the bench loop closes
-// steps. No mode holds the engine lock across an install, so Observe p99 is
-// the cost of the lock hand-off at the cut in both; what the async scheduler
-// buys is the EndStep caller's own latency (p99-endstep-ns, and ns/op) — the
-// seal and its commit instead of seal, install, merges and commit — until
-// the backlog reaches MaxPendingSteps and backpressure hands the install
-// time back.
+// steps. No EndStep holds the engine lock across its write or its merges, so
+// Observe p99 is the cost of the lock hand-off at the cut; p50/p99-endstep-ns
+// (and ns/op) are what the EndStep caller pays for the seal, the level-0
+// write, the merges it makes due and the commit.
 func BenchmarkIngestStall(b *testing.B) {
-	for _, mode := range []string{"sync", "async"} {
-		b.Run("maintenance="+mode, func(b *testing.B) {
-			eng := OneStream(b, maintBenchConfig(mode))
-			gen := workload.NewUniform(21)
-			vals := workload.Fill(gen, 1<<16)
+	eng := OneStream(b, maintBenchConfig)
+	gen := workload.NewUniform(21)
+	vals := workload.Fill(gen, 1<<16)
 
-			// Low-rate latency probe: one Observe every ~200µs, so the batch
-			// volume stays owned by the bench loop while the probe samples
-			// how long an Observe waits behind a step boundary.
-			var (
-				stop atomic.Bool
-				wg   sync.WaitGroup
-				mu   sync.Mutex
-				lat  []time.Duration
-			)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				i := 0
-				for !stop.Load() {
-					t0 := time.Now()
-					eng.Observe(vals[i&(1<<16-1)])
-					d := time.Since(t0)
-					mu.Lock()
-					lat = append(lat, d)
-					mu.Unlock()
-					i++
-					time.Sleep(200 * time.Microsecond)
-				}
-			}()
-
-			batch := workload.Fill(gen, 4000)
-			endStep := make([]time.Duration, 0, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.ObserveSlice(batch)
-				t0 := time.Now()
-				if _, err := eng.EndStep(); err != nil {
-					b.Fatal(err)
-				}
-				endStep = append(endStep, time.Since(t0))
-			}
-			b.StopTimer()
-			reportPct(b, endStep, 50, "p50-endstep-ns")
-			reportPct(b, endStep, 99, "p99-endstep-ns")
-			stop.Store(true)
-			wg.Wait()
-			if err := eng.SyncMaintenance(); err != nil {
-				b.Fatal(err)
-			}
+	// Low-rate latency probe: one Observe every ~200µs, so the batch volume
+	// stays owned by the bench loop while the probe samples how long an
+	// Observe waits behind a step boundary.
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		lat  []time.Duration
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		i := 0
+		for !stop.Load() {
+			t0 := time.Now()
+			eng.Observe(vals[i&(1<<16-1)])
+			d := time.Since(t0)
 			mu.Lock()
-			reportPct(b, lat, 99, "p99-observe-ns")
+			lat = append(lat, d)
 			mu.Unlock()
-		})
+			i++
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+
+	batch := workload.Fill(gen, 4000)
+	endStep := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.ObserveSlice(batch)
+		t0 := time.Now()
+		if _, err := eng.EndStep(); err != nil {
+			b.Fatal(err)
+		}
+		endStep = append(endStep, time.Since(t0))
 	}
+	b.StopTimer()
+	reportPct(b, endStep, 50, "p50-endstep-ns")
+	reportPct(b, endStep, 99, "p99-endstep-ns")
+	stop.Store(true)
+	wg.Wait()
+	mu.Lock()
+	reportPct(b, lat, 99, "p99-observe-ns")
+	mu.Unlock()
 }
 
-// BenchmarkQueryDuringMerge measures accurate-query latency while installs
-// and κ-way merges run: a producer keeps closing steps (κ=2, so cascades
-// are constant) while the bench loop queries. Reads are snapshot-isolated
-// from the install whoever runs it — the EndStep caller or the scheduler —
-// so both modes stay flat; they differ in how many sealed steps a query
-// covers by frozen summary instead of by partition.
+// BenchmarkQueryDuringMerge measures accurate-query latency while level-0
+// writes and κ-way merges run: a producer keeps closing steps (κ=2, so
+// cascades are constant) while the bench loop queries. Reads are
+// snapshot-isolated from the writes and merges each EndStep runs, so a query
+// waits for neither; it covers a step by its frozen summary only while that
+// step's write is in flight.
 func BenchmarkQueryDuringMerge(b *testing.B) {
-	for _, mode := range []string{"sync", "async"} {
-		b.Run("maintenance="+mode, func(b *testing.B) {
-			eng := OneStream(b, maintBenchConfig(mode))
-			gen := workload.NewUniform(22)
-			for s := 0; s < 6; s++ {
-				eng.ObserveSlice(workload.Fill(gen, 4000))
-				if _, err := eng.EndStep(); err != nil {
-					b.Fatal(err)
-				}
-			}
-
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					eng.ObserveSlice(workload.Fill(gen, 4000))
-					if _, err := eng.EndStep(); err != nil {
-						return
-					}
-				}
-			}()
-
-			lat := make([]time.Duration, 0, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				phi := 0.1 + 0.8*float64(i%9)/9
-				t0 := time.Now()
-				if _, _, err := eng.Quantile(phi); err != nil {
-					b.Fatal(err)
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			b.StopTimer()
-			stop.Store(true)
-			wg.Wait()
-			if err := eng.SyncMaintenance(); err != nil {
-				b.Fatal(err)
-			}
-			reportPct(b, lat, 99, "p99-query-ns")
-		})
+	eng := OneStream(b, maintBenchConfig)
+	gen := workload.NewUniform(22)
+	for s := 0; s < 6; s++ {
+		eng.ObserveSlice(workload.Fill(gen, 4000))
+		if _, err := eng.EndStep(); err != nil {
+			b.Fatal(err)
+		}
 	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			eng.ObserveSlice(workload.Fill(gen, 4000))
+			if _, err := eng.EndStep(); err != nil {
+				return
+			}
+		}
+	}()
+
+	lat := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		phi := 0.1 + 0.8*float64(i%9)/9
+		t0 := time.Now()
+		if _, _, err := eng.Quantile(phi); err != nil {
+			b.Fatal(err)
+		}
+		lat = append(lat, time.Since(t0))
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	reportPct(b, lat, 99, "p99-query-ns")
 }

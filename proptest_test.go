@@ -21,29 +21,27 @@ import (
 
 // TestPropertyDifferential drives random interleavings of Observe, EndStep
 // and read Requests against the exact oracle, one subtest per paper
-// workload generator and maintenance mode. The requests cover the whole
+// workload generator. The requests cover the whole
 // cross product of the one read call — {Phis, Ranks, Values} × {full
 // history, an AvailableWindows entry} × {accurate, Quick} × {unbudgeted, a
 // small MaxReads} — and every answer is checked against its stated bound.
 // Each read also holds the one summary path to itself on the state it found
-// (sealed backlog and live buffer included; manual mode keeps a backlog by
-// construction): the window sizes Query accepts are exactly
+// (live buffer included): the window sizes Query accepts are exactly
 // AvailableWindows, a quick windowed Query returns the values of the
 // one-member plan over the same window, and a peer's Summary is the plan
 // member's full-scope summary.
 // Every decision — batch sizes, step boundaries, request shapes — comes from
 // one seeded source, so any failure is reproducible: the failure log prints
 // the seed and the trailing operation log, and HSQ_PROP_SEED replays a
-// specific seed.
+// specific seed. The subtests keep the name of the one maintenance schedule
+// left, "sync", and their seeds, so each replays what it did before.
 func TestPropertyDifferential(t *testing.T) {
 	seed := propSeed(t)
 	for i, name := range workload.Names() {
-		for j, mode := range []string{"sync", "async", "manual"} {
-			t.Run(name+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				runDifferential(t, name, mode, seed+int64(i)+1000*int64(j))
-			})
-		}
+		t.Run(name+"/sync", func(t *testing.T) {
+			t.Parallel()
+			runDifferential(t, name, seed+int64(i))
+		})
 	}
 }
 
@@ -76,9 +74,9 @@ func (l *opLog) add(format string, args ...any) {
 
 func (l *opLog) String() string { return strings.Join(l.ops, "\n") }
 
-func runDifferential(t *testing.T, wname, mode string, seed int64) {
+func runDifferential(t *testing.T, wname string, seed int64) {
 	const eps = 0.05
-	db, err := hsq.Open(hsq.Options{Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024, Maintenance: mode})
+	db, err := hsq.Open(hsq.Options{Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +95,12 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 	var steps [][]int64
 	var live []int64
 	var log opLog
-	var requests, windowed, truncated int // how much of the cross product the run reached
-	var folds, foldsBacklogLive int       // fold checks judged; of those, on a sealed backlog plus a live buffer
+	var requests, windowed, truncated, folds int // how much of the cross product the run reached
 
 	fail := func(op int, format string, args ...any) {
 		t.Helper()
-		t.Fatalf("workload=%s mode=%s seed=%d op=%d: %s\n(replay with HSQ_PROP_SEED; trailing ops:)\n%s",
-			wname, mode, seed, op, fmt.Sprintf(format, args...), log.String())
+		t.Fatalf("workload=%s seed=%d op=%d: %s\n(replay with HSQ_PROP_SEED; trailing ops:)\n%s",
+			wname, seed, op, fmt.Sprintf(format, args...), log.String())
 	}
 
 	for op := 0; op < 400; op++ {
@@ -121,11 +118,6 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 				steps, live = append(steps, live), nil
 			}
 			log.add("endstep (%d steps)", len(steps))
-		case k == 6 && mode != "sync": // force pending installs to land
-			if err := eng.SyncMaintenance(); err != nil {
-				fail(op, "SyncMaintenance: %v", err)
-			}
-			log.add("sync maintenance")
 		default: // one read request
 			if len(steps) == 0 && len(live) == 0 {
 				continue
@@ -173,24 +165,15 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 				}
 			}
 			// The accurate bounds scale with the stream side of the scope: the
-			// live batch plus sealed-but-uninstalled steps (async mode's merge
-			// debt). A background install landing after this read only shrinks
-			// the true portion, so it stays an upper bound. Each stream-side
-			// piece's summary is discrete — its sketch answers within
-			// ⌈ε₂·M/2⌉ ≥ 1 ranks — so every bound carries one rank of slack
-			// per piece, which matters on scopes of a few elements.
-			ms := eng.MaintenanceStats()
-			m := int64(len(live)) + ms.PendingElements
-			slack := 1 + int64(ms.PendingSteps)
+			// live batch (every EndStep has written its step by the time it
+			// returns). The stream-side summary is discrete — its sketch
+			// answers within ⌈ε₂·M/2⌉ ≥ 1 ranks — so every bound carries one
+			// rank of slack, which matters on scopes of a few elements.
+			m := int64(len(live))
+			const slack = 1
 
 			ans, err := eng.Query(context.Background(), req)
 			if err != nil {
-				// A background merge may coarsen the partition boundaries
-				// between AvailableWindows and the query.
-				if mode == "async" && req.Window != 0 && !slices.Contains(eng.AvailableWindows(), req.Window) {
-					log.add("window %d merged away", req.Window)
-					continue
-				}
 				fail(op, "Query(%+v): %v", req, err)
 			}
 			log.add("query %+v -> %v (n=%d reads=%d truncated=%v)", req, ans.Values, ans.N, ans.Stats.RandReads, ans.Stats.Truncated)
@@ -298,19 +281,10 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 				}
 				verdicts = append(verdicts, v)
 			}
-			// A background install or merge between the reads above makes
-			// them reads of different states; only async mode has one.
-			if after := eng.MaintenanceStats(); mode == "async" && (after.Installs != ms.Installs || after.Merges != ms.Merges || after.Running) {
-				log.add("maintenance ran under the fold checks")
-				continue
-			}
 			if got, want := peer.AppendBinary(nil), full.AppendBinary(nil); !bytes.Equal(got, want) {
 				fail(op, "Summary() = %+v, ScopedSummary(Scope{}) = %+v", peer, full)
 			}
 			folds++
-			if ms.PendingSteps > 0 && len(live) > 0 {
-				foldsBacklogLive++
-			}
 			for _, v := range verdicts {
 				if ok := slices.Contains(wins, v.w); (v.err == nil) != ok || (v.planErr == nil) != ok {
 					fail(op, "window %d: Query err = %v, plan err = %v, AvailableWindows = %v", v.w, v.err, v.planErr, wins)
@@ -321,38 +295,26 @@ func runDifferential(t *testing.T, wname, mode string, seed int64) {
 			}
 		}
 	}
-	t.Logf("seed %d: %d requests, %d windowed, %d truncated; %d fold checks, %d over a sealed backlog and a live buffer",
-		seed, requests, windowed, truncated, folds, foldsBacklogLive)
-	if mode == "manual" && foldsBacklogLive == 0 {
-		t.Fatalf("seed %d: no fold check ran over a sealed backlog and a live buffer", seed)
-	}
+	t.Logf("seed %d: %d requests, %d windowed, %d truncated; %d fold checks",
+		seed, requests, windowed, truncated, folds)
 }
 
 // TestPropertyMultiQuantiles drives the shared multi-target sweep and the
 // per-snapshot probe memo against the oracle across random Observe /
-// EndStep / Quantiles interleavings, in both maintenance modes. Every
-// answer of a k-target call must meet the same Theorem 2 bound as a
-// single-target Quantile, and every call is immediately re-issued to
-// exercise the memoized path. In sync mode nothing can publish between the
-// two calls, so the repeat must be bit-identical, resolve every probe from
-// the memo and spend zero backend reads; in async mode background merges
-// may publish a new version (with a fresh memo) at any point, so the
-// repeat only has to stay within the error bound.
+// EndStep / Quantiles interleavings. Every answer of a k-target call must
+// meet the same Theorem 2 bound as a single-target Quantile, and every call
+// is immediately re-issued to exercise the memoized path: nothing can
+// publish between the two calls, so the repeat must be bit-identical,
+// resolve every probe from the memo and spend zero backend reads. The
+// subtest keeps the name of the one maintenance schedule left, "sync", and
+// its seed.
 func TestPropertyMultiQuantiles(t *testing.T) {
-	seed := propSeed(t)
-	for i, mode := range []string{"sync", "async"} {
-		t.Run(mode, func(t *testing.T) {
-			t.Parallel()
-			runMultiDifferential(t, mode, seed+100*int64(i))
-		})
-	}
+	t.Run("sync", func(t *testing.T) { runMultiDifferential(t, propSeed(t)) })
 }
 
-func runMultiDifferential(t *testing.T, mode string, seed int64) {
+func runMultiDifferential(t *testing.T, seed int64) {
 	const eps = 0.05
-	eng := hsq.OneStream(t, hsq.Options{
-		Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024, Maintenance: mode,
-	})
+	eng := hsq.OneStream(t, hsq.Options{Epsilon: eps, Kappa: 3, Backend: "mem", BlockSize: 1024})
 	gen, err := workload.ByName("uniform", seed)
 	if err != nil {
 		t.Fatal(err)
@@ -363,8 +325,8 @@ func runMultiDifferential(t *testing.T, mode string, seed int64) {
 
 	fail := func(op int, format string, args ...any) {
 		t.Helper()
-		t.Fatalf("mode=%s seed=%d op=%d: %s\n(replay with HSQ_PROP_SEED; trailing ops:)\n%s",
-			mode, seed, op, fmt.Sprintf(format, args...), log.String())
+		t.Fatalf("seed=%d op=%d: %s\n(replay with HSQ_PROP_SEED; trailing ops:)\n%s",
+			seed, op, fmt.Sprintf(format, args...), log.String())
 	}
 	checkBound := func(op int, call string, phis []float64, vs []int64, n int64, m int64) {
 		t.Helper()
@@ -392,21 +354,14 @@ func runMultiDifferential(t *testing.T, mode string, seed int64) {
 				fail(op, "EndStep: %v", err)
 			}
 			log.add("endstep (n=%d)", or.Count())
-		case k == 6 && mode == "async": // force pending publishes to land
-			if err := eng.SyncMaintenance(); err != nil {
-				fail(op, "SyncMaintenance: %v", err)
-			}
-			log.add("sync maintenance")
 		default: // multi-target Quantiles, issued twice back to back
 			n := or.Count()
 			if n == 0 {
 				continue
 			}
-			// The accept band scales with the stream portion: live stream
-			// plus sealed-but-uninstalled steps (async mode's merge debt).
-			// A background install landing after this read only shrinks the
-			// true portion, so the bound below stays an upper bound.
-			m := eng.StreamCount() + eng.MaintenanceStats().PendingElements
+			// The accept band scales with the stream portion: the live
+			// stream.
+			m := eng.StreamCount()
 			phis := make([]float64, 1+rng.Intn(5))
 			for i := range phis {
 				phis[i] = rng.Float64()
@@ -426,21 +381,19 @@ func runMultiDifferential(t *testing.T, mode string, seed int64) {
 			}
 			log.add("repeat -> %v (reads=%d memoHits=%d)", second, sqs.RandReads, sqs.MemoHits)
 			checkBound(op, "repeat Quantiles", phis, second, n, m)
-			if mode == "sync" {
-				// Same snapshot, same φ set: the memo must replay the whole
-				// bisection without touching the store.
-				for i := range first {
-					if second[i] != first[i] {
-						fail(op, "repeat Quantiles(%v): answer %d changed %d -> %d on an unchanged snapshot",
-							phis, i, first[i], second[i])
-					}
+			// Same snapshot, same φ set: the memo must replay the whole
+			// bisection without touching the store.
+			for i := range first {
+				if second[i] != first[i] {
+					fail(op, "repeat Quantiles(%v): answer %d changed %d -> %d on an unchanged snapshot",
+						phis, i, first[i], second[i])
 				}
-				if sqs.RandReads != 0 {
-					fail(op, "repeat Quantiles(%v) spent %d backend reads; want 0 (first %+v)", phis, sqs.RandReads, fqs)
-				}
-				if sqs.MemoHits != sqs.Iterations {
-					fail(op, "repeat Quantiles(%v): %d memo hits over %d probes; want all", phis, sqs.MemoHits, sqs.Iterations)
-				}
+			}
+			if sqs.RandReads != 0 {
+				fail(op, "repeat Quantiles(%v) spent %d backend reads; want 0 (first %+v)", phis, sqs.RandReads, fqs)
+			}
+			if sqs.MemoHits != sqs.Iterations {
+				fail(op, "repeat Quantiles(%v): %d memo hits over %d probes; want all", phis, sqs.MemoHits, sqs.Iterations)
 			}
 		}
 	}

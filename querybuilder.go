@@ -57,8 +57,8 @@ func (q *Query) Windows(steps, slide, count int) *Query {
 
 // AsOfStep time-travels the evaluation to the state as of sealed step n,
 // riding the snapshot chain's immutable step prefix; the live buffer is
-// excluded. Background partition merges coarsen the step boundaries
-// available to old as-of points over time.
+// excluded. Partition merges coarsen the step boundaries available to old
+// as-of points over time.
 func (q *Query) AsOfStep(n int) *Query {
 	q.plan.AsOfStep = n
 	return q

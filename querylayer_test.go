@@ -25,12 +25,9 @@ type qlFixture struct {
 // random values. Kappa is set high so every step stays its own partition
 // and every step range aligns — the merge-coarsening error path has its
 // own test.
-func newQLFixture(t *testing.T, maintenance string, steps int) *qlFixture {
+func newQLFixture(t *testing.T, steps int) *qlFixture {
 	t.Helper()
-	db, err := hsq.Open(hsq.Options{
-		Epsilon: 0.1, Kappa: 100, Backend: "mem", BlockSize: 512,
-		Maintenance: maintenance,
-	})
+	db, err := hsq.Open(hsq.Options{Epsilon: 0.1, Kappa: 100, Backend: "mem", BlockSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,150 +97,149 @@ func checkWindow(t *testing.T, o *oracle.Oracle, wr query.WindowResult, phis []f
 }
 
 // TestQueryDifferentialVsOracle cross-checks every query operator against
-// brute-force oracles, under both maintenance modes. Every answer's rank
-// error must stay within the result's own composed ⌈1.5·ε·N⌉ bound and
-// every count must be exact.
+// brute-force oracles. Every answer's rank error must stay within the
+// result's own composed ⌈1.5·ε·N⌉ bound and every count must be exact. The
+// subtests sit under the name of the one maintenance schedule left, "sync",
+// so their ids carry over.
 func TestQueryDifferentialVsOracle(t *testing.T) {
 	phis := []float64{0.01, 0.25, 0.5, 0.9, 0.99}
-	for _, mode := range []string{"sync", "async"} {
-		t.Run(mode, func(t *testing.T) {
-			const steps = 8
-			f := newQLFixture(t, mode, steps)
+	t.Run("sync", func(t *testing.T) {
+		const steps = 8
+		f := newQLFixture(t, steps)
 
-			t.Run("merge-explicit", func(t *testing.T) {
-				// The merged plan only merges summaries: it costs no backend
-				// random read where one accurate poll per stream pays some.
-				before := f.db.DiskStats().RandReads
-				for _, name := range f.names {
-					st, ok := f.db.Lookup(name)
-					if !ok {
-						t.Fatalf("stream %s missing", name)
-					}
-					if _, _, err := st.Quantiles(phis); err != nil {
-						t.Fatal(err)
-					}
+		t.Run("merge-explicit", func(t *testing.T) {
+			// The merged plan only merges summaries: it costs no backend
+			// random read where one accurate poll per stream pays some.
+			before := f.db.DiskStats().RandReads
+			for _, name := range f.names {
+				st, ok := f.db.Lookup(name)
+				if !ok {
+					t.Fatalf("stream %s missing", name)
 				}
-				polled := f.db.DiskStats().RandReads
-				if polled == before {
-					t.Fatal("accurate polls cost no backend reads; the comparison is vacuous")
-				}
-				res, err := f.db.Query().Streams(f.names...).Phis(phis...).Run()
-				if err != nil {
+				if _, _, err := st.Quantiles(phis); err != nil {
 					t.Fatal(err)
 				}
-				if got := f.db.DiskStats().RandReads; got != polled {
-					t.Errorf("merged plan cost %d backend random reads, want 0", got-polled)
-				}
-				checkWindow(t, f.oracleFor(f.names, 0, 0), res.Groups[0].Windows[0], phis, "all streams")
-			})
-
-			t.Run("glob", func(t *testing.T) {
-				res, err := f.db.Query().Match("svc.*.lat").Phis(phis...).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := []string{"svc.east.lat", "svc.west.lat"}
-				if fmt.Sprint(res.Streams) != fmt.Sprint(want) {
-					t.Fatalf("glob selected %v, want %v", res.Streams, want)
-				}
-				checkWindow(t, f.oracleFor(want, 0, 0), res.Groups[0].Windows[0], phis, "glob")
-			})
-
-			t.Run("group-by", func(t *testing.T) {
-				res, err := f.db.Query().Match("svc.**").GroupBy(2).Phis(phis...).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Groups) != 2 {
-					t.Fatalf("groups = %d, want 2 (east, west)", len(res.Groups))
-				}
-				for _, g := range res.Groups {
-					var members []string
-					for _, n := range f.names {
-						if strings.HasPrefix(n, "svc.") && strings.Split(n, ".")[1] == g.Key {
-							members = append(members, n)
-						}
-					}
-					sort.Strings(members)
-					if fmt.Sprint(g.Streams) != fmt.Sprint(members) {
-						t.Fatalf("group %q members %v, want %v", g.Key, g.Streams, members)
-					}
-					checkWindow(t, f.oracleFor(members, 0, 0), g.Windows[0], phis, "group "+g.Key)
-				}
-			})
-
-			t.Run("windows", func(t *testing.T) {
-				// Three sliding 2-step windows, each slid 1 step further back:
-				// (5,7], (4,6], (3,5] … relative to the 8-step history.
-				res, err := f.db.Query().Streams("svc.east.lat", "svc.west.lat").
-					Windows(2, 1, 3).Phis(phis...).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ws := res.Groups[0].Windows
-				if len(ws) != 3 {
-					t.Fatalf("windows = %d, want 3", len(ws))
-				}
-				for i, wr := range ws {
-					end := steps - i // slide 1
-					o := f.oracleFor(res.Streams, end-2, end)
-					checkWindow(t, o, wr, phis, fmt.Sprintf("window back=%d", i))
-				}
-			})
-
-			t.Run("as-of", func(t *testing.T) {
-				for _, asof := range []int{1, 3, steps} {
-					res, err := f.db.Query().Match("svc.east.*").AsOfStep(asof).Phis(phis...).Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					o := f.oracleFor(res.Streams, 0, asof)
-					checkWindow(t, o, res.Groups[0].Windows[0], phis, fmt.Sprintf("as-of %d", asof))
-				}
-			})
-
-			t.Run("as-of-windowed", func(t *testing.T) {
-				// A window ending at a past step: steps (2,5] as of step 5.
-				res, err := f.db.Query().Streams("svc.west.lat").
-					AsOfStep(5).Window(3).Phis(phis...).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := f.oracleFor(res.Streams, 2, 5)
-				checkWindow(t, o, res.Groups[0].Windows[0], phis, "as-of window")
-			})
-
-			t.Run("live-buffer", func(t *testing.T) {
-				// Un-sealed values are part of full-history answers.
-				st, err := f.db.Stream("svc.east.lat")
-				if err != nil {
-					t.Fatal(err)
-				}
-				live := []int64{1, 2, 3, 4, 5}
-				st.ObserveSlice(live)
-				res, err := f.db.Query().Streams("svc.east.lat").Phis(phis...).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := f.oracleFor([]string{"svc.east.lat"}, 0, 0)
-				o.Add(live...)
-				checkWindow(t, o, res.Groups[0].Windows[0], phis, "with live buffer")
-				// …but excluded from as-of answers, which pin a sealed prefix.
-				res, err = f.db.Query().Streams("svc.east.lat").AsOfStep(steps).Phis(phis...).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkWindow(t, f.oracleFor([]string{"svc.east.lat"}, 0, steps),
-					res.Groups[0].Windows[0], phis, "as-of excludes live")
-			})
+			}
+			polled := f.db.DiskStats().RandReads
+			if polled == before {
+				t.Fatal("accurate polls cost no backend reads; the comparison is vacuous")
+			}
+			res, err := f.db.Query().Streams(f.names...).Phis(phis...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := f.db.DiskStats().RandReads; got != polled {
+				t.Errorf("merged plan cost %d backend random reads, want 0", got-polled)
+			}
+			checkWindow(t, f.oracleFor(f.names, 0, 0), res.Groups[0].Windows[0], phis, "all streams")
 		})
-	}
+
+		t.Run("glob", func(t *testing.T) {
+			res, err := f.db.Query().Match("svc.*.lat").Phis(phis...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"svc.east.lat", "svc.west.lat"}
+			if fmt.Sprint(res.Streams) != fmt.Sprint(want) {
+				t.Fatalf("glob selected %v, want %v", res.Streams, want)
+			}
+			checkWindow(t, f.oracleFor(want, 0, 0), res.Groups[0].Windows[0], phis, "glob")
+		})
+
+		t.Run("group-by", func(t *testing.T) {
+			res, err := f.db.Query().Match("svc.**").GroupBy(2).Phis(phis...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Groups) != 2 {
+				t.Fatalf("groups = %d, want 2 (east, west)", len(res.Groups))
+			}
+			for _, g := range res.Groups {
+				var members []string
+				for _, n := range f.names {
+					if strings.HasPrefix(n, "svc.") && strings.Split(n, ".")[1] == g.Key {
+						members = append(members, n)
+					}
+				}
+				sort.Strings(members)
+				if fmt.Sprint(g.Streams) != fmt.Sprint(members) {
+					t.Fatalf("group %q members %v, want %v", g.Key, g.Streams, members)
+				}
+				checkWindow(t, f.oracleFor(members, 0, 0), g.Windows[0], phis, "group "+g.Key)
+			}
+		})
+
+		t.Run("windows", func(t *testing.T) {
+			// Three sliding 2-step windows, each slid 1 step further back:
+			// (5,7], (4,6], (3,5] … relative to the 8-step history.
+			res, err := f.db.Query().Streams("svc.east.lat", "svc.west.lat").
+				Windows(2, 1, 3).Phis(phis...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := res.Groups[0].Windows
+			if len(ws) != 3 {
+				t.Fatalf("windows = %d, want 3", len(ws))
+			}
+			for i, wr := range ws {
+				end := steps - i // slide 1
+				o := f.oracleFor(res.Streams, end-2, end)
+				checkWindow(t, o, wr, phis, fmt.Sprintf("window back=%d", i))
+			}
+		})
+
+		t.Run("as-of", func(t *testing.T) {
+			for _, asof := range []int{1, 3, steps} {
+				res, err := f.db.Query().Match("svc.east.*").AsOfStep(asof).Phis(phis...).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := f.oracleFor(res.Streams, 0, asof)
+				checkWindow(t, o, res.Groups[0].Windows[0], phis, fmt.Sprintf("as-of %d", asof))
+			}
+		})
+
+		t.Run("as-of-windowed", func(t *testing.T) {
+			// A window ending at a past step: steps (2,5] as of step 5.
+			res, err := f.db.Query().Streams("svc.west.lat").
+				AsOfStep(5).Window(3).Phis(phis...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := f.oracleFor(res.Streams, 2, 5)
+			checkWindow(t, o, res.Groups[0].Windows[0], phis, "as-of window")
+		})
+
+		t.Run("live-buffer", func(t *testing.T) {
+			// Un-sealed values are part of full-history answers.
+			st, err := f.db.Stream("svc.east.lat")
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := []int64{1, 2, 3, 4, 5}
+			st.ObserveSlice(live)
+			res, err := f.db.Query().Streams("svc.east.lat").Phis(phis...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := f.oracleFor([]string{"svc.east.lat"}, 0, 0)
+			o.Add(live...)
+			checkWindow(t, o, res.Groups[0].Windows[0], phis, "with live buffer")
+			// …but excluded from as-of answers, which pin a sealed prefix.
+			res, err = f.db.Query().Streams("svc.east.lat").AsOfStep(steps).Phis(phis...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWindow(t, f.oracleFor([]string{"svc.east.lat"}, 0, steps),
+				res.Groups[0].Windows[0], phis, "as-of excludes live")
+		})
+	})
 }
 
 // TestQueryErrors pins the executor's refusals: out-of-range scopes,
 // unknown streams, bad group segments.
 func TestQueryErrors(t *testing.T) {
-	f := newQLFixture(t, "sync", 3)
+	f := newQLFixture(t, 3)
 	for name, run := range map[string]func() (*query.Result, error){
 		"empty plan":     func() (*query.Result, error) { return f.db.Query().Phis(0.5).Run() },
 		"no phis":        func() (*query.Result, error) { return f.db.Query().Streams("svc.east.lat").Run() },

@@ -13,19 +13,18 @@ import (
 // the snapshot's span ends here and over a decoded sidecar's part end steps
 // in coldsummary.go.
 // The snapshot's partitions arrive oldest-first from partition.Version and
-// the sealed pieces follow oldest-first, so the spans are one chronological
+// the sealed step's piece follows them, so the spans are one chronological
 // list and a scope is an index range of it.
 
 // spanEnds lists the last step of each of ver's spans, oldest first: the
-// installed partitions, then the sealed steps (a snapshot's piece i is
-// sealed batch i).
+// installed partitions, then the sealed step (a snapshot's piece 0).
 func spanEnds(ver *partition.Version) []int {
-	sums, pending := ver.Entries(), ver.Pending()
-	ends := make([]int, 0, len(sums)+len(pending))
+	sums := ver.Entries()
+	ends := make([]int, 0, len(sums)+1)
 	for _, ps := range sums {
 		ends = append(ends, ps.Part.EndStep)
 	}
-	for _, sb := range pending {
+	if sb := ver.Sealed(); sb != nil {
 		ends = append(ends, sb.Step)
 	}
 	return ends

@@ -13,10 +13,9 @@ import (
 // handle on the paper's engine. It exposes the full single-stream surface —
 // Observe, ObserveSlice, EndStep and their context variants, Query with its
 // Quantile(s)/Rank conveniences, MemoryUsage, SyncMaintenance,
-// MaintenanceStats — per stream, while storage, the block-cache budget,
-// aggregate I/O accounting and (in async mode) the background maintenance
-// worker pool are shared with every other stream of the DB. It is safe for
-// concurrent use.
+// MaintenanceStats — per stream, while storage, the block-cache budget and
+// aggregate I/O accounting are shared with every other stream of the DB. It
+// is safe for concurrent use.
 //
 // A Stream is a durable handle, not the engine itself: the engine behind
 // it hydrates on first touch and may be evicted (sealed to disk) while the
@@ -120,28 +119,28 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // buffered batch becomes part of the warehouse and the stream sketch is
 // reset. An empty stream is a no-op.
 //
-// Every maintenance mode runs the same moves. Cut and seal: under the
-// engine lock the batch and its sketch leave the live step and become the
-// sealed step of the store's published history, so elements observed from
-// here on belong to the next step, and counters and answers agree on this
-// one. Write: outside every engine lock, the step is sorted and written
-// once, as its level-0 partition (Algorithm 3, HistUpdate); until that is
-// published, queries cover the step through its frozen summary, so answers
-// always span the full observed history and neither Observe nor Query waits
-// for the write. Merge: a level holding more than κ partitions merges its
-// oldest κ+1, run by whoever the mode names — this caller before it returns
-// (sync, the default), the scheduler (async; EndStep first blocks while
-// MaxPendingSteps steps are pending, and EndStepCtx aborts that wait on
-// cancellation), or nobody until SyncMaintenance (manual). Commit: one
-// write-data → sync → commit-manifest → sync sequence, so when EndStep
-// returns nil the step survives any crash as a partition, and a reopened
-// stream recovers exactly the prefix of time steps whose EndStep completed.
+// Each EndStep runs the same moves (Algorithm 3, HistUpdate, with the merges
+// it makes due). Cut and seal: under the engine lock the batch and its
+// sketch leave the live step and become the sealed step of the store's
+// published history, so elements observed from here on belong to the next
+// step, and counters and answers agree on this one. Write: outside every
+// engine lock, the step is sorted and written once, as its level-0
+// partition; until that is published, queries cover the step through its
+// frozen summary, so answers always span the full observed history and
+// neither Observe nor Query waits for the write. Merge: a level holding more
+// than κ partitions merges its oldest κ+1, one level up, until no level
+// does — run by this caller, outside the locks Observe and Query take.
+// Commit: one write-data → sync → commit-manifest → sync sequence, so when
+// EndStep returns nil the step survives any crash as a partition, and a
+// reopened stream recovers exactly the prefix of time steps whose EndStep
+// completed.
 //
 // If the level-0 write fails, the step stays sealed: counted, answered from
 // its frozen summary, and written — before anything else — by the next
 // EndStep, SyncMaintenance, DB.Checkpoint or Close, whose commit makes it
-// durable; no step is written twice. A failed merge is retried by the next
-// merge of its level.
+// durable; no step is written twice. A failed merge returns its error from
+// this EndStep, after the commit that makes the step durable, and is retried
+// by the next EndStep, SyncMaintenance or Close.
 func (s *Stream) EndStep() (UpdateStats, error) {
 	return s.EndStepCtx(context.Background())
 }
@@ -319,19 +318,18 @@ func (s *Stream) ProbeMemoStats() ProbeMemoStats {
 // eviction seals a stream only after its pending work is done, so cold
 // streams genuinely have none.
 func (s *Stream) MaintenanceStats() MaintenanceStats {
-	ms := MaintenanceStats{Mode: s.db.opts.Maintenance}
+	var ms MaintenanceStats
 	s.peek(func(e *engine) { ms = e.MaintenanceStats() }) //nolint:errcheck // a dropped stream or closed DB has no backlog
 	return ms
 }
 
 // SyncMaintenance blocks until this stream has no pending work, running it
 // inline and committing the result: it writes a step whose level-0 write
-// failed, then runs every due merge — the drain of manual mode, an
-// accelerator for a backlogged async stream, and the retry of a failed
-// write or merge in any mode (it clears the sticky maintenance error first
-// and returns the first failure it meets). A cold stream has no pending
-// work — sealing drained it — so the call returns immediately without
-// hydrating.
+// failed, then runs every merge a failure left due — the retry of a failed
+// write or merge, which the next EndStep would also run. It returns the
+// first failure it meets. Every EndStep that succeeds leaves nothing
+// pending, and a cold stream has none either — sealing drained it — so
+// the call then returns at once, without hydrating.
 func (s *Stream) SyncMaintenance() error {
 	var err error
 	if perr := s.peek(func(e *engine) { err = e.SyncMaintenance() }); perr != nil {
@@ -376,11 +374,8 @@ func (s *Stream) ObserveSliceCtx(ctx context.Context, vs []int64) error {
 	return eng.observeSlice(vs)
 }
 
-// EndStepCtx is EndStep with cancellation. It is checked at entry, and —
-// under async maintenance — while blocked on MaxPendingSteps backpressure:
-// a cancelled producer stops waiting for the maintenance backlog to drain.
-// A started load/merge still runs to completion to keep the warehouse
-// consistent.
+// EndStepCtx is EndStep with cancellation, checked at entry only: a started
+// write or merge runs to completion to keep the warehouse consistent.
 func (s *Stream) EndStepCtx(ctx context.Context) (UpdateStats, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
@@ -390,5 +385,5 @@ func (s *Stream) EndStepCtx(ctx context.Context) (UpdateStats, error) {
 		return UpdateStats{}, err
 	}
 	defer s.db.release(s)
-	return eng.endStep(ctx)
+	return eng.endStep()
 }

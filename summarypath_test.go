@@ -26,7 +26,7 @@ import (
 func TestRemoteSummaryDoesNotHydrate(t *testing.T) {
 	db, err := hsq.Open(hsq.Options{
 		Epsilon: 0.1, Kappa: 2, Backend: "mem", BlockSize: 512,
-		MaxHydratedStreams: 1, Maintenance: hsq.MaintenanceManual,
+		MaxHydratedStreams: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,11 +46,8 @@ func TestRemoteSummaryDoesNotHydrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 3; i++ { // the third step's EndStep merges: the sidecar is of a merged layout
 		step(cold, 200)
-	}
-	if err := cold.SyncMaintenance(); err != nil { // its due merges, so the sidecar is of a merged layout
-		t.Fatal(err)
 	}
 	// The second stream takes the one hydration slot and keeps it: a live
 	// buffer, which only EndStep may cut.
