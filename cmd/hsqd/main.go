@@ -113,7 +113,7 @@ func main() {
 		ingestAddr = flag.String("ingest-addr", "", "TCP listen address for the binary ingest protocol (hsqclient); empty = disabled")
 
 		maintenance = flag.String("maintenance", "", "accepts only sync, the one schedule: every endstep runs the merges it makes due (async and manual were removed; kept for callers that pass sync)")
-		maxHydrated = flag.Int("max-hydrated", 0, "hydrated-engine budget: streams resident in memory before LRU eviction seals idle ones (0 = unbounded)")
+		maxHydrated = flag.Int("max-hydrated", 0, "hydrated-engine budget: streams resident in memory before eviction seals idle ones, cheapest to rehydrate first (0 = unbounded)")
 		simDisk     = flag.String("simulate-disk", "", "inject per-block device latency so timings track I/O counts: ssd|hdd (empty = off)")
 
 		nodeID     = flag.String("node-id", "", "this node's stable cluster ID (required with -cluster-peers)")
@@ -283,6 +283,7 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"registered_streams": dir.Registered,
 			"hydrated_streams":   dir.Hydrated,
 			"hydrations":         dir.Hydrations,
+			"hydrated_values":    dir.HydratedValues,
 			"evictions":          dir.Evictions,
 			"summary_fallbacks":  dir.SummaryFallbacks,
 			"cold_summary_bytes": dir.ColdSummaryBytes,

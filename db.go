@@ -1,10 +1,11 @@
 package hsq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,10 +43,11 @@ const legacyDirectoryName = "DB.json"
 // lightweight descriptor, ~100 bytes), but an engine — GK sketch,
 // partition summaries, maintenance state — is hydrated only on first touch,
 // outside the DB lock, with per-name singleflight. With Options.MaxHydratedStreams set,
-// idle streams are sealed (durably checkpointed) and evicted in LRU order,
-// so resident memory tracks the hot set, not the directory size. Open
-// loads only the directory: restart cost is O(registered streams), with
-// each stream's summary-rebuild scan deferred to its first touch.
+// idle streams are sealed (durably checkpointed) and evicted, cheapest to
+// rehydrate first, so resident memory tracks the hot set, not the directory
+// size. Open loads only the directory: restart cost is O(registered
+// streams), with each stream's summary-rebuild scan deferred to its first
+// touch.
 //
 //	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Dir: dir, CacheBlocks: 4096})
 //	lat, err := db.Stream("api.latency")
@@ -57,10 +59,13 @@ type DB struct {
 	opts Options
 	dev  *disk.Manager // root view: aggregate stats, shared cache
 	dir  map[string]*Stream
-	seq  uint64 // LRU clock, incremented on every touch
+	seq  uint64 // touch clock, incremented on every touch
+	// inflation is GreedyDual's L, raised to each victim's priority.
+	inflation uint64
 
 	hydrated         int // streams with eng != nil
 	hydrations       uint64
+	hydratedValues   uint64 // values the hydrations' summary-rebuild scans read
 	evictions        uint64
 	summaryFallbacks uint64        // cold summary reads that had to hydrate
 	sidecarDecodes   atomic.Uint64 // cold summary reads that decoded SUMMARY.bin
@@ -154,11 +159,12 @@ func ValidStreamName(name string) error {
 	return nil
 }
 
-// touchLocked records a use of the stream for LRU eviction ordering.
-// Caller holds db.mu.
+// touchLocked records a use of the stream for eviction ordering: its
+// priority restarts from the current inflation value. Caller holds db.mu.
 func (db *DB) touchLocked(s *Stream) {
 	db.seq++
 	s.seq = db.seq
+	s.base = db.inflation
 }
 
 // acquire returns the stream's hydrated engine with a pin held, hydrating it
@@ -225,8 +231,11 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 	st.pins++
 	db.hydrated++
 	db.hydrations++
-	db.touchLocked(st)
+	db.hydratedValues += uint64(fresh.HistCount())
+	// Make room first, then touch: the stream's priority starts from the
+	// inflation its victims leave behind.
 	victims := db.evictVictimsLocked()
+	db.touchLocked(st)
 	db.mu.Unlock()
 	db.evict(victims)
 	return fresh, nil
@@ -272,30 +281,40 @@ func (db *DB) release(st *Stream) {
 	db.evict(victims)
 }
 
-// evictVictimsLocked selects least-recently-used hydrated, unpinned
-// streams until the hydrated count is back within MaxHydratedStreams.
+// evictVictimsLocked selects the hydrated, unpinned streams cheapest to
+// bring back until the hydrated count is back within MaxHydratedStreams
+// (GreedyDual, Young 1994): the lowest touch-time inflation plus history
+// to rescan goes first, the oldest touch on a tie.
 // Streams with a live observe buffer are not candidates at all — evictOne
 // would refuse them anyway, and selecting them would burn the whole
 // victim quota on unevictable streams while sealed idle engines sit past
-// the budget. Caller holds db.mu. Selection only — the actual
-// seal-and-close runs in evict, outside db.mu.
+// the budget. Caller holds db.mu. Selection raises the inflation to the
+// victims' priority; the actual seal-and-close runs in evict, outside db.mu.
 func (db *DB) evictVictimsLocked() []*Stream {
-	max := db.opts.MaxHydratedStreams
-	if max <= 0 || db.hydrated <= max || db.closed {
+	budget := db.opts.MaxHydratedStreams
+	if budget <= 0 || db.hydrated <= budget || db.closed {
 		return nil
 	}
-	var cands []*Stream
+	type cand struct {
+		st   *Stream
+		prio uint64
+	}
+	var cands []cand
 	for _, st := range db.dir {
 		if st.eng != nil && !st.dropped && st.pins == 0 && st.eng.StreamCount() == 0 {
-			cands = append(cands, st)
+			cands = append(cands, cand{st, st.base + uint64(st.eng.HistCount())})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
-	need := db.hydrated - max
-	if need > len(cands) {
-		need = len(cands)
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.prio, b.prio), cmp.Compare(a.st.seq, b.st.seq))
+	})
+	need := min(db.hydrated-budget, len(cands))
+	victims := make([]*Stream, need)
+	for i := range victims {
+		victims[i] = cands[i].st
+		db.inflation = max(db.inflation, cands[i].prio)
 	}
-	return cands[:need]
+	return victims
 }
 
 // evict seals and dehydrates the victim streams, one at a time.
@@ -533,7 +552,7 @@ func (db *DB) Streams() []string {
 		}
 		out = append(out, name)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -765,10 +784,13 @@ type DirectoryStats struct {
 	Hydrated   int
 	// MaxHydrated echoes Options.MaxHydratedStreams (0 = unlimited).
 	MaxHydrated int
-	// Hydrations and Evictions count engine loads and LRU seals since
-	// Open. Hydrations > Registered means streams have cycled.
-	Hydrations uint64
-	Evictions  uint64
+	// Hydrations and Evictions count engine loads and budget seals (cheapest
+	// to rehydrate first) since Open. Hydrations > Registered means streams
+	// have cycled. HydratedValues counts the values the hydrations'
+	// summary-rebuild scans read: each engine's history at its load.
+	Hydrations     uint64
+	Evictions      uint64
+	HydratedValues uint64
 	// SummaryFallbacks counts the summary reads of an evicted stream that
 	// its sidecar could not answer (missing, refused by the decoder, or
 	// stale against the manifest) and that hydrated the stream instead.
@@ -797,6 +819,7 @@ func (db *DB) DirectoryStats() DirectoryStats {
 		MaxHydrated:      db.opts.MaxHydratedStreams,
 		Hydrations:       db.hydrations,
 		Evictions:        db.evictions,
+		HydratedValues:   db.hydratedValues,
 		SummaryFallbacks: db.summaryFallbacks,
 		ColdSummaryBytes: db.coldBytes,
 		SidecarDecodes:   db.sidecarDecodes.Load(),

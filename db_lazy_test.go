@@ -434,6 +434,104 @@ func TestDirectoryGrowthKeepsResidentSetAtBudget(t *testing.T) {
 	}
 }
 
+// costlyStreamDB opens a DB with a hydration budget of two holding "big",
+// 2 000 values in two steps, and small streams s0, s1, … of 100 values in
+// one step, written in that order. touch reads a stream's median, which
+// hydrates it if it is cold.
+func costlyStreamDB(t *testing.T, smalls int) (db *hsq.DB, touch func(name string), hydrated func(name string) bool) {
+	t.Helper()
+	db, err := hsq.Open(hsq.Options{
+		Epsilon: 0.02, Kappa: 3, Backend: "mem", BlockSize: 1024,
+		MaxHydratedStreams: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() }) //nolint:errcheck
+	names := []string{"big"}
+	for i := 0; i < smalls; i++ {
+		names = append(names, fmt.Sprintf("s%d", i))
+	}
+	for i, name := range names {
+		st, err := db.Stream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "big" {
+			loadStream(t, st, int64(i+1), 2, 1000)
+		} else {
+			loadStream(t, st, int64(i+1), 1, 100)
+		}
+	}
+	lookup := func(name string) *hsq.Stream {
+		t.Helper()
+		st, ok := db.Lookup(name)
+		if !ok {
+			t.Fatalf("stream %s missing", name)
+		}
+		return st
+	}
+	touch = func(name string) {
+		t.Helper()
+		if _, _, err := lookup(name).Quantile(0.5); err != nil {
+			t.Fatalf("touch %s: %v", name, err)
+		}
+	}
+	hydrated = func(name string) bool {
+		t.Helper()
+		return lookup(name).Hydrated()
+	}
+	return db, touch, hydrated
+}
+
+// TestEvictionKeepsCostlyStream: a stream twenty times the size of the
+// small ones, touched between rounds in which four small streams cycle
+// through a budget of two, stays resident. Each round's churn evicts only
+// small streams, whose rehydration rescans 100 values, so a round's
+// hydrations read the four small streams' 400 values. Least-recently-used
+// eviction let the churn evict the large stream and rescanned its 2 000
+// values at the top of every round.
+func TestEvictionKeepsCostlyStream(t *testing.T) {
+	db, touch, hydrated := costlyStreamDB(t, 4)
+	for round := 0; round < 5; round++ {
+		before := db.DirectoryStats()
+		touch("big")
+		for i := 0; i < 4; i++ {
+			touch(fmt.Sprintf("s%d", i))
+		}
+		after := db.DirectoryStats()
+		if got := after.HydratedValues - before.HydratedValues; got != 400 {
+			t.Errorf("round %d: hydrations %d -> %d read %d values, want 400 (the four small streams)",
+				round, before.Hydrations, after.Hydrations, got)
+		}
+		if !hydrated("big") {
+			t.Errorf("round %d: the large stream was evicted by small-stream churn", round)
+		}
+	}
+}
+
+// TestEvictionAgesOutCostlyStream: a large stream that goes idle is not
+// resident forever. Each eviction of a 100-value stream raises the
+// inflation by 100, so the 2 000-value stream goes once the small streams'
+// evictions after its last touch add up to its size: after 19 of them the
+// next small stream's priority ties its own, and the older touch goes.
+// Least-recently-used order evicted it at the second small touch.
+func TestEvictionAgesOutCostlyStream(t *testing.T) {
+	db, touch, hydrated := costlyStreamDB(t, 3)
+	touch("big")
+	before := db.DirectoryStats().Evictions
+	for n := 0; hydrated("big"); n++ {
+		if n == 40 {
+			t.Fatalf("the idle large stream is still resident after %d small-stream touches", n)
+		}
+		touch(fmt.Sprintf("s%d", n%3))
+	}
+	// The last eviction is the large stream's own.
+	if small := db.DirectoryStats().Evictions - before - 1; small != 19 {
+		t.Errorf("the large stream went after %d small-stream evictions, want 19 (its 2 000 values over their 100 each, less the tie)", small)
+	}
+}
+
 // removeGateBackend, once armed, blocks every Remove touching the gated
 // prefix until the gate channel closes, signalling entered once — it
 // parks a stream destroy mid-deletion, the window in which a concurrent

@@ -85,11 +85,16 @@ type Options struct {
 	// MaxHydratedStreams bounds how many of a DB's registered streams may
 	// hold a hydrated (memory-resident) engine at once; 0 means unlimited.
 	// Streams beyond the bound are sealed — maintenance drained, manifest
-	// durably committed — and evicted in least-recently-used order, then
-	// rehydrated transparently on their next touch. The bound is a target,
-	// not a hard cap: streams that cannot be sealed without losing state
-	// (an in-flight operation, a non-empty observe buffer) stay resident
-	// until they quiesce.
+	// durably committed — and evicted cheapest to bring back first, then
+	// rehydrated transparently on their next touch. A stream's priority is
+	// the DB's inflation value at its last touch plus the history its
+	// rehydration would rescan, and each eviction raises the inflation to
+	// the victim's priority (GreedyDual): streams of equal size go in
+	// least-recently-used order, and an idle large stream goes once the
+	// evictions after its last touch add up past its size. The bound is a
+	// target, not a hard cap: streams that cannot be sealed without losing
+	// state (an in-flight operation, a non-empty observe buffer) stay
+	// resident until they quiesce.
 	MaxHydratedStreams int
 }
 

@@ -69,7 +69,8 @@ type Stream struct {
 	view    *disk.Manager
 	eng     *engine // nil while cold (not hydrated)
 	pins    int     // in-flight operations holding eng; eviction skips pinned streams
-	seq     uint64  // LRU clock value of the last touch
+	seq     uint64  // touch clock value of the last touch: the eviction tie-break
+	base    uint64  // DB inflation at the last touch: eviction priority less cost
 	dropped bool
 	// cold is the sidecar summary a cold stream holds until it hydrates;
 	// coldEpoch counts its forgets (coldsummary.go).
@@ -258,9 +259,9 @@ type StreamStatus struct {
 }
 
 // Status reads the stream's engine state through one peek: it never
-// hydrates and is no touch for eviction, so a status poll leaves the LRU
-// order alone. The counts, level layout and windows come from one pinned
-// version.
+// hydrates and is no touch for eviction, so a status poll leaves the
+// eviction order alone. The counts, level layout and windows come from one
+// pinned version.
 func (s *Stream) Status() StreamStatus {
 	var st StreamStatus
 	s.peek(func(e *engine) { st = e.status() }) //nolint:errcheck // a dropped stream or closed DB reads as cold
