@@ -212,25 +212,27 @@ func TestGoldenErrors(t *testing.T) {
 	checkGolden(t, "errors", out.Bytes())
 }
 
-// TestGoldenMaintenance pins GET /streams/{name}/maintenance after an
-// endstep: its step written, nothing pending.
+// TestGoldenMaintenance pins POST /streams/{name}/maintenance after an
+// endstep: nothing to retry, and the reply is the stream's stats with its
+// step written and nothing pending.
 func TestGoldenMaintenance(t *testing.T) {
 	var out bytes.Buffer
 	ts := goldenServer(t)
-	code, body := get(t, ts.URL+"/streams/api.latency/maintenance")
-	if code != http.StatusOK {
-		t.Fatalf("GET maintenance (sync): status %d", code)
+	resp, err := http.Post(ts.URL+"/streams/api.latency/maintenance", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// install_ms is wall-clock, and the step's level-0 write has run: a slow
-	// machine rounds it up to 1.
-	redactMs := func(body []byte) []byte {
-		return installMsPattern.ReplaceAll(canonicalJSON(t, body), []byte(`"install_ms": "<ms>"`))
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fmt.Fprintf(&out, "### sync\n%s", redactMs(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST maintenance (sync): status %d", resp.StatusCode)
+	}
+	fmt.Fprintf(&out, "### sync\n%s", canonicalJSON(t, body))
 	checkGolden(t, "maintenance", out.Bytes())
 }
-
-var installMsPattern = regexp.MustCompile(`"install_ms": \d+`)
 
 // goldenIngest drives a fully deterministic raw-wire session against the
 // server's ingest pipeline: fixed session token, fixed frames, fixed

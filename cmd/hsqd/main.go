@@ -19,9 +19,9 @@
 //	GET    /streams/{name}/quantile?phi=0.99            one φ      → "value"
 //	GET    /streams/{name}/quantiles?phi=0.5,0.95,0.99  several φ  → "values"
 //	GET    /streams/{name}/rank?v=12345                 rank of v  → "rank", "total"
-//	GET    /streams/{name}/stats          counters; never hydrates
-//	GET    /streams/{name}/maintenance    maintenance state and counters
-//	POST   /streams/{name}/maintenance    retry a failed write or merge now
+//	GET    /streams/{name}/stats          counters, backlog; never hydrates
+//	POST   /streams/{name}/maintenance    retry a failed write or merge now,
+//	                                      then reply with the stats
 //	POST   /query                         JSON plan over stream sets: globs,
 //	                                      merge, group-by, windows, as-of
 //
@@ -72,9 +72,10 @@
 // An end-of-step seals the batch, writes it once as its level-0 partition,
 // runs the merges it makes due and commits, all before the endstep request
 // returns; queries and ingest on the stream keep answering — within ε —
-// throughout. GET /streams reports the aggregate backlog in its "scheduler"
-// block: nonzero only while an endstep runs, or after a failed write or
-// merge, which the next endstep or POST maintenance retries.
+// throughout. GET /streams/{name}/stats reports a stream's backlog and GET
+// /streams the sum in its "scheduler" block: nonzero only while an endstep
+// runs, or after a failed write or merge, which the next endstep or POST
+// maintenance retries.
 //
 // Usage:
 //
@@ -241,18 +242,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 // only for hydrated streams, each row read through one Stream.Status peek:
 // a status poll must never hydrate a million-stream directory nor reorder
 // its evictions, so cold streams show "hydrated": false with their durable
-// I/O counters and ingest tallies only.
+// I/O counters and ingest tallies only. The scheduler block's write-path
+// totals sum those rows; a cold stream has nothing pending.
 func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	names := s.db.Streams()
 	ing := s.ing.Stats()
 	streams := make([]map[string]any, 0, len(names))
+	var sum hsq.StreamStatus
 	for _, name := range names {
 		st, ok := s.db.Lookup(name)
 		if !ok {
 			continue
 		}
 		tally := ing.Streams[name]
-		row, _ := streamKeys(st)
+		row, ss, _ := streamKeys(st)
+		sum.PendingSteps += ss.PendingSteps
+		sum.PendingElements += ss.PendingElements
+		sum.Installs += ss.Installs
+		sum.Merges += ss.Merges
 		maps.Copy(row, map[string]any{
 			"name":             name,
 			"ingest_values":    tally.Values,
@@ -262,7 +269,6 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		streams = append(streams, row)
 	}
 	agg := s.db.DiskStats()
-	sched := s.db.SchedulerStats()
 	dir := s.db.DirectoryStats()
 	writeJSON(w, map[string]any{
 		"streams": streams,
@@ -274,12 +280,10 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"cache_blocks":  s.db.CacheBlocks(),
 		},
 		"scheduler": map[string]any{
-			"pending_steps":      sched.PendingSteps,
-			"merge_debt":         sched.MergeDebt,
-			"installs":           sched.Installs,
-			"merges":             sched.Merges,
-			"maint_io_reads":     sched.MaintIO.SeqReads + sched.MaintIO.RandReads,
-			"maint_io_writes":    sched.MaintIO.SeqWrites,
+			"pending_steps":      sum.PendingSteps,
+			"merge_debt":         sum.PendingElements,
+			"installs":           sum.Installs,
+			"merges":             sum.Merges,
 			"registered_streams": dir.Registered,
 			"hydrated_streams":   dir.Hydrated,
 			"hydrations":         dir.Hydrations,
@@ -313,40 +317,17 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}{s.ingAddr, s.ing.Stats()})
 }
 
-// handleMaintainNow retries the stream's failed work synchronously
-// (SyncMaintenance): a step whose write failed is written and every merge a
-// failure left due runs and commits before the response — what the next
-// endstep would also do. On a healthy stream it changes nothing.
+// handleMaintainNow runs the stream's barrier (SyncMaintenance), the retry
+// of its failed work: a step whose write failed is written and every merge
+// a failure left due runs and commits before the response — what the next
+// endstep would also do. On a healthy stream it changes nothing. It replies
+// with the stream's stats.
 func (s *server) handleMaintainNow(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
 	if err := st.SyncMaintenance(); err != nil {
 		httpError(w, http.StatusInternalServerError, "maintenance: %v", err)
 		return
 	}
-	ms := st.MaintenanceStats()
-	writeJSON(w, map[string]any{
-		"stream":        st.Name(),
-		"pending_steps": ms.PendingSteps,
-		"installs":      ms.Installs,
-		"merges":        ms.Merges,
-	})
-}
-
-// handleMaintenance reports one stream's maintenance state: backlog,
-// install/merge counters, maintenance-attributed I/O and the last failure.
-func (s *server) handleMaintenance(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	ms := st.MaintenanceStats()
-	writeJSON(w, map[string]any{
-		"stream":           st.Name(),
-		"pending_steps":    ms.PendingSteps,
-		"pending_elements": ms.PendingElements,
-		"running":          ms.Running,
-		"installs":         ms.Installs,
-		"merges":           ms.Merges,
-		"install_ms":       ms.InstallTime.Milliseconds(),
-		"maint_io_reads":   ms.MaintIO.SeqReads + ms.MaintIO.RandReads,
-		"maint_io_writes":  ms.MaintIO.SeqWrites,
-		"last_error":       ms.LastError,
-	})
+	s.handleStreamStats(st, w, r)
 }
 
 func (s *server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
@@ -365,12 +346,12 @@ func (s *server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamKeys builds the keys a GET /streams row and GET
-// /streams/{name}/stats share, from one Stream.Status peek: "hydrated", the
-// stream's own I/O counters (its namespaced device view) and, for a
-// hydrated stream only, its engine counts. A peek never hydrates nor
-// reorders eviction, so a cold stream reports its durable I/O counters
-// only.
-func streamKeys(st *hsq.Stream) (map[string]any, hsq.StreamStatus) {
+// /streams/{name}/stats share, from one Stream.Status peek and one
+// Stream.DiskStats read: "hydrated", the stream's own I/O counters (its
+// namespaced device view) and, for a hydrated stream only, its engine
+// counts. A peek never hydrates nor reorders eviction, so a cold stream
+// reports its durable I/O counters only.
+func streamKeys(st *hsq.Stream) (map[string]any, hsq.StreamStatus, hsq.IOStats) {
 	ss := st.Status()
 	io := st.DiskStats()
 	keys := map[string]any{
@@ -383,17 +364,18 @@ func streamKeys(st *hsq.Stream) (map[string]any, hsq.StreamStatus) {
 	if ss.Hydrated {
 		keys["stream_count"], keys["hist_count"], keys["steps"], keys["partitions"] = ss.StreamCount, ss.HistCount, ss.Steps, ss.Partitions
 	}
-	return keys, ss
+	return keys, ss, io
 }
 
 // handleStreamStats reports one stream: its GET /streams row's shared keys
 // (streamKeys), plus cache misses, the device's random reads and, when
-// hydrated, its levels, windows, memory and probe memo.
+// hydrated, its levels, windows, memory, probe memo and write path —
+// backlog, a write or merge running, counters and the last failure.
 func (s *server) handleStreamStats(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
-	reply, ss := streamKeys(st)
+	reply, ss, io := streamKeys(st)
 	maps.Copy(reply, map[string]any{
 		"stream":               st.Name(),
-		"io_cache_miss":        st.DiskStats().CacheMisses,
+		"io_cache_miss":        io.CacheMisses,
 		"device_io_rand_reads": s.db.DiskStats().RandReads,
 	})
 	if ss.Hydrated {
@@ -407,6 +389,12 @@ func (s *server) handleStreamStats(st *hsq.Stream, w http.ResponseWriter, r *htt
 			"probe_memo_misses":   ss.ProbeMemo.Misses,
 			"probe_memo_entries":  ss.ProbeMemo.Entries,
 			"probe_memo_capacity": ss.ProbeMemo.Capacity,
+			"pending_steps":       ss.PendingSteps,
+			"pending_elements":    ss.PendingElements,
+			"running":             ss.Running,
+			"installs":            ss.Installs,
+			"merges":              ss.Merges,
+			"last_error":          ss.LastError,
 		})
 	}
 	writeJSON(w, reply)

@@ -135,7 +135,6 @@ func (s *server) mux() *http.ServeMux {
 	m.HandleFunc("GET /streams/{name}/quantiles", s.read(routeQuantiles))
 	m.HandleFunc("GET /streams/{name}/rank", s.read(routeRank))
 	m.HandleFunc("GET /streams/{name}/stats", s.named(s.handleStreamStats))
-	m.HandleFunc("GET /streams/{name}/maintenance", s.named(s.handleMaintenance))
 	m.HandleFunc("POST /streams/{name}/maintenance", s.named(s.handleMaintainNow))
 	return m
 }

@@ -205,9 +205,9 @@ func (b *failingReads) Open(name string) (disk.ReadHandle, error) {
 }
 
 // TestMaintainNow: POST /streams/{name}/maintenance is the retry of a failed
-// merge. The endstep whose merge fails reports it, the GET shows the merge
-// still due with the failure, and the POST runs it inline; the GET that
-// follows agrees.
+// merge. The endstep whose merge fails reports it, GET stats shows the merge
+// still due with the failure, and the POST runs it inline and replies with
+// the stats; the GET that follows agrees.
 func TestMaintainNow(t *testing.T) {
 	dev := &failingReads{Backend: disk.NewMemBackend()}
 	db, err := hsq.Open(hsq.Options{Epsilon: 0.05, Kappa: 3, Device: dev})
@@ -220,7 +220,7 @@ func TestMaintainNow(t *testing.T) {
 		ts.Close()
 		db.Close() //nolint:errcheck
 	})
-	url := ts.URL + "/streams/m/maintenance"
+	url, stats := ts.URL+"/streams/m/maintenance", ts.URL+"/streams/m/stats"
 	for step := 1; step <= 4; step++ { // κ=3: the 4th step's partition makes a merge due
 		postBody(t, ts.URL+"/streams/m/observe", "1\n2\n3\n")
 		dev.armed.Store(step == 4)
@@ -234,14 +234,14 @@ func TestMaintainNow(t *testing.T) {
 		}
 	}
 	dev.armed.Store(false)
-	got, _ := getJSON(t, url)
+	got, _ := getJSON(t, stats)
 	if got["pending_steps"] != 1.0 || got["installs"] != 4.0 || got["merges"] != 0.0 || !strings.Contains(fmt.Sprint(got["last_error"]), "injected read fault") {
 		t.Fatalf("after the failed merge: %v, want pending_steps 1, installs 4, merges 0 and the fault", got)
 	}
 	if got := postBody(t, url, ""); got["stream"] != "m" || got["pending_steps"] != 0.0 || got["merges"] != 1.0 {
 		t.Errorf("POST maintenance: %v, want pending_steps 0, merges 1", got)
 	}
-	if got, _ := getJSON(t, url); got["pending_steps"] != 0.0 || got["merges"] != 1.0 || got["last_error"] != "" {
+	if got, _ := getJSON(t, stats); got["pending_steps"] != 0.0 || got["merges"] != 1.0 || got["last_error"] != "" {
 		t.Errorf("GET after the retry: %v, want pending_steps 0, merges 1, no error", got)
 	}
 }

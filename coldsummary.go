@@ -77,21 +77,6 @@ func (db *DB) refreshSidecar(stream string, sum *core.ShardSummary) {
 	db.dev.WriteMeta(sidecarPath(stream), sum.AppendBinary(nil)) //nolint:errcheck // advisory: queries fall back to hydration
 }
 
-// sealCold closes an engine the directory has already detached and
-// publishes the sidecar of the state the close sealed. The summary is
-// captured before Close makes the engine unreadable; past the detach no new
-// operation can reach the engine, so what is captured is what Close seals —
-// and if an operation already in flight does outrun the capture, the cold
-// read's manifest cross-check rejects the file and hydrates instead.
-func (db *DB) sealCold(stream string, eng *engine) error {
-	sum, _ := eng.ScopedSummary(query.Scope{}) // nil from a closed engine: refreshSidecar drops
-	if err := eng.Close(); err != nil {
-		return err
-	}
-	db.refreshSidecar(stream, sum)
-	return nil
-}
-
 // dropSidecar best-effort removes a stream's sidecar: used when the
 // stream's durable state stops being representable (pending work at
 // checkpoint). A leftover sidecar is safe — the manifest cross-check

@@ -94,7 +94,7 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if ms := eng.MaintenanceStats(); ms.Running {
+			if ms := eng.Status(); ms.Running {
 				mergesSeen.Store(true)
 			}
 			time.Sleep(100 * time.Microsecond)
@@ -127,7 +127,7 @@ func TestConcurrentQueriesDuringBackgroundMerge(t *testing.T) {
 	if !mergesSeen.Load() {
 		t.Log("warning: sampler never caught an install mid-flight (timing-dependent)")
 	}
-	ms := eng.MaintenanceStats()
+	ms := eng.Status()
 	if ms.Installs != steps {
 		t.Errorf("Installs = %d, want %d", ms.Installs, steps)
 	}
@@ -217,7 +217,7 @@ func TestObserveNotBlockedByMerge(t *testing.T) {
 		t.Fatalf("EndStep after the merge resumed: %v", err)
 	}
 	eng.db.dev.SetFault(nil)
-	if ms := eng.MaintenanceStats(); ms.Merges != 1 || ms.PendingSteps != 0 {
+	if ms := eng.Status(); ms.Merges != 1 || ms.PendingSteps != 0 {
 		t.Errorf("after the EndStep: %d merges, %d steps pending; want 1, 0", ms.Merges, ms.PendingSteps)
 	}
 }
@@ -308,7 +308,7 @@ func TestLiveStepOneGuard(t *testing.T) {
 	if err := feed(); err != nil {
 		t.Fatal(err)
 	}
-	if ms := st.MaintenanceStats(); ms.Merges != 1 {
+	if ms := st.Status(); ms.Merges != 1 {
 		t.Fatalf("setup: %d merges, want 1 (the third step's partition put level 0 past κ=2)", ms.Merges)
 	}
 

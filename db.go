@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/partition"
-	"repro/internal/query"
 )
 
 // ErrUnknownStream is returned (wrapped, with the name) by operations on a
@@ -325,8 +324,8 @@ func (db *DB) evict(victims []*Stream) {
 }
 
 // evictOne seals one idle stream back to its on-disk manifest and drops
-// its engine. Sealing is a durable checkpoint: engine.Close drains the
-// maintenance backlog, commits the manifest and waits out pinned queries,
+// its engine. Sealing is the stream's checkpoint barrier, closing the
+// engine: it settles, commits the manifest and waits out pinned queries,
 // so an evicted stream loses nothing — its next touch rehydrates the exact
 // same state. Streams that would lose state are skipped: a pinned stream
 // (in-flight operation) or a non-empty observe buffer (only EndStep may cut
@@ -359,7 +358,7 @@ func (db *DB) evictOne(st *Stream) {
 	// The stream is durably sealed and cold once this returns; its summary
 	// sidecar lets glob/group-by queries answer it without rehydrating, and
 	// a summary a read held during the seal (the state before it) goes.
-	err := db.sealCold(st.name, eng)
+	err := db.checkpoint(st.name, eng, true)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.forgetColdLocked(st)
@@ -664,11 +663,10 @@ func (db *DB) commitDrop(name string) error {
 }
 
 // eachHydrated pins every hydrated stream, calls f on each — all of them,
-// returning the first error — and releases them. DB-wide barriers and stats
-// (Checkpoint, WaitIdle, SchedulerStats) walk the directory through it, so
-// eviction cannot close an engine under f. Cold streams need no work:
-// eviction sealed them durably, and never-touched streams were durable to
-// begin with. A closed DB has nothing hydrated and returns ErrClosed.
+// returning the first error — and releases them. DB.Checkpoint walks the
+// directory through it, so eviction cannot close an engine under f. Cold
+// streams need no work: eviction sealed them durably, and never-touched
+// streams were durable to begin with. A closed DB has nothing hydrated and returns ErrClosed.
 func (db *DB) eachHydrated(f func(*Stream, *engine) error) error {
 	db.mu.Lock()
 	if db.closed {
@@ -697,23 +695,22 @@ func (db *DB) eachHydrated(f func(*Stream, *engine) error) error {
 	return first
 }
 
-// Checkpoint persists every hydrated stream's manifest, each write atomic on
-// the backend, and ends with a device sync that also makes every
-// registration durable, so a multi-stream daemon can restart cleanly with
-// Open. Cold (evicted or never-touched) streams are already durable and
-// cost nothing. In-flight (unloaded) stream batches are volatile by design
-// (replayed or lost, exactly as a DSMS would); a step whose level-0 write
-// failed is written first, so every step EndStep sealed is durable once
-// Checkpoint returns nil. Checkpoint does not run due merges; call WaitIdle
-// first for a fully-merged on-disk layout.
+// Checkpoint passes every hydrated stream through its barrier
+// (Stream.SyncMaintenance): a step whose level-0 write failed is written,
+// every merge a failure left due runs, the manifest is committed — each
+// write atomic on the backend — and the sidecar refreshed. It ends with a
+// device sync that also makes every registration durable, so a
+// multi-stream daemon can restart cleanly with Open. Once it returns nil,
+// every step EndStep sealed is durable and no merge is due. Cold (evicted
+// or never-touched) streams are already settled and durable and cost
+// nothing. In-flight (unloaded) stream batches are volatile by design
+// (replayed or lost, exactly as a DSMS would). It tries every stream and
+// returns the first failure.
 func (db *DB) Checkpoint() error {
 	err := db.eachHydrated(func(st *Stream, eng *engine) error {
-		if err := eng.Checkpoint(); err != nil {
+		if err := db.checkpoint(st.name, eng, false); err != nil {
 			return fmt.Errorf("hsq: checkpoint stream %q: %w", st.name, err)
 		}
-		// The stream's durable state is known here: refresh its sidecar.
-		sum, _ := eng.ScopedSummary(query.Scope{}) // nil if a racing Close got there first
-		db.refreshSidecar(st.name, sum)
 		return nil
 	})
 	if err != nil {
@@ -722,8 +719,8 @@ func (db *DB) Checkpoint() error {
 	return db.dev.Sync()
 }
 
-// Close seals every hydrated stream — maintenance backlog drained,
-// manifest committed — marks the DB closed and releases the shared backend
+// Close seals every hydrated stream — settled, manifest committed, sidecar
+// refreshed — marks the DB closed and releases the shared backend
 // (when it implements io.Closer).
 //
 // The DB is marked closed first and exactly once: even if sealing a stream
@@ -757,7 +754,7 @@ func (db *DB) Close() error {
 
 	var errs []error
 	for i, eng := range engs {
-		if err := db.sealCold(names[i], eng); err != nil {
+		if err := db.checkpoint(names[i], eng, true); err != nil {
 			errs = append(errs, fmt.Errorf("hsq: close stream %q: %w", names[i], err))
 		}
 	}

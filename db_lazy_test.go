@@ -803,18 +803,20 @@ func TestRegistrationIsLinear(t *testing.T) {
 
 // TestCloseDetachesEngines is the regression test for Close leaving
 // engine pointers and the hydrated count behind: after Close, the
-// directory must report zero hydrated streams and DB-wide barriers must
-// find no engines to pin, while the registered set stays intact.
+// directory must report zero hydrated streams and the streams' status reads
+// must find no engines to pin, while the registered set stays intact.
 func TestCloseDetachesEngines(t *testing.T) {
 	db, err := hsq.Open(hsq.Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var streams []*hsq.Stream
 	for i := 0; i < 3; i++ {
 		st, err := db.Stream(fmt.Sprintf("s%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
+		streams = append(streams, st)
 		for v := int64(0); v < 200; v++ {
 			st.Observe(v)
 		}
@@ -835,12 +837,17 @@ func TestCloseDetachesEngines(t *testing.T) {
 	if ds.Registered != 3 {
 		t.Errorf("Registered = %d after Close, want 3 (directory survives Close)", ds.Registered)
 	}
-	ss := db.SchedulerStats()
-	if h := db.DirectoryStats().Hydrated; h != 0 {
-		t.Errorf("DirectoryStats().Hydrated = %d after SchedulerStats past Close, want 0", h)
+	var ss hsq.StreamStatus
+	for _, st := range streams {
+		s := st.Status()
+		ss.PendingSteps += s.PendingSteps
+		ss.PendingElements += s.PendingElements
 	}
-	if ss.PendingSteps != 0 || ss.MergeDebt != 0 {
-		t.Errorf("SchedulerStats backlog %d steps / %d elements after Close, want none (no engines to pin)", ss.PendingSteps, ss.MergeDebt)
+	if h := db.DirectoryStats().Hydrated; h != 0 {
+		t.Errorf("DirectoryStats().Hydrated = %d after Status past Close, want 0", h)
+	}
+	if ss.PendingSteps != 0 || ss.PendingElements != 0 {
+		t.Errorf("Status backlog %d steps / %d elements after Close, want none (no engines to pin)", ss.PendingSteps, ss.PendingElements)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -32,14 +33,14 @@ type staleHandle struct {
 
 // TestDirectoryModel drives a seeded sequence of directory operations over
 // four names — Stream, RegisterStreams, Lookup, ObserveSlice, EndStep,
-// DropStream, SyncMaintenance, Checkpoint, WaitIdle, a hydrating read, and
+// DropStream, SyncMaintenance, Checkpoint, a hydrating read, and
 // Close-and-reopen on the same heap device — under a hydration budget of
 // two, and after every operation compares the DB with a reference model:
 // the registered names, each stream's element count and steps, and the
 // hydrated count against the budget (streams holding a live buffer cannot be
 // evicted, so the bound is the larger of the two). Every stream is also read
 // through the calls that never hydrate — MemoryUsage, ProbeMemoStats,
-// MaintenanceStats, SyncMaintenance — in each state it can be in: a cold
+// Status, SyncMaintenance — in each state it can be in: a cold
 // stream answers empty and stays cold; a handle of a dropped stream, or of a
 // closed DB, answers empty and SyncMaintenance reports ErrClosed, as every
 // other method on it does. HSQ_DIR_SEED replays a seed; a failure prints it
@@ -112,8 +113,8 @@ func TestDirectoryModel(t *testing.T) {
 		if pm := h.st.ProbeMemoStats(); pm != (hsq.ProbeMemoStats{}) {
 			fail("stale handle %q: ProbeMemoStats = %+v, want zero", name, pm)
 		}
-		if ms := h.st.MaintenanceStats(); ms != (hsq.MaintenanceStats{}) {
-			fail("stale handle %q: MaintenanceStats = %+v, want drained", name, ms)
+		if ms := h.st.Status(); !reflect.DeepEqual(ms, hsq.StreamStatus{}) {
+			fail("stale handle %q: Status = %+v, want drained", name, ms)
 		}
 		err := h.st.SyncMaintenance()
 		if h.db == db {
@@ -155,15 +156,15 @@ func TestDirectoryModel(t *testing.T) {
 			if cold && m.live > 0 {
 				fail("stream %q is cold with %d live elements", name, m.live)
 			}
-			mu, pm, ms := st.MemoryUsage(), st.ProbeMemoStats(), st.MaintenanceStats()
+			mu, pm, ms := st.MemoryUsage(), st.ProbeMemoStats(), st.Status()
 			if err := st.SyncMaintenance(); err != nil {
 				fail("stream %q: SyncMaintenance: %v", name, err)
 			}
 			if ms.PendingSteps != 0 {
-				fail("stream %q: MaintenanceStats = %+v, want a drained stream", name, ms)
+				fail("stream %q: Status = %+v, want a drained stream", name, ms)
 			}
-			if cold && (mu != (hsq.MemoryUsage{}) || pm != (hsq.ProbeMemoStats{}) || ms != (hsq.MaintenanceStats{})) {
-				fail("cold stream %q: MemoryUsage %+v, ProbeMemoStats %+v, MaintenanceStats %+v, want zero", name, mu, pm, ms)
+			if cold && (mu != (hsq.MemoryUsage{}) || pm != (hsq.ProbeMemoStats{}) || !reflect.DeepEqual(ms, hsq.StreamStatus{})) {
+				fail("cold stream %q: MemoryUsage %+v, ProbeMemoStats %+v, Status %+v, want zero", name, mu, pm, ms)
 			}
 			if cold && st.Hydrated() {
 				fail("reading cold stream %q without a query hydrated it", name)
@@ -292,10 +293,10 @@ func TestDirectoryModel(t *testing.T) {
 			}
 			log.add("Checkpoint")
 		case k < 85:
-			if err := db.WaitIdle(); err != nil {
-				fail("WaitIdle: %v", err)
+			if err := db.Checkpoint(); err != nil {
+				fail("Checkpoint: %v", err)
 			}
-			log.add("WaitIdle")
+			log.add("Checkpoint")
 		case k < 95: // a hydrating read of the counts
 			if m == nil {
 				continue

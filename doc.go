@@ -201,11 +201,11 @@
 // touching the same cold stream hydrate it exactly once.
 //
 // Options.MaxHydratedStreams bounds how many engines stay resident (0, the
-// default, means unbounded). Past the budget the DB evicts
-// least-recently-used idle streams: eviction seals the stream — drains
-// its maintenance backlog, commits its manifest, waits out in-flight
-// queries — and then drops the engine, so an evicted stream loses
-// nothing and its next touch rehydrates the exact same state. In-flight
+// default, means unbounded). Past the budget the DB evicts the idle
+// streams cheapest to bring back: eviction seals the stream — settles it,
+// commits its manifest, waits out in-flight queries, refreshes its sidecar
+// — and then drops the engine, so an evicted stream loses nothing and its
+// next touch rehydrates the exact same state. In-flight
 // operations pin their engine (never evicted mid-query), and a stream
 // holding a live observe buffer is not evictable — only EndStep may cut
 // a batch — so the budget is a target the DB converges to as streams go
@@ -244,7 +244,9 @@
 // existing layout, no matter what maintenance does behind it.
 //
 // EndStep is one pipeline, run by its caller under the stream's write-path
-// lock: cut and seal (under the engine lock, the batch and GK sketch leave
+// lock: settle what a failed EndStep left (its sealed step written, the
+// merges it left due run; only a settled store takes the cut), cut and seal
+// (under the engine lock, the batch and GK sketch leave
 // the live step and become the sealed step of the store's published
 // version, with no I/O), write (outside every engine lock, the step is
 // sorted — in memory, or by the external sort above SortMemElements — and
@@ -252,7 +254,7 @@
 // κ partitions merges its oldest κ+1 into one a level up, until no level
 // does — the merges the paper's HistUpdate makes due), commit (data
 // barrier, manifest, barrier). The sealed step is held once, in that
-// version, so the counters (TotalCount, HistCount, Steps, MaintenanceStats)
+// version, so the counters (TotalCount, HistCount, Steps, Status)
 // and the answers agree from the cut on. Until its partition is published,
 // queries cover it through its frozen stream summary, so answers always
 // span the full observed history and neither Observe nor a query waits for
@@ -261,14 +263,17 @@
 // waits for its write and merges; a producer on a wire connection feels
 // them as the credit window draining (see "Remote ingestion").
 //
-// A step whose level-0 write fails stays sealed — counted and answered —
-// and is written, before anything else, by the next EndStep,
-// SyncMaintenance, Checkpoint or Close. A merge that fails keeps its
-// inputs, returns its error from the EndStep that ran it, and is retried by
-// the next EndStep, SyncMaintenance or Close; SyncMaintenance (per stream)
-// and DB.WaitIdle (all streams) are that retry on demand. MaintenanceStats
-// (per stream) and DB.SchedulerStats (aggregate merge debt,
-// maintenance-attributed I/O) expose what is pending and what ran.
+// The write and the merges are one routine, settle, which stops at its
+// first failure. A step whose level-0 write fails stays sealed — counted
+// and answered — and a merge that fails keeps its inputs and returns its
+// error from the EndStep that ran it. Both are retried by the next settle:
+// the start of the next EndStep, or the one per-stream barrier — settle,
+// commit, refresh the sidecar — that is Stream.SyncMaintenance, each
+// stream's step of DB.Checkpoint, and the start of Close and of an
+// eviction; Checkpoint returns with no merge due. Stream.Status exposes
+// what is pending and what ran (PendingSteps, PendingElements, Running,
+// Installs, Merges, LastError), read from the same pinned version as the
+// counts.
 //
 // The durability guarantee: a nil EndStep return means the step survives
 // any crash, as a partition — every durable step is one, so reopening

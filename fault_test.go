@@ -93,7 +93,7 @@ func TestFaultDuringEndStep(t *testing.T) {
 				if got := e.HistCount(); got != int64(len(all)) {
 					t.Errorf("%s: HistCount = %d, want %d (each step installed exactly once)", label, got, len(all))
 				}
-				if ms := e.MaintenanceStats(); ms.PendingSteps != 0 {
+				if ms := e.Status(); ms.PendingSteps != 0 {
 					t.Errorf("%s: %d steps still sealed", label, ms.PendingSteps)
 				}
 				if got := e.Describe(); !f.lateMerge && !slices.Equal(got, want) {
@@ -102,7 +102,7 @@ func TestFaultDuringEndStep(t *testing.T) {
 				checkAgainstOracle(t, e, all, label)
 			}
 			check(eng, "after retry")
-			if got := eng.MaintenanceStats().Installs; got != 4 {
+			if got := eng.Status().Installs; got != 4 {
 				t.Errorf("Installs = %d, want 4", got)
 			}
 

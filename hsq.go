@@ -84,8 +84,8 @@ type Options struct {
 
 	// MaxHydratedStreams bounds how many of a DB's registered streams may
 	// hold a hydrated (memory-resident) engine at once; 0 means unlimited.
-	// Streams beyond the bound are sealed — maintenance drained, manifest
-	// durably committed — and evicted cheapest to bring back first, then
+	// Streams beyond the bound are sealed — settled, manifest durably
+	// committed — and evicted cheapest to bring back first, then
 	// rehydrated transparently on their next touch. A stream's priority is
 	// the DB's inflation value at its last touch plus the history its
 	// rehydration would rescan, and each eviction raises the inflation to
@@ -141,20 +141,21 @@ func (c *Options) withDefaults() (Options, error) {
 // fills them, and re-exported here.
 
 // IOStats is the warehouse device's block-level I/O counters (disk.Stats):
-// per stream (Stream.DiskStats), device-wide (DB.DiskStats), per update
-// phase (UpdateStats) and maintenance-attributed (MaintenanceStats.MaintIO).
-// RandReads counts only reads that reached the storage backend; random
-// probes absorbed by the block cache appear as CacheHits. Total counts block
-// accesses; Sub and Add difference and sum snapshots.
+// per stream (Stream.DiskStats), device-wide (DB.DiskStats) and per update
+// phase (UpdateStats). RandReads counts only reads that reached the storage
+// backend; random probes absorbed by the block cache appear as CacheHits.
+// Total counts block accesses; Sub and Add difference and sum snapshots.
 type IOStats = disk.Stats
 
 // UpdateStats reports the cost of one EndStep, split into the paper's four
 // phases (Figure 6): loading the step — the write of its level-0 partition,
 // the step's one trip to the device — sorting it (CPU time for a step sorted
 // in memory, the run passes for one larger than SortMemElements), merging
-// overflowing levels, and summary maintenance. EndStep fills all four; a
-// merge retried by SyncMaintenance or Close after a failure is accounted in
-// MaintenanceStats only. The commit's barriers belong to no phase.
+// overflowing levels, and summary maintenance. EndStep fills all four for
+// its own step and the merges it makes due. A write or merge retried after
+// a failure — at the start of the next EndStep, or by the barrier of
+// SyncMaintenance, DB.Checkpoint and Close — counts only in StreamStatus's
+// Installs and Merges. The commit's barriers belong to no phase.
 type UpdateStats = partition.UpdateBreakdown
 
 // QueryStats reports the cost of one accurate query: bisection probes, the
@@ -252,11 +253,11 @@ type engine struct {
 	dev   *disk.Manager
 	store *partition.Store
 
-	// loadMu serializes the write path — EndStep, the drains and checkpoints
-	// that retry a failed level-0 write or merge, Close and shut — without
-	// blocking observes or queries: its holder is the stream's one level-0
-	// writer, its one merger and its one committer, and closed changes only
-	// under it. Lock order: loadMu > mu.
+	// loadMu serializes the write path — EndStep, the checkpoint barrier
+	// (which retries a failed level-0 write or merge, and seals) and shut —
+	// without blocking observes or queries: its holder is the stream's one
+	// level-0 writer, its one merger and its one committer, and closed
+	// changes only under it. Lock order: loadMu > mu.
 	loadMu sync.Mutex
 
 	// mu guards the fast in-memory state below, and it is the one guard of
@@ -399,8 +400,9 @@ func (e *engine) PartitionCount() int {
 	return e.store.PartitionCount()
 }
 
-// endStep is Stream.EndStep on the pinned engine: cut and seal, write the
-// step's level-0 partition, run the merges it makes due, commit.
+// endStep is Stream.EndStep on the pinned engine: settle what a failed
+// EndStep left, cut and seal, settle — write the step's level-0 partition
+// and run the merges it makes due — and commit once.
 func (e *engine) endStep() (UpdateStats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
@@ -414,28 +416,26 @@ func (e *engine) endStep() (UpdateStats, error) {
 	if empty {
 		return UpdateStats{}, nil
 	}
-	// A step a failed EndStep left sealed is written first: only loadMu's
-	// holder writes level-0 partitions, so no step is ever sealed behind a
-	// failed one.
-	if _, err := e.installOne(); err != nil {
-		return UpdateStats{}, err
-	}
-
-	// The cut: the batch and its sketch leave the live step and join the
-	// store's published history in one move, so from here on every reader
-	// counts and answers the step alike.
-	e.mu.Lock()
-	step := e.store.Seal(e.batch, e.sketch).Step
-	e.batch = nil
-	e.sketch, e.spare = e.spare, nil
-	if e.sketch == nil {
-		e.sketch = gk.MustNew(e.eps2 / 2)
-	}
-	e.mu.Unlock()
-
-	us, err := e.installOne()
+	// What a failed EndStep left is settled first — its sealed step written,
+	// so no step is ever sealed behind another, and the merges it left due
+	// run — and only a settled store takes the cut: on a failure the live
+	// step stays live, for the next EndStep to close.
+	_, err := e.settle()
+	var us UpdateStats
+	step := e.store.Steps() + 1
 	if err == nil {
-		us.Merges, us.Merge, us.MergeIO, err = e.merge()
+		// The cut: the batch and its sketch leave the live step and join the
+		// store's published history in one move, so from here on every
+		// reader counts and answers the step alike.
+		e.mu.Lock()
+		e.store.Seal(e.batch, e.sketch)
+		e.batch = nil
+		e.sketch, e.spare = e.spare, nil
+		if e.sketch == nil {
+			e.sketch = gk.MustNew(e.eps2 / 2)
+		}
+		e.mu.Unlock()
+		us, err = e.settle()
 	}
 	if err != nil {
 		err = fmt.Errorf("hsq: end step %d: %w", step, err)
@@ -606,24 +606,27 @@ func one(a Answer, err error) (int64, QueryStats, error) {
 	return a.Values[0], a.Stats, nil
 }
 
-// status is Stream.Status on the pinned engine. The live count and the
-// version pin share one hold of e.mu, the hold a cut seals under, so m and
-// n never straddle a seal; the rest is read off the pinned version. A
-// closed engine reports the zero status: no pin is taken past closed.
+// status is Stream.Status on the pinned engine. The live count, the
+// write-path counters and the version pin share one hold of e.mu, the hold
+// a cut seals under, so m and n never straddle a seal; the rest is read off
+// the pinned version. A closed engine reports the zero status: no pin is
+// taken past closed.
 func (e *engine) status() StreamStatus {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return StreamStatus{}
 	}
-	ver, m := e.store.Pin(), e.sketch.Count()
+	ver, m, ms := e.store.Pin(), e.sketch.Count(), e.mstats
 	e.mu.Unlock()
 	defer ver.Release()
 	st := StreamStatus{
 		Hydrated: true, StreamCount: m, HistCount: ver.TotalCount(),
 		Steps: ver.Steps(), Partitions: ver.PartitionCount(), Levels: ver.Describe(),
+		Running: ms.running > 0, Installs: ms.installs, Merges: ms.merges, LastError: ms.lastErr,
 		Memory: e.MemoryUsage(), ProbeMemo: e.store.MemoStats(),
 	}
+	st.PendingSteps, st.PendingElements = ver.Backlog()
 	// A window is answerable iff it starts on a span boundary (the selector's
 	// rule): one size per span, newest span first.
 	bounds := append([]int{0}, spanEnds(ver)...)
@@ -654,46 +657,9 @@ func (e *engine) MemoryUsage() MemoryUsage {
 // store version so far, plus the current version's occupancy.
 type ProbeMemoStats = partition.MemoStats
 
-// Checkpoint durably persists the stream's warehouse layout (DB.Checkpoint
-// calls it per hydrated stream), writing first a step whose level-0 write
-// failed. EndStep already commits every step it writes, so it is only
-// needed to retry after a failed write or commit, or as an explicit
-// barrier. The in-flight stream is volatile by design (it will be replayed
-// or lost, exactly as a DSMS would); only historical state is durable.
-func (e *engine) Checkpoint() error {
-	e.loadMu.Lock()
-	defer e.loadMu.Unlock()
-	if _, err := e.installOne(); err != nil {
-		return err
-	}
-	return e.store.Commit(manifestName)
-}
-
-// Close drains maintenance, checkpoints the engine and releases it — how
-// the DB evicts a stream and seals it at DB.Close: a step whose level-0
-// write failed is written, merges a failure left due run, the manifest is
-// persisted, and the engine transitions to a terminal state in which every
-// subsequent mutation or query fails with ErrClosed. The device is the
-// DB's. Close is idempotent.
-func (e *engine) Close() error {
-	e.loadMu.Lock()
-	defer e.loadMu.Unlock()
-	if _, err := e.drain(); err != nil {
-		if errors.Is(err, ErrClosed) {
-			return nil
-		}
-		return err
-	}
-	if err := e.store.Commit(manifestName); err != nil {
-		return err
-	}
-	e.markClosed()
-	return nil
-}
-
 // shut closes the engine without a commit (DB.DropStream, and a hydration
-// the DB no longer wants): with loadMu held, no EndStep, merge or checkpoint
-// is mid-commit, and none commits once the engine is closed. The durable
+// the DB no longer wants): with loadMu held, no EndStep or checkpoint is
+// mid-commit, and none commits once the engine is closed. The durable
 // state is what was last committed; the live step is lost.
 func (e *engine) shut() {
 	e.loadMu.Lock()

@@ -183,10 +183,6 @@ type device struct {
 	perBlock  int // elements per block
 
 	agg ioCounters // device-wide counters, summed across all views
-	// maintAgg attributes the subset of agg issued by maintenance work
-	// (batch installs, sorts, level merges) device-wide, so operators can
-	// tell background amplification from foreground traffic.
-	maintAgg ioCounters
 
 	cache atomic.Pointer[blockCache]
 
@@ -221,10 +217,6 @@ type Manager struct {
 	dev    *device
 	prefix string      // "" for the root view, "a/b/" for a namespaced view
 	stats  *ioCounters // per-view counters; == &dev.agg for the root view
-	// maint holds the view's maintenance-attributed counters; == &dev.maintAgg
-	// for the root view. Only operations issued through a MaintTagged copy of
-	// the view are counted here (in addition to the normal counters).
-	maint *ioCounters
 	// feeds is every counter set one operation through this handle is added
 	// to (see newView).
 	feeds []*ioCounters
@@ -232,19 +224,11 @@ type Manager struct {
 
 // newView builds a handle and states, once, where its operations are counted:
 // in the view's own counters and, for a namespaced view, in the device
-// aggregate as well — so per-view Stats always sum to the root view's Stats —
-// and, on a maintenance-tagged handle, in the view's and the device's
-// maintenance counters too, an overlay that never changes the primary Stats.
-func newView(d *device, prefix string, stats, maint *ioCounters, maintTagged bool) *Manager {
-	m := &Manager{dev: d, prefix: prefix, stats: stats, maint: maint, feeds: []*ioCounters{stats}}
+// aggregate as well — so per-view Stats always sum to the root view's Stats.
+func newView(d *device, prefix string, stats *ioCounters) *Manager {
+	m := &Manager{dev: d, prefix: prefix, stats: stats, feeds: []*ioCounters{stats}}
 	if stats != &d.agg {
 		m.feeds = append(m.feeds, &d.agg)
-	}
-	if maintTagged {
-		m.feeds = append(m.feeds, maint)
-		if maint != &d.maintAgg {
-			m.feeds = append(m.feeds, &d.maintAgg)
-		}
 	}
 	return m
 }
@@ -266,7 +250,7 @@ func NewManagerOn(b Backend, blockSize int) (*Manager, error) {
 		return nil, fmt.Errorf("disk: block size %d must be a positive multiple of %d", blockSize, ElementSize)
 	}
 	d := &device{backend: b, blockSize: blockSize, perBlock: blockSize / ElementSize}
-	return newView(d, "", &d.agg, &d.maintAgg, false), nil
+	return newView(d, "", &d.agg), nil
 }
 
 // key maps a view-relative name to the device-wide name.
@@ -388,30 +372,13 @@ func (m *Manager) countCacheMiss() {
 	}
 }
 
-// MaintTagged returns a handle on the same view whose I/O is additionally
-// attributed to the view's maintenance counters — the store routes batch
-// installs, sorts and level merges through it so background work is
-// distinguishable from foreground traffic. The primary Stats are unchanged:
-// maintenance attribution is an overlay, and per-view Stats still sum to
-// the device aggregate.
-func (m *Manager) MaintTagged() *Manager {
-	return newView(m.dev, m.prefix, m.stats, m.maint, true)
-}
-
 // Metered returns a handle on the same view whose I/O is counted exactly as
 // through m and, besides, in counters of its own, which are what its Stats
 // report: one job's I/O, free of whatever else runs on the view meanwhile
 // (the store meters each level-0 write and each merge with one).
 func (m *Manager) Metered() *Manager {
 	own := new(ioCounters)
-	return &Manager{dev: m.dev, prefix: m.prefix, stats: own, maint: m.maint, feeds: append(slices.Clip(m.feeds), own)}
-}
-
-// MaintStats returns the view's maintenance-attributed counters (the root
-// view reports the device-wide maintenance aggregate). Always a subset of
-// Stats.
-func (m *Manager) MaintStats() Stats {
-	return m.maint.snapshot()
+	return &Manager{dev: m.dev, prefix: m.prefix, stats: own, feeds: append(slices.Clip(m.feeds), own)}
 }
 
 // Stats returns a snapshot of this view's cumulative I/O counters. For the

@@ -46,5 +46,5 @@ func (m *Manager) Namespace(ns string) (*Manager, error) {
 	if err := ValidNamespace(ns); err != nil {
 		return nil, err
 	}
-	return newView(m.dev, m.prefix+ns+"/", &ioCounters{}, &ioCounters{}, false), nil
+	return newView(m.dev, m.prefix+ns+"/", &ioCounters{}), nil
 }

@@ -189,7 +189,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	if m.Kappa != cfg.Kappa {
 		return nil, fmt.Errorf("partition: manifest kappa %d != config kappa %d", m.Kappa, cfg.Kappa)
 	}
-	s := &Store{dev: dev, mdev: dev.MaintTagged(), cfg: cfg, beta1: cfg.Beta1(), nextID: m.NextID}
+	s := &Store{dev: dev, cfg: cfg, beta1: cfg.Beta1(), nextID: m.NextID}
 	ents := make([]*Summary, 0, len(m.Parts))
 	keep := map[string]bool{manifestName: true}
 	for _, pe := range m.Parts {

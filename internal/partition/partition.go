@@ -35,12 +35,6 @@ func (p *Partition) Name() string { return p.name }
 // Steps returns the number of time steps the partition covers.
 func (p *Partition) Steps() int { return p.EndStep - p.StartStep + 1 }
 
-// Blocks returns the number of disk blocks occupied.
-func (p *Partition) Blocks() int64 {
-	per := int64(p.dev.ElementsPerBlock())
-	return (p.Count + per - 1) / per
-}
-
 // OpenRandom opens the partition for random block reads.
 func (p *Partition) OpenRandom() (*disk.RandomReader, error) {
 	return p.dev.OpenRandom(p.name)

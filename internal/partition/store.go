@@ -168,12 +168,7 @@ func (sb *SealedBatch) MemoryBytes() int64 {
 // damaged on the device stops the merge that reads it (see mergeLevel), not
 // the next LoadStore.
 type Store struct {
-	dev *disk.Manager
-	// mdev is the maintenance-attributed view of the same device: all
-	// install I/O (sorts, partition writes, merge passes) goes through it so
-	// the disk layer can report how much of a stream's traffic is
-	// maintenance (query reads use dev).
-	mdev  *disk.Manager
+	dev   *disk.Manager
 	cfg   Config
 	beta1 int
 
@@ -202,7 +197,7 @@ func NewStore(dev *disk.Manager, cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Store{dev: dev, mdev: dev.MaintTagged(), cfg: cfg, beta1: cfg.Beta1()}
+	s := &Store{dev: dev, cfg: cfg, beta1: cfg.Beta1()}
 	s.cur = &Version{store: s, seq: 1, refs: 1, memo: s.newMemo()}
 	s.live = []*Version{s.cur}
 	s.committedSeq = 0
@@ -231,27 +226,6 @@ func (s *Store) Sealed() *SealedBatch {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
 	return s.cur.sealed
-}
-
-// Backlog returns the current version's deferred work: its sealed step,
-// plus the merge debt — on every level, the partitions past its κ oldest —
-// in steps and in elements.
-func (s *Store) Backlog() (steps int, elements int64) {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	if sb := s.cur.sealed; sb != nil {
-		steps, elements = 1, sb.Count
-	}
-	ents := s.cur.entries
-	for start, end := 0, 0; start < len(ents); start = end {
-		for end = start; end < len(ents) && ents[end].Part.Level == ents[start].Part.Level; end++ {
-			if end-start >= s.cfg.Kappa {
-				steps++
-				elements += ents[end].Part.Count
-			}
-		}
-	}
-	return steps, elements
 }
 
 // Levels returns the number of non-empty levels in the current version.
@@ -302,9 +276,8 @@ func (s *Store) allocID() int64 {
 }
 
 // AddBatch loads one time step's batch into the warehouse in one call: Seal,
-// InstallOne, then Merge until no level holds more than κ partitions, for
-// callers that are the store's only writer (layer benchmarks, tests). step
-// must be the next time step. A step whose write failed stays sealed, and
+// InstallOne, then MergeDue, for callers that are the store's only writer
+// (layer benchmarks, tests). step must be the next time step. A step whose write failed stays sealed, and
 // the next AddBatch writes it before sealing its own. A failed merge is
 // ErrMergeIncomplete: the step is installed, and the next AddBatch retries
 // the merge. Like its parts it commits nothing.
@@ -323,19 +296,10 @@ func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if err != nil {
 		return bd, err
 	}
-	t0 := time.Now()
-	for {
-		merged, io, err := s.Merge()
-		bd.MergeIO = bd.MergeIO.Add(io)
-		if err != nil || !merged {
-			bd.Merge = time.Since(t0)
-			if err != nil {
-				err = errors.Join(ErrMergeIncomplete, err)
-			}
-			return bd, err
-		}
-		bd.Merges++
+	if err := s.MergeDue(&bd); err != nil {
+		return bd, errors.Join(ErrMergeIncomplete, err)
 	}
+	return bd, nil
 }
 
 // Seal closes one time step without I/O: the batch, with the stream's GK
@@ -394,7 +358,7 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	// Each phase is metered on its own view: the external sort's runs, read
 	// back by the final merge as the partition is written, count as sort I/O.
 	bd := UpdateBreakdown{BatchSize: sb.Count}
-	sortDev, loadDev := s.mdev.Metered(), s.mdev.Metered()
+	sortDev, loadDev := s.dev.Metered(), s.dev.Metered()
 	t0 := time.Now()
 	var src extsort.Source
 	if len(sb.data) <= s.cfg.SortMemElements {
@@ -447,7 +411,7 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 		return false, disk.Stats{}, nil
 	}
 	run := ents[start : start+s.cfg.Kappa+1]
-	dev := s.mdev.Metered()
+	dev := s.dev.Metered()
 	merged, err := s.mergeLevel(dev, run)
 	if err != nil {
 		return false, dev.Stats(), err
@@ -461,6 +425,24 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 	}
 	s.vmu.Unlock()
 	return true, dev.Stats(), nil
+}
+
+// MergeDue runs Merge until no level holds more than κ partitions — the
+// merges Algorithm 3 makes due — adding each one's count, time and I/O to
+// bd. It stops at the first failure, which keeps that level's inputs live
+// for the next call. AddBatch and the engine's write path both merge
+// through it.
+func (s *Store) MergeDue(bd *UpdateBreakdown) error {
+	t0 := time.Now()
+	defer func() { bd.Merge += time.Since(t0) }()
+	for {
+		merged, io, err := s.Merge()
+		bd.MergeIO = bd.MergeIO.Add(io)
+		if err != nil || !merged {
+			return err
+		}
+		bd.Merges++
+	}
 }
 
 // writeRun writes part's file through dev from src with the one run writer

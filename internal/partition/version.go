@@ -87,6 +87,25 @@ func overflow(ents []*Summary, kappa int) (start int, ok bool) {
 	return 0, false
 }
 
+// Backlog returns the snapshot's deferred work in steps and elements: its
+// sealed step, plus the merge debt — on every level, the partitions past
+// its κ oldest.
+func (v *Version) Backlog() (steps int, elements int64) {
+	if sb := v.sealed; sb != nil {
+		steps, elements = 1, sb.Count
+	}
+	ents := v.entries
+	for start, end := 0, 0; start < len(ents); start = end {
+		for end = start; end < len(ents) && ents[end].Part.Level == ents[start].Part.Level; end++ {
+			if end-start >= v.store.cfg.Kappa {
+				steps++
+				elements += ents[end].Part.Count
+			}
+		}
+	}
+	return steps, elements
+}
+
 // Memo returns the version's rank-probe memo, valid for queries that probe
 // exactly the version's full entry set; nil when memoization is disabled.
 func (v *Version) Memo() *ProbeMemo { return v.memo }

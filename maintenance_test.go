@@ -136,7 +136,7 @@ func TestEachStepWrittenOnce(t *testing.T) {
 					t.Errorf("step %d wrote %v, want its partition's %d blocks and footer alone", step, got, want["part"]-1)
 				}
 			}
-			if got := eng.MaintenanceStats().Installs; got != 12 {
+			if got := eng.Status().Installs; got != 12 {
 				t.Errorf("Installs = %d, want 12", got)
 			}
 			names, err := eng.db.dev.List("")
@@ -207,7 +207,7 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 	if got := eng.TotalCount(); got != int64(len(all)) {
 		t.Errorf("TotalCount = %d with the install in flight, want %d", got, len(all))
 	}
-	if got := eng.MaintenanceStats(); got.PendingSteps != 1 || !got.Running {
+	if got := eng.Status(); got.PendingSteps != 1 || !got.Running {
 		t.Errorf("with the install in flight: %d sealed steps, running = %v; want 1, true", got.PendingSteps, got.Running)
 	}
 	checkAgainstOracle(t, eng, all, "install in flight")
@@ -216,7 +216,7 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 		t.Fatalf("EndStep: %v", err)
 	}
 	eng.db.dev.SetFault(nil)
-	if got := eng.MaintenanceStats().PendingSteps; got != 0 {
+	if got := eng.Status().PendingSteps; got != 0 {
 		t.Errorf("%d steps still sealed after EndStep returned", got)
 	}
 	checkAgainstOracle(t, eng, all, "installed")
@@ -226,7 +226,8 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 // requires every counter to agree with the answers while it is in flight:
 // the cut hands the batch to the store in the same move that takes it off
 // the live sketch, so from then on the step is history to every reader,
-// counted and answered alike.
+// counted and answered alike. One Status read reports the step as history
+// and as backlog, with its write running.
 func TestCountsAgreeDuringSeal(t *testing.T) {
 	eng := OneStream(t, maintConfig())
 	parked, gate := make(chan struct{}), make(chan struct{})
@@ -257,7 +258,7 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 		t.Fatalf("summary with the write in flight: %v", err)
 	}
 	total, hist, steps := eng.TotalCount(), eng.HistCount(), eng.Steps()
-	pending := eng.MaintenanceStats().PendingSteps
+	pending := eng.Status().PendingSteps
 	t.Logf("write in flight: TotalCount %d, HistCount %d, Steps %d, PendingSteps %d; Query N %d, Summary N %d",
 		total, hist, steps, pending, ans.N, sum.N)
 	if ans.N != 500 || sum.N != ans.N {
@@ -269,13 +270,48 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 	if steps != 1 || pending != 1 {
 		t.Errorf("Steps = %d, PendingSteps = %d; want 1, 1", steps, pending)
 	}
+	if st := eng.Status(); st.PendingSteps != 1 || st.PendingElements != 500 || !st.Running || st.HistCount != 500 {
+		t.Errorf("Status with the write in flight: PendingSteps %d, PendingElements %d, Running %v, HistCount %d; want 1, 500, true, 500",
+			st.PendingSteps, st.PendingElements, st.Running, st.HistCount)
+	}
 	release()
 	if err := <-endStep; err != nil {
 		t.Fatalf("EndStep: %v", err)
 	}
 	eng.db.dev.SetFault(nil)
-	if got := eng.MaintenanceStats().PendingSteps; got != 0 || eng.TotalCount() != 500 {
+	if got := eng.Status().PendingSteps; got != 0 || eng.TotalCount() != 500 {
 		t.Errorf("after EndStep: %d steps sealed, TotalCount %d; want 0, 500", got, eng.TotalCount())
+	}
+}
+
+// TestCheckpointClearsMergeDebt fails the merge a step makes due, then
+// requires DB.Checkpoint — the barrier every stream passes — to retry it:
+// Checkpoint returns with no merge due, and a reopen without Close finds the
+// layout of a twin run that never saw the fault.
+func TestCheckpointClearsMergeDebt(t *testing.T) {
+	cfg := Options{Epsilon: 0.05, Kappa: 3, Dir: t.TempDir(), BlockSize: 1024}
+	eng := OneStream(t, cfg)
+	gen := workload.NewUniform(1)
+	feedSteps(t, eng, gen, 3, 500)
+	eng.db.dev.SetFault(failMerges) // κ=3: the 4th step's partition makes a merge due
+	eng.ObserveSlice(workload.Fill(gen, 500))
+	if _, err := eng.EndStep(); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+		t.Fatalf("EndStep with its merge failing: err = %v, want the injected fault", err)
+	}
+	eng.db.dev.SetFault(nil)
+	if got := eng.Status().PendingSteps; got != 1 {
+		t.Fatalf("after the failed merge: PendingSteps = %d, want 1", got)
+	}
+	if err := eng.DB().Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if got := eng.Status().PendingSteps; got != 0 {
+		t.Errorf("after Checkpoint: PendingSteps = %d, want 0 (no merge due)", got)
+	}
+	want := faultFreeLayout(t, cfg, 4, 500)
+	re := OneStream(t, cfg) // a second DB over the same directory: the reopen
+	if got := re.Describe(); !slices.Equal(got, want) {
+		t.Errorf("reopened layout %+v, want the fault-free run's %+v", got, want)
 	}
 }
 
@@ -327,9 +363,30 @@ func TestMaintenanceWindowsWithBacklog(t *testing.T) {
 	}
 }
 
+// dbBacklog sums every stream's Status into the DB-wide write-path picture,
+// as hsqd's GET /streams scheduler block does.
+func dbBacklog(db *DB) (ss struct {
+	PendingSteps     int
+	MergeDebt        int64
+	Installs, Merges int
+}) {
+	for _, name := range db.Streams() {
+		st, ok := db.Lookup(name)
+		if !ok {
+			continue
+		}
+		s := st.Status()
+		ss.PendingSteps += s.PendingSteps
+		ss.MergeDebt += s.PendingElements
+		ss.Installs += s.Installs
+		ss.Merges += s.Merges
+	}
+	return ss
+}
+
 // TestDBWaitIdleAndSchedulerStats drives several streams of one DB, fails
 // the merge one of them makes due, and checks the DB-wide backlog accounting
-// plus WaitIdle as the retry that clears it.
+// (the streams' Status summed) plus Checkpoint as the retry that clears it.
 func TestDBWaitIdleAndSchedulerStats(t *testing.T) {
 	db, err := Open(Options{Epsilon: 0.05, Kappa: 3, Backend: "mem", BlockSize: 1024})
 	if err != nil {
@@ -360,21 +417,21 @@ func TestDBWaitIdleAndSchedulerStats(t *testing.T) {
 			}
 		}
 	}
-	ss := db.SchedulerStats()
+	ss := dbBacklog(db)
 	if ss.PendingSteps != 1 || ss.MergeDebt != 500 || ss.Installs != 12 || ss.Merges != 2 {
 		t.Errorf("with s1's merge failed: %d steps / %d elements pending, %d installs, %d merges; want 1 / 500 (s1's partition past κ), 12, 2",
 			ss.PendingSteps, ss.MergeDebt, ss.Installs, ss.Merges)
 	}
 	db.dev.SetFault(nil)
-	if err := db.WaitIdle(); err != nil {
-		t.Fatalf("WaitIdle: %v", err)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
-	ss = db.SchedulerStats()
+	ss = dbBacklog(db)
 	if ss.PendingSteps != 0 || ss.MergeDebt != 0 || ss.Merges != 3 {
-		t.Errorf("after WaitIdle: pending %d steps / debt %d, %d merges; want 0 / 0, 3", ss.PendingSteps, ss.MergeDebt, ss.Merges)
+		t.Errorf("after Checkpoint: pending %d steps / debt %d, %d merges; want 0 / 0, 3", ss.PendingSteps, ss.MergeDebt, ss.Merges)
 	}
-	if ss.MaintIO.Total() == 0 {
-		t.Error("device-wide MaintIO is zero after 12 installs")
+	if db.DiskStats().SeqWrites == 0 {
+		t.Error("device-wide SeqWrites is zero after 12 installs")
 	}
 	for name, all := range data {
 		st, ok := db.Lookup(name)
@@ -426,7 +483,7 @@ func TestManualRestartRecoversSealedSteps(t *testing.T) {
 	if got := re.DiskStats().SeqWrites; got != 0 {
 		t.Errorf("the reopen wrote %d blocks, want none (nothing to replay)", got)
 	}
-	if got := re.MaintenanceStats().PendingSteps; got != 1 {
+	if got := re.Status().PendingSteps; got != 1 {
 		t.Errorf("recovered pending = %d, want the 1 partition past κ (a reopen merges nothing)", got)
 	}
 	checkAgainstOracle(t, re, all, "recovered")

@@ -12,8 +12,7 @@ import (
 // Stream is one named quantile stream hosted by a DB — the package's one
 // handle on the paper's engine. It exposes the full single-stream surface —
 // Observe, ObserveSlice, EndStep and their context variants, Query with its
-// Quantile(s)/Rank conveniences, MemoryUsage, SyncMaintenance,
-// MaintenanceStats — per stream, while storage, the block-cache budget and
+// Quantile(s)/Rank conveniences, Status, SyncMaintenance — per stream, while storage, the block-cache budget and
 // aggregate I/O accounting are shared with every other stream of the DB. It
 // is safe for concurrent use.
 //
@@ -140,8 +139,10 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // its frozen summary, and written — before anything else — by the next
 // EndStep, SyncMaintenance, DB.Checkpoint or Close, whose commit makes it
 // durable; no step is written twice. A failed merge returns its error from
-// this EndStep, after the commit that makes the step durable, and is retried
-// by the next EndStep, SyncMaintenance or Close.
+// this EndStep, after the commit that makes the step durable, and is
+// retried by the same four. The next EndStep settles what a failure left
+// before its cut; if that fails, it returns the failure and its live step
+// stays live, for a later EndStep to close.
 func (s *Stream) EndStep() (UpdateStats, error) {
 	return s.EndStepCtx(context.Background())
 }
@@ -250,6 +251,21 @@ type StreamStatus struct {
 	StreamCount, HistCount int64
 	// Steps and Partitions count completed steps and disk partitions.
 	Steps, Partitions int
+	// PendingSteps is the write path's backlog in steps, PendingElements in
+	// elements: a sealed step whose level-0 write is running or failed, plus
+	// the merge debt (on every level, the partitions past κ). Every EndStep
+	// that succeeds leaves none.
+	PendingSteps    int
+	PendingElements int64
+	// Running reports the write path settling right now: a level-0 write
+	// or its merges executing.
+	Running bool
+	// Installs and Merges count the level-0 partitions written and the level
+	// merges run since the stream was hydrated.
+	Installs, Merges int
+	// LastError is the most recent write or merge failure ("" when healthy);
+	// the next EndStep or SyncMaintenance retries it.
+	LastError string
 	// The rest is what Describe, AvailableWindows, MemoryUsage and
 	// ProbeMemoStats report.
 	Levels    []LevelInfo
@@ -260,8 +276,8 @@ type StreamStatus struct {
 
 // Status reads the stream's engine state through one peek: it never
 // hydrates and is no touch for eviction, so a status poll leaves the
-// eviction order alone. The counts, level layout and windows come from one
-// pinned version.
+// eviction order alone. The counts, backlog, level layout and windows come
+// from one pinned version.
 func (s *Stream) Status() StreamStatus {
 	var st StreamStatus
 	s.peek(func(e *engine) { st = e.status() }) //nolint:errcheck // a dropped stream or closed DB reads as cold
@@ -314,26 +330,16 @@ func (s *Stream) ProbeMemoStats() ProbeMemoStats {
 	return ps
 }
 
-// MaintenanceStats returns the stream's maintenance counters. A cold
-// stream reports an empty (fully drained) state without hydrating —
-// eviction seals a stream only after its pending work is done, so cold
-// streams genuinely have none.
-func (s *Stream) MaintenanceStats() MaintenanceStats {
-	var ms MaintenanceStats
-	s.peek(func(e *engine) { ms = e.MaintenanceStats() }) //nolint:errcheck // a dropped stream or closed DB has no backlog
-	return ms
-}
-
-// SyncMaintenance blocks until this stream has no pending work, running it
-// inline and committing the result: it writes a step whose level-0 write
-// failed, then runs every merge a failure left due — the retry of a failed
-// write or merge, which the next EndStep would also run. It returns the
-// first failure it meets. Every EndStep that succeeds leaves nothing
-// pending, and a cold stream has none either — sealing drained it — so
-// the call then returns at once, without hydrating.
+// SyncMaintenance is the stream's barrier, the one each stream passes in
+// DB.Checkpoint: it settles the stream inline — writes a step whose
+// level-0 write failed, then runs every merge a failure left due, the retry
+// the next EndStep would also run — commits, and refreshes the stream's
+// sidecar summary. It returns the first failure it meets. A cold stream has
+// nothing pending — sealing settled it — so the call returns at once,
+// without hydrating.
 func (s *Stream) SyncMaintenance() error {
 	var err error
-	if perr := s.peek(func(e *engine) { err = e.SyncMaintenance() }); perr != nil {
+	if perr := s.peek(func(e *engine) { err = s.db.checkpoint(s.name, e, false) }); perr != nil {
 		return perr
 	}
 	return err
