@@ -21,7 +21,7 @@
 //	GET    /streams/{name}/rank?v=12345                 rank of v  → "rank", "total"
 //	GET    /streams/{name}/stats          counters, backlog; never hydrates
 //	POST   /streams/{name}/maintenance    retry a failed write or merge now,
-//	                                      then reply with the stats
+//	                                      commit, then reply with the stats
 //	POST   /query                         JSON plan over stream sets: globs,
 //	                                      merge, group-by, windows, as-of
 //
@@ -319,9 +319,10 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleMaintainNow runs the stream's barrier (SyncMaintenance), the retry
 // of its failed work: a step whose write failed is written and every merge
-// a failure left due runs and commits before the response — what the next
-// endstep would also do. On a healthy stream it changes nothing. It replies
-// with the stream's stats.
+// a failure left due runs before the response — what the next endstep would
+// also do. The barrier always commits and refreshes the sidecar, so even on
+// a healthy stream the call costs a manifest write and two device syncs. It
+// replies with the stream's stats.
 func (s *server) handleMaintainNow(st *hsq.Stream, w http.ResponseWriter, r *http.Request) {
 	if err := st.SyncMaintenance(); err != nil {
 		httpError(w, http.StatusInternalServerError, "maintenance: %v", err)

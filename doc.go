@@ -245,7 +245,8 @@
 //
 // EndStep is one pipeline, run by its caller under the stream's write-path
 // lock: settle what a failed EndStep left (its sealed step written, the
-// merges it left due run; only a settled store takes the cut), cut and seal
+// merges it left due run; only a step still sealed stops the cut, a merge
+// that fails again does not), cut and seal
 // (under the engine lock, the batch and GK sketch leave
 // the live step and become the sealed step of the store's published
 // version, with no I/O), write (outside every engine lock, the step is

@@ -47,22 +47,11 @@ func TestFaultDuringEndStep(t *testing.T) {
 	faults := []struct {
 		name  string
 		fault disk.FaultFunc
-		// lateMerge: the step is published but its cascade is not; the next
-		// install's cascade then merges one partition more than a fault-free
-		// run's would, so only the counts can be compared, not the layout.
-		lateMerge bool
 	}{
-		{"load", only(disk.OpSeqWrite), false},
-		{"merge", func(o disk.Op, name string, block int64) error {
-			// κ=2: the 3rd step's install cascades. Fail only reads of
-			// partition files (merge input); its own load and sort succeed.
-			if o == disk.OpSeqRead && partFile(name) {
-				return errInjected
-			}
-			return nil
-		}, true},
-		{"commit-meta", only(disk.OpMetaWrite), false},
-		{"commit-sync", only(disk.OpSync), false},
+		{"load", only(disk.OpSeqWrite)},
+		{"merge", mergeFault},
+		{"commit-meta", only(disk.OpMetaWrite)},
+		{"commit-sync", only(disk.OpSync)},
 	}
 	for _, f := range faults {
 		t.Run("sync/"+f.name, func(t *testing.T) {
@@ -96,7 +85,7 @@ func TestFaultDuringEndStep(t *testing.T) {
 				if ms := e.Status(); ms.PendingSteps != 0 {
 					t.Errorf("%s: %d steps still sealed", label, ms.PendingSteps)
 				}
-				if got := e.Describe(); !f.lateMerge && !slices.Equal(got, want) {
+				if got := e.Describe(); !slices.Equal(got, want) {
 					t.Errorf("%s: layout %+v, want the fault-free run's %+v", label, got, want)
 				}
 				checkAgainstOracle(t, e, all, label)
@@ -112,6 +101,69 @@ func TestFaultDuringEndStep(t *testing.T) {
 			check(OneStream(t, cfg), "reopened")
 		})
 	}
+}
+
+// mergeFault fails only reads of partition files — a merge's inputs. At κ=2
+// the 3rd step's install makes a merge due; the step's own write and sort
+// succeed.
+func mergeFault(o disk.Op, name string, block int64) error {
+	if o == disk.OpSeqRead && partFile(name) {
+		return errInjected
+	}
+	return nil
+}
+
+// TestMergeFaultAcrossSteps: a merge that keeps failing stops no step. The
+// merge due at step 3 fails, and fails again at step 4's EndStep; step 4 is
+// cut, written and committed all the same — counted in Steps and HistCount,
+// written as its own level-0 partition — and the EndStep reports the
+// merge's failure. With
+// the fault gone, Close runs the merge, and the reopened stream holds all
+// four steps in the fault-free layout.
+func TestMergeFaultAcrossSteps(t *testing.T) {
+	cfg := Options{Epsilon: 0.05, Kappa: 2, Dir: t.TempDir(), BlockSize: 1024}
+	eng := OneStream(t, cfg)
+	gen := workload.NewUniform(1)
+	all := feedSteps(t, eng, gen, 2, 500)
+
+	eng.db.dev.SetFault(mergeFault)
+	for step := 3; step <= 4; step++ {
+		vals := workload.Fill(gen, 500)
+		all = append(all, vals...)
+		eng.ObserveSlice(vals)
+		if _, err := eng.EndStep(); !errors.Is(err, errInjected) {
+			t.Fatalf("step %d under a merge fault: err = %v, want the injected fault", step, err)
+		}
+		st := eng.Status()
+		if st.Steps != step || st.HistCount != int64(len(all)) || st.StreamCount != 0 {
+			t.Errorf("after step %d: Steps %d, HistCount %d, StreamCount %d; want %d, %d, 0",
+				step, st.Steps, st.HistCount, st.StreamCount, step, len(all))
+		}
+		if st.LastError == "" {
+			t.Errorf("after step %d: LastError empty under a failing merge", step)
+		}
+		if st.Installs != step || st.Partitions != step {
+			t.Errorf("after step %d: Installs %d, Partitions %d; want %d each (the step written, no merge)",
+				step, st.Installs, st.Partitions, step)
+		}
+	}
+	eng.db.dev.SetFault(nil)
+	checkAgainstOracle(t, eng, all, "under the failing merge")
+
+	if err := eng.DB().Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := OneStream(t, cfg)
+	if got := re.Steps(); got != 4 {
+		t.Errorf("reopened: Steps = %d, want 4", got)
+	}
+	if got := re.HistCount(); got != int64(len(all)) {
+		t.Errorf("reopened: HistCount = %d, want %d", got, len(all))
+	}
+	if got, want := re.Describe(), faultFreeLayout(t, cfg, 4, 500); !slices.Equal(got, want) {
+		t.Errorf("reopened: layout %+v, want the fault-free run's %+v", got, want)
+	}
+	checkAgainstOracle(t, re, all, "reopened")
 }
 
 // faultFreeLayout is the Describe() of an engine that ran steps clean steps

@@ -416,14 +416,16 @@ func (e *engine) endStep() (UpdateStats, error) {
 	if empty {
 		return UpdateStats{}, nil
 	}
-	// What a failed EndStep left is settled first — its sealed step written,
-	// so no step is ever sealed behind another, and the merges it left due
-	// run — and only a settled store takes the cut: on a failure the live
-	// step stays live, for the next EndStep to close.
+	// What a failed EndStep left is settled first: its sealed step written,
+	// and the merges it left due run. Only a step still sealed stops the cut
+	// — no step is ever sealed behind another — and the live step stays
+	// live, for the next EndStep to close. A merge that failed again does
+	// not: the settle after the cut retries it and reports it, so a merge
+	// that keeps failing never stops steps from being written and committed.
 	_, err := e.settle()
 	var us UpdateStats
 	step := e.store.Steps() + 1
-	if err == nil {
+	if e.store.Sealed() == nil {
 		// The cut: the batch and its sketch leave the live step and join the
 		// store's published history in one move, so from here on every
 		// reader counts and answers the step alike.

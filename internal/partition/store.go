@@ -275,12 +275,12 @@ func (s *Store) allocID() int64 {
 	return id
 }
 
-// AddBatch loads one time step's batch into the warehouse in one call: Seal,
-// InstallOne, then MergeDue, for callers that are the store's only writer
-// (layer benchmarks, tests). step must be the next time step. A step whose write failed stays sealed, and
-// the next AddBatch writes it before sealing its own. A failed merge is
-// ErrMergeIncomplete: the step is installed, and the next AddBatch retries
-// the merge. Like its parts it commits nothing.
+// AddBatch loads one time step's batch into the warehouse in one call:
+// Settle, Seal, Settle, for callers that are the store's only writer (layer
+// benchmarks, tests). step must be the next time step. Only a step the first
+// Settle leaves sealed stops the seal, not a merge that fails again. A
+// failed merge is ErrMergeIncomplete: the step is installed, and the next
+// Settle retries the merge. Like its parts it commits nothing.
 func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if len(data) == 0 {
 		return UpdateBreakdown{}, fmt.Errorf("partition: sealing empty batch")
@@ -288,18 +288,40 @@ func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if at := s.Steps(); step != at+1 {
 		return UpdateBreakdown{}, fmt.Errorf("partition: batch for step %d, store is at step %d", step, at)
 	}
-	if _, _, err := s.InstallOne(); err != nil {
+	if _, _, err := s.Settle(); err != nil && s.Sealed() != nil {
 		return UpdateBreakdown{}, err
 	}
 	s.Seal(data, nil)
-	bd, _, err := s.InstallOne()
+	bd, _, err := s.Settle()
+	if err != nil && s.Sealed() == nil {
+		err = errors.Join(ErrMergeIncomplete, err)
+	}
+	return bd, err
+}
+
+// Settle brings the store up to date: it writes the sealed step, if any
+// (InstallOne), then runs Merge until no level holds more than κ partitions
+// — the merges Algorithm 3 makes due — and reports both in one breakdown.
+// It returns the installed step, 0 when nothing was sealed or the write
+// failed, and stops at the first failure: a failed write leaves the step
+// sealed, a failed merge keeps its level's inputs live, and the next Settle
+// retries either, the sealed step first. It commits nothing. The caller
+// must be the store's single writer.
+func (s *Store) Settle() (UpdateBreakdown, int, error) {
+	bd, step, err := s.InstallOne()
 	if err != nil {
-		return bd, err
+		return bd, step, err
 	}
-	if err := s.MergeDue(&bd); err != nil {
-		return bd, errors.Join(ErrMergeIncomplete, err)
+	t0 := time.Now()
+	for {
+		merged, io, err := s.Merge()
+		bd.MergeIO = bd.MergeIO.Add(io)
+		if err != nil || !merged {
+			bd.Merge = time.Since(t0)
+			return bd, step, err
+		}
+		bd.Merges++
 	}
-	return bd, nil
 }
 
 // Seal closes one time step without I/O: the batch, with the stream's GK
@@ -425,24 +447,6 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 	}
 	s.vmu.Unlock()
 	return true, dev.Stats(), nil
-}
-
-// MergeDue runs Merge until no level holds more than κ partitions — the
-// merges Algorithm 3 makes due — adding each one's count, time and I/O to
-// bd. It stops at the first failure, which keeps that level's inputs live
-// for the next call. AddBatch and the engine's write path both merge
-// through it.
-func (s *Store) MergeDue(bd *UpdateBreakdown) error {
-	t0 := time.Now()
-	defer func() { bd.Merge += time.Since(t0) }()
-	for {
-		merged, io, err := s.Merge()
-		bd.MergeIO = bd.MergeIO.Add(io)
-		if err != nil || !merged {
-			return err
-		}
-		bd.Merges++
-	}
 }
 
 // writeRun writes part's file through dev from src with the one run writer

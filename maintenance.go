@@ -22,16 +22,20 @@ import (
 // publishes, queries cover the step through its frozen stream summary (a
 // core.StreamPiece). Each step is written once. Then Algorithm 3's merges:
 // a level holding more than κ partitions merges its oldest κ+1 into one a
-// level up (partition.Store.MergeDue), again outside the locks readers and
-// producers take, and the EndStep commits.
+// level up, again outside the locks readers and producers take, and the
+// EndStep commits. Settling is partition.Store.Settle, which decides the
+// order of every retry: a step left sealed before any merge.
 //
 // One failure rule: settling stops at its first failure, and its caller
 // commits what it did. A step whose level-0 write fails stays sealed —
 // counted, answered from its frozen summary — and a failed merge keeps its
 // inputs live; both are retried by the next settle: the start of the next
-// EndStep, which cuts only a settled store, or the barrier of
-// SyncMaintenance, DB.Checkpoint and Close (DB.checkpoint). A step is
-// durable once a commit after its write returns nil.
+// EndStep, or the barrier of SyncMaintenance, DB.Checkpoint and Close
+// (DB.checkpoint). Only a step still sealed after that first settle stops
+// an EndStep's cut — no step is sealed behind another. A merge that fails
+// again does not: the step is cut, written and committed, and the settle
+// after the cut retries the merge and reports it. A step is durable once a
+// commit after its write returns nil.
 
 // MaintenanceSync is the one value Options.Maintenance accepts besides "".
 const MaintenanceSync = "sync"
@@ -45,12 +49,11 @@ type maintAccum struct {
 	lastErr  string
 }
 
-// settle brings the store up to date: it writes the sealed step, if any, as
-// its level-0 partition — the one level-0 write — recycling the step's
-// buffers, then runs every merge due. It stops at the first failure, which
-// shows as LastError until a later settle succeeds, and reports the write
-// and the merges in one breakdown (zero when nothing was due). It commits
-// nothing. Caller holds loadMu.
+// settle is partition.Store.Settle — the sealed step, if any, written as its
+// level-0 partition, then every merge due, in one breakdown (zero when
+// nothing was due) — with the stream's counters around it: the installed
+// step's buffers are recycled, and a failure shows as LastError until a
+// later settle succeeds. It commits nothing. Caller holds loadMu.
 func (e *engine) settle() (UpdateStats, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -61,10 +64,7 @@ func (e *engine) settle() (UpdateStats, error) {
 	e.mstats.running++
 	e.mu.Unlock()
 
-	us, step, err := e.store.InstallOne()
-	if err == nil {
-		err = e.store.MergeDue(&us)
-	}
+	us, step, err := e.store.Settle()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

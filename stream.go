@@ -141,8 +141,10 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // durable; no step is written twice. A failed merge returns its error from
 // this EndStep, after the commit that makes the step durable, and is
 // retried by the same four. The next EndStep settles what a failure left
-// before its cut; if that fails, it returns the failure and its live step
-// stays live, for a later EndStep to close.
+// before its cut. If the sealed step's write fails again, it returns the
+// failure and its live step stays live, for a later EndStep to close; a
+// merge that fails again does not stop the cut — the step is written and
+// committed, and the merge's failure is returned.
 func (s *Stream) EndStep() (UpdateStats, error) {
 	return s.EndStepCtx(context.Background())
 }
@@ -333,10 +335,10 @@ func (s *Stream) ProbeMemoStats() ProbeMemoStats {
 // SyncMaintenance is the stream's barrier, the one each stream passes in
 // DB.Checkpoint: it settles the stream inline — writes a step whose
 // level-0 write failed, then runs every merge a failure left due, the retry
-// the next EndStep would also run — commits, and refreshes the stream's
-// sidecar summary. It returns the first failure it meets. A cold stream has
-// nothing pending — sealing settled it — so the call returns at once,
-// without hydrating.
+// the next EndStep would also run — then commits and refreshes the stream's
+// sidecar summary, always, even when settling found nothing to do. It
+// returns the first failure it meets. A cold stream has nothing pending —
+// sealing settled it — so the call returns at once, without hydrating.
 func (s *Stream) SyncMaintenance() error {
 	var err error
 	if perr := s.peek(func(e *engine) { err = s.db.checkpoint(s.name, e, false) }); perr != nil {
