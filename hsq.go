@@ -56,8 +56,9 @@ type Options struct {
 	// BlockSize is the disk block size in bytes (default 100 KB, the
 	// paper's B).
 	BlockSize int
-	// SortMemElements bounds the memory used when sorting a batch; larger
-	// batches use external sort (default 1M elements).
+	// SortMemElements bounds a step's sort memory: up to it, the step is
+	// sorted in place with one scratch of its size; a larger one goes to the
+	// external sort, whose run buffer and scratch share it (default 1M).
 	SortMemElements int
 	// NoBlockPin disables the §2.4 optimization that keeps, per partition,
 	// the block a query's probe settled in (its checked frame) pinned for

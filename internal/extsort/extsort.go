@@ -1,6 +1,8 @@
 // Package extsort is the sequential-I/O half of the paper's write path
 // (Algorithm 3, Lemma 6): one sort, one merge, one writer.
 //
+//   - SortSlice and SortedStream sort with radix.Sort, the kernel of the
+//     store's level-0 install and of GK's flush too.
 //   - WriteRun is the only loop that puts a sorted run on the device: a
 //     level-0 partition, a κ-merge output, a sort temporary. Callers hand it
 //     a Source and, to compute something in flight (the store's HSᵢ capture,
@@ -24,6 +26,7 @@ import (
 	"slices"
 
 	"repro/internal/disk"
+	"repro/internal/radix"
 )
 
 // DefaultFanIn is the maximum number of runs merged in one pass.
@@ -207,15 +210,15 @@ func MergeFiles(dev *disk.Manager, inputs []string, out string) error {
 // file: the path of a batch that fits in the configured sort memory.
 func SortSlice(dev *disk.Manager, data []int64, out string) error {
 	sorted := slices.Clone(data)
-	slices.Sort(sorted)
+	radix.Sort(sorted, nil)
 	_, err := WriteRun(dev, out, SliceSource(sorted), nil)
 	return err
 }
 
 // Config controls external sorting.
 type Config struct {
-	// MemElements is the maximum number of elements held in memory while
-	// forming sorted runs. Must be at least one block's worth of elements.
+	// MemElements bounds the run buffer plus the kernel's scratch, half each.
+	// Must be at least one block's worth of elements.
 	MemElements int
 	// FanIn bounds how many runs are merged per pass (DefaultFanIn if 0).
 	FanIn int

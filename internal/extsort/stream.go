@@ -5,15 +5,16 @@ import (
 	"slices"
 
 	"repro/internal/disk"
+	"repro/internal/radix"
 )
 
 // SortedStream externally sorts data, a batch already in memory, using at
 // most cfg.MemElements elements of working memory: it cuts data into runs of
-// MemElements, sorts a copy of each and writes it as a run file, merges the
-// runs in passes of at most FanIn, and returns a Source over the final merge
-// together with a cleanup function that closes and removes the run files.
-// data is only read. The caller must drain or abandon the Source and then
-// call cleanup.
+// MemElements/2, sorts a copy of each with a scratch as large and writes it
+// as a run file, merges the runs in passes of at most FanIn, and returns a
+// Source over the final merge together with a cleanup function that closes
+// and removes the run files. data is only read. The caller must drain or
+// abandon the Source and then call cleanup.
 //
 // Returning the final merge instead of writing it lets the partition store
 // capture its in-memory summary while writing the sorted partition, so that
@@ -39,11 +40,12 @@ func SortedStream(dev *disk.Manager, data []int64, cfg Config) (src Source, clea
 		}
 	}()
 
-	// Pass 0: cut the batch into sorted runs of MemElements.
-	buf := make([]int64, 0, min(cfg.MemElements, len(data)))
-	for lo := 0; lo < len(data); lo += cfg.MemElements {
-		buf = append(buf[:0], data[lo:min(lo+cfg.MemElements, len(data))]...)
-		slices.Sort(buf)
+	// Pass 0: cut the batch into sorted runs.
+	size := max(cfg.MemElements/2, 1)
+	var buf, scratch []int64
+	for lo := 0; lo < len(data); lo += size {
+		buf = append(buf[:0], data[lo:min(lo+size, len(data))]...)
+		scratch = radix.Sort(buf, scratch)
 		name := fmt.Sprintf("%s-s%d", cfg.TempPrefix, len(runs))
 		if _, err = WriteRun(dev, name, SliceSource(buf), nil); err != nil {
 			return nil, nil, err

@@ -25,7 +25,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
+
+	"repro/internal/radix"
 )
 
 // tuple is one summary entry. g is the gap rmin(i) - rmin(i-1); delta is
@@ -45,21 +46,22 @@ type Sketch struct {
 	eps    float64
 	n      int64 // includes buffered-but-unmerged elements
 	tuples []tuple
-	// pending buffers recent inserts; they are sorted and merged into the
-	// tuple list in one pass when the buffer fills (or before any query).
+	// pending buffers recent inserts; they are sorted (sortBuf is the
+	// kernel's scratch) and merged into the tuple list in one pass when the
+	// buffer fills (or before any query).
 	// So every 1/(2ε) inserts cost one sort of the buffer, one merge pass
 	// and one compress pass, each linear in tuples + buffer. The invariant
 	// is not weakened: each buffered element is merged with the same g=1,
 	// Δ=⌊2εn⌋−1 it would have received individually (n only grows while
 	// it waits, so the invariant bound only loosens).
 	pending    []int64
+	sortBuf    []int64
 	flushEvery int
 	// scratch is the spare tuple buffer flush merges into; it swaps roles
 	// with tuples on every flush so steady-state insertion allocates
 	// nothing once both buffers have grown to the working-set size.
 	scratch []tuple
-	// maxTuples tracks the high-water mark of the tuple list, used for
-	// worst-case memory reporting in the experiments.
+	// maxTuples is the tuple list's high-water mark (MaxTupleCount).
 	maxTuples int
 }
 
@@ -101,12 +103,15 @@ func (s *Sketch) TupleCount() int {
 // MaxTupleCount returns the high-water mark of the tuple list.
 func (s *Sketch) MaxTupleCount() int { return s.maxTuples }
 
-// MemoryBytes estimates the live memory footprint of the summary: 24 bytes
-// per tuple (three int64 fields) plus 8 bytes per buffered insert.
-func (s *Sketch) MemoryBytes() int64 { return int64(len(s.tuples))*24 + int64(cap(s.pending))*8 }
+// MemoryBytes estimates the live memory footprint of the summary: every
+// buffer it holds, at capacity — 24 bytes a tuple slot, 8 an int64 slot.
+func (s *Sketch) MemoryBytes() int64 {
+	return int64(cap(s.tuples)+cap(s.scratch))*24 + int64(cap(s.pending)+cap(s.sortBuf))*8
+}
 
-// MaxMemoryBytes estimates the peak memory footprint.
-func (s *Sketch) MaxMemoryBytes() int64 { return int64(s.maxTuples) * 24 }
+// MaxMemoryBytes estimates the peak memory footprint: no buffer shrinks, so
+// it is MemoryBytes.
+func (s *Sketch) MaxMemoryBytes() int64 { return s.MemoryBytes() }
 
 // Reset empties the sketch, keeping its parameters. Used at the end of each
 // time step when the batch is loaded into the warehouse (StreamReset,
@@ -138,7 +143,7 @@ func (s *Sketch) flush() {
 // merge sorts the pending buffer and merges it into the tuple list in one
 // pass, emptying the buffer.
 func (s *Sketch) merge() {
-	slices.Sort(s.pending)
+	s.sortBuf = radix.Sort(s.pending, s.sortBuf)
 	cap2 := int64(2 * s.eps * float64(s.n))
 	midDelta := cap2 - 1
 	if midDelta < 0 {

@@ -3,10 +3,13 @@ package gk
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/workload"
 )
 
 // exactRank returns the number of elements <= v in sorted data.
@@ -336,9 +339,10 @@ func compressReference(s *Sketch) {
 }
 
 // TestCompressMatchesReference feeds the same values to a sketch and to a
-// twin whose flushes compress with compressReference, and requires the two
-// tuple lists to be identical after every flush, and the answers at fixed
-// probes to be equal once the last partial buffer is flushed.
+// twin whose flushes sort with slices.Sort (merge's radix kernel then finds
+// the buffer sorted) and compress with compressReference, and requires the
+// two tuple lists to be identical after every flush, and the answers at
+// fixed probes to be equal once the last partial buffer is flushed.
 func TestCompressMatchesReference(t *testing.T) {
 	dists := []struct {
 		name string
@@ -349,6 +353,22 @@ func TestCompressMatchesReference(t *testing.T) {
 		{"descending", func(_ *rand.Rand, i, n int) int64 { return int64(n - i) }},
 		{"distinct16", func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(16) }},
 		{"normal", func(rng *rand.Rand, _, _ int) int64 { return int64(rng.NormFloat64() * 1e6) }},
+		{"fullrange", func(rng *rand.Rand, _, _ int) int64 {
+			if k := rng.Intn(16); k < 4 {
+				return []int64{math.MinInt64, math.MaxInt64, -1, 0}[k]
+			}
+			return int64(rng.Uint64())
+		}},
+	}
+	for _, name := range workload.Names() {
+		g, err := workload.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dists = append(dists, struct {
+			name string
+			gen  func(rng *rand.Rand, i, n int) int64
+		}{name, func(*rand.Rand, int, int) int64 { return g.Next() }})
 	}
 	for _, eps := range []float64{0.001 / 8, 0.01, 0.05} {
 		every := MustNew(eps).flushEvery
@@ -366,6 +386,7 @@ func TestCompressMatchesReference(t *testing.T) {
 					if len(ref.pending) < ref.flushEvery {
 						continue
 					}
+					slices.Sort(ref.pending)
 					ref.merge()
 					compressReference(ref)
 					if len(s.pending) != 0 || !slices.Equal(s.tuples, ref.tuples) {
@@ -376,6 +397,7 @@ func TestCompressMatchesReference(t *testing.T) {
 					}
 				}
 				if len(ref.pending) > 0 {
+					slices.Sort(ref.pending)
 					ref.merge()
 					compressReference(ref)
 				}
@@ -429,5 +451,28 @@ func TestInsertStepZeroAlloc(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
 		t.Fatalf("a 20 000-value step allocated %.1f times after warm-up, want 0", allocs)
+	}
+}
+
+// TestMemoryBytesCountsEveryBuffer: MemoryBytes accounts for the heap a
+// sketch holds — the tuple list and its spare, the insert buffer and the
+// sort kernel's scratch — measured as the live heap it adds.
+func TestMemoryBytesCountsEveryBuffer(t *testing.T) {
+	vals := stepValues(20_000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := MustNew(0.001 / 8)
+	for _, v := range vals {
+		s.Insert(v)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	got := float64(s.MemoryBytes())
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(vals)
+	if got < 0.9*held || got > 1.25*held {
+		t.Fatalf("MemoryBytes = %.0f, the sketch holds %.0f bytes of heap", got, held)
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"weak"
 
 	"repro/internal/disk"
 	"repro/internal/extsort"
 	"repro/internal/gk"
+	"repro/internal/radix"
 )
 
 // Config parametrizes a Store.
@@ -19,9 +21,9 @@ type Config struct {
 	Kappa int
 	// Eps1 is the historical summary parameter ε₁ = ε/2 (Algorithm 1).
 	Eps1 float64
-	// SortMemElements bounds the extra memory a step's sort may use: a step
-	// of at most this many elements is sorted as one copy, a larger one by
-	// the external sort, in runs of this many. Defaults to 1M elements.
+	// SortMemElements bounds a step's sort memory: up to it, the step is
+	// sorted in place with one scratch of its size; a larger one goes to the
+	// external sort, whose run buffer and scratch share it. Default 1M.
 	SortMemElements int
 	// SpillBatches is ignored. A sealed step is written once, as its level-0
 	// partition; the field stays so existing callers compile.
@@ -190,6 +192,11 @@ type Store struct {
 
 	// memoCtr aggregates probe-memo traffic across every version.
 	memoCtr memoCounters
+
+	// sortBuf keeps the sort kernel's scratch, a step long, from one install
+	// to the next, weakly: it adds nothing to the live heap the GC paces
+	// itself by, and an install after a GC allocates it again.
+	sortBuf weak.Pointer[[]int64]
 }
 
 // NewStore creates an empty historical store on the given device.
@@ -277,10 +284,10 @@ func (s *Store) allocID() int64 {
 
 // AddBatch loads one time step's batch into the warehouse in one call:
 // Settle, Seal, Settle, for callers that are the store's only writer (layer
-// benchmarks, tests). step must be the next time step. Only a step the first
-// Settle leaves sealed stops the seal, not a merge that fails again. A
-// failed merge is ErrMergeIncomplete: the step is installed, and the next
-// Settle retries the merge. Like its parts it commits nothing.
+// benchmarks, tests); it sorts data in place. step must be the next time
+// step. Only a step the first Settle leaves sealed stops the seal, not a
+// merge that fails again. A failed merge is ErrMergeIncomplete: the step is
+// installed, and the next Settle retries the merge. It commits nothing.
 func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if len(data) == 0 {
 		return UpdateBreakdown{}, fmt.Errorf("partition: sealing empty batch")
@@ -328,9 +335,9 @@ func (s *Store) Settle() (UpdateBreakdown, int, error) {
 // sketch frozen at the cut (nil when the caller keeps none), becomes the
 // sealed step of a Version that shares the current partitions and probe
 // memo. From the publish on the step is counted and answered by every
-// reader; InstallOne then writes it. It is durable once its partition is
-// published and a Commit returns nil. data must not be empty, and neither it
-// nor the sketch may change until Reusable hands them back.
+// reader; InstallOne then sorts data in place and writes it, durable once
+// its partition is published and a Commit returns nil. data must not be
+// empty; only the store changes it or the sketch until Reusable.
 //
 // A store holds at most one sealed step: the caller installs a step whose
 // write failed before it seals the next, and Seal panics otherwise. Seal may
@@ -353,8 +360,8 @@ func (s *Store) Seal(data []int64, sketch *gk.Sketch) *SealedBatch {
 func (s *Store) Reusable(sb *SealedBatch) ([]int64, *gk.Sketch) { return sb.data, sb.sketch }
 
 // InstallOne writes the sealed step as a new level-0 partition — its one
-// write, sorted from the batch in memory (a copy, or the external sort's
-// runs for a step of more than SortMemElements values) with its summary
+// write, sorted from the batch in memory (in place, so a retry finds it
+// sorted; the external sort above SortMemElements) with its summary
 // captured in flight — and publishes it by appending it to the entries. It
 // returns the installed step number, 0 when nothing was sealed or the write
 // failed (the step then stays sealed for a retry). It merges nothing (Merge
@@ -384,9 +391,13 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	t0 := time.Now()
 	var src extsort.Source
 	if len(sb.data) <= s.cfg.SortMemElements {
-		sorted := slices.Clone(sb.data)
-		slices.Sort(sorted)
-		src = extsort.SliceSource(sorted)
+		buf := s.sortBuf.Value()
+		if buf == nil {
+			buf = new([]int64)
+			s.sortBuf = weak.Make(buf)
+		}
+		*buf = radix.Sort(sb.data, *buf)
+		src = extsort.SliceSource(sb.data)
 	} else {
 		stream, cleanup, err := extsort.SortedStream(sortDev, sb.data, extsort.Config{
 			MemElements: s.cfg.SortMemElements,

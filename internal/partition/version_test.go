@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -338,5 +340,50 @@ func TestVersionEntriesChronological(t *testing.T) {
 				t.Fatalf("only %d level(s) ever held partitions: no merge cascaded, test is vacuous", levels)
 			}
 		})
+	}
+}
+
+// TestInstallSortsInPlace: InstallOne sorts the sealed batch in place with
+// the store's kept scratch, so after the first install a step costs no
+// allocation of its size while no GC runs, and the batch Reusable hands back
+// is sorted.
+func TestInstallSortsInPlace(t *testing.T) {
+	dev, err := disk.NewManager(t.TempDir(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.01, SortMemElements: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32768
+	rng := rand.New(rand.NewSource(5))
+	batch := make([]int64, n)
+	install := func() {
+		for i := range batch {
+			batch[i] = rng.Int63n(1 << 30)
+		}
+		sb := s.Seal(batch, nil)
+		if _, step, err := s.InstallOne(); err != nil || step != sb.Step {
+			t.Fatalf("install of step %d: step %d, %v", sb.Step, step, err)
+		}
+		if data, _ := s.Reusable(sb); !slices.IsSorted(data) {
+			t.Fatalf("step %d: the installed batch is not sorted in place", sb.Step)
+		}
+	}
+	install()
+	// The store holds its scratch weakly; with the GC off it survives.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	const steps = 4
+	runtime.ReadMemStats(&before)
+	for range steps {
+		install()
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+	t.Logf("%d bytes per install", perStep)
+	if perStep >= n*8/4 {
+		t.Fatalf("an install allocated %d bytes after the first, want well under the step's %d", perStep, n*8)
 	}
 }
