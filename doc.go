@@ -250,8 +250,9 @@
 // (under the engine lock, the batch and GK sketch leave
 // the live step and become the sealed step of the store's published
 // version, with no I/O), write (outside every engine lock, the step is
-// sorted in place by the radix kernel, or by the external sort above
-// SortMemElements, and written once, as its level-0 partition), merge (a level holding more than
+// sorted in place by the radix kernel with one transient scratch of its
+// size — every step, whatever its size, is sorted in memory — and written
+// once, as its level-0 partition), merge (a level holding more than
 // κ partitions merges its oldest κ+1 into one a level up, until no level
 // does — the merges the paper's HistUpdate makes due), commit (data
 // barrier, manifest, barrier). The sealed step is held once, in that

@@ -107,7 +107,7 @@ func main() {
 	}
 	mu := eng.MemoryUsage()
 	fmt.Printf("\nactual memory — hybrid: %d B, GK: %d B, QDigest: %d B\n",
-		mu.Total(), gkSketch.MaxMemoryBytes(), qd.MaxMemoryBytes())
+		mu.Total(), gkSketch.MemoryBytes(), qd.MaxMemoryBytes())
 	fmt.Println("(cells are relative error |r - rank(answer)| / (φN); lower is better)")
 }
 

@@ -27,7 +27,9 @@ var ErrClosed = errors.New("hsq: closed")
 // BlockSize and SimulateDisk describe the one shared device all streams
 // multiplex. Epsilon is always required; Dir is required for the file
 // backend. Every other field has a sensible default matching the paper's
-// experimental setup.
+// experimental setup. A step's sort memory is not an option: EndStep sorts
+// the sealed step in memory with one transient scratch of its size, so a
+// step of n values briefly holds 2n, and the sort does no device I/O.
 type Options struct {
 	// Epsilon is the approximation parameter ε ∈ (0,1): accurate queries
 	// return elements whose rank errs by at most ε·m where m is the current
@@ -56,10 +58,6 @@ type Options struct {
 	// BlockSize is the disk block size in bytes (default 100 KB, the
 	// paper's B).
 	BlockSize int
-	// SortMemElements bounds a step's sort memory: up to it, the step is
-	// sorted in place with one scratch of its size; a larger one goes to the
-	// external sort, whose run buffer and scratch share it (default 1M).
-	SortMemElements int
 	// NoBlockPin disables the §2.4 optimization that keeps, per partition,
 	// the block a query's probe settled in (its checked frame) pinned for
 	// the query's next probes, so a probe inside it fetches nothing.
@@ -122,9 +120,6 @@ func (c *Options) withDefaults() (Options, error) {
 	if out.BlockSize == 0 {
 		out.BlockSize = disk.DefaultBlockSize
 	}
-	if out.SortMemElements == 0 {
-		out.SortMemElements = 1 << 20
-	}
 	if out.ProbeMemoEntries == 0 {
 		out.ProbeMemoEntries = 4096
 	}
@@ -150,13 +145,13 @@ type IOStats = disk.Stats
 
 // UpdateStats reports the cost of one EndStep, split into the paper's four
 // phases (Figure 6): loading the step — the write of its level-0 partition,
-// the step's one trip to the device — sorting it (CPU time for a step sorted
-// in memory, the run passes for one larger than SortMemElements), merging
-// overflowing levels, and summary maintenance. EndStep fills all four for
-// its own step and the merges it makes due. A write or merge retried after
-// a failure — at the start of the next EndStep, or by the barrier of
-// SyncMaintenance, DB.Checkpoint and Close — counts only in StreamStatus's
-// Installs and Merges. The commit's barriers belong to no phase.
+// the step's one trip to the device — sorting it (CPU time: the step is
+// sorted in memory and the sort does no I/O), merging overflowing levels,
+// and summary maintenance. EndStep fills all four for its own step and the
+// merges it makes due. A write or merge retried after a failure — at the
+// start of the next EndStep, or by the barrier of SyncMaintenance,
+// DB.Checkpoint and Close — counts only in StreamStatus's Installs and
+// Merges. The commit's barriers belong to no phase.
 type UpdateStats = partition.UpdateBreakdown
 
 // QueryStats reports the cost of one accurate query: bisection probes, the
@@ -221,8 +216,6 @@ type MemoryUsage struct {
 	HistBytes int64
 	// StreamBytes is the live GK sketch (Lemma 9).
 	StreamBytes int64
-	// StreamPeakBytes is the GK sketch's high-water mark this time step.
-	StreamPeakBytes int64
 	// PendingBytes buffers the sealed step (raw data plus frozen sketch)
 	// while its level-0 write runs, or after it failed until a retry
 	// succeeds: at most one step, zero once its partition is published.
@@ -316,7 +309,6 @@ func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 	return partition.Config{
 		Kappa:            cfg.Kappa,
 		Eps1:             eps1,
-		SortMemElements:  cfg.SortMemElements,
 		ProbeMemoEntries: cfg.ProbeMemoEntries,
 		Namespace:        namespace,
 	}
@@ -648,10 +640,9 @@ func (e *engine) MemoryUsage() MemoryUsage {
 		pendingBytes = sb.MemoryBytes()
 	}
 	return MemoryUsage{
-		HistBytes:       e.store.MemoryBytes(),
-		StreamBytes:     e.sketch.MemoryBytes(),
-		StreamPeakBytes: e.sketch.MaxMemoryBytes(),
-		PendingBytes:    pendingBytes,
+		HistBytes:    e.store.MemoryBytes(),
+		StreamBytes:  e.sketch.MemoryBytes(),
+		PendingBytes: pendingBytes,
 	}
 }
 

@@ -309,8 +309,8 @@ func TestUpdateStats(t *testing.T) {
 		if us.BatchSize != 1000 {
 			t.Errorf("BatchSize = %d", us.BatchSize)
 		}
-		if l := us.LoadIO; l.SeqReads+l.RandReads+l.CacheHits+l.CacheMisses != 0 || us.SortIO.Total() != 0 {
-			t.Errorf("LoadIO = %+v, SortIO = %+v; want writes only, and an in-memory sort", l, us.SortIO)
+		if l := us.LoadIO; l.SeqReads+l.RandReads+l.CacheHits+l.CacheMisses != 0 {
+			t.Errorf("LoadIO = %+v; want writes only", l)
 		}
 		if us.Merges > 0 {
 			continue // the step's partition is merged away
@@ -419,9 +419,6 @@ func TestMemoryUsage(t *testing.T) {
 	}
 	if mu.Total() != mu.HistBytes+mu.StreamBytes {
 		t.Error("Total mismatch")
-	}
-	if mu.StreamPeakBytes < mu.StreamBytes {
-		t.Error("peak below live")
 	}
 	// HS fits the Lemma 8 model within a small constant.
 	planned := PlannedHistBytes(eng.Epsilon(), eng.Steps(), eng.Kappa())

@@ -53,11 +53,12 @@ func beta(eps float64) int {
 
 // StreamPiece is one memory-resident stream-side source of the combined
 // summary: the live GK sketch's summary, or the frozen summary of a batch
-// that was sealed at an end-of-step but not yet installed as an on-disk
-// partition by background maintenance. Each piece carries Lemma 1's
-// one-sided ε₂·M rank bands independently; queries treat every piece like
-// "the stream" — estimate-only, no disk probes — so snapshot-isolated reads
-// stay correct while installs run behind them.
+// sealed at an end-of-step whose on-disk partition is not published yet —
+// its EndStep's write is running, or failed and waits for the next settle.
+// Each piece carries Lemma 1's one-sided ε₂·M rank bands independently;
+// queries treat every piece like "the stream" — estimate-only, no disk
+// probes — so snapshot-isolated reads stay correct while installs run
+// behind them.
 type StreamPiece struct {
 	// SS is the piece's summary (sorted): β₂ elements at approximate ranks
 	// i·ε₂·M, as extracted by StreamSummary.

@@ -18,11 +18,10 @@
 // durability contract is that a nil return means the step survives any
 // crash as a partition; the prefix-of-EndSteps guarantee asserts it.
 //
-// With the default sort memory every step of a plan sorts in memory.
-// TestCrashSweepExternalSort shrinks it to one block (Config.SortMemElements)
-// so crashes also land among sort temporaries — the sorted run files the
-// external sort cuts a larger step into — and Verify's orphan check proves no
-// sort-* file survives a reopen.
+// A step is sorted in memory, so its write is its partition file and
+// nothing else: the sweep's crashes land in partition writes, never among
+// sort temporaries, and Verify's orphan check proves no temporary of any
+// kind survives a reopen.
 //
 // The plan also drops streams, and a later operation on a dropped stream
 // re-creates it, so the sweep lands inside drop commits (the removal of the
@@ -71,11 +70,6 @@ type Config struct {
 	// streams forces constant seal/evict/rehydrate churn, so the crash
 	// sweep lands inside eviction checkpoints and rehydration resumes too.
 	MaxHydrated int
-	// SortMemElements is the DB's batch-sort memory (hsq.Options field of the
-	// same name; 0 = its 1 Mi default, which no plan's step exceeds). Set to
-	// one block's worth of elements, every step larger than a block is written
-	// through the external sort, so the sweep crashes among its run files.
-	SortMemElements int
 }
 
 // WithDefaults fills zero fields with the harness defaults.
@@ -108,7 +102,6 @@ func (c Config) options(cb *disk.CrashBackend) hsq.Options {
 		Device:             cb,
 		BlockSize:          c.BlockSize,
 		MaxHydratedStreams: c.MaxHydrated,
-		SortMemElements:    c.SortMemElements,
 	}
 }
 

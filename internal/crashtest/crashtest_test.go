@@ -197,52 +197,3 @@ func TestCrashSweepEviction(t *testing.T) {
 		}
 	}
 }
-
-// TestCrashSweepExternalSort shrinks the sort memory to one 64-element block
-// so every larger step installs through extsort.SortedStream — sorted run
-// files, then their merge drained into the partition — which no other sweep,
-// figure or workload reaches through the engine (the 1 Mi default sorts
-// every step in memory). The recovery contract holds at every sampled crash
-// point, and Verify's orphan check finds no sort-* temporary after the
-// reopen. The subtest keeps the name of the one maintenance schedule left,
-// "sync", so its id carries over.
-func TestCrashSweepExternalSort(t *testing.T) {
-	t.Run("sync", func(t *testing.T) {
-		cfg := Config{Seed: *seedFlag, Ops: 200, SortMemElements: 64}.WithDefaults()
-		plan := BuildPlan(cfg)
-		counter := disk.NewCrashBackend()
-		if res := Replay(counter, cfg, plan); res.Err != nil {
-			t.Fatalf("uncrashed replay failed: %v", res.Err)
-		}
-		total := counter.Ops()
-		inMemory := cfg
-		inMemory.SortMemElements = 0
-		baseline := disk.NewCrashBackend()
-		if res := Replay(baseline, inMemory, plan); res.Err != nil {
-			t.Fatalf("uncrashed in-memory replay failed: %v", res.Err)
-		}
-		t.Logf("seed=%d backend-ops=%d (in-memory sort: %d)", cfg.Seed, total, baseline.Ops())
-		if total <= baseline.Ops() {
-			t.Fatalf("the plan never reached the external sort: %d backend ops, %d with the default sort memory", total, baseline.Ops())
-		}
-		stride := int64(7)
-		if testing.Short() {
-			stride = 41
-		}
-		for k := int64(0); k < total; k += stride {
-			cb := disk.NewCrashBackend()
-			cb.SetCrashPoint(k, true)
-			res := Replay(cb, cfg, plan)
-			if res.Err != nil {
-				t.Fatalf("crash@%d: replay: %v", k, res.Err)
-			}
-			for _, keep := range []bool{false, true} {
-				clone := cb.Clone()
-				clone.Restart(keep)
-				if err := Verify(clone, cfg, plan, res); err != nil {
-					t.Errorf("crash@%d keep=%v: %v", k, keep, err)
-				}
-			}
-		}
-	})
-}

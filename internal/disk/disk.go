@@ -262,9 +262,6 @@ func (m *Manager) Backend() Backend { return m.dev.backend }
 // BlockSize returns the block size in bytes.
 func (m *Manager) BlockSize() int { return m.dev.blockSize }
 
-// ElementsPerBlock returns how many elements fit in one block.
-func (m *Manager) ElementsPerBlock() int { return m.dev.perBlock }
-
 // SetBlockFormat sets the device-wide default format for newly created
 // files. It is a device property shared by every view (like the cache
 // budget): partitions, sort runs and merge outputs all inherit it.

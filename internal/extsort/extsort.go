@@ -1,16 +1,14 @@
 // Package extsort is the sequential-I/O half of the paper's write path
 // (Algorithm 3, Lemma 6): one sort, one merge, one writer.
 //
-//   - SortSlice and SortedStream sort with radix.Sort, the kernel of the
-//     store's level-0 install and of GK's flush too.
+//   - The sort is radix.Sort, the kernel of the store's level-0 install and
+//     of GK's flush too, over a batch held in memory; SortSlice is it
+//     followed by the writer. Nothing is sorted on the device: a sealed step
+//     is in memory until its one write.
 //   - WriteRun is the only loop that puts a sorted run on the device: a
-//     level-0 partition, a κ-merge output, a sort temporary. Callers hand it
-//     a Source and, to compute something in flight (the store's HSᵢ capture,
-//     Algorithm 2), a per-element callback.
-//   - SortedStream is the only external sort [Graefe 14]: it cuts a batch
-//     held in memory into sorted runs of bounded memory and returns their
-//     merge as a Source, so whoever writes the result also sees every
-//     element pass.
+//     level-0 partition or a κ-merge output. Callers hand it a Source and,
+//     to compute something in flight (the store's HSᵢ capture, Algorithm 2),
+//     a per-element callback.
 //   - Merger is the only k-way merge; OpenRuns builds one over run files.
 //
 // WriteRun refuses a value smaller than its predecessor before the file is
@@ -28,9 +26,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/radix"
 )
-
-// DefaultFanIn is the maximum number of runs merged in one pass.
-const DefaultFanIn = 64
 
 // Source yields elements in non-decreasing order.
 type Source interface {
@@ -59,8 +54,8 @@ func (s *sliceSource) Next() (int64, bool, error) {
 func SliceSource(sorted []int64) Source { return &sliceSource{data: sorted} }
 
 // Merger performs a streaming k-way merge over sorted sources using a binary
-// min-heap of (value, source) pairs. It is the core of both external sort
-// merge passes and partition-level merges.
+// min-heap of (value, source) pairs. It is the core of partition-level
+// merges.
 type Merger struct {
 	heap []mergeItem
 }
@@ -195,50 +190,11 @@ func OpenRuns(dev *disk.Manager, names []string) (*Merger, func(), error) {
 	return m, closeAll, nil
 }
 
-// MergeFiles k-way merges the sorted input files into out.
-func MergeFiles(dev *disk.Manager, inputs []string, out string) error {
-	m, closeAll, err := OpenRuns(dev, inputs)
-	if err != nil {
-		return err
-	}
-	defer closeAll()
-	_, err = WriteRun(dev, out, m, nil)
-	return err
-}
-
 // SortSlice sorts a copy of data in memory and writes it to the named output
-// file: the path of a batch that fits in the configured sort memory.
+// file: the kernel and the writer a level-0 install runs.
 func SortSlice(dev *disk.Manager, data []int64, out string) error {
 	sorted := slices.Clone(data)
 	radix.Sort(sorted, nil)
 	_, err := WriteRun(dev, out, SliceSource(sorted), nil)
 	return err
-}
-
-// Config controls external sorting.
-type Config struct {
-	// MemElements bounds the run buffer plus the kernel's scratch, half each.
-	// Must be at least one block's worth of elements.
-	MemElements int
-	// FanIn bounds how many runs are merged per pass (DefaultFanIn if 0).
-	FanIn int
-	// TempPrefix names intermediate run files (default "extsort-run").
-	TempPrefix string
-}
-
-func (c *Config) setDefaults(dev *disk.Manager) error {
-	if c.MemElements <= 0 {
-		return fmt.Errorf("extsort: MemElements must be positive, got %d", c.MemElements)
-	}
-	if c.MemElements < dev.ElementsPerBlock() {
-		return fmt.Errorf("extsort: MemElements %d smaller than one block (%d elements)",
-			c.MemElements, dev.ElementsPerBlock())
-	}
-	if c.FanIn <= 1 {
-		c.FanIn = DefaultFanIn
-	}
-	if c.TempPrefix == "" {
-		c.TempPrefix = "extsort-run"
-	}
-	return nil
 }

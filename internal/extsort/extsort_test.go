@@ -2,7 +2,6 @@ package extsort
 
 import (
 	"errors"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -54,35 +53,18 @@ func readAll(t *testing.T, dev *disk.Manager, name string) []int64 {
 	}
 }
 
-// sortFile externally sorts the elements of file in into file out the way
-// the store sorts a step: the batch in memory, SortedStream's final merge
-// drained by the run writer.
-func sortFile(dev *disk.Manager, in, out string, cfg Config) (int64, error) {
-	r, err := dev.OpenSequential(in)
+// mergeFiles merges the sorted inputs into out the way a level merge does:
+// OpenRuns' merge drained by the run writer.
+func mergeFiles(t *testing.T, dev *disk.Manager, inputs []string, out string) {
+	t.Helper()
+	m, closeAll, err := OpenRuns(dev, inputs)
 	if err != nil {
-		return 0, err
+		t.Fatal(err)
 	}
-	var data []int64
-	for {
-		v, ok, err := r.Next()
-		if err != nil {
-			r.Close() //nolint:errcheck // already failing
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		data = append(data, v)
+	defer closeAll()
+	if _, err := WriteRun(dev, out, m, nil); err != nil {
+		t.Fatal(err)
 	}
-	if err := r.Close(); err != nil {
-		return 0, err
-	}
-	src, cleanup, err := SortedStream(dev, data, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
-	return WriteRun(dev, out, src, nil)
 }
 
 // failingSource yields its values, then an error.
@@ -242,170 +224,18 @@ func TestSortSlice(t *testing.T) {
 	}
 }
 
-func TestSortFileSmall(t *testing.T) {
-	dev := newDev(t)
-	writeFile(t, dev, "in", []int64{9, 2, 5, 2, 8})
-	n, err := sortFile(dev, "in", "out", Config{MemElements: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Errorf("count = %d, want 5", n)
-	}
-	got := readAll(t, dev, "out")
-	if !slices.Equal(got, []int64{2, 2, 5, 8, 9}) {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestSortFileEmpty(t *testing.T) {
-	dev := newDev(t)
-	writeFile(t, dev, "in", nil)
-	n, err := sortFile(dev, "in", "out", Config{MemElements: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("count = %d", n)
-	}
-	if got := readAll(t, dev, "out"); len(got) != 0 {
-		t.Errorf("got %v, want empty", got)
-	}
-}
-
-func TestSortFileMultiRunMultiPass(t *testing.T) {
-	dev := newDev(t)
-	rng := rand.New(rand.NewSource(42))
-	data := make([]int64, 1000)
-	for i := range data {
-		data[i] = rng.Int63n(1 << 30)
-	}
-	writeFile(t, dev, "in", data)
-	// MemElements=8 forces 125 runs; FanIn=4 forces multiple merge passes.
-	n, err := sortFile(dev, "in", "out", Config{MemElements: 8, FanIn: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1000 {
-		t.Errorf("count = %d", n)
-	}
-	got := readAll(t, dev, "out")
-	want := slices.Clone(data)
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Error("multi-pass sort output incorrect")
-	}
-	// All intermediate run files must be gone: only in and out remain.
-	if names, err := dev.List(""); err != nil || !slices.Equal(names, []string{"in", "out"}) {
-		t.Errorf("run files not cleaned up: device holds %v (err %v)", names, err)
-	}
-}
-
-func TestSortFileConfigValidation(t *testing.T) {
-	dev := newDev(t)
-	writeFile(t, dev, "in", []int64{1})
-	if _, err := sortFile(dev, "in", "out", Config{MemElements: 0}); err == nil {
-		t.Error("want error for MemElements=0")
-	}
-	if _, err := sortFile(dev, "in", "out", Config{MemElements: 4}); err == nil {
-		t.Error("want error for MemElements below one block")
-	}
-}
-
+// TestMergeFiles: the merge every level merge runs yields the sorted union
+// of its inputs with sequential I/O only (Lemma 6).
 func TestMergeFiles(t *testing.T) {
 	dev := newDev(t)
 	writeFile(t, dev, "a", []int64{1, 3, 5})
 	writeFile(t, dev, "b", []int64{2, 4, 6})
-	if err := MergeFiles(dev, []string{"a", "b"}, "out"); err != nil {
-		t.Fatal(err)
+	before := dev.Stats()
+	mergeFiles(t, dev, []string{"a", "b"}, "out")
+	if d := dev.Stats().Sub(before); d.RandReads != 0 || d.SeqReads == 0 {
+		t.Errorf("merge did %+v; want sequential reads only", d)
 	}
 	if got := readAll(t, dev, "out"); !slices.Equal(got, []int64{1, 2, 3, 4, 5, 6}) {
 		t.Errorf("got %v", got)
-	}
-}
-
-func TestSortedStream(t *testing.T) {
-	dev := newDev(t)
-	rng := rand.New(rand.NewSource(7))
-	data := make([]int64, 500)
-	for i := range data {
-		data[i] = rng.Int63n(1000)
-	}
-	orig := slices.Clone(data)
-	src, cleanup, err := SortedStream(dev, data, Config{MemElements: 16, FanIn: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	var got []int64
-	for {
-		v, ok, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, v)
-	}
-	want := slices.Clone(data)
-	slices.Sort(want)
-	if len(got) != 500 {
-		t.Errorf("count = %d", len(got))
-	}
-	if !slices.Equal(got, want) {
-		t.Error("SortedStream output incorrect")
-	}
-	if !slices.Equal(data, orig) {
-		t.Error("SortedStream changed the batch it sorted")
-	}
-}
-
-// Property: external sort is equivalent to slices.Sort for any input.
-func TestQuickSortFile(t *testing.T) {
-	dev := newDev(t)
-	idx := 0
-	f := func(data []int64) bool {
-		idx++
-		in := "qin"
-		out := "qout"
-		w, err := dev.Create(in)
-		if err != nil {
-			return false
-		}
-		if err := w.AppendSlice(data); err != nil {
-			return false
-		}
-		if err := w.Close(); err != nil {
-			return false
-		}
-		if _, err := sortFile(dev, in, out, Config{MemElements: 8, FanIn: 3}); err != nil {
-			return false
-		}
-		got := readAll(t, dev, out)
-		want := slices.Clone(data)
-		slices.Sort(want)
-		return slices.Equal(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSortFileIsSequentialIOOnly(t *testing.T) {
-	dev := newDev(t)
-	rng := rand.New(rand.NewSource(3))
-	data := make([]int64, 300)
-	for i := range data {
-		data[i] = rng.Int63()
-	}
-	writeFile(t, dev, "in", data)
-	before := dev.Stats()
-	if _, err := sortFile(dev, "in", "out", Config{MemElements: 16, FanIn: 4}); err != nil {
-		t.Fatal(err)
-	}
-	d := dev.Stats().Sub(before)
-	if d.RandReads != 0 {
-		t.Errorf("external sort made %d random reads; want 0 (Lemma 6 requires sequential I/O)", d.RandReads)
 	}
 }

@@ -109,10 +109,6 @@ func (s *Sketch) MemoryBytes() int64 {
 	return int64(cap(s.tuples)+cap(s.scratch))*24 + int64(cap(s.pending)+cap(s.sortBuf))*8
 }
 
-// MaxMemoryBytes estimates the peak memory footprint: no buffer shrinks, so
-// it is MemoryBytes.
-func (s *Sketch) MaxMemoryBytes() int64 { return s.MemoryBytes() }
-
 // Reset empties the sketch, keeping its parameters. Used at the end of each
 // time step when the batch is loaded into the warehouse (StreamReset,
 // Algorithm 4).

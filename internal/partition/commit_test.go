@@ -12,7 +12,7 @@ import (
 // them — and disappear right after it.
 func TestCommitDefersRemovals(t *testing.T) {
 	dev := newDev(t)
-	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16, SpillBatches: true})
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SpillBatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCommitDefersRemovals(t *testing.T) {
 	}
 
 	// The committed state must load, and loading must not touch live files.
-	s2, err := LoadStore(dev, "MANIFEST.json", Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16})
+	s2, err := LoadStore(dev, "MANIFEST.json", Config{Kappa: 2, Eps1: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCollectOrphans(t *testing.T) {
 	write("part-000007.dat")      // referenced: must stay
 	write("part-000099.dat")      // unreferenced partition: orphan
 	write("batch-raw-000099.dat") // spill: orphan
-	write("sort-000099-0")        // external-sort temp: orphan
+	write("sort-000099-0")        // an earlier build's sort run: orphan
 	write("pmerge-000099-r0.tmp") // parallel-merge run: orphan
 	write("unrelated.bin")        // foreign file: must stay
 	if err := dev.WriteMeta("MANIFEST.json", []byte("{}")); err != nil {

@@ -100,10 +100,10 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// tempFilePatterns matches the transient files an install creates and a
-// crash can strand: external-sort temporaries, the raw batch spills and
-// pmerge-* temporaries of earlier builds, and interrupted metadata temp
-// files. Any match is removable debris once no install is in flight.
+// tempFilePatterns matches the transient files a crash can strand:
+// interrupted metadata temp files, and the external-sort runs, raw batch
+// spills and pmerge-* temporaries of earlier builds. Any match is removable
+// debris once no install is in flight.
 var tempFilePatterns = []string{
 	"batch-raw-*.dat",
 	"sort-*",

@@ -77,7 +77,7 @@ func TestStoreMemBackend(t *testing.T) {
 	if err := s.Commit("MANIFEST.json"); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := LoadStore(dev, "MANIFEST.json", Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16})
+	s2, err := LoadStore(dev, "MANIFEST.json", Config{Kappa: 2, Eps1: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

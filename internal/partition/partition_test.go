@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"path"
 	"slices"
 	"sort"
 	"testing"
@@ -22,7 +23,7 @@ func newDev(t *testing.T) *disk.Manager {
 
 func newStore(t *testing.T, dev *disk.Manager, kappa int, eps1 float64) *Store {
 	t.Helper()
-	s, err := NewStore(dev, Config{Kappa: kappa, Eps1: eps1, SortMemElements: 1 << 16})
+	s, err := NewStore(dev, Config{Kappa: kappa, Eps1: eps1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,25 +256,51 @@ func TestInvariantMaxKappa(t *testing.T) {
 	}
 }
 
-func TestExternalSortPath(t *testing.T) {
-	dev := newDev(t)
-	s, err := NewStore(dev, Config{Kappa: 3, Eps1: 0.1, SortMemElements: 16, SpillBatches: true})
+// TestInstallLargeStepInMemory installs a step of 2²⁰+1 values, three times
+// the largest step a figure writes. It is sorted in memory like every step:
+// its partition is the sorted step, the install's device I/O is its load —
+// the partition write — and no file but the partition is opened.
+func TestInstallLargeStepInMemory(t *testing.T) {
+	dev, err := disk.NewManagerOn(disk.NewMemBackend(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(37))
-	data := make([]int64, 500) // forces external sort (> 16)
+	data := make([]int64, 1<<20+1)
 	for i := range data {
-		data[i] = rng.Int63n(1 << 30)
+		data[i] = rng.Int63n(1<<40) - 1<<39
 	}
-	if _, err := s.AddBatch(data, 1); err != nil {
-		t.Fatal(err)
-	}
-	got := readPartition(t, s.Entries()[0].Part)
 	want := slices.Clone(data)
 	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Error("external-sort partition incorrect")
+
+	var opened []string
+	dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpOpen {
+			opened = append(opened, name)
+		}
+		return nil
+	})
+	s.Seal(data, nil)
+	before := dev.Stats()
+	bd, step, err := s.InstallOne()
+	if err != nil || step != 1 {
+		t.Fatalf("InstallOne = step %d, %v; want step 1", step, err)
+	}
+	if io := dev.Stats().Sub(before); io != bd.LoadIO || io.SeqWrites == 0 {
+		t.Errorf("install did %+v, its load %+v; want the partition write to be all of it", io, bd.LoadIO)
+	}
+	dev.SetFault(nil)
+	for _, name := range opened {
+		if ok, _ := path.Match("part-*.dat", path.Base(name)); !ok {
+			t.Errorf("install opened %s; want its partition alone", name)
+		}
+	}
+	if got := readPartition(t, s.Entries()[0].Part); !slices.Equal(got, want) {
+		t.Error("partition differs from the sorted step")
 	}
 }
 
@@ -609,7 +636,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestUpdateBreakdownAccounting(t *testing.T) {
 	dev := newDev(t)
-	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.25, SortMemElements: 1 << 16, SpillBatches: true})
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.25, SpillBatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}

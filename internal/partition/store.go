@@ -14,17 +14,15 @@ import (
 	"repro/internal/radix"
 )
 
-// Config parametrizes a Store.
+// Config parametrizes a Store. There is no sort-memory bound: an install
+// sorts its step in memory with one transient scratch of the step's size, so
+// a step of n values briefly holds 2n, and the sort does no device I/O.
 type Config struct {
 	// Kappa is the merge threshold κ (> 1): each level holds at most κ
 	// partitions; a level past it merges its oldest κ+1 into one a level up.
 	Kappa int
 	// Eps1 is the historical summary parameter ε₁ = ε/2 (Algorithm 1).
 	Eps1 float64
-	// SortMemElements bounds a step's sort memory: up to it, the step is
-	// sorted in place with one scratch of its size; a larger one goes to the
-	// external sort, whose run buffer and scratch share it. Default 1M.
-	SortMemElements int
 	// SpillBatches is ignored. A sealed step is written once, as its level-0
 	// partition; the field stays so existing callers compile.
 	SpillBatches bool
@@ -47,9 +45,6 @@ func (c *Config) validate() error {
 	if err := ValidateEps1(c.Eps1); err != nil {
 		return fmt.Errorf("partition: %w", err)
 	}
-	if c.SortMemElements <= 0 {
-		c.SortMemElements = 1 << 20
-	}
 	return nil
 }
 
@@ -65,12 +60,12 @@ func (c Config) Beta1() int {
 // UpdateBreakdown reports where one time step's update spent its time and
 // I/O, split into the paper's four phases (Figure 6/7): loading the step —
 // the write of its level-0 partition, the step's one trip to the device —
-// sorting it (CPU time for a step sorted in memory, the run passes for one
-// sorted externally), merging overflowing levels, and summary maintenance.
-// InstallOne fills every phase but the merge; a merge's I/O is MergeIO.
+// sorting it (CPU time: every step is sorted in memory, so the sort does no
+// I/O), merging overflowing levels, and summary maintenance. InstallOne
+// fills every phase but the merge; a merge's I/O is MergeIO.
 type UpdateBreakdown struct {
 	Load, Sort, Merge, Summary time.Duration
-	LoadIO, SortIO, MergeIO    disk.Stats
+	LoadIO, MergeIO            disk.Stats
 	// Merges is the number of level merges this update triggered.
 	Merges int
 	// BatchSize is the number of elements the step closed.
@@ -82,7 +77,7 @@ func (u UpdateBreakdown) TotalTime() time.Duration { return u.Load + u.Sort + u.
 
 // TotalIO returns total block accesses across all phases.
 func (u UpdateBreakdown) TotalIO() uint64 {
-	return u.LoadIO.Total() + u.SortIO.Total() + u.MergeIO.Total()
+	return u.LoadIO.Total() + u.MergeIO.Total()
 }
 
 // ErrMergeIncomplete marks an AddBatch whose level-0 partition was published
@@ -164,11 +159,10 @@ func (sb *SealedBatch) MemoryBytes() int64 {
 // LoadStore) or the new manifest (whose data the first sync made durable
 // before the commit).
 //
-// Every partition file — a level-0 partition sorted in memory or by the
-// external sort, or a κ-merge — is written by writeRun over
-// extsort.WriteRun, which refuses a run that steps backwards: a partition
-// damaged on the device stops the merge that reads it (see mergeLevel), not
-// the next LoadStore.
+// Every partition file — a level-0 partition sorted in memory, or a
+// κ-merge — is written by writeRun over extsort.WriteRun, which refuses a
+// run that steps backwards: a partition damaged on the device stops the
+// merge that reads it (see mergeLevel), not the next LoadStore.
 type Store struct {
 	dev   *disk.Manager
 	cfg   Config
@@ -360,13 +354,13 @@ func (s *Store) Seal(data []int64, sketch *gk.Sketch) *SealedBatch {
 func (s *Store) Reusable(sb *SealedBatch) ([]int64, *gk.Sketch) { return sb.data, sb.sketch }
 
 // InstallOne writes the sealed step as a new level-0 partition — its one
-// write, sorted from the batch in memory (in place, so a retry finds it
-// sorted; the external sort above SortMemElements) with its summary
-// captured in flight — and publishes it by appending it to the entries. It
-// returns the installed step number, 0 when nothing was sealed or the write
-// failed (the step then stays sealed for a retry). It merges nothing (Merge
-// does) and makes nothing durable (Commit does). The caller must be the
-// store's single installer; Merge and Commit may run beside it.
+// write, the batch sorted in memory (in place, so a retry finds it sorted,
+// with one transient scratch of its size) and its summary captured in
+// flight — and publishes it by appending it to the entries. It returns the
+// installed step number, 0 when nothing was sealed or the write failed (the
+// step then stays sealed for a retry). It merges nothing (Merge does) and
+// makes nothing durable (Commit does). The caller must be the store's
+// single installer; Merge and Commit may run beside it.
 func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	sb := s.Sealed()
 	if sb == nil {
@@ -384,36 +378,20 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 		dev:       s.dev,
 		name:      fmt.Sprintf("part-%06d.dat", sb.ID),
 	}
-	// Each phase is metered on its own view: the external sort's runs, read
-	// back by the final merge as the partition is written, count as sort I/O.
 	bd := UpdateBreakdown{BatchSize: sb.Count}
-	sortDev, loadDev := s.dev.Metered(), s.dev.Metered()
 	t0 := time.Now()
-	var src extsort.Source
-	if len(sb.data) <= s.cfg.SortMemElements {
-		buf := s.sortBuf.Value()
-		if buf == nil {
-			buf = new([]int64)
-			s.sortBuf = weak.Make(buf)
-		}
-		*buf = radix.Sort(sb.data, *buf)
-		src = extsort.SliceSource(sb.data)
-	} else {
-		stream, cleanup, err := extsort.SortedStream(sortDev, sb.data, extsort.Config{
-			MemElements: s.cfg.SortMemElements,
-			TempPrefix:  fmt.Sprintf("sort-%06d", part.ID),
-		})
-		if err != nil {
-			return bd, 0, fmt.Errorf("partition: sort sealed step %d: %w", sb.Step, err)
-		}
-		defer cleanup()
-		src = stream
+	buf := s.sortBuf.Value()
+	if buf == nil {
+		buf = new([]int64)
+		s.sortBuf = weak.Make(buf)
 	}
+	*buf = radix.Sort(sb.data, *buf)
 	bd.Sort = time.Since(t0)
 
+	dev := s.dev.Metered()
 	t0 = time.Now()
-	sum, err := s.writeRun(loadDev, src, part)
-	bd.Load, bd.LoadIO, bd.SortIO = time.Since(t0), loadDev.Stats(), sortDev.Stats()
+	sum, err := s.writeRun(dev, extsort.SliceSource(sb.data), part)
+	bd.Load, bd.LoadIO = time.Since(t0), dev.Stats()
 	if err != nil {
 		return bd, 0, fmt.Errorf("partition: install sealed step %d: %w", sb.Step, err)
 	}

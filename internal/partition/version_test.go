@@ -30,7 +30,7 @@ func seqBatch(base int64, n int) []int64 {
 // releasing the pin reclaims them.
 func TestPinKeepsMergedInputsAlive(t *testing.T) {
 	dev := newDev(t)
-	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16, SpillBatches: true})
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SpillBatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPinKeepsMergedInputsAlive(t *testing.T) {
 // without them is durably committed.
 func TestReclaimWaitsForCommit(t *testing.T) {
 	dev := newDev(t)
-	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16, SpillBatches: true})
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.1, SpillBatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReclaimWaitsForCommit(t *testing.T) {
 // partition.
 func TestSealInstallRoundtrip(t *testing.T) {
 	dev := newDev(t)
-	cfg := Config{Kappa: 2, Eps1: 0.1, SortMemElements: 1 << 16}
+	cfg := Config{Kappa: 2, Eps1: 0.1}
 	s, err := NewStore(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +175,8 @@ func TestSealInstallRoundtrip(t *testing.T) {
 	if installed != 1 {
 		t.Fatalf("installed step = %d, want 1", installed)
 	}
-	if io := dev.Stats().Sub(before); io != bd.LoadIO || io.SeqWrites == 0 || bd.SortIO.Total() != 0 {
-		t.Errorf("install did %+v, its load %+v and sort %+v; want the load, a partition write, to be all of it", io, bd.LoadIO, bd.SortIO)
+	if io := dev.Stats().Sub(before); io != bd.LoadIO || io.SeqWrites == 0 {
+		t.Errorf("install did %+v, its load %+v; want the load, a partition write, to be all of it", io, bd.LoadIO)
 	}
 	if names, err := dev.List(""); err != nil || !slices.Equal(names, []string{"MANIFEST.json", "part-000000.dat"}) {
 		t.Errorf("device holds %v (%v), want the manifest and the one partition", names, err)
@@ -352,7 +352,7 @@ func TestInstallSortsInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.01, SortMemElements: 1 << 16})
+	s, err := NewStore(dev, Config{Kappa: 2, Eps1: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

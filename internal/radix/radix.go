@@ -1,6 +1,5 @@
 // Package radix is the write path's one sort kernel: an LSD radix sort of
-// int64 keys, the sort of GK's insert buffer, of a step's level-0 batch and
-// of the external sort's runs.
+// int64 keys, the sort of GK's insert buffer and of a step's level-0 batch.
 //
 // Each key is read as its sign-flipped uint64, which orders like the int64,
 // in eight 8-bit digits. One counting pass fills all eight histograms; a

@@ -75,81 +75,70 @@ func checkAgainstOracle(t *testing.T, eng oracleQuerier, all []int64, label stri
 	}
 }
 
-// TestEachStepWrittenOnce pins a step's one write on both sort paths: no
-// EndStep creates a raw spill (the fault hook fails any that tries), and
-// before any merge is due each step's sequential block writes are its
-// level-0 partition's — one per block and one for the footer — plus, when
-// SortMemElements is one block (64) and the external sort takes the step,
-// the sorted runs it cuts from the batch, temporaries that are gone once the
-// EndStep returns. The subtests keep the name of the one maintenance
-// schedule left, "sync", so their ids carry over.
+// TestEachStepWrittenOnce pins a step's one write: no EndStep creates a raw
+// spill (the fault hook fails any that tries), and before any merge is due
+// each step's sequential block writes are its level-0 partition's — one per
+// block and one for the footer — and nothing else. The subtest's name is
+// kept so its id carries over.
 func TestEachStepWrittenOnce(t *testing.T) {
-	for _, sortMem := range []int{0, 64} {
-		t.Run(fmt.Sprintf("sync/sortmem=%d", sortMem), func(t *testing.T) {
-			cfg := maintConfig()
-			cfg.BlockSize, cfg.SortMemElements = 512, sortMem
-			eng := OneStream(t, cfg)
-			var mu sync.Mutex
-			writes := make(map[string]int) // sequential block writes, by file-name prefix
-			eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
-				base := path.Base(name)
-				if op == disk.OpOpen && strings.HasPrefix(base, "batch-raw-") {
-					return fmt.Errorf("raw spill %s created", name)
-				}
-				if op == disk.OpSeqWrite {
-					kind, _, _ := strings.Cut(base, "-")
-					mu.Lock()
-					writes[kind]++
-					mu.Unlock()
-				}
-				return nil
-			})
-			gen := workload.NewUniform(42)
-			for step := 1; step <= 12; step++ {
-				mu.Lock()
-				clear(writes)
-				mu.Unlock()
-				eng.ObserveSlice(workload.Fill(gen, 700))
-				if _, err := eng.EndStep(); err != nil {
-					t.Fatalf("EndStep %d: %v", step, err)
-				}
-				if step > 3 {
-					continue // κ=3: merges come due from step 4 on
-				}
-				ents := engineOf(t, eng).store.Entries()
-				r, err := ents[len(ents)-1].Part.OpenRandom()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := map[string]int{"part": int(r.Blocks()) + 1}
-				r.Close() //nolint:errcheck // read-only
-				mu.Lock()
-				got := maps.Clone(writes)
-				mu.Unlock()
-				if sortMem > 0 {
-					if got["sort"] == 0 {
-						t.Errorf("step %d cut no sort runs with a one-block sort memory", step)
-					}
-					want["sort"] = got["sort"]
-				}
-				if !maps.Equal(got, want) {
-					t.Errorf("step %d wrote %v, want its partition's %d blocks and footer alone", step, got, want["part"]-1)
-				}
+	t.Run("sync/sortmem=0", func(t *testing.T) {
+		cfg := maintConfig()
+		cfg.BlockSize = 512
+		eng := OneStream(t, cfg)
+		var mu sync.Mutex
+		writes := make(map[string]int) // sequential block writes, by file-name prefix
+		eng.db.dev.SetFault(func(op disk.Op, name string, block int64) error {
+			base := path.Base(name)
+			if op == disk.OpOpen && strings.HasPrefix(base, "batch-raw-") {
+				return fmt.Errorf("raw spill %s created", name)
 			}
-			if got := eng.Status().Installs; got != 12 {
-				t.Errorf("Installs = %d, want 12", got)
+			if op == disk.OpSeqWrite {
+				kind, _, _ := strings.Cut(base, "-")
+				mu.Lock()
+				writes[kind]++
+				mu.Unlock()
 			}
-			names, err := eng.db.dev.List("")
+			return nil
+		})
+		gen := workload.NewUniform(42)
+		for step := 1; step <= 12; step++ {
+			mu.Lock()
+			clear(writes)
+			mu.Unlock()
+			eng.ObserveSlice(workload.Fill(gen, 700))
+			if _, err := eng.EndStep(); err != nil {
+				t.Fatalf("EndStep %d: %v", step, err)
+			}
+			if step > 3 {
+				continue // κ=3: merges come due from step 4 on
+			}
+			ents := engineOf(t, eng).store.Entries()
+			r, err := ents[len(ents)-1].Part.OpenRandom()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, name := range names {
-				if base := path.Base(name); strings.HasPrefix(base, "sort-") || strings.HasPrefix(base, "batch-raw-") {
-					t.Errorf("%s left on the device", name)
-				}
+			want := map[string]int{"part": int(r.Blocks()) + 1}
+			r.Close() //nolint:errcheck // read-only
+			mu.Lock()
+			got := maps.Clone(writes)
+			mu.Unlock()
+			if !maps.Equal(got, want) {
+				t.Errorf("step %d wrote %v, want its partition's %d blocks and footer alone", step, got, want["part"]-1)
 			}
-		})
-	}
+		}
+		if got := eng.Status().Installs; got != 12 {
+			t.Errorf("Installs = %d, want 12", got)
+		}
+		names, err := eng.db.dev.List("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if base := path.Base(name); strings.HasPrefix(base, "sort-") || strings.HasPrefix(base, "batch-raw-") {
+				t.Errorf("%s left on the device", name)
+			}
+		}
+	})
 }
 
 // TestSyncInstallBlocksNobody parks a synchronous EndStep inside its install
