@@ -212,7 +212,8 @@ type Answer struct {
 
 // MemoryUsage breaks down a stream's summary memory (Observation 1).
 type MemoryUsage struct {
-	// HistBytes is the historical summary HS (Lemma 8).
+	// HistBytes is the historical summary HS (Lemma 8) as held: 8 bytes an
+	// entry, as positions are derived. Plan charges 16 (see its doc).
 	HistBytes int64
 	// StreamBytes is the live GK sketch (Lemma 9).
 	StreamBytes int64

@@ -187,8 +187,9 @@ func countLE(vals []int64, lo, hi int, v int64) int {
 //
 // where α_{S_j} (resp. α_P) counts summary elements ≤ v from stream piece j
 // (resp. partition P) and b_j = 1 iff α_{S_j} > 0. With a single piece this
-// is exactly the paper's bound; each extra sealed-batch piece contributes
-// its own independent ε₂·m_j band.
+// is exactly the paper's bound. A version holds at most one sealed step, so
+// further pieces come from other shards, and each contributes its own
+// independent ε₂·m_j band.
 type rankSums struct{ histL, histU, streamL, streamU int64 }
 
 // add accounts for a run with alpha elements ≤ v.

@@ -37,9 +37,9 @@ type ShardSummary struct {
 // PartSummary is the portable form of one partition summary: the element
 // count, the time steps the partition covers, and the β₁ captured values.
 // The step range is what lets a decoded summary be narrowed to a query scope
-// and checked against a store manifest (the cold-summary sidecar); capture
-// positions are omitted — they only matter for disk probes, which never
-// cross shards.
+// and checked against a store manifest (the cold-summary sidecar). Capture
+// positions are not carried: each follows from Count and the shard's ε₁
+// (Algorithm 2), and only disk probes, which never cross shards, use them.
 type PartSummary struct {
 	Count              int64
 	StartStep, EndStep int

@@ -17,7 +17,8 @@ import (
 // A block read returns a checked, undecoded disk.Frame, and a probe decodes
 // only the bracket's share of the block — one summary gap, not the block —
 // into one buffer the cursor reuses, starting at a block start or at the
-// seeded lo = Pos[i]+1 with the summary's Values[i] as its predecessor.
+// seeded lo one past summary entry i's position (derived from the
+// partition's count and ε₁, Summary.pos) with Values[i] as its predecessor.
 //
 // When the candidate range fits inside one disk block, the frame is pinned
 // in memory and subsequent probes cost no I/O — the paper's §2.4
@@ -91,7 +92,8 @@ func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64) {
 		return c.win[a-c.winLo : b-c.winLo], a
 	}
 	// Rank moves lo only to block starts, so a run starts mid-block only at
-	// the seeded lo = Pos[i]+1, whose predecessor the summary holds.
+	// the seeded lo, one past an entry's derived position, whose
+	// predecessor the summary holds.
 	prev, ok := c.summaryAt(a - 1)
 	if !ok && a > base {
 		panic(fmt.Sprintf("partition: bracket starts at element %d, which follows no summary entry", a))
@@ -108,8 +110,8 @@ func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64) {
 // captured it.
 func (c *Cursor) summaryAt(pos int64) (int64, bool) {
 	s := c.sum
-	i := sort.Search(len(s.Pos), func(i int) bool { return s.Pos[i] >= pos })
-	if i == len(s.Pos) || s.Pos[i] != pos {
+	i := sort.Search(len(s.Values), func(i int) bool { return s.pos(i) >= pos })
+	if i == len(s.Values) || s.pos(i) != pos {
 		return 0, false
 	}
 	return s.Values[i], true

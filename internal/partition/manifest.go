@@ -234,7 +234,7 @@ func rebuildSummary(p *Partition, eps1 float64, beta1 int) (*Summary, error) {
 	if r.Count() != p.Count {
 		return nil, fmt.Errorf("partition: %s has %d elements on disk, manifest says %d", p.name, r.Count(), p.Count)
 	}
-	cap := newCapture(p.Count, eps1, beta1)
+	cap := newCapture(p, eps1, beta1)
 	prev := int64(0)
 	first := true
 	for {
@@ -251,5 +251,5 @@ func rebuildSummary(p *Partition, eps1 float64, beta1 int) (*Summary, error) {
 		prev, first = v, false
 		cap.feed(v)
 	}
-	return cap.summary(p)
+	return cap.summary()
 }

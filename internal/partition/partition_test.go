@@ -76,10 +76,62 @@ func TestBeta1(t *testing.T) {
 	}
 }
 
+// capturePositions lists capturePos for entries 0..beta1-1.
+func capturePositions(eta int64, eps1 float64, beta1 int) []int64 {
+	pos := make([]int64, beta1)
+	for i := range pos {
+		pos[i] = capturePos(i, eta, eps1)
+	}
+	return pos
+}
+
+// referencePositions is the slice builder summaries once stored their
+// positions from, kept as the reference capturePos must reproduce.
+func referencePositions(eta int64, eps1 float64, beta1 int) []int64 {
+	if eta <= 0 {
+		return nil
+	}
+	pos := make([]int64, 0, beta1)
+	pos = append(pos, 0)
+	for i := 1; i < beta1; i++ {
+		p := int64(float64(i)*eps1*float64(eta)) - 1
+		if p < 0 {
+			p = 0
+		}
+		if p > eta-1 {
+			p = eta - 1
+		}
+		if p < pos[len(pos)-1] {
+			p = pos[len(pos)-1]
+		}
+		pos = append(pos, p)
+	}
+	return pos
+}
+
+// TestCapturePosMatchesReference pins Algorithm 2's derived positions to the
+// stored ones they replace, entry for entry, so every bracket and block read
+// stays where it was.
+func TestCapturePosMatchesReference(t *testing.T) {
+	epss := []float64{0.5, 0.3, 0.25, 0.1, 0.05, 0.025, 0.01, 0.0005, 1.0 / 3000, 0.000123}
+	etas := []int64{1, 2, 3, 7, 100, 199, 200, 999, 1000, 1999, 2000, 2001, 3999, 4000, 4001, 8191, 57000, 1<<20 + 1}
+	for _, eps1 := range epss {
+		beta1 := (Config{Eps1: eps1}).Beta1()
+		for _, eta := range etas {
+			ref := referencePositions(eta, eps1, beta1)
+			for i, want := range ref {
+				if got := capturePos(i, eta, eps1); got != want {
+					t.Fatalf("ε₁=%g η=%d: capturePos(%d) = %d, reference %d", eps1, eta, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSummaryPositionsMatchPaperExample(t *testing.T) {
 	// Figure 3: η=100, ε₁=1/4 → summary elements at ranks 1,25,50,75,100,
 	// i.e. zero-based positions 0,24,49,74,99.
-	pos := summaryPositions(100, 0.25, 5)
+	pos := capturePositions(100, 0.25, 5)
 	want := []int64{0, 24, 49, 74, 99}
 	if !slices.Equal(pos, want) {
 		t.Errorf("positions = %v, want %v", pos, want)
@@ -87,7 +139,7 @@ func TestSummaryPositionsMatchPaperExample(t *testing.T) {
 }
 
 func TestSummaryPositionsTinyPartition(t *testing.T) {
-	pos := summaryPositions(2, 0.25, 5)
+	pos := capturePositions(2, 0.25, 5)
 	if len(pos) != 5 {
 		t.Fatalf("len = %d", len(pos))
 	}
@@ -128,8 +180,8 @@ func TestAddBatchSingle(t *testing.T) {
 		t.Errorf("partition = %v", got)
 	}
 	// Summary values must be the elements at the exact positions.
-	for i, p := range sums[0].Pos {
-		if sums[0].Values[i] != want[p] {
+	for i := range sums[0].Values {
+		if p := sums[0].pos(i); sums[0].Values[i] != want[p] {
 			t.Errorf("summary[%d] = %d, element at pos %d is %d", i, sums[0].Values[i], p, want[p])
 		}
 	}
@@ -323,9 +375,9 @@ func TestSummaryExactRanks(t *testing.T) {
 	for _, e := range s.Entries() {
 		part := readPartition(t, e.Part)
 		for i := range e.Values {
-			if e.Values[i] != part[e.Pos[i]] {
+			if p := e.pos(i); e.Values[i] != part[p] {
 				t.Fatalf("summary value %d at pos %d disagrees with partition element %d",
-					e.Values[i], e.Pos[i], part[e.Pos[i]])
+					e.Values[i], p, part[p])
 			}
 		}
 		if e.Values[0] != part[0] {
@@ -335,7 +387,7 @@ func TestSummaryExactRanks(t *testing.T) {
 }
 
 func TestCountLE(t *testing.T) {
-	s := &Summary{Values: []int64{1, 25, 50, 75, 100}, Pos: []int64{0, 24, 49, 74, 99}}
+	s := &Summary{Values: []int64{1, 25, 50, 75, 100}}
 	cases := []struct {
 		x    int64
 		want int
@@ -349,7 +401,7 @@ func TestCountLE(t *testing.T) {
 
 func TestBracket(t *testing.T) {
 	p := &Partition{Count: 100}
-	s := &Summary{Part: p, Values: []int64{1, 25, 50, 75, 100}, Pos: []int64{0, 24, 49, 74, 99}}
+	s := &Summary{Part: p, Values: []int64{1, 25, 50, 75, 100}, eps1: 0.25}
 	// u=30, v=60: largest value ≤ 30 is 25 at pos 24 → lo=25; smallest value
 	// > 60 is 75 at pos 74 → hi=74.
 	lo, hi := s.Bracket(30, 60)
@@ -618,10 +670,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	if loaded.PartitionCount() != s.PartitionCount() {
 		t.Errorf("partitions %d vs %d", loaded.PartitionCount(), s.PartitionCount())
 	}
-	// Summaries rebuilt identically.
+	// Summaries rebuilt identically: the same values under the same ε₁ (with
+	// the same count, the same positions).
 	a, b := s.Entries(), loaded.Entries()
 	for i := range a {
-		if !slices.Equal(a[i].Values, b[i].Values) || !slices.Equal(a[i].Pos, b[i].Pos) {
+		if !slices.Equal(a[i].Values, b[i].Values) || a[i].eps1 != b[i].eps1 {
 			t.Errorf("summary %d differs after reload", i)
 		}
 	}

@@ -444,7 +444,7 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 // part.Count elements long is an error; the file it leaves is overwritten by
 // the retry, like any failed install's.
 func (s *Store) writeRun(dev *disk.Manager, src extsort.Source, part *Partition) (*Summary, error) {
-	cap := newCapture(part.Count, s.cfg.Eps1, s.beta1)
+	cap := newCapture(part, s.cfg.Eps1, s.beta1)
 	n, err := extsort.WriteRun(dev, part.name, src, cap.feed)
 	if err != nil {
 		return nil, err
@@ -452,7 +452,7 @@ func (s *Store) writeRun(dev *disk.Manager, src extsort.Source, part *Partition)
 	if n != part.Count {
 		return nil, fmt.Errorf("partition: %s was written with %d elements, expected %d", part.name, n, part.Count)
 	}
-	return cap.summary(part)
+	return cap.summary()
 }
 
 // mergeLevel multi-way merges a run of one level's partitions, oldest first,

@@ -5,80 +5,70 @@ import "fmt"
 // Summary is the in-memory summary HSᵢ of one partition (Algorithm 2):
 // β₁ elements whose ranks within the partition are known exactly. Values[0]
 // is the partition minimum; Values[i] for i ≥ 1 is the element at rank
-// ⌈i·ε₁·η⌉ (position i·ε₁·η − 1 in the zero-based sorted order), clamped to
-// the last element. Pos records each value's zero-based position, exactly as
-// the paper's summaries carry "a pointer to the on-disk address": a query's
-// bracket starts at Pos[i]+1, and a Cursor decodes its block from there with
+// ⌊i·ε₁·η⌋, clamped to the partition. Its position, the paper's "pointer to
+// the on-disk address", is derived (pos), not stored: a query's bracket
+// starts one past it, and a Cursor decodes its block from there with
 // Values[i] as the predecessor the delta encoding needs, so a probe costs one
 // summary gap, not a block.
 type Summary struct {
 	Part   *Partition
 	Values []int64
-	Pos    []int64
+	eps1   float64
 }
 
-// MemoryBytes is the footprint of the summary: 16 bytes per entry (value +
-// position).
-func (s *Summary) MemoryBytes() int64 { return int64(len(s.Values)) * 16 }
+// MemoryBytes is the footprint of the summary: 8 bytes per entry (value).
+func (s *Summary) MemoryBytes() int64 { return int64(len(s.Values)) * 8 }
 
-// summaryPositions returns the β₁ capture positions for a partition of size
-// eta under parameter eps1 (the zero-based indexes of Algorithm 2's chosen
-// elements). Positions are non-decreasing; the first is always 0.
-func summaryPositions(eta int64, eps1 float64, beta1 int) []int64 {
-	if eta <= 0 {
-		return nil
+// pos returns the zero-based partition position of entry i.
+func (s *Summary) pos(i int) int64 { return capturePos(i, s.Part.Count, s.eps1) }
+
+// capturePos is Algorithm 2's capture rule: the zero-based position of entry
+// i in a sorted partition of eta elements, 0 for i = 0 and ⌊i·ε₁·η⌋ − 1
+// clamped to [0, η−1] after. It is non-decreasing in i.
+func capturePos(i int, eta int64, eps1 float64) int64 {
+	if i == 0 {
+		return 0
 	}
-	pos := make([]int64, 0, beta1)
-	pos = append(pos, 0)
-	for i := 1; i < beta1; i++ {
-		p := int64(float64(i)*eps1*float64(eta)) - 1
-		if p < 0 {
-			p = 0
-		}
-		if p > eta-1 {
-			p = eta - 1
-		}
-		if p < pos[len(pos)-1] {
-			p = pos[len(pos)-1]
-		}
-		pos = append(pos, p)
-	}
-	return pos
+	p := int64(float64(i)*eps1*float64(eta)) - 1
+	return min(max(p, 0), eta-1)
 }
 
 // capture incrementally extracts a Summary while a sorted partition streams
 // past (during batch sorting or partition merging), so summary construction
 // costs zero additional disk accesses.
 type capture struct {
-	positions []int64
-	values    []int64
-	next      int
-	idx       int64
+	sum     Summary
+	next    int   // the next entry to fill
+	at, idx int64 // its position; the next element's
 }
 
-// newCapture prepares a capture for a partition of known size eta.
-func newCapture(eta int64, eps1 float64, beta1 int) *capture {
-	pos := summaryPositions(eta, eps1, beta1)
-	return &capture{positions: pos, values: make([]int64, len(pos))}
+// newCapture prepares a capture for partition p, whose Count is known.
+func newCapture(p *Partition, eps1 float64, beta1 int) *capture {
+	c := &capture{sum: Summary{Part: p, eps1: eps1}}
+	if p.Count > 0 {
+		c.sum.Values = make([]int64, beta1)
+	}
+	return c
 }
 
 // feed observes the next element of the sorted stream.
 func (c *capture) feed(v int64) {
-	for c.next < len(c.positions) && c.positions[c.next] == c.idx {
-		c.values[c.next] = v
+	for c.next < len(c.sum.Values) && c.at == c.idx {
+		c.sum.Values[c.next] = v
 		c.next++
+		c.at = c.sum.pos(c.next)
 	}
 	c.idx++
 }
 
-// summary finalizes the capture for partition p. It returns an error if the
-// stream was shorter than announced (positions not all filled).
-func (c *capture) summary(p *Partition) (*Summary, error) {
-	if c.next != len(c.positions) {
+// summary finalizes the capture. It returns an error if the stream was
+// shorter than announced (positions not all filled).
+func (c *capture) summary() (*Summary, error) {
+	if c.next != len(c.sum.Values) {
 		return nil, fmt.Errorf("partition: summary capture incomplete: %d/%d positions filled after %d elements",
-			c.next, len(c.positions), c.idx)
+			c.next, len(c.sum.Values), c.idx)
 	}
-	return &Summary{Part: p, Values: c.values, Pos: c.positions}, nil
+	return &c.sum, nil
 }
 
 // CountLE returns the number of summary entries with value ≤ x — the α_P of
@@ -107,12 +97,12 @@ func (s *Summary) Bracket(u, v int64) (lo, hi int64) {
 	// Largest summary entry with value <= u.
 	i := s.CountLE(u) - 1
 	if i >= 0 {
-		lo = s.Pos[i] + 1
+		lo = s.pos(i) + 1
 	}
 	// Smallest summary entry with value > v.
 	j := s.CountLE(v)
 	if j < len(s.Values) {
-		hi = s.Pos[j]
+		hi = s.pos(j)
 	}
 	if lo > hi {
 		// Can happen when duplicates collapse positions; the boundary is

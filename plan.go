@@ -16,7 +16,10 @@ import (
 //	SS(ε) = 24 bytes · tuples(ε/8, m)                        (Lemma 9)
 //
 // where tuples(e, m) = (1/(2e))·max(1, log₂(2·e·m)) is the Greenwald-Khanna
-// worst-case size at the sketch's internal parameter ε₂/2 = ε/8.
+// worst-case size at the sketch's internal parameter ε₂/2 = ε/8. HS charges
+// an entry 16 bytes, the paper's value plus disk address, though a held
+// summary derives the address and measures 8: the constant fixes the ε every
+// budget-driven figure runs at.
 //
 // Plan returns the smallest ε (highest accuracy) whose planned HS and SS
 // each fit in half the budget. streamSize is the per-step stream size m and
