@@ -288,10 +288,14 @@
 // — and Lemma 2 defines L(v) and U(v) as sums over the summaries of
 // α(v) = |{elements ≤ v}|, so core.Combined keeps the k sorted partition
 // and stream-piece summaries as they are (an O(k) constructor) and selects
-// over them by bisecting the value space with one binary search per run and
-// probe: about k·log β comparisons per selection, O(k) scratch, nothing per
-// entry, and nothing cached per store version. Every run must be sorted
-// ascending; a peer's shard summary that is not is refused at decode.
+// among their values with probes aimed at the target's rank: one binary
+// search per run whose bracket still holds candidates, the first probe the
+// mass-weighted median of each run's element at the target's fraction,
+// the later ones regula falsi, with a midpoint whenever two probes fail to
+// halve the candidates. About 7 probes per selection on a fleet group
+// (~200 runs of 2 001 values), O(k) scratch, nothing per entry, and
+// nothing cached per store version. Every run must be sorted ascending; a
+// peer's shard summary that is not is refused at decode.
 // A rank-of-value request reads partitions and stream pieces only.
 //
 // A request's quantile targets are answered in one shared value-space

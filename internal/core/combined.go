@@ -2,15 +2,16 @@
 // summaries (HS), the stream summary (SS), and the on-disk partition store:
 // the rank bounds L/U of the combined summary TS (Lemma 2), the quick
 // response (Algorithm 5), filter generation (Algorithm 7) and the accurate
-// response's value-space bisection with per-partition disk searches
+// response's value-space sweep with per-partition disk searches
 // (Algorithms 6 and 8).
 //
 // TS is never built. The paper only asks it for point selections — the
 // smallest value with L ≥ r, the largest with U ≤ r — and Lemma 2 defines
 // L(v) and U(v) as sums over the summaries of α(v) = |{elements ≤ v}|, one
 // binary search per summary. Combined therefore keeps the sorted summaries
-// as they are handed to it and answers by bisecting the value space over
-// them: O(k·log β) per probe for k summaries of β elements, O(k) scratch.
+// as they are handed to it and selects among their values with probes aimed
+// at the target's rank (cross): O(k·log β) per probe for k summaries of β
+// elements, a handful of probes per selection, O(k) scratch.
 // The precondition is that every summary is sorted ascending; summaries
 // built here are, and DecodeShardSummary refuses one from a peer or a
 // SUMMARY.bin that is not.
@@ -224,59 +225,225 @@ func (c *Combined) boundsAt(v int64) (l, u float64) {
 	return s.bounds(c.eps1, c.eps2)
 }
 
-// cross finds where reached — a predicate on (L(v), U(v)), monotone in v
-// because both bounds are — turns true. It returns the largest summary
-// value reached does not hold on and the smallest it holds on; where one
-// does not exist the other, then a global extreme, stands in for it.
+// cross finds where a Lemma 2 bound of TS first reaches the target r: the
+// smallest summary value v with U(v) > r when upper is set, else with
+// L(v) ≥ r. Both bounds are monotone in v. It returns the largest summary
+// value the test fails on (below) and the smallest it holds on (at); where
+// one does not exist the other, then a global extreme, stands in for it.
+// probes counts the probes, each one binary search per run still searched.
 //
-// It bisects the value space between the global extremes. Every run keeps
-// the bracket of its indices that the value bracket still spans, so a probe
-// is one binary search per run over a bracket that shrinks as the search
-// goes: about k·log β comparisons until the brackets are empty, then one
-// per run per probe.
-func (c *Combined) cross(reached func(l, u float64) bool) (below, at int64) {
-	// Invariant: reached is false at lo and true at hi; a[i] and b[i] count
-	// run i's elements ≤ lo and ≤ hi.
-	lo, hi := c.minV, c.maxV
-	k := len(c.runs)
-	scratch := make([]int, 3*k)
-	a, b, mid := scratch[:k], scratch[k:2*k], scratch[2*k:]
-	var sa, sb rankSums
+// The bounds change only at summary values, so cross selects among them:
+// the candidates are the values above lo, where the test fails, and up to
+// hi, where it holds, and every run keeps the bracket of its indices that
+// holds them. A run whose bracket empties adds the same count to every
+// later probe, so it leaves the search for a constant base. The probes aim
+// at r's fraction f of the way from the bound at lo to the bound at hi.
+// While the brackets are wide — the first probe, or wideBracket candidates
+// a run — every run nominates the element f into its bracket and the probe
+// is the mass-weighted median of the nominations, whatever the values'
+// distribution; narrower, it interpolates f linearly across the candidate
+// range (regula falsi). Either way the Illinois step halves the residual at
+// an end kept twice in a row, the starting ends counting as kept once, so
+// the probes close in from both sides. When two probes together fail to
+// halve the candidate count, the next is the midpoint of the candidate
+// range, so no crossing costs much more than twice a value-space bisection.
+// The search stops when every candidate is the same value.
+func (c *Combined) cross(r float64, upper bool) (below, at int64, probes int) {
+	key := func(s rankSums) float64 {
+		l, u := s.bounds(c.eps1, c.eps2)
+		if upper {
+			return u
+		}
+		return l
+	}
+	reached := func(k float64) bool { return k > r || (!upper && k == r) }
+
+	// lo starts at the global minimum and hi at the maximum; only the runs
+	// that start at the minimum have elements ≤ it to count.
+	act := make([]bracket, 0, len(c.runs))
+	count, minCand, maxCand := 0, c.maxV, c.maxV
+	var base, bottom, top rankSums
 	for i := range c.runs {
-		r := &c.runs[i]
-		a[i], b[i] = countLE(r.vals, 0, len(r.vals), lo), len(r.vals)
-		sa.add(r, a[i])
-		sb.add(r, b[i])
-	}
-	if reached(sa.bounds(c.eps1, c.eps2)) {
-		return lo, lo
-	}
-	if !reached(sb.bounds(c.eps1, c.eps2)) {
-		return hi, hi
-	}
-	for uint64(hi-lo) > 1 { // exact in uint64 even when the difference overflows int64
-		z := lo + int64(uint64(hi-lo)/2)
-		var s rankSums
-		for i := range c.runs {
-			r := &c.runs[i]
-			mid[i] = countLE(r.vals, a[i], b[i], z)
-			s.add(r, mid[i])
+		run := &c.runs[i]
+		p := bracket{run: run, b: len(run.vals)}
+		if run.vals[0] == c.minV {
+			p.a = countLE(run.vals, 0, p.b, c.minV)
 		}
-		if reached(s.bounds(c.eps1, c.eps2)) {
-			hi, b, mid = z, mid, b
-		} else {
-			lo, a, mid = z, mid, a
+		bottom.add(run, p.a)
+		top.add(run, p.b)
+		if p.a == p.b {
+			base.add(run, p.a)
+			continue
 		}
+		act = append(act, p)
+		count += p.b - p.a
+		minCand = min(minCand, run.vals[p.a])
 	}
-	// hi = lo + 1 and the bounds differ between them, so hi is a summary
-	// value; the largest one ≤ lo sits just under some run's bracket.
+	kLo, kHi := key(bottom), key(top)
+	if reached(kLo) {
+		return c.minV, c.minV, 0
+	}
+	if !reached(kHi) {
+		return c.maxV, c.maxV, 0
+	}
+	// resLo and resHi are the bound minus r at lo and hi, as the Illinois
+	// step has scaled them.
+	resLo, resHi := kLo-r, kHi-r
+	noms := make([]nomination, len(act))
 	below = c.minV
-	for i := range c.runs {
-		if a[i] > 0 {
-			below = max(below, c.runs[i].vals[a[i]-1])
+	kept := 0         // the end the last probe kept: +1 lo, -1 hi, 0 both (the start)
+	prev := 2 * count // the candidate count two probes back
+	midpoint := false
+	for minCand < maxCand {
+		var z int64
+		switch f := -resLo / (resHi - resLo); {
+		case midpoint:
+			z = minCand + int64(uint64(maxCand-minCand)/2) // exact in uint64 even when the difference overflows int64
+		case probes == 0 || count >= wideBracket*len(act):
+			z = weightedMedian(act, noms, f, c.eps1, c.eps2)
+		default:
+			z = between(minCand, maxCand, f)
+		}
+		z = min(max(z, minCand), maxCand-1)
+		probes++
+
+		s := base
+		for i := range act {
+			p := &act[i]
+			p.mid = countLE(p.run.vals, p.a, p.b, z)
+			s.add(p.run, p.mid)
+		}
+		k := key(s)
+		hit := reached(k)
+		if hit {
+			if kept >= 0 {
+				resLo /= 2
+			}
+			kept, resHi = 1, k-r
+		} else {
+			if kept <= 0 {
+				resHi /= 2
+			}
+			kept, resLo = -1, k-r
+		}
+
+		n, j := 0, 0
+		minCand, maxCand = math.MaxInt64, math.MinInt64
+		for _, p := range act {
+			if hit {
+				p.b = p.mid
+			} else {
+				p.a = p.mid
+			}
+			if p.a == p.b {
+				base.add(p.run, p.a)
+				if p.a > 0 {
+					below = max(below, p.run.vals[p.a-1])
+				}
+				continue
+			}
+			n += p.b - p.a
+			minCand, maxCand = min(minCand, p.run.vals[p.a]), max(maxCand, p.run.vals[p.b-1])
+			act[j] = p
+			j++
+		}
+		act = act[:j]
+		midpoint = 2*n > prev
+		prev, count = count, n
+	}
+	// Every candidate is at; the largest summary value ≤ lo sits just under
+	// some run's bracket.
+	for _, p := range act {
+		if p.a > 0 {
+			below = max(below, p.run.vals[p.a-1])
 		}
 	}
-	return below, hi
+	return below, minCand, probes
+}
+
+// wideBracket is the mean bracket length, in candidates a run, from which
+// a crossing's probe is a weighted median of nominations; below it an
+// element's share of its bracket is too coarse a step for f.
+const wideBracket = 8
+
+// bracket is a run's part in a crossing: vals[:a] ≤ lo < vals[a:b] ≤ hi,
+// and mid counts its elements ≤ the current probe.
+type bracket struct {
+	run       *sortedRun
+	a, b, mid int
+}
+
+// nomination is a run's element proposed for a probe, with the run's mass.
+type nomination struct {
+	v int64
+	w float64
+}
+
+// weightedMedian is a probe of a crossing aiming at the fraction f of the
+// bracketed mass: every run nominates the element f into its bracket, and
+// the probe is the smallest nomination at which the nominations' mass
+// reaches half, each run weighing its bracket's length times its elements'
+// share of the bound, ε·n. It selects in place (quickselect, three-way
+// partitions), so noms — scratch of len(act) or more — ends reordered.
+func weightedMedian(act []bracket, noms []nomination, f float64, eps1, eps2 float64) int64 {
+	noms = noms[:len(act)]
+	var total float64
+	for i, p := range act {
+		span := p.b - p.a
+		eps := eps1
+		if p.run.stream {
+			eps = eps2
+		}
+		idx := p.a + min(max(int(f*float64(span)), 0), span-1)
+		noms[i] = nomination{p.run.vals[idx], eps * float64(p.run.n) * float64(span)}
+		total += noms[i].w
+	}
+	// noms[lo:hi] holds the nominations not yet placed, acc the mass of
+	// those placed below them.
+	lo, hi, acc := 0, len(noms), 0.0
+	for {
+		pivot := noms[lo+(hi-lo)/2].v
+		lt, i, gt := lo, lo, hi
+		var below, at float64
+		for i < gt {
+			switch x := noms[i]; {
+			case x.v < pivot:
+				noms[lt], noms[i] = x, noms[lt]
+				below += x.w
+				lt++
+				i++
+			case x.v > pivot:
+				gt--
+				noms[gt], noms[i] = x, noms[gt]
+			default:
+				at += x.w
+				i++
+			}
+		}
+		switch {
+		case lt > lo && acc+below >= total/2:
+			hi = lt
+		case acc+below+at >= total/2 || gt == hi:
+			return pivot
+		default:
+			acc += below + at
+			lo = gt
+		}
+	}
+}
+
+// between returns the value a fraction t of the way from lo to hi, clamped
+// to [lo, hi−1] in float before the conversion, because the runs may hold
+// the int64 extremes.
+func between(lo, hi int64, t float64) int64 {
+	z := float64(lo) + t*(float64(hi)-float64(lo))
+	switch {
+	case !(z > float64(lo)): // NaN included
+		return lo
+	case z >= float64(hi):
+		return hi - 1
+	}
+	return min(max(int64(z), lo), hi-1)
 }
 
 // QuickQuery implements Algorithm 5: return the smallest summary value v
@@ -286,8 +453,7 @@ func (c *Combined) QuickQuery(r int64) (int64, error) {
 	if len(c.runs) == 0 {
 		return 0, fmt.Errorf("core: quick query on empty summary")
 	}
-	fr := float64(r)
-	_, v := c.cross(func(l, _ float64) bool { return l >= fr })
+	_, v, _ := c.cross(float64(r), false)
 	return v, nil
 }
 
@@ -299,9 +465,8 @@ func (c *Combined) Filters(r int64) (u, v int64, err error) {
 	if len(c.runs) == 0 {
 		return 0, 0, fmt.Errorf("core: filters on empty summary")
 	}
-	fr := float64(r)
-	u, _ = c.cross(func(_, u float64) bool { return u > fr })
-	_, v = c.cross(func(l, _ float64) bool { return l >= fr })
+	u, _, _ = c.cross(float64(r), true)
+	_, v, _ = c.cross(float64(r), false)
 	if u > v {
 		// Only possible at the clamped extremes; normalize.
 		u, v = v, u

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -680,6 +681,275 @@ func TestTieBoundsHoldOnEveryEntry(t *testing.T) {
 	}
 }
 
+// referenceCross is the selection the rank-guided cross replaced, kept as
+// its reference: it finds where reached — a predicate on (L(v), U(v)),
+// monotone in v because both bounds are — turns true by bisecting the value
+// space between the global extremes, and returns the largest summary value
+// reached does not hold on and the smallest it holds on; where one does not
+// exist the other, then a global extreme, stands in for it.
+func referenceCross(c *Combined, reached func(l, u float64) bool) (below, at int64) {
+	// Invariant: reached is false at lo and true at hi; a[i] and b[i] count
+	// run i's elements ≤ lo and ≤ hi.
+	lo, hi := c.minV, c.maxV
+	k := len(c.runs)
+	scratch := make([]int, 3*k)
+	a, b, mid := scratch[:k], scratch[k:2*k], scratch[2*k:]
+	var sa, sb rankSums
+	for i := range c.runs {
+		r := &c.runs[i]
+		a[i], b[i] = countLE(r.vals, 0, len(r.vals), lo), len(r.vals)
+		sa.add(r, a[i])
+		sb.add(r, b[i])
+	}
+	if reached(sa.bounds(c.eps1, c.eps2)) {
+		return lo, lo
+	}
+	if !reached(sb.bounds(c.eps1, c.eps2)) {
+		return hi, hi
+	}
+	for uint64(hi-lo) > 1 { // exact in uint64 even when the difference overflows int64
+		z := lo + int64(uint64(hi-lo)/2)
+		var s rankSums
+		for i := range c.runs {
+			r := &c.runs[i]
+			mid[i] = countLE(r.vals, a[i], b[i], z)
+			s.add(r, mid[i])
+		}
+		if reached(s.bounds(c.eps1, c.eps2)) {
+			hi, b, mid = z, mid, b
+		} else {
+			lo, a, mid = z, mid, a
+		}
+	}
+	// hi = lo + 1 and the bounds differ between them, so hi is a summary
+	// value; the largest one ≤ lo sits just under some run's bracket.
+	below = c.minV
+	for i := range c.runs {
+		if a[i] > 0 {
+			below = max(below, c.runs[i].vals[a[i]-1])
+		}
+	}
+	return below, hi
+}
+
+// referenceProbes runs referenceCross on cross's target and test, and
+// counts its probes as cross counts its own: the evaluations that search
+// the runs, which are all but the one at the global maximum.
+func referenceProbes(c *Combined, r float64, upper bool) (below, at int64, probes int) {
+	calls := 0
+	below, at = referenceCross(c, func(l, u float64) bool {
+		calls++
+		if upper {
+			return u > r
+		}
+		return l >= r
+	})
+	return below, at, calls - min(calls-1, 1)
+}
+
+// crossTargets are the targets a crossing is checked on over a summary of
+// n elements: the ends, below and past them, fractional ones, and random
+// ranks.
+func crossTargets(n int64, rng *rand.Rand) []float64 {
+	fn := float64(n)
+	rs := []float64{math.Inf(-1), -1, 0, 0.5, 1, 1.5, fn / 3, fn/2 + 0.25, fn - 1, fn, fn + 0.5, fn + 1, 2 * fn}
+	for len(rs) < 20 {
+		r := float64(rng.Int63n(n + 2))
+		if rng.Intn(2) == 0 {
+			r += rng.Float64()
+		}
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+// crossesLikeReference reports the first target and test on which cross
+// and referenceCross disagree.
+func crossesLikeReference(t *testing.T, c *Combined, rs []float64) bool {
+	t.Helper()
+	for _, r := range rs {
+		for _, upper := range []bool{false, true} {
+			below, at, _ := c.cross(r, upper)
+			wb, wa, _ := referenceProbes(c, r, upper)
+			if below != wb || at != wa {
+				t.Errorf("cross(%v, upper=%v) = (%d, %d), want (%d, %d)", r, upper, below, at, wb, wa)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestCrossMatchesReference is the differential test of the rank-guided
+// crossing against the bisection it replaced: bit-equal (below, at) for both
+// tests on random runs — ties, empty runs, the int64 extremes, up to 700
+// runs — and on the fleet-group shape, at ~20 targets each.
+func TestCrossMatchesReference(t *testing.T) {
+	cases := 6000
+	if testing.Short() {
+		cases = 1000
+	}
+	base := propSeed(t)
+	for i := 0; i < cases; i++ {
+		seed := base + int64(i)
+		rng := rand.New(rand.NewSource(seed))
+		sums, pieces := randomRuns(rng)
+		c := BuildPieces(sums, pieces, 0.01, 0.005)
+		if len(c.runs) == 0 {
+			continue
+		}
+		if !crossesLikeReference(t, c, crossTargets(c.N(), rng)) {
+			t.Fatalf("HSQ_PROP_SEED=%d (%d summaries, %d pieces)", seed, len(sums), len(pieces))
+		}
+	}
+	c := BuildPieces(fleetGroup(), nil, 0.0005, 0.00025)
+	if !crossesLikeReference(t, c, crossTargets(c.N(), rand.New(rand.NewSource(base)))) {
+		t.Fatal("fleet group")
+	}
+}
+
+// FuzzCross checks cross against referenceCross on arbitrary sorted runs:
+// each run takes a header byte — its length (low four bits), whether it is
+// a stream piece (bit 4), whether its values are full eight-byte words or
+// single signed bytes (bit 5) — then a byte of mass, then its values.
+func FuzzCross(f *testing.F) {
+	f.Add([]byte{3, 4, 1, 2, 3, 0x13, 9, 2, 2, 0xff}, 5.0)
+	f.Add([]byte{0x22, 1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 0, 7}, 1.5)
+	f.Fuzz(func(t *testing.T, data []byte, r float64) {
+		var sums []*partition.Summary
+		var pieces []StreamPiece
+		for len(data) >= 2 && len(sums)+len(pieces) < 64 {
+			h, mass := data[0], int64(data[1])
+			data = data[2:]
+			width := 1
+			if h&0x20 != 0 {
+				width = 8
+			}
+			n := min(int(h&0x0f), len(data)/width)
+			vs := make([]int64, n)
+			for i := range vs {
+				if width == 8 {
+					vs[i] = int64(binary.LittleEndian.Uint64(data))
+				} else {
+					vs[i] = int64(int8(data[0]))
+				}
+				data = data[width:]
+			}
+			slices.Sort(vs)
+			if h&0x10 != 0 {
+				pieces = append(pieces, StreamPiece{SS: vs, M: mass})
+			} else {
+				sums = append(sums, &partition.Summary{Part: &partition.Partition{Count: mass}, Values: vs})
+			}
+		}
+		c := BuildPieces(sums, pieces, 0.25, 0.125)
+		if len(c.runs) == 0 {
+			return
+		}
+		crossesLikeReference(t, c, []float64{r})
+	})
+}
+
+// TestCrossProbeGuard bounds the rank-guided crossing's cost: on inputs
+// built against its interpolation — values spaced 2⁰…2⁶², all-equal runs,
+// one heavy run among 700 singletons, runs of no mass under the mass, the
+// int64 extremes beside a fleet group — it probes at most twice as often as
+// the bisection, plus two; on the fleet-group shape it probes at most ten
+// times.
+func TestCrossProbeGuard(t *testing.T) {
+	part := func(count int64, vals ...int64) *partition.Summary {
+		return &partition.Summary{Part: &partition.Partition{Count: count}, Values: vals}
+	}
+	var powers, equal, heavy []*partition.Summary
+	for i := 0; i < 7; i++ {
+		var vs []int64
+		for e := i; e < 63; e += 7 {
+			vs = append(vs, 1<<e)
+		}
+		powers = append(powers, part(int64(1000*(i+1)), vs...))
+	}
+	for i := 0; i < 50; i++ {
+		equal = append(equal, part(1000, 42, 42, 42, 42, 42, 42, 42, 42))
+	}
+	heavy = append(heavy, part(100_000, benchRuns(1, 2001, 100_000)[0].Values...))
+	for i := 0; i < 700; i++ {
+		heavy = append(heavy, part(1, int64(i)*1e6))
+	}
+	// Runs of no mass below the first element that has some: the bound is
+	// flat across a thousand candidates, so no interpolation can aim.
+	massless := []*partition.Summary{part(100_000, benchRuns(1, 2001, 100_000)[0].Values...)}
+	for i := 0; i < 200; i++ {
+		massless = append(massless, part(0, int64(i), int64(200+i), int64(400+i), int64(600+i), int64(800+i)))
+	}
+	extremes := fleetGroup()
+	extremes = append(extremes, part(5000, math.MinInt64, math.MinInt64+1, 0), part(5000, 0, math.MaxInt64-1, math.MaxInt64))
+	rng := rand.New(rand.NewSource(propSeed(t)))
+	for _, tc := range []struct {
+		name   string
+		sums   []*partition.Summary
+		pieces []StreamPiece
+	}{
+		{"powers of two", powers, nil},
+		{"powers of two with a piece", powers, []StreamPiece{{SS: []int64{1, 1 << 40, math.MaxInt64}, M: 3000}}},
+		{"all equal", equal, nil},
+		{"heavy run among singletons", heavy, nil},
+		{"massless runs below the mass", massless, nil},
+		{"int64 extremes", extremes, []StreamPiece{{SS: []int64{math.MinInt64, 5e8, math.MaxInt64}, M: 1000}}},
+	} {
+		c := BuildPieces(tc.sums, tc.pieces, 0.0005, 0.00025)
+		for _, r := range crossTargets(c.N(), rng) {
+			for _, upper := range []bool{false, true} {
+				_, _, got := c.cross(r, upper)
+				_, _, ref := referenceProbes(c, r, upper)
+				if got > 2*ref+2 {
+					t.Errorf("%s: cross(%v, upper=%v) took %d probes, the bisection %d", tc.name, r, upper, got, ref)
+				}
+			}
+		}
+	}
+	c := BuildPieces(fleetGroup(), nil, 0.0005, 0.00025)
+	for _, phi := range []float64{0.01, 0.25, 0.5, 0.75, 0.9, 0.99} {
+		r, _ := RankTarget(phi, c.N())
+		for _, upper := range []bool{false, true} {
+			if _, _, got := c.cross(float64(r), upper); got > 10 {
+				t.Errorf("fleet group: cross at φ=%g, upper=%v took %d probes, want ≤ 10", phi, upper, got)
+			}
+		}
+	}
+}
+
+// fleetGroup is one group of the e2e fleet plan's merged reads: 32 streams
+// of 1000-value steps leveled at κ = 10 — six hot ones of ~170 steps, the
+// rest of ~10 — whose partitions' summaries hold β₁ = 2001 values uniform
+// in [1e8, 1e9) at ε₁ = 0.0005: 190 runs over N = 1.32 M, where the plan's
+// groups hold 175–231 runs over N ≈ 1.28 M.
+func fleetGroup() []*partition.Summary {
+	rng := rand.New(rand.NewSource(11))
+	var sums []*partition.Summary
+	for s := 0; s < 32; s++ {
+		steps := 5 + rng.Intn(12)
+		if s < 6 {
+			steps = 150 + rng.Intn(40)
+		}
+		for count := int64(1000); steps > 0; steps, count = steps/10, count*10 {
+			for d := 0; d < steps%10; d++ {
+				vs := make([]int64, 2001)
+				for j := range vs {
+					vs[j] = 1e8 + rng.Int63n(9e8)
+				}
+				slices.Sort(vs)
+				if count < 2001 {
+					for j := 1; j < len(vs); j += 2 {
+						vs[j] = vs[j-1]
+					}
+				}
+				sums = append(sums, &partition.Summary{Part: &partition.Partition{Count: count}, Values: vs})
+			}
+		}
+	}
+	return sums
+}
+
 // benchRuns is a measured shape: parts summaries of per entries each over
 // partitions of count elements (count < per repeats elements, as summaries
 // of partitions smaller than β₁ do).
@@ -701,12 +971,15 @@ func benchRuns(parts, per int, count int64) []*partition.Summary {
 	return sums
 }
 
-// BenchmarkSelect prices a read's use of the combined summary on the two
-// shapes the e2e benchmark reads: one group of a merged fleet plan (≈700
-// summaries of 1000-value steps at ε = 0.001, so β₁ = 2001) answering three
-// quick targets, and one deep stream (≈20 partitions plus the live stream's
-// piece) generating the filters of three — each against building the
-// materialised TS first and searching that.
+// BenchmarkSelect prices a read's use of the combined summary on the
+// shapes the e2e benchmark reads, each answering three targets: one group
+// of a merged fleet plan in an older shape (≈700 normal summaries of
+// 1000-value steps at ε = 0.001, so β₁ = 2001) and as the plan reads it now
+// (fleetGroup: 190 uniform summaries of mixed sizes), each for quick
+// answers; one deep stream (≈20 partitions plus the live stream's piece)
+// and a tiny one (3 partitions plus the piece), each generating filters.
+// Every row runs against building the materialised TS first and searching
+// that; probes/op counts the crossings' probes.
 func BenchmarkSelect(b *testing.B) {
 	const eps1, eps2 = 0.0005, 0.00025
 	piece := make([]int64, 4001)
@@ -720,10 +993,22 @@ func BenchmarkSelect(b *testing.B) {
 		filters bool
 	}{
 		{"fleet", benchRuns(700, 2001, 1000), nil, false},
+		{"fleet-group", fleetGroup(), nil, false},
 		{"deep", benchRuns(20, 2001, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
+		{"tiny", benchRuns(3, 2001, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
 	} {
-		n := BuildPieces(bc.sums, bc.pieces, eps1, eps2).N()
+		c := BuildPieces(bc.sums, bc.pieces, eps1, eps2)
+		n := c.N()
 		rs := []int64{n / 4, n / 2, n - n/20}
+		probes := 0
+		for _, r := range rs {
+			_, _, p := c.cross(float64(r), false)
+			probes += p
+			if bc.filters {
+				_, _, p = c.cross(float64(r), true)
+				probes += p
+			}
+		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -736,6 +1021,7 @@ func BenchmarkSelect(b *testing.B) {
 					}
 				}
 			}
+			b.ReportMetric(float64(probes), "probes/op")
 		})
 		b.Run(bc.name+"/merge-oracle", func(b *testing.B) {
 			b.ReportAllocs()
