@@ -64,7 +64,7 @@
 //
 // There is one writer per file kind and no knob. Two layouts exist on disk:
 //
-//   - columnar, the layout of partitions, sort runs and merge outputs: a
+//   - columnar, the layout of level-0 partitions and merge outputs: a
 //     versioned compressed layout. The file opens
 //     with an 8-byte magic; each block carries a 25-byte header — format
 //     tag, element count, frame length, and the block's min/max values —
@@ -232,13 +232,13 @@
 // Reads are snapshot-isolated. The store's published state is a chain of
 // immutable versions, and the current one is the stream's whole history:
 // the installed partitions with their summaries, then the sealed step whose
-// level-0 write is running or failed, with its frozen GK sketch. A query
+// level-0 write is running or failed, held as its sorted batch. A query
 // takes the engine lock only long enough to pin the current version and
-// capture the stream summaries (sealed step and live sketch), then runs its
-// whole disk search outside any lock. The
-// engine lock is one plain mutex and the only guard of the stream's GK
-// sketches, which lock nothing themselves: observes, counts and summary
-// captures all take it. Files a merge supersedes are reclaimed only once no
+// capture the stream summaries (the sealed step's, gathered from its sorted
+// batch, and the live sketch's), then runs its whole disk search outside
+// any lock. The engine lock is one plain mutex and the only guard of the
+// stream's one GK sketch, which locks nothing itself: observes, counts,
+// summary captures and the cut's reset all take it. Files a merge supersedes are reclaimed only once no
 // durable manifest references them AND the last query pinning an older
 // version has finished — so an in-flight query always reads a consistent,
 // existing layout, no matter what maintenance does behind it.
@@ -246,21 +246,22 @@
 // EndStep is one pipeline, run by its caller under the stream's write-path
 // lock: settle what a failed EndStep left (its sealed step written, the
 // merges it left due run; only a step still sealed stops the cut, a merge
-// that fails again does not), cut and seal
-// (under the engine lock, the batch and GK sketch leave
-// the live step and become the sealed step of the store's published
-// version, with no I/O), write (outside every engine lock, the step is
-// sorted in place by the radix kernel with one transient scratch of its
-// size — every step, whatever its size, is sorted in memory — and written
-// once, as its level-0 partition), merge (a level holding more than
+// that fails again does not), cut and seal (under the engine lock, the
+// batch leaves the live step, is sorted in place by the radix kernel with
+// one transient scratch of its size — every step, whatever its size, is
+// sorted in memory — and becomes the sealed step of the store's published
+// version, with no I/O, and the GK sketch is reset, as the paper's
+// StreamReset), write (outside every engine lock, the sorted step is
+// written once, as its level-0 partition), merge (a level holding more than
 // κ partitions merges its oldest κ+1 into one a level up, until no level
 // does — the merges the paper's HistUpdate makes due), commit (data
 // barrier, manifest, barrier). The sealed step is held once, in that
 // version, so the counters (TotalCount, HistCount, Steps, Status)
 // and the answers agree from the cut on. Until its partition is published,
-// queries cover it through its frozen stream summary, so answers always
-// span the full observed history and neither Observe nor a query waits for
-// a write or a merge; the rank-error bound degrades gracefully to ε times
+// queries cover it through a stream summary gathered from its sorted batch
+// (core.SortedSummary), so answers always span the full observed history
+// and neither Observe nor a query waits for a write or a merge; the
+// rank-error bound degrades gracefully to ε times
 // the stream-side mass (live stream + sealed step). Only the EndStep caller
 // waits for its write and merges; a producer on a wire connection feels
 // them as the credit window draining (see "Remote ingestion").

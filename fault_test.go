@@ -30,11 +30,12 @@ var errInjected = errors.New("injected disk fault")
 // merge (reads of the cascade's inputs) and the commit (manifest write,
 // barrier). Two clean steps, then a step under the fault: its EndStep
 // reports the injected error, and the step is sealed all the same — counted
-// in HistCount and answered within ε from its frozen summary. With the fault
-// gone the next EndStep retries it and installs it exactly once: counts
-// equal the oracle's and the layout equals a fault-free run's. The same
-// holds after a reopen. The subtests keep the name of the one maintenance
-// schedule left, "sync", so their ids carry over.
+// in HistCount and answered within ε from its batch, which the cut sorted
+// under the engine lock. With the fault gone the next EndStep retries it and
+// installs it exactly once: counts equal the oracle's and the layout equals
+// a fault-free run's. The same holds after a reopen. The subtests keep the
+// name of the one maintenance schedule left, "sync", so their ids carry
+// over.
 func TestFaultDuringEndStep(t *testing.T) {
 	only := func(ops ...disk.Op) disk.FaultFunc {
 		return func(o disk.Op, name string, block int64) error {

@@ -145,8 +145,9 @@ type IOStats = disk.Stats
 
 // UpdateStats reports the cost of one EndStep, split into the paper's four
 // phases (Figure 6): loading the step — the write of its level-0 partition,
-// the step's one trip to the device — sorting it (CPU time: the step is
-// sorted in memory and the sort does no I/O), merging overflowing levels,
+// the step's one trip to the device — sorting it (CPU time: the cut sorts
+// the step in memory, under the engine lock, and the sort does no I/O),
+// merging overflowing levels,
 // and summary maintenance. EndStep fills all four for its own step and the
 // merges it makes due. A write or merge retried after a failure — at the
 // start of the next EndStep, or by the barrier of SyncMaintenance,
@@ -217,9 +218,10 @@ type MemoryUsage struct {
 	HistBytes int64
 	// StreamBytes is the live GK sketch (Lemma 9).
 	StreamBytes int64
-	// PendingBytes buffers the sealed step (raw data plus frozen sketch)
-	// while its level-0 write runs, or after it failed until a retry
-	// succeeds: at most one step, zero once its partition is published.
+	// PendingBytes buffers the sealed step — its batch, sorted at the cut
+	// under the engine lock, counted at capacity — while its level-0 write
+	// runs, or after it failed until a retry succeeds: at most one step,
+	// zero once its partition is published.
 	PendingBytes int64
 }
 
@@ -233,7 +235,7 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // engine for each call. It is safe for concurrent use.
 //
 // The stream's history — installed partitions, then the sealed step whose
-// level-0 write is running or failed, with its frozen sketch — is the
+// level-0 write is running or failed, held as its sorted batch — is the
 // store's published partition.Version; the engine holds only the live step.
 // Reads are snapshot-isolated: a query briefly takes the engine lock to pin
 // that version beside the live sketch, then runs its disk probes entirely
@@ -256,17 +258,16 @@ type engine struct {
 	loadMu sync.Mutex
 
 	// mu guards the fast in-memory state below, and it is the one guard of
-	// every GK sketch the stream keeps — the live one, the spare and the
-	// frozen sketches of sealed steps — for gk.Sketch locks nothing itself
-	// and its reads flush. Every gk call the engine makes runs under it:
-	// observe and observeSlice (Insert), StreamCount, TotalCount and status
-	// (Count), snapshot (the live and the sealed summary extraction),
-	// MemoryUsage (with SealedBatch.MemoryBytes), endStep's cut (the seal
-	// hands the live sketch to the store) and recycleLocked (Reset, Count).
-	// Queries hold it only long enough to pin a snapshot.
+	// the stream's one GK sketch, for gk.Sketch locks nothing itself and its
+	// reads flush. Every gk call the engine makes runs under it: observe and
+	// observeSlice (Insert), StreamCount, TotalCount and status (Count),
+	// snapshot (the summary extraction), MemoryUsage and endStep's cut
+	// (Reset). The cut's Seal sorts the step's batch under it too, and
+	// snapshot gathers the sealed step's summary from that sorted batch
+	// under it, so no reader is left on a buffer settle recycles. Queries
+	// hold it only long enough to pin a snapshot.
 	mu     sync.Mutex
 	sketch *gk.Sketch
-	spare  *gk.Sketch // empty, buffers grown: the next cut's live sketch
 	batch  []int64
 	closed bool
 	mstats maintAccum
@@ -290,7 +291,7 @@ func newDevice(cfg Options) (*disk.Manager, error) {
 	if cfg.CacheBlocks > 0 {
 		dev.SetCache(cfg.CacheBlocks)
 	}
-	// Partitions, sort runs and merge outputs are written columnar. Readers
+	// Level-0 partitions and merge outputs are written columnar. Readers
 	// auto-detect, so raw-format files written by earlier releases stay
 	// readable.
 	if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
@@ -420,16 +421,14 @@ func (e *engine) endStep() (UpdateStats, error) {
 	var us UpdateStats
 	step := e.store.Steps() + 1
 	if e.store.Sealed() == nil {
-		// The cut: the batch and its sketch leave the live step and join the
-		// store's published history in one move, so from here on every
-		// reader counts and answers the step alike.
+		// The cut (Algorithm 4's StreamReset): the batch leaves the live step,
+		// sorted, and joins the store's published history in the move that
+		// resets the sketch, so from here on every reader counts and answers
+		// the step alike. Reset keeps the sketch's grown buffers.
 		e.mu.Lock()
-		e.store.Seal(e.batch, e.sketch)
+		e.store.Seal(e.batch)
 		e.batch = nil
-		e.sketch, e.spare = e.spare, nil
-		if e.sketch == nil {
-			e.sketch = gk.MustNew(e.eps2 / 2)
-		}
+		e.sketch.Reset()
 		e.mu.Unlock()
 		us, err = e.settle()
 	}
@@ -458,8 +457,9 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 }
 
 // querySnap is one snapshot-isolated view of the engine: an immutable,
-// pinned store version plus the memory-resident stream pieces (the frozen
-// summary of the version's sealed step, then the live sketch's summary).
+// pinned store version plus the memory-resident stream pieces (the summary
+// of the version's sealed step, gathered from the batch the cut sorted
+// under the engine lock, then the live sketch's summary).
 // Everything a query reads after the snapshot is immutable, so the whole
 // disk search runs without any engine lock; release returns the pin so
 // reclaimed partitions can be deleted.
@@ -474,7 +474,7 @@ type querySnap struct {
 func (s *querySnap) release() { s.ver.Release() }
 
 // snapshot pins the engine's current state for one query. The engine lock
-// is held only for the pin and the sketch-summary extraction.
+// is held only for the pin and the two stream summaries.
 func (e *engine) snapshot() (*querySnap, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -484,21 +484,18 @@ func (e *engine) snapshot() (*querySnap, error) {
 	s := &querySnap{ver: e.store.Pin()}
 	s.sums, s.memo, s.n = s.ver.Entries(), s.ver.Memo(), s.ver.TotalCount()
 	// One version covers each step once: by its partition or, sealed, by its
-	// frozen sketch. Both summaries are extracted under e.mu, the sketches'
-	// one guard, which the install's buffer recycling takes too.
+	// sorted batch. Both summaries are taken under e.mu, the sketch's one
+	// guard, which settle's recycling of an installed batch takes too.
 	s.pieces = make([]core.StreamPiece, 0, 2)
 	if sb := s.ver.Sealed(); sb != nil {
-		s.pieces = append(s.pieces, core.StreamPiece{SS: sb.Summary(e.streamSummary), M: sb.Count})
+		s.pieces = append(s.pieces, core.StreamPiece{SS: core.SortedSummary(sb.Data(), e.eps2), M: sb.Count})
 	}
 	if m := e.sketch.Count(); m > 0 {
-		s.pieces = append(s.pieces, core.StreamPiece{SS: e.streamSummary(e.sketch), M: m})
+		s.pieces = append(s.pieces, core.StreamPiece{SS: core.StreamSummary(e.sketch, e.eps2), M: m})
 		s.n += m
 	}
 	return s, nil
 }
-
-// streamSummary extracts a GK sketch's stream summary at the engine's ε₂.
-func (e *engine) streamSummary(g *gk.Sketch) []int64 { return core.StreamSummary(g, e.eps2) }
 
 // Query is Stream.Query on the pinned engine — the package's single read
 // path. It pins one snapshot, selects the scope (full history or a

@@ -47,22 +47,43 @@ func StreamSummary(g *gk.Sketch, eps2 float64) []int64 {
 	return ss
 }
 
+// SortedSummary is SS for a batch held sorted, as a sealed step is: β₂
+// entries, the minimum, then for i ≥ 1 the element of rank ⌈(i+½)·ε₂·m⌉,
+// clamped to [1, m] — the rank StreamSummary aims at, inside Lemma 1's band
+// [i·ε₂m, (i+1)·ε₂m] (rounded to whole ranks when ε₂m < 2), with no sketch
+// error. sorted must be ascending.
+func SortedSummary(sorted []int64, eps2 float64) []int64 {
+	m := len(sorted)
+	if m == 0 {
+		return nil
+	}
+	ss := make([]int64, beta(eps2))
+	ss[0] = sorted[0]
+	em := eps2 * float64(m)
+	for i := 1; i < len(ss); i++ {
+		r := int(math.Ceil((float64(i) + 0.5) * em))
+		ss[i] = sorted[min(max(r, 1), m)-1]
+	}
+	return ss
+}
+
 // beta returns ⌈1/ε + 1⌉.
 func beta(eps float64) int {
 	return int(math.Ceil(1.0/eps + 1))
 }
 
 // StreamPiece is one memory-resident stream-side source of the combined
-// summary: the live GK sketch's summary, or the frozen summary of a batch
-// sealed at an end-of-step whose on-disk partition is not published yet —
-// its EndStep's write is running, or failed and waits for the next settle.
+// summary: the live GK sketch's summary (StreamSummary), or the summary of a
+// batch sealed at an end-of-step whose on-disk partition is not published
+// yet — its EndStep's write is running, or failed and waits for the next
+// settle — gathered from the batch Seal sorted (SortedSummary).
 // Each piece carries Lemma 1's one-sided ε₂·M rank bands independently;
 // queries treat every piece like "the stream" — estimate-only, no disk
 // probes — so snapshot-isolated reads stay correct while installs run
 // behind them.
 type StreamPiece struct {
 	// SS is the piece's summary (sorted): β₂ elements at approximate ranks
-	// i·ε₂·M, as extracted by StreamSummary.
+	// i·ε₂·M, as extracted by StreamSummary or SortedSummary.
 	SS []int64
 	// M is the number of elements the piece covers.
 	M int64

@@ -362,6 +362,77 @@ func TestStreamSummaryMatchesPerRank(t *testing.T) {
 	}
 }
 
+// TestSortedSummaryBand holds the sealed step's summary to Lemma 1 and to
+// what the query path asks of a stream piece, on step sizes around every ε₂'s
+// 1/ε₂, values without ties, heavy duplicates and the int64 extremes: each
+// entry's rank lies in its band [i·ε₂m, (i+1)·ε₂m] (rounded outward to whole
+// ranks when ε₂m < 2, as no rank lies between two integers); a Combined of
+// the piece alone brackets every distinct value ±1 between L and U; and
+// StreamRankEstimate is within ε₂m of the exact rank. tol absorbs float
+// rounding of ε₂ only.
+func TestSortedSummaryBand(t *testing.T) {
+	shapes := map[string]func(rng *rand.Rand) int64{
+		"distinct": func(rng *rand.Rand) int64 { return rng.Int63n(1<<40) - 1<<39 },
+		"dups":     func(rng *rand.Rand) int64 { return int64(rng.Intn(4)) * 1000 },
+		"extremes": func(rng *rand.Rand) int64 {
+			return []int64{math.MinInt64, math.MinInt64 + 1, 0, math.MaxInt64 - 1, math.MaxInt64}[rng.Intn(5)]
+		},
+	}
+	for _, m := range []int{1, 2, 999, 1000, 3999, 4000, 4001, 32768} {
+		for _, eps2 := range []float64{0.00025, 0.0125, 0.25} {
+			for name, gen := range shapes {
+				rng := rand.New(rand.NewSource(int64(m)))
+				data := make([]int64, m)
+				for i := range data {
+					data[i] = gen(rng)
+				}
+				slices.Sort(data)
+				ss := SortedSummary(data, eps2)
+				if len(ss) != beta(eps2) || !slices.IsSorted(ss) || ss[0] != data[0] {
+					t.Fatalf("m=%d ε₂=%g %s: %d entries, sorted %v, min %d; want %d sorted from the minimum %d",
+						m, eps2, name, len(ss), slices.IsSorted(ss), ss[0], beta(eps2), data[0])
+				}
+				em, tol := eps2*float64(m), 1e-9*float64(m)
+				// rank(v) = |{x ≤ v}|; a value holds ranks first..rank(v).
+				rank := func(v int64) int64 {
+					return int64(sort.Search(m, func(i int) bool { return data[i] > v }))
+				}
+				for i, v := range ss {
+					lo, hi := float64(i)*em, float64(i+1)*em
+					if em < 2 {
+						lo, hi = math.Floor(lo), math.Ceil(hi)
+					}
+					first := int64(sort.Search(m, func(j int) bool { return data[j] >= v })) + 1
+					if float64(first) > hi+tol || float64(rank(v)) < lo-tol {
+						t.Fatalf("m=%d ε₂=%g %s: entry %d = %d holds ranks [%d, %d], outside its band [%g, %g]",
+							m, eps2, name, i, v, first, rank(v), lo, hi)
+					}
+				}
+				c := BuildPieces(nil, []StreamPiece{{SS: ss, M: int64(m)}}, 0.01, eps2)
+				for i, x := range data {
+					if i > 0 && data[i-1] == x {
+						continue
+					}
+					for _, d := range []int64{-1, 0, 1} {
+						v := x + d
+						if d == -1 && x == math.MinInt64 || d == 1 && x == math.MaxInt64 {
+							continue
+						}
+						r := float64(rank(v))
+						if l, u := c.boundsAt(v); l > r+tol || u < r-tol {
+							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %g outside [L, U] = [%g, %g]", m, eps2, name, v, r, l, u)
+						}
+						if rho := c.StreamRankEstimate(v); math.Abs(rho-r) > em+tol {
+							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %g, StreamRankEstimate %g, off by more than ε₂m = %g",
+								m, eps2, name, v, r, rho, em)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: quick query error ≤ 1.5εN on random fixtures of varying shape
 // (invariant 5).
 func TestQuickQueryPropertyBound(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package extsort is the sequential-I/O half of the paper's write path
 // (Algorithm 3, Lemma 6): one sort, one merge, one writer.
 //
-//   - The sort is radix.Sort, the kernel of the store's level-0 install and
+//   - The sort is radix.Sort, the kernel of the store's seal of a step and
 //     of GK's flush too, over a batch held in memory; SortSlice is it
 //     followed by the writer. Nothing is sorted on the device: a sealed step
 //     is in memory until its one write.

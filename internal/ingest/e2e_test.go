@@ -163,7 +163,7 @@ func TestRemoteIngestEndToEnd(t *testing.T) {
 	// Mid-ingest barrier: half the data is applied (after several forced
 	// reconnects), and quantiles must already be ε-accurate. No
 	// maintenance drain here — sealed-but-uninstalled steps must be
-	// covered by the frozen summaries.
+	// covered by their sorted batches.
 	checkOracle("mid-ingest", (steps/2)*perStep)
 
 	feed(steps/2, steps)

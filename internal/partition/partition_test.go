@@ -336,7 +336,7 @@ func TestInstallLargeStepInMemory(t *testing.T) {
 		}
 		return nil
 	})
-	s.Seal(data, nil)
+	s.Seal(data)
 	before := dev.Stats()
 	bd, step, err := s.InstallOne()
 	if err != nil || step != 1 {

@@ -10,12 +10,11 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/extsort"
-	"repro/internal/gk"
 	"repro/internal/radix"
 )
 
-// Config parametrizes a Store. There is no sort-memory bound: an install
-// sorts its step in memory with one transient scratch of the step's size, so
+// Config parametrizes a Store. There is no sort-memory bound: Seal sorts
+// its step in memory with one transient scratch of the step's size, so
 // a step of n values briefly holds 2n, and the sort does no device I/O.
 type Config struct {
 	// Kappa is the merge threshold κ (> 1): each level holds at most κ
@@ -62,7 +61,8 @@ func (c Config) Beta1() int {
 // the write of its level-0 partition, the step's one trip to the device —
 // sorting it (CPU time: every step is sorted in memory, so the sort does no
 // I/O), merging overflowing levels, and summary maintenance. InstallOne
-// fills every phase but the merge; a merge's I/O is MergeIO.
+// fills every phase but the merge, the sort from its Seal; a merge's I/O is
+// MergeIO.
 type UpdateBreakdown struct {
 	Load, Sort, Merge, Summary time.Duration
 	LoadIO, MergeIO            disk.Stats
@@ -87,7 +87,7 @@ func (u UpdateBreakdown) TotalIO() uint64 {
 var ErrMergeIncomplete = errors.New("partition: level merge incomplete (retried at the next update)")
 
 // SealedBatch is one time step that has been sealed — its step number
-// assigned, it and its frozen GK sketch part of the published Version
+// assigned, its batch sorted and part of the published Version
 // (Version.Sealed) — but whose level-0 partition is not published yet,
 // because its write is still running or has failed. A store holds at most
 // one.
@@ -99,32 +99,19 @@ type SealedBatch struct {
 	// Step is the time step the batch closes.
 	Step int
 
-	// data buffers the batch in memory until its partition is written.
+	// data buffers the batch, sorted by Seal, until its partition is
+	// written; sort is what that sort took.
 	data []int64
-	// sketch is the stream's GK sketch frozen at the cut, nil when the sealer
-	// keeps none; ss is its summary, extracted once.
-	sketch *gk.Sketch
-	once   sync.Once
-	ss     []int64
+	sort time.Duration
 }
 
-// Summary returns extract applied to the batch's frozen sketch, computed by
-// the first caller only: a step installed before anyone asks never pays for
-// it. The sketch must be non-nil.
-func (sb *SealedBatch) Summary(extract func(*gk.Sketch) []int64) []int64 {
-	sb.once.Do(func() { sb.ss = extract(sb.sketch) })
-	return sb.ss
-}
+// Data returns the batch, sorted ascending. Nothing may change it before
+// its install.
+func (sb *SealedBatch) Data() []int64 { return sb.data }
 
-// MemoryBytes returns the heap the batch holds until its install: the
-// buffered data plus the frozen sketch.
-func (sb *SealedBatch) MemoryBytes() int64 {
-	n := int64(len(sb.data)) * 8
-	if sb.sketch != nil {
-		n += sb.sketch.MemoryBytes()
-	}
-	return n
-}
+// MemoryBytes returns the heap the batch holds until its install: its
+// buffer, at capacity.
+func (sb *SealedBatch) MemoryBytes() int64 { return int64(cap(sb.data)) * 8 }
 
 // Store is HD + HS: the on-disk leveled partition structure together with
 // per-partition in-memory summaries.
@@ -187,9 +174,9 @@ type Store struct {
 	// memoCtr aggregates probe-memo traffic across every version.
 	memoCtr memoCounters
 
-	// sortBuf keeps the sort kernel's scratch, a step long, from one install
-	// to the next, weakly: it adds nothing to the live heap the GC paces
-	// itself by, and an install after a GC allocates it again.
+	// sortBuf keeps the sort kernel's scratch, a step long, from one seal to
+	// the next, weakly: it adds nothing to the live heap the GC paces
+	// itself by, and a seal after a GC allocates it again.
 	sortBuf weak.Pointer[[]int64]
 }
 
@@ -278,7 +265,7 @@ func (s *Store) allocID() int64 {
 
 // AddBatch loads one time step's batch into the warehouse in one call:
 // Settle, Seal, Settle, for callers that are the store's only writer (layer
-// benchmarks, tests); it sorts data in place. step must be the next time
+// benchmarks, tests); Seal sorts data in place. step must be the next time
 // step. Only a step the first Settle leaves sealed stops the seal, not a
 // merge that fails again. A failed merge is ErrMergeIncomplete: the step is
 // installed, and the next Settle retries the merge. It commits nothing.
@@ -292,7 +279,7 @@ func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if _, _, err := s.Settle(); err != nil && s.Sealed() != nil {
 		return UpdateBreakdown{}, err
 	}
-	s.Seal(data, nil)
+	s.Seal(data)
 	bd, _, err := s.Settle()
 	if err != nil && s.Sealed() == nil {
 		err = errors.Join(ErrMergeIncomplete, err)
@@ -325,42 +312,45 @@ func (s *Store) Settle() (UpdateBreakdown, int, error) {
 	}
 }
 
-// Seal closes one time step without I/O: the batch, with the stream's GK
-// sketch frozen at the cut (nil when the caller keeps none), becomes the
-// sealed step of a Version that shares the current partitions and probe
-// memo. From the publish on the step is counted and answered by every
-// reader; InstallOne then sorts data in place and writes it, durable once
-// its partition is published and a Commit returns nil. data must not be
-// empty; only the store changes it or the sketch until Reusable.
+// Seal closes one time step without I/O: data is sorted in place (with the
+// store's kept scratch) and becomes the sealed step of a Version that shares
+// the current partitions and probe memo. From the publish on the step is
+// counted and answered by every reader, from its sorted data until its
+// partition is published; InstallOne then writes it, durable once its
+// partition is published and a Commit returns nil. data must not be empty,
+// and nothing but the store may change it until its install.
 //
 // A store holds at most one sealed step: the caller installs a step whose
 // write failed before it seals the next, and Seal panics otherwise. Seal may
-// run concurrently with Merge and Commit.
-func (s *Store) Seal(data []int64, sketch *gk.Sketch) *SealedBatch {
+// run concurrently with Merge and Commit; the caller must be the store's
+// single sealer.
+func (s *Store) Seal(data []int64) *SealedBatch {
+	t0 := time.Now()
+	buf := s.sortBuf.Value()
+	if buf == nil {
+		buf = new([]int64)
+		s.sortBuf = weak.Make(buf)
+	}
+	*buf = radix.Sort(data, *buf)
+	sort := time.Since(t0)
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
 	if old := s.cur.sealed; old != nil {
 		panic(fmt.Sprintf("partition: Seal with step %d still sealed", old.Step))
 	}
-	sb := &SealedBatch{ID: s.nextID, Count: int64(len(data)), Step: s.cur.Steps() + 1, data: data, sketch: sketch}
+	sb := &SealedBatch{ID: s.nextID, Count: int64(len(data)), Step: s.cur.Steps() + 1, data: data, sort: sort}
 	s.nextID++
 	s.publishLocked(s.cur.entries, sb, s.cur.memo)
 	return sb
 }
 
-// Reusable hands back the buffers of sb, a batch InstallOne has installed,
-// for reuse by the observe path: the batch buffer and the frozen sketch.
-// Nothing in the store reads either again.
-func (s *Store) Reusable(sb *SealedBatch) ([]int64, *gk.Sketch) { return sb.data, sb.sketch }
-
 // InstallOne writes the sealed step as a new level-0 partition — its one
-// write, the batch sorted in memory (in place, so a retry finds it sorted,
-// with one transient scratch of its size) and its summary captured in
-// flight — and publishes it by appending it to the entries. It returns the
-// installed step number, 0 when nothing was sealed or the write failed (the
-// step then stays sealed for a retry). It merges nothing (Merge does) and
-// makes nothing durable (Commit does). The caller must be the store's
-// single installer; Merge and Commit may run beside it.
+// write, from the batch Seal sorted, its summary captured in flight — and
+// publishes it by appending it to the entries. Its breakdown's Sort is the
+// seal's. It returns the installed step number, 0 when nothing was sealed or
+// the write failed (the step then stays sealed for a retry). It merges
+// nothing (Merge does) and makes nothing durable (Commit does). The caller
+// must be the store's single installer; Merge and Commit may run beside it.
 func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	sb := s.Sealed()
 	if sb == nil {
@@ -378,18 +368,9 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 		dev:       s.dev,
 		name:      fmt.Sprintf("part-%06d.dat", sb.ID),
 	}
-	bd := UpdateBreakdown{BatchSize: sb.Count}
-	t0 := time.Now()
-	buf := s.sortBuf.Value()
-	if buf == nil {
-		buf = new([]int64)
-		s.sortBuf = weak.Make(buf)
-	}
-	*buf = radix.Sort(sb.data, *buf)
-	bd.Sort = time.Since(t0)
-
+	bd := UpdateBreakdown{BatchSize: sb.Count, Sort: sb.sort}
 	dev := s.dev.Metered()
-	t0 = time.Now()
+	t0 := time.Now()
 	sum, err := s.writeRun(dev, extsort.SliceSource(sb.data), part)
 	bd.Load, bd.LoadIO = time.Since(t0), dev.Stats()
 	if err != nil {

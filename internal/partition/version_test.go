@@ -130,10 +130,10 @@ func TestReclaimWaitsForCommit(t *testing.T) {
 }
 
 // TestSealInstallRoundtrip drives the write path at the store level: Seal
-// publishes the step with no I/O, a Commit while it is sealed makes none of
-// it durable, InstallOne writes it once — its level-0 partition and nothing
-// else — and a Commit after that leaves a manifest that reopens to the
-// partition.
+// publishes the step with no I/O, holding its batch at the buffer's capacity,
+// a Commit while it is sealed makes none of it durable, InstallOne writes it
+// once — its level-0 partition and nothing else — and a Commit after that
+// leaves a manifest that reopens to the partition.
 func TestSealInstallRoundtrip(t *testing.T) {
 	dev := newDev(t)
 	cfg := Config{Kappa: 2, Eps1: 0.1}
@@ -142,9 +142,12 @@ func TestSealInstallRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dev.Stats()
-	sb := s.Seal(seqBatch(1000, 50), nil)
+	sb := s.Seal(append(make([]int64, 0, 200), seqBatch(1000, 50)...))
 	if io := dev.Stats().Sub(before); io.Total() != 0 || io.Opens != 0 {
 		t.Fatalf("seal did I/O: %+v", io)
+	}
+	if got := sb.MemoryBytes(); got != 200*8 {
+		t.Fatalf("sealed batch of 50 in a 200-value buffer holds %d bytes, want %d", got, 200*8)
 	}
 	if sb.Step != 1 {
 		t.Fatalf("sealed step = %d, want 1", sb.Step)
@@ -308,7 +311,7 @@ func TestVersionEntriesChronological(t *testing.T) {
 				// versions are published with and without a sealed step
 				// behind them.
 				if s.Sealed() == nil {
-					s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40)), nil)
+					s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40)))
 				}
 				if rng.Intn(3) > 0 {
 					if _, _, err := s.InstallOne(); err != nil {
@@ -343,10 +346,10 @@ func TestVersionEntriesChronological(t *testing.T) {
 	}
 }
 
-// TestInstallSortsInPlace: InstallOne sorts the sealed batch in place with
-// the store's kept scratch, so after the first install a step costs no
-// allocation of its size while no GC runs, and the batch Reusable hands back
-// is sorted.
+// TestInstallSortsInPlace: Seal sorts the batch in place with the store's
+// kept scratch, so the sealed step is its sorted batch, and after the first
+// step a seal and its install cost no allocation of the step's size while no
+// GC runs.
 func TestInstallSortsInPlace(t *testing.T) {
 	dev, err := disk.NewManager(t.TempDir(), 4096)
 	if err != nil {
@@ -363,12 +366,12 @@ func TestInstallSortsInPlace(t *testing.T) {
 		for i := range batch {
 			batch[i] = rng.Int63n(1 << 30)
 		}
-		sb := s.Seal(batch, nil)
+		sb := s.Seal(batch)
+		if !slices.IsSorted(batch) || &sb.Data()[0] != &batch[0] {
+			t.Fatalf("step %d: the sealed batch is not sorted in place", sb.Step)
+		}
 		if _, step, err := s.InstallOne(); err != nil || step != sb.Step {
 			t.Fatalf("install of step %d: step %d, %v", sb.Step, step, err)
-		}
-		if data, _ := s.Reusable(sb); !slices.IsSorted(data) {
-			t.Fatalf("step %d: the installed batch is not sorted in place", sb.Step)
 		}
 	}
 	install()
@@ -382,8 +385,8 @@ func TestInstallSortsInPlace(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
-	t.Logf("%d bytes per install", perStep)
+	t.Logf("%d bytes per seal and install", perStep)
 	if perStep >= n*8/4 {
-		t.Fatalf("an install allocated %d bytes after the first, want well under the step's %d", perStep, n*8)
+		t.Fatalf("a seal and install allocated %d bytes after the first, want well under the step's %d", perStep, n*8)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/query"
 )
 
@@ -13,22 +12,23 @@ import (
 //
 // EndStep is one pipeline — settle, cut and seal, settle, commit (see
 // Stream.EndStep), all of it under the engine's write-path lock. The cut and
-// the seal run under the engine lock too: the in-memory batch and its GK
-// sketch leave the live step and become the sealed step of the store's
-// published partition.Version, which is the stream's one history — so
-// counts and answers agree from the cut on. Settling (engine.settle) then
-// writes the step, outside every engine lock a reader or producer needs, as
-// its level-0 partition (one sort, one sequential write); until that
-// publishes, queries cover the step through its frozen stream summary (a
-// core.StreamPiece). Each step is written once. Then Algorithm 3's merges:
-// a level holding more than κ partitions merges its oldest κ+1 into one a
-// level up, again outside the locks readers and producers take, and the
+// the seal run under the engine lock too: the in-memory batch leaves the
+// live step, is sorted in place (the step's one sort) and becomes the sealed
+// step of the store's published partition.Version, which is the stream's
+// one history — so counts and answers agree from the cut on — and the GK
+// sketch is reset. Settling (engine.settle) then writes the sorted step,
+// outside every engine lock a reader or producer needs, as its level-0
+// partition (one sequential write); until that publishes, queries cover the
+// step through a summary gathered from its sorted batch (a core.StreamPiece
+// from core.SortedSummary). Each step is written once. Then Algorithm 3's
+// merges: a level holding more than κ partitions merges its oldest κ+1 into
+// one a level up, again outside the locks readers and producers take, and the
 // EndStep commits. Settling is partition.Store.Settle, which decides the
 // order of every retry: a step left sealed before any merge.
 //
 // One failure rule: settling stops at its first failure, and its caller
 // commits what it did. A step whose level-0 write fails stays sealed —
-// counted, answered from its frozen summary — and a failed merge keeps its
+// counted, answered from its sorted batch — and a failed merge keeps its
 // inputs live; both are retried by the next settle: the start of the next
 // EndStep, or the barrier of SyncMaintenance, DB.Checkpoint and Close
 // (DB.checkpoint). Only a step still sealed after that first settle stops
@@ -52,7 +52,8 @@ type maintAccum struct {
 // settle is partition.Store.Settle — the sealed step, if any, written as its
 // level-0 partition, then every merge due, in one breakdown (zero when
 // nothing was due) — with the stream's counters around it: the installed
-// step's buffers are recycled, and a failure shows as LastError until a
+// step's batch buffer goes back to the observe path if no observe has
+// needed a new one since the cut, and a failure shows as LastError until a
 // later settle succeeds. It commits nothing. Caller holds loadMu.
 func (e *engine) settle() (UpdateStats, error) {
 	e.mu.Lock()
@@ -70,7 +71,11 @@ func (e *engine) settle() (UpdateStats, error) {
 	defer e.mu.Unlock()
 	e.mstats.running--
 	if step != 0 {
-		e.recycleLocked(sb)
+		// Queries gather the sealed step's summary under e.mu, which this
+		// holds, so no reader is left on the buffer.
+		if buf := sb.Data(); len(e.batch) == 0 && cap(buf) > cap(e.batch) {
+			e.batch = buf[:0]
+		}
 		e.mstats.installs++
 	}
 	e.mstats.merges += us.Merges
@@ -81,24 +86,6 @@ func (e *engine) settle() (UpdateStats, error) {
 		e.mstats.lastErr = ""
 	}
 	return us, err
-}
-
-// recycleLocked hands an installed step's grown buffers back to the observe
-// path: each replaces its live counterpart if no observe has used that one
-// since the cut, and otherwise the sketch waits as the next cut's spare.
-// Queries extract a sealed sketch's summary under e.mu, which the caller
-// holds, so no reader is left on it.
-func (e *engine) recycleLocked(sb *partition.SealedBatch) {
-	buf, sketch := e.store.Reusable(sb)
-	if len(e.batch) == 0 && cap(buf) > cap(e.batch) {
-		e.batch = buf[:0]
-	}
-	sketch.Reset()
-	if e.sketch.Count() == 0 {
-		e.sketch = sketch
-	} else if e.spare == nil {
-		e.spare = sketch
-	}
 }
 
 // checkpoint settles the engine and commits, whatever settling did, then

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"path"
 	"slices"
 	"strings"
@@ -144,7 +145,7 @@ func TestEachStepWrittenOnce(t *testing.T) {
 // TestSyncInstallBlocksNobody parks a synchronous EndStep inside its install
 // (a gate on the level-0 partition write) and requires that, while it is in
 // flight, ObserveSlice returns and a query answers within ε over everything
-// observed — the sealed step through its frozen summary, the new elements
+// observed — the sealed step through its sorted batch, the new elements
 // through the live sketch. Only the EndStep caller waits for the install.
 func TestSyncInstallBlocksNobody(t *testing.T) {
 	eng := OneStream(t, maintConfig())
@@ -213,10 +214,12 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 
 // TestCountsAgreeDuringSeal parks a step's level-0 partition write and
 // requires every counter to agree with the answers while it is in flight:
-// the cut hands the batch to the store in the same move that takes it off
-// the live sketch, so from then on the step is history to every reader,
-// counted and answered alike. One Status read reports the step as history
-// and as backlog, with its write running.
+// the cut hands the batch to the store in the same move that resets the
+// live sketch, so from then on the step is history to every reader, counted
+// and answered alike. The answers come from the sealed step's sorted batch
+// alone, and quantiles and ranks are held to internal/oracle within ε·N.
+// One Status read reports the step as history and as backlog, with its
+// write running.
 func TestCountsAgreeDuringSeal(t *testing.T) {
 	eng := OneStream(t, maintConfig())
 	parked, gate := make(chan struct{}), make(chan struct{})
@@ -230,7 +233,10 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 		}
 		return nil
 	})
-	eng.ObserveSlice(workload.Fill(workload.NewUniform(23), 500))
+	vals := workload.Fill(workload.NewUniform(23), 500)
+	or := oracle.New(len(vals))
+	or.Add(vals...)
+	eng.ObserveSlice(vals)
 	endStep := make(chan error, 1)
 	go func() {
 		_, err := eng.EndStep()
@@ -238,9 +244,27 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 	}()
 	<-parked
 
-	ans, err := eng.Query(context.Background(), Request{Phis: []float64{0.5}})
+	phis := []float64{0.01, 0.5, 0.99}
+	ans, err := eng.Query(context.Background(), Request{Phis: phis})
 	if err != nil {
 		t.Fatalf("query with the write in flight: %v", err)
+	}
+	bound := int64(eng.Epsilon() * 500)
+	for i, phi := range phis {
+		target := int64(math.Ceil(phi * 500))
+		if e := or.SpanError(target, ans.Values[i]); e > bound {
+			t.Errorf("write in flight: quantile(%g) = %d, rank error %d > ε·N = %d", phi, ans.Values[i], e, bound)
+		}
+	}
+	probes := []int64{slices.Min(vals) - 1, vals[0], vals[1], vals[2], slices.Max(vals)}
+	ranks, err := eng.Query(context.Background(), Request{Values: probes})
+	if err != nil {
+		t.Fatalf("rank query with the write in flight: %v", err)
+	}
+	for i, v := range probes {
+		if e := ranks.Values[i] - or.Rank(v); e > bound || -e > bound {
+			t.Errorf("write in flight: rank(%d) = %d, exact %d, off by more than ε·N = %d", v, ranks.Values[i], or.Rank(v), bound)
+		}
 	}
 	sum, err := eng.Summary()
 	if err != nil {
@@ -250,8 +274,8 @@ func TestCountsAgreeDuringSeal(t *testing.T) {
 	pending := eng.Status().PendingSteps
 	t.Logf("write in flight: TotalCount %d, HistCount %d, Steps %d, PendingSteps %d; Query N %d, Summary N %d",
 		total, hist, steps, pending, ans.N, sum.N)
-	if ans.N != 500 || sum.N != ans.N {
-		t.Errorf("Query N = %d, Summary N = %d; want 500 both", ans.N, sum.N)
+	if ans.N != 500 || ranks.N != 500 || sum.N != ans.N {
+		t.Errorf("Query N = %d and %d, Summary N = %d; want 500 all", ans.N, ranks.N, sum.N)
 	}
 	if total != ans.N || hist != ans.N {
 		t.Errorf("TotalCount = %d, HistCount = %d; the answers cover %d", total, hist, ans.N)
@@ -609,7 +633,7 @@ func BenchmarkIngestStall(b *testing.B) {
 // writes and κ-way merges run: a producer keeps closing steps (κ=2, so
 // cascades are constant) while the bench loop queries. Reads are
 // snapshot-isolated from the writes and merges each EndStep runs, so a query
-// waits for neither; it covers a step by its frozen summary only while that
+// waits for neither; it covers a step by its sorted batch only while that
 // step's write is in flight.
 func BenchmarkQueryDuringMerge(b *testing.B) {
 	eng := OneStream(b, maintBenchConfig)

@@ -120,14 +120,15 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // reset. An empty stream is a no-op.
 //
 // Each EndStep runs the same moves (Algorithm 3, HistUpdate, with the merges
-// it makes due). Cut and seal: under the engine lock the batch and its
-// sketch leave the live step and become the sealed step of the store's
-// published history, so elements observed from here on belong to the next
-// step, and counters and answers agree on this one. Write: outside every
-// engine lock, the step is sorted and written once, as its level-0
-// partition; until that is published, queries cover the step through its
-// frozen summary, so answers always span the full observed history and
-// neither Observe nor Query waits for the write. Merge: a level holding more
+// it makes due). Cut and seal: under the engine lock the batch leaves the
+// live step, is sorted in place and becomes the sealed step of the store's
+// published history, and the sketch is reset, so elements observed from
+// here on belong to the next step, and counters and answers agree on this
+// one. Write: outside every engine lock, the sorted step is written once,
+// as its level-0 partition; until that is published, queries cover the step
+// through a summary gathered from its sorted batch, so answers always span
+// the full observed history and neither Observe nor Query waits for the
+// write. Merge: a level holding more
 // than κ partitions merges its oldest κ+1, one level up, until no level
 // does — run by this caller, outside the locks Observe and Query take.
 // Commit: one write-data → sync → commit-manifest → sync sequence, so when
@@ -136,7 +137,7 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // completed.
 //
 // If the level-0 write fails, the step stays sealed: counted, answered from
-// its frozen summary, and written — before anything else — by the next
+// its sorted batch, and written — before anything else — by the next
 // EndStep, SyncMaintenance, DB.Checkpoint or Close, whose commit makes it
 // durable; no step is written twice. A failed merge returns its error from
 // this EndStep, after the commit that makes the step durable, and is
