@@ -12,9 +12,9 @@ import (
 // TestObserveSliceZeroAlloc gates the ingest hot path as every write takes
 // it — through a db.Stream handle, so the directory's pin and release are
 // inside the measurement (ObserveSliceCtx is what ingest.Server.apply calls):
-// once the engine's batch buffer and the GK sketch's tuple/pending/scratch
-// buffers have grown to their working-set size, neither ObserveSlice nor
-// ObserveSliceCtx may allocate. The rule that makes it so: a step's batch
+// once the engine's batch buffer has grown to its working-set size, neither
+// ObserveSlice nor ObserveSliceCtx may allocate. The rule that makes it so:
+// a step's batch
 // buffer goes to the sealed step at the cut and comes back to the observe
 // path when that step's install is published, before EndStep returns. The
 // subtest keeps the name of the one maintenance schedule left, "sync", so its

@@ -278,16 +278,16 @@ func TestDropStreamWaitsForQueries(t *testing.T) {
 	}
 }
 
-// TestLiveStepOneGuard: the engine lock is the only guard of the stream's one
-// GK sketch (gk.Sketch locks nothing, and its reads flush) and of the sealed
+// TestLiveStepOneGuard: the engine lock is the only guard of the live step's
+// batch, whose unsorted tail a query sorts under it, and of the sealed
 // step's batch, which the cut sorts under it, so every engine path that
-// touches either — observes, counts, memory, both query kinds (the sealed
-// step's summary gathered from its sorted batch while its level-0 write
-// runs), the cut's sort and sketch reset, and settle's recycling of the
-// installed batch — runs at once here on one stream whose EndSteps run
-// merges (κ=2) beside all of them. Under -race a path that reads the sketch
-// or the batch outside the lock fails it; the counts must never go backwards
-// and must add up once everything has stopped.
+// touches either — observes, counts, memory, both query kinds (the live
+// summary gathered after the tail's sort, the sealed step's from its sorted
+// batch while its level-0 write runs), the cut's sort, and settle's
+// recycling of the installed batch — runs at once here on one stream whose
+// EndSteps run merges (κ=2) beside all of them. Under -race a path that
+// reads either batch outside the lock fails it; the counts must never go
+// backwards and must add up once everything has stopped.
 func TestLiveStepOneGuard(t *testing.T) {
 	const rounds, batch = 200, 64
 	st := OneStream(t, Options{Epsilon: 0.05, Kappa: 2, Backend: "mem", BlockSize: 512})

@@ -39,7 +39,7 @@ const legacyDirectoryName = "DB.json"
 //
 // The stream directory distinguishes registered from hydrated streams:
 // every stream whose namespace holds a store manifest is registered (a
-// lightweight descriptor, ~100 bytes), but an engine — GK sketch,
+// lightweight descriptor, ~100 bytes), but an engine — live step batch,
 // partition summaries, maintenance state — is hydrated only on first touch,
 // outside the DB lock, with per-name singleflight. With Options.MaxHydratedStreams set,
 // idle streams are sealed (durably checkpointed) and evicted, cheapest to

@@ -8,9 +8,12 @@
 // A stream is observed element by element; at the end of each time step the
 // accumulated batch is loaded into the warehouse, which keeps sorted
 // partitions organized in levels with a merge threshold κ. Small in-memory
-// summaries of both sides (β₁ exactly-ranked samples per partition, a
-// Greenwald-Khanna sketch of the stream) answer quick queries immediately
-// and seed an accurate query that performs a handful of random disk reads.
+// summaries of both sides (β₁ exactly-ranked samples per partition, β₂ of
+// the stream) answer quick queries immediately and seed an accurate query
+// that performs a handful of random disk reads. The paper summarizes the
+// stream in a Greenwald-Khanna sketch because it does not keep it; this
+// package keeps the current step's batch, which EndStep writes anyway, and
+// summarizes it exactly, sorting it when a read asks.
 //
 // Basic usage — a DB (Open) hosts named streams, and a *Stream is the one
 // handle on the paper's engine; a single-stream deployment is a DB with one
@@ -97,8 +100,8 @@
 //
 // A DB hosts many named quantile streams over one shared device: one
 // backend, one block-cache budget, one manifest root. Each
-// Stream is a handle on an unexported engine — the paper's GK sketch,
-// κ-leveled partitions and bisection — that the DB hydrates on first touch,
+// Stream is a handle on an unexported engine — the live step's batch, the
+// paper's κ-leveled partitions and bisection — that the DB hydrates on first touch,
 // pins for the length of each call and may evict while idle; each
 // Stream.DiskStats sums with the others to DB.DiskStats,
 // and the shared cache budget flows to whichever stream is hot (see
@@ -235,10 +238,13 @@
 // level-0 write is running or failed, held as its sorted batch. A query
 // takes the engine lock only long enough to pin the current version and
 // capture the stream summaries (the sealed step's, gathered from its sorted
-// batch, and the live sketch's), then runs its whole disk search outside
-// any lock. The engine lock is one plain mutex and the only guard of the
-// stream's one GK sketch, which locks nothing itself: observes, counts,
-// summary captures and the cut's reset all take it. Files a merge supersedes are reclaimed only once no
+// batch, and the live step's), then runs its whole disk search outside any
+// lock. The engine lock is one plain mutex and the only guard of the live
+// step's batch: observes append to it and counts read its length under it,
+// and a query sorts the values observed since the last read into the sorted
+// prefix under it (radix-sorted, then merged through the scratch the cut's
+// sort uses) before it gathers the live summary; a query that finds no new
+// value sorts nothing. Files a merge supersedes are reclaimed only once no
 // durable manifest references them AND the last query pinning an older
 // version has finished — so an in-flight query always reads a consistent,
 // existing layout, no matter what maintenance does behind it.
@@ -249,8 +255,9 @@
 // that fails again does not), cut and seal (under the engine lock, the
 // batch leaves the live step, is sorted in place by the radix kernel with
 // one transient scratch of its size — every step, whatever its size, is
-// sorted in memory — and becomes the sealed step of the store's published
-// version, with no I/O, and the GK sketch is reset, as the paper's
+// sorted in memory, and a batch a read left sorted meets the kernel's
+// sorted exit — and becomes the sealed step of the store's published
+// version, with no I/O, and the live step starts empty, as the paper's
 // StreamReset), write (outside every engine lock, the sorted step is
 // written once, as its level-0 partition), merge (a level holding more than
 // κ partitions merges its oldest κ+1 into one a level up, until no level

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/gk"
 	"repro/internal/partition"
 	"repro/internal/query"
 )
@@ -216,7 +215,11 @@ type MemoryUsage struct {
 	// HistBytes is the historical summary HS (Lemma 8) as held: 8 bytes an
 	// entry, as positions are derived. Plan charges 16 (see its doc).
 	HistBytes int64
-	// StreamBytes is the live GK sketch (Lemma 9).
+	// StreamBytes is the live step as held: its batch, 8 bytes a value at
+	// capacity. The paper summarizes the live stream in a GK sketch of
+	// Lemma 9's O((1/ε₂)·log(ε₂m)) because it does not keep the stream; this
+	// system keeps the step raw, because EndStep writes it as its level-0
+	// partition, so Lemma 9's model describes only PlannedStreamBytes.
 	StreamBytes int64
 	// PendingBytes buffers the sealed step — its batch, sorted at the cut
 	// under the engine lock, counted at capacity — while its level-0 write
@@ -238,10 +241,10 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // level-0 write is running or failed, held as its sorted batch — is the
 // store's published partition.Version; the engine holds only the live step.
 // Reads are snapshot-isolated: a query briefly takes the engine lock to pin
-// that version beside the live sketch, then runs its disk probes entirely
-// outside the lock — so queries proceed while EndStep writes and merges
-// behind them, and an in-flight query keeps the partition files of its
-// pinned version alive until it finishes. See the package docs'
+// that version beside the live step's summary, then runs its disk probes
+// entirely outside the lock — so queries proceed while EndStep writes and
+// merges behind them, and an in-flight query keeps the partition files of
+// its pinned version alive until it finishes. See the package docs'
 // "Concurrency model" for the full locking contract.
 type engine struct {
 	cfg   Options
@@ -257,20 +260,18 @@ type engine struct {
 	// changes only under it. Lock order: loadMu > mu.
 	loadMu sync.Mutex
 
-	// mu guards the fast in-memory state below, and it is the one guard of
-	// the stream's one GK sketch, for gk.Sketch locks nothing itself and its
-	// reads flush. Every gk call the engine makes runs under it: observe and
-	// observeSlice (Insert), StreamCount, TotalCount and status (Count),
-	// snapshot (the summary extraction), MemoryUsage and endStep's cut
-	// (Reset). The cut's Seal sorts the step's batch under it too, and
-	// snapshot gathers the sealed step's summary from that sorted batch
-	// under it, so no reader is left on a buffer settle recycles. Queries
-	// hold it only long enough to pin a snapshot.
-	mu     sync.Mutex
-	sketch *gk.Sketch
-	batch  []int64
-	closed bool
-	mstats maintAccum
+	// mu guards the fast in-memory state below. The live step is its batch
+	// in arrival order after a sorted prefix of sortedLen values: observe
+	// and observeSlice append, and snapshot sorts the tail into the prefix
+	// (Store.SortTail, with the scratch the cut's Seal uses) before it
+	// gathers the live summary, so sorts, summaries and the cut's Seal all
+	// run under it, and no reader is left on a buffer settle recycles.
+	// Queries hold it only long enough to pin a snapshot.
+	mu        sync.Mutex
+	batch     []int64
+	sortedLen int
+	closed    bool
+	mstats    maintAccum
 }
 
 // newDevice builds the warehouse block device described by cfg: backend,
@@ -329,29 +330,14 @@ func newEngineOn(dev *disk.Manager, full Options, namespace string) (*engine, er
 	if err != nil {
 		return nil, err
 	}
-	// The GK sketch runs at ε₂/2 so the extracted stream summary satisfies
-	// Lemma 1's one-sided band; see internal/gk.
-	sketch, err := gk.New(eps2 / 2)
-	if err != nil {
-		return nil, err
-	}
-	return &engine{
-		cfg: full, eps1: eps1, eps2: eps2,
-		dev: dev, store: store, sketch: sketch,
-	}, nil
+	return &engine{cfg: full, eps1: eps1, eps2: eps2, dev: dev, store: store}, nil
 }
 
-// observe feeds one stream element (StreamUpdate, Algorithm 4): it is both
-// summarized in the GK sketch and buffered for end-of-step loading.
+// observe feeds one stream element (StreamUpdate, Algorithm 4): it is
+// appended to the live step's batch, which a read summarizes and EndStep
+// loads.
 func (e *engine) observe(v int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.sketch.Insert(v)
-	e.batch = append(e.batch, v)
-	return nil
+	return e.observeSlice([]int64{v})
 }
 
 // observeSlice feeds a slice of elements under one lock acquisition.
@@ -360,9 +346,6 @@ func (e *engine) observeSlice(vs []int64) error {
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrClosed
-	}
-	for _, v := range vs {
-		e.sketch.Insert(v)
 	}
 	e.batch = append(e.batch, vs...)
 	return nil
@@ -373,7 +356,7 @@ func (e *engine) observeSlice(vs []int64) error {
 func (e *engine) StreamCount() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sketch.Count()
+	return int64(len(e.batch))
 }
 
 // HistCount returns n, the number of elements in the warehouse — installed
@@ -384,7 +367,7 @@ func (e *engine) HistCount() int64 { return e.store.TotalCount() }
 func (e *engine) TotalCount() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.store.TotalCount() + e.sketch.Count()
+	return e.store.TotalCount() + int64(len(e.batch))
 }
 
 // Steps returns the number of completed time steps.
@@ -422,13 +405,12 @@ func (e *engine) endStep() (UpdateStats, error) {
 	step := e.store.Steps() + 1
 	if e.store.Sealed() == nil {
 		// The cut (Algorithm 4's StreamReset): the batch leaves the live step,
-		// sorted, and joins the store's published history in the move that
-		// resets the sketch, so from here on every reader counts and answers
-		// the step alike. Reset keeps the sketch's grown buffers.
+		// sorted, and joins the store's published history in one move, so
+		// from here on every reader counts and answers the step alike. A batch
+		// a read sorted whole meets the sort kernel's sorted exit.
 		e.mu.Lock()
 		e.store.Seal(e.batch)
-		e.batch = nil
-		e.sketch.Reset()
+		e.batch, e.sortedLen = nil, 0
 		e.mu.Unlock()
 		us, err = e.settle()
 	}
@@ -457,9 +439,9 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 }
 
 // querySnap is one snapshot-isolated view of the engine: an immutable,
-// pinned store version plus the memory-resident stream pieces (the summary
-// of the version's sealed step, gathered from the batch the cut sorted
-// under the engine lock, then the live sketch's summary).
+// pinned store version plus the memory-resident stream pieces (the summaries
+// of the version's sealed step and of the live step, each gathered from its
+// batch sorted under the engine lock).
 // Everything a query reads after the snapshot is immutable, so the whole
 // disk search runs without any engine lock; release returns the pin so
 // reclaimed partitions can be deleted.
@@ -474,7 +456,8 @@ type querySnap struct {
 func (s *querySnap) release() { s.ver.Release() }
 
 // snapshot pins the engine's current state for one query. The engine lock
-// is held only for the pin and the two stream summaries.
+// is held only for the pin, the sort of the live batch's new tail and the two
+// stream summaries; a snapshot that finds no new value sorts nothing.
 func (e *engine) snapshot() (*querySnap, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -484,15 +467,19 @@ func (e *engine) snapshot() (*querySnap, error) {
 	s := &querySnap{ver: e.store.Pin()}
 	s.sums, s.memo, s.n = s.ver.Entries(), s.ver.Memo(), s.ver.TotalCount()
 	// One version covers each step once: by its partition or, sealed, by its
-	// sorted batch. Both summaries are taken under e.mu, the sketch's one
-	// guard, which settle's recycling of an installed batch takes too.
+	// sorted batch. Both summaries are taken under e.mu, which settle's
+	// recycling of an installed batch takes too, and are exact.
 	s.pieces = make([]core.StreamPiece, 0, 2)
 	if sb := s.ver.Sealed(); sb != nil {
 		s.pieces = append(s.pieces, core.StreamPiece{SS: core.SortedSummary(sb.Data(), e.eps2), M: sb.Count})
 	}
-	if m := e.sketch.Count(); m > 0 {
-		s.pieces = append(s.pieces, core.StreamPiece{SS: core.StreamSummary(e.sketch, e.eps2), M: m})
-		s.n += m
+	if m := len(e.batch); m > 0 {
+		if e.sortedLen < m {
+			e.store.SortTail(e.batch, e.sortedLen)
+			e.sortedLen = m
+		}
+		s.pieces = append(s.pieces, core.StreamPiece{SS: core.SortedSummary(e.batch, e.eps2), M: int64(m)})
+		s.n += int64(m)
 	}
 	return s, nil
 }
@@ -610,7 +597,7 @@ func (e *engine) status() StreamStatus {
 		e.mu.Unlock()
 		return StreamStatus{}
 	}
-	ver, m, ms := e.store.Pin(), e.sketch.Count(), e.mstats
+	ver, m, ms := e.store.Pin(), int64(len(e.batch)), e.mstats
 	e.mu.Unlock()
 	defer ver.Release()
 	st := StreamStatus{
@@ -639,7 +626,7 @@ func (e *engine) MemoryUsage() MemoryUsage {
 	}
 	return MemoryUsage{
 		HistBytes:    e.store.MemoryBytes(),
-		StreamBytes:  e.sketch.MemoryBytes(),
+		StreamBytes:  8 * int64(cap(e.batch)),
 		PendingBytes: pendingBytes,
 	}
 }

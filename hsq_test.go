@@ -420,6 +420,10 @@ func TestMemoryUsage(t *testing.T) {
 	if mu.Total() != mu.HistBytes+mu.StreamBytes {
 		t.Error("Total mismatch")
 	}
+	// The live step is held raw: at least 8 bytes a live value.
+	if m := eng.StreamCount(); mu.StreamBytes < 8*m {
+		t.Errorf("StreamBytes %d below the %d live values' %d B", mu.StreamBytes, m, 8*m)
+	}
 	// HS fits the Lemma 8 model within a small constant.
 	planned := PlannedHistBytes(eng.Epsilon(), eng.Steps(), eng.Kappa())
 	if float64(mu.HistBytes) > 3*planned {

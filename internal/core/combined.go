@@ -21,35 +21,13 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/gk"
 	"repro/internal/partition"
 )
 
-// StreamSummary extracts SS from the GK sketch (Algorithm 4,
-// StreamSummary): β₂ = ⌈1/ε₂ + 1⌉ elements — the exact stream minimum plus
-// the elements at approximate ranks i·ε₂m. The sketch must have been run
-// with error parameter ε₂/2; querying rank i·ε₂m + ε₂m/2 with a two-sided
-// ±ε₂m/2 guarantee yields exactly Lemma 1's band
-// [i·ε₂m, (i+1)·ε₂m] for SS[i]. The ranks ascend, so the sketch answers
-// them all in one scan and the answers come back sorted.
-func StreamSummary(g *gk.Sketch, eps2 float64) []int64 {
-	m := g.Count()
-	if m == 0 {
-		return nil
-	}
-	ss := make([]int64, beta(eps2))
-	ss[0], _ = g.Min()
-	em := eps2 * float64(m)
-	for i := 1; i < len(ss); i++ {
-		ss[i] = int64(float64(i)*em + em/2)
-	}
-	g.QueryAscending(ss[1:])
-	return ss
-}
-
-// SortedSummary is SS for a batch held sorted, as a sealed step is: β₂
-// entries, the minimum, then for i ≥ 1 the element of rank ⌈(i+½)·ε₂·m⌉,
-// clamped to [1, m] — the rank StreamSummary aims at, inside Lemma 1's band
+// SortedSummary is SS (Algorithm 4's stream summary) for a batch held sorted,
+// as the live step is at a read and a sealed step is from its cut: β₂ =
+// ⌈1/ε₂ + 1⌉ entries, the minimum, then for i ≥ 1 the element of rank
+// ⌈(i+½)·ε₂·m⌉, clamped to [1, m] — the middle of Lemma 1's band
 // [i·ε₂m, (i+1)·ε₂m] (rounded to whole ranks when ε₂m < 2), with no sketch
 // error. sorted must be ascending.
 func SortedSummary(sorted []int64, eps2 float64) []int64 {
@@ -73,17 +51,18 @@ func beta(eps float64) int {
 }
 
 // StreamPiece is one memory-resident stream-side source of the combined
-// summary: the live GK sketch's summary (StreamSummary), or the summary of a
-// batch sealed at an end-of-step whose on-disk partition is not published
-// yet — its EndStep's write is running, or failed and waits for the next
-// settle — gathered from the batch Seal sorted (SortedSummary).
+// summary, gathered by SortedSummary from a batch held sorted: the live
+// step's, whose unsorted tail the read sorted into it, or a batch sealed at
+// an end-of-step whose on-disk partition is not published yet — its
+// EndStep's write is running, or failed and waits for the next settle —
+// which Seal sorted.
 // Each piece carries Lemma 1's one-sided ε₂·M rank bands independently;
 // queries treat every piece like "the stream" — estimate-only, no disk
 // probes — so snapshot-isolated reads stay correct while installs run
 // behind them.
 type StreamPiece struct {
 	// SS is the piece's summary (sorted): β₂ elements at approximate ranks
-	// i·ε₂·M, as extracted by StreamSummary or SortedSummary.
+	// i·ε₂·M, as SortedSummary gathers them.
 	SS []int64
 	// M is the number of elements the piece covers.
 	M int64

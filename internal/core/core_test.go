@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/disk"
-	"repro/internal/gk"
 	"repro/internal/partition"
 )
 
@@ -49,15 +48,11 @@ func buildFigure3(t *testing.T) (sums []*partition.Summary, ss []int64, all []in
 	all = append(all, p2...)
 	all = append(all, p3...)
 
-	// Stream 401..600 through GK at ε₂/2 = 1/16, then extract SS with
-	// ε₂ = 1/8 → β₂ = 9 entries.
-	g := gk.MustNew(1.0 / 16)
+	// Stream 401..600, already sorted, summarized with ε₂ = 1/8 → β₂ = 9
+	// entries.
 	stream := mk(401, 600)
-	for _, v := range stream {
-		g.Insert(v)
-	}
 	all = append(all, stream...)
-	ss = StreamSummary(g, 0.125)
+	ss = SortedSummary(stream, 0.125)
 	return store.Entries(), ss, all
 }
 
@@ -203,13 +198,12 @@ func buildFixture(t *testing.T, seed int64, eps float64, steps, batchSize, strea
 			t.Fatal(err)
 		}
 	}
-	g := gk.MustNew(eps2 / 2)
-	for i := 0; i < streamSize; i++ {
-		v := rng.Int63n(1 << 24)
-		g.Insert(v)
-		all = append(all, v)
+	stream := make([]int64, streamSize)
+	for i := range stream {
+		stream[i] = rng.Int63n(1 << 24)
 	}
-	ss := StreamSummary(g, eps2)
+	all = append(all, stream...)
+	ss := SortedSummary(slices.Sorted(slices.Values(stream)), eps2)
 	slices.Sort(all)
 	return fixture{sums: store.Entries(), ss: ss, all: all, m: int64(streamSize), eps: eps}
 }
@@ -277,16 +271,13 @@ func TestAccurateQueryNoStream(t *testing.T) {
 // TestAccurateQueryStreamOnly: no historical partitions at all.
 func TestAccurateQueryStreamOnly(t *testing.T) {
 	eps := 0.05
-	g := gk.MustNew(eps / 8)
 	rng := rand.New(rand.NewSource(73))
 	var all []int64
 	for i := 0; i < 5000; i++ {
-		v := rng.Int63n(1 << 20)
-		g.Insert(v)
-		all = append(all, v)
+		all = append(all, rng.Int63n(1<<20))
 	}
 	slices.Sort(all)
-	ss := StreamSummary(g, eps/4)
+	ss := SortedSummary(all, eps/4)
 	c := BuildPieces(nil, onePiece(ss, 5000), eps/2, eps/4)
 	r := int64(2500)
 	v, _, err := accurateOne(c, eps, r, QueryOptions{PinBlocks: true})
@@ -309,56 +300,6 @@ func TestEmptyCombined(t *testing.T) {
 	}
 	if _, _, err := accurateOne(c, 0.1, 1, QueryOptions{PinBlocks: true}); err == nil {
 		t.Error("accurate on empty: want error")
-	}
-}
-
-func TestStreamSummaryEmpty(t *testing.T) {
-	g := gk.MustNew(0.1)
-	if ss := StreamSummary(g, 0.2); ss != nil {
-		t.Errorf("empty stream summary = %v", ss)
-	}
-}
-
-// streamSummaryPerRank is the StreamSummary the one-scan extraction replaced
-// — one gk.Query per rank, then a sort — kept as its differential oracle.
-func streamSummaryPerRank(g *gk.Sketch, eps2 float64) []int64 {
-	m := g.Count()
-	if m == 0 {
-		return nil
-	}
-	mn, _ := g.Min()
-	ss := []int64{mn}
-	em := eps2 * float64(m)
-	for i := 1; i < beta(eps2); i++ {
-		v, _ := g.Query(min(max(int64(float64(i)*em+em/2), 1), m))
-		ss = append(ss, v)
-	}
-	slices.Sort(ss)
-	return ss
-}
-
-// TestStreamSummaryMatchesPerRank: the one-scan summary equals the per-rank
-// one on random sketches — every ε₂ the engine and benchmark run, stream
-// sizes from one element to several flushes past compression, and value
-// domains narrow enough for long ties and wide enough for none.
-func TestStreamSummaryMatchesPerRank(t *testing.T) {
-	base := propSeed(t)
-	for i := 0; i < 300; i++ {
-		seed := base + int64(i)
-		rng := rand.New(rand.NewSource(seed))
-		eps2 := []float64{0.00025, 0.0025, 0.01, 0.05}[rng.Intn(4)]
-		m := 1 + rng.Intn(30000)
-		if rng.Intn(4) == 0 {
-			m = 1 + rng.Intn(20)
-		}
-		domain := int64(1) << (1 + rng.Intn(40))
-		g := gk.MustNew(eps2 / 2)
-		for j := 0; j < m; j++ {
-			g.Insert(rng.Int63n(domain) - domain/2)
-		}
-		if got, want := StreamSummary(g, eps2), streamSummaryPerRank(g, eps2); !slices.Equal(got, want) {
-			t.Fatalf("HSQ_PROP_SEED=%d (ε₂=%g, m=%d, domain=%d): one-scan summary differs from the per-rank one", seed, eps2, m, domain)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/disk"
-	"repro/internal/gk"
 	"repro/internal/partition"
 )
 
@@ -36,17 +35,13 @@ func TestAccurateQueryMemBackend(t *testing.T) {
 		}
 		all = append(all, batch...)
 	}
-	g := gk.MustNew(1.0 / 16)
 	stream := mk(401, 600)
-	for _, v := range stream {
-		g.Insert(v)
-	}
 	all = append(all, stream...)
 	slices.Sort(all)
 
 	const eps = 0.5
 	m := int64(len(stream))
-	ss := StreamSummary(g, 0.125)
+	ss := SortedSummary(stream, 0.125)
 	c := BuildPieces(store.Entries(), onePiece(ss, m), 0.25, 0.125)
 
 	for _, r := range []int64{1, 100, 250, 400, 500, int64(len(all))} {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/disk"
-	"repro/internal/gk"
 	"repro/internal/partition"
 )
 
@@ -636,12 +635,8 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 		store := memStore(t, eps1, 2+rng.Intn(3), batches)
 		var pieces []StreamPiece
 		for p, n := 0, rng.Intn(4); p < n; p++ {
-			g := gk.MustNew(eps2 / 2)
 			vs := draw(1 + rng.Intn(3000))
-			for _, v := range vs {
-				g.Insert(v)
-			}
-			pieces = append(pieces, StreamPiece{SS: StreamSummary(g, eps2), M: int64(len(vs))})
+			pieces = append(pieces, StreamPiece{SS: SortedSummary(slices.Sorted(slices.Values(vs)), eps2), M: int64(len(vs))})
 		}
 		slices.Sort(all)
 		rankOf := func(v int64) int64 {

@@ -1,6 +1,10 @@
 // Package gk implements the Greenwald-Khanna space-efficient online quantile
-// summary (SIGMOD 2001), the streaming substrate of the paper's method and
-// its strongest pure-streaming baseline.
+// summary (SIGMOD 2001): the paper's stream summary, its strongest
+// pure-streaming baseline, and the model behind Lemma 9's stream memory
+// bound. The product does not run it: hsq keeps the live step raw, because
+// EndStep writes it, and summarizes it exactly from the sorted batch
+// (core.SortedSummary). The figures' baselines (internal/experiments),
+// examples/compare and the benchmark's layer measurements run it.
 //
 // The sketch maintains an ordered list of tuples (v, g, Δ) where
 // rmin(i) = Σ_{j≤i} g_j and rmax(i) = rmin(i) + Δ_i bound the rank of v_i.
@@ -10,15 +14,12 @@
 // bound quoted as Theorem 1.
 //
 // Note on sidedness: the paper states Theorem 1 with a one-sided guarantee
-// (returned rank in [r, r+εm]). Classic GK is two-sided (±εm). The stream
-// summary layer (internal/core) therefore runs GK at ε/2 and offsets query
-// ranks by εm/2, which restores exactly the band [i·εm, (i+1)·εm] of
-// Lemma 1. See DESIGN.md §2.
+// (returned rank in [r, r+εm]). Classic GK is two-sided (±εm), so a stream
+// summary built from it runs GK at ε/2 and offsets query ranks by εm/2,
+// which restores exactly the band [i·εm, (i+1)·εm] of Lemma 1.
 //
-// A Sketch has one writer and no lock of its own: the stream summary it
-// feeds (Algorithm 4, StreamUpdate) is written by one producer at a time,
-// and the owner that serializes those writes serializes the reads beside
-// them too.
+// A Sketch has one writer and no lock of its own: its owner serializes the
+// writes and the reads beside them (reads flush the insert buffer).
 package gk
 
 import (
@@ -241,30 +242,6 @@ func (s *Sketch) Query(r int64) (int64, bool) {
 		}
 	}
 	return s.tuples[len(s.tuples)-1].v, true
-}
-
-// QueryAscending is Query for a whole ascending list of ranks: on return
-// rs[k] holds the answer Query would give for the rank rs[k] held on entry.
-// "First tuple with rmax > r + e" only moves right as r grows, so one
-// forward scan answers every rank. It reports false (and leaves rs alone)
-// on an empty sketch.
-func (s *Sketch) QueryAscending(rs []int64) bool {
-	s.flush()
-	if len(s.tuples) == 0 {
-		return false
-	}
-	e := int64(math.Ceil(s.eps * float64(s.n)))
-	// tuples[:i] all have rmax ≤ r + e; rmin is their gap sum.
-	i, rmin := 0, int64(0)
-	for k, r := range rs {
-		r = min(max(r, 1), s.n)
-		for i < len(s.tuples) && rmin+s.tuples[i].g+s.tuples[i].delta <= r+e {
-			rmin += s.tuples[i].g
-			i++
-		}
-		rs[k] = s.tuples[max(i-1, 0)].v
-	}
-	return true
 }
 
 // Quantile returns an element approximating the φ-quantile (smallest element

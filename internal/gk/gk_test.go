@@ -228,33 +228,6 @@ func TestQueryClamping(t *testing.T) {
 	}
 }
 
-// TestQueryAscendingMatchesQuery: the one-scan form answers every rank —
-// out-of-range ones included — exactly as Query does, and refuses an empty
-// sketch.
-func TestQueryAscendingMatchesQuery(t *testing.T) {
-	s := MustNew(0.01)
-	if rs := []int64{1, 2}; s.QueryAscending(rs) || rs[0] != 1 || rs[1] != 2 {
-		t.Errorf("empty sketch: answered %v", rs)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 5000; i++ {
-		s.Insert(rng.Int63n(1000))
-	}
-	rs := []int64{-7, 0, 1, 1}
-	for r := int64(2); r < 6000; r += 1 + rng.Int63n(40) {
-		rs = append(rs, r)
-	}
-	got := slices.Clone(rs)
-	if !s.QueryAscending(got) {
-		t.Fatal("QueryAscending reported an empty sketch")
-	}
-	for k, r := range rs {
-		if want, _ := s.Query(r); got[k] != want {
-			t.Fatalf("rank %d: one scan answered %d, Query %d", r, got[k], want)
-		}
-	}
-}
-
 // Property test: for random small streams, every rank query is within the
 // bound. This is invariant 1 of DESIGN.md.
 func TestQuickRankGuarantee(t *testing.T) {
@@ -407,12 +380,11 @@ func TestCompressMatchesReference(t *testing.T) {
 				if !slices.Equal(s.tuples, ref.tuples) {
 					t.Fatalf("eps=%g %s n=%d: tuples differ after the last flush", eps, d.name, n)
 				}
-				ranks := []int64{0, 1, int64(n) / 4, int64(n) / 2, int64(n) - 1, int64(n), int64(n) + 1}
-				got, want := slices.Clone(ranks), slices.Clone(ranks)
-				s.QueryAscending(got)
-				ref.QueryAscending(want)
-				if !slices.Equal(got, want) {
-					t.Fatalf("eps=%g %s n=%d: QueryAscending %v, reference %v", eps, d.name, n, got, want)
+				for _, r := range []int64{0, 1, int64(n) / 4, int64(n) / 2, int64(n) - 1, int64(n), int64(n) + 1} {
+					got, _ := s.Query(r)
+					if want, _ := ref.Query(r); got != want {
+						t.Fatalf("eps=%g %s n=%d: Query(%d) = %d, reference %d", eps, d.name, n, r, got, want)
+					}
 				}
 				slices.Sort(data)
 				for _, v := range []int64{data[0] - 1, data[0], data[n/3], data[n/2], data[n-1], data[n-1] + 1} {

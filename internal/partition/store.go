@@ -174,9 +174,9 @@ type Store struct {
 	// memoCtr aggregates probe-memo traffic across every version.
 	memoCtr memoCounters
 
-	// sortBuf keeps the sort kernel's scratch, a step long, from one seal to
-	// the next, weakly: it adds nothing to the live heap the GC paces
-	// itself by, and a seal after a GC allocates it again.
+	// sortBuf keeps the sort kernel's scratch, a step long, from one sort
+	// (Seal, SortTail) to the next, weakly: it adds nothing to the live heap
+	// the GC paces itself by, and a sort after a GC allocates it again.
 	sortBuf weak.Pointer[[]int64]
 }
 
@@ -326,12 +326,7 @@ func (s *Store) Settle() (UpdateBreakdown, int, error) {
 // single sealer.
 func (s *Store) Seal(data []int64) *SealedBatch {
 	t0 := time.Now()
-	buf := s.sortBuf.Value()
-	if buf == nil {
-		buf = new([]int64)
-		s.sortBuf = weak.Make(buf)
-	}
-	*buf = radix.Sort(data, *buf)
+	s.SortTail(data, 0)
 	sort := time.Since(t0)
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
@@ -342,6 +337,20 @@ func (s *Store) Seal(data []int64) *SealedBatch {
 	s.nextID++
 	s.publishLocked(s.cur.entries, sb, s.cur.memo)
 	return sb
+}
+
+// SortTail sorts data in place, whose first sorted values are ascending
+// already, with the scratch Seal keeps (radix.SortTail): the live step's
+// batch at a read, so a stream holds one step-sized scratch. It shares that
+// scratch with Seal, so its caller must be the store's single sealer, never
+// beside a Seal.
+func (s *Store) SortTail(data []int64, sorted int) {
+	buf := s.sortBuf.Value()
+	if buf == nil {
+		buf = new([]int64)
+		s.sortBuf = weak.Make(buf)
+	}
+	*buf = radix.SortTail(data, sorted, *buf)
 }
 
 // InstallOne writes the sealed step as a new level-0 partition — its one

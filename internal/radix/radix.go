@@ -1,5 +1,7 @@
-// Package radix is the write path's one sort kernel: an LSD radix sort of
-// int64 keys, the sort of GK's insert buffer and of a step's level-0 batch.
+// Package radix is the one sort kernel of a step's batch: an LSD radix sort
+// of int64 keys, the sort of the level-0 batch at the cut and of the live
+// batch's unsorted tail at a read (SortTail), and of the GK baseline's
+// insert buffer.
 //
 // Each key is read as its sign-flipped uint64, which orders like the int64,
 // in eight 8-bit digits. One counting pass fills all eight histograms; a
@@ -73,6 +75,35 @@ func Sort(a, buf []int64) []int64 {
 	}
 	if &src[0] != &a[0] {
 		copy(a, src)
+	}
+	return buf
+}
+
+// SortTail sorts a whose first sorted keys are ascending already: Sort sorts
+// the tail a[sorted:], then one merge pass from the back moves it into place
+// through buf. The pass stops once the tail is placed, so it touches only the
+// prefix keys above the tail's least: nothing when the tail starts at or above
+// the prefix's last key, every key in the worst case. It returns the scratch
+// as Sort does.
+func SortTail(a []int64, sorted int, buf []int64) []int64 {
+	tail := a[sorted:]
+	buf = Sort(tail, buf)
+	if sorted == 0 || len(tail) == 0 || a[sorted-1] <= tail[0] {
+		return buf
+	}
+	if cap(buf) < len(tail) {
+		buf = make([]int64, len(tail))
+	}
+	t := buf[:copy(buf[:len(tail)], tail)]
+	i, k := sorted-1, len(a)-1
+	for j := len(t) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > t[j] {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = t[j]
+			j--
+		}
 	}
 	return buf
 }

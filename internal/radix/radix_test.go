@@ -111,6 +111,30 @@ func TestSortReusesScratch(t *testing.T) {
 	}
 }
 
+// TestSortTailMatchesSlicesSort holds SortTail to slices.Sort on every
+// shape and length, with the sorted prefix empty, one key, half, all but
+// one and whole, and a nil and a long scratch: the tail is the shape's keys
+// after the prefix, so it lands below, inside and above the prefix.
+func TestSortTailMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, sh := range shapes {
+		for _, n := range lengths {
+			in := sh.make(rng, n)
+			for _, p := range []int{0, min(1, n), n / 2, max(n-1, 0), n} {
+				slices.Sort(in[:p])
+				want := slices.Sorted(slices.Values(in))
+				for _, buf := range [][]int64{nil, make([]int64, 3, 2*n+5)} {
+					got := slices.Clone(in)
+					SortTail(got, p, buf)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s (n=%d, sorted=%d, cap(buf)=%d): SortTail differs from slices.Sort", sh.name, n, p, cap(buf))
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzSort holds Sort to slices.Sort on arbitrary keys: the input bytes are
 // read as little-endian int64s, and repeated to reach past the cutoff.
 func FuzzSort(f *testing.F) {

@@ -15,8 +15,8 @@ import (
 // the seal run under the engine lock too: the in-memory batch leaves the
 // live step, is sorted in place (the step's one sort) and becomes the sealed
 // step of the store's published partition.Version, which is the stream's
-// one history — so counts and answers agree from the cut on — and the GK
-// sketch is reset. Settling (engine.settle) then writes the sorted step,
+// one history — so counts and answers agree from the cut on — and the live
+// step starts empty. Settling (engine.settle) then writes the sorted step,
 // outside every engine lock a reader or producer needs, as its level-0
 // partition (one sequential write); until that publishes, queries cover the
 // step through a summary gathered from its sorted batch (a core.StreamPiece

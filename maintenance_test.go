@@ -146,7 +146,7 @@ func TestEachStepWrittenOnce(t *testing.T) {
 // (a gate on the level-0 partition write) and requires that, while it is in
 // flight, ObserveSlice returns and a query answers within ε over everything
 // observed — the sealed step through its sorted batch, the new elements
-// through the live sketch. Only the EndStep caller waits for the install.
+// through the live one. Only the EndStep caller waits for the install.
 func TestSyncInstallBlocksNobody(t *testing.T) {
 	eng := OneStream(t, maintConfig())
 	gen := workload.NewUniform(17)
@@ -214,8 +214,8 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 
 // TestCountsAgreeDuringSeal parks a step's level-0 partition write and
 // requires every counter to agree with the answers while it is in flight:
-// the cut hands the batch to the store in the same move that resets the
-// live sketch, so from then on the step is history to every reader, counted
+// the cut hands the batch to the store in the same move that empties the
+// live step, so from then on the step is history to every reader, counted
 // and answered alike. The answers come from the sealed step's sorted batch
 // alone, and quantiles and ranks are held to internal/oracle within ε·N.
 // One Status read reports the step as history and as backlog, with its

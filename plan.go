@@ -16,7 +16,10 @@ import (
 //	SS(ε) = 24 bytes · tuples(ε/8, m)                        (Lemma 9)
 //
 // where tuples(e, m) = (1/(2e))·max(1, log₂(2·e·m)) is the Greenwald-Khanna
-// worst-case size at the sketch's internal parameter ε₂/2 = ε/8. HS charges
+// worst-case size at the sketch's internal parameter ε₂/2 = ε/8: the paper's
+// stream summary, which keeps no stream. The engine keeps the live step raw,
+// because EndStep writes it, so its MemoryUsage.StreamBytes is the batch,
+// 8 bytes a value, and SS(ε) is the paper's model only. HS charges
 // an entry 16 bytes, the paper's value plus disk address, though a held
 // summary derives the address and measures 8: the constant fixes the ε every
 // budget-driven figure runs at.
@@ -59,8 +62,9 @@ func PlannedHistBytes(eps float64, steps, kappa int) float64 {
 	return float64(kappa) * levels * beta1 * 16
 }
 
-// PlannedStreamBytes is the SS memory model used by Plan: the GK sketch at
-// internal parameter ε/8 charged 24 bytes per tuple.
+// PlannedStreamBytes is the SS memory model used by Plan (Lemma 9): a GK
+// sketch at internal parameter ε/8 charged 24 bytes per tuple. It is the
+// paper's budget, not what the engine holds (MemoryUsage.StreamBytes).
 func PlannedStreamBytes(eps float64, streamSize int64) float64 {
 	e := eps / 8
 	tuples := (1 / (2 * e)) * math.Max(1, math.Log2(math.Max(2, 2*e*float64(streamSize))))

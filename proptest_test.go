@@ -166,8 +166,8 @@ func runDifferential(t *testing.T, wname string, seed int64) {
 			}
 			// The accurate bounds scale with the stream side of the scope: the
 			// live batch (every EndStep has written its step by the time it
-			// returns). The stream-side summary is discrete — its sketch
-			// answers within ⌈ε₂·M/2⌉ ≥ 1 ranks — so every bound carries one
+			// returns). The stream-side summary is discrete — its entries
+			// sit within ⌈ε₂·M/2⌉ ≥ 1 ranks of their bands' middles — so every bound carries one
 			// rank of slack, which matters on scopes of a few elements.
 			m := int64(len(live))
 			const slack = 1

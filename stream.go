@@ -116,15 +116,15 @@ func (s *Stream) ObserveSlice(vs []int64) {
 }
 
 // EndStep closes the current time step (Algorithm 4, StreamReset): the
-// buffered batch becomes part of the warehouse and the stream sketch is
-// reset. An empty stream is a no-op.
+// buffered batch becomes part of the warehouse and the live step starts
+// empty. An empty stream is a no-op.
 //
 // Each EndStep runs the same moves (Algorithm 3, HistUpdate, with the merges
 // it makes due). Cut and seal: under the engine lock the batch leaves the
-// live step, is sorted in place and becomes the sealed step of the store's
-// published history, and the sketch is reset, so elements observed from
-// here on belong to the next step, and counters and answers agree on this
-// one. Write: outside every engine lock, the sorted step is written once,
+// live step, is sorted in place (a batch a read left sorted is only
+// checked) and becomes the sealed step of the store's published history, so
+// elements observed from here on belong to the next step, and counters and
+// answers agree on this one. Write: outside every engine lock, the sorted step is written once,
 // as its level-0 partition; until that is published, queries cover the step
 // through a summary gathered from its sorted batch, so answers always span
 // the full observed history and neither Observe nor Query waits for the
