@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -315,6 +316,7 @@ func TestLiveStepOneGuard(t *testing.T) {
 	}
 
 	var lastN int64 // only the counts goroutine reads and writes it
+	var feeds int   // only the feeder reads and writes it
 	ops := map[string]func() error{
 		"accurate Query": func() error {
 			_, err := st.Query(context.Background(), Request{Phis: []float64{0.1, 0.5, 0.99}})
@@ -342,7 +344,17 @@ func TestLiveStepOneGuard(t *testing.T) {
 			lastN = ss.StreamCount + ss.HistCount
 			return nil
 		},
-		"ObserveSlice": feed,
+		// The feeder stops appending after its own rounds: one that kept
+		// feeding while slower paths caught up would grow the step, and
+		// every path's cost with it, without bound (under GOMAXPROCS=1 and
+		// -race the run never ended).
+		"ObserveSlice": func() error {
+			if feeds++; feeds > rounds {
+				runtime.Gosched()
+				return nil
+			}
+			return feed()
+		},
 		"EndStep": func() error {
 			_, err := st.EndStep()
 			return err

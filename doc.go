@@ -294,7 +294,10 @@
 // The combined summary TS is never materialised. A query asks it only for
 // point selections — the smallest value with L ≥ r, the largest with U ≤ r
 // — and Lemma 2 defines L(v) and U(v) as sums over the summaries of
-// α(v) = |{elements ≤ v}|, so core.Combined keeps the k sorted partition
+// α(v) = |{elements ≤ v}|. Every summary, a partition's or a stream
+// piece's, is captured by one rule (partition.CapturePos), so a run's share
+// of L and U is the exact positions of its entries α−1 and α, and the
+// bounds hold on runs of any size. core.Combined keeps the k sorted partition
 // and stream-piece summaries as they are (an O(k) constructor) and selects
 // among their values with probes aimed at the target's rank: one binary
 // search per run whose bracket still holds candidates, the first probe the

@@ -178,8 +178,9 @@ type Request struct {
 	// Values asks the inverse question: for each value v, the number of
 	// elements ≤ v. Installed partitions are counted exactly (one
 	// block-granular binary search each, no combined summary is built); the
-	// stream side contributes a summary estimate, so the error is at most
-	// ~ε₂ times the stream-side mass. With Quick it is O(ε·N).
+	// stream side contributes the midpoint of its exact bounds, so the error
+	// is at most ε₂/2 times the stream-side mass. With Quick it is at most
+	// ε·N/2.
 	Values []int64
 	// Window, when positive, restricts the scope to the current stream plus
 	// the most recent Window historical time steps; it must be one of

@@ -125,7 +125,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		or := oracle.New(len(data[i]))
 		or.Add(data[i]...)
 		n := int64(len(data[i]))
-		bound := int64(eps*float64(n)) + 1
+		bound := int64(eps * float64(n)) // Theorem 2's ε·N
 		checked := 0
 		for ni, hn := range h.Nodes {
 			st, ok := hn.DB.Lookup(name)
@@ -269,7 +269,7 @@ func scatterGather(t *testing.T, nodes int) {
 	}
 	or := oracle.New(len(union))
 	or.Add(union...)
-	bound := int64(1.5*eps*float64(n)) + 1
+	bound := merged.QuickRankError() // ⌈1.5·ε·N⌉, Lemma 3 over the union
 	for _, phi := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
 		r, err := core.RankTarget(phi, n)
 		if err != nil {

@@ -25,29 +25,21 @@ import (
 )
 
 // SortedSummary is SS (Algorithm 4's stream summary) for a batch held sorted,
-// as the live step is at a read and a sealed step is from its cut: β₂ =
-// ⌈1/ε₂ + 1⌉ entries, the minimum, then for i ≥ 1 the element of rank
-// ⌈(i+½)·ε₂·m⌉, clamped to [1, m] — the middle of Lemma 1's band
-// [i·ε₂m, (i+1)·ε₂m] (rounded to whole ranks when ε₂m < 2), with no sketch
-// error. sorted must be ascending.
+// as the live step is at a read and a sealed step is from its cut: the β₂
+// entries partition.CapturePos places at ε₂, the rule a partition's summary
+// is captured by, so every entry's rank within the batch is exact and the
+// bounds of a piece are those of a partition of its size. sorted must be
+// ascending.
 func SortedSummary(sorted []int64, eps2 float64) []int64 {
-	m := len(sorted)
+	m := int64(len(sorted))
 	if m == 0 {
 		return nil
 	}
-	ss := make([]int64, beta(eps2))
-	ss[0] = sorted[0]
-	em := eps2 * float64(m)
-	for i := 1; i < len(ss); i++ {
-		r := int(math.Ceil((float64(i) + 0.5) * em))
-		ss[i] = sorted[min(max(r, 1), m)-1]
+	ss := make([]int64, partition.Beta(eps2))
+	for i := range ss {
+		ss[i] = sorted[partition.CapturePos(i, m, eps2)]
 	}
 	return ss
-}
-
-// beta returns ⌈1/ε + 1⌉.
-func beta(eps float64) int {
-	return int(math.Ceil(1.0/eps + 1))
 }
 
 // StreamPiece is one memory-resident stream-side source of the combined
@@ -56,29 +48,51 @@ func beta(eps float64) int {
 // an end-of-step whose on-disk partition is not published yet — its
 // EndStep's write is running, or failed and waits for the next settle —
 // which Seal sorted.
-// Each piece carries Lemma 1's one-sided ε₂·M rank bands independently;
-// queries treat every piece like "the stream" — estimate-only, no disk
+// Queries treat every piece like "the stream" — estimate-only, no disk
 // probes — so snapshot-isolated reads stay correct while installs run
 // behind them.
 type StreamPiece struct {
-	// SS is the piece's summary (sorted): β₂ elements at approximate ranks
-	// i·ε₂·M, as SortedSummary gathers them.
+	// SS is the piece's summary (sorted): β₂ elements at the capture
+	// positions of ε₂ in M, as SortedSummary gathers them.
 	SS []int64
 	// M is the number of elements the piece covers.
 	M int64
 }
 
-// sortedRun is one non-empty sorted summary and the number of elements it
-// stands for: a partition's count, or a stream piece's M.
+// sortedRun is one non-empty sorted summary, the number of elements it
+// stands for — a partition's count, or a stream piece's M — and the ε its
+// entries were captured at, which places them (partition.CapturePos).
 type sortedRun struct {
-	vals   []int64
-	n      int64
-	stream bool
+	vals []int64
+	n    int64
+	eps  float64
+}
+
+// bound returns the run's share of L(v), or of U(v) when upper is set, when
+// alpha of its entries are ≤ v. Entry alpha−1 is ≤ v and sits at
+// pos(alpha−1), so at least pos(alpha−1)+1 elements are; entry alpha is > v,
+// so at most pos(alpha) are, and all n once every entry is ≤ v. A run of no
+// elements bounds nothing. It makes one CapturePos call, which keeps it
+// within the inliner's budget: a crossing calls it once a run a probe.
+func (r *sortedRun) bound(alpha int, upper bool) int64 {
+	if alpha == 0 || r.n == 0 {
+		return 0
+	}
+	entry, past := alpha-1, int64(1) // L: the last entry ≤ v, and one past it
+	if upper {
+		if alpha == len(r.vals) {
+			return r.n
+		}
+		entry, past = alpha, 0 // U: the first entry > v
+	}
+	return partition.CapturePos(entry, r.n, r.eps) + past
 }
 
 // Combined is TS — the union of all historical summaries and the
 // stream-side piece summaries with the rank bounds L and U of Lemma 2 —
-// held as its sorted runs and nothing per entry.
+// held as its sorted runs and nothing per entry. Every entry's rank in its
+// run is exact, so L and U are sums of positions and hold on runs of any
+// size.
 type Combined struct {
 	runs       []sortedRun
 	minV, maxV int64 // the extremes over every run; unset while runs is empty
@@ -130,7 +144,7 @@ func newCombined(parts int, pieces []StreamPiece, eps1, eps2 float64) *Combined 
 	c.runs = make([]sortedRun, 0, len(pieces)+parts)
 	for _, p := range pieces {
 		c.m += p.M
-		c.addRun(sortedRun{vals: p.SS, n: p.M, stream: true})
+		c.addRun(sortedRun{vals: p.SS, n: p.M, eps: eps2})
 	}
 	return c
 }
@@ -138,7 +152,7 @@ func newCombined(parts int, pieces []StreamPiece, eps1, eps2 float64) *Combined 
 // addPart adds the summary of a partition of count elements.
 func (c *Combined) addPart(count int64, vals []int64) {
 	c.histN += count
-	c.addRun(sortedRun{vals: vals, n: count})
+	c.addRun(sortedRun{vals: vals, n: count, eps: c.eps1})
 }
 
 // addRun keeps a run unless it is empty — a summary with mass but no
@@ -179,50 +193,19 @@ func countLE(vals []int64, lo, hi int, v int64) int {
 	return lo
 }
 
-// rankSums are the sums of the bound formulas preceding Lemma 2 before the
-// ε factors, as exact integers so that no bound depends on the order the
-// runs are visited in:
-//
-//	L(v) = ε₂·Σ_j m_j·b_j·(α_{S_j} − 1) + ε₁·Σ_{P: α_P>0} m_P·(α_P − 1)
-//	U(v) = ε₂·Σ_j m_j·b_j·(α_{S_j} + 1) + ε₁·Σ_{P: α_P>0} m_P·α_P
-//
-// where α_{S_j} (resp. α_P) counts summary elements ≤ v from stream piece j
-// (resp. partition P) and b_j = 1 iff α_{S_j} > 0. With a single piece this
-// is exactly the paper's bound. A version holds at most one sealed step, so
-// further pieces come from other shards, and each contributes its own
-// independent ε₂·m_j band.
-type rankSums struct{ histL, histU, streamL, streamU int64 }
-
-// add accounts for a run with alpha elements ≤ v.
-func (s *rankSums) add(r *sortedRun, alpha int) {
-	if alpha == 0 {
-		return
-	}
-	a := int64(alpha)
-	if r.stream {
-		s.streamL += r.n * (a - 1)
-		s.streamU += r.n * (a + 1)
-	} else {
-		s.histL += r.n * (a - 1)
-		s.histU += r.n * a
-	}
-}
-
-// bounds scales the sums to (L, U), each ε multiplied in once.
-func (s rankSums) bounds(eps1, eps2 float64) (l, u float64) {
-	return eps1*float64(s.histL) + eps2*float64(s.streamL),
-		eps1*float64(s.histU) + eps2*float64(s.streamU)
-}
-
-// boundsAt returns (L(v), U(v)); both are 0 below the smallest summary
-// element.
-func (c *Combined) boundsAt(v int64) (l, u float64) {
-	var s rankSums
+// boundsAt returns (L(v), U(v)) of Lemma 2, each the sum of the runs'
+// shares (sortedRun.bound); both are 0 below the smallest summary element.
+// L counts elements known ≤ v and U elements not known > v, so L ≤ rank(v)
+// ≤ U on every input, and a run's U − L is one capture gap, at most ε·n, so
+// U − L ≤ ε₁·n + ε₂·m ≤ εN.
+func (c *Combined) boundsAt(v int64) (l, u int64) {
 	for i := range c.runs {
 		r := &c.runs[i]
-		s.add(r, countLE(r.vals, 0, len(r.vals), v))
+		a := countLE(r.vals, 0, len(r.vals), v)
+		l += r.bound(a, false)
+		u += r.bound(a, true)
 	}
-	return s.bounds(c.eps1, c.eps2)
+	return l, u
 }
 
 // cross finds where a Lemma 2 bound of TS first reaches the target r: the
@@ -249,37 +232,31 @@ func (c *Combined) boundsAt(v int64) (l, u float64) {
 // range, so no crossing costs much more than twice a value-space bisection.
 // The search stops when every candidate is the same value.
 func (c *Combined) cross(r float64, upper bool) (below, at int64, probes int) {
-	key := func(s rankSums) float64 {
-		l, u := s.bounds(c.eps1, c.eps2)
-		if upper {
-			return u
-		}
-		return l
-	}
 	reached := func(k float64) bool { return k > r || (!upper && k == r) }
 
 	// lo starts at the global minimum and hi at the maximum; only the runs
 	// that start at the minimum have elements ≤ it to count.
 	act := make([]bracket, 0, len(c.runs))
 	count, minCand, maxCand := 0, c.maxV, c.maxV
-	var base, bottom, top rankSums
+	var base, bottom, top int64 // the bound's sums
 	for i := range c.runs {
 		run := &c.runs[i]
 		p := bracket{run: run, b: len(run.vals)}
 		if run.vals[0] == c.minV {
 			p.a = countLE(run.vals, 0, p.b, c.minV)
 		}
-		bottom.add(run, p.a)
-		top.add(run, p.b)
+		p.ka, p.kb = run.bound(p.a, upper), run.bound(p.b, upper)
+		bottom += p.ka
+		top += p.kb
 		if p.a == p.b {
-			base.add(run, p.a)
+			base += p.ka
 			continue
 		}
 		act = append(act, p)
 		count += p.b - p.a
 		minCand = min(minCand, run.vals[p.a])
 	}
-	kLo, kHi := key(bottom), key(top)
+	kLo, kHi := float64(bottom), float64(top)
 	if reached(kLo) {
 		return c.minV, c.minV, 0
 	}
@@ -300,7 +277,7 @@ func (c *Combined) cross(r float64, upper bool) (below, at int64, probes int) {
 		case midpoint:
 			z = minCand + int64(uint64(maxCand-minCand)/2) // exact in uint64 even when the difference overflows int64
 		case probes == 0 || count >= wideBracket*len(act):
-			z = weightedMedian(act, noms, f, c.eps1, c.eps2)
+			z = weightedMedian(act, noms, f)
 		default:
 			z = between(minCand, maxCand, f)
 		}
@@ -311,9 +288,10 @@ func (c *Combined) cross(r float64, upper bool) (below, at int64, probes int) {
 		for i := range act {
 			p := &act[i]
 			p.mid = countLE(p.run.vals, p.a, p.b, z)
-			s.add(p.run, p.mid)
+			p.kmid = p.run.bound(p.mid, upper)
+			s += p.kmid
 		}
-		k := key(s)
+		k := float64(s)
 		hit := reached(k)
 		if hit {
 			if kept >= 0 {
@@ -331,12 +309,12 @@ func (c *Combined) cross(r float64, upper bool) (below, at int64, probes int) {
 		minCand, maxCand = math.MaxInt64, math.MinInt64
 		for _, p := range act {
 			if hit {
-				p.b = p.mid
+				p.b, p.kb = p.mid, p.kmid
 			} else {
-				p.a = p.mid
+				p.a, p.ka = p.mid, p.kmid
 			}
 			if p.a == p.b {
-				base.add(p.run, p.a)
+				base += p.ka
 				if p.a > 0 {
 					below = max(below, p.run.vals[p.a-1])
 				}
@@ -367,10 +345,12 @@ func (c *Combined) cross(r float64, upper bool) (below, at int64, probes int) {
 const wideBracket = 8
 
 // bracket is a run's part in a crossing: vals[:a] ≤ lo < vals[a:b] ≤ hi,
-// and mid counts its elements ≤ the current probe.
+// and mid counts its elements ≤ the current probe; ka, kb and kmid are the
+// run's share of the crossed bound at a, b and mid.
 type bracket struct {
-	run       *sortedRun
-	a, b, mid int
+	run          *sortedRun
+	a, b, mid    int
+	ka, kb, kmid int64
 }
 
 // nomination is a run's element proposed for a probe, with the run's mass.
@@ -382,20 +362,17 @@ type nomination struct {
 // weightedMedian is a probe of a crossing aiming at the fraction f of the
 // bracketed mass: every run nominates the element f into its bracket, and
 // the probe is the smallest nomination at which the nominations' mass
-// reaches half, each run weighing its bracket's length times its elements'
-// share of the bound, ε·n. It selects in place (quickselect, three-way
-// partitions), so noms — scratch of len(act) or more — ends reordered.
-func weightedMedian(act []bracket, noms []nomination, f float64, eps1, eps2 float64) int64 {
+// reaches half, each run weighing its bracket's exact rank span, what the
+// crossed bound moves by across it. It selects in place (quickselect,
+// three-way partitions), so noms — scratch of len(act) or more — ends
+// reordered.
+func weightedMedian(act []bracket, noms []nomination, f float64) int64 {
 	noms = noms[:len(act)]
 	var total float64
 	for i, p := range act {
 		span := p.b - p.a
-		eps := eps1
-		if p.run.stream {
-			eps = eps2
-		}
 		idx := p.a + min(max(int(f*float64(span)), 0), span-1)
-		noms[i] = nomination{p.run.vals[idx], eps * float64(p.run.n) * float64(span)}
+		noms[i] = nomination{p.run.vals[idx], float64(p.kb - p.ka)}
 		total += noms[i].w
 	}
 	// noms[lo:hi] holds the nominations not yet placed, acc the mass of
@@ -475,15 +452,18 @@ func (c *Combined) Filters(r int64) (u, v int64, err error) {
 }
 
 // StreamRankEstimate returns ρ₂ of Algorithm 8, summed across every
-// memory-resident stream piece: Σ_j ε₂·m_j·|{SS_j ≤ z}|.
+// memory-resident stream piece: the midpoint of each piece's exact interval
+// [L, U] at z, so it errs by at most ε₂·M/2 a piece and never exceeds M.
 func (c *Combined) StreamRankEstimate(z int64) float64 {
 	return streamRankEstimate(c.streams, c.eps2, z)
 }
 
 func streamRankEstimate(pieces []StreamPiece, eps2 float64, z int64) float64 {
-	var rho float64
+	var sum int64
 	for _, p := range pieces {
-		rho += float64(countLE(p.SS, 0, len(p.SS), z)) * eps2 * float64(p.M)
+		r := sortedRun{vals: p.SS, n: p.M, eps: eps2}
+		a := countLE(p.SS, 0, len(p.SS), z)
+		sum += r.bound(a, false) + r.bound(a, true)
 	}
-	return rho
+	return float64(sum) / 2
 }

@@ -103,20 +103,14 @@ func TestFigure3Bounds(t *testing.T) {
 	if err := c.Validate(0.5, rankOf); err != nil {
 		t.Fatal(err)
 	}
-	// Spot-check against the figure's printed L/U rows: TS[0]=1 has L=0,
-	// U=25; TS[2]=25 has L=25, U=100... the figure row for index 2 shows
-	// L=25, U=100? The figure lists U_2=100. Verify the first three.
-	l0, u0 := ts.Bounds(0)
-	if l0 != 0 || u0 != 25 {
-		t.Errorf("TS[0]: L=%g U=%g, want 0/25", l0, u0)
-	}
-	l1, u1 := ts.Bounds(1)
-	if l1 != 0 || u1 != 75 {
-		t.Errorf("TS[1]: L=%g U=%g, want 0/75", l1, u1)
-	}
-	l2, u2 := ts.Bounds(2)
-	if l2 != 25 || u2 != 100 {
-		t.Errorf("TS[2]: L=%g U=%g, want 25/100", l2, u2)
+	// The figure's printed rows charge each entry i·ε₁·η (TS[0] = 1 has
+	// L = 0, U = 25; TS[1] = 2 has 0/75; TS[2] = 25 has 25/100). The exact
+	// capture positions are tighter: 1 sits at P1's position 0, 25 at 24, 2
+	// at P3's position 0 and 51 at 49 — a rank of 1, 2 and 49 in T.
+	for i, want := range [][2]int64{{1, 24}, {2, 73}, {26, 98}} {
+		if l, u := ts.Bounds(i); l != want[0] || u != want[1] {
+			t.Errorf("TS[%d] = %d: L=%d U=%d, want %d/%d", i, ts.Value(i), l, u, want[0], want[1])
+		}
 	}
 }
 
@@ -303,14 +297,15 @@ func TestEmptyCombined(t *testing.T) {
 	}
 }
 
-// TestSortedSummaryBand holds the sealed step's summary to Lemma 1 and to
-// what the query path asks of a stream piece, on step sizes around every ε₂'s
-// 1/ε₂, values without ties, heavy duplicates and the int64 extremes: each
-// entry's rank lies in its band [i·ε₂m, (i+1)·ε₂m] (rounded outward to whole
-// ranks when ε₂m < 2, as no rank lies between two integers); a Combined of
-// the piece alone brackets every distinct value ±1 between L and U; and
-// StreamRankEstimate is within ε₂m of the exact rank. tol absorbs float
-// rounding of ε₂ only.
+// TestSortedSummaryBand holds the sealed step's summary to the capture rule
+// and to what the query path asks of a stream piece, on step sizes around
+// every ε₂'s 1/ε₂, values without ties, heavy duplicates and the int64
+// extremes: entry i is the element at partition.CapturePos(i, m, ε₂), so its
+// rank lies in Lemma 1's band [i·ε₂m, (i+1)·ε₂m], rounded outward to whole
+// ranks (the first rank is 1, the last m); a Combined of the piece
+// alone brackets every distinct value ±1 between L and U, at most ε₂m apart
+// and equal where the piece captured every element; and StreamRankEstimate
+// is within ε₂m/2 of the exact rank.
 func TestSortedSummaryBand(t *testing.T) {
 	shapes := map[string]func(rng *rand.Rand) int64{
 		"distinct": func(rng *rand.Rand) int64 { return rng.Int63n(1<<40) - 1<<39 },
@@ -319,8 +314,8 @@ func TestSortedSummaryBand(t *testing.T) {
 			return []int64{math.MinInt64, math.MinInt64 + 1, 0, math.MaxInt64 - 1, math.MaxInt64}[rng.Intn(5)]
 		},
 	}
-	for _, m := range []int{1, 2, 999, 1000, 3999, 4000, 4001, 32768} {
-		for _, eps2 := range []float64{0.00025, 0.0125, 0.25} {
+	for _, m := range []int{1, 2, 3, 4, 5, 999, 1000, 3999, 4000, 4001, 32768} {
+		for _, eps2 := range []float64{0.00025, 0.0125, 0.075, 0.25} {
 			for name, gen := range shapes {
 				rng := rand.New(rand.NewSource(int64(m)))
 				data := make([]int64, m)
@@ -329,24 +324,26 @@ func TestSortedSummaryBand(t *testing.T) {
 				}
 				slices.Sort(data)
 				ss := SortedSummary(data, eps2)
-				if len(ss) != beta(eps2) || !slices.IsSorted(ss) || ss[0] != data[0] {
-					t.Fatalf("m=%d ε₂=%g %s: %d entries, sorted %v, min %d; want %d sorted from the minimum %d",
-						m, eps2, name, len(ss), slices.IsSorted(ss), ss[0], beta(eps2), data[0])
+				if len(ss) != partition.Beta(eps2) || ss[0] != data[0] || ss[len(ss)-1] != data[m-1] {
+					t.Fatalf("m=%d ε₂=%g %s: %d entries from %d to %d; want %d from the minimum %d to the maximum %d",
+						m, eps2, name, len(ss), ss[0], ss[len(ss)-1], partition.Beta(eps2), data[0], data[m-1])
 				}
-				em, tol := eps2*float64(m), 1e-9*float64(m)
+				em := eps2 * float64(m)
 				// rank(v) = |{x ≤ v}|; a value holds ranks first..rank(v).
 				rank := func(v int64) int64 {
 					return int64(sort.Search(m, func(i int) bool { return data[i] > v }))
 				}
+				exact := em < 1 // every position captured
 				for i, v := range ss {
-					lo, hi := float64(i)*em, float64(i+1)*em
-					if em < 2 {
-						lo, hi = math.Floor(lo), math.Ceil(hi)
+					p := partition.CapturePos(i, int64(m), eps2)
+					if v != data[p] {
+						t.Fatalf("m=%d ε₂=%g %s: entry %d = %d, want the element at position %d, %d", m, eps2, name, i, v, p, data[p])
 					}
-					first := int64(sort.Search(m, func(j int) bool { return data[j] >= v })) + 1
-					if float64(first) > hi+tol || float64(rank(v)) < lo-tol {
-						t.Fatalf("m=%d ε₂=%g %s: entry %d = %d holds ranks [%d, %d], outside its band [%g, %g]",
-							m, eps2, name, i, v, first, rank(v), lo, hi)
+					tol := 1e-9 * float64(m)
+					lo := min(math.Floor(float64(i)*em-tol), float64(m))
+					hi := max(math.Ceil(float64(i+1)*em+tol), 1)
+					if r := float64(p + 1); r < lo || r > hi {
+						t.Fatalf("m=%d ε₂=%g %s: entry %d sits at rank %g, outside its band [%g, %g]", m, eps2, name, i, r, lo, hi)
 					}
 				}
 				c := BuildPieces(nil, []StreamPiece{{SS: ss, M: int64(m)}}, 0.01, eps2)
@@ -359,13 +356,14 @@ func TestSortedSummaryBand(t *testing.T) {
 						if d == -1 && x == math.MinInt64 || d == 1 && x == math.MaxInt64 {
 							continue
 						}
-						r := float64(rank(v))
-						if l, u := c.boundsAt(v); l > r+tol || u < r-tol {
-							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %g outside [L, U] = [%g, %g]", m, eps2, name, v, r, l, u)
+						r := rank(v)
+						l, u := c.boundsAt(v)
+						if l > r || u < r || float64(u-l) > em || exact && l != u {
+							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %d, [L, U] = [%d, %d], ε₂m = %g", m, eps2, name, v, r, l, u, em)
 						}
-						if rho := c.StreamRankEstimate(v); math.Abs(rho-r) > em+tol {
-							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %g, StreamRankEstimate %g, off by more than ε₂m = %g",
-								m, eps2, name, v, r, rho, em)
+						if rho := c.StreamRankEstimate(v); math.Abs(rho-float64(r)) > em/2 {
+							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %d, StreamRankEstimate %g, off by more than ε₂m/2 = %g",
+								m, eps2, name, v, r, rho, em/2)
 						}
 					}
 				}

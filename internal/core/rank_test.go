@@ -68,7 +68,7 @@ func TestRankOfValueNeverExceedsTotal(t *testing.T) {
 	f := buildFixture(t, 131, 0.05, 4, 300, 900)
 	eps2 := f.eps / 4
 	ss := func(lo int64, m int64) StreamPiece { // β₂ ascending entries from lo
-		p := StreamPiece{M: m, SS: make([]int64, beta(eps2))}
+		p := StreamPiece{M: m, SS: make([]int64, partition.Beta(eps2))}
 		for i := range p.SS {
 			p.SS[i] = lo + int64(i)
 		}
@@ -86,8 +86,8 @@ func TestRankOfValueNeverExceedsTotal(t *testing.T) {
 	if got != n {
 		t.Errorf("RankOfValue(MaxInt64) = %d, want the total %d", got, n)
 	}
-	if unclamped := streamRankEstimate(pieces, eps2, math.MaxInt64); unclamped <= float64(500+700+f.m) {
-		t.Fatalf("fixture does not overshoot: unclamped stream estimate %g", unclamped)
+	if rho := streamRankEstimate(pieces, eps2, math.MaxInt64); rho != float64(500+700+f.m) {
+		t.Fatalf("stream estimate at MaxInt64 = %g, want the pieces' total %d: exact positions leave no overshoot", rho, 500+700+f.m)
 	}
 	// Two entries short of a piece's top the estimate is below M and untouched.
 	v := pieces[0].SS[len(pieces[0].SS)-3]

@@ -39,7 +39,7 @@ type ShardSummary struct {
 // The step range is what lets a decoded summary be narrowed to a query scope
 // and checked against a store manifest (the cold-summary sidecar). Capture
 // positions are not carried: each follows from Count and the shard's ε₁
-// (Algorithm 2), and only disk probes, which never cross shards, use them.
+// (partition.CapturePos), and the rank bounds are sums of them.
 type PartSummary struct {
 	Count              int64
 	StartStep, EndStep int
@@ -47,8 +47,9 @@ type PartSummary struct {
 }
 
 // snapshotVersion is the ShardSummary encoding version byte. Version 1 had
-// no step ranges; it is refused, not guessed at.
-const snapshotVersion = 2
+// no step ranges; version 2's piece entries sat at band middles, not at the
+// capture positions the bounds now read. Both are refused, not guessed at.
+const snapshotVersion = 3
 
 // AppendBinary appends the binary encoding of s to buf — the bytes of a
 // peer's SummaryResp and of a stream's SUMMARY.bin alike:
@@ -145,9 +146,9 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 // summary, as if all their partitions and stream pieces belonged to one
 // engine; no element is copied. Empty shards (N == 0) are skipped; the
 // non-empty shards must agree on (ε₁, ε₂) — i.e. every node of the cluster
-// runs the same configured ε — because the L/U rank-bound formulas weight
-// each source by its own ε term. The returned total is Σ N; a nil Combined
-// with total 0 means every shard was empty.
+// runs the same configured ε — because the ε a run was captured at places
+// its entries, and the composed ε is one per answer. The returned total is
+// Σ N; a nil Combined with total 0 means every shard was empty.
 //
 // Every run must be sorted ascending (DecodeShardSummary checks a peer's
 // and a file's). Only quick (in-memory) queries — QuickQuery, Filters,

@@ -114,8 +114,15 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 		s := &ShardSummary{N: n, Parts: []PartSummary{{Count: 5, StartStep: start, EndStep: end, Values: []int64{1, 2, 3}}}}
 		return s.AppendBinary(nil)
 	}
-	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 2)") {
+	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 3)") {
 		t.Errorf("version-1 payload: %v, want a version error", err)
+	}
+	// Version 2 has version 3's layout, but its piece entries sat at band
+	// middles, not at the capture positions the bounds read.
+	v2 := steps(8, 1, 1)
+	v2[0] = 2
+	if _, err := DecodeShardSummary(v2); err == nil || !strings.Contains(err.Error(), "version 2 (want 3)") {
+		t.Errorf("version-2 payload: %v, want a version error", err)
 	}
 	for _, tc := range []struct {
 		name string

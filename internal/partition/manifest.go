@@ -189,7 +189,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	if m.Kappa != cfg.Kappa {
 		return nil, fmt.Errorf("partition: manifest kappa %d != config kappa %d", m.Kappa, cfg.Kappa)
 	}
-	s := &Store{dev: dev, cfg: cfg, beta1: cfg.Beta1(), nextID: m.NextID}
+	s := &Store{dev: dev, cfg: cfg, nextID: m.NextID}
 	ents := make([]*Summary, 0, len(m.Parts))
 	keep := map[string]bool{manifestName: true}
 	for _, pe := range m.Parts {
@@ -202,7 +202,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 			dev:       dev,
 			name:      pe.Name,
 		}
-		sum, err := rebuildSummary(p, cfg.Eps1, s.beta1)
+		sum, err := rebuildSummary(p, cfg.Eps1)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +225,7 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 }
 
 // rebuildSummary reconstructs HSᵢ for a partition with one sequential scan.
-func rebuildSummary(p *Partition, eps1 float64, beta1 int) (*Summary, error) {
+func rebuildSummary(p *Partition, eps1 float64) (*Summary, error) {
 	r, err := p.OpenSequential()
 	if err != nil {
 		return nil, err
@@ -234,7 +234,7 @@ func rebuildSummary(p *Partition, eps1 float64, beta1 int) (*Summary, error) {
 	if r.Count() != p.Count {
 		return nil, fmt.Errorf("partition: %s has %d elements on disk, manifest says %d", p.name, r.Count(), p.Count)
 	}
-	cap := newCapture(p, eps1, beta1)
+	cap := newCapture(p, eps1)
 	prev := int64(0)
 	first := true
 	for {

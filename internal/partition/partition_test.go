@@ -63,30 +63,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBeta1: β₁ = ⌈1/ε₁ + 1⌉, and at every ε — 1/k included, where the
+// float product ⌈1/ε⌉·ε can fall short of 1 — the last of the Beta entries
+// sits on the run's maximum.
 func TestBeta1(t *testing.T) {
-	// β₁ = ⌈1/ε₁ + 1⌉
 	cases := []struct {
 		eps1 float64
 		want int
-	}{{0.25, 5}, {0.5, 3}, {0.1, 11}, {0.125, 9}}
+	}{{0.25, 5}, {0.5, 3}, {0.1, 11}, {0.125, 9}, {0.3, 5}, {0.0005, 2001}}
 	for _, c := range cases {
-		if got := (Config{Eps1: c.eps1}).Beta1(); got != c.want {
-			t.Errorf("Beta1(%g) = %d, want %d", c.eps1, got, c.want)
+		if got := Beta(c.eps1); got != c.want {
+			t.Errorf("Beta(%g) = %d, want %d", c.eps1, got, c.want)
+		}
+	}
+	for k := 2; k <= 5000; k++ {
+		eps := 1 / float64(k)
+		for _, eta := range []int64{1, 2, 7, int64(k) - 1, int64(k) + 1, 4001, 1 << 20} {
+			if eta < 1 {
+				continue
+			}
+			if p := CapturePos(Beta(eps)-1, eta, eps); p != eta-1 {
+				t.Fatalf("ε = 1/%d, η = %d: the last of %d entries sits at %d, not the maximum %d", k, eta, Beta(eps), p, eta-1)
+			}
 		}
 	}
 }
 
-// capturePositions lists capturePos for entries 0..beta1-1.
+// capturePositions lists CapturePos for entries 0..beta1-1.
 func capturePositions(eta int64, eps1 float64, beta1 int) []int64 {
 	pos := make([]int64, beta1)
 	for i := range pos {
-		pos[i] = capturePos(i, eta, eps1)
+		pos[i] = CapturePos(i, eta, eps1)
 	}
 	return pos
 }
 
 // referencePositions is the slice builder summaries once stored their
-// positions from, kept as the reference capturePos must reproduce.
+// positions from, kept as the reference CapturePos must reproduce.
 func referencePositions(eta int64, eps1 float64, beta1 int) []int64 {
 	if eta <= 0 {
 		return nil
@@ -116,12 +129,12 @@ func TestCapturePosMatchesReference(t *testing.T) {
 	epss := []float64{0.5, 0.3, 0.25, 0.1, 0.05, 0.025, 0.01, 0.0005, 1.0 / 3000, 0.000123}
 	etas := []int64{1, 2, 3, 7, 100, 199, 200, 999, 1000, 1999, 2000, 2001, 3999, 4000, 4001, 8191, 57000, 1<<20 + 1}
 	for _, eps1 := range epss {
-		beta1 := (Config{Eps1: eps1}).Beta1()
+		beta1 := Beta(eps1)
 		for _, eta := range etas {
 			ref := referencePositions(eta, eps1, beta1)
 			for i, want := range ref {
-				if got := capturePos(i, eta, eps1); got != want {
-					t.Fatalf("ε₁=%g η=%d: capturePos(%d) = %d, reference %d", eps1, eta, i, got, want)
+				if got := CapturePos(i, eta, eps1); got != want {
+					t.Fatalf("ε₁=%g η=%d: CapturePos(%d) = %d, reference %d", eps1, eta, i, got, want)
 				}
 			}
 		}

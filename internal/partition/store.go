@@ -47,15 +47,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Beta1 returns β₁ = ⌈1/ε₁ + 1⌉ for the configured ε₁.
-func (c Config) Beta1() int {
-	b := int(1.0/c.Eps1) + 1
-	if float64(b-1) < 1.0/c.Eps1 {
-		b++
-	}
-	return b
-}
-
 // UpdateBreakdown reports where one time step's update spent its time and
 // I/O, split into the paper's four phases (Figure 6/7): loading the step —
 // the write of its level-0 partition, the step's one trip to the device —
@@ -151,9 +142,8 @@ func (sb *SealedBatch) MemoryBytes() int64 { return int64(cap(sb.data)) * 8 }
 // run that steps backwards: a partition damaged on the device stops the
 // merge that reads it (see mergeLevel), not the next LoadStore.
 type Store struct {
-	dev   *disk.Manager
-	cfg   Config
-	beta1 int
+	dev *disk.Manager
+	cfg Config
 
 	// Published state.
 	vmu          sync.Mutex
@@ -185,7 +175,7 @@ func NewStore(dev *disk.Manager, cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Store{dev: dev, cfg: cfg, beta1: cfg.Beta1()}
+	s := &Store{dev: dev, cfg: cfg}
 	s.cur = &Version{store: s, seq: 1, refs: 1, memo: s.newMemo()}
 	s.live = []*Version{s.cur}
 	s.committedSeq = 0
@@ -434,7 +424,7 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 // part.Count elements long is an error; the file it leaves is overwritten by
 // the retry, like any failed install's.
 func (s *Store) writeRun(dev *disk.Manager, src extsort.Source, part *Partition) (*Summary, error) {
-	cap := newCapture(part, s.cfg.Eps1, s.beta1)
+	cap := newCapture(part, s.cfg.Eps1)
 	n, err := extsort.WriteRun(dev, part.name, src, cap.feed)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,9 @@
 package partition
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Summary is the in-memory summary HSᵢ of one partition (Algorithm 2):
 // β₁ elements whose ranks within the partition are known exactly. Values[0]
@@ -20,17 +23,31 @@ type Summary struct {
 func (s *Summary) MemoryBytes() int64 { return int64(len(s.Values)) * 8 }
 
 // pos returns the zero-based partition position of entry i.
-func (s *Summary) pos(i int) int64 { return capturePos(i, s.Part.Count, s.eps1) }
+func (s *Summary) pos(i int) int64 { return CapturePos(i, s.Part.Count, s.eps1) }
 
-// capturePos is Algorithm 2's capture rule: the zero-based position of entry
-// i in a sorted partition of eta elements, 0 for i = 0 and ⌊i·ε₁·η⌋ − 1
-// clamped to [0, η−1] after. It is non-decreasing in i.
-func capturePos(i int, eta int64, eps1 float64) int64 {
+// CapturePos is Algorithm 2's capture rule, the one statement of where a
+// summary entry sits: the zero-based position of entry i in a sorted run of
+// eta elements summarized at ε, 0 for i = 0 and ⌊i·ε·η⌋ − 1 clamped to
+// [0, η−1] after. It is non-decreasing in i. Partitions capture with it at
+// ε₁ and stream pieces at ε₂ (core.SortedSummary), and the rank bounds of
+// every run are the positions it gives.
+func CapturePos(i int, eta int64, eps float64) int64 {
 	if i == 0 {
 		return 0
 	}
-	p := int64(float64(i)*eps1*float64(eta)) - 1
+	p := int64(float64(i)*eps*float64(eta)) - 1
 	return min(max(p, 0), eta-1)
+}
+
+// Beta is the entry count the rule implies at ε: ⌈1/ε⌉ + 1, one more where
+// the float product ⌈1/ε⌉·ε falls short of 1 (ε = 1/161, say), so that the
+// last entry is always the run's maximum.
+func Beta(eps float64) int {
+	b := int(math.Ceil(1 / eps))
+	if float64(b)*eps < 1 {
+		b++
+	}
+	return b + 1
 }
 
 // capture incrementally extracts a Summary while a sorted partition streams
@@ -43,10 +60,10 @@ type capture struct {
 }
 
 // newCapture prepares a capture for partition p, whose Count is known.
-func newCapture(p *Partition, eps1 float64, beta1 int) *capture {
+func newCapture(p *Partition, eps1 float64) *capture {
 	c := &capture{sum: Summary{Part: p, eps1: eps1}}
 	if p.Count > 0 {
-		c.sum.Values = make([]int64, beta1)
+		c.sum.Values = make([]int64, Beta(eps1))
 	}
 	return c
 }

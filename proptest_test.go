@@ -166,11 +166,8 @@ func runDifferential(t *testing.T, wname string, seed int64) {
 			}
 			// The accurate bounds scale with the stream side of the scope: the
 			// live batch (every EndStep has written its step by the time it
-			// returns). The stream-side summary is discrete — its entries
-			// sit within ⌈ε₂·M/2⌉ ≥ 1 ranks of their bands' middles — so every bound carries one
-			// rank of slack, which matters on scopes of a few elements.
+			// returns).
 			m := int64(len(live))
-			const slack = 1
 
 			ans, err := eng.Query(context.Background(), req)
 			if err != nil {
@@ -196,11 +193,14 @@ func runDifferential(t *testing.T, wname string, seed int64) {
 				}
 				for i, got := range ans.Values {
 					if kind == 2 {
-						// Rank of value: accurate is exact on disk plus the ε₂
-						// stream estimate, quick is O(ε·N).
-						want, bound := or.Rank(req.Values[i]), int64(eps*float64(m))+slack
+						// Rank of value: accurate is exact on disk plus the
+						// midpoint of the piece's exact [L, U], at most
+						// ⌈ε₂·m/2⌉ ≤ ε·m off (and exact once ε₂·m < 1); quick
+						// is the midpoint of [L, U], at most ⌈(U−L)/2⌉ off,
+						// with U − L ≤ ε₁·n + ε₂·m ≤ ε·N.
+						want, bound := or.Rank(req.Values[i]), int64(eps*float64(m))
 						if quick {
-							bound = int64(2*eps*float64(n)) + slack
+							bound = int64(math.Ceil(eps * float64(n) / 2))
 						}
 						if d := abs64(got - want); d > bound {
 							fail(op, "%s Query(%+v): rank of %d = %d, oracle %d: error %d > %d (n=%d m=%d)", via, req, req.Values[i], got, want, d, bound, n, m)
@@ -214,20 +214,22 @@ func runDifferential(t *testing.T, wname string, seed int64) {
 						target = req.Ranks[i]
 					}
 					// Theorem 2 via Lemma 5: the bisection accepts within ε·m
-					// of the target, the stream estimate itself errs by up to
-					// ε₂·m (= ε·m/4), and snapping to a known element costs a
-					// little more discreteness — O(ε·m) total, asserted as
-					// 1.25·ε·m+2, inside Theorem 2's ε·N whenever the stream is
+					// of the target, and the stream estimate, the midpoint of
+					// the piece's [L, U], errs by at most (U−L)/2 ≤ ε₂·m/2;
+					// snapping down to the largest known element x ≤ z costs
+					// at most the stream elements in (x, z], which the same
+					// interval holds, so 1.125·ε·m in all, asserted as
+					// 1.25·ε·m, inside Theorem 2's ε·N whenever the stream is
 					// the smaller side.
-					bound, name := int64(1.25*eps*float64(m))+2, "1.25·ε·m"
+					bound, name := int64(1.25*eps*float64(m)), "1.25·ε·m"
 					switch {
 					case quick: // Lemma 3
 						bound, name = int64(1.5*eps*float64(n)), "1.5·ε·N"
 					case ans.Stats.Truncated: // Lemma 4: the filter spread
 						bound, name = int64(4*eps*float64(n)), "4·ε·N"
 					}
-					if se := or.SpanError(target, got); se > bound+slack {
-						fail(op, "%s Query(%+v): target rank %d = %d: rank error %d > %s = %d (+%d) (n=%d m=%d)", via, req, target, got, se, name, bound, slack, n, m)
+					if se := or.SpanError(target, got); se > bound {
+						fail(op, "%s Query(%+v): target rank %d = %d: rank error %d > %s = %d (n=%d m=%d)", via, req, target, got, se, name, bound, n, m)
 					}
 				}
 			}
