@@ -3,6 +3,7 @@ package hsq
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/enc"
+	"repro/internal/partition"
 	"repro/internal/query"
 )
 
@@ -23,8 +25,8 @@ type coldFixture struct {
 	rng *rand.Rand
 }
 
-func newColdFixture(t *testing.T, steps int) *coldFixture {
-	db, err := Open(Options{Epsilon: 0.1, Kappa: 2, Backend: "mem", BlockSize: 512, MaxHydratedStreams: 1})
+func newColdFixture(t *testing.T, eps float64, steps int) *coldFixture {
+	db, err := Open(Options{Epsilon: eps, Kappa: 2, Backend: "mem", BlockSize: 512, MaxHydratedStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func (f *coldFixture) answer(sc query.Scope) string {
 // eviction and a checkpoint both leave the bytes Stream.Summary would have
 // sent a peer while the stream was still hydrated.
 func TestSidecarIsTheWireEncoding(t *testing.T) {
-	f := newColdFixture(t, 5)
+	f := newColdFixture(t, 0.1, 5)
 	st, err := f.db.Stream("s")
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +141,10 @@ func v1Sidecar(parts []core.PartSummary) []byte {
 
 // TestColdSummaryFallsBack: a SUMMARY.bin that is not exactly the evicted
 // stream's durable state — stale, reshaped, cut short, padded, inconsistent,
-// unsorted, another build's, another ε's or gone — never answers. The read
-// hydrates once, is counted as a fallback, and returns what the hydrated
-// engine returns; the next eviction rewrites the file and the same reads
-// hydrate nothing.
+// unsorted, another build's, another ε's, another capture rule's or gone —
+// never answers. The read hydrates once, is counted as a fallback, and
+// returns what the hydrated engine returns; the next eviction rewrites the
+// file and the same reads hydrate nothing.
 func TestColdSummaryFallsBack(t *testing.T) {
 	// edited decodes a fresh sidecar, applies edit and encodes it again.
 	edited := func(edit func(*testing.T, *core.ShardSummary)) func(*coldFixture, []byte) [][]byte {
@@ -155,39 +157,78 @@ func TestColdSummaryFallsBack(t *testing.T) {
 			return [][]byte{sum.AppendBinary(nil)}
 		}
 	}
+	// oldRule re-captures every part of a fresh sidecar as builds before
+	// summary version 4 did — ⌈1/ε₁⌉+1 entries at ⌊i·ε₁·η⌋ − 1, clamped,
+	// whatever the part's count — and stamps the bytes with version.
+	oldRule := func(version byte) func(*coldFixture, []byte) [][]byte {
+		return func(f *coldFixture, fresh []byte) [][]byte {
+			sum, err := core.DecodeShardSummary(fresh)
+			if err != nil {
+				f.t.Fatal(err)
+			}
+			short := 0
+			for i, p := range sum.Parts {
+				if float64(p.Count)*sum.Eps1 >= 1 {
+					continue // both rules take the same entries
+				}
+				run, old := p.Values[1:], make([]int64, partition.Beta(math.MaxInt64, sum.Eps1))
+				for j := range old {
+					old[j] = run[min(max(int64(float64(j)*sum.Eps1*float64(p.Count))-1, 0), p.Count-1)]
+				}
+				sum.Parts[i].Values = old
+				short++
+			}
+			if short == 0 {
+				f.t.Fatal("fixture: no part shorter than 1/ε₁")
+			}
+			raw := sum.AppendBinary(nil)
+			raw[0] = version
+			return [][]byte{raw}
+		}
+	}
 	for _, tc := range []struct {
 		name string
+		eps  float64 // the DB's ε: at 0.01 every step is shorter than 1/ε₁
 		// damage returns the bytes to put in place of the fresh sidecar it
 		// is given, each its own trial; a nil entry removes the file.
 		damage func(f *coldFixture, fresh []byte) [][]byte
 	}{
-		{"stale steps", func(f *coldFixture, fresh []byte) [][]byte {
+		{"stale steps", 0.1, func(f *coldFixture, fresh []byte) [][]byte {
 			f.step("s", 2)
 			return [][]byte{fresh}
 		}},
-		{"layout from before a merge", edited(func(t *testing.T, sum *core.ShardSummary) {
+		{"layout from before a merge", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) {
 			// Same steps, same total: the first multi-step partition as the
 			// two it was merged from.
 			i := slices.IndexFunc(sum.Parts, func(p core.PartSummary) bool { return p.EndStep > p.StartStep })
 			if i < 0 {
 				t.Fatal("fixture: no merged partition")
 			}
-			p, h := sum.Parts[i], len(sum.Parts[i].Values)/2
+			// Each half holds the capture rule's count of entries, so only
+			// the manifest cross-check can tell.
+			p := sum.Parts[i]
+			half := func(count int64) []int64 {
+				vs := make([]int64, partition.Beta(count, sum.Eps1))
+				for j := range vs {
+					vs[j] = p.Values[j*len(p.Values)/len(vs)]
+				}
+				return vs
+			}
 			sum.Parts = slices.Replace(sum.Parts, i, i+1,
-				core.PartSummary{Count: p.Count / 2, StartStep: p.StartStep, EndStep: p.StartStep, Values: p.Values[:h]},
-				core.PartSummary{Count: p.Count - p.Count/2, StartStep: p.StartStep + 1, EndStep: p.EndStep, Values: p.Values[h:]})
+				core.PartSummary{Count: p.Count / 2, StartStep: p.StartStep, EndStep: p.StartStep, Values: half(p.Count / 2)},
+				core.PartSummary{Count: p.Count - p.Count/2, StartStep: p.StartStep + 1, EndStep: p.EndStep, Values: half(p.Count - p.Count/2)})
 		})},
-		{"truncated", func(_ *coldFixture, fresh []byte) (cuts [][]byte) {
+		{"truncated", 0.1, func(_ *coldFixture, fresh []byte) (cuts [][]byte) {
 			for n := 1; n < len(fresh); n++ { // a nil entry would mean "missing"
 				cuts = append(cuts, fresh[:n])
 			}
 			return append(cuts, []byte{})
 		}},
-		{"trailing byte", func(_ *coldFixture, fresh []byte) [][]byte {
+		{"trailing byte", 0.1, func(_ *coldFixture, fresh []byte) [][]byte {
 			return [][]byte{append(slices.Clone(fresh), 0)}
 		}},
-		{"N off by one", edited(func(t *testing.T, sum *core.ShardSummary) { sum.N++ })},
-		{"first run reversed", edited(func(t *testing.T, sum *core.ShardSummary) {
+		{"N off by one", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) { sum.N++ })},
+		{"first run reversed", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) {
 			vs := slices.Clone(sum.Parts[0].Values)
 			slices.Reverse(vs)
 			if slices.IsSorted(vs) {
@@ -195,21 +236,23 @@ func TestColdSummaryFallsBack(t *testing.T) {
 			}
 			sum.Parts[0].Values = vs
 		})},
-		{"version 1", func(f *coldFixture, fresh []byte) [][]byte {
+		{"version 1", 0.1, func(f *coldFixture, fresh []byte) [][]byte {
 			sum, err := core.DecodeShardSummary(fresh)
 			if err != nil {
 				f.t.Fatal(err)
 			}
 			return [][]byte{v1Sidecar(sum.Parts)}
 		}},
-		{"another epsilon", edited(func(t *testing.T, sum *core.ShardSummary) { sum.Eps1, sum.Eps2 = sum.Eps1/2, sum.Eps2/2 })},
-		{"stream-side piece", edited(func(t *testing.T, sum *core.ShardSummary) {
-			sum.Pieces, sum.N = []core.StreamPiece{{M: 1, SS: []int64{7}}}, sum.N+1
+		{"another epsilon", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) { sum.Eps1, sum.Eps2 = sum.Eps1/2, sum.Eps2/2 })},
+		{"stream-side piece", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) {
+			sum.Pieces, sum.N = []core.StreamPiece{{M: 1, SS: []int64{7, 7}}}, sum.N+1
 		})},
-		{"missing", func(*coldFixture, []byte) [][]byte { return [][]byte{nil} }},
+		{"missing", 0.1, func(*coldFixture, []byte) [][]byte { return [][]byte{nil} }},
+		{"version 3, the old capture rule", 0.01, oldRule(3)},
+		{"the old capture rule", 0.01, oldRule(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newColdFixture(t, 5)
+			f := newColdFixture(t, tc.eps, 5)
 			trials := tc.damage(f, f.evict())
 			// What the hydrated engine answers: the whole history, the newest
 			// partition as a window, the oldest as an as-of read.
@@ -261,7 +304,7 @@ func TestColdSummaryFallsBack(t *testing.T) {
 	// held summary answers until a hydrate→evict cycle forgets it and the
 	// eviction rewrites the file.
 	t.Run("damaged while held", func(t *testing.T) {
-		f := newColdFixture(t, 5)
+		f := newColdFixture(t, 0.1, 5)
 		fresh := f.evict()
 		want := f.answer(query.Scope{}) // decodes and holds
 		if err := f.db.dev.WriteMeta(sidecarPath("s"), fresh[:1]); err != nil {
@@ -297,7 +340,7 @@ func TestColdSummaryHeldUntilHydration(t *testing.T) {
 	scopes := []query.Scope{{}, {Window: 1}, {AsOf: 1}}
 	var allocs []float64
 	for _, steps := range []int{4, 40} {
-		f := newColdFixture(t, steps)
+		f := newColdFixture(t, 0.1, steps)
 		f.evict()
 		first := f.db.DirectoryStats()
 		want := make([]string, len(scopes))
@@ -363,7 +406,7 @@ func TestColdSummaryHeldUntilHydration(t *testing.T) {
 // happen, or every later read would answer the old history. Then it lets
 // concurrent readers race the same cycle.
 func TestHeldColdSummaryNotStale(t *testing.T) {
-	f := newColdFixture(t, 5)
+	f := newColdFixture(t, 0.1, 5)
 	f.evict()
 	st, _ := f.db.Lookup("s")
 	f.db.mu.Lock()

@@ -8,8 +8,9 @@
 // A stream is observed element by element; at the end of each time step the
 // accumulated batch is loaded into the warehouse, which keeps sorted
 // partitions organized in levels with a merge threshold κ. Small in-memory
-// summaries of both sides (β₁ exactly-ranked samples per partition, β₂ of
-// the stream) answer quick queries immediately and seed an accurate query
+// summaries of both sides (exactly-ranked samples of each partition and of
+// the stream, about 1/ε₁ and 1/ε₂ of them, a shorter run whole) answer
+// quick queries immediately and seed an accurate query
 // that performs a handful of random disk reads. The paper summarizes the
 // stream in a Greenwald-Khanna sketch because it does not keep it; this
 // package keeps the current step's batch, which EndStep writes anyway, and
@@ -304,7 +305,7 @@
 // mass-weighted median of each run's element at the target's fraction,
 // the later ones regula falsi, with a midpoint whenever two probes fail to
 // halve the candidates. About 7 probes per selection on a fleet group
-// (~200 runs of 2 001 values), O(k) scratch, nothing per entry, and
+// (~200 runs of 1 001 to 2 001 values), O(k) scratch, nothing per entry, and
 // nothing cached per store version. Every run must be sorted ascending; a
 // peer's shard summary that is not is refused at decode.
 // A rank-of-value request reads partitions and stream pieces only.

@@ -25,17 +25,18 @@ import (
 )
 
 // SortedSummary is SS (Algorithm 4's stream summary) for a batch held sorted,
-// as the live step is at a read and a sealed step is from its cut: the β₂
-// entries partition.CapturePos places at ε₂, the rule a partition's summary
-// is captured by, so every entry's rank within the batch is exact and the
-// bounds of a piece are those of a partition of its size. sorted must be
-// ascending.
+// as the live step is at a read and a sealed step is from its cut: the
+// entries partition.CapturePos places at ε₂, as many as partition.Beta
+// gives — the rule a partition's summary is captured by, which takes a
+// batch of fewer than 1/ε₂ values whole — so every entry's rank within the
+// batch is exact and the bounds of a piece are those of a partition of its
+// size. sorted must be ascending.
 func SortedSummary(sorted []int64, eps2 float64) []int64 {
 	m := int64(len(sorted))
 	if m == 0 {
 		return nil
 	}
-	ss := make([]int64, partition.Beta(eps2))
+	ss := make([]int64, partition.Beta(m, eps2))
 	for i := range ss {
 		ss[i] = sorted[partition.CapturePos(i, m, eps2)]
 	}
@@ -52,7 +53,7 @@ func SortedSummary(sorted []int64, eps2 float64) []int64 {
 // probes — so snapshot-isolated reads stay correct while installs run
 // behind them.
 type StreamPiece struct {
-	// SS is the piece's summary (sorted): β₂ elements at the capture
+	// SS is the piece's summary (sorted): the elements at the capture
 	// positions of ε₂ in M, as SortedSummary gathers them.
 	SS []int64
 	// M is the number of elements the piece covers.

@@ -300,9 +300,11 @@ func TestEmptyCombined(t *testing.T) {
 // TestSortedSummaryBand holds the sealed step's summary to the capture rule
 // and to what the query path asks of a stream piece, on step sizes around
 // every ε₂'s 1/ε₂, values without ties, heavy duplicates and the int64
-// extremes: entry i is the element at partition.CapturePos(i, m, ε₂), so its
+// extremes: ⌈1/ε₂⌉+1 entries, or m+1 where ε₂m < 1 and the step is captured
+// whole; entry i is the element at partition.CapturePos(i, m, ε₂), so its
 // rank lies in Lemma 1's band [i·ε₂m, (i+1)·ε₂m], rounded outward to whole
-// ranks (the first rank is 1, the last m); a Combined of the piece
+// ranks (the first rank is 1, the last m), and is i (entry 0: 1) in a step
+// captured whole; a Combined of the piece
 // alone brackets every distinct value ±1 between L and U, at most ε₂m apart
 // and equal where the piece captured every element; and StreamRankEstimate
 // is within ε₂m/2 of the exact rank.
@@ -324,9 +326,11 @@ func TestSortedSummaryBand(t *testing.T) {
 				}
 				slices.Sort(data)
 				ss := SortedSummary(data, eps2)
-				if len(ss) != partition.Beta(eps2) || ss[0] != data[0] || ss[len(ss)-1] != data[m-1] {
+				// ⌈1/ε₂⌉+1 entries, or the m+1 of a run captured whole.
+				want := min(int(math.Ceil(1/eps2)), m) + 1
+				if len(ss) != want || len(ss) != partition.Beta(int64(m), eps2) || ss[0] != data[0] || ss[len(ss)-1] != data[m-1] {
 					t.Fatalf("m=%d ε₂=%g %s: %d entries from %d to %d; want %d from the minimum %d to the maximum %d",
-						m, eps2, name, len(ss), ss[0], ss[len(ss)-1], partition.Beta(eps2), data[0], data[m-1])
+						m, eps2, name, len(ss), ss[0], ss[len(ss)-1], want, data[0], data[m-1])
 				}
 				em := eps2 * float64(m)
 				// rank(v) = |{x ≤ v}|; a value holds ranks first..rank(v).
@@ -342,6 +346,9 @@ func TestSortedSummaryBand(t *testing.T) {
 					tol := 1e-9 * float64(m)
 					lo := min(math.Floor(float64(i)*em-tol), float64(m))
 					hi := max(math.Ceil(float64(i+1)*em+tol), 1)
+					if exact {
+						lo, hi = max(float64(i), 1), max(float64(i), 1)
+					}
 					if r := float64(p + 1); r < lo || r > hi {
 						t.Fatalf("m=%d ε₂=%g %s: entry %d sits at rank %g, outside its band [%g, %g]", m, eps2, name, i, r, lo, hi)
 					}

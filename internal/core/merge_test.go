@@ -308,27 +308,26 @@ func propSeed(t *testing.T) int64 {
 }
 
 // randomRuns draws one selector input: 0–64 partition summaries (one case
-// in 32: up to 700, a fleet group's worth) and 0–4 stream pieces whose runs
-// are empty, single or β long, over a value pool small enough that equal
-// values recur across runs and inside one (as in summaries of partitions
-// smaller than β₁), in one case of four with the int64 extremes mixed in,
-// and with runs that are empty yet carry mass.
-func randomRuns(rng *rand.Rand) ([]*partition.Summary, []StreamPiece) {
-	beta := 2 + rng.Intn(40)
-	pool := 1 + rng.Intn(3*beta)
+// in 32: up to 700, a fleet group's worth) and 0–4 stream pieces, each run
+// as long as the capture rule makes it at ε₁ or ε₂ for its mass — half of
+// them of at most 40 elements, captured whole at ε₁ ≥ 0.025 — over a value
+// pool small enough that equal values recur across runs and inside one, in
+// one case of four with the int64 extremes mixed in.
+func randomRuns(rng *rand.Rand, eps1, eps2 float64) ([]*partition.Summary, []StreamPiece) {
+	short := 2 + rng.Intn(40)
+	pool := 1 + rng.Intn(3*short)
 	if rng.Intn(4) == 0 {
 		pool = 1 << 30
 	}
 	extremes := rng.Intn(4) == 0
-	run := func() []int64 {
-		n := beta
-		switch rng.Intn(6) {
-		case 0:
-			n = 0
-		case 1:
-			n = 1
+	mass := func(limit int) int64 {
+		if rng.Intn(2) == 0 {
+			return int64(rng.Intn(short))
 		}
-		vs := make([]int64, n)
+		return int64(rng.Intn(limit))
+	}
+	run := func(count int64, eps float64) []int64 {
+		vs := make([]int64, partition.Beta(count, eps))
 		for i := range vs {
 			switch vs[i] = int64(rng.Intn(pool)) - int64(pool/2); {
 			case !extremes:
@@ -350,14 +349,13 @@ func randomRuns(rng *rand.Rand) ([]*partition.Summary, []StreamPiece) {
 	}
 	var sums []*partition.Summary
 	for i := 0; i < parts; i++ {
-		sums = append(sums, &partition.Summary{
-			Part:   &partition.Partition{Count: int64(rng.Intn(5000))},
-			Values: run(),
-		})
+		count := mass(5000)
+		sums = append(sums, &partition.Summary{Part: &partition.Partition{Count: count}, Values: run(count, eps1)})
 	}
 	var pieces []StreamPiece
 	for i, n := 0, rng.Intn(5); i < n; i++ {
-		pieces = append(pieces, StreamPiece{SS: run(), M: int64(rng.Intn(3000))})
+		m := mass(3000)
+		pieces = append(pieces, StreamPiece{SS: run(m, eps2), M: m})
 	}
 	return sums, pieces
 }
@@ -414,8 +412,8 @@ func TestMergeMatchesSort(t *testing.T) {
 	base := propSeed(t)
 	for i := 0; i < cases; i++ {
 		seed := base + int64(i)
-		sums, pieces := randomRuns(rand.New(rand.NewSource(seed)))
-		const eps1, eps2 = 0.01, 0.005
+		const eps1, eps2 = 0.025, 0.0125
+		sums, pieces := randomRuns(rand.New(rand.NewSource(seed)), eps1, eps2)
 		want := sortBuild(sums, pieces, eps1, eps2)
 		if !sameTS(t, materialise(BuildPieces(sums, pieces, eps1, eps2)), want) {
 			t.Fatalf("the merge of BuildPieces' runs differs from the sort oracle: HSQ_PROP_SEED=%d (%d summaries, %d pieces)", seed, len(sums), len(pieces))
@@ -506,10 +504,10 @@ func selectsLike(t *testing.T, c *Combined, ts mergedRuns, rng *rand.Rand) bool 
 }
 
 // TestSelectMatchesMerge is the differential test of the selector: on
-// random runs — k from 1 to 700, duplicate-heavy, single-element and empty
-// ones — every selection over BuildPieces' and MergeShardSummaries' runs
-// equals the one over their materialised merge (see selectsLike for what
-// equal means on ties).
+// random runs — k from 1 to 700, duplicate-heavy, captured whole or not,
+// and empty ones — every selection over BuildPieces' and
+// MergeShardSummaries' runs equals the one over their materialised merge
+// (see selectsLike for what equal means on ties).
 func TestSelectMatchesMerge(t *testing.T) {
 	cases := 12000
 	if testing.Short() {
@@ -519,8 +517,8 @@ func TestSelectMatchesMerge(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		seed := base + int64(i)
 		rng := rand.New(rand.NewSource(seed))
-		sums, pieces := randomRuns(rng)
-		const eps1, eps2 = 0.01, 0.005
+		const eps1, eps2 = 0.025, 0.0125
+		sums, pieces := randomRuns(rng, eps1, eps2)
 		c := BuildPieces(sums, pieces, eps1, eps2)
 		if !selectsLike(t, c, materialise(c), rng) {
 			t.Fatalf("BuildPieces selects unlike its merge: HSQ_PROP_SEED=%d (%d summaries, %d pieces)", seed, len(sums), len(pieces))
@@ -655,12 +653,11 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 	}
 }
 
-// TestExactRunsBoundExactly: a partition of η < 1/ε₁ elements (a piece of
-// M < 1/ε₂) captures every one of its positions — consecutive entries sit
-// at most one position apart — so its summary is the run itself and
-// L(v) = U(v) = rank(v) at every value, data and between. (At η = 1/ε a
-// non-dyadic ε can round i·ε·η just below i and (i+1)·ε·η to i+1, skipping
-// a position.)
+// TestExactRunsBoundExactly: a partition of η ≤ ⌈1/ε₁⌉ elements (a piece
+// of M ≤ ⌈1/ε₂⌉) captures every one of its positions — consecutive entries
+// sit at most one position apart, at η = 1/ε too, where a non-dyadic ε
+// rounds some i·ε·η just below i — so its summary is the run itself and
+// L(v) = U(v) = rank(v) at every value, data and between.
 func TestExactRunsBoundExactly(t *testing.T) {
 	base := propSeed(t)
 	for i := 0; i < 200; i++ {
@@ -680,13 +677,13 @@ func TestExactRunsBoundExactly(t *testing.T) {
 		}
 		var batches [][]int64
 		for s, n := 0, rng.Intn(8); s < n; s++ {
-			batches = append(batches, draw(1+rng.Intn(int(math.Ceil(1/eps1))-1)))
+			batches = append(batches, draw(1+rng.Intn(int(math.Ceil(1/eps1)))))
 		}
 		// κ above the step count: no merge makes a partition larger.
 		store := memStore(t, eps1, 9, batches)
 		var pieces []StreamPiece
 		for p, n := 0, rng.Intn(3); p < n; p++ {
-			vs := draw(1 + rng.Intn(int(math.Ceil(1/eps2))-1))
+			vs := draw(1 + rng.Intn(int(math.Ceil(1/eps2))))
 			pieces = append(pieces, StreamPiece{SS: SortedSummary(slices.Sorted(slices.Values(vs)), eps2), M: int64(len(vs))})
 		}
 		slices.Sort(all)
@@ -695,6 +692,77 @@ func TestExactRunsBoundExactly(t *testing.T) {
 			r := int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 			if l, u := c.boundsAt(v); l != r || u != r {
 				t.Fatalf("HSQ_PROP_SEED=%d (ε = %g): L(%d), U(%d) = %d, %d; want the rank %d", seed, eps, v, v, l, u, r)
+			}
+		}
+	}
+}
+
+// TestShortRunIsItsOwnSummary: a run of ε·η < 1 elements is captured whole,
+// each position once but the minimum, which entries 0 and 1 share — η + 1
+// entries, not ⌈1/ε⌉ + 1. A level-0 partition, a partition merged from
+// three such, the same partitions' summaries rebuilt by a scan when the
+// store is loaded from its manifest, and a stream piece each hold exactly
+// their sorted run, and L = U = rank at every value, data and between.
+func TestShortRunIsItsOwnSummary(t *testing.T) {
+	const eps1, eps2 = 0.01, 0.005 // runs below 100 and 200 elements
+	rng := rand.New(rand.NewSource(5))
+	draw := func(n int) []int64 {
+		vs := make([]int64, n)
+		for i := range vs {
+			vs[i] = rng.Int63n(60) * 10
+		}
+		return vs
+	}
+	whole := func(run []int64) []int64 {
+		sorted := slices.Sorted(slices.Values(run))
+		return append([]int64{sorted[0]}, sorted...)
+	}
+	// κ = 2: the third step merges steps 1–3 into one partition of 95, and
+	// step 4 stays at level 0.
+	batches := [][]int64{draw(40), draw(35), draw(20), draw(30)}
+	dev := newDev(t)
+	cfg := partition.Config{Kappa: 2, Eps1: eps1}
+	store, err := partition.NewStore(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches {
+		if _, err := store.AddBatch(b, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Commit("MANIFEST.json"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := partition.LoadStore(dev, "MANIFEST.json", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int64{whole(slices.Concat(batches[:3]...)), whole(batches[3])}
+	for what, sums := range map[string][]*partition.Summary{"written": store.Entries(), "rebuilt": loaded.Entries()} {
+		if len(sums) != len(want) {
+			t.Fatalf("%s: %d partitions, want %d", what, len(sums), len(want))
+		}
+		for i, s := range sums {
+			if !slices.Equal(s.Values, want[i]) || len(s.Values) != partition.Beta(s.Part.Count, eps1) {
+				t.Fatalf("%s partition %d of %d elements: summary %v, want its sorted run %v", what, i, s.Part.Count, s.Values, want[i])
+			}
+		}
+	}
+	live := draw(150)
+	ss := SortedSummary(slices.Sorted(slices.Values(live)), eps2)
+	if !slices.Equal(ss, whole(live)) {
+		t.Fatalf("stream piece of %d elements: %d entries, want its sorted run of %d", len(live), len(ss), len(live)+1)
+	}
+	all := slices.Sorted(slices.Values(slices.Concat(append(batches, live)...)))
+	for what, c := range map[string]*Combined{
+		"written": BuildPieces(store.Entries(), []StreamPiece{{SS: ss, M: int64(len(live))}}, eps1, eps2),
+		"rebuilt": BuildPieces(loaded.Entries(), []StreamPiece{{SS: ss, M: int64(len(live))}}, eps1, eps2),
+	} {
+		for v := int64(-1); v <= 600; v++ {
+			r := int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
+			if l, u := c.boundsAt(v); l != r || u != r {
+				t.Fatalf("%s: L(%d), U(%d) = %d, %d; want the rank %d", what, v, v, l, u, r)
 			}
 		}
 	}
@@ -893,8 +961,8 @@ func TestCrossMatchesReference(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		seed := base + int64(i)
 		rng := rand.New(rand.NewSource(seed))
-		sums, pieces := randomRuns(rng)
-		c := BuildPieces(sums, pieces, 0.01, 0.005)
+		sums, pieces := randomRuns(rng, 0.025, 0.0125)
+		c := BuildPieces(sums, pieces, 0.025, 0.0125)
 		if len(c.runs) == 0 {
 			continue
 		}
@@ -971,13 +1039,13 @@ func TestCrossProbeGuard(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		equal = append(equal, part(1000, 42, 42, 42, 42, 42, 42, 42, 42))
 	}
-	heavy = append(heavy, part(100_000, benchRuns(1, 2001, 100_000)[0].Values...))
+	heavy = append(heavy, part(100_000, benchRuns(1, 100_000)[0].Values...))
 	for i := 0; i < 700; i++ {
 		heavy = append(heavy, part(1, int64(i)*1e6))
 	}
 	// Runs of no mass below the first element that has some: the bound is
 	// flat across a thousand candidates, so no interpolation can aim.
-	massless := []*partition.Summary{part(100_000, benchRuns(1, 2001, 100_000)[0].Values...)}
+	massless := []*partition.Summary{part(100_000, benchRuns(1, 100_000)[0].Values...)}
 	for i := 0; i < 200; i++ {
 		massless = append(massless, part(0, int64(i), int64(200+i), int64(400+i), int64(600+i), int64(800+i)))
 	}
@@ -1020,11 +1088,13 @@ func TestCrossProbeGuard(t *testing.T) {
 
 // fleetGroup is one group of the e2e fleet plan's merged reads: 32 streams
 // of 1000-value steps leveled at κ = 10 — six hot ones of ~170 steps, the
-// rest of ~10 — whose partitions' summaries hold β₁ = 2001 values uniform
-// in [1e8, 1e9) at ε₁ = 0.0005: 190 runs over N = 1.32 M, where the plan's
-// groups hold 175–231 runs over N ≈ 1.28 M.
+// rest of ~10 — whose partitions' summaries hold the capture rule's entries
+// at ε₁ = 0.0005 (1 001 for a step, captured whole; 2 001 above), uniform
+// in [1e8, 1e9): 190 runs over N = 1.32 M, where the plan's groups hold
+// 175–231 runs over N ≈ 1.28 M.
 func fleetGroup() []*partition.Summary {
 	rng := rand.New(rand.NewSource(11))
+	draw := func() int64 { return 1e8 + rng.Int63n(9e8) }
 	var sums []*partition.Summary
 	for s := 0; s < 32; s++ {
 		steps := 5 + rng.Intn(12)
@@ -1033,48 +1103,49 @@ func fleetGroup() []*partition.Summary {
 		}
 		for count := int64(1000); steps > 0; steps, count = steps/10, count*10 {
 			for d := 0; d < steps%10; d++ {
-				vs := make([]int64, 2001)
-				for j := range vs {
-					vs[j] = 1e8 + rng.Int63n(9e8)
-				}
-				slices.Sort(vs)
-				if count < 2001 {
-					for j := 1; j < len(vs); j += 2 {
-						vs[j] = vs[j-1]
-					}
-				}
-				sums = append(sums, &partition.Summary{Part: &partition.Partition{Count: count}, Values: vs})
+				sums = append(sums, &partition.Summary{Part: &partition.Partition{Count: count}, Values: ruleValues(count, 0.0005, draw)})
 			}
 		}
 	}
 	return sums
 }
 
-// benchRuns is a measured shape: parts summaries of per entries each over
-// partitions of count elements (count < per repeats elements, as summaries
-// of partitions smaller than β₁ do).
-func benchRuns(parts, per int, count int64) []*partition.Summary {
+// benchRuns is a measured shape: parts summaries of partitions of count
+// elements, normal around 1e7, holding the capture rule's entries at
+// ε₁ = 0.0005.
+func benchRuns(parts int, count int64) []*partition.Summary {
 	rng := rand.New(rand.NewSource(1))
+	draw := func() int64 { return int64(rng.NormFloat64()*1e6 + 1e7) }
 	sums := make([]*partition.Summary, parts)
 	for i := range sums {
-		vs := make([]int64, per)
-		for j := range vs {
-			if count < int64(per) && j%2 == 1 {
-				vs[j] = vs[j-1]
-				continue
-			}
-			vs[j] = int64(rng.NormFloat64()*1e6 + 1e7)
-		}
-		slices.Sort(vs)
-		sums[i] = &partition.Summary{Part: &partition.Partition{Count: count}, Values: vs}
+		sums[i] = &partition.Summary{Part: &partition.Partition{Count: count}, Values: ruleValues(count, 0.0005, draw)}
 	}
 	return sums
+}
+
+// ruleValues is a run of count elements summarized at ε as the capture rule
+// shapes it: partition.Beta(count, ε) sorted values from draw, entries that
+// share a position sharing its value (the minimum of a run captured whole
+// sits at entries 0 and 1).
+func ruleValues(count int64, eps float64, draw func() int64) []int64 {
+	vs := make([]int64, partition.Beta(count, eps))
+	for i := range vs {
+		vs[i] = draw()
+	}
+	slices.Sort(vs)
+	for i := 1; i < len(vs); i++ {
+		if partition.CapturePos(i, count, eps) == partition.CapturePos(i-1, count, eps) {
+			vs[i] = vs[i-1]
+		}
+	}
+	return vs
 }
 
 // BenchmarkSelect prices a read's use of the combined summary on the
 // shapes the e2e benchmark reads, each answering three targets: one group
 // of a merged fleet plan in an older shape (≈700 normal summaries of
-// 1000-value steps at ε = 0.001, so β₁ = 2001) and as the plan reads it now
+// 1000-value steps at ε = 0.001, each step captured whole in 1 001 entries)
+// and as the plan reads it now
 // (fleetGroup: 190 uniform summaries of mixed sizes), each for quick
 // answers; one deep stream (≈20 partitions plus the live stream's piece)
 // and a tiny one (3 partitions plus the piece), each generating filters.
@@ -1092,10 +1163,10 @@ func BenchmarkSelect(b *testing.B) {
 		pieces  []StreamPiece
 		filters bool
 	}{
-		{"fleet", benchRuns(700, 2001, 1000), nil, false},
+		{"fleet", benchRuns(700, 1000), nil, false},
 		{"fleet-group", fleetGroup(), nil, false},
-		{"deep", benchRuns(20, 2001, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
-		{"tiny", benchRuns(3, 2001, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
+		{"deep", benchRuns(20, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
+		{"tiny", benchRuns(3, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
 	} {
 		c := BuildPieces(bc.sums, bc.pieces, eps1, eps2)
 		n := c.N()

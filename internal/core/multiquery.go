@@ -10,8 +10,8 @@ import (
 // multi-target sweep: generate filters from the combined summary, then
 // bisect the value space, computing at each probe z the exact rank of z in
 // every partition (block-granular binary search seeded from the summaries)
-// plus the SS-based stream rank estimate, until the estimate is within ε·m
-// of a target rank — resolving every rank target together
+// plus the SS-based stream rank estimate, until the estimate is within
+// (ε − ε₂/2)·m of a target rank — resolving every rank target together
 // (AccurateMultiQueryOpts), with an optional per-snapshot rank-probe memo
 // (QueryOptions.Memo). A single-target query is the k=1 case.
 //
@@ -20,10 +20,14 @@ import (
 // T. We instead snap z to the largest known element ≤ z (the per-partition
 // predecessors sit right at the cursors' final boundary positions, in the
 // run the probe decoded, a summary entry or a block's bounds; the stream
-// predecessor comes from SS). The
-// snapped element's rank differs from rank(z) by at most ~ε₂m additional
-// stream uncertainty, so the O(ε·m) guarantee of Lemma 5 is preserved — and
-// when the stream is empty the answer becomes the exact quantile.
+// predecessor comes from SS). The snapped element is at least every
+// partition element ≤ z and every piece entry ≤ z, so its rank is at least
+// the exact historical rank plus every piece's L(z), and at most rank(z),
+// which is at most the same plus every piece's U(z). The estimate is the
+// midpoint of the two sums, so the snapped element's rank is within ε₂m/2
+// of it, and accepting within (ε − ε₂/2)·m of the target keeps the answer
+// within ε·m (Lemma 5) — and when the stream is empty the answer becomes
+// the exact quantile.
 
 // mtTarget is one rank target of a shared sweep: its current bisection
 // interval plus the result slots it fills (duplicate φ values collapse to
@@ -70,7 +74,7 @@ func AccurateMultiQueryOpts(c *Combined, eps float64, rs []int64, opts QueryOpti
 	if len(rs) == 0 {
 		return ans, cost, nil
 	}
-	sw := &sweep{c: c, em: eps * float64(c.m), opts: opts, ans: ans}
+	sw := &sweep{c: c, em: (eps - c.eps2/2) * float64(c.m), opts: opts, ans: ans}
 
 	byR := make(map[int64]*mtTarget, len(rs))
 	var ts []*mtTarget

@@ -60,15 +60,15 @@ func TestRankOfValue(t *testing.T) {
 }
 
 // TestRankOfValueNeverExceedsTotal: a value at or above every summary entry
-// counts β₂ = ⌈1/ε₂+1⌉ entries per piece, β₂·ε₂·M = M + ε₂M unclamped, so the
+// counts every entry of a piece, ⌈1/ε₂+1⌉ of them at ε₂·M ≥ 1, β₂·ε₂·M = M + ε₂M unclamped, so the
 // rank of the maximum used to read above N. Each piece (here a live one
 // behind two sealed ones) contributes at most its M: the rank of MaxInt64
 // is exactly N, and below the top entries nothing moves.
 func TestRankOfValueNeverExceedsTotal(t *testing.T) {
 	f := buildFixture(t, 131, 0.05, 4, 300, 900)
 	eps2 := f.eps / 4
-	ss := func(lo int64, m int64) StreamPiece { // β₂ ascending entries from lo
-		p := StreamPiece{M: m, SS: make([]int64, partition.Beta(eps2))}
+	ss := func(lo int64, m int64) StreamPiece { // the rule's count of ascending entries from lo
+		p := StreamPiece{M: m, SS: make([]int64, partition.Beta(m, eps2))}
 		for i := range p.SS {
 			p.SS[i] = lo + int64(i)
 		}

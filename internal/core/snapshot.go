@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/enc"
+	"repro/internal/partition"
 )
 
 // ShardSummary is one node's portable view of a stream: every in-memory
@@ -35,7 +36,8 @@ type ShardSummary struct {
 }
 
 // PartSummary is the portable form of one partition summary: the element
-// count, the time steps the partition covers, and the β₁ captured values.
+// count, the time steps the partition covers, and the captured values, as
+// many as the capture rule takes of Count elements at ε₁ (partition.Beta).
 // The step range is what lets a decoded summary be narrowed to a query scope
 // and checked against a store manifest (the cold-summary sidecar). Capture
 // positions are not carried: each follows from Count and the shard's ε₁
@@ -48,8 +50,10 @@ type PartSummary struct {
 
 // snapshotVersion is the ShardSummary encoding version byte. Version 1 had
 // no step ranges; version 2's piece entries sat at band middles, not at the
-// capture positions the bounds now read. Both are refused, not guessed at.
-const snapshotVersion = 3
+// capture positions the bounds now read; version 3 captured ⌈1/ε⌉+1
+// entries of every run, a run shorter than 1/ε with its positions repeated.
+// All are refused, not guessed at.
+const snapshotVersion = 4
 
 // AppendBinary appends the binary encoding of s to buf — the bytes of a
 // peer's SummaryResp and of a stream's SUMMARY.bin alike:
@@ -89,8 +93,10 @@ func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 // bytes, declared lengths beyond the input size, and anything selection
 // would answer garbage over without failing: a negative count, values that
 // descend (the delta codec is signed), a step range that ends before it
-// starts, or an N that is not the sum of the part counts and piece masses
-// (every rank target is a fraction of N).
+// starts, an N that is not the sum of the part counts and piece masses
+// (every rank target is a fraction of N), or a run whose entry count is not
+// the capture rule's for its mass at its ε (partition.Beta), since the rule
+// places every entry and the bounds read those places.
 func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 	d := enc.NewReader(data)
 	if v := d.Byte(); d.Err() == nil && v != snapshotVersion {
@@ -128,11 +134,19 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 		if p.StartStep < 0 || p.EndStep < p.StartStep {
 			return nil, fmt.Errorf("core: decode shard summary: part %d covers steps %d..%d", i, p.StartStep, p.EndStep)
 		}
+		if !captured(len(p.Values), p.Count, s.Eps1) {
+			return nil, fmt.Errorf("core: decode shard summary: part %d holds %d values, not the capture rule's count for %d elements at ε₁ = %g",
+				i, len(p.Values), p.Count, s.Eps1)
+		}
 		rest -= p.Count
 	}
 	for i, p := range s.Pieces {
 		if p.M < 0 || p.M > rest || !slices.IsSorted(p.SS) {
 			return nil, fmt.Errorf("core: decode shard summary: piece %d has a count outside [0, N] or descending values", i)
+		}
+		if !captured(len(p.SS), p.M, s.Eps2) {
+			return nil, fmt.Errorf("core: decode shard summary: piece %d holds %d values, not the capture rule's count for %d elements at ε₂ = %g",
+				i, len(p.SS), p.M, s.Eps2)
 		}
 		rest -= p.M
 	}
@@ -140,6 +154,12 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 		return nil, fmt.Errorf("core: decode shard summary: N = %d is %d more than its parts and pieces sum to", s.N, rest)
 	}
 	return s, nil
+}
+
+// captured reports whether n entries are what the capture rule takes of a
+// run of count elements at ε, an ε in (0, 1].
+func captured(n int, count int64, eps float64) bool {
+	return eps > 0 && eps <= 1 && n == partition.Beta(count, eps)
 }
 
 // MergeShardSummaries collects every shard's runs into one combined

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -15,8 +16,9 @@ import (
 	"repro/internal/partition"
 )
 
-// synthShard builds a ShardSummary with sorted random summary values, its
-// parts covering consecutive runs of one to three steps.
+// synthShard builds a ShardSummary with sorted random summary values, each
+// run as many as the capture rule takes of its mass, its parts covering
+// consecutive runs of one to three steps.
 func synthShard(rng *rand.Rand, parts, pieces int, eps1, eps2 float64) *ShardSummary {
 	s := &ShardSummary{Eps1: eps1, Eps2: eps2}
 	sorted := func(n int) []int64 {
@@ -30,12 +32,12 @@ func synthShard(rng *rand.Rand, parts, pieces int, eps1, eps2 float64) *ShardSum
 	for i, step := 0, 0; i < parts; i++ {
 		count, start := int64(100+rng.Intn(10_000)), step+1
 		step += 1 + rng.Intn(3)
-		s.Parts = append(s.Parts, PartSummary{Count: count, StartStep: start, EndStep: step, Values: sorted(3 + rng.Intn(40))})
+		s.Parts = append(s.Parts, PartSummary{Count: count, StartStep: start, EndStep: step, Values: sorted(partition.Beta(count, eps1))})
 		s.N += count
 	}
 	for i := 0; i < pieces; i++ {
 		m := int64(1 + rng.Intn(5_000))
-		s.Pieces = append(s.Pieces, StreamPiece{M: m, SS: sorted(1 + rng.Intn(20))})
+		s.Pieces = append(s.Pieces, StreamPiece{M: m, SS: sorted(partition.Beta(m, eps2))})
 		s.N += m
 	}
 	return s
@@ -49,9 +51,10 @@ func TestShardSummaryRoundTrip(t *testing.T) {
 		synthShard(rng, 4, 0, 0.05, 0.025),   // history only
 		synthShard(rng, 7, 3, 0.005, 0.0025), // both
 		synthShard(rng, 1, 1, 1e-9, 1e-9),    // tiny eps
-		synthShard(rng, 5, 0, 0.05, 0.025),   // a part with no values: decodes to nil
+		synthShard(rng, 5, 0, 0.05, 0.025),   // a part of no elements: no values, decodes to nil
 	}
-	cases[5].Parts[2].Values = nil
+	cases[5].N -= cases[5].Parts[2].Count
+	cases[5].Parts[2].Count, cases[5].Parts[2].Values = 0, nil
 	for i, want := range cases {
 		enc := want.AppendBinary(nil)
 		got, err := DecodeShardSummary(enc)
@@ -81,9 +84,10 @@ func TestShardSummaryRoundTrip(t *testing.T) {
 	}
 }
 
-// hostileShard encodes a shard summary of one part and one piece as given:
-// AppendBinary checks nothing, and the delta codec is signed, so this is
-// what a peer can put on the wire.
+// hostileShard encodes a shard summary of one part and one piece as given,
+// at ε₁ = 0.05 and ε₂ = 0.025, where a run of up to 20 elements is captured
+// whole: AppendBinary checks nothing, and the delta codec is signed, so this
+// is what a peer can put on the wire.
 func hostileShard(count int64, part []int64, m int64, piece []int64) []byte {
 	s := &ShardSummary{
 		N: 10, Eps1: 0.05, Eps2: 0.025,
@@ -104,41 +108,60 @@ func v1Shard() []byte {
 	return append(buf, 0) // no pieces
 }
 
-// TestDecodeRejectsUnsortedRuns: sortedness is the selector's precondition
-// and N the base of every rank target, so a part or piece whose values
-// descend or whose count would be negative, an N that is not the sum of the
-// counts, a step range that ends before it starts and another version's
-// bytes are all refused at the door; duplicates and empty runs are fine.
+// TestDecodeRejectsUnsortedRuns: sortedness is the selector's precondition,
+// N the base of every rank target and the capture rule the place of every
+// entry, so a part or piece whose values descend, whose count would be
+// negative or whose entry count is not the rule's for its mass, an N that
+// is not the sum of the counts, a step range that ends before it starts and
+// another version's bytes are all refused at the door; duplicates and runs
+// of no elements are fine.
 func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 	steps := func(n int64, start, end int) []byte {
-		s := &ShardSummary{N: n, Parts: []PartSummary{{Count: 5, StartStep: start, EndStep: end, Values: []int64{1, 2, 3}}}}
+		s := &ShardSummary{N: n, Eps1: 0.05, Eps2: 0.025, Parts: []PartSummary{{Count: 5, StartStep: start, EndStep: end, Values: []int64{1, 1, 2, 3, 4, 5}}}}
 		return s.AppendBinary(nil)
 	}
-	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 3)") {
+	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 4)") {
 		t.Errorf("version-1 payload: %v, want a version error", err)
 	}
-	// Version 2 has version 3's layout, but its piece entries sat at band
-	// middles, not at the capture positions the bounds read.
-	v2 := steps(8, 1, 1)
-	v2[0] = 2
-	if _, err := DecodeShardSummary(v2); err == nil || !strings.Contains(err.Error(), "version 2 (want 3)") {
-		t.Errorf("version-2 payload: %v, want a version error", err)
+	// Versions 2 and 3 have version 4's layout, but version 2's piece
+	// entries sat at band middles, not at the capture positions the bounds
+	// read, and version 3 took ⌈1/ε⌉+1 entries of a run of fewer elements.
+	for _, v := range []byte{2, 3} {
+		old := steps(5, 1, 1)
+		old[0] = v
+		if _, err := DecodeShardSummary(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d (want 4)", v)) {
+			t.Errorf("version-%d payload: %v, want a version error", v, err)
+		}
+	}
+	// Version 3's count for a 5-element run at ε₁ = 0.05: 21 entries, the
+	// positions past the fifth repeating the maximum.
+	old := make([]int64, 21)
+	for i := range old {
+		old[i] = min(int64(i), 5)
 	}
 	for _, tc := range []struct {
 		name string
 		enc  []byte
 		ok   bool
 	}{
-		{"sorted", hostileShard(5, []int64{1, 2, 3}, 5, []int64{4, 5}), true},
-		{"all equal", hostileShard(5, []int64{7, 7, 7}, 5, []int64{7, 7}), true},
-		{"empty runs with mass", hostileShard(5, nil, 5, nil), true},
-		{"part descends", hostileShard(5, []int64{1, 3, 2}, 5, []int64{4, 5}), false},
-		{"piece descends", hostileShard(5, []int64{1, 2, 3}, 5, []int64{5, 4}), false},
-		{"part descends at the end", hostileShard(5, []int64{1, 2, 3, math.MinInt64}, 5, nil), false},
-		{"negative part count", hostileShard(-1, []int64{1, 2, 3}, 5, []int64{4, 5}), false},
-		{"negative piece count", hostileShard(5, []int64{1, 2, 3}, -1, []int64{4, 5}), false},
-		{"counts short of N", hostileShard(5, []int64{1, 2, 3}, 4, []int64{4, 5}), false},
-		{"counts beyond N", hostileShard(5, []int64{1, 2, 3}, 6, []int64{4, 5}), false},
+		{"sorted", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 5, []int64{4, 4, 5, 6, 7, 8}), true},
+		{"all equal", hostileShard(5, []int64{7, 7, 7, 7, 7, 7}, 5, []int64{7, 7, 7, 7, 7, 7}), true},
+		{"runs of no elements", hostileShard(0, nil, 10, []int64{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}), true},
+		{"part descends", hostileShard(5, []int64{1, 1, 3, 2, 4, 5}, 5, []int64{4, 4, 5, 6, 7, 8}), false},
+		{"piece descends", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 5, []int64{4, 4, 5, 6, 8, 7}), false},
+		{"part descends at the end", hostileShard(5, []int64{1, 2, 3, 4, 5, math.MinInt64}, 5, []int64{4, 4, 5, 6, 7, 8}), false},
+		{"part short of the rule's count", hostileShard(5, []int64{1, 2, 3}, 5, []int64{4, 4, 5, 6, 7, 8}), false},
+		{"piece short of the rule's count", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 5, []int64{4, 5}), false},
+		{"part beyond the rule's count", hostileShard(5, old, 5, []int64{4, 4, 5, 6, 7, 8}), false},
+		{"piece beyond the rule's count", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 5, old), false},
+		{"empty part with mass", hostileShard(5, nil, 5, []int64{4, 4, 5, 6, 7, 8}), false},
+		{"empty piece with mass", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 5, nil), false},
+		{"part of 1 000 elements in 3 values", (&ShardSummary{N: 1000, Eps1: 0.05, Eps2: 0.025, Parts: []PartSummary{{Count: 1000, Values: []int64{1, 2, 3}}}}).AppendBinary(nil), false},
+		{"ε₁ of 0", (&ShardSummary{N: 5, Parts: []PartSummary{{Count: 5, Values: []int64{1, 1, 2, 3, 4, 5}}}}).AppendBinary(nil), false},
+		{"negative part count", hostileShard(-1, []int64{1, 1, 2, 3, 4, 5}, 5, []int64{4, 4, 5, 6, 7, 8}), false},
+		{"negative piece count", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, -1, []int64{4, 4, 5, 6, 7, 8}), false},
+		{"counts short of N", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 4, []int64{4, 4, 5, 6, 7}), false},
+		{"counts beyond N", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 6, []int64{4, 4, 5, 6, 7, 8, 9}), false},
 		{"counts wrap around to N", (&ShardSummary{N: 10, Parts: []PartSummary{{Count: math.MaxInt64}, {Count: math.MaxInt64}, {Count: 12}}}).AppendBinary(nil), false},
 		{"negative N", steps(-5, 1, 1), false},
 		{"one-step range", steps(5, 3, 3), true},

@@ -1,6 +1,6 @@
 // Package partition implements the paper's historical data structures: the
 // on-disk leveled store HD (sorted partitions with merge threshold κ,
-// Section 2.1 / Algorithm 3) and the in-memory summary HS (β₁ elements per
+// Section 2.1 / Algorithm 3) and the in-memory summary HS (elements of each
 // partition at exactly known ranks, Algorithm 2), together with the
 // query-time cursors that binary-search partitions at block granularity
 // (Algorithm 8) and the window bookkeeping for partition-aligned windowed

@@ -63,27 +63,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBeta1: β₁ = ⌈1/ε₁ + 1⌉, and at every ε — 1/k included, where the
-// float product ⌈1/ε⌉·ε can fall short of 1 — the last of the Beta entries
-// sits on the run's maximum.
+// TestBeta1: β₁ = ⌈1/ε₁ + 1⌉ entries for a run of η ≥ 1/ε₁ elements and
+// η + 1 for a shorter one, and at every ε — 1/k included, where the float
+// product ⌈1/ε⌉·ε can fall short of 1 — and every η the last of the Beta
+// entries sits on the run's maximum.
 func TestBeta1(t *testing.T) {
 	cases := []struct {
+		eta  int64
 		eps1 float64
 		want int
-	}{{0.25, 5}, {0.5, 3}, {0.1, 11}, {0.125, 9}, {0.3, 5}, {0.0005, 2001}}
+	}{
+		{100, 0.25, 5}, {100, 0.5, 3}, {100, 0.1, 11}, {100, 0.125, 9}, {100, 0.3, 5}, {4000, 0.0005, 2001},
+		{2000, 0.0005, 2001}, {1999, 0.0005, 2000}, {1000, 0.0005, 1001}, {200, 0.0005, 201},
+		{3, 0.25, 4}, {4, 0.25, 5}, {1, 0.25, 2}, {0, 0.25, 0},
+	}
 	for _, c := range cases {
-		if got := Beta(c.eps1); got != c.want {
-			t.Errorf("Beta(%g) = %d, want %d", c.eps1, got, c.want)
+		if got := Beta(c.eta, c.eps1); got != c.want {
+			t.Errorf("Beta(%d, %g) = %d, want %d", c.eta, c.eps1, got, c.want)
 		}
 	}
 	for k := 2; k <= 5000; k++ {
 		eps := 1 / float64(k)
-		for _, eta := range []int64{1, 2, 7, int64(k) - 1, int64(k) + 1, 4001, 1 << 20} {
+		for _, eta := range []int64{1, 2, 7, int64(k) - 1, int64(k), int64(k) + 1, 4001, 1 << 20} {
 			if eta < 1 {
 				continue
 			}
-			if p := CapturePos(Beta(eps)-1, eta, eps); p != eta-1 {
-				t.Fatalf("ε = 1/%d, η = %d: the last of %d entries sits at %d, not the maximum %d", k, eta, Beta(eps), p, eta-1)
+			if n := Beta(eta, eps); CapturePos(n-1, eta, eps) != eta-1 {
+				t.Fatalf("ε = 1/%d, η = %d: the last of %d entries sits at %d, not the maximum %d", k, eta, n, CapturePos(n-1, eta, eps), eta-1)
 			}
 		}
 	}
@@ -123,19 +129,26 @@ func referencePositions(eta int64, eps1 float64, beta1 int) []int64 {
 }
 
 // TestCapturePosMatchesReference pins Algorithm 2's derived positions to the
-// stored ones they replace, entry for entry, so every bracket and block read
-// stays where it was.
+// stored ones they replace, entry for entry, wherever ε₁·η > 1, so every
+// bracket and block read stays where it was. Where ε₁·η ≤ 1 the entries are
+// the run itself, position i − 1 for entry i ≥ 1, each position once but the
+// minimum: at ε₁·η = 1 that is the paper's ranks i·ε₁·η exactly, where the
+// reference's float product fell short of i at some entries (ε₁ = 0.01,
+// η = 100: i = 29 and 58) and took the position before twice.
 func TestCapturePosMatchesReference(t *testing.T) {
 	epss := []float64{0.5, 0.3, 0.25, 0.1, 0.05, 0.025, 0.01, 0.0005, 1.0 / 3000, 0.000123}
 	etas := []int64{1, 2, 3, 7, 100, 199, 200, 999, 1000, 1999, 2000, 2001, 3999, 4000, 4001, 8191, 57000, 1<<20 + 1}
 	for _, eps1 := range epss {
-		beta1 := Beta(eps1)
 		for _, eta := range etas {
+			beta1 := Beta(eta, eps1)
 			ref := referencePositions(eta, eps1, beta1)
-			for i, want := range ref {
-				if got := CapturePos(i, eta, eps1); got != want {
-					t.Fatalf("ε₁=%g η=%d: CapturePos(%d) = %d, reference %d", eps1, eta, i, got, want)
+			if eps1*float64(eta) <= 1 {
+				for i := range ref {
+					ref[i] = max(int64(i)-1, 0)
 				}
+			}
+			if got := capturePositions(eta, eps1, beta1); !slices.Equal(got, ref) {
+				t.Fatalf("ε₁=%g η=%d: positions %v, reference %v", eps1, eta, got, ref)
 			}
 		}
 	}
@@ -152,9 +165,9 @@ func TestSummaryPositionsMatchPaperExample(t *testing.T) {
 }
 
 func TestSummaryPositionsTinyPartition(t *testing.T) {
-	pos := capturePositions(2, 0.25, 5)
-	if len(pos) != 5 {
-		t.Fatalf("len = %d", len(pos))
+	pos := capturePositions(2, 0.25, Beta(2, 0.25))
+	if !slices.Equal(pos, []int64{0, 0, 1}) {
+		t.Fatalf("positions = %v, want the run captured whole, [0 0 1]", pos)
 	}
 	for _, p := range pos {
 		if p < 0 || p > 1 {

@@ -5,14 +5,15 @@ import (
 	"math"
 )
 
-// Summary is the in-memory summary HSᵢ of one partition (Algorithm 2):
-// β₁ elements whose ranks within the partition are known exactly. Values[0]
-// is the partition minimum; Values[i] for i ≥ 1 is the element at rank
-// ⌊i·ε₁·η⌋, clamped to the partition. Its position, the paper's "pointer to
-// the on-disk address", is derived (pos), not stored: a query's bracket
-// starts one past it, and a Cursor decodes its block from there with
-// Values[i] as the predecessor the delta encoding needs, so a probe costs one
-// summary gap, not a block.
+// Summary is the in-memory summary HSᵢ of one partition (Algorithm 2): the
+// Beta(η, ε₁) elements CapturePos places, whose ranks within the partition
+// are known exactly. Values[0] is the partition minimum; Values[i] for
+// i ≥ 1 is the element at rank ⌊i·ε₁·η⌋, clamped to the partition — rank i
+// in a partition of η < 1/ε₁ elements, which the summary holds whole. Its
+// position, the paper's "pointer to the on-disk address", is derived (pos),
+// not stored: a query's bracket starts one past it, and a Cursor decodes its
+// block from there with Values[i] as the predecessor the delta encoding
+// needs, so a probe costs one summary gap, not a block.
 type Summary struct {
 	Part   *Partition
 	Values []int64
@@ -27,27 +28,32 @@ func (s *Summary) pos(i int) int64 { return CapturePos(i, s.Part.Count, s.eps1) 
 
 // CapturePos is Algorithm 2's capture rule, the one statement of where a
 // summary entry sits: the zero-based position of entry i in a sorted run of
-// eta elements summarized at ε, 0 for i = 0 and ⌊i·ε·η⌋ − 1 clamped to
-// [0, η−1] after. It is non-decreasing in i. Partitions capture with it at
-// ε₁ and stream pieces at ε₂ (core.SortedSummary), and the rank bounds of
-// every run are the positions it gives.
+// eta elements summarized at ε, ⌊i·max(ε·η, 1)⌋ − 1 clamped to [0, η−1].
+// Where ε·η ≥ 1 that is the paper's ⌊i·ε·η⌋ − 1; a shorter run is captured
+// whole, entry i at position i − 1, the minimum taken by entries 0 and 1. It
+// is non-decreasing in i. Partitions capture with it at ε₁ and stream pieces
+// at ε₂ (core.SortedSummary), and the rank bounds of every run are the
+// positions it gives. It is one formula with no branch, which keeps
+// core's per-run bound within the inliner's budget.
 func CapturePos(i int, eta int64, eps float64) int64 {
-	if i == 0 {
-		return 0
-	}
-	p := int64(float64(i)*eps*float64(eta)) - 1
+	p := int64(max(float64(i)*eps*float64(eta), float64(i))) - 1
 	return min(max(p, 0), eta-1)
 }
 
-// Beta is the entry count the rule implies at ε: ⌈1/ε⌉ + 1, one more where
-// the float product ⌈1/ε⌉·ε falls short of 1 (ε = 1/161, say), so that the
-// last entry is always the run's maximum.
-func Beta(eps float64) int {
-	b := int(math.Ceil(1 / eps))
-	if float64(b)*eps < 1 {
+// Beta is the entry count the rule implies for a run of eta elements at ε:
+// ⌈1/ε⌉ + 1, one more where the float product ⌈1/ε⌉·ε falls short of 1
+// (ε = 1/161, say), so that the last entry is always the run's maximum — or
+// η + 1 where that is fewer, the run itself once with its minimum twice. A
+// run of no elements has no entries.
+func Beta(eta int64, eps float64) int {
+	if eta <= 0 {
+		return 0
+	}
+	b := math.Ceil(1 / eps)
+	if b*eps < 1 {
 		b++
 	}
-	return b + 1
+	return int(min(b, float64(eta))) + 1
 }
 
 // capture incrementally extracts a Summary while a sorted partition streams
@@ -61,11 +67,7 @@ type capture struct {
 
 // newCapture prepares a capture for partition p, whose Count is known.
 func newCapture(p *Partition, eps1 float64) *capture {
-	c := &capture{sum: Summary{Part: p, eps1: eps1}}
-	if p.Count > 0 {
-		c.sum.Values = make([]int64, Beta(eps1))
-	}
-	return c
+	return &capture{sum: Summary{Part: p, Values: make([]int64, Beta(p.Count, eps1)), eps1: eps1}}
 }
 
 // feed observes the next element of the sorted stream.

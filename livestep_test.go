@@ -26,7 +26,9 @@ import (
 // ε·N of internal/oracle. The step each cut seals is the sorted multiset,
 // read when its level-0 write starts.
 func TestLiveSnapshotSortsTail(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	// Seeds 56 and on are the ones on which an accurate answer once missed
+	// ε·N, the live step dominating the stream.
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 56, 70, 97, 105, 119, 140, 267, 281} {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { runLiveSnapshot(t, seed) })
 	}
 }
@@ -67,10 +69,8 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 	}
 	within := func(what string, err, n int64) {
 		t.Helper()
-		// The one rank of slack absorbs the discreteness of a summary of a
-		// few elements, as TestPropertyDifferential's does.
-		if bound := int64(eps*float64(n)) + 1; err > bound {
-			t.Fatalf("seed %d: %s: rank error %d > ε·N = %d", seed, what, err, bound)
+		if bound := eps * float64(n); float64(err) > bound {
+			t.Fatalf("seed %d: %s: rank error %d > ε·N = %g", seed, what, err, bound)
 		}
 	}
 	for op := 0; op < 250; op++ {
