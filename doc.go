@@ -75,7 +75,10 @@
 //     followed by a delta-encoded zig-zag varint frame (blocks whose deltas
 //     don't compress fall back to a plain int64 frame per block). A footer
 //     indexes every block (offset, count, min, max) so readers locate
-//     blocks without scanning. Sorted runs typically pack 3-8x more
+//     blocks without scanning; in version 2, the one written, it also holds
+//     each block's CRC-32C and the frame offset of every 256th value, and a
+//     CRC-32C of its own, so a read checks a checksum, not every varint,
+//     and a damaged file is refused by name. Sorted runs typically pack 3-8x more
 //     elements per block, and accurate queries consult the header min/max
 //     before reading: a bisection step whose probe value falls outside a
 //     block's bounds resolves with no access at all, reported as
@@ -83,11 +86,13 @@
 //   - raw, the original format — plain little-endian int64 frames, no
 //     header: the layout of partitions written by earlier releases.
 //
-// Versioning rule: readers detect the layout per file (magic plus footer
-// validation, falling back to raw), so a warehouse written by an older
-// version opens and queries unchanged, and raw and columnar partition
-// files coexist — and merge, into columnar outputs — freely within one
-// store.
+// Versioning rule: readers detect the layout per file, so a warehouse
+// written by an older version opens and queries unchanged, and raw and
+// columnar partition files coexist — and merge, into columnar outputs —
+// freely within one store. A file with a version-2 magic at either end opens
+// as version 2 or is refused; a version-1 file (magic plus footer
+// validation, falling back to raw) is read as it is, each block read counted
+// in IOStats.V1Blocks, until a level merge rewrites it.
 //
 // Cache accounting: the block cache holds checked, undecoded frames and
 // charges each by its decoded size in bytes (Options.CacheBlocks × BlockSize

@@ -2,9 +2,13 @@ package disk
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -483,10 +487,10 @@ func TestSequentialDecodeZeroAlloc(t *testing.T) {
 
 // TestBlockReadAllocates gates what a random read may allocate: a columnar
 // Frame that reaches the backend allocates the frame — its struct and the
-// bytes it keeps — and its checkpoints, nothing else; a cache hit allocates
-// nothing; a run decoded into a buffer the caller keeps allocates nothing;
-// and a reader that never reaches the backend allocates far less than a
-// block.
+// bytes it keeps — nothing else, as its checkpoints come from the file's
+// index; a cache hit allocates nothing; a run decoded into a buffer the
+// caller keeps allocates nothing; and a reader that never reaches the backend
+// allocates far less than a block.
 func TestBlockReadAllocates(t *testing.T) {
 	m, err := NewManagerOn(NewMemBackend(), 4096)
 	if err != nil {
@@ -511,10 +515,9 @@ func TestBlockReadAllocates(t *testing.T) {
 		next++
 	})
 	runtime.ReadMemStats(&after)
-	if allocs != 3 {
-		t.Errorf("uncached columnar Frame: %v allocs/read, want 3 (the Frame, its bytes, its checkpoints)", allocs)
+	if allocs != 2 {
+		t.Errorf("uncached columnar Frame: %v allocs/read, want 2 (the Frame, its bytes)", allocs)
 	}
-	// A 4 KB block holds ~2 000 values: 8 checkpoints, 32 bytes.
 	if perRead := (after.TotalAlloc - before.TotalAlloc) / 101; perRead > uint64(m.BlockSize())+128 {
 		t.Errorf("uncached columnar Frame allocated %d bytes a read; the block is %d", perRead, m.BlockSize())
 	}
@@ -533,7 +536,11 @@ func TestBlockReadAllocates(t *testing.T) {
 	}
 	win := make([]int64, 200)
 	at := rr.BlockStart(1) + 700 // sortedVals(n)[i] is 1000+7i
-	if allocs := testing.AllocsPerRun(100, func() { f.Decode(win, 700, 1000+7*(at-1)) }); allocs != 0 || win[0] != 1000+7*at {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := f.Decode(win, 700, 1000+7*(at-1)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 || win[0] != 1000+7*at {
 		t.Errorf("run decode: %v allocs, first value %d; want 0 and %d", allocs, win[0], 1000+7*at)
 	}
 
@@ -603,85 +610,444 @@ func TestSmallerBlockSizeReadsBothFormats(t *testing.T) {
 	}
 }
 
-// TestColumnarBytesUnchanged pins the bytes of format 1: a sorted file (delta
-// frames) and an unsorted one (the raw-frame fallback) written from a fixed
-// input hash to what they hashed to before the decode kernel went in. A
-// change to the encoder, the block packing, a header or the footer moves it.
+// pinnedInputs is the input whose columnar bytes TestColumnarBytesUnchanged
+// pins: a sorted run (delta frames) and an unsorted one (the raw-frame
+// fallback).
+func pinnedInputs() (sorted, unsorted []int64) {
+	rng := rand.New(rand.NewSource(1))
+	sorted = make([]int64, 30_000)
+	v := int64(-1 << 20)
+	for i := range sorted {
+		v += rng.Int63n(1 << uint(rng.Intn(20))) // deltas of one to three bytes
+		sorted[i] = v
+	}
+	unsorted = make([]int64, 3_000)
+	for i := range unsorted {
+		unsorted[i] = int64(rng.Uint64())
+	}
+	return sorted, unsorted
+}
+
+// fileBytes returns the whole of the named backend file.
+func fileBytes(t testing.TB, b Backend, name string) []byte {
+	t.Helper()
+	fh, err := b.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close() //nolint:errcheck
+	size, err := fh.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(io.NewSectionReader(fh, 0, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// putFile writes data as the named backend file, past every Manager.
+func putFile(t testing.TB, b Backend, name string, data []byte) {
+	t.Helper()
+	w, err := b.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColumnarBytesUnchanged pins the bytes of columnar version 2: the
+// pinned input's files hash to what they hashed to when the version-2 footer
+// (checksums and checkpoints) went in. A change to the encoder, the block
+// packing, a header or the footer moves it.
 func TestColumnarBytesUnchanged(t *testing.T) {
 	b := NewMemBackend()
 	m, err := NewManagerOn(b, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	sorted := make([]int64, 30_000)
-	v := int64(-1 << 20)
-	for i := range sorted {
-		v += rng.Int63n(1 << uint(rng.Intn(20))) // deltas of one to three bytes
-		sorted[i] = v
-	}
-	unsorted := make([]int64, 3_000)
-	for i := range unsorted {
-		unsorted[i] = int64(rng.Uint64())
-	}
+	sorted, unsorted := pinnedInputs()
 	writeFmt(t, m, "sorted.dat", FormatColumnar, sorted)
 	writeFmt(t, m, "unsorted.dat", FormatColumnar, unsorted)
 	h := sha256.New()
 	for _, name := range []string{"sorted.dat", "unsorted.dat"} {
-		fh, err := b.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		size, err := fh.Size()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(h, io.NewSectionReader(fh, 0, size)); err != nil {
-			t.Fatal(err)
-		}
-		fh.Close() //nolint:errcheck
+		h.Write(fileBytes(t, b, name))
 	}
-	const want = "5777be33fec11be05930c3c94944f4093d5afded7645dd14429cd21d29b557ed"
+	const want = "0a8c1bc42a289c581e62bbe5d62b8851482322515a3ac3700d0e74db1e2c01ab"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("columnar file bytes changed: sha256 %s, want %s", got, want)
 	}
 }
 
-// FuzzFrame holds the random read's frame check to the sequential scans'
-// whole-block decode: over arbitrary block bytes and a count, Frame accepts
-// the block exactly when decodeColBlock does, and then the run decoded from
-// any element, given the element before it, is that slice of the whole
-// decode — so every window a cursor decodes is.
+// TestColumnarV1FixtureReads reads the version-1 files of earlier releases —
+// testdata/v1_*.dat, the pinned input as version 1 wrote it — through the
+// legacy branch: a scan, every block through Frame with runs from every
+// checkpoint's neighbourhood, and the block bounds, each read counted in
+// Stats.V1Blocks. Version 2 changed the footer only: its blocks are version
+// 1's byte for byte, but for the head magic's version.
+func TestColumnarV1FixtureReads(t *testing.T) {
+	sorted, unsorted := pinnedInputs()
+	inputs := map[string][]int64{"v1_sorted.dat": sorted, "v1_unsorted.dat": unsorted}
+	h := sha256.New()
+	b := NewMemBackend()
+	m, err := NewManagerOn(b, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"v1_sorted.dat", "v1_unsorted.dat"} {
+		want := inputs[name]
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+		putFile(t, b, name, data)
+		before := m.Stats()
+		if got := scanFile(t, m, name); !slices.Equal(got, want) {
+			t.Fatalf("%s: scan differs from the input", name)
+		}
+		rr, err := m.OpenRandom(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rr.ix.v1() {
+			t.Fatalf("%s: opened as %+v, want columnar version 1", name, rr.ix)
+		}
+		for i := int64(0); i < rr.Blocks(); i++ {
+			f, err := rr.Frame(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk := want[rr.BlockStart(i) : rr.BlockStart(i)+int64(f.Len())]
+			if mn, mx, ok := rr.BlockBounds(i); !ok || mn != slices.Min(blk) || mx != slices.Max(blk) {
+				t.Errorf("%s block %d: bounds [%d,%d] %v, data [%d,%d]", name, i, mn, mx, ok, slices.Min(blk), slices.Max(blk))
+			}
+			for ck := 0; ck < len(blk); ck += frameStride {
+				for _, from := range []int{ck - 1, ck, ck + 1, ck + frameStride/2} {
+					if from < 0 || from >= len(blk) {
+						continue
+					}
+					prev := int64(0)
+					if from > 0 {
+						prev = blk[from-1]
+					}
+					win := make([]int64, min(200, len(blk)-from))
+					if err := f.Decode(win, from, prev); err != nil || !slices.Equal(win, blk[from:from+len(win)]) {
+						t.Fatalf("%s block %d: run from %d = %v, %v", name, i, from, win, err)
+					}
+				}
+			}
+		}
+		dataEnd := rr.ix.offsets[rr.Blocks()]
+		rr.Close() //nolint:errcheck
+		st := m.Stats().Sub(before)
+		if st.V1Blocks == 0 || st.V1Blocks != st.SeqReads+st.RandReads {
+			t.Errorf("%s: %d version-1 block reads counted of %d sequential and %d random", name, st.V1Blocks, st.SeqReads, st.RandReads)
+		}
+
+		// A flip in the trailer, which no checksum covers, may make the file
+		// read as format 0 or fail to open; it must not panic. (The top bit
+		// of the block count once overflowed the index length check.)
+		for bit := 8 * (len(data) - colTrailerLenV1); bit < 8*len(data); bit++ {
+			flipped := slices.Clone(data)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			putFile(t, b, "flipped.dat", flipped)
+			if rr, err := m.OpenRandom("flipped.dat"); err == nil {
+				rr.Close() //nolint:errcheck
+			}
+			m.dev.dropIndex("flipped.dat")
+		}
+
+		v2 := "v2_" + name
+		writeFmt(t, m, v2, FormatColumnar, want)
+		got := fileBytes(t, b, v2)
+		rr, err = m.OpenRandom(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2End := rr.ix.offsets[rr.Blocks()]
+		rr.Close() //nolint:errcheck
+		data[4] = colMagic[4]
+		if !slices.Equal(got[:v2End], data[:dataEnd]) {
+			t.Errorf("%s: version 2 wrote other blocks than version 1", name)
+		}
+	}
+	// The fixture is the bytes version 1's pin hashed to.
+	if got := hex.EncodeToString(h.Sum(nil)); got != "5777be33fec11be05930c3c94944f4093d5afded7645dd14429cd21d29b557ed" {
+		t.Errorf("version-1 fixture sha256 %s, not the bytes version 1 wrote", got)
+	}
+}
+
+// flipFile is a small version-2 file with every part the format has: three
+// or more blocks on 512-byte device blocks, a delta frame with two
+// checkpoints, and a raw-tagged frame.
+func flipFile(t *testing.T) ([]int64, []byte) {
+	rng := rand.New(rand.NewSource(3))
+	vals := sortedVals(600)
+	for range 120 {
+		vals = append(vals, rng.Int63()-rng.Int63())
+	}
+	b := NewMemBackend()
+	m, err := NewManagerOn(b, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFmt(t, m, "flip.dat", FormatColumnar, vals)
+	data := fileBytes(t, b, "flip.dat")
+	rr, err := m.OpenRandom("flip.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Close() //nolint:errcheck
+	ix, rawTag, twoCks := rr.ix, false, false
+	for i := range ix.blocks() {
+		rawTag = rawTag || data[ix.offsets[i]] == colTagRaw
+		twoCks = twoCks || (data[ix.offsets[i]] == colTagDelta && len(ix.cks[i]) >= 2)
+	}
+	if ix.blocks() < 3 || !rawTag || !twoCks {
+		t.Fatalf("flip file: %d blocks, raw frame %v, two checkpoints %v; want ≥ 3, true, true", ix.blocks(), rawTag, twoCks)
+	}
+	return vals, data
+}
+
+// readEveryWay reads the named file of data as a store does, on a device of
+// its own: open, a sequential scan, and every block through Frame, decoded
+// whole and held to its bounds. It returns what the scan read, whether any
+// read disagreed with another, and the first error.
+func readEveryWay(t testing.TB, data []byte, name string) (scan []int64, disagree bool, err error) {
+	b := NewMemBackend()
+	putFile(t, b, name, data)
+	m, err := NewManagerOn(b, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.OpenSequential(name)
+	if err != nil {
+		return nil, false, err
+	}
+	for {
+		v, ok, err := r.Next()
+		if err != nil {
+			r.Close() //nolint:errcheck
+			return nil, false, err
+		}
+		if !ok {
+			break
+		}
+		scan = append(scan, v)
+	}
+	r.Close() //nolint:errcheck
+	rr, err := m.OpenRandom(name)
+	if err != nil {
+		return nil, false, err
+	}
+	defer rr.Close() //nolint:errcheck
+	var blocks []int64
+	for i := range rr.Blocks() {
+		bv, err := rr.Block(i)
+		if err != nil {
+			return nil, false, err
+		}
+		mn, mx, ok := rr.BlockBounds(i)
+		disagree = disagree || !ok || mn != slices.Min(bv) || mx != slices.Max(bv)
+		blocks = append(blocks, bv...)
+	}
+	return scan, disagree || !slices.Equal(scan, blocks), nil
+}
+
+// TestEveryBitFlipRefused flips every bit of a small version-2 file in turn
+// — both magics, the block headers and frames, the index entries and their
+// checkpoints, the trailer — and requires each flip to be refused by an
+// error naming the file, at open or at a read: none reads back silently and
+// none panics. The block checksums cover headers and frames, the footer's
+// covers the index and the trailer, and a damaged magic is refused, not read
+// as format 0.
+func TestEveryBitFlipRefused(t *testing.T) {
+	vals, data := flipFile(t)
+	if scan, disagree, err := readEveryWay(t, data, "flip.dat"); err != nil || disagree || !slices.Equal(scan, vals) {
+		t.Fatalf("undamaged file: %v, disagree %v, scan equal %v", err, disagree, slices.Equal(scan, vals))
+	}
+	silent := 0
+	for bit := range 8 * len(data) {
+		flipped := slices.Clone(data)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		_, _, err := readEveryWay(t, flipped, "flip.dat")
+		switch {
+		case err == nil:
+			if silent++; silent <= 5 {
+				t.Errorf("flip of bit %d (byte %d of %d) read back without an error", bit, bit/8, len(data))
+			}
+		case !strings.Contains(err.Error(), "flip.dat"):
+			t.Errorf("flip of bit %d: %v, which does not name the file", bit, err)
+		}
+	}
+	if silent > 0 {
+		t.Errorf("%d of %d single-bit flips read back without an error", silent, 8*len(data))
+	}
+	t.Logf("%d-byte file of %d values: %d single-bit flips, %d read back without an error", len(data), len(vals), 8*len(data), silent)
+}
+
+// FuzzFrame holds the random read's frame to the sequential scans'
+// whole-block decode on any block bytes its index's checksum vouches for, as
+// in a file crafted to pass it. With any checkpoints the index accepts, no
+// read or run decode panics. Where decodeColBlock accepts the block, Frame
+// does too with the checkpoints the writer records (enc.ScanDelta's), and
+// the run decoded from any element, given the element before it, is that
+// slice of the whole decode — so every window a cursor decodes is.
 func FuzzFrame(f *testing.F) {
 	block := func(tag byte, count int, frame []byte) []byte {
 		b := make([]byte, colHeaderLen, colHeaderLen+len(frame))
 		putColHeader(b, tag, count, len(frame), 0, 0)
 		return append(b, frame...)
 	}
-	f.Add(block(colTagDelta, 700, enc.AppendDelta(nil, sortedVals(700))), uint16(700))
-	f.Add(block(colTagDelta, 3, enc.AppendDelta(nil, []int64{-1 << 63, 1<<63 - 1, 0})), uint16(3))
-	f.Add(block(colTagRaw, 3, make([]byte, 3*ElementSize)), uint16(3))
-	f.Add(block(colTagRaw, 3, make([]byte, 2*ElementSize)), uint16(3))
-	f.Add(block(colTagDelta, 2, []byte{0x02, 0x81, 0x01, 0x00}), uint16(2))
-	f.Add(block(colTagDelta, 1, append(slices.Repeat([]byte{0xff}, 9), 0x02)), uint16(1))
-	f.Add(block(2, 1, []byte{0}), uint16(1))
-	f.Fuzz(func(t *testing.T, buf []byte, count uint16) {
+	noCks := []byte{}
+	f.Add(block(colTagDelta, 700, enc.AppendDelta(nil, sortedVals(700))), uint16(700), []byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0})
+	f.Add(block(colTagDelta, 3, enc.AppendDelta(nil, []int64{-1 << 63, 1<<63 - 1, 0})), uint16(3), noCks)
+	f.Add(block(colTagRaw, 3, make([]byte, 3*ElementSize)), uint16(3), noCks)
+	f.Add(block(colTagRaw, 3, make([]byte, 2*ElementSize)), uint16(3), noCks)
+	f.Add(block(colTagDelta, 2, []byte{0x02, 0x81, 0x01, 0x00}), uint16(2), noCks)
+	f.Add(block(colTagDelta, 1, append(slices.Repeat([]byte{0xff}, 9), 0x02)), uint16(1), noCks)
+	f.Add(block(2, 1, []byte{0}), uint16(1), noCks)
+	f.Add(block(colTagDelta, 300, slices.Repeat([]byte{0x80}, 300)), uint16(300), []byte{0, 0, 0, 0, 0x2b, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, buf []byte, count uint16, ckBytes []byte) {
 		n := int(count)
-		want := make([]int64, n)
-		wantErr := decodeColBlock(want, buf, n)
-		ix := &colIndex{offsets: []int64{0, int64(len(buf))}, starts: []int64{0, int64(n)}}
-		fr, err := ix.frame(buf, 0)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("count %d, block %x: Frame err %v, decodeColBlock err %v", n, buf, err, wantErr)
+		if n == 0 || len(buf) <= colHeaderLen {
+			return // a block holds an element and a frame byte, or its index is refused
 		}
-		for from := 0; err == nil && from < n; from++ {
+		ix := &colIndex{
+			offsets: []int64{0, int64(len(buf))},
+			starts:  []int64{0, int64(n)},
+			crcs:    []uint32{crc32.Checksum(buf, crcTable)},
+		}
+		cks := make([]int32, (n+frameStride-1)/frameStride)
+		for k := range cks {
+			if 4*k+4 <= len(ckBytes) {
+				cks[k] = int32(binary.LittleEndian.Uint32(ckBytes[4*k:]))
+			}
+		}
+		win := make([]int64, n)
+		if checkCheckpoints(cks, ix.frameLen(0)) == nil {
+			ix.cks = [][]int32{cks}
+			if fr, err := ix.frame(buf, 0); err == nil {
+				for from := 0; from < n; from++ {
+					fr.Decode(win[:n-from], from, 0) //nolint:errcheck // any outcome but a panic
+				}
+				if fr.Decode(win[:1], n, 0) == nil {
+					t.Fatalf("count %d: a run past the block decoded", n)
+				}
+			}
+		}
+
+		want := make([]int64, n)
+		if decodeColBlock(want, buf, n) != nil {
+			return
+		}
+		if buf[0] == colTagRaw {
+			for k := range cks {
+				cks[k] = int32(k * frameStride * ElementSize)
+			}
+		} else {
+			var err error
+			if cks, err = enc.ScanDelta(buf[colHeaderLen:], n, frameStride); err != nil {
+				t.Fatalf("count %d, block %x: decodeColBlock accepts, ScanDelta refuses: %v", n, buf, err)
+			}
+		}
+		if err := checkCheckpoints(cks, ix.frameLen(0)); err != nil {
+			t.Fatalf("count %d, block %x: the writer's checkpoints refused: %v", n, buf, err)
+		}
+		ix.cks = [][]int32{cks}
+		fr, err := ix.frame(buf, 0)
+		if err != nil {
+			t.Fatalf("count %d, block %x: decodeColBlock accepts, Frame refuses: %v", n, buf, err)
+		}
+		for from := 0; from < n; from++ {
 			prev := int64(0)
 			if from > 0 {
 				prev = want[from-1]
 			}
-			got := make([]int64, n-from)
-			if fr.Decode(got, from, prev); !slices.Equal(got, want[from:]) {
-				t.Fatalf("count %d, block %x: run from %d = %v, want %v", n, buf, from, got, want[from:])
+			got := win[:n-from]
+			if err := fr.Decode(got, from, prev); err != nil || !slices.Equal(got, want[from:]) {
+				t.Fatalf("count %d, block %x: run from %d = %v, %v, want %v", n, buf, from, got, err, want[from:])
+			}
+		}
+	})
+}
+
+// FuzzColumnarFooter crafts version-2 files whose footer passes its checksum
+// — any trailer counts and index entries, with each block's checksum
+// recomputed over whatever bytes its entry locates — and requires that no
+// open, scan, block read or run decode of one panics.
+func FuzzColumnarFooter(f *testing.F) {
+	b := NewMemBackend()
+	m, err := NewManagerOn(b, 512)
+	if err != nil {
+		f.Fatal(err)
+	}
+	vals := sortedVals(1200)
+	w, err := m.CreateFormat("seed.dat", FormatColumnar)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.AppendSlice(vals); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data := fileBytes(f, b, "seed.dat")
+	t := data[len(data)-colTrailerLen:]
+	indexLen := int(binary.LittleEndian.Uint64(t[16:]))
+	dataEnd := len(data) - colTrailerLen - indexLen
+	total, nblocks := binary.LittleEndian.Uint64(t[0:]), binary.LittleEndian.Uint64(t[8:])
+	f.Add(data[colHeadLen:dataEnd], data[dataEnd:len(data)-colTrailerLen], total, nblocks)
+	f.Add(data[colHeadLen:dataEnd], data[dataEnd:len(data)-colTrailerLen], total, nblocks|1<<62)
+	f.Add(data[colHeadLen:dataEnd], data[dataEnd:dataEnd+colIndexEntryLen+4], uint64(300), uint64(1))
+	f.Fuzz(func(t *testing.T, blocks, index []byte, total, nblocks uint64) {
+		index = slices.Clone(index)
+		for p := 0; p+colIndexEntryLen <= len(index); {
+			off := int64(binary.LittleEndian.Uint64(index[p:]))
+			cnt := int(binary.LittleEndian.Uint32(index[p+8:]))
+			next := p + colIndexEntryLen + 4*((cnt+frameStride-1)/frameStride)
+			end := int64(colHeadLen + len(blocks))
+			if next+8 <= len(index) {
+				end = int64(binary.LittleEndian.Uint64(index[next:]))
+			}
+			if off >= colHeadLen && off < end && end <= int64(colHeadLen+len(blocks)) {
+				crc := crc32.Checksum(blocks[off-colHeadLen:end-colHeadLen], crcTable)
+				binary.LittleEndian.PutUint32(index[p+28:], crc)
+			}
+			p = next
+		}
+		file := append(append(colMagic[:], blocks...), index...)
+		file = binary.LittleEndian.AppendUint64(file, total)
+		file = binary.LittleEndian.AppendUint64(file, nblocks)
+		file = binary.LittleEndian.AppendUint64(file, uint64(len(index)))
+		file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(file[colHeadLen+len(blocks):], crcTable))
+		file = append(file, colMagic[:]...)
+		readEveryWay(t, file, "crafted.dat") //nolint:errcheck // any outcome but a panic
+		mb := NewMemBackend()
+		putFile(t, mb, "crafted.dat", file)
+		m, err := NewManagerOn(mb, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := m.OpenRandom("crafted.dat")
+		if err != nil {
+			return
+		}
+		defer rr.Close() //nolint:errcheck
+		var v [1]int64
+		for i := range rr.Blocks() {
+			if fr, err := rr.Frame(i); err == nil {
+				for from := range fr.Len() {
+					fr.Decode(v[:], from, 0) //nolint:errcheck // any outcome but a panic
+				}
 			}
 		}
 	})

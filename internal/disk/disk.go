@@ -92,6 +92,10 @@ type Stats struct {
 	// block header's min/max bounds — probes that needed neither the backend
 	// nor the cache. Not part of Total(): a skip is the absence of an access.
 	SkippedBlocks uint64
+	// V1Blocks counts the block reads (sequential or random) above that
+	// reached a columnar version-1 file: blocks with no checksum, whose
+	// delta frames a random read checks with a pass of enc.ScanDelta.
+	V1Blocks uint64
 }
 
 // Total returns the total number of block accesses (reads + writes).
@@ -120,6 +124,7 @@ func (s Stats) Sub(t Stats) Stats {
 		CacheHits:     sub64(s.CacheHits, t.CacheHits),
 		CacheMisses:   sub64(s.CacheMisses, t.CacheMisses),
 		SkippedBlocks: sub64(s.SkippedBlocks, t.SkippedBlocks),
+		V1Blocks:      sub64(s.V1Blocks, t.V1Blocks),
 	}
 }
 
@@ -135,12 +140,13 @@ func (s Stats) Add(t Stats) Stats {
 		CacheHits:     s.CacheHits + t.CacheHits,
 		CacheMisses:   s.CacheMisses + t.CacheMisses,
 		SkippedBlocks: s.SkippedBlocks + t.SkippedBlocks,
+		V1Blocks:      s.V1Blocks + t.V1Blocks,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("seqR=%d seqW=%d randR=%d total=%d cacheHit=%d cacheMiss=%d skipped=%d",
-		s.SeqReads, s.SeqWrites, s.RandReads, s.Total(), s.CacheHits, s.CacheMisses, s.SkippedBlocks)
+	return fmt.Sprintf("seqR=%d seqW=%d randR=%d total=%d cacheHit=%d cacheMiss=%d skipped=%d v1=%d",
+		s.SeqReads, s.SeqWrites, s.RandReads, s.Total(), s.CacheHits, s.CacheMisses, s.SkippedBlocks, s.V1Blocks)
 }
 
 // ioCounters is one set of cumulative I/O counters. The device aggregate
@@ -155,6 +161,7 @@ type ioCounters struct {
 	cacheHits     atomic.Uint64
 	cacheMisses   atomic.Uint64
 	skippedBlocks atomic.Uint64
+	v1Blocks      atomic.Uint64
 }
 
 func (c *ioCounters) snapshot() Stats {
@@ -168,6 +175,7 @@ func (c *ioCounters) snapshot() Stats {
 		CacheHits:     c.cacheHits.Load(),
 		CacheMisses:   c.cacheMisses.Load(),
 		SkippedBlocks: c.skippedBlocks.Load(),
+		V1Blocks:      c.v1Blocks.Load(),
 	}
 }
 
@@ -330,10 +338,13 @@ func (m *Manager) countOpen() {
 	}
 }
 
-func (m *Manager) countSeqRead(nbytes int) {
+func (m *Manager) countSeqRead(nbytes int, v1 bool) {
 	for _, c := range m.feeds {
 		c.seqReads.Add(1)
 		c.bytesRead.Add(uint64(nbytes))
+		if v1 {
+			c.v1Blocks.Add(1)
+		}
 	}
 }
 
@@ -344,10 +355,13 @@ func (m *Manager) countSeqWrite(nbytes int) {
 	}
 }
 
-func (m *Manager) countRandRead(nbytes int) {
+func (m *Manager) countRandRead(nbytes int, v1 bool) {
 	for _, c := range m.feeds {
 		c.randReads.Add(1)
 		c.bytesRead.Add(uint64(nbytes))
+		if v1 {
+			c.v1Blocks.Add(1)
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func (r *Reader) fill() error {
 			return err
 		}
 		for b := r.block; b < end; b++ {
-			r.m.countSeqRead(int(ix.offsets[b+1] - ix.offsets[b]))
+			r.m.countSeqRead(int(ix.offsets[b+1]-ix.offsets[b]), ix.v1())
 		}
 		r.fetched = end
 	}
@@ -225,13 +225,15 @@ func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
 
 // frameStride is how many values of a delta frame lie between checkpoints:
 // a run decode skips at most frameStride-1 deltas (~450 bytes of a sorted
-// block), and a 57 000-value block keeps 223 checkpoints (0.9 KB).
+// block), and a 57 000-value block keeps 223 checkpoints (0.9 KB of its
+// file's footer, and of the index cache while the file is open).
 const frameStride = 256
 
 // Frame is one block as a random read returns it: its bytes, checked once,
-// and for a delta frame the byte offset of every frameStride-th value, so any
-// run of the block decodes without decoding what precedes it. A Frame is
-// immutable and shared with the block cache.
+// and for a delta frame the byte offset of every frameStride-th value (the
+// file's footer's, shared with its index; a version-1 file's, recorded by
+// enc.ScanDelta), so any run of the block decodes without decoding what
+// precedes it. A Frame is immutable and shared with the block cache.
 type Frame struct {
 	n     int
 	bytes []byte  // the frame: little-endian int64s, or delta varints
@@ -243,12 +245,18 @@ func (f *Frame) Len() int { return f.n }
 
 // Decode decodes the block's elements [from, from+len(dst)) into dst. prev is
 // the value of element from-1; a raw frame, or a run from the block's start,
-// needs none. A checked frame cannot fail to decode: a run outside the block
-// is a caller's bug, and panics.
-func (f *Frame) Decode(dst []int64, from int, prev int64) {
+// needs none. A run outside the block, or a frame that does not decode — a
+// file crafted to pass its checksum — is an error.
+func (f *Frame) Decode(dst []int64, from int, prev int64) error {
+	if from < 0 || from+len(dst) > f.n {
+		return fmt.Errorf("disk: run [%d,%d) outside a %d-element block", from, from+len(dst), f.n)
+	}
+	if len(dst) == 0 {
+		return nil
+	}
 	if f.offs == nil {
 		decodeInto(dst, f.bytes[from*ElementSize:])
-		return
+		return nil
 	}
 	if from == 0 {
 		prev = 0 // a block's deltas start from zero
@@ -256,8 +264,9 @@ func (f *Frame) Decode(dst []int64, from int, prev int64) {
 	ck := int(f.offs[from/frameStride])
 	off := ck + enc.SkipDelta(f.bytes[ck:], from%frameStride)
 	if _, err := enc.DecodeDeltaFrom(dst, f.bytes[off:], prev); err != nil {
-		panic(fmt.Sprintf("disk: decode of [%d,%d) from a %d-element block: %v", from, from+len(dst), f.n, err))
+		return fmt.Errorf("disk: decode of [%d,%d) from a %d-element block: %w", from, from+len(dst), f.n, err)
 	}
+	return nil
 }
 
 // Count returns the number of elements in the file.
@@ -331,7 +340,7 @@ func (r *RandomReader) Frame(idx int64) (*Frame, error) {
 		return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
 	}
 	r.reads++
-	r.m.countRandRead(nbytes)
+	r.m.countRandRead(nbytes, r.ix.v1())
 	if cache != nil {
 		r.m.countCacheMiss()
 		// Caching partial tail blocks is sound within the Manager API: the
@@ -352,7 +361,9 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 		return nil, err
 	}
 	out := make([]int64, f.n)
-	f.Decode(out, 0, 0)
+	if err := f.Decode(out, 0, 0); err != nil {
+		return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
+	}
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package disk
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"slices"
 
 	"repro/internal/enc"
@@ -25,7 +26,9 @@ type Writer struct {
 	// — behind hdr bytes kept free for what precedes the frame in the file (a
 	// columnar block's header, and the file's head magic before the first).
 	// A block is flushed when the next element would take the frame past
-	// budget bytes.
+	// budget bytes. buf starts at writerStartBuf bytes of frame and grows to
+	// a whole block in one step, so a small file stages no more than it
+	// holds.
 	buf    []byte
 	hdr    int
 	budget int
@@ -35,14 +38,20 @@ type Writer struct {
 	io     Stats // this writer's own share of the device counters
 	closed bool
 
-	// Columnar state: the staged block's plain values (for the header's
-	// min/max bounds and the raw-frame fallback), the delta base, and the
-	// accumulated footer index entries.
-	vals  []int64
-	prev  int64
-	index []byte
-	tmp   [enc.MaxVarintLen64]byte
+	// Columnar state: the staged block's element count and bounds, the delta
+	// base, the frame offset of every frameStride-th element (its
+	// checkpoints), and the accumulated footer index entries.
+	n      int
+	mn, mx int64
+	prev   int64
+	cks    []uint32
+	index  []byte
+	tmp    [enc.MaxVarintLen64]byte
 }
+
+// writerStartBuf is how many frame bytes a Writer stages before its first
+// growth: a 1 000-value sorted step fits, a 100 KB block does not.
+const writerStartBuf = 4 << 10
 
 // Create creates (truncating if present) the named element file in the
 // device's default block format and returns a sequential Writer for it.
@@ -85,7 +94,7 @@ func (m *Manager) CreateFormat(name string, f BlockFormat) (*Writer, error) {
 		w.budget -= colHeaderLen
 		w.hdr = colHeadLen + colHeaderLen
 	}
-	w.buf = make([]byte, w.hdr, w.hdr+w.budget)
+	w.buf = make([]byte, w.hdr, w.hdr+min(w.budget, writerStartBuf))
 	return w, nil
 }
 
@@ -101,12 +110,22 @@ func (w *Writer) Append(v int64) error {
 		}
 		e = w.encode(v) // a new block's delta base is zero
 	}
-	w.buf = append(w.buf, e...)
-	w.count++
+	if len(w.buf)+len(e) > cap(w.buf) {
+		w.buf = slices.Grow(w.buf, max(w.hdr+w.budget, len(w.buf)+len(e))-len(w.buf))
+	}
 	if w.format == FormatColumnar {
-		w.vals = append(w.vals, v)
+		if w.n%frameStride == 0 {
+			w.cks = append(w.cks, uint32(len(w.buf)-w.hdr))
+		}
+		if w.n == 0 {
+			w.mn, w.mx = v, v
+		}
+		w.mn, w.mx = min(w.mn, v), max(w.mx, v)
+		w.n++
 		w.prev = v
 	}
+	w.buf = append(w.buf, e...)
+	w.count++
 	return nil
 }
 
@@ -134,27 +153,38 @@ func (w *Writer) AppendSlice(vals []int64) error {
 // head magic before the first block, so torn files never carry a valid head
 // without at least one complete block behind it; the header; and, when the
 // delta frame lost to plain int64s (unsorted or adversarial data), a raw
-// frame over it under its own tag. Its footer index entry is recorded with
+// frame over it under its own tag, from the staged frame decoded back. Its
+// footer index entry — bounds, checksum and checkpoints — is recorded with
 // it; a writer whose write failed is only ever aborted.
 func (w *Writer) flush() error {
 	if len(w.buf) == w.hdr {
 		return nil
 	}
 	if w.format == FormatColumnar {
-		cnt, mn, mx := len(w.vals), slices.Min(w.vals), slices.Max(w.vals)
 		at := w.hdr - colHeaderLen // the header's offset: past the head magic, if any
 		copy(w.buf, colMagic[:at])
 		tag, frameLen := byte(colTagDelta), len(w.buf)-w.hdr
-		if rawLen := cnt * ElementSize; rawLen < frameLen {
+		if rawLen := w.n * ElementSize; rawLen < frameLen {
+			vals := make([]int64, w.n)
+			if _, err := enc.DecodeDelta(vals, w.buf[w.hdr:]); err != nil {
+				return fmt.Errorf("disk: write %s block %d: %w", w.name, w.blocks, err)
+			}
 			tag, frameLen = colTagRaw, rawLen
 			w.buf = w.buf[:w.hdr+rawLen]
-			encodeInto(w.buf[w.hdr:], w.vals)
+			encodeInto(w.buf[w.hdr:], vals)
+			for k := range w.cks {
+				w.cks[k] = uint32(k * frameStride * ElementSize)
+			}
 		}
-		putColHeader(w.buf[at:], tag, cnt, frameLen, mn, mx)
+		putColHeader(w.buf[at:], tag, w.n, frameLen, w.mn, w.mx)
 		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(w.off+int64(at)))
-		w.index = binary.LittleEndian.AppendUint32(w.index, uint32(cnt))
-		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(mn))
-		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(mx))
+		w.index = binary.LittleEndian.AppendUint32(w.index, uint32(w.n))
+		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(w.mn))
+		w.index = binary.LittleEndian.AppendUint64(w.index, uint64(w.mx))
+		w.index = binary.LittleEndian.AppendUint32(w.index, crc32.Checksum(w.buf[at:], crcTable))
+		for _, c := range w.cks {
+			w.index = binary.LittleEndian.AppendUint32(w.index, c)
+		}
 		w.hdr = colHeaderLen // the head magic rides on the first block only
 	}
 	if err := w.emit(w.buf); err != nil {
@@ -162,7 +192,7 @@ func (w *Writer) flush() error {
 	}
 	w.off += int64(len(w.buf))
 	w.blocks++
-	w.buf, w.vals, w.prev = w.buf[:w.hdr], w.vals[:0], 0
+	w.buf, w.n, w.prev, w.cks = w.buf[:w.hdr], 0, 0, w.cks[:0]
 	return nil
 }
 
@@ -174,11 +204,12 @@ func (w *Writer) writeFooter() error {
 		return nil
 	}
 	footer := append(w.index, make([]byte, colTrailerLen)...)
-	t := footer[len(footer)-colTrailerLen:]
+	t := footer[len(w.index):]
 	binary.LittleEndian.PutUint64(t[0:], uint64(w.count))
 	binary.LittleEndian.PutUint64(t[8:], uint64(w.blocks))
 	binary.LittleEndian.PutUint64(t[16:], uint64(len(w.index)))
-	copy(t[24:], colMagic[:])
+	binary.LittleEndian.PutUint32(t[24:], crc32.Checksum(footer[:len(w.index)+24], crcTable))
+	copy(t[28:], colMagic[:])
 	return w.emit(footer)
 }
 

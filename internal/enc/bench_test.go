@@ -1,6 +1,7 @@
 package enc
 
 import (
+	"hash/crc32"
 	"math"
 	"slices"
 	"testing"
@@ -59,12 +60,17 @@ func BenchmarkDecodeDelta(b *testing.B) {
 	}
 }
 
-var benchOffs []int32
+var (
+	benchOffs []int32
+	benchCRC  uint32
+)
 
-// BenchmarkColdProbe times the three costs of a cold probe on the partition
-// block: checking the frame and taking its checkpoints (scan), and decoding
-// the run of one 200-value summary gap from the checkpoint before it
-// (window), beside the whole-block decode a probe paid before (full).
+// BenchmarkColdProbe times the costs of a cold probe on the partition block:
+// checking the frame, by its CRC-32C as columnar version 2 does (crc) or by
+// the pass over every varint that also takes the checkpoints, as version 1
+// does (scan), and decoding the run of one 200-value summary gap from the
+// checkpoint before it (window), beside the whole-block decode a probe paid
+// before (full).
 func BenchmarkColdProbe(b *testing.B) {
 	vals := benchFrames()[0].vals
 	buf := AppendDelta(nil, vals)
@@ -74,6 +80,12 @@ func BenchmarkColdProbe(b *testing.B) {
 	}
 	from := len(vals) / 3
 	win := make([]int64, 200)
+	b.Run("crc", func(b *testing.B) {
+		table := crc32.MakeTable(crc32.Castagnoli)
+		for i := 0; i < b.N; i++ {
+			benchCRC = crc32.Checksum(buf, table)
+		}
+	})
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if benchOffs, err = ScanDelta(buf, len(vals), 256); err != nil {

@@ -13,9 +13,11 @@
 // encodings such as 0x80 0x00 are accepted, as there) and returns the same
 // values, the same remainder and the same error. enc_test.go keeps that loop
 // as decodeDeltaRef and holds the two together. ScanDelta checks a whole
-// frame against the same contract without decoding it, and SkipDelta steps
-// over deltas, so a random block read checks its frame once and then decodes
-// (DecodeDeltaFrom) only the run a probe needs.
+// frame against the same contract without decoding it, recording where
+// every so many deltas start: how a random read checks a block of a
+// columnar version-1 file, which carries no checksum and no checkpoints.
+// SkipDelta steps over deltas from such a checkpoint, so a random block
+// read decodes (DecodeDeltaFrom) only the run a probe needs.
 package enc
 
 import (
@@ -161,8 +163,8 @@ func ScanDelta(frame []byte, count, every int) (offs []int32, err error) {
 }
 
 // SkipDelta returns the byte offset in buf just past its first n deltas,
-// counting varint ends eight bytes at a time. buf must hold n whole deltas,
-// as a frame ScanDelta accepted does from any delta boundary.
+// counting varint ends eight bytes at a time, or len(buf) when buf ends
+// before n of them do; decoding from there then fails as a truncation.
 func SkipDelta(buf []byte, n int) int {
 	p := 0
 	for ; n > 0 && p+8 <= len(buf); p += 8 {
@@ -176,7 +178,7 @@ func SkipDelta(buf []byte, n int) int {
 		}
 		return p + bits.TrailingZeros64(stop)>>3 + 1
 	}
-	for ; n > 0; p++ {
+	for ; n > 0 && p < len(buf); p++ {
 		if buf[p] < 0x80 {
 			n--
 		}

@@ -85,11 +85,11 @@ func (c *Cursor) pin(f *disk.Frame, idx int64) {
 // run returns the bracket [lo, hi)'s share of block idx, whose frame is f,
 // and the element index it starts at. The last run decoded is reused when it
 // covers this one; otherwise the run is decoded into the cursor's buffer.
-func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64) {
+func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64, error) {
 	base := c.rr.BlockStart(idx)
 	a, b := max(lo, base), min(hi, base+int64(f.Len()))
 	if a >= c.winLo && b <= c.winLo+int64(len(c.win)) {
-		return c.win[a-c.winLo : b-c.winLo], a
+		return c.win[a-c.winLo : b-c.winLo], a, nil
 	}
 	// Rank moves lo only to block starts, so a run starts mid-block only at
 	// the seeded lo, one past an entry's derived position, whose
@@ -101,9 +101,21 @@ func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64) {
 	if int64(cap(c.buf)) < b-a {
 		c.buf = make([]int64, b-a)
 	}
+	if err := c.decode(f, idx, c.buf[:b-a], int(a-base), prev); err != nil {
+		c.win, c.winLo = nil, 0 // the buffer holds no run now
+		return nil, 0, err
+	}
 	c.win, c.winLo = c.buf[:b-a], a
-	f.Decode(c.win, int(a-base), prev)
-	return c.win, a
+	return c.win, a, nil
+}
+
+// decode decodes the run of block idx's frame f that starts at from, naming
+// the partition if the frame does not decode.
+func (c *Cursor) decode(f *disk.Frame, idx int64, dst []int64, from int, prev int64) error {
+	if err := f.Decode(dst, from, prev); err != nil {
+		return fmt.Errorf("partition: %s block %d: %w", c.sum.Part.Name(), idx, err)
+	}
+	return nil
 }
 
 // summaryAt returns the partition element at position pos when the summary
@@ -161,7 +173,10 @@ func (c *Cursor) Rank(z int64) (int64, error) {
 		// Fully answerable from the pinned frame?
 		if f := c.pinned; f != nil {
 			if base := c.rr.BlockStart(c.pinIdx); lo >= base && hi <= base+int64(f.Len()) {
-				run, a := c.run(f, c.pinIdx, lo, hi)
+				run, a, err := c.run(f, c.pinIdx, lo, hi)
+				if err != nil {
+					return 0, err
+				}
 				return c.settle(run, a, z), nil
 			}
 		}
@@ -182,7 +197,10 @@ func (c *Cursor) Rank(z int64) (int64, error) {
 		if loBlk == hiBlk {
 			c.pin(f, blk)
 		}
-		run, a := c.run(f, blk, lo, hi)
+		run, a, err := c.run(f, blk, lo, hi)
+		if err != nil {
+			return 0, err
+		}
 		switch {
 		case z < run[0]:
 			hi = a
@@ -226,11 +244,11 @@ func (c *Cursor) Element(i int64) (int64, error) {
 	case i >= c.winLo && i < end:
 		return c.win[i-c.winLo], nil
 	case i == end && end > base:
-		f.Decode(v[:], int(i-base), c.win[len(c.win)-1])
-		return v[0], nil
+		err := c.decode(f, idx, v[:], int(i-base), c.win[len(c.win)-1])
+		return v[0], err
 	case !bounded:
-		f.Decode(v[:], int(i-base), 0)
-		return v[0], nil
+		err := c.decode(f, idx, v[:], int(i-base), 0)
+		return v[0], err
 	case i == base:
 		return mn, nil
 	case i == base+int64(f.Len())-1:

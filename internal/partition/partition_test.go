@@ -1,11 +1,15 @@
 package partition
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"path"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -755,5 +759,81 @@ func TestPartitionString(t *testing.T) {
 	}
 	if p.Steps() != 3 {
 		t.Errorf("Steps = %d", p.Steps())
+	}
+}
+
+// TestCursorCraftedFrameIsAnError: a partition block crafted to pass its
+// checksum but not to decode — its last delta cut short, the block's and the
+// footer's checksums recomputed over it — makes Rank return an error naming
+// the partition, and neither Rank nor Element panics.
+func TestCursorCraftedFrameIsAnError(t *testing.T) {
+	dev := newDev(t)
+	if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t, dev, 3, 0.25)
+	data := make([]int64, 64)
+	for i := range data {
+		data[i] = int64(i * 2)
+	}
+	if _, err := s.AddBatch(data, 1); err != nil {
+		t.Fatal(err)
+	}
+	sum := s.Entries()[0]
+	name := sum.Part.Name()
+	h, err := dev.Backend().Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := h.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := make([]byte, size)
+	if _, err := h.ReadAt(file, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	h.Close() //nolint:errcheck
+	// Version 2: a 36-byte trailer (index length at 16, footer CRC-32C at 24)
+	// behind the index, whose first entry is block 0's offset, count, min,
+	// max and CRC-32C (at 28), then its one checkpoint; block 1's follows.
+	crc := func(p []byte) uint32 { return crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)) }
+	trailer := file[size-36:]
+	index := file[size-36-int64(binary.LittleEndian.Uint64(trailer[16:])) : size-36]
+	start, end := binary.LittleEndian.Uint64(index[0:]), binary.LittleEndian.Uint64(index[36:])
+	file[end-1] = 0x80 // the frame's last delta now runs past its end
+	binary.LittleEndian.PutUint32(index[28:], crc(file[start:end]))
+	binary.LittleEndian.PutUint32(trailer[24:], crc(file[size-36-int64(len(index)):size-12]))
+	w, err := dev.Backend().Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cur, err := NewCursor(sum, 0, 126, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close() //nolint:errcheck
+	refused := 0
+	for z := int64(0); z <= 126; z++ {
+		cur.SeekTo(z)
+		if _, err := cur.Rank(z); err != nil {
+			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "decode") {
+				t.Errorf("Rank(%d): %v; want a decode error naming %s", z, err, name)
+			}
+			refused++
+		}
+		for i := range int64(64) {
+			cur.Element(i) //nolint:errcheck // any outcome but a panic
+		}
+	}
+	if refused == 0 {
+		t.Error("no probe of the crafted block failed")
 	}
 }
