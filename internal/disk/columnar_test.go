@@ -685,6 +685,88 @@ func TestColumnarBytesUnchanged(t *testing.T) {
 	}
 }
 
+// TestAppendSliceMatchesAppend holds the columnar AppendSlice kernel to
+// per-value Append: at each block size (the columnar minimum, 4 KB, the
+// paper's 100 KB) and on each input kind (sorted deltas, unsorted values
+// that take the raw-fallback tag, one value repeated), every chunking —
+// random lengths, empty chunks among them, one value at a time, the whole
+// input at once — writes the same file bytes and count.
+func TestAppendSliceMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sorted := make([]int64, 120_000)
+	v := int64(-1 << 30)
+	for i := range sorted {
+		v += rng.Int63n(1 << uint(rng.Intn(16)))
+		sorted[i] = v
+	}
+	unsorted := make([]int64, 30_000)
+	for i := range unsorted {
+		unsorted[i] = int64(rng.Uint64())
+	}
+	dups := slices.Repeat([]int64{-42}, 50_000)
+	for _, bs := range []int{colMinBlockSize, 4096, DefaultBlockSize} {
+		for _, in := range []struct {
+			name string
+			vals []int64
+		}{{"sorted", sorted}, {"unsorted", unsorted}, {"duplicates", dups}} {
+			b := NewMemBackend()
+			m, err := NewManagerOn(b, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals := in.vals
+			if bs == colMinBlockSize {
+				vals = vals[:3000] // a few values a block
+			}
+			w, err := m.CreateFormat("append.dat", FormatColumnar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vals {
+				if err := w.Append(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := fileBytes(t, b, "append.dat")
+			chunkings := [][]int{{len(vals)}, slices.Repeat([]int{1}, len(vals))}
+			for range 4 {
+				var cuts []int
+				for left := len(vals); left > 0; {
+					n := min(left, rng.Intn(2*bs/ElementSize+2))
+					cuts = append(cuts, n)
+					left -= n
+				}
+				chunkings = append(chunkings, cuts)
+			}
+			for c, cuts := range chunkings {
+				w, err := m.CreateFormat("slices.dat", FormatColumnar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rest := vals
+				for _, n := range cuts {
+					if err := w.AppendSlice(rest[:n]); err != nil {
+						t.Fatal(err)
+					}
+					rest = rest[n:]
+				}
+				if w.Count() != int64(len(vals)) {
+					t.Errorf("block size %d, %s, chunking %d: count %d, want %d", bs, in.name, c, w.Count(), len(vals))
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(fileBytes(t, b, "slices.dat"), want) {
+					t.Errorf("block size %d, %s, chunking %d (%d chunks): bytes differ from per-value Append", bs, in.name, c, len(cuts))
+				}
+			}
+		}
+	}
+}
+
 // TestColumnarV1FixtureReads reads the version-1 files of earlier releases —
 // testdata/v1_*.dat, the pinned input as version 1 wrote it — through the
 // legacy branch: a scan, every block through Frame with runs from every

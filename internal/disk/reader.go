@@ -127,24 +127,45 @@ func (r *Reader) Count() int64 { return r.ix.total() }
 
 // Next returns the next element. It returns ok=false at end of file.
 func (r *Reader) Next() (v int64, ok bool, err error) {
-	if r.closed {
-		return 0, false, fmt.Errorf("disk: read from closed reader %s", r.name)
-	}
 	if r.pos >= r.n {
-		if r.read >= r.ix.total() {
-			return 0, false, nil
-		}
-		if err := r.fill(); err != nil {
+		if ok, err := r.refill(); !ok {
 			return 0, false, err
-		}
-		if r.n == 0 {
-			return 0, false, nil
 		}
 	}
 	v = r.vals[r.pos]
 	r.pos++
 	r.read++
 	return v, true, nil
+}
+
+// NextBlock returns the unread rest of the block the reader has decoded,
+// decoding the next one first when none is left. The slice is the reader's
+// staging, valid until the next call; an empty one means end of file.
+func (r *Reader) NextBlock() ([]int64, error) {
+	if r.pos >= r.n {
+		if ok, err := r.refill(); !ok {
+			return nil, err
+		}
+	}
+	b := r.vals[r.pos:r.n]
+	r.pos = r.n
+	r.read += int64(len(b))
+	return b, nil
+}
+
+// refill decodes the next block once the current one is read, and reports
+// whether it holds an element.
+func (r *Reader) refill() (bool, error) {
+	if r.closed {
+		return false, fmt.Errorf("disk: read from closed reader %s", r.name)
+	}
+	if r.read >= r.ix.total() {
+		return false, nil
+	}
+	if err := r.fill(); err != nil {
+		return false, err
+	}
+	return r.n > 0, nil
 }
 
 // fill decodes the next block. The bytes arrive r.ahead blocks per backend
@@ -186,6 +207,7 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
+	r.pos, r.n = 0, 0 // the next read fails
 	*r.bufp = r.buf
 	seqBufPool.Put(r.bufp)
 	*r.valsp = r.vals

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 
 	"repro/internal/enc"
@@ -21,10 +22,10 @@ type Writer struct {
 	name   string
 	h      WriteHandle
 	format BlockFormat
-	// buf stages the block being written, one element at a time: its frame —
-	// 8 little-endian bytes per element for raw, a varint delta for columnar
-	// — behind hdr bytes kept free for what precedes the frame in the file (a
-	// columnar block's header, and the file's head magic before the first).
+	// buf stages the block being written — its frame, 8 little-endian bytes
+	// per element for raw, a varint delta for columnar — behind hdr bytes
+	// kept free for what precedes the frame in the file (a columnar block's
+	// header, and the file's head magic before the first).
 	// A block is flushed when the next element would take the frame past
 	// budget bytes. buf starts at writerStartBuf bytes of frame and grows to
 	// a whole block in one step, so a small file stages no more than it
@@ -138,13 +139,50 @@ func (w *Writer) encode(v int64) []byte {
 	return w.tmp[:binary.PutVarint(w.tmp[:], v-w.prev)] // wrapping delta; see enc.AppendDelta
 }
 
-// AppendSlice stages a slice of elements.
+// AppendSlice stages a slice of elements. A columnar frame takes them in one
+// loop that appends each varint delta straight into the staged block, by
+// Append's flush rule, so the file's bytes are Append's; a raw frame takes
+// them through Append.
 func (w *Writer) AppendSlice(vals []int64) error {
-	for _, v := range vals {
-		if err := w.Append(v); err != nil {
-			return err
+	if w.format == FormatRaw || w.closed {
+		for _, v := range vals {
+			if err := w.Append(v); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
+	buf, hdr, n, prev, mn, mx := w.buf, w.hdr, w.n, w.prev, w.mn, w.mx
+	for i, v := range vals {
+		d := v - prev // wrapping delta; see enc.AppendDelta
+		u := uint64(d<<1) ^ uint64(d>>63)
+		l := (bits.Len64(u|1) + 6) / 7
+		if len(buf) > hdr && len(buf)-hdr+l > w.budget {
+			w.buf, w.n, w.mn, w.mx = buf, n, mn, mx
+			if err := w.flush(); err != nil {
+				w.count += int64(i)
+				return err
+			}
+			buf, hdr, n = w.buf, w.hdr, 0
+			u = uint64(v<<1) ^ uint64(v>>63) // a new block's delta base is zero
+			l = (bits.Len64(u|1) + 6) / 7
+		}
+		if len(buf)+l > cap(buf) {
+			buf = slices.Grow(buf, max(hdr+w.budget, len(buf)+l)-len(buf))
+		}
+		if n%frameStride == 0 {
+			w.cks = append(w.cks, uint32(len(buf)-hdr))
+			if n == 0 {
+				mn, mx = v, v
+			}
+		}
+		mn, mx = min(mn, v), max(mx, v)
+		buf = binary.AppendUvarint(buf, u)
+		n++
+		prev = v
+	}
+	w.buf, w.n, w.prev, w.mn, w.mx = buf, n, prev, mn, mx
+	w.count += int64(len(vals))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package partition
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"path"
 	"slices"
 	"strings"
@@ -224,7 +225,8 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	return s, nil
 }
 
-// rebuildSummary reconstructs HSᵢ for a partition with one sequential scan.
+// rebuildSummary reconstructs HSᵢ for a partition with one sequential scan,
+// a decoded block at a time.
 func rebuildSummary(p *Partition, eps1 float64) (*Summary, error) {
 	r, err := p.OpenSequential()
 	if err != nil {
@@ -235,21 +237,19 @@ func rebuildSummary(p *Partition, eps1 float64) (*Summary, error) {
 		return nil, fmt.Errorf("partition: %s has %d elements on disk, manifest says %d", p.name, r.Count(), p.Count)
 	}
 	cap := newCapture(p, eps1)
-	prev := int64(0)
-	first := true
+	prev := int64(math.MinInt64)
 	for {
-		v, ok, err := r.Next()
+		b, err := r.NextBlock()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+		if len(b) == 0 {
+			return cap.summary()
 		}
-		if !first && v < prev {
+		if b[0] < prev || !slices.IsSorted(b) {
 			return nil, fmt.Errorf("partition: %s is not sorted on disk", p.name)
 		}
-		prev, first = v, false
-		cap.feed(v)
+		prev = b[len(b)-1]
+		cap.feedSlice(b)
 	}
-	return cap.summary()
 }

@@ -2,11 +2,14 @@ package partition
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/extsort"
 )
 
 // TestMergeRefusesUnsortedInput: a partition damaged on the device after it
@@ -112,6 +115,135 @@ func TestMergeRefusesUnsortedInput(t *testing.T) {
 			if _, err := LoadStore(dev, "MANIFEST.json", cfg); err != nil {
 				t.Errorf("LoadStore after the repair: %v", err)
 			}
+		})
+	}
+}
+
+// TestLoadStoreRefusesUnsortedPartition: hydration's scan checks the order
+// of what it reads, inside each block and across block boundaries. A
+// partition rewritten as raw blocks (format 0 carries no checksum, so
+// nothing else notices) that steps backwards once, at either place, is
+// refused by LoadStore with an error naming the file; rewritten sorted, it
+// loads.
+func TestLoadStoreRefusesUnsortedPartition(t *testing.T) {
+	const name = "part-000000.dat"
+	for _, tc := range []struct {
+		desc string
+		at   int // the element that steps below its predecessor
+	}{
+		{"inside a block", 3},
+		{"across a block boundary", 8}, // the first of the second 8-value block
+	} {
+		t.Run(tc.desc, func(t *testing.T) {
+			dev := newDev(t)
+			cfg := Config{Kappa: 2, Eps1: 0.1}
+			s, err := NewStore(dev, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AddBatch(seqBatch(1000, 40), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit("MANIFEST.json"); err != nil {
+				t.Fatal(err)
+			}
+			rewrite := func(vals []int64) {
+				t.Helper()
+				w, err := dev.CreateFormat(name, disk.FormatRaw)
+				if err == nil {
+					err = w.AppendSlice(vals)
+				}
+				if err == nil {
+					err = w.Close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			vals := seqBatch(1000, 40)
+			vals[tc.at] = vals[tc.at-1] - 5 // the one descent, from element at-1 to at
+			rewrite(vals)
+			_, err = LoadStore(dev, "MANIFEST.json", cfg)
+			if err == nil || !strings.Contains(err.Error(), "is not sorted on disk") || !strings.Contains(err.Error(), name) {
+				t.Fatalf("LoadStore = %v, want a refusal naming %s as not sorted", err, name)
+			}
+			rewrite(seqBatch(1000, 40))
+			if _, err := LoadStore(dev, "MANIFEST.json", cfg); err != nil {
+				t.Fatalf("LoadStore after the repair: %v", err)
+			}
+		})
+	}
+}
+
+// benchStore returns a store on the heap backend with columnar 100 KB
+// blocks, holding 11 level-0 partitions of n random values each (κ = 11,
+// so none has merged), and the partitions' summaries.
+func benchStore(b *testing.B, n int) (*Store, []*Summary) {
+	b.Helper()
+	dev, err := disk.NewManagerOn(disk.NewMemBackend(), disk.DefaultBlockSize)
+	if err == nil {
+		err = dev.SetBlockFormat(disk.FormatColumnar)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewStore(dev, Config{Kappa: 11, Eps1: 0.005})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	for step := 1; step <= 11; step++ {
+		batch := make([]int64, n)
+		for i := range batch {
+			batch[i] = rng.Int63n(1 << 40)
+		}
+		if _, err := s.AddBatch(batch, step); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, s.Entries()
+}
+
+// BenchmarkMerge times one κ-merge of 11 runs of n values — the merge tree,
+// the run writer, the summary capture and the columnar encoder — and reports
+// ns per merged value.
+func BenchmarkMerge(b *testing.B) {
+	for _, n := range []int{1000, 10000, 32768} {
+		b.Run(fmt.Sprintf("runs=11/n=%d", n), func(b *testing.B) {
+			s, run := benchStore(b, n)
+			b.ResetTimer()
+			for range b.N {
+				sum, err := s.mergeLevel(s.dev, run)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := s.dev.Remove(sum.Part.name); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*11*n), "ns/value")
+		})
+	}
+}
+
+// BenchmarkInstall times the write of one sorted n-value step as a level-0
+// partition, its summary captured in flight — InstallOne past the seal's
+// sort — and reports ns per value.
+func BenchmarkInstall(b *testing.B) {
+	for _, n := range []int{1000, 10000, 32768} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s, run := benchStore(b, n)
+			data := readPartition(b, run[0].Part)
+			part := &Partition{Count: int64(n), dev: s.dev, name: "install.dat"}
+			b.ResetTimer()
+			for range b.N {
+				if _, err := s.writeRun(s.dev, extsort.SliceSource(data), part); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
 		})
 	}
 }

@@ -34,7 +34,7 @@ func newStore(t *testing.T, dev *disk.Manager, kappa int, eps1 float64) *Store {
 	return s
 }
 
-func readPartition(t *testing.T, p *Partition) []int64 {
+func readPartition(t testing.TB, p *Partition) []int64 {
 	t.Helper()
 	r, err := p.OpenSequential()
 	if err != nil {

@@ -425,7 +425,7 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 // the retry, like any failed install's.
 func (s *Store) writeRun(dev *disk.Manager, src extsort.Source, part *Partition) (*Summary, error) {
 	cap := newCapture(part, s.cfg.Eps1)
-	n, err := extsort.WriteRun(dev, part.name, src, cap.feed)
+	n, err := extsort.WriteRun(dev, part.name, src, cap.feedSlice)
 	if err != nil {
 		return nil, err
 	}

@@ -70,14 +70,17 @@ func newCapture(p *Partition, eps1 float64) *capture {
 	return &capture{sum: Summary{Part: p, Values: make([]int64, Beta(p.Count, eps1)), eps1: eps1}}
 }
 
-// feed observes the next element of the sorted stream.
-func (c *capture) feed(v int64) {
-	for c.next < len(c.sum.Values) && c.at == c.idx {
-		c.sum.Values[c.next] = v
+// feedSlice observes the next block of the sorted stream, filling the
+// entries whose positions fall in it: its work is the entries', not the
+// block's.
+func (c *capture) feedSlice(b []int64) {
+	end := c.idx + int64(len(b))
+	for c.next < len(c.sum.Values) && c.at < end {
+		c.sum.Values[c.next] = b[c.at-c.idx]
 		c.next++
 		c.at = c.sum.pos(c.next)
 	}
-	c.idx++
+	c.idx = end
 }
 
 // summary finalizes the capture. It returns an error if the stream was
