@@ -62,7 +62,7 @@ type DB struct {
 	// inflation is GreedyDual's L, raised to each victim's priority.
 	inflation uint64
 
-	hydrated         int // streams with eng != nil
+	hot              map[*Stream]struct{} // streams with eng != nil: eviction's candidates
 	hydrations       uint64
 	hydratedValues   uint64 // values the hydrations' summary-rebuild scans read
 	evictions        uint64
@@ -104,7 +104,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s); to adopt it as a DB stream, move its files into %s/<name>/ and set the moved manifest's \"namespace\" to that path",
 			full.Dir, manifestName, streamNamespacePrefix)
 	}
-	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), coldBudget: coldSummaryBudget}
+	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), hot: make(map[*Stream]struct{}), coldBudget: coldSummaryBudget}
 	files, err := dev.List(streamNamespacePrefix + "/")
 	if err != nil {
 		return nil, fmt.Errorf("hsq: list stream namespaces: %w", err)
@@ -177,7 +177,9 @@ func (db *DB) touchLocked(s *Stream) {
 // stream's opMu: concurrent callers of the same stream singleflight behind
 // one hydration, while operations on other streams proceed untouched. This
 // is the structural fix for the historical cold-open stall, where one
-// stream's manifest load and summary-rebuild scan blocked the whole DB.
+// stream's manifest load and summary-rebuild scan blocked the whole DB. It
+// sweeps orphans only on the stream's first hydration since Open and after
+// an evicted engine failed a write (Stream.swept).
 func (db *DB) acquire(st *Stream) (*engine, error) {
 	db.mu.Lock()
 	eng, err, done := db.tryAcquireLocked(st)
@@ -208,7 +210,7 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 		view = v
 		db.mu.Unlock()
 	}
-	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+st.name)
+	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+st.name, !st.swept)
 
 	db.mu.Lock()
 	if serr := st.errLocked(); serr != nil {
@@ -225,10 +227,10 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 		db.mu.Unlock()
 		return nil, fmt.Errorf("hsq: hydrate stream %q: %w", st.name, err)
 	}
-	st.eng = fresh
+	st.eng, st.swept = fresh, true
+	db.hot[st] = struct{}{}
 	db.forgetColdLocked(st) // writes may now change the durable state it mirrors
 	st.pins++
-	db.hydrated++
 	db.hydrations++
 	db.hydratedValues += uint64(fresh.HistCount())
 	// Make room first, then touch: the stream's priority starts from the
@@ -291,7 +293,7 @@ func (db *DB) release(st *Stream) {
 // victims' priority; the actual seal-and-close runs in evict, outside db.mu.
 func (db *DB) evictVictimsLocked() []*Stream {
 	budget := db.opts.MaxHydratedStreams
-	if budget <= 0 || db.hydrated <= budget || db.closed {
+	if budget <= 0 || len(db.hot) <= budget || db.closed {
 		return nil
 	}
 	type cand struct {
@@ -299,15 +301,15 @@ func (db *DB) evictVictimsLocked() []*Stream {
 		prio uint64
 	}
 	var cands []cand
-	for _, st := range db.dir {
-		if st.eng != nil && !st.dropped && st.pins == 0 && st.eng.StreamCount() == 0 {
+	for st := range db.hot {
+		if st.pins == 0 && st.eng.StreamCount() == 0 {
 			cands = append(cands, cand{st, st.base + uint64(st.eng.HistCount())})
 		}
 	}
 	slices.SortFunc(cands, func(a, b cand) int {
 		return cmp.Or(cmp.Compare(a.prio, b.prio), cmp.Compare(a.st.seq, b.st.seq))
 	})
-	need := min(db.hydrated-budget, len(cands))
+	need := min(len(db.hot)-budget, len(cands))
 	victims := make([]*Stream, need)
 	for i := range victims {
 		victims[i] = cands[i].st
@@ -337,7 +339,7 @@ func (db *DB) evictOne(st *Stream) {
 	db.mu.Lock()
 	eng := st.eng
 	if db.closed || st.dropped || eng == nil || st.pins > 0 ||
-		db.opts.MaxHydratedStreams <= 0 || db.hydrated <= db.opts.MaxHydratedStreams {
+		db.opts.MaxHydratedStreams <= 0 || len(db.hot) <= db.opts.MaxHydratedStreams {
 		db.mu.Unlock()
 		return
 	}
@@ -351,7 +353,7 @@ func (db *DB) evictOne(st *Stream) {
 	// the stream before this point (pins > 0 above, so we bailed) or finds
 	// eng == nil and waits on opMu for the eviction to finish.
 	st.eng = nil
-	db.hydrated--
+	delete(db.hot, st)
 	db.evictions++
 	db.mu.Unlock()
 
@@ -362,6 +364,9 @@ func (db *DB) evictOne(st *Stream) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.forgetColdLocked(st)
+	if err == nil && eng.store.MayHoldOrphans() {
+		st.swept = false
+	}
 	if err != nil && !db.closed && !st.dropped {
 		// The engine may be half-closed but its state is still durable up
 		// to the failure; restore it so nothing is lost and surface the
@@ -370,7 +375,7 @@ func (db *DB) evictOne(st *Stream) {
 		// nothing will ever close it again and restoring would only make a
 		// closed DB report a hydrated engine.
 		st.eng = eng
-		db.hydrated++
+		db.hot[st] = struct{}{}
 		db.evictions--
 	}
 }
@@ -602,10 +607,8 @@ func (db *DB) DropStream(name string) error {
 	st.dropped = true
 	db.forgetColdLocked(st)
 	eng := st.eng
-	if eng != nil {
-		st.eng = nil
-		db.hydrated--
-	}
+	st.eng = nil
+	delete(db.hot, st)
 	db.mu.Unlock()
 	if eng != nil {
 		eng.shut()
@@ -675,12 +678,10 @@ func (db *DB) eachHydrated(f func(*Stream, *engine) error) error {
 	}
 	var pinned []*Stream
 	var engs []*engine // read under db.mu: Close detaches even pinned engines
-	for _, st := range db.dir {
-		if st.eng != nil && !st.dropped {
-			st.pins++
-			pinned = append(pinned, st)
-			engs = append(engs, st.eng)
-		}
+	for st := range db.hot {
+		st.pins++
+		pinned = append(pinned, st)
+		engs = append(engs, st.eng)
 	}
 	db.mu.Unlock()
 	var first error
@@ -749,7 +750,7 @@ func (db *DB) Close() error {
 			st.eng = nil
 		}
 	}
-	db.hydrated = 0
+	clear(db.hot)
 	db.mu.Unlock()
 
 	var errs []error
@@ -812,7 +813,7 @@ func (db *DB) DirectoryStats() DirectoryStats {
 	}
 	return DirectoryStats{
 		Registered:       registered,
-		Hydrated:         db.hydrated,
+		Hydrated:         len(db.hot),
 		MaxHydrated:      db.opts.MaxHydratedStreams,
 		Hydrations:       db.hydrations,
 		Evictions:        db.evictions,

@@ -108,7 +108,7 @@ func TestUnregisterDiscardsRacedHydration(t *testing.T) {
 	}
 	db2.mu.Lock()
 	leaked := ent.eng != nil
-	hydrated := db2.hydrated
+	hydrated := len(db2.hot)
 	db2.mu.Unlock()
 	if leaked {
 		t.Error("raced hydration installed an engine into an unregistered entry")

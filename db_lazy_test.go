@@ -195,7 +195,9 @@ func (f *failMetaBackend) WriteMeta(name string, data []byte) error {
 // first stream error: with one stream's manifest commit failing, Close
 // must still seal every other stream, mark the DB closed exactly once,
 // and join the failure into the returned error. A second Close is a
-// no-op.
+// no-op. A commit with nothing new writes no manifest, so the fault is
+// armed before s1's EndStep: its step is installed but not committed, and
+// Close, which has it to commit, fails again.
 func TestClosePartialFailure(t *testing.T) {
 	fb := &failMetaBackend{Backend: disk.NewMemBackend()}
 	db, err := hsq.Open(hsq.Options{Epsilon: 0.05, Kappa: 2, Device: fb, BlockSize: 512})
@@ -210,11 +212,17 @@ func TestClosePartialFailure(t *testing.T) {
 		for v := int64(0); v < 200; v++ {
 			st.Observe(v)
 		}
+		if i == 1 {
+			fb.arm("streams/s1/MANIFEST.json")
+			if _, err := st.EndStep(); err == nil {
+				t.Fatal("s1's EndStep committed despite an injected manifest failure")
+			}
+			continue
+		}
 		if _, err := st.EndStep(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fb.arm("streams/s1/MANIFEST.json")
 	err = db.Close()
 	if err == nil {
 		t.Fatal("Close succeeded despite an injected manifest failure")

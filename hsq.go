@@ -320,16 +320,21 @@ func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 
 // newEngineOn hydrates a registered stream's engine from the store manifest
 // in its namespaced device view. full must have passed withDefaults. The
-// load rebuilds partition summaries with one sequential scan each and
-// garbage-collects files a half-finished install left behind; every durable
-// step is a partition, so a reopened stream serves its recovered prefix at
-// once.
-func newEngineOn(dev *disk.Manager, full Options, namespace string) (*engine, error) {
+// load rebuilds partition summaries with one sequential scan each and, with
+// sweep, garbage-collects what a crashed or failed install left; every
+// durable step is a partition, so a reopened stream serves its recovered
+// prefix at once.
+func newEngineOn(dev *disk.Manager, full Options, namespace string, sweep bool) (*engine, error) {
 	eps1 := full.Epsilon / 2
 	eps2 := full.Epsilon / 4
 	store, err := partition.LoadStore(dev, manifestName, storeConfig(full, eps1, namespace))
 	if err != nil {
 		return nil, err
+	}
+	if sweep {
+		if _, err := store.CollectOrphans(manifestName); err != nil {
+			return nil, err
+		}
 	}
 	return &engine{cfg: full, eps1: eps1, eps2: eps2, dev: dev, store: store}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -162,6 +163,39 @@ func conformance(t *testing.T, b Backend, kind string) {
 		}
 		if all, err := b.List(""); err != nil || len(all) < 2 {
 			t.Errorf("List(\"\") = %v, %v", all, err)
+		}
+	})
+
+	// Each namespace lists alone: a prefix names its own files, nested ones
+	// included, and never a sibling's, even one its name is a prefix of.
+	t.Run("list-namespaces", func(t *testing.T) {
+		for _, name := range []string{"ns/a/x.dat", "ns/a/sub/y.dat", "ns/ab/z.dat", "ns/b/w.dat", "ns/a.dat"} {
+			w, err := b.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Write([]byte("v")) //nolint:errcheck
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.WriteMeta("ns/b/META.json", []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+		for prefix, want := range map[string][]string{
+			"ns/a/":       {"ns/a/sub/y.dat", "ns/a/x.dat"},
+			"ns/ab/":      {"ns/ab/z.dat"},
+			"ns/b/":       {"ns/b/META.json", "ns/b/w.dat"},
+			"ns/a":        {"ns/a.dat", "ns/a/sub/y.dat", "ns/a/x.dat", "ns/ab/z.dat"},
+			"ns/a/sub/y":  {"ns/a/sub/y.dat"},
+			"ns/":         {"ns/a.dat", "ns/a/sub/y.dat", "ns/a/x.dat", "ns/ab/z.dat", "ns/b/META.json", "ns/b/w.dat"},
+			"ns/missing/": nil,
+			"nope/":       nil,
+		} {
+			got, err := b.List(prefix)
+			if err != nil || !slices.Equal(got, want) {
+				t.Errorf("List(%q) = %v, %v; want %v", prefix, got, err, want)
+			}
 		}
 	})
 

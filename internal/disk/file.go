@@ -241,11 +241,13 @@ func fsyncPath(p string) error {
 	return nil
 }
 
-// List walks the root and returns every file whose slash-separated name
-// starts with prefix.
+// List returns every file whose slash-separated name starts with prefix. It
+// walks only the directory the prefix names — the part up to its last '/' —
+// so listing one namespace does not visit the others.
 func (b *FileBackend) List(prefix string) ([]string, error) {
 	var out []string
-	err := filepath.WalkDir(b.root, func(path string, d fs.DirEntry, err error) error {
+	dir := b.path(prefix[:strings.LastIndex(prefix, "/")+1])
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil // removed mid-walk

@@ -1,9 +1,14 @@
 package partition
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"path"
 	"slices"
 	"testing"
+
+	"repro/internal/disk"
 )
 
 // TestCommitDefersRemovals pins the crash-consistent removal order: files
@@ -140,5 +145,188 @@ func TestCollectOrphans(t *testing.T) {
 	}
 	if removed, err := CollectOrphans(view, nil); err != nil || len(removed) != 1 {
 		t.Errorf("view collection = %v, %v; want 1 removal", removed, err)
+	}
+}
+
+// commitCounter counts the manifest writes and barriers a store makes, and
+// refuses Remove while refuse is set.
+type commitCounter struct {
+	disk.Backend
+	metaWrites, syncs int
+	refuse            bool
+}
+
+func (b *commitCounter) WriteMeta(name string, data []byte) error {
+	b.metaWrites++
+	return b.Backend.WriteMeta(name, data)
+}
+
+func (b *commitCounter) Sync() error {
+	b.syncs++
+	return b.Backend.Sync()
+}
+
+func (b *commitCounter) Remove(name string) error {
+	if b.refuse {
+		return errors.New("remove refused")
+	}
+	return b.Backend.Remove(name)
+}
+
+// TestUnchangedCommitWritesNothing: a commit whose version seq and NextID
+// equal the last successful commit's writes and syncs nothing, but still
+// reclaims retired files; any change — an install, a failed install that
+// sealed a step, a failed merge that only advanced NextID — is written with
+// its two barriers.
+func TestUnchangedCommitWritesNothing(t *testing.T) {
+	cb := &commitCounter{Backend: disk.NewMemBackend()}
+	dev, err := disk.NewManagerOn(cb, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t, dev, 2, 0.1)
+	commit := func(label string, metaWrites, syncs int) {
+		t.Helper()
+		cb.metaWrites, cb.syncs = 0, 0
+		if err := s.Commit("MANIFEST.json"); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if cb.metaWrites != metaWrites || cb.syncs != syncs {
+			t.Errorf("%s: commit made %d manifest writes and %d syncs, want %d and %d",
+				label, cb.metaWrites, cb.syncs, metaWrites, syncs)
+		}
+	}
+	if _, err := s.AddBatch(seqBatch(1000, 40), 1); err != nil {
+		t.Fatal(err)
+	}
+	commit("after an install", 1, 2)
+	commit("a second commit with nothing new", 0, 0)
+
+	// A failed install seals its step and advances NextID.
+	dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqWrite {
+			return errors.New("injected write fault")
+		}
+		return nil
+	})
+	if _, err := s.AddBatch(seqBatch(2000, 40), 2); err == nil {
+		t.Fatal("AddBatch succeeded under a write fault")
+	}
+	commit("after a failed install", 1, 2)
+	commit("again with nothing new", 0, 0)
+
+	// Step 3's install makes a merge due, which fails on its inputs' reads;
+	// a retried merge that fails again advances NextID alone.
+	dev.SetFault(func(op disk.Op, name string, block int64) error {
+		if op == disk.OpSeqRead {
+			return errors.New("injected read fault")
+		}
+		return nil
+	})
+	if _, err := s.AddBatch(seqBatch(3000, 40), 3); !errors.Is(err, ErrMergeIncomplete) {
+		t.Fatalf("AddBatch under a read fault: %v, want ErrMergeIncomplete", err)
+	}
+	commit("after the installs", 1, 2)
+	if merged, _, err := s.Merge(); merged || err == nil {
+		t.Fatalf("Merge under a read fault: merged %v, err %v", merged, err)
+	}
+	commit("after a failed merge", 1, 2)
+	commit("again with nothing new", 0, 0)
+
+	// The merge runs; its inputs' removals are refused, then retried by a
+	// commit with nothing new.
+	dev.SetFault(nil)
+	if merged, _, err := s.Merge(); !merged || err != nil {
+		t.Fatalf("Merge: merged %v, err %v", merged, err)
+	}
+	cb.refuse = true
+	commit("after the merge", 1, 2)
+	if !s.MayHoldOrphans() {
+		t.Error("MayHoldOrphans = false with refused removals queued")
+	}
+	inputs := 0
+	for _, n := range []string{"part-000000.dat", "part-000001.dat", "part-000002.dat"} {
+		if dev.Exists(n) {
+			inputs++
+		}
+	}
+	if inputs != 3 {
+		t.Fatalf("%d of the merge's 3 inputs on the device after refused removals, want 3", inputs)
+	}
+	cb.refuse = false
+	commit("a reclaiming commit with nothing new", 0, 0)
+	for _, n := range []string{"part-000000.dat", "part-000001.dat", "part-000002.dat"} {
+		if dev.Exists(n) {
+			t.Errorf("%s survived the reclaiming commit", n)
+		}
+	}
+}
+
+// TestManifestReadsIndented: Commit writes compact JSON, and LoadStore reads
+// it and the indented layout earlier builds wrote alike.
+func TestManifestReadsIndented(t *testing.T) {
+	dev, err := disk.NewManagerOn(disk.NewMemBackend(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t, dev, 3, 0.1)
+	for step := 1; step <= 2; step++ {
+		if _, err := s.AddBatch(seqBatch(int64(step)*1000, 40), step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit("MANIFEST.json"); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := dev.ReadMeta("MANIFEST.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented := []byte(`{
+  "version": 1,
+  "kappa": 3,
+  "eps1": 0.1,
+  "next_id": 2,
+  "steps": 2,
+  "partitions": [
+    {
+      "id": 0,
+      "level": 0,
+      "count": 40,
+      "start_step": 1,
+      "end_step": 1,
+      "name": "part-000000.dat"
+    },
+    {
+      "id": 1,
+      "level": 0,
+      "count": 40,
+      "start_step": 2,
+      "end_step": 2,
+      "name": "part-000001.dat"
+    }
+  ]
+}`)
+	m, err := ParseManifest(compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.MarshalIndent(m, "", "  "); !bytes.Equal(indented, want) {
+		t.Fatalf("the indented literal is not the store's manifest in the earlier layout:\n%s", want)
+	}
+	if want, _ := json.Marshal(m); !bytes.Equal(compact, want) {
+		t.Errorf("Commit wrote %s, want compact JSON %s", compact, want)
+	}
+	for label, data := range map[string][]byte{"compact": compact, "indented": indented} {
+		if err := dev.WriteMeta("MANIFEST.json", data); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadStore(dev, "MANIFEST.json", Config{Kappa: 3, Eps1: 0.1})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got, want := loaded.Describe(), s.Describe(); !slices.Equal(got, want) || loaded.TotalCount() != 80 {
+			t.Errorf("%s: loaded %+v (%d values), want %+v (80)", label, got, loaded.TotalCount(), want)
+		}
 	}
 }

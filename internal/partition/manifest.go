@@ -77,7 +77,7 @@ func CreateManifest(dev *disk.Manager, name string, cfg Config) error {
 
 // writeManifest serializes and atomically writes one manifest snapshot.
 func writeManifest(dev *disk.Manager, name string, m Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("partition: marshal manifest: %w", err)
 	}
@@ -87,9 +87,9 @@ func writeManifest(dev *disk.Manager, name string, m Manifest) error {
 	return nil
 }
 
-// ParseManifest decodes a manifest previously written by Commit,
-// validating its version. Callers inspecting on-disk state directly (the
-// crash harness, tooling) share the store's own decoding rules.
+// ParseManifest decodes a manifest Commit wrote, compact or (earlier builds)
+// indented, validating its version. Callers inspecting on-disk state
+// directly (the crash harness, tooling) share the store's decoding rules.
 func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -130,7 +130,8 @@ var orphanPatterns = append([]string{"part-*.dat"}, tempFilePatterns...)
 // CollectOrphans removes files in the device view that a crashed or failed
 // install left behind: files matching the store's temporary/partition name
 // patterns that are not in keep. Names containing a path separator (nested
-// namespaces) are never touched. It reports the names it removed.
+// namespaces) are never touched. It reports the names it removed. It lists
+// the whole view, so LoadStore does not run it (Store.CollectOrphans).
 func CollectOrphans(dev *disk.Manager, keep map[string]bool) ([]string, error) {
 	names, err := dev.List("")
 	if err != nil {
@@ -160,10 +161,10 @@ func CollectOrphans(dev *disk.Manager, keep map[string]bool) ([]string, error) {
 }
 
 // LoadStore reopens a Store from a manifest, rebuilding each partition's
-// in-memory summary with a sequential scan. Files from half-finished
-// installs — partitions written but never committed, sort temporaries — are
-// detected and garbage-collected, so a crash between data writes and the
-// manifest commit never poisons a reopen.
+// in-memory summary with a sequential scan. It reads only the files the
+// manifest names, so files from half-finished installs — partitions written
+// but never committed, sort temporaries — never poison a reopen; it does not
+// remove them (Store.CollectOrphans does).
 //
 // A manifest with a pending section — sealed steps an earlier release kept
 // as raw spills — is refused before anything is touched: open the directory
@@ -192,7 +193,6 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	}
 	s := &Store{dev: dev, cfg: cfg, nextID: m.NextID}
 	ents := make([]*Summary, 0, len(m.Parts))
-	keep := map[string]bool{manifestName: true}
 	for _, pe := range m.Parts {
 		p := &Partition{
 			ID:        pe.ID,
@@ -208,7 +208,6 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 			return nil, err
 		}
 		ents = append(ents, sum)
-		keep[pe.Name] = true
 	}
 	// The store's one list is oldest first, whatever order the manifest
 	// lists the partitions in.
@@ -219,10 +218,19 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	s.cur = &Version{store: s, seq: 0, refs: 1}
 	s.live = []*Version{s.cur}
 	s.committedSeq = s.publishLocked(ents, nil, s.newMemo()).seq
-	if _, err := CollectOrphans(dev, keep); err != nil {
-		return nil, err
-	}
 	return s, nil
+}
+
+// CollectOrphans sweeps the view of a store LoadStore just returned, before
+// its first write, keeping the manifest and the loaded partitions. Run it
+// on the first load after opening the device, which covers crash debris,
+// and on the load after a store that reported MayHoldOrphans.
+func (s *Store) CollectOrphans(manifestName string) ([]string, error) {
+	keep := map[string]bool{manifestName: true}
+	for _, e := range s.Entries() {
+		keep[e.Part.name] = true
+	}
+	return CollectOrphans(s.dev, keep)
 }
 
 // rebuildSummary reconstructs HSᵢ for a partition with one sequential scan,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 	"weak"
 
@@ -134,7 +135,7 @@ func (sb *SealedBatch) MemoryBytes() int64 { return int64(cap(sb.data)) * 8 }
 // removed only once a manifest not referencing it is durable AND no live
 // version can still read it (see version.go). A crash at any point leaves
 // either the old manifest (new files are unreferenced orphans, collected by
-// LoadStore) or the new manifest (whose data the first sync made durable
+// CollectOrphans) or the new manifest (whose data the first sync made durable
 // before the commit).
 //
 // Every partition file — a level-0 partition sorted in memory, or a
@@ -153,9 +154,12 @@ type Store struct {
 	committedSeq int64
 	nextID       int64
 
+	orphans atomic.Bool // a failed install or merge may have left its file
 	// cmu serializes manifest commits so the durable manifest sequence is
-	// monotone.
-	cmu sync.Mutex
+	// monotone. lastSeq and lastNextID, guarded by it, are the version seq
+	// and NextID the last successful commit wrote.
+	cmu                 sync.Mutex
+	lastSeq, lastNextID int64
 
 	// pinCond (lazily created under vmu by DrainPins) is broadcast on every
 	// Release so teardown can wait out in-flight query pins.
@@ -373,6 +377,7 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 	sum, err := s.writeRun(dev, extsort.SliceSource(sb.data), part)
 	bd.Load, bd.LoadIO = time.Since(t0), dev.Stats()
 	if err != nil {
+		s.orphans.Store(true)
 		return bd, 0, fmt.Errorf("partition: install sealed step %d: %w", sb.Step, err)
 	}
 
@@ -405,6 +410,7 @@ func (s *Store) Merge() (bool, disk.Stats, error) {
 	dev := s.dev.Metered()
 	merged, err := s.mergeLevel(dev, run)
 	if err != nil {
+		s.orphans.Store(true)
 		return false, dev.Stats(), err
 	}
 	s.vmu.Lock()
@@ -481,7 +487,9 @@ func (s *Store) mergeLevel(dev *disk.Manager, run []*Summary) (*Summary, error) 
 // do files superseded by this state become removable — and they are
 // physically removed only once no pinned Version can still read them.
 // Sealed steps are not in the manifest: a step is durable once its
-// partition is published and a Commit returns nil.
+// partition is published and a Commit returns nil. A commit whose version
+// seq and NextID equal those of the last successful one has nothing new to
+// make durable: it writes and syncs nothing, and only reclaims.
 //
 // Nothing else in the store commits: the engine calls Commit once per
 // EndStep and at its retries and checkpoints. It is safe to call
@@ -499,24 +507,34 @@ func (s *Store) Commit(manifestName string) error {
 	s.vmu.Lock()
 	m, seq := s.manifestSnapshotLocked()
 	s.vmu.Unlock()
-	if err := s.dev.Sync(); err != nil {
-		return fmt.Errorf("partition: commit data barrier: %w", err)
+	if seq != s.lastSeq || m.NextID != s.lastNextID {
+		if err := s.dev.Sync(); err != nil {
+			return fmt.Errorf("partition: commit data barrier: %w", err)
+		}
+		if err := writeManifest(s.dev, manifestName, m); err != nil {
+			return err
+		}
+		if err := s.dev.Sync(); err != nil {
+			return fmt.Errorf("partition: commit manifest barrier: %w", err)
+		}
+		s.lastSeq, s.lastNextID = seq, m.NextID
 	}
-	if err := writeManifest(s.dev, manifestName, m); err != nil {
-		return err
-	}
-	if err := s.dev.Sync(); err != nil {
-		return fmt.Errorf("partition: commit manifest barrier: %w", err)
-	}
-	var reclaim []retiredFile
 	s.vmu.Lock()
-	if seq > s.committedSeq {
-		s.committedSeq = seq
-	}
-	reclaim = s.takeReclaimableLocked()
+	s.committedSeq = max(s.committedSeq, seq)
+	reclaim := s.takeReclaimableLocked()
 	s.vmu.Unlock()
 	s.removeRetired(reclaim)
 	return nil
+}
+
+// MayHoldOrphans reports whether the store's view may hold a file no
+// manifest names and no later commit of this store removes — the output of a
+// failed install or merge, or a retired file not yet reclaimed: the only
+// orphans a running process makes.
+func (s *Store) MayHoldOrphans() bool {
+	s.vmu.Lock()
+	defer s.vmu.Unlock()
+	return s.orphans.Load() || len(s.retired) > 0
 }
 
 // LevelInfo describes one level of HD for diagnostics.

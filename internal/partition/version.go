@@ -22,7 +22,7 @@ import "sync"
 //     query can still read it (the snapshot rule).
 //
 // Until then the file sits on the retired list; a crash simply strands it as
-// an orphan for LoadStore's collector.
+// an orphan for the collector (Store.CollectOrphans).
 //
 // A Version lists its partitions in one order, oldest first (Entries), and
 // offers no step-range selection of its own: which spans a windowed, shifted
@@ -283,7 +283,7 @@ func (s *Store) takeReclaimableLocked() []retiredFile {
 
 // removeRetired physically deletes reclaimed files, re-queuing any failed
 // removal for the next reclaim (or, if the process dies first, for
-// LoadStore's orphan collector). Runs without any store lock; concurrent
+// the orphan collector). Runs without any store lock; concurrent
 // reclaimers hold disjoint batches.
 func (s *Store) removeRetired(files []retiredFile) {
 	var failed []retiredFile

@@ -71,6 +71,10 @@ type Stream struct {
 	seq     uint64  // touch clock value of the last touch: the eviction tie-break
 	base    uint64  // DB inflation at the last touch: eviction priority less cost
 	dropped bool
+	// swept: the namespace holds no orphan. A hydration sweeps unless it is
+	// set, and sets it; an evicted engine that may have left one
+	// (partition.Store.MayHoldOrphans) clears it. Changes hold opMu too.
+	swept bool
 	// cold is the sidecar summary a cold stream holds until it hydrates;
 	// coldEpoch counts its forgets (coldsummary.go).
 	cold      *core.ShardSummary
