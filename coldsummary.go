@@ -123,14 +123,14 @@ func (db *DB) readColdSummary(s *Stream, held *core.ShardSummary, epoch uint64, 
 // readSidecar returns a cold stream's full-scope summary as its sidecar
 // records it, or nil if the sidecar cannot answer.
 func (db *DB) readSidecar(stream string) *core.ShardSummary {
-	eps1, eps2 := db.opts.Epsilon/2, db.opts.Epsilon/4
-	sum := &core.ShardSummary{Eps1: eps1, Eps2: eps2} // no sidecar: zero spans
+	eps1 := db.opts.Epsilon / 2
+	sum := &core.ShardSummary{Eps1: eps1} // no sidecar: zero spans
 	if raw, err := db.dev.ReadMeta(sidecarPath(stream)); err == nil {
 		db.sidecarDecodes.Add(1)
 		// A sidecar is installed partitions only, under this DB's ε (a DB
 		// reopened with another ε rebuilds its summaries on hydration).
 		sum, err = core.DecodeShardSummary(raw)
-		if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 || sum.Eps2 != eps2 {
+		if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 {
 			return nil // corrupt or foreign sidecar: hydrate, next seal rewrites it
 		}
 	}

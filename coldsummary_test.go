@@ -141,7 +141,8 @@ func v1Sidecar(parts []core.PartSummary) []byte {
 
 // TestColdSummaryFallsBack: a SUMMARY.bin that is not exactly the evicted
 // stream's durable state — stale, reshaped, cut short, padded, inconsistent,
-// unsorted, another build's, another ε's, another capture rule's or gone —
+// unsorted, another build's (one with two ε values among them), another
+// ε's, another capture rule's or gone —
 // never answers. The read hydrates once, is counted as a fallback, and
 // returns what the hydrated engine returns; the next eviction rewrites the
 // file and the same reads hydrate nothing.
@@ -243,13 +244,20 @@ func TestColdSummaryFallsBack(t *testing.T) {
 			}
 			return [][]byte{v1Sidecar(sum.Parts)}
 		}},
-		{"another epsilon", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) { sum.Eps1, sum.Eps2 = sum.Eps1/2, sum.Eps2/2 })},
+		{"another epsilon", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) { sum.Eps1 /= 2 })},
+		{"version 4, two ε values", 0.1, func(_ *coldFixture, fresh []byte) [][]byte {
+			// What the build before this encoding wrote for the same state:
+			// the pieces' ε, ε/4, after ε₁.
+			v4 := append([]byte{4}, fresh[1:9]...)
+			v4 = binary.BigEndian.AppendUint64(v4, math.Float64bits(0.1/4))
+			return [][]byte{append(v4, fresh[9:]...)}
+		}},
 		{"stream-side piece", 0.1, edited(func(t *testing.T, sum *core.ShardSummary) {
 			sum.Pieces, sum.N = []core.StreamPiece{{M: 1, SS: []int64{7, 7}}}, sum.N+1
 		})},
 		{"missing", 0.1, func(*coldFixture, []byte) [][]byte { return [][]byte{nil} }},
 		{"version 3, the old capture rule", 0.01, oldRule(3)},
-		{"the old capture rule", 0.01, oldRule(4)},
+		{"the old capture rule", 0.01, oldRule(5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newColdFixture(t, tc.eps, 5)

@@ -8,13 +8,14 @@
 // A stream is observed element by element; at the end of each time step the
 // accumulated batch is loaded into the warehouse, which keeps sorted
 // partitions organized in levels with a merge threshold κ. Small in-memory
-// summaries of both sides (exactly-ranked samples of each partition and of
-// the stream, about 1/ε₁ and 1/ε₂ of them, a shorter run whole) answer
-// quick queries immediately and seed an accurate query
-// that performs a handful of random disk reads. The paper summarizes the
-// stream in a Greenwald-Khanna sketch because it does not keep it; this
-// package keeps the current step's batch, which EndStep writes anyway, and
-// summarizes it exactly, sorting it when a read asks.
+// summaries of each partition (exactly-ranked samples, about 1/ε₁ of them,
+// a shorter partition whole) and the in-memory steps themselves answer
+// quick queries immediately and seed an accurate query that performs a
+// handful of random disk reads. The paper summarizes the stream in a
+// Greenwald-Khanna sketch at a second, finer ε because it does not keep
+// it; this package keeps the current step's batch, which EndStep writes
+// anyway, and counts it exactly, sorting it when a read asks, so an
+// answer carries one error term.
 //
 // Basic usage — a DB (Open) hosts named streams, and a *Stream is the one
 // handle on the paper's engine; a single-stream deployment is a DB with one
@@ -35,7 +36,8 @@
 // rank-of-value question — and three fields that map onto the paper:
 //
 //	field      paper                          the answer's rank error
-//	(default)  Algorithm 6 / Theorem 2        ≤ ε·N, a few random disk reads
+//	(default)  Algorithm 6 / Theorem 2        ≤ ε·m ≤ ε·N (m: the in-memory
+//	                                          steps), Values exact; a few reads
 //	Quick      Algorithm 5 / Lemma 3          ≤ 1.5·ε·N, zero disk reads
 //	Window     §2.4 "Queries Over Windows"    as above, N = the window's size
 //	MaxReads   conclusion's "stopping early"  Stats.Truncated: inside the 4·ε·N
@@ -243,14 +245,14 @@
 // the installed partitions with their summaries, then the sealed step whose
 // level-0 write is running or failed, held as its sorted batch. A query
 // takes the engine lock only long enough to pin the current version and
-// capture the stream summaries (the sealed step's, gathered from its sorted
-// batch, and the live step's), then runs its whole disk search outside any
-// lock. The engine lock is one plain mutex and the only guard of the live
-// step's batch: observes append to it and counts read its length under it,
-// and a query sorts the values observed since the last read into the sorted
+// take whole copies of the in-memory steps (the sealed step's, copied once,
+// and the live step's), then runs its whole disk search outside any lock.
+// The engine lock is one plain mutex and the only guard of the live step's
+// batch: observes append to it and counts read its length under it, and a
+// query sorts the values observed since the last read into the sorted
 // prefix under it (radix-sorted, then merged through the scratch the cut's
-// sort uses) before it gathers the live summary; a query that finds no new
-// value sorts nothing. Files a merge supersedes are reclaimed only once no
+// sort uses) before it copies the batch; a query that finds no new value
+// sorts and copies nothing, sharing the last copy. Files a merge supersedes are reclaimed only once no
 // durable manifest references them AND the last query pinning an older
 // version has finished — so an in-flight query always reads a consistent,
 // existing layout, no matter what maintenance does behind it.
@@ -271,11 +273,10 @@
 // barrier, manifest, barrier). The sealed step is held once, in that
 // version, so the counters (TotalCount, HistCount, Steps, Status)
 // and the answers agree from the cut on. Until its partition is published,
-// queries cover it through a stream summary gathered from its sorted batch
-// (core.SortedSummary), so answers always span the full observed history
-// and neither Observe nor a query waits for a write or a merge; the
-// rank-error bound degrades gracefully to ε times
-// the stream-side mass (live stream + sealed step). Only the EndStep caller
+// queries count it exactly from a whole copy of its sorted batch
+// (core.WholePiece), so answers always span the full observed history and
+// neither Observe nor a query waits for a write or a merge; the rank-error
+// bound is ε times the in-memory mass (live step + sealed step). Only the EndStep caller
 // waits for its write and merges; a producer on a wire connection feels
 // them as the credit window draining (see "Remote ingestion").
 //

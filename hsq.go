@@ -176,11 +176,10 @@ type Request struct {
 	// Ranks asks for the elements at the given ranks of the scope.
 	Ranks []int64
 	// Values asks the inverse question: for each value v, the number of
-	// elements ≤ v. Installed partitions are counted exactly (one
-	// block-granular binary search each, no combined summary is built); the
-	// stream side contributes the midpoint of its exact bounds, so the error
-	// is at most ε₂/2 times the stream-side mass. With Quick it is at most
-	// ε·N/2.
+	// elements ≤ v. The answer is exact: installed partitions are counted by
+	// one block-granular binary search each (one cursor per partition for
+	// the whole request, no combined summary is built), and the in-memory
+	// steps value by value. With Quick it errs by at most ε·N/2.
 	Values []int64
 	// Window, when positive, restricts the scope to the current stream plus
 	// the most recent Window historical time steps; it must be one of
@@ -216,16 +215,15 @@ type MemoryUsage struct {
 	// HistBytes is the historical summary HS (Lemma 8) as held: 8 bytes an
 	// entry, as positions are derived. Plan charges 16 (see its doc).
 	HistBytes int64
-	// StreamBytes is the live step as held: its batch, 8 bytes a value at
-	// capacity. The paper summarizes the live stream in a GK sketch of
-	// Lemma 9's O((1/ε₂)·log(ε₂m)) because it does not keep the stream; this
-	// system keeps the step raw, because EndStep writes it as its level-0
-	// partition, so Lemma 9's model describes only PlannedStreamBytes.
+	// StreamBytes is the live step as held: its batch and the whole copy of
+	// it reads share, 8 bytes a value at capacity. The paper keeps a GK
+	// sketch of Lemma 9's size instead; this system keeps the step, which
+	// EndStep writes, so Lemma 9 describes only PlannedStreamBytes.
 	StreamBytes int64
-	// PendingBytes buffers the sealed step — its batch, sorted at the cut
-	// under the engine lock, counted at capacity — while its level-0 write
-	// runs, or after it failed until a retry succeeds: at most one step,
-	// zero once its partition is published.
+	// PendingBytes is the sealed step as held — its batch, sorted at the
+	// cut, and the one copy of it reads share, at capacity — while its
+	// level-0 write runs or after it failed until a retry succeeds: at most
+	// one step, zero once its partition is published.
 	PendingBytes int64
 }
 
@@ -242,7 +240,7 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 // level-0 write is running or failed, held as its sorted batch — is the
 // store's published partition.Version; the engine holds only the live step.
 // Reads are snapshot-isolated: a query briefly takes the engine lock to pin
-// that version beside the live step's summary, then runs its disk probes
+// that version beside copies of the in-memory steps, then runs its disk probes
 // entirely outside the lock — so queries proceed while EndStep writes and
 // merges behind them, and an in-flight query keeps the partition files of
 // its pinned version alive until it finishes. See the package docs'
@@ -250,7 +248,6 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 type engine struct {
 	cfg   Options
 	eps1  float64
-	eps2  float64
 	dev   *disk.Manager
 	store *partition.Store
 
@@ -265,14 +262,19 @@ type engine struct {
 	// in arrival order after a sorted prefix of sortedLen values: observe
 	// and observeSlice append, and snapshot sorts the tail into the prefix
 	// (Store.SortTail, with the scratch the cut's Seal uses) before it
-	// gathers the live summary, so sorts, summaries and the cut's Seal all
-	// run under it, and no reader is left on a buffer settle recycles.
-	// Queries hold it only long enough to pin a snapshot.
+	// copies the batch whole, so sorts, copies and the cut's Seal all run
+	// under it, and no reader is left on a buffer settle recycles. Queries
+	// hold it only long enough to pin a snapshot.
 	mu        sync.Mutex
 	batch     []int64
 	sortedLen int
 	closed    bool
 	mstats    maintAccum
+	// live is the last snapshot's whole copy of the batch, shared while
+	// live.M = len(batch); sealed is the one copy of sealedOf's step, which
+	// the cut takes over from live or a snapshot takes, until its install.
+	live, sealed core.StreamPiece
+	sealedOf     *partition.SealedBatch
 }
 
 // newDevice builds the warehouse block device described by cfg: backend,
@@ -326,7 +328,6 @@ func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 // prefix at once.
 func newEngineOn(dev *disk.Manager, full Options, namespace string, sweep bool) (*engine, error) {
 	eps1 := full.Epsilon / 2
-	eps2 := full.Epsilon / 4
 	store, err := partition.LoadStore(dev, manifestName, storeConfig(full, eps1, namespace))
 	if err != nil {
 		return nil, err
@@ -336,7 +337,7 @@ func newEngineOn(dev *disk.Manager, full Options, namespace string, sweep bool) 
 			return nil, err
 		}
 	}
-	return &engine{cfg: full, eps1: eps1, eps2: eps2, dev: dev, store: store}, nil
+	return &engine{cfg: full, eps1: eps1, dev: dev, store: store}, nil
 }
 
 // observe feeds one stream element (StreamUpdate, Algorithm 4): it is
@@ -413,10 +414,14 @@ func (e *engine) endStep() (UpdateStats, error) {
 		// The cut (Algorithm 4's StreamReset): the batch leaves the live step,
 		// sorted, and joins the store's published history in one move, so
 		// from here on every reader counts and answers the step alike. A batch
-		// a read sorted whole meets the sort kernel's sorted exit.
+		// a read sorted whole meets the sort kernel's sorted exit, and its
+		// copy is the sealed step's.
 		e.mu.Lock()
-		e.store.Seal(e.batch)
-		e.batch, e.sortedLen = nil, 0
+		sb := e.store.Seal(e.batch)
+		if e.live.M == int64(len(e.batch)) {
+			e.sealed, e.sealedOf = e.live, sb
+		}
+		e.batch, e.sortedLen, e.live = nil, 0, core.StreamPiece{}
 		e.mu.Unlock()
 		us, err = e.settle()
 	}
@@ -445,9 +450,9 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 }
 
 // querySnap is one snapshot-isolated view of the engine: an immutable,
-// pinned store version plus the memory-resident stream pieces (the summaries
-// of the version's sealed step and of the live step, each gathered from its
-// batch sorted under the engine lock).
+// pinned store version plus the memory-resident stream pieces (whole copies
+// of the version's sealed step and of the live step, each sorted under the
+// engine lock).
 // Everything a query reads after the snapshot is immutable, so the whole
 // disk search runs without any engine lock; release returns the pin so
 // reclaimed partitions can be deleted.
@@ -461,9 +466,20 @@ type querySnap struct {
 
 func (s *querySnap) release() { s.ver.Release() }
 
+// piecesAt is the snapshot's pieces at ε₁, as ScopedSummary sends them and
+// a quick answer reads them: the answer a plan member or a peer gives.
+func (s *querySnap) piecesAt(eps1 float64) []core.StreamPiece {
+	var out []core.StreamPiece
+	for _, p := range s.pieces {
+		out = append(out, p.At(eps1))
+	}
+	return out
+}
+
 // snapshot pins the engine's current state for one query. The engine lock
-// is held only for the pin, the sort of the live batch's new tail and the two
-// stream summaries; a snapshot that finds no new value sorts nothing.
+// is held only for the pin, the sort of the live batch's new tail and the
+// copies of the in-memory steps; a snapshot that finds no new value sorts
+// and copies nothing.
 func (e *engine) snapshot() (*querySnap, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -473,18 +489,24 @@ func (e *engine) snapshot() (*querySnap, error) {
 	s := &querySnap{ver: e.store.Pin()}
 	s.sums, s.memo, s.n = s.ver.Entries(), s.ver.Memo(), s.ver.TotalCount()
 	// One version covers each step once: by its partition or, sealed, by its
-	// sorted batch. Both summaries are taken under e.mu, which settle's
-	// recycling of an installed batch takes too, and are exact.
+	// sorted batch. Both copies are taken under e.mu, which settle's
+	// recycling of an installed batch takes too, and are whole.
 	s.pieces = make([]core.StreamPiece, 0, 2)
 	if sb := s.ver.Sealed(); sb != nil {
-		s.pieces = append(s.pieces, core.StreamPiece{SS: core.SortedSummary(sb.Data(), e.eps2), M: sb.Count})
+		if e.sealedOf != sb {
+			e.sealed, e.sealedOf = core.WholePiece(sb.Data()), sb
+		}
+		s.pieces = append(s.pieces, e.sealed)
 	}
 	if m := len(e.batch); m > 0 {
 		if e.sortedLen < m {
 			e.store.SortTail(e.batch, e.sortedLen)
 			e.sortedLen = m
 		}
-		s.pieces = append(s.pieces, core.StreamPiece{SS: core.SortedSummary(e.batch, e.eps2), M: int64(m)})
+		if e.live.M != int64(m) {
+			e.live = core.WholePiece(e.batch)
+		}
+		s.pieces = append(s.pieces, e.live)
 		s.n += int64(m)
 	}
 	return s, nil
@@ -507,7 +529,7 @@ func (e *engine) Query(ctx context.Context, req Request) (Answer, error) {
 		return Answer{}, err
 	}
 	if req.Quick {
-		return QuickAnswer(core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2), req)
+		return QuickAnswer(core.BuildPieces(s.sums, s.piecesAt(e.eps1), e.eps1, 0), req)
 	}
 	t0 := time.Now()
 	rs, err := req.ranks(s.n)
@@ -516,9 +538,9 @@ func (e *engine) Query(ctx context.Context, req Request) (Answer, error) {
 	}
 	ans := Answer{N: s.n}
 	if len(req.Values) > 0 {
-		ans.Values, ans.Stats, err = core.RankOfValues(s.sums, s.pieces, e.eps2, req.Values, !e.cfg.NoBlockPin)
+		ans.Values, ans.Stats, err = core.RankOfValues(s.sums, s.pieces, req.Values, !e.cfg.NoBlockPin)
 	} else {
-		c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
+		c := core.BuildPieces(s.sums, s.pieces, e.eps1, 0)
 		ans.Values, ans.Stats, err = core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
 			PinBlocks: !e.cfg.NoBlockPin,
 			MaxReads:  req.MaxReads,
@@ -628,11 +650,11 @@ func (e *engine) MemoryUsage() MemoryUsage {
 	defer e.mu.Unlock()
 	var pendingBytes int64
 	if sb := e.store.Sealed(); sb != nil {
-		pendingBytes = sb.MemoryBytes()
+		pendingBytes = sb.MemoryBytes() + 8*int64(cap(e.sealed.SS))
 	}
 	return MemoryUsage{
 		HistBytes:    e.store.MemoryBytes(),
-		StreamBytes:  8 * int64(cap(e.batch)),
+		StreamBytes:  8 * int64(cap(e.batch)+cap(e.live.SS)),
 		PendingBytes: pendingBytes,
 	}
 }

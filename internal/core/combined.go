@@ -1,9 +1,13 @@
 // Package core implements the paper's query algorithms over the historical
-// summaries (HS), the stream summary (SS), and the on-disk partition store:
-// the rank bounds L/U of the combined summary TS (Lemma 2), the quick
-// response (Algorithm 5), filter generation (Algorithm 7) and the accurate
-// response's value-space sweep with per-partition disk searches
-// (Algorithms 6 and 8).
+// summaries (HS), the stream side, and the on-disk partition store: the rank
+// bounds L/U of the combined summary TS (Lemma 2), the quick response
+// (Algorithm 5), filter generation (Algorithm 7) and the accurate response's
+// value-space sweep with per-partition disk searches (Algorithms 6 and 8).
+//
+// The engine hands its in-memory steps here whole (WholePiece), so an
+// accurate answer counts them exactly and carries one error term, ε·m; every
+// summary — a partition's, or a piece that leaves the engine — is captured
+// at the one ε₁ by partition.CapturePos.
 //
 // TS is never built. The paper only asks it for point selections — the
 // smallest value with L ≥ r, the largest with U ≤ r — and Lemma 2 defines
@@ -24,40 +28,54 @@ import (
 	"repro/internal/partition"
 )
 
-// SortedSummary is SS (Algorithm 4's stream summary) for a batch held sorted,
-// as the live step is at a read and a sealed step is from its cut: the
-// entries partition.CapturePos places at ε₂, as many as partition.Beta
-// gives — the rule a partition's summary is captured by, which takes a
-// batch of fewer than 1/ε₂ values whole — so every entry's rank within the
-// batch is exact and the bounds of a piece are those of a partition of its
-// size. sorted must be ascending.
-func SortedSummary(sorted []int64, eps2 float64) []int64 {
+// SortedSummary is a sorted run captured at ε as a partition's summary is:
+// the partition.Beta entries partition.CapturePos places, a run of fewer
+// than 1/ε values whole, each at an exact rank (StreamPiece.At).
+func SortedSummary(sorted []int64, eps float64) []int64 {
 	m := int64(len(sorted))
 	if m == 0 {
 		return nil
 	}
-	ss := make([]int64, partition.Beta(m, eps2))
+	ss := make([]int64, partition.Beta(m, eps))
 	for i := range ss {
-		ss[i] = sorted[partition.CapturePos(i, m, eps2)]
+		ss[i] = sorted[partition.CapturePos(i, m, eps)]
 	}
 	return ss
 }
 
-// StreamPiece is one memory-resident stream-side source of the combined
-// summary, gathered by SortedSummary from a batch held sorted: the live
-// step's, whose unsorted tail the read sorted into it, or a batch sealed at
-// an end-of-step whose on-disk partition is not published yet — its
-// EndStep's write is running, or failed and waits for the next settle —
-// which Seal sorted.
-// Queries treat every piece like "the stream" — estimate-only, no disk
-// probes — so snapshot-isolated reads stay correct while installs run
-// behind them.
+// StreamPiece is one in-memory step: the live step, sorted by the read, or
+// a sealed step whose partition is not published yet — its write is running,
+// or failed and waits for the next settle — sorted by Seal. Queries read
+// pieces without disk probes, so snapshot-isolated reads stay correct while
+// installs run behind them.
 type StreamPiece struct {
-	// SS is the piece's summary (sorted): the elements at the capture
-	// positions of ε₂ in M, as SortedSummary gathers them.
+	// SS is the piece (sorted): whole (WholePiece), or captured at ε₁ (At).
 	SS []int64
 	// M is the number of elements the piece covers.
 	M int64
+}
+
+// WholePiece is a non-empty sorted batch taken whole with one copy, as the
+// capture rule takes a run shorter than 1/ε: the minimum twice, entry i at
+// position i−1 (CapturePos at ε = 0), so its L and U are the exact rank.
+func WholePiece(sorted []int64) StreamPiece {
+	ss := make([]int64, len(sorted)+1)
+	ss[0] = sorted[0]
+	copy(ss[1:], sorted)
+	return StreamPiece{SS: ss, M: int64(len(sorted))}
+}
+
+// whole reports whether the piece holds all M elements. Any ε that captures
+// M+1 entries places them as ε = 0 does, so a whole piece at ε₁ reads alike.
+func (p StreamPiece) whole() bool { return int64(len(p.SS)) == p.M+1 }
+
+// At returns the piece captured at ε: a whole piece's elements through
+// SortedSummary, unless that keeps them all.
+func (p StreamPiece) At(eps float64) StreamPiece {
+	if !p.whole() || len(p.SS) == partition.Beta(p.M, eps) {
+		return p
+	}
+	return StreamPiece{SS: SortedSummary(p.SS[1:], eps), M: p.M}
 }
 
 // sortedRun is one non-empty sorted summary, the number of elements it
@@ -106,18 +124,17 @@ type Combined struct {
 	m     int64 // total stream-side size (Σ piece M)
 	histN int64 // historical size
 	eps1  float64
-	eps2  float64
 }
 
 // N returns the total data size n + m.
 func (c *Combined) N() int64 { return c.histN + c.m }
 
-// Epsilon returns the composed error parameter ε = ε₁ + 2ε₂ the summary was
-// built under. The composition is merge-invariant: TS over any union of
-// summaries built with the same (ε₁, ε₂) — other partitions, other streams,
-// other shards — carries the same per-item rank bands, which is why the
-// query layer can report one ε for a merged multi-stream answer.
-func (c *Combined) Epsilon() float64 { return c.eps1 + 2*c.eps2 }
+// Epsilon returns the error parameter ε = 2ε₁ the summary was built under,
+// the DB's ε. It is merge-invariant: TS over any union of summaries built
+// with the same ε₁ — other partitions, other streams, other shards — carries
+// the same per-item rank bands, which is why the query layer can report one
+// ε for a merged multi-stream answer.
+func (c *Combined) Epsilon() float64 { return 2 * c.eps1 }
 
 // QuickRankError returns the worst-case rank error of a QuickQuery answer
 // over this summary: ⌈1.5·ε·N⌉ (the paper's quick-response guarantee,
@@ -127,10 +144,11 @@ func (c *Combined) QuickRankError() int64 {
 	return int64(math.Ceil(1.5 * c.Epsilon() * float64(c.N())))
 }
 
-// BuildPieces collects the runs of TS: the partition summaries and the
-// stream pieces' summaries, each sorted ascending. It copies no element.
-func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float64) *Combined {
-	c := newCombined(len(sums), pieces, eps1, eps2)
+// BuildPieces collects the runs of TS: the partition summaries, captured at
+// eps1, and the stream pieces, each sorted ascending. It copies no element.
+// Its fourth parameter is ignored, kept for the benchmark module's callers.
+func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, _ float64) *Combined {
+	c := newCombined(len(sums), pieces, eps1)
 	for _, s := range sums {
 		c.addPart(s.Part.Count, s.Values)
 	}
@@ -140,12 +158,16 @@ func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 flo
 
 // newCombined is a Combined over the stream pieces, with room for parts
 // partition runs.
-func newCombined(parts int, pieces []StreamPiece, eps1, eps2 float64) *Combined {
-	c := &Combined{streams: pieces, eps1: eps1, eps2: eps2}
+func newCombined(parts int, pieces []StreamPiece, eps1 float64) *Combined {
+	c := &Combined{streams: pieces, eps1: eps1}
 	c.runs = make([]sortedRun, 0, len(pieces)+parts)
 	for _, p := range pieces {
 		c.m += p.M
-		c.addRun(sortedRun{vals: p.SS, n: p.M, eps: eps2})
+		eps := eps1
+		if p.whole() {
+			eps = 0
+		}
+		c.addRun(sortedRun{vals: p.SS, n: p.M, eps: eps})
 	}
 	return c
 }
@@ -197,8 +219,8 @@ func countLE(vals []int64, lo, hi int, v int64) int {
 // boundsAt returns (L(v), U(v)) of Lemma 2, each the sum of the runs'
 // shares (sortedRun.bound); both are 0 below the smallest summary element.
 // L counts elements known ≤ v and U elements not known > v, so L ≤ rank(v)
-// ≤ U on every input, and a run's U − L is one capture gap, at most ε·n, so
-// U − L ≤ ε₁·n + ε₂·m ≤ εN.
+// ≤ U on every input, and a run's U − L is one capture gap, at most ε₁ times
+// its mass and 0 for a whole piece, so U − L ≤ ε₁·N.
 func (c *Combined) boundsAt(v int64) (l, u int64) {
 	for i := range c.runs {
 		r := &c.runs[i]
@@ -452,19 +474,13 @@ func (c *Combined) Filters(r int64) (u, v int64, err error) {
 	return u, v, nil
 }
 
-// StreamRankEstimate returns ρ₂ of Algorithm 8, summed across every
-// memory-resident stream piece: the midpoint of each piece's exact interval
-// [L, U] at z, so it errs by at most ε₂·M/2 a piece and never exceeds M.
-func (c *Combined) StreamRankEstimate(z int64) float64 {
-	return streamRankEstimate(c.streams, c.eps2, z)
-}
-
-func streamRankEstimate(pieces []StreamPiece, eps2 float64, z int64) float64 {
-	var sum int64
+// streamRank is the number of the pieces' elements ≤ z. It is exact: every
+// piece an accurate read is handed is whole (WholePiece), its entry i the
+// element at position i−1.
+func streamRank(pieces []StreamPiece, z int64) int64 {
+	var n int64
 	for _, p := range pieces {
-		r := sortedRun{vals: p.SS, n: p.M, eps: eps2}
-		a := countLE(p.SS, 0, len(p.SS), z)
-		sum += r.bound(a, false) + r.bound(a, true)
+		n += int64(max(countLE(p.SS, 0, len(p.SS), z)-1, 0))
 	}
-	return float64(sum) / 2
+	return n
 }

@@ -21,10 +21,11 @@ func newDev(t *testing.T) *disk.Manager {
 	return m
 }
 
-// buildFigure3 reproduces the paper's Figure 3 setup exactly:
-// P1 = 1..100, P2 = 101..200, P3 = 2..201, stream = 401..600, ε = 1/2
-// (ε₁ = 1/4, ε₂ = 1/8).
-func buildFigure3(t *testing.T) (sums []*partition.Summary, ss []int64, all []int64) {
+// buildFigure3 reproduces the paper's Figure 3 setup: P1 = 1..100,
+// P2 = 101..200, P3 = 2..201, stream = 401..600, ε = 1/2 (ε₁ = 1/4). The
+// paper summarizes the stream at ε₂ = 1/8; this system keeps it, and the
+// piece a read gets is the stream whole.
+func buildFigure3(t *testing.T) (sums []*partition.Summary, stream []int64, all []int64) {
 	t.Helper()
 	dev := newDev(t)
 	store, err := partition.NewStore(dev, partition.Config{Kappa: 10, Eps1: 0.25})
@@ -48,16 +49,14 @@ func buildFigure3(t *testing.T) (sums []*partition.Summary, ss []int64, all []in
 	all = append(all, p2...)
 	all = append(all, p3...)
 
-	// Stream 401..600, already sorted, summarized with ε₂ = 1/8 → β₂ = 9
-	// entries.
-	stream := mk(401, 600)
+	// Stream 401..600, already sorted.
+	stream = mk(401, 600)
 	all = append(all, stream...)
-	ss = SortedSummary(stream, 0.125)
-	return store.Entries(), ss, all
+	return store.Entries(), stream, all
 }
 
 func TestFigure3Summaries(t *testing.T) {
-	sums, ss, _ := buildFigure3(t)
+	sums, stream, _ := buildFigure3(t)
 	if len(sums) != 3 {
 		t.Fatalf("partitions = %d", len(sums))
 	}
@@ -68,17 +67,20 @@ func TestFigure3Summaries(t *testing.T) {
 	if !slices.Equal(chronFirst.Values, want) {
 		t.Errorf("P1 summary = %v, want %v", chronFirst.Values, want)
 	}
-	// Stream summary has β₂ = 9 entries starting at the exact minimum 401.
-	if len(ss) != 9 {
-		t.Errorf("len(SS) = %d, want 9", len(ss))
+	// A read holds the stream whole: 201 entries, the minimum 401 twice.
+	if whole := WholePiece(stream); len(whole.SS) != 201 || whole.SS[0] != 401 || whole.SS[1] != 401 || whole.SS[200] != 600 {
+		t.Errorf("whole piece = %d entries from %d, %d to %d; want 201 from 401, 401 to 600", len(whole.SS), whole.SS[0], whole.SS[1], whole.SS[200])
 	}
-	if ss[0] != 401 {
-		t.Errorf("SS[0] = %d, want 401", ss[0])
+	// The piece leaves the engine at ε₁ = 1/4: β₁ = 5 entries starting at the
+	// exact minimum 401, as P1's.
+	ss := WholePiece(stream).At(0.25).SS
+	if want := []int64{401, 450, 500, 550, 600}; !slices.Equal(ss, want) {
+		t.Errorf("piece at ε₁ = %v, want %v", ss, want)
 	}
-	// Lemma 1: SS[i] has rank within [i·ε₂m, (i+1)·ε₂m], m=200, ε₂m=25.
+	// Lemma 1: SS[i] has rank within [i·ε₁m, (i+1)·ε₁m], m=200, ε₁m=50.
 	for i := 1; i < len(ss); i++ {
 		rank := ss[i] - 400 // stream is 401..600, rank of v is v-400
-		lo, hi := int64(i*25), int64((i+1)*25)
+		lo, hi := int64(i*50), int64((i+1)*50)
 		if rank < lo || rank > hi {
 			t.Errorf("SS[%d]=%d has stream rank %d, want within [%d,%d]", i, ss[i], rank, lo, hi)
 		}
@@ -86,15 +88,15 @@ func TestFigure3Summaries(t *testing.T) {
 }
 
 func TestFigure3Bounds(t *testing.T) {
-	sums, ss, all := buildFigure3(t)
+	sums, stream, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildPieces(sums, onePiece(ss, 200), 0.25, 0.125)
+	c := BuildPieces(sums, []StreamPiece{WholePiece(stream)}, 0.25, 0)
 	if c.N() != 600 {
 		t.Fatalf("N = %d", c.N())
 	}
 	ts := materialise(c)
-	if ts.Len() != 3*5+9 {
-		t.Fatalf("δ = %d, want 24", ts.Len())
+	if ts.Len() != 3*5+201 {
+		t.Fatalf("δ = %d, want 216", ts.Len())
 	}
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
@@ -115,9 +117,9 @@ func TestFigure3Bounds(t *testing.T) {
 }
 
 func TestFigure3QuickQuery(t *testing.T) {
-	sums, ss, all := buildFigure3(t)
+	sums, stream, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildPieces(sums, onePiece(ss, 200), 0.25, 0.125)
+	c := BuildPieces(sums, []StreamPiece{WholePiece(stream)}, 0.25, 0)
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 	}
@@ -135,9 +137,9 @@ func TestFigure3QuickQuery(t *testing.T) {
 }
 
 func TestFigure3Filters(t *testing.T) {
-	sums, ss, all := buildFigure3(t)
+	sums, stream, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildPieces(sums, onePiece(ss, 200), 0.25, 0.125)
+	c := BuildPieces(sums, []StreamPiece{WholePiece(stream)}, 0.25, 0)
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 	}
@@ -162,7 +164,7 @@ func TestFigure3Filters(t *testing.T) {
 	}
 }
 
-// engineLikeFixture builds a multi-partition store plus GK stream over
+// buildFixture builds a multi-partition store plus a live step, whole, over
 // random data and returns everything an accurate query needs.
 type fixture struct {
 	sums []*partition.Summary
@@ -175,8 +177,7 @@ type fixture struct {
 func buildFixture(t *testing.T, seed int64, eps float64, steps, batchSize, streamSize int) fixture {
 	t.Helper()
 	dev := newDev(t)
-	eps1, eps2 := eps/2, eps/4
-	store, err := partition.NewStore(dev, partition.Config{Kappa: 3, Eps1: eps1})
+	store, err := partition.NewStore(dev, partition.Config{Kappa: 3, Eps1: eps / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,10 @@ func buildFixture(t *testing.T, seed int64, eps float64, steps, batchSize, strea
 		stream[i] = rng.Int63n(1 << 24)
 	}
 	all = append(all, stream...)
-	ss := SortedSummary(slices.Sorted(slices.Values(stream)), eps2)
+	var ss []int64
+	if streamSize > 0 {
+		ss = WholePiece(slices.Sorted(slices.Values(stream))).SS
+	}
 	slices.Sort(all)
 	return fixture{sums: store.Entries(), ss: ss, all: all, m: int64(streamSize), eps: eps}
 }
@@ -215,13 +219,13 @@ func TestCombinedBoundsRandom(t *testing.T) {
 }
 
 // TestAccurateQueryGuarantee is invariant 7: accurate answers err by at most
-// ~1.25·εm; we assert 1.5·εm for slack.
+// εm, the in-memory step counted exactly.
 func TestAccurateQueryGuarantee(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		f := buildFixture(t, seed, 0.05, 12, 400, 800)
 		c := f.combined()
 		n := int64(len(f.all))
-		bound := 1.5 * f.eps * float64(f.m)
+		bound := f.eps * float64(f.m)
 		for _, phi := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99} {
 			r := int64(math.Ceil(phi * float64(n)))
 			v, cost, err := accurateOne(c, f.eps, r, QueryOptions{PinBlocks: true})
@@ -247,7 +251,7 @@ func TestAccurateQueryGuarantee(t *testing.T) {
 // and answers must be exact quantiles.
 func TestAccurateQueryNoStream(t *testing.T) {
 	f := buildFixture(t, 71, 0.1, 8, 300, 0)
-	c := BuildPieces(f.sums, onePiece(f.ss, 0), f.eps/2, f.eps/4)
+	c := BuildPieces(f.sums, onePiece(f.ss, 0), f.eps/2, 0)
 	n := int64(len(f.all))
 	for _, phi := range []float64{0.1, 0.5, 0.9, 1.0} {
 		r := int64(math.Ceil(phi * float64(n)))
@@ -271,21 +275,20 @@ func TestAccurateQueryStreamOnly(t *testing.T) {
 		all = append(all, rng.Int63n(1<<20))
 	}
 	slices.Sort(all)
-	ss := SortedSummary(all, eps/4)
-	c := BuildPieces(nil, onePiece(ss, 5000), eps/2, eps/4)
+	c := BuildPieces(nil, []StreamPiece{WholePiece(all)}, eps/2, 0)
 	r := int64(2500)
 	v, _, err := accurateOne(c, eps, r, QueryOptions{PinBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
-	if math.Abs(float64(got-r)) > 1.5*eps*5000 {
+	if math.Abs(float64(got-r)) > eps*5000 {
 		t.Errorf("stream-only: rank %d vs r=%d", got, r)
 	}
 }
 
 func TestEmptyCombined(t *testing.T) {
-	c := BuildPieces(nil, onePiece(nil, 0), 0.1, 0.1)
+	c := BuildPieces(nil, onePiece(nil, 0), 0.1, 0)
 	if _, err := c.QuickQuery(1); err == nil {
 		t.Error("quick on empty: want error")
 	}
@@ -297,17 +300,18 @@ func TestEmptyCombined(t *testing.T) {
 	}
 }
 
-// TestSortedSummaryBand holds the sealed step's summary to the capture rule
-// and to what the query path asks of a stream piece, on step sizes around
-// every ε₂'s 1/ε₂, values without ties, heavy duplicates and the int64
-// extremes: ⌈1/ε₂⌉+1 entries, or m+1 where ε₂m < 1 and the step is captured
-// whole; entry i is the element at partition.CapturePos(i, m, ε₂), so its
-// rank lies in Lemma 1's band [i·ε₂m, (i+1)·ε₂m], rounded outward to whole
-// ranks (the first rank is 1, the last m), and is i (entry 0: 1) in a step
-// captured whole; a Combined of the piece
-// alone brackets every distinct value ±1 between L and U, at most ε₂m apart
-// and equal where the piece captured every element; and StreamRankEstimate
-// is within ε₂m/2 of the exact rank.
+// TestSortedSummaryBand holds a stream piece to the capture rule and to
+// what the query path asks of it, on step sizes around every ε₁'s 1/ε₁,
+// values without ties, heavy duplicates and the int64 extremes. Whole, as a
+// read holds it, the piece is the step once with its minimum twice, its L
+// and U are both the exact rank and streamRank counts it exactly. Captured
+// at ε₁, as it leaves the engine: ⌈1/ε₁⌉+1 entries, or m+1 where ε₁m < 1
+// and the step is captured whole; entry i is the element at
+// partition.CapturePos(i, m, ε₁), so its rank lies in Lemma 1's band
+// [i·ε₁m, (i+1)·ε₁m], rounded outward to whole ranks (the first rank is 1,
+// the last m), and is i (entry 0: 1) in a step captured whole; a Combined
+// of the piece alone brackets every distinct value ±1 between L and U, at
+// most ε₁m apart and equal where the piece captured every element.
 func TestSortedSummaryBand(t *testing.T) {
 	shapes := map[string]func(rng *rand.Rand) int64{
 		"distinct": func(rng *rand.Rand) int64 { return rng.Int63n(1<<40) - 1<<39 },
@@ -316,8 +320,8 @@ func TestSortedSummaryBand(t *testing.T) {
 			return []int64{math.MinInt64, math.MinInt64 + 1, 0, math.MaxInt64 - 1, math.MaxInt64}[rng.Intn(5)]
 		},
 	}
-	for _, m := range []int{1, 2, 3, 4, 5, 999, 1000, 3999, 4000, 4001, 32768} {
-		for _, eps2 := range []float64{0.00025, 0.0125, 0.075, 0.25} {
+	for _, m := range []int{1, 2, 3, 4, 5, 999, 1000, 1999, 2000, 2001, 32768} {
+		for _, eps1 := range []float64{0.0005, 0.025, 0.15, 0.5} {
 			for name, gen := range shapes {
 				rng := rand.New(rand.NewSource(int64(m)))
 				data := make([]int64, m)
@@ -325,23 +329,30 @@ func TestSortedSummaryBand(t *testing.T) {
 					data[i] = gen(rng)
 				}
 				slices.Sort(data)
-				ss := SortedSummary(data, eps2)
-				// ⌈1/ε₂⌉+1 entries, or the m+1 of a run captured whole.
-				want := min(int(math.Ceil(1/eps2)), m) + 1
-				if len(ss) != want || len(ss) != partition.Beta(int64(m), eps2) || ss[0] != data[0] || ss[len(ss)-1] != data[m-1] {
-					t.Fatalf("m=%d ε₂=%g %s: %d entries from %d to %d; want %d from the minimum %d to the maximum %d",
-						m, eps2, name, len(ss), ss[0], ss[len(ss)-1], want, data[0], data[m-1])
-				}
-				em := eps2 * float64(m)
 				// rank(v) = |{x ≤ v}|; a value holds ranks first..rank(v).
 				rank := func(v int64) int64 {
 					return int64(sort.Search(m, func(i int) bool { return data[i] > v }))
 				}
+				whole := WholePiece(data)
+				if !slices.Equal(whole.SS, append([]int64{data[0]}, data...)) || whole.M != int64(m) {
+					t.Fatalf("m=%d %s: the whole piece is not the step with its minimum twice", m, name)
+				}
+				ss := SortedSummary(data, eps1)
+				if at := whole.At(eps1); !slices.Equal(at.SS, ss) || at.M != int64(m) {
+					t.Fatalf("m=%d ε₁=%g %s: the whole piece at ε₁ is not SortedSummary's capture", m, eps1, name)
+				}
+				// ⌈1/ε₁⌉+1 entries, or the m+1 of a run captured whole.
+				want := min(int(math.Ceil(1/eps1)), m) + 1
+				if len(ss) != want || len(ss) != partition.Beta(int64(m), eps1) || ss[0] != data[0] || ss[len(ss)-1] != data[m-1] {
+					t.Fatalf("m=%d ε₁=%g %s: %d entries from %d to %d; want %d from the minimum %d to the maximum %d",
+						m, eps1, name, len(ss), ss[0], ss[len(ss)-1], want, data[0], data[m-1])
+				}
+				em := eps1 * float64(m)
 				exact := em < 1 // every position captured
 				for i, v := range ss {
-					p := partition.CapturePos(i, int64(m), eps2)
+					p := partition.CapturePos(i, int64(m), eps1)
 					if v != data[p] {
-						t.Fatalf("m=%d ε₂=%g %s: entry %d = %d, want the element at position %d, %d", m, eps2, name, i, v, p, data[p])
+						t.Fatalf("m=%d ε₁=%g %s: entry %d = %d, want the element at position %d, %d", m, eps1, name, i, v, p, data[p])
 					}
 					tol := 1e-9 * float64(m)
 					lo := min(math.Floor(float64(i)*em-tol), float64(m))
@@ -350,10 +361,11 @@ func TestSortedSummaryBand(t *testing.T) {
 						lo, hi = max(float64(i), 1), max(float64(i), 1)
 					}
 					if r := float64(p + 1); r < lo || r > hi {
-						t.Fatalf("m=%d ε₂=%g %s: entry %d sits at rank %g, outside its band [%g, %g]", m, eps2, name, i, r, lo, hi)
+						t.Fatalf("m=%d ε₁=%g %s: entry %d sits at rank %g, outside its band [%g, %g]", m, eps1, name, i, r, lo, hi)
 					}
 				}
-				c := BuildPieces(nil, []StreamPiece{{SS: ss, M: int64(m)}}, 0.01, eps2)
+				c := BuildPieces(nil, []StreamPiece{{SS: ss, M: int64(m)}}, eps1, 0)
+				cw := BuildPieces(nil, []StreamPiece{whole}, eps1, 0)
 				for i, x := range data {
 					if i > 0 && data[i-1] == x {
 						continue
@@ -366,11 +378,13 @@ func TestSortedSummaryBand(t *testing.T) {
 						r := rank(v)
 						l, u := c.boundsAt(v)
 						if l > r || u < r || float64(u-l) > em || exact && l != u {
-							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %d, [L, U] = [%d, %d], ε₂m = %g", m, eps2, name, v, r, l, u, em)
+							t.Fatalf("m=%d ε₁=%g %s: v=%d has rank %d, [L, U] = [%d, %d], ε₁m = %g", m, eps1, name, v, r, l, u, em)
 						}
-						if rho := c.StreamRankEstimate(v); math.Abs(rho-float64(r)) > em/2 {
-							t.Fatalf("m=%d ε₂=%g %s: v=%d has rank %d, StreamRankEstimate %g, off by more than ε₂m/2 = %g",
-								m, eps2, name, v, r, rho, em/2)
+						if l, u := cw.boundsAt(v); l != r || u != r {
+							t.Fatalf("m=%d %s: v=%d has rank %d, the whole piece's [L, U] = [%d, %d]", m, name, v, r, l, u)
+						}
+						if got := streamRank([]StreamPiece{whole}, v); got != r {
+							t.Fatalf("m=%d %s: v=%d has rank %d, streamRank %d", m, name, v, r, got)
 						}
 					}
 				}

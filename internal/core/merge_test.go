@@ -27,7 +27,7 @@ func onePiece(ss []int64, m int64) []StreamPiece {
 func (f fixture) pieces() []StreamPiece { return onePiece(f.ss, f.m) }
 
 func (f fixture) combined() *Combined {
-	return BuildPieces(f.sums, f.pieces(), f.eps/2, f.eps/4)
+	return BuildPieces(f.sums, f.pieces(), f.eps/2, 0)
 }
 
 // accurateOne is the k=1 case of the shared sweep.
@@ -209,8 +209,9 @@ func merge2(dv []int64, dt []uint32, av []int64, at []uint32, bv []int64, bt []u
 // order, then partitions), sort on (value, run), and sweep once counting α
 // per run, each run's share of the bounds recomputed from its α: L the
 // position of its α-th entry plus one, U the position of the next, or the
-// run's count once it has none.
-func sortBuild(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float64) mergedRuns {
+// run's count once it has none. A piece of M+1 entries is whole, its
+// entries at the positions of ε = 0; any other run is captured at ε₁.
+func sortBuild(sums []*partition.Summary, pieces []StreamPiece, eps1 float64) mergedRuns {
 	type tsItem struct {
 		v   int64
 		src int
@@ -238,9 +239,12 @@ func sortBuild(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float
 	})
 	// share is a run's (L, U) with a of its entries ≤ v.
 	share := func(src, a int) (int64, int64) {
-		n, entries, eps := int64(0), 0, eps2
+		n, entries, eps := int64(0), 0, eps1
 		if src < len(pieces) {
 			n, entries = pieces[src].M, len(pieces[src].SS)
+			if int64(entries) == n+1 {
+				eps = 0
+			}
 		} else {
 			s := sums[src-len(pieces)]
 			n, entries, eps = s.Part.Count, len(s.Values), eps1
@@ -309,11 +313,12 @@ func propSeed(t *testing.T) int64 {
 
 // randomRuns draws one selector input: 0–64 partition summaries (one case
 // in 32: up to 700, a fleet group's worth) and 0–4 stream pieces, each run
-// as long as the capture rule makes it at ε₁ or ε₂ for its mass — half of
-// them of at most 40 elements, captured whole at ε₁ ≥ 0.025 — over a value
-// pool small enough that equal values recur across runs and inside one, in
-// one case of four with the int64 extremes mixed in.
-func randomRuns(rng *rand.Rand, eps1, eps2 float64) ([]*partition.Summary, []StreamPiece) {
+// as long as the capture rule makes it at ε₁ for its mass, or, for half the
+// pieces, whole (an engine's in-memory step) — half of them of at most 40
+// elements, captured whole at ε₁ ≥ 0.025 — over a value pool small enough
+// that equal values recur across runs and inside one, in one case of four
+// with the int64 extremes mixed in.
+func randomRuns(rng *rand.Rand, eps1 float64) ([]*partition.Summary, []StreamPiece) {
 	short := 2 + rng.Intn(40)
 	pool := 1 + rng.Intn(3*short)
 	if rng.Intn(4) == 0 {
@@ -354,16 +359,19 @@ func randomRuns(rng *rand.Rand, eps1, eps2 float64) ([]*partition.Summary, []Str
 	}
 	var pieces []StreamPiece
 	for i, n := 0, rng.Intn(5); i < n; i++ {
-		m := mass(3000)
-		pieces = append(pieces, StreamPiece{SS: run(m, eps2), M: m})
+		m, eps := mass(3000), eps1
+		if rng.Intn(2) == 0 {
+			eps = 0 // whole: Beta gives m+1 entries
+		}
+		pieces = append(pieces, StreamPiece{SS: run(m, eps), M: m})
 	}
 	return sums, pieces
 }
 
 // twoShards splits the sources over two shards, in order. Both count as
 // non-empty, so they are merged even when every count drew 0.
-func twoShards(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float64) []*ShardSummary {
-	shards := []*ShardSummary{{N: 1, Eps1: eps1, Eps2: eps2}, {N: 1, Eps1: eps1, Eps2: eps2}}
+func twoShards(sums []*partition.Summary, pieces []StreamPiece, eps1 float64) []*ShardSummary {
+	shards := []*ShardSummary{{N: 1, Eps1: eps1}, {N: 1, Eps1: eps1}}
 	for j, s := range sums {
 		sh := shards[b2i(j >= len(sums)/2)]
 		sh.Parts = append(sh.Parts, PartSummary{Count: s.Part.Count, Values: s.Values})
@@ -412,16 +420,16 @@ func TestMergeMatchesSort(t *testing.T) {
 	base := propSeed(t)
 	for i := 0; i < cases; i++ {
 		seed := base + int64(i)
-		const eps1, eps2 = 0.025, 0.0125
-		sums, pieces := randomRuns(rand.New(rand.NewSource(seed)), eps1, eps2)
-		want := sortBuild(sums, pieces, eps1, eps2)
-		if !sameTS(t, materialise(BuildPieces(sums, pieces, eps1, eps2)), want) {
+		const eps1 = 0.025
+		sums, pieces := randomRuns(rand.New(rand.NewSource(seed)), eps1)
+		want := sortBuild(sums, pieces, eps1)
+		if !sameTS(t, materialise(BuildPieces(sums, pieces, eps1, 0)), want) {
 			t.Fatalf("the merge of BuildPieces' runs differs from the sort oracle: HSQ_PROP_SEED=%d (%d summaries, %d pieces)", seed, len(sums), len(pieces))
 		}
 		if i%8 != 0 {
 			continue
 		}
-		merged, _, err := MergeShardSummaries(twoShards(sums, pieces, eps1, eps2))
+		merged, _, err := MergeShardSummaries(twoShards(sums, pieces, eps1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,12 +457,12 @@ func selectsLike(t *testing.T, c *Combined, ts mergedRuns, rng *rand.Rand) bool 
 		}
 		return true
 	}
-	if lo, _ := c.globalMin(); lo != ts.Value(0) {
-		t.Errorf("globalMin = %d, want %d", lo, ts.Value(0))
+	if lo := c.minV; lo != ts.Value(0) {
+		t.Errorf("minV = %d, want %d", lo, ts.Value(0))
 		return false
 	}
-	if hi, _ := c.globalMax(); hi != ts.Value(ts.Len()-1) {
-		t.Errorf("globalMax = %d, want %d", hi, ts.Value(ts.Len()-1))
+	if hi := c.maxV; hi != ts.Value(ts.Len()-1) {
+		t.Errorf("maxV = %d, want %d", hi, ts.Value(ts.Len()-1))
 		return false
 	}
 	n := c.N()
@@ -517,16 +525,16 @@ func TestSelectMatchesMerge(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		seed := base + int64(i)
 		rng := rand.New(rand.NewSource(seed))
-		const eps1, eps2 = 0.025, 0.0125
-		sums, pieces := randomRuns(rng, eps1, eps2)
-		c := BuildPieces(sums, pieces, eps1, eps2)
+		const eps1 = 0.025
+		sums, pieces := randomRuns(rng, eps1)
+		c := BuildPieces(sums, pieces, eps1, 0)
 		if !selectsLike(t, c, materialise(c), rng) {
 			t.Fatalf("BuildPieces selects unlike its merge: HSQ_PROP_SEED=%d (%d summaries, %d pieces)", seed, len(sums), len(pieces))
 		}
 		if i%8 != 0 {
 			continue
 		}
-		merged, _, err := MergeShardSummaries(twoShards(sums, pieces, eps1, eps2))
+		merged, _, err := MergeShardSummaries(twoShards(sums, pieces, eps1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,7 +548,7 @@ func TestSelectMatchesMerge(t *testing.T) {
 // nothing — it counts toward N and is otherwise as if absent — whether it
 // arrives through BuildPieces or in a shard summary.
 func TestSelectToleratesEmptyRuns(t *testing.T) {
-	const eps1, eps2 = 0.25, 0.125
+	const eps1 = 0.25
 	part := func(count int64, vals ...int64) *partition.Summary {
 		return &partition.Summary{Part: &partition.Partition{Count: count}, Values: vals}
 	}
@@ -557,7 +565,7 @@ func TestSelectToleratesEmptyRuns(t *testing.T) {
 		{"empty piece beside a part", []*partition.Summary{part(4, 1, 2, 3, 4, 5)}, []StreamPiece{{M: 8}}, 12, false},
 		{"empty part beside a piece", []*partition.Summary{part(8)}, []StreamPiece{{SS: []int64{7, 9}, M: 2}}, 10, false},
 	} {
-		sh := &ShardSummary{N: tc.n, Eps1: eps1, Eps2: eps2, Pieces: tc.pieces}
+		sh := &ShardSummary{N: tc.n, Eps1: eps1, Pieces: tc.pieces}
 		for _, s := range tc.sums {
 			sh.Parts = append(sh.Parts, PartSummary{Count: s.Part.Count, Values: s.Values})
 		}
@@ -565,7 +573,7 @@ func TestSelectToleratesEmptyRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, c := range []*Combined{BuildPieces(tc.sums, tc.pieces, eps1, eps2), merged} {
+		for _, c := range []*Combined{BuildPieces(tc.sums, tc.pieces, eps1, 0), merged} {
 			if c.N() != tc.n {
 				t.Errorf("%s: N = %d, want %d", tc.name, c.N(), tc.n)
 			}
@@ -600,7 +608,8 @@ func memStore(t testing.TB, eps1 float64, kappa int, batches [][]int64) *partiti
 
 // TestMergedBoundsHoldLemma2 checks Lemma 2 on real summaries, against
 // exact ranks: stores of up to thirteen steps of sizes below, at and above
-// 1/ε₁ and of no alignment to it, zero to three stream pieces, dyadic and
+// 1/ε₁ and of no alignment to it, zero to three stream pieces (whole, as an
+// engine holds them, or at ε₁, as one travels), dyadic and
 // non-dyadic ε (1/161 among them, where ⌈1/ε⌉·ε rounds below 1 in float),
 // a small value domain — so ties, inside a summary and across them, are the
 // common case, and every distinct value's bounds must hold: L ≤ rank ≤ U,
@@ -611,7 +620,7 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 		seed := base + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		eps := []float64{1. / 4, 1. / 8, 1. / 16, 0.3, 0.1, 0.06, 1. / 6, 2. / 161}[rng.Intn(8)]
-		eps1, eps2 := eps/2, eps/4
+		eps1 := eps / 2
 		domain := int64(1 + rng.Intn(2000))
 		var all []int64
 		draw := func(n int) []int64 {
@@ -629,14 +638,17 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 		store := memStore(t, eps1, 2+rng.Intn(3), batches)
 		var pieces []StreamPiece
 		for p, n := 0, rng.Intn(4); p < n; p++ {
-			vs := draw(1 + rng.Intn(3000))
-			pieces = append(pieces, StreamPiece{SS: SortedSummary(slices.Sorted(slices.Values(vs)), eps2), M: int64(len(vs))})
+			p := WholePiece(slices.Sorted(slices.Values(draw(1 + rng.Intn(3000)))))
+			if rng.Intn(2) == 0 {
+				p = p.At(eps1)
+			}
+			pieces = append(pieces, p)
 		}
 		slices.Sort(all)
 		rankOf := func(v int64) int64 {
 			return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 		}
-		c := BuildPieces(store.Entries(), pieces, eps1, eps2)
+		c := BuildPieces(store.Entries(), pieces, eps1, 0)
 		if c.N() != int64(len(all)) {
 			t.Fatalf("HSQ_PROP_SEED=%d: N = %d, want %d", seed, c.N(), len(all))
 		}
@@ -644,7 +656,7 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 			t.Fatalf("HSQ_PROP_SEED=%d (ε = %g): %v", seed, eps, err)
 		}
 		ts := materialise(c)
-		if !sameTS(t, ts, sortBuild(store.Entries(), pieces, eps1, eps2)) {
+		if !sameTS(t, ts, sortBuild(store.Entries(), pieces, eps1)) {
 			t.Fatalf("HSQ_PROP_SEED=%d: the merge differs from the sort oracle", seed)
 		}
 		if !selectsLike(t, c, ts, rng) {
@@ -653,18 +665,18 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 	}
 }
 
-// TestExactRunsBoundExactly: a partition of η ≤ ⌈1/ε₁⌉ elements (a piece
-// of M ≤ ⌈1/ε₂⌉) captures every one of its positions — consecutive entries
-// sit at most one position apart, at η = 1/ε too, where a non-dyadic ε
-// rounds some i·ε·η just below i — so its summary is the run itself and
-// L(v) = U(v) = rank(v) at every value, data and between.
+// TestExactRunsBoundExactly: a partition of η ≤ ⌈1/ε₁⌉ elements captures
+// every one of its positions — consecutive entries sit at most one position
+// apart, at η = 1/ε too, where a non-dyadic ε rounds some i·ε·η just below
+// i — and a whole piece of any size holds every one, so each summary is the
+// run itself and L(v) = U(v) = rank(v) at every value, data and between.
 func TestExactRunsBoundExactly(t *testing.T) {
 	base := propSeed(t)
 	for i := 0; i < 200; i++ {
 		seed := base + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		eps := []float64{1. / 4, 0.3, 0.1, 0.06, 2. / 161}[rng.Intn(5)]
-		eps1, eps2 := eps/2, eps/4
+		eps1 := eps / 2
 		domain := int64(1 + rng.Intn(100))
 		var all []int64
 		draw := func(n int) []int64 {
@@ -683,11 +695,11 @@ func TestExactRunsBoundExactly(t *testing.T) {
 		store := memStore(t, eps1, 9, batches)
 		var pieces []StreamPiece
 		for p, n := 0, rng.Intn(3); p < n; p++ {
-			vs := draw(1 + rng.Intn(int(math.Ceil(1/eps2))))
-			pieces = append(pieces, StreamPiece{SS: SortedSummary(slices.Sorted(slices.Values(vs)), eps2), M: int64(len(vs))})
+			vs := draw(1 + rng.Intn(3*int(math.Ceil(1/eps1))))
+			pieces = append(pieces, WholePiece(slices.Sorted(slices.Values(vs))))
 		}
 		slices.Sort(all)
-		c := BuildPieces(store.Entries(), pieces, eps1, eps2)
+		c := BuildPieces(store.Entries(), pieces, eps1, 0)
 		for v := int64(-1); v <= domain; v++ {
 			r := int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 			if l, u := c.boundsAt(v); l != r || u != r {
@@ -701,10 +713,11 @@ func TestExactRunsBoundExactly(t *testing.T) {
 // each position once but the minimum, which entries 0 and 1 share — η + 1
 // entries, not ⌈1/ε⌉ + 1. A level-0 partition, a partition merged from
 // three such, the same partitions' summaries rebuilt by a scan when the
-// store is loaded from its manifest, and a stream piece each hold exactly
-// their sorted run, and L = U = rank at every value, data and between.
+// store is loaded from its manifest, and a stream piece of 80 captured at ε₁
+// as it leaves the engine each hold exactly their sorted run, as a whole
+// piece of 150 does, and L = U = rank at every value, data and between.
 func TestShortRunIsItsOwnSummary(t *testing.T) {
-	const eps1, eps2 = 0.01, 0.005 // runs below 100 and 200 elements
+	const eps1 = 0.01 // runs below 100 elements
 	rng := rand.New(rand.NewSource(5))
 	draw := func(n int) []int64 {
 		vs := make([]int64, n)
@@ -749,15 +762,19 @@ func TestShortRunIsItsOwnSummary(t *testing.T) {
 			}
 		}
 	}
-	live := draw(150)
-	ss := SortedSummary(slices.Sorted(slices.Values(live)), eps2)
-	if !slices.Equal(ss, whole(live)) {
-		t.Fatalf("stream piece of %d elements: %d entries, want its sorted run of %d", len(live), len(ss), len(live)+1)
+	live, sealed := draw(150), draw(80)
+	piece := WholePiece(slices.Sorted(slices.Values(live)))
+	if !slices.Equal(piece.SS, whole(live)) {
+		t.Fatalf("whole piece of %d elements: %d entries, want its sorted run of %d", len(live), len(piece.SS), len(live)+1)
 	}
-	all := slices.Sorted(slices.Values(slices.Concat(append(batches, live)...)))
+	short := StreamPiece{SS: SortedSummary(slices.Sorted(slices.Values(sealed)), eps1), M: int64(len(sealed))}
+	if !slices.Equal(short.SS, whole(sealed)) {
+		t.Fatalf("stream piece of %d elements at ε₁: %d entries, want its sorted run of %d", len(sealed), len(short.SS), len(sealed)+1)
+	}
+	all := slices.Sorted(slices.Values(slices.Concat(append(batches, live, sealed)...)))
 	for what, c := range map[string]*Combined{
-		"written": BuildPieces(store.Entries(), []StreamPiece{{SS: ss, M: int64(len(live))}}, eps1, eps2),
-		"rebuilt": BuildPieces(loaded.Entries(), []StreamPiece{{SS: ss, M: int64(len(live))}}, eps1, eps2),
+		"written": BuildPieces(store.Entries(), []StreamPiece{short, piece}, eps1, 0),
+		"rebuilt": BuildPieces(loaded.Entries(), []StreamPiece{short, piece}, eps1, 0),
 	} {
 		for v := int64(-1); v <= 600; v++ {
 			r := int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
@@ -796,7 +813,7 @@ func TestMergedQuickAnswerOverSmallSteps(t *testing.T) {
 		// κ = 16: no step merges, so every partition stays a step.
 		store := memStore(t, eps/2, 16, batches)
 		live := slices.Sorted(slices.Values(draw(rng.Intn(260))))
-		sh := &ShardSummary{N: store.TotalCount() + int64(len(live)), Eps1: eps / 2, Eps2: eps / 4}
+		sh := &ShardSummary{N: store.TotalCount() + int64(len(live)), Eps1: eps / 2}
 		for _, e := range store.Entries() {
 			sh.Parts = append(sh.Parts, PartSummary{Count: e.Part.Count, Values: e.Values})
 		}
@@ -961,7 +978,7 @@ func TestCrossMatchesReference(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		seed := base + int64(i)
 		rng := rand.New(rand.NewSource(seed))
-		sums, pieces := randomRuns(rng, 0.025, 0.0125)
+		sums, pieces := randomRuns(rng, 0.025)
 		c := BuildPieces(sums, pieces, 0.025, 0.0125)
 		if len(c.runs) == 0 {
 			continue
@@ -1021,9 +1038,11 @@ func FuzzCross(f *testing.F) {
 // TestCrossProbeGuard bounds the rank-guided crossing's cost: on inputs
 // built against its interpolation — values spaced 2⁰…2⁶², all-equal runs,
 // one heavy run among 700 singletons, runs of no mass under the mass, the
-// int64 extremes beside a fleet group — it probes at most twice as often as
-// the bisection, plus two; on the fleet-group shape it probes at most ten
-// times.
+// int64 extremes beside a fleet group — and on runs captured whole — a
+// fleet group of steps shorter than 1/ε₁, and a whole 20 000-value piece,
+// alone and beside a deep stream's partitions — it probes at most twice as
+// often as the bisection, plus two; on the fleet-group shape it probes at
+// most ten times.
 func TestCrossProbeGuard(t *testing.T) {
 	part := func(count int64, vals ...int64) *partition.Summary {
 		return &partition.Summary{Part: &partition.Partition{Count: count}, Values: vals}
@@ -1051,6 +1070,7 @@ func TestCrossProbeGuard(t *testing.T) {
 	}
 	extremes := fleetGroup()
 	extremes = append(extremes, part(5000, math.MinInt64, math.MinInt64+1, 0), part(5000, 0, math.MaxInt64-1, math.MaxInt64))
+	whole := []StreamPiece{wholeBenchPiece()}
 	rng := rand.New(rand.NewSource(propSeed(t)))
 	for _, tc := range []struct {
 		name   string
@@ -1063,6 +1083,9 @@ func TestCrossProbeGuard(t *testing.T) {
 		{"heavy run among singletons", heavy, nil},
 		{"massless runs below the mass", massless, nil},
 		{"int64 extremes", extremes, []StreamPiece{{SS: []int64{math.MinInt64, 5e8, math.MaxInt64}, M: 1000}}},
+		{"fleet group of short steps", shortFleetGroup(), nil},
+		{"whole piece", nil, whole},
+		{"deep stream with a whole piece", benchRuns(20, 40000), whole},
 	} {
 		c := BuildPieces(tc.sums, tc.pieces, 0.0005, 0.00025)
 		for _, r := range crossTargets(c.N(), rng) {
@@ -1110,6 +1133,33 @@ func fleetGroup() []*partition.Summary {
 	return sums
 }
 
+// shortFleetGroup is fleetGroup's shape with every partition shorter than
+// 1/ε₁ = 2 000, so every run is captured whole: 190 streams of 100–1 900
+// -value steps, unleveled, one to five steps each.
+func shortFleetGroup() []*partition.Summary {
+	rng := rand.New(rand.NewSource(12))
+	draw := func() int64 { return 1e8 + rng.Int63n(9e8) }
+	var sums []*partition.Summary
+	for s := 0; s < 190; s++ {
+		for steps := 1 + rng.Intn(5); steps > 0; steps-- {
+			count := int64(100 + rng.Intn(1800))
+			sums = append(sums, &partition.Summary{Part: &partition.Partition{Count: count}, Values: ruleValues(count, 0.0005, draw)})
+		}
+	}
+	return sums
+}
+
+// wholeBenchPiece is a live step of 20 000 values, normal around 1e7 like
+// benchRuns, as the engine hands it to a read: whole.
+func wholeBenchPiece() StreamPiece {
+	rng := rand.New(rand.NewSource(2))
+	vs := make([]int64, 20000)
+	for i := range vs {
+		vs[i] = int64(rng.NormFloat64()*1e6 + 1e7)
+	}
+	return WholePiece(slices.Sorted(slices.Values(vs)))
+}
+
 // benchRuns is a measured shape: parts summaries of partitions of count
 // elements, normal around 1e7, holding the capture rule's entries at
 // ε₁ = 0.0005.
@@ -1147,16 +1197,14 @@ func ruleValues(count int64, eps float64, draw func() int64) []int64 {
 // 1000-value steps at ε = 0.001, each step captured whole in 1 001 entries)
 // and as the plan reads it now
 // (fleetGroup: 190 uniform summaries of mixed sizes), each for quick
-// answers; one deep stream (≈20 partitions plus the live stream's piece)
-// and a tiny one (3 partitions plus the piece), each generating filters.
+// answers; one deep stream (≈20 partitions plus the live step's 20 000
+// values, whole) and a tiny one (3 partitions plus the piece), each
+// generating filters.
 // Every row runs against building the materialised TS first and searching
 // that; probes/op counts the crossings' probes.
 func BenchmarkSelect(b *testing.B) {
-	const eps1, eps2 = 0.0005, 0.00025
-	piece := make([]int64, 4001)
-	for i := range piece {
-		piece[i] = int64(i) * 5000
-	}
+	const eps1 = 0.0005
+	piece := wholeBenchPiece()
 	for _, bc := range []struct {
 		name    string
 		sums    []*partition.Summary
@@ -1165,10 +1213,10 @@ func BenchmarkSelect(b *testing.B) {
 	}{
 		{"fleet", benchRuns(700, 1000), nil, false},
 		{"fleet-group", fleetGroup(), nil, false},
-		{"deep", benchRuns(20, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
-		{"tiny", benchRuns(3, 40000), []StreamPiece{{SS: piece, M: 20000}}, true},
+		{"deep", benchRuns(20, 40000), []StreamPiece{piece}, true},
+		{"tiny", benchRuns(3, 40000), []StreamPiece{piece}, true},
 	} {
-		c := BuildPieces(bc.sums, bc.pieces, eps1, eps2)
+		c := BuildPieces(bc.sums, bc.pieces, eps1, 0)
 		n := c.N()
 		rs := []int64{n / 4, n / 2, n - n/20}
 		probes := 0
@@ -1183,7 +1231,7 @@ func BenchmarkSelect(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := BuildPieces(bc.sums, bc.pieces, eps1, eps2)
+				c := BuildPieces(bc.sums, bc.pieces, eps1, 0)
 				for _, r := range rs {
 					if bc.filters {
 						c.Filters(r) //nolint:errcheck
@@ -1197,7 +1245,7 @@ func BenchmarkSelect(b *testing.B) {
 		b.Run(bc.name+"/merge-oracle", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ts := materialise(BuildPieces(bc.sums, bc.pieces, eps1, eps2))
+				ts := materialise(BuildPieces(bc.sums, bc.pieces, eps1, 0))
 				for _, r := range rs {
 					if bc.filters {
 						ts.Filters(r, false)

@@ -10,24 +10,21 @@ import (
 // multi-target sweep: generate filters from the combined summary, then
 // bisect the value space, computing at each probe z the exact rank of z in
 // every partition (block-granular binary search seeded from the summaries)
-// plus the SS-based stream rank estimate, until the estimate is within
-// (ε − ε₂/2)·m of a target rank — resolving every rank target together
-// (AccurateMultiQueryOpts), with an optional per-snapshot rank-probe memo
-// (QueryOptions.Memo). A single-target query is the k=1 case.
+// plus the exact count of the in-memory steps' elements ≤ z, until that
+// rank is within ε·m of a target rank, m the in-memory mass — resolving
+// every rank target together (AccurateMultiQueryOpts), with an optional
+// per-snapshot rank-probe memo (QueryOptions.Memo). A single-target query
+// is the k=1 case.
 //
 // One deliberate refinement over the paper's pseudocode: Algorithm 8
 // returns the accepted midpoint z itself, which need not be an element of
-// T. We instead snap z to the largest known element ≤ z (the per-partition
+// T. We instead snap z to the largest element ≤ z (the per-partition
 // predecessors sit right at the cursors' final boundary positions, in the
 // run the probe decoded, a summary entry or a block's bounds; the stream
-// predecessor comes from SS). The snapped element is at least every
-// partition element ≤ z and every piece entry ≤ z, so its rank is at least
-// the exact historical rank plus every piece's L(z), and at most rank(z),
-// which is at most the same plus every piece's U(z). The estimate is the
-// midpoint of the two sums, so the snapped element's rank is within ε₂m/2
-// of it, and accepting within (ε − ε₂/2)·m of the target keeps the answer
-// within ε·m (Lemma 5) — and when the stream is empty the answer becomes
-// the exact quantile.
+// predecessor comes from the pieces, which hold every element). The snapped
+// element has exactly z's rank, so accepting within ε·m of the target keeps
+// the answer within ε·m (Lemma 5) — and when the stream is empty the answer
+// becomes the exact quantile.
 
 // mtTarget is one rank target of a shared sweep: its current bisection
 // interval plus the result slots it fills (duplicate φ values collapse to
@@ -74,7 +71,7 @@ func AccurateMultiQueryOpts(c *Combined, eps float64, rs []int64, opts QueryOpti
 	if len(rs) == 0 {
 		return ans, cost, nil
 	}
-	sw := &sweep{c: c, em: (eps - c.eps2/2) * float64(c.m), opts: opts, ans: ans}
+	sw := &sweep{c: c, em: eps * float64(c.m), opts: opts, ans: ans}
 
 	byR := make(map[int64]*mtTarget, len(rs))
 	var ts []*mtTarget
@@ -108,12 +105,7 @@ func AccurateMultiQueryOpts(c *Combined, eps float64, rs []int64, opts QueryOpti
 	sort.Slice(live, func(i, j int) bool { return live[i].r < live[j].r })
 
 	err := sw.solve(live)
-	for _, cur := range sw.cursors {
-		cost.RandReads += cur.Reads()
-		cost.CacheHits += cur.CacheHits()
-		cost.SkippedBlocks += cur.Skips()
-	}
-	sw.closeCursors()
+	sw.close(&cost)
 	cost.Iterations, cost.MemoHits, cost.Truncated = sw.iters, sw.memoHits, sw.truncated
 	if err != nil {
 		return nil, cost, err
@@ -184,7 +176,7 @@ func (sw *sweep) solve(ts []*mtTarget) error {
 		default:
 			if !accDone {
 				var used bool
-				accAns, used, err = sw.snapDownAt(z, hist, e, fromMemo)
+				accAns, used, err = sw.snapAt(z, hist, e, fromMemo, false)
 				if err != nil {
 					return err
 				}
@@ -213,7 +205,7 @@ func (sw *sweep) solve(ts []*mtTarget) error {
 					continue
 				}
 				if !accDone {
-					if accAns, _, err = sw.snapDownAt(z, hist, e, fromMemo); err != nil {
+					if accAns, _, err = sw.snapAt(z, hist, e, fromMemo, false); err != nil {
 						return err
 					}
 					accDone = true
@@ -277,7 +269,7 @@ func (sw *sweep) finish(ts []*mtTarget) error {
 			if rho >= t.fr {
 				if !downDone {
 					var used bool
-					downAns, used, err = sw.snapDownAt(u, hist, e, fromMemo)
+					downAns, used, err = sw.snapAt(u, hist, e, fromMemo, false)
 					if err != nil {
 						return err
 					}
@@ -288,7 +280,7 @@ func (sw *sweep) finish(ts []*mtTarget) error {
 			} else {
 				if !upDone {
 					var used bool
-					upAns, used, err = sw.snapUpAt(u, hist, e, fromMemo)
+					upAns, used, err = sw.snapAt(u, hist, e, fromMemo, true)
 					if err != nil {
 						return err
 					}
@@ -305,34 +297,36 @@ func (sw *sweep) finish(ts []*mtTarget) error {
 	return nil
 }
 
-// probe computes the rank estimate at z: the stream-side estimate plus the
-// exact historical rank, the latter from the memo when it already holds z.
+// probe computes the rank of z: the in-memory steps' count plus the
+// historical rank, the latter from the memo when it already holds z.
 func (sw *sweep) probe(z int64) (rho float64, hist int64, e partition.MemoEntry, fromMemo bool, err error) {
-	sRho := sw.c.StreamRankEstimate(z)
+	sRank := streamRank(sw.c.streams, z)
 	if sw.opts.Memo != nil {
 		if e, ok := sw.opts.Memo.Lookup(z); ok {
-			return sRho + float64(e.Rank), e.Rank, e, true, nil
+			return float64(sRank + e.Rank), e.Rank, e, true, nil
 		}
 	}
 	hist, err = sw.cursorProbe(z)
 	if err != nil {
 		return 0, 0, e, false, err
 	}
-	return sRho + float64(hist), hist, e, false, nil
+	return float64(sRank + hist), hist, e, false, nil
 }
 
-// cursorProbe runs the real per-partition rank search at z — the reads
-// that spend the backend-read budget — and records the result in the memo.
-func (sw *sweep) cursorProbe(z int64) (int64, error) {
+// cursorProbe runs the real per-partition rank search at z — boundary(z)
+// summed over the cursors, the reads that spend the backend-read budget —
+// and records the result in the memo.
+func (sw *sweep) cursorProbe(z int64) (hist int64, err error) {
 	if err := sw.open(); err != nil {
 		return 0, err
 	}
 	for _, cur := range sw.cursors {
 		cur.SeekTo(z)
-	}
-	hist, err := histRank(sw.cursors, z)
-	if err != nil {
-		return 0, err
+		p, err := cur.Rank(z)
+		if err != nil {
+			return 0, err
+		}
+		hist += p
 	}
 	if sw.opts.Memo != nil {
 		sw.opts.Memo.StoreRank(z, hist)
@@ -340,14 +334,18 @@ func (sw *sweep) cursorProbe(z int64) (int64, error) {
 	return hist, nil
 }
 
-// snapDownAt snaps an accepted probe z to the largest known element ≤ z.
-// The historical side comes from the memo when the entry carries it;
-// otherwise from the cursors, refreshing their state with a real probe
-// first if the rank itself came from the memo. used reports whether any
-// cursor work happened.
-func (sw *sweep) snapDownAt(z, hist int64, e partition.MemoEntry, fromMemo bool) (ans int64, used bool, err error) {
-	if fromMemo && e.PredKnown {
-		ans, err = snapDownFrom(sw.c, e.Pred, e.PredExists, z)
+// snapAt snaps an accepted probe z to the largest element ≤ z, or with up
+// the smallest > z. The historical side comes from the memo when the entry
+// carries it; otherwise from the cursors, refreshing their state with a
+// real probe first if the rank itself came from the memo. used reports
+// whether any cursor work happened.
+func (sw *sweep) snapAt(z, hist int64, e partition.MemoEntry, fromMemo, up bool) (ans int64, used bool, err error) {
+	known, v, ok := e.PredKnown, e.Pred, e.PredExists
+	if up {
+		known, v, ok = e.SuccKnown, e.Succ, e.SuccExists
+	}
+	if fromMemo && known {
+		ans, err = snapFrom(sw.c, v, ok, z, up)
 		return ans, false, err
 	}
 	if fromMemo {
@@ -355,36 +353,17 @@ func (sw *sweep) snapDownAt(z, hist int64, e partition.MemoEntry, fromMemo bool)
 			return 0, true, err
 		}
 	}
-	pe, ok, err := histPred(sw.cursors)
-	if err != nil {
+	if v, ok, err = histNeighbour(sw.cursors, up); err != nil {
 		return 0, true, err
 	}
-	if sw.opts.Memo != nil {
-		sw.opts.Memo.SetPred(z, hist, pe, ok)
+	switch {
+	case sw.opts.Memo == nil:
+	case up:
+		sw.opts.Memo.SetSucc(z, hist, v, ok)
+	default:
+		sw.opts.Memo.SetPred(z, hist, v, ok)
 	}
-	ans, err = snapDownFrom(sw.c, pe, ok, z)
-	return ans, true, err
-}
-
-// snapUpAt is snapDownAt's mirror: the smallest known element > z.
-func (sw *sweep) snapUpAt(z, hist int64, e partition.MemoEntry, fromMemo bool) (ans int64, used bool, err error) {
-	if fromMemo && e.SuccKnown {
-		ans, err = snapUpFrom(sw.c, e.Succ, e.SuccExists, z)
-		return ans, false, err
-	}
-	if fromMemo {
-		if _, err := sw.cursorProbe(z); err != nil {
-			return 0, true, err
-		}
-	}
-	se, ok, err := histSucc(sw.cursors)
-	if err != nil {
-		return 0, true, err
-	}
-	if sw.opts.Memo != nil {
-		sw.opts.Memo.SetSucc(z, hist, se, ok)
-	}
-	ans, err = snapUpFrom(sw.c, se, ok, z)
+	ans, err = snapFrom(sw.c, v, ok, z, up)
 	return ans, true, err
 }
 
@@ -432,7 +411,7 @@ func (sw *sweep) open() error {
 	for _, s := range sw.c.sums {
 		cur, err := partition.NewCursor(s, 0, 0, sw.opts.PinBlocks)
 		if err != nil {
-			sw.closeCursors()
+			sw.close(&QueryCost{})
 			return err
 		}
 		sw.cursors = append(sw.cursors, cur)
@@ -440,9 +419,12 @@ func (sw *sweep) open() error {
 	return nil
 }
 
-// closeCursors releases the cursors.
-func (sw *sweep) closeCursors() {
+// close adds the cursors' reads to cost and releases them.
+func (sw *sweep) close(cost *QueryCost) {
 	for _, cur := range sw.cursors {
+		cost.RandReads += cur.Reads()
+		cost.CacheHits += cur.CacheHits()
+		cost.SkippedBlocks += cur.Skips()
 		cur.Close() //nolint:errcheck // read-only handles
 	}
 	sw.cursors = nil

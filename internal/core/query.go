@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/partition"
@@ -66,112 +65,54 @@ type QueryOptions struct {
 	Memo *partition.ProbeMemo
 }
 
-// histRank sums boundary(z) over all cursors.
-func histRank(cursors []*partition.Cursor, z int64) (int64, error) {
-	var total int64
-	for _, cur := range cursors {
-		p, err := cur.Rank(z)
-		if err != nil {
-			return 0, err
-		}
-		total += p
-	}
-	return total, nil
-}
-
-// histPred returns the largest on-disk element ≤ the last probe value,
-// assuming every cursor's last Rank call was for that value. ok=false means
-// no partition holds such an element.
-func histPred(cursors []*partition.Cursor) (int64, bool, error) {
-	best := int64(0)
-	have := false
+// histNeighbour returns the largest on-disk element ≤ the last probe value,
+// or with up the smallest one > it, assuming every cursor's last Rank call
+// was for that value. have=false means no partition holds one.
+func histNeighbour(cursors []*partition.Cursor, up bool) (best int64, have bool, err error) {
 	for _, cur := range cursors {
 		b := cur.LastBoundary()
-		if b == 0 {
-			continue
+		if !up {
+			b--
 		}
-		e, err := cur.Element(b - 1)
-		if err != nil {
-			return 0, false, err
-		}
-		if !have || e > best {
-			best, have = e, true
-		}
-	}
-	return best, have, nil
-}
-
-// histSucc returns the smallest on-disk element > the last probe value,
-// assuming every cursor's last Rank call was for that value. ok=false means
-// no partition holds such an element.
-func histSucc(cursors []*partition.Cursor) (int64, bool, error) {
-	var best int64
-	have := false
-	for _, cur := range cursors {
-		b := cur.LastBoundary()
-		if b >= cur.Count() {
+		if b < 0 || b >= cur.Count() {
 			continue
 		}
 		e, err := cur.Element(b)
 		if err != nil {
 			return 0, false, err
 		}
-		if !have || e < best {
+		if !have || (e < best) == up {
 			best, have = e, true
 		}
 	}
 	return best, have, nil
 }
 
-// snapDownFrom combines a historical predecessor (histE when histOK) with
-// the stream pieces' in-memory predecessors to the largest known element of
-// T that is ≤ z, falling back to the global minimum when nothing is ≤ z.
-func snapDownFrom(c *Combined, histE int64, histOK bool, z int64) (int64, error) {
-	best, have := histE, histOK
-	// Stream-side predecessors, one per memory-resident piece.
-	for _, p := range c.streams {
-		if i := sort.Search(len(p.SS), func(i int) bool { return p.SS[i] > z }); i > 0 {
-			if e := p.SS[i-1]; !have || e > best {
-				best, have = e, true
-			}
-		}
-	}
-	if have {
-		return best, nil
-	}
-	return c.globalMin()
-}
-
-// snapUpFrom combines a historical successor (histE when histOK) with the
-// stream pieces' in-memory successors to the smallest known element of T
-// that is > z, falling back to the global maximum when nothing is > z.
-func snapUpFrom(c *Combined, histE int64, histOK bool, z int64) (int64, error) {
+// snapFrom combines a historical neighbour of z (histE when histOK) with the
+// stream pieces' to the largest element of T that is ≤ z, or with up the
+// smallest that is > z, falling back to the global minimum (maximum) when
+// there is none.
+func snapFrom(c *Combined, histE int64, histOK bool, z int64, up bool) (int64, error) {
 	best, have := histE, histOK
 	for _, p := range c.streams {
-		if i := sort.Search(len(p.SS), func(i int) bool { return p.SS[i] > z }); i < len(p.SS) {
-			if e := p.SS[i]; !have || e < best {
-				best, have = e, true
-			}
+		i := countLE(p.SS, 0, len(p.SS), z)
+		if !up {
+			i--
+		}
+		if i < 0 || i >= len(p.SS) {
+			continue
+		}
+		if e := p.SS[i]; !have || (e < best) == up {
+			best, have = e, true
 		}
 	}
-	if have {
+	switch {
+	case have:
 		return best, nil
-	}
-	return c.globalMax()
-}
-
-// globalMin returns the smallest element recorded in any summary.
-func (c *Combined) globalMin() (int64, error) {
-	if len(c.runs) == 0 {
+	case len(c.runs) == 0:
 		return 0, fmt.Errorf("core: no data")
+	case up:
+		return c.maxV, nil
 	}
 	return c.minV, nil
-}
-
-// globalMax returns the largest element recorded in any summary.
-func (c *Combined) globalMax() (int64, error) {
-	if len(c.runs) == 0 {
-		return 0, fmt.Errorf("core: no data")
-	}
-	return c.maxV, nil
 }

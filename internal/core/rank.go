@@ -11,37 +11,29 @@ func (c *Combined) QuickRank(v int64) int64 {
 	return (l + u) / 2
 }
 
-// RankOfValues computes the rank of each value v in T accurately: the exact
-// count of historical elements ≤ v (one block-granular binary search per
-// partition) plus the SS-based stream estimate, so each error is at most
-// ε₂m/2 = εm/8. It is the inverse primitive of the accurate quantile query
-// and, reading only the partitions and the pieces, builds no combined
-// summary. The cost covers every value: one iteration each, and the reads
-// of all their searches.
-func RankOfValues(sums []*partition.Summary, pieces []StreamPiece, eps2 float64, vs []int64, pinBlocks bool) ([]int64, QueryCost, error) {
-	cost := QueryCost{Iterations: len(vs)}
+// RankOfValues computes the rank of each value v in T exactly: the count of
+// historical elements ≤ v (one block-granular binary search per partition)
+// plus the count of the pieces' elements ≤ v, which are whole (WholePiece).
+// It is the inverse primitive of the accurate quantile query and, reading
+// only the partitions and the pieces, builds no combined summary. Like the
+// sweep, it opens one cursor per partition for the whole request and seeks
+// it to each value in turn. The cost covers every value: one iteration
+// each, and the reads of all their searches.
+func RankOfValues(sums []*partition.Summary, pieces []StreamPiece, vs []int64, pinBlocks bool) ([]int64, QueryCost, error) {
+	sw := &sweep{c: &Combined{sums: sums}, opts: QueryOptions{PinBlocks: pinBlocks}}
 	out := make([]int64, len(vs))
+	var err error
 	for k, v := range vs {
-		total := streamRankEstimate(pieces, eps2, v)
-		for _, s := range sums {
-			cur, err := partition.NewCursor(s, v, v, pinBlocks)
-			if err != nil {
-				return nil, cost, err
-			}
-			p, err := cur.Rank(v)
-			if err != nil {
-				cur.Close() //nolint:errcheck
-				return nil, cost, err
-			}
-			cost.RandReads += cur.Reads()
-			cost.CacheHits += cur.CacheHits()
-			cost.SkippedBlocks += cur.Skips()
-			if err := cur.Close(); err != nil {
-				return nil, cost, err
-			}
-			total += float64(p)
+		var hist int64
+		if hist, err = sw.cursorProbe(v); err != nil {
+			break
 		}
-		out[k] = int64(total)
+		out[k] = hist + streamRank(pieces, v)
+	}
+	cost := QueryCost{Iterations: len(vs)}
+	sw.close(&cost)
+	if err != nil {
+		return nil, cost, err
 	}
 	return out, cost, nil
 }

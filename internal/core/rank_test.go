@@ -33,8 +33,8 @@ func TestQuickRank(t *testing.T) {
 }
 
 // rankOfValue is RankOfValues for one value.
-func rankOfValue(sums []*partition.Summary, pieces []StreamPiece, eps2 float64, v int64, pinBlocks bool) (int64, QueryCost, error) {
-	rs, cost, err := RankOfValues(sums, pieces, eps2, []int64{v}, pinBlocks)
+func rankOfValue(sums []*partition.Summary, pieces []StreamPiece, v int64, pinBlocks bool) (int64, QueryCost, error) {
+	rs, cost, err := RankOfValues(sums, pieces, []int64{v}, pinBlocks)
 	if err != nil {
 		return 0, cost, err
 	}
@@ -43,57 +43,55 @@ func rankOfValue(sums []*partition.Summary, pieces []StreamPiece, eps2 float64, 
 
 func TestRankOfValue(t *testing.T) {
 	f := buildFixture(t, 103, 0.05, 8, 400, 1000)
-	em := f.eps * float64(f.m)
 	for _, idx := range []int{0, 50, 1000, len(f.all) / 2, len(f.all) - 1} {
 		v := f.all[idx]
-		exact := float64(f.rankOf(v))
-		got, cost, err := rankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
+		got, cost, err := rankOfValue(f.sums, f.pieces(), v, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Historical part is exact; only the stream estimate errs (≤ εm/4;
-		// assert εm/2).
-		if math.Abs(float64(got)-exact) > em/2+1 {
-			t.Errorf("RankOfValue(%d) = %d, exact %g (cost %+v)", v, got, exact, cost)
+		// Both sides are counted exactly: the partitions on disk, the live
+		// step whole.
+		if exact := f.rankOf(v); got != exact {
+			t.Errorf("RankOfValue(%d) = %d, exact %d (cost %+v)", v, got, exact, cost)
 		}
 	}
 }
 
-// TestRankOfValueNeverExceedsTotal: a value at or above every summary entry
-// counts every entry of a piece, ⌈1/ε₂+1⌉ of them at ε₂·M ≥ 1, β₂·ε₂·M = M + ε₂M unclamped, so the
-// rank of the maximum used to read above N. Each piece (here a live one
-// behind two sealed ones) contributes at most its M: the rank of MaxInt64
-// is exactly N, and below the top entries nothing moves.
+// TestRankOfValueNeverExceedsTotal: a value at or above every entry counts
+// every entry of a piece, M+1 of a whole one, whose minimum is there twice,
+// so a count of entries would read above N. Each piece (here a live one
+// behind two sealed ones) contributes exactly its M: the rank of MaxInt64
+// is exactly N, and below the top entries the count is the exact rank.
 func TestRankOfValueNeverExceedsTotal(t *testing.T) {
 	f := buildFixture(t, 131, 0.05, 4, 300, 900)
-	eps2 := f.eps / 4
-	ss := func(lo int64, m int64) StreamPiece { // the rule's count of ascending entries from lo
-		p := StreamPiece{M: m, SS: make([]int64, partition.Beta(m, eps2))}
-		for i := range p.SS {
-			p.SS[i] = lo + int64(i)
+	ss := func(lo int64, m int64) StreamPiece { // a whole piece of m ascending values from lo
+		vs := make([]int64, m)
+		for i := range vs {
+			vs[i] = lo + int64(i)
 		}
-		return p
+		return WholePiece(vs)
 	}
 	pieces := []StreamPiece{ss(10, 500), ss(2000, 700), {SS: f.ss, M: f.m}}
 	var n int64 = 500 + 700 + f.m
 	for _, s := range f.sums {
 		n += s.Part.Count
 	}
-	got, _, err := rankOfValue(f.sums, pieces, eps2, math.MaxInt64, true)
+	got, _, err := rankOfValue(f.sums, pieces, math.MaxInt64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != n {
 		t.Errorf("RankOfValue(MaxInt64) = %d, want the total %d", got, n)
 	}
-	if rho := streamRankEstimate(pieces, eps2, math.MaxInt64); rho != float64(500+700+f.m) {
-		t.Fatalf("stream estimate at MaxInt64 = %g, want the pieces' total %d: exact positions leave no overshoot", rho, 500+700+f.m)
+	if rho := streamRank(pieces, math.MaxInt64); rho != 500+700+f.m {
+		t.Fatalf("stream rank at MaxInt64 = %d, want the pieces' total %d: the doubled minimum is not counted twice", rho, 500+700+f.m)
 	}
-	// Two entries short of a piece's top the estimate is below M and untouched.
+	// Two entries short of a piece's top the rank is 498, the count of
+	// values 10..507.
 	v := pieces[0].SS[len(pieces[0].SS)-3]
-	got, _, err = rankOfValue(nil, pieces[:1], eps2, v, true)
-	if want := int64(streamRankEstimate(pieces[:1], eps2, v)); err != nil || got != want || got >= 500 {
-		t.Errorf("RankOfValue below the top entries = %d, %v; want the unclamped %d < 500", got, err, want)
+	got, _, err = rankOfValue(nil, pieces[:1], v, true)
+	if want := streamRank(pieces[:1], v); err != nil || got != want || got != 498 {
+		t.Errorf("RankOfValue below the top entries = %d, %v; want %d = 498", got, err, want)
 	}
 }
 
@@ -106,11 +104,11 @@ func TestQuickRankOfValueMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		ra, _, err := rankOfValue(f.sums, f.pieces(), f.eps/4, a, true)
+		ra, _, err := rankOfValue(f.sums, f.pieces(), a, true)
 		if err != nil {
 			return false
 		}
-		rb, _, err := rankOfValue(f.sums, f.pieces(), f.eps/4, b, true)
+		rb, _, err := rankOfValue(f.sums, f.pieces(), b, true)
 		if err != nil {
 			return false
 		}
@@ -141,19 +139,14 @@ func TestTruncatedStaysInFilters(t *testing.T) {
 	}
 }
 
-// Quick property: RankOfValues agrees with the exact oracle rank up to εm/2
-// for arbitrary probe values (not just data elements).
+// Quick property: RankOfValues is the exact oracle rank for arbitrary
+// probe values (not just data elements).
 func TestQuickRankOfValueAccuracy(t *testing.T) {
 	f := buildFixture(t, 127, 0.05, 6, 300, 900)
-	em := f.eps * float64(f.m)
 	prop := func(raw uint32) bool {
 		v := int64(raw) % (1 << 24)
-		got, _, err := rankOfValue(f.sums, f.pieces(), f.eps/4, v, true)
-		if err != nil {
-			return false
-		}
-		exact := f.rankOf(v)
-		return math.Abs(float64(got-exact)) <= em/2+1
+		got, _, err := rankOfValue(f.sums, f.pieces(), v, true)
+		return err == nil && got == f.rankOf(v)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -161,11 +154,11 @@ func TestQuickRankOfValueAccuracy(t *testing.T) {
 }
 
 func TestQuickRankEmpty(t *testing.T) {
-	c := BuildPieces(nil, onePiece(nil, 0), 0.1, 0.1)
+	c := BuildPieces(nil, onePiece(nil, 0), 0.1, 0)
 	if got := c.QuickRank(5); got != 0 {
 		t.Errorf("QuickRank on empty = %d", got)
 	}
-	if _, _, err := rankOfValue(nil, nil, 0.1, 5, true); err != nil {
+	if _, _, err := rankOfValue(nil, nil, 5, true); err != nil {
 		t.Errorf("RankOfValue on empty combined should be 0, got err %v", err)
 	}
 	// sortedness helper sanity

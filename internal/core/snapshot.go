@@ -11,13 +11,13 @@ import (
 )
 
 // ShardSummary is one node's portable view of a stream: every in-memory
-// summary (historical partition summaries plus stream-side pieces) with the
-// error parameters they were built under, but none of the on-disk data.
+// summary (historical partition summaries plus stream-side pieces, all
+// captured at one ε₁) with that ε₁, but none of the on-disk data.
 // It is exactly the state BuildPieces needs — sorted runs with their counts
 // — so shipping a ShardSummary per shard and selecting over all of their
 // runs lets a coordinator answer quick (in-memory) quantile
-// and rank queries over the union of N shards within the same composed ε
-// bands the paper proves for one node — the mergeability property that
+// and rank queries over the union of N shards within the same ε bands
+// the paper proves for one node — the mergeability property that
 // makes scatter-gather correct without moving raw data. Accurate
 // (disk-probing) queries cannot run over a ShardSummary: the partitions
 // behind it live on the remote shard.
@@ -25,13 +25,14 @@ type ShardSummary struct {
 	// N is the total element count the summary covers (historical + stream):
 	// the sum of the part counts and the piece masses.
 	N int64
-	// Eps1 and Eps2 are the partition-summary and stream-summary error
-	// parameters (ε/2 and ε/4 of the engine's configured ε).
-	Eps1, Eps2 float64
+	// Eps1 is the error parameter every run was captured at, ε/2 of the
+	// engine's configured ε.
+	Eps1 float64
 	// Parts carries (count, step range, values) per historical partition
 	// summary, oldest first.
 	Parts []PartSummary
-	// Pieces carries the stream-side piece summaries.
+	// Pieces carries the stream-side piece summaries, each captured at Eps1
+	// (StreamPiece.At).
 	Pieces []StreamPiece
 }
 
@@ -51,14 +52,15 @@ type PartSummary struct {
 // snapshotVersion is the ShardSummary encoding version byte. Version 1 had
 // no step ranges; version 2's piece entries sat at band middles, not at the
 // capture positions the bounds now read; version 3 captured ⌈1/ε⌉+1
-// entries of every run, a run shorter than 1/ε with its positions repeated.
-// All are refused, not guessed at.
-const snapshotVersion = 4
+// entries of every run, a run shorter than 1/ε with its positions repeated;
+// version 4 carried a second ε, the pieces'. All are refused, not guessed
+// at.
+const snapshotVersion = 5
 
 // AppendBinary appends the binary encoding of s to buf — the bytes of a
 // peer's SummaryResp and of a stream's SUMMARY.bin alike:
 //
-//	version u8 | eps1 f64be | eps2 f64be | uvarint N
+//	version u8 | eps1 f64be | uvarint N
 //	| uvarint len(parts)  | per part:  uvarint count | uvarint start | uvarint end
 //	                                   | uvarint len | delta values
 //	| uvarint len(pieces) | per piece: uvarint M     | uvarint len | delta values
@@ -68,7 +70,6 @@ const snapshotVersion = 4
 func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 	buf = append(buf, snapshotVersion)
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Eps1))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Eps2))
 	buf = binary.AppendUvarint(buf, uint64(s.N))
 	buf = binary.AppendUvarint(buf, uint64(len(s.Parts)))
 	for _, p := range s.Parts {
@@ -95,7 +96,7 @@ func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 // descend (the delta codec is signed), a step range that ends before it
 // starts, an N that is not the sum of the part counts and piece masses
 // (every rank target is a fraction of N), or a run whose entry count is not
-// the capture rule's for its mass at its ε (partition.Beta), since the rule
+// the capture rule's for its mass at ε₁ (partition.Beta), since the rule
 // places every entry and the bounds read those places.
 func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 	d := enc.NewReader(data)
@@ -104,7 +105,6 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 	}
 	s := &ShardSummary{
 		Eps1: math.Float64frombits(d.Uint64()),
-		Eps2: math.Float64frombits(d.Uint64()),
 		N:    int64(d.Uvarint()),
 	}
 	for i, nparts := 0, d.Count(); i < nparts && d.Err() == nil; i++ {
@@ -144,9 +144,9 @@ func DecodeShardSummary(data []byte) (*ShardSummary, error) {
 		if p.M < 0 || p.M > rest || !slices.IsSorted(p.SS) {
 			return nil, fmt.Errorf("core: decode shard summary: piece %d has a count outside [0, N] or descending values", i)
 		}
-		if !captured(len(p.SS), p.M, s.Eps2) {
-			return nil, fmt.Errorf("core: decode shard summary: piece %d holds %d values, not the capture rule's count for %d elements at ε₂ = %g",
-				i, len(p.SS), p.M, s.Eps2)
+		if !captured(len(p.SS), p.M, s.Eps1) {
+			return nil, fmt.Errorf("core: decode shard summary: piece %d holds %d values, not the capture rule's count for %d elements at ε₁ = %g",
+				i, len(p.SS), p.M, s.Eps1)
 		}
 		rest -= p.M
 	}
@@ -165,33 +165,33 @@ func captured(n int, count int64, eps float64) bool {
 // MergeShardSummaries collects every shard's runs into one combined
 // summary, as if all their partitions and stream pieces belonged to one
 // engine; no element is copied. Empty shards (N == 0) are skipped; the
-// non-empty shards must agree on (ε₁, ε₂) — i.e. every node of the cluster
-// runs the same configured ε — because the ε a run was captured at places
-// its entries, and the composed ε is one per answer. The returned total is
+// non-empty shards must agree on ε₁ — i.e. every node of the cluster runs
+// the same configured ε — because the ε a run was captured at places its
+// entries, and ε is one per answer. The returned total is
 // Σ N; a nil Combined with total 0 means every shard was empty.
 //
 // Every run must be sorted ascending (DecodeShardSummary checks a peer's
 // and a file's). Only quick (in-memory) queries — QuickQuery, Filters,
-// QuickRank, StreamRankEstimate — are valid on the result: the shards'
+// QuickRank — are valid on the result: the shards'
 // partitions have no device behind them here, so accurate disk-probing
 // queries must stay on the owning shard.
 func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 	var (
-		parts      []PartSummary
-		pieces     []StreamPiece
-		total      int64
-		eps1, eps2 float64
-		seen       bool
+		parts  []PartSummary
+		pieces []StreamPiece
+		total  int64
+		eps1   float64
+		seen   bool
 	)
 	for i, sh := range shards {
 		if sh == nil || sh.N == 0 {
 			continue
 		}
 		if !seen {
-			eps1, eps2, seen = sh.Eps1, sh.Eps2, true
-		} else if sh.Eps1 != eps1 || sh.Eps2 != eps2 {
-			return nil, 0, fmt.Errorf("core: shard %d has ε=(%g,%g), want (%g,%g) — mixed-ε clusters cannot merge summaries",
-				i, sh.Eps1, sh.Eps2, eps1, eps2)
+			eps1, seen = sh.Eps1, true
+		} else if sh.Eps1 != eps1 {
+			return nil, 0, fmt.Errorf("core: shard %d has ε₁=%g, want %g — mixed-ε clusters cannot merge summaries",
+				i, sh.Eps1, eps1)
 		}
 		total += sh.N
 		parts = append(parts, sh.Parts...)
@@ -200,7 +200,7 @@ func MergeShardSummaries(shards []*ShardSummary) (*Combined, int64, error) {
 	if !seen {
 		return nil, 0, nil
 	}
-	c := newCombined(len(parts), pieces, eps1, eps2)
+	c := newCombined(len(parts), pieces, eps1)
 	for _, p := range parts {
 		c.addPart(p.Count, p.Values)
 	}

@@ -17,10 +17,10 @@ import (
 )
 
 // synthShard builds a ShardSummary with sorted random summary values, each
-// run as many as the capture rule takes of its mass, its parts covering
-// consecutive runs of one to three steps.
-func synthShard(rng *rand.Rand, parts, pieces int, eps1, eps2 float64) *ShardSummary {
-	s := &ShardSummary{Eps1: eps1, Eps2: eps2}
+// run as many as the capture rule takes of its mass at ε₁, its parts
+// covering consecutive runs of one to three steps.
+func synthShard(rng *rand.Rand, parts, pieces int, eps1 float64) *ShardSummary {
+	s := &ShardSummary{Eps1: eps1}
 	sorted := func(n int) []int64 {
 		vs := make([]int64, n)
 		for i := range vs {
@@ -37,7 +37,7 @@ func synthShard(rng *rand.Rand, parts, pieces int, eps1, eps2 float64) *ShardSum
 	}
 	for i := 0; i < pieces; i++ {
 		m := int64(1 + rng.Intn(5_000))
-		s.Pieces = append(s.Pieces, StreamPiece{M: m, SS: sorted(partition.Beta(m, eps2))})
+		s.Pieces = append(s.Pieces, StreamPiece{M: m, SS: sorted(partition.Beta(m, eps1))})
 		s.N += m
 	}
 	return s
@@ -46,12 +46,12 @@ func synthShard(rng *rand.Rand, parts, pieces int, eps1, eps2 float64) *ShardSum
 func TestShardSummaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []*ShardSummary{
-		{Eps1: 0.05, Eps2: 0.025},            // empty
-		synthShard(rng, 0, 1, 0.05, 0.025),   // stream only
-		synthShard(rng, 4, 0, 0.05, 0.025),   // history only
-		synthShard(rng, 7, 3, 0.005, 0.0025), // both
-		synthShard(rng, 1, 1, 1e-9, 1e-9),    // tiny eps
-		synthShard(rng, 5, 0, 0.05, 0.025),   // a part of no elements: no values, decodes to nil
+		{Eps1: 0.05},                 // empty
+		synthShard(rng, 0, 1, 0.05),  // stream only
+		synthShard(rng, 4, 0, 0.05),  // history only
+		synthShard(rng, 7, 3, 0.005), // both
+		synthShard(rng, 1, 1, 1e-9),  // tiny eps
+		synthShard(rng, 5, 0, 0.05),  // a part of no elements: no values, decodes to nil
 	}
 	cases[5].N -= cases[5].Parts[2].Count
 	cases[5].Parts[2].Count, cases[5].Parts[2].Values = 0, nil
@@ -85,16 +85,22 @@ func TestShardSummaryRoundTrip(t *testing.T) {
 }
 
 // hostileShard encodes a shard summary of one part and one piece as given,
-// at ε₁ = 0.05 and ε₂ = 0.025, where a run of up to 20 elements is captured
-// whole: AppendBinary checks nothing, and the delta codec is signed, so this
-// is what a peer can put on the wire.
+// at ε₁ = 0.05, where a run of up to 20 elements is captured whole:
+// AppendBinary checks nothing, and the delta codec is signed, so this is
+// what a peer can put on the wire.
 func hostileShard(count int64, part []int64, m int64, piece []int64) []byte {
 	s := &ShardSummary{
-		N: 10, Eps1: 0.05, Eps2: 0.025,
+		N: 10, Eps1: 0.05,
 		Parts:  []PartSummary{{Count: count, Values: part}},
 		Pieces: []StreamPiece{{M: m, SS: piece}},
 	}
 	return s.AppendBinary(nil)
+}
+
+// pieceShard encodes a shard summary of one piece of 100 elements, ss as
+// given, at ε₁ = 0.05.
+func pieceShard(ss []int64) []byte {
+	return (&ShardSummary{N: 100, Eps1: 0.05, Pieces: []StreamPiece{{M: 100, SS: ss}}}).AppendBinary(nil)
 }
 
 // v1Shard is a one-part summary in the version-1 encoding earlier builds put
@@ -114,22 +120,24 @@ func v1Shard() []byte {
 // negative or whose entry count is not the rule's for its mass, an N that
 // is not the sum of the counts, a step range that ends before it starts and
 // another version's bytes are all refused at the door; duplicates and runs
-// of no elements are fine.
+// of no elements are fine. A piece travels at ε₁, as a part does: one
+// captured whole past 1/ε₁, or at a finer ε, is refused.
 func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 	steps := func(n int64, start, end int) []byte {
-		s := &ShardSummary{N: n, Eps1: 0.05, Eps2: 0.025, Parts: []PartSummary{{Count: 5, StartStep: start, EndStep: end, Values: []int64{1, 1, 2, 3, 4, 5}}}}
+		s := &ShardSummary{N: n, Eps1: 0.05, Parts: []PartSummary{{Count: 5, StartStep: start, EndStep: end, Values: []int64{1, 1, 2, 3, 4, 5}}}}
 		return s.AppendBinary(nil)
 	}
-	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 4)") {
+	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 5)") {
 		t.Errorf("version-1 payload: %v, want a version error", err)
 	}
-	// Versions 2 and 3 have version 4's layout, but version 2's piece
-	// entries sat at band middles, not at the capture positions the bounds
-	// read, and version 3 took ⌈1/ε⌉+1 entries of a run of fewer elements.
-	for _, v := range []byte{2, 3} {
-		old := steps(5, 1, 1)
+	// Versions 2 to 4 carried a second ε, the pieces', after ε₁; version 2's
+	// piece entries sat at band middles, not at the capture positions the
+	// bounds read, and version 3 took ⌈1/ε⌉+1 entries of a run of fewer
+	// elements.
+	for _, v := range []byte{2, 3, 4} {
+		old := v1Shard()
 		old[0] = v
-		if _, err := DecodeShardSummary(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d (want 4)", v)) {
+		if _, err := DecodeShardSummary(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d (want 5)", v)) {
 			t.Errorf("version-%d payload: %v, want a version error", v, err)
 		}
 	}
@@ -138,6 +146,15 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 	old := make([]int64, 21)
 	for i := range old {
 		old[i] = min(int64(i), 5)
+	}
+	// A piece of 100 elements whole (101 entries), and at ε = 0.025, the
+	// pieces' ε of version 4 (41 entries); ε₁ = 0.05 takes 21.
+	whole, fine := make([]int64, 101), make([]int64, 41)
+	for i := range whole {
+		whole[i] = max(int64(i)-1, 0)
+	}
+	for i := range fine {
+		fine[i] = whole[partition.CapturePos(i, 100, 0.025)+1]
 	}
 	for _, tc := range []struct {
 		name string
@@ -156,7 +173,10 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 		{"piece beyond the rule's count", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 5, old), false},
 		{"empty part with mass", hostileShard(5, nil, 5, []int64{4, 4, 5, 6, 7, 8}), false},
 		{"empty piece with mass", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, 5, nil), false},
-		{"part of 1 000 elements in 3 values", (&ShardSummary{N: 1000, Eps1: 0.05, Eps2: 0.025, Parts: []PartSummary{{Count: 1000, Values: []int64{1, 2, 3}}}}).AppendBinary(nil), false},
+		{"piece at ε₁", pieceShard(SortedSummary(whole[1:], 0.05)), true},
+		{"piece whole past 1/ε₁", pieceShard(whole), false},
+		{"piece at a finer ε", pieceShard(fine), false},
+		{"part of 1 000 elements in 3 values", (&ShardSummary{N: 1000, Eps1: 0.05, Parts: []PartSummary{{Count: 1000, Values: []int64{1, 2, 3}}}}).AppendBinary(nil), false},
 		{"ε₁ of 0", (&ShardSummary{N: 5, Parts: []PartSummary{{Count: 5, Values: []int64{1, 1, 2, 3, 4, 5}}}}).AppendBinary(nil), false},
 		{"negative part count", hostileShard(-1, []int64{1, 1, 2, 3, 4, 5}, 5, []int64{4, 4, 5, 6, 7, 8}), false},
 		{"negative piece count", hostileShard(5, []int64{1, 1, 2, 3, 4, 5}, -1, []int64{4, 4, 5, 6, 7, 8}), false},
@@ -185,7 +205,7 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 // SUMMARY.bin — has sorted runs, non-negative counts that sum to N and
 // forward step ranges, survives a re-encode, and can be selected over.
 func FuzzDecodeShardSummary(f *testing.F) {
-	f.Add(synthShard(rand.New(rand.NewSource(1)), 3, 2, 0.05, 0.025).AppendBinary(nil))
+	f.Add(synthShard(rand.New(rand.NewSource(1)), 3, 2, 0.05).AppendBinary(nil))
 	f.Add(hostileShard(5, []int64{1, 3, 2}, 5, []int64{5, 4}))
 	f.Add(hostileShard(-1, nil, 5, []int64{math.MaxInt64, math.MinInt64}))
 	f.Add([]byte{})
@@ -230,7 +250,7 @@ func FuzzDecodeShardSummary(f *testing.F) {
 // a SUMMARY.bin of ~22 partition summaries of β₁ = 2001 values.
 func BenchmarkDecodeShardSummary(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	s := &ShardSummary{Eps1: 0.0005, Eps2: 0.00025}
+	s := &ShardSummary{Eps1: 0.0005}
 	for i := 1; i <= 22; i++ {
 		vs := make([]int64, 2001)
 		for j := range vs {
@@ -257,12 +277,12 @@ func BenchmarkDecodeShardSummary(b *testing.B) {
 // concatenation of every shard's sources.
 func TestMergeMatchesSinglePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const eps1, eps2 = 0.05, 0.025
+	const eps1 = 0.05
 	shards := []*ShardSummary{
-		synthShard(rng, 5, 2, eps1, eps2),
-		synthShard(rng, 0, 1, eps1, eps2),
-		{Eps1: 0.9, Eps2: 0.9}, // empty shard: skipped, mismatched ε tolerated
-		synthShard(rng, 3, 4, eps1, eps2),
+		synthShard(rng, 5, 2, eps1),
+		synthShard(rng, 0, 1, eps1),
+		{Eps1: 0.9}, // empty shard: skipped, mismatched ε tolerated
+		synthShard(rng, 3, 4, eps1),
 	}
 
 	merged, total, err := MergeShardSummaries(shards)
@@ -283,7 +303,7 @@ func TestMergeMatchesSinglePass(t *testing.T) {
 		pieces = append(pieces, sh.Pieces...)
 		wantTotal += sh.N
 	}
-	want := BuildPieces(sums, pieces, eps1, eps2)
+	want := BuildPieces(sums, pieces, eps1, 0)
 
 	if total != wantTotal || total != merged.N() {
 		t.Fatalf("total: got %d (Combined.N %d), want %d", total, merged.N(), wantTotal)
@@ -302,15 +322,15 @@ func TestMergeMatchesSinglePass(t *testing.T) {
 
 func TestMergeRejectsMixedEps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := synthShard(rng, 1, 1, 0.05, 0.025)
-	b := synthShard(rng, 1, 1, 0.01, 0.005)
+	a := synthShard(rng, 1, 1, 0.05)
+	b := synthShard(rng, 1, 1, 0.01)
 	if _, _, err := MergeShardSummaries([]*ShardSummary{a, b}); err == nil {
 		t.Fatal("mixed-ε shards merged without error")
 	}
 }
 
 func TestMergeAllEmpty(t *testing.T) {
-	c, total, err := MergeShardSummaries([]*ShardSummary{{Eps1: 1, Eps2: 1}, nil})
+	c, total, err := MergeShardSummaries([]*ShardSummary{{Eps1: 1}, nil})
 	if err != nil || c != nil || total != 0 {
 		t.Fatalf("got (%v, %d, %v), want (nil, 0, nil)", c, total, err)
 	}

@@ -88,8 +88,9 @@ func writeManifest(dev *disk.Manager, name string, m Manifest) error {
 }
 
 // ParseManifest decodes a manifest Commit wrote, compact or (earlier builds)
-// indented, validating its version. Callers inspecting on-disk state
-// directly (the crash harness, tooling) share the store's decoding rules.
+// indented, validating its version and that its entries fit together (see
+// check). Callers inspecting on-disk state directly (the crash harness,
+// tooling) share the store's decoding rules.
 func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -98,7 +99,43 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("partition: manifest version %d, want %d", m.Version, manifestVersion)
 	}
+	if err := m.check(); err != nil {
+		return nil, fmt.Errorf("partition: manifest: %w", err)
+	}
 	return &m, nil
+}
+
+// check refuses, naming the field, entries a hand edit left unfit: an id
+// outside [0, next_id), whose file the next install would truncate; a
+// repeated id; a name not its id's; a negative count or level; or step
+// ranges that do not tile steps 1..steps.
+func (m *Manifest) check() error {
+	ids := make(map[int64]bool, len(m.Parts))
+	for _, p := range m.Parts {
+		switch {
+		case p.ID < 0 || p.ID >= m.NextID:
+			return fmt.Errorf("partition id %d is outside [0, next_id = %d)", p.ID, m.NextID)
+		case ids[p.ID]:
+			return fmt.Errorf("partition id %d is listed twice", p.ID)
+		case p.Name != partName(p.ID):
+			return fmt.Errorf("partition %d has name %q, want %q", p.ID, p.Name, partName(p.ID))
+		case p.Count < 0 || p.Level < 0:
+			return fmt.Errorf("partition %d has count %d and level %d, which must not be negative", p.ID, p.Count, p.Level)
+		}
+		ids[p.ID] = true
+	}
+	parts := slices.SortedFunc(slices.Values(m.Parts), func(a, b ManifestEntry) int { return a.StartStep - b.StartStep })
+	end := 0
+	for _, p := range parts {
+		if p.StartStep != end+1 || p.EndStep < p.StartStep {
+			return fmt.Errorf("partition %d covers steps %d..%d, not from step %d: the ranges overlap or leave a gap", p.ID, p.StartStep, p.EndStep, end+1)
+		}
+		end = p.EndStep
+	}
+	if end != m.Steps {
+		return fmt.Errorf("the partitions' step ranges end at step %d, steps is %d", end, m.Steps)
+	}
+	return nil
 }
 
 // tempFilePatterns matches the transient files a crash can strand:
@@ -161,7 +198,9 @@ func CollectOrphans(dev *disk.Manager, keep map[string]bool) ([]string, error) {
 }
 
 // LoadStore reopens a Store from a manifest, rebuilding each partition's
-// in-memory summary with a sequential scan. It reads only the files the
+// in-memory summary with a sequential scan. A manifest whose entries do not
+// fit together is refused before any file is read (ParseManifest). It reads
+// only the files the
 // manifest names, so files from half-finished installs — partitions written
 // but never committed, sort temporaries — never poison a reopen; it does not
 // remove them (Store.CollectOrphans does).

@@ -32,6 +32,10 @@ type Partition struct {
 // Name returns the partition's file name on the device.
 func (p *Partition) Name() string { return p.name }
 
+// partName is the file a partition of the given id is written to: every
+// install and merge writes a new id's, and a manifest names no other.
+func partName(id int64) string { return fmt.Sprintf("part-%06d.dat", id) }
+
 // Steps returns the number of time steps the partition covers.
 func (p *Partition) Steps() int { return p.EndStep - p.StartStep + 1 }
 

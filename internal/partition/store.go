@@ -369,7 +369,7 @@ func (s *Store) InstallOne() (UpdateBreakdown, int, error) {
 		StartStep: sb.Step,
 		EndStep:   sb.Step,
 		dev:       s.dev,
-		name:      fmt.Sprintf("part-%06d.dat", sb.ID),
+		name:      partName(sb.ID),
 	}
 	bd := UpdateBreakdown{BatchSize: sb.Count, Sort: sb.sort}
 	dev := s.dev.Metered()
@@ -461,7 +461,7 @@ func (s *Store) mergeLevel(dev *disk.Manager, run []*Summary) (*Summary, error) 
 		StartStep: first.StartStep,
 		EndStep:   run[len(run)-1].Part.EndStep,
 		dev:       s.dev,
-		name:      fmt.Sprintf("part-%06d.dat", id),
+		name:      partName(id),
 	}
 	names := make([]string, 0, len(run))
 	for _, e := range run {

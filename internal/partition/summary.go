@@ -31,9 +31,10 @@ func (s *Summary) pos(i int) int64 { return CapturePos(i, s.Part.Count, s.eps1) 
 // eta elements summarized at ε, ⌊i·max(ε·η, 1)⌋ − 1 clamped to [0, η−1].
 // Where ε·η ≥ 1 that is the paper's ⌊i·ε·η⌋ − 1; a shorter run is captured
 // whole, entry i at position i − 1, the minimum taken by entries 0 and 1. It
-// is non-decreasing in i. Partitions capture with it at ε₁ and stream pieces
-// at ε₂ (core.SortedSummary), and the rank bounds of every run are the
-// positions it gives. It is one formula with no branch, which keeps
+// is non-decreasing in i. Partitions capture with it at ε₁, and so does a
+// stream piece that leaves the engine (core.SortedSummary); a whole piece
+// is its run at ε = 0. The rank bounds of every run are the positions it
+// gives. It is one formula with no branch, which keeps
 // core's per-run bound within the inliner's budget.
 func CapturePos(i int, eta int64, eps float64) int64 {
 	p := int64(max(float64(i)*eps*float64(eta), float64(i))) - 1

@@ -15,13 +15,13 @@ import (
 	"repro/internal/core"
 )
 
-const tEps1, tEps2 = 0.05, 0.025
+const tEps1 = 0.05
 
 // synthSummary builds a small deterministic shard summary; the seed keys
 // the content so distinct streams carry distinct data.
 func synthSummary(seed int64, parts, pieces int) *core.ShardSummary {
 	rng := rand.New(rand.NewSource(seed))
-	s := &core.ShardSummary{Eps1: tEps1, Eps2: tEps2}
+	s := &core.ShardSummary{Eps1: tEps1}
 	sorted := func(n int) []int64 {
 		vs := make([]int64, n)
 		for i := range vs {
@@ -123,7 +123,7 @@ func TestAnswerAllocatesNoTS(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sums := make([]*core.ShardSummary, 10)
 	for i := range sums {
-		sums[i] = &core.ShardSummary{Eps1: 0.0005, Eps2: 0.00025}
+		sums[i] = &core.ShardSummary{Eps1: 0.0005}
 		for p := 0; p < 10; p++ {
 			vs := make([]int64, 2001)
 			for j := range vs {
@@ -159,7 +159,7 @@ func TestExecGroupByWindows(t *testing.T) {
 		fetch: func(name string, sc Scope) (*core.ShardSummary, error) {
 			if sc.Back > 0 {
 				// Data ran out behind the newest window.
-				return &core.ShardSummary{Eps1: tEps1, Eps2: tEps2}, nil
+				return &core.ShardSummary{Eps1: tEps1}, nil
 			}
 			return synthSummary(int64(len(name)), 1, 1), nil
 		},

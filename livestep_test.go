@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/oracle"
 )
@@ -21,10 +20,12 @@ import (
 // Status and EndStep. The observed slices land below, inside and above the
 // values already held, and some repeat a few values many times. After each
 // query the engine holds its batch sorted whole, and a repeat snapshot sorts
-// nothing, allocates only what the summary needs, and carries the live
-// piece SortedSummary gives for the sorted multiset. Every answer is within
-// ε·N of internal/oracle. The step each cut seals is the sorted multiset,
-// read when its level-0 write starts.
+// and copies nothing — it allocates no byte per value — and carries the
+// live step whole, the sorted multiset with its minimum twice. Every
+// accurate answer is within ε·m of internal/oracle, m the live step's size,
+// and every accurate rank-of-value answer is exact; quick answers are
+// within ε·N. The step each cut seals is the sorted multiset, read when its
+// level-0 write starts.
 func TestLiveSnapshotSortsTail(t *testing.T) {
 	// Seeds 56 and on are the ones on which an accurate answer once missed
 	// ε·N, the live step dominating the stream.
@@ -67,10 +68,10 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 		hi = max(hi, slices.Max(vs))
 		return vs
 	}
-	within := func(what string, err, n int64) {
+	within := func(what string, err int64, bound float64) {
 		t.Helper()
-		if bound := eps * float64(n); float64(err) > bound {
-			t.Fatalf("seed %d: %s: rank error %d > ε·N = %g", seed, what, err, bound)
+		if float64(err) > bound {
+			t.Fatalf("seed %d: %s: rank error %d > %g", seed, what, err, bound)
 		}
 	}
 	for op := 0; op < 250; op++ {
@@ -105,9 +106,14 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Accurate: ε·m, the live step counted exactly; quick: ε·N.
+			bound := eps * float64(len(live))
+			if k == 6 {
+				bound = eps * float64(n)
+			}
 			for i, phi := range phis {
 				target := min(max(int64(math.Ceil(phi*float64(n))), 1), n)
-				within(fmt.Sprintf("quick=%v φ=%g", k == 6, phi), all.SpanError(target, ans.Values[i]), n)
+				within(fmt.Sprintf("quick=%v φ=%g", k == 6, phi), all.SpanError(target, ans.Values[i]), bound)
 			}
 		default:
 			vs := []int64{hi, rng.Int63n(1<<40) - 1<<39}
@@ -119,8 +125,12 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			bound := 0.0 // accurate: exact
+			if quick {
+				bound = eps * float64(n)
+			}
 			for i, v := range vs {
-				within(fmt.Sprintf("quick=%v rank(%d)", quick, v), abs(ans.Values[i]-all.Rank(v)), n)
+				within(fmt.Sprintf("quick=%v rank(%d)", quick, v), abs(ans.Values[i]-all.Rank(v)), bound)
 			}
 		}
 		// The query snapshotted: the batch is the sorted multiset, and a
@@ -133,10 +143,10 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 		if len(live) == 0 {
 			continue
 		}
-		// A repeat snapshot allocates the summary, the snapshot and its piece
-		// list; a sort's scratch or a copy of the batch would be 8 bytes a value
-		// more. The least of three reads keeps a runtime allocation out.
-		ss := core.SortedSummary(want, e.eps2)
+		// A repeat snapshot allocates the snapshot and its piece list; a
+		// sort's scratch or a copy of the batch would be 8 bytes a value more.
+		// The least of three reads keeps a runtime allocation out.
+		whole := append([]int64{want[0]}, want...)
 		alloc := uint64(math.MaxUint64)
 		for range 3 {
 			var before, after runtime.MemStats
@@ -148,14 +158,14 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 			}
 			piece := s.pieces[len(s.pieces)-1]
 			s.release()
-			if piece.M != int64(len(live)) || !slices.Equal(piece.SS, ss) {
-				t.Fatalf("seed %d: live piece of %d values differs from SortedSummary of the %d live ones", seed, piece.M, len(live))
+			if piece.M != int64(len(live)) || !slices.Equal(piece.SS, whole) {
+				t.Fatalf("seed %d: live piece of %d values is not the %d live ones whole", seed, piece.M, len(live))
 			}
 			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
 		}
-		if limit := uint64(8*len(ss) + 256); alloc > limit {
-			t.Fatalf("seed %d: a repeat snapshot of %d live values allocated %d B, want ≤ %d (the summary's %d and the snapshot)",
-				seed, len(live), alloc, limit, 8*len(ss))
+		if limit := uint64(256); alloc > limit {
+			t.Fatalf("seed %d: a repeat snapshot of %d live values allocated %d B, want ≤ %d (the snapshot alone)",
+				seed, len(live), alloc, limit)
 		}
 	}
 }

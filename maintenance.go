@@ -18,9 +18,9 @@ import (
 // one history — so counts and answers agree from the cut on — and the live
 // step starts empty. Settling (engine.settle) then writes the sorted step,
 // outside every engine lock a reader or producer needs, as its level-0
-// partition (one sequential write); until that publishes, queries cover the
-// step through a summary gathered from its sorted batch (a core.StreamPiece
-// from core.SortedSummary). Each step is written once. Then Algorithm 3's
+// partition (one sequential write); until that publishes, queries count the
+// step exactly from a whole copy of its sorted batch (core.WholePiece). Each
+// step is written once. Then Algorithm 3's
 // merges: a level holding more than κ partitions merges its oldest κ+1 into
 // one a level up, again outside the locks readers and producers take, and the
 // EndStep commits. Settling is partition.Store.Settle, which decides the
@@ -71,11 +71,12 @@ func (e *engine) settle() (UpdateStats, error) {
 	defer e.mu.Unlock()
 	e.mstats.running--
 	if step != 0 {
-		// Queries gather the sealed step's summary under e.mu, which this
-		// holds, so no reader is left on the buffer.
+		// Queries copy the sealed step under e.mu, which this holds, so no
+		// reader is left on the buffer, and none needs the copy now.
 		if buf := sb.Data(); len(e.batch) == 0 && cap(buf) > cap(e.batch) {
 			e.batch = buf[:0]
 		}
+		e.sealed, e.sealedOf = core.StreamPiece{}, nil
 		e.mstats.installs++
 	}
 	e.mstats.merges += us.Merges

@@ -1,6 +1,7 @@
 package hsq
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,6 @@ func loadedEngine(t *testing.T, eps float64, steps, batch, stream int, seed int6
 func TestRankOfValue(t *testing.T) {
 	const eps = 0.02
 	eng, orc := loadedEngine(t, eps, 8, 2000, 1500, 41)
-	m := float64(eng.StreamCount())
 	n := float64(eng.TotalCount())
 	// Probe values across the whole range.
 	probes := []int64{}
@@ -47,9 +47,9 @@ func TestRankOfValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Accurate rank error: stream-only, ~εm/4; assert εm/2 for slack.
-		if d := math.Abs(float64(got - exact)); d > eps*m/2+1 {
-			t.Errorf("Rank(%d) = %d, exact %d (Δ=%g > %g, stats %+v)", v, got, exact, d, eps*m/2+1, qs)
+		// Accurate: exact, the live step counted value by value.
+		if got != exact {
+			t.Errorf("Rank(%d) = %d, exact %d (stats %+v)", v, got, exact, qs)
 		}
 		quick, err := RankQuick(eng, v)
 		if err != nil {
@@ -63,8 +63,37 @@ func TestRankOfValue(t *testing.T) {
 	if r, _, err := eng.Rank(-1 << 60); err != nil || r != 0 {
 		t.Errorf("Rank(min) = %d, %v", r, err)
 	}
-	if r, _, err := eng.Rank(1 << 60); err != nil || math.Abs(float64(r)-n) > eps*m/2+1 {
-		t.Errorf("Rank(max) = %d, want ~%g", r, n)
+	if r, _, err := eng.Rank(1 << 60); err != nil || float64(r) != n {
+		t.Errorf("Rank(max) = %d, want %g", r, n)
+	}
+}
+
+// TestRankRequestOpensOncePerPartition: a request of 16 values opens each
+// partition once, not once a value — exactly P more IOStats.Opens — and
+// answers each value with its exact rank, partitions and live step alike.
+func TestRankRequestOpensOncePerPartition(t *testing.T) {
+	eng, orc := loadedEngine(t, 0.02, 8, 2000, 1500, 43)
+	vs := make([]int64, 16)
+	for i := range vs {
+		q, err := orc.Quantile(float64(i+1) / 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs[i] = q + int64(i%3) - 1 // data values and their neighbours
+	}
+	p := eng.Status().Partitions
+	before := eng.DiskStats()
+	ans, err := eng.Query(context.Background(), Request{Values: vs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opens := eng.DiskStats().Sub(before).Opens; p < 2 || opens != uint64(p) {
+		t.Errorf("16 values over %d partitions opened %d files, want %d", p, opens, p)
+	}
+	for i, v := range vs {
+		if want := orc.Rank(v); ans.Values[i] != want {
+			t.Errorf("rank of %d = %d, oracle %d", v, ans.Values[i], want)
+		}
 	}
 }
 

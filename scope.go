@@ -62,7 +62,8 @@ func (s *querySnap) scope(sc query.Scope) error {
 // ScopedSummary captures the engine's in-memory summary state restricted to
 // a query-layer step scope — the partition summaries (with their step
 // ranges) and stream-side pieces of the scope's spans, plus the live buffer's
-// when the scope is the newest — as a portable core.ShardSummary. It is what
+// when the scope is the newest, each captured at ε₁ as a partition is, so a
+// piece travels in at most β₁ entries — as a portable core.ShardSummary. It is what
 // a plan member contributes and, with the zero scope, both the scatter half
 // of the cluster's scatter-gather read and, when no piece is in it, the
 // stream's cold-summary sidecar. The snapshot is taken under the same pin
@@ -78,7 +79,7 @@ func (e *engine) ScopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	if err := s.scope(sc); err != nil {
 		return nil, err
 	}
-	sum := &core.ShardSummary{N: s.n, Eps1: e.eps1, Eps2: e.eps2, Pieces: s.pieces}
+	sum := &core.ShardSummary{N: s.n, Eps1: e.eps1, Pieces: s.piecesAt(e.eps1)}
 	if len(s.sums) > 0 {
 		sum.Parts = make([]core.PartSummary, 0, len(s.sums))
 		for _, ps := range s.sums {

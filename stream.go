@@ -159,8 +159,8 @@ func (s *Stream) EndStep() (UpdateStats, error) {
 // is hydrated, and polled between bisection probes, so a cancelled request
 // abandons its remaining random disk reads mid-search.
 //
-// A sealed step counts toward the stream side of the error bound until its
-// level-0 partition is published; merges still due change no answer.
+// A sealed step is counted exactly, in the in-memory mass m of the ε·m
+// bound, until its partition is published; merges still due change no answer.
 func (s *Stream) Query(ctx context.Context, req Request) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
