@@ -12,11 +12,10 @@ import (
 // TestObserveSliceZeroAlloc gates the ingest hot path as every write takes
 // it — through a db.Stream handle, so the directory's pin and release are
 // inside the measurement (ObserveSliceCtx is what ingest.Server.apply calls):
-// once the engine's batch buffer has grown to its working-set size, neither
+// once the live step's tail has grown to its working-set size, neither
 // ObserveSlice nor ObserveSliceCtx may allocate. The rule that makes it so:
-// a step's batch
-// buffer goes to the sealed step at the cut and comes back to the observe
-// path when that step's install is published, before EndStep returns. The
+// the tail never leaves the engine — a fold merges it into a new run and
+// keeps its buffer, and the cut seals the run, not the tail. The
 // subtest keeps the name of the one maintenance schedule left, "sync", so its
 // id carries over.
 func TestObserveSliceZeroAlloc(t *testing.T) {
@@ -24,9 +23,9 @@ func TestObserveSliceZeroAlloc(t *testing.T) {
 		eng := hsq.OneStream(t, hsq.Options{Epsilon: 0.01, Kappa: 10, Backend: "mem"})
 
 		gen := workload.NewUniform(99)
-		// Warm up: one large step grows every buffer past anything the
-		// measurement loop will need, then the step's install hands the
-		// batch buffer back with its capacity.
+		// Warm up: one large step grows the tail past anything the
+		// measurement loop will need; the cut empties it and keeps its
+		// capacity.
 		eng.ObserveSlice(workload.Fill(gen, 100_000))
 		if _, err := eng.EndStep(); err != nil {
 			t.Fatal(err)

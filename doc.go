@@ -243,38 +243,38 @@
 // Reads are snapshot-isolated. The store's published state is a chain of
 // immutable versions, and the current one is the stream's whole history:
 // the installed partitions with their summaries, then the sealed step whose
-// level-0 write is running or failed, held as its sorted batch. A query
-// takes the engine lock only long enough to pin the current version and
-// take whole copies of the in-memory steps (the sealed step's, copied once,
-// and the live step's), then runs its whole disk search outside any lock.
-// The engine lock is one plain mutex and the only guard of the live step's
-// batch: observes append to it and counts read its length under it, and a
-// query sorts the values observed since the last read into the sorted
-// prefix under it (radix-sorted, then merged through the scratch the cut's
-// sort uses) before it copies the batch; a query that finds no new value
-// sorts and copies nothing, sharing the last copy. Files a merge supersedes are reclaimed only once no
-// durable manifest references them AND the last query pinning an older
-// version has finished — so an in-flight query always reads a consistent,
-// existing layout, no matter what maintenance does behind it.
+// level-0 write is running or failed, held as its sorted batch. The
+// in-memory steps are immutable sorted runs: a snapshot shares an immutable
+// run; a fold merges the tail into a new one. A query takes the engine lock
+// only long enough to pin the current version beside the sealed step's run
+// and the live step's, then runs its whole disk search outside any lock.
+// The engine lock is one plain mutex and the only guard of the live step:
+// observes append to its tail and counts read its size under it, and a
+// query folds the values observed since the last read under it — the tail
+// radix-sorted in place, then merged with the run into a fresh buffer — so
+// no run a reader holds is ever written again; a query that finds no new
+// value sorts and copies nothing. Files a merge supersedes are reclaimed
+// only once no durable manifest references them AND the last query pinning
+// an older version has finished — so an in-flight query always reads a
+// consistent, existing layout, no matter what maintenance does behind it.
 //
 // EndStep is one pipeline, run by its caller under the stream's write-path
 // lock: settle what a failed EndStep left (its sealed step written, the
 // merges it left due run; only a step still sealed stops the cut, a merge
 // that fails again does not), cut and seal (under the engine lock, the
-// batch leaves the live step, is sorted in place by the radix kernel with
-// one transient scratch of its size — every step, whatever its size, is
-// sorted in memory, and a batch a read left sorted meets the kernel's
-// sorted exit — and becomes the sealed step of the store's published
-// version, with no I/O, and the live step starts empty, as the paper's
-// StreamReset), write (outside every engine lock, the sorted step is
-// written once, as its level-0 partition), merge (a level holding more than
-// κ partitions merges its oldest κ+1 into one a level up, until no level
-// does — the merges the paper's HistUpdate makes due), commit (data
-// barrier, manifest, barrier). The sealed step is held once, in that
-// version, so the counters (TotalCount, HistCount, Steps, Status)
-// and the answers agree from the cut on. Until its partition is published,
-// queries count it exactly from a whole copy of its sorted batch
-// (core.WholePiece), so answers always span the full observed history and
+// live step's tail is folded into its run — the tail radix-sorted with one
+// scratch of its size, every step sorted in memory, then merged with the
+// run into a new one — and that run leaves the live step and becomes the
+// sealed step of the store's published version, with no I/O, and the live
+// step starts empty, as the paper's StreamReset), write (outside every
+// engine lock, the sorted step is written once, as its level-0 partition),
+// merge (a level holding more than κ partitions merges its oldest κ+1 into
+// one a level up, until no level does — the merges the paper's HistUpdate
+// makes due), commit (data barrier, manifest, barrier). The sealed step is
+// held once, in that version, so the counters (TotalCount, HistCount,
+// Steps, Status) and the answers agree from the cut on. Until its partition is published,
+// queries count it exactly from the same run, shared and never written
+// (core.StreamPiece), so answers always span the full observed history and
 // neither Observe nor a query waits for a write or a merge; the rank-error
 // bound is ε times the in-memory mass (live step + sealed step). Only the EndStep caller
 // waits for its write and merges; a producer on a wire connection feels

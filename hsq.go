@@ -27,8 +27,9 @@ var ErrClosed = errors.New("hsq: closed")
 // multiplex. Epsilon is always required; Dir is required for the file
 // backend. Every other field has a sensible default matching the paper's
 // experimental setup. A step's sort memory is not an option: EndStep sorts
-// the sealed step in memory with one transient scratch of its size, so a
-// step of n values briefly holds 2n, and the sort does no device I/O.
+// the live step's new values in memory with one transient scratch of their
+// size and merges them into a new sorted run, so a step of n values briefly
+// holds 3n, and the sort does no device I/O.
 type Options struct {
 	// Epsilon is the approximation parameter ε ∈ (0,1): accurate queries
 	// return elements whose rank errs by at most ε·m where m is the current
@@ -215,15 +216,16 @@ type MemoryUsage struct {
 	// HistBytes is the historical summary HS (Lemma 8) as held: 8 bytes an
 	// entry, as positions are derived. Plan charges 16 (see its doc).
 	HistBytes int64
-	// StreamBytes is the live step as held: its batch and the whole copy of
-	// it reads share, 8 bytes a value at capacity. The paper keeps a GK
-	// sketch of Lemma 9's size instead; this system keeps the step, which
-	// EndStep writes, so Lemma 9 describes only PlannedStreamBytes.
+	// StreamBytes is the live step as held: its sorted run, which reads
+	// share, and the tail of values observed since, 8 bytes a value at
+	// capacity. The paper keeps a GK sketch of Lemma 9's size instead; this
+	// system keeps the step, which EndStep writes, so Lemma 9 describes only
+	// PlannedStreamBytes.
 	StreamBytes int64
-	// PendingBytes is the sealed step as held — its batch, sorted at the
-	// cut, and the one copy of it reads share, at capacity — while its
-	// level-0 write runs or after it failed until a retry succeeds: at most
-	// one step, zero once its partition is published.
+	// PendingBytes is the sealed step as held — the buffer of the live
+	// step's last run, which the store writes and reads share, at capacity
+	// — while its level-0 write runs or after it failed until a retry
+	// succeeds: at most one step, zero once its partition is published.
 	PendingBytes int64
 }
 
@@ -238,12 +240,13 @@ func (m MemoryUsage) Total() int64 { return m.HistBytes + m.StreamBytes + m.Pend
 //
 // The stream's history — installed partitions, then the sealed step whose
 // level-0 write is running or failed, held as its sorted batch — is the
-// store's published partition.Version; the engine holds only the live step.
-// Reads are snapshot-isolated: a query briefly takes the engine lock to pin
-// that version beside copies of the in-memory steps, then runs its disk probes
-// entirely outside the lock — so queries proceed while EndStep writes and
-// merges behind them, and an in-flight query keeps the partition files of
-// its pinned version alive until it finishes. See the package docs'
+// store's published partition.Version; the engine holds the live step and
+// the sealed step's piece. Reads are snapshot-isolated: a query briefly
+// takes the engine lock to pin that version beside the in-memory steps'
+// immutable pieces, then runs its disk probes entirely outside the lock —
+// so queries proceed while EndStep writes and merges behind them, and an
+// in-flight query keeps the partition files of its pinned version alive
+// until it finishes. See the package docs'
 // "Concurrency model" for the full locking contract.
 type engine struct {
 	cfg   Options
@@ -258,23 +261,18 @@ type engine struct {
 	// changes only under it. Lock order: loadMu > mu.
 	loadMu sync.Mutex
 
-	// mu guards the fast in-memory state below. The live step is its batch
-	// in arrival order after a sorted prefix of sortedLen values: observe
-	// and observeSlice append, and snapshot sorts the tail into the prefix
-	// (Store.SortTail, with the scratch the cut's Seal uses) before it
-	// copies the batch whole, so sorts, copies and the cut's Seal all run
-	// under it, and no reader is left on a buffer settle recycles. Queries
-	// hold it only long enough to pin a snapshot.
-	mu        sync.Mutex
-	batch     []int64
-	sortedLen int
-	closed    bool
-	mstats    maintAccum
-	// live is the last snapshot's whole copy of the batch, shared while
-	// live.M = len(batch); sealed is the one copy of sealedOf's step, which
-	// the cut takes over from live or a snapshot takes, until its install.
-	live, sealed core.StreamPiece
-	sealedOf     *partition.SealedBatch
+	// mu guards the fast in-memory state below. The live step is run, an
+	// immutable whole piece that snapshots share, then tail, the values
+	// observed since the last fold in arrival order: observe and
+	// observeSlice append to tail, and a snapshot or the cut folds it into a
+	// new run (fold). sealed is the run the cut sealed, the store's sealed
+	// step, until settle installs it. Queries hold mu only long enough to
+	// pin a snapshot.
+	mu          sync.Mutex
+	run, sealed core.StreamPiece
+	tail        []int64
+	closed      bool
+	mstats      maintAccum
 }
 
 // newDevice builds the warehouse block device described by cfg: backend,
@@ -341,8 +339,8 @@ func newEngineOn(dev *disk.Manager, full Options, namespace string, sweep bool) 
 }
 
 // observe feeds one stream element (StreamUpdate, Algorithm 4): it is
-// appended to the live step's batch, which a read summarizes and EndStep
-// loads.
+// appended to the live step's tail, which a read or EndStep folds into the
+// step's run.
 func (e *engine) observe(v int64) error {
 	return e.observeSlice([]int64{v})
 }
@@ -354,8 +352,24 @@ func (e *engine) observeSlice(vs []int64) error {
 	if e.closed {
 		return ErrClosed
 	}
-	e.batch = append(e.batch, vs...)
+	e.tail = append(e.tail, vs...)
 	return nil
+}
+
+// liveCount is m, the live step's size. Caller holds mu.
+func (e *engine) liveCount() int64 { return e.run.M + int64(len(e.tail)) }
+
+// fold merges the tail into a new run: the tail is sorted in place with the
+// store's kept scratch (Store.Sort, never beside a Seal, both under mu) and
+// merged with the run into a fresh buffer (StreamPiece.Merge), so no piece a
+// reader holds is written. The tail keeps its buffer. Caller holds mu.
+func (e *engine) fold() {
+	if len(e.tail) == 0 {
+		return
+	}
+	e.store.Sort(e.tail)
+	e.run = e.run.Merge(e.tail)
+	e.tail = e.tail[:0]
 }
 
 // StreamCount returns m, the number of elements in the current (unloaded)
@@ -363,7 +377,7 @@ func (e *engine) observeSlice(vs []int64) error {
 func (e *engine) StreamCount() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return int64(len(e.batch))
+	return e.liveCount()
 }
 
 // HistCount returns n, the number of elements in the warehouse — installed
@@ -374,7 +388,7 @@ func (e *engine) HistCount() int64 { return e.store.TotalCount() }
 func (e *engine) TotalCount() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.store.TotalCount() + int64(len(e.batch))
+	return e.store.TotalCount() + e.liveCount()
 }
 
 // Steps returns the number of completed time steps.
@@ -391,9 +405,9 @@ func (e *engine) PartitionCount() int {
 func (e *engine) endStep() (UpdateStats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
-	// closed only changes under loadMu, and only a cut empties the batch.
+	// closed only changes under loadMu, and only a cut empties the live step.
 	e.mu.Lock()
-	closed, empty := e.closed, len(e.batch) == 0
+	closed, empty := e.closed, e.liveCount() == 0
 	e.mu.Unlock()
 	if closed {
 		return UpdateStats{}, ErrClosed
@@ -411,17 +425,16 @@ func (e *engine) endStep() (UpdateStats, error) {
 	var us UpdateStats
 	step := e.store.Steps() + 1
 	if e.store.Sealed() == nil {
-		// The cut (Algorithm 4's StreamReset): the batch leaves the live step,
-		// sorted, and joins the store's published history in one move, so
-		// from here on every reader counts and answers the step alike. A batch
-		// a read sorted whole meets the sort kernel's sorted exit, and its
-		// copy is the sealed step's.
+		// The cut (Algorithm 4's StreamReset): the live step, folded into one
+		// run, leaves the live step and joins the store's published history
+		// in one move, so from here on every reader counts and answers the
+		// step alike. The store writes the run's elements, and readers share
+		// the run as the sealed step's piece.
 		e.mu.Lock()
-		sb := e.store.Seal(e.batch)
-		if e.live.M == int64(len(e.batch)) {
-			e.sealed, e.sealedOf = e.live, sb
-		}
-		e.batch, e.sortedLen, e.live = nil, 0, core.StreamPiece{}
+		t0 := time.Now()
+		e.fold()
+		e.store.Seal(e.run.SS[1:], time.Since(t0))
+		e.sealed, e.run = e.run, core.StreamPiece{}
 		e.mu.Unlock()
 		us, err = e.settle()
 	}
@@ -450,9 +463,9 @@ func applyDiskProfile(dev *disk.Manager, profile string) error {
 }
 
 // querySnap is one snapshot-isolated view of the engine: an immutable,
-// pinned store version plus the memory-resident stream pieces (whole copies
-// of the version's sealed step and of the live step, each sorted under the
-// engine lock).
+// pinned store version plus the memory-resident stream pieces (the
+// version's sealed step and the live step's run, whole and shared, never
+// written).
 // Everything a query reads after the snapshot is immutable, so the whole
 // disk search runs without any engine lock; release returns the pin so
 // reclaimed partitions can be deleted.
@@ -477,9 +490,8 @@ func (s *querySnap) piecesAt(eps1 float64) []core.StreamPiece {
 }
 
 // snapshot pins the engine's current state for one query. The engine lock
-// is held only for the pin, the sort of the live batch's new tail and the
-// copies of the in-memory steps; a snapshot that finds no new value sorts
-// and copies nothing.
+// is held only for the pin and the fold of the live step's new values; a
+// snapshot that finds no new value sorts and copies nothing.
 func (e *engine) snapshot() (*querySnap, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -488,26 +500,17 @@ func (e *engine) snapshot() (*querySnap, error) {
 	}
 	s := &querySnap{ver: e.store.Pin()}
 	s.sums, s.memo, s.n = s.ver.Entries(), s.ver.Memo(), s.ver.TotalCount()
-	// One version covers each step once: by its partition or, sealed, by its
-	// sorted batch. Both copies are taken under e.mu, which settle's
-	// recycling of an installed batch takes too, and are whole.
+	// One version covers each step once: by its partition or, sealed, by
+	// the run the cut sealed, which e.sealed holds until settle clears it
+	// under e.mu after the install's publish.
 	s.pieces = make([]core.StreamPiece, 0, 2)
-	if sb := s.ver.Sealed(); sb != nil {
-		if e.sealedOf != sb {
-			e.sealed, e.sealedOf = core.WholePiece(sb.Data()), sb
-		}
+	if s.ver.Sealed() != nil {
 		s.pieces = append(s.pieces, e.sealed)
 	}
-	if m := len(e.batch); m > 0 {
-		if e.sortedLen < m {
-			e.store.SortTail(e.batch, e.sortedLen)
-			e.sortedLen = m
-		}
-		if e.live.M != int64(m) {
-			e.live = core.WholePiece(e.batch)
-		}
-		s.pieces = append(s.pieces, e.live)
-		s.n += int64(m)
+	e.fold()
+	if e.run.M > 0 {
+		s.pieces = append(s.pieces, e.run)
+		s.n += e.run.M
 	}
 	return s, nil
 }
@@ -625,7 +628,7 @@ func (e *engine) status() StreamStatus {
 		e.mu.Unlock()
 		return StreamStatus{}
 	}
-	ver, m, ms := e.store.Pin(), int64(len(e.batch)), e.mstats
+	ver, m, ms := e.store.Pin(), e.liveCount(), e.mstats
 	e.mu.Unlock()
 	defer ver.Release()
 	st := StreamStatus{
@@ -650,11 +653,11 @@ func (e *engine) MemoryUsage() MemoryUsage {
 	defer e.mu.Unlock()
 	var pendingBytes int64
 	if sb := e.store.Sealed(); sb != nil {
-		pendingBytes = sb.MemoryBytes() + 8*int64(cap(e.sealed.SS))
+		pendingBytes = sb.MemoryBytes()
 	}
 	return MemoryUsage{
 		HistBytes:    e.store.MemoryBytes(),
-		StreamBytes:  8 * int64(cap(e.batch)+cap(e.live.SS)),
+		StreamBytes:  8 * int64(cap(e.tail)+cap(e.run.SS)),
 		PendingBytes: pendingBytes,
 	}
 }

@@ -4,7 +4,7 @@
 // (Algorithm 5), filter generation (Algorithm 7) and the accurate response's
 // value-space sweep with per-partition disk searches (Algorithms 6 and 8).
 //
-// The engine hands its in-memory steps here whole (WholePiece), so an
+// The engine hands its in-memory steps here whole (StreamPiece.Merge), so an
 // accurate answer counts them exactly and carries one error term, ε·m; every
 // summary — a partition's, or a piece that leaves the engine — is captured
 // at the one ε₁ by partition.CapturePos.
@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/partition"
 )
@@ -43,26 +44,51 @@ func SortedSummary(sorted []int64, eps float64) []int64 {
 	return ss
 }
 
-// StreamPiece is one in-memory step: the live step, sorted by the read, or
-// a sealed step whose partition is not published yet — its write is running,
-// or failed and waits for the next settle — sorted by Seal. Queries read
-// pieces without disk probes, so snapshot-isolated reads stay correct while
-// installs run behind them.
+// StreamPiece is one in-memory step: the live step's sorted run, or a sealed
+// step whose partition is not published yet — its write is running, or
+// failed and waits for the next settle. Queries read pieces without disk
+// probes, so snapshot-isolated reads stay correct while installs run behind
+// them. A piece is never written once built, so readers share it.
 type StreamPiece struct {
-	// SS is the piece (sorted): whole (WholePiece), or captured at ε₁ (At).
+	// SS is the piece (sorted): whole (Merge), or captured at ε₁ (At).
 	SS []int64
 	// M is the number of elements the piece covers.
 	M int64
 }
 
-// WholePiece is a non-empty sorted batch taken whole with one copy, as the
-// capture rule takes a run shorter than 1/ε: the minimum twice, entry i at
-// position i−1 (CapturePos at ε = 0), so its L and U are the exact rank.
-func WholePiece(sorted []int64) StreamPiece {
-	ss := make([]int64, len(sorted)+1)
-	ss[0] = sorted[0]
-	copy(ss[1:], sorted)
-	return StreamPiece{SS: ss, M: int64(len(sorted))}
+// Merge returns the whole piece of p's elements and the sorted values, in a
+// new buffer; it never writes p, which must be whole or empty. A whole piece
+// is taken as the capture rule takes a run shorter than 1/ε: the minimum
+// twice, entry i at position i−1 (CapturePos at ε = 0), so its L and U are
+// the exact rank. The stretch of p below sorted's least value and what is
+// left once either input runs out are copied in bulk; only where the two
+// interleave are values compared.
+func (p StreamPiece) Merge(sorted []int64) StreamPiece {
+	if len(sorted) == 0 {
+		return p
+	}
+	var run []int64
+	if p.M > 0 {
+		run = p.SS[1:]
+	}
+	ss := make([]int64, len(run)+len(sorted)+1)
+	i, _ := slices.BinarySearch(run, sorted[0])
+	k := 1 + copy(ss[1:], run[:i])
+	j := 0
+	for i < len(run) && j < len(sorted) {
+		if run[i] <= sorted[j] {
+			ss[k] = run[i]
+			i++
+		} else {
+			ss[k] = sorted[j]
+			j++
+		}
+		k++
+	}
+	k += copy(ss[k:], run[i:])
+	copy(ss[k:], sorted[j:])
+	ss[0] = ss[1]
+	return StreamPiece{SS: ss, M: int64(len(ss) - 1)}
 }
 
 // whole reports whether the piece holds all M elements. Any ε that captures
@@ -475,7 +501,7 @@ func (c *Combined) Filters(r int64) (u, v int64, err error) {
 }
 
 // streamRank is the number of the pieces' elements ≤ z. It is exact: every
-// piece an accurate read is handed is whole (WholePiece), its entry i the
+// piece an accurate read is handed is whole (Merge), its entry i the
 // element at position i−1.
 func streamRank(pieces []StreamPiece, z int64) int64 {
 	var n int64

@@ -68,12 +68,12 @@ func TestFigure3Summaries(t *testing.T) {
 		t.Errorf("P1 summary = %v, want %v", chronFirst.Values, want)
 	}
 	// A read holds the stream whole: 201 entries, the minimum 401 twice.
-	if whole := WholePiece(stream); len(whole.SS) != 201 || whole.SS[0] != 401 || whole.SS[1] != 401 || whole.SS[200] != 600 {
+	if whole := (StreamPiece{}).Merge(stream); len(whole.SS) != 201 || whole.SS[0] != 401 || whole.SS[1] != 401 || whole.SS[200] != 600 {
 		t.Errorf("whole piece = %d entries from %d, %d to %d; want 201 from 401, 401 to 600", len(whole.SS), whole.SS[0], whole.SS[1], whole.SS[200])
 	}
 	// The piece leaves the engine at ε₁ = 1/4: β₁ = 5 entries starting at the
 	// exact minimum 401, as P1's.
-	ss := WholePiece(stream).At(0.25).SS
+	ss := StreamPiece{}.Merge(stream).At(0.25).SS
 	if want := []int64{401, 450, 500, 550, 600}; !slices.Equal(ss, want) {
 		t.Errorf("piece at ε₁ = %v, want %v", ss, want)
 	}
@@ -87,10 +87,52 @@ func TestFigure3Summaries(t *testing.T) {
 	}
 }
 
+// TestMergeLeavesReceiver holds StreamPiece.Merge to the sorted union, taken
+// whole, for sorted values that land below, inside and above the piece's, on
+// an empty and a non-empty piece, with repeats: and the piece it merged into
+// is unchanged, so a reader holding it still sees what it took.
+func TestMergeLeavesReceiver(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 300; trial++ {
+		draw := func(n int, lo, span int64) []int64 {
+			vs := make([]int64, n)
+			for i := range vs {
+				vs[i] = lo + rng.Int63n(span)
+			}
+			return slices.Sorted(slices.Values(vs))
+		}
+		var p StreamPiece
+		if trial%5 != 0 {
+			p = p.Merge(draw(1+rng.Intn(400), 1000, 1000))
+		}
+		held := slices.Clone(p.SS)
+		lo := []int64{0, 1000, 1500, 2000}[rng.Intn(4)] // below, inside, through the top, above
+		tail := draw(rng.Intn(50), lo, []int64{1, 10, 1000}[rng.Intn(3)])
+		got := p.Merge(tail)
+		if !slices.Equal(p.SS, held) {
+			t.Fatalf("trial %d: Merge wrote the piece it merged into", trial)
+		}
+		var elems []int64
+		if p.M > 0 {
+			elems = p.SS[1:]
+		}
+		want := slices.Sorted(slices.Values(append(slices.Clone(elems), tail...)))
+		if len(want) == 0 {
+			if got.M != 0 || len(got.SS) != 0 {
+				t.Fatalf("trial %d: merging nothing into nothing gave %d entries", trial, len(got.SS))
+			}
+			continue
+		}
+		if got.M != int64(len(want)) || !slices.Equal(got.SS, append([]int64{want[0]}, want...)) {
+			t.Fatalf("trial %d: Merge of %d and %d values is not their sorted union whole", trial, p.M, len(tail))
+		}
+	}
+}
+
 func TestFigure3Bounds(t *testing.T) {
 	sums, stream, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildPieces(sums, []StreamPiece{WholePiece(stream)}, 0.25, 0)
+	c := BuildPieces(sums, []StreamPiece{StreamPiece{}.Merge(stream)}, 0.25, 0)
 	if c.N() != 600 {
 		t.Fatalf("N = %d", c.N())
 	}
@@ -119,7 +161,7 @@ func TestFigure3Bounds(t *testing.T) {
 func TestFigure3QuickQuery(t *testing.T) {
 	sums, stream, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildPieces(sums, []StreamPiece{WholePiece(stream)}, 0.25, 0)
+	c := BuildPieces(sums, []StreamPiece{StreamPiece{}.Merge(stream)}, 0.25, 0)
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 	}
@@ -139,7 +181,7 @@ func TestFigure3QuickQuery(t *testing.T) {
 func TestFigure3Filters(t *testing.T) {
 	sums, stream, all := buildFigure3(t)
 	slices.Sort(all)
-	c := BuildPieces(sums, []StreamPiece{WholePiece(stream)}, 0.25, 0)
+	c := BuildPieces(sums, []StreamPiece{StreamPiece{}.Merge(stream)}, 0.25, 0)
 	rankOf := func(v int64) int64 {
 		return int64(sort.Search(len(all), func(i int) bool { return all[i] > v }))
 	}
@@ -200,7 +242,7 @@ func buildFixture(t *testing.T, seed int64, eps float64, steps, batchSize, strea
 	all = append(all, stream...)
 	var ss []int64
 	if streamSize > 0 {
-		ss = WholePiece(slices.Sorted(slices.Values(stream))).SS
+		ss = StreamPiece{}.Merge(slices.Sorted(slices.Values(stream))).SS
 	}
 	slices.Sort(all)
 	return fixture{sums: store.Entries(), ss: ss, all: all, m: int64(streamSize), eps: eps}
@@ -275,7 +317,7 @@ func TestAccurateQueryStreamOnly(t *testing.T) {
 		all = append(all, rng.Int63n(1<<20))
 	}
 	slices.Sort(all)
-	c := BuildPieces(nil, []StreamPiece{WholePiece(all)}, eps/2, 0)
+	c := BuildPieces(nil, []StreamPiece{StreamPiece{}.Merge(all)}, eps/2, 0)
 	r := int64(2500)
 	v, _, err := accurateOne(c, eps, r, QueryOptions{PinBlocks: true})
 	if err != nil {
@@ -333,7 +375,7 @@ func TestSortedSummaryBand(t *testing.T) {
 				rank := func(v int64) int64 {
 					return int64(sort.Search(m, func(i int) bool { return data[i] > v }))
 				}
-				whole := WholePiece(data)
+				whole := StreamPiece{}.Merge(data)
 				if !slices.Equal(whole.SS, append([]int64{data[0]}, data...)) || whole.M != int64(m) {
 					t.Fatalf("m=%d %s: the whole piece is not the step with its minimum twice", m, name)
 				}

@@ -638,7 +638,7 @@ func TestMergedBoundsHoldLemma2(t *testing.T) {
 		store := memStore(t, eps1, 2+rng.Intn(3), batches)
 		var pieces []StreamPiece
 		for p, n := 0, rng.Intn(4); p < n; p++ {
-			p := WholePiece(slices.Sorted(slices.Values(draw(1 + rng.Intn(3000)))))
+			p := StreamPiece{}.Merge(slices.Sorted(slices.Values(draw(1 + rng.Intn(3000)))))
 			if rng.Intn(2) == 0 {
 				p = p.At(eps1)
 			}
@@ -696,7 +696,7 @@ func TestExactRunsBoundExactly(t *testing.T) {
 		var pieces []StreamPiece
 		for p, n := 0, rng.Intn(3); p < n; p++ {
 			vs := draw(1 + rng.Intn(3*int(math.Ceil(1/eps1))))
-			pieces = append(pieces, WholePiece(slices.Sorted(slices.Values(vs))))
+			pieces = append(pieces, StreamPiece{}.Merge(slices.Sorted(slices.Values(vs))))
 		}
 		slices.Sort(all)
 		c := BuildPieces(store.Entries(), pieces, eps1, 0)
@@ -763,7 +763,7 @@ func TestShortRunIsItsOwnSummary(t *testing.T) {
 		}
 	}
 	live, sealed := draw(150), draw(80)
-	piece := WholePiece(slices.Sorted(slices.Values(live)))
+	piece := StreamPiece{}.Merge(slices.Sorted(slices.Values(live)))
 	if !slices.Equal(piece.SS, whole(live)) {
 		t.Fatalf("whole piece of %d elements: %d entries, want its sorted run of %d", len(live), len(piece.SS), len(live)+1)
 	}
@@ -1157,7 +1157,7 @@ func wholeBenchPiece() StreamPiece {
 	for i := range vs {
 		vs[i] = int64(rng.NormFloat64()*1e6 + 1e7)
 	}
-	return WholePiece(slices.Sorted(slices.Values(vs)))
+	return StreamPiece{}.Merge(slices.Sorted(slices.Values(vs)))
 }
 
 // benchRuns is a measured shape: parts summaries of partitions of count

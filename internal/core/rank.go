@@ -13,7 +13,7 @@ func (c *Combined) QuickRank(v int64) int64 {
 
 // RankOfValues computes the rank of each value v in T exactly: the count of
 // historical elements ≤ v (one block-granular binary search per partition)
-// plus the count of the pieces' elements ≤ v, which are whole (WholePiece).
+// plus the count of the pieces' elements ≤ v, which are whole (StreamPiece.Merge).
 // It is the inverse primitive of the accurate quantile query and, reading
 // only the partitions and the pieces, builds no combined summary. Like the
 // sweep, it opens one cursor per partition for the whole request and seeks

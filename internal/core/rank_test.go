@@ -69,7 +69,7 @@ func TestRankOfValueNeverExceedsTotal(t *testing.T) {
 		for i := range vs {
 			vs[i] = lo + int64(i)
 		}
-		return WholePiece(vs)
+		return StreamPiece{}.Merge(vs)
 	}
 	pieces := []StreamPiece{ss(10, 500), ss(2000, 700), {SS: f.ss, M: f.m}}
 	var n int64 = 500 + 700 + f.m

@@ -30,8 +30,8 @@ func AblationSplit(sc Scale, root string) ([]*Table, error) {
 	for _, f := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
 		histBudget := f * float64(budget)
 		streamBudget := (1 - f) * float64(budget)
-		epsHS := epsForHistBudget(histBudget, sc.Steps, kappa)
-		epsSS := epsForStreamBudget(streamBudget, int64(sc.StreamSize))
+		epsHS := epsForBudget(histBudget, func(eps float64) float64 { return hsq.PlannedHistBytes(eps, sc.Steps, kappa) })
+		epsSS := epsForBudget(streamBudget, func(eps float64) float64 { return hsq.PlannedStreamBytes(eps, int64(sc.StreamSize)) })
 		eps := math.Max(epsHS, epsSS)
 		if eps >= 0.5 {
 			t.AddRow(f, math.NaN(), eps)
@@ -49,40 +49,6 @@ func AblationSplit(sc Scale, root string) ([]*Table, error) {
 		t.AddRow(f, ds.orc.RelativeSpanError(QueryPhi, v), eps)
 	}
 	return []*Table{t}, nil
-}
-
-func epsForHistBudget(budget float64, steps, kappa int) float64 {
-	lo, hi := 1e-9, 0.5
-	f := func(eps float64) float64 { return hsq.PlannedHistBytes(eps, steps, kappa) - budget }
-	if f(hi) > 0 {
-		return hi
-	}
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi)
-		if f(mid) <= 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}
-
-func epsForStreamBudget(budget float64, m int64) float64 {
-	lo, hi := 1e-9, 0.5
-	f := func(eps float64) float64 { return hsq.PlannedStreamBytes(eps, m) - budget }
-	if f(hi) > 0 {
-		return hi
-	}
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi)
-		if f(mid) <= 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
 }
 
 // AblationPinning measures the §2.4 block-pinning optimization: accurate

@@ -46,26 +46,32 @@ func makeDataset(wl string, seed int64, sc Scale) (*dataset, error) {
 
 // --- memory planners for the pure-streaming baselines -----------------
 
-// gkEpsForBudget inverts the GK memory model bytes = 24·(1/(2ε))·log₂(2εN)
-// to find the ε a pure-streaming GK can afford within the budget.
-func gkEpsForBudget(budget int64, n int64) float64 {
-	f := func(eps float64) float64 {
-		t := (1 / (2 * eps)) * math.Max(1, math.Log2(math.Max(2, 2*eps*float64(n))))
-		return 24*t - float64(budget)
-	}
+// epsForBudget finds, by geometric bisection over [1e-9, 0.5] (ε spans
+// decades), the smallest ε whose modelled bytes, decreasing in ε, fit the
+// budget; 0.5 when none does. The GK planner and the HS:SS split ablation
+// invert their models through it.
+func epsForBudget(budget float64, bytes func(eps float64) float64) float64 {
 	lo, hi := 1e-9, 0.5
-	if f(hi) > 0 {
+	if bytes(hi) > budget {
 		return hi
 	}
 	for i := 0; i < 200; i++ {
 		mid := math.Sqrt(lo * hi)
-		if f(mid) <= 0 {
+		if bytes(mid) <= budget {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	return hi
+}
+
+// gkEpsForBudget inverts the GK memory model bytes = 24·(1/(2ε))·log₂(2εN)
+// to find the ε a pure-streaming GK can afford within the budget.
+func gkEpsForBudget(budget int64, n int64) float64 {
+	return epsForBudget(float64(budget), func(eps float64) float64 {
+		return 24 * ((1 / (2 * eps)) * math.Max(1, math.Log2(math.Max(2, 2*eps*float64(n)))))
+	})
 }
 
 // qdigestEpsForBudget inverts the Q-Digest memory model. The asymptotic

@@ -2,8 +2,8 @@
 // summary (SIGMOD 2001): the paper's stream summary, its strongest
 // pure-streaming baseline, and the model behind Lemma 9's stream memory
 // bound. The product does not run it: hsq keeps the live step raw, because
-// EndStep writes it, and counts it exactly from the sorted batch
-// (core.WholePiece). The figures' baselines (internal/experiments),
+// EndStep writes it, and counts it exactly from its sorted run
+// (core.StreamPiece). The figures' baselines (internal/experiments),
 // examples/compare and the benchmark's layer measurements run it.
 //
 // The sketch maintains an ordered list of tuples (v, g, Δ) where

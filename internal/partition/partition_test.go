@@ -366,7 +366,8 @@ func TestInstallLargeStepInMemory(t *testing.T) {
 		}
 		return nil
 	})
-	s.Seal(data)
+	s.Sort(data)
+	s.Seal(data, 0)
 	before := dev.Stats()
 	bd, step, err := s.InstallOne()
 	if err != nil || step != 1 {

@@ -14,9 +14,9 @@ import (
 	"repro/internal/radix"
 )
 
-// Config parametrizes a Store. There is no sort-memory bound: Seal sorts
-// its step in memory with one transient scratch of the step's size, so
-// a step of n values briefly holds 2n, and the sort does no device I/O.
+// Config parametrizes a Store. There is no sort-memory bound: a step is
+// sorted in memory (Sort) with one scratch of the step's size, so a step of
+// n values briefly holds 2n, and the sort does no device I/O.
 type Config struct {
 	// Kappa is the merge threshold κ (> 1): each level holds at most κ
 	// partitions; a level past it merges its oldest κ+1 into one a level up.
@@ -91,8 +91,8 @@ type SealedBatch struct {
 	// Step is the time step the batch closes.
 	Step int
 
-	// data buffers the batch, sorted by Seal, until its partition is
-	// written; sort is what that sort took.
+	// data buffers the sorted batch until its partition is written; sort is
+	// what sorting it took.
 	data []int64
 	sort time.Duration
 }
@@ -168,9 +168,9 @@ type Store struct {
 	// memoCtr aggregates probe-memo traffic across every version.
 	memoCtr memoCounters
 
-	// sortBuf keeps the sort kernel's scratch, a step long, from one sort
-	// (Seal, SortTail) to the next, weakly: it adds nothing to the live heap
-	// the GC paces itself by, and a sort after a GC allocates it again.
+	// sortBuf keeps the sort kernel's scratch, a step long, from one Sort to
+	// the next, weakly: it adds nothing to the live heap the GC paces itself
+	// by, and a sort after a GC allocates it again.
 	sortBuf weak.Pointer[[]int64]
 }
 
@@ -258,9 +258,9 @@ func (s *Store) allocID() int64 {
 }
 
 // AddBatch loads one time step's batch into the warehouse in one call:
-// Settle, Seal, Settle, for callers that are the store's only writer (layer
-// benchmarks, tests); Seal sorts data in place. step must be the next time
-// step. Only a step the first Settle leaves sealed stops the seal, not a
+// Settle, Sort, Seal, Settle, for callers that are the store's only writer
+// (layer benchmarks, tests); data is sorted in place. step must be the next
+// time step. Only a step the first Settle leaves sealed stops the seal, not a
 // merge that fails again. A failed merge is ErrMergeIncomplete: the step is
 // installed, and the next Settle retries the merge. It commits nothing.
 func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
@@ -273,7 +273,9 @@ func (s *Store) AddBatch(data []int64, step int) (UpdateBreakdown, error) {
 	if _, _, err := s.Settle(); err != nil && s.Sealed() != nil {
 		return UpdateBreakdown{}, err
 	}
-	s.Seal(data)
+	t0 := time.Now()
+	s.Sort(data)
+	s.Seal(data, time.Since(t0))
 	bd, _, err := s.Settle()
 	if err != nil && s.Sealed() == nil {
 		err = errors.Join(ErrMergeIncomplete, err)
@@ -306,22 +308,20 @@ func (s *Store) Settle() (UpdateBreakdown, int, error) {
 	}
 }
 
-// Seal closes one time step without I/O: data is sorted in place (with the
-// store's kept scratch) and becomes the sealed step of a Version that shares
-// the current partitions and probe memo. From the publish on the step is
-// counted and answered by every reader, from its sorted data until its
-// partition is published; InstallOne then writes it, durable once its
-// partition is published and a Commit returns nil. data must not be empty,
-// and nothing but the store may change it until its install.
+// Seal closes one time step without I/O: data, sorted ascending, becomes
+// the sealed step of a Version that shares the current partitions and probe
+// memo, and sort is what sorting it took (the install's UpdateBreakdown.Sort).
+// From the publish on the step is counted and answered by every reader, from
+// its data until its partition is published; InstallOne then writes it,
+// durable once its partition is published and a Commit returns nil. data
+// must not be empty, and the store never writes it: nobody may until its
+// install.
 //
 // A store holds at most one sealed step: the caller installs a step whose
 // write failed before it seals the next, and Seal panics otherwise. Seal may
 // run concurrently with Merge and Commit; the caller must be the store's
 // single sealer.
-func (s *Store) Seal(data []int64) *SealedBatch {
-	t0 := time.Now()
-	s.SortTail(data, 0)
-	sort := time.Since(t0)
+func (s *Store) Seal(data []int64, sort time.Duration) *SealedBatch {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
 	if old := s.cur.sealed; old != nil {
@@ -333,22 +333,21 @@ func (s *Store) Seal(data []int64) *SealedBatch {
 	return sb
 }
 
-// SortTail sorts data in place, whose first sorted values are ascending
-// already, with the scratch Seal keeps (radix.SortTail): the live step's
-// batch at a read, so a stream holds one step-sized scratch. It shares that
-// scratch with Seal, so its caller must be the store's single sealer, never
-// beside a Seal.
-func (s *Store) SortTail(data []int64, sorted int) {
+// Sort sorts data in place with the scratch the store keeps (radix.Sort): a
+// step before its Seal, or the live step's new values at a read, so a
+// stream holds one step-sized scratch. Its caller must be the store's
+// single sealer.
+func (s *Store) Sort(data []int64) {
 	buf := s.sortBuf.Value()
 	if buf == nil {
 		buf = new([]int64)
 		s.sortBuf = weak.Make(buf)
 	}
-	*buf = radix.SortTail(data, sorted, *buf)
+	*buf = radix.Sort(data, *buf)
 }
 
 // InstallOne writes the sealed step as a new level-0 partition — its one
-// write, from the batch Seal sorted, its summary captured in flight — and
+// write, from the sealed sorted batch, its summary captured in flight — and
 // publishes it by appending it to the entries. Its breakdown's Sort is the
 // seal's. It returns the installed step number, 0 when nothing was sealed or
 // the write failed (the step then stays sealed for a retry). It merges

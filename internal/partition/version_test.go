@@ -142,7 +142,7 @@ func TestSealInstallRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dev.Stats()
-	sb := s.Seal(append(make([]int64, 0, 200), seqBatch(1000, 50)...))
+	sb := s.Seal(append(make([]int64, 0, 200), seqBatch(1000, 50)...), 0)
 	if io := dev.Stats().Sub(before); io.Total() != 0 || io.Opens != 0 {
 		t.Fatalf("seal did I/O: %+v", io)
 	}
@@ -311,7 +311,7 @@ func TestVersionEntriesChronological(t *testing.T) {
 				// versions are published with and without a sealed step
 				// behind them.
 				if s.Sealed() == nil {
-					s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40)))
+					s.Seal(seqBatch(rng.Int63n(1<<20), 1+rng.Intn(40)), 0)
 				}
 				if rng.Intn(3) > 0 {
 					if _, _, err := s.InstallOne(); err != nil {
@@ -346,10 +346,10 @@ func TestVersionEntriesChronological(t *testing.T) {
 	}
 }
 
-// TestInstallSortsInPlace: Seal sorts the batch in place with the store's
-// kept scratch, so the sealed step is its sorted batch, and after the first
-// step a seal and its install cost no allocation of the step's size while no
-// GC runs.
+// TestInstallSortsInPlace: the sealed step is the buffer Seal was handed,
+// not a copy, and Seal leaves it as it was; Sort sorts a step in place with
+// the store's kept scratch. After the first step a sort, a seal and an
+// install cost no allocation of the step's size while no GC runs.
 func TestInstallSortsInPlace(t *testing.T) {
 	dev, err := disk.NewManager(t.TempDir(), 4096)
 	if err != nil {
@@ -361,14 +361,16 @@ func TestInstallSortsInPlace(t *testing.T) {
 	}
 	const n = 32768
 	rng := rand.New(rand.NewSource(5))
-	batch := make([]int64, n)
+	batch, want := make([]int64, n), make([]int64, n)
 	install := func() {
 		for i := range batch {
 			batch[i] = rng.Int63n(1 << 30)
 		}
-		sb := s.Seal(batch)
-		if !slices.IsSorted(batch) || &sb.Data()[0] != &batch[0] {
-			t.Fatalf("step %d: the sealed batch is not sorted in place", sb.Step)
+		s.Sort(batch)
+		copy(want, batch)
+		sb := s.Seal(batch, 0)
+		if !slices.IsSorted(batch) || !slices.Equal(batch, want) || &sb.Data()[0] != &batch[0] || len(sb.Data()) != n {
+			t.Fatalf("step %d: the sealed step is not the sorted buffer it was handed", sb.Step)
 		}
 		if _, step, err := s.InstallOne(); err != nil || step != sb.Step {
 			t.Fatalf("install of step %d: step %d, %v", sb.Step, step, err)
@@ -385,8 +387,8 @@ func TestInstallSortsInPlace(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
-	t.Logf("%d bytes per seal and install", perStep)
+	t.Logf("%d bytes per sort, seal and install", perStep)
 	if perStep >= n*8/4 {
-		t.Fatalf("a seal and install allocated %d bytes after the first, want well under the step's %d", perStep, n*8)
+		t.Fatalf("a sort, seal and install allocated %d bytes after the first, want well under the step's %d", perStep, n*8)
 	}
 }

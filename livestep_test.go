@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/oracle"
 )
@@ -19,13 +20,15 @@ import (
 // interleavings of ObserveSlice, accurate, quick and rank-of-value queries,
 // Status and EndStep. The observed slices land below, inside and above the
 // values already held, and some repeat a few values many times. After each
-// query the engine holds its batch sorted whole, and a repeat snapshot sorts
-// and copies nothing — it allocates no byte per value — and carries the
-// live step whole, the sorted multiset with its minimum twice. Every
-// accurate answer is within ε·m of internal/oracle, m the live step's size,
-// and every accurate rank-of-value answer is exact; quick answers are
-// within ε·N. The step each cut seals is the sorted multiset, read when its
-// level-0 write starts.
+// query the engine holds the live step as one sorted run and no tail, and a
+// repeat snapshot sorts and copies nothing — it allocates no byte per value
+// — and carries the live step whole, the sorted multiset with its minimum
+// twice. Every accurate answer is within ε·m of internal/oracle, m the live
+// step's size, and every accurate rank-of-value answer is exact; quick
+// answers are within ε·N. The step each cut seals is the sorted multiset,
+// read when its level-0 write starts. A snapshot held from a query to the
+// next EndStep, across later observes, polls, the cut and the install,
+// still holds the pieces it pinned and gives the same accurate answers.
 func TestLiveSnapshotSortsTail(t *testing.T) {
 	// Seeds 56 and on are the ones on which an accurate answer once missed
 	// ε·N, the live step dominating the stream.
@@ -68,6 +71,30 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 		hi = max(hi, slices.Max(vs))
 		return vs
 	}
+	// held is a snapshot kept from a query to the next EndStep's install,
+	// with copies of its pieces and its accurate answers when taken.
+	var held *querySnap
+	var heldPieces [][]int64
+	var heldAnswer []int64
+	answerOn := func(s *querySnap) []int64 {
+		t.Helper()
+		rs := []int64{1, (s.n + 1) / 2, s.n}
+		vals, _, err := core.AccurateMultiQueryOpts(core.BuildPieces(s.sums, s.pieces, e.eps1, 0), eps, rs,
+			core.QueryOptions{PinBlocks: true, Memo: s.memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks, _, err := core.RankOfValues(s.sums, s.pieces, []int64{-1 << 39, 0, 3 << 20}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(vals, ranks...)
+	}
+	defer func() {
+		if held != nil {
+			held.release()
+		}
+	}()
 	within := func(what string, err int64, bound float64) {
 		t.Helper()
 		if float64(err) > bound {
@@ -97,6 +124,19 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 				t.Fatalf("seed %d: the cut sealed %d values, not the %d live ones sorted", seed, len(sealed), len(want))
 			}
 			live = live[:0]
+			if held == nil {
+				continue
+			}
+			for i, p := range held.pieces {
+				if !slices.Equal(p.SS, heldPieces[i]) {
+					t.Fatalf("seed %d: piece %d of a held snapshot changed under a later fold, cut or install", seed, i)
+				}
+			}
+			if got := answerOn(held); !slices.Equal(got, heldAnswer) {
+				t.Fatalf("seed %d: a held snapshot answers %v after a cut and install, %v before", seed, got, heldAnswer)
+			}
+			held.release()
+			held = nil
 			continue
 		case n == 0:
 			continue
@@ -133,12 +173,12 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 				within(fmt.Sprintf("quick=%v rank(%d)", quick, v), abs(ans.Values[i]-all.Rank(v)), bound)
 			}
 		}
-		// The query snapshotted: the batch is the sorted multiset, and a
-		// repeat snapshot finds nothing to sort.
+		// The query snapshotted: the run is the sorted multiset, and a repeat
+		// snapshot finds nothing to fold.
 		want := slices.Sorted(slices.Values(live))
-		if !slices.Equal(e.batch, want) || e.sortedLen != len(e.batch) {
-			t.Fatalf("seed %d: after a snapshot the batch holds %d values, %d sorted; want the %d live ones sorted",
-				seed, len(e.batch), e.sortedLen, len(want))
+		if len(e.tail) != 0 || e.run.M != int64(len(live)) || len(live) > 0 && !slices.Equal(e.run.SS[1:], want) {
+			t.Fatalf("seed %d: after a snapshot the run holds %d values and the tail %d; want the %d live ones sorted in the run",
+				seed, e.run.M, len(e.tail), len(want))
 		}
 		if len(live) == 0 {
 			continue
@@ -157,7 +197,15 @@ func runLiveSnapshot(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			piece := s.pieces[len(s.pieces)-1]
-			s.release()
+			if held == nil {
+				held, heldAnswer = s, answerOn(s)
+				heldPieces = heldPieces[:0]
+				for _, p := range s.pieces {
+					heldPieces = append(heldPieces, slices.Clone(p.SS))
+				}
+			} else {
+				s.release()
+			}
 			if piece.M != int64(len(live)) || !slices.Equal(piece.SS, whole) {
 				t.Fatalf("seed %d: live piece of %d values is not the %d live ones whole", seed, piece.M, len(live))
 			}
@@ -177,11 +225,12 @@ func abs(x int64) int64 {
 	return x
 }
 
-// BenchmarkLivePoll prices one poll's snapshot of the live step: sorting
-// the tail observed since the last poll into the sorted prefix, then the
-// live summary. The live step holds m values, the last tail of them new:
-// one value (uniform, and below every other: the merge's O(m) worst case),
-// one 8 192-value ingest batch, or all of them (the first poll of a step).
+// BenchmarkLivePoll prices one poll's snapshot of the live step: the fold
+// of the tail observed since the last poll into a new run — the tail's sort,
+// then its merge with the run into a fresh buffer — and the pin. The live
+// step holds m values, the last tail of them new: one value (uniform, and
+// below every other), one 8 192-value ingest batch, or all of them (the
+// first poll of a step).
 func BenchmarkLivePoll(b *testing.B) {
 	for _, m := range []int{20_000, 1 << 20} {
 		for _, tail := range []struct {
@@ -203,14 +252,15 @@ func BenchmarkLivePoll(b *testing.B) {
 				if tail.low {
 					step[m-1] = -1
 				}
-				// Each poll starts from the same state. The copy that restores it
-				// is timed out by hand: StopTimer's memory read would cost more
-				// than a one-value poll.
-				e.batch = make([]int64, m)
+				// Each poll starts from the same state: the run of the sorted
+				// values, which a poll never writes, and the new ones in the
+				// tail. The copy that restores the tail is timed out by hand:
+				// StopTimer's memory read would cost more than a one-value poll.
+				run := core.StreamPiece{}.Merge(step[:sorted])
+				e.tail = make([]int64, 0, tail.n)
 				var polls time.Duration
 				for range b.N {
-					copy(e.batch, step)
-					e.sortedLen = sorted
+					e.run, e.tail = run, append(e.tail[:0], step[sorted:]...)
 					t0 := time.Now()
 					s, err := e.snapshot()
 					polls += time.Since(t0)

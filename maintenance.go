@@ -12,23 +12,23 @@ import (
 //
 // EndStep is one pipeline — settle, cut and seal, settle, commit (see
 // Stream.EndStep), all of it under the engine's write-path lock. The cut and
-// the seal run under the engine lock too: the in-memory batch leaves the
-// live step, is sorted in place (the step's one sort) and becomes the sealed
-// step of the store's published partition.Version, which is the stream's
-// one history — so counts and answers agree from the cut on — and the live
-// step starts empty. Settling (engine.settle) then writes the sorted step,
-// outside every engine lock a reader or producer needs, as its level-0
-// partition (one sequential write); until that publishes, queries count the
-// step exactly from a whole copy of its sorted batch (core.WholePiece). Each
-// step is written once. Then Algorithm 3's
-// merges: a level holding more than κ partitions merges its oldest κ+1 into
-// one a level up, again outside the locks readers and producers take, and the
-// EndStep commits. Settling is partition.Store.Settle, which decides the
+// the seal run under the engine lock too: the live step's tail is folded
+// into its sorted run (a snapshot shares an immutable run; a fold merges the
+// tail into a new one), and that run becomes the sealed step of the store's
+// published partition.Version, which is the stream's one history — so
+// counts and answers agree from the cut on — and the live step starts
+// empty. Settling (engine.settle) then writes the sorted step, outside every
+// engine lock a reader or producer needs, as its level-0 partition (one
+// sequential write); until that publishes, queries count the step exactly
+// from the same run, which nothing writes. Each step is written once. Then
+// Algorithm 3's merges: a level holding more than κ partitions merges its
+// oldest κ+1 into one a level up, again outside the locks readers and
+// producers take, and the EndStep commits. Settling is partition.Store.Settle, which decides the
 // order of every retry: a step left sealed before any merge.
 //
 // One failure rule: settling stops at its first failure, and its caller
 // commits what it did. A step whose level-0 write fails stays sealed —
-// counted, answered from its sorted batch — and a failed merge keeps its
+// counted, answered from its sorted run — and a failed merge keeps its
 // inputs live; both are retried by the next settle: the start of the next
 // EndStep, or the barrier of SyncMaintenance, DB.Checkpoint and Close
 // (DB.checkpoint). Only a step still sealed after that first settle stops
@@ -51,17 +51,15 @@ type maintAccum struct {
 
 // settle is partition.Store.Settle — the sealed step, if any, written as its
 // level-0 partition, then every merge due, in one breakdown (zero when
-// nothing was due) — with the stream's counters around it: the installed
-// step's batch buffer goes back to the observe path if no observe has
-// needed a new one since the cut, and a failure shows as LastError until a
-// later settle succeeds. It commits nothing. Caller holds loadMu.
+// nothing was due) — with the stream's counters around it: an installed
+// step's piece is let go, and a failure shows as LastError until a later
+// settle succeeds. It commits nothing. Caller holds loadMu.
 func (e *engine) settle() (UpdateStats, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return UpdateStats{}, ErrClosed
 	}
-	sb := e.store.Sealed()
 	e.mstats.running++
 	e.mu.Unlock()
 
@@ -71,12 +69,9 @@ func (e *engine) settle() (UpdateStats, error) {
 	defer e.mu.Unlock()
 	e.mstats.running--
 	if step != 0 {
-		// Queries copy the sealed step under e.mu, which this holds, so no
-		// reader is left on the buffer, and none needs the copy now.
-		if buf := sb.Data(); len(e.batch) == 0 && cap(buf) > cap(e.batch) {
-			e.batch = buf[:0]
-		}
-		e.sealed, e.sealedOf = core.StreamPiece{}, nil
+		// The published version covers the step by its partition, so no new
+		// snapshot takes the piece; one that holds it keeps it alive.
+		e.sealed = core.StreamPiece{}
 		e.mstats.installs++
 	}
 	e.mstats.merges += us.Merges

@@ -214,10 +214,10 @@ func TestSyncInstallBlocksNobody(t *testing.T) {
 
 // TestCountsAgreeDuringSeal parks a step's level-0 partition write and
 // requires every counter to agree with the answers while it is in flight:
-// the cut hands the batch to the store in the same move that empties the
-// live step, so from then on the step is history to every reader, counted
-// and answered alike. The answers come from the sealed step's sorted batch
-// alone, and quantiles and ranks are held to internal/oracle within ε·N.
+// the cut hands the live step's run to the store in the same move that
+// empties the live step, so from then on the step is history to every
+// reader, counted and answered alike. The answers come from the sealed
+// step's run alone, and quantiles and ranks are held to internal/oracle within ε·N.
 // One Status read reports the step as history and as backlog, with its
 // write running.
 func TestCountsAgreeDuringSeal(t *testing.T) {

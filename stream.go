@@ -124,16 +124,17 @@ func (s *Stream) ObserveSlice(vs []int64) {
 // empty. An empty stream is a no-op.
 //
 // Each EndStep runs the same moves (Algorithm 3, HistUpdate, with the merges
-// it makes due). Cut and seal: under the engine lock the batch leaves the
-// live step, is sorted in place (a batch a read left sorted is only
-// checked) and becomes the sealed step of the store's published history, so
-// elements observed from here on belong to the next step, and counters and
-// answers agree on this one. Write: outside every engine lock, the sorted step is written once,
-// as its level-0 partition; until that is published, queries cover the step
-// through a summary gathered from its sorted batch, so answers always span
+// it makes due). Cut and seal: under the engine lock the values observed
+// since the last read are sorted and merged with the live step's sorted run
+// into a new one, which leaves the live step and becomes the sealed step of
+// the store's published history, so elements observed from here on belong
+// to the next step, and counters and answers agree on this one. Write:
+// outside every engine lock, the sorted step is written once, as its
+// level-0 partition; until that is published, queries count the step
+// exactly from the same run, which nothing writes, so answers always span
 // the full observed history and neither Observe nor Query waits for the
-// write. Merge: a level holding more
-// than κ partitions merges its oldest κ+1, one level up, until no level
+// write. Merge: a level holding more than κ partitions merges its oldest
+// κ+1, one level up, until no level
 // does — run by this caller, outside the locks Observe and Query take.
 // Commit: one write-data → sync → commit-manifest → sync sequence, so when
 // EndStep returns nil the step survives any crash as a partition, and a
