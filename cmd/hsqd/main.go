@@ -288,10 +288,12 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			"hydrated_streams":   dir.Hydrated,
 			"hydrations":         dir.Hydrations,
 			"hydrated_values":    dir.HydratedValues,
+			"scanned_values":     dir.ScannedValues,
 			"evictions":          dir.Evictions,
 			"summary_fallbacks":  dir.SummaryFallbacks,
 			"cold_summary_bytes": dir.ColdSummaryBytes,
 			"sidecar_decodes":    dir.SidecarDecodes,
+			"sidecar_writes":     dir.SidecarWrites,
 		},
 		"ingest": map[string]any{
 			"listening":    s.ingAddr,

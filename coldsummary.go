@@ -9,36 +9,49 @@ import (
 	"repro/internal/query"
 )
 
-// Cold-summary sidecars let glob and group-by queries answer over evicted
-// streams without hydrating them: whenever a stream's durable state is
-// exactly its installed partitions (the state eviction requires — empty
-// observe buffer, no sealed backlog), the DB writes the stream's full-scope
-// summary to a SUMMARY.bin metadata file in the stream's namespace. The file
-// is a core.ShardSummary in its one encoding (internal/core/snapshot.go),
-// byte for byte what the stream would send a peer. A cold stream's first
-// scoped read decodes and checks the file — metadata I/O, never counted in
-// IOStats, so a merged query over a thousand cold sensors costs zero
-// RandReads — and the stream then holds the validated summary: later reads
-// narrow it with no I/O, no decode and no manifest parse.
+// Cold summaries let glob and group-by queries answer over evicted streams
+// without hydrating them. An eviction's checkpoint ends with the summary of
+// the stream's installed partitions (all its state: an evictable stream has
+// no live or sealed step), and the cold stream holds it: reads narrow it
+// with no I/O or decode, and the next hydration takes each partition's
+// summary from it instead of rescanning the partition (partition.LoadStore).
+//
+// The summary persists as SUMMARY.bin in the stream's namespace: a
+// core.ShardSummary in its one encoding (internal/core/snapshot.go), the
+// bytes the stream would send a peer. A hydrated stream's checkpoint writes
+// it at once; an evicted stream's is written at the barrier (DB.Checkpoint,
+// the start of Close), or at once when the budget cannot hold it. A
+// hydration that takes a held summary writes nothing: its engine checkpoints
+// again. A cold stream that holds nothing (after Open, past the budget)
+// decodes and checks the file at its first scoped read — metadata I/O,
+// uncounted in IOStats — and holds that.
+//
+// Only a summary this process's eviction built may feed a hydration
+// (Stream.coldOwn). The file has no checksum: a value flipped with its run
+// still sorted would enter the HS for good, where a scan heals it. So the
+// first hydration after Open, and one after an evicted engine failed a
+// write, scan every partition, which also refuses a raw or version-1
+// partition that is not sorted on disk.
 //
 // Freshness is structural, not best-effort: the parts carry their step
 // ranges, and a cold read first cross-checks the per-partition (count,
 // step-range) layout against the stream's own committed MANIFEST.json. Any
-// divergence — a crash after EndSteps that outran the last checkpoint, a
-// merge that reshaped partitions, a drop/re-create, a file an earlier build
-// or another ε wrote — fails the check and the query falls back to a
-// one-time hydration (counted in DirectoryStats.SummaryFallbacks), after
-// which the next eviction or checkpoint rewrites the sidecar. A missing
+// divergence — a crash after EndSteps or an eviction that outran the last
+// barrier, a merge that reshaped partitions, a drop/re-create, a file an
+// earlier build or another ε wrote — fails the check and the query falls
+// back to a one-time hydration (counted in DirectoryStats.SummaryFallbacks),
+// after which the next barrier rewrites the sidecar. A missing
 // sidecar reads as zero spans, which the check accepts only against a
 // manifest that has sealed no step: a stream registered but never sealed
 // answers without hydrating.
 //
 // A held summary stays fresh because a cold stream's durable state changes
 // only through a hydration (every write acquires first): hydrating forgets
-// it, as do an eviction's end, a drop and Close, each bumping coldEpoch; a
-// read holds what it decoded only if the epoch it saw before reading is
-// still current. Held summaries share coldSummaryBudget, first come; a read
-// past it decodes its file every time, as if nothing were held.
+// it, as do an eviction's end (which holds its own in its place), a drop
+// and Close, each bumping coldEpoch; a read holds what it decoded only if
+// the epoch it saw before reading is still current. Held summaries share
+// coldSummaryBudget, first come; a read past it decodes its file every
+// time, as if nothing were held.
 //
 // Scope selection is not done here: readColdSummary hands the decoded parts'
 // end steps to query.Scope.Select — the selector a hydrated engine's
@@ -74,7 +87,14 @@ func (db *DB) refreshSidecar(stream string, sum *core.ShardSummary) {
 		db.dropSidecar(stream)
 		return
 	}
-	db.dev.WriteMeta(sidecarPath(stream), sum.AppendBinary(nil)) //nolint:errcheck // advisory: queries fall back to hydration
+	db.writeSidecar(stream, sum) //nolint:errcheck // advisory: queries fall back to hydration
+}
+
+// writeSidecar writes sum, a summary of installed partitions only, as the
+// stream's SUMMARY.bin.
+func (db *DB) writeSidecar(stream string, sum *core.ShardSummary) error {
+	db.sidecarWrites.Add(1)
+	return db.dev.WriteMeta(sidecarPath(stream), sum.AppendBinary(nil))
 }
 
 // dropSidecar best-effort removes a stream's sidecar: used when the
@@ -131,7 +151,7 @@ func (db *DB) readSidecar(stream string) *core.ShardSummary {
 		// reopened with another ε rebuilds its summaries on hydration).
 		sum, err = core.DecodeShardSummary(raw)
 		if err != nil || len(sum.Pieces) > 0 || sum.Eps1 != eps1 {
-			return nil // corrupt or foreign sidecar: hydrate, next seal rewrites it
+			return nil // corrupt or foreign sidecar: hydrate, the next barrier rewrites it
 		}
 	}
 	mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
@@ -143,6 +163,61 @@ func (db *DB) readSidecar(stream string) *core.ShardSummary {
 		return nil // unreadable, or stale vs the committed manifest: hydrate
 	}
 	return sum
+}
+
+// holdEvicted has s, just evicted, hold sum, the summary of the state its
+// eviction committed, in place of any it held, with no SUMMARY.bin written
+// yet: saveColdSummaries (DB.Checkpoint) and Close write it. It reports
+// false, s holding nothing, when sum does not fit the budget or the DB
+// closed or s was dropped meanwhile; the caller writes the file at once.
+func (db *DB) holdEvicted(s *Stream, sum *core.ShardSummary) bool {
+	size := coldSummarySize(sum)
+	// One buffer for all the parts' values: the engine captured each at its
+	// own time, scattered over the heap, and a plan read over many cold
+	// streams walks every value.
+	vals := make([]int64, 0, size/8)
+	for i, p := range sum.Parts {
+		vals = append(vals, p.Values...)
+		sum.Parts[i].Values = vals[len(vals)-len(p.Values) : len(vals) : len(vals)]
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.forgetColdLocked(s)
+	if db.closed || s.dropped || len(sum.Pieces) > 0 || db.coldBytes+size > db.coldBudget {
+		return false
+	}
+	s.cold, s.coldOwn, s.coldUnsaved, db.coldBytes = sum, true, true, db.coldBytes+size
+	return true
+}
+
+// saveColdSummaries writes SUMMARY.bin for every summary a cold stream
+// holds without one, each under the stream's opMu, so no hydration or
+// eviction of it lands between the check and the write. A failed write
+// leaves the summary unsaved, for the next barrier to retry.
+func (db *DB) saveColdSummaries() {
+	db.mu.Lock()
+	var unsaved []*Stream
+	for _, st := range db.dir {
+		if st.coldUnsaved {
+			unsaved = append(unsaved, st)
+		}
+	}
+	db.mu.Unlock()
+	for _, st := range unsaved {
+		st.opMu.Lock()
+		db.mu.Lock()
+		sum := st.cold
+		if !st.coldUnsaved {
+			sum = nil // hydrated, dropped or closed since
+		}
+		db.mu.Unlock()
+		if sum != nil && db.writeSidecar(st.name, sum) == nil {
+			db.mu.Lock()
+			st.coldUnsaved = false
+			db.mu.Unlock()
+		}
+		st.opMu.Unlock()
+	}
 }
 
 // holdColdSummary has s hold sum, which readSidecar validated after
@@ -158,11 +233,13 @@ func (db *DB) holdColdSummary(s *Stream, sum *core.ShardSummary, epoch uint64) {
 }
 
 // forgetColdLocked drops s's held summary and bumps its coldEpoch, so no
-// read that began before the call holds one. Caller holds db.mu.
+// read that began before the call holds one. An unsaved summary is dropped
+// only by the hydration that takes it, a drop, and Close, which writes it
+// first. Caller holds db.mu.
 func (db *DB) forgetColdLocked(s *Stream) {
 	if s.cold != nil {
 		db.coldBytes -= coldSummarySize(s.cold)
-		s.cold = nil
+		s.cold, s.coldOwn, s.coldUnsaved = nil, false, false
 	}
 	s.coldEpoch++
 }
@@ -206,8 +283,8 @@ func sidecarMatches(parts []core.PartSummary, m *partition.Manifest) bool {
 // Hydrated streams answer from their live engine (one pin, no LRU side
 // effects beyond a touch), cold streams from their held summary or sealed
 // sidecar without hydrating, and only as a last resort — no or stale
-// sidecar — by hydrating once, which also queues the stream to have a fresh
-// sidecar written at its next eviction or checkpoint.
+// sidecar — by hydrating once, after which the stream's next eviction holds
+// a fresh summary and the next barrier writes it.
 func (db *DB) ScopedSummary(name string, sc query.Scope) (*core.ShardSummary, error) {
 	db.mu.Lock()
 	st, ok := db.dir[name]

@@ -3,15 +3,19 @@ package hsq
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/enc"
+	"repro/internal/oracle"
 	"repro/internal/partition"
 	"repro/internal/query"
 )
@@ -23,6 +27,7 @@ type coldFixture struct {
 	t   *testing.T
 	db  *DB
 	rng *rand.Rand
+	or  *oracle.Oracle // what "s" observed
 }
 
 func newColdFixture(t *testing.T, eps float64, steps int) *coldFixture {
@@ -31,7 +36,7 @@ func newColdFixture(t *testing.T, eps float64, steps int) *coldFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() }) //nolint:errcheck
-	f := &coldFixture{t: t, db: db, rng: rand.New(rand.NewSource(23))}
+	f := &coldFixture{t: t, db: db, rng: rand.New(rand.NewSource(23)), or: oracle.New(0)}
 	f.step("s", steps)
 	return f
 }
@@ -45,7 +50,11 @@ func (f *coldFixture) step(name string, n int) {
 	}
 	for ; n > 0; n-- {
 		for i := 20 + f.rng.Intn(60); i > 0; i-- {
-			st.Observe(f.rng.Int63n(1000))
+			v := f.rng.Int63n(1000)
+			st.Observe(v)
+			if name == "s" {
+				f.or.Add(v)
+			}
 		}
 		if _, err := st.EndStep(); err != nil {
 			f.t.Fatal(err)
@@ -54,8 +63,9 @@ func (f *coldFixture) step(name string, n int) {
 }
 
 // evict hydrates "s" and seals it cold again by giving "other" the one
-// slot, so the summary a cold "s" held is gone and the next cold read sees
-// the file; the eviction writes a fresh sidecar, which evict returns.
+// slot, so "s" holds the summary its eviction built, then passes the
+// barrier (DB.Checkpoint), which writes that summary as a fresh sidecar;
+// evict returns the file.
 func (f *coldFixture) evict() []byte {
 	f.t.Helper()
 	f.step("s", 0)
@@ -63,11 +73,23 @@ func (f *coldFixture) evict() []byte {
 	if st, _ := f.db.Lookup("s"); st == nil || st.Hydrated() {
 		f.t.Fatal("fixture: s is still hydrated")
 	}
+	if err := f.db.Checkpoint(); err != nil {
+		f.t.Fatal(err)
+	}
 	raw, err := f.db.dev.ReadMeta(sidecarPath("s"))
 	if err != nil {
 		f.t.Fatalf("fixture: eviction left no sidecar: %v", err)
 	}
 	return raw
+}
+
+// forget drops the summary a cold "s" holds, as a restart would, so the
+// next cold read reads the file.
+func (f *coldFixture) forget() {
+	st, _ := f.db.Lookup("s")
+	f.db.mu.Lock()
+	defer f.db.mu.Unlock()
+	f.db.forgetColdLocked(st)
 }
 
 // answer renders one scoped read as comparable text.
@@ -79,9 +101,10 @@ func (f *coldFixture) answer(sc query.Scope) string {
 	return string(sum.AppendBinary(nil))
 }
 
-// TestSidecarIsTheWireEncoding: SUMMARY.bin is not a format of its own — an
-// eviction and a checkpoint both leave the bytes Stream.Summary would have
-// sent a peer while the stream was still hydrated.
+// TestSidecarIsTheWireEncoding: SUMMARY.bin is not a format of its own — a
+// checkpoint of the hydrated stream, and the barrier after an eviction, both
+// leave the bytes Stream.Summary would have sent a peer while the stream was
+// still hydrated.
 func TestSidecarIsTheWireEncoding(t *testing.T) {
 	f := newColdFixture(t, 0.1, 5)
 	st, err := f.db.Stream("s")
@@ -104,7 +127,7 @@ func TestSidecarIsTheWireEncoding(t *testing.T) {
 	}
 	f.db.dropSidecar("s")
 	if disk := f.evict(); !bytes.Equal(disk, wire) {
-		t.Fatalf("after an eviction SUMMARY.bin is %x, the wire encoding %x", disk, wire)
+		t.Fatalf("after an eviction and a checkpoint SUMMARY.bin is %x, the wire encoding %x", disk, wire)
 	}
 	// With an open step the state is more than installed partitions: a
 	// checkpoint removes the file instead of writing pieces into it.
@@ -143,9 +166,10 @@ func v1Sidecar(parts []core.PartSummary) []byte {
 // stream's durable state — stale, reshaped, cut short, padded, inconsistent,
 // unsorted, another build's (one with two ε values among them), another
 // ε's, another capture rule's or gone —
-// never answers. The read hydrates once, is counted as a fallback, and
-// returns what the hydrated engine returns; the next eviction rewrites the
-// file and the same reads hydrate nothing.
+// never answers. The read (the summary the eviction held forgotten, as
+// after a restart) hydrates once, is counted as a fallback, and returns
+// what the hydrated engine returns; the next eviction's barrier rewrites the
+// file and the same reads from it hydrate nothing.
 func TestColdSummaryFallsBack(t *testing.T) {
 	// edited decodes a fresh sidecar, applies edit and encodes it again.
 	edited := func(edit func(*testing.T, *core.ShardSummary)) func(*coldFixture, []byte) [][]byte {
@@ -288,6 +312,7 @@ func TestColdSummaryFallsBack(t *testing.T) {
 			}
 			for i, bad := range trials {
 				fresh := f.evict()
+				f.forget()
 				if bad == nil {
 					f.db.dropSidecar("s")
 				} else if err := f.db.dev.WriteMeta(sidecarPath("s"), bad); err != nil {
@@ -301,6 +326,7 @@ func TestColdSummaryFallsBack(t *testing.T) {
 				if rewritten := f.evict(); !bytes.Equal(rewritten, fresh) {
 					t.Fatalf("trial %d: the next eviction wrote %x, want %x", i, rewritten, fresh)
 				}
+				f.forget()
 				if h, fb := read("over the rewritten sidecar"); h != 0 || fb != 0 {
 					t.Fatalf("trial %d: %d hydrations, %d fallbacks over a fresh sidecar", i, h, fb)
 				}
@@ -310,10 +336,11 @@ func TestColdSummaryFallsBack(t *testing.T) {
 
 	// A file damaged while the stream holds its summary is not read: the
 	// held summary answers until a hydrate→evict cycle forgets it and the
-	// eviction rewrites the file.
+	// eviction's barrier rewrites the file.
 	t.Run("damaged while held", func(t *testing.T) {
 		f := newColdFixture(t, 0.1, 5)
 		fresh := f.evict()
+		f.forget()
 		want := f.answer(query.Scope{}) // decodes and holds
 		if err := f.db.dev.WriteMeta(sidecarPath("s"), fresh[:1]); err != nil {
 			t.Fatal(err)
@@ -328,6 +355,7 @@ func TestColdSummaryFallsBack(t *testing.T) {
 		if rewritten := f.evict(); !bytes.Equal(rewritten, fresh) {
 			t.Fatalf("the next eviction wrote %x, want %x", rewritten, fresh)
 		}
+		f.forget()
 		before = f.db.DirectoryStats()
 		if got := f.answer(query.Scope{}); got != want {
 			t.Fatalf("read after the cycle:\n got %q\nwant %q", got, want)
@@ -338,10 +366,11 @@ func TestColdSummaryFallsBack(t *testing.T) {
 	})
 }
 
-// TestColdSummaryHeldUntilHydration: the first read of a cold stream decodes
-// its sidecar and holds the summary; later reads use it — no decode, a
-// constant number of allocations whatever the summary's size — until a
-// write hydrates the stream, after which the next cold read decodes the new
+// TestColdSummaryHeldUntilHydration: the first read of a cold stream that
+// holds no summary (forgotten, as after a restart) decodes its sidecar and
+// holds the summary; later reads use it — no decode, a constant number of
+// allocations whatever the summary's size — until a write hydrates the
+// stream, after which the next cold read from the file decodes the new
 // state. Past the budget nothing is held and every read decodes, answering
 // the same bytes.
 func TestColdSummaryHeldUntilHydration(t *testing.T) {
@@ -350,6 +379,7 @@ func TestColdSummaryHeldUntilHydration(t *testing.T) {
 	for _, steps := range []int{4, 40} {
 		f := newColdFixture(t, 0.1, steps)
 		f.evict()
+		f.forget()
 		first := f.db.DirectoryStats()
 		want := make([]string, len(scopes))
 		for i, sc := range scopes {
@@ -371,6 +401,7 @@ func TestColdSummaryHeldUntilHydration(t *testing.T) {
 
 		// Over the budget: the same bytes, a decode per read, nothing held.
 		f.evict()
+		f.forget()
 		f.db.coldBudget = held.ColdSummaryBytes - 1
 		for i, sc := range scopes {
 			if got := f.answer(sc); got != want[i] {
@@ -386,14 +417,19 @@ func TestColdSummaryHeldUntilHydration(t *testing.T) {
 		// decodes the state the eviction sealed.
 		f.answer(query.Scope{})
 		f.step("s", 1)
-		if ds := f.db.DirectoryStats(); ds.ColdSummaryBytes != 0 {
-			t.Fatalf("%d steps: %d bytes still held after a hydration", steps, ds.ColdSummaryBytes)
+		st, _ := f.db.Lookup("s")
+		f.db.mu.Lock()
+		stillHeld := st.cold != nil
+		f.db.mu.Unlock()
+		if stillHeld { // "other", evicted by the hydration, holds its own
+			t.Fatalf("%d steps: s still holds a summary after a hydration", steps)
 		}
 		hot, err := f.db.ScopedSummary("s", query.Scope{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.evict()
+		f.forget()
 		before := f.db.DirectoryStats()
 		cold, err := f.db.ScopedSummary("s", query.Scope{})
 		if err != nil || cold.N != hot.N || cold.N == 0 {
@@ -431,6 +467,7 @@ func TestHeldColdSummaryNotStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.evict()
+	f.forget()                           // so only the epoch can refuse the store
 	f.db.holdColdSummary(st, old, epoch) // the first read's store, late
 
 	cold, err := f.db.ScopedSummary("s", query.Scope{})
@@ -484,5 +521,237 @@ func TestHeldColdSummaryNotStale(t *testing.T) {
 	readers.Wait()
 	if sum, err := f.db.ScopedSummary("s", query.Scope{}); err != nil || sum.N != confirmed.Load() {
 		t.Fatalf("read after the churn: %+v, %v; want N = %d", sum, err, confirmed.Load())
+	}
+}
+
+// partReadBackend counts the opens of partition files: a hydration that
+// scans opens each partition it reads.
+type partReadBackend struct {
+	disk.Backend
+	opens atomic.Int64
+}
+
+func (b *partReadBackend) Open(name string) (disk.ReadHandle, error) {
+	if strings.Contains(name, "/part-") {
+		b.opens.Add(1)
+	}
+	return b.Backend.Open(name)
+}
+
+// checkOracle holds st's accurate answers to the oracle — ranks exact, and
+// quantiles exact to the rank span, the stream having no live step — and
+// returns its accurate and quick answers as comparable text.
+func checkOracle(t *testing.T, st *Stream, or *oracle.Oracle) string {
+	t.Helper()
+	phis := []float64{0.01, 0.25, 0.5, 0.9, 0.99}
+	vs, _, err := st.Quantiles(phis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := fmt.Sprint(vs)
+	for i, phi := range phis {
+		target, err := core.RankTarget(phi, or.Count())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := or.SpanError(target, vs[i]); d > 1 {
+			t.Fatalf("quantile(%g) = %d is %d ranks off", phi, vs[i], d)
+		}
+		q, err := QuantileQuick(st, phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := st.Rank(vs[i] + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := or.Rank(vs[i] + 1); r != want {
+			t.Fatalf("rank(%d) = %d, exact %d", vs[i]+1, r, want)
+		}
+		out += fmt.Sprintf(" %d/%d", q, r)
+	}
+	return out
+}
+
+// TestHydrationTakesEvictedSummary: a stream's eviction holds the summary
+// it built, and its next hydration takes it: the load opens no partition,
+// reads no block and scans no value, and the engine answers exactly what it
+// answered before the eviction, which the oracle confirms.
+func TestHydrationTakesEvictedSummary(t *testing.T) {
+	backend := &partReadBackend{Backend: disk.NewMemBackend()}
+	db, err := Open(Options{Epsilon: 0.05, Kappa: 2, Device: backend, BlockSize: 512, MaxHydratedStreams: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	st, err := db.Stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	or := oracle.New(0)
+	for step := 0; step < 9; step++ { // two merges: partitions of three shapes
+		vs := make([]int64, 100+rng.Intn(200))
+		for i := range vs {
+			vs[i] = rng.Int63n(5000)
+		}
+		st.ObserveSlice(vs)
+		or.Add(vs...)
+		if _, err := st.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := checkOracle(t, st, or)
+	hot, err := st.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		if _, err := db.Stream("other"); err != nil { // takes the one slot
+			t.Fatal(err)
+		}
+		if st.Hydrated() {
+			t.Fatal("fixture: s is still hydrated")
+		}
+		opens, io, before := backend.opens.Load(), db.DiskStats(), db.DirectoryStats()
+		if _, err := db.Stream("s"); err != nil { // hydrates, reads nothing
+			t.Fatal(err)
+		}
+		after := db.DirectoryStats()
+		if got := backend.opens.Load() - opens; got != 0 || db.DiskStats() != io {
+			t.Fatalf("cycle %d: the hydration opened %d partition files, I/O %+v → %+v", cycle, got, io, db.DiskStats())
+		}
+		if after.Hydrations != before.Hydrations+1 || after.ScannedValues != before.ScannedValues ||
+			after.HydratedValues != before.HydratedValues+uint64(or.Count()) {
+			t.Fatalf("cycle %d: directory %+v → %+v, want one hydration of %d values, none scanned", cycle, before, after, or.Count())
+		}
+		if got, err := st.Summary(); err != nil || !bytes.Equal(got.AppendBinary(nil), hot.AppendBinary(nil)) {
+			t.Fatalf("cycle %d: the hydrated engine's summary changed (%v)", cycle, err)
+		}
+		if got := checkOracle(t, st, or); got != want {
+			t.Fatalf("cycle %d: answers after the hydration\n got %s\nwant %s", cycle, got, want)
+		}
+	}
+}
+
+// TestDecodedSummaryNeverFeedsHydration: a summary decoded from SUMMARY.bin
+// serves cold plan reads only. Here the file has one value changed, the run
+// still sorted and the layout still the manifest's, so the cold read holds
+// it; the hydration that follows scans the partitions anyway, and the
+// engine's summary and answers are the undamaged ones.
+func TestDecodedSummaryNeverFeedsHydration(t *testing.T) {
+	f := newColdFixture(t, 0.1, 6)
+	st, err := f.db.Stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := checkOracle(t, st, f.or)
+	fresh := f.evict()
+	f.forget()
+	sum, err := core.DecodeShardSummary(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := false
+	for pi := range sum.Parts {
+		vs := sum.Parts[pi].Values
+		for i := 1; i+1 < len(vs) && !changed; i++ {
+			if vs[i-1] < vs[i] { // room below: the run stays sorted
+				vs[i]--
+				changed = true
+			}
+		}
+	}
+	if !changed {
+		t.Fatal("fixture: no value can change with its run kept sorted")
+	}
+	damaged := sum.AppendBinary(nil)
+	if err := f.db.dev.WriteMeta(sidecarPath("s"), damaged); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.answer(query.Scope{}); got != string(damaged) { // decodes and holds
+		t.Fatalf("fixture: the cold read refused the damaged file")
+	}
+	before := f.db.DirectoryStats()
+	if _, err := f.db.Stream("s"); err != nil {
+		t.Fatal(err)
+	}
+	after := f.db.DirectoryStats()
+	if after.ScannedValues-before.ScannedValues != uint64(sum.N) {
+		t.Fatalf("the hydration scanned %d values, want all %d", after.ScannedValues-before.ScannedValues, sum.N)
+	}
+	if got := f.answer(query.Scope{}); got != string(fresh) {
+		t.Fatal("the hydrated engine's summary is the damaged file's")
+	}
+	if got := checkOracle(t, st, f.or); got != want {
+		t.Fatalf("answers after the hydration\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFirstHydrationAfterOpenChecksPartitions: the first hydration after
+// Open scans every partition, so a raw partition (no checksum) rewritten on
+// disk out of order is refused — even though the stream's cold read, from
+// the SUMMARY.bin Close wrote, holds a summary that matches the manifest.
+func TestFirstHydrationAfterOpenChecksPartitions(t *testing.T) {
+	backend := disk.NewMemBackend()
+	opts := Options{Epsilon: 0.1, Kappa: 2, Device: backend, BlockSize: 512, MaxHydratedStreams: 1}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := int64(0); step < 3; step++ {
+		for v := int64(0); v < 100; v++ {
+			st.Observe(step*1000 + v)
+		}
+		if _, err := st.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	raw, err := db.dev.ReadMeta(streamManifestPath("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := partition.ParseManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := db.dev.Namespace(streamNamespacePrefix + "/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Parts[0]
+	w, err := view.CreateFormat(p.Name, disk.FormatRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := p.Count; v > 0; v-- { // the right count, descending
+		if err := w.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := db.ScopedSummary("s", query.Scope{}); err != nil || sum.N != 300 {
+		t.Fatalf("cold read: %+v, %v; want the sidecar's 300 values", sum, err)
+	}
+	if ds := db.DirectoryStats(); ds.ColdSummaryBytes == 0 || ds.Hydrations != 0 {
+		t.Fatalf("fixture: the cold read held nothing or hydrated: %+v", ds)
+	}
+	if _, err := db.Stream("s"); err == nil || !strings.Contains(err.Error(), "is not sorted on disk") || !strings.Contains(err.Error(), p.Name) {
+		t.Fatalf("first hydration after Open = %v, want a refusal naming %s as not sorted", err, p.Name)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/partition"
 )
@@ -46,7 +47,8 @@ const legacyDirectoryName = "DB.json"
 // rehydrate first, so resident memory tracks the hot set, not the directory
 // size. Open loads only the directory: restart cost is O(registered
 // streams), with each stream's summary-rebuild scan deferred to its first
-// touch.
+// touch. An evicted stream holds the summary its eviction built, and its
+// next hydration takes it in place of that scan.
 //
 //	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Dir: dir, CacheBlocks: 4096})
 //	lat, err := db.Stream("api.latency")
@@ -64,10 +66,12 @@ type DB struct {
 
 	hot              map[*Stream]struct{} // streams with eng != nil: eviction's candidates
 	hydrations       uint64
-	hydratedValues   uint64 // values the hydrations' summary-rebuild scans read
+	hydratedValues   uint64 // the hydrated engines' histories at their loads
+	scannedValues    uint64 // of those, values the summary-rebuild scans read
 	evictions        uint64
 	summaryFallbacks uint64        // cold summary reads that had to hydrate
 	sidecarDecodes   atomic.Uint64 // cold summary reads that decoded SUMMARY.bin
+	sidecarWrites    atomic.Uint64 // SUMMARY.bin files written
 	coldBytes        int64         // held cold summaries, at most coldBudget
 	coldBudget       int64         // coldSummaryBudget (lowered by internal tests)
 	closed           bool
@@ -75,8 +79,9 @@ type DB struct {
 
 // Open opens (or creates) a multi-stream DB on the configured device. Every
 // stream whose namespace holds a store manifest is registered — but not
-// hydrated: each stream's engine (and its one-sequential-scan summary
-// rebuild) is loaded lazily on the stream's first touch, so Open costs one
+// hydrated: each stream's engine (and, on its first hydration, its
+// one-sequential-scan summary rebuild) is loaded lazily on the stream's
+// first touch, so Open costs one
 // listing of the stream namespaces, not O(total data), and a daemon with a
 // huge, mostly-cold stream directory restarts in constant-ish time.
 func Open(opts Options) (*DB, error) {
@@ -177,9 +182,10 @@ func (db *DB) touchLocked(s *Stream) {
 // stream's opMu: concurrent callers of the same stream singleflight behind
 // one hydration, while operations on other streams proceed untouched. This
 // is the structural fix for the historical cold-open stall, where one
-// stream's manifest load and summary-rebuild scan blocked the whole DB. It
-// sweeps orphans only on the stream's first hydration since Open and after
-// an evicted engine failed a write (Stream.swept).
+// stream's manifest load and summary-rebuild scan blocked the whole DB. The
+// first hydration since Open, and one after an evicted engine failed a
+// write (Stream.swept), sweeps orphans and scans every partition; any other
+// takes the summary the stream's eviction held and reads no partition.
 func (db *DB) acquire(st *Stream) (*engine, error) {
 	db.mu.Lock()
 	eng, err, done := db.tryAcquireLocked(st)
@@ -195,6 +201,13 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 	db.mu.Lock()
 	eng, err, done = db.tryAcquireLocked(st)
 	view := st.view
+	// Only a summary this process's eviction built feeds a hydration: one
+	// decoded from SUMMARY.bin carries no checksum, and a scan after Open or
+	// after a failed write checks the partitions it reads.
+	var held []core.PartSummary
+	if st.coldOwn && st.swept {
+		held = st.cold.Parts
+	}
 	db.mu.Unlock()
 	if done {
 		return eng, err
@@ -210,7 +223,7 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 		view = v
 		db.mu.Unlock()
 	}
-	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+st.name, !st.swept)
+	fresh, err := newEngineOn(view, db.opts, streamNamespacePrefix+"/"+st.name, !st.swept, held)
 
 	db.mu.Lock()
 	if serr := st.errLocked(); serr != nil {
@@ -233,6 +246,7 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 	st.pins++
 	db.hydrations++
 	db.hydratedValues += uint64(fresh.HistCount())
+	db.scannedValues += uint64(fresh.store.Scanned())
 	// Make room first, then touch: the stream's priority starts from the
 	// inflation its victims leave behind.
 	victims := db.evictVictimsLocked()
@@ -285,7 +299,7 @@ func (db *DB) release(st *Stream) {
 // evictVictimsLocked selects the hydrated, unpinned streams cheapest to
 // bring back until the hydrated count is back within MaxHydratedStreams
 // (GreedyDual, Young 1994): the lowest touch-time inflation plus history
-// to rescan goes first, the oldest touch on a tie.
+// goes first, the oldest touch on a tie.
 // Streams with a live observe buffer are not candidates at all — evictOne
 // would refuse them anyway, and selecting them would burn the whole
 // victim quota on unevictable streams while sealed idle engines sit past
@@ -357,13 +371,14 @@ func (db *DB) evictOne(st *Stream) {
 	db.evictions++
 	db.mu.Unlock()
 
-	// The stream is durably sealed and cold once this returns; its summary
-	// sidecar lets glob/group-by queries answer it without rehydrating, and
-	// a summary a read held during the seal (the state before it) goes.
-	err := db.checkpoint(st.name, eng, true)
+	// The stream is durably sealed and cold once this returns, holding the
+	// summary of its sealed state (or, past the budget, with it written to
+	// SUMMARY.bin) in place of any a read held during the seal: glob and
+	// group-by queries answer it without rehydrating, and so does its next
+	// hydration's summary load.
+	err := db.checkpoint(st, eng, true)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.forgetColdLocked(st)
 	if err == nil && eng.store.MayHoldOrphans() {
 		st.swept = false
 	}
@@ -374,6 +389,7 @@ func (db *DB) evictOne(st *Stream) {
 		// the DB closed (or the stream dropped) meanwhile, in which case
 		// nothing will ever close it again and restoring would only make a
 		// closed DB report a hydrated engine.
+		db.forgetColdLocked(st)
 		st.eng = eng
 		db.hot[st] = struct{}{}
 		db.evictions--
@@ -385,9 +401,10 @@ func (db *DB) evictOne(st *Stream) {
 // stream. Creating a stream registers it — one write of its empty store
 // manifest under the DB lock, durable at the next device sync (the stream's
 // first EndStep commit at the latest). The call then hydrates the stream's
-// engine if it is cold; the hydration (manifest read plus summary-rebuild
-// scan) runs outside the DB lock, so a slow cold open never blocks
-// operations on other streams.
+// engine if it is cold; the hydration (manifest read, plus a summary-rebuild
+// scan unless the stream holds the summary its eviction built) runs outside
+// the DB lock, so a slow cold open never blocks operations on other
+// streams.
 func (db *DB) Stream(name string) (*Stream, error) {
 	var (
 		st      *Stream
@@ -699,17 +716,17 @@ func (db *DB) eachHydrated(f func(*Stream, *engine) error) error {
 // Checkpoint passes every hydrated stream through its barrier
 // (Stream.SyncMaintenance): a step whose level-0 write failed is written,
 // every merge a failure left due runs, the manifest is committed — each
-// write atomic on the backend — and the sidecar refreshed. It ends with a
-// device sync that also makes every registration durable, so a
+// write atomic on the backend — and the sidecar refreshed; an evicted
+// stream's held summary gets the sidecar its eviction deferred. It ends
+// with a device sync that also makes every registration durable, so a
 // multi-stream daemon can restart cleanly with Open. Once it returns nil,
 // every step EndStep sealed is durable and no merge is due. Cold (evicted
-// or never-touched) streams are already settled and durable and cost
-// nothing. In-flight (unloaded) stream batches are volatile by design
+// or never-touched) streams are already settled and durable. In-flight (unloaded) stream batches are volatile by design
 // (replayed or lost, exactly as a DSMS would). It tries every stream and
 // returns the first failure.
 func (db *DB) Checkpoint() error {
 	err := db.eachHydrated(func(st *Stream, eng *engine) error {
-		if err := db.checkpoint(st.name, eng, false); err != nil {
+		if err := db.checkpoint(st, eng, false); err != nil {
 			return fmt.Errorf("hsq: checkpoint stream %q: %w", st.name, err)
 		}
 		return nil
@@ -717,11 +734,13 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
+	db.saveColdSummaries()
 	return db.dev.Sync()
 }
 
-// Close seals every hydrated stream — settled, manifest committed, sidecar
-// refreshed — marks the DB closed and releases the shared backend
+// Close writes the SUMMARY.bin of every evicted stream whose held summary
+// has none yet, seals every hydrated stream — settled, manifest committed,
+// sidecar refreshed — marks the DB closed and releases the shared backend
 // (when it implements io.Closer).
 //
 // The DB is marked closed first and exactly once: even if sealing a stream
@@ -736,12 +755,16 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	var names []string
+	var sts, unsaved []*Stream
 	var engs []*engine
-	for name, st := range db.dir {
+	var sums []*core.ShardSummary
+	for _, st := range db.dir {
+		if st.coldUnsaved {
+			unsaved, sums = append(unsaved, st), append(sums, st.cold)
+		}
 		db.forgetColdLocked(st)
 		if st.eng != nil {
-			names = append(names, name)
+			sts = append(sts, st)
 			engs = append(engs, st.eng)
 			// Detach now, under db.mu: once the DB is closed, nothing may
 			// see these engines as hydrated — DirectoryStats must not
@@ -753,10 +776,13 @@ func (db *DB) Close() error {
 	clear(db.hot)
 	db.mu.Unlock()
 
+	for i, st := range unsaved {
+		db.writeSidecar(st.name, sums[i]) //nolint:errcheck // advisory: queries fall back to hydration
+	}
 	var errs []error
 	for i, eng := range engs {
-		if err := db.checkpoint(names[i], eng, true); err != nil {
-			errs = append(errs, fmt.Errorf("hsq: close stream %q: %w", names[i], err))
+		if err := db.checkpoint(sts[i], eng, true); err != nil {
+			errs = append(errs, fmt.Errorf("hsq: close stream %q: %w", sts[i].name, err))
 		}
 	}
 	if err := db.dev.Sync(); err != nil {
@@ -784,20 +810,26 @@ type DirectoryStats struct {
 	MaxHydrated int
 	// Hydrations and Evictions count engine loads and budget seals (cheapest
 	// to rehydrate first) since Open. Hydrations > Registered means streams
-	// have cycled. HydratedValues counts the values the hydrations'
-	// summary-rebuild scans read: each engine's history at its load.
+	// have cycled. HydratedValues is each engine's history at its load, the
+	// cost eviction's priority charges; ScannedValues is the part of it the
+	// summary-rebuild scans read back, none where a hydration took the
+	// summary its stream's eviction held.
 	Hydrations     uint64
 	Evictions      uint64
 	HydratedValues uint64
+	ScannedValues  uint64
 	// SummaryFallbacks counts the summary reads of an evicted stream that
 	// its sidecar could not answer (missing, refused by the decoder, or
 	// stale against the manifest) and that hydrated the stream instead.
 	SummaryFallbacks uint64
-	// ColdSummaryBytes is held by cold streams' validated sidecar summaries
-	// now (8 B a value, ≤ 32 MiB). SidecarDecodes counts cold reads that
-	// decoded a SUMMARY.bin instead: first reads, over-budget reads, refusals.
+	// ColdSummaryBytes is held by cold streams' summaries now (their
+	// evictions' or validated sidecars', 8 B a value, ≤ 32 MiB).
+	// SidecarDecodes counts cold reads that decoded a SUMMARY.bin instead:
+	// first reads of a stream holding nothing, over-budget reads, refusals.
+	// SidecarWrites counts the SUMMARY.bin files written.
 	ColdSummaryBytes int64
 	SidecarDecodes   uint64
+	SidecarWrites    uint64
 }
 
 // DirectoryStats returns the directory's registered/hydrated breakdown and
@@ -818,9 +850,11 @@ func (db *DB) DirectoryStats() DirectoryStats {
 		Hydrations:       db.hydrations,
 		Evictions:        db.evictions,
 		HydratedValues:   db.hydratedValues,
+		ScannedValues:    db.scannedValues,
 		SummaryFallbacks: db.summaryFallbacks,
 		ColdSummaryBytes: db.coldBytes,
 		SidecarDecodes:   db.sidecarDecodes.Load(),
+		SidecarWrites:    db.sidecarWrites.Load(),
 	}
 }
 

@@ -162,9 +162,13 @@
 // version byte included) or that fails its freshness cross-check against
 // the stream manifest falls back to one hydration, counted in
 // DirectoryStats.SummaryFallbacks, and is rewritten at the stream's next
-// eviction or checkpoint. The stream then holds the validated summary
-// until it next hydrates, so later reads decode nothing (32 MiB in all,
-// first come: DirectoryStats.ColdSummaryBytes, .SidecarDecodes).
+// checkpoint. The stream then holds the validated summary until it next
+// hydrates, so later reads decode nothing (32 MiB in all, first come:
+// DirectoryStats.ColdSummaryBytes, .SidecarDecodes). An evicted stream
+// holds the summary its eviction built, which its next hydration takes in
+// place of a rescan; the file is written at the barrier (DB.Checkpoint,
+// Close). One decoded from the file, which has no checksum, never feeds a
+// hydration.
 //
 // Which summaries a scoped read sees is one decision in one place. A
 // stream is a chronological list of spans — its partitions, oldest first
@@ -208,15 +212,17 @@
 // stream's κ is checked against its manifest when it hydrates. Hydration
 // happens lazily, on the first operation that needs the engine, outside
 // the DB-wide lock — a slow cold open (large manifest, summary-rebuild
-// scan) never blocks operations on other streams, and two goroutines
-// touching the same cold stream hydrate it exactly once.
+// scan on the first hydration after Open) never blocks operations on other
+// streams, and two goroutines touching the same cold stream hydrate it
+// exactly once.
 //
 // Options.MaxHydratedStreams bounds how many engines stay resident (0, the
 // default, means unbounded). Past the budget the DB evicts the idle
 // streams cheapest to bring back: eviction seals the stream — settles it,
-// commits its manifest, waits out in-flight queries, refreshes its sidecar
-// — and then drops the engine, so an evicted stream loses nothing and its
-// next touch rehydrates the exact same state. In-flight
+// commits its manifest, waits out in-flight queries, keeps the summary of
+// what it committed for the cold stream to hold — and then drops the
+// engine, so an evicted stream loses nothing and its next touch rehydrates
+// the exact same state. In-flight
 // operations pin their engine (never evicted mid-query), and a stream
 // holding a live observe buffer is not evictable — only EndStep may cut
 // a batch — so the budget is a target the DB converges to as streams go
@@ -285,7 +291,8 @@
 // and answered — and a merge that fails keeps its inputs and returns its
 // error from the EndStep that ran it. Both are retried by the next settle:
 // the start of the next EndStep, or the one per-stream barrier — settle,
-// commit, refresh the sidecar — that is Stream.SyncMaintenance, each
+// commit, then refresh the sidecar or, on an eviction, hold the summary —
+// that is Stream.SyncMaintenance, each
 // stream's step of DB.Checkpoint, and the start of Close and of an
 // eviction; Checkpoint returns with no merge due. Stream.Status exposes
 // what is pending and what ran (PendingSteps, PendingElements, Running,

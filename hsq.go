@@ -86,8 +86,8 @@ type Options struct {
 	// Streams beyond the bound are sealed — settled, manifest durably
 	// committed — and evicted cheapest to bring back first, then
 	// rehydrated transparently on their next touch. A stream's priority is
-	// the DB's inflation value at its last touch plus the history its
-	// rehydration would rescan, and each eviction raises the inflation to
+	// the DB's inflation value at its last touch plus its history, and each
+	// eviction raises the inflation to
 	// the victim's priority (GreedyDual): streams of equal size go in
 	// least-recently-used order, and an idle large stream goes once the
 	// evictions after its last touch add up past its size. The bound is a
@@ -319,14 +319,15 @@ func storeConfig(cfg Options, eps1 float64, namespace string) partition.Config {
 }
 
 // newEngineOn hydrates a registered stream's engine from the store manifest
-// in its namespaced device view. full must have passed withDefaults. The
-// load rebuilds partition summaries with one sequential scan each and, with
-// sweep, garbage-collects what a crashed or failed install left; every
-// durable step is a partition, so a reopened stream serves its recovered
-// prefix at once.
-func newEngineOn(dev *disk.Manager, full Options, namespace string, sweep bool) (*engine, error) {
+// in its namespaced device view. full must have passed withDefaults. Each
+// partition's summary is taken from held — the summary the stream's last
+// eviction in this process captured, or nothing — where it matches, and
+// rebuilt with one sequential scan otherwise; with sweep, the load also
+// garbage-collects what a crashed or failed install left. Every durable step
+// is a partition, so a reopened stream serves its recovered prefix at once.
+func newEngineOn(dev *disk.Manager, full Options, namespace string, sweep bool, held []core.PartSummary) (*engine, error) {
 	eps1 := full.Epsilon / 2
-	store, err := partition.LoadStore(dev, manifestName, storeConfig(full, eps1, namespace))
+	store, err := partition.LoadStore(dev, manifestName, storeConfig(full, eps1, namespace), held...)
 	if err != nil {
 		return nil, err
 	}

@@ -36,18 +36,10 @@ type ShardSummary struct {
 	Pieces []StreamPiece
 }
 
-// PartSummary is the portable form of one partition summary: the element
-// count, the time steps the partition covers, and the captured values, as
-// many as the capture rule takes of Count elements at ε₁ (partition.Beta).
-// The step range is what lets a decoded summary be narrowed to a query scope
-// and checked against a store manifest (the cold-summary sidecar). Capture
-// positions are not carried: each follows from Count and the shard's ε₁
-// (partition.CapturePos), and the rank bounds are sums of them.
-type PartSummary struct {
-	Count              int64
-	StartStep, EndStep int
-	Values             []int64
-}
+// PartSummary is the portable form of one partition summary
+// (partition.PartSummary): the element count, the step range and the
+// captured values.
+type PartSummary = partition.PartSummary
 
 // snapshotVersion is the ShardSummary encoding version byte. Version 1 had
 // no step ranges; version 2's piece entries sat at band middles, not at the

@@ -107,11 +107,14 @@ func (c Config) options(cb *disk.CrashBackend) hsq.Options {
 
 // Op is one workload operation on the named stream: an observe batch
 // (Batch non-nil), an end step (Batch nil, !Drop) or a drop (Drop) of the
-// stream. The next operation on a dropped stream re-creates it.
+// stream. The next operation on a dropped stream re-creates it. An Op with
+// Checkpoint set is a DB.Checkpoint instead, and names no stream; BuildPlan
+// emits none.
 type Op struct {
-	Stream string
-	Batch  []int64
-	Drop   bool
+	Stream     string
+	Batch      []int64
+	Drop       bool
+	Checkpoint bool
 }
 
 // BuildPlan generates the seeded workload plan: cfg.Ops operations
@@ -187,6 +190,15 @@ func Replay(cb *disk.CrashBackend, cfg Config, plan []Op) Result {
 		return res
 	}
 	for _, op := range plan {
+		if op.Checkpoint {
+			if err := db.Checkpoint(); err != nil {
+				if !errors.Is(err, disk.ErrCrashed) {
+					res.Err = fmt.Errorf("checkpoint: %w", err)
+				}
+				return res
+			}
+			continue
+		}
 		if op.Drop {
 			if err := db.DropStream(op.Stream); err != nil {
 				if !errors.Is(err, disk.ErrCrashed) {
@@ -242,6 +254,9 @@ func stepGroups(plan []Op) map[string][][][]int64 {
 	pending := make(map[string][]int64)
 	groups := make(map[string][][][]int64)
 	for _, op := range plan {
+		if op.Checkpoint {
+			continue
+		}
 		lives := groups[op.Stream]
 		if lives == nil {
 			lives = [][][]int64{nil}
@@ -280,11 +295,17 @@ func Verify(cb *disk.CrashBackend, cfg Config, plan []Op, res Result) error {
 
 	// Cold summaries first, before the loop below hydrates anything, must
 	// cover exactly the recovered steps: from the sidecar, or, where it does
-	// not match the committed manifest, the fallback hydrates the stream.
+	// not match the committed manifest, the fallback hydrates the stream —
+	// once, and counted.
 	cold := make(map[string]*core.ShardSummary)
 	for _, name := range db.Streams() {
+		before := db.DirectoryStats()
 		if cold[name], err = db.ScopedSummary(name, query.Scope{}); err != nil {
 			return fmt.Errorf("stream %s: cold summary after recovery: %w", name, err)
+		}
+		after := db.DirectoryStats()
+		if h, fb := after.Hydrations-before.Hydrations, after.SummaryFallbacks-before.SummaryFallbacks; h != fb || fb > 1 {
+			return fmt.Errorf("stream %s: cold read after recovery made %d hydrations and %d fallbacks, want none or one of each", name, h, fb)
 		}
 	}
 	groups := stepGroups(plan)

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	hsq "repro"
 	"repro/internal/disk"
+	"repro/internal/query"
 )
 
 var (
@@ -180,6 +182,79 @@ func TestCrashSweepEviction(t *testing.T) {
 	stride := int64(7)
 	if testing.Short() {
 		stride = 41
+	}
+	for k := int64(0); k < total; k += stride {
+		cb := disk.NewCrashBackend()
+		cb.SetCrashPoint(k, true)
+		res := Replay(cb, cfg, plan)
+		if res.Err != nil {
+			t.Fatalf("crash@%d: replay: %v", k, res.Err)
+		}
+		for _, keep := range []bool{false, true} {
+			clone := cb.Clone()
+			clone.Restart(keep)
+			if err := Verify(clone, cfg, plan, res); err != nil {
+				t.Errorf("crash@%d keep=%v: %v", k, keep, err)
+			}
+		}
+	}
+}
+
+// TestCrashSweepDeferredSidecar crashes at every backend operation of a plan
+// that evicts under a budget of one and passes DB.Checkpoint every 20
+// operations before the Close that ends it. An eviction's summary is held,
+// and its SUMMARY.bin written only at the next barrier, so a crash leaves
+// files behind the manifests: recovery must still hold every acknowledged
+// step once (Verify), and each cold read must answer from a sidecar that
+// matches its manifest or fall back once, counted. After the clean run's
+// Close, a reopened DB reads every stream cold with no hydration and no
+// fallback.
+func TestCrashSweepDeferredSidecar(t *testing.T) {
+	cfg := Config{Seed: *seedFlag, Ops: 100, MaxHydrated: 1}.WithDefaults()
+	var plan []Op
+	open := make(map[string]bool) // streams with an observe batch not yet ended
+	for i, op := range BuildPlan(cfg) {
+		if i > 0 && i%20 == 0 {
+			plan = append(plan, Op{Checkpoint: true})
+		}
+		plan = append(plan, op)
+		open[op.Stream] = op.Batch != nil
+	}
+	// Every step ends before the Close: a checkpoint over an open step
+	// removes the stream's sidecar (TestSidecarIsTheWireEncoding), so only
+	// then is every stream's durable state in a file.
+	for i := 0; i < cfg.Streams; i++ {
+		if open[streamName(i)] {
+			plan = append(plan, Op{Stream: streamName(i)})
+		}
+	}
+	counter := disk.NewCrashBackend()
+	if res := Replay(counter, cfg, plan); res.Err != nil {
+		t.Fatalf("uncrashed replay failed: %v", res.Err)
+	}
+	clean := counter.Clone()
+	clean.Restart(false)
+	db, err := hsq.Open(cfg.options(clean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := db.Streams()
+	for _, name := range names {
+		if _, err := db.ScopedSummary(name, query.Scope{}); err != nil {
+			t.Fatalf("cold read of %s after a clean Close: %v", name, err)
+		}
+	}
+	if ds := db.DirectoryStats(); len(names) == 0 || ds.Hydrations != 0 || ds.SummaryFallbacks != 0 {
+		t.Fatalf("cold reads of %d streams after a clean Close: %+v, want no hydration and no fallback", len(names), ds)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	total := counter.Ops()
+	stride := int64(1)
+	if testing.Short() {
+		stride = 13
 	}
 	for k := int64(0); k < total; k += stride {
 		cb := disk.NewCrashBackend()

@@ -15,9 +15,10 @@ import (
 const manifestVersion = 1
 
 // Manifest is the durable description of a Store: enough to reopen the
-// warehouse after a restart. Summaries are not persisted — they are rebuilt
-// with one sequential scan per partition on load, which is the same I/O
-// class as the merge that produced the partition.
+// warehouse after a restart. Summaries are not in it: LoadStore takes the
+// ones its caller captured earlier in the process and rebuilds the rest
+// with one sequential scan per partition, the same I/O class as the merge
+// that produced the partition.
 type Manifest struct {
 	Version int `json:"version"`
 	// Namespace is the logical stream this store belongs to ("" for
@@ -197,18 +198,21 @@ func CollectOrphans(dev *disk.Manager, keep map[string]bool) ([]string, error) {
 	return removed, nil
 }
 
-// LoadStore reopens a Store from a manifest, rebuilding each partition's
-// in-memory summary with a sequential scan. A manifest whose entries do not
-// fit together is refused before any file is read (ParseManifest). It reads
-// only the files the
-// manifest names, so files from half-finished installs — partitions written
-// but never committed, sort temporaries — never poison a reopen; it does not
-// remove them (Store.CollectOrphans does).
+// LoadStore reopens a Store from a manifest. A partition whose step range
+// and count match one of held (oldest first) takes that summary with no
+// read; it enters the HS unchecked, so only a summary the caller captured
+// itself may be held. Any other partition's summary is rebuilt with one
+// sequential scan (Store.Scanned), which refuses a partition that is not
+// sorted on disk. A manifest whose entries do not fit together is
+// refused before any file is read (ParseManifest). It reads only the files
+// the manifest names, so files from half-finished installs — partitions
+// written but never committed, sort temporaries — never poison a reopen; it
+// does not remove them (Store.CollectOrphans does).
 //
 // A manifest with a pending section — sealed steps an earlier release kept
 // as raw spills — is refused before anything is touched: open the directory
 // with that release and Close it, which installs every sealed step.
-func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, error) {
+func LoadStore(dev *disk.Manager, manifestName string, cfg Config, held ...PartSummary) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -242,10 +246,16 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 			dev:       dev,
 			name:      pe.Name,
 		}
+		i, ok := slices.BinarySearchFunc(held, pe.StartStep, func(h PartSummary, step int) int { return h.StartStep - step })
+		if ok && held[i].EndStep == pe.EndStep && held[i].Count == pe.Count && len(held[i].Values) == Beta(pe.Count, cfg.Eps1) {
+			ents = append(ents, &Summary{Part: p, Values: held[i].Values, eps1: cfg.Eps1})
+			continue
+		}
 		sum, err := rebuildSummary(p, cfg.Eps1)
 		if err != nil {
 			return nil, err
 		}
+		s.scanned += pe.Count
 		ents = append(ents, sum)
 	}
 	// The store's one list is oldest first, whatever order the manifest
@@ -259,6 +269,10 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config) (*Store, erro
 	s.committedSeq = s.publishLocked(ents, nil, s.newMemo()).seq
 	return s, nil
 }
+
+// Scanned is the number of values LoadStore read to rebuild summaries: zero
+// when every partition's summary was held, and for a store NewStore made.
+func (s *Store) Scanned() int64 { return s.scanned }
 
 // CollectOrphans sweeps the view of a store LoadStore just returned, before
 // its first write, keeping the manifest and the loaded partitions. Run it

@@ -143,8 +143,9 @@ func (sb *SealedBatch) MemoryBytes() int64 { return int64(cap(sb.data)) * 8 }
 // run that steps backwards: a partition damaged on the device stops the
 // merge that reads it (see mergeLevel), not the next LoadStore.
 type Store struct {
-	dev *disk.Manager
-	cfg Config
+	dev     *disk.Manager
+	cfg     Config
+	scanned int64 // values LoadStore read, set before the store is shared
 
 	// Published state.
 	vmu          sync.Mutex

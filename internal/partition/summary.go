@@ -20,6 +20,20 @@ type Summary struct {
 	eps1   float64
 }
 
+// PartSummary is the portable form of one partition summary: the element
+// count, the time steps the partition covers, and the captured values, as
+// many as the capture rule takes of Count elements at ε₁ (Beta). The step
+// range is what lets a summary be narrowed to a query scope and matched to a
+// store manifest's entry (the cold-summary sidecar, and a LoadStore handed
+// the summaries an eviction captured). Capture positions are not carried:
+// each follows from Count and ε₁ (CapturePos), and the rank bounds are sums
+// of them.
+type PartSummary struct {
+	Count              int64
+	StartStep, EndStep int
+	Values             []int64
+}
+
 // MemoryBytes is the footprint of the summary: 8 bytes per entry (value).
 func (s *Summary) MemoryBytes() int64 { return int64(len(s.Values)) * 8 }
 

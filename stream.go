@@ -75,10 +75,13 @@ type Stream struct {
 	// set, and sets it; an evicted engine that may have left one
 	// (partition.Store.MayHoldOrphans) clears it. Changes hold opMu too.
 	swept bool
-	// cold is the sidecar summary a cold stream holds until it hydrates;
-	// coldEpoch counts its forgets (coldsummary.go).
-	cold      *core.ShardSummary
-	coldEpoch uint64
+	// cold is the summary a cold stream holds until it hydrates; coldEpoch
+	// counts its forgets. coldOwn marks one this process's eviction built,
+	// which the next hydration takes in place of a scan; coldUnsaved, one
+	// whose SUMMARY.bin is not written yet (coldsummary.go).
+	cold                 *core.ShardSummary
+	coldEpoch            uint64
+	coldOwn, coldUnsaved bool
 }
 
 // Name returns the stream's name.
@@ -347,7 +350,7 @@ func (s *Stream) ProbeMemoStats() ProbeMemoStats {
 // sealing settled it — so the call returns at once, without hydrating.
 func (s *Stream) SyncMaintenance() error {
 	var err error
-	if perr := s.peek(func(e *engine) { err = s.db.checkpoint(s.name, e, false) }); perr != nil {
+	if perr := s.peek(func(e *engine) { err = s.db.checkpoint(s, e, false) }); perr != nil {
 		return perr
 	}
 	return err
