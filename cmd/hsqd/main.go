@@ -273,11 +273,12 @@ func (s *server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"streams": streams,
 		"device": map[string]any{
-			"io_seq_reads":  agg.SeqReads,
-			"io_seq_writes": agg.SeqWrites,
-			"io_rand_reads": agg.RandReads,
-			"io_cache_hits": agg.CacheHits,
-			"cache_blocks":  s.db.CacheBlocks(),
+			"io_seq_reads":    agg.SeqReads,
+			"io_seq_writes":   agg.SeqWrites,
+			"io_rand_reads":   agg.RandReads,
+			"io_cache_hits":   agg.CacheHits,
+			"io_stride_reads": agg.StrideReads,
+			"cache_blocks":    s.db.CacheBlocks(),
 		},
 		"scheduler": map[string]any{
 			"pending_steps":      sum.PendingSteps,

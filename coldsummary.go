@@ -76,16 +76,26 @@ func streamManifestPath(stream string) string {
 }
 
 // refreshSidecar brings a stream's sidecar in line with sum, its engine's
-// full-scope summary at a moment its durable state is known: a summary of
-// installed partitions only is written, anything else (stream-side pieces,
-// or no summary at all) removes the file so cold reads fall back to
-// hydration without chasing the manifest cross-check. Metadata write —
-// atomic on the backend, uncounted in I/O stats, advisory; durability rides
-// the next device sync like the manifests it mirrors.
+// full-scope summary at a moment its durable state is known: the installed
+// partitions' summary is written — sum without its stream-side pieces (an
+// open step the commit did not make durable), N their sum — so it matches
+// the manifest the same commit made durable and a cold read after a clean
+// Close needs no hydration. No summary at all removes the file, so cold reads
+// fall back to hydration without chasing the manifest cross-check. Metadata
+// write — atomic on the backend, uncounted in I/O stats, advisory;
+// durability rides the next device sync like the manifests it mirrors.
 func (db *DB) refreshSidecar(stream string, sum *core.ShardSummary) {
-	if sum == nil || len(sum.Pieces) > 0 {
+	if sum == nil {
 		db.dropSidecar(stream)
 		return
+	}
+	if len(sum.Pieces) > 0 {
+		parts := *sum
+		parts.Pieces, parts.N = nil, 0
+		for _, p := range parts.Parts {
+			parts.N += p.Count
+		}
+		sum = &parts
 	}
 	db.writeSidecar(stream, sum) //nolint:errcheck // advisory: queries fall back to hydration
 }
@@ -97,10 +107,9 @@ func (db *DB) writeSidecar(stream string, sum *core.ShardSummary) error {
 	return db.dev.WriteMeta(sidecarPath(stream), sum.AppendBinary(nil))
 }
 
-// dropSidecar best-effort removes a stream's sidecar: used when the
-// stream's durable state stops being representable (pending work at
-// checkpoint). A leftover sidecar is safe — the manifest cross-check
-// rejects it — this just avoids pointless fallbacks.
+// dropSidecar best-effort removes a stream's sidecar, when a checkpoint has
+// no summary to write. A leftover sidecar is safe — the manifest
+// cross-check rejects it — this just avoids pointless fallbacks.
 func (db *DB) dropSidecar(stream string) {
 	if db.dev.Exists(sidecarPath(stream)) {
 		db.dev.Remove(sidecarPath(stream)) //nolint:errcheck // advisory cleanup

@@ -96,11 +96,22 @@
 // validation, falling back to raw) is read as it is, each block read counted
 // in IOStats.V1Blocks, until a level merge rewrites it.
 //
-// Cache accounting: the block cache holds checked, undecoded frames and
-// charges each by its decoded size in bytes (Options.CacheBlocks × BlockSize
-// is the byte budget), not by entry count or frame bytes — a columnar block
-// holds several blocks' worth of raw elements, and counting entries would
-// hand the compressed format a hidden cache-size advantage in comparisons. benchmark/ traces the codec
+// A random read fetches only the strides it decodes (256 values each, located
+// by the footer's checkpoints), each checked against its own CRC-32C. Those
+// checksums are derived, not stored: a version-2 block's first random read
+// in the process reads it whole, checks the footer's block checksum and
+// records them in the file's index; version-1 and raw files keep whole-block
+// reads. A probe in the §2.4 pinned block that needs strides the pin lacks
+// fetches them as the pinned-block access it is: free in RandReads, counted
+// in IOStats.StrideReads.
+//
+// Cache accounting: the block cache holds checked, undecoded frames — a
+// block's first read whole, or the strides a later read fetched — and
+// charges each by the decoded size in bytes of the values it holds
+// (Options.CacheBlocks × BlockSize is the byte budget), not by entry count or
+// frame bytes — a columnar block holds several blocks' worth of raw
+// elements, and counting entries would hand the compressed format a hidden
+// cache-size advantage in comparisons. benchmark/ traces the codec
 // on every workload (disk.encode_ns_per_value, disk.decode_ns_per_value,
 // disk.skip_ratio, disk.cache_hit_ratio).
 //

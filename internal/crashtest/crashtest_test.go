@@ -220,9 +220,8 @@ func TestCrashSweepDeferredSidecar(t *testing.T) {
 		plan = append(plan, op)
 		open[op.Stream] = op.Batch != nil
 	}
-	// Every step ends before the Close: a checkpoint over an open step
-	// removes the stream's sidecar (TestSidecarIsTheWireEncoding), so only
-	// then is every stream's durable state in a file.
+	// Every step ends before the Close, so every observed value is durable;
+	// TestCleanCloseWithOpenSteps runs the plan with its open steps left open.
 	for i := 0; i < cfg.Streams; i++ {
 		if open[streamName(i)] {
 			plan = append(plan, Op{Stream: streamName(i)})
@@ -269,6 +268,65 @@ func TestCrashSweepDeferredSidecar(t *testing.T) {
 			if err := Verify(clone, cfg, plan, res); err != nil {
 				t.Errorf("crash@%d keep=%v: %v", k, keep, err)
 			}
+		}
+	}
+}
+
+// TestCleanCloseWithOpenSteps: a clean Close with steps still open leaves
+// each stream's SUMMARY.bin holding the summary of its installed partitions,
+// which is all its durable state, so after Open every cold read answers from
+// the file — no hydration, no fallback — with the bytes the stream gives
+// once hydrated. On this plan 2 of the 3 streams hold an open step at Close;
+// a checkpoint that removed their files cost each a fallback hydration.
+func TestCleanCloseWithOpenSteps(t *testing.T) {
+	cfg := Config{Seed: 1, Ops: 100, MaxHydrated: 1}.WithDefaults()
+	plan := BuildPlan(cfg)
+	open := make(map[string]bool)
+	for _, op := range plan {
+		open[op.Stream] = op.Batch != nil
+	}
+	opened := 0
+	for _, o := range open {
+		if o {
+			opened++
+		}
+	}
+	if opened == 0 {
+		t.Fatal("plan: no stream holds an open step at Close")
+	}
+	cb := disk.NewCrashBackend()
+	if res := Replay(cb, cfg, plan); res.Err != nil {
+		t.Fatalf("replay failed: %v", res.Err)
+	}
+	cb.Restart(false)
+	db, err := hsq.Open(cfg.options(cb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	names := db.Streams()
+	cold := make(map[string][]byte)
+	for _, name := range names {
+		sum, err := db.ScopedSummary(name, query.Scope{})
+		if err != nil {
+			t.Fatalf("cold read of %s: %v", name, err)
+		}
+		cold[name] = sum.AppendBinary(nil)
+	}
+	if ds := db.DirectoryStats(); len(names) == 0 || ds.Hydrations != 0 || ds.SummaryFallbacks != 0 {
+		t.Fatalf("cold reads of %d streams (%d with a step open at Close): %+v, want no hydration and no fallback", len(names), opened, ds)
+	}
+	for _, name := range names {
+		st, err := db.Stream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := st.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hot := sum.AppendBinary(nil); string(hot) != string(cold[name]) {
+			t.Errorf("%s: the cold read's summary differs from the hydrated stream's", name)
 		}
 	}
 }

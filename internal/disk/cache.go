@@ -6,15 +6,18 @@ import (
 )
 
 // blockCache is a sharded LRU cache of checked block frames, keyed by (file,
-// block index). It sits between the Manager's random-read path and the
-// backend: a hit returns the Frame without touching the backend, without a
-// simulated-latency sleep, and without counting a random read — in the
-// paper's cost model a cached block is free, exactly like the §2.4 pinned
-// block, but shared across queries and partitions.
+// block index): a block's first random read whole, or the strides a later
+// read fetched — one frame a block, the one its last miss read. It sits between
+// the Manager's random-read path and the backend: a hit, a cached frame that
+// holds the run asked for, returns the Frame without touching the backend,
+// without a simulated-latency sleep, and without counting a random read — in
+// the paper's cost model a cached block is free, exactly like the §2.4
+// pinned block, but shared across queries and partitions.
 //
-// An entry is charged its decoded size (elements × ElementSize), not the
-// ~5× smaller frame it holds: a budget is a number of raw blocks' worth of
-// elements, whatever the format, so a cache size means one thing on both.
+// An entry is charged the decoded size of what it holds (elements ×
+// ElementSize), not the ~5× smaller frame bytes: a budget is a number of raw
+// blocks' worth of elements, whatever the format, so a cache size means one
+// thing on both.
 //
 // Sequential scans deliberately bypass the cache: a merge or summary rebuild
 // touches each block once, and letting scans through would evict the hot
@@ -27,8 +30,9 @@ import (
 // data. Writing to a shared backend through a second Manager (or directly)
 // bypasses this cache and voids that guarantee.
 //
-// Cached frames are shared between the cache and all readers; a Frame is
-// immutable, so sharing needs no care.
+// Cached frames are shared between the cache and all readers. A whole frame
+// is immutable; a stride frame the cache keeps has bytes of its own and is
+// never written (RandomReader.Cover copies it), so sharing needs no care.
 type blockCache struct {
 	shards []cacheShard
 }
@@ -54,8 +58,12 @@ type cacheEntry struct {
 	frame *Frame
 }
 
-// cost is what an entry charges the budget: the size of its block decoded.
-func cost(f *Frame) int64 { return int64(f.n) * ElementSize }
+// cost is what an entry charges the budget: the size of what it holds
+// decoded — its block, or a stride read's strides.
+func cost(f *Frame) int64 {
+	lo, hi := f.span()
+	return int64(hi-lo) * ElementSize
+}
 
 // cacheShards is the shard count: enough to keep lock contention negligible
 // when many streams' queries share the device cache, without fragmenting

@@ -565,6 +565,34 @@ func TestBlockReadAllocates(t *testing.T) {
 	if perOpen := (after.TotalAlloc - before.TotalAlloc) / 100; perOpen >= uint64(m.BlockSize())/4 {
 		t.Errorf("a reader that never reached the backend allocated %d bytes; a block is %d", perOpen, m.BlockSize())
 	}
+
+	// A warm stride read (its block read whole above, so its stride
+	// checksums are derived) allocates at most its strides' bytes, never the
+	// block: into a fresh frame, the frame and those bytes; into a frame the
+	// caller keeps, nothing once its buffer has grown.
+	m.SetCache(0)
+	var into Frame
+	if _, err := rr.ReadRun(2, 700, 900, &into); err != nil {
+		t.Fatal(err)
+	}
+	strides, block := len(into.bytes), int(rr.ix.offsets[3]-rr.ix.offsets[2])
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := rr.ReadRun(2, 700, 900, new(Frame)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if per := int(after.TotalAlloc-before.TotalAlloc) / 101; allocs > 2 || per > strides+128 || strides >= block/4 {
+		t.Errorf("stride read into a fresh frame: %v allocs, %d bytes a read; the strides are %d bytes, the block %d", allocs, per, strides, block)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := rr.ReadRun(2, 700, 900, &into); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("stride read into a kept frame: %v allocs, want 0", allocs)
+	}
 }
 
 // TestSmallerBlockSizeReadsBothFormats: a file keeps the block geometry it
@@ -949,7 +977,8 @@ func readEveryWay(t testing.TB, data []byte, name string) (scan []int64, disagre
 // error naming the file, at open or at a read: none reads back silently and
 // none panics. The block checksums cover headers and frames, the footer's
 // covers the index and the trailer, and a damaged magic is refused, not read
-// as format 0.
+// as format 0. A second pass (strideFlips) flips the bits after the first
+// touch, under the stride reads.
 func TestEveryBitFlipRefused(t *testing.T) {
 	vals, data := flipFile(t)
 	if scan, disagree, err := readEveryWay(t, data, "flip.dat"); err != nil || disagree || !slices.Equal(scan, vals) {
@@ -973,6 +1002,7 @@ func TestEveryBitFlipRefused(t *testing.T) {
 		t.Errorf("%d of %d single-bit flips read back without an error", silent, 8*len(data))
 	}
 	t.Logf("%d-byte file of %d values: %d single-bit flips, %d read back without an error", len(data), len(vals), 8*len(data), silent)
+	strideFlips(t, vals, data)
 }
 
 // FuzzFrame holds the random read's frame to the sequential scans'

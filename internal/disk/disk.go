@@ -10,6 +10,14 @@
 // (see backend.go). The file backend reproduces the seed's directory-of-flat-
 // files layout; MemBackend keeps everything in heap memory.
 //
+// A random read counts as one block access whatever it moves. Past a
+// version-2 block's first random read in the process, which reads it whole
+// and derives a CRC-32C for each of its strides (frameStride values), a read
+// moves only the strides that cover the run it decodes
+// (RandomReader.ReadRun), and the strides a pinned frame lacks come as
+// stride reads (RandomReader.Cover), which the paper's count leaves out as
+// it leaves out the §2.4 pinned block: Stats.StrideReads counts them.
+//
 // The default block size is 100 KB, the value assumed throughout the paper's
 // experiments, giving 12,800 elements per block.
 package disk
@@ -50,6 +58,10 @@ const (
 	OpMetaWrite
 	// OpSync is a durability barrier.
 	OpSync
+	// OpStrideRead fetches strides a pinned block lacks (RandomReader.Cover):
+	// the §2.4 pinned-block access, which is not a random read and carries no
+	// simulated latency.
+	OpStrideRead
 )
 
 // String returns a human-readable operation name.
@@ -67,6 +79,8 @@ func (o Op) String() string {
 		return "meta-write"
 	case OpSync:
 		return "sync"
+	case OpStrideRead:
+		return "stride-read"
 	default:
 		return fmt.Sprintf("op(%d)", int(o))
 	}
@@ -96,6 +110,11 @@ type Stats struct {
 	// reached a columnar version-1 file: blocks with no checksum, whose
 	// delta frames a random read checks with a pass of enc.ScanDelta.
 	V1Blocks uint64
+	// StrideReads counts the fetches of strides a pinned block lacked
+	// (RandomReader.Cover): reads the paper's cost model does not count, as
+	// the §2.4 pinned block is free. Not part of Total(); their bytes are in
+	// BytesRead.
+	StrideReads uint64
 }
 
 // Total returns the total number of block accesses (reads + writes).
@@ -125,6 +144,7 @@ func (s Stats) Sub(t Stats) Stats {
 		CacheMisses:   sub64(s.CacheMisses, t.CacheMisses),
 		SkippedBlocks: sub64(s.SkippedBlocks, t.SkippedBlocks),
 		V1Blocks:      sub64(s.V1Blocks, t.V1Blocks),
+		StrideReads:   sub64(s.StrideReads, t.StrideReads),
 	}
 }
 
@@ -141,12 +161,13 @@ func (s Stats) Add(t Stats) Stats {
 		CacheMisses:   s.CacheMisses + t.CacheMisses,
 		SkippedBlocks: s.SkippedBlocks + t.SkippedBlocks,
 		V1Blocks:      s.V1Blocks + t.V1Blocks,
+		StrideReads:   s.StrideReads + t.StrideReads,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("seqR=%d seqW=%d randR=%d total=%d cacheHit=%d cacheMiss=%d skipped=%d v1=%d",
-		s.SeqReads, s.SeqWrites, s.RandReads, s.Total(), s.CacheHits, s.CacheMisses, s.SkippedBlocks, s.V1Blocks)
+	return fmt.Sprintf("seqR=%d seqW=%d randR=%d total=%d cacheHit=%d cacheMiss=%d skipped=%d v1=%d strideR=%d",
+		s.SeqReads, s.SeqWrites, s.RandReads, s.Total(), s.CacheHits, s.CacheMisses, s.SkippedBlocks, s.V1Blocks, s.StrideReads)
 }
 
 // ioCounters is one set of cumulative I/O counters. The device aggregate
@@ -162,6 +183,7 @@ type ioCounters struct {
 	cacheMisses   atomic.Uint64
 	skippedBlocks atomic.Uint64
 	v1Blocks      atomic.Uint64
+	strideReads   atomic.Uint64
 }
 
 func (c *ioCounters) snapshot() Stats {
@@ -176,6 +198,7 @@ func (c *ioCounters) snapshot() Stats {
 		CacheMisses:   c.cacheMisses.Load(),
 		SkippedBlocks: c.skippedBlocks.Load(),
 		V1Blocks:      c.v1Blocks.Load(),
+		StrideReads:   c.strideReads.Load(),
 	}
 }
 
@@ -362,6 +385,13 @@ func (m *Manager) countRandRead(nbytes int, v1 bool) {
 		if v1 {
 			c.v1Blocks.Add(1)
 		}
+	}
+}
+
+func (m *Manager) countStrideRead(nbytes int) {
+	for _, c := range m.feeds {
+		c.strideReads.Add(1)
+		c.bytesRead.Add(uint64(nbytes))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/enc"
 )
@@ -32,13 +33,15 @@ import (
 // each block's CRC-32C and checkpoints, and a CRC-32C of its own.
 //
 // A cold read of one block: at the default 100 KB a sorted partition's block
-// holds ~57 000 values at ~1.75 B each (format 0: 12 800), so it is one
-// backend call into a buffer of its own, the block's CRC-32C and the header
-// checks — no value is decoded, and the offset where every frameStride-th
-// value starts comes from the footer. The resulting Frame owns its bytes, the
-// cache keeps it in a shard that is a pure function of (file, block), and a
-// probe decodes only the run it searches (Frame.Decode): one summary gap,
-// ~200 values, not 57 000.
+// holds ~57 000 values at ~1.75 B each (format 0: 12 800). Its first random
+// read in the process is one backend call into a buffer of its own, the
+// block's CRC-32C and the header checks — no value is decoded, and the
+// offset where every frameStride-th value starts comes from the footer —
+// and it derives each stride's CRC-32C into the file's index. Every later
+// read fetches only the strides that cover the run it decodes, about 450
+// bytes each, checked one by one. The cache keeps frames in a shard that is
+// a pure function of (file, block), and a probe decodes only the run it
+// searches (Frame.Decode): one summary gap, ~200 values, not 57 000.
 type BlockFormat uint8
 
 const (
@@ -133,6 +136,57 @@ type colIndex struct {
 	// version-2 footer; both are nil for format 0 and for version 1.
 	crcs []uint32
 	cks  [][]int32
+	// strides[i] is what the first random read of version-2 block i in this
+	// process derived from the block it checked whole: its frame tag and the
+	// CRC-32C of each stride, so later reads fetch and check the strides
+	// they decode, not the block. Nil until then (and for format 0 and
+	// version 1, which keep whole-block reads). Derived state, never on disk.
+	strides []atomic.Pointer[blockStrides]
+}
+
+// blockStrides is one block's derived stride state: stride k is its frame's
+// values [k·frameStride, (k+1)·frameStride), at the bytes from its
+// checkpoint to the next (or the frame's end).
+type blockStrides struct {
+	raw  bool     // the frame is raw-tagged: stride k starts at k·frameStride·8
+	crcs []uint32 // crcs[k] is stride k's CRC-32C
+}
+
+// derived returns block i's stride state, or nil before its first random
+// read (and always for format 0 and version 1).
+func (ix *colIndex) derived(i int64) *blockStrides {
+	if ix.strides == nil {
+		return nil
+	}
+	return ix.strides[i].Load()
+}
+
+// derive records the stride state of block i from f, its whole frame as its
+// block checksum vouched for it, unless a read before it did. Concurrent
+// first reads of one block may each derive; they check the same bytes, so
+// whichever lands first is the one every later read checks against.
+func (ix *colIndex) derive(i int64, f *Frame) {
+	if ix.strides == nil || ix.strides[i].Load() != nil {
+		return
+	}
+	s := &blockStrides{raw: f.offs == nil, crcs: make([]uint32, len(ix.cks[i]))}
+	for k := range s.crcs {
+		s.crcs[k] = crc32.Checksum(f.bytes[ix.strideOff(i, s, k):ix.strideOff(i, s, k+1)], crcTable)
+	}
+	ix.strides[i].CompareAndSwap(nil, s)
+}
+
+// strideOff returns where stride k of block i starts in its frame; k at the
+// stride count gives the frame's length. The checkpoints parseIndex checked
+// keep every stride inside the frame and non-empty.
+func (ix *colIndex) strideOff(i int64, s *blockStrides, k int) int {
+	switch {
+	case k == len(ix.cks[i]):
+		return ix.frameLen(i)
+	case s.raw:
+		return k * frameStride * ElementSize
+	}
+	return int(ix.cks[i][k])
 }
 
 // v1 reports whether the file is columnar version 1, whose blocks carry no
@@ -373,6 +427,7 @@ func parseIndex(raw, t []byte, dataEnd int64, v2 bool) (*colIndex, error) {
 		}
 		entryLen = colIndexEntryLen
 		ix.crcs, ix.cks = make([]uint32, nblocks), make([][]int32, nblocks)
+		ix.strides = make([]atomic.Pointer[blockStrides], nblocks)
 		cks = make([]int32, (int64(len(raw))-nblocks*entryLen)/4)
 	}
 	var elems int64
@@ -460,11 +515,16 @@ func (m *Manager) index(key string, h ReadHandle) (*colIndex, error) {
 		return nil, err
 	}
 	d.idxMu.Lock()
+	defer d.idxMu.Unlock()
 	if d.idxCache == nil {
 		d.idxCache = make(map[string]*colIndex)
 	}
+	// A concurrent open that loaded the index first wins, so every reader
+	// of the file shares one index and the stride checksums derived in it.
+	if first, ok := d.idxCache[key]; ok {
+		return first, nil
+	}
 	d.idxCache[key] = ix
-	d.idxMu.Unlock()
 	return ix, nil
 }
 

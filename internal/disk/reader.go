@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sync"
 
 	"repro/internal/enc"
@@ -248,45 +249,71 @@ func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
 // frameStride is how many values of a delta frame lie between checkpoints:
 // a run decode skips at most frameStride-1 deltas (~450 bytes of a sorted
 // block), and a 57 000-value block keeps 223 checkpoints (0.9 KB of its
-// file's footer, and of the index cache while the file is open).
+// file's footer, and of the index cache while the file is open). It is also
+// the unit a stride read fetches and checks (RandomReader.ReadRun).
 const frameStride = 256
 
 // Frame is one block as a random read returns it: its bytes, checked once,
 // and for a delta frame the byte offset of every frameStride-th value (the
 // file's footer's, shared with its index; a version-1 file's, recorded by
 // enc.ScanDelta), so any run of the block decodes without decoding what
-// precedes it. A Frame is immutable and shared with the block cache.
+// precedes it. A whole frame holds every stride of its block and is
+// immutable. A stride read's frame holds the strides that cover its
+// elements [lo, hi) only: in the caller's buffer, which the next read into it
+// and RandomReader.Cover reuse, or in one of its own, immutable too, when the
+// block cache keeps it. The cache shares its frames with every reader.
 type Frame struct {
-	n     int
-	bytes []byte  // the frame: little-endian int64s, or delta varints
-	offs  []int32 // offs[k] is where value k·frameStride starts; nil for a raw frame
+	n      int
+	lo, hi int     // a stride read's frame holds elements [lo, hi); hi is 0 for a whole frame
+	at     int     // the frame offset of bytes[0]
+	bytes  []byte  // the frame, or its strides from byte at: little-endian int64s, or delta varints
+	offs   []int32 // offs[k] is where value k·frameStride starts; nil for a raw frame
+	kept   bool    // the block cache holds it: it is never written again
 }
 
 // Len returns the number of elements in the block.
 func (f *Frame) Len() int { return f.n }
 
+// span returns the elements the frame holds.
+func (f *Frame) span() (lo, hi int) {
+	if f.hi == 0 {
+		return 0, f.n
+	}
+	return f.lo, f.hi
+}
+
+// holds reports whether the frame holds elements [from, to).
+func (f *Frame) holds(from, to int) bool {
+	lo, hi := f.span()
+	return from >= lo && to <= hi
+}
+
 // Decode decodes the block's elements [from, from+len(dst)) into dst. prev is
 // the value of element from-1; a raw frame, or a run from the block's start,
-// needs none. A run outside the block, or a frame that does not decode — a
-// file crafted to pass its checksum — is an error.
+// needs none. A run outside the block or outside the strides the frame
+// holds, or a frame that does not decode — a file crafted to pass its
+// checksums — is an error.
 func (f *Frame) Decode(dst []int64, from int, prev int64) error {
-	if from < 0 || from+len(dst) > f.n {
-		return fmt.Errorf("disk: run [%d,%d) outside a %d-element block", from, from+len(dst), f.n)
-	}
-	if len(dst) == 0 {
+	to := from + len(dst)
+	switch {
+	case from < 0 || to > f.n:
+		return fmt.Errorf("disk: run [%d,%d) outside a %d-element block", from, to, f.n)
+	case len(dst) == 0:
 		return nil
+	case !f.holds(from, to):
+		return fmt.Errorf("disk: run [%d,%d) outside the strides [%d,%d) read of a %d-element block", from, to, f.lo, f.hi, f.n)
 	}
 	if f.offs == nil {
-		decodeInto(dst, f.bytes[from*ElementSize:])
+		decodeInto(dst, f.bytes[from*ElementSize-f.at:])
 		return nil
 	}
 	if from == 0 {
 		prev = 0 // a block's deltas start from zero
 	}
-	ck := int(f.offs[from/frameStride])
+	ck := int(f.offs[from/frameStride]) - f.at
 	off := ck + enc.SkipDelta(f.bytes[ck:], from%frameStride)
 	if _, err := enc.DecodeDeltaFrom(dst, f.bytes[off:], prev); err != nil {
-		return fmt.Errorf("disk: decode of [%d,%d) from a %d-element block: %w", from, from+len(dst), f.n, err)
+		return fmt.Errorf("disk: decode of [%d,%d) from a %d-element block: %w", from, to, f.n, err)
 	}
 	return nil
 }
@@ -333,33 +360,61 @@ func (r *RandomReader) Skip(int64) {
 	r.m.countBlockSkip()
 }
 
-// Frame reads block idx and returns it checked, undecoded. The Frame is
-// shared with the Manager's block cache when one is installed; a hit returns
-// the very Frame the miss cached.
-func (r *RandomReader) Frame(idx int64) (*Frame, error) {
+// Frame reads block idx whole and returns it checked, undecoded. The Frame
+// is shared with the Manager's block cache when one is installed; a hit
+// returns the very Frame the miss cached.
+func (r *RandomReader) Frame(idx int64) (*Frame, error) { return r.ReadRun(idx, 0, 0, nil) }
+
+// ReadRun returns block idx holding at least its elements [from, to), checked
+// and undecoded, as one random read or one cache hit. A hit is a cached frame
+// that holds the run. Once the block's stride checksums are known (a
+// version-2 block this process has read whole) a miss fetches only the
+// strides that cover the run, and checks each against its own checksum: into
+// gets them and is returned, or, with a cache installed, a frame of their
+// own that the cache keeps. Any other miss fetches the whole block into a
+// buffer of its own, checks it, derives the stride checksums and fills the
+// cache. into nil asks for the whole block.
+func (r *RandomReader) ReadRun(idx int64, from, to int, into *Frame) (*Frame, error) {
 	if r.closed {
 		return nil, fmt.Errorf("disk: read from closed reader %s", r.name)
 	}
 	if idx < 0 || idx >= r.ix.blocks() {
 		return nil, fmt.Errorf("disk: block %d out of range [0,%d) in %s", idx, r.ix.blocks(), r.name)
 	}
+	if into == nil {
+		from, to = 0, int(r.ix.blockCount(idx))
+	}
 	cache := r.m.dev.cache.Load()
 	if cache != nil {
-		if f, ok := cache.get(r.name, idx); ok {
+		if f, ok := cache.get(r.name, idx); ok && f.holds(from, to) {
 			r.hits++
 			r.m.countCacheHit()
 			return f, nil
 		}
 	}
-	off, nbytes := r.ix.offsets[idx], int(r.ix.offsets[idx+1]-r.ix.offsets[idx])
-	// The frame keeps the bytes, so they get an allocation of their own.
-	buf := make([]byte, nbytes)
-	if err := r.m.readAt(OpRandRead, r.name, r.h, idx, buf, off); err != nil {
-		return nil, err
-	}
-	f, err := r.ix.frame(buf, idx)
-	if err != nil {
-		return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
+	var f *Frame
+	var nbytes int
+	if s := r.ix.derived(idx); s != nil && into != nil {
+		if f = into; cache != nil {
+			f = &Frame{kept: true} // the cache keeps it: bytes of its own
+		}
+		var err error
+		if nbytes, err = r.fetch(f, idx, s, from, to, OpRandRead); err != nil {
+			return nil, err
+		}
+	} else {
+		off := r.ix.offsets[idx]
+		nbytes = int(r.ix.offsets[idx+1] - off)
+		// The frame keeps the bytes, so they get an allocation of their own.
+		buf := make([]byte, nbytes)
+		if err := r.m.readAt(OpRandRead, r.name, r.h, idx, buf, off); err != nil {
+			return nil, err
+		}
+		var err error
+		if f, err = r.ix.frame(buf, idx); err != nil {
+			return nil, fmt.Errorf("disk: read %s block %d: %w", r.name, idx, err)
+		}
+		r.ix.derive(idx, f)
 	}
 	r.reads++
 	r.m.countRandRead(nbytes, r.ix.v1())
@@ -373,6 +428,64 @@ func (r *RandomReader) Frame(idx int64) (*Frame, error) {
 		cache.put(r.name, idx, f)
 	}
 	return f, nil
+}
+
+// Cover returns f, block idx's frame as ReadRun returned it, holding the
+// block's elements [from, to): f itself when it holds them already (a whole
+// frame always does); else f refilled with the strides that cover the run,
+// or, for a frame the cache keeps, a new frame of its own. The strides are
+// checked as a read's are. This is the §2.4 pinned-block access: not a
+// random read, but counted in Stats.StrideReads and gated as OpStrideRead,
+// which carries no simulated latency. A run outside the block is left for
+// Frame.Decode to refuse.
+func (r *RandomReader) Cover(f *Frame, idx int64, from, to int) (*Frame, error) {
+	s := r.ix.derived(idx)
+	if f.holds(from, to) || s == nil || from < 0 || to > f.n || from >= to {
+		return f, nil
+	}
+	if r.closed {
+		return nil, fmt.Errorf("disk: read from closed reader %s", r.name)
+	}
+	g := f
+	if f.kept {
+		g = &Frame{}
+	}
+	nbytes, err := r.fetch(g, idx, s, from, to, OpStrideRead)
+	if err != nil {
+		return nil, err
+	}
+	r.m.countStrideRead(nbytes)
+	return g, nil
+}
+
+// fetch reads into f the strides of block idx, whose stride checksums s
+// are, that cover its elements [from, to), checks each against its checksum,
+// and returns how many bytes it read. A run outside the block is an error. A
+// failed fetch leaves f holding nothing.
+func (r *RandomReader) fetch(f *Frame, idx int64, s *blockStrides, from, to int, op Op) (int, error) {
+	n := int(r.ix.blockCount(idx))
+	if from < 0 || to > n || from >= to {
+		return 0, fmt.Errorf("disk: read %s block %d: run [%d,%d) of a %d-element block", r.name, idx, from, to, n)
+	}
+	k0, k1 := from/frameStride, (to+frameStride-1)/frameStride
+	a, b := r.ix.strideOff(idx, s, k0), r.ix.strideOff(idx, s, k1)
+	buf := grow(f.bytes, b-a)
+	*f = Frame{bytes: buf, kept: f.kept}
+	if err := r.m.readAt(op, r.name, r.h, idx, buf, r.ix.offsets[idx]+colHeaderLen+int64(a)); err != nil {
+		return 0, err
+	}
+	for k, at := k0, a; k < k1; k++ {
+		end := r.ix.strideOff(idx, s, k+1)
+		if c := crc32.Checksum(buf[at-a:end-a], crcTable); c != s.crcs[k] {
+			return 0, fmt.Errorf("disk: read %s block %d: stride %d checksum %08x, derived %08x", r.name, idx, k, c, s.crcs[k])
+		}
+		at = end
+	}
+	if !s.raw {
+		f.offs = r.ix.cks[idx]
+	}
+	f.n, f.at, f.lo, f.hi = n, a, k0*frameStride, min(k1*frameStride, n)
+	return b - a, nil
 }
 
 // Block reads block idx and returns all its elements in a fresh slice: a

@@ -14,18 +14,22 @@ import (
 // [u, v]. The bracket is seeded from the partition summary (Summary.Bracket),
 // and SeekTo re-seeds it for each probe of the shared sweep.
 //
-// A block read returns a checked, undecoded disk.Frame, and a probe decodes
-// only the bracket's share of the block — one summary gap, not the block —
+// A block read returns a checked, undecoded disk.Frame of the strides that
+// cover the bracket's share of the block (the whole block on its first read
+// in the process, or from the block cache), read into a buffer the cursor
+// owns. A probe decodes only that share — one summary gap, not the block —
 // into one buffer the cursor reuses, starting at a block start or at the
 // seeded lo one past summary entry i's position (derived from the
 // partition's count and ε₁, Summary.pos) with Values[i] as its predecessor.
 //
 // When the candidate range fits inside one disk block, the frame is pinned
-// in memory and subsequent probes cost no I/O — the paper's §2.4
-// optimization. On columnar partitions the cursor additionally consults
-// each block's header min/max bounds before reading it: a probe value
-// outside the bounds resolves the bisection step with no read at all,
-// counted as a skipped block.
+// in memory and subsequent probes cost no I/O in the paper's count — the
+// §2.4 optimization. A later probe or Element call in the pinned block that
+// needs strides the pin lacks fetches them (disk.RandomReader.Cover): free
+// in RandReads, counted in disk.Stats.StrideReads. On columnar partitions
+// the cursor additionally consults each block's header min/max bounds
+// before reading it: a probe value outside the bounds resolves the
+// bisection step with no read at all, counted as a skipped block.
 type Cursor struct {
 	sum     *Summary
 	rr      *disk.RandomReader
@@ -34,6 +38,9 @@ type Cursor struct {
 	pinning bool
 	pinIdx  int64 // block index of the pinned frame
 	pinned  *disk.Frame
+	// own backs the stride reads: the pinned frame may be one of them, and
+	// the next read goes into the other.
+	own [2]disk.Frame
 	// win holds elements [winLo, winLo+len(win)), the last run a probe
 	// decoded; buf backs it from probe to probe.
 	win   []int64
@@ -67,33 +74,38 @@ func (c *Cursor) CacheHits() int { return c.rr.CacheHits() }
 // header bounds without reading the block.
 func (c *Cursor) Skips() int { return c.rr.Skips() }
 
-// frame returns block idx: the pinned frame, or a read counted as one.
-func (c *Cursor) frame(idx int64) (*disk.Frame, error) {
+// frame returns block idx holding at least its elements [from, to) (block
+// offsets): the pinned frame, or a read counted as one.
+func (c *Cursor) frame(idx, from, to int64) (*disk.Frame, error) {
 	if c.pinned != nil && idx == c.pinIdx {
 		return c.pinned, nil
 	}
-	return c.rr.Frame(idx)
+	into := &c.own[0]
+	if c.pinned == into {
+		into = &c.own[1]
+	}
+	return c.rr.ReadRun(idx, int(from), int(to), into)
 }
 
-// pin keeps a frame so later probes in the same range are free.
+// pin keeps a frame so later probes in the same range are free. A pinned
+// block keeps the frame it has, which decode may have grown past f.
 func (c *Cursor) pin(f *disk.Frame, idx int64) {
-	if c.pinning {
+	if c.pinning && (c.pinned == nil || idx != c.pinIdx) {
 		c.pinned, c.pinIdx = f, idx
 	}
 }
 
-// run returns the bracket [lo, hi)'s share of block idx, whose frame is f,
-// and the element index it starts at. The last run decoded is reused when it
-// covers this one; otherwise the run is decoded into the cursor's buffer.
-func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64, error) {
-	base := c.rr.BlockStart(idx)
-	a, b := max(lo, base), min(hi, base+int64(f.Len()))
+// run returns elements [a, b) of block idx, whose frame is f. The last run
+// decoded is reused when it covers this one; otherwise the run is decoded
+// into the cursor's buffer.
+func (c *Cursor) run(f *disk.Frame, idx, a, b int64) ([]int64, error) {
 	if a >= c.winLo && b <= c.winLo+int64(len(c.win)) {
-		return c.win[a-c.winLo : b-c.winLo], a, nil
+		return c.win[a-c.winLo : b-c.winLo], nil
 	}
 	// Rank moves lo only to block starts, so a run starts mid-block only at
 	// the seeded lo, one past an entry's derived position, whose
 	// predecessor the summary holds.
+	base := c.rr.BlockStart(idx)
 	prev, ok := c.summaryAt(a - 1)
 	if !ok && a > base {
 		panic(fmt.Sprintf("partition: bracket starts at element %d, which follows no summary entry", a))
@@ -103,16 +115,24 @@ func (c *Cursor) run(f *disk.Frame, idx, lo, hi int64) ([]int64, int64, error) {
 	}
 	if err := c.decode(f, idx, c.buf[:b-a], int(a-base), prev); err != nil {
 		c.win, c.winLo = nil, 0 // the buffer holds no run now
-		return nil, 0, err
+		return nil, err
 	}
 	c.win, c.winLo = c.buf[:b-a], a
-	return c.win, a, nil
+	return c.win, nil
 }
 
-// decode decodes the run of block idx's frame f that starts at from, naming
-// the partition if the frame does not decode.
+// decode decodes the run of block idx's frame f that starts at from,
+// fetching the strides f lacks first (the pin follows f), and names the
+// partition if the frame does not decode.
 func (c *Cursor) decode(f *disk.Frame, idx int64, dst []int64, from int, prev int64) error {
-	if err := f.Decode(dst, from, prev); err != nil {
+	g, err := c.rr.Cover(f, idx, from, from+len(dst))
+	if err == nil {
+		if c.pinned == f {
+			c.pinned = g
+		}
+		err = g.Decode(dst, from, prev)
+	}
+	if err != nil {
 		return fmt.Errorf("partition: %s block %d: %w", c.sum.Part.Name(), idx, err)
 	}
 	return nil
@@ -166,18 +186,19 @@ func (c *Cursor) skipByBounds(idx, z, lo, hi int64) (int64, int64, bool) {
 // for z within the cursor's filter range. It performs O(log(blocks in
 // bracket)) random block reads, or none once the bracket is pinned — and on
 // columnar partitions, bisection steps whose block bounds exclude z cost
-// nothing. Each block it reads, it decodes only the bracket's share of.
+// nothing. Each block it reads, it fetches and decodes only the bracket's
+// share of.
 func (c *Cursor) Rank(z int64) (int64, error) {
 	lo, hi := c.lo, c.hi
 	for lo < hi {
 		// Fully answerable from the pinned frame?
 		if f := c.pinned; f != nil {
 			if base := c.rr.BlockStart(c.pinIdx); lo >= base && hi <= base+int64(f.Len()) {
-				run, a, err := c.run(f, c.pinIdx, lo, hi)
+				run, err := c.run(f, c.pinIdx, lo, hi)
 				if err != nil {
 					return 0, err
 				}
-				return c.settle(run, a, z), nil
+				return c.settle(run, lo, z), nil
 			}
 		}
 		loBlk := c.rr.ElementBlock(lo)
@@ -190,14 +211,16 @@ func (c *Cursor) Rank(z int64) (int64, error) {
 			lo, hi = nlo, nhi
 			continue
 		}
-		f, err := c.frame(blk)
+		base := c.rr.BlockStart(blk)
+		a, b := max(lo, base), min(hi, base+c.rr.BlockLen(blk))
+		f, err := c.frame(blk, a-base, b-base)
 		if err != nil {
 			return 0, err
 		}
 		if loBlk == hiBlk {
 			c.pin(f, blk)
 		}
-		run, a, err := c.run(f, blk, lo, hi)
+		run, err := c.run(f, blk, a, b)
 		if err != nil {
 			return 0, err
 		}
@@ -224,21 +247,21 @@ func (c *Cursor) Count() int64 { return c.sum.Part.Count }
 
 // Element returns the partition element at index i — after Rank, the
 // boundary's neighbours i = LastBoundary()-1 and LastBoundary(). It reads
-// block i unless that block is pinned, whichever source then answers: the
-// last decoded run, one decode past the run's end, the summary, or the
-// block's bounds (format 0 stores every element whole). It never decodes
-// from a block start to a mid-block element.
+// block i (the stride holding i) unless that block is pinned, whichever
+// source then answers: the last decoded run, one decode past the run's end,
+// the summary, or the block's bounds (format 0 stores every element whole).
+// It never decodes from a block start to a mid-block element.
 func (c *Cursor) Element(i int64) (int64, error) {
 	if i < 0 || i >= c.sum.Part.Count {
 		return 0, fmt.Errorf("partition: element index %d out of [0,%d)", i, c.sum.Part.Count)
 	}
 	idx := c.rr.ElementBlock(i)
-	f, err := c.frame(idx)
+	base, end := c.rr.BlockStart(idx), c.winLo+int64(len(c.win))
+	f, err := c.frame(idx, i-base, i-base+1)
 	if err != nil {
 		return 0, err
 	}
 	c.pin(f, idx)
-	base, end := c.rr.BlockStart(idx), c.winLo+int64(len(c.win))
 	var v [1]int64
 	switch mn, mx, bounded := c.rr.BlockBounds(idx); {
 	case i >= c.winLo && i < end:

@@ -838,3 +838,75 @@ func TestCursorCraftedFrameIsAnError(t *testing.T) {
 		t.Error("no probe of the crafted block failed")
 	}
 }
+
+// TestCursorStrideReads runs one probe sequence — SeekTo, Rank and the
+// boundary's two Elements, the sweep's pattern — twice over a partition of
+// many-stride blocks: first on a device that has read none of its blocks
+// (each block's first read is whole), then again, when every read fetches
+// the strides it decodes. Both passes give the sorted data's answers and,
+// with no cache, the same random reads, cache hits and skips; the second
+// moves a few strides a read, not the block, and the strides a pinned frame
+// lacks come as stride reads, free in RandReads. With a cache the kept
+// stride frames answer too.
+func TestCursorStrideReads(t *testing.T) {
+	for _, cache := range []int{0, 8} {
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+			dev, err := disk.NewManager(t.TempDir(), 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
+				t.Fatal(err)
+			}
+			dev.SetCache(cache)
+			s := newStore(t, dev, 3, 0.002)
+			rng := rand.New(rand.NewSource(31))
+			data := make([]int64, 40_000)
+			for i := range data {
+				data[i] = rng.Int63n(1 << 24)
+			}
+			if _, err := s.AddBatch(data, 1); err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(data)
+			sum := s.Entries()[0]
+			probes := make([]int64, 300)
+			for i := range probes {
+				probes[i] = data[rng.Intn(len(data))] + rng.Int63n(3) - 1
+			}
+			pass := func() (disk.Stats, [3]int) {
+				st := dev.Stats()
+				cur, err := NewCursor(sum, 0, 0, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close() //nolint:errcheck
+				for _, z := range probes {
+					cur.SeekTo(z)
+					b, err := cur.Rank(z)
+					if want := int64(sort.Search(len(data), func(i int) bool { return data[i] > z })); err != nil || b != want {
+						t.Fatalf("Rank(%d) = %d, %v; want %d", z, b, err, want)
+					}
+					for _, i := range []int64{b - 1, b} {
+						if i < 0 || i >= int64(len(data)) {
+							continue
+						}
+						if e, err := cur.Element(i); err != nil || e != data[i] {
+							t.Fatalf("Element(%d) = %d, %v; want %d", i, e, err, data[i])
+						}
+					}
+				}
+				return dev.Stats().Sub(st), [3]int{cur.Reads(), cur.CacheHits(), cur.Skips()}
+			}
+			first, firstCur := pass()
+			warm, warmCur := pass()
+			if cache == 0 && (firstCur != warmCur || first.RandReads != warm.RandReads) {
+				t.Errorf("reads, hits, skips: first pass %v, warm %v; want the same", firstCur, warmCur)
+			}
+			if warm.BytesRead*5 > warm.RandReads*4096 || (cache == 0 && warm.StrideReads == 0) {
+				t.Errorf("warm pass: %v, %d bytes; want at most a fifth of a block a read, and stride reads", warm, warm.BytesRead)
+			}
+			t.Logf("first pass: %v, %d bytes; warm: %v, %d bytes", first, first.BytesRead, warm, warm.BytesRead)
+		})
+	}
+}
