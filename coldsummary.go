@@ -30,8 +30,8 @@ import (
 // (Stream.coldOwn). The file has no checksum: a value flipped with its run
 // still sorted would enter the HS for good, where a scan heals it. So the
 // first hydration after Open, and one after an evicted engine failed a
-// write, scan every partition, which also refuses a raw or version-1
-// partition that is not sorted on disk.
+// write, scan every partition, which also refuses a partition that is not
+// sorted on disk.
 //
 // Freshness is structural, not best-effort: the parts carry their step
 // ranges, and a cold read first cross-checks the per-partition (count,

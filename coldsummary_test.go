@@ -690,8 +690,8 @@ func TestDecodedSummaryNeverFeedsHydration(t *testing.T) {
 }
 
 // TestFirstHydrationAfterOpenChecksPartitions: the first hydration after
-// Open scans every partition, so a raw partition (no checksum) rewritten on
-// disk out of order is refused — even though the stream's cold read, from
+// Open scans every partition, so a partition rewritten out of order through
+// the columnar Writer (which checksums whatever it is given) is refused — even though the stream's cold read, from
 // the SUMMARY.bin Close wrote, holds a summary that matches the manifest.
 func TestFirstHydrationAfterOpenChecksPartitions(t *testing.T) {
 	backend := disk.NewMemBackend()
@@ -734,7 +734,7 @@ func TestFirstHydrationAfterOpenChecksPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.Parts[0]
-	w, err := view.CreateFormat(p.Name, disk.FormatRaw)
+	w, err := view.Create(p.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

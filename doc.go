@@ -68,17 +68,18 @@
 //
 // # Block format
 //
-// There is one writer per file kind and no knob. Two layouts exist on disk:
+// There is one writer per file kind and no knob. Two layouts exist, and a
+// device reads and writes exactly one of them:
 //
-//   - columnar, the layout of level-0 partitions and merge outputs: a
-//     versioned compressed layout. The file opens
+//   - columnar, the layout of every stream's partitions, sort runs and merge
+//     outputs: a versioned compressed layout. The file opens
 //     with an 8-byte magic; each block carries a 25-byte header — format
 //     tag, element count, frame length, and the block's min/max values —
 //     followed by a delta-encoded zig-zag varint frame (blocks whose deltas
 //     don't compress fall back to a plain int64 frame per block). A footer
 //     indexes every block (offset, count, min, max) so readers locate
-//     blocks without scanning; in version 2, the one written, it also holds
-//     each block's CRC-32C and the frame offset of every 256th value, and a
+//     blocks without scanning; in version 2, the one written and read, it
+//     also holds each block's CRC-32C and the frame offset of every 256th value, and a
 //     CRC-32C of its own, so a read checks a checksum, not every varint,
 //     and a damaged file is refused by name. Sorted runs typically pack 3-8x more
 //     elements per block, and accurate queries consult the header min/max
@@ -86,24 +87,25 @@
 //     block's bounds resolves with no access at all, reported as
 //     SkippedBlocks in IOStats and QueryStats.
 //   - raw, the original format — plain little-endian int64 frames, no
-//     header: the layout of partitions written by earlier releases.
+//     header: the paper's block model, which the figure harness
+//     (internal/experiments) runs on.
 //
-// Versioning rule: readers detect the layout per file, so a warehouse
-// written by an older version opens and queries unchanged, and raw and
-// columnar partition files coexist — and merge, into columnar outputs —
-// freely within one store. A file with a version-2 magic at either end opens
-// as version 2 or is refused; a version-1 file (magic plus footer
-// validation, falling back to raw) is read as it is, each block read counted
-// in IOStats.V1Blocks, until a level merge rewrites it.
+// Versioning rule: nothing is detected per file. A stream's device is
+// columnar and opens a file only as version 2 (or as the writer's empty,
+// zero-byte file); a raw partition or a columnar version-1 one, written by
+// an earlier release, is refused at the stream's first hydration with an
+// error naming the file and what it holds, never read as something else.
+// Such a warehouse is not converted in place: re-ingest its data into a new
+// directory (README, "Block format").
 //
 // A random read fetches only the strides it decodes (256 values each, located
 // by the footer's checkpoints), each checked against its own CRC-32C. Those
 // checksums are derived, not stored: a version-2 block's first random read
 // in the process reads it whole, checks the footer's block checksum and
-// records them in the file's index; version-1 and raw files keep whole-block
-// reads. A probe in the §2.4 pinned block that needs strides the pin lacks
-// fetches them as the pinned-block access it is: free in RandReads, counted
-// in IOStats.StrideReads.
+// records them in the file's index; raw files keep whole-block reads. A
+// probe in the §2.4 pinned block that needs strides the pin lacks fetches
+// them as the pinned-block access it is: free in RandReads, counted in
+// IOStats.StrideReads.
 //
 // Cache accounting: the block cache holds checked, undecoded frames — a
 // block's first read whole, or the strides a later read fetched — and

@@ -293,9 +293,8 @@ func newDevice(cfg Options) (*disk.Manager, error) {
 	if cfg.CacheBlocks > 0 {
 		dev.SetCache(cfg.CacheBlocks)
 	}
-	// Level-0 partitions and merge outputs are written columnar. Readers
-	// auto-detect, so raw-format files written by earlier releases stay
-	// readable.
+	// The device writes and reads columnar version 2 only: a partition in
+	// another format, from an earlier release, is refused by name.
 	if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
 		return nil, fmt.Errorf("hsq: %w", err)
 	}

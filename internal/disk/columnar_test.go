@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -17,23 +18,31 @@ import (
 	"repro/internal/enc"
 )
 
-// colDev returns a columnar-default Manager with 64-byte blocks over a mem
-// backend.
-func colDev(t *testing.T) *Manager {
+// fmtDev returns a device of blockSize-byte blocks over b that writes and
+// reads format f.
+func fmtDev(t testing.TB, b Backend, blockSize int, f BlockFormat) *Manager {
 	t.Helper()
-	m, err := NewManagerOn(NewMemBackend(), 64)
+	m, err := NewManagerOn(b, blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetBlockFormat(FormatColumnar); err != nil {
+	if err := m.SetBlockFormat(f); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
+// colDev returns a columnar Manager with 64-byte blocks over a mem backend.
+func colDev(t *testing.T) *Manager { return fmtDev(t, NewMemBackend(), 64, FormatColumnar) }
+
+// writeFmt writes vals as name through m, which it sets to format f first: a
+// device writes and reads the one format it is set to.
 func writeFmt(t *testing.T, m *Manager, name string, f BlockFormat, vals []int64) {
 	t.Helper()
-	w, err := m.CreateFormat(name, f)
+	if err := m.SetBlockFormat(f); err != nil {
+		t.Fatal(err)
+	}
+	w, err := m.Create(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +149,11 @@ func TestColumnarEveryBackend(t *testing.T) {
 
 // TestTinyFilesBothFormats is the regression test for element counts derived
 // from size/ElementSize arithmetic: zero-length and single-element files
-// must report exact counts in both formats.
+// must report exact counts in both formats, each on a device of its format.
 func TestTinyFilesBothFormats(t *testing.T) {
 	for _, f := range []BlockFormat{FormatRaw, FormatColumnar} {
 		t.Run(f.String(), func(t *testing.T) {
-			m := colDev(t)
+			m := fmtDev(t, NewMemBackend(), 64, f)
 			writeFmt(t, m, "empty.dat", f, nil)
 			if n, err := count(m, "empty.dat"); err != nil || n != 0 {
 				t.Fatalf("empty Size = %d, %v", n, err)
@@ -184,102 +193,120 @@ func TestTinyFilesBothFormats(t *testing.T) {
 	}
 }
 
-// TestFormatInterop writes format-0 files, reopens the device with
-// compression as the default, and verifies old files still read exactly,
-// counts stay right, and mixed-format data merges into one columnar file.
-func TestFormatInterop(t *testing.T) {
-	b := NewMemBackend()
-	m, err := NewManagerOn(b, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldVals := sortedVals(20)
-	writeFmt(t, m, "old.dat", FormatRaw, oldVals) // previous-release file
+// magicValues are the int64s whose little-endian bytes are the columnar
+// head magic of version 1 and of version 2.
+var magicValues = []int64{
+	int64(binary.LittleEndian.Uint64([]byte{'H', 'S', 'Q', 'C', 1, 0, 0, 0})), // 5 424 370 504
+	int64(binary.LittleEndian.Uint64(colMagic[:])),                            // 9 719 337 800
+}
 
-	// "Upgrade": a fresh manager over the same backend, columnar default.
-	m2, err := NewManagerOn(b, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.SetBlockFormat(FormatColumnar); err != nil {
-		t.Fatal(err)
-	}
-	if got := scanFile(t, m2, "old.dat"); len(got) != 20 || got[0] != oldVals[0] || got[19] != oldVals[19] {
-		t.Fatalf("format-0 file after upgrade: %v", got)
-	}
-	if n, err := count(m2, "old.dat"); err != nil || n != 20 {
-		t.Fatalf("format-0 Size after upgrade = %d, %v", n, err)
-	}
-
-	newVals := make([]int64, 30)
-	for i := range newVals {
-		newVals[i] = int64(1001 + i*7)
-	}
-	writeFmt(t, m2, "new.dat", FormatColumnar, newVals)
-
-	// Merge the mixed-format pair the way a level merge does: two sequential
-	// readers into one writer in the device's default (columnar) format.
-	ra, _ := m2.OpenSequential("old.dat")
-	rb, _ := m2.OpenSequential("new.dat")
-	w, err := m2.Create("merged.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, oka, _ := ra.Next()
-	vb, okb, _ := rb.Next()
-	for oka || okb {
-		if oka && (!okb || va <= vb) {
-			if err := w.Append(va); err != nil {
-				t.Fatal(err)
+// TestRawDeviceReadsMagicValues: a raw device lays its geometry over every
+// file and reads neither head nor tail, so a raw file that starts or ends
+// with either magic value — or both — reads back exactly, through both
+// readers.
+func TestRawDeviceReadsMagicValues(t *testing.T) {
+	for _, magic := range magicValues {
+		for _, at := range []string{"first", "last", "both"} {
+			m := fmtDev(t, NewMemBackend(), 64, FormatRaw)
+			vals := sortedVals(20) // three 8-value blocks
+			if at != "last" {
+				vals[0] = magic
 			}
-			va, oka, _ = ra.Next()
-		} else {
-			if err := w.Append(vb); err != nil {
-				t.Fatal(err)
+			if at != "first" {
+				vals[len(vals)-1] = magic
 			}
-			vb, okb, _ = rb.Next()
-		}
-	}
-	ra.Close() //nolint:errcheck
-	rb.Close() //nolint:errcheck
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rr, err := m2.OpenRandom("merged.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := rr.BlockBounds(0); !ok {
-		t.Fatal("merge output is not columnar")
-	}
-	rr.Close() //nolint:errcheck
-	merged := scanFile(t, m2, "merged.dat")
-	if len(merged) != 50 {
-		t.Fatalf("merged %d elements, want 50", len(merged))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i-1] > merged[i] {
-			t.Fatalf("merged output unsorted at %d: %d > %d", i, merged[i-1], merged[i])
+			writeFile(t, m, "magic.dat", vals)
+			if got := scanFile(t, m, "magic.dat"); !slices.Equal(got, vals) {
+				t.Errorf("magic %d %s: scan %v, want %v", magic, at, got, vals)
+			}
+			rr, err := m.OpenRandom("magic.dat")
+			if err != nil {
+				t.Fatalf("magic %d %s: %v", magic, at, err)
+			}
+			var got []int64
+			for i := range rr.Blocks() {
+				bv, err := rr.Block(i)
+				if err != nil {
+					t.Fatalf("magic %d %s: block %d: %v", magic, at, i, err)
+				}
+				got = append(got, bv...)
+			}
+			rr.Close() //nolint:errcheck
+			if !slices.Equal(got, vals) {
+				t.Errorf("magic %d %s: blocks %v, want %v", magic, at, got, vals)
+			}
 		}
 	}
 }
 
-// TestMagicCollision: a format-0 file whose elements equal the columnar
-// magic constant must still open as format 0.
-func TestMagicCollision(t *testing.T) {
-	m := colDev(t)
-	magicVal := int64(0x00000001_43515348) // "HSQC\x01\x00\x00\x00" little-endian
-	vals := make([]int64, 12)
-	for i := range vals {
-		vals[i] = magicVal
+// TestColumnarDeviceRefusesForeignFiles: a columnar device reads columnar
+// version 2 and nothing else. A zero-byte file, the Writer's empty file,
+// opens with no elements; every other file that is not version 2 — too short
+// for a head, one raw element, a raw file of several blocks, a version-1
+// file of an earlier release — is refused at open by both readers, with an
+// error that names the file and says what was found.
+func TestColumnarDeviceRefusesForeignFiles(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1_sorted.dat"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	writeFmt(t, m, "collide.dat", FormatRaw, vals)
-	if n, err := count(m, "collide.dat"); err != nil || n != 12 {
-		t.Fatalf("Size = %d, %v", n, err)
+	raw := func(vals []int64) []byte {
+		buf := make([]byte, len(vals)*ElementSize)
+		encodeInto(buf, vals)
+		return buf
 	}
-	got := scanFile(t, m, "collide.dat")
-	if len(got) != 12 || got[0] != magicVal || got[11] != magicVal {
-		t.Fatalf("collision file misread: %v", got)
+	type foreign struct {
+		name  string
+		data  []byte
+		found string // what the error says the file is
+	}
+	var cases []foreign
+	for n := 1; n <= 7; n++ {
+		cases = append(cases, foreign{fmt.Sprintf("%d bytes", n), []byte{1, 2, 3, 4, 5, 6, 7}[:n], "too short"})
+	}
+	cases = append(cases,
+		foreign{"8 raw bytes", raw([]int64{0x0807060504030201}), "too short"},
+		foreign{"a raw file of several blocks", raw(sortedVals(100)), "no columnar magic"},
+		foreign{"a version-1 file", v1, "version 1"},
+	)
+	open := map[string]func(m *Manager, name string) (int64, error){
+		"sequential": func(m *Manager, name string) (int64, error) {
+			r, err := m.OpenSequential(name)
+			if err != nil {
+				return 0, err
+			}
+			defer r.Close() //nolint:errcheck
+			return r.Count(), nil
+		},
+		"random": func(m *Manager, name string) (int64, error) {
+			r, err := m.OpenRandom(name)
+			if err != nil {
+				return 0, err
+			}
+			defer r.Close() //nolint:errcheck
+			return r.Count(), nil
+		},
+	}
+	for reader, openFile := range open {
+		t.Run(reader, func(t *testing.T) {
+			b := NewMemBackend()
+			m := fmtDev(t, b, 4096, FormatColumnar)
+			putFile(t, b, "empty.dat", nil)
+			if n, err := openFile(m, "empty.dat"); err != nil || n != 0 {
+				t.Errorf("zero-byte file: %d elements, %v; want 0 and no error", n, err)
+			}
+			for _, c := range cases {
+				name := "foreign-" + strings.ReplaceAll(c.name, " ", "-") + ".dat"
+				putFile(t, b, name, c.data)
+				n, err := openFile(m, name)
+				switch {
+				case err == nil:
+					t.Errorf("%s: opened with %d elements; want a refusal", c.name, n)
+				case !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), c.found):
+					t.Errorf("%s: %v; want an error naming %s and saying %q", c.name, err, name, c.found)
+				}
+			}
+		})
 	}
 }
 
@@ -345,7 +372,7 @@ func TestRawFallbackTag(t *testing.T) {
 func TestReadaheadEquivalence(t *testing.T) {
 	for _, f := range []BlockFormat{FormatRaw, FormatColumnar} {
 		t.Run(f.String(), func(t *testing.T) {
-			m := colDev(t)
+			m := fmtDev(t, NewMemBackend(), 64, f)
 			vals := sortedVals(500)
 			writeFmt(t, m, "ra.dat", f, vals)
 
@@ -458,7 +485,7 @@ func TestCacheBytesAccounting(t *testing.T) {
 func TestSequentialDecodeZeroAlloc(t *testing.T) {
 	for _, f := range []BlockFormat{FormatRaw, FormatColumnar} {
 		t.Run(f.String(), func(t *testing.T) {
-			m := colDev(t)
+			m := fmtDev(t, NewMemBackend(), 64, f)
 			writeFmt(t, m, "za.dat", f, sortedVals(100_000))
 			r, err := m.OpenSequential("za.dat")
 			if err != nil {
@@ -596,27 +623,19 @@ func TestBlockReadAllocates(t *testing.T) {
 }
 
 // TestSmallerBlockSizeReadsBothFormats: a file keeps the block geometry it
-// was written with. Reopened under a device with smaller blocks — and a cache
-// budgeted in those smaller blocks, which the old file's decoded blocks
-// overflow — every block of a columnar file and of a raw one still reads
-// back, block by block and in a sequential scan.
+// was written with. Reopened under a device of its format with smaller
+// blocks — and a cache budgeted in those smaller blocks, which the old file's
+// decoded blocks overflow — every block of a columnar file still reads back,
+// block by block and in a sequential scan; a raw file, whose geometry is the
+// device's, reads back over the smaller blocks.
 func TestSmallerBlockSizeReadsBothFormats(t *testing.T) {
-	b := NewMemBackend()
-	big, err := NewManagerOn(b, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
 	vals := sortedVals(20_000)
-	writeFmt(t, big, "col.dat", FormatColumnar, vals)
-	writeFmt(t, big, "raw.dat", FormatRaw, vals)
-
-	small, err := NewManagerOn(b, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small.SetCache(8)
-	for _, name := range []string{"col.dat", "raw.dat"} {
-		rr, err := small.OpenRandom(name)
+	for _, f := range []BlockFormat{FormatRaw, FormatColumnar} {
+		b := NewMemBackend()
+		writeFile(t, fmtDev(t, b, 4096, f), "old.dat", vals)
+		small := fmtDev(t, b, 64, f)
+		small.SetCache(8)
+		rr, err := small.OpenRandom("old.dat")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -624,16 +643,16 @@ func TestSmallerBlockSizeReadsBothFormats(t *testing.T) {
 		for i := int64(0); i < rr.Blocks(); i++ {
 			bv, err := rr.Block(i)
 			if err != nil {
-				t.Fatalf("%s block %d: %v", name, i, err)
+				t.Fatalf("%s block %d: %v", f, i, err)
 			}
 			got = append(got, bv...)
 		}
 		if !slices.Equal(got, vals) {
-			t.Errorf("%s: blocks read one by one do not concatenate to the input", name)
+			t.Errorf("%s: blocks read one by one do not concatenate to the input", f)
 		}
 		rr.Close() //nolint:errcheck
-		if got := scanFile(t, small, name); !slices.Equal(got, vals) {
-			t.Errorf("%s: sequential scan differs from the input", name)
+		if got := scanFile(t, small, "old.dat"); !slices.Equal(got, vals) {
+			t.Errorf("%s: sequential scan differs from the input", f)
 		}
 	}
 }
@@ -738,15 +757,12 @@ func TestAppendSliceMatchesAppend(t *testing.T) {
 			vals []int64
 		}{{"sorted", sorted}, {"unsorted", unsorted}, {"duplicates", dups}} {
 			b := NewMemBackend()
-			m, err := NewManagerOn(b, bs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := fmtDev(t, b, bs, FormatColumnar)
 			vals := in.vals
 			if bs == colMinBlockSize {
 				vals = vals[:3000] // a few values a block
 			}
-			w, err := m.CreateFormat("append.dat", FormatColumnar)
+			w, err := m.Create("append.dat")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -770,7 +786,7 @@ func TestAppendSliceMatchesAppend(t *testing.T) {
 				chunkings = append(chunkings, cuts)
 			}
 			for c, cuts := range chunkings {
-				w, err := m.CreateFormat("slices.dat", FormatColumnar)
+				w, err := m.Create("slices.dat")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -792,105 +808,6 @@ func TestAppendSliceMatchesAppend(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestColumnarV1FixtureReads reads the version-1 files of earlier releases —
-// testdata/v1_*.dat, the pinned input as version 1 wrote it — through the
-// legacy branch: a scan, every block through Frame with runs from every
-// checkpoint's neighbourhood, and the block bounds, each read counted in
-// Stats.V1Blocks. Version 2 changed the footer only: its blocks are version
-// 1's byte for byte, but for the head magic's version.
-func TestColumnarV1FixtureReads(t *testing.T) {
-	sorted, unsorted := pinnedInputs()
-	inputs := map[string][]int64{"v1_sorted.dat": sorted, "v1_unsorted.dat": unsorted}
-	h := sha256.New()
-	b := NewMemBackend()
-	m, err := NewManagerOn(b, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"v1_sorted.dat", "v1_unsorted.dat"} {
-		want := inputs[name]
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write(data)
-		putFile(t, b, name, data)
-		before := m.Stats()
-		if got := scanFile(t, m, name); !slices.Equal(got, want) {
-			t.Fatalf("%s: scan differs from the input", name)
-		}
-		rr, err := m.OpenRandom(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rr.ix.v1() {
-			t.Fatalf("%s: opened as %+v, want columnar version 1", name, rr.ix)
-		}
-		for i := int64(0); i < rr.Blocks(); i++ {
-			f, err := rr.Frame(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blk := want[rr.BlockStart(i) : rr.BlockStart(i)+int64(f.Len())]
-			if mn, mx, ok := rr.BlockBounds(i); !ok || mn != slices.Min(blk) || mx != slices.Max(blk) {
-				t.Errorf("%s block %d: bounds [%d,%d] %v, data [%d,%d]", name, i, mn, mx, ok, slices.Min(blk), slices.Max(blk))
-			}
-			for ck := 0; ck < len(blk); ck += frameStride {
-				for _, from := range []int{ck - 1, ck, ck + 1, ck + frameStride/2} {
-					if from < 0 || from >= len(blk) {
-						continue
-					}
-					prev := int64(0)
-					if from > 0 {
-						prev = blk[from-1]
-					}
-					win := make([]int64, min(200, len(blk)-from))
-					if err := f.Decode(win, from, prev); err != nil || !slices.Equal(win, blk[from:from+len(win)]) {
-						t.Fatalf("%s block %d: run from %d = %v, %v", name, i, from, win, err)
-					}
-				}
-			}
-		}
-		dataEnd := rr.ix.offsets[rr.Blocks()]
-		rr.Close() //nolint:errcheck
-		st := m.Stats().Sub(before)
-		if st.V1Blocks == 0 || st.V1Blocks != st.SeqReads+st.RandReads {
-			t.Errorf("%s: %d version-1 block reads counted of %d sequential and %d random", name, st.V1Blocks, st.SeqReads, st.RandReads)
-		}
-
-		// A flip in the trailer, which no checksum covers, may make the file
-		// read as format 0 or fail to open; it must not panic. (The top bit
-		// of the block count once overflowed the index length check.)
-		for bit := 8 * (len(data) - colTrailerLenV1); bit < 8*len(data); bit++ {
-			flipped := slices.Clone(data)
-			flipped[bit/8] ^= 1 << (bit % 8)
-			putFile(t, b, "flipped.dat", flipped)
-			if rr, err := m.OpenRandom("flipped.dat"); err == nil {
-				rr.Close() //nolint:errcheck
-			}
-			m.dev.dropIndex("flipped.dat")
-		}
-
-		v2 := "v2_" + name
-		writeFmt(t, m, v2, FormatColumnar, want)
-		got := fileBytes(t, b, v2)
-		rr, err = m.OpenRandom(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2End := rr.ix.offsets[rr.Blocks()]
-		rr.Close() //nolint:errcheck
-		data[4] = colMagic[4]
-		if !slices.Equal(got[:v2End], data[:dataEnd]) {
-			t.Errorf("%s: version 2 wrote other blocks than version 1", name)
-		}
-	}
-	// The fixture is the bytes version 1's pin hashed to.
-	if got := hex.EncodeToString(h.Sum(nil)); got != "5777be33fec11be05930c3c94944f4093d5afded7645dd14429cd21d29b557ed" {
-		t.Errorf("version-1 fixture sha256 %s, not the bytes version 1 wrote", got)
 	}
 }
 
@@ -933,10 +850,7 @@ func flipFile(t *testing.T) ([]int64, []byte) {
 func readEveryWay(t testing.TB, data []byte, name string) (scan []int64, disagree bool, err error) {
 	b := NewMemBackend()
 	putFile(t, b, name, data)
-	m, err := NewManagerOn(b, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fmtDev(t, b, 512, FormatColumnar)
 	r, err := m.OpenSequential(name)
 	if err != nil {
 		return nil, false, err
@@ -976,8 +890,8 @@ func readEveryWay(t testing.TB, data []byte, name string) (scan []int64, disagre
 // checkpoints, the trailer — and requires each flip to be refused by an
 // error naming the file, at open or at a read: none reads back silently and
 // none panics. The block checksums cover headers and frames, the footer's
-// covers the index and the trailer, and a damaged magic is refused, not read
-// as format 0. A second pass (strideFlips) flips the bits after the first
+// covers the index and the trailer, and a damaged magic is refused. A second
+// pass (strideFlips) flips the bits after the first
 // touch, under the stride reads.
 func TestEveryBitFlipRefused(t *testing.T) {
 	vals, data := flipFile(t)
@@ -1009,7 +923,7 @@ func TestEveryBitFlipRefused(t *testing.T) {
 // whole-block decode on any block bytes its index's checksum vouches for, as
 // in a file crafted to pass it. With any checkpoints the index accepts, no
 // read or run decode panics. Where decodeColBlock accepts the block, Frame
-// does too with the checkpoints the writer records (enc.ScanDelta's), and
+// does too with the checkpoints the writer records, and
 // the run decoded from any element, given the element before it, is that
 // slice of the whole decode — so every window a cursor decodes is.
 func FuzzFrame(f *testing.F) {
@@ -1060,16 +974,7 @@ func FuzzFrame(f *testing.F) {
 		if decodeColBlock(want, buf, n) != nil {
 			return
 		}
-		if buf[0] == colTagRaw {
-			for k := range cks {
-				cks[k] = int32(k * frameStride * ElementSize)
-			}
-		} else {
-			var err error
-			if cks, err = enc.ScanDelta(buf[colHeaderLen:], n, frameStride); err != nil {
-				t.Fatalf("count %d, block %x: decodeColBlock accepts, ScanDelta refuses: %v", n, buf, err)
-			}
-		}
+		cks = writerCheckpoints(buf, n)
 		if err := checkCheckpoints(cks, ix.frameLen(0)); err != nil {
 			t.Fatalf("count %d, block %x: the writer's checkpoints refused: %v", n, buf, err)
 		}
@@ -1097,12 +1002,9 @@ func FuzzFrame(f *testing.F) {
 // open, scan, block read or run decode of one panics.
 func FuzzColumnarFooter(f *testing.F) {
 	b := NewMemBackend()
-	m, err := NewManagerOn(b, 512)
-	if err != nil {
-		f.Fatal(err)
-	}
+	m := fmtDev(f, b, 512, FormatColumnar)
 	vals := sortedVals(1200)
-	w, err := m.CreateFormat("seed.dat", FormatColumnar)
+	w, err := m.Create("seed.dat")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -1145,11 +1047,7 @@ func FuzzColumnarFooter(f *testing.F) {
 		readEveryWay(t, file, "crafted.dat") //nolint:errcheck // any outcome but a panic
 		mb := NewMemBackend()
 		putFile(t, mb, "crafted.dat", file)
-		m, err := NewManagerOn(mb, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := m.OpenRandom("crafted.dat")
+		rr, err := fmtDev(t, mb, 512, FormatColumnar).OpenRandom("crafted.dat")
 		if err != nil {
 			return
 		}

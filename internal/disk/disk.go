@@ -106,10 +106,6 @@ type Stats struct {
 	// block header's min/max bounds — probes that needed neither the backend
 	// nor the cache. Not part of Total(): a skip is the absence of an access.
 	SkippedBlocks uint64
-	// V1Blocks counts the block reads (sequential or random) above that
-	// reached a columnar version-1 file: blocks with no checksum, whose
-	// delta frames a random read checks with a pass of enc.ScanDelta.
-	V1Blocks uint64
 	// StrideReads counts the fetches of strides a pinned block lacked
 	// (RandomReader.Cover): reads the paper's cost model does not count, as
 	// the §2.4 pinned block is free. Not part of Total(); their bytes are in
@@ -143,7 +139,6 @@ func (s Stats) Sub(t Stats) Stats {
 		CacheHits:     sub64(s.CacheHits, t.CacheHits),
 		CacheMisses:   sub64(s.CacheMisses, t.CacheMisses),
 		SkippedBlocks: sub64(s.SkippedBlocks, t.SkippedBlocks),
-		V1Blocks:      sub64(s.V1Blocks, t.V1Blocks),
 		StrideReads:   sub64(s.StrideReads, t.StrideReads),
 	}
 }
@@ -160,14 +155,13 @@ func (s Stats) Add(t Stats) Stats {
 		CacheHits:     s.CacheHits + t.CacheHits,
 		CacheMisses:   s.CacheMisses + t.CacheMisses,
 		SkippedBlocks: s.SkippedBlocks + t.SkippedBlocks,
-		V1Blocks:      s.V1Blocks + t.V1Blocks,
 		StrideReads:   s.StrideReads + t.StrideReads,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("seqR=%d seqW=%d randR=%d total=%d cacheHit=%d cacheMiss=%d skipped=%d v1=%d strideR=%d",
-		s.SeqReads, s.SeqWrites, s.RandReads, s.Total(), s.CacheHits, s.CacheMisses, s.SkippedBlocks, s.V1Blocks, s.StrideReads)
+	return fmt.Sprintf("seqR=%d seqW=%d randR=%d total=%d cacheHit=%d cacheMiss=%d skipped=%d strideR=%d",
+		s.SeqReads, s.SeqWrites, s.RandReads, s.Total(), s.CacheHits, s.CacheMisses, s.SkippedBlocks, s.StrideReads)
 }
 
 // ioCounters is one set of cumulative I/O counters. The device aggregate
@@ -182,7 +176,6 @@ type ioCounters struct {
 	cacheHits     atomic.Uint64
 	cacheMisses   atomic.Uint64
 	skippedBlocks atomic.Uint64
-	v1Blocks      atomic.Uint64
 	strideReads   atomic.Uint64
 }
 
@@ -197,7 +190,6 @@ func (c *ioCounters) snapshot() Stats {
 		CacheHits:     c.cacheHits.Load(),
 		CacheMisses:   c.cacheMisses.Load(),
 		SkippedBlocks: c.skippedBlocks.Load(),
-		V1Blocks:      c.v1Blocks.Load(),
 		StrideReads:   c.strideReads.Load(),
 	}
 }
@@ -217,9 +209,9 @@ type device struct {
 
 	cache atomic.Pointer[blockCache]
 
-	// format is the device-wide default BlockFormat for newly created files
-	// (FormatRaw unless SetBlockFormat is called). CreateFormat overrides it
-	// per file; reads always auto-detect, so mixed-format devices are fine.
+	// format is the one BlockFormat the device writes and reads (FormatRaw
+	// unless SetBlockFormat is called): a file of another format is misread
+	// by a raw device and refused by a columnar one.
 	format atomic.Uint32
 
 	// idxCache memoizes block indexes per device-wide name, so reopening a
@@ -293,11 +285,11 @@ func (m *Manager) Backend() Backend { return m.dev.backend }
 // BlockSize returns the block size in bytes.
 func (m *Manager) BlockSize() int { return m.dev.blockSize }
 
-// SetBlockFormat sets the device-wide default format for newly created
-// files. It is a device property shared by every view (like the cache
-// budget): partitions, sort runs and merge outputs all inherit it.
-// FormatColumnar requires a block size of at least 48 bytes so a header and
-// one worst-case element fit in a block.
+// SetBlockFormat sets the one format the device writes and reads: every file
+// it creates, and every file it opens, nothing detected per file. It is a
+// device property shared by every view (like the cache budget), set before
+// the device's first open. FormatColumnar requires a block size of at least
+// 48 bytes so a header and one worst-case element fit in a block.
 func (m *Manager) SetBlockFormat(f BlockFormat) error {
 	if f == FormatColumnar && m.dev.blockSize < colMinBlockSize {
 		return fmt.Errorf("disk: block size %d too small for columnar format (min %d)",
@@ -307,7 +299,7 @@ func (m *Manager) SetBlockFormat(f BlockFormat) error {
 	return nil
 }
 
-// DefaultBlockFormat returns the device-wide default format for new files.
+// DefaultBlockFormat returns the format the device writes and reads.
 func (m *Manager) DefaultBlockFormat() BlockFormat {
 	return BlockFormat(m.dev.format.Load())
 }
@@ -361,13 +353,10 @@ func (m *Manager) countOpen() {
 	}
 }
 
-func (m *Manager) countSeqRead(nbytes int, v1 bool) {
+func (m *Manager) countSeqRead(nbytes int) {
 	for _, c := range m.feeds {
 		c.seqReads.Add(1)
 		c.bytesRead.Add(uint64(nbytes))
-		if v1 {
-			c.v1Blocks.Add(1)
-		}
 	}
 }
 
@@ -378,13 +367,10 @@ func (m *Manager) countSeqWrite(nbytes int) {
 	}
 }
 
-func (m *Manager) countRandRead(nbytes int, v1 bool) {
+func (m *Manager) countRandRead(nbytes int) {
 	for _, c := range m.feeds {
 		c.randReads.Add(1)
 		c.bytesRead.Add(uint64(nbytes))
-		if v1 {
-			c.v1Blocks.Add(1)
-		}
 	}
 }
 

@@ -11,14 +11,13 @@ import (
 	"repro/internal/enc"
 )
 
-// BlockFormat is the on-disk layout of an element file. There is one writer
-// and no knob: the engine writes partitions, sort runs and merge outputs
-// columnar; readers auto-detect, so both formats always open.
+// BlockFormat is the on-disk layout of an element file. A device reads and
+// writes the one format it is set to (Manager.SetBlockFormat); nothing is
+// detected per file. The engine's devices are columnar; a device left at its
+// default is raw, the paper's block model, which internal/experiments counts.
 //
 // Format 0 ("raw") is the seed layout: a headerless flat file of
-// little-endian int64s, blockSize bytes per block. It remains the
-// backward-compatibility target — files written by earlier releases are
-// format 0 and still open.
+// little-endian int64s, blockSize bytes per block.
 //
 // Format 1 ("columnar") is the compressed layout: a self-describing file of
 // variable-length blocks, each carrying a 25-byte header (frame tag, element
@@ -29,8 +28,8 @@ import (
 // times more elements per block than format 0. A footer (per-block index +
 // trailer) makes the file self-describing: element counts come from block
 // headers, not from size/ElementSize arithmetic, and readers can consult a
-// block's min/max bounds without decoding it. Version 2's footer also holds
-// each block's CRC-32C and checkpoints, and a CRC-32C of its own.
+// block's min/max bounds without decoding it. The footer also holds each
+// block's CRC-32C and checkpoints, and a CRC-32C of its own.
 //
 // A cold read of one block: at the default 100 KB a sorted partition's block
 // holds ~57 000 values at ~1.75 B each (format 0: 12 800). Its first random
@@ -48,7 +47,7 @@ const (
 	// FormatRaw is format 0: headerless little-endian int64s.
 	FormatRaw BlockFormat = iota
 	// FormatColumnar is format 1: header-tagged compressed blocks with a
-	// trailing block index, in version 2 (version 1 is read, not written).
+	// trailing block index, in version 2.
 	FormatColumnar
 )
 
@@ -64,7 +63,7 @@ func (f BlockFormat) String() string {
 	}
 }
 
-// Columnar file geometry. Version 2, what the Writer writes:
+// Columnar file geometry, version 2:
 //
 //	head    8 B   magic "HSQC" | version 2 | 3 zero bytes
 //	blocks  var   per block: header (25 B) + frame (≤ blockSize-25 B)
@@ -79,25 +78,15 @@ func (f BlockFormat) String() string {
 // in a raw frame). The footer crc covers the index and the trailer's first
 // 24 bytes.
 //
-// Version 1, written by earlier releases and still read: version 1 in both
-// magics, 28-byte index entries (no crc, no checkpoints) and a 32-byte
-// trailer (no footer crc). Nothing vouches for its bytes, so a random read
-// scans each delta frame with enc.ScanDelta, counted in Stats.V1Blocks.
-//
-// Detection reads the head and the tail of the file. A file carrying the
-// version-2 magic at either end opens as version 2 or is refused: a damaged
-// magic or footer is an error, never a format-0 file. A version-1 head magic
-// opens as version 1 only with a self-consistent trailer (matching magic,
-// index length, monotone offsets, counts summing to the trailer's total), so
-// a format-0 file whose first element happens to collide with that magic
-// still opens as format 0.
+// A columnar device opens a file only if both magics are version 2's and the
+// footer checks out; a zero-byte file is the Writer's empty file. Anything
+// else — a raw file, a version-1 file of an earlier release, a torn head or
+// footer — is refused at open, by name.
 const (
-	colHeadLen         = 8
-	colHeaderLen       = 25
-	colIndexEntryLen   = 32
-	colTrailerLen      = 36
-	colIndexEntryLenV1 = 28
-	colTrailerLenV1    = 32
+	colHeadLen       = 8
+	colHeaderLen     = 25
+	colIndexEntryLen = 32
+	colTrailerLen    = 36
 	// colMinBlockSize is the smallest device block size the columnar format
 	// supports: the header plus at least one worst-case varint element.
 	colMinBlockSize = colHeaderLen + enc.MaxVarintLen64 + 13 // = 48
@@ -106,20 +95,16 @@ const (
 	colTagDelta = 1
 )
 
-// colMagic opens (and, inside the trailer, closes) every columnar file the
-// Writer writes; colMagicV1 those of earlier releases.
-var (
-	colMagic   = [colHeadLen]byte{'H', 'S', 'Q', 'C', 2, 0, 0, 0}
-	colMagicV1 = [colHeadLen]byte{'H', 'S', 'Q', 'C', 1, 0, 0, 0}
-)
+// colMagic opens (and, inside the trailer, closes) every columnar file.
+var colMagic = [colHeadLen]byte{'H', 'S', 'Q', 'C', 2, 0, 0, 0}
 
 // crcTable is CRC-32C's: blocks and footers are checked with it.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // colIndex is the block index of one element file: everything a reader needs
 // to locate, size and bound-check blocks without touching their frames. A
-// columnar file's comes from its footer; a format-0 file's is laid over the
-// device geometry (rawIndex), so both formats read through one path.
+// columnar device's comes from the file's footer; a raw device lays its
+// geometry over the file (rawIndex), so both formats read through one path.
 type colIndex struct {
 	// raw marks a format-0 file: its blocks are plain int64 frames with no
 	// header, and it carries no bounds (mins and maxs are nil).
@@ -132,15 +117,15 @@ type colIndex struct {
 	starts []int64
 	mins   []int64
 	maxs   []int64
-	// crcs[i] is block i's CRC-32C and cks[i] its checkpoints, from a
-	// version-2 footer; both are nil for format 0 and for version 1.
+	// crcs[i] is block i's CRC-32C and cks[i] its checkpoints, from the
+	// footer; both are nil for format 0.
 	crcs []uint32
 	cks  [][]int32
-	// strides[i] is what the first random read of version-2 block i in this
+	// strides[i] is what the first random read of columnar block i in this
 	// process derived from the block it checked whole: its frame tag and the
 	// CRC-32C of each stride, so later reads fetch and check the strides
-	// they decode, not the block. Nil until then (and for format 0 and
-	// version 1, which keep whole-block reads). Derived state, never on disk.
+	// they decode, not the block. Nil until then (and for format 0, which
+	// keeps whole-block reads). Derived state, never on disk.
 	strides []atomic.Pointer[blockStrides]
 }
 
@@ -153,7 +138,7 @@ type blockStrides struct {
 }
 
 // derived returns block i's stride state, or nil before its first random
-// read (and always for format 0 and version 1).
+// read (and always for format 0).
 func (ix *colIndex) derived(i int64) *blockStrides {
 	if ix.strides == nil {
 		return nil
@@ -189,10 +174,6 @@ func (ix *colIndex) strideOff(i int64, s *blockStrides, k int) int {
 	return int(ix.cks[i][k])
 }
 
-// v1 reports whether the file is columnar version 1, whose blocks carry no
-// checksum.
-func (ix *colIndex) v1() bool { return !ix.raw && ix.crcs == nil }
-
 func (ix *colIndex) blocks() int64 { return int64(len(ix.offsets)) - 1 }
 func (ix *colIndex) total() int64  { return ix.starts[len(ix.starts)-1] }
 
@@ -220,11 +201,8 @@ func (ix *colIndex) decode(dst []int64, buf []byte, i int64) error {
 }
 
 // checkCRC checks block i's bytes against the checksum its index entry
-// carries, if the file has one.
+// carries.
 func (ix *colIndex) checkCRC(buf []byte, i int64) error {
-	if ix.crcs == nil {
-		return nil
-	}
 	if c := crc32.Checksum(buf, crcTable); c != ix.crcs[i] {
 		return fmt.Errorf("block checksum %08x, index says %08x", c, ix.crcs[i])
 	}
@@ -268,7 +246,7 @@ func putColHeader(buf []byte, tag byte, count int, frameLen int, min, max int64)
 // colFrame checks one block (header + frame) against the index — so a torn or
 // misdirected read fails loudly instead of decoding garbage — and returns its
 // frame tag and bytes. A delta frame's varints are checked by whoever decodes
-// or scans them.
+// them.
 func colFrame(buf []byte, wantCount int) (tag byte, frame []byte, err error) {
 	if len(buf) < colHeaderLen {
 		return 0, nil, fmt.Errorf("short block: %d bytes", len(buf))
@@ -309,10 +287,8 @@ func decodeColBlock(dst []int64, buf []byte, wantCount int) error {
 
 // frame checks block i, its bytes as the index locates them, and returns it
 // as a Frame that keeps buf: a format-0 block or a raw-tagged one as is, a
-// delta frame with its checkpoints. A version-2 block is checked by its
-// checksum and takes its checkpoints from the index; a version-1 delta frame
-// is checked by enc.ScanDelta, which accepts it exactly as decodeColBlock
-// would and records the checkpoints on the way.
+// delta frame with its checkpoints. A columnar block is checked by its
+// checksum and takes its checkpoints from the index.
 func (ix *colIndex) frame(buf []byte, i int64) (*Frame, error) {
 	f := &Frame{n: int(ix.blockCount(i)), bytes: buf}
 	if ix.raw {
@@ -326,138 +302,107 @@ func (ix *colIndex) frame(buf []byte, i int64) (*Frame, error) {
 		return nil, err
 	}
 	f.bytes = frame
-	switch {
-	case tag == colTagRaw:
-	case ix.crcs != nil:
+	if tag != colTagRaw {
 		f.offs = ix.cks[i]
-	default:
-		if f.offs, err = enc.ScanDelta(frame, f.n, frameStride); err != nil {
-			return nil, err
-		}
 	}
 	return f, nil
 }
 
-// loadColumnarIndex inspects an open handle and returns the parsed columnar
-// index, or (nil, nil) when the file is format 0. It reads the head, the tail
-// (which holds the trailer of either version) and the index. Index and
-// trailer reads are file metadata, outside the paper's block cost model, so
-// they are not block-accounted; the parsed index is cached device-wide by the
+// loadColumnarIndex reads and checks the footer of a columnar file of size
+// bytes and returns its index. A zero-byte file is the Writer's empty file
+// and has no blocks; any other file must be version 2 at both ends, or it is
+// refused with what was found instead. It reads the head, the trailer and
+// the index: file metadata, outside the paper's block cost model, so they
+// are not block-accounted; the parsed index is cached device-wide by the
 // Manager so repeated opens of one partition pay the parse once.
 func loadColumnarIndex(h ReadHandle, size int64) (*colIndex, error) {
-	if size < colHeadLen {
-		return nil, nil // too small to be columnar, including empty files
+	if size == 0 {
+		return &colIndex{offsets: []int64{0}, starts: []int64{0}}, nil
+	}
+	if size < colHeadLen+colTrailerLen {
+		return nil, fmt.Errorf("columnar version 2: %d bytes is too short for a head and a trailer: "+
+			"a raw file of an earlier release, or a torn one", size)
 	}
 	var head [colHeadLen]byte
 	if _, err := io.ReadFull(io.NewSectionReader(h, 0, colHeadLen), head[:]); err != nil {
 		return nil, err
 	}
-	// The tail is right-aligned, so both versions' trailers end where it does.
-	var tail [colTrailerLen]byte
-	tl := min(size-colHeadLen, colTrailerLen)
-	if _, err := io.ReadFull(io.NewSectionReader(h, size-tl, tl), tail[colTrailerLen-tl:]); err != nil {
+	var t [colTrailerLen]byte
+	if _, err := io.ReadFull(io.NewSectionReader(h, size-colTrailerLen, colTrailerLen), t[:]); err != nil {
 		return nil, err
 	}
-	v2 := head == colMagic || [colHeadLen]byte(tail[colTrailerLen-colHeadLen:]) == colMagic
-	if !v2 && head != colMagicV1 {
-		return nil, nil
-	}
-	trailerLen, entryLen, magic := int64(colTrailerLen), int64(colIndexEntryLen), colMagic
-	if !v2 {
-		trailerLen, entryLen, magic = colTrailerLenV1, colIndexEntryLenV1, colMagicV1
-	}
-	t := tail[colTrailerLen-trailerLen:]
 	total := int64(binary.LittleEndian.Uint64(t[0:]))
 	nblocks := int64(binary.LittleEndian.Uint64(t[8:]))
 	indexLen := int64(binary.LittleEndian.Uint64(t[16:]))
 	var bad error
 	switch {
-	case head != magic:
-		bad = fmt.Errorf("head magic %x behind a version-2 trailer", head)
-	case [colHeadLen]byte(t[trailerLen-colHeadLen:]) != magic:
-		bad = fmt.Errorf("trailer magic %x behind a version-%d head", t[trailerLen-colHeadLen:], magic[4])
-	case size < colHeadLen+trailerLen:
-		bad = fmt.Errorf("%d bytes is too short for a head and a trailer", size)
-	case total < 0 || nblocks <= 0 || indexLen > size-colHeadLen-trailerLen || nblocks > indexLen/entryLen:
+	case string(head[:4]) != string(colMagic[:4]):
+		bad = fmt.Errorf("head %x is no columnar magic: a raw file of an earlier release, or a torn head", head)
+	case head != colMagic:
+		bad = fmt.Errorf("head %x is columnar version %d, of an earlier release; this release reads version 2 only", head, head[4])
+	case [colHeadLen]byte(t[colTrailerLen-colHeadLen:]) != colMagic:
+		bad = fmt.Errorf("trailer magic %x behind a version-2 head: a torn or damaged footer", t[colTrailerLen-colHeadLen:])
+	case total < 0 || nblocks <= 0 || indexLen > size-colHeadLen-colTrailerLen || nblocks > indexLen/colIndexEntryLen:
 		bad = fmt.Errorf("trailer of %d elements in %d blocks behind a %d-byte index does not fit %d bytes",
 			total, nblocks, indexLen, size)
 	}
 	if bad == nil {
-		dataEnd := size - trailerLen - indexLen
+		dataEnd := size - colTrailerLen - indexLen
 		raw := make([]byte, indexLen)
 		if _, err := io.ReadFull(io.NewSectionReader(h, dataEnd, indexLen), raw); err != nil {
 			return nil, err
 		}
 		var ix *colIndex
-		if ix, bad = parseIndex(raw, t, dataEnd, v2); bad == nil {
+		if ix, bad = parseIndex(raw, t[:], dataEnd); bad == nil {
 			return ix, nil
 		}
 	}
-	if v2 {
-		return nil, fmt.Errorf("columnar version 2: %w", bad)
-	}
-	// A version-1 head magic without a consistent footer is a format-0 file
-	// whose first element collides with the magic constant: a raw file can
-	// collide with both magics by storing the magic value as elements, and
-	// rejecting a legitimate raw file would break compatibility. Version-1
-	// files written by earlier releases always carry a consistent footer —
-	// the only ones without are torn, unreferenced orphans that recovery
-	// deletes without reading.
-	return nil, nil
+	return nil, fmt.Errorf("columnar version 2: %w", bad)
 }
 
 // parseIndex parses the index section raw of a file whose data ends at
-// dataEnd, behind trailer t. A version-2 index must match the footer
-// checksum; its entries carry a block checksum and checkpoints.
-func parseIndex(raw, t []byte, dataEnd int64, v2 bool) (*colIndex, error) {
+// dataEnd, behind trailer t. The index must match the footer checksum; its
+// entries carry a block checksum and checkpoints.
+func parseIndex(raw, t []byte, dataEnd int64) (*colIndex, error) {
 	total := int64(binary.LittleEndian.Uint64(t[0:]))
 	nblocks := int64(binary.LittleEndian.Uint64(t[8:]))
-	entryLen := int64(colIndexEntryLenV1)
+	want := binary.LittleEndian.Uint32(t[24:])
+	if c := crc32.Update(crc32.Checksum(raw, crcTable), crcTable, t[:24]); c != want {
+		return nil, fmt.Errorf("footer checksum %08x, trailer says %08x", c, want)
+	}
 	ix := &colIndex{
 		offsets: make([]int64, nblocks+1),
 		starts:  make([]int64, nblocks+1),
 		mins:    make([]int64, nblocks),
 		maxs:    make([]int64, nblocks),
+		crcs:    make([]uint32, nblocks),
+		cks:     make([][]int32, nblocks),
+		strides: make([]atomic.Pointer[blockStrides], nblocks),
 	}
-	var cks []int32
-	if v2 {
-		want := binary.LittleEndian.Uint32(t[24:])
-		if c := crc32.Update(crc32.Checksum(raw, crcTable), crcTable, t[:24]); c != want {
-			return nil, fmt.Errorf("footer checksum %08x, trailer says %08x", c, want)
-		}
-		entryLen = colIndexEntryLen
-		ix.crcs, ix.cks = make([]uint32, nblocks), make([][]int32, nblocks)
-		ix.strides = make([]atomic.Pointer[blockStrides], nblocks)
-		cks = make([]int32, (int64(len(raw))-nblocks*entryLen)/4)
-	}
+	cks := make([]int32, (int64(len(raw))-nblocks*colIndexEntryLen)/4)
 	var elems int64
 	p := int64(0)
 	for i := range nblocks {
-		if int64(len(raw))-p < entryLen {
+		if int64(len(raw))-p < colIndexEntryLen {
 			return nil, fmt.Errorf("index ends inside block %d's entry", i)
 		}
 		e := raw[p:]
-		p += entryLen
+		p += colIndexEntryLen
 		off := int64(binary.LittleEndian.Uint64(e[0:]))
 		cnt := int64(binary.LittleEndian.Uint32(e[8:]))
 		ix.offsets[i], ix.starts[i] = off, elems
 		ix.mins[i] = int64(binary.LittleEndian.Uint64(e[12:]))
 		ix.maxs[i] = int64(binary.LittleEndian.Uint64(e[20:]))
-		nck := int64(0)
-		if v2 {
-			ix.crcs[i] = binary.LittleEndian.Uint32(e[28:])
-			nck = (cnt + frameStride - 1) / frameStride
-		}
+		ix.crcs[i] = binary.LittleEndian.Uint32(e[28:])
+		nck := (cnt + frameStride - 1) / frameStride
 		if cnt <= 0 || off < colHeadLen || (i > 0 && off <= ix.offsets[i-1]) || off >= dataEnd ||
 			nck > int64(len(cks)) {
 			return nil, fmt.Errorf("index entry %d (offset %d, %d elements) is out of place", i, off, cnt)
 		}
-		if v2 {
-			ix.cks[i], cks = cks[:nck:nck], cks[nck:]
-			for k := range ix.cks[i] {
-				ix.cks[i][k] = int32(binary.LittleEndian.Uint32(raw[p:]))
-				p += 4
-			}
+		ix.cks[i], cks = cks[:nck:nck], cks[nck:]
+		for k := range ix.cks[i] {
+			ix.cks[i][k] = int32(binary.LittleEndian.Uint32(raw[p:]))
+			p += 4
 		}
 		elems += cnt
 	}
@@ -469,10 +414,8 @@ func parseIndex(raw, t []byte, dataEnd int64, v2 bool) (*colIndex, error) {
 		if ix.frameLen(i) <= 0 {
 			return nil, fmt.Errorf("block %d has a frame of %d bytes", i, ix.frameLen(i))
 		}
-		if v2 {
-			if err := checkCheckpoints(ix.cks[i], ix.frameLen(i)); err != nil {
-				return nil, fmt.Errorf("block %d: %w", i, err)
-			}
+		if err := checkCheckpoints(ix.cks[i], ix.frameLen(i)); err != nil {
+			return nil, fmt.Errorf("block %d: %w", i, err)
 		}
 	}
 	return ix, nil
@@ -491,10 +434,10 @@ func checkCheckpoints(cks []int32, frameLen int) error {
 	return nil
 }
 
-// index returns the block index of the named (device-wide) file — its
-// columnar footer, or the device geometry laid over a format-0 file —
-// consulting and filling the device-wide index cache. The handle is only read
-// on a cache miss.
+// index returns the block index of the named (device-wide) file in the
+// device's format — a columnar file's footer, or the device geometry laid
+// over a raw file — consulting and filling the device-wide index cache. The
+// handle is only read on a cache miss.
 func (m *Manager) index(key string, h ReadHandle) (*colIndex, error) {
 	d := m.dev
 	d.idxMu.Lock()
@@ -507,8 +450,10 @@ func (m *Manager) index(key string, h ReadHandle) (*colIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := loadColumnarIndex(h, size)
-	if ix == nil && err == nil {
+	var ix *colIndex
+	if m.DefaultBlockFormat() == FormatColumnar {
+		ix, err = loadColumnarIndex(h, size)
+	} else {
 		ix, err = rawIndex(size, d.blockSize)
 	}
 	if err != nil {

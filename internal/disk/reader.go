@@ -27,7 +27,7 @@ func grow[T any](s []T, n int) []T {
 }
 
 // openRead opens the named file for either reader: its handle and its block
-// index, in either format. The index fixes the file's element count and
+// index, in the device's format. The index fixes the file's element count and
 // geometry at open; recreating the name under an open reader is unsupported.
 func (m *Manager) openRead(name string) (key string, h ReadHandle, ix *colIndex, err error) {
 	key = m.key(name)
@@ -87,7 +87,8 @@ type Reader struct {
 }
 
 // OpenSequential opens the named element file for a sequential scan. The
-// block format is auto-detected, so mixed-format stores scan uniformly.
+// file is read in the device's format; a columnar device refuses a file that
+// is not columnar version 2.
 func (m *Manager) OpenSequential(name string) (*Reader, error) {
 	key, h, ix, err := m.openRead(name)
 	if err != nil {
@@ -187,7 +188,7 @@ func (r *Reader) fill() error {
 			return err
 		}
 		for b := r.block; b < end; b++ {
-			r.m.countSeqRead(int(ix.offsets[b+1]-ix.offsets[b]), ix.v1())
+			r.m.countSeqRead(int(ix.offsets[b+1] - ix.offsets[b]))
 		}
 		r.fetched = end
 	}
@@ -236,8 +237,8 @@ type RandomReader struct {
 	closed bool
 }
 
-// OpenRandom opens the named element file for random block access. The
-// block format is auto-detected.
+// OpenRandom opens the named element file for random block access, in the
+// device's format, as OpenSequential does.
 func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
 	key, h, ix, err := m.openRead(name)
 	if err != nil {
@@ -255,13 +256,13 @@ const frameStride = 256
 
 // Frame is one block as a random read returns it: its bytes, checked once,
 // and for a delta frame the byte offset of every frameStride-th value (the
-// file's footer's, shared with its index; a version-1 file's, recorded by
-// enc.ScanDelta), so any run of the block decodes without decoding what
-// precedes it. A whole frame holds every stride of its block and is
-// immutable. A stride read's frame holds the strides that cover its
-// elements [lo, hi) only: in the caller's buffer, which the next read into it
-// and RandomReader.Cover reuse, or in one of its own, immutable too, when the
-// block cache keeps it. The cache shares its frames with every reader.
+// file's footer's, shared with its index), so any run of the block decodes
+// without decoding what precedes it. A whole frame holds every stride of its
+// block and is immutable. A stride read's frame holds the strides that cover
+// its elements [lo, hi) only: in the caller's buffer, which the next read
+// into it and RandomReader.Cover reuse, or in one of its own, immutable too,
+// when the block cache keeps it. The cache shares its frames with every
+// reader.
 type Frame struct {
 	n      int
 	lo, hi int     // a stride read's frame holds elements [lo, hi); hi is 0 for a whole frame
@@ -417,7 +418,7 @@ func (r *RandomReader) ReadRun(idx int64, from, to int, into *Frame) (*Frame, er
 		r.ix.derive(idx, f)
 	}
 	r.reads++
-	r.m.countRandRead(nbytes, r.ix.v1())
+	r.m.countRandRead(nbytes)
 	if cache != nil {
 		r.m.countCacheMiss()
 		// Caching partial tail blocks is sound within the Manager API: the

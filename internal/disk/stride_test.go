@@ -38,18 +38,16 @@ func colFile(blocks [][]byte, counts []int, cks [][]int32) []byte {
 }
 
 // writerCheckpoints returns the checkpoints the Writer records for a block
-// that decodeColBlock accepts.
-func writerCheckpoints(t testing.TB, buf []byte, n int) []int32 {
-	if buf[0] == colTagRaw {
-		cks := make([]int32, (n+frameStride-1)/frameStride)
-		for k := range cks {
+// that decodeColBlock accepts: checkpoint k is where value k·frameStride
+// starts in its frame.
+func writerCheckpoints(buf []byte, n int) []int32 {
+	cks := make([]int32, (n+frameStride-1)/frameStride)
+	for k := range cks {
+		if buf[0] == colTagRaw {
 			cks[k] = int32(k * frameStride * ElementSize)
+		} else {
+			cks[k] = int32(enc.SkipDelta(buf[colHeaderLen:], k*frameStride))
 		}
-		return cks
-	}
-	cks, err := enc.ScanDelta(buf[colHeaderLen:], n, frameStride)
-	if err != nil {
-		t.Fatalf("count %d, block %x: decodeColBlock accepts, ScanDelta refuses: %v", n, buf, err)
 	}
 	return cks
 }
@@ -87,7 +85,7 @@ func FuzzStrideRead(f *testing.F) {
 		valid := decodeColBlock(want, buf, n) == nil
 		cks := make([]int32, (n+frameStride-1)/frameStride)
 		if valid {
-			cks = writerCheckpoints(t, buf, n)
+			cks = writerCheckpoints(buf, n)
 		} else {
 			for k := range cks {
 				if 4*k+4 <= len(ckBytes) {
@@ -97,11 +95,7 @@ func FuzzStrideRead(f *testing.F) {
 		}
 		b := NewMemBackend()
 		putFile(t, b, "stride.dat", colFile([][]byte{buf, buf}, []int{n, n}, [][]int32{cks, cks}))
-		m, err := NewManagerOn(b, DefaultBlockSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := m.OpenRandom("stride.dat")
+		rr, err := fmtDev(t, b, DefaultBlockSize, FormatColumnar).OpenRandom("stride.dat")
 		if err != nil {
 			if valid {
 				t.Fatalf("count %d, block %x: the writer's file refused: %v", n, buf, err)
@@ -169,11 +163,7 @@ func TestConcurrentFirstReads(t *testing.T) {
 	writeFmt(t, m, "first.dat", FormatColumnar, vals)
 	// The geometry, from a device of its own, so that m loads the index
 	// under the readers' concurrent opens.
-	other, err := NewManagerOn(b, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe, err := other.OpenRandom("first.dat")
+	probe, err := fmtDev(t, b, 4096, FormatColumnar).OpenRandom("first.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +325,7 @@ func TestStrideReadCounts(t *testing.T) {
 func strideFlips(t *testing.T, vals []int64, data []byte) {
 	b := NewMemBackend()
 	putFile(t, b, "flip.dat", data)
-	m, err := NewManagerOn(b, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := m.OpenRandom("flip.dat")
+	rr, err := fmtDev(t, b, 512, FormatColumnar).OpenRandom("flip.dat")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,16 +55,9 @@ type Writer struct {
 const writerStartBuf = 4 << 10
 
 // Create creates (truncating if present) the named element file in the
-// device's default block format and returns a sequential Writer for it.
+// device's block format and returns a sequential Writer for it.
 func (m *Manager) Create(name string) (*Writer, error) {
-	return m.CreateFormat(name, m.DefaultBlockFormat())
-}
-
-// CreateFormat creates the named element file in an explicit block format,
-// overriding the device default — how the interoperability tests lay down
-// the files of earlier releases beside current ones.
-func (m *Manager) CreateFormat(name string, f BlockFormat) (*Writer, error) {
-	key := m.key(name)
+	key, f := m.key(name), m.DefaultBlockFormat()
 	if f == FormatColumnar && m.dev.blockSize < colMinBlockSize {
 		return nil, fmt.Errorf("disk: create %s: block size %d too small for columnar format (min %d)",
 			key, m.dev.blockSize, colMinBlockSize)

@@ -60,25 +60,18 @@ func BenchmarkDecodeDelta(b *testing.B) {
 	}
 }
 
-var (
-	benchOffs []int32
-	benchCRC  uint32
-)
+var benchCRC uint32
 
 // BenchmarkColdProbe times the costs of a cold probe on the partition block:
-// checking the frame, by its CRC-32C as columnar version 2 does (crc) or by
-// the pass over every varint that also takes the checkpoints, as version 1
-// does (scan), and decoding the run of one 200-value summary gap from the
-// checkpoint before it (window), beside the whole-block decode a probe paid
-// before (full).
+// checking the frame by its CRC-32C, as a columnar block read does (crc),
+// and decoding the run of one 200-value summary gap from the checkpoint
+// before it (window), beside the whole-block decode a probe paid before
+// (full).
 func BenchmarkColdProbe(b *testing.B) {
 	vals := benchFrames()[0].vals
 	buf := AppendDelta(nil, vals)
-	offs, err := ScanDelta(buf, len(vals), 256)
-	if err != nil {
-		b.Fatal(err)
-	}
 	from := len(vals) / 3
+	ck := SkipDelta(buf, from/256*256) // the checkpoint before the run
 	win := make([]int64, 200)
 	b.Run("crc", func(b *testing.B) {
 		table := crc32.MakeTable(crc32.Castagnoli)
@@ -86,17 +79,9 @@ func BenchmarkColdProbe(b *testing.B) {
 			benchCRC = crc32.Checksum(buf, table)
 		}
 	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if benchOffs, err = ScanDelta(buf, len(vals), 256); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("window", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			k := from / 256
-			off := int(offs[k]) + SkipDelta(buf[offs[k]:], from%256)
+			off := ck + SkipDelta(buf[ck:], from%256)
 			if _, err := DecodeDeltaFrom(win, buf[off:], vals[from-1]); err != nil || win[0] != vals[from] {
 				b.Fatal(err)
 			}

@@ -12,12 +12,10 @@
 // does (truncation, an eleventh byte, a tenth byte above 1; non-canonical
 // encodings such as 0x80 0x00 are accepted, as there) and returns the same
 // values, the same remainder and the same error. enc_test.go keeps that loop
-// as decodeDeltaRef and holds the two together. ScanDelta checks a whole
-// frame against the same contract without decoding it, recording where
-// every so many deltas start: how a random read checks a block of a
-// columnar version-1 file, which carries no checksum and no checkpoints.
-// SkipDelta steps over deltas from such a checkpoint, so a random block
-// read decodes (DecodeDeltaFrom) only the run a probe needs.
+// as decodeDeltaRef and holds the two together. SkipDelta steps over deltas
+// from a checkpoint (where a columnar block's footer says every so many
+// deltas start), so a random block read decodes (DecodeDeltaFrom) only the
+// run a probe needs.
 package enc
 
 import (
@@ -101,66 +99,6 @@ func DecodeDeltaFrom(dst []int64, buf []byte, prev int64) (rest []byte, err erro
 // stopBits holds the continuation bit of each byte of a 64-bit word; a byte
 // whose bit is clear ends a varint.
 const stopBits = 0x8080808080808080
-
-// overlong reports whether a varint whose last byte is b, behind run
-// continuation bytes, is one binary.Varint refuses: an eleventh byte, or a
-// tenth above 1.
-func overlong(run int, b byte) bool {
-	return run > MaxVarintLen64-1 || run == MaxVarintLen64-1 && b > 1
-}
-
-// ScanDelta checks that frame is exactly count deltas — it accepts what
-// DecodeDelta into count elements followed by a check for trailing bytes
-// accepts, and nothing else — without decoding one: it counts the bytes that
-// end a varint, eight at a time. On the way it records the byte offset of
-// every every-th delta (0, every, 2·every, …; every > 0): the checkpoints
-// SkipDelta starts from.
-func ScanDelta(frame []byte, count, every int) (offs []int32, err error) {
-	if count > 0 {
-		offs = make([]int32, (count+every-1)/every)
-	}
-	k, next := 1, every // offs[k] is the offset of delta next, recorded next
-	n, run, p := 0, 0, 0
-	for ; p+8 <= len(frame); p += 8 {
-		stop := ^binary.LittleEndian.Uint64(frame[p:]) & stopBits
-		if stop == 0 {
-			run += 8
-			continue
-		}
-		// Only the word's first varint end can follow nine or more
-		// continuation bytes; the rest follow at most six.
-		if first := bits.TrailingZeros64(stop) >> 3; run+first >= MaxVarintLen64-1 && overlong(run+first, frame[p+first]) {
-			return nil, fmt.Errorf("enc: bad varint at element %d", n)
-		}
-		c := bits.OnesCount64(stop)
-		for ; k < len(offs) && next <= n+c; k, next = k+1, next+every {
-			s := stop
-			for j := next - n; j > 1; j-- {
-				s &= s - 1
-			}
-			offs[k] = int32(p + bits.TrailingZeros64(s)>>3 + 1)
-		}
-		n += c
-		run = bits.LeadingZeros64(stop) >> 3
-	}
-	for ; p < len(frame); p++ {
-		if frame[p] >= 0x80 {
-			run++
-			continue
-		}
-		if overlong(run, frame[p]) {
-			return nil, fmt.Errorf("enc: bad varint at element %d", n)
-		}
-		if n, run = n+1, 0; k < len(offs) && n == next {
-			offs[k] = int32(p + 1)
-			k, next = k+1, next+every
-		}
-	}
-	if run != 0 || n != count {
-		return nil, fmt.Errorf("enc: frame of %d bytes holds %d whole deltas, want exactly %d", len(frame), n, count)
-	}
-	return offs, nil
-}
 
 // SkipDelta returns the byte offset in buf just past its first n deltas,
 // counting varint ends eight bytes at a time, or len(buf) when buf ends

@@ -106,7 +106,6 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		sameAsReference(t, int(n), data)
-		scanAgrees(t, int(n), data)
 		dst := make([]int64, n)
 		rest, err := DecodeDelta(dst, data)
 		if err == nil {
@@ -214,7 +213,9 @@ func decodeDeltaRef(dst []int64, buf []byte) (rest []byte, err error) {
 
 // sameAsReference decodes n elements from buf with both decoders, each into a
 // poisoned dst, and fails unless the elements (the written prefix on an
-// error included), the bytes left, and the error are the same.
+// error included), the bytes left, and the error are the same; on a frame of
+// exactly n deltas, SkipDelta and resumed decodes agree with it too
+// (skipAgrees).
 func sameAsReference(t *testing.T, n int, buf []byte) {
 	t.Helper()
 	got, want := make([]int64, n), make([]int64, n)
@@ -232,6 +233,7 @@ func sameAsReference(t *testing.T, n int, buf []byte) {
 	if (rest == nil) != (wantRest == nil) || !bytes.Equal(rest, wantRest) {
 		t.Fatalf("n=%d buf=%x: rest %x, reference %x", n, buf, rest, wantRest)
 	}
+	skipAgrees(t, n, buf)
 }
 
 // rep returns n copies of b.
@@ -336,38 +338,23 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// scanAgrees holds ScanDelta, SkipDelta and DecodeDeltaFrom to the reference
-// loop on one input: ScanDelta accepts buf as exactly n deltas when, and only
-// when, the loop decodes n elements and leaves no byte; and on a frame it
-// accepts, every checkpoint is the offset the loop reached, SkipDelta lands
-// on every delta boundary, and a decode resumed at any boundary with the
-// previous element continues the loop's values.
-func scanAgrees(t *testing.T, n int, buf []byte) {
+// skipAgrees holds SkipDelta and DecodeDeltaFrom to the reference loop on
+// one input it decodes whole as n deltas: SkipDelta lands on every delta
+// boundary, and a decode resumed at any boundary with the previous element
+// continues the loop's values.
+func skipAgrees(t *testing.T, n int, buf []byte) {
 	t.Helper()
 	want := make([]int64, n)
-	rest, err := decodeDeltaRef(want, buf)
-	ok := err == nil && len(rest) == 0
+	if rest, err := decodeDeltaRef(want, buf); err != nil || len(rest) != 0 {
+		return
+	}
 	bounds := []int{0}
-	for p := 0; ok && len(bounds) <= n; {
+	for p := 0; len(bounds) <= n; {
 		_, w := binary.Varint(buf[p:])
 		p += w
 		bounds = append(bounds, p)
 	}
-	for _, every := range []int{1, 3, 8, 64} {
-		offs, err := ScanDelta(buf, n, every)
-		if (err == nil) != ok {
-			t.Fatalf("n=%d buf=%x every=%d: ScanDelta err %v, reference accepts %v", n, buf, every, err, ok)
-		}
-		for k, off := range offs {
-			if int(off) != bounds[k*every] {
-				t.Fatalf("n=%d buf=%x every=%d: checkpoint %d at byte %d, want %d", n, buf, every, k, off, bounds[k*every])
-			}
-		}
-		if ok && len(offs) != (n+every-1)/every {
-			t.Fatalf("n=%d every=%d: %d checkpoints", n, every, len(offs))
-		}
-	}
-	for i := 0; ok && i <= n; i++ {
+	for i := 0; i <= n; i++ {
 		if got := SkipDelta(buf, i); got != bounds[i] {
 			t.Fatalf("n=%d buf=%x: SkipDelta(%d) = %d, want %d", n, buf, i, got, bounds[i])
 		}
@@ -379,50 +366,5 @@ func scanAgrees(t *testing.T, n int, buf []byte) {
 		if rest, err := DecodeDeltaFrom(got, buf[bounds[i]:], prev); err != nil || len(rest) != 0 || !slices.Equal(got, want[i:]) {
 			t.Fatalf("n=%d buf=%x: decode from delta %d = %v, %v; want %v", n, buf, i, got, err, want[i:])
 		}
-	}
-}
-
-// TestScanDeltaMatchesReference: ScanDelta accepts exactly the frames the
-// reference loop decodes whole — on the kernel's hostile edges, on every
-// truncation and every trailing byte of deltas of each width, and on seeded
-// random frames, intact, cut, padded and bit-flipped — and on those frames
-// the checkpoints, SkipDelta and resumed decodes agree with it.
-func TestScanDeltaMatchesReference(t *testing.T) {
-	for _, c := range hostileFrames {
-		scanAgrees(t, c.n, c.buf)
-	}
-	for _, d := range []int64{0, -1, 64, 8192, 1 << 27, 1 << 55, math.MaxInt64, math.MinInt64} {
-		buf := AppendDelta(nil, []int64{5, d, d + d, 7, 300, 70000, 1, 2, 3})
-		for cut := 0; cut <= len(buf); cut++ {
-			for _, pad := range [][]byte{nil, {0x00}, {0x80}, rep(0xff, 9)} {
-				in := append(slices.Clone(buf[:cut]), pad...)
-				scanAgrees(t, 9, in)
-				scanAgrees(t, 8, in)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 3000; trial++ {
-		vs := make([]int64, rng.Intn(100))
-		v := rng.Int63n(1 << 28)
-		for i := range vs {
-			v += rng.Int63n(1<<uint(rng.Intn(14))) >> uint(rng.Intn(2)*rng.Intn(64))
-			if rng.Intn(20) == 0 {
-				v = int64(rng.Uint64())
-			}
-			vs[i] = v
-		}
-		buf := AppendDelta(nil, vs)
-		switch rng.Intn(4) {
-		case 1:
-			buf = buf[:rng.Intn(len(buf)+1)]
-		case 2:
-			buf = append(buf, rep(byte(rng.Intn(256)), rng.Intn(12))...)
-		case 3:
-			if len(buf) > 0 {
-				buf[rng.Intn(len(buf))] ^= byte(1 << uint(rng.Intn(8)))
-			}
-		}
-		scanAgrees(t, max(len(vs)+rng.Intn(3)-1, 0), buf)
 	}
 }

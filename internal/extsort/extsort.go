@@ -13,10 +13,10 @@
 //
 // WriteRun refuses a value smaller than its predecessor before the file is
 // closed. Every later binary search over the run, and every later open of
-// the store, depends on that one property. A version-2 columnar block's
-// CRC-32C refuses bytes damaged after they were written, but a raw or
-// version-1 file carries no checksum, and a checksum vouches only for the
-// bytes a writer laid down, not their order. So an input out of order has to
+// the store, depends on that one property. A columnar block's CRC-32C
+// refuses bytes damaged after they were written, but a raw file carries no
+// checksum, and a checksum vouches only for the bytes a writer laid down,
+// not their order. So an input out of order has to
 // stop here — at the merge that read it — rather than be copied into a new
 // run that retires its still-sorted siblings. A merge keeps each input's own
 // order, so a descent in any input reaches its output as a descent.

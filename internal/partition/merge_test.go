@@ -121,10 +121,10 @@ func TestMergeRefusesUnsortedInput(t *testing.T) {
 
 // TestLoadStoreRefusesUnsortedPartition: hydration's scan checks the order
 // of what it reads, inside each block and across block boundaries. A
-// partition rewritten as raw blocks (format 0 carries no checksum, so
-// nothing else notices) that steps backwards once, at either place, is
-// refused by LoadStore with an error naming the file; rewritten sorted, it
-// loads.
+// partition rewritten through the columnar Writer, which takes unsorted
+// values and checksums whatever it is given, that steps backwards once, at
+// either place, is refused by LoadStore with an error naming the file;
+// rewritten sorted, it loads.
 func TestLoadStoreRefusesUnsortedPartition(t *testing.T) {
 	const name = "part-000000.dat"
 	for _, tc := range []struct {
@@ -132,10 +132,13 @@ func TestLoadStoreRefusesUnsortedPartition(t *testing.T) {
 		at   int // the element that steps below its predecessor
 	}{
 		{"inside a block", 3},
-		{"across a block boundary", 8}, // the first of the second 8-value block
+		{"across a block boundary", 38}, // the first of the second block: 64-byte blocks hold 38 of these values
 	} {
 		t.Run(tc.desc, func(t *testing.T) {
 			dev := newDev(t)
+			if err := dev.SetBlockFormat(disk.FormatColumnar); err != nil {
+				t.Fatal(err)
+			}
 			cfg := Config{Kappa: 2, Eps1: 0.1}
 			s, err := NewStore(dev, cfg)
 			if err != nil {
@@ -149,7 +152,7 @@ func TestLoadStoreRefusesUnsortedPartition(t *testing.T) {
 			}
 			rewrite := func(vals []int64) {
 				t.Helper()
-				w, err := dev.CreateFormat(name, disk.FormatRaw)
+				w, err := dev.Create(name)
 				if err == nil {
 					err = w.AppendSlice(vals)
 				}
@@ -163,6 +166,14 @@ func TestLoadStoreRefusesUnsortedPartition(t *testing.T) {
 			vals := seqBatch(1000, 40)
 			vals[tc.at] = vals[tc.at-1] - 5 // the one descent, from element at-1 to at
 			rewrite(vals)
+			r, err := dev.OpenRandom(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Blocks() != 2 || r.BlockStart(1) != 38 {
+				t.Fatalf("the rewritten partition has %d blocks; want two, the second from element 38", r.Blocks())
+			}
+			r.Close() //nolint:errcheck
 			_, err = LoadStore(dev, "MANIFEST.json", cfg)
 			if err == nil || !strings.Contains(err.Error(), "is not sorted on disk") || !strings.Contains(err.Error(), name) {
 				t.Fatalf("LoadStore = %v, want a refusal naming %s as not sorted", err, name)
