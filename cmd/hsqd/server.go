@@ -51,7 +51,7 @@ type serverConfig struct {
 // newServer opens a multi-stream DB on the configured backend, resuming
 // every stream whose manifest the device holds. A warehouse an earlier
 // release laid out (a root MANIFEST.json, or a root DB.json) is refused by
-// hsq.Open, whose error says how to adopt it by hand.
+// hsq.Open, whose error gives the upgrade: re-ingest with this release.
 func newServer(sc serverConfig) (*server, error) {
 	db, err := hsq.Open(hsq.Options{
 		Epsilon:            sc.epsilon,

@@ -18,20 +18,20 @@ import (
 //
 // The summary persists as SUMMARY.bin in the stream's namespace: a
 // core.ShardSummary in its one encoding (internal/core/snapshot.go), the
-// bytes the stream would send a peer. A hydrated stream's checkpoint writes
-// it at once; an evicted stream's is written at the barrier (DB.Checkpoint,
-// the start of Close), or at once when the budget cannot hold it. A
-// hydration that takes a held summary writes nothing: its engine checkpoints
-// again. A cold stream that holds nothing (after Open, past the budget)
-// decodes and checks the file at its first scoped read — metadata I/O,
-// uncounted in IOStats — and holds that.
+// bytes the stream would send a peer, checksummed. A hydrated stream's
+// checkpoint writes it at once; an evicted stream's is written at the
+// barrier (DB.Checkpoint, the start of Close), or at once when the budget
+// cannot hold it. A hydration that takes a held summary writes nothing: its
+// engine checkpoints again. A cold stream that holds nothing (after Open,
+// past the budget) decodes and checks the file at its first scoped read —
+// metadata I/O, uncounted in IOStats — and holds that.
 //
-// Only a summary this process's eviction built may feed a hydration
-// (Stream.coldOwn). The file has no checksum: a value flipped with its run
-// still sorted would enter the HS for good, where a scan heals it. So the
-// first hydration after Open, and one after an evicted engine failed a
-// write, scan every partition, which also refuses a partition that is not
-// sorted on disk.
+// One rule decides whether a held summary feeds the next hydration, whoever
+// built it: Stream.swept. The checksum vouches for the file's bytes, not for
+// the partitions' order on disk, which only a scan checks. So the first
+// hydration after Open, and one after an evicted engine failed a write,
+// scan every partition, which also refuses a partition that is not sorted
+// on disk.
 //
 // Freshness is structural, not best-effort: the parts carry their step
 // ranges, and a cold read first cross-checks the per-partition (count,
@@ -46,20 +46,20 @@ import (
 // answers without hydrating.
 //
 // A held summary stays fresh because a cold stream's durable state changes
-// only through a hydration (every write acquires first): hydrating forgets
-// it, as do an eviction's end (which holds its own in its place), a drop
-// and Close, each bumping coldEpoch; a read holds what it decoded only if
-// the epoch it saw before reading is still current. Held summaries share
-// coldSummaryBudget, first come; a read past it decodes its file every
-// time, as if nothing were held.
+// only through a hydration (every write acquires first), and a summary is
+// held only under the stream's opMu, which hydration, eviction and drop
+// take too: a read decodes, checks and holds the file with none of them
+// between. Hydrating forgets the summary, as do a drop and Close. Held
+// summaries share coldSummaryBudget, first come; a read past it decodes its
+// file every time, as if nothing were held.
 //
-// Scope selection is not done here: readColdSummary hands the decoded parts'
-// end steps to query.Scope.Select — the selector a hydrated engine's
-// snapshot goes through (scope.go) — and keeps the range it returns, so a
-// stream answers a scope the same, error text included, whether it is
-// hydrated or evicted. DB.ScopedSummary is the one entry: plan members
-// (query.Exec reads the DB as its Source) and a peer's SummaryReq
-// (Stream.Summary) both come through it.
+// Scope selection is not done here: coldScope hands the held parts' end
+// steps to query.Scope.Select — the selector a hydrated engine's snapshot
+// goes through (scope.go) — and keeps the range it returns, so a stream
+// answers a scope the same, error text included, whether it is hydrated or
+// evicted. DB.ScopedSummary is the one entry: plan members (query.Exec
+// reads the DB as its Source) and a peer's SummaryReq (Stream.Summary) both
+// come through it.
 
 // sidecarName is the cold-summary metadata file inside a stream's
 // namespace, next to its MANIFEST.json.
@@ -80,15 +80,10 @@ func streamManifestPath(stream string) string {
 // partitions' summary is written — sum without its stream-side pieces (an
 // open step the commit did not make durable), N their sum — so it matches
 // the manifest the same commit made durable and a cold read after a clean
-// Close needs no hydration. No summary at all removes the file, so cold reads
-// fall back to hydration without chasing the manifest cross-check. Metadata
-// write — atomic on the backend, uncounted in I/O stats, advisory;
-// durability rides the next device sync like the manifests it mirrors.
+// Close needs no hydration. Metadata write — atomic on the backend,
+// uncounted in I/O stats, advisory; durability rides the next device sync
+// like the manifests it mirrors.
 func (db *DB) refreshSidecar(stream string, sum *core.ShardSummary) {
-	if sum == nil {
-		db.dropSidecar(stream)
-		return
-	}
 	if len(sum.Pieces) > 0 {
 		parts := *sum
 		parts.Pieces, parts.N = nil, 0
@@ -107,30 +102,13 @@ func (db *DB) writeSidecar(stream string, sum *core.ShardSummary) error {
 	return db.dev.WriteMeta(sidecarPath(stream), sum.AppendBinary(nil))
 }
 
-// dropSidecar best-effort removes a stream's sidecar, when a checkpoint has
-// no summary to write. A leftover sidecar is safe — the manifest
-// cross-check rejects it — this just avoids pointless fallbacks.
-func (db *DB) dropSidecar(stream string) {
-	if db.dev.Exists(sidecarPath(stream)) {
-		db.dev.Remove(sidecarPath(stream)) //nolint:errcheck // advisory cleanup
-	}
-}
-
 // coldSummaryBudget caps the summaries cold streams hold, at 8 B a value.
 const coldSummaryBudget = 32 << 20
 
-// readColdSummary answers a scoped summary for a non-hydrated stream from
-// held (s.cold, read under one db.mu with epoch, s.coldEpoch) or its sidecar,
-// as a shallow copy: a held summary is shared and never mutated. ok=false
-// means the sidecar cannot answer (missing, refused, stale) and the caller
-// must hydrate; err is a query error (bad scope) hydrating would not fix.
-func (db *DB) readColdSummary(s *Stream, held *core.ShardSummary, epoch uint64, sc query.Scope) (_ *core.ShardSummary, ok bool, _ error) {
-	if held == nil {
-		if held = db.readSidecar(s.name); held == nil {
-			return nil, false, nil
-		}
-		db.holdColdSummary(s, held, epoch)
-	}
+// coldScope narrows held, a cold stream's full-scope summary, to sc, as a
+// shallow copy: a held summary is shared and never mutated. The error is a
+// query error (bad scope) hydrating would not fix.
+func coldScope(held *core.ShardSummary, sc query.Scope) (*core.ShardSummary, error) {
 	// The parts are the stream's spans (a cold stream has no sealed backlog
 	// and no live buffer); the scope is an index range of them.
 	ends := make([]int, len(held.Parts))
@@ -139,19 +117,28 @@ func (db *DB) readColdSummary(s *Stream, held *core.ShardSummary, epoch uint64, 
 	}
 	lo, hi, _, err := sc.Select(ends)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	sum := *held
 	sum.Parts, sum.N = held.Parts[lo:hi:hi], 0
 	for _, p := range sum.Parts {
 		sum.N += p.Count
 	}
-	return &sum, true, nil
+	return &sum, nil
 }
 
 // readSidecar returns a cold stream's full-scope summary as its sidecar
-// records it, or nil if the sidecar cannot answer.
+// records it, or nil if the sidecar cannot answer: refused by the decoder,
+// foreign, or not the layout of the committed manifest, read first.
 func (db *DB) readSidecar(stream string) *core.ShardSummary {
+	mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
+	if err != nil {
+		return nil
+	}
+	m, err := partition.ParseManifest(mraw)
+	if err != nil {
+		return nil
+	}
 	eps1 := db.opts.Epsilon / 2
 	sum := &core.ShardSummary{Eps1: eps1} // no sidecar: zero spans
 	if raw, err := db.dev.ReadMeta(sidecarPath(stream)); err == nil {
@@ -163,23 +150,21 @@ func (db *DB) readSidecar(stream string) *core.ShardSummary {
 			return nil // corrupt or foreign sidecar: hydrate, the next barrier rewrites it
 		}
 	}
-	mraw, err := db.dev.ReadMeta(streamManifestPath(stream))
-	if err != nil {
-		return nil
-	}
-	m, err := partition.ParseManifest(mraw)
-	if err != nil || !sidecarMatches(sum.Parts, m) {
-		return nil // unreadable, or stale vs the committed manifest: hydrate
+	if !sidecarMatches(sum.Parts, m) {
+		return nil // stale vs the committed manifest: hydrate
 	}
 	return sum
 }
 
-// holdEvicted has s, just evicted, hold sum, the summary of the state its
-// eviction committed, in place of any it held, with no SUMMARY.bin written
-// yet: saveColdSummaries (DB.Checkpoint) and Close write it. It reports
-// false, s holding nothing, when sum does not fit the budget or the DB
-// closed or s was dropped meanwhile; the caller writes the file at once.
-func (db *DB) holdEvicted(s *Stream, sum *core.ShardSummary) bool {
+// holdCold has cold s hold sum, the summary of its durable state, in place
+// of any it held: the one its eviction's checkpoint built (unsaved: its
+// SUMMARY.bin is not written yet, saveColdSummaries and Close write it), or
+// the one a cold read decoded from that file. The caller holds s.opMu (but
+// Close, which finds the DB closed), so no hydration, eviction or drop of s
+// lands between what sum was built or checked against and the hold. It
+// reports false, s holding nothing, when sum does not fit the budget or the
+// DB closed or s was dropped meanwhile.
+func (db *DB) holdCold(s *Stream, sum *core.ShardSummary, unsaved bool) bool {
 	size := coldSummarySize(sum)
 	// One buffer for all the parts' values: the engine captured each at its
 	// own time, scattered over the heap, and a plan read over many cold
@@ -195,7 +180,7 @@ func (db *DB) holdEvicted(s *Stream, sum *core.ShardSummary) bool {
 	if db.closed || s.dropped || len(sum.Pieces) > 0 || db.coldBytes+size > db.coldBudget {
 		return false
 	}
-	s.cold, s.coldOwn, s.coldUnsaved, db.coldBytes = sum, true, true, db.coldBytes+size
+	s.cold, s.coldUnsaved, db.coldBytes = sum, unsaved, db.coldBytes+size
 	return true
 }
 
@@ -229,28 +214,14 @@ func (db *DB) saveColdSummaries() {
 	}
 }
 
-// holdColdSummary has s hold sum, which readSidecar validated after
-// s.coldEpoch read epoch — unless s was forgotten since, is no longer cold,
-// holds one already, or sum does not fit the budget.
-func (db *DB) holdColdSummary(s *Stream, sum *core.ShardSummary, epoch uint64) {
-	size := coldSummarySize(sum)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if s.coldEpoch == epoch && s.cold == nil && s.eng == nil && s.errLocked() == nil && db.coldBytes+size <= db.coldBudget {
-		s.cold, db.coldBytes = sum, db.coldBytes+size
-	}
-}
-
-// forgetColdLocked drops s's held summary and bumps its coldEpoch, so no
-// read that began before the call holds one. An unsaved summary is dropped
+// forgetColdLocked drops s's held summary. An unsaved summary is dropped
 // only by the hydration that takes it, a drop, and Close, which writes it
 // first. Caller holds db.mu.
 func (db *DB) forgetColdLocked(s *Stream) {
 	if s.cold != nil {
 		db.coldBytes -= coldSummarySize(s.cold)
-		s.cold, s.coldOwn, s.coldUnsaved = nil, false, false
+		s.cold, s.coldUnsaved = nil, false
 	}
-	s.coldEpoch++
 }
 
 // coldSummarySize is what a held summary counts against the budget.
@@ -311,8 +282,23 @@ func (s *Stream) scopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 	db := s.db
 	db.mu.Lock()
 	eng, err, done := db.tryAcquireLocked(s)
-	held, epoch := s.cold, s.coldEpoch
+	held := s.cold
 	db.mu.Unlock()
+	if !done && held == nil {
+		// Decode and hold under opMu: a hydration that lands first is taken
+		// instead, and a concurrent read of s decodes nothing.
+		s.opMu.Lock()
+		db.mu.Lock()
+		eng, err, done = db.tryAcquireLocked(s)
+		held = s.cold
+		db.mu.Unlock()
+		if !done && held == nil {
+			if held = db.readSidecar(s.name); held != nil {
+				db.holdCold(s, held, false)
+			}
+		}
+		s.opMu.Unlock()
+	}
 	if done {
 		if err != nil {
 			return nil, err
@@ -320,11 +306,9 @@ func (s *Stream) scopedSummary(sc query.Scope) (*core.ShardSummary, error) {
 		defer db.release(s)
 		return eng.ScopedSummary(sc)
 	}
-	// Cold: the held summary or the sidecar — never a hydration.
-	if sum, ok, err := db.readColdSummary(s, held, epoch, sc); err != nil {
-		return nil, err
-	} else if ok {
-		return sum, nil
+	// Cold: the held summary or the sidecar's — never a hydration.
+	if held != nil {
+		return coldScope(held, sc)
 	}
 	// Fallback: hydrate once (counted in DirectoryStats.Hydrations and
 	// .SummaryFallbacks).

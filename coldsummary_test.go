@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -31,7 +33,12 @@ type coldFixture struct {
 }
 
 func newColdFixture(t *testing.T, eps float64, steps int) *coldFixture {
-	db, err := Open(Options{Epsilon: eps, Kappa: 2, Backend: "mem", BlockSize: 512, MaxHydratedStreams: 1})
+	return newColdFixtureOn(t, disk.NewMemBackend(), eps, steps)
+}
+
+// newColdFixtureOn is newColdFixture on the given backend.
+func newColdFixtureOn(t *testing.T, backend disk.Backend, eps float64, steps int) *coldFixture {
+	db, err := Open(Options{Epsilon: eps, Kappa: 2, Device: backend, BlockSize: 512, MaxHydratedStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,9 @@ func TestSidecarIsTheWireEncoding(t *testing.T) {
 	if disk, err := f.db.dev.ReadMeta(sidecarPath("s")); err != nil || !bytes.Equal(disk, wire) {
 		t.Fatalf("after a checkpoint SUMMARY.bin is %x (%v), the wire encoding %x", disk, err, wire)
 	}
-	f.db.dropSidecar("s")
+	if err := f.db.dev.Remove(sidecarPath("s")); err != nil {
+		t.Fatal(err)
+	}
 	if disk := f.evict(); !bytes.Equal(disk, wire) {
 		t.Fatalf("after an eviction and a checkpoint SUMMARY.bin is %x, the wire encoding %x", disk, wire)
 	}
@@ -185,7 +194,8 @@ func TestColdSummaryFallsBack(t *testing.T) {
 	}
 	// oldRule re-captures every part of a fresh sidecar as builds before
 	// summary version 4 did — ⌈1/ε₁⌉+1 entries at ⌊i·ε₁·η⌋ − 1, clamped,
-	// whatever the part's count — and stamps the bytes with version.
+	// whatever the part's count — and stamps the bytes with version, unless
+	// it is 0: then they keep this encoding's, their checksum matching.
 	oldRule := func(version byte) func(*coldFixture, []byte) [][]byte {
 		return func(f *coldFixture, fresh []byte) [][]byte {
 			sum, err := core.DecodeShardSummary(fresh)
@@ -208,7 +218,9 @@ func TestColdSummaryFallsBack(t *testing.T) {
 				f.t.Fatal("fixture: no part shorter than 1/ε₁")
 			}
 			raw := sum.AppendBinary(nil)
-			raw[0] = version
+			if version != 0 {
+				raw[0] = version
+			}
 			return [][]byte{raw}
 		}
 	}
@@ -282,7 +294,7 @@ func TestColdSummaryFallsBack(t *testing.T) {
 		})},
 		{"missing", 0.1, func(*coldFixture, []byte) [][]byte { return [][]byte{nil} }},
 		{"version 3, the old capture rule", 0.01, oldRule(3)},
-		{"the old capture rule", 0.01, oldRule(5)},
+		{"the old capture rule", 0.01, oldRule(0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newColdFixture(t, tc.eps, 5)
@@ -315,7 +327,9 @@ func TestColdSummaryFallsBack(t *testing.T) {
 				fresh := f.evict()
 				f.forget()
 				if bad == nil {
-					f.db.dropSidecar("s")
+					if err := f.db.dev.Remove(sidecarPath("s")); err != nil {
+						t.Fatal(err)
+					}
 				} else if err := f.db.dev.WriteMeta(sidecarPath("s"), bad); err != nil {
 					t.Fatal(err)
 				} else if bytes.Equal(bad, fresh) {
@@ -445,39 +459,83 @@ func TestColdSummaryHeldUntilHydration(t *testing.T) {
 	}
 }
 
-// TestHeldColdSummaryNotStale drives the store race directly: a cold read
-// validates the sidecar, then — before it stores what it read — the stream
-// hydrates, seals another step and is evicted again. The store must not
-// happen, or every later read would answer the old history. Then it lets
+// parkBackend parks the first ReadMeta of a SUMMARY.bin after armed is
+// set, with the bytes it read, until release is closed: a cold read held up
+// between its decode and its hold.
+type parkBackend struct {
+	disk.Backend
+	armed   atomic.Bool
+	parked  chan struct{} // closed when the read parks
+	release chan struct{}
+}
+
+func (b *parkBackend) ReadMeta(name string) ([]byte, error) {
+	data, err := b.Backend.ReadMeta(name)
+	if strings.HasSuffix(name, "/"+sidecarName) && b.armed.CompareAndSwap(true, false) {
+		close(b.parked)
+		<-b.release
+	}
+	return data, err
+}
+
+// TestHeldColdSummaryNotStale drives the hold race directly: a cold read
+// decodes the sidecar and parks before it holds what it read, while the
+// stream is cycled through hydrate, EndStep and evict. The cycle must wait
+// for the read, or the read would hold the old history over the eviction's
+// new summary and every later read would answer it. Then it lets
 // concurrent readers race the same cycle.
 func TestHeldColdSummaryNotStale(t *testing.T) {
-	f := newColdFixture(t, 0.1, 5)
+	backend := &parkBackend{Backend: disk.NewMemBackend(), parked: make(chan struct{}), release: make(chan struct{})}
+	f := newColdFixtureOn(t, backend, 0.1, 5)
 	f.evict()
+	f.forget() // so the next cold read decodes the file
 	st, _ := f.db.Lookup("s")
-	f.db.mu.Lock()
-	epoch := st.coldEpoch
-	f.db.mu.Unlock()
-	old := f.db.readSidecar("s")
-	if old == nil {
-		t.Fatal("fixture: the fresh sidecar did not validate")
-	}
+	oldN := f.or.Count()
 
-	f.step("s", 1)
-	hot, err := f.db.ScopedSummary("s", query.Scope{})
-	if err != nil {
-		t.Fatal(err)
+	backend.armed.Store(true)
+	read := make(chan *core.ShardSummary, 1)
+	go func() {
+		sum, err := f.db.ScopedSummary("s", query.Scope{})
+		if err != nil {
+			t.Error(err)
+		}
+		read <- sum
+	}()
+	<-backend.parked
+	cycled := make(chan struct{})
+	go func() {
+		defer close(cycled)
+		st.ObserveSlice([]int64{1, 2, 3}) // hydrates s
+		if _, err := st.EndStep(); err != nil {
+			t.Error(err)
+			return
+		}
+		o, _ := f.db.Lookup("other")
+		o.Observe(1) // takes the slot: s is evicted
+		if _, err := o.EndStep(); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-cycled:
+		t.Error("a hydrate → EndStep → evict cycle of the stream ran while a cold read of it was parked")
+	case <-time.After(100 * time.Millisecond):
 	}
-	f.evict()
-	f.forget()                           // so only the epoch can refuse the store
-	f.db.holdColdSummary(st, old, epoch) // the first read's store, late
-
-	cold, err := f.db.ScopedSummary("s", query.Scope{})
-	if err != nil {
-		t.Fatal(err)
+	close(backend.release)
+	if sum := <-read; sum == nil || sum.N != oldN {
+		t.Fatalf("the parked read answered %+v, want the history it began over, N=%d", sum, oldN)
 	}
-	if cold.N != hot.N || len(cold.Parts) != len(hot.Parts) {
-		t.Fatalf("cold read after the raced store: N=%d over %d parts, want N=%d over %d (the stale read had N=%d)",
-			cold.N, len(cold.Parts), hot.N, len(hot.Parts), old.N)
+	<-cycled
+	if st.Hydrated() {
+		t.Fatal("fixture: s is still hydrated")
+	}
+	var hot *core.ShardSummary
+	for i := 0; i < 2; i++ {
+		sum, err := f.db.ScopedSummary("s", query.Scope{})
+		if err != nil || sum.N != oldN+3 {
+			t.Fatalf("read %d after the cycle: %+v, %v; want N=%d", i, sum, err, oldN+3)
+		}
+		hot = sum
 	}
 
 	// The same race left to the scheduler: readers decode, hold and reuse
@@ -635,11 +693,13 @@ func TestHydrationTakesEvictedSummary(t *testing.T) {
 	}
 }
 
-// TestDecodedSummaryNeverFeedsHydration: a summary decoded from SUMMARY.bin
-// serves cold plan reads only. Here the file has one value changed, the run
-// still sorted and the layout still the manifest's, so the cold read holds
-// it; the hydration that follows scans the partitions anyway, and the
-// engine's summary and answers are the undamaged ones.
+// TestDecodedSummaryNeverFeedsHydration: a SUMMARY.bin damaged on disk
+// feeds neither a read nor a hydration. Here one bit of the file is flipped
+// where, with the checksum recomputed, the decoder and the manifest
+// cross-check would both accept it — a value changed, its run still sorted.
+// The checksum refuses it: the cold read falls back, counted, its
+// hydration scans all of the history, and the engine's summary and answers
+// are the undamaged ones.
 func TestDecodedSummaryNeverFeedsHydration(t *testing.T) {
 	f := newColdFixture(t, 0.1, 6)
 	st, err := f.db.Stream("s")
@@ -649,42 +709,132 @@ func TestDecodedSummaryNeverFeedsHydration(t *testing.T) {
 	want := checkOracle(t, st, f.or)
 	fresh := f.evict()
 	f.forget()
-	sum, err := core.DecodeShardSummary(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := false
-	for pi := range sum.Parts {
-		vs := sum.Parts[pi].Values
-		for i := 1; i+1 < len(vs) && !changed; i++ {
-			if vs[i-1] < vs[i] { // room below: the run stays sorted
-				vs[i]--
-				changed = true
-			}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	body := len(fresh) - 4
+	var damaged []byte
+	for bit := 8; bit < 8*body && damaged == nil; bit++ { // past the version byte
+		flipped := slices.Clone(fresh)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		resealed := binary.BigEndian.AppendUint32(slices.Clone(flipped[:body]), crc32.Checksum(flipped[:body], castagnoli))
+		if err := f.db.dev.WriteMeta(sidecarPath("s"), resealed); err != nil {
+			t.Fatal(err)
+		}
+		if sum := f.db.readSidecar("s"); sum != nil && !bytes.Equal(sum.AppendBinary(nil), fresh) {
+			damaged = flipped
 		}
 	}
-	if !changed {
-		t.Fatal("fixture: no value can change with its run kept sorted")
+	if damaged == nil {
+		t.Fatal("fixture: no flip passes the structural checks")
 	}
-	damaged := sum.AppendBinary(nil)
 	if err := f.db.dev.WriteMeta(sidecarPath("s"), damaged); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.answer(query.Scope{}); got != string(damaged) { // decodes and holds
-		t.Fatalf("fixture: the cold read refused the damaged file")
-	}
 	before := f.db.DirectoryStats()
-	if _, err := f.db.Stream("s"); err != nil {
-		t.Fatal(err)
+	if got := f.answer(query.Scope{}); got != string(fresh) {
+		t.Fatalf("the cold read over the damaged file answered %x, want %x", got, fresh)
 	}
 	after := f.db.DirectoryStats()
-	if after.ScannedValues-before.ScannedValues != uint64(sum.N) {
-		t.Fatalf("the hydration scanned %d values, want all %d", after.ScannedValues-before.ScannedValues, sum.N)
+	if after.SummaryFallbacks != before.SummaryFallbacks+1 || after.Hydrations != before.Hydrations+1 {
+		t.Fatalf("directory %+v → %+v, want one fallback and one hydration", before, after)
 	}
-	if got := f.answer(query.Scope{}); got != string(fresh) {
-		t.Fatal("the hydrated engine's summary is the damaged file's")
+	if scanned := after.ScannedValues - before.ScannedValues; scanned != uint64(f.or.Count()) {
+		t.Fatalf("the hydration scanned %d values, want all %d", scanned, f.or.Count())
 	}
 	if got := checkOracle(t, st, f.or); got != want {
+		t.Fatalf("answers after the hydration\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSidecarEveryBitFlipRefused: every single-bit flip of a stream's
+// SUMMARY.bin is refused, and a cold read over the flipped file falls back
+// to one hydration, counted, which answers the undamaged summary.
+func TestSidecarEveryBitFlipRefused(t *testing.T) {
+	f := newColdFixture(t, 0.1, 6)
+	fresh := f.evict()
+	silent := 0
+	for bit := range 8 * len(fresh) {
+		f.forget()
+		flipped := slices.Clone(fresh)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if err := f.db.dev.WriteMeta(sidecarPath("s"), flipped); err != nil {
+			t.Fatal(err)
+		}
+		before := f.db.DirectoryStats()
+		got := f.answer(query.Scope{})
+		after := f.db.DirectoryStats()
+		if got != string(fresh) || after.SummaryFallbacks != before.SummaryFallbacks+1 || after.Hydrations != before.Hydrations+1 {
+			if silent++; silent <= 5 {
+				t.Errorf("flip of bit %d (byte %d of %d): %d fallbacks, %d hydrations, answer equal %v; want one fallback",
+					bit, bit/8, len(fresh), after.SummaryFallbacks-before.SummaryFallbacks, after.Hydrations-before.Hydrations, got == string(fresh))
+			}
+		}
+		if rewritten := f.evict(); !bytes.Equal(rewritten, fresh) {
+			t.Fatalf("flip of bit %d: the next eviction wrote %x, want %x", bit, rewritten, fresh)
+		}
+	}
+	if silent > 0 {
+		t.Errorf("%d of %d single-bit flips were not refused", silent, 8*len(fresh))
+	}
+	t.Logf("%d-byte SUMMARY.bin: %d single-bit flips, %d not refused", len(fresh), 8*len(fresh), silent)
+}
+
+// TestDecodedSummaryFeedsHydration: a summary a cold read decoded from
+// SUMMARY.bin feeds the next hydration as an eviction's does, once a scan
+// since Open has checked the partitions' order. The eviction here finds the
+// budget full, so it writes the file at once and holds nothing; a cold read
+// decodes and holds it, and the hydration opens no partition and scans no
+// value, its answers the oracle's.
+func TestDecodedSummaryFeedsHydration(t *testing.T) {
+	backend := &partReadBackend{Backend: disk.NewMemBackend()}
+	db, err := Open(Options{Epsilon: 0.05, Kappa: 2, Device: backend, BlockSize: 512, MaxHydratedStreams: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	st, err := db.Stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	or := oracle.New(0)
+	for step := 0; step < 9; step++ {
+		vs := make([]int64, 100+rng.Intn(200))
+		for i := range vs {
+			vs[i] = rng.Int63n(5000)
+		}
+		st.ObserveSlice(vs)
+		or.Add(vs...)
+		if _, err := st.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := checkOracle(t, st, or)
+	before := db.DirectoryStats()
+	db.coldBudget = 0
+	if _, err := db.Stream("other"); err != nil { // takes the one slot
+		t.Fatal(err)
+	}
+	db.coldBudget = coldSummaryBudget
+	evicted := db.DirectoryStats()
+	if st.Hydrated() || evicted.SidecarWrites != before.SidecarWrites+1 || evicted.ColdSummaryBytes != 0 {
+		t.Fatalf("fixture: eviction %+v → %+v, want s cold, its SUMMARY.bin written and nothing held", before, evicted)
+	}
+	if _, err := db.ScopedSummary("s", query.Scope{}); err != nil {
+		t.Fatal(err)
+	}
+	held := db.DirectoryStats()
+	if held.SidecarDecodes != evicted.SidecarDecodes+1 || held.ColdSummaryBytes == 0 || held.Hydrations != evicted.Hydrations {
+		t.Fatalf("cold read %+v → %+v, want one decode, a held summary and no hydration", evicted, held)
+	}
+	opens := backend.opens.Load()
+	if _, err := db.Stream("s"); err != nil {
+		t.Fatal(err)
+	}
+	after := db.DirectoryStats()
+	if got := backend.opens.Load() - opens; got != 0 || after.ScannedValues != held.ScannedValues || after.Hydrations != held.Hydrations+1 {
+		t.Fatalf("the hydration opened %d partition files; directory %+v → %+v, want one hydration, none scanned", got, held, after)
+	}
+	if got := checkOracle(t, st, or); got != want {
 		t.Fatalf("answers after the hydration\n got %s\nwant %s", got, want)
 	}
 }

@@ -47,8 +47,9 @@ const legacyDirectoryName = "DB.json"
 // rehydrate first, so resident memory tracks the hot set, not the directory
 // size. Open loads only the directory: restart cost is O(registered
 // streams), with each stream's summary-rebuild scan deferred to its first
-// touch. An evicted stream holds the summary its eviction built, and its
-// next hydration takes it in place of that scan.
+// touch. An evicted stream holds the summary its eviction built (or, past
+// the budget, a cold read decodes it from the checksummed SUMMARY.bin), and
+// its next hydration takes it in place of that scan.
 //
 //	db, err := hsq.Open(hsq.Options{Epsilon: 0.01, Dir: dir, CacheBlocks: 4096})
 //	lat, err := db.Stream("api.latency")
@@ -93,21 +94,22 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Layouts of earlier releases that this DB would misread are refused,
-	// each with the by-hand recipe that adopts it.
+	// Layouts of earlier releases that this DB would misread are refused.
+	// Every release that wrote one wrote raw or version-1 partitions too,
+	// which no stream of this release reads, so the one upgrade is
+	// README's: re-ingest with this release.
 	switch {
 	case dev.Exists(legacyDirectoryName):
-		// The stream directory is the per-stream manifests now. Under the root
-		// file, a namespace it did not list was crash debris, and a listed
-		// name without a manifest held no data.
-		return nil, fmt.Errorf("hsq: %s holds a %s stream directory from an earlier release; to adopt it, delete every %s/<name>/ whose name it does not list, then delete %s (a listed name without a %s/<name>/%s held no data: RegisterStreams brings the name back)",
-			full.Dir, legacyDirectoryName, streamNamespacePrefix, legacyDirectoryName, streamNamespacePrefix, manifestName)
+		// The stream directory is the per-stream manifests now; opening over
+		// the root file would ignore what it lists.
+		return nil, fmt.Errorf("hsq: %s holds a %s stream directory from an earlier release; to upgrade, re-ingest its streams' source data into a new directory with this release",
+			full.Dir, legacyDirectoryName)
 	case dev.Exists(manifestName):
 		// A root-level store manifest is a single-stream warehouse (written by
 		// releases that had a standalone engine). Opening a DB over it would
 		// silently ignore all its data.
-		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s); to adopt it as a DB stream, move its files into %s/<name>/ and set the moved manifest's \"namespace\" to that path",
-			full.Dir, manifestName, streamNamespacePrefix)
+		return nil, fmt.Errorf("hsq: %s holds a legacy single-stream warehouse (root %s); to upgrade, re-ingest its source data into a new directory with this release",
+			full.Dir, manifestName)
 	}
 	db := &DB{opts: full, dev: dev, dir: make(map[string]*Stream), hot: make(map[*Stream]struct{}), coldBudget: coldSummaryBudget}
 	files, err := dev.List(streamNamespacePrefix + "/")
@@ -185,7 +187,8 @@ func (db *DB) touchLocked(s *Stream) {
 // stream's manifest load and summary-rebuild scan blocked the whole DB. The
 // first hydration since Open, and one after an evicted engine failed a
 // write (Stream.swept), sweeps orphans and scans every partition; any other
-// takes the summary the stream's eviction held and reads no partition.
+// takes the summary the cold stream held — its eviction's, or one a cold
+// read decoded from SUMMARY.bin — and reads no partition.
 func (db *DB) acquire(st *Stream) (*engine, error) {
 	db.mu.Lock()
 	eng, err, done := db.tryAcquireLocked(st)
@@ -201,11 +204,10 @@ func (db *DB) acquire(st *Stream) (*engine, error) {
 	db.mu.Lock()
 	eng, err, done = db.tryAcquireLocked(st)
 	view := st.view
-	// Only a summary this process's eviction built feeds a hydration: one
-	// decoded from SUMMARY.bin carries no checksum, and a scan after Open or
-	// after a failed write checks the partitions it reads.
+	// A held summary feeds the hydration unless it must scan: the scan is
+	// the check of the partitions' order (coldsummary.go).
 	var held []core.PartSummary
-	if st.coldOwn && st.swept {
+	if st.swept && st.cold != nil {
 		held = st.cold.Parts
 	}
 	db.mu.Unlock()
@@ -648,7 +650,7 @@ func (db *DB) DropStream(name string) error {
 }
 
 // sweepNamespace removes every file left in a dropped stream's namespace,
-// hot or cold: partitions, sort temporaries, the sidecar.
+// hot or cold: partitions, metadata temporaries, the sidecar.
 func (db *DB) sweepNamespace(name string) error {
 	files, err := db.dev.List(streamNamespacePrefix + "/" + name + "/")
 	if err != nil {

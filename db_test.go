@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -266,199 +267,147 @@ func TestStreamNameLimit(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsLegacyLayout: a root-level single-stream warehouse (root
+// TestOpenRejectsLegacyLayout: three layouts of earlier releases are
+// refused, never misread. A root-level single-stream warehouse (root
 // MANIFEST.json and part files — the layout releases with a standalone
-// engine wrote) must not be silently shadowed by an empty DB, nor may a
-// root DB.json stream directory (which releases before the per-stream
-// manifests registered streams on their own wrote) be ignored, nor a
-// stream manifest whose pending section lists raw spills (the layout of
-// releases that spilled every step before installing it). Nothing in the
-// tree writes these layouts any more, so the fixture builds each by hand;
-// Open (or, for the pending section, the stream's hydration) refuses it,
-// leaves it untouched, and the recipe its error spells out brings the
-// history back.
+// engine wrote) must not be silently shadowed by an empty DB, a root
+// DB.json stream directory (which releases before the per-stream manifests
+// registered streams on their own wrote) must not be ignored, and a stream
+// manifest whose pending section lists raw spills (the layout of releases
+// that spilled every step before installing it) must not hydrate. Nothing
+// in the tree writes these layouts any more, so the fixture builds each by
+// hand from this release's files. Open (or, for the pending section, the
+// stream's hydration) refuses it with the one upgrade rule, re-ingesting
+// with this release, and leaves every file as it was.
 func TestOpenRejectsLegacyLayout(t *testing.T) {
-	dir := t.TempDir()
-	opts := hsq.Options{Epsilon: 0.05, Kappa: 3, Dir: dir}
-	eng := hsq.OneStream(t, opts)
-	for i := int64(1); i <= 1000; i++ {
-		eng.Observe(i)
-	}
-	if _, err := eng.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.DB().Close(); err != nil {
-		t.Fatal(err)
-	}
-	// move carries the part files and the manifest between the stream's
-	// namespace and the root, rewriting the manifest's "namespace".
 	ns := filepath.Join("streams", hsq.OneStreamName)
-	move := func(from, to, namespace string) {
-		t.Helper()
-		parts, err := filepath.Glob(filepath.Join(dir, from, "part-*.dat"))
-		if err != nil || len(parts) == 0 {
-			t.Fatalf("no partition files under %q: %v", from, err)
+	// closedStream returns the options of a directory holding one stream of
+	// 1 000 values, closed.
+	closedStream := func() hsq.Options {
+		opts := hsq.Options{Epsilon: 0.05, Kappa: 3, Dir: t.TempDir()}
+		eng := hsq.OneStream(t, opts)
+		for i := int64(1); i <= 1000; i++ {
+			eng.Observe(i)
 		}
-		for _, p := range parts {
-			if err := os.Rename(p, filepath.Join(dir, to, filepath.Base(p))); err != nil {
-				t.Fatal(err)
+		if _, err := eng.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.DB().Close(); err != nil {
+			t.Fatal(err)
+		}
+		return opts
+	}
+	// files reads every file under dir, by path.
+	files := func(dir string) map[string]string {
+		out := make(map[string]string)
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
 			}
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, from, "MANIFEST.json"))
+			data, err := os.ReadFile(path)
+			out[path] = string(data)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m map[string]any
-		if err := json.Unmarshal(raw, &m); err != nil {
-			t.Fatal(err)
+		return out
+	}
+	// refused opens a DB over the layout and runs use on it; the error must
+	// carry the upgrade rule and every word of want, and no file may change.
+	refused := func(name string, opts hsq.Options, use func(*hsq.DB) error, want ...string) {
+		t.Helper()
+		before := files(opts.Dir)
+		db, err := hsq.Open(opts)
+		if err == nil {
+			err = use(db)
+			if cerr := db.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
 		}
-		delete(m, "namespace")
-		if namespace != "" {
-			m["namespace"] = namespace
+		if err == nil {
+			t.Errorf("%s: opened", name)
+			return
 		}
-		if raw, err = json.Marshal(m); err != nil {
-			t.Fatal(err)
+		for _, w := range append(want, "re-ingest", "with this release") {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: refusal %q does not say %q", name, err, w)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, to, "MANIFEST.json"), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, from, "MANIFEST.json")); err != nil {
-			t.Fatal(err)
+		if after := files(opts.Dir); !maps.Equal(after, before) {
+			t.Errorf("%s: the refused layout was touched: %d files before, %d after", name, len(before), len(after))
 		}
 	}
-	move(ns, "", "")
-	for _, gone := range []string{"DB.json", "streams"} {
-		if err := os.RemoveAll(filepath.Join(dir, gone)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	opened := func(*hsq.DB) error { return nil }
 
-	_, err := hsq.Open(opts)
-	if err == nil {
-		t.Fatal("Open over a legacy single-stream warehouse: want error")
+	// The root warehouse: the stream's part files and manifest at the root,
+	// the manifest without a namespace.
+	opts := closedStream()
+	parts, err := filepath.Glob(filepath.Join(opts.Dir, ns, "part-*.dat"))
+	if err != nil || len(parts) == 0 {
+		t.Fatalf("no partition files: %v", err)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "streams/<name>/") || !strings.Contains(msg, "namespace") || strings.Contains(msg, "OpenEngine") {
-		t.Errorf("refusal does not carry the by-hand adoption recipe: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); err != nil {
-		t.Errorf("the refused warehouse was touched: %v", err)
-	}
-
-	// The recipe, by hand: files under streams/<name>/, the manifest's
-	// namespace set to that path.
-	if err := os.MkdirAll(filepath.Join(dir, ns), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	move("", ns, filepath.ToSlash(ns))
-	adopted := hsq.OneStream(t, opts)
-	if got := adopted.HistCount(); got != 1000 {
-		t.Errorf("adopted HistCount = %d, want 1000", got)
-	}
-	if v, _, err := adopted.Quantile(0.5); err != nil || v != 500 {
-		t.Errorf("adopted median = %d, %v", v, err)
-	}
-	if err := adopted.DB().Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The DB.json layout: the directory the stream's manifest now is, kept a
-	// second time at the root, plus a namespace it does not list (debris the
-	// releases that wrote it collected at Open).
-	dbJSON := filepath.Join(dir, "DB.json")
-	if err := os.WriteFile(dbJSON, []byte(`{"version":1,"streams":["`+hsq.OneStreamName+`"]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ghost := filepath.Join(dir, "streams", "ghost")
-	if err := os.MkdirAll(ghost, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(ghost, "MANIFEST.json"), []byte(`{"version":1,"namespace":"streams/ghost","kappa":3}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = hsq.Open(opts)
-	if err == nil {
-		t.Fatal("Open over a DB.json stream directory: want error")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "DB.json") || !strings.Contains(msg, "streams/<name>/") || !strings.Contains(msg, "RegisterStreams") {
-		t.Errorf("refusal does not carry the by-hand recipe: %v", err)
-	}
-	if _, err := os.Stat(dbJSON); err != nil {
-		t.Errorf("the refused directory was touched: %v", err)
-	}
-	// The recipe: delete the namespaces DB.json does not list, then DB.json.
-	for _, gone := range []string{ghost, dbJSON} {
-		if err := os.RemoveAll(gone); err != nil {
+	for _, p := range parts {
+		if err := os.Rename(p, filepath.Join(opts.Dir, filepath.Base(p))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	db, err := hsq.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close() //nolint:errcheck
-	if got := db.Streams(); len(got) != 1 || got[0] != hsq.OneStreamName {
-		t.Fatalf("adopted directory %v, want [%s]", got, hsq.OneStreamName)
-	}
-	st, _ := db.Lookup(hsq.OneStreamName)
-	if got := st.HistCount(); got != 1000 {
-		t.Errorf("adopted HistCount = %d, want 1000", got)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A manifest whose pending section lists sealed steps as raw spills (the
-	// layout of releases that wrote every step twice): the stream is refused
-	// by name when it hydrates, the spill untouched, and the error carries
-	// the recipe. Without the section the same manifest opens.
-	manifest := filepath.Join(dir, ns, "MANIFEST.json")
-	clean, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
 	}
 	var m map[string]any
-	if err := json.Unmarshal(clean, &m); err != nil {
+	raw, err := os.ReadFile(filepath.Join(opts.Dir, ns, "MANIFEST.json"))
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "namespace")
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(opts.Dir, "MANIFEST.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(opts.Dir, "streams")); err != nil {
+		t.Fatal(err)
+	}
+	refused("root warehouse", opts, opened, "single-stream warehouse", "MANIFEST.json")
+
+	// The DB.json layout: the directory the stream's manifest now is, kept a
+	// second time at the root.
+	opts = closedStream()
+	if err := os.WriteFile(filepath.Join(opts.Dir, "DB.json"), []byte(`{"version":1,"streams":["`+hsq.OneStreamName+`"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("DB.json", opts, opened, "DB.json")
+
+	// A manifest whose pending section lists a sealed step as a raw spill:
+	// the stream is refused by name when it hydrates.
+	opts = closedStream()
+	manifest := filepath.Join(opts.Dir, ns, "MANIFEST.json")
+	raw, err = os.ReadFile(manifest)
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	m["pending"] = []map[string]any{{"id": 99, "name": "batch-raw-000099.dat", "count": 10, "step": 2}}
-	legacy, err := json.Marshal(m)
-	if err != nil {
+	if raw, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
-	spill := filepath.Join(dir, ns, "batch-raw-000099.dat")
-	for file, data := range map[string][]byte{manifest: legacy, spill: make([]byte, 80)} {
+	for file, data := range map[string][]byte{manifest: raw, filepath.Join(opts.Dir, ns, "batch-raw-000099.dat"): make([]byte, 80)} {
 		if err := os.WriteFile(file, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db, err = hsq.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ = db.Lookup(hsq.OneStreamName)
-	_, err = st.Query(context.Background(), hsq.Request{Phis: []float64{0.5}})
-	if err == nil {
-		t.Fatal("a stream whose manifest has a pending section hydrated")
-	}
-	if msg := err.Error(); !strings.Contains(msg, strconv.Quote(hsq.OneStreamName)) || !strings.Contains(msg, "previous release") || !strings.Contains(msg, "Close") {
-		t.Errorf("refusal does not name the stream and carry the recipe: %v", err)
-	}
-	if _, err := os.Stat(spill); err != nil {
-		t.Errorf("the refused stream's spill was touched: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifest, clean, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reopened := hsq.OneStream(t, opts)
-	if got := reopened.HistCount(); got != 1000 {
-		t.Errorf("HistCount = %d without the pending section, want 1000", got)
-	}
-	if _, err := os.Stat(spill); !os.IsNotExist(err) {
-		t.Errorf("stray spill after the hydration: %v, want it collected as an orphan", err)
-	}
+	refused("pending section", opts, func(db *hsq.DB) error {
+		st, ok := db.Lookup(hsq.OneStreamName)
+		if !ok {
+			return fmt.Errorf("%s is not registered", hsq.OneStreamName)
+		}
+		_, err := st.Query(context.Background(), hsq.Request{Phis: []float64{0.5}})
+		return err
+	}, strconv.Quote(hsq.OneStreamName), "raw spills")
 }
 
 func TestEngineClose(t *testing.T) {

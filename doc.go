@@ -171,17 +171,18 @@
 // hydrations and no backend reads. The sidecar (SUMMARY.bin) is the
 // stream's full-scope core.ShardSummary in its one encoding — the bytes a
 // peer would be sent — so core.DecodeShardSummary validates the file as
-// it validates a reply; one the decoder refuses (an earlier build's
-// version byte included) or that fails its freshness cross-check against
+// it validates a reply; one the decoder refuses (a checksum mismatch or an
+// earlier build's version byte included) or that fails its freshness cross-check against
 // the stream manifest falls back to one hydration, counted in
 // DirectoryStats.SummaryFallbacks, and is rewritten at the stream's next
 // checkpoint. The stream then holds the validated summary until it next
 // hydrates, so later reads decode nothing (32 MiB in all, first come:
 // DirectoryStats.ColdSummaryBytes, .SidecarDecodes). An evicted stream
-// holds the summary its eviction built, which its next hydration takes in
-// place of a rescan; the file is written at the barrier (DB.Checkpoint,
-// Close). One decoded from the file, which has no checksum, never feeds a
-// hydration.
+// holds the summary its eviction built; the file is written at the barrier
+// (DB.Checkpoint, Close). The encoding ends with a CRC-32C, so a held
+// summary is trusted one way, whoever built it: the next hydration takes it
+// in place of a rescan once a scan since Open has checked the stream's
+// partitions are in order.
 //
 // Which summaries a scoped read sees is one decision in one place. A
 // stream is a chronological list of spans — its partitions, oldest first
@@ -384,8 +385,7 @@
 // half-finished install left behind instead of failing on it. A stream
 // whose manifest still lists sealed steps as raw spills (the layout of
 // releases that wrote every step twice) is refused when it hydrates, by
-// name: open the directory with the previous release and Close it, which
-// installs every sealed step.
+// name: like its raw partitions, it is upgraded by re-ingesting.
 //
 // Backend implementations must provide the three primitives this protocol
 // leans on: WriteMeta must be crash-atomic (old content or new, never

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"slices"
 
@@ -45,9 +46,12 @@ type PartSummary = partition.PartSummary
 // no step ranges; version 2's piece entries sat at band middles, not at the
 // capture positions the bounds now read; version 3 captured ⌈1/ε⌉+1
 // entries of every run, a run shorter than 1/ε with its positions repeated;
-// version 4 carried a second ε, the pieces'. All are refused, not guessed
-// at.
-const snapshotVersion = 5
+// version 4 carried a second ε, the pieces'; version 5 had no checksum. All
+// are refused, not guessed at.
+const snapshotVersion = 6
+
+// crcTable is CRC-32C (Castagnoli), the checksum of the block format too.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendBinary appends the binary encoding of s to buf — the bytes of a
 // peer's SummaryResp and of a stream's SUMMARY.bin alike:
@@ -56,10 +60,12 @@ const snapshotVersion = 5
 //	| uvarint len(parts)  | per part:  uvarint count | uvarint start | uvarint end
 //	                                   | uvarint len | delta values
 //	| uvarint len(pieces) | per piece: uvarint M     | uvarint len | delta values
+//	| crc u32be (CRC-32C of every byte before it, from the version on)
 //
 // Summary values are sorted, so the shared delta+zig-zag varint codec keeps
 // the encoding near 1–2 bytes per element.
 func (s *ShardSummary) AppendBinary(buf []byte) []byte {
+	at := len(buf)
 	buf = append(buf, snapshotVersion)
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Eps1))
 	buf = binary.AppendUvarint(buf, uint64(s.N))
@@ -77,24 +83,33 @@ func (s *ShardSummary) AppendBinary(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(p.SS)))
 		buf = enc.AppendDelta(buf, p.SS)
 	}
-	return buf
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[at:], crcTable))
 }
 
 // DecodeShardSummary decodes one ShardSummary from data that came from
 // outside the process — a peer's reply or a file on disk — and is the one
-// validator for both. It rejects another version, truncation, trailing
-// bytes, declared lengths beyond the input size, and anything selection
-// would answer garbage over without failing: a negative count, values that
-// descend (the delta codec is signed), a step range that ends before it
-// starts, an N that is not the sum of the part counts and piece masses
-// (every rank target is a fraction of N), or a run whose entry count is not
-// the capture rule's for its mass at ε₁ (partition.Beta), since the rule
-// places every entry and the bounds read those places.
+// validator for both. It rejects another version and a checksum mismatch
+// (a flipped, cut or added byte). A peer can compute a matching checksum
+// over anything, so behind it the decoder still rejects truncation,
+// trailing bytes, declared lengths beyond the input size, and anything
+// selection would answer garbage over without failing: a negative count,
+// values that descend (the delta codec is signed), a step range that ends
+// before it starts, an N that is not the sum of the part counts and piece
+// masses (every rank target is a fraction of N), or a run whose entry count
+// is not the capture rule's for its mass at ε₁ (partition.Beta), since the
+// rule places every entry and the bounds read those places.
 func DecodeShardSummary(data []byte) (*ShardSummary, error) {
-	d := enc.NewReader(data)
-	if v := d.Byte(); d.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("core: shard summary version %d (want %d)", v, snapshotVersion)
+	if len(data) > 0 && data[0] != snapshotVersion {
+		return nil, fmt.Errorf("core: shard summary version %d (want %d)", data[0], snapshotVersion)
 	}
+	body := len(data) - 4
+	if body < 1 {
+		return nil, fmt.Errorf("core: decode shard summary: %d bytes, too few for a version and a checksum", len(data))
+	}
+	if crc32.Checksum(data[:body], crcTable) != binary.BigEndian.Uint32(data[body:]) {
+		return nil, fmt.Errorf("core: decode shard summary: checksum mismatch")
+	}
+	d := enc.NewReader(data[1:body])
 	s := &ShardSummary{
 		Eps1: math.Float64frombits(d.Uint64()),
 		N:    int64(d.Uvarint()),

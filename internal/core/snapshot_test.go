@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/big"
 	"math/rand"
@@ -73,15 +74,36 @@ func TestShardSummaryRoundTrip(t *testing.T) {
 		if _, err := DecodeShardSummary(append(enc[:len(enc):len(enc)], 0)); err == nil {
 			t.Errorf("case %d: trailing byte accepted", i)
 		}
+		if _, err := DecodeShardSummary(sealed(append(body(enc), 0))); err == nil {
+			t.Errorf("case %d: trailing byte behind a matching checksum accepted", i)
+		}
+		// Every single-bit flip is refused: the checksum's, or the version
+		// byte's.
+		for bit := range 8 * len(enc) {
+			flipped := slices.Clone(enc)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			if _, err := DecodeShardSummary(flipped); err == nil {
+				t.Fatalf("case %d: flip of bit %d accepted", i, bit)
+			}
+		}
 	}
 	// A length beyond the input must error before anything is allocated for it.
-	lying := (&ShardSummary{N: 1}).AppendBinary(nil)
+	lying := body((&ShardSummary{N: 1}).AppendBinary(nil))
 	lying = lying[:len(lying)-2]               // drop "0 parts, 0 pieces"
 	lying = append(lying, 1, 1, 1, 1)          // one part: count, start, end
 	lying = binary.AppendUvarint(lying, 1<<40) // a terabyte of values, it says
-	if _, err := DecodeShardSummary(lying); err == nil {
+	if _, err := DecodeShardSummary(sealed(lying)); err == nil {
 		t.Error("lying length accepted")
 	}
+}
+
+// body is an encoding without its checksum.
+func body(enc []byte) []byte { return slices.Clip(enc[:len(enc)-4]) }
+
+// sealed appends the checksum AppendBinary would to a body, so that bytes
+// crafted by hand reach the structural checks behind it.
+func sealed(body []byte) []byte {
+	return binary.BigEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
 }
 
 // hostileShard encodes a shard summary of one part and one piece as given,
@@ -104,7 +126,7 @@ func pieceShard(ss []int64) []byte {
 }
 
 // v1Shard is a one-part summary in the version-1 encoding earlier builds put
-// on the wire and in SUMMARY.bin: no step range on the part.
+// on the wire and in SUMMARY.bin: no step range on the part, no checksum.
 func v1Shard() []byte {
 	buf := []byte{1}
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(0.05))
@@ -127,17 +149,17 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 		s := &ShardSummary{N: n, Eps1: 0.05, Parts: []PartSummary{{Count: 5, StartStep: start, EndStep: end, Values: []int64{1, 1, 2, 3, 4, 5}}}}
 		return s.AppendBinary(nil)
 	}
-	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 5)") {
+	if _, err := DecodeShardSummary(v1Shard()); err == nil || !strings.Contains(err.Error(), "version 1 (want 6)") {
 		t.Errorf("version-1 payload: %v, want a version error", err)
 	}
 	// Versions 2 to 4 carried a second ε, the pieces', after ε₁; version 2's
 	// piece entries sat at band middles, not at the capture positions the
 	// bounds read, and version 3 took ⌈1/ε⌉+1 entries of a run of fewer
-	// elements.
-	for _, v := range []byte{2, 3, 4} {
+	// elements. Version 5 had no checksum.
+	for _, v := range []byte{2, 3, 4, 5} {
 		old := v1Shard()
 		old[0] = v
-		if _, err := DecodeShardSummary(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d (want 5)", v)) {
+		if _, err := DecodeShardSummary(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d (want 6)", v)) {
 			t.Errorf("version-%d payload: %v, want a version error", v, err)
 		}
 	}
@@ -203,47 +225,58 @@ func TestDecodeRejectsUnsortedRuns(t *testing.T) {
 
 // FuzzDecodeShardSummary: whatever decodes — off the wire or out of a
 // SUMMARY.bin — has sorted runs, non-negative counts that sum to N and
-// forward step ranges, survives a re-encode, and can be selected over.
+// forward step ranges, survives a re-encode, and can be selected over. Each
+// input is decoded as it is and with its checksum appended, so that the
+// structural checks behind the checksum stay reachable; the seeds are
+// bodies, without one.
 func FuzzDecodeShardSummary(f *testing.F) {
-	f.Add(synthShard(rand.New(rand.NewSource(1)), 3, 2, 0.05).AppendBinary(nil))
-	f.Add(hostileShard(5, []int64{1, 3, 2}, 5, []int64{5, 4}))
-	f.Add(hostileShard(-1, nil, 5, []int64{math.MaxInt64, math.MinInt64}))
+	f.Add(body(synthShard(rand.New(rand.NewSource(1)), 3, 2, 0.05).AppendBinary(nil)))
+	f.Add(body(hostileShard(5, []int64{1, 3, 2}, 5, []int64{5, 4})))
+	f.Add(body(hostileShard(-1, nil, 5, []int64{math.MaxInt64, math.MinInt64})))
+	f.Add(body((&ShardSummary{N: 10, Parts: []PartSummary{{Count: math.MaxInt64}, {Count: math.MaxInt64}, {Count: 12}}}).AppendBinary(nil)))
 	f.Add([]byte{})
 	f.Add(v1Shard())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeShardSummary(data)
-		if err != nil {
-			return
-		}
-		sum := new(big.Int)
-		for _, p := range s.Parts {
-			if p.Count < 0 || !slices.IsSorted(p.Values) || p.StartStep < 0 || p.EndStep < p.StartStep {
-				t.Fatalf("decoded part %+v", p)
-			}
-			sum.Add(sum, big.NewInt(p.Count))
-		}
-		for _, p := range s.Pieces {
-			if p.M < 0 || !slices.IsSorted(p.SS) {
-				t.Fatalf("decoded piece %+v", p)
-			}
-			sum.Add(sum, big.NewInt(p.M))
-		}
-		if sum.Cmp(big.NewInt(s.N)) != 0 {
-			t.Fatalf("decoded N = %d over runs that sum to %s", s.N, sum)
-		}
-		enc := s.AppendBinary(nil)
-		if again, err := DecodeShardSummary(enc); err != nil || !bytes.Equal(again.AppendBinary(nil), enc) {
-			t.Fatalf("re-decode of %+v: %v, %+v", s, err, again)
-		}
-		c, _, err := MergeShardSummaries([]*ShardSummary{s})
-		if err != nil || c == nil {
-			return
-		}
-		c.QuickRank(0)
-		if _, _, err := c.Filters(c.N() / 2); (err != nil) != (len(c.runs) == 0) {
-			t.Fatalf("filters over %d runs: %v", len(c.runs), err)
+		for _, in := range [][]byte{data, sealed(slices.Clip(data))} {
+			checkDecoded(t, in)
 		}
 	})
+}
+
+// checkDecoded is FuzzDecodeShardSummary's property, on one input.
+func checkDecoded(t *testing.T, data []byte) {
+	s, err := DecodeShardSummary(data)
+	if err != nil {
+		return
+	}
+	sum := new(big.Int)
+	for _, p := range s.Parts {
+		if p.Count < 0 || !slices.IsSorted(p.Values) || p.StartStep < 0 || p.EndStep < p.StartStep {
+			t.Fatalf("decoded part %+v", p)
+		}
+		sum.Add(sum, big.NewInt(p.Count))
+	}
+	for _, p := range s.Pieces {
+		if p.M < 0 || !slices.IsSorted(p.SS) {
+			t.Fatalf("decoded piece %+v", p)
+		}
+		sum.Add(sum, big.NewInt(p.M))
+	}
+	if sum.Cmp(big.NewInt(s.N)) != 0 {
+		t.Fatalf("decoded N = %d over runs that sum to %s", s.N, sum)
+	}
+	enc := s.AppendBinary(nil)
+	if again, err := DecodeShardSummary(enc); err != nil || !bytes.Equal(again.AppendBinary(nil), enc) {
+		t.Fatalf("re-decode of %+v: %v, %+v", s, err, again)
+	}
+	c, _, err := MergeShardSummaries([]*ShardSummary{s})
+	if err != nil || c == nil {
+		return
+	}
+	c.QuickRank(0)
+	if _, _, err := c.Filters(c.N() / 2); (err != nil) != (len(c.runs) == 0) {
+		t.Fatalf("filters over %d runs: %v", len(c.runs), err)
+	}
 }
 
 // BenchmarkDecodeShardSummary is one cold stream's read on the fleet plan:

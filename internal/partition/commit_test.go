@@ -99,9 +99,9 @@ func TestCollectOrphans(t *testing.T) {
 	}
 	write("part-000007.dat")      // referenced: must stay
 	write("part-000099.dat")      // unreferenced partition: orphan
-	write("batch-raw-000099.dat") // spill: orphan
-	write("sort-000099-0")        // an earlier build's sort run: orphan
-	write("pmerge-000099-r0.tmp") // parallel-merge run: orphan
+	write("SUMMARY.bin.tmp")      // interrupted metadata write: orphan
+	write("batch-raw-000099.dat") // an earlier build's spill: foreign now, must stay
+	write("sort-000099-0")        // an earlier build's sort run: foreign now, must stay
 	write("unrelated.bin")        // foreign file: must stay
 	if err := dev.WriteMeta("MANIFEST.json", []byte("{}")); err != nil {
 		t.Fatal(err)
@@ -112,11 +112,11 @@ func TestCollectOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	slices.Sort(removed)
-	want := []string{"batch-raw-000099.dat", "part-000099.dat", "pmerge-000099-r0.tmp", "sort-000099-0"}
+	want := []string{"SUMMARY.bin.tmp", "part-000099.dat"}
 	if !slices.Equal(removed, want) {
 		t.Errorf("removed %v, want %v", removed, want)
 	}
-	for _, name := range []string{"part-000007.dat", "unrelated.bin", "MANIFEST.json"} {
+	for _, name := range []string{"part-000007.dat", "batch-raw-000099.dat", "sort-000099-0", "unrelated.bin", "MANIFEST.json"} {
 		if !dev.Exists(name) {
 			t.Errorf("%s wrongly collected", name)
 		}

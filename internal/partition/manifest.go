@@ -140,16 +140,9 @@ func (m *Manifest) check() error {
 }
 
 // tempFilePatterns matches the transient files a crash can strand:
-// interrupted metadata temp files, and the external-sort runs, raw batch
-// spills and pmerge-* temporaries of earlier builds. Any match is removable
-// debris once no install is in flight.
-var tempFilePatterns = []string{
-	"batch-raw-*.dat",
-	"sort-*",
-	"extsort-run*",
-	"pmerge-*",
-	"*.tmp",
-}
+// interrupted metadata temp files. Any match is removable debris once no
+// install is in flight.
+var tempFilePatterns = []string{"*.tmp"}
 
 // TempFilePatterns returns the patterns of transient install files, for
 // harnesses asserting that recovery leaves none behind. Partition files
@@ -200,18 +193,20 @@ func CollectOrphans(dev *disk.Manager, keep map[string]bool) ([]string, error) {
 
 // LoadStore reopens a Store from a manifest. A partition whose step range
 // and count match one of held (oldest first) takes that summary with no
-// read; it enters the HS unchecked, so only a summary the caller captured
-// itself may be held. Any other partition's summary is rebuilt with one
-// sequential scan (Store.Scanned), which refuses a partition that is not
-// sorted on disk. A manifest whose entries do not fit together is
-// refused before any file is read (ParseManifest). It reads only the files
-// the manifest names, so files from half-finished installs — partitions
-// written but never committed, sort temporaries — never poison a reopen; it
-// does not remove them (Store.CollectOrphans does).
+// read; it enters the HS unchecked, so the caller holds only summaries of
+// the partitions' own data, over partitions a scan has found in order. Any
+// other partition's summary is rebuilt with one sequential scan
+// (Store.Scanned), which refuses a partition that is not sorted on disk. A
+// manifest whose entries do not fit together is refused before any file is
+// read (ParseManifest). It reads only the files the manifest names, so
+// files from half-finished installs — partitions written but never
+// committed, metadata temporaries — never poison a reopen; it does not
+// remove them (Store.CollectOrphans does).
 //
 // A manifest with a pending section — sealed steps an earlier release kept
-// as raw spills — is refused before anything is touched: open the directory
-// with that release and Close it, which installs every sealed step.
+// as raw spills — is refused before anything is touched: that release wrote
+// raw partitions too, which this one does not read, so the upgrade is to
+// re-ingest.
 func LoadStore(dev *disk.Manager, manifestName string, cfg Config, held ...PartSummary) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -225,8 +220,8 @@ func LoadStore(dev *disk.Manager, manifestName string, cfg Config, held ...PartS
 		return nil, err
 	}
 	if len(m.Pending) > 0 {
-		return nil, fmt.Errorf("partition: manifest lists %d sealed steps as raw spills, a layout this release no longer reads: "+
-			"open the directory with the previous release and Close it, which installs every sealed step, then reopen", len(m.Pending))
+		return nil, fmt.Errorf("partition: manifest lists %d sealed steps as raw spills, a layout of an earlier release; "+
+			"to upgrade, re-ingest the stream's source data into a new directory with this release", len(m.Pending))
 	}
 	if m.Namespace != cfg.Namespace {
 		return nil, fmt.Errorf("partition: manifest namespace %q != config namespace %q", m.Namespace, cfg.Namespace)

@@ -112,7 +112,7 @@ func (e *engine) checkpoint(seal bool) (*core.ShardSummary, error) {
 // checkpoint is the one per-stream barrier: the engine settles and commits,
 // and the stream's sidecar is brought in line with the state that commit
 // made durable — or, on an eviction, the cold stream holds that state's
-// summary until the next barrier writes it (holdEvicted). It is
+// summary until the next barrier writes it (holdCold). It is
 // Stream.SyncMaintenance and each stream's step of DB.Checkpoint; with seal
 // set it also closes the engine — how eviction and DB.Close seal a stream —
 // and sealing a closed engine is a no-op.
@@ -120,7 +120,7 @@ func (db *DB) checkpoint(st *Stream, eng *engine, seal bool) error {
 	sum, err := eng.checkpoint(seal)
 	switch {
 	case err == nil:
-		if !seal || !db.holdEvicted(st, sum) {
+		if !seal || !db.holdCold(st, sum, true) {
 			db.refreshSidecar(st.name, sum)
 		}
 	case seal && errors.Is(err, ErrClosed):

@@ -71,17 +71,18 @@ type Stream struct {
 	seq     uint64  // touch clock value of the last touch: the eviction tie-break
 	base    uint64  // DB inflation at the last touch: eviction priority less cost
 	dropped bool
-	// swept: the namespace holds no orphan. A hydration sweeps unless it is
-	// set, and sets it; an evicted engine that may have left one
-	// (partition.Store.MayHoldOrphans) clears it. Changes hold opMu too.
+	// swept: the namespace holds no orphan, and a scan since Open checked
+	// its partitions' order. A hydration sweeps and scans unless it is set,
+	// and sets it; an evicted engine that may have left an orphan
+	// (partition.Store.MayHoldOrphans) clears it. It alone decides whether
+	// the next hydration takes cold in place of the scan. Changes hold opMu
+	// too.
 	swept bool
-	// cold is the summary a cold stream holds until it hydrates; coldEpoch
-	// counts its forgets. coldOwn marks one this process's eviction built,
-	// which the next hydration takes in place of a scan; coldUnsaved, one
-	// whose SUMMARY.bin is not written yet (coldsummary.go).
-	cold                 *core.ShardSummary
-	coldEpoch            uint64
-	coldOwn, coldUnsaved bool
+	// cold is the summary a cold stream holds until it hydrates, its
+	// eviction's or decoded from SUMMARY.bin; coldUnsaved marks one whose
+	// SUMMARY.bin is not written yet (coldsummary.go). Held only under opMu.
+	cold        *core.ShardSummary
+	coldUnsaved bool
 }
 
 // Name returns the stream's name.
