@@ -790,6 +790,7 @@ func (db *DB) Close() error {
 	if err := db.dev.Sync(); err != nil {
 		errs = append(errs, err)
 	}
+	db.dev.Close()
 	if c, ok := db.dev.Backend().(io.Closer); ok {
 		if err := c.Close(); err != nil {
 			errs = append(errs, err)

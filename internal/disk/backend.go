@@ -17,9 +17,10 @@ import (
 // durable image and a crash point). All must satisfy the conformance suite in
 // conformance_test.go.
 //
-// Handles returned by Open and Create are independent: concurrent readers of
-// one file each get their own handle. Handles are not safe for concurrent use
-// individually.
+// Handles returned by Open and Create are independent: closing one leaves
+// the others open. A ReadHandle's ReadAt and Size are safe for concurrent use,
+// as a pread is: the Manager opens a file once and shares the handle among
+// every reader of it. A WriteHandle is not safe for concurrent use.
 type Backend interface {
 	// Open returns a random-access read handle for the named file.
 	Open(name string) (ReadHandle, error)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -224,6 +225,46 @@ func conformance(t *testing.T, b Backend, kind string) {
 			t.Errorf("read after sibling close = %d, %v", n, err)
 		}
 		r2.Close() //nolint:errcheck
+	})
+
+	t.Run("concurrent-readat", func(t *testing.T) {
+		data := make([]byte, 4096)
+		for i := range data {
+			data[i] = byte(i * 7)
+		}
+		w, _ := b.Create("c.dat")
+		w.Write(data) //nolint:errcheck
+		w.Close()     //nolint:errcheck
+		r, err := b.Open("c.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, 61)
+				for i := range 200 {
+					off := int64((g*389 + i*97) % (len(data) - len(buf)))
+					if n, err := r.ReadAt(buf, off); n != len(buf) || (err != nil && err != io.EOF) {
+						errs <- fmt.Errorf("ReadAt(%d) = %d, %v", off, n, err)
+						return
+					}
+					if !slices.Equal(buf, data[off:off+int64(len(buf))]) {
+						errs <- fmt.Errorf("ReadAt(%d) read other bytes", off)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	})
 }
 

@@ -23,6 +23,7 @@
 package disk
 
 import (
+	"container/list"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -52,7 +53,8 @@ const (
 	OpSeqWrite
 	// OpRandRead is a random block read (query-time binary search).
 	OpRandRead
-	// OpOpen is a file open.
+	// OpOpen is a backend file open: a Create, or a reader's open of a file
+	// the device holds no handle of.
 	OpOpen
 	// OpMetaWrite is an atomic metadata replacement (manifest commit).
 	OpMetaWrite
@@ -99,7 +101,7 @@ type Stats struct {
 	RandReads    uint64 // random block reads that reached the backend
 	BytesRead    uint64
 	BytesWritten uint64
-	Opens        uint64
+	Opens        uint64 // backend opens: a Create, or a read of a file with no open handle
 	CacheHits    uint64 // random block reads served by the block cache
 	CacheMisses  uint64 // random block reads that missed the cache
 	// SkippedBlocks counts random reads answered entirely from a columnar
@@ -214,10 +216,16 @@ type device struct {
 	// by a raw device and refused by a columnar one.
 	format atomic.Uint32
 
-	// idxCache memoizes block indexes per device-wide name, so reopening a
-	// partition for every query does not re-read and re-parse its footer.
-	idxMu    sync.Mutex
-	idxCache map[string]*colIndex
+	// files holds, per device-wide name, what reading a file needs: its
+	// block index, parsed from the footer once, and one read handle every
+	// reader of the file shares (openFile). A query's cursors and a merge's
+	// scans take a reference instead of opening the file, so the backend
+	// sees one open per file per process. Both go when the file is removed
+	// or recreated; idle lists the handles no reader holds, least recently
+	// released first, at most maxIdleHandles of them.
+	fileMu sync.Mutex
+	files  map[string]*openFile
+	idle   list.List
 
 	fault atomic.Pointer[FaultFunc]
 
@@ -272,7 +280,7 @@ func NewManagerOn(b Backend, blockSize int) (*Manager, error) {
 	if blockSize <= 0 || blockSize%ElementSize != 0 {
 		return nil, fmt.Errorf("disk: block size %d must be a positive multiple of %d", blockSize, ElementSize)
 	}
-	d := &device{backend: b, blockSize: blockSize, perBlock: blockSize / ElementSize}
+	d := &device{backend: b, blockSize: blockSize, perBlock: blockSize / ElementSize, files: make(map[string]*openFile)}
 	return newView(d, "", &d.agg), nil
 }
 
@@ -415,13 +423,13 @@ func (m *Manager) Stats() Stats {
 	return m.stats.snapshot()
 }
 
-// invalidate drops cached blocks and the cached columnar index of a
+// invalidate drops cached blocks and the cached index and handle of a
 // device-wide name after a remove or truncation.
 func (m *Manager) invalidate(key string) {
 	if c := m.dev.cache.Load(); c != nil {
 		c.invalidate(key)
 	}
-	m.dev.dropIndex(key)
+	m.dev.drop(key)
 }
 
 // Remove deletes the named file. Removing a non-existent file is an error.

@@ -1,10 +1,13 @@
 package disk
 
 import (
+	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -434,48 +437,105 @@ func checkCheckpoints(cks []int32, frameLen int) error {
 	return nil
 }
 
-// index returns the block index of the named (device-wide) file in the
-// device's format — a columnar file's footer, or the device geometry laid
-// over a raw file — consulting and filling the device-wide index cache. The
-// handle is only read on a cache miss.
-func (m *Manager) index(key string, h ReadHandle) (*colIndex, error) {
-	d := m.dev
-	d.idxMu.Lock()
-	if ix, ok := d.idxCache[key]; ok {
-		d.idxMu.Unlock()
-		return ix, nil
-	}
-	d.idxMu.Unlock()
+// loadIndex reads the block index of a file just opened as h, in the
+// device's format: a columnar file's footer, or the device geometry laid over
+// a raw file.
+func (m *Manager) loadIndex(h ReadHandle) (*colIndex, error) {
 	size, err := h.Size()
 	if err != nil {
 		return nil, err
 	}
-	var ix *colIndex
 	if m.DefaultBlockFormat() == FormatColumnar {
-		ix, err = loadColumnarIndex(h, size)
-	} else {
-		ix, err = rawIndex(size, d.blockSize)
+		return loadColumnarIndex(h, size)
 	}
-	if err != nil {
-		return nil, err
-	}
-	d.idxMu.Lock()
-	defer d.idxMu.Unlock()
-	if d.idxCache == nil {
-		d.idxCache = make(map[string]*colIndex)
-	}
-	// A concurrent open that loaded the index first wins, so every reader
-	// of the file shares one index and the stride checksums derived in it.
-	if first, ok := d.idxCache[key]; ok {
-		return first, nil
-	}
-	d.idxCache[key] = ix
-	return ix, nil
+	return rawIndex(size, m.dev.blockSize)
 }
 
-// dropIndex forgets the cached index of a removed or truncated file.
-func (d *device) dropIndex(key string) {
-	d.idxMu.Lock()
-	delete(d.idxCache, key)
-	d.idxMu.Unlock()
+// maxIdleHandles caps the read handles the device keeps open with no reader
+// holding them; past it the least recently released one is closed (its index
+// stays). 1 024 is a quarter of the 4 096 descriptors a common Linux hard
+// limit allows (the Go runtime raises the soft limit to the hard one), and
+// the partition files of some sixty streams of sixteen partitions each.
+const maxIdleHandles = 1024
+
+// openFile is the device's state of one file it has read: its block index,
+// parsed once, and one read handle that every reader of the file shares.
+// Both live until the file is removed or recreated (drop); the handle closes
+// then, or at the release of the last reader that still holds it. Fields
+// other than key and ix are guarded by device.fileMu.
+type openFile struct {
+	key  string
+	ix   *colIndex
+	h    ReadHandle    // nil once the idle list closed it; the next open reopens
+	refs int           // readers holding h
+	gone bool          // dropped: h closes at its last release
+	idle *list.Element // its place in device.idle while no reader holds h
+}
+
+// hold takes a reference on f's handle. Caller holds fileMu.
+func (d *device) hold(f *openFile) {
+	if f.idle != nil {
+		d.idle.Remove(f.idle)
+		f.idle = nil
+	}
+	f.refs++
+}
+
+// release drops a reader's reference on f. The last one parks the handle in
+// the idle list, closing the least recently released past maxIdleHandles,
+// or closes it if the file was dropped meanwhile.
+func (d *device) release(f *openFile) error {
+	d.fileMu.Lock()
+	var shut *openFile
+	if f.refs--; f.refs == 0 {
+		shut = f
+		if !f.gone {
+			f.idle = d.idle.PushBack(f)
+			if shut = nil; d.idle.Len() > maxIdleHandles {
+				shut = d.idle.Remove(d.idle.Front()).(*openFile)
+				shut.idle = nil
+			}
+		}
+	}
+	var h ReadHandle
+	if shut != nil {
+		h, shut.h = shut.h, nil
+	}
+	d.fileMu.Unlock()
+	if h == nil {
+		return nil
+	}
+	if err := h.Close(); err != nil {
+		return fmt.Errorf("disk: close %s: %w", shut.key, err)
+	}
+	return nil
+}
+
+// drop forgets the index and handle of a removed or recreated file; a reader
+// that still holds the handle reads what it opened until its release.
+func (d *device) drop(key string) {
+	d.fileMu.Lock()
+	f := d.files[key]
+	delete(d.files, key)
+	if f != nil {
+		f.gone = true
+		d.hold(f) // so that its release closes an idle handle
+	}
+	d.fileMu.Unlock()
+	if f != nil {
+		d.release(f) //nolint:errcheck // the file is gone
+	}
+}
+
+// Close closes the read handles the device keeps — an idle one now, one a
+// reader holds at its release — and forgets every index. It spans every view
+// of the device, which stays usable: a later read opens its file again.
+func (m *Manager) Close() {
+	d := m.dev
+	d.fileMu.Lock()
+	keys := slices.Collect(maps.Keys(d.files))
+	d.fileMu.Unlock()
+	for _, k := range keys {
+		d.drop(k)
+	}
 }

@@ -26,23 +26,53 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// openRead opens the named file for either reader: its handle and its block
-// index, in the device's format. The index fixes the file's element count and
-// geometry at open; recreating the name under an open reader is unsupported.
-func (m *Manager) openRead(name string) (key string, h ReadHandle, ix *colIndex, err error) {
-	key = m.key(name)
-	if err = m.gate(OpOpen, key, 0); err == nil {
-		h, err = m.dev.backend.Open(key)
+// openRead opens the named file for either reader: the device's entry for
+// it, holding its block index in the device's format and the one read handle
+// every reader of the file shares, with a reference taken that the reader's
+// Close releases. Only a file with no open handle reaches the backend, so the
+// OpOpen gate and Stats.Opens see real opens alone. The index fixes the
+// file's element count and geometry; recreating the name under an open
+// reader is unsupported.
+func (m *Manager) openRead(name string) (*openFile, error) {
+	key, d := m.key(name), m.dev
+	d.fileMu.Lock()
+	f := d.files[key]
+	if f != nil && f.h != nil {
+		d.hold(f)
+		d.fileMu.Unlock()
+		return f, nil
+	}
+	d.fileMu.Unlock()
+	err := m.gate(OpOpen, key, 0)
+	var h ReadHandle
+	if err == nil {
+		h, err = d.backend.Open(key)
 	}
 	if err != nil {
-		return "", nil, nil, fmt.Errorf("disk: open %s: %w", key, err)
+		return nil, fmt.Errorf("disk: open %s: %w", key, err)
 	}
 	m.countOpen()
-	if ix, err = m.index(key, h); err != nil {
+	var ix *colIndex
+	if f != nil {
+		ix = f.ix // the idle list closed its handle; the index stays good
+	} else if ix, err = m.loadIndex(h); err != nil {
 		h.Close() //nolint:errcheck
-		return "", nil, nil, fmt.Errorf("disk: open %s: %w", key, err)
+		return nil, fmt.Errorf("disk: open %s: %w", key, err)
 	}
-	return key, h, ix, nil
+	d.fileMu.Lock()
+	if f = d.files[key]; f == nil {
+		f = &openFile{key: key, ix: ix}
+		d.files[key] = f
+	}
+	if f.h == nil {
+		f.h, h = h, nil
+	}
+	d.hold(f)
+	d.fileMu.Unlock()
+	if h != nil {
+		h.Close() //nolint:errcheck // a concurrent open's handle serves
+	}
+	return f, nil
 }
 
 // readAt passes the operation's gate for block idx, then reads len(buf) bytes
@@ -70,6 +100,7 @@ func (m *Manager) readAt(op Op, name string, h ReadHandle, idx int64, buf []byte
 type Reader struct {
 	m       *Manager
 	name    string
+	f       *openFile
 	h       ReadHandle
 	ix      *colIndex
 	bufp    *[]byte
@@ -90,7 +121,7 @@ type Reader struct {
 // file is read in the device's format; a columnar device refuses a file that
 // is not columnar version 2.
 func (m *Manager) OpenSequential(name string) (*Reader, error) {
-	key, h, ix, err := m.openRead(name)
+	f, err := m.openRead(name)
 	if err != nil {
 		return nil, err
 	}
@@ -98,9 +129,10 @@ func (m *Manager) OpenSequential(name string) (*Reader, error) {
 	valsp := seqValsPool.Get().(*[]int64)
 	return &Reader{
 		m:     m,
-		name:  key,
-		h:     h,
-		ix:    ix,
+		name:  f.key,
+		f:     f,
+		h:     f.h,
+		ix:    f.ix,
 		bufp:  bufp,
 		valsp: valsp,
 		buf:   *bufp,
@@ -202,8 +234,8 @@ func (r *Reader) fill() error {
 	return nil
 }
 
-// Close releases the underlying handle and returns the staging buffers to
-// the pools.
+// Close releases the reader's reference on the file's shared handle and
+// returns the staging buffers to the pools.
 func (r *Reader) Close() error {
 	if r.closed {
 		return nil
@@ -215,10 +247,7 @@ func (r *Reader) Close() error {
 	*r.valsp = r.vals
 	seqValsPool.Put(r.valsp)
 	r.buf, r.vals = nil, nil
-	if err := r.h.Close(); err != nil {
-		return fmt.Errorf("disk: close %s: %w", r.name, err)
-	}
-	return nil
+	return r.m.dev.release(r.f)
 }
 
 // RandomReader reads individual blocks of a file by index. Every Frame call
@@ -229,6 +258,7 @@ func (r *Reader) Close() error {
 type RandomReader struct {
 	m      *Manager
 	name   string
+	f      *openFile
 	h      ReadHandle
 	ix     *colIndex
 	reads  int // backend block reads issued through this handle
@@ -240,11 +270,11 @@ type RandomReader struct {
 // OpenRandom opens the named element file for random block access, in the
 // device's format, as OpenSequential does.
 func (m *Manager) OpenRandom(name string) (*RandomReader, error) {
-	key, h, ix, err := m.openRead(name)
+	f, err := m.openRead(name)
 	if err != nil {
 		return nil, err
 	}
-	return &RandomReader{m: m, name: key, h: h, ix: ix}, nil
+	return &RandomReader{m: m, name: f.key, f: f, h: f.h, ix: f.ix}, nil
 }
 
 // frameStride is how many values of a delta frame lie between checkpoints:
@@ -506,14 +536,11 @@ func (r *RandomReader) Block(idx int64) ([]int64, error) {
 // ElementBlock returns the block index containing element i.
 func (r *RandomReader) ElementBlock(i int64) int64 { return r.ix.findBlock(i) }
 
-// Close releases the underlying handle.
+// Close releases the reader's reference on the file's shared handle.
 func (r *RandomReader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	if err := r.h.Close(); err != nil {
-		return fmt.Errorf("disk: close %s: %w", r.name, err)
-	}
-	return nil
+	return r.m.dev.release(r.f)
 }

@@ -287,9 +287,10 @@ func (w *Writer) Close() error {
 	if err := w.h.Close(); err != nil {
 		return fmt.Errorf("disk: close %s: %w", w.name, err)
 	}
-	// An open racing the write may have cached the index of the half-written
-	// file; the finished file is the first state worth remembering.
-	w.m.dev.dropIndex(w.name)
+	// An open racing the write may have cached the index and handle of the
+	// half-written file; the finished file is the first state worth
+	// remembering.
+	w.m.dev.drop(w.name)
 	return nil
 }
 
@@ -297,5 +298,5 @@ func (w *Writer) Close() error {
 func (w *Writer) Abort() {
 	w.closed = true
 	w.h.Abort()
-	w.m.dev.dropIndex(w.name)
+	w.m.dev.drop(w.name)
 }

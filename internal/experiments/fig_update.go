@@ -75,6 +75,7 @@ func pureStreamingUpdate(ds *dataset, sc Scale, kappa int, budget int64, root, a
 	if err != nil {
 		return 0, err
 	}
+	defer dev.Close()
 	store := newPlainStore(dev, kappa)
 
 	var insert func(v int64) error

@@ -139,14 +139,19 @@ func (c *Cursor) decode(f *disk.Frame, idx int64, dst []int64, from int, prev in
 }
 
 // summaryAt returns the partition element at position pos when the summary
-// captured it.
+// captured it. The capture rule puts entry i at ⌊i·g⌋ − 1 clamped, g =
+// max(ε₁·count, 1) (CapturePos), so the first entry at pos is i =
+// ⌈(pos+1)/g⌉: ⌊(pos+1)/g⌋ or the next, two candidates, not a bisection of
+// CapturePos calls. Entries that share a position hold the one element there.
 func (c *Cursor) summaryAt(pos int64) (int64, bool) {
 	s := c.sum
-	i := sort.Search(len(s.Values), func(i int) bool { return s.pos(i) >= pos })
-	if i == len(s.Values) || s.pos(i) != pos {
-		return 0, false
+	i0 := max(int(float64(pos+1)/max(s.eps1*float64(s.Part.Count), 1)), 0)
+	for i := i0; i <= i0+1 && i < len(s.Values); i++ {
+		if s.pos(i) == pos {
+			return s.Values[i], true
+		}
 	}
-	return s.Values[i], true
+	return 0, false
 }
 
 // settle answers a probe inside a run starting at element a: boundary(z) is

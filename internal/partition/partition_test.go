@@ -186,6 +186,47 @@ func TestSummaryPositionsTinyPartition(t *testing.T) {
 	}
 }
 
+// TestSummaryAtMatchesSearch: the cursor's summary lookup, two candidates
+// from the inverted capture rule, agrees with a bisection of CapturePos at
+// every position of every (count, ε₁) of a grid, tiny partitions included;
+// and a point bracket, one search of the summary, is the two-search one.
+func TestSummaryAtMatchesSearch(t *testing.T) {
+	counts := []int64{0, 1, 2, 3, 4, 5, 7, 10, 99, 100, 101, 161, 999, 1000, 1001, 4096, 65537, 123457}
+	for _, eps := range []float64{0.5, 0.3, 0.25, 0.1, 0.02, 1.0 / 161, 0.01, 0.003, 0.001, 0.0007} {
+		for _, n := range counts {
+			s := &Summary{Part: &Partition{Count: n}, Values: make([]int64, Beta(n, eps)), eps1: eps}
+			for i := range s.Values {
+				s.Values[i] = 10 * s.pos(i) // the element at an entry's position
+			}
+			c := &Cursor{sum: s}
+			for p := int64(-2); p <= n+1; p++ {
+				i := sort.Search(len(s.Values), func(i int) bool { return s.pos(i) >= p })
+				want, wantOK := int64(0), i < len(s.Values) && s.pos(i) == p
+				if wantOK {
+					want = s.Values[i]
+				}
+				if got, ok := c.summaryAt(p); got != want || ok != wantOK {
+					t.Fatalf("count %d, ε₁ %g: summaryAt(%d) = %d, %v; the search finds %d, %v", n, eps, p, got, ok, want, wantOK)
+				}
+			}
+			for _, v := range s.Values {
+				for z := v - 1; z <= v+1; z++ {
+					lo, hi := int64(0), n
+					if i := s.CountLE(z) - 1; i >= 0 {
+						lo = s.pos(i) + 1
+					}
+					if j := s.CountLE(z); j < len(s.Values) {
+						hi = s.pos(j)
+					}
+					if glo, ghi := s.Bracket(z, z); glo != min(lo, hi) || ghi != hi {
+						t.Fatalf("count %d, ε₁ %g: Bracket(%d, %d) = [%d, %d], two searches give [%d, %d]", n, eps, z, z, glo, ghi, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAddBatchSingle(t *testing.T) {
 	dev := newDev(t)
 	s := newStore(t, dev, 3, 0.25)

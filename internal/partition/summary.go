@@ -132,12 +132,15 @@ func (s *Summary) CountLE(x int64) int {
 func (s *Summary) Bracket(u, v int64) (lo, hi int64) {
 	lo, hi = 0, s.Part.Count
 	// Largest summary entry with value <= u.
-	i := s.CountLE(u) - 1
-	if i >= 0 {
-		lo = s.pos(i) + 1
+	j := s.CountLE(u)
+	if j > 0 {
+		lo = s.pos(j-1) + 1
 	}
-	// Smallest summary entry with value > v.
-	j := s.CountLE(v)
+	// Smallest summary entry with value > v: the next one when v = u, a
+	// probe's point bracket (Cursor.SeekTo), which so searches once.
+	if v != u {
+		j = s.CountLE(v)
+	}
 	if j < len(s.Values) {
 		hi = s.pos(j)
 	}
